@@ -34,7 +34,7 @@ from repro.core.nddisco import NDDiscoRouting
 from repro.core.overlay import DisseminationOverlay
 from repro.core.shortcutting import ShortcutMode, apply_shortcuts
 from repro.core.sloppy_groups import SloppyGrouping
-from repro.core.tables import SubstrateTables, get_backend
+from repro.core.tables import SubstrateTables
 from repro.core.vicinity import VicinityTable
 from repro.graphs.topology import Topology
 from repro.naming.hashspace import hash_prefix
@@ -104,22 +104,13 @@ class DiscoRouting(RoutingScheme):
         self._overlay = DisseminationOverlay(
             self._grouping, num_fingers=num_fingers, seed=seed
         )
-        counts, byte_totals = self._compute_group_storage()
-        if get_backend() == "array":
-            # Flat per-node rows instead of a list of boxed ints plus an
-            # int-keyed float dict; indexing below is unchanged.
-            n = self._nddisco.topology.num_nodes
-            self._group_entry_counts = array("q", counts)
-            self._group_entry_bytes = array(
-                "d", (byte_totals[node] for node in range(n))
-            )
-        else:
-            self._group_entry_counts = counts
-            self._group_entry_bytes = byte_totals
+        self._group_entry_counts, self._group_entry_bytes = (
+            self._compute_group_storage()
+        )
 
     # -- construction helpers ------------------------------------------------
 
-    def _compute_group_storage(self) -> tuple[list[int], dict[int, float]]:
+    def _compute_group_storage(self) -> tuple[array, array]:
         """Count stored sloppy-group address mappings (and bytes) per node.
 
         Node ``h`` stores node ``o``'s address iff their hashes share at
@@ -151,8 +142,8 @@ class DiscoRouting(RoutingScheme):
                     )
                 buckets[key] = bucket
 
-        counts = [0] * n
-        byte_totals: dict[int, float] = {}
+        counts = array("q", bytes(8 * n))
+        byte_totals = array("d", bytes(8 * n))
         for holder in range(n):
             holder_k = grouping.prefix_bits_of(holder)
             holder_hash = grouping.hash_of(holder)
@@ -182,8 +173,8 @@ class DiscoRouting(RoutingScheme):
         return self._nddisco
 
     @property
-    def tables(self) -> "SubstrateTables | None":
-        """The embedded substrate's flat slabs (``None`` on "dict")."""
+    def tables(self) -> SubstrateTables:
+        """The embedded substrate's flat slabs."""
         return self._nddisco.tables
 
     @property

@@ -35,13 +35,12 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.addressing.address import Address, NAME_BYTES_IPV4, NAME_BYTES_IPV6
-from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.labels import LabelCodec
 from repro.core.landmarks import closest_landmarks, landmark_spts, select_landmarks
 from repro.core.resolution import LandmarkResolutionDatabase
 from repro.core.shortcutting import ShortcutMode, apply_shortcuts
 from repro.core.substrate_build import build_substrate_tables
-from repro.core.tables import SubstrateTables, get_backend
+from repro.core.tables import SubstrateTables
 from repro.core.vicinity import VicinityTable, compute_vicinities
 from repro.graphs.engine import get_engine
 from repro.graphs.topology import Topology
@@ -94,8 +93,8 @@ class NDDiscoRouting(RoutingScheme):
         slabs, mmap-attachable afterwards); ``vicinity_storage`` overrides
         the choice for the vicinity slabs and ``persist_storage=False``
         skips finishing a directory into a complete artifact.  Ignored on
-        the component-wise fallback paths (dict backend, reference engine,
-        pre-supplied ``vicinities``).
+        the component-wise fallback path (reference engine, pre-supplied
+        ``vicinities``).
     build_stats / build_progress:
         Optional build instrumentation, forwarded to the slab-direct
         builder: ``build_stats`` (a dict) receives per-phase wall-clock
@@ -126,7 +125,6 @@ class NDDiscoRouting(RoutingScheme):
         build_progress: "Callable[[str], None] | None" = None,
     ) -> None:
         super().__init__(topology)
-        self._seed = seed
         self._shortcut_mode = shortcut_mode
         self._resolve_first_packet = resolve_first_packet
         n = topology.num_nodes
@@ -150,25 +148,18 @@ class NDDiscoRouting(RoutingScheme):
 
         # The converged substrate: landmark SPT rows, closest-landmark
         # rows, vicinities, and address payloads as one set of flat typed
-        # slabs (:class:`SubstrateTables`).  On the default "array"
-        # backend + CSR engine the slab-direct builder
+        # slabs (:class:`SubstrateTables`).  The slab-direct builder
         # (:func:`~repro.core.substrate_build.build_substrate_tables`)
         # writes kernel results straight into the preallocated slabs --
         # optionally fanning the SPT and vicinity phases over a worker
-        # pool and/or packing into mmap-backed storage -- without ever
-        # materializing the per-node dict intermediates.  Every attribute
-        # below keeps its historical dict/list shape through thin views,
-        # and the "dict" backend keeps the original per-node object
-        # graphs, built component-wise, as the differential oracle (the
-        # two paths are asserted byte-identical in
-        # ``tests/test_substrate_build.py``).
+        # pool and/or packing into mmap-backed storage.  Injected
+        # vicinities and the reference engine go through the component-wise
+        # assembler instead, the layer's reference (the two are asserted
+        # byte-identical in ``tests/test_substrate_build.py``).  Every
+        # attribute below is a thin list/dict-shaped view over the slabs.
         self._codec = LabelCodec(topology)
-        if (
-            get_backend() == "array"
-            and get_engine() == "csr"
-            and vicinities is None
-        ):
-            self._tables: SubstrateTables | None = build_substrate_tables(
+        if vicinities is None and get_engine() == "csr":
+            self._tables: SubstrateTables = build_substrate_tables(
                 topology,
                 self._landmarks,
                 codec=self._codec,
@@ -181,58 +172,23 @@ class NDDiscoRouting(RoutingScheme):
                 stats=build_stats,
                 progress=build_progress,
             )
-        elif get_backend() == "array":
+        else:
             spts = landmark_spts(topology, self._landmarks)
-            closest_rows = closest_landmarks(spts, n)
-            built_vicinities: Sequence[VicinityTable] = (
-                list(vicinities)
-                if vicinities is not None
-                else compute_vicinities(
+            if vicinities is None:
+                vicinities = compute_vicinities(
                     topology, scale=vicinity_scale, workers=workers
                 )
-            )
-            if len(built_vicinities) != n:
+            if len(vicinities) != n:
                 raise ValueError("vicinities must cover every node")
             self._tables = SubstrateTables.from_components(
-                n, spts, closest_rows, built_vicinities, self._codec
+                n, spts, closest_landmarks(spts, n), vicinities, self._codec
             )
-        else:
-            self._tables = None
-
-        if self._tables is not None:
-            self._landmark_spts = self._tables.spt_rows()
-            self._closest_landmark, self._closest_landmark_distance = (
-                self._tables.closest_rows()
-            )
-            self._vicinities = self._tables.vicinity_views()
-            self._addresses: list[Address] = self._tables.addresses()
-        else:
-            spts = landmark_spts(topology, self._landmarks)
-            closest_rows = closest_landmarks(spts, n)
-            built_vicinities = (
-                list(vicinities)
-                if vicinities is not None
-                else compute_vicinities(
-                    topology, scale=vicinity_scale, workers=workers
-                )
-            )
-            if len(built_vicinities) != n:
-                raise ValueError("vicinities must cover every node")
-            self._landmark_spts = spts
-            self._closest_landmark, self._closest_landmark_distance = closest_rows
-            self._vicinities = list(built_vicinities)
-            # Addresses: explicit route from the closest landmark down its
-            # SPT.
-            self._addresses = []
-            for node in range(n):
-                landmark = self._closest_landmark[node]
-                tree_path = _extract_path_dense(
-                    spts[landmark][1], landmark, node
-                )
-                route = ExplicitRoute.from_path(self._codec, tree_path)
-                self._addresses.append(
-                    Address(node=node, landmark=landmark, route=route)
-                )
+        self._landmark_spts = self._tables.spt_rows()
+        self._closest_landmark, self._closest_landmark_distance = (
+            self._tables.closest_rows()
+        )
+        self._vicinities = self._tables.vicinity_views()
+        self._addresses: list[Address] = self._tables.addresses()
         self._landmark_distances = {
             landmark: rows[0] for landmark, rows in self._landmark_spts.items()
         }
@@ -249,12 +205,11 @@ class NDDiscoRouting(RoutingScheme):
     # -- accessors used by Disco and the experiments ------------------------
 
     @property
-    def tables(self) -> SubstrateTables | None:
+    def tables(self) -> SubstrateTables:
         """The flat substrate slabs backing this scheme's state.
 
-        ``None`` on the "dict" backend (the differential oracle).  Treat as
-        read-only; the cache layer persists and shares these slabs as raw
-        buffers, and pool workers may attach them zero-copy.
+        Treat as read-only; the cache layer persists and shares these slabs
+        as raw buffers, and pool workers may attach them zero-copy.
         """
         return self._tables
 
@@ -340,9 +295,9 @@ class NDDiscoRouting(RoutingScheme):
 
     def landmark_path(self, landmark: int, node: int) -> list[int]:
         """Return the landmark's SPT path from ``landmark`` to ``node``."""
-        if landmark not in self._landmark_parents:
+        if landmark not in self._landmarks:
             raise KeyError(f"{landmark} is not a landmark")
-        return _extract_path_dense(self._landmark_parents[landmark], landmark, node)
+        return self._tables.spt_path(landmark, node)
 
     # -- state accounting ---------------------------------------------------
 
@@ -542,25 +497,6 @@ class NDDiscoRouting(RoutingScheme):
             )
         path, mechanism = self.compact_route(source, target)
         return RouteResult(path=tuple(path), mechanism=mechanism)
-
-
-def _extract_path_dense(parents: list[int], root: int, node: int) -> list[int]:
-    """Reconstruct the root ; node path from a dense parent list (-1 = none)."""
-    if node == root:
-        return [root]
-    path = [node]
-    current = node
-    steps = 0
-    limit = len(parents)
-    while current != root:
-        parent = parents[current]
-        if parent < 0 or steps > limit:
-            raise ValueError(f"node {node} not reachable from root {root}")
-        path.append(parent)
-        current = parent
-        steps += 1
-    path.reverse()
-    return path
 
 
 def _trim_at_destination(path: list[int], destination: int) -> list[int]:

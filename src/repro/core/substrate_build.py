@@ -16,7 +16,7 @@ results *straight into* preallocated row-major slabs:
 * **Vicinity CSR** -- per-node truncated searches gathered directly into
   the member / distance / parent slabs (:meth:`CSRGraph.k_nearest_into`);
   the per-node dict pairs and :class:`VicinityTable` objects of the
-  historical path are never materialized.
+  component-wise path are never materialized.
 * **Address payloads** -- explicit-route paths walked directly over the
   parent slab and encoded into the address slabs.
 
@@ -33,10 +33,12 @@ arrays, anonymous mmap, or a file-backed slab directory -- see
 the choice for the vicinity slabs so e.g. a million-node build can put the
 SPT slabs on disk and keep the vicinity slabs in anonymous mmap.
 
-The historical dict-mediated path survives behind ``use_backend("dict")``
-as the differential oracle; ``tests/test_substrate_build.py`` asserts all
-slabs byte-identical across the dict path, the slab-direct serial path,
-a 2-worker build, and an mmap re-attach.
+:meth:`SubstrateTables.from_components` over the public component
+functions stays as this layer's reference (the schemes take it for injected
+vicinities and under ``use_engine("reference")``);
+``tests/test_substrate_build.py`` asserts all slabs byte-identical across
+that reference, the slab-direct serial path, a 2-worker build, and an mmap
+re-attach.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ def build_substrate_tables(
     Parameters
     ----------
     topology:
-        The network (CSR engine; the reference engine and the dict backend
-        keep using the historical component-wise path).
+        The network (CSR engine; the reference engine keeps using the
+        component-wise ``from_components`` path).
     landmarks:
         The landmark node ids (any iterable; processed in ascending order).
     codec:

@@ -18,10 +18,12 @@ CSR snapshot did for the graph itself in PR 1:
 
 The dict-shaped accessors the rest of the system consumes stay available as
 thin views (:class:`Row`, :class:`SearchMap`, :class:`VicinityView`), so the
-public scheme API and every experiment output are byte-identical to the
-dict implementation -- which lives on behind ``use_backend("dict")`` as the
-differential oracle, mirroring ``engine.use_engine("reference")`` for the
-kernels.
+public scheme API reads like the per-node lists and dicts the kernels
+return.  Two builders fill the slabs: the slab-direct
+:func:`repro.core.substrate_build.build_substrate_tables` (production) and
+the component-wise :meth:`SubstrateTables.from_components`, this layer's
+reference, which the schemes take when vicinities are injected or
+``engine.use_engine("reference")`` is active.
 
 Because the slabs are plain buffers they also serialize as raw bytes
 (:meth:`SubstrateTables.__getstate__`), deduplicating equal floats by
@@ -36,9 +38,8 @@ import json
 import mmap as _mmap
 import os
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "NodeSearchTables",
@@ -50,57 +51,12 @@ __all__ = [
     "SubstrateTables",
     "VicinityView",
     "SLAB_SCHEMA",
-    "get_backend",
-    "use_backend",
 ]
 
 #: On-disk raw-slab layout version (``save_slabs`` / ``from_mmap``): a
 #: directory holding ``manifest.json`` plus one little-endian 8-byte-item
 #: ``<slab name>.bin`` file per slab.
 SLAB_SCHEMA = "repro-tables-slabs/v1"
-
-#: Backends: "array" (slab-backed, the default) and "dict" (the historical
-#: per-node object graphs, kept as the differential oracle).
-_BACKENDS = ("array", "dict")
-
-_BACKEND: str | None = None
-
-
-def get_backend() -> str:
-    """The active scheme-state backend ("array" or "dict").
-
-    Resolved once from ``REPRO_TABLES`` (default ``array``); switch at
-    runtime with :func:`use_backend`.
-    """
-    global _BACKEND
-    if _BACKEND is None:
-        _BACKEND = os.environ.get("REPRO_TABLES", "array").strip().lower()
-    if _BACKEND not in _BACKENDS:
-        raise ValueError(
-            f"unknown tables backend {_BACKEND!r}; expected one of {_BACKENDS}"
-        )
-    return _BACKEND
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[str]:
-    """Temporarily select a scheme-state backend.
-
-    >>> with use_backend("dict") as active:
-    ...     active
-    'dict'
-    """
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown tables backend {name!r}; expected one of {_BACKENDS}"
-        )
-    global _BACKEND
-    previous = get_backend()
-    _BACKEND = name
-    try:
-        yield name
-    finally:
-        _BACKEND = previous
 
 
 class Row:
@@ -287,6 +243,14 @@ class NodeSearchTables:
         ``searches[v]`` must be rooted at ``v`` (the kernels' dict results:
         distances iterate in settle order starting with the root, the
         predecessor dict covers every settled node but the root).
+
+        >>> table = NodeSearchTables.from_searches(
+        ...     [({0: 0.0, 1: 2.5}, {1: 0}), ({1: 0.0, 0: 2.5}, {0: 1})]
+        ... )
+        >>> dict(table.distance_map(1).items())
+        {1: 0.0, 0: 2.5}
+        >>> table.path_from_owner(0, 1)
+        [0, 1]
         """
         offsets = [0]
         members: list[int] = []
@@ -523,8 +487,10 @@ _VICINITY_SLOTS: tuple[tuple[str, str], ...] = (
 class SubstrateTables:
     """The converged landmark substrate as flat typed slabs.
 
-    Built once per scheme from the kernel outputs
-    (:meth:`from_components`); every dict-shaped accessor the schemes
+    Built once per scheme -- slab-direct by
+    :func:`repro.core.substrate_build.build_substrate_tables`, or from the
+    component functions' outputs by :meth:`from_components` -- and the only
+    converged state the schemes hold; every dict-shaped accessor they
     expose is a cached thin view over these slabs.
     """
 

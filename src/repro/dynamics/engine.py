@@ -154,7 +154,6 @@ class ChurnEngine:
         self._topology = topology.copy()
         n = topology.num_nodes
         self._num_nodes = n
-        self._seed = seed
         if landmarks is None:
             landmarks = select_landmarks(n, seed=seed)
         self._landmarks: list[int] = sorted(landmarks)
@@ -216,9 +215,10 @@ class ChurnEngine:
         engine._topology = routing.topology.copy()
         n = routing.topology.num_nodes
         engine._num_nodes = n
-        engine._seed = 0
         engine._landmarks = sorted(routing.landmarks)
-        engine._k = vicinity_size(n)
+        # Connected topology: every adopted row holds exactly min(k, n)
+        # members, whatever vicinity_scale the routing was built with.
+        engine._k = len(routing.vicinities[0])
         engine._names = list(routing.names)
         engine._group_size = _mean_group_size(SloppyGrouping(engine._names))
         engine._dead = set()

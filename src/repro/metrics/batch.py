@@ -98,19 +98,13 @@ class PairRouter:
 
 
 class _LandmarkPathCache:
-    """Shared SPT path extraction/reversal memo over dense parent rows.
+    """Shared SPT path extraction/reversal memo over the parent slab."""
 
-    When the scheme carries :class:`SubstrateTables`, extraction walks the
-    parent slab directly (one C-level array index per step); otherwise it
-    walks the dict-of-rows the scheme holds.
-    """
+    __slots__ = ("_num_nodes", "_tables", "_down", "_up")
 
-    __slots__ = ("_parents", "_num_nodes", "_tables", "_down", "_up")
-
-    def __init__(self, landmark_parents, num_nodes: int, tables=None) -> None:
-        self._parents = landmark_parents  # landmark -> dense parent row
-        self._num_nodes = num_nodes
+    def __init__(self, tables, num_nodes: int) -> None:
         self._tables = tables
+        self._num_nodes = num_nodes
         # Caches keyed by the flat index landmark * n + node (int keys
         # hash faster than tuples in this hot path).
         self._down: dict[int, list[int]] = {}
@@ -121,26 +115,7 @@ class _LandmarkPathCache:
         key = landmark * self._num_nodes + node
         path = self._down.get(key)
         if path is None:
-            if self._tables is not None:
-                path = self._tables.spt_path(landmark, node)
-            elif node == landmark:
-                path = [landmark]
-            else:
-                parents = self._parents[landmark]
-                path = [node]
-                current = node
-                steps = 0
-                limit = self._num_nodes
-                while current != landmark:
-                    parent = parents[current]
-                    if parent < 0 or steps > limit:
-                        raise ValueError(
-                            f"node {node} not reachable from root {landmark}"
-                        )
-                    path.append(parent)
-                    current = parent
-                    steps += 1
-                path.reverse()
+            path = self._tables.spt_path(landmark, node)
             self._down[key] = path
         return path
 
@@ -166,16 +141,13 @@ class _NDDiscoRouter(PairRouter):
         self.mode = scheme.shortcut_mode
         self._per_hop = self.mode.per_hop_heuristic
         self._uses_reverse = self.mode.uses_reverse_route
-        # On the array backend, vicinity membership and path extraction go
-        # straight through the slab table's per-node position index
-        # instead of the dict-shaped view objects.
-        tables = getattr(scheme, "tables", None)
-        self._vic_table = tables.vicinity if tables is not None else None
-        self._vic_indexes = (
-            self._vic_table._indexes if self._vic_table is not None else None
-        )
+        # Vicinity membership and path extraction go straight through the
+        # slab table's per-node position index instead of the dict-shaped
+        # view objects.
+        self._vic_table = scheme.tables.vicinity
+        self._vic_indexes = self._vic_table._indexes
         self.paths = _LandmarkPathCache(
-            scheme._landmark_parents, scheme.topology.num_nodes, tables
+            scheme.tables, scheme.topology.num_nodes
         )
         self._num_nodes = scheme.topology.num_nodes
         self._addr: dict[int, list[int]] = {}
@@ -189,19 +161,13 @@ class _NDDiscoRouter(PairRouter):
     # -- building blocks ----------------------------------------------------
 
     def _in_vicinity(self, node: int, member: int) -> bool:
-        indexes = self._vic_indexes
-        if indexes is not None:
-            index = indexes[node]
-            if index is None:
-                index = self._vic_table._index(node)
-            return member in index
-        return member in self.vicinities[node]
+        index = self._vic_indexes[node]
+        if index is None:
+            index = self._vic_table._index(node)
+        return member in index
 
     def _vicinity_path(self, node: int, member: int) -> list[int]:
-        table = self._vic_table
-        if table is not None:
-            return table.path_from_owner(node, member)
-        return self.vicinities[node].path_to(member)
+        return self._vic_table.path_from_owner(node, member)
 
     def _address_path(self, node: int) -> list[int]:
         path = self._addr.get(node)
@@ -237,23 +203,15 @@ class _NDDiscoRouter(PairRouter):
         if heuristic == "none" or len(route) <= 1:
             return route
         indexes = self._vic_indexes
-        if indexes is not None:
-            table = self._vic_table
-            for index in range(len(route) - 1):
-                node = route[index]
-                member_index = indexes[node]
-                if member_index is None:
-                    member_index = table._index(node)
-                if destination in member_index:
-                    return route[:index] + table.path_from_owner(
-                        node, destination
-                    )
-            return route
+        table = self._vic_table
         for index in range(len(route) - 1):
             node = route[index]
-            if destination in self.vicinities[node]:
-                return route[:index] + self.vicinities[node].path_to(
-                    destination
+            member_index = indexes[node]
+            if member_index is None:
+                member_index = table._index(node)
+            if destination in member_index:
+                return route[:index] + table.path_from_owner(
+                    node, destination
                 )
         return route
 
@@ -392,24 +350,13 @@ class _DiscoRouter(PairRouter):
         if rows is None:
             node_hashes = self._hashes
             table = self.nd._vic_table
-            if table is not None:
-                # The owner is always the row's first member (settle
-                # order), so slicing from position 1 is exactly the
-                # historical ``member != source`` filter.
-                lo, hi = table.row_bounds(source)
-                ids = memoryview(table.members)[lo + 1 : hi].tolist()
-                dists = memoryview(table.dists)[lo + 1 : hi].tolist()
-                hashes = [node_hashes[member] for member in ids]
-            else:
-                hashes, dists, ids = [], [], []
-                for member, distance in self.nd.vicinities[
-                    source
-                ].distances.items():
-                    if member == source:
-                        continue
-                    hashes.append(node_hashes[member])
-                    dists.append(distance)
-                    ids.append(member)
+            # The owner is always the row's first member (settle order),
+            # so slicing from position 1 is exactly the scheme's
+            # ``member != source`` filter.
+            lo, hi = table.row_bounds(source)
+            ids = memoryview(table.members)[lo + 1 : hi].tolist()
+            dists = memoryview(table.dists)[lo + 1 : hi].tolist()
+            hashes = [node_hashes[member] for member in ids]
             rows = (hashes, dists, ids)
             self._contacts[source] = rows
         return rows
@@ -522,17 +469,12 @@ class _S4Router(PairRouter):
         self.s4 = scheme
         self.landmarks = scheme._landmarks
         self.closest = scheme._closest_landmark
-        self.balls = scheme._ball_distances
-        # Slab fast path for ball membership / path extraction (None on
-        # the dict backend).
+        # Ball membership / path extraction go through the slab table's
+        # per-node position index.
         self._ball_table = scheme.balls
-        self._ball_indexes = (
-            self._ball_table._indexes if self._ball_table is not None else None
-        )
+        self._ball_indexes = self._ball_table._indexes
         self.paths = _LandmarkPathCache(
-            scheme._landmark_parents,
-            scheme.topology.num_nodes,
-            scheme.tables,
+            scheme.tables, scheme.topology.num_nodes
         )
         self._num_nodes = scheme.topology.num_nodes
         #: flat holder * n + member / source * n + target keys
@@ -543,23 +485,18 @@ class _S4Router(PairRouter):
     def _in_cluster(self, holder: int, member: int) -> bool:
         if holder == member:
             return False
-        indexes = self._ball_indexes
-        if indexes is not None:
-            index = indexes[member]
-            if index is None:
-                index = self._ball_table._index(member)
-            return holder in index
-        return holder in self.balls[member]
+        index = self._ball_indexes[member]
+        if index is None:
+            index = self._ball_table._index(member)
+        return holder in index
 
     def _cluster_path(self, holder: int, member: int) -> list[int]:
         key = holder * self._num_nodes + member
         path = self._cluster_paths.get(key)
         if path is None:
-            table = self._ball_table
-            if table is not None:
-                path = list(reversed(table.path_from_owner(member, holder)))
-            else:
-                path = self.s4.cluster_path(holder, member)
+            path = list(
+                reversed(self._ball_table.path_from_owner(member, holder))
+            )
             self._cluster_paths[key] = path
         return path
 

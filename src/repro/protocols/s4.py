@@ -30,7 +30,6 @@ Model
 
 from __future__ import annotations
 
-from array import array
 from typing import Sequence
 
 from repro.core.landmarks import closest_landmarks, landmark_spts, select_landmarks
@@ -40,11 +39,9 @@ from repro.core.substrate_build import (
     build_substrate_tables,
     cluster_sizes_from_members,
 )
-from repro.core.tables import NodeSearchTables, SubstrateTables, get_backend
-from repro.addressing.address import Address, NAME_BYTES_IPV4, NAME_BYTES_IPV6
-from repro.addressing.explicit_route import ExplicitRoute
+from repro.core.tables import NodeSearchTables, SubstrateTables
+from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
 from repro.addressing.labels import LabelCodec
-from repro.graphs.csr import parallel_radius
 from repro.graphs.engine import get_engine
 from repro.graphs.shortest_paths import dijkstra_radius, extract_path
 from repro.graphs.topology import Topology
@@ -129,12 +126,10 @@ class S4Routing(RoutingScheme):
         if not self._landmarks:
             raise ValueError("landmark set must be non-empty")
 
-        # Landmark shortest-path trees (distances and parents, dense rows),
-        # either shared from the sibling scheme or built by the batched
-        # driver.  A scheme that builds its own landmark state re-packs it
-        # into flat :class:`SubstrateTables` slabs on the "array" backend
-        # (a shared substrate's slabs are reused as-is).
-        self._tables: SubstrateTables | None = None
+        # The landmark substrate -- SPT rows, closest-landmark rows and
+        # addresses as flat :class:`SubstrateTables` slabs -- is a pure
+        # function of topology and landmark set, so a sibling scheme's is
+        # reused as-is (with its codec and address objects).
         if substrate is not None:
             # Identity is the common case; equality (same nodes and weighted
             # edges) admits substrates round-tripped through the scenario
@@ -143,17 +138,20 @@ class S4Routing(RoutingScheme):
                 raise ValueError("substrate must be built on the same topology")
             if substrate.landmarks != self._landmarks:
                 raise ValueError("substrate must share this scheme's landmark set")
-            spts = substrate.landmark_spts
-            self._closest_landmark, self._landmark_distance_of = (
-                substrate.closest_landmark_rows
-            )
-            self._tables = getattr(substrate, "tables", None)
-        elif get_backend() == "array":
+            self._codec = substrate.codec
+            self._tables: SubstrateTables = substrate.tables
+        else:
             self._codec = LabelCodec(topology)
-            if get_engine() == "csr":
-                # Slab-direct build (landmark slabs only, no vicinity):
-                # SPT rows land straight in the slabs, optionally fanned
-                # over workers / packed into mmap-backed storage.
+
+        # Own landmark slabs (no vicinity) when nothing was shared, then the
+        # reverse-cluster ("ball") searches: for each node w, find every node
+        # v with d(w, v) < d(w, ℓw); those v have w in their cluster.  The
+        # search tree also provides the shortest path from w back to v, which
+        # is the (reversed) route v uses to reach w.
+        if get_engine() == "csr":
+            # Slab-direct: kernel rows land straight in the slabs, optionally
+            # fanned over workers / threads or packed into mmap storage.
+            if substrate is None:
                 self._tables = build_substrate_tables(
                     topology,
                     self._landmarks,
@@ -163,118 +161,69 @@ class S4Routing(RoutingScheme):
                     threads=threads,
                     storage=storage,
                 )
-            else:
-                built = landmark_spts(topology, self._landmarks)
-                closest_rows = closest_landmarks(built, n)
-                self._tables = SubstrateTables.from_components(
-                    n, built, closest_rows, None, self._codec
-                )
-            spts = self._tables.spt_rows()
-            self._closest_landmark, self._landmark_distance_of = (
-                self._tables.closest_rows()
+            self._balls: NodeSearchTables = build_ball_tables(
+                topology,
+                self._tables.closest_dist,
+                workers=workers,
+                threads=threads,
             )
         else:
-            spts = landmark_spts(topology, self._landmarks)
-            self._closest_landmark, self._landmark_distance_of = (
-                closest_landmarks(spts, n)
+            # Reference engine: the component-wise assemblers.
+            if substrate is None:
+                spts = landmark_spts(topology, self._landmarks)
+                self._tables = SubstrateTables.from_components(
+                    n, spts, closest_landmarks(spts, n), None, self._codec
+                )
+            radii = self._tables.closest_dist
+            self._balls = NodeSearchTables.from_searches(
+                [
+                    dijkstra_radius(topology, node, radii[node])
+                    for node in range(n)
+                ]
             )
+        self._addresses = (
+            self._tables.addresses()
+            if substrate is None
+            else list(substrate.addresses)
+        )
+        spts = self._tables.spt_rows()
+        self._closest_landmark, self._landmark_distance_of = (
+            self._tables.closest_rows()
+        )
         self._landmark_distances = {
             landmark: rows[0] for landmark, rows in spts.items()
         }
         self._landmark_parents = {
             landmark: rows[1] for landmark, rows in spts.items()
         }
-
-        # Reverse-cluster ("ball") searches: for each node w, find every node
-        # v with d(w, v) < d(w, ℓw); those v have w in their cluster.  The
-        # search tree also provides the shortest path from w back to v, which
-        # is the (reversed) route v uses to reach w.  On the "array" backend
-        # the per-node dict pairs collapse into one CSR-slab table.
-        radii = self._landmark_distance_of
-        self._balls: NodeSearchTables | None = None
-        if get_backend() == "array" and get_engine() == "csr":
-            # Flat transport: rows are gathered straight into the CSR
-            # slabs (workers ship typed arrays, not per-node dicts) and
-            # cluster sizes come from one C-speed bincount over the
-            # members slab -- every row starts with its owner, so the
-            # historical "member != node" exclusion is the minus-one in
-            # cluster_sizes_from_members.
-            self._balls = build_ball_tables(
-                topology, radii, workers=workers, threads=threads
-            )
-            self._ball_distances = [
-                self._balls.distance_map(node) for node in range(n)
-            ]
-            self._ball_parents = [
-                self._balls.predecessor_map(node) for node in range(n)
-            ]
-            self._cluster_sizes = cluster_sizes_from_members(
-                self._balls.members, n
-            )
-        else:
-            if get_engine() == "csr":
-                balls = parallel_radius(topology, radii, workers=workers or 1)
-            else:
-                balls = [
-                    dijkstra_radius(topology, node, radii[node])
-                    for node in range(n)
-                ]
-            cluster_sizes = [0] * n
-            for node, (distances, _parents) in enumerate(balls):
-                for member in distances:
-                    if member != node:
-                        cluster_sizes[member] += 1
-            if get_backend() == "array":
-                self._balls = NodeSearchTables.from_searches(balls)
-                self._ball_distances = [
-                    self._balls.distance_map(node) for node in range(n)
-                ]
-                self._ball_parents = [
-                    self._balls.predecessor_map(node) for node in range(n)
-                ]
-                self._cluster_sizes = array("q", cluster_sizes)
-            else:
-                self._ball_distances = [distances for distances, _ in balls]
-                self._ball_parents = [parents for _, parents in balls]
-                self._cluster_sizes = cluster_sizes
+        self._ball_distances = [
+            self._balls.distance_map(node) for node in range(n)
+        ]
+        self._ball_parents = [
+            self._balls.predecessor_map(node) for node in range(n)
+        ]
+        # Every ball row starts with its owner, so "member != node" is the
+        # minus-one in cluster_sizes_from_members.
+        self._cluster_sizes = cluster_sizes_from_members(self._balls.members, n)
 
         # Location service over the landmarks (consistent hashing of names).
-        # Addresses are a pure function of topology and landmark set, so a
-        # shared substrate supplies them (and its codec) ready-made.
-        if substrate is not None:
-            self._codec = substrate.codec
-            self._addresses = list(substrate.addresses)
-        elif self._tables is not None:
-            self._addresses = self._tables.addresses()
-        else:
-            self._codec = LabelCodec(topology)
-            self._addresses = []
-            for node in range(n):
-                landmark = self._closest_landmark[node]
-                tree_path = _extract_path_dense(
-                    self._landmark_parents[landmark], landmark, node
-                )
-                route = ExplicitRoute.from_path(self._codec, tree_path)
-                self._addresses.append(
-                    Address(node=node, landmark=landmark, route=route)
-                )
         self._resolution = LandmarkResolutionDatabase(self._landmarks)
         self._resolution.populate(self._names, self._addresses)
 
     # -- accessors -----------------------------------------------------------
 
     @property
-    def tables(self) -> SubstrateTables | None:
+    def tables(self) -> SubstrateTables:
         """The flat landmark-substrate slabs this scheme routes over.
 
         Shared with the sibling ND-Disco instance when a ``substrate`` was
-        supplied; ``None`` on the "dict" backend.  Read-only.
+        supplied.  Read-only.
         """
         return self._tables
 
     @property
-    def balls(self) -> NodeSearchTables | None:
-        """The reverse-cluster CSR slabs (``None`` on the "dict" backend)."""
+    def balls(self) -> NodeSearchTables:
+        """The reverse-cluster CSR slabs, one row per node.  Read-only."""
         return self._balls
 
     @property
@@ -310,9 +259,9 @@ class S4Routing(RoutingScheme):
 
     def landmark_path(self, landmark: int, node: int) -> list[int]:
         """Return the SPT path from ``landmark`` to ``node``."""
-        if landmark not in self._landmark_parents:
+        if landmark not in self._landmarks:
             raise KeyError(f"{landmark} is not a landmark")
-        return _extract_path_dense(self._landmark_parents[landmark], landmark, node)
+        return self._tables.spt_path(landmark, node)
 
     # -- state accounting ------------------------------------------------------
 
@@ -436,21 +385,3 @@ class S4Routing(RoutingScheme):
         path, mechanism = self.compact_route(source, target)
         return RouteResult(path=tuple(path), mechanism=mechanism)
 
-
-def _extract_path_dense(parents: list[int], root: int, node: int) -> list[int]:
-    """Reconstruct the root ; node path from a dense parent list (-1 = none)."""
-    if node == root:
-        return [root]
-    path = [node]
-    current = node
-    steps = 0
-    limit = len(parents)
-    while current != root:
-        parent = parents[current]
-        if parent < 0 or steps > limit:
-            raise ValueError(f"node {node} not reachable from root {root}")
-        path.append(parent)
-        current = parent
-        steps += 1
-    path.reverse()
-    return path

@@ -127,12 +127,7 @@ def _schema_salt() -> str:
         from repro import __version__
     except Exception:  # pragma: no cover - partial-install fallback
         __version__ = "unknown"
-    # The scheme-state backend shapes what an artifact *contains* (slab
-    # tables vs per-node object graphs), so it salts every key: a dict
-    # oracle run can never be served array-built artifacts or vice versa.
-    from repro.core.tables import get_backend
-
-    return f"{ARTIFACT_SCHEMA}|repro-{__version__}|tables-{get_backend()}"
+    return f"{ARTIFACT_SCHEMA}|repro-{__version__}"
 
 T = TypeVar("T")
 
@@ -360,8 +355,8 @@ class ArtifactCache:
         directory (``<key>.slabs/``) so later loads mmap-attach instead of
         materializing an unpickle copy.
         """
-        tables = getattr(substrate, "tables", None)
-        if tables is None or id(tables) not in self._shared:
+        tables = substrate.tables
+        if id(tables) not in self._shared:
             return
         derived = tables_key(substrate_key)
         self._memory[derived] = tables
@@ -476,29 +471,24 @@ class ArtifactCache:
                         id(obj),
                         _SharedRef("substrate", key, path, topology, content),
                     )
-                tables = getattr(artifact, "tables", None)
-                if tables is not None:
-                    # The slab payload lives under its own kind/key so the
-                    # substrate's pickle externalizes it (and parallel runs
-                    # can swap in a shared-memory attachment).  The nested
-                    # vicinity table is registered as well: the per-node
-                    # views reference it directly.
-                    derived = tables_key(key)
+                # The slab payload lives under its own kind/key so the
+                # substrate's pickle externalizes it (and parallel runs
+                # can swap in a shared-memory attachment).  The nested
+                # vicinity table is registered as well: the per-node
+                # views reference it directly.
+                tables = artifact.tables
+                derived = tables_key(key)
+                self._shared.setdefault(
+                    id(tables),
+                    _SharedRef("tables", derived, (), topology, content),
+                )
+                if tables.vicinity is not None:
                     self._shared.setdefault(
-                        id(tables),
-                        _SharedRef("tables", derived, (), topology, content),
+                        id(tables.vicinity),
+                        _SharedRef(
+                            "tables", derived, ("vicinity",), topology, content
+                        ),
                     )
-                    if tables.vicinity is not None:
-                        self._shared.setdefault(
-                            id(tables.vicinity),
-                            _SharedRef(
-                                "tables",
-                                derived,
-                                ("vicinity",),
-                                topology,
-                                content,
-                            ),
-                        )
             # kind == "tables" registers nothing by itself: the owning
             # substrate's registration (above) carries the topology guard.
         except Exception:

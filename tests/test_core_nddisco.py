@@ -102,9 +102,10 @@ class TestAddresses:
             for v in range(nddisco_small.topology.num_nodes)
             if v not in nddisco_small.landmarks
         )
-        with pytest.raises(KeyError):
+        message = f"{non_landmark} is not a landmark"
+        with pytest.raises(KeyError, match=message):
             nddisco_small.landmark_distance(non_landmark, 0)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=message):
             nddisco_small.landmark_path(non_landmark, 0)
 
     def test_resolution_database_populated(self, nddisco_small, small_gnm):

@@ -263,6 +263,26 @@ class TestEngineDifferential:
         )
         assert adopted.state_signature() == direct.state_signature()
 
+    def test_from_routing_keeps_the_adopted_vicinity_size(self):
+        # Regression: from_routing used to assume vicinity_scale=1.0, so an
+        # engine adopting half-size vicinities saw every row as under-filled
+        # and regrew all of them to the default k on the first event.
+        topology = gnm_random_graph(200, seed=3, average_degree=6.0)
+        routing = NDDiscoRouting(topology, seed=3, vicinity_scale=0.5)
+        adopted = ChurnEngine.from_routing(routing)
+        assert adopted.vicinity_k == len(routing.vicinities[0]) == 17
+        direct = ChurnEngine(
+            topology,
+            seed=3,
+            landmarks=sorted(routing.landmarks),
+            vicinity_k=17,
+        )
+        u, v, weight = next(iter(topology.edges()))
+        event = DynEvent(0, "edge-down", u, v, weight)
+        adopted.apply(event)
+        direct.apply(event)
+        assert adopted.state_signature() == direct.state_signature()
+
 
 def _two_cliques(bridge_weight: float = 1.0) -> Topology:
     """Two 4-cliques joined by the single bridge edge (3, 4)."""

@@ -67,20 +67,6 @@ class TestBatchedStretch:
             batched = measure_stretch(scheme, pairs=pairs, batch=True)
             assert loop == batched, (mode, name)
 
-    def test_dict_backend_routers_also_identical(self):
-        from repro.core.tables import use_backend
-
-        topology = gnm_random_graph(100, seed=6, average_degree=6.0)
-        with use_backend("dict"):
-            simulation = StaticSimulation(
-                topology, ("disco", "nd-disco", "s4"), seed=1
-            )
-            pairs = sample_pairs(topology, 120, seed=5)
-            for name, scheme in simulation.schemes.items():
-                loop = measure_stretch(scheme, pairs=pairs, batch=False)
-                batched = measure_stretch(scheme, pairs=pairs, batch=True)
-                assert loop == batched, name
-
 
 class TestBatchedRoutes:
     def test_route_pairs_batch_matches_scheme_methods(self, medium_gnm):

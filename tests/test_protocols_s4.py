@@ -129,6 +129,18 @@ class TestRouting:
         s4 = S4Routing(small_gnm, landmarks=nddisco_small.landmarks)
         assert s4.landmarks == nddisco_small.landmarks
 
+    def test_landmark_path_rejects_non_landmark_root(self, s4_small):
+        landmark = next(iter(s4_small.landmarks))
+        path = s4_small.landmark_path(landmark, 9)
+        assert path[0] == landmark and path[-1] == 9
+        non_landmark = next(
+            v
+            for v in range(s4_small.topology.num_nodes)
+            if v not in s4_small.landmarks
+        )
+        with pytest.raises(KeyError, match=f"{non_landmark} is not a landmark"):
+            s4_small.landmark_path(non_landmark, 0)
+
     def test_out_of_range(self, s4_small):
         with pytest.raises(ValueError):
             s4_small.first_packet_route(0, 10_000)

@@ -24,6 +24,7 @@ from repro.core.landmarks import (
     landmark_spts,
     select_landmarks,
 )
+from repro.core.nddisco import NDDiscoRouting
 from repro.core.substrate_build import (
     build_ball_tables,
     build_substrate_tables,
@@ -146,6 +147,24 @@ def test_landmark_only_build_matches_from_components():
         topology, landmarks, codec=codec, include_vicinity=False
     )
     _assert_identical_slabs(expected, actual)
+
+
+@pytest.mark.parametrize("family,topology", FAMILIES, ids=[f for f, _ in FAMILIES])
+def test_injected_vicinities_match_slab_direct(family, topology):
+    """``NDDiscoRouting(vicinities=...)``: the scheme's from_components branch."""
+    landmarks = select_landmarks(topology.num_nodes, seed=2)
+    expected = NDDiscoRouting(topology, landmarks=landmarks).tables
+    injected = NDDiscoRouting(
+        topology, landmarks=landmarks, vicinities=compute_vicinities(topology)
+    )
+    _assert_identical_slabs(expected, injected.tables)
+
+
+def test_injected_vicinities_must_cover_every_node():
+    family, topology = FAMILIES[1]
+    vicinities = compute_vicinities(topology)
+    with pytest.raises(ValueError, match="vicinities must cover every node"):
+        NDDiscoRouting(topology, vicinities=vicinities[:-1])
 
 
 def test_build_stats_and_progress_hooks():
