@@ -460,13 +460,8 @@ def apply_maintenance(
             sorted(dirty.closest), closest_row, closest_dist_row
         )
     if dirty.vicinities and tables.vicinity is not None:
-        vicinities = engine.vicinities
         updates = {
-            node: (
-                vicinities[node].distances,
-                vicinities[node].predecessors,
-            )
-            for node in sorted(dirty.vicinities)
+            node: engine.vicinity_row(node) for node in dirty.vicinities
         }
         tables.replace_vicinity(tables.vicinity.with_rows(updates))
     if codec is not None and len(tables.addr_offsets) == tables.num_nodes + 1:

@@ -282,49 +282,53 @@ class NodeSearchTables:
             array("q", parents),
         )
 
-    def with_rows(
-        self,
-        updates: Mapping[int, tuple[Mapping[int, float], Mapping[int, int]]],
-    ) -> "NodeSearchTables":
-        """Return new tables with the rows of ``updates`` replaced.
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple]) -> "NodeSearchTables":
+        """Build slabs from per-node flat ``(members, dists, parents)`` rows.
 
-        ``updates`` maps node -> ``(distances, predecessors)`` in the same
-        shape :meth:`from_searches` accepts.  Row lengths may change (a
-        partition can shrink a truncated search below k), so the slabs are
-        rebuilt; untouched rows are copied wholesale via slab slices, never
-        re-walked.  The result is bit-identical to :meth:`from_searches`
-        over the full updated search set.
+        Each row is three equal-length ``'q'`` / ``'d'`` / ``'q'`` buffers
+        in settle order -- the layout the kernels' flat drivers emit and
+        :meth:`row` returns -- and ``rows[v]`` must start at ``v``.  Rows are
+        appended with buffer copies; no per-entry Python objects are built.
         """
         offsets = array("q", [0])
-        members = array("q")
-        dists = array("d")
-        parents = array("q")
-        old_members = memoryview(self.members)
-        old_dists = memoryview(self.dists)
-        old_parents = memoryview(self.parents)
-        for node in range(self.num_nodes):
-            update = updates.get(node)
-            if update is None:
-                lo, hi = self.row_bounds(node)
-                members.extend(old_members[lo:hi])
-                dists.extend(old_dists[lo:hi])
-                parents.extend(old_parents[lo:hi])
-            else:
-                distances, predecessors = update
-                order = list(distances)
-                if not order or order[0] != node:
-                    raise ValueError(
-                        f"replacement search {node} does not start at its "
-                        "own node"
-                    )
-                members.extend(order)
-                dists.extend(distances.values())
-                parents.append(-1)
-                iterator = iter(order)
-                next(iterator)
-                parents.extend(predecessors[member] for member in iterator)
-            offsets.append(len(members))
-        return NodeSearchTables(self.num_nodes, offsets, members, dists, parents)
+        slabs = (array("q"), array("d"), array("q"))
+        for node, row in enumerate(rows):
+            members, dists, parents = row
+            if not len(members) or members[0] != node:
+                raise ValueError(
+                    f"row {node} does not start at its own node"
+                )
+            if not len(members) == len(dists) == len(parents):
+                raise ValueError(f"row {node} has ragged buffers")
+            for slab, part in zip(slabs, row):
+                slab.frombytes(memoryview(part).cast("B"))
+            offsets.append(len(slabs[0]))
+        return cls(len(rows), offsets, *slabs)
+
+    def row(self, node: int) -> tuple[memoryview, memoryview, memoryview]:
+        """``node``'s flat ``(members, dists, parents)`` row, as slab views."""
+        lo, hi = self.row_bounds(node)
+        return (
+            memoryview(self.members)[lo:hi],
+            memoryview(self.dists)[lo:hi],
+            memoryview(self.parents)[lo:hi],
+        )
+
+    def with_rows(self, updates: Mapping[int, tuple]) -> "NodeSearchTables":
+        """Return new tables with the rows of ``updates`` replaced.
+
+        ``updates`` maps node -> flat ``(members, dists, parents)`` row (see
+        :meth:`from_rows`).  Row lengths may change (a partition can shrink
+        a truncated search below k), so the slabs are rebuilt; untouched
+        rows are copied wholesale via slab slices, never re-walked.
+        """
+        return NodeSearchTables.from_rows(
+            [
+                updates[node] if node in updates else self.row(node)
+                for node in range(self.num_nodes)
+            ]
+        )
 
     def _index(self, node: int) -> dict[int, int]:
         """member -> absolute slab position for ``node``'s row (lazy)."""

@@ -19,6 +19,10 @@ event.
   current vicinity radius reaches an event endpoint (old-graph distances
   for failures/increases, new-graph for recoveries/decreases).  Every
   non-candidate's vicinity is provably bit-identical before and after.
+  Each vicinity is held as the kernel's own flat row (members / dists /
+  parents in settle order, the ``NodeSearchTables`` layout); an event's
+  candidates go down in one batched kernel call and a row that comes back
+  buffer-equal to the stored one is skipped.
 * **Addresses** (closest landmark + landmark-tree path) are re-derived
   only for nodes whose closest landmark changed or that are new-tree
   descendants of a parent change inside their closest landmark's row.
@@ -39,11 +43,13 @@ events capture and restore incident edges with stable node ids.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from repro.core.landmarks import select_landmarks
 from repro.core.sloppy_groups import SloppyGrouping
-from repro.core.vicinity import VicinityTable, compute_vicinity, vicinity_size
+from repro.core.tables import NodeSearchTables, VicinityView
+from repro.core.vicinity import vicinity_size
 from repro.dynamics.calendar import EventCalendar
 from repro.dynamics.maintenance import MaintenanceCost, _mean_group_size
 from repro.dynamics.stream import DynEvent
@@ -167,9 +173,9 @@ class ChurnEngine:
             landmark: spt_dense(self._topology, landmark)
             for landmark in self._landmarks
         }
-        self._vicinities: list[VicinityTable] = [
-            compute_vicinity(self._topology, node, self._k) for node in range(n)
-        ]
+        self._adopt_vicinities(
+            *self._topology.csr().k_nearest_batch_flat(self._k)
+        )
         self._closest: list[int] = [-1] * n
         self._closest_dist: list[float] = [_INF] * n
         for node in range(n):
@@ -184,6 +190,23 @@ class ChurnEngine:
         self._dirty_closest: set[int] = set()
         self._dirty_vicinities: set[int] = set()
         self._dirty_addresses: set[int] = set()
+
+    def _adopt_vicinities(self, offsets, members, dists, parents) -> None:
+        """Split one flat all-nodes k-nearest result into per-node rows."""
+        self._vicinities: list[tuple] = [
+            (members[lo:hi], dists[lo:hi], parents[lo:hi])
+            for lo, hi in zip(offsets, offsets[1:])
+        ]
+        self._radius = array(
+            "d", [self._radius_of(dists) for _, dists, _ in self._vicinities]
+        )
+
+    def _radius_of(self, dists) -> float:
+        """The candidate threshold R_x of a row: its last-settled (farthest)
+        distance, or inf when the vicinity is component-limited (fewer than
+        k members)."""
+        full = len(dists) == min(self._k, self._num_nodes)
+        return dists[-1] if full else _INF
 
     def take_dirty(self) -> DirtyState:
         """Return and clear the change sets accumulated since the last call."""
@@ -218,7 +241,8 @@ class ChurnEngine:
         engine._landmarks = sorted(routing.landmarks)
         # Connected topology: every adopted row holds exactly min(k, n)
         # members, whatever vicinity_scale the routing was built with.
-        engine._k = len(routing.vicinities[0])
+        vicinity = routing.tables.vicinity
+        engine._k = vicinity.offsets[1]
         engine._names = list(routing.names)
         engine._group_size = _mean_group_size(SloppyGrouping(engine._names))
         engine._dead = set()
@@ -227,14 +251,12 @@ class ChurnEngine:
             landmark: (list(dist_row), list(parent_row))
             for landmark, (dist_row, parent_row) in routing.landmark_spts.items()
         }
-        engine._vicinities = [
-            VicinityTable(
-                node=node,
-                distances=dict(vicinity.distances),
-                predecessors=dict(vicinity.predecessors),
-            )
-            for node, vicinity in enumerate(routing.vicinities)
-        ]
+        engine._adopt_vicinities(
+            vicinity.offsets,
+            vicinity.members,
+            vicinity.dists,
+            vicinity.parents,
+        )
         closest_row, closest_dist_row = routing.closest_landmark_rows
         engine._closest = list(closest_row)
         engine._closest_dist = list(closest_dist_row)
@@ -272,9 +294,16 @@ class ChurnEngine:
         return set(self._dead)
 
     @property
-    def vicinities(self) -> list[VicinityTable]:
-        """Per-node vicinity tables (indexed by node id); read-only."""
-        return self._vicinities
+    def vicinities(self) -> list[VicinityView]:
+        """Per-node vicinity views (indexed by node id) over a snapshot of
+        the current rows, built per call; read-only."""
+        table = NodeSearchTables.from_rows(self._vicinities)
+        return [VicinityView(table, node) for node in range(self._num_nodes)]
+
+    def vicinity_row(self, node: int) -> tuple:
+        """Flat ``(members, dists, parents)`` row of one node, in settle
+        order; read-only."""
+        return self._vicinities[node]
 
     @property
     def addresses(self) -> list[tuple[int, tuple[int, ...]] | None]:
@@ -307,8 +336,8 @@ class ChurnEngine:
             tuple(self._closest),
             tuple(self._closest_dist),
             tuple(
-                tuple(sorted(vicinity.distances.items()))
-                for vicinity in self._vicinities
+                tuple(sorted(zip(members, dists)))
+                for members, dists, _ in self._vicinities
             ),
             tuple(self._addresses),
         )
@@ -357,14 +386,6 @@ class ChurnEngine:
                 changes[landmark] = (dist_changed, parent_changed)
         return changes
 
-    def _vicinity_radius(self, node: int) -> float:
-        """The candidate threshold R_x: last-member distance, or inf when
-        the vicinity is component-limited (fewer than k members)."""
-        vicinity = self._vicinities[node]
-        if len(vicinity.distances) < min(self._k, self._num_nodes):
-            return _INF
-        return max(vicinity.distances.values())
-
     def _vicinity_candidates(
         self,
         endpoint_rows: list[list[float]],
@@ -412,14 +433,14 @@ class ChurnEngine:
                     near, far = dv, du
                 if near == _INF or abs(near + tight - far) > _REL_SLACK * far:
                     continue
-                radius = self._vicinity_radius(node)
+                radius = self._radius[node]
                 if radius < _INF:
                     radius += _REL_SLACK * radius
                 if near + tight <= radius:
                     candidates.append(node)
             return candidates
         for node in range(self._num_nodes):
-            radius = self._vicinity_radius(node)
+            radius = self._radius[node]
             if radius < _INF:
                 radius += _REL_SLACK * radius
             for row in endpoint_rows:
@@ -429,26 +450,28 @@ class ChurnEngine:
         return candidates
 
     def _patch_vicinities(self, candidates) -> int:
+        """Recompute the candidates' rows in one batched kernel call; store
+        and bill (members whose distance entry differs) the changed ones."""
+        if not candidates:
+            return 0
+        offsets, *slabs = self._topology.csr().k_nearest_batch_flat(
+            self._k, candidates
+        )
+        members, dists, parents = map(memoryview, slabs)
         entries_changed = 0
-        for node in candidates:
-            new_vicinity = compute_vicinity(self._topology, node, self._k)
-            old_vicinity = self._vicinities[node]
-            old_distances = old_vicinity.distances
-            new_distances = new_vicinity.distances
-            node_changes = 0
-            for member in set(old_distances) | set(new_distances):
-                if member == node:
-                    continue
-                if old_distances.get(member) != new_distances.get(member):
-                    node_changes += 1
-            entries_changed += node_changes
-            if (
-                node_changes
-                or dict(old_vicinity.predecessors)
-                != dict(new_vicinity.predecessors)
-            ):
-                self._dirty_vicinities.add(node)
-            self._vicinities[node] = new_vicinity
+        for index, node in enumerate(candidates):
+            lo, hi = offsets[index], offsets[index + 1]
+            old_members, old_dists, old_parents = self._vicinities[node]
+            if members[lo:hi] != old_members or dists[lo:hi] != old_dists:
+                moved = set(zip(old_members, old_dists)).symmetric_difference(
+                    zip(members[lo:hi], dists[lo:hi])
+                )
+                entries_changed += len({member for member, _ in moved})
+            elif parents[lo:hi] == old_parents:
+                continue
+            self._dirty_vicinities.add(node)
+            self._vicinities[node] = tuple(slab[lo:hi] for slab in slabs)
+            self._radius[node] = self._radius_of(dists[lo:hi])
         return entries_changed
 
     def _patch_addresses(self, changes) -> int:
@@ -467,23 +490,20 @@ class ChurnEngine:
         for node in touched:
             if self._refold_closest(node):
                 dirty.add(node)
+        adjacency = self._topology.adjacency
         for landmark, (_, parent_changed) in changes.items():
             if not parent_changed:
                 continue
             parent_row = self._rows[landmark][1]
-            children: list[list[int]] = [[] for _ in range(self._num_nodes)]
-            for node in range(self._num_nodes):
-                pred = parent_row[node]
-                if pred >= 0:
-                    children[pred].append(node)
             stack = list(parent_changed)
             seen = set(stack)
             while stack:
                 node = stack.pop()
                 if self._closest[node] == landmark:
                     dirty.add(node)
-                for child in children[node]:
-                    if child not in seen:
+                # Tree children are the graph neighbours pointing back.
+                for child, _ in adjacency[node]:
+                    if parent_row[child] == node and child not in seen:
                         seen.add(child)
                         stack.append(child)
         addresses_changed = 0
@@ -531,7 +551,8 @@ class ChurnEngine:
 
         Infeasible events (edge events touching a dead node or a missing /
         already-present edge, leave of a dead node, join of a live one,
-        reweight to the current weight) are graceful no-ops -- the
+        reweight to the current weight, an ``edge-up`` / ``edge-reweight``
+        weight that is not positive and finite) are graceful no-ops -- the
         message-level behavior of a node that receives a stale or duplicate
         update -- reported with ``applied=False``.
         """
@@ -556,6 +577,8 @@ class ChurnEngine:
         if not (0 <= u < self._num_nodes and 0 <= v < self._num_nodes):
             return self._noop(event)
         kind = event.kind
+        if kind != "edge-down" and not 0 < event.weight < _INF:
+            return self._noop(event)  # zero, negative, inf or NaN weight
         if kind == "edge-down":
             if not self._topology.has_edge(u, v):
                 return self._noop(event)
@@ -571,7 +594,7 @@ class ChurnEngine:
             )
             candidates = self._vicinity_candidates(old_rows, tight=old_weight)
         elif kind == "edge-up":
-            if self._topology.has_edge(u, v) or event.weight <= 0:
+            if self._topology.has_edge(u, v):
                 return self._noop(event)
             self._topology.add_edge(u, v, event.weight)
             changes = self._repair_rows(
@@ -587,7 +610,7 @@ class ChurnEngine:
                 new_rows, tight=self._topology.edge_weight(u, v)
             )
         else:  # edge-reweight
-            if not self._topology.has_edge(u, v) or event.weight <= 0:
+            if not self._topology.has_edge(u, v):
                 return self._noop(event)
             old_weight = self._topology.edge_weight(u, v)
             new_weight = float(event.weight)
@@ -632,17 +655,15 @@ class ChurnEngine:
         if not 0 <= node < self._num_nodes or node in self._dead:
             return self._noop(event)
         old_row = spt_dense(self._topology, node)[0]
-        incident = sorted(
-            (node, neighbor, weight)
-            for neighbor, weight in self._topology.adjacency[node]
-        )
+        arcs = list(self._topology.adjacency[node])
+        incident = sorted((node, other, weight) for other, weight in arcs)
         for _, neighbor, _ in incident:
             self._topology.remove_edge(node, neighbor)
         self._captured[node] = incident
         self._dead.add(node)
         changes = self._repair_rows(
             lambda root, dist, parent: repair_after_detach(
-                self._topology, dist, parent, root, node
+                self._topology, dist, parent, root, node, arcs
             )
         )
         candidates = self._vicinity_candidates([old_row])

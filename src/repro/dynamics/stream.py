@@ -101,38 +101,49 @@ def events_from_workload(
     return out
 
 
-def _live_connected(
-    topology: Topology,
-    dead: set[int],
-    *,
-    skip_node: int | None = None,
-    skip_edge: tuple[int, int] | None = None,
-) -> bool:
-    """True when the live nodes (minus optional exclusions) are connected."""
-    excluded = set(dead)
-    if skip_node is not None:
-        excluded.add(skip_node)
-    live = [node for node in range(topology.num_nodes) if node not in excluded]
-    if len(live) <= 1:
-        return True
-    banned = None
-    if skip_edge is not None:
-        a, b = skip_edge
-        banned = (a, b) if a < b else (b, a)
-    seen = {live[0]}
-    frontier = [live[0]]
-    while frontier:
-        node = frontier.pop()
-        for neighbor, _ in topology.adjacency[node]:
-            if neighbor in excluded or neighbor in seen:
+def _cut_points(
+    topology: Topology, root: int
+) -> tuple[set[tuple[int, int]], set[int]]:
+    """Bridges (as ``u < v`` pairs) and articulation points of the live graph.
+
+    One iterative lowlink depth-first search (Tarjan) from the live node
+    ``root`` over ``topology``, in which departed nodes hold no arcs:
+    removing an edge disconnects the live nodes iff it is a bridge, removing
+    a node iff it is an articulation point.  The live graph must be
+    connected, which ``preserve_connectivity`` streams keep as an invariant.
+    """
+    adjacency = topology.adjacency
+    bridges: set[tuple[int, int]] = set()
+    cuts: set[int] = set()
+    order = {root: 0}  # discovery index
+    low = {root: 0}  # lowest discovery index reachable from the subtree
+    root_children = 0
+    stack = [(root, -1, iter(adjacency[root]))]
+    while stack:
+        node, parent, arcs = stack[-1]
+        for neighbor, _ in arcs:
+            if neighbor == parent:
+                continue  # simple graph: the one arc back up the tree
+            if neighbor in order:
+                low[node] = min(low[node], order[neighbor])
+            else:
+                order[neighbor] = low[neighbor] = len(order)
+                stack.append((neighbor, node, iter(adjacency[neighbor])))
+                break
+        else:
+            stack.pop()
+            if parent < 0:
                 continue
-            if banned is not None:
-                key = (node, neighbor) if node < neighbor else (neighbor, node)
-                if key == banned:
-                    continue
-            seen.add(neighbor)
-            frontier.append(neighbor)
-    return len(seen) == len(live)
+            low[parent] = min(low[parent], low[node])
+            if low[node] > order[parent]:
+                bridges.add((min(node, parent), max(node, parent)))
+            if parent == root:
+                root_children += 1
+            elif low[node] >= order[parent]:
+                cuts.add(parent)
+    if root_children > 1:
+        cuts.add(root)
+    return bridges, cuts
 
 
 def generate_event_stream(
@@ -201,12 +212,9 @@ def generate_event_stream(
         tick = len(events) // events_per_tick
         if kind == "edge-down":
             candidates = live_edges()
-            if preserve_connectivity:
-                candidates = [
-                    edge
-                    for edge in candidates
-                    if _live_connected(current, dead, skip_edge=edge)
-                ]
+            if candidates and preserve_connectivity:
+                bridges, _ = _cut_points(current, candidates[0][0])
+                candidates = [e for e in candidates if e not in bridges]
             edge = pick(candidates)
             if edge is None:
                 continue
@@ -248,15 +256,10 @@ def generate_event_stream(
             live = [
                 node for node in range(current.num_nodes) if node not in dead
             ]
-            candidates = [
-                node
-                for node in live
-                if len(live) > 2
-                and (
-                    not preserve_connectivity
-                    or _live_connected(current, dead, skip_node=node)
-                )
-            ]
+            candidates = live if len(live) > 2 else []
+            if candidates and preserve_connectivity:
+                _, cuts = _cut_points(current, live[0])
+                candidates = [node for node in live if node not in cuts]
             node = pick(candidates)
             if node is None:
                 continue

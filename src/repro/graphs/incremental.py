@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from heapq import heapify, heappop, heappush
 
-from repro.graphs.shortest_paths import dijkstra
 from repro.graphs.topology import Topology
 
 __all__ = [
@@ -61,15 +60,7 @@ def spt_dense(
     Computed through the canonical engine kernels, so repaired rows can be
     compared against this bit for bit.
     """
-    n = topology.num_nodes
-    dist: list[float] = [_INF] * n
-    parent: list[int] = [-1] * n
-    distances, predecessors = dijkstra(topology, root)
-    for node, value in distances.items():
-        dist[node] = value
-    for node, pred in predecessors.items():
-        parent[node] = pred
-    return dist, parent
+    return topology.csr().spt_rows(root, fill=_INF)
 
 
 def canonical_parent(
@@ -90,24 +81,20 @@ def canonical_parent(
     return best
 
 
-def _tree_children(parent, num_nodes: int) -> list[list[int]]:
-    children: list[list[int]] = [[] for _ in range(num_nodes)]
-    for node in range(num_nodes):
-        pred = parent[node]
-        if pred >= 0:
-            children[pred].append(node)
-    return children
+def _collect_subtree(adjacency, parent, top: int, top_arcs=None) -> list[int]:
+    """Nodes in ``top``'s subtree of the current parent forest (inclusive).
 
-
-def _collect_subtree(parent, num_nodes: int, top: int) -> list[int]:
-    """Nodes in ``top``'s subtree of the current parent forest (inclusive)."""
-    children = _tree_children(parent, num_nodes)
-    out: list[int] = []
-    stack = [top]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(children[node])
+    A node's tree children are exactly its graph neighbours ``c`` with
+    ``parent[c] == node``, so the walk reads O(subtree * degree) parent
+    entries and never the rest of the row.  ``top_arcs`` stands in for
+    ``adjacency[top]`` when ``top``'s arcs are already removed (a detach).
+    """
+    out = [top]
+    for node in out:  # grows while it is walked: breadth-first
+        arcs = adjacency[node]
+        if node == top and top_arcs is not None:
+            arcs = top_arcs
+        out.extend(child for child, _ in arcs if parent[child] == node)
     return out
 
 
@@ -196,7 +183,7 @@ def repair_after_increase(
         top = u
     else:
         return [], []
-    region = _collect_subtree(parent, topology.num_nodes, top)
+    region = _collect_subtree(topology.adjacency, parent, top)
     return _repair_region(
         topology, dist, parent, root, region, extra_recanon=(u, v)
     )
@@ -251,19 +238,20 @@ def repair_after_decrease(
 
 
 def repair_after_detach(
-    topology: Topology, dist, parent, root: int, node: int
+    topology: Topology, dist, parent, root: int, node: int, arcs
 ) -> tuple[list[int], list[int]]:
     """Repair one SPT row after *all* of ``node``'s edges were removed.
 
-    Call after the mutation.  The affected region is ``node``'s old subtree
+    Call after the mutation, with ``arcs`` the ``(neighbor, weight)`` list
+    ``node`` had before it.  The affected region is ``node``'s old subtree
     (the whole reachable row minus the root when the detached node *is* the
     root); an already-unreachable node detaching changes nothing.
     """
     if dist[node] == _INF and node != root:
         return [], []
-    region = _collect_subtree(parent, topology.num_nodes, root if node == root else node)
+    region = _collect_subtree(topology.adjacency, parent, node, arcs)
     if node == root:
-        region = [other for other in region if other != root]
+        del region[0]
         if not region:
             return [], []
     return _repair_region(

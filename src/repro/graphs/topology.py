@@ -19,6 +19,7 @@ them, which keeps the dict backend available as the differential oracle.
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -78,7 +79,7 @@ class Topology:
     # -- construction -----------------------------------------------------
 
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
-        """Add the undirected edge ``{u, v}`` with the given positive weight.
+        """Add the undirected edge ``{u, v}`` with a positive, finite weight.
 
         Adding an existing edge keeps the smaller of the old and new weights.
         """
@@ -86,8 +87,10 @@ class Topology:
         self._check_node(v)
         if u == v:
             raise ValueError(f"self-loops are not allowed (node {u})")
-        if weight <= 0:
-            raise ValueError(f"edge weight must be > 0, got {weight}")
+        if not 0 < weight < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"edge weight must be > 0 and finite, got {weight}"
+            )
         key = (u, v) if u < v else (v, u)
         existing = self._edge_weights.get(key)
         if existing is not None:
@@ -180,12 +183,14 @@ class Topology:
         KeyError
             If the edge does not exist.
         ValueError
-            If the weight is not strictly positive.
+            If the weight is not strictly positive and finite.
         """
         self._check_node(u)
         self._check_node(v)
-        if weight <= 0:
-            raise ValueError(f"edge weight must be > 0, got {weight}")
+        if not 0 < weight < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"edge weight must be > 0 and finite, got {weight}"
+            )
         key = (u, v) if u < v else (v, u)
         old = self._edge_weights[key]  # KeyError if absent
         if float(weight) == old:
