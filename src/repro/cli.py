@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="also time the multiprocessing fan-out with this many workers",
+        help="also time the scenario suite over a process pool of this many "
+        "workers (adds the scenario_suite /workers-N variant)",
     )
     bench_parser.add_argument(
         "--kernel",
@@ -507,20 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
         "substrate, exactly as StaticSimulation builds them",
     )
     substrate_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan the SPT / vicinity / ball phases over this many worker "
-        "processes (byte-identical output for any worker count)",
-    )
-    substrate_parser.add_argument(
         "--threads",
         type=int,
         default=None,
         help="in-kernel pthread fan-out for the batched C entry points "
         "(default: REPRO_KERNEL_THREADS or the CPU count; 0 pins the "
-        "serial per-source loop; byte-identical output for any width; "
-        "ignored when --workers selects the process pool)",
+        "serial per-source loop; byte-identical output for any width)",
     )
     substrate_parser.add_argument(
         "--storage",
@@ -1080,7 +1073,6 @@ def _command_substrate(args: argparse.Namespace) -> int:
         nddisco = NDDiscoRouting(
             topology,
             seed=args.seed,
-            workers=args.workers,
             threads=args.threads,
             storage=args.storage,
             vicinity_storage=args.vicinity_storage,
@@ -1098,10 +1090,7 @@ def _command_substrate(args: argparse.Namespace) -> int:
         )
     if "s4" in protocols:
         s4_started = time.perf_counter()
-        options: dict[str, object] = {
-            "workers": args.workers,
-            "threads": args.threads,
-        }
+        options: dict[str, object] = {"threads": args.threads}
         if nddisco is not None:
             # Same landmark set and shared substrate, exactly as
             # StaticSimulation couples the two schemes.

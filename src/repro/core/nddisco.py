@@ -74,19 +74,12 @@ class NDDiscoRouting(RoutingScheme):
         database's home landmark for the destination name.
     resolution_virtual_nodes:
         Virtual ring points per landmark in the resolution database.
-    workers:
-        Opt-in multiprocessing fan-out for the substrate build: on the
-        slab-direct path the landmark SPTs and the per-node vicinity
-        searches both partition over the worker pool (see
-        :func:`~repro.core.substrate_build.build_substrate_tables`); on
-        the component-wise fallback it is forwarded to
-        :func:`~repro.core.vicinity.compute_vicinities`.  Results are
-        byte-identical for any worker count.
     threads:
-        In-kernel thread fan-out for the same phases -- the default
-        parallel path when no worker pool is requested (``None`` resolves
-        via ``REPRO_KERNEL_THREADS`` / CPU count, ``0`` pins the serial
-        per-source loop).  Byte-identical for every width.
+        In-kernel thread fan-out for the slab-direct build's landmark SPT
+        and vicinity phases (see
+        :func:`~repro.core.substrate_build.build_substrate_tables`):
+        ``None`` resolves via ``REPRO_KERNEL_THREADS`` / CPU count, ``0``
+        pins the serial per-source loop.  Byte-identical for every width.
     storage / vicinity_storage / persist_storage:
         Slab placement for the slab-direct build -- ``None`` (RAM arrays),
         ``"mmap"`` (anonymous mmap), or a directory path (file-backed
@@ -116,7 +109,6 @@ class NDDiscoRouting(RoutingScheme):
         vicinities: Sequence[VicinityTable] | None = None,
         resolve_first_packet: bool = True,
         resolution_virtual_nodes: int = 1,
-        workers: int | None = None,
         threads: int | None = None,
         storage: "str | None" = None,
         vicinity_storage: "str | None" = None,
@@ -151,8 +143,8 @@ class NDDiscoRouting(RoutingScheme):
         # slabs (:class:`SubstrateTables`).  The slab-direct builder
         # (:func:`~repro.core.substrate_build.build_substrate_tables`)
         # writes kernel results straight into the preallocated slabs --
-        # optionally fanning the SPT and vicinity phases over a worker
-        # pool and/or packing into mmap-backed storage.  Injected
+        # fanning the SPT and vicinity phases over kernel threads and
+        # optionally packing into mmap-backed storage.  Injected
         # vicinities and the reference engine go through the component-wise
         # assembler instead, the layer's reference (the two are asserted
         # byte-identical in ``tests/test_substrate_build.py``).  Every
@@ -164,7 +156,6 @@ class NDDiscoRouting(RoutingScheme):
                 self._landmarks,
                 codec=self._codec,
                 vicinity_scale=vicinity_scale,
-                workers=workers,
                 threads=threads,
                 storage=storage,
                 vicinity_storage=vicinity_storage,
@@ -176,7 +167,7 @@ class NDDiscoRouting(RoutingScheme):
             spts = landmark_spts(topology, self._landmarks)
             if vicinities is None:
                 vicinities = compute_vicinities(
-                    topology, scale=vicinity_scale, workers=workers
+                    topology, scale=vicinity_scale
                 )
             if len(vicinities) != n:
                 raise ValueError("vicinities must cover every node")

@@ -5,27 +5,27 @@ that :meth:`SubstrateTables.from_components` assembles from dict-shaped
 kernel outputs -- bit-identical, slab for slab -- but writes the kernel
 results *straight into* preallocated row-major slabs:
 
-* **Landmark SPT rows** -- each landmark's dense distance / parent rows are
-  copied from the search arena into their slab rows with two C-level slice
-  assignments (:meth:`CSRGraph.spt_rows_into`); no ``2n`` boxed floats per
+* **Landmark SPT rows** -- every landmark's dense distance / parent rows
+  land in their slab rows from one call
+  (:meth:`CSRGraph.spt_rows_batch_into`); no ``2n`` boxed floats per
   landmark.
-* **Closest-landmark rows** -- folded incrementally per SPT row by the
-  ``closest_update`` C helper (ascending landmark order, strict ``<``, best
-  distance seeded at ``+inf`` -- provably the same tie-break as the
-  reference sweep in :func:`repro.core.landmarks.closest_landmarks`).
+* **Closest-landmark rows** -- folded in the same call (ascending landmark
+  order, strict ``<``, best distance seeded at ``+inf`` -- provably the
+  same tie-break as the reference sweep in
+  :func:`repro.core.landmarks.closest_landmarks`).
 * **Vicinity CSR** -- per-node truncated searches gathered directly into
-  the member / distance / parent slabs (:meth:`CSRGraph.k_nearest_into`);
-  the per-node dict pairs and :class:`VicinityTable` objects of the
-  component-wise path are never materialized.
+  the member / distance / parent slabs
+  (:meth:`CSRGraph.k_nearest_batch_into`); the per-node dict pairs and
+  :class:`VicinityTable` objects of the component-wise path are never
+  materialized.
 * **Address payloads** -- explicit-route paths walked directly over the
   parent slab and encoded into the address slabs.
 
-A worker fan-out layers on top (``workers=N``): landmark SPTs and per-node
-vicinity searches partition contiguously over a :class:`SharedCSR`
-publication, workers return flat typed rows (raw bytes over the pipe, no
-dict pickling), and the parent performs one deterministic merge -- chunk
-results are consumed in task order and written into disjoint slab ranges,
-so any worker count produces byte-identical slabs.
+Both search phases fan out over in-kernel threads (``threads=N``), the only
+kernel-level parallelism: each source owns a disjoint slab range, so any
+width produces byte-identical slabs.  The serial per-source loop
+(``threads=0``, the pure-Python tier, a C allocation failure) lives inside
+the two drivers.
 
 Slabs can outgrow RAM: ``storage`` selects where the big slabs live (RAM
 arrays, anonymous mmap, or a file-backed slab directory -- see
@@ -37,8 +37,7 @@ SPT slabs on disk and keep the vicinity slabs in anonymous mmap.
 functions stays as this layer's reference (the schemes take it for injected
 vicinities and under ``use_engine("reference")``);
 ``tests/test_substrate_build.py`` asserts all slabs byte-identical across
-that reference, the slab-direct serial path, a 2-worker build, and an mmap
-re-attach.
+that reference, the serial loop, threaded builds, and an mmap re-attach.
 """
 
 from __future__ import annotations
@@ -52,13 +51,7 @@ from typing import Callable, Iterable, Sequence
 from repro.core.tables import NodeSearchTables, SlabArena, SubstrateTables
 from repro.core.vicinity import vicinity_size as default_vicinity_size
 from repro.graphs import _ckernels
-from repro.graphs.csr import (
-    _chunks,
-    _k_nearest_flat_chunk,
-    _pool_args,
-    _publish_csr,
-    kernel_threads,
-)
+from repro.graphs.csr import kernel_threads
 from repro.graphs.topology import Topology
 
 __all__ = [
@@ -79,41 +72,6 @@ def _record(stats: dict | None, key: str, value) -> None:
         stats[key] = value
 
 
-def _closest_update(
-    clib, n: int, dist_row, landmark: int, best_dist, best_landmark, p_best
-) -> None:
-    """Fold one SPT distance row into the running closest-landmark rows."""
-    if clib is not None:
-        p_row = (ctypes.c_double * n).from_buffer(dist_row)
-        clib.closest_update(n, p_row, landmark, p_best[0], p_best[1])
-        return
-    for node in range(n):
-        d = dist_row[node]
-        if d < best_dist[node]:
-            best_dist[node] = d
-            best_landmark[node] = landmark
-
-
-def _spt_rows_chunk(sources: list[int]) -> tuple[array, array]:
-    """Worker: dense SPT rows for a chunk of landmarks, as two flat arrays."""
-    from repro.graphs import csr as csr_module
-
-    graph = csr_module._WORKER_CSR
-    assert graph is not None
-    n = graph.num_nodes
-    dist = array("d", bytes(8 * n * len(sources)))
-    parent = array("q", bytes(8 * n * len(sources)))
-    dist_mv = memoryview(dist)
-    parent_mv = memoryview(parent)
-    for index, source in enumerate(sources):
-        graph.spt_rows_into(
-            source,
-            dist_mv[index * n : (index + 1) * n],
-            parent_mv[index * n : (index + 1) * n],
-        )
-    return dist, parent
-
-
 def build_substrate_tables(
     topology: Topology,
     landmarks: Iterable[int],
@@ -122,7 +80,6 @@ def build_substrate_tables(
     size: int | None = None,
     vicinity_scale: float = 1.0,
     include_vicinity: bool = True,
-    workers: int | None = None,
     threads: int | None = None,
     storage: "str | None" = None,
     vicinity_storage: "str | None" = None,
@@ -147,19 +104,15 @@ def build_substrate_tables(
         ``ceil(scale * sqrt(n ln n))``).
     include_vicinity:
         ``False`` builds landmark-only tables (S4's own substrate build).
-    workers:
-        Opt-in process fan-out for the SPT and vicinity phases; results
-        are byte-identical for any worker count.  When given (> 1), it
-        takes precedence over ``threads`` -- the ``SharedCSR`` pool is
-        kept as the differential oracle for the deterministic merge.
     threads:
-        In-kernel thread fan-out for the SPT and vicinity phases -- the
-        default parallel path on the C tier.  Each phase is one batched C
-        call (``spt_rows_batch`` / ``k_nearest_batch``) fanned over POSIX
-        threads with per-thread scratch arenas; ``None`` resolves via
+        In-kernel thread fan-out for the SPT and vicinity phases.  On the
+        C tier each phase is one batched C call (``spt_rows_batch`` /
+        ``k_nearest_batch``) fanned over POSIX threads with per-thread
+        scratch arenas; ``None`` resolves via
         :func:`repro.graphs.csr.kernel_threads` (``REPRO_KERNEL_THREADS``,
-        then the CPU count), ``0`` forces the historical per-source serial
-        loop.  Results are byte-identical for every width.
+        then the CPU count), ``0`` forces the per-source serial loop, which
+        the pure-Python tier always runs.  Results are byte-identical for
+        every width.
     storage / vicinity_storage:
         Slab placement (see :class:`~repro.core.tables.SlabArena`):
         ``None``/``"array"`` for RAM arrays, ``"mmap"`` for anonymous mmap,
@@ -184,14 +137,8 @@ def build_substrate_tables(
     if ordered[0] < 0 or ordered[-1] >= n:
         raise ValueError(f"landmark ids must be in [0, {n}); got {ordered[0]}, {ordered[-1]}")
     num_landmarks = len(ordered)
-    worker_count = max(1, workers or 1)
-    clib = _ckernels.load_kernels()
     csr = topology.csr()
-    # The in-kernel batch drivers are the default fan-out on the C tier;
-    # an explicit worker pool takes precedence (it is the differential
-    # oracle for the deterministic merge), and threads=0 pins the
-    # historical per-source serial loop.
-    batch_tier = csr.tier == "c" and threads != 0 and worker_count <= 1
+    batch_tier = csr.tier == "c" and threads != 0
     _record(
         stats, "kernel_threads", kernel_threads(threads) if batch_tier else 0
     )
@@ -208,79 +155,19 @@ def build_substrate_tables(
     landmark_ids = array("q", ordered)
     spt_dist = arena.alloc("spt_dist", "d", num_landmarks * n)
     spt_parent = arena.alloc("spt_parent", "q", num_landmarks * n)
-    spt_dist_mv = memoryview(spt_dist)
     spt_parent_mv = memoryview(spt_parent)
     closest_dist = array("d", [inf]) * n
     closest = array("q", [-1]) * n
-    p_best = (
-        (
-            (ctypes.c_double * n).from_buffer(closest_dist),
-            (ctypes.c_int64 * n).from_buffer(closest),
-        )
-        if clib is not None and not batch_tier
-        else (None, None)
+    # The landmark loop, the fill repair and the ascending closest fold,
+    # fanned over the batch threads (byte-identical for every width).
+    csr.spt_rows_batch_into(
+        landmark_ids,
+        spt_dist,
+        spt_parent,
+        closest_dist=closest_dist,
+        closest_landmark=closest,
+        threads=threads,
     )
-
-    def fold_row(index: int, landmark: int) -> None:
-        _closest_update(
-            clib,
-            n,
-            spt_dist_mv[index * n : (index + 1) * n],
-            landmark,
-            closest_dist,
-            closest,
-            p_best,
-        )
-
-    if worker_count > 1 and num_landmarks >= 2 * worker_count:
-        from multiprocessing import Pool
-
-        chunks = _chunks(ordered, worker_count * 4)
-        shared = _publish_csr(topology, None)
-        initializer, initargs = _pool_args(topology, None, shared)
-        try:
-            with Pool(
-                worker_count, initializer=initializer, initargs=initargs
-            ) as pool:
-                index = 0
-                # imap preserves task order: chunk c's rows land at row
-                # index sum(len(chunks[:c])) regardless of which worker
-                # finished first, and the closest fold consumes rows in
-                # ascending landmark order -- the deterministic merge.
-                for chunk, (dist_block, parent_block) in zip(
-                    chunks, pool.imap(_spt_rows_chunk, chunks)
-                ):
-                    start = index * n
-                    end = start + len(chunk) * n
-                    spt_dist_mv[start:end] = memoryview(dist_block)
-                    spt_parent_mv[start:end] = memoryview(parent_block)
-                    for landmark in chunk:
-                        fold_row(index, landmark)
-                        index += 1
-        finally:
-            if shared is not None:
-                shared.close()
-    elif batch_tier:
-        # One C call for the whole phase: the landmark loop, the fill
-        # repair, and the ascending closest fold all run in-kernel, fanned
-        # over the batch threads (byte-identical for every width).
-        csr.spt_rows_batch_into(
-            landmark_ids,
-            spt_dist,
-            spt_parent,
-            closest_dist=closest_dist,
-            closest_landmark=closest,
-            threads=threads,
-        )
-    else:
-        for index, landmark in enumerate(ordered):
-            csr.spt_rows_into(
-                landmark,
-                spt_dist_mv[index * n : (index + 1) * n],
-                spt_parent_mv[index * n : (index + 1) * n],
-            )
-            fold_row(index, landmark)
-    p_best = None
     elapsed = time.perf_counter() - started
     _record(stats, "spt_seconds", elapsed)
     _progress(
@@ -337,51 +224,13 @@ def build_substrate_tables(
         members = vicinity_arena.alloc("vicinity.members", "q", capacity)
         dists = vicinity_arena.alloc("vicinity.dists", "d", capacity)
         parents = vicinity_arena.alloc("vicinity.parents", "q", capacity)
-        if worker_count > 1 and n >= 4 * worker_count:
-            from multiprocessing import Pool
-
-            members_mv = memoryview(members)
-            dists_mv = memoryview(dists)
-            parents_mv = memoryview(parents)
-            node_chunks = _chunks(list(range(n)), worker_count * 4)
-            tasks = [(size, chunk) for chunk in node_chunks]
-            shared = _publish_csr(topology, None)
-            initializer, initargs = _pool_args(topology, None, shared)
-            try:
-                with Pool(
-                    worker_count, initializer=initializer, initargs=initargs
-                ) as pool:
-                    position = 0
-                    for c_off, c_mem, c_d, c_p in pool.imap(
-                        _k_nearest_flat_chunk, tasks
-                    ):
-                        end = position + len(c_mem)
-                        members_mv[position:end] = memoryview(c_mem)
-                        dists_mv[position:end] = memoryview(c_d)
-                        parents_mv[position:end] = memoryview(c_p)
-                        offsets.extend(
-                            [position + offset for offset in c_off[1:]]
-                        )
-                        position = end
-            finally:
-                if shared is not None:
-                    shared.close()
-            members_mv.release()
-            dists_mv.release()
-            parents_mv.release()
-        elif batch_tier:
-            # One C call for all n searches; source i provisionally owns
-            # slab range i * min(size, n) -- exactly this preallocated
-            # capacity -- and rows compact left after the thread join,
-            # reproducing the serial append layout byte for byte.
-            position = csr.k_nearest_batch_into(
-                size, range(n), members, dists, parents, offsets,
-                threads=threads,
-            )
-        else:
-            position = csr.k_nearest_into(
-                size, range(n), members, dists, parents, offsets
-            )
+        # All n searches; source i provisionally owns slab range
+        # i * min(size, n) -- exactly this preallocated capacity -- and
+        # rows compact left after the thread join, reproducing the serial
+        # append layout byte for byte.
+        position = csr.k_nearest_batch_into(
+            size, range(n), members, dists, parents, offsets, threads=threads
+        )
         if position < capacity:
             # Disconnected components settled fewer than ``size`` nodes;
             # shrink the preallocated slabs to the actual fill.
@@ -473,30 +322,20 @@ def build_ball_tables(
     topology: Topology,
     radii: Sequence[float],
     *,
-    workers: int | None = None,
     threads: int | None = None,
 ) -> NodeSearchTables:
     """S4 reverse clusters ("balls") as one flat :class:`NodeSearchTables`.
 
     ``radii[v]`` bounds node ``v``'s search (strict boundary, the S4
-    cluster definition); rows are gathered flat -- no per-node dicts, and
-    with ``workers > 1`` no dict pickling over the pool pipe.  Without a
-    worker pool the batch goes down in one ``radius_batch`` kernel call,
-    fanned over ``threads`` in-kernel threads (``0`` pins the serial
-    loop).  Contents are bit-identical to
-    ``NodeSearchTables.from_searches(parallel_radius(...))`` either way.
+    cluster definition); rows are gathered flat -- no per-node dicts.  The
+    batch goes down in one ``radius_batch`` kernel call, fanned over
+    ``threads`` in-kernel threads (``0`` pins the serial loop).  Contents
+    are bit-identical to
+    ``NodeSearchTables.from_searches(csr.batched_radius(radii))``.
     """
-    from repro.graphs.csr import parallel_radius_flat
-
-    worker_count = max(1, workers or 1)
-    if worker_count > 1:
-        offsets, members, dists, parents = parallel_radius_flat(
-            topology, radii, workers=worker_count
-        )
-    else:
-        offsets, members, dists, parents = topology.csr().radius_batch_flat(
-            radii, threads=threads
-        )
+    offsets, members, dists, parents = topology.csr().radius_batch_flat(
+        radii, threads=threads
+    )
     return NodeSearchTables(topology.num_nodes, offsets, members, dists, parents)
 
 

@@ -817,13 +817,14 @@ class SubstrateTables:
     def from_shared(cls, handle: "SharedTablesHandle") -> "SubstrateTables":
         """Attach to a published tables segment; zero-copy views, no copy.
 
-        Mirrors :meth:`CSRGraph.from_shared`: the slabs become typed
-        ``memoryview`` casts over the shared segment, the mapping stays
-        alive exactly as long as the views do, and the publisher keeps
-        ownership of the segment's name (attachers never unlink).
+        The slabs become typed ``memoryview`` casts over the shared
+        segment.  The mapping stays alive exactly as long as the views do:
+        the attaching ``SharedMemory`` object is detached from its
+        finalizer (views created from it keep the underlying ``mmap``
+        alive, and the last view to die unmaps it), so tables can be
+        dropped in any order without ``BufferError`` noise.  The publisher
+        keeps ownership of the segment's name (attachers never unlink).
         """
-        from repro.graphs.csr import _attach_untracked
-
         shm = _attach_untracked(handle.shm_name)
         buf = shm.buf
         views: dict[str, memoryview] = {}
@@ -854,9 +855,9 @@ class SubstrateTables:
             views["addr_labels"],
             views["addr_bits"],
         )
-        # Hand lifetime management to the views (see CSRGraph.from_shared):
-        # the last live view unmaps the segment, and close() only drops the
-        # file descriptor.
+        # Hand lifetime management to the views: drop the SharedMemory
+        # object's own references so its close() (now or at GC) only closes
+        # the file descriptor, never tries to unmap pages still viewed.
         shm._buf = None
         shm._mmap = None
         shm.close()
@@ -1011,6 +1012,33 @@ class SharedTablesHandle:
     slots: tuple[tuple[str, str, int], ...]
 
 
+def _attach_untracked(name: str):
+    """Attach to an existing segment without resource-tracker registration.
+
+    ``SharedMemory(name=...)`` registers the segment with the process-wide
+    resource tracker, which unlinks every registered name at shutdown and
+    complains about "leaks".  Attachers must not own the segment's name --
+    the publisher unlinks it exactly once -- so tracking is suppressed:
+    via ``track=False`` on CPython 3.13+, and by making registration a
+    no-op for the duration of the attach on older versions (the documented
+    community workaround; the tracker API is internal but stable).
+    """
+    from multiprocessing import shared_memory
+
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # Python < 3.13: no track parameter
+        pass
+    from multiprocessing import resource_tracker
+
+    original_register = resource_tracker.register
+    resource_tracker.register = lambda *args, **kwargs: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = original_register
+
+
 class SharedTables:
     """Publish one immutable :class:`SubstrateTables` in shared memory.
 
@@ -1018,7 +1046,7 @@ class SharedTables:
     layout in :attr:`SharedTablesHandle.slots` is self-describing).  The
     publisher owns the segment's lifetime: call :meth:`close` (or use as a
     context manager) once the consumers are done; attachers' views stay
-    valid until they drop them, exactly like :class:`SharedCSR`.
+    valid until they drop them.
     """
 
     def __init__(self, tables: SubstrateTables) -> None:

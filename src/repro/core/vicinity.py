@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.graphs.csr import parallel_k_nearest
 from repro.graphs.engine import get_engine
 from repro.graphs.shortest_paths import dijkstra_k_nearest, extract_path
 from repro.graphs.topology import Topology
@@ -113,8 +112,6 @@ def compute_vicinities(
     *,
     size: int | None = None,
     scale: float = 1.0,
-    workers: int | None = None,
-    threads: int | None = None,
 ) -> list[VicinityTable]:
     """Compute every node's vicinity.
 
@@ -125,54 +122,17 @@ def compute_vicinities(
         topology's node count.
     scale:
         Passed to :func:`vicinity_size` when ``size`` is not given.
-    workers:
-        Opt-in multiprocessing fan-out for the (embarrassingly parallel)
-        per-node searches; ``None`` or ``1`` runs the serial batched driver.
-        Results are identical either way.
-    threads:
-        Opt-in in-kernel thread fan-out (see
-        :func:`repro.graphs.csr.kernel_threads`): the per-node searches go
-        down in one batched C call and, like the worker path, come back as
-        slab-backed views.  Ignored when ``workers`` already selected the
-        process pool; byte-identical results for any width.
 
     Returns
     -------
     list
-        Indexed by node id.  The serial paths return
-        :class:`VicinityTable` objects; the fan-out paths return
-        slab-backed :class:`~repro.core.tables.VicinityView` stand-ins
-        (same read API) so workers ship four flat typed arrays per chunk
-        instead of pickling every vicinity as two dicts, and the parent
-        builds one :class:`~repro.core.tables.NodeSearchTables` instead
-        of ``2n`` dicts.
+        :class:`VicinityTable` objects indexed by node id.
     """
     if size is None:
         size = vicinity_size(topology.num_nodes, scale=scale)
     require_positive("size", size)
     if get_engine() == "csr":
-        if (workers is not None and workers > 1) or (
-            threads is not None and threads != 0
-        ):
-            from repro.core.tables import NodeSearchTables, VicinityView
-            from repro.graphs.csr import parallel_k_nearest_flat
-
-            if workers is not None and workers > 1:
-                offsets, members, dists, parents = parallel_k_nearest_flat(
-                    topology, size, workers=workers
-                )
-            else:
-                offsets, members, dists, parents = (
-                    topology.csr().k_nearest_batch_flat(size, threads=threads)
-                )
-            tables = NodeSearchTables(
-                topology.num_nodes, offsets, members, dists, parents
-            )
-            return [
-                VicinityView(tables, node)
-                for node in range(topology.num_nodes)
-            ]
-        searches = parallel_k_nearest(topology, size, workers=workers or 1)
+        searches = topology.csr().batched_k_nearest(size)
         return [
             VicinityTable(node=node, distances=distances, predecessors=predecessors)
             for node, (distances, predecessors) in enumerate(searches)

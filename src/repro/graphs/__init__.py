@@ -12,7 +12,7 @@ drivers); the original dict-based implementation survives in
 """
 
 from repro.graphs.topology import Topology
-from repro.graphs.csr import CSRGraph, parallel_k_nearest, parallel_radius
+from repro.graphs.csr import CSRGraph
 from repro.graphs.engine import get_engine, set_engine, use_engine
 from repro.graphs.generators import (
     geometric_random_graph,
@@ -53,8 +53,6 @@ __all__ = [
     "internet_as_level",
     "internet_router_level",
     "line_graph",
-    "parallel_k_nearest",
-    "parallel_radius",
     "path_length",
     "read_edge_list",
     "ring_graph",

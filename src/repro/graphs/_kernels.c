@@ -541,12 +541,11 @@ i64 dedup_edges(i64 m, i64 n,
  * structural, not synchronized:
  *
  *   - sources partition into contiguous chunks (ceil-sized, ascending),
- *     one chunk per thread, exactly like the Python-side _chunks helper;
+ *     one chunk per thread;
  *   - each source owns a disjoint destination row (spt_rows_batch,
  *     k_nearest_batch, target_distances_batch), or each chunk grows a
  *     private buffer that the main thread concatenates in chunk order
- *     after the join (radius_batch) -- the same task-order merge as the
- *     multiprocessing pool;
+ *     after the join (radius_batch);
  *   - the closest-landmark fold keeps per-thread partial rows over each
  *     (ascending) chunk and merges them in chunk order with the same
  *     strict < as the serial ascending fold, which resolves every
@@ -685,9 +684,8 @@ static i64 arena_search(batch_arena *a, const batch_shared *s, i64 source,
                      k, radius, radius_mode, targets, num_targets, a->tflag);
 }
 
-/* Contiguous ceil-sized chunks over the source indices, one task each;
- * mirrors the Python-side _chunks partition so the process-pool merge and
- * the in-kernel merge see the same boundaries.  Returns the task count. */
+/* Contiguous ceil-sized chunks over the source indices, one task each.
+ * Returns the task count. */
 static i64 batch_tasks(batch_task *tasks, const batch_shared *shared,
                        i64 num_sources, i64 threads)
 {

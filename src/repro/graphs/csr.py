@@ -50,9 +50,8 @@ tier keeps the lazy ``heapq`` kernel; see ``docs/ARCHITECTURE.md``.)
 Batched drivers (:meth:`CSRGraph.batched_spt`,
 :meth:`CSRGraph.batched_k_nearest`, :meth:`CSRGraph.batched_radius`,
 :meth:`CSRGraph.batched_target_distances`) run many searches over the shared
-arena; :func:`parallel_k_nearest` / :func:`parallel_radius` add an opt-in
-``multiprocessing`` fan-out for the embarrassingly parallel per-node
-vicinity and cluster builds.
+arena; the ``*_batch*`` drivers put the whole source loop in one C call,
+fanned over in-kernel threads -- the only kernel-level parallelism.
 
 The stable public API remains :mod:`repro.graphs.shortest_paths`; callers
 normally obtain a kernel via :meth:`Topology.csr`, which caches the snapshot
@@ -96,17 +95,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "CSRGraph",
-    "SharedCSR",
-    "SharedCSRHandle",
     "WeightProfile",
     "profile_weights",
     "DIAL_MAX_QUANTA",
     "KERNELS",
     "kernel_threads",
-    "parallel_k_nearest",
-    "parallel_radius",
-    "parallel_k_nearest_flat",
-    "parallel_radius_flat",
 ]
 
 _INF = math.inf
@@ -119,7 +112,8 @@ def kernel_threads(threads: int | None = None) -> int:
     ``REPRO_KERNEL_THREADS`` environment variable, then the machine's CPU
     count.  Batched results are byte-identical for every width, so the
     default only affects wall-clock time -- but bench reports record the
-    active width (see the ``host`` block) so runs remain comparable.
+    active width (see the ``host`` block) so runs remain comparable.  A
+    set but non-positive or non-integer variable raises ``ValueError``.
     """
     if threads is not None and threads > 0:
         return threads
@@ -129,8 +123,11 @@ def kernel_threads(threads: int | None = None) -> int:
             value = int(env)
         except ValueError:
             value = 0
-        if value > 0:
-            return value
+        if value < 1:
+            raise ValueError(
+                f"REPRO_KERNEL_THREADS must be a positive integer, got {env!r}"
+            )
+        return value
     return os.cpu_count() or 1
 
 #: Kernel names accepted by ``kernel=`` overrides (``None`` means auto).
@@ -267,8 +264,8 @@ class CSRGraph:
     Instances are immutable snapshots: mutate the owning
     :class:`~repro.graphs.topology.Topology` and a fresh snapshot is built on
     the next :meth:`Topology.csr` call.  The scratch arrays make a single
-    instance non-reentrant -- one search at a time per ``CSRGraph`` (each
-    process in a :func:`parallel_k_nearest` fan-out builds its own).
+    instance non-reentrant -- one search at a time per ``CSRGraph`` (the
+    batch drivers give each kernel thread its own arena).
 
     Parameters
     ----------
@@ -423,53 +420,6 @@ class CSRGraph:
             use_c=use_c,
         )
 
-    @classmethod
-    def from_shared(
-        cls, handle: "SharedCSRHandle", *, use_c: bool | None = None
-    ) -> "CSRGraph":
-        """Attach to a published snapshot; zero-copy view, no rebuild.
-
-        The returned snapshot's ``offsets`` / ``neighbors`` / ``weights``
-        slabs are typed :class:`memoryview`\\ s over the shared-memory
-        segment named by ``handle`` -- nothing is copied, and the C kernels
-        pass the mapped pages straight to native code via ``from_buffer``.
-        Only the per-search scratch arena is private to the attaching
-        process, which is exactly what makes one immutable snapshot safely
-        shareable across a fan-out: searches never write to the slabs.
-
-        The mapping stays alive exactly as long as the slab views do: the
-        attaching ``SharedMemory`` object is detached from its finalizer
-        (views created from it keep the underlying ``mmap`` alive, and the
-        last view to die unmaps it), so snapshots can be dropped in any
-        order without ``BufferError`` noise.  The *publisher* controls the
-        segment's name lifetime (see :class:`SharedCSR`); attachers never
-        unlink.
-        """
-        shm = _attach_untracked(handle.shm_name)
-        n = handle.num_nodes
-        arcs = handle.num_arcs
-        offsets_end = 8 * (n + 1)
-        neighbors_end = offsets_end + 8 * arcs
-        weights_end = neighbors_end + 8 * arcs
-        buf = shm.buf
-        graph = cls(
-            n,
-            buf[:offsets_end].cast("q"),
-            buf[offsets_end:neighbors_end].cast("q"),
-            buf[neighbors_end:weights_end].cast("d"),
-            profile=handle.profile,
-            kernel=handle.kernel,
-            use_c=use_c,
-        )
-        # Hand lifetime management to the views: drop the SharedMemory
-        # object's own references so its close() (now or at GC) only closes
-        # the file descriptor, never tries to unmap pages the kernels are
-        # still pointing into.
-        shm._buf = None
-        shm._mmap = None
-        shm.close()
-        return graph
-
     @property
     def num_edges(self) -> int:
         """Number of undirected edges in the snapshot."""
@@ -485,7 +435,8 @@ class CSRGraph:
     # untouched (snapshots stay immutable; other holders keep their view),
     # and untouched slabs are shared between the two snapshots.  Patches
     # require array-backed slabs (``Topology.csr`` snapshots always are);
-    # shared-memory views raise ``TypeError`` on the slice-assign below.
+    # mmap-attached memoryview slabs raise ``TypeError`` on the slice-assign
+    # below.
 
     def _arc_position(self, u: int, v: int) -> int:
         """Index of the arc ``u -> v`` in the neighbor/weight slabs."""
@@ -1372,54 +1323,6 @@ class CSRGraph:
             offsets.append(position)
         return position
 
-    def batched_k_nearest_flat(
-        self, k: int, nodes: Iterable[int] | None = None
-    ) -> tuple[array, array, array, array]:
-        """Per-source *k*-nearest rows as one flat CSR-shaped result.
-
-        Returns ``(offsets, members, dists, parents)``: row ``i`` of the
-        batch (source ``i`` of ``nodes``, default all nodes in id order)
-        lives at ``offsets[i] .. offsets[i + 1]`` of the three data arrays,
-        members in settle order with the source first (its parent entry is
-        ``-1``).  This is the flat-transport equivalent of
-        :meth:`batched_k_nearest` -- same searches, no per-node dicts.
-        """
-        if k <= 0:
-            raise ValueError(f"k must be > 0, got {k}")
-        sources = range(self.num_nodes) if nodes is None else nodes
-        offsets = array("q", [0])
-        members = array("q")
-        dists = array("d")
-        parents = array("q")
-        if self.tier == "c":
-            arena = self._flat_scratch()
-            lib = self._clib
-            order_arr = arena["order"]
-            row_d = arena["row_d"]
-            row_q = arena["row_q"]
-            for source in sources:
-                count = self._search_c_count(source, k, None, False)
-                lib.gather_f64(
-                    arena["p_order"], arena["p_dist"], arena["p_row_d"], count
-                )
-                lib.gather_i64(
-                    arena["p_order"], arena["p_pred"], arena["p_row_q"], count
-                )
-                members += order_arr[:count]
-                dists += row_d[:count]
-                parents += row_q[:count]
-                offsets.append(len(members))
-            return offsets, members, dists, parents
-        for source in sources:
-            order = self._search(source, k=k)
-            dist = self._dist
-            pred = self._pred
-            members.extend(order)
-            dists.extend([dist[node] for node in order])
-            parents.extend([pred[node] for node in order])
-            offsets.append(len(members))
-        return offsets, members, dists, parents
-
     def batched_radius_flat(
         self,
         radii: Sequence[float],
@@ -1429,8 +1332,12 @@ class CSRGraph:
     ) -> tuple[array, array, array, array]:
         """Per-source radius-bounded rows as one flat CSR-shaped result.
 
-        The flat-transport equivalent of :meth:`batched_radius` (same
-        layout as :meth:`batched_k_nearest_flat`); ``radii`` aligns with
+        Returns ``(offsets, members, dists, parents)``: row ``i`` of the
+        batch (source ``i`` of ``nodes``, default all nodes in id order)
+        lives at ``offsets[i] .. offsets[i + 1]`` of the three data arrays,
+        members in settle order with the source first (its parent entry is
+        ``-1``).  The flat-transport equivalent of :meth:`batched_radius`
+        -- same searches, no per-node dicts; ``radii`` aligns with
         ``nodes`` and the boundary is strict unless ``inclusive``.
         """
         sources = range(self.num_nodes) if nodes is None else nodes
@@ -1560,15 +1467,24 @@ class CSRGraph:
             )
             if status == 0:
                 return
-        # Serial fallback: per-source rows plus a Python ascending fold.
+        # Serial fallback: per-source rows plus the ascending fold, in C
+        # (``closest_update``) when the library is loaded.
         dist_mv = memoryview(dist_out)
         parent_mv = memoryview(parent_out)
+        fold = closest_dist is not None and closest_landmark is not None
+        c_fold = fold and self._clib is not None
+        if c_fold:
+            p_best_d = (ctypes.c_double * n).from_buffer(closest_dist)
+            p_best_l = (ctypes.c_int64 * n).from_buffer(closest_landmark)
         for index, source in enumerate(src):
             row = dist_mv[index * n : (index + 1) * n]
             self.spt_rows_into(
                 source, row, parent_mv[index * n : (index + 1) * n], fill=fill
             )
-            if closest_dist is not None and closest_landmark is not None:
+            if c_fold:
+                p_row = (ctypes.c_double * n).from_buffer(row)
+                self._clib.closest_update(n, p_row, source, p_best_d, p_best_l)
+            elif fold:
                 for node in range(n):
                     d = row[node]
                     if d < closest_dist[node]:
@@ -1643,11 +1559,16 @@ class CSRGraph:
         *,
         threads: int | None = None,
     ) -> tuple[array, array, array, array]:
-        """One-call, optionally threaded :meth:`batched_k_nearest_flat`.
+        """Per-source *k*-nearest rows as one flat CSR-shaped result.
 
-        Allocates the provisional slab capacity itself and trims to the
-        actual fill; layout and contents match the serial flat driver.
+        Returns ``(offsets, members, dists, parents)`` in the layout of
+        :meth:`batched_radius_flat`.  :meth:`k_nearest_batch_into` over
+        provisional slab capacity allocated here and trimmed to the actual
+        fill -- same searches as :meth:`batched_k_nearest`, no per-node
+        dicts.
         """
+        if k <= 0:
+            raise ValueError(f"k must be > 0, got {k}")
         sources = range(self.num_nodes) if nodes is None else nodes
         src = sources if isinstance(sources, array) else array("q", sources)
         capacity = min(k, self.num_nodes) * len(src)
@@ -1676,8 +1597,7 @@ class CSRGraph:
 
         Row sizes are unknown upfront, so each kernel thread grows a
         private buffer for its contiguous source chunk and the chunks are
-        concatenated in task order after the join -- the same deterministic
-        merge as the process pool's, performed in C.
+        concatenated in task order after the join, in C.
         """
         sources = range(self.num_nodes) if nodes is None else nodes
         if len(radii) != len(sources):
@@ -1858,364 +1778,3 @@ class CSRGraph:
                     )
                 result[(source, target)] = dist[target]
         return result
-
-
-# -- shared-memory publication ----------------------------------------------
-
-
-def _attach_untracked(name: str):
-    """Attach to an existing segment without resource-tracker registration.
-
-    ``SharedMemory(name=...)`` registers the segment with the process-wide
-    resource tracker, which unlinks every registered name at shutdown and
-    complains about "leaks".  Attachers must not own the segment's name --
-    the publisher unlinks it exactly once -- so tracking is suppressed:
-    via ``track=False`` on CPython 3.13+, and by making registration a
-    no-op for the duration of the attach on older versions (the documented
-    community workaround; the tracker API is internal but stable).
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        pass
-    from multiprocessing import resource_tracker
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
-
-
-@dataclass(frozen=True)
-class SharedCSRHandle:
-    """Picklable description of a published CSR snapshot.
-
-    Everything a worker needs to attach with :meth:`CSRGraph.from_shared`:
-    the shared-memory segment name, the slab dimensions, the precomputed
-    :class:`WeightProfile` (so attachers skip the O(E) profiling pass), and
-    the publisher's forced-kernel override (``None`` = auto-select).
-    """
-
-    shm_name: str
-    num_nodes: int
-    num_arcs: int
-    profile: WeightProfile
-    kernel: str | None
-
-
-class SharedCSR:
-    """Publish one immutable CSR snapshot in a shared-memory segment.
-
-    The segment holds the three CSR slabs back to back
-    (``offsets | neighbors | weights``); workers map it with
-    :meth:`CSRGraph.from_shared` instead of rebuilding the snapshot from a
-    pickled :class:`Topology`.  The publisher owns the segment's lifetime:
-    call :meth:`close` (or use as a context manager) after the consumers
-    are done.  Snapshots are immutable by contract -- ``Topology.csr()``
-    invalidates on mutation, so a publisher can never capture a stale view.
-    """
-
-    def __init__(self, csr: CSRGraph, *, kernel: str | None = None) -> None:
-        from multiprocessing import shared_memory
-
-        n = csr.num_nodes
-        arcs = len(csr.neighbors)
-        offsets_end = 8 * (n + 1)
-        neighbors_end = offsets_end + 8 * arcs
-        total = neighbors_end + 8 * arcs
-        self._shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        buf = self._shm.buf
-        buf[:offsets_end].cast("q")[:] = csr.offsets
-        buf[offsets_end:neighbors_end].cast("q")[:] = csr.neighbors
-        buf[neighbors_end:total].cast("d")[:] = csr.weights
-        self.handle = SharedCSRHandle(
-            shm_name=self._shm.name,
-            num_nodes=n,
-            num_arcs=arcs,
-            profile=csr.profile,
-            kernel=kernel,
-        )
-
-    def close(self) -> None:
-        """Unmap and unlink the segment (idempotent)."""
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-        self._shm = None
-
-    def __enter__(self) -> "SharedCSR":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# -- multiprocessing fan-out ------------------------------------------------
-#
-# The per-node vicinity and cluster builds are embarrassingly parallel: every
-# search is independent and the graph is read-only.  The parent publishes its
-# CSR snapshot once via shared memory and each worker attaches a zero-copy
-# view (private scratch arena, shared slabs) -- no per-worker snapshot
-# rebuild and no O(E) topology pickle per worker.  If shared memory is
-# unavailable (no /dev/shm, exotic platforms), the fan-out falls back to the
-# historical path of shipping the pickled topology and rebuilding per
-# worker.  The parent's kernel choice (including any forced override) is
-# forwarded so the workers run the same kernel either way.
-
-_WORKER_CSR: CSRGraph | None = None
-
-
-def _parallel_init(topology: "Topology", kernel: str | None = None) -> None:
-    global _WORKER_CSR
-    _WORKER_CSR = CSRGraph.from_topology(topology, kernel=kernel)
-
-
-def _shared_init(handle: SharedCSRHandle) -> None:
-    global _WORKER_CSR
-    _WORKER_CSR = CSRGraph.from_shared(handle)
-
-
-def _k_nearest_chunk(
-    task: tuple[int, list[int]]
-) -> list[tuple[dict[int, float], dict[int, int]]]:
-    k, nodes = task
-    assert _WORKER_CSR is not None
-    return _WORKER_CSR.batched_k_nearest(k, nodes)
-
-
-def _radius_chunk(
-    task: tuple[list[int], list[float]]
-) -> list[tuple[dict[int, float], dict[int, int]]]:
-    nodes, radii = task
-    assert _WORKER_CSR is not None
-    return _WORKER_CSR.batched_radius(radii, nodes)
-
-
-def _k_nearest_flat_chunk(
-    task: tuple[int, list[int]]
-) -> tuple[array, array, array, array]:
-    k, nodes = task
-    assert _WORKER_CSR is not None
-    return _WORKER_CSR.batched_k_nearest_flat(k, nodes)
-
-
-def _radius_flat_chunk(
-    task: tuple[list[int], list[float]]
-) -> tuple[array, array, array, array]:
-    nodes, radii = task
-    assert _WORKER_CSR is not None
-    return _WORKER_CSR.batched_radius_flat(radii, nodes)
-
-
-def _merge_flat_chunks(
-    chunked: Sequence[tuple[array, array, array, array]]
-) -> tuple[array, array, array, array]:
-    """Concatenate per-chunk flat rows in chunk order (deterministic merge).
-
-    Chunks partition the sources contiguously in id order and ``pool.map``
-    returns them in task order, so the merged result is positionally
-    identical to the serial flat driver regardless of worker scheduling.
-    """
-    offsets = array("q", [0])
-    members = array("q")
-    dists = array("d")
-    parents = array("q")
-    for chunk_offsets, chunk_members, chunk_dists, chunk_parents in chunked:
-        base = offsets[-1]
-        offsets.extend(
-            array("q", [base + offset for offset in chunk_offsets[1:]])
-            if base
-            else chunk_offsets[1:]
-        )
-        members += chunk_members
-        dists += chunk_dists
-        parents += chunk_parents
-    return offsets, members, dists, parents
-
-
-def _chunks(items: list, count: int) -> list[list]:
-    size = max(1, -(-len(items) // count))
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _publish_csr(
-    topology: "Topology", kernel: str | None
-) -> "SharedCSR | None":
-    """Publish the topology's snapshot for a fan-out; None = fall back."""
-    csr = (
-        topology.csr()
-        if kernel is None
-        else CSRGraph.from_topology(topology, kernel=kernel)
-    )
-    try:
-        return SharedCSR(csr, kernel=kernel)
-    except Exception:
-        return None
-
-
-def _pool_args(
-    topology: "Topology", kernel: str | None, shared: "SharedCSR | None"
-) -> tuple:
-    if shared is not None:
-        return _shared_init, (shared.handle,)
-    return _parallel_init, (topology, kernel)
-
-
-def parallel_k_nearest(
-    topology: "Topology", k: int, *, workers: int = 1, kernel: str | None = None
-) -> list[tuple[dict[int, float], dict[int, int]]]:
-    """Per-node *k*-nearest searches, optionally fanned out over processes.
-
-    With ``workers <= 1`` this is the serial batched driver.  Results are
-    identical either way (each search is independent and deterministic);
-    ordering is by node id.  ``kernel`` forces a specific search kernel in
-    the serial path *and* in every worker (default: per-profile auto
-    selection, see :class:`CSRGraph`).  Workers attach to one shared-memory
-    snapshot published by the parent (:class:`SharedCSR`) rather than each
-    rebuilding their own.
-    """
-    nodes = list(topology.nodes())
-    if workers <= 1 or len(nodes) < 4 * workers:
-        if kernel is None:
-            return topology.csr().batched_k_nearest(k)
-        return CSRGraph.from_topology(topology, kernel=kernel).batched_k_nearest(k)
-    from multiprocessing import Pool
-
-    tasks = [(k, chunk) for chunk in _chunks(nodes, workers * 4)]
-    shared = _publish_csr(topology, kernel)
-    initializer, initargs = _pool_args(topology, kernel, shared)
-    try:
-        with Pool(workers, initializer=initializer, initargs=initargs) as pool:
-            chunked = pool.map(_k_nearest_chunk, tasks)
-    finally:
-        if shared is not None:
-            shared.close()
-    return [result for chunk in chunked for result in chunk]
-
-
-def parallel_k_nearest_flat(
-    topology: "Topology",
-    k: int,
-    *,
-    workers: int = 1,
-    kernel: str | None = None,
-) -> tuple[array, array, array, array]:
-    """Flat-transport fan-out of :meth:`CSRGraph.batched_k_nearest_flat`.
-
-    Unlike :func:`parallel_k_nearest`, workers ship four typed arrays per
-    chunk (pickled as raw bytes) instead of per-node dict pairs, and the
-    parent concatenates them in chunk order -- no dict boxing on either
-    side of the pipe.  Results are positionally identical to the serial
-    driver for any worker count.
-    """
-    nodes = list(topology.nodes())
-    if workers <= 1 or len(nodes) < 4 * workers:
-        if kernel is None:
-            return topology.csr().batched_k_nearest_flat(k)
-        return CSRGraph.from_topology(
-            topology, kernel=kernel
-        ).batched_k_nearest_flat(k)
-    from multiprocessing import Pool
-
-    tasks = [(k, chunk) for chunk in _chunks(nodes, workers * 4)]
-    shared = _publish_csr(topology, kernel)
-    initializer, initargs = _pool_args(topology, kernel, shared)
-    try:
-        with Pool(workers, initializer=initializer, initargs=initargs) as pool:
-            chunked = pool.map(_k_nearest_flat_chunk, tasks)
-    finally:
-        if shared is not None:
-            shared.close()
-    return _merge_flat_chunks(chunked)
-
-
-def parallel_radius_flat(
-    topology: "Topology",
-    radii: Sequence[float],
-    *,
-    workers: int = 1,
-    kernel: str | None = None,
-) -> tuple[array, array, array, array]:
-    """Flat-transport fan-out of :meth:`CSRGraph.batched_radius_flat`.
-
-    ``radii[v]`` bounds node ``v``'s search (strict boundary); workers and
-    merge behave as in :func:`parallel_k_nearest_flat`.
-    """
-    nodes = list(topology.nodes())
-    if len(radii) != len(nodes):
-        raise ValueError(
-            f"radii must have exactly {len(nodes)} entries, got {len(radii)}"
-        )
-    if workers <= 1 or len(nodes) < 4 * workers:
-        if kernel is None:
-            return topology.csr().batched_radius_flat(radii)
-        return CSRGraph.from_topology(
-            topology, kernel=kernel
-        ).batched_radius_flat(radii)
-    from multiprocessing import Pool
-
-    node_chunks = _chunks(nodes, workers * 4)
-    tasks = []
-    start = 0
-    for chunk in node_chunks:
-        tasks.append((chunk, list(radii[start : start + len(chunk)])))
-        start += len(chunk)
-    shared = _publish_csr(topology, kernel)
-    initializer, initargs = _pool_args(topology, kernel, shared)
-    try:
-        with Pool(workers, initializer=initializer, initargs=initargs) as pool:
-            chunked = pool.map(_radius_flat_chunk, tasks)
-    finally:
-        if shared is not None:
-            shared.close()
-    return _merge_flat_chunks(chunked)
-
-
-def parallel_radius(
-    topology: "Topology",
-    radii: Sequence[float],
-    *,
-    workers: int = 1,
-    kernel: str | None = None,
-) -> list[tuple[dict[int, float], dict[int, int]]]:
-    """Per-node radius-bounded searches, optionally fanned out over processes.
-
-    ``radii[v]`` bounds node ``v``'s search (strict boundary, matching the
-    S4 cluster definition).  Results are ordered by node id.  ``kernel``
-    forces a specific search kernel everywhere, and workers share one
-    published snapshot, as in :func:`parallel_k_nearest`.
-    """
-    nodes = list(topology.nodes())
-    if len(radii) != len(nodes):
-        raise ValueError(
-            f"radii must have exactly {len(nodes)} entries, got {len(radii)}"
-        )
-    if workers <= 1 or len(nodes) < 4 * workers:
-        if kernel is None:
-            return topology.csr().batched_radius(radii)
-        return CSRGraph.from_topology(topology, kernel=kernel).batched_radius(radii)
-    from multiprocessing import Pool
-
-    node_chunks = _chunks(nodes, workers * 4)
-    tasks = []
-    start = 0
-    for chunk in node_chunks:
-        tasks.append((chunk, list(radii[start : start + len(chunk)])))
-        start += len(chunk)
-    shared = _publish_csr(topology, kernel)
-    initializer, initargs = _pool_args(topology, kernel, shared)
-    try:
-        with Pool(workers, initializer=initializer, initargs=initargs) as pool:
-            chunked = pool.map(_radius_chunk, tasks)
-    finally:
-        if shared is not None:
-            shared.close()
-    return [result for chunk in chunked for result in chunk]

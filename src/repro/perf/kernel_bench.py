@@ -170,8 +170,8 @@ def bench_kernels(
         Shrink every workload (used by CI smoke runs and the pytest
         benchmark); the numbers are then only a canary, not the headline.
     workers:
-        If given and > 1, adds parallel variants of the end-to-end build
-        using the multiprocessing fan-out.
+        If given and > 1, adds the ``/workers-N`` variant of the scenario
+        suite (the scenario engine's process pool).
     kernel:
         Force ``"heap"``, ``"bucket"``, or ``"bfs"`` on the CSR side
         wherever the weight profile permits (A/B harness for the kernels);
@@ -343,26 +343,6 @@ def bench_kernels(
             repeats=repeats,
             results=results,
         )
-        if workers and workers > 1:
-            options = {
-                "nd-disco": {"workers": workers},
-                "s4": {"workers": workers},
-            }
-            after_parallel = _best_of(
-                lambda: StaticSimulation(
-                    _fresh(topology),
-                    ("nd-disco", "s4"),
-                    seed=1,
-                    scheme_options=options,
-                ),
-                repeats,
-            )
-            results[name + f"/workers-{workers}"] = {
-                "params": {**results[name]["params"], "workers": workers},
-                "before_s": results[name]["before_s"],
-                "after_s": round(after_parallel, 6),
-                "speedup": round(results[name]["before_s"] / after_parallel, 3),
-            }
 
     if kernel is None:
         n_sim = 256 if quick else 2048
@@ -379,7 +359,7 @@ def bench_kernels(
             repeats=2,
         )
         _ingest_case(results, quick=quick)
-        _substrate_build_case(results, quick=quick, workers=workers)
+        _substrate_build_case(results, quick=quick)
         _substrate_build_threads_case(results, quick=quick)
         _measurement_batch_case(results, quick=quick, repeats=repeats)
         _measurement_scaling_case(results, quick=quick)
@@ -613,9 +593,7 @@ def _ingest_case(results: dict[str, dict], *, quick: bool) -> None:
         shutil.rmtree(tmpdir, ignore_errors=True)
 
 
-def _substrate_build_case(
-    results: dict[str, dict], *, quick: bool, workers: int | None
-) -> None:
+def _substrate_build_case(results: dict[str, dict], *, quick: bool) -> None:
     """Slab-direct substrate construction vs the dict-mediated path.
 
     The workload is one converged NDDisco substrate on a G(n,m) topology:
@@ -687,22 +665,6 @@ def _substrate_build_case(
             repeats=1 if n >= 16384 else (2 if quick else 3),
             results=results,
         )
-        if workers and workers > 1 and n == sizes[-1]:
-            parallel_s = _best_of(
-                lambda: build_substrate_tables(
-                    topology, landmarks, codec=codec, workers=workers
-                ),
-                1,
-            )
-            base = results[f"substrate_build/gnm-{n}"]
-            results[f"substrate_build/gnm-{n}/workers-{workers}"] = {
-                "params": {**base["params"], "workers": workers},
-                "before_s": base["before_s"],
-                "after_s": round(parallel_s, 6),
-                "speedup": round(base["before_s"] / parallel_s, 3)
-                if parallel_s > 0
-                else math.inf,
-            }
 
     if quick:
         return

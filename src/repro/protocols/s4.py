@@ -78,14 +78,11 @@ class S4Routing(RoutingScheme):
         deployment running both schemes would share it.  Treated as
         read-only.  :class:`~repro.staticsim.simulation.StaticSimulation`
         passes NDDisco here when the schemes share a landmark set.
-    workers:
-        Opt-in multiprocessing fan-out for the landmark SPTs (own-substrate
-        builds) and the per-node cluster ("ball") searches; ``None`` or
-        ``1`` runs the serial batched drivers.
     threads:
-        In-kernel thread fan-out for the same phases when no worker pool
-        is requested (``0`` pins the serial per-source loop); results are
-        byte-identical for every width.
+        In-kernel thread fan-out for the landmark SPTs (own-substrate
+        builds) and the per-node cluster ("ball") searches (``0`` pins the
+        serial per-source loop); results are byte-identical for every
+        width.
     storage:
         Slab placement for an own-substrate build (``None``, ``"mmap"``,
         or a directory path -- see
@@ -104,7 +101,6 @@ class S4Routing(RoutingScheme):
         names: Sequence[FlatName] | None = None,
         resolve_first_packet: bool = True,
         substrate: "object | None" = None,
-        workers: int | None = None,
         threads: int | None = None,
         storage: "str | None" = None,
     ) -> None:
@@ -149,23 +145,19 @@ class S4Routing(RoutingScheme):
         # search tree also provides the shortest path from w back to v, which
         # is the (reversed) route v uses to reach w.
         if get_engine() == "csr":
-            # Slab-direct: kernel rows land straight in the slabs, optionally
-            # fanned over workers / threads or packed into mmap storage.
+            # Slab-direct: kernel rows land straight in the slabs, fanned
+            # over kernel threads and optionally packed into mmap storage.
             if substrate is None:
                 self._tables = build_substrate_tables(
                     topology,
                     self._landmarks,
                     codec=self._codec,
                     include_vicinity=False,
-                    workers=workers,
                     threads=threads,
                     storage=storage,
                 )
             self._balls: NodeSearchTables = build_ball_tables(
-                topology,
-                self._tables.closest_dist,
-                workers=workers,
-                threads=threads,
+                topology, self._tables.closest_dist, threads=threads
             )
         else:
             # Reference engine: the component-wise assemblers.

@@ -721,15 +721,23 @@ def scheme_key(topology, scheme_name: str, **params: object) -> str | None:
 
     The key covers the topology *content* (``Topology.content_key()``,
     which is invalidated on mutation) plus every canonicalizable
-    constructor parameter.  Build-mechanics parameters are excluded:
-    ``workers`` parallelizes the build and the ``storage`` family places
-    the slabs in RAM / mmap / a directory, but neither changes the
-    converged state (the slab-direct build is byte-identical across all
-    of them).  Returns ``None`` when any parameter is uncacheable.
+    constructor parameter.  Build-mechanics parameters are excluded, at
+    the top level and inside the nested ``nddisco_options`` term that
+    Disco's and S4's keys carry: ``threads`` parallelizes the build and
+    the ``storage`` family places the slabs in RAM / mmap / a directory,
+    but neither changes the converged state (the slab-direct build is
+    byte-identical across all of them).  Returns ``None`` when any
+    parameter is uncacheable.
     Substrate-carrying schemes (:data:`SUBSTRATE_SCHEMES`) key under the
     ``substrate`` kind so the two artifact namespaces can never collide.
     """
-    excluded = ("workers", "storage", "vicinity_storage", "persist_storage")
+    excluded = ("threads", "storage", "vicinity_storage", "persist_storage")
+    if "nddisco_options" in params:
+        params["nddisco_options"] = tuple(
+            (name, value)
+            for name, value in params["nddisco_options"]
+            if name not in excluded
+        )
     try:
         canonical = tuple(
             (name, canonical_value(value))

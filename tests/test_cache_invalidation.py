@@ -4,34 +4,13 @@
 (``csr()``), the ``weight_profile()``, and the ``content_key()`` the
 artifact cache keys substrates by.  Every mutation path a churn workload
 can take (edge-down, edge-up, weight replacement, direct ``add_edge``) must
-invalidate all three together, and a shared-memory publication taken after
-a mutation must reflect the mutated edge set -- a stale snapshot served to
-a worker would silently corrupt a parallel run.
+invalidate all three together.
 """
 
 from __future__ import annotations
 
-from repro.dynamics.churn import (
-    ChurnEvent,
-    apply_event,
-    generate_churn_workload,
-)
-from repro.graphs.csr import CSRGraph, SharedCSR
+from repro.dynamics.churn import apply_event, generate_churn_workload
 from repro.graphs.generators import gnm_random_graph
-
-
-def _snapshot_edges(csr: CSRGraph) -> set[tuple[int, int, float]]:
-    """Decode the undirected edge set out of a CSR snapshot (or view)."""
-    edges = set()
-    offsets = list(csr.offsets)
-    neighbors = list(csr.neighbors)
-    weights = list(csr.weights)
-    for node in range(csr.num_nodes):
-        for position in range(offsets[node], offsets[node + 1]):
-            neighbor = neighbors[position]
-            if node < neighbor:
-                edges.add((node, neighbor, weights[position]))
-    return edges
 
 
 class TestMutationInvalidation:
@@ -94,34 +73,3 @@ class TestChurnWorkloadInvalidation:
         applied = workload.apply(topology)
         assert applied == replayed
         assert applied.content_key() == replayed.content_key()
-
-
-class TestNoStaleSharedSnapshots:
-    def test_publication_after_mutation_reflects_new_edges(self):
-        topology = gnm_random_graph(96, seed=7, average_degree=8.0)
-        with SharedCSR(topology.csr()) as before:
-            before_view = CSRGraph.from_shared(before.handle)
-            u, v, weight = next(iter(topology.edges()))
-            down = ChurnEvent(kind="edge-down", edge=(u, v), weight=weight)
-            mutated = apply_event(topology, down)
-            with SharedCSR(mutated.csr()) as after:
-                after_view = CSRGraph.from_shared(after.handle)
-                before_edges = _snapshot_edges(before_view)
-                after_edges = _snapshot_edges(after_view)
-                assert (u, v, weight) in before_edges
-                assert (u, v, weight) not in after_edges
-                assert after_edges == before_edges - {(u, v, weight)}
-
-    def test_in_place_mutation_never_reuses_published_snapshot(self):
-        topology = gnm_random_graph(96, seed=7, average_degree=8.0)
-        csr = topology.csr()
-        with SharedCSR(csr) as shared:
-            view = CSRGraph.from_shared(shared.handle)
-            topology.add_edge(0, 95, 2.0)
-            fresh = topology.csr()
-            # The mutated topology hands out a new snapshot; the published
-            # view still shows the old edge set (immutable by contract).
-            assert fresh is not csr
-            assert fresh.num_edges == view.num_edges + 1
-            assert (0, 95, 2.0) not in _snapshot_edges(view)
-            assert (0, 95, 2.0) in _snapshot_edges(fresh)

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import pickle
 import random
+from array import array
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import _reference_paths as reference
-from repro.graphs.csr import CSRGraph, parallel_k_nearest, parallel_radius
+from repro.graphs._ckernels import load_kernels
+from repro.graphs.csr import CSRGraph, kernel_threads
 from repro.graphs.engine import get_engine, set_engine, use_engine
 from repro.graphs.generators import (
     geometric_random_graph,
@@ -296,24 +299,190 @@ class TestBatchedDrivers:
         with pytest.raises(ValueError):
             topology.csr().batched_radius([1.0] * 4, nodes=[0, 1, 2])
 
-    def test_parallel_fanout_matches_serial(self):
-        topology = gnm_random_graph(48, seed=7, average_degree=5.0)
-        k = 9
-        serial = parallel_k_nearest(topology, k, workers=1)
-        fanned = parallel_k_nearest(topology, k, workers=2)
-        assert fanned == serial
-        radii = [2.0] * 48
-        assert parallel_radius(topology, radii, workers=2) == parallel_radius(
-            topology, radii, workers=1
-        )
-
     def test_parallel_radius_length_mismatch(self):
         topology = gnm_random_graph(10, seed=8, average_degree=3.0)
         with pytest.raises(ValueError):
-            parallel_radius(topology, [1.0] * 3, workers=1)
+            topology.csr().batched_radius([1.0] * 3)
+        with pytest.raises(ValueError):
+            topology.csr().radius_batch_flat([1.0] * 3)
+
+
+def _batch_graphs() -> dict:
+    """One graph per C kernel: BFS, Dial buckets, 4-ary heap."""
+    return {
+        "unit": gnm_random_graph(60, seed=11, average_degree=5.0),
+        "quantized": geometric_random_graph(
+            60, seed=12, average_degree=6.0, latency_quantum=0.25
+        ),
+        "irregular": geometric_random_graph(60, seed=13, average_degree=6.0),
+    }
+
+
+BATCH_GRAPHS = _batch_graphs()
+
+
+def _spt_batch(csr, sources, *, threads, fill=0.0):
+    n = csr.num_nodes
+    dist = array("d", bytes(8 * n * len(sources)))
+    parent = array("q", bytes(8 * n * len(sources)))
+    closest_dist = array("d", [inf]) * n
+    closest = array("q", [-1]) * n
+    csr.spt_rows_batch_into(
+        sources,
+        dist,
+        parent,
+        fill=fill,
+        closest_dist=closest_dist,
+        closest_landmark=closest,
+        threads=threads,
+    )
+    return dist, parent, closest_dist, closest
+
+
+def _k_nearest_batch(csr, k, sources, *, base, threads):
+    capacity = base + len(sources) * min(k, csr.num_nodes)
+    members = array("q", [-9]) * capacity
+    dists = array("d", [-9.0]) * capacity
+    parents = array("q", [-9]) * capacity
+    offsets = array("q", [base])
+    position = csr.k_nearest_batch_into(
+        k, sources, members, dists, parents, offsets,
+        base=base, threads=threads,
+    )
+    return position, offsets, members, dists, parents
+
+
+def _same_bytes(expected, actual) -> None:
+    assert len(expected) == len(actual)
+    for left, right in zip(expected, actual):
+        assert bytes(left) == bytes(right)
+
+
+@pytest.mark.skipif(load_kernels() is None, reason="C kernels unavailable")
+@pytest.mark.parametrize("threads", [0, 1, 3])
+class TestBatchDrivers:
+    """The batch drivers, C tier at every fan-out vs the pure-Python tier.
+
+    ``threads=0`` is the per-source fallback inside each driver, 1 and 3
+    the in-kernel batch (3 does not divide the source counts, so chunk
+    boundaries fall mid-batch); every buffer must match byte for byte.
+    """
+
+    @pytest.mark.parametrize("name", list(BATCH_GRAPHS))
+    def test_spt_rows_with_closest_fold(self, name, threads):
+        topology = BATCH_GRAPHS[name]
+        sources = [2, 9, 17, 31, 44, 58]
+        expected = _spt_batch(
+            CSRGraph.from_topology(topology, use_c=False), sources, threads=None
+        )
+        actual = _spt_batch(
+            CSRGraph.from_topology(topology, use_c=True), sources, threads=threads
+        )
+        _same_bytes(expected, actual)
+        oracle = reference.dijkstra(topology, 17)[0]
+        n = topology.num_nodes
+        assert list(actual[0][2 * n : 3 * n]) == [oracle[v] for v in range(n)]
+        assert set(actual[3]) <= set(sources)
+
+    @pytest.mark.parametrize("name", list(BATCH_GRAPHS))
+    def test_k_nearest_with_base_and_source_subset(self, name, threads):
+        topology = BATCH_GRAPHS[name]
+        sources = [40, 3, 59, 0, 21, 22, 7]
+        python = CSRGraph.from_topology(topology, use_c=False)
+        native = CSRGraph.from_topology(topology, use_c=True)
+        expected = _k_nearest_batch(python, 9, sources, base=5, threads=None)
+        actual = _k_nearest_batch(native, 9, sources, base=5, threads=threads)
+        assert actual[0] == expected[0] == 5 + 9 * len(sources)
+        _same_bytes(expected[1:], actual[1:])
+        assert list(actual[2][:5]) == [-9] * 5  # below ``base``: untouched
+        assert list(actual[1]) == [5 + 9 * i for i in range(len(sources) + 1)]
+        flat = native.k_nearest_batch_flat(9, sources, threads=threads)
+        _same_bytes(python.k_nearest_batch_flat(9, sources), flat)
+        assert bytes(flat[1]) == bytes(actual[2][5:])
+        searches = native.batched_k_nearest(9, sources)
+        assert list(flat[1][9:18]) == list(searches[1][0])
+
+    @pytest.mark.parametrize("inclusive", [False, True], ids=["strict", "inclusive"])
+    @pytest.mark.parametrize("name", list(BATCH_GRAPHS))
+    def test_radius_rows(self, name, inclusive, threads):
+        topology = BATCH_GRAPHS[name]
+        n = topology.num_nodes
+        # Multiples of the quantum (and of the unit hop), so nodes sit at
+        # exactly the boundary the two modes disagree on.
+        radii = [2.0 * (node % 5) for node in range(n)]
+        expected = CSRGraph.from_topology(
+            topology, use_c=False
+        ).radius_batch_flat(radii, inclusive=inclusive)
+        native = CSRGraph.from_topology(topology, use_c=True)
+        actual = native.radius_batch_flat(
+            radii, inclusive=inclusive, threads=threads
+        )
+        _same_bytes(expected, actual)
+        subset = [50, 4, 33]
+        _same_bytes(
+            native.radius_batch_flat(
+                [8.0, 4.0, 6.0], subset, inclusive=inclusive, threads=0
+            ),
+            native.radius_batch_flat(
+                [8.0, 4.0, 6.0], subset, inclusive=inclusive, threads=threads
+            ),
+        )
+        if name != "irregular":
+            other = native.radius_batch_flat(
+                radii, inclusive=not inclusive, threads=threads
+            )
+            assert bytes(other[1]) != bytes(actual[1])
+
+    @pytest.mark.parametrize("weight", [1.0, 0.3], ids=["unit", "irregular"])
+    def test_disconnected_short_rows_and_fill(self, weight, threads):
+        # Components {0,1,2}, {3,4}, {5}: every search stops short of n,
+        # so stale arena entries from the previous source must be repaired.
+        topology = Topology.from_edges(
+            6, [(0, 1, weight), (1, 2, weight), (3, 4, weight)]
+        )
+        python = CSRGraph.from_topology(topology, use_c=False)
+        native = CSRGraph.from_topology(topology, use_c=True)
+        sources = [0, 3, 5]
+        expected = _spt_batch(python, sources, threads=None, fill=99.0)
+        actual = _spt_batch(native, sources, threads=threads, fill=99.0)
+        _same_bytes(expected, actual)
+        dist, parent, closest_dist, closest = actual
+        assert list(dist[6:12]) == [99.0, 99.0, 99.0, 0.0, weight, 99.0]
+        assert list(parent[6:12]) == [-1, -1, -1, -1, 3, -1]
+        assert list(closest) == [0, 0, 0, 3, 3, 5]
+        assert closest_dist[5] == 0.0
+
+        everyone = list(range(6))
+        expected = _k_nearest_batch(python, 4, everyone, base=0, threads=None)
+        actual = _k_nearest_batch(native, 4, everyone, base=0, threads=threads)
+        position, offsets, members = actual[:3]
+        assert position == expected[0] == 3 * 3 + 2 * 2 + 1
+        assert list(offsets) == [0, 3, 6, 9, 11, 13, 14]
+        for left, right in zip(expected[1:], actual[1:]):
+            assert bytes(left[:position]) == bytes(right[:position])
+        assert list(members[9:14]) == [3, 4, 4, 3, 5]
+        flat = native.k_nearest_batch_flat(4, threads=threads)
+        assert len(flat[1]) == position
+        _same_bytes(python.k_nearest_batch_flat(4), flat)
 
 
 class TestKernelValidation:
+    def test_batch_flat_validates_k_before_sizing(self):
+        topology = gnm_random_graph(10, seed=1, average_degree=3.0)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"k must be > 0, got {k}"):
+                topology.csr().k_nearest_batch_flat(k)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_garbage_kernel_threads_env_raises(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", value)
+        with pytest.raises(ValueError, match="REPRO_KERNEL_THREADS") as error:
+            kernel_threads()
+        assert repr(value) in str(error.value)
+        assert kernel_threads(2) == 2  # an explicit width never reads it
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
+        assert kernel_threads() == 3
+
     def test_source_out_of_range(self):
         topology = gnm_random_graph(10, seed=1, average_degree=3.0)
         with pytest.raises(ValueError):

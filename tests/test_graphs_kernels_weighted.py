@@ -30,7 +30,6 @@ from repro.graphs.csr import (
     DIAL_MAX_QUANTA,
     CSRGraph,
     WeightProfile,
-    parallel_k_nearest,
     profile_weights,
 )
 from repro.graphs.generators import (
@@ -333,12 +332,11 @@ class TestRadiusBoundary:
 class TestParallelKernelThreading:
     def test_forced_kernel_reaches_workers(self):
         topology = _quantized_geometric(48, seed=7)
-        auto = parallel_k_nearest(topology, 9, workers=1)
+        auto = topology.csr().batched_k_nearest(9)
         for kernel in ("heap", "bucket"):
-            serial = parallel_k_nearest(topology, 9, workers=1, kernel=kernel)
-            fanned = parallel_k_nearest(topology, 9, workers=2, kernel=kernel)
-            assert serial == auto
-            assert fanned == auto
+            forced = CSRGraph.from_topology(topology, kernel=kernel)
+            assert forced.kernel == kernel
+            assert forced.batched_k_nearest(9) == auto
 
 
 class TestPropertyBasedWeighted:

@@ -195,13 +195,37 @@ class TestSchemeCache:
         after = scheme_key(topology, "nd-disco", seed=3)
         assert before != after
 
-    def test_scheme_key_ignores_workers(self):
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"threads": 2},
+            {"storage": "mmap"},
+            {"vicinity_storage": "/tmp/slabs"},
+            {"persist_storage": False},
+        ],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_scheme_key_ignores_build_mechanics(self, option):
         from repro.graphs.generators import gnm_random_graph
 
         topology = gnm_random_graph(48, seed=5, average_degree=6.0)
         assert scheme_key(topology, "nd-disco", seed=3) == scheme_key(
-            topology, "nd-disco", seed=3, workers=4
+            topology, "nd-disco", seed=3, **option
         )
+        # Disco's and S4's keys carry the nd-disco options as a nested
+        # term; build mechanics are stripped there too, everything else
+        # still shapes the key.
+        nested = {"vicinity_scale": 2.0}
+        plain = scheme_key(
+            topology, "disco", seed=3, nddisco_options=tuple(nested.items())
+        )
+        assert plain == scheme_key(
+            topology,
+            "disco",
+            seed=3,
+            nddisco_options=tuple(sorted({**nested, **option}.items())),
+        )
+        assert plain != scheme_key(topology, "disco", seed=3, nddisco_options=())
 
     def test_uncacheable_params_build_directly(self):
         from repro.graphs.generators import gnm_random_graph

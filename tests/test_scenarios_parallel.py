@@ -3,8 +3,7 @@
 This is the differential test backing ``repro run --workers N``: for a fast
 scenario subset, a 2-worker process-pool run (scenarios *and* shards fanned
 out, artifact cache shared on disk) must produce byte-identical JSON
-documents and text reports to a serial run.  Also covers the shared-memory
-CSR publication used by the intra-scenario fan-out.
+documents and text reports to a serial run.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import json
 
 from repro.experiments.config import ExperimentScale
-from repro.graphs.csr import CSRGraph, SharedCSR
-from repro.graphs.generators import geometric_random_graph, gnm_random_graph
 from repro.scenarios.engine import run_scenarios
 
 TINY = ExperimentScale(
@@ -130,41 +127,6 @@ class TestDeterminismUnderSharding:
         assert (
             warm["fig02-state-cdf"].report == cold["fig02-state-cdf"].report
         )
-
-
-class TestSharedMemorySnapshots:
-    def test_from_shared_is_bit_identical(self):
-        for topology in (
-            gnm_random_graph(150, seed=3, average_degree=6.0),
-            geometric_random_graph(150, seed=4, average_degree=6.0),
-        ):
-            csr = topology.csr()
-            with SharedCSR(csr) as shared:
-                view = CSRGraph.from_shared(shared.handle)
-                assert view.kernel == csr.kernel
-                assert view.num_edges == csr.num_edges
-                for source in (0, 75, 149):
-                    assert view.dijkstra(source) == csr.dijkstra(source)
-                assert view.dijkstra_k_nearest(
-                    5, 20
-                ) == csr.dijkstra_k_nearest(5, 20)
-                assert view.dijkstra_radius(5, 2.5) == csr.dijkstra_radius(
-                    5, 2.5
-                )
-
-    def test_forced_kernel_propagates_through_handle(self):
-        topology = gnm_random_graph(150, seed=3, average_degree=6.0)
-        csr = CSRGraph.from_topology(topology, kernel="heap")
-        with SharedCSR(csr, kernel="heap") as shared:
-            view = CSRGraph.from_shared(shared.handle)
-            assert view.kernel == "heap"
-            assert view.dijkstra(0) == csr.dijkstra(0)
-
-    def test_publisher_close_is_idempotent(self):
-        topology = gnm_random_graph(64, seed=3, average_degree=6.0)
-        shared = SharedCSR(topology.csr())
-        shared.close()
-        shared.close()
 
 
 class TestChurnScenarioSharding:

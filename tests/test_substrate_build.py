@@ -4,7 +4,7 @@
 dict-mediated component path (dense per-landmark rows, per-node
 ``VicinityTable`` objects, one ``SubstrateTables.from_components`` pass)
 with kernel output written straight into the preallocated slabs, plus an
-optional worker fan-out and mmap-backed placement.  Nothing about the
+in-kernel thread fan-out and mmap-backed placement.  Nothing about the
 *content* is allowed to change: every variant must produce slabs
 byte-identical to the component-path oracle, on every topology family the
 experiments use.
@@ -37,7 +37,6 @@ from repro.graphs.generators import (
     gnm_random_graph,
     internet_router_level,
 )
-from repro.graphs.csr import parallel_radius
 
 
 def _families():
@@ -82,12 +81,13 @@ def test_slab_direct_serial_matches_dict_path(family, topology):
 
 
 @pytest.mark.parametrize("family,topology", FAMILIES, ids=[f for f, _ in FAMILIES])
-def test_slab_direct_two_workers_matches_dict_path(family, topology):
+def test_serial_loop_matches_dict_path(family, topology):
+    """threads=0: the per-source fallback inside the batch drivers."""
     landmarks = select_landmarks(topology.num_nodes, seed=2)
     codec = LabelCodec(topology)
     expected = _oracle(topology, landmarks, codec)
     actual = build_substrate_tables(
-        topology, landmarks, codec=codec, workers=2
+        topology, landmarks, codec=codec, threads=0
     )
     _assert_identical_slabs(expected, actual)
 
@@ -190,29 +190,31 @@ def test_rejects_empty_and_out_of_range_landmarks():
         build_substrate_tables(topology, [topology.num_nodes])
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_ball_tables_match_dict_transport(workers):
+def _assert_balls_match_dict_transport(**build_options):
     family, topology = FAMILIES[2]
     n = topology.num_nodes
     landmarks = select_landmarks(n, seed=2)
     spts = landmark_spts(topology, landmarks)
     _, closest_dist = closest_landmarks(spts, n)
     radii = list(closest_dist)
-    searches = parallel_radius(topology, radii, workers=1)
+    searches = topology.csr().batched_radius(radii)
     expected = NodeSearchTables.from_searches(searches)
-    actual = build_ball_tables(topology, radii, workers=workers)
+    actual = build_ball_tables(topology, radii, **build_options)
     assert bytes(expected.offsets) == bytes(actual.offsets)
     assert bytes(expected.members) == bytes(actual.members)
     assert bytes(expected.dists) == bytes(actual.dists)
     assert bytes(expected.parents) == bytes(actual.parents)
 
 
+def test_ball_tables_match_dict_transport():
+    _assert_balls_match_dict_transport()
+
+
 # -- in-kernel thread fan-out ------------------------------------------------
 # The batched C entry points loop sources inside the kernel and fan them
 # over a pthread pool; every width must reproduce the pinned serial
 # per-source loop (threads=0) byte for byte, on RAM arrays and on
-# file-backed slab directories alike, and agree with the process-pool
-# oracle that partitions the same work across OS processes instead.
+# file-backed slab directories alike.
 
 
 @pytest.fixture(scope="module")
@@ -223,10 +225,7 @@ def thread_oracles():
     serial = build_substrate_tables(
         topology, landmarks, codec=codec, threads=0
     )
-    pool = build_substrate_tables(
-        topology, landmarks, codec=codec, workers=2
-    )
-    return topology, landmarks, codec, serial, pool
+    return topology, landmarks, codec, serial
 
 
 @pytest.mark.parametrize("storage", ["array", "mmap-dir"])
@@ -234,7 +233,7 @@ def thread_oracles():
 def test_threaded_build_matches_serial_and_pool(
     threads, storage, thread_oracles, tmp_path
 ):
-    topology, landmarks, codec, serial, pool = thread_oracles
+    topology, landmarks, codec, serial = thread_oracles
     kwargs = {}
     if storage == "mmap-dir":
         kwargs["storage"] = str(tmp_path / f"slabs-{threads}")
@@ -242,7 +241,6 @@ def test_threaded_build_matches_serial_and_pool(
         topology, landmarks, codec=codec, threads=threads, **kwargs
     )
     _assert_identical_slabs(serial, actual)
-    _assert_identical_slabs(pool, actual)
     if storage == "mmap-dir":
         attached = SubstrateTables.from_mmap(kwargs["storage"])
         _assert_identical_slabs(serial, attached)
@@ -260,21 +258,9 @@ def test_threaded_build_matches_dict_path(family, topology):
     _assert_identical_slabs(expected, actual)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 8])
+@pytest.mark.parametrize("threads", [0, 1, 2, 8])
 def test_ball_tables_threads_match_dict_transport(threads):
-    family, topology = FAMILIES[2]
-    n = topology.num_nodes
-    landmarks = select_landmarks(n, seed=2)
-    spts = landmark_spts(topology, landmarks)
-    _, closest_dist = closest_landmarks(spts, n)
-    radii = list(closest_dist)
-    searches = parallel_radius(topology, radii, workers=1)
-    expected = NodeSearchTables.from_searches(searches)
-    actual = build_ball_tables(topology, radii, threads=threads)
-    assert bytes(expected.offsets) == bytes(actual.offsets)
-    assert bytes(expected.members) == bytes(actual.members)
-    assert bytes(expected.dists) == bytes(actual.dists)
-    assert bytes(expected.parents) == bytes(actual.parents)
+    _assert_balls_match_dict_transport(threads=threads)
 
 
 def test_cluster_sizes_match_membership_double_loop():
