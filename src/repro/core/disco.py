@@ -32,14 +32,14 @@ from array import array
 from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.overlay import DisseminationOverlay
-from repro.core.shortcutting import ShortcutMode, apply_shortcuts
+from repro.core.shortcutting import ShortcutMode
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.core.tables import SubstrateTables
 from repro.core.vicinity import VicinityTable
 from repro.graphs.topology import Topology
-from repro.naming.hashspace import hash_prefix
+from repro.naming.hashspace import HASH_BITS, hash_prefix
 from repro.naming.names import FlatName
-from repro.protocols.base import RouteResult, RoutingScheme
+from repro.protocols.base import PairRouter, RouteResult, RoutingScheme
 
 __all__ = ["DiscoRouting"]
 
@@ -99,7 +99,6 @@ class DiscoRouting(RoutingScheme):
                 names=names,
                 resolve_first_packet=True,
             )
-        self._shortcut_mode = self._nddisco.shortcut_mode
         self._grouping = SloppyGrouping(self._nddisco.names, estimated_n)
         self._overlay = DisseminationOverlay(
             self._grouping, num_fingers=num_fingers, seed=seed
@@ -179,15 +178,11 @@ class DiscoRouting(RoutingScheme):
 
     @property
     def shortcut_mode(self) -> ShortcutMode:
-        """The shortcutting heuristic in force (shared with NDDisco)."""
-        return self._shortcut_mode
+        """The shortcutting heuristic in force: the embedded NDDisco's."""
+        return self._nddisco.shortcut_mode
 
     @shortcut_mode.setter
     def shortcut_mode(self, mode: ShortcutMode) -> None:
-        """Switch the heuristic for both Disco and its underlying NDDisco."""
-        if not isinstance(mode, ShortcutMode):
-            raise TypeError(f"expected ShortcutMode, got {type(mode).__name__}")
-        self._shortcut_mode = mode
         self._nddisco.shortcut_mode = mode
 
     @property
@@ -278,76 +273,163 @@ class DiscoRouting(RoutingScheme):
         return entries_out, bytes_v4, bytes_v6
 
     # -- routing ----------------------------------------------------------------
+    # The routing rule lives in :class:`_DiscoRouter`; the route methods
+    # are one-pair calls on a fresh router.
+
+    def router(self) -> "_DiscoRouter":
+        return _DiscoRouter(self)
 
     def knows_address(self, holder: int, owner: int) -> bool:
         """True if ``holder`` stores ``owner``'s address after convergence."""
         return self._grouping.stores_address_of(holder, owner)
 
-    def _group_contact(self, source: int, target: int) -> int | None:
-        """The vicinity member of ``source`` most likely to know ``target``'s address."""
-        vicinity = self._nddisco.vicinities[source]
-        candidates = {
-            member: distance
-            for member, distance in vicinity.distances.items()
-            if member != source
-        }
-        return self._grouping.best_group_contact(target, candidates)
-
     def first_packet_route(self, source: int, target: int) -> RouteResult:
         """Route the first packet of a flow (stretch ≤ 7 w.h.p.)."""
-        self._check_endpoints(source, target)
-        nddisco = self._nddisco
-        if source == target:
-            return RouteResult(path=(source,), mechanism="self")
-        if nddisco.knows_direct_route(source, target):
-            return RouteResult(
-                path=tuple(nddisco.direct_route(source, target)), mechanism="direct"
-            )
-        if self.knows_address(source, target):
-            path, _ = nddisco.compact_route(source, target)
-            return RouteResult(path=tuple(path), mechanism="known-address")
-
-        contact = self._group_contact(source, target)
-        if contact is not None and self.knows_address(contact, target):
-            forward = self._via_contact_route(source, contact, target)
-            reverse = None
-            if self._shortcut_mode.uses_reverse_route:
-                reverse = self._reverse_first_packet_route(source, target)
-            path = apply_shortcuts(
-                self._topology,
-                nddisco.vicinities,
-                forward,
-                self._shortcut_mode,
-                reverse_route=reverse,
-            )
-            return RouteResult(path=tuple(path), mechanism="group-contact")
-
-        # Vanishingly rare: no vicinity member knows the address.  Fall back
-        # to the landmark resolution database (§4.3 / §4.4).
-        result = nddisco.first_packet_route(source, target)
-        return RouteResult(path=result.path, mechanism="resolution-fallback")
-
-    def _via_contact_route(self, source: int, contact: int, target: int) -> list[int]:
-        """The raw s ; w ; ℓt ; t route through group contact ``contact``."""
-        nddisco = self._nddisco
-        to_contact = nddisco.vicinities[source].path_to(contact)
-        if contact == target:
-            return to_contact
-        onward = nddisco.relay_route(contact, target)
-        return to_contact + onward[1:]
-
-    def _reverse_first_packet_route(self, source: int, target: int) -> list[int]:
-        """The symmetric t ; w' ; ℓs ; s route used by reverse-path selection."""
-        nddisco = self._nddisco
-        if nddisco.knows_direct_route(target, source):
-            return nddisco.direct_route(target, source)
-        if self.knows_address(target, source):
-            return nddisco.relay_route(target, source)
-        contact = self._group_contact(target, source)
-        if contact is not None and self.knows_address(contact, source):
-            return self._via_contact_route(target, contact, source)
-        return nddisco.relay_route(target, source)
+        return self.router().first(source, target)
 
     def later_packet_route(self, source: int, target: int) -> RouteResult:
         """Route packets after the first (stretch ≤ 3, via NDDisco handshake)."""
         return self._nddisco.later_packet_route(source, target)
+
+
+class _DiscoRouter(PairRouter):
+    """Disco's first-packet rule (§4.4) on top of the NDDisco router.
+
+    Direct route, else a stored address, else the sloppy-group contact
+    ``s ; w ; ℓt ; t``, else the landmark resolution database; later
+    packets are NDDisco's.
+    """
+
+    def __init__(self, scheme: DiscoRouting) -> None:
+        super().__init__(scheme)
+        self.nd = scheme._nddisco.router()
+        self.grouping = scheme._grouping
+        self._hashes = scheme._grouping._hashes
+        #: source -> parallel (hash, distance, member) candidate rows over
+        #: the source's vicinity (owner excluded), built on first use.
+        self._contacts: dict[int, tuple[list[int], list[float], list[int]]] = {}
+
+    def route_length(self, path: Sequence[int]) -> float:
+        return self.nd.route_length(path)
+
+    def _candidate_rows(
+        self, source: int
+    ) -> tuple[list[int], list[float], list[int]]:
+        rows = self._contacts.get(source)
+        if rows is None:
+            node_hashes = self._hashes
+            table = self.nd.vic_table
+            # The owner is always the row's first member (settle order),
+            # so slicing from position 1 drops exactly the source itself.
+            lo, hi = table.row_bounds(source)
+            ids = memoryview(table.members)[lo + 1 : hi].tolist()
+            dists = memoryview(table.dists)[lo + 1 : hi].tolist()
+            hashes = [node_hashes[member] for member in ids]
+            rows = (hashes, dists, ids)
+            self._contacts[source] = rows
+        return rows
+
+    def _group_contact(self, source: int, target: int) -> int | None:
+        """The vicinity member of ``source`` most likely to know ``target``'s
+        address.
+
+        :meth:`SloppyGrouping.best_group_contact`'s total order -- longest
+        common prefix, then smaller distance, then smaller id -- over the
+        flat candidate rows, with the xor/bit-length prefix computation
+        inlined.
+        """
+        hashes, dists, ids = self._candidate_rows(source)
+        if not hashes:
+            return None
+        target_hash = self._hashes[target]
+        best_node = None
+        best_match = -1
+        best_dist = 0.0
+        for position, candidate_hash in enumerate(hashes):
+            diff = candidate_hash ^ target_hash
+            match = HASH_BITS - diff.bit_length() if diff else HASH_BITS
+            if match < best_match:
+                continue
+            distance = dists[position]
+            if match == best_match:
+                # Rows are id-ascending within equal distance only by
+                # vicinity settle order, so break distance ties by an
+                # explicit id comparison.
+                if distance > best_dist or (
+                    distance == best_dist and ids[position] > best_node
+                ):
+                    continue
+            best_match = match
+            best_dist = distance
+            best_node = ids[position]
+        return best_node
+
+    def _via_contact(self, source: int, contact: int, target: int) -> list[int]:
+        """The raw s ; w ; ℓt ; t route through group contact ``contact``."""
+        nd = self.nd
+        to_contact = nd.vicinity_path(source, contact)
+        if contact == target:
+            return to_contact
+        return to_contact + nd.relay(contact, target)[1:]
+
+    def _reverse_first(self, source: int, target: int) -> list[int]:
+        """The symmetric t ; w' ; ℓs ; s route used by reverse-path selection."""
+        nd = self.nd
+        if nd.knows_direct(target, source):
+            return nd.direct(target, source)
+        if self.grouping.stores_address_of(target, source):
+            return nd.relay(target, source)
+        contact = self._group_contact(target, source)
+        if contact is not None and self.grouping.stores_address_of(
+            contact, source
+        ):
+            return self._via_contact(target, contact, source)
+        return nd.relay(target, source)
+
+    def _first(self, source: int, target: int) -> RouteResult:
+        nd = self.nd
+        if source == target:
+            return RouteResult(path=(source,), mechanism="self")
+        if nd.knows_direct(source, target):
+            return RouteResult(
+                path=tuple(nd.direct(source, target)), mechanism="direct"
+            )
+        if self.grouping.stores_address_of(source, target):
+            path, _ = nd.compact(source, target)
+            return RouteResult(path=tuple(path), mechanism="known-address")
+
+        contact = self._group_contact(source, target)
+        if contact is not None and self.grouping.stores_address_of(
+            contact, target
+        ):
+            forward = self._via_contact(source, contact, target)
+            reverse = (
+                self._reverse_first(source, target)
+                if nd.uses_reverse
+                else None
+            )
+            path = nd.shortcut(forward, reverse)
+            return RouteResult(path=tuple(path), mechanism="group-contact")
+
+        # Vanishingly rare: no vicinity member knows the address.  Fall back
+        # to the landmark resolution database (§4.3 / §4.4).
+        result = nd._first(source, target)
+        return RouteResult(path=result.path, mechanism="resolution-fallback")
+
+    def _later(self, source: int, target: int) -> RouteResult:
+        return self.nd._later(source, target)
+
+    def _pair(self, source: int, target: int) -> tuple[RouteResult, RouteResult]:
+        nd = self.nd
+        if source == target:
+            result = RouteResult(path=(source,), mechanism="self")
+            return result, result
+        if nd.knows_direct(source, target):
+            result = RouteResult(
+                path=tuple(nd.direct(source, target)), mechanism="direct"
+            )
+            return result, result
+        return (
+            self._first(source, target),
+            nd.later_indirect(source, target),
+        )

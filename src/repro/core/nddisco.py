@@ -38,14 +38,19 @@ from repro.addressing.address import Address, NAME_BYTES_IPV4, NAME_BYTES_IPV6
 from repro.addressing.labels import LabelCodec
 from repro.core.landmarks import closest_landmarks, landmark_spts, select_landmarks
 from repro.core.resolution import LandmarkResolutionDatabase
-from repro.core.shortcutting import ShortcutMode, apply_shortcuts
+from repro.core.shortcutting import ShortcutMode, _apply_per_hop
 from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import SubstrateTables
 from repro.core.vicinity import VicinityTable, compute_vicinities
 from repro.graphs.engine import get_engine
 from repro.graphs.topology import Topology
 from repro.naming.names import FlatName, name_for_node
-from repro.protocols.base import RouteResult, RoutingScheme
+from repro.protocols.base import (
+    LandmarkPathCache,
+    PairRouter,
+    RouteResult,
+    RoutingScheme,
+)
 
 __all__ = ["NDDiscoRouting"]
 
@@ -399,29 +404,32 @@ class NDDiscoRouting(RoutingScheme):
         return entries_out, bytes_v4, bytes_v6
 
     # -- routing ------------------------------------------------------------
+    # The routing rule lives in :class:`_NDDiscoRouter`; everything below
+    # is a one-pair call on a fresh router.
+
+    def router(self) -> "_NDDiscoRouter":
+        return _NDDiscoRouter(self)
 
     def knows_direct_route(self, source: int, target: int) -> bool:
         """True if ``source`` holds a shortest path to ``target`` in its tables."""
-        return target in self._landmarks or target in self._vicinities[source]
+        return self.router().knows_direct(source, target)
 
     def direct_route(self, source: int, target: int) -> list[int]:
         """Return the shortest path ``source`` holds toward ``target``.
 
-        Only valid when :meth:`knows_direct_route` is True.
+        Raises
+        ------
+        ValueError
+            If :meth:`knows_direct_route` is False.
         """
-        if target in self._vicinities[source]:
-            return self._vicinities[source].path_to(target)
-        if target in self._landmarks:
-            # Reverse of the landmark's SPT path to the source.
-            return list(reversed(self.landmark_path(target, source)))
-        raise ValueError(f"{source} holds no direct route to {target}")
+        router = self.router()
+        if not router.knows_direct(source, target):
+            raise ValueError(f"{source} holds no direct route to {target}")
+        return router.direct(source, target)
 
     def relay_route(self, source: int, target: int) -> list[int]:
         """Return the raw relay route source ; ℓt ; t (no shortcuts)."""
-        landmark = self._closest_landmark[target]
-        to_landmark = list(reversed(self.landmark_path(landmark, source)))
-        from_landmark = list(self._addresses[target].route.path)
-        return to_landmark + from_landmark[1:]
+        return self.router().relay(source, target)
 
     def compact_route(self, source: int, target: int) -> tuple[list[int], str]:
         """Route using converged NDDisco state, assuming the address is known.
@@ -429,68 +437,209 @@ class NDDiscoRouting(RoutingScheme):
         Returns the path and the mechanism label.
         """
         self._check_endpoints(source, target)
-        if source == target:
-            return [source], "self"
-        if self.knows_direct_route(source, target):
-            return self.direct_route(source, target), "direct"
-        forward = self.relay_route(source, target)
-        reverse = (
-            self.relay_route(target, source)
-            if self._shortcut_mode.uses_reverse_route
-            else None
-        )
-        path = apply_shortcuts(
-            self._topology,
-            self._vicinities,
-            forward,
-            self._shortcut_mode,
-            reverse_route=reverse,
-        )
-        return path, "landmark-relay"
+        return self.router().compact(source, target)
 
     def first_packet_route(self, source: int, target: int) -> RouteResult:
         """First packet: resolve the name (if configured), then compact-route."""
-        self._check_endpoints(source, target)
-        if source == target:
-            return RouteResult(path=(source,), mechanism="self")
-        if self.knows_direct_route(source, target):
-            return RouteResult(
-                path=tuple(self.direct_route(source, target)), mechanism="direct"
-            )
-        if not self._resolve_first_packet:
-            path, mechanism = self.compact_route(source, target)
-            return RouteResult(path=tuple(path), mechanism=mechanism)
-        resolver = self._resolution.home_landmark(self._names[target])
-        to_resolver = list(reversed(self.landmark_path(resolver, source)))
-        if resolver == target:
-            return RouteResult(path=tuple(to_resolver), mechanism="resolver-is-target")
-        onward, _ = self.compact_route(resolver, target)
-        full = to_resolver + onward[1:]
-        return RouteResult(
-            path=tuple(_trim_at_destination(full, target)),
-            mechanism="resolve-then-route",
-        )
+        return self.router().first(source, target)
 
     def later_packet_route(self, source: int, target: int) -> RouteResult:
         """Later packets: handshake gives a shortest path when s ∈ V(t)."""
-        self._check_endpoints(source, target)
+        return self.router().later(source, target)
+
+
+class _NDDiscoRouter(PairRouter):
+    """NDDisco's forwarding rule (§4.2) over the substrate slabs.
+
+    Direct if ``t ∈ V(s)`` or ``t`` is a landmark, else ``s ; ℓt ; t`` with
+    the shortcutting heuristic of the scheme's mode (read once, when the
+    router is built); first packets detour through the resolution landmark
+    and later packets use the destination's handshake.  Path lengths are
+    summed left to right, like :meth:`RouteResult.length`.
+    """
+
+    def __init__(self, scheme: NDDiscoRouting) -> None:
+        super().__init__(scheme)
+        self.landmarks = scheme._landmarks
+        self.vicinities = scheme._vicinities
+        self.closest = scheme._closest_landmark
+        mode = scheme.shortcut_mode
+        self._per_hop = mode.per_hop_heuristic
+        self.uses_reverse = mode.uses_reverse_route
+        # Vicinity membership and path extraction go straight through the
+        # slab table's per-node position index instead of the dict-shaped
+        # view objects.
+        self.vic_table = scheme.tables.vicinity
+        self._vic_indexes = self.vic_table._indexes
+        self._num_nodes = scheme.topology.num_nodes
+        self.paths = LandmarkPathCache(scheme.tables, self._num_nodes)
+        self._addr: dict[int, list[int]] = {}
+        #: flat source * n + target -> (path, mechanism)
+        self._compact: dict[int, tuple[list[int], str]] = {}
+        self._onward: dict[int, tuple[int, tuple[list[int], str] | None]] = {}
+
+    # -- building blocks ----------------------------------------------------
+
+    def in_vicinity(self, node: int, member: int) -> bool:
+        index = self._vic_indexes[node]
+        if index is None:
+            index = self.vic_table._index(node)
+        return member in index
+
+    def vicinity_path(self, node: int, member: int) -> list[int]:
+        return self.vic_table.path_from_owner(node, member)
+
+    def _address_path(self, node: int) -> list[int]:
+        path = self._addr.get(node)
+        if path is None:
+            path = list(self.scheme._addresses[node].route.path)
+            self._addr[node] = path
+        return path
+
+    def knows_direct(self, source: int, target: int) -> bool:
+        return target in self.landmarks or self.in_vicinity(source, target)
+
+    def direct(self, source: int, target: int) -> list[int]:
+        """The shortest path ``source`` holds; needs :meth:`knows_direct`."""
+        if self.in_vicinity(source, target):
+            return self.vicinity_path(source, target)
+        return list(reversed(self.paths.down(target, source)))
+
+    def relay(self, source: int, target: int) -> list[int]:
+        """The raw relay route s .. l_t .. t (no shortcuts); fresh list."""
+        to_landmark = self.paths.up(self.closest[target], source)
+        from_landmark = self._address_path(target)
+        return to_landmark + from_landmark[1:]
+
+    def _apply_per_hop(self, route: list[int]) -> list[int]:
+        heuristic = self._per_hop
+        if heuristic == "up-down-stream":
+            return _apply_per_hop(
+                self.scheme.topology, route, self.vicinities, heuristic
+            )
+        # Truncate at the destination, then the To-Destination splice.
+        destination = route[-1]
+        first_index = route.index(destination)
+        route = route[: first_index + 1]  # slicing copies; fresh list
+        if heuristic == "none" or len(route) <= 1:
+            return route
+        indexes = self._vic_indexes
+        table = self.vic_table
+        for index in range(len(route) - 1):
+            node = route[index]
+            member_index = indexes[node]
+            if member_index is None:
+                member_index = table._index(node)
+            if destination in member_index:
+                return route[:index] + table.path_from_owner(
+                    node, destination
+                )
+        return route
+
+    def shortcut(
+        self, forward: list[int], reverse: list[int] | None
+    ) -> list[int]:
+        """Apply the mode's heuristic; same contract as
+        :func:`~repro.core.shortcutting.apply_shortcuts`."""
+        forward = self._apply_per_hop(forward)
+        if not self.uses_reverse:
+            return forward
+        assert reverse is not None
+        reverse = self._apply_per_hop(reverse)
+        reverse_as_forward = list(reversed(reverse))
+        if self.route_length(reverse_as_forward) < self.route_length(forward):
+            return reverse_as_forward
+        return forward
+
+    def compact(self, source: int, target: int) -> tuple[list[int], str]:
+        """Memoized route assuming the address is known: path, mechanism."""
+        key = source * self._num_nodes + target
+        cached = self._compact.get(key)
+        if cached is not None:
+            return cached
+        if source == target:
+            result: tuple[list[int], str] = ([source], "self")
+        elif self.knows_direct(source, target):
+            result = (self.direct(source, target), "direct")
+        else:
+            forward = self.relay(source, target)
+            reverse = (
+                self.relay(target, source) if self.uses_reverse else None
+            )
+            result = (self.shortcut(forward, reverse), "landmark-relay")
+        self._compact[key] = result
+        return result
+
+    def _resolver_onward(
+        self, target: int
+    ) -> tuple[int, tuple[list[int], str] | None]:
+        cached = self._onward.get(target)
+        if cached is None:
+            resolver = self.scheme._resolution.home_landmark(
+                self.scheme._names[target]
+            )
+            onward = (
+                self.compact(resolver, target) if resolver != target else None
+            )
+            cached = (resolver, onward)
+            self._onward[target] = cached
+        return cached
+
+    # -- the two route queries ----------------------------------------------
+
+    def _first(self, source: int, target: int) -> RouteResult:
         if source == target:
             return RouteResult(path=(source,), mechanism="self")
-        if self.knows_direct_route(source, target):
+        if self.knows_direct(source, target):
             return RouteResult(
-                path=tuple(self.direct_route(source, target)), mechanism="direct"
+                path=tuple(self.direct(source, target)), mechanism="direct"
             )
-        if source in self._vicinities[target]:
+        if not self.scheme._resolve_first_packet:
+            path, mechanism = self.compact(source, target)
+            return RouteResult(path=tuple(path), mechanism=mechanism)
+        resolver, onward = self._resolver_onward(target)
+        to_resolver = self.paths.up(resolver, source)
+        if resolver == target:
+            return RouteResult(
+                path=tuple(to_resolver), mechanism="resolver-is-target"
+            )
+        assert onward is not None
+        full = to_resolver + onward[0][1:]
+        index = full.index(target)
+        return RouteResult(
+            path=tuple(full[: index + 1]), mechanism="resolve-then-route"
+        )
+
+    def _later(self, source: int, target: int) -> RouteResult:
+        if source == target:
+            return RouteResult(path=(source,), mechanism="self")
+        if self.knows_direct(source, target):
+            return RouteResult(
+                path=tuple(self.direct(source, target)), mechanism="direct"
+            )
+        return self.later_indirect(source, target)
+
+    def later_indirect(self, source: int, target: int) -> RouteResult:
+        """Later packets of a pair with no direct route."""
+        if self.in_vicinity(target, source):
             # t knows the shortest path s ; t and informs s (handshake).
-            reverse = self._vicinities[target].path_to(source)
+            reverse = self.vicinity_path(target, source)
             return RouteResult(
                 path=tuple(reversed(reverse)), mechanism="handshake"
             )
-        path, mechanism = self.compact_route(source, target)
+        path, mechanism = self.compact(source, target)
         return RouteResult(path=tuple(path), mechanism=mechanism)
 
-
-def _trim_at_destination(path: list[int], destination: int) -> list[int]:
-    """Cut ``path`` at the first time it reaches ``destination``."""
-    index = path.index(destination)
-    return path[: index + 1]
+    def _pair(self, source: int, target: int) -> tuple[RouteResult, RouteResult]:
+        if source == target:
+            result = RouteResult(path=(source,), mechanism="self")
+            return result, result
+        if self.knows_direct(source, target):
+            result = RouteResult(
+                path=tuple(self.direct(source, target)), mechanism="direct"
+            )
+            return result, result
+        return (
+            self._first(source, target),
+            self.later_indirect(source, target),
+        )

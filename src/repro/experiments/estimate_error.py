@@ -26,8 +26,11 @@ from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import header
 from repro.experiments.workloads import comparison_gnm
 from repro.graphs.sampling import sample_pairs
-from repro.metrics.stretch import measure_stretch
+from repro.graphs.shortest_paths import all_pairs_sampled_distances
+from repro.metrics.batch import route_pairs_batch
+from repro.metrics.stretch import stretch_of_route
 from repro.scenarios.spec import scenario
+from repro.utils.distributions import summarize
 from repro.utils.formatting import format_table
 
 __all__ = ["EstimateErrorResult", "run", "format_report"]
@@ -72,6 +75,7 @@ def run(
     topology = comparison_gnm(scale)
     n = topology.num_nodes
     pairs = sample_pairs(topology, scale.pair_sample, seed=scale.seed + 11)
+    distances = all_pairs_sampled_distances(topology, pairs)
     nddisco = NDDiscoRouting(topology, seed=scale.seed)
 
     mean_stretch: dict[float, float] = {}
@@ -88,21 +92,21 @@ def run(
         disco = DiscoRouting(
             topology, seed=scale.seed, nddisco=nddisco, estimated_n=estimates
         )
-        report = measure_stretch(disco, pairs=pairs)
-        mean_stretch[level] = report.first_summary.mean
+        # One routing pass serves both measurements.
+        firsts = [first for first, _ in route_pairs_batch(disco, pairs)]
+        mean_stretch[level] = summarize(
+            stretch_of_route(topology, first, distances[pair])
+            for pair, first in zip(pairs, firsts)
+        ).mean
 
         # Reachability through the sloppy-group machinery alone: count pairs
         # whose first packet had to fall back to the landmark resolution
         # database, and pairs that could not be served at all (never happens
         # because the fallback exists, but tracked for completeness).
-        fallbacks = 0
-        unreachable = 0
-        for source, target in pairs:
-            result = disco.first_packet_route(source, target)
-            if result.mechanism == "resolution-fallback":
-                fallbacks += 1
-            if not result.delivered:
-                unreachable += 1
+        fallbacks = sum(
+            first.mechanism == "resolution-fallback" for first in firsts
+        )
+        unreachable = sum(not first.delivered for first in firsts)
         fallback_fraction[level] = fallbacks / len(pairs)
         unreachable_fraction[level] = unreachable / len(pairs)
     return EstimateErrorResult(

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.graphs.sampling import one_destination_per_node
-from repro.metrics.batch import make_router
 from repro.protocols.base import RoutingScheme
 from repro.utils.distributions import Summary, cdf_points, summarize
 
@@ -74,7 +73,6 @@ def measure_congestion(
     pairs: Sequence[tuple[int, int]] | None = None,
     seed: int = 0,
     use_later_packets: bool = True,
-    batch: bool = True,
 ) -> CongestionReport:
     """Measure paths-per-edge for ``scheme``.
 
@@ -88,33 +86,20 @@ def measure_congestion(
     use_later_packets:
         Route flows with later-packet routes (default, matching steady-state
         traffic) or with first-packet routes.
-    batch:
-        Route the flows through the batched measurement engine (default);
-        ``False`` uses the scheme's per-pair methods (identical output).
     """
     topology = scheme.topology
     flows = list(pairs) if pairs is not None else one_destination_per_node(
         topology, seed=seed
     )
-    router = make_router(scheme) if batch else None
+    router = scheme.router()
+    route = router.later if use_later_packets else router.first
     usage: dict[tuple[int, int], int] = {
         (u, v): 0 for u, v, _ in topology.edges()
     }
     for source, target in flows:
         if source == target:
             continue
-        if router is not None:
-            result = (
-                router.later(source, target)
-                if use_later_packets
-                else router.first(source, target)
-            )
-        else:
-            result = (
-                scheme.later_packet_route(source, target)
-                if use_later_packets
-                else scheme.first_packet_route(source, target)
-            )
+        result = route(source, target)
         for a, b in zip(result.path, result.path[1:]):
             key = (a, b) if a < b else (b, a)
             usage[key] = usage.get(key, 0) + 1

@@ -83,7 +83,6 @@ def measure_state(
     nodes: Sequence[int] | None = None,
     node_sample: int | None = None,
     seed: int = 0,
-    batch: bool = True,
 ) -> StateReport:
     """Measure per-node state for ``scheme``.
 
@@ -96,11 +95,11 @@ def measure_state(
         Number of nodes to sample when ``nodes`` is not given.
     seed:
         Sampling seed.
-    batch:
-        Use the scheme's batched ``state_profile`` when it offers one
-        (default), computing shared per-node intermediates once instead of
-        once per metric; ``False`` runs the historical per-node loops.
-        Output is identical either way.
+
+    A scheme offering a batched ``state_profile`` (shared per-node
+    intermediates computed once instead of once per metric) is measured
+    through it; any other scheme through ``state_entries`` /
+    ``state_bytes`` per node.
     """
     topology = scheme.topology
     if nodes is None:
@@ -112,7 +111,7 @@ def measure_state(
         measured = list(nodes)
     if not measured:
         raise ValueError("no nodes to measure")
-    profile = getattr(scheme, "state_profile", None) if batch else None
+    profile = getattr(scheme, "state_profile", None)
     if profile is not None:
         entries, bytes_v4, bytes_v6 = profile(measured)
     else:

@@ -5,14 +5,13 @@ length" (§2).  For each sampled source-destination pair we obtain the
 protocol's first-packet and later-packet routes, measure their weighted
 length, and divide by the true shortest-path distance.
 
-Pairs are routed through the batched measurement engine
+All pairs of one call are routed on one ``scheme.router()``
 (:mod:`repro.metrics.batch`), which shares landmark-path extractions,
-relay segments, and group-contact scans across the whole batch;
-``batch=False`` keeps the historical one-pair-at-a-time loop as the
-differential oracle and perf baseline.  Callers measuring several schemes
-over the same pairs (:class:`~repro.staticsim.simulation.StaticSimulation`)
-pass the shortest-distance table in once via ``distances`` instead of
-recomputing it per scheme.
+relay segments, and group-contact scans across the whole batch.  Callers
+measuring several schemes over the same pairs
+(:class:`~repro.staticsim.simulation.StaticSimulation`) pass the
+shortest-distance table in once via ``distances`` instead of recomputing
+it per scheme.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Mapping, Sequence
 from repro.graphs.sampling import sample_pairs
 from repro.graphs.shortest_paths import all_pairs_sampled_distances
 from repro.graphs.topology import Topology
-from repro.metrics.batch import make_router
 from repro.protocols.base import RouteResult, RoutingScheme
 from repro.utils.distributions import Summary, cdf_points, summarize
 
@@ -98,7 +96,6 @@ def measure_stretch(
     pair_sample: int = 500,
     seed: int = 0,
     distances: Mapping[tuple[int, int], float] | None = None,
-    batch: bool = True,
 ) -> StretchReport:
     """Measure first- and later-packet stretch for ``scheme``.
 
@@ -117,10 +114,6 @@ def measure_stretch(
         :func:`~repro.graphs.shortest_paths.all_pairs_sampled_distances`
         for the same pairs); lets callers measuring several schemes share
         one computation.  Computed on demand when omitted.
-    batch:
-        Route the pairs through the batched measurement engine (default).
-        ``False`` runs the historical per-pair loop -- byte-identical
-        output, kept as the differential oracle and perf baseline.
     """
     topology = scheme.topology
     if pairs is None:
@@ -132,41 +125,33 @@ def measure_stretch(
     if distances is None:
         distances = all_pairs_sampled_distances(topology, measured_pairs)
 
-    router = make_router(scheme) if batch else None
-    route_pair = router.pair if router is not None else None
-    route_length = router.route_length if router is not None else None
+    router = scheme.router()
+    route_pair = router.pair
+    route_length = router.route_length
     first_values: list[float] = []
     later_values: list[float] = []
     failures = 0
     for source, target in measured_pairs:
         shortest = distances[(source, target)]
-        if route_pair is not None:
-            first, later = route_pair(source, target)
-        else:
-            first = scheme.first_packet_route(source, target)
-            later = scheme.later_packet_route(source, target)
+        first, later = route_pair(source, target)
         if not first.delivered:
             failures += 1
-        if router is not None:
-            # Same guards and float math as stretch_of_route, with the
-            # router's shared edge map doing the length sum (computed once
-            # when both packets took the same path).
-            if shortest <= 0:
-                raise ValueError(
-                    "shortest_distance must be > 0 (distinct endpoints)"
-                )
-            if not first.path or not later.path:
-                raise ValueError("cannot compute stretch of an empty route")
-            first_stretch = route_length(first.path) / shortest
-            first_values.append(first_stretch)
-            later_values.append(
-                first_stretch
-                if later.path == first.path
-                else route_length(later.path) / shortest
+        # Same guards and float math as stretch_of_route, with the router's
+        # edge-weight memo doing the length sum (computed once when both
+        # packets took the same path).
+        if shortest <= 0:
+            raise ValueError(
+                "shortest_distance must be > 0 (distinct endpoints)"
             )
-        else:
-            first_values.append(stretch_of_route(topology, first, shortest))
-            later_values.append(stretch_of_route(topology, later, shortest))
+        if not first.path or not later.path:
+            raise ValueError("cannot compute stretch of an empty route")
+        first_stretch = route_length(first.path) / shortest
+        first_values.append(first_stretch)
+        later_values.append(
+            first_stretch
+            if later.path == first.path
+            else route_length(later.path) / shortest
+        )
     return StretchReport(
         scheme=scheme.name,
         pairs=tuple(measured_pairs),

@@ -361,8 +361,6 @@ def bench_kernels(
         _ingest_case(results, quick=quick)
         _substrate_build_case(results, quick=quick)
         _substrate_build_threads_case(results, quick=quick)
-        _measurement_batch_case(results, quick=quick, repeats=repeats)
-        _measurement_scaling_case(results, quick=quick)
         _resolution_scaling_case(results, quick=quick)
         _churn_case(results, quick=quick, repeats=2)
         _churn_scaling_case(results, quick=quick)
@@ -852,130 +850,6 @@ def _churn_scaling_case(results: dict[str, dict], *, quick: bool) -> None:
             before,
             after,
             repeats=1 if n >= 8192 else 2,
-            results=results,
-        )
-
-
-def _measurement_batch_case(
-    results: dict[str, dict], *, quick: bool, repeats: int
-) -> None:
-    """Batched stretch measurement vs the historical per-pair loop.
-
-    The workload is the stretch half of a ``StaticSimulation.run``: three
-    converged schemes (Disco, ND-Disco, S4 on one shared substrate)
-    measured over the same sampled pairs.
-
-    * **before** -- ``measure_stretch(batch=False)`` per scheme: every pair
-      routed one at a time through the scheme objects, each scheme
-      recomputing its own shortest-distance table (exactly what
-      ``StaticSimulation.run`` did before the batched engine);
-    * **after** -- one shared distance table plus the batched measurement
-      engine (:mod:`repro.metrics.batch`), sharing SPT path extractions,
-      relay state, and group-contact rows across each batch.
-
-    Both sides produce byte-identical reports (pinned by
-    ``tests/test_metrics_batch.py``), so the ratio is a pure performance
-    number.
-    """
-    from repro.graphs.shortest_paths import all_pairs_sampled_distances
-    from repro.metrics.stretch import measure_stretch
-
-    n = 256 if quick else 768
-    pair_count = 150 if quick else 500
-    topology = gnm_random_graph(n, seed=3, average_degree=8.0)
-    simulation = StaticSimulation(topology, ("disco", "nd-disco", "s4"), seed=1)
-    schemes = list(simulation.schemes.values())
-    pairs = sample_pairs(topology, pair_count, seed=11)
-    measured = [(s, t) for s, t in pairs if s != t]
-
-    def before() -> None:
-        for scheme in schemes:
-            measure_stretch(scheme, pairs=pairs, batch=False)
-
-    def after() -> None:
-        distances = all_pairs_sampled_distances(topology, measured)
-        for scheme in schemes:
-            measure_stretch(
-                scheme, pairs=pairs, distances=distances, batch=True
-            )
-
-    _entry(
-        f"measurement_batch/gnm-{n}",
-        {
-            "family": "gnm",
-            "n": n,
-            "pairs": len(measured),
-            "protocols": ["disco", "nd-disco", "s4"],
-            "comparison": "per-pair stretch loop vs batched measurement "
-            "engine (shared distance table)",
-        },
-        before,
-        after,
-        repeats=repeats,
-        results=results,
-    )
-
-
-def _measurement_scaling_case(results: dict[str, dict], *, quick: bool) -> None:
-    """Measurement-layer n-curve: per-pair stretch loop vs batched engine.
-
-    The ``measurement_batch`` entry pins the batched engine at one size;
-    this family extends it to an n-curve (n = 2^10 .. 2^15 in full mode)
-    so a complexity regression *above* the kernels -- per-pair distance
-    recomputation creeping back in, batch sharing lost -- shows up as a
-    bend in the curve rather than noise at a single point.  Same workload
-    shape as ``measurement_batch`` -- three converged schemes per size
-    (built outside the timers; both sides measure the same objects):
-
-    * **before** -- ``measure_stretch(batch=False)`` per scheme: every
-      sampled pair routed one at a time, the shared shortest-distance
-      table recomputed per scheme;
-    * **after** -- one shared sampled-distance table plus the batched
-      measurement engine for all three schemes.
-
-    Both sides produce byte-identical reports (pinned by
-    ``tests/test_metrics_batch.py``).  Pair counts shrink with n to bound
-    the per-pair side's wall clock; the ``pairs`` param records them.
-    """
-    from repro.graphs.shortest_paths import all_pairs_sampled_distances
-    from repro.metrics.stretch import measure_stretch
-
-    protocols = ("disco", "nd-disco", "s4")
-    sizes = [1024, 4096] if quick else [2**p for p in range(10, 16)]
-    for n in sizes:
-        topology = gnm_random_graph(n, seed=3, average_degree=8.0)
-        simulation = StaticSimulation(topology, protocols, seed=1)
-        schemes = list(simulation.schemes.values())
-        pair_count = 192 if n <= 8192 else 96
-        pairs = sample_pairs(topology, pair_count, seed=11)
-        measured = [(s, t) for s, t in pairs if s != t]
-
-        def before(schemes=schemes, pairs=pairs) -> None:
-            for scheme in schemes:
-                measure_stretch(scheme, pairs=pairs, batch=False)
-
-        def after(
-            topology=topology, schemes=schemes, pairs=pairs, measured=measured
-        ) -> None:
-            distances = all_pairs_sampled_distances(topology, measured)
-            for scheme in schemes:
-                measure_stretch(
-                    scheme, pairs=pairs, distances=distances, batch=True
-                )
-
-        _entry(
-            f"measurement_scaling/gnm-{n}",
-            {
-                "family": "gnm",
-                "n": n,
-                "pairs": len(measured),
-                "protocols": list(protocols),
-                "comparison": "per-pair stretch loop vs batched measurement "
-                "engine (shared distance table), one size per entry",
-            },
-            before,
-            after,
-            repeats=1 if n >= 16384 else (2 if quick else 3),
             results=results,
         )
 

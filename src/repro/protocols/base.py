@@ -23,7 +23,7 @@ from typing import Sequence
 
 from repro.graphs.topology import Topology
 
-__all__ = ["RouteResult", "RoutingScheme"]
+__all__ = ["LandmarkPathCache", "PairRouter", "RouteResult", "RoutingScheme"]
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,17 @@ class RoutingScheme(abc.ABC):
     def later_packet_route(self, source: int, target: int) -> RouteResult:
         """Route packets after the first (post-handshake) for the flow."""
 
+    def router(self) -> "PairRouter":
+        """A fresh :class:`PairRouter` over this scheme's converged state.
+
+        Schemes whose routing rule lives in a specialized router (Disco,
+        ND-Disco, S4) override this; their route methods are one-pair calls
+        on the router it returns.  The router reads the scheme's
+        routing-time knobs when it is built, so build one per call or per
+        measurement batch and never keep it on the scheme.
+        """
+        return PairRouter(self)
+
     # -- shared helpers ----------------------------------------------------
 
     def _check_endpoints(self, source: int, target: int) -> None:
@@ -141,3 +152,99 @@ class RoutingScheme(abc.ABC):
             f"{type(self).__name__}(topology={self._topology.name!r}, "
             f"n={self._topology.num_nodes})"
         )
+
+
+class PairRouter:
+    """Routes ``(source, target)`` pairs for one scheme, call- or batch-scoped.
+
+    The specialized subclasses living beside Disco, ND-Disco and S4 *are*
+    those schemes' routing rules: ``scheme.first_packet_route`` builds a
+    fresh router and routes one pair, a measurement builds one router and
+    routes the whole batch, sharing everything shareable across it
+    (landmark path extractions, relay segments, compact routes, edge
+    weights).  Both are the same code; the only difference is how warm the
+    memos are.  This base class defers to the scheme's own route methods,
+    the right behavior for schemes that implement them directly (VRR, path
+    vector, the shortest-path baseline).
+
+    Routers are deliberately short-lived: keeping one for the scheme's
+    lifetime was measured to retain several MB of extracted paths across a
+    scenario suite, so the memos die with the call or the batch.
+
+    The public entry points validate both endpoints; subclasses implement
+    the ``_first`` / ``_later`` / ``_pair`` hooks.
+    """
+
+    def __init__(self, scheme: RoutingScheme) -> None:
+        self.scheme = scheme
+        #: ``(u, v) -> weight``, filled per edge touched.
+        self._weights: dict[tuple[int, int], float] = {}
+
+    def first(self, source: int, target: int) -> RouteResult:
+        """The first-packet route ``source -> target``."""
+        self.scheme._check_endpoints(source, target)
+        return self._first(source, target)
+
+    def later(self, source: int, target: int) -> RouteResult:
+        """The later-packet route ``source -> target``."""
+        self.scheme._check_endpoints(source, target)
+        return self._later(source, target)
+
+    def pair(self, source: int, target: int) -> tuple[RouteResult, RouteResult]:
+        """Both route queries for one pair."""
+        self.scheme._check_endpoints(source, target)
+        return self._pair(source, target)
+
+    def _first(self, source: int, target: int) -> RouteResult:
+        return self.scheme.first_packet_route(source, target)
+
+    def _later(self, source: int, target: int) -> RouteResult:
+        return self.scheme.later_packet_route(source, target)
+
+    def _pair(self, source: int, target: int) -> tuple[RouteResult, RouteResult]:
+        """Subclasses fuse the branches the two queries share."""
+        return self._first(source, target), self._later(source, target)
+
+    def route_length(self, path: Sequence[int]) -> float:
+        """Weighted length of ``path``; identical accumulation order to
+        :meth:`RouteResult.length`."""
+        weights = self._weights
+        total = 0.0
+        for edge in zip(path, path[1:]):
+            weight = weights.get(edge)
+            if weight is None:
+                weight = weights[edge] = self.scheme.topology.edge_weight(*edge)
+            total += weight
+        return total
+
+
+class LandmarkPathCache:
+    """Router-scoped SPT path extraction/reversal memo over the parent slab."""
+
+    __slots__ = ("_num_nodes", "_tables", "_down", "_up")
+
+    def __init__(self, tables, num_nodes: int) -> None:
+        self._tables = tables
+        self._num_nodes = num_nodes
+        # Caches keyed by the flat index landmark * n + node (int keys
+        # hash faster than tuples in this hot path).
+        self._down: dict[int, list[int]] = {}
+        self._up: dict[int, list[int]] = {}
+
+    def down(self, landmark: int, node: int) -> list[int]:
+        """The SPT path ``landmark .. node``.  Treat as read-only."""
+        key = landmark * self._num_nodes + node
+        path = self._down.get(key)
+        if path is None:
+            path = self._tables.spt_path(landmark, node)
+            self._down[key] = path
+        return path
+
+    def up(self, landmark: int, node: int) -> list[int]:
+        """The reversed path ``node .. landmark``.  Treat as read-only."""
+        key = landmark * self._num_nodes + node
+        path = self._up.get(key)
+        if path is None:
+            path = list(reversed(self.down(landmark, node)))
+            self._up[key] = path
+        return path

@@ -43,10 +43,15 @@ from repro.core.tables import NodeSearchTables, SubstrateTables
 from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
 from repro.addressing.labels import LabelCodec
 from repro.graphs.engine import get_engine
-from repro.graphs.shortest_paths import dijkstra_radius, extract_path
+from repro.graphs.shortest_paths import dijkstra_radius
 from repro.graphs.topology import Topology
 from repro.naming.names import FlatName, name_for_node
-from repro.protocols.base import RouteResult, RoutingScheme
+from repro.protocols.base import (
+    LandmarkPathCache,
+    PairRouter,
+    RouteResult,
+    RoutingScheme,
+)
 
 __all__ = ["S4Routing"]
 
@@ -188,12 +193,6 @@ class S4Routing(RoutingScheme):
         self._landmark_parents = {
             landmark: rows[1] for landmark, rows in spts.items()
         }
-        self._ball_distances = [
-            self._balls.distance_map(node) for node in range(n)
-        ]
-        self._ball_parents = [
-            self._balls.predecessor_map(node) for node in range(n)
-        ]
         # Every ball row starts with its owner, so "member != node" is the
         # minus-one in cluster_sizes_from_members.
         self._cluster_sizes = cluster_sizes_from_members(self._balls.members, n)
@@ -238,16 +237,14 @@ class S4Routing(RoutingScheme):
 
     def in_cluster(self, holder: int, member: int) -> bool:
         """Return True if ``member`` belongs to ``holder``'s cluster."""
-        if holder == member:
-            return False
-        return holder in self._ball_distances[member]
+        return self.router().in_cluster(holder, member)
 
     def cluster_path(self, holder: int, member: int) -> list[int]:
         """Shortest path from ``holder`` to a cluster member."""
-        if not self.in_cluster(holder, member):
+        router = self.router()
+        if not router.in_cluster(holder, member):
             raise ValueError(f"{member} is not in the cluster of {holder}")
-        reverse = extract_path(self._ball_parents[member], member, holder)
-        return list(reversed(reverse))
+        return router.cluster_path(holder, member)
 
     def landmark_path(self, landmark: int, node: int) -> list[int]:
         """Return the SPT path from ``landmark`` to ``node``."""
@@ -310,70 +307,157 @@ class S4Routing(RoutingScheme):
         return entries_out, bytes_v4, bytes_v6
 
     # -- routing ----------------------------------------------------------------
+    # The routing rule lives in :class:`_S4Router`; everything below (and
+    # :meth:`in_cluster` / :meth:`cluster_path` above) is a one-pair call
+    # on a fresh router.
+
+    def router(self) -> "_S4Router":
+        return _S4Router(self)
 
     def knows_direct_route(self, source: int, target: int) -> bool:
         """True if ``source`` can reach ``target`` from its own tables."""
-        return target in self._landmarks or self.in_cluster(source, target)
+        return self.router().knows_direct(source, target)
 
     def direct_route(self, source: int, target: int) -> list[int]:
         """Shortest path ``source`` holds toward ``target`` (landmark or cluster)."""
-        if self.in_cluster(source, target):
-            return self.cluster_path(source, target)
-        if target in self._landmarks:
-            return list(reversed(self.landmark_path(target, source)))
-        raise ValueError(f"{source} holds no direct route to {target}")
+        router = self.router()
+        if not router.knows_direct(source, target):
+            raise ValueError(f"{source} holds no direct route to {target}")
+        return router.direct(source, target)
 
     def compact_route(self, source: int, target: int) -> tuple[list[int], str]:
         """Route assuming ``source`` knows ``target``'s label (ℓt, port)."""
         self._check_endpoints(source, target)
+        return self.router().compact(source, target)
+
+    def first_packet_route(self, source: int, target: int) -> RouteResult:
+        """First packet: resolve the label at the location service, then route."""
+        return self.router().first(source, target)
+
+    def later_packet_route(self, source: int, target: int) -> RouteResult:
+        """Later packets: the sender caches the label and compact-routes."""
+        return self.router().later(source, target)
+
+
+class _S4Router(PairRouter):
+    """S4's forwarding rule over the landmark and ball slabs.
+
+    Direct if ``t`` is a landmark or ``t ∈ C(s)``, else toward ``ℓt`` with
+    the intrinsic To-Destination splice at the first node holding ``t`` in
+    its cluster; first packets detour through the location service.
+    """
+
+    def __init__(self, scheme: S4Routing) -> None:
+        super().__init__(scheme)
+        self.landmarks = scheme._landmarks
+        self.closest = scheme._closest_landmark
+        # Ball membership / path extraction go through the slab table's
+        # per-node position index.
+        self._ball_table = scheme.balls
+        self._ball_indexes = self._ball_table._indexes
+        self._num_nodes = scheme.topology.num_nodes
+        self.paths = LandmarkPathCache(scheme.tables, self._num_nodes)
+        #: flat holder * n + member / source * n + target keys
+        self._cluster_paths: dict[int, list[int]] = {}
+        self._compact: dict[int, tuple[list[int], str]] = {}
+        self._onward: dict[int, tuple[int, tuple[list[int], str] | None]] = {}
+
+    def in_cluster(self, holder: int, member: int) -> bool:
+        if holder == member:
+            return False
+        index = self._ball_indexes[member]
+        if index is None:
+            index = self._ball_table._index(member)
+        return holder in index
+
+    def cluster_path(self, holder: int, member: int) -> list[int]:
+        """``holder .. member``; needs :meth:`in_cluster`.  Read-only."""
+        key = holder * self._num_nodes + member
+        path = self._cluster_paths.get(key)
+        if path is None:
+            path = list(
+                reversed(self._ball_table.path_from_owner(member, holder))
+            )
+            self._cluster_paths[key] = path
+        return path
+
+    def knows_direct(self, source: int, target: int) -> bool:
+        return target in self.landmarks or self.in_cluster(source, target)
+
+    def direct(self, source: int, target: int) -> list[int]:
+        """The shortest path ``source`` holds; needs :meth:`knows_direct`."""
+        if self.in_cluster(source, target):
+            return self.cluster_path(source, target)
+        return list(reversed(self.paths.down(target, source)))
+
+    def compact(self, source: int, target: int) -> tuple[list[int], str]:
+        """Memoized route assuming the label is known: path, mechanism."""
+        key = source * self._num_nodes + target
+        cached = self._compact.get(key)
+        if cached is not None:
+            return cached
         if source == target:
-            return [source], "self"
-        if self.knows_direct_route(source, target):
-            return self.direct_route(source, target), "direct"
-        landmark = self._closest_landmark[target]
-        toward_landmark = list(reversed(self.landmark_path(landmark, source)))
-        from_landmark = self.landmark_path(landmark, target)
-        base = toward_landmark + from_landmark[1:]
-        # Intrinsic To-Destination shortcutting on cluster knowledge.
-        route = self._cluster_shortcut(base, target)
-        return route, "landmark-relay"
+            result: tuple[list[int], str] = ([source], "self")
+        elif self.knows_direct(source, target):
+            result = (self.direct(source, target), "direct")
+        else:
+            landmark = self.closest[target]
+            base = self.paths.up(landmark, source) + self.paths.down(
+                landmark, target
+            )[1:]
+            result = (self._cluster_shortcut(base, target), "landmark-relay")
+        self._compact[key] = result
+        return result
 
     def _cluster_shortcut(self, route: list[int], target: int) -> list[int]:
         """Splice in a direct cluster path from the first node that has one."""
         if target in route[:-1]:
             return route[: route.index(target) + 1]
-        for index, node in enumerate(route[:-1]):
+        for index in range(len(route) - 1):
+            node = route[index]
             if self.in_cluster(node, target):
                 return route[:index] + self.cluster_path(node, target)
         return route
 
-    def first_packet_route(self, source: int, target: int) -> RouteResult:
-        """First packet: resolve the label at the location service, then route."""
-        self._check_endpoints(source, target)
+    def _resolver_onward(
+        self, target: int
+    ) -> tuple[int, tuple[list[int], str] | None]:
+        cached = self._onward.get(target)
+        if cached is None:
+            resolver = self.scheme._resolution.home_landmark(
+                self.scheme._names[target]
+            )
+            onward = (
+                self.compact(resolver, target) if resolver != target else None
+            )
+            cached = (resolver, onward)
+            self._onward[target] = cached
+        return cached
+
+    def _first(self, source: int, target: int) -> RouteResult:
         if source == target:
             return RouteResult(path=(source,), mechanism="self")
-        if self.knows_direct_route(source, target):
+        if self.knows_direct(source, target):
             return RouteResult(
-                path=tuple(self.direct_route(source, target)), mechanism="direct"
+                path=tuple(self.direct(source, target)), mechanism="direct"
             )
-        if not self._resolve_first_packet:
-            path, mechanism = self.compact_route(source, target)
+        if not self.scheme._resolve_first_packet:
+            path, mechanism = self.compact(source, target)
             return RouteResult(path=tuple(path), mechanism=mechanism)
-        resolver = self._resolution.home_landmark(self._names[target])
-        to_resolver = list(reversed(self.landmark_path(resolver, source)))
+        resolver, onward = self._resolver_onward(target)
+        to_resolver = self.paths.up(resolver, source)
         if resolver == target:
-            return RouteResult(path=tuple(to_resolver), mechanism="resolver-is-target")
-        onward, _ = self.compact_route(resolver, target)
-        full = to_resolver + onward[1:]
+            return RouteResult(
+                path=tuple(to_resolver), mechanism="resolver-is-target"
+            )
+        assert onward is not None
+        full = to_resolver + onward[0][1:]
         if target in full[:-1]:
             full = full[: full.index(target) + 1]
         return RouteResult(path=tuple(full), mechanism="resolve-then-route")
 
-    def later_packet_route(self, source: int, target: int) -> RouteResult:
-        """Later packets: the sender caches the label and compact-routes."""
-        self._check_endpoints(source, target)
+    def _later(self, source: int, target: int) -> RouteResult:
         if source == target:
             return RouteResult(path=(source,), mechanism="self")
-        path, mechanism = self.compact_route(source, target)
+        path, mechanism = self.compact(source, target)
         return RouteResult(path=tuple(path), mechanism=mechanism)
-

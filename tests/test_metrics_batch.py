@@ -1,28 +1,48 @@
-"""Batched measurement engine vs the per-pair/per-node loops.
+"""One routing implementation, two temperatures.
 
-The batched routers (:mod:`repro.metrics.batch`) and the batched state
-profiles must be byte-identical to the historical loops -- same paths,
-same mechanisms, same floats -- across topology families, protocols
-(including the generic fallback for VRR), and every shortcut mode.
+Each scheme's routing rule lives in its :class:`PairRouter`.  The
+measurement functions route a whole batch on one router (warm memos);
+``scheme.first_packet_route`` / ``later_packet_route`` route one pair on a
+fresh router (cold memos).  The two must agree -- same paths, same
+mechanisms, same floats -- across topology families, protocols (including
+the generic router for VRR) and every shortcut mode, and both must
+reproduce the digests frozen in ``tests/data/route_goldens.json`` from the
+hand-written per-pair methods the routers replaced.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
 from repro.core.shortcutting import ShortcutMode
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
     internet_router_level,
 )
-from repro.graphs.sampling import sample_pairs
+from repro.graphs.sampling import one_destination_per_node, sample_pairs
 from repro.graphs.shortest_paths import all_pairs_sampled_distances
 from repro.metrics.batch import PairRouter, make_router, route_pairs_batch
-from repro.metrics.congestion import measure_congestion
-from repro.metrics.state import measure_state
-from repro.metrics.stretch import measure_stretch
+from repro.metrics.congestion import CongestionReport, measure_congestion
+from repro.metrics.state import StateReport, measure_state
+from repro.metrics.stretch import (
+    StretchReport,
+    measure_stretch,
+    stretch_of_route,
+)
 from repro.staticsim.simulation import StaticSimulation
+
+_GOLDENS_DIR = Path(__file__).parent / "data"
+_spec = importlib.util.spec_from_file_location(
+    "make_route_goldens", _GOLDENS_DIR / "make_route_goldens.py"
+)
+goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(goldens)
 
 
 def _topologies():
@@ -31,6 +51,75 @@ def _topologies():
         geometric_random_graph(110, seed=4, average_degree=7.0),
         internet_router_level(120, seed=5),
     ]
+
+
+def _route_pairs_one_by_one(scheme, pairs):
+    """Every pair through the one-pair API: a fresh router per call."""
+    return [
+        (
+            scheme.first_packet_route(source, target),
+            scheme.later_packet_route(source, target),
+        )
+        for source, target in pairs
+    ]
+
+
+def _stretch_one_by_one(scheme, pairs) -> StretchReport:
+    """``measure_stretch`` assembled from one-pair calls and
+    :meth:`RouteResult.length` (no router memo anywhere)."""
+    topology = scheme.topology
+    measured = [(s, t) for s, t in pairs if s != t]
+    distances = all_pairs_sampled_distances(topology, measured)
+    routes = _route_pairs_one_by_one(scheme, measured)
+    return StretchReport(
+        scheme=scheme.name,
+        pairs=tuple(measured),
+        first_packet=tuple(
+            stretch_of_route(topology, first, distances[pair])
+            for pair, (first, _) in zip(measured, routes)
+        ),
+        later_packets=tuple(
+            stretch_of_route(topology, later, distances[pair])
+            for pair, (_, later) in zip(measured, routes)
+        ),
+        failures=sum(not first.delivered for first, _ in routes),
+    )
+
+
+def _congestion_one_by_one(scheme, flows, *, later: bool) -> CongestionReport:
+    """``measure_congestion`` assembled from one-pair calls."""
+    route = scheme.later_packet_route if later else scheme.first_packet_route
+    usage = {(u, v): 0 for u, v, _ in scheme.topology.edges()}
+    for source, target in flows:
+        if source == target:
+            continue
+        path = route(source, target).path
+        for a, b in zip(path, path[1:]):
+            usage[(a, b) if a < b else (b, a)] += 1
+    return CongestionReport(
+        scheme=scheme.name,
+        edge_usage=usage,
+        flows=len(flows),
+        use_later_packets=later,
+    )
+
+
+def _state_node_by_node(scheme) -> StateReport:
+    """``measure_state`` assembled from ``state_entries`` / ``state_bytes``."""
+    nodes = tuple(scheme.topology.nodes())
+    return StateReport(
+        scheme=scheme.name,
+        nodes=nodes,
+        entries=tuple(scheme.state_entries(node) for node in nodes),
+        bytes_ipv4=tuple(
+            scheme.state_bytes(node, name_bytes=NAME_BYTES_IPV4)
+            for node in nodes
+        ),
+        bytes_ipv6=tuple(
+            scheme.state_bytes(node, name_bytes=NAME_BYTES_IPV6)
+            for node in nodes
+        ),
+    )
 
 
 class TestBatchedStretch:
@@ -42,8 +131,8 @@ class TestBatchedStretch:
         )
         pairs = sample_pairs(topology, 200, seed=7)
         for name, scheme in simulation.schemes.items():
-            loop = measure_stretch(scheme, pairs=pairs, batch=False)
-            batched = measure_stretch(scheme, pairs=pairs, batch=True)
+            loop = _stretch_one_by_one(scheme, pairs)
+            batched = measure_stretch(scheme, pairs=pairs)
             assert loop == batched, name
 
     def test_shared_distance_table_is_identical(self, medium_gnm):
@@ -63,9 +152,27 @@ class TestBatchedStretch:
         )
         pairs = sample_pairs(topology, 120, seed=3)
         for name, scheme in simulation.schemes.items():
-            loop = measure_stretch(scheme, pairs=pairs, batch=False)
-            batched = measure_stretch(scheme, pairs=pairs, batch=True)
+            loop = _stretch_one_by_one(scheme, pairs)
+            batched = measure_stretch(scheme, pairs=pairs)
             assert loop == batched, (mode, name)
+
+    @pytest.mark.parametrize("mode", list(ShortcutMode))
+    def test_mode_switch_equals_scheme_built_in_that_mode(self, mode):
+        # The fig06 pattern: one converged scheme, the heuristic switched
+        # in place between measurements.
+        topology = gnm_random_graph(120, seed=9, average_degree=6.0)
+        pairs = sample_pairs(topology, 120, seed=3)
+        switched = StaticSimulation(topology, ("disco",), seed=2).scheme(
+            "disco"
+        )
+        measure_stretch(switched, pairs=pairs)  # a measurement in the old mode
+        switched.shortcut_mode = mode
+        built = StaticSimulation(
+            topology, ("disco",), seed=2, shortcut_mode=mode
+        ).scheme("disco")
+        assert measure_stretch(switched, pairs=pairs) == measure_stretch(
+            built, pairs=pairs
+        )
 
 
 class TestBatchedRoutes:
@@ -73,10 +180,9 @@ class TestBatchedRoutes:
         simulation = StaticSimulation(medium_gnm, ("disco", "s4"), seed=1)
         pairs = sample_pairs(medium_gnm, 80, seed=11)
         for scheme in simulation.schemes.values():
-            batched = route_pairs_batch(scheme, pairs)
-            for (source, target), (first, later) in zip(pairs, batched):
-                assert first == scheme.first_packet_route(source, target)
-                assert later == scheme.later_packet_route(source, target)
+            assert route_pairs_batch(scheme, pairs) == _route_pairs_one_by_one(
+                scheme, pairs
+            )
 
     def test_route_length_matches_route_result(self, medium_gnm):
         simulation = StaticSimulation(medium_gnm, ("nd-disco",), seed=1)
@@ -88,17 +194,91 @@ class TestBatchedRoutes:
 
     def test_unknown_scheme_falls_back(self, medium_gnm):
         simulation = StaticSimulation(medium_gnm, ("vrr",), seed=1)
-        router = make_router(simulation.scheme("vrr"))
-        assert type(router) is PairRouter
+        vrr = simulation.scheme("vrr")
+        assert type(vrr.router()) is PairRouter
+        assert type(make_router(vrr)) is PairRouter
 
-    def test_desynchronized_disco_mode_falls_back(self, medium_gnm):
+    def test_nddisco_mode_is_discos_mode(self, medium_gnm):
+        # Disco keeps no copy of the mode: setting it on the embedded
+        # ND-Disco is setting it on Disco, for the next measurement too.
         simulation = StaticSimulation(medium_gnm, ("disco",), seed=1)
         disco = simulation.scheme("disco")
+        pairs = sample_pairs(medium_gnm, 80, seed=11)
+        default = measure_stretch(disco, pairs=pairs)
         disco.nddisco.shortcut_mode = ShortcutMode.NONE
-        assert type(make_router(disco)) is PairRouter
+        assert disco.shortcut_mode is ShortcutMode.NONE
+        built = StaticSimulation(
+            medium_gnm, ("disco",), seed=1, shortcut_mode=ShortcutMode.NONE
+        ).scheme("disco")
+        unshortcut = measure_stretch(disco, pairs=pairs)
+        assert unshortcut == measure_stretch(built, pairs=pairs)
+        assert unshortcut != default
+
+    @pytest.mark.parametrize("entry", ["one-pair", "batch"])
+    @pytest.mark.parametrize("family", list(goldens.TOPOLOGIES))
+    def test_route_goldens(self, family, entry):
+        route = {
+            "one-pair": _route_pairs_one_by_one,
+            "batch": route_pairs_batch,
+        }[entry]
+        recorded = json.loads(goldens.GOLDENS_PATH.read_text())
+        seen = set()
+        for cell, scheme, pairs in goldens.cells(family):
+            assert goldens.digest(route(scheme, pairs)) == recorded[cell], cell
+            seen.add(cell)
+        assert seen == {cell for cell in recorded if cell.startswith(family)}
+
+
+@pytest.fixture(scope="module")
+def simulation(medium_gnm):
+    return StaticSimulation(medium_gnm, ("disco", "nd-disco", "s4"), seed=1)
+
+
+class TestEndpointValidation:
+    """Out-of-range endpoints raise the schemes' ``ValueError`` on the
+    production path too (they used to route phantom edges or raise bare
+    ``KeyError`` / ``IndexError``)."""
+
+    @pytest.mark.parametrize(
+        "entry", ["router.pair", "measure_stretch", "measure_congestion"]
+    )
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((-1, 5), r"source -1 out of range \(n=150\)"),
+            ((5, -1), r"target -1 out of range \(n=150\)"),
+            ((5, 150), r"target 150 out of range \(n=150\)"),
+        ],
+        ids=["source=-1", "target=-1", "target=n"],
+    )
+    @pytest.mark.parametrize("name", ["disco", "nd-disco", "s4"])
+    def test_bad_endpoint_raises_value_error(
+        self, simulation, name, bad, message, entry
+    ):
+        scheme = simulation.scheme(name)
+        call = {
+            "router.pair": lambda: make_router(scheme).pair(*bad),
+            # A supplied table keeps the distance kernel's own range check
+            # out of the way: the routers must refuse the pair themselves.
+            "measure_stretch": lambda: measure_stretch(
+                scheme, pairs=[bad], distances={bad: 1.0}
+            ),
+            "measure_congestion": lambda: measure_congestion(
+                scheme, pairs=[bad]
+            ),
+        }[entry]
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestBatchedStateAndCongestion:
+    @pytest.mark.parametrize(
+        "measure", [measure_stretch, measure_congestion, measure_state]
+    )
+    def test_batch_argument_is_gone(self, simulation, measure):
+        with pytest.raises(TypeError):
+            measure(simulation.scheme("s4"), batch=False)
+
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_state_profile_equals_per_node_loop(self, index):
         topology = _topologies()[index]
@@ -106,22 +286,25 @@ class TestBatchedStateAndCongestion:
             topology, ("disco", "nd-disco", "s4", "vrr"), seed=1
         )
         for name, scheme in simulation.schemes.items():
-            loop = measure_state(scheme, batch=False)
-            batched = measure_state(scheme, batch=True)
-            assert loop == batched, name
+            loop = _state_node_by_node(scheme)
+            assert loop == measure_state(scheme), name
+            if name != "vrr":  # VRR offers no batched profile
+                profile = scheme.state_profile(loop.nodes)
+                assert tuple(map(tuple, profile)) == (
+                    loop.entries,
+                    loop.bytes_ipv4,
+                    loop.bytes_ipv6,
+                ), name
 
     def test_congestion_batch_identical(self, medium_gnm):
         simulation = StaticSimulation(
             medium_gnm, ("disco", "nd-disco", "s4"), seed=1
         )
+        flows = one_destination_per_node(medium_gnm, seed=0)
         for name, scheme in simulation.schemes.items():
             for later in (True, False):
-                loop = measure_congestion(
-                    scheme, batch=False, use_later_packets=later
-                )
-                batched = measure_congestion(
-                    scheme, batch=True, use_later_packets=later
-                )
+                loop = _congestion_one_by_one(scheme, flows, later=later)
+                batched = measure_congestion(scheme, use_later_packets=later)
                 assert loop == batched, (name, later)
 
     def test_staticsim_run_matches_unbatched_measurement(self, medium_gnm):
@@ -130,15 +313,13 @@ class TestBatchedStateAndCongestion:
         )
         results = simulation.run(measure_congestion_flag=True, pair_sample=120)
         pairs = sample_pairs(medium_gnm, 120, seed=simulation._seed + 1)
+        flows = one_destination_per_node(medium_gnm, seed=simulation._seed + 2)
         for name, scheme in simulation.schemes.items():
             display = scheme.name
-            assert results.state[display] == measure_state(scheme, batch=False)
-            assert results.stretch[display] == measure_stretch(
-                scheme, pairs=pairs, batch=False
+            assert results.state[display] == _state_node_by_node(scheme)
+            assert results.stretch[display] == _stretch_one_by_one(
+                scheme, pairs
             )
-            assert results.congestion[display] == measure_congestion(
-                scheme,
-                pairs=None,
-                seed=simulation._seed + 2,
-                batch=False,
+            assert results.congestion[display] == _congestion_one_by_one(
+                scheme, flows, later=True
             )
