@@ -22,10 +22,11 @@ connections").
 
 from __future__ import annotations
 
+import bisect
 import math
 
 from repro.core.sloppy_groups import SloppyGrouping
-from repro.naming.hashspace import HASH_BITS, HASH_SPACE, circular_distance
+from repro.naming.hashspace import HASH_BITS, HASH_SPACE
 from repro.utils.randomness import make_rng
 from repro.utils.validation import require_positive
 
@@ -135,10 +136,10 @@ class DisseminationOverlay:
         database for the node with the closest hash-value to a" (§4.4).
         Implemented with a binary search over the ring order, checking a few
         candidates on either side of the insertion point (enough to skip the
-        excluded node and handle wrap-around).
+        excluded node and handle wrap-around).  ``value`` and the ring's
+        hashes are hash-space positions the overlay produced itself, so the
+        circular distance is computed inline, without range checks.
         """
-        import bisect
-
         order = self._ring_order
         n = len(order)
         if n == 0 or (n == 1 and order[0] == exclude):
@@ -152,7 +153,9 @@ class DisseminationOverlay:
             node = order[position]
             if node == exclude:
                 continue
-            dist = circular_distance(self._grouping.hash_of(node), value)
+            forward = (value - hashes[position]) % HASH_SPACE
+            backward = HASH_SPACE - forward
+            dist = forward if forward < backward else backward
             if dist < best_distance or (dist == best_distance and (best is None or node < best)):
                 best = node
                 best_distance = dist

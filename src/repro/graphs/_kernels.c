@@ -31,15 +31,24 @@
  *     lazily deleted: a decrease appends a fresh entry and the stale one is
  *     dropped when its slot is swept (dist[node] no longer matches the
  *     slot's level).  Each directed edge relaxes at most once, so the entry
- *     pool is bounded by 2m + 1 slots.
+ *     pool is bounded by 2m + 1 slots.  A slot's live entries are all at
+ *     its distance, so they settle in ascending id order (order_ids).
  *
  *   spt_bfs -- level-ordered BFS for unit-weight graphs (hop-count
  *     topologies: G(n,m), the Internet-like maps, real AS-links datasets).
- *     Each frontier is sorted by node id before settling, which reproduces
- *     the (distance, id) settle order at truncation boundaries and makes
- *     the first discoverer of a node its min-id parent -- the heap kernel's
- *     tie-break with no per-edge comparison.  Distances are written at
- *     settlement, not discovery, exactly like the Python BFS kernel.
+ *     Each frontier is put in ascending id order (order_ids) before it
+ *     settles, the truncated last level of a k-nearest search included,
+ *     which reproduces the (distance, id) settle order at truncation
+ *     boundaries and makes the first discoverer of a node its min-id
+ *     parent -- the heap kernel's tie-break with no per-edge comparison.
+ *     Distances are written at settlement, not discovery, exactly like the
+ *     Python BFS kernel.
+ *
+ * Ordering a level costs no comparisons: node ids are integers in [0, n),
+ * so order_ids runs ceil(log2(n) / 8) byte-radix passes over the level.
+ * Its scratch is the unused tail of the settle-order array: the nodes of a
+ * level are distinct and not yet settled, so settled + count <= n and
+ * order[settled .. settled + count) is free until they settle into it.
  */
 
 #include <math.h>
@@ -54,12 +63,41 @@ typedef int64_t i64;
 #define RADIUS_STRICT 1
 #define RADIUS_INCLUSIVE 2
 
-/* Buckets hold equal-distance nodes, so ascending-id order within a bucket
- * is exactly the global (distance, id) settle order. */
-static int cmp_i64(const void *a, const void *b)
+/* Sort ids[0..count), node ids in [0, n), ascending: LSD byte-radix passes
+ * between ids and scratch (count slots), or an insertion sort where that
+ * beats the passes' 256-entry histogram sweeps. */
+#define ORDER_INSERTION_MAX 24
+
+static void order_ids(i64 *ids, i64 count, i64 n, i64 *scratch)
 {
-    i64 x = *(const i64 *)a, y = *(const i64 *)b;
-    return (x > y) - (x < y);
+    if (count <= ORDER_INSERTION_MAX) {
+        for (i64 i = 1; i < count; i++) {
+            i64 id = ids[i], j = i;
+            for (; j > 0 && ids[j - 1] > id; j--)
+                ids[j] = ids[j - 1];
+            ids[j] = id;
+        }
+        return;
+    }
+    i64 *src = ids, *dst = scratch;
+    for (int shift = 0; ((n - 1) >> shift) != 0; shift += 8) {
+        i64 start[256] = {0};
+        for (i64 i = 0; i < count; i++)
+            start[(src[i] >> shift) & 255]++;
+        i64 position = 0;
+        for (int digit = 0; digit < 256; digit++) {
+            i64 size = start[digit];
+            start[digit] = position;
+            position += size;
+        }
+        for (i64 i = 0; i < count; i++)
+            dst[start[(src[i] >> shift) & 255]++] = src[i];
+        i64 *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != ids)
+        memcpy(ids, src, sizeof(i64) * (size_t)count);
 }
 
 static i64 setup_targets(i64 n, const i64 *targets, i64 num_targets,
@@ -273,8 +311,10 @@ i64 spt_dial(
                 batch[count++] = node;
             entry = pool_next[entry];
         }
-        if (count > 1)
-            qsort(batch, (size_t)count, sizeof(i64), cmp_i64);
+        /* The live entries are distinct (a node is re-appended only on a
+         * strict decrease, which lands in another slot) and unsettled, so
+         * settled + count <= n and the tail of order is free scratch. */
+        order_ids(batch, count, n, order + settled);
 
         for (i64 b = 0; b < count; b++) {
             i64 node = batch[b];
@@ -357,8 +397,11 @@ i64 spt_bfs(
             if (level >= radius && level > 0.0)
                 break;
         }
-        if (fsize > 1)
-            qsort(frontier, (size_t)fsize, sizeof(i64), cmp_i64);
+        /* Frontier nodes are distinct (stamped seen at discovery) and
+         * unsettled, so settled + fsize <= n and the tail of order is free
+         * scratch.  The truncated level is ordered whole as well: its
+         * smallest ids are the ones that settle. */
+        order_ids(frontier, fsize, n, order + settled);
         if (k > 0) {
             i64 room = k - settled;
             if (fsize >= room) {

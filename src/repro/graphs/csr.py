@@ -28,10 +28,11 @@ kernel     eligible when                               implementation
 =========  ==========================================  =====================
 ``bucket`` every weight is an exact integer multiple   Dial-style bucket
            of one power-of-two quantum, with           queue (lazy deletion,
-           ``max_weight / quantum <= 1024``            per-level id sort)
+           ``max_weight / quantum <= 1024``            each bucket settled
+                                                       in id order)
 ``bfs``    all weights are exactly 1.0 (both tiers;    level-ordered BFS
-           preferred over ``bucket`` on unit
-           graphs — no heap, no bucket pool)
+           preferred over ``bucket`` on unit           (each frontier
+           graphs — no heap, no bucket pool)           settled in id order)
 ``heap``   anything else (irregular float weights,     indexed 4-ary heap
            e.g. geometric latencies)                   with decrease-key (C)
                                                        / lazy ``heapq`` (py)
@@ -43,9 +44,12 @@ the searches run there; otherwise the pure-Python implementations in this module
 run.  The tie-break contract is identical everywhere: nodes settle in
 ``(distance, node id)`` order and equal-distance predecessor ties resolve
 toward the smaller predecessor id, so engines and tiers can be differential-
-tested bit for bit.  (A pure-Python indexed 4-ary heap was measured slower
-than C-implemented ``heapq`` under CPython, which is why the Python ``heap``
-tier keeps the lazy ``heapq`` kernel; see ``docs/ARCHITECTURE.md``.)
+tested bit for bit.  ``bfs`` and ``bucket`` get that order one level at a
+time: ``list.sort()`` here, byte-radix passes over the ids in C, with the
+still-unused tail of the settle-order array as scratch.  (A pure-Python
+indexed 4-ary heap was measured slower than C-implemented ``heapq`` under
+CPython, which is why the Python ``heap`` tier keeps the lazy ``heapq``
+kernel; see ``docs/ARCHITECTURE.md``.)
 
 Batched drivers (:meth:`CSRGraph.batched_spt`,
 :meth:`CSRGraph.batched_k_nearest`, :meth:`CSRGraph.batched_radius`,

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.core.disco import DiscoRouting
 from repro.core.dissemination import AddressDissemination
 from repro.core.overlay import DisseminationOverlay
 from repro.core.sloppy_groups import SloppyGrouping
+from repro.graphs.generators import gnm_random_graph
 from repro.naming.names import name_for_node
 
 
@@ -97,6 +101,31 @@ class TestOverlayStructure:
                     in_group += 1
         assert total > 0
         assert in_group / total >= 0.8
+
+
+#: sha256(repr([ring_nodes()] + [outgoing_fingers(v) for v in range(n)]))[:16]
+#: of ``DiscoRouting(gnm_random_graph(n, seed=seed), seed=seed,
+#: num_fingers=fingers).overlay``, keyed ``(n, seed, fingers)`` and recorded
+#: at the commit before ``_resolve_hash`` computed its distances inline.
+_OVERLAY_DIGESTS = {
+    (64, 3, 1): "80cde544aba0470f",
+    (64, 3, 3): "53abba7113ce5e2e",
+    (1024, 8, 1): "55d134d29a9ad4ec",
+    (1024, 8, 3): "bccfb42010148ad1",
+}
+
+
+class TestOverlayIsUnchanged:
+    @pytest.mark.parametrize("n, seed, fingers", sorted(_OVERLAY_DIGESTS))
+    def test_ring_and_fingers_match_recorded_digest(self, n, seed, fingers):
+        overlay = DiscoRouting(
+            gnm_random_graph(n, seed=seed), seed=seed, num_fingers=fingers
+        ).overlay
+        rows = [overlay.ring_nodes()] + [
+            overlay.outgoing_fingers(node) for node in range(n)
+        ]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+        assert digest == _OVERLAY_DIGESTS[(n, seed, fingers)]
 
 
 class TestDissemination:

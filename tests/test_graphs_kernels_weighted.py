@@ -15,7 +15,11 @@ This file also pins:
   bucket kernel and auto-select the heap;
 * the exact-boundary semantics of ``dijkstra_radius`` / ``batched_radius``
   on weighted graphs (strict ``<`` by default, ``<=`` with
-  ``inclusive=True``), which were previously untested at the boundary.
+  ``inclusive=True``), which were previously untested at the boundary;
+* the id ordering of BFS frontiers and Dial buckets (``order_ids`` in
+  ``_kernels.c``): star / hub shapes whose levels straddle its insertion-sort
+  cut-off, need one to three radix bytes, and fill the scratch tail of
+  ``order`` to its last slot.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graphs import _reference_paths as reference
 from repro.graphs._ckernels import load_kernels
@@ -329,6 +334,170 @@ class TestRadiusBoundary:
         assert sorted(inclusive[1][0]) == [0, 1, 2]
 
 
+def _star(
+    n: int, hub: int, seed: int, *, weights=(1.0,), degree: int | None = None
+) -> Topology:
+    """Hub joined to ``degree`` other ids (default: all), listed shuffled.
+
+    The hub's adjacency row is in random id order, so the level it opens is
+    only in settle order once the kernel has ordered it; when ``degree``
+    leaves ids out, each of those hangs off a random leaf (a second level).
+    """
+    rng = random.Random(seed)
+    others = [node for node in range(n) if node != hub]
+    rng.shuffle(others)
+    leaves = others if degree is None else others[:degree]
+    edges = [(hub, leaf, rng.choice(weights)) for leaf in leaves]
+    edges += [
+        (rng.choice(leaves), node, rng.choice(weights))
+        for node in others[len(leaves):]
+    ]
+    return Topology.from_edges(n, edges)
+
+
+def _settle_rows(result) -> tuple[list, list]:
+    """``(node, dist)`` and ``(node, pred)`` rows of a search, in settle order."""
+    distances, predecessors = result
+    return list(distances.items()), list(predecessors.items())
+
+
+def _flat_settle_rows(flat) -> list[tuple[list, list]]:
+    """:func:`_settle_rows` of every row of a ``*_batch_flat`` result."""
+    offsets, members, dists, parents = flat
+    return [
+        (
+            list(zip(members[start:end], dists[start:end])),
+            list(zip(members[start + 1 : end], parents[start + 1 : end])),
+        )
+        for start, end in zip(offsets, offsets[1:])
+    ]
+
+
+def _assert_same_settle_order(
+    topology: Topology, sources, ks, *, kernel: str | None = None
+) -> None:
+    """Every tier settles ``sources`` like the reference: order, dist, pred."""
+    graphs = [
+        CSRGraph.from_topology(topology, kernel=kernel, use_c=use_c)
+        for use_c in TIERS
+    ]
+    expected = [
+        _settle_rows(reference.dijkstra(topology, source)) for source in sources
+    ]
+    for csr in graphs:
+        assert [_settle_rows(csr.dijkstra(s)) for s in sources] == expected
+    for k in ks:
+        expected = [
+            _settle_rows(reference.dijkstra_k_nearest(topology, source, k))
+            for source in sources
+        ]
+        for csr in graphs:
+            # The one-search entry point runs in the CSRGraph's own arena,
+            # reused across the sources.  The batch entry point, on the C
+            # tier, runs in a malloc'd arena of exactly n slots, where the
+            # sanitizer leg sees a write past the tail of ``order``.
+            assert [
+                _settle_rows(csr.dijkstra_k_nearest(s, k)) for s in sources
+            ] == expected
+            assert (
+                _flat_settle_rows(csr.k_nearest_batch_flat(k, sources, threads=1))
+                == expected
+            )
+
+
+#: ``ORDER_INSERTION_MAX`` in ``_kernels.c``: levels up to this wide are
+#: insertion-sorted, wider ones take the radix passes.
+_INSERTION_MAX = 24
+
+
+class TestLevelOrdering:
+    """BFS frontiers and Dial buckets settle in ascending id order."""
+
+    @pytest.mark.parametrize(
+        "leaves",
+        [2, _INSERTION_MAX - 1, _INSERTION_MAX, _INSERTION_MAX + 1, 200],
+    )
+    def test_frontier_widths_around_the_insertion_cutoff(self, leaves):
+        # From the hub, level 1 is ``leaves`` wide and fills order's tail to
+        # its last slot (settled + width == n); from a leaf, level 2 holds
+        # leaves - 1 ids.
+        n = leaves + 1
+        topology = _star(n, hub=n // 2, seed=leaves)
+        assert topology.csr().kernel == "bfs"
+        _assert_same_settle_order(
+            topology, [n // 2, 0, n - 1], ks=[2, leaves // 2 + 1, n]
+        )
+
+    @pytest.mark.parametrize("n", [250, 5000, (1 << 16) + 700])
+    def test_ids_of_one_two_and_three_radix_bytes(self, n):
+        # The widest case holds ids equal in their low 16 bits (5 and
+        # 65541) in one level, so a dropped third pass would misorder them.
+        hub = n - 3
+        topology = _star(n, hub=hub, seed=n)
+        assert list(reference.dijkstra(topology, hub)[0]) == [hub] + [
+            node for node in range(n) if node != hub
+        ]
+        _assert_same_settle_order(topology, [hub, 3], ks=[n - 100])
+
+    def test_truncated_level_far_wider_than_the_room_left(self):
+        n, hub, k = 3000, 1500, 50
+        topology = _star(n, hub=hub, seed=3, degree=1200)
+        smallest = sorted(topology.neighbors(hub))[: k - 1]
+        for use_c in TIERS:
+            csr = CSRGraph.from_topology(topology, use_c=use_c)
+            distances, predecessors = csr.dijkstra_k_nearest(hub, k)
+            assert list(distances) == [hub] + smallest
+            assert predecessors == dict.fromkeys(smallest, hub)
+        _assert_same_settle_order(topology, [hub], ks=[k, 1201, 1202])
+
+    def test_dial_bucket_wider_than_the_cutoff(self):
+        # Dyadic weights: four buckets of ~75 leaves each behind the hub,
+        # and leaf-to-leaf shortcuts that leave stale entries in them.
+        rng = random.Random(5)
+        topology = _star(301, hub=150, seed=5, weights=(0.5, 1.0, 1.5, 2.0))
+        for _ in range(300):
+            u, v = rng.sample(range(301), 2)
+            topology.add_edge(u, v, 0.5)
+        assert topology.csr().kernel == "bucket"
+        _assert_same_settle_order(
+            topology, [150, 0, 300], ks=[40, 160], kernel="bucket"
+        )
+
+    def test_one_arena_across_very_different_frontier_widths(self):
+        # A 1200-leaf hub with a 40-node path hanging off leaf 0: searches
+        # from the path run width-1 levels through the arena that the hub's
+        # search just filled, and the other way round.
+        n, hub = 1241, 600
+        topology = _star(1201, hub=hub, seed=9)
+        edges = list(topology.edges())
+        edges += [(0, 1201, 1.0)] + [(v, v + 1, 1.0) for v in range(1201, n - 1)]
+        topology = Topology.from_edges(n, edges)
+        sources = [hub, n - 1, 7, 1220, hub, 0, n - 1]
+        _assert_same_settle_order(topology, sources, ks=[5, 45, 700])
+
+    @pytest.mark.parametrize("kernel", ["bfs", "bucket"])
+    def test_threads_order_every_batch_row_identically(self, kernel):
+        # Each kernel thread orders levels into the tail of its own arena's
+        # order row; rows must not depend on the width (this is the test the
+        # sanitizer CI legs run at threads=2).
+        weights = (1.0,) if kernel == "bfs" else (0.5, 1.0, 1.5)
+        topology = _star(900, hub=450, seed=2, weights=weights, degree=500)
+        graphs = [
+            CSRGraph.from_topology(topology, kernel=kernel, use_c=use_c)
+            for use_c in TIERS
+        ]
+        sources = [450, 0, 899, 450, 17, 3, 450, 620]
+        for k in (30, 400, 900):
+            expected = [
+                _settle_rows(reference.dijkstra_k_nearest(topology, source, k))
+                for source in sources
+            ]
+            for csr in graphs:
+                for threads in (0, 1, 2, 3):
+                    flat = csr.k_nearest_batch_flat(k, sources, threads=threads)
+                    assert _flat_settle_rows(flat) == expected
+
+
 class TestParallelKernelThreading:
     def test_forced_kernel_reaches_workers(self):
         topology = _quantized_geometric(48, seed=7)
@@ -356,3 +525,30 @@ class TestPropertyBasedWeighted:
                         csr.dijkstra(s) for s in range(topology.num_nodes)
                     ]
                     assert got == expected
+
+    @given(
+        leaves=st.integers(1, 3 * _INSERTION_MAX),
+        tail=st.integers(0, 6),
+        dyadic=st.booleans(),
+        seed=st.integers(0, 10**6),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_star_and_hub_shapes_settle_in_id_order(
+        self, leaves, tail, dyadic, seed, data
+    ):
+        # Stars (tail == 0) put settled + width == n, the scratch bound of
+        # the kernels' level ordering, on every search from the hub; a
+        # ``tail`` of second-level nodes moves the wide level off the bound.
+        n = leaves + tail + 1
+        hub = data.draw(st.integers(0, n - 1))
+        source = data.draw(st.integers(0, n - 1))
+        k = data.draw(st.integers(1, n))
+        topology = _star(
+            n,
+            hub=hub,
+            seed=seed,
+            weights=(0.5, 1.0, 1.5) if dyadic else (1.0,),
+            degree=leaves,
+        )
+        _assert_same_settle_order(topology, [hub, source], ks=[k])
