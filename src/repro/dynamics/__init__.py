@@ -17,6 +17,9 @@ state fresh.  This package provides the future-work piece:
   converged NDDisco substrate *incrementally* per event (affected-subtree
   SPT repair, closest-landmark refold, candidate-only vicinity recompute)
   with state bit-identical to full reconvergence.
+* :mod:`repro.dynamics.passes` -- the engine's per-event passes over its
+  flat slabs (closest refold, vicinity candidate filter, vicinity
+  commit-and-bill), each one C call with a pure-Python twin.
 * :mod:`repro.dynamics.maintenance` -- the incremental cost of one topology
   change: which addresses change, how many resolution records must be
   refreshed, how many sloppy-group dissemination messages that triggers, and

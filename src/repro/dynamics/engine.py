@@ -9,9 +9,12 @@ event.
 
 :class:`ChurnEngine` maintains the same converged state *incrementally*:
 
-* **Landmark SPT rows** are repaired per event with the affected-subtree
-  algorithms of :mod:`repro.graphs.incremental` -- an event that does not
-  touch a row's tree arc costs O(1) on that row.
+* **Landmark SPT rows** are two flat ``|L| x n`` slabs (distances and
+  parents, row-major in ascending landmark order, ``inf`` / ``-1`` fill --
+  the layout of ``SubstrateTables.spt_dist`` / ``spt_parent``), repaired
+  per event with the affected-subtree algorithms of
+  :mod:`repro.graphs.incremental` in one call over all rows -- an event
+  that does not touch a row's tree arc costs O(1) on that row.
 * **Closest landmarks** are refolded only for nodes whose distance to some
   landmark changed (ascending landmark order, strict ``<``, matching
   :func:`repro.core.landmarks.closest_landmarks`).
@@ -19,13 +22,22 @@ event.
   current vicinity radius reaches an event endpoint (old-graph distances
   for failures/increases, new-graph for recoveries/decreases).  Every
   non-candidate's vicinity is provably bit-identical before and after.
-  Each vicinity is held as the kernel's own flat row (members / dists /
-  parents in settle order, the ``NodeSearchTables`` layout); an event's
-  candidates go down in one batched kernel call and a row that comes back
-  buffer-equal to the stored one is skipped.
+  The vicinities are three slabs of fixed stride ``min(k, n)`` (members /
+  dists / parents in settle order, the kernel's own row layout) with a
+  length column and the maintained radius array; an event's candidates go
+  down in one batched kernel call and a row that comes back equal to the
+  stored one is skipped.
 * **Addresses** (closest landmark + landmark-tree path) are re-derived
   only for nodes whose closest landmark changed or that are new-tree
   descendants of a parent change inside their closest landmark's row.
+
+An event is therefore a fixed sequence of calls below the FFI -- row repair
+(:mod:`repro.graphs.incremental`), endpoint searches and the k-nearest
+recompute (:mod:`repro.graphs.csr`), closest refold, candidate filter and
+vicinity commit-and-bill (:mod:`repro.dynamics.passes`) -- and the Python
+here walks only what an event changed: the repaired rows' change lists and
+the dirty addresses.  Every pass has a pure-Python twin selected with the
+kernels themselves (``REPRO_NO_CKERNELS=1``); there is no other switch.
 
 Because the SPT repairs and vicinity recomputes go through the canonical
 search kernels, the resulting state is bit-identical to a from-scratch
@@ -44,6 +56,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.core.landmarks import select_landmarks
@@ -52,32 +65,24 @@ from repro.core.tables import NodeSearchTables, VicinityView
 from repro.core.vicinity import vicinity_size
 from repro.dynamics.calendar import EventCalendar
 from repro.dynamics.maintenance import MaintenanceCost, _mean_group_size
+from repro.dynamics.passes import (
+    commit_vicinities,
+    refold_closest,
+    vicinity_candidates,
+)
 from repro.dynamics.stream import DynEvent
 from repro.graphs.incremental import (
-    repair_after_decrease,
-    repair_after_detach,
-    repair_after_increase,
-    spt_dense,
+    RowChanges,
+    repair_rows_after_decrease,
+    repair_rows_after_detach,
+    repair_rows_after_increase,
 )
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, _as_typed_array
 from repro.naming.names import name_for_node
 
 __all__ = ["EventReport", "DirtyState", "ChurnEngine"]
 
 _INF = math.inf
-
-#: Relative slack for the vicinity-candidate tests.  Those tests compare
-#: *endpoint-rooted* distances (one Dijkstra per event endpoint) against
-#: quantities from each node's own *x-rooted* search (its vicinity radius,
-#: its view of an edge's tightness).  On irregular-float graphs the two
-#: root orders sum the same path's weights in opposite order, so they can
-#: disagree by a few ulps; a candidate test with exact comparisons would
-#: then wrongly exclude a node whose own search sees the boundary as tight.
-#: The margin is ~1e5 times any achievable accumulation error (paths of h
-#: hops carry at most ~2*h*2**-52 relative rounding error) while staying
-#: far below any genuine slack, and over-inclusion is harmless: an extra
-#: candidate recomputes an identical row and bills zero.
-_REL_SLACK = 1e-9
 
 _ZERO_COST = MaintenanceCost(
     addresses_changed=0,
@@ -157,56 +162,83 @@ class ChurnEngine:
         landmarks=None,
         vicinity_k: int | None = None,
     ) -> None:
-        self._topology = topology.copy()
         n = topology.num_nodes
-        self._num_nodes = n
         if landmarks is None:
             landmarks = select_landmarks(n, seed=seed)
-        self._landmarks: list[int] = sorted(landmarks)
-        self._k = vicinity_k if vicinity_k is not None else vicinity_size(n)
-        self._names = [name_for_node(node) for node in range(n)]
-        self._group_size = _mean_group_size(SloppyGrouping(self._names))
-        self._dead: set[int] = set()
-        self._captured: dict[int, list[tuple[int, int, float]]] = {}
-        self._reset_dirty()
-        self._rows: dict[int, tuple[list[float], list[int]]] = {
-            landmark: spt_dense(self._topology, landmark)
-            for landmark in self._landmarks
-        }
-        self._adopt_vicinities(
-            *self._topology.csr().k_nearest_batch_flat(self._k)
+        self._topology = topology.copy()
+        self._landmarks = array("q", sorted(set(landmarks)))
+        self._dist_slab = array("d", bytes(8 * len(self._landmarks) * n))
+        self._parent_slab = array("q", bytes(8 * len(self._landmarks) * n))
+        self._closest = array("q", [-1]) * n
+        self._closest_dist = array("d", [_INF]) * n
+        csr = self._topology.csr()
+        # Every landmark row and the closest fold in one kernel call.
+        csr.spt_rows_batch_into(
+            self._landmarks,
+            self._dist_slab,
+            self._parent_slab,
+            fill=_INF,
+            closest_dist=self._closest_dist,
+            closest_landmark=self._closest,
         )
-        self._closest: list[int] = [-1] * n
-        self._closest_dist: list[float] = [_INF] * n
-        for node in range(n):
-            self._refold_closest(node)
+        k = vicinity_k if vicinity_k is not None else vicinity_size(n)
+        self._finish_init(
+            k,
+            csr.k_nearest_batch_flat(k),
+            [name_for_node(node) for node in range(n)],
+        )
         self._addresses: list[tuple[int, tuple[int, ...]] | None] = [
             self._derive_address(node) for node in range(n)
         ]
+
+    def _finish_init(self, k: int, vicinity, names: list) -> None:
+        """What both constructors share once the topology, landmarks, SPT
+        slabs and closest rows are in place: the vicinity slabs, from a flat
+        all-nodes ``(offsets, members, dists, parents)`` k-nearest result in
+        slabs this engine may keep, and the event bookkeeping."""
+        n = self._num_nodes = self._topology.num_nodes
+        self._k = k
+        self._names = names
+        self._group_size = _mean_group_size(SloppyGrouping(names))
+        self._dead: set[int] = set()
+        self._captured: dict[int, list[tuple[int, int, float]]] = {}
+        # Reusable rows for the per-event endpoint searches.
+        self._endpoint_dist = array("d", bytes(16 * n))
+        self._endpoint_parent = array("q", bytes(16 * n))
         self._reset_dirty()
+
+        # Vicinity rows at a fixed stride: node x's row starts at x * stride
+        # and holds _vicinity_lengths[x] members (fewer than the stride only
+        # when x's component is smaller than k).  _radius[x] is the
+        # candidate threshold R_x of the row: its last-settled (farthest)
+        # distance, or inf when the vicinity is component-limited.
+        stride = self._stride = min(k, n)
+        offsets, *slabs = vicinity
+        self._vicinity_lengths = array(
+            "q", map(int.__sub__, offsets[1:], offsets)
+        )
+        if len(slabs[0]) != n * stride:  # some row is short: spread them out
+            packed = slabs
+            slabs = [
+                array(slab.typecode, bytes(8 * n * stride)) for slab in packed
+            ]
+            for node, lo in enumerate(offsets[:-1]):
+                width = self._vicinity_lengths[node]
+                for slab, rows in zip(slabs, packed):
+                    slab[node * stride : node * stride + width] = rows[
+                        lo : lo + width
+                    ]
+        self._vicinity_slabs: tuple[array, array, array] = tuple(slabs)
+        self._radius = slabs[1][stride - 1 :: stride] if stride else array("d")
+        for node, width in enumerate(self._vicinity_lengths):
+            if width < stride:
+                self._radius[node] = _INF
 
     def _reset_dirty(self) -> None:
         self._dirty_rows: dict[int, set[int]] = {}
         self._dirty_closest: set[int] = set()
         self._dirty_vicinities: set[int] = set()
         self._dirty_addresses: set[int] = set()
-
-    def _adopt_vicinities(self, offsets, members, dists, parents) -> None:
-        """Split one flat all-nodes k-nearest result into per-node rows."""
-        self._vicinities: list[tuple] = [
-            (members[lo:hi], dists[lo:hi], parents[lo:hi])
-            for lo, hi in zip(offsets, offsets[1:])
-        ]
-        self._radius = array(
-            "d", [self._radius_of(dists) for _, dists, _ in self._vicinities]
-        )
-
-    def _radius_of(self, dists) -> float:
-        """The candidate threshold R_x of a row: its last-settled (farthest)
-        distance, or inf when the vicinity is component-limited (fewer than
-        k members)."""
-        full = len(dists) == min(self._k, self._num_nodes)
-        return dists[-1] if full else _INF
 
     def take_dirty(self) -> DirtyState:
         """Return and clear the change sets accumulated since the last call."""
@@ -225,9 +257,10 @@ class ChurnEngine:
 
         Requires a connected topology (the converged classes' dense rows
         use a ``0.0`` fill for unreachable nodes, which is only unambiguous
-        when every node is reachable).  The resulting engine state is
-        bit-identical to building from scratch, without recomputing any
-        search.
+        when every node is reachable -- and then no entry needs translating
+        to this engine's ``inf`` / ``-1`` fill).  The slabs are copied
+        wholesale; the resulting engine state is bit-identical to building
+        from scratch, without recomputing any search.
         """
         if not routing.topology.is_connected():
             raise ValueError(
@@ -236,35 +269,29 @@ class ChurnEngine:
             )
         engine = cls.__new__(cls)
         engine._topology = routing.topology.copy()
-        n = routing.topology.num_nodes
-        engine._num_nodes = n
-        engine._landmarks = sorted(routing.landmarks)
-        # Connected topology: every adopted row holds exactly min(k, n)
-        # members, whatever vicinity_scale the routing was built with.
-        vicinity = routing.tables.vicinity
-        engine._k = vicinity.offsets[1]
-        engine._names = list(routing.names)
-        engine._group_size = _mean_group_size(SloppyGrouping(engine._names))
-        engine._dead = set()
-        engine._captured = {}
-        engine._rows = {
-            landmark: (list(dist_row), list(parent_row))
-            for landmark, (dist_row, parent_row) in routing.landmark_spts.items()
-        }
-        engine._adopt_vicinities(
-            vicinity.offsets,
-            vicinity.members,
-            vicinity.dists,
-            vicinity.parents,
+        tables = routing.tables
+        engine._landmarks = _as_typed_array("q", tables.landmark_ids)
+        engine._dist_slab = _as_typed_array("d", tables.spt_dist)
+        engine._parent_slab = _as_typed_array("q", tables.spt_parent)
+        engine._closest = _as_typed_array("q", tables.closest)
+        engine._closest_dist = _as_typed_array("d", tables.closest_dist)
+        vicinity = tables.vicinity
+        engine._finish_init(
+            # Connected topology: every adopted row holds exactly min(k, n)
+            # members, whatever vicinity_scale the routing was built with.
+            vicinity.offsets[1],
+            (
+                vicinity.offsets,
+                _as_typed_array("q", vicinity.members),
+                _as_typed_array("d", vicinity.dists),
+                _as_typed_array("q", vicinity.parents),
+            ),
+            list(routing.names),
         )
-        closest_row, closest_dist_row = routing.closest_landmark_rows
-        engine._closest = list(closest_row)
-        engine._closest_dist = list(closest_dist_row)
         engine._addresses = [
             (address.landmark, tuple(address.route.path))
             for address in routing.addresses
         ]
-        engine._reset_dirty()
         return engine
 
     # -- read-only state accessors ------------------------------------------
@@ -297,13 +324,24 @@ class ChurnEngine:
     def vicinities(self) -> list[VicinityView]:
         """Per-node vicinity views (indexed by node id) over a snapshot of
         the current rows, built per call; read-only."""
-        table = NodeSearchTables.from_rows(self._vicinities)
+        table = NodeSearchTables.from_rows(
+            [self.vicinity_row(node) for node in range(self._num_nodes)]
+        )
         return [VicinityView(table, node) for node in range(self._num_nodes)]
 
-    def vicinity_row(self, node: int) -> tuple:
+    def vicinity_row(
+        self, node: int
+    ) -> tuple[memoryview, memoryview, memoryview]:
         """Flat ``(members, dists, parents)`` row of one node, in settle
-        order; read-only."""
-        return self._vicinities[node]
+        order, as views of the engine's slabs; read-only."""
+        lo = node * self._stride
+        hi = lo + self._vicinity_lengths[node]
+        members, dists, parents = self._vicinity_slabs
+        return (
+            memoryview(members)[lo:hi],
+            memoryview(dists)[lo:hi],
+            memoryview(parents)[lo:hi],
+        )
 
     @property
     def addresses(self) -> list[tuple[int, tuple[int, ...]] | None]:
@@ -313,12 +351,23 @@ class ChurnEngine:
         """
         return self._addresses
 
-    def landmark_row(self, landmark: int) -> tuple[list[float], list[int]]:
-        """Dense ``(dist, parent)`` row for one landmark; read-only."""
-        return self._rows[landmark]
+    def _row_bounds(self, landmark: int) -> tuple[int, int]:
+        row = bisect_left(self._landmarks, landmark)
+        if row == len(self._landmarks) or self._landmarks[row] != landmark:
+            raise KeyError(landmark)
+        return row * self._num_nodes, (row + 1) * self._num_nodes
+
+    def landmark_row(self, landmark: int) -> tuple[memoryview, memoryview]:
+        """Dense ``(dist, parent)`` row for one landmark, as views of the
+        engine's slabs; read-only."""
+        lo, hi = self._row_bounds(landmark)
+        return (
+            memoryview(self._dist_slab)[lo:hi],
+            memoryview(self._parent_slab)[lo:hi],
+        )
 
     @property
-    def closest_landmark_rows(self) -> tuple[list[int], list[float]]:
+    def closest_landmark_rows(self) -> tuple[array, array]:
         """Per-node closest landmark and distance; read-only.
 
         Unreachable nodes hold ``-1`` / ``inf`` (the converged classes
@@ -328,186 +377,85 @@ class ChurnEngine:
 
     def state_signature(self):
         """Hashable snapshot of the full converged state, for differentials."""
+        rows = map(self.landmark_row, self._landmarks)
+        vicinity_rows = map(self.vicinity_row, range(self._num_nodes))
         return (
             tuple(
                 (landmark, tuple(dist), tuple(parent))
-                for landmark, (dist, parent) in sorted(self._rows.items())
+                for landmark, (dist, parent) in zip(self._landmarks, rows)
             ),
             tuple(self._closest),
             tuple(self._closest_dist),
             tuple(
                 tuple(sorted(zip(members, dists)))
-                for members, dists, _ in self._vicinities
+                for members, dists, _ in vicinity_rows
             ),
             tuple(self._addresses),
         )
 
     # -- internal maintenance helpers ---------------------------------------
 
-    def _refold_closest(self, node: int) -> bool:
-        best_landmark = -1
-        best_distance = _INF
-        for landmark in self._landmarks:
-            distance = self._rows[landmark][0][node]
-            if distance < best_distance:
-                best_distance = distance
-                best_landmark = landmark
-        if (
-            best_landmark == self._closest[node]
-            and best_distance == self._closest_dist[node]
-        ):
-            return False
-        self._closest[node] = best_landmark
-        self._closest_dist[node] = best_distance
-        self._dirty_closest.add(node)
-        return True
-
     def _derive_address(self, node: int):
         landmark = self._closest[node]
         if landmark < 0:
             return None
-        parent_row = self._rows[landmark][1]
+        base, _ = self._row_bounds(landmark)
+        parent_slab = self._parent_slab
         path = [node]
         while path[-1] != landmark:
-            pred = parent_row[path[-1]]
+            pred = parent_slab[base + path[-1]]
             if pred < 0:
                 return None
             path.append(pred)
         path.reverse()
         return (landmark, tuple(path))
 
-    def _repair_rows(self, repair) -> dict[int, tuple[list[int], list[int]]]:
-        """Run one repair primitive over every landmark row."""
-        changes: dict[int, tuple[list[int], list[int]]] = {}
-        for landmark in self._landmarks:
-            dist, parent = self._rows[landmark]
-            dist_changed, parent_changed = repair(landmark, dist, parent)
-            if dist_changed or parent_changed:
-                changes[landmark] = (dist_changed, parent_changed)
-        return changes
+    def _endpoint_rows(self, *nodes: int) -> list[memoryview]:
+        """Distance rows rooted at an event's endpoints in the current
+        graph, searched into the engine's reusable scratch rows."""
+        n = self._num_nodes
+        self._topology.csr().spt_rows_batch_into(
+            array("q", nodes),
+            self._endpoint_dist,
+            self._endpoint_parent,
+            fill=_INF,
+            threads=1,
+        )
+        rows = memoryview(self._endpoint_dist)
+        return [
+            rows[index * n : (index + 1) * n] for index in range(len(nodes))
+        ]
 
-    def _vicinity_candidates(
-        self,
-        endpoint_rows: list[list[float]],
-        *,
-        tight: float | None = None,
-    ) -> list[int]:
-        """Nodes whose vicinity may change: radius reaches an endpoint.
-
-        For edge events ``tight`` is the edge weight in the graph the
-        ``endpoint_rows`` were computed on (old graph for increase-type
-        events, new graph for decrease-type), and the filter sharpens in
-        two sound ways:
-
-        * the edge must be *tight* from the node's view:
-          ``min(d(x,u), d(x,v)) + w == max(d(x,u), d(x,v))``.  A slack edge
-          lies on no shortest path from ``x`` and contributes no tight
-          predecessor arc, so neither the distance multiset nor the
-          canonical predecessors of ``x``'s truncated search can change --
-          the only arc whose tightness the event can alter is ``(u, v)``
-          itself, and for a slack-arc node it stays slack on both sides of
-          the event;
-        * the *far* endpoint must lie within the radius:
-          ``min(d(x,u), d(x,v)) + w <= R_x``.  Every change to ``x``'s row
-          -- a member distance routed through the edge, a membership swap
-          it causes, or the ``(u, v)`` arc flipping a canonical
-          predecessor -- requires a path from ``x`` through the *whole*
-          edge to a node at most ``R_x`` away, and any such path already
-          costs ``min(d(x,u), d(x,v)) + w`` to clear the far endpoint.
-
-        Nodes that reach neither endpoint in the judged graph are skipped
-        for the same reason: the event happens outside their component.
-        Both tests carry a :data:`_REL_SLACK` margin because the endpoint
-        rows are root-ordered differently from each node's own search (see
-        the constant's note); the margin only ever *adds* candidates.
-        """
-        candidates = []
-        if tight is not None:
-            row_u, row_v = endpoint_rows
-            for node in range(self._num_nodes):
-                du = row_u[node]
-                dv = row_v[node]
-                if du <= dv:
-                    near, far = du, dv
-                else:
-                    near, far = dv, du
-                if near == _INF or abs(near + tight - far) > _REL_SLACK * far:
-                    continue
-                radius = self._radius[node]
-                if radius < _INF:
-                    radius += _REL_SLACK * radius
-                if near + tight <= radius:
-                    candidates.append(node)
-            return candidates
-        for node in range(self._num_nodes):
-            radius = self._radius[node]
-            if radius < _INF:
-                radius += _REL_SLACK * radius
-            for row in endpoint_rows:
-                if row[node] <= radius:
-                    candidates.append(node)
-                    break
-        return candidates
-
-    def _patch_vicinities(self, candidates) -> int:
+    def _patch_vicinities(self, candidates: array) -> int:
         """Recompute the candidates' rows in one batched kernel call; store
         and bill (members whose distance entry differs) the changed ones."""
         if not candidates:
             return 0
-        offsets, *slabs = self._topology.csr().k_nearest_batch_flat(
-            self._k, candidates
+        fresh = self._topology.csr().k_nearest_batch_flat(self._k, candidates)
+        changed, entries_changed = commit_vicinities(
+            candidates,
+            fresh,
+            self._vicinity_slabs,
+            self._vicinity_lengths,
+            self._radius,
         )
-        members, dists, parents = map(memoryview, slabs)
-        entries_changed = 0
-        for index, node in enumerate(candidates):
-            lo, hi = offsets[index], offsets[index + 1]
-            old_members, old_dists, old_parents = self._vicinities[node]
-            if members[lo:hi] != old_members or dists[lo:hi] != old_dists:
-                moved = set(zip(old_members, old_dists)).symmetric_difference(
-                    zip(members[lo:hi], dists[lo:hi])
-                )
-                entries_changed += len({member for member, _ in moved})
-            elif parents[lo:hi] == old_parents:
-                continue
-            self._dirty_vicinities.add(node)
-            self._vicinities[node] = tuple(slab[lo:hi] for slab in slabs)
-            self._radius[node] = self._radius_of(dists[lo:hi])
+        self._dirty_vicinities.update(changed)
         return entries_changed
 
-    def _patch_addresses(self, changes) -> int:
-        """Refold closest landmarks and re-derive dirty addresses.
-
-        ``changes`` maps landmark -> (dist_changed, parent_changed).  A
-        node's address is dirty when its closest landmark changed, or when
-        it is a new-tree descendant of a parent change inside its closest
-        landmark's row (walking its address path would traverse the changed
-        pointer).
-        """
-        touched: set[int] = set()
-        for dist_changed, _ in changes.values():
-            touched.update(dist_changed)
-        dirty: set[int] = set()
-        for node in touched:
-            if self._refold_closest(node):
-                dirty.add(node)
-        adjacency = self._topology.adjacency
-        for landmark, (_, parent_changed) in changes.items():
-            if not parent_changed:
-                continue
-            parent_row = self._rows[landmark][1]
-            stack = list(parent_changed)
-            seen = set(stack)
-            while stack:
-                node = stack.pop()
-                if self._closest[node] == landmark:
-                    dirty.add(node)
-                # Tree children are the graph neighbours pointing back.
-                for child, _ in adjacency[node]:
-                    if parent_row[child] == node and child not in seen:
-                        seen.add(child)
-                        stack.append(child)
+    def _patch_addresses(self, changes: RowChanges) -> int:
+        """Refold closest landmarks and re-derive the stale addresses."""
+        refolded, stale = refold_closest(
+            self._topology,
+            self._landmarks,
+            self._dist_slab,
+            self._parent_slab,
+            changes,
+            self._closest,
+            self._closest_dist,
+        )
+        self._dirty_closest.update(refolded)
         addresses_changed = 0
-        for node in sorted(dirty):
+        for node in stale:
             address = self._derive_address(node)
             if address != self._addresses[node]:
                 self._addresses[node] = address
@@ -515,17 +463,19 @@ class ChurnEngine:
                 addresses_changed += 1
         return addresses_changed
 
-    def _bill(
-        self, event: DynEvent, changes, addresses_changed: int,
-        vicinity_entries: int, candidates,
+    def _absorb(
+        self, event: DynEvent, changes: RowChanges, candidates: array
     ) -> EventReport:
-        for landmark, (dist_changed, parent_changed) in changes.items():
-            row_dirty = self._dirty_rows.setdefault(landmark, set())
+        """Everything after the row repair and the candidate filter: patch
+        vicinities, closest landmarks and addresses, and bill the event."""
+        vicinity_entries = self._patch_vicinities(candidates)
+        addresses_changed = self._patch_addresses(changes)
+        for row, dist_changed, parent_changed in changes:
+            row_dirty = self._dirty_rows.setdefault(
+                self._landmarks[row], set()
+            )
             row_dirty.update(dist_changed)
             row_dirty.update(parent_changed)
-        landmark_entries = sum(
-            len(dist_changed) for dist_changed, _ in changes.values()
-        )
         cost = MaintenanceCost(
             addresses_changed=addresses_changed,
             landmark_set_changed=False,
@@ -534,7 +484,7 @@ class ChurnEngine:
                 round(addresses_changed * self._group_size)
             ),
             vicinity_entries_changed=vicinity_entries,
-            landmark_entries_changed=landmark_entries,
+            landmark_entries_changed=len(changes.dist_changed),
         )
         return EventReport(
             event=event,
@@ -542,6 +492,16 @@ class ChurnEngine:
             cost=cost,
             rows_repaired=len(changes),
             vicinities_recomputed=len(candidates),
+        )
+
+    def _repair_slabs(self, repair, *event) -> RowChanges:
+        """One ``repair_rows_after_*`` call over every landmark row."""
+        return repair(
+            self._topology,
+            self._landmarks,
+            self._dist_slab,
+            self._parent_slab,
+            *event,
         )
 
     # -- event application --------------------------------------------------
@@ -579,106 +539,58 @@ class ChurnEngine:
         kind = event.kind
         if kind != "edge-down" and not 0 < event.weight < _INF:
             return self._noop(event)  # zero, negative, inf or NaN weight
-        if kind == "edge-down":
-            if not self._topology.has_edge(u, v):
-                return self._noop(event)
-            old_rows = [
-                spt_dense(self._topology, u)[0],
-                spt_dense(self._topology, v)[0],
-            ]
-            old_weight = self._topology.remove_edge(u, v)
-            changes = self._repair_rows(
-                lambda root, dist, parent: repair_after_increase(
-                    self._topology, dist, parent, root, u, v
-                )
-            )
-            candidates = self._vicinity_candidates(old_rows, tight=old_weight)
-        elif kind == "edge-up":
-            if self._topology.has_edge(u, v):
-                return self._noop(event)
-            self._topology.add_edge(u, v, event.weight)
-            changes = self._repair_rows(
-                lambda root, dist, parent: repair_after_decrease(
-                    self._topology, dist, parent, root, u, v
-                )
-            )
-            new_rows = [
-                spt_dense(self._topology, u)[0],
-                spt_dense(self._topology, v)[0],
-            ]
-            candidates = self._vicinity_candidates(
-                new_rows, tight=self._topology.edge_weight(u, v)
-            )
-        else:  # edge-reweight
-            if not self._topology.has_edge(u, v):
-                return self._noop(event)
-            old_weight = self._topology.edge_weight(u, v)
-            new_weight = float(event.weight)
-            if new_weight == old_weight:
-                return self._noop(event)
-            if new_weight > old_weight:
-                old_rows = [
-                    spt_dense(self._topology, u)[0],
-                    spt_dense(self._topology, v)[0],
-                ]
-                self._topology.set_edge_weight(u, v, new_weight)
-                changes = self._repair_rows(
-                    lambda root, dist, parent: repair_after_increase(
-                        self._topology, dist, parent, root, u, v
-                    )
-                )
-                candidates = self._vicinity_candidates(
-                    old_rows, tight=old_weight
-                )
-            else:
-                self._topology.set_edge_weight(u, v, new_weight)
-                changes = self._repair_rows(
-                    lambda root, dist, parent: repair_after_decrease(
-                        self._topology, dist, parent, root, u, v
-                    )
-                )
-                new_rows = [
-                    spt_dense(self._topology, u)[0],
-                    spt_dense(self._topology, v)[0],
-                ]
-                candidates = self._vicinity_candidates(
-                    new_rows, tight=new_weight
-                )
-        vicinity_entries = self._patch_vicinities(candidates)
-        addresses_changed = self._patch_addresses(changes)
-        return self._bill(
-            event, changes, addresses_changed, vicinity_entries, candidates
+        topology = self._topology
+        present = topology.has_edge(u, v)
+        if present == (kind == "edge-up"):
+            return self._noop(event)
+        # An absent edge weighs inf: every edge event is one weight change.
+        old_weight = topology.edge_weight(u, v) if present else _INF
+        new_weight = _INF if kind == "edge-down" else float(event.weight)
+        if new_weight == old_weight:
+            return self._noop(event)
+        # The candidate filter judges the graph that has the edge at its
+        # lighter weight: the old graph (searched before the mutation) when
+        # the edge worsens, the new graph otherwise.
+        worsens = new_weight > old_weight
+        if worsens:
+            endpoint_rows = self._endpoint_rows(u, v)
+        if not present:
+            topology.add_edge(u, v, new_weight)
+        elif new_weight == _INF:
+            topology.remove_edge(u, v)
+        else:
+            topology.set_edge_weight(u, v, new_weight)
+        if worsens:
+            changes = self._repair_slabs(repair_rows_after_increase, u, v)
+        else:
+            changes = self._repair_slabs(repair_rows_after_decrease, [(u, v)])
+            endpoint_rows = self._endpoint_rows(u, v)
+        candidates = vicinity_candidates(
+            endpoint_rows, self._radius, tight=min(old_weight, new_weight)
         )
+        return self._absorb(event, changes, candidates)
 
     def _apply_leave(self, event: DynEvent) -> EventReport:
         node = event.u
         if not 0 <= node < self._num_nodes or node in self._dead:
             return self._noop(event)
-        old_row = spt_dense(self._topology, node)[0]
+        old_row = self._endpoint_rows(node)
         arcs = list(self._topology.adjacency[node])
         incident = sorted((node, other, weight) for other, weight in arcs)
         for _, neighbor, _ in incident:
             self._topology.remove_edge(node, neighbor)
         self._captured[node] = incident
         self._dead.add(node)
-        changes = self._repair_rows(
-            lambda root, dist, parent: repair_after_detach(
-                self._topology, dist, parent, root, node, arcs
-            )
-        )
-        candidates = self._vicinity_candidates([old_row])
-        vicinity_entries = self._patch_vicinities(candidates)
-        addresses_changed = self._patch_addresses(changes)
-        return self._bill(
-            event, changes, addresses_changed, vicinity_entries, candidates
-        )
+        changes = self._repair_slabs(repair_rows_after_detach, node, arcs)
+        candidates = vicinity_candidates(old_row, self._radius)
+        return self._absorb(event, changes, candidates)
 
     def _apply_join(self, event: DynEvent) -> EventReport:
         node = event.u
         if node not in self._dead:
             return self._noop(event)
         self._dead.discard(node)
-        restored: list[tuple[int, float]] = []
+        restored: list[tuple[int, int]] = []
         for _, neighbor, weight in self._captured.pop(node, []):
             if neighbor in self._dead:
                 # The far endpoint left after we did; it now owns the edge
@@ -688,46 +600,14 @@ class ChurnEngine:
                 )
                 self._captured[neighbor].sort()
             else:
-                restored.append((neighbor, weight))
-        # Multiple sequential decrease repairs can move one entry twice, so
-        # exact change accounting diffs against a pre-event snapshot.
-        snapshot = {
-            landmark: (list(dist), list(parent))
-            for landmark, (dist, parent) in self._rows.items()
-        }
-        touched: dict[int, set[int]] = {
-            landmark: set() for landmark in self._landmarks
-        }
-        for neighbor, weight in restored:
-            self._topology.add_edge(node, neighbor, weight)
-            for landmark in self._landmarks:
-                dist, parent = self._rows[landmark]
-                dist_changed, parent_changed = repair_after_decrease(
-                    self._topology, dist, parent, landmark, node, neighbor
-                )
-                touched[landmark].update(dist_changed)
-                touched[landmark].update(parent_changed)
-        changes: dict[int, tuple[list[int], list[int]]] = {}
-        for landmark, moved in touched.items():
-            if not moved:
-                continue
-            old_dist, old_parent = snapshot[landmark]
-            dist, parent = self._rows[landmark]
-            dist_changed = sorted(
-                other for other in moved if dist[other] != old_dist[other]
-            )
-            parent_changed = sorted(
-                other for other in moved if parent[other] != old_parent[other]
-            )
-            if dist_changed or parent_changed:
-                changes[landmark] = (dist_changed, parent_changed)
-        new_row = spt_dense(self._topology, node)[0]
-        candidates = self._vicinity_candidates([new_row])
-        vicinity_entries = self._patch_vicinities(candidates)
-        addresses_changed = self._patch_addresses(changes)
-        return self._bill(
-            event, changes, addresses_changed, vicinity_entries, candidates
+                self._topology.add_edge(node, neighbor, weight)
+                restored.append((node, neighbor))
+        # One repair per row over the whole restored edge set.
+        changes = self._repair_slabs(repair_rows_after_decrease, restored)
+        candidates = vicinity_candidates(
+            self._endpoint_rows(node), self._radius
         )
+        return self._absorb(event, changes, candidates)
 
     def run(self, events) -> list[EventReport]:
         """Schedule ``events`` on a calendar and absorb them in tick order."""

@@ -29,7 +29,13 @@ import subprocess
 import sys
 import tempfile
 
-__all__ = ["load_kernels", "build_error", "warn_if_unavailable"]
+__all__ = [
+    "load_kernels",
+    "build_error",
+    "warn_if_unavailable",
+    "buffer_arg",
+    "check_status",
+]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 
@@ -120,6 +126,90 @@ _TARGET_BATCH_ARGTYPES = _BATCH_COMMON + [
     _I64,                    # threads
 ]
 
+# The churn layer: one call per event and pass, serial, over the engine's
+# flat slabs (see the "churn layer" section of _kernels.c).
+_REPAIR_ROWS_ARGTYPES = [
+    _I64,                    # n
+    _PI64, _PI64, _PDBL,     # offsets, neighbors, weights (mutated graph)
+    _PI64, _I64,             # roots, num_rows
+    _PDBL, _PI64,            # dist, parent slabs (num_rows * n)
+    _I64, _PI64, _I64,       # mode, ids, num_ids
+    _PI64, _PI64, _PI64,     # rows, dist_ends, parent_ends (num_rows each)
+    ctypes.POINTER(_PI64), ctypes.POINTER(_PI64),  # malloc'd id lists
+]
+
+_CLOSEST_REFOLD_ARGTYPES = [
+    _I64,                    # n
+    _PI64, _PI64,            # offsets, neighbors (mutated graph)
+    _PI64, _I64,             # roots, num_rows
+    _PDBL, _PI64,            # dist, parent slabs
+    _PI64, _I64,             # rows, num_changed (repair_rows' output ...)
+    _PI64, _PI64, _I64,      # dist_ends, dist_changed, dist_total
+    _PI64, _PI64, _I64,      # parent_ends, parent_changed, parent_total
+    _PI64, _PDBL,            # closest, closest_dist (n each)
+    _PI64, _PI64,            # refolded (n slots), num_refolded (1)
+    _PI64,                   # dirty (n slots)
+]
+
+_VICINITY_CANDIDATES_ARGTYPES = [
+    _I64,                    # n
+    _PDBL, _PDBL,            # row_u, row_v (NULL: node event)
+    ctypes.c_double,         # tight
+    _PDBL,                   # radius
+    _PI64,                   # out (n slots)
+]
+
+_VICINITY_COMMIT_ARGTYPES = [
+    _I64, _I64,              # n, stride
+    _PI64, _I64,             # candidates, num_candidates
+    _PI64,                   # offsets (num_candidates + 1)
+    _PI64, _PDBL, _PI64, _I64,  # fresh members, dists, parents, total
+    _PI64, _PDBL, _PI64,     # stored members, dists, parents (n * stride)
+    _PI64, _PDBL,            # lengths, radius (n each)
+    _PI64, _PI64,            # changed (num_candidates slots), billed (1)
+]
+
+_CTYPES = {"q": ctypes.c_int64, "d": ctypes.c_double}
+
+
+def buffer_arg(buffer, typecode: str, length: int, name: str):
+    """``buffer`` as a ctypes array argument, after checking what C cannot.
+
+    The C entry points index their buffers by ``n``, row counts and strides
+    they are *told*; a short buffer or one of the wrong item type is an
+    out-of-bounds access there, not an exception.  This raises ``TypeError``
+    unless ``buffer`` is a writable, contiguous, one-dimensional buffer of
+    ``typecode`` (``'q'`` or ``'d'``) items and ``ValueError`` unless it
+    holds exactly ``length`` of them.  Returns ``None`` (a NULL pointer) for
+    ``length == 0``.
+    """
+    try:
+        view = memoryview(buffer)
+    except TypeError:
+        raise TypeError(f"{name} must be a buffer, got {type(buffer).__name__}")
+    if view.format != typecode or view.ndim != 1 or not view.c_contiguous:
+        raise TypeError(
+            f"{name} must be a contiguous buffer of {typecode!r} items, "
+            f"got format {view.format!r}"
+        )
+    if view.readonly:
+        raise TypeError(f"{name} must be writable")
+    if len(view) != length:
+        raise ValueError(
+            f"{name} must hold exactly {length} entries, got {len(view)}"
+        )
+    if not length:
+        return None
+    return (_CTYPES[typecode] * length).from_buffer(view)
+
+
+def check_status(status: int, name: str) -> None:
+    """Raise for the negative status codes the churn entry points share."""
+    if status == -1:
+        raise MemoryError(f"{name} could not allocate its scratch")
+    if status < 0:
+        raise ValueError(f"{name} was given an id or offset out of range")
+
 
 def _compiler() -> str | None:
     for name in (os.environ.get("CC"), "cc", "gcc", "clang"):
@@ -165,8 +255,11 @@ def _compile(source_path: str) -> str | None:
                 suffix=".so", prefix="_kernels-", dir=directory
             )
             os.close(fd)
+            # -ffp-contract=off: a + b * c must round twice, as in the
+            # Python twins, on targets whose baseline has a fused multiply-add.
             command = [
                 cc, "-O3", "-fPIC", "-shared", "-pthread",
+                "-ffp-contract=off",
                 *extra_flags,
                 "-o", scratch, source_path,
             ]
@@ -244,6 +337,16 @@ def load_kernels() -> ctypes.CDLL | None:
         lib.target_distances_batch.argtypes = _TARGET_BATCH_ARGTYPES
         lib.buffer_free.restype = None
         lib.buffer_free.argtypes = [ctypes.c_void_p]
+        lib.repair_rows.restype = _I64
+        lib.repair_rows.argtypes = _REPAIR_ROWS_ARGTYPES
+        lib.closest_refold.restype = _I64
+        lib.closest_refold.argtypes = _CLOSEST_REFOLD_ARGTYPES
+        lib.vicinity_candidates.restype = _I64
+        lib.vicinity_candidates.argtypes = _VICINITY_CANDIDATES_ARGTYPES
+        lib.vicinity_commit.restype = _I64
+        lib.vicinity_commit.argtypes = _VICINITY_COMMIT_ARGTYPES
+        lib.shift_offsets.restype = None
+        lib.shift_offsets.argtypes = [_PI64, _I64, _I64, _I64, _I64]
         _lib = lib
     except OSError as error:  # pragma: no cover - load failure is env-specific
         _build_error = f"load failed: {error}"

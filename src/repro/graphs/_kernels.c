@@ -49,6 +49,15 @@
  * Its scratch is the unused tail of the settle-order array: the nodes of a
  * level are distinct and not yet settled, so settled + count <= n and
  * order[settled .. settled + count) is free until they settle into it.
+ *
+ * Below the kernels: slab and ingestion helpers, the batch layer (a whole
+ * build phase per call, fanned over threads), and the churn layer (a whole
+ * event pass per call: repair_rows, closest_refold, vicinity_candidates,
+ * vicinity_commit, shift_offsets).  The churn layer repairs search results
+ * in place instead of searching; its header states the contract that keeps
+ * a repaired row bit-identical to these kernels' output -- one float add
+ * per relaxation, parent = min-id tight neighbour, and why the order in
+ * which equal-distance nodes leave its heap cannot change the fixpoint.
  */
 
 #include <math.h>
@@ -1216,4 +1225,699 @@ i64 target_distances_batch(
     if (fail_index >= 0)
         return -(fail_index + 2);
     return 0;
+}
+
+/* ------------------------------------------------------------- churn layer
+ *
+ * One call per topology event for each pass the churn engine
+ * (repro.dynamics.engine) runs over its flat slabs: landmark SPT row
+ * repair, the closest-landmark refold, the vicinity candidate filter, and
+ * the commit-and-bill of recomputed vicinity rows.  All four are serial
+ * (REPRO_KERNEL_THREADS does not reach them), allocate O(n) scratch per
+ * call -- never O(rows * n) -- and check every id they are handed in a
+ * prologue, before the first write: -2 reports a bad id, -1 a failed
+ * allocation.  Buffer lengths and item types are the ctypes wrappers' to
+ * check (they cannot be seen from here); the graph slabs are trusted as
+ * CSRGraph built them.  The Python twins live in repro.graphs.incremental
+ * (repair_rows) and repro.dynamics.passes (the other three).
+ *
+ * The repair contract (shared with repro.graphs.incremental, and the reason
+ * a repaired row is bit-identical to a fresh search on the mutated graph):
+ *
+ *   - Distances are the fixpoint of dist[v] = min over arcs (u, v) of
+ *     dist[u] + w(u, v), each candidate formed by that single float add --
+ *     the same add, on the same operands, the search kernels perform.  The
+ *     repair seeds the nodes whose value may have moved and settles them in
+ *     nondecreasing distance, so every value it writes is the minimum of
+ *     the same candidate set a full search would see.
+ *   - Parents are a pure function of the converged distances: the min-id
+ *     neighbour on a tight arc (dist[u] + w == dist[v]), -1 for the root
+ *     and for unreachable nodes.  They are re-derived by a neighbour scan
+ *     for every node whose tight set may have changed.
+ *   - Heap tie order therefore cannot change the result: equal-distance
+ *     nodes may pop in any order, but a popped node only ever offers
+ *     dist + w to its neighbours, the minimum over those offers is order-
+ *     free, and no parent is taken from the pop order.
+ *
+ * Rows use the dynamics fill: +inf / -1 for unreachable nodes.
+ */
+
+#define REPAIR_WORSEN_EDGE 0
+#define REPAIR_WORSEN_DETACH 1
+#define REPAIR_IMPROVE 2
+
+#define VICINITY_REL_SLACK 1e-9
+
+typedef struct {
+    i64 *ids;
+    i64 count, cap;
+} id_list;
+
+static int id_list_extend(id_list *list, const i64 *ids, i64 count)
+{
+    if (list->count + count > list->cap) {
+        i64 cap = list->cap;
+        while (cap < list->count + count)
+            cap *= 2;
+        i64 *grown = realloc(list->ids, sizeof(i64) * (size_t)cap);
+        if (!grown)
+            return -1;
+        list->ids = grown;
+        list->cap = cap;
+    }
+    if (count)
+        memcpy(list->ids + list->count, ids, sizeof(i64) * (size_t)count);
+    list->count += count;
+    return 0;
+}
+
+typedef struct {
+    i64 n;
+    const i64 *offsets;
+    const i64 *neighbors;
+    const double *weights;
+    /* n slots each, shared by every row of one call */
+    i64 *stamp;      /* == generation: in the region / already improved */
+    i64 *mark;       /* == generation: queued for re-canonicalization */
+    i64 generation;
+    i64 *region;     /* the nodes whose distance may move, then moved */
+    double *before;  /* before[i]: pre-event distance of region[i] */
+    i64 *recanon;
+    i64 *heap, *pos; /* indexed 4-ary heap; pos[v] < 0: not queued */
+    i64 *scratch;    /* order_ids */
+} repair_ctx;
+
+/* Queue node, or move it up after its key dist[node] decreased. */
+static i64 repair_heap_raise(const repair_ctx *c, const double *dist,
+                             i64 size, i64 node)
+{
+    i64 *heap = c->heap, *pos = c->pos;
+    i64 i = pos[node];
+    if (i < 0)
+        i = size++;
+    double d = dist[node];
+    while (i) {
+        i64 up = (i - 1) >> 2;
+        i64 un = heap[up];
+        double ud = dist[un];
+        if (d < ud || (d == ud && node < un)) {
+            heap[i] = un;
+            pos[un] = i;
+            i = up;
+        } else {
+            break;
+        }
+    }
+    heap[i] = node;
+    pos[node] = i;
+    return size;
+}
+
+static i64 repair_heap_pop(const repair_ctx *c, const double *dist,
+                           i64 *size_io)
+{
+    i64 *heap = c->heap, *pos = c->pos;
+    i64 size = *size_io - 1;
+    i64 top = heap[0];
+    pos[top] = -1;
+    if (size) {
+        i64 moved = heap[size];
+        double md = dist[moved];
+        i64 i = 0;
+        for (;;) {
+            i64 child = (i << 2) + 1;
+            if (child >= size)
+                break;
+            i64 end = child + 4 < size ? child + 4 : size;
+            i64 best = child;
+            for (i64 j = child + 1; j < end; j++) {
+                double jd = dist[heap[j]], bd = dist[heap[best]];
+                if (jd < bd || (jd == bd && heap[j] < heap[best]))
+                    best = j;
+            }
+            i64 bn = heap[best];
+            double bd = dist[bn];
+            if (bd < md || (bd == md && bn < moved)) {
+                heap[i] = bn;
+                pos[bn] = i;
+                i = best;
+            } else {
+                break;
+            }
+        }
+        heap[i] = moved;
+        pos[moved] = i;
+    }
+    *size_io = size;
+    return top;
+}
+
+static void repair_queue_recanon(repair_ctx *c, i64 node, i64 *count)
+{
+    if (c->mark[node] != c->generation) {
+        c->mark[node] = c->generation;
+        c->recanon[(*count)++] = node;
+    }
+}
+
+/* Re-derive the parent of every node queued in recanon plus the
+ * neighbours of the moved nodes region[0 .. moved); append the ascending
+ * moved / re-parented ids to the two output lists. */
+static int repair_finish(repair_ctx *c, const double *dist, i64 *parent,
+                         i64 root, i64 moved, i64 queued,
+                         id_list *dist_out, id_list *parent_out)
+{
+    const i64 *offsets = c->offsets, *neighbors = c->neighbors;
+    for (i64 i = 0; i < moved; i++) {
+        i64 node = c->region[i];
+        repair_queue_recanon(c, node, &queued);
+        for (i64 e = offsets[node]; e < offsets[node + 1]; e++)
+            repair_queue_recanon(c, neighbors[e], &queued);
+    }
+    i64 reparented = 0;
+    for (i64 i = 0; i < queued; i++) {
+        i64 node = c->recanon[i];
+        i64 canon = -1;
+        double target = dist[node];
+        if (node != root && target != INFINITY) {
+            for (i64 e = offsets[node]; e < offsets[node + 1]; e++) {
+                i64 nb = neighbors[e];
+                if (dist[nb] + c->weights[e] == target &&
+                    (canon < 0 || nb < canon))
+                    canon = nb;
+            }
+        }
+        if (canon != parent[node]) {
+            parent[node] = canon;
+            c->recanon[reparented++] = node;
+        }
+    }
+    order_ids(c->region, moved, c->n, c->scratch);
+    order_ids(c->recanon, reparented, c->n, c->scratch);
+    if (id_list_extend(dist_out, c->region, moved) ||
+        id_list_extend(parent_out, c->recanon, reparented))
+        return -1;
+    return 0;
+}
+
+/* Worsen: the subtree under `top` (children are the neighbours pointing
+ * back; `top`'s own arcs are top_arcs when it was detached) is closed
+ * under worsening.  Its distances are re-derived from the best offer of
+ * each node's neighbours outside it, then relaxed inside it. */
+static int repair_worsen(repair_ctx *c, double *dist, i64 *parent, i64 root,
+                         i64 top, const i64 *top_arcs, i64 num_top_arcs,
+                         const i64 *extra, i64 num_extra,
+                         id_list *dist_out, id_list *parent_out)
+{
+    const i64 *offsets = c->offsets, *neighbors = c->neighbors;
+    const double *weights = c->weights;
+    i64 generation = ++c->generation;
+    i64 *region = c->region;
+    i64 count = 1;
+    region[0] = top;
+    c->stamp[top] = generation;
+    for (i64 i = 0; i < count; i++) {
+        i64 node = region[i];
+        const i64 *arcs = neighbors + offsets[node];
+        i64 degree = offsets[node + 1] - offsets[node];
+        if (node == top && top_arcs) {
+            arcs = top_arcs;
+            degree = num_top_arcs;
+        }
+        for (i64 a = 0; a < degree; a++) {
+            i64 child = arcs[a];
+            if (parent[child] == node && c->stamp[child] != generation) {
+                c->stamp[child] = generation;
+                region[count++] = child;
+            }
+        }
+    }
+    if (top == root) {
+        /* The root keeps 0.0 / -1; everything under it is the region.  (A
+         * detached root has no arc left, so its stale stamp is never read.) */
+        region++;
+        count--;
+        if (!count)
+            return 0;
+    }
+    i64 size = 0;
+    for (i64 i = 0; i < count; i++) {
+        i64 node = region[i];
+        double seed = INFINITY;
+        for (i64 e = offsets[node]; e < offsets[node + 1]; e++) {
+            i64 nb = neighbors[e];
+            if (c->stamp[nb] == generation)
+                continue;
+            double candidate = dist[nb] + weights[e];
+            if (candidate < seed)
+                seed = candidate;
+        }
+        c->before[i] = dist[node];
+        dist[node] = seed;
+        if (seed < INFINITY)
+            size = repair_heap_raise(c, dist, size, node);
+    }
+    while (size) {
+        i64 node = repair_heap_pop(c, dist, &size);
+        double d = dist[node];
+        for (i64 e = offsets[node]; e < offsets[node + 1]; e++) {
+            i64 nb = neighbors[e];
+            if (c->stamp[nb] != generation)
+                continue;
+            double candidate = d + weights[e];
+            if (candidate < dist[nb]) {
+                dist[nb] = candidate;
+                size = repair_heap_raise(c, dist, size, nb);
+            }
+        }
+    }
+    i64 queued = 0;
+    for (i64 i = 0; i < count; i++)
+        repair_queue_recanon(c, region[i], &queued);
+    for (i64 i = 0; i < num_extra; i++)
+        repair_queue_recanon(c, extra[i], &queued);
+    i64 moved = 0;
+    for (i64 i = 0; i < count; i++)
+        if (dist[region[i]] != c->before[i])
+            c->region[moved++] = region[i];
+    return repair_finish(c, dist, parent, root, moved, queued,
+                         dist_out, parent_out);
+}
+
+static i64 repair_arc_weight(const repair_ctx *c, i64 u, i64 v, double *w)
+{
+    for (i64 e = c->offsets[u]; e < c->offsets[u + 1]; e++) {
+        if (c->neighbors[e] == v) {
+            *w = c->weights[e];
+            return 0;
+        }
+    }
+    return -1;
+}
+
+/* Improve: every edge of the set offers dist + w across itself in both
+ * directions; strict improvements propagate outward over the whole graph.
+ * A node improved by several edges is recorded once. */
+static int repair_improve(repair_ctx *c, double *dist, i64 *parent, i64 root,
+                          const i64 *edges, i64 num_edges,
+                          id_list *dist_out, id_list *parent_out)
+{
+    const i64 *offsets = c->offsets, *neighbors = c->neighbors;
+    const double *weights = c->weights;
+    i64 generation = ++c->generation;
+    i64 moved = 0, size = 0;
+    for (i64 j = 0; j < 2 * num_edges; j++) {
+        i64 from = edges[j], to = edges[j ^ 1];
+        double w = 0.0;
+        repair_arc_weight(c, from, to, &w);
+        if (dist[from] == INFINITY)
+            continue;
+        double candidate = dist[from] + w;
+        if (candidate < dist[to]) {
+            dist[to] = candidate;
+            if (c->stamp[to] != generation) {
+                c->stamp[to] = generation;
+                c->region[moved++] = to;
+            }
+            size = repair_heap_raise(c, dist, size, to);
+        }
+    }
+    while (size) {
+        i64 node = repair_heap_pop(c, dist, &size);
+        double d = dist[node];
+        for (i64 e = offsets[node]; e < offsets[node + 1]; e++) {
+            i64 nb = neighbors[e];
+            double candidate = d + weights[e];
+            if (candidate < dist[nb]) {
+                dist[nb] = candidate;
+                if (c->stamp[nb] != generation) {
+                    c->stamp[nb] = generation;
+                    c->region[moved++] = nb;
+                }
+                size = repair_heap_raise(c, dist, size, nb);
+            }
+        }
+    }
+    i64 queued = 0;
+    for (i64 j = 0; j < 2 * num_edges; j++)
+        repair_queue_recanon(c, edges[j], &queued);
+    return repair_finish(c, dist, parent, root, moved, queued,
+                         dist_out, parent_out);
+}
+
+/* Repair every row of the dist / parent slabs (row i, n entries, rooted at
+ * roots[i]) after one event on the graph, which is passed as mutated:
+ *
+ *   REPAIR_WORSEN_EDGE    ids = {u, v}: the edge was removed or made
+ *                         heavier; a row is touched only if it was one of
+ *                         the row's tree arcs.
+ *   REPAIR_WORSEN_DETACH  ids = {node, old neighbours...}: every edge of
+ *                         node was removed.
+ *   REPAIR_IMPROVE        ids = {u0, v0, u1, v1, ...}: the edges were added
+ *                         or made lighter; their weights are read from the
+ *                         graph.
+ *
+ * The rows with a change are listed, ascending, in rows (num_rows slots,
+ * like dist_ends and parent_ends); dist_ends[j] / parent_ends[j] receive
+ * the cumulative end of row rows[j]'s ascending id list inside
+ * *out_dist_changed / *out_parent_changed, two freshly malloc'd arrays
+ * (release with buffer_free).  Returns the number of changed rows, -1 on
+ * allocation failure (rows may then be partly repaired) or -2 on a bad id
+ * or an improved edge the graph does not have, checked before any row is
+ * touched. */
+i64 repair_rows(
+    i64 n,
+    const i64 *offsets, const i64 *neighbors, const double *weights,
+    const i64 *roots, i64 num_rows, double *dist, i64 *parent,
+    i64 mode, const i64 *ids, i64 num_ids,
+    i64 *rows, i64 *dist_ends, i64 *parent_ends,
+    i64 **out_dist_changed, i64 **out_parent_changed)
+{
+    repair_ctx c;
+    memset(&c, 0, sizeof(c));
+    c.n = n;
+    c.offsets = offsets;
+    c.neighbors = neighbors;
+    c.weights = weights;
+    for (i64 i = 0; i < num_rows; i++)
+        if (roots[i] < 0 || roots[i] >= n)
+            return -2;
+    for (i64 i = 0; i < num_ids; i++)
+        if (ids[i] < 0 || ids[i] >= n)
+            return -2;
+    if (mode == REPAIR_WORSEN_EDGE ? num_ids != 2
+        : mode == REPAIR_WORSEN_DETACH ? num_ids < 1
+        : mode == REPAIR_IMPROVE ? num_ids % 2 != 0
+        : 1)
+        return -2;
+    if (mode == REPAIR_IMPROVE) {
+        double w;
+        for (i64 j = 0; j < num_ids; j++)
+            if (repair_arc_weight(&c, ids[j], ids[j ^ 1], &w))
+                return -2;
+    }
+    /* One block: stamp and mark start at 0 (generations count from 1). */
+    size_t slots = (size_t)(n > 0 ? n : 1);
+    i64 *block = calloc(8 * slots, sizeof(i64));
+    id_list dist_out = {malloc(sizeof(i64) * 256), 0, 256};
+    id_list parent_out = {malloc(sizeof(i64) * 256), 0, 256};
+    int failed = !block || !dist_out.ids || !parent_out.ids;
+    if (!failed) {
+        c.stamp = block;
+        c.mark = block + slots;
+        c.region = block + 2 * slots;
+        c.before = (double *)(block + 3 * slots);
+        c.recanon = block + 4 * slots;
+        c.heap = block + 5 * slots;
+        c.pos = block + 6 * slots;
+        c.scratch = block + 7 * slots;
+        memset(c.pos, 0xff, sizeof(i64) * slots);
+    }
+    i64 changed = 0, dist_seen = 0, parent_seen = 0;
+    for (i64 i = 0; i < num_rows && !failed; i++) {
+        double *row = dist + i * n;
+        i64 *prow = parent + i * n;
+        i64 root = roots[i];
+        if (mode == REPAIR_IMPROVE) {
+            failed = repair_improve(&c, row, prow, root, ids, num_ids / 2,
+                                    &dist_out, &parent_out);
+        } else if (mode == REPAIR_WORSEN_DETACH) {
+            i64 node = ids[0];
+            /* An already-unreachable node detaching changes nothing. */
+            if (row[node] != INFINITY || node == root)
+                failed = repair_worsen(&c, row, prow, root, node, ids + 1,
+                                       num_ids - 1, ids, 1,
+                                       &dist_out, &parent_out);
+        } else {
+            i64 u = ids[0], v = ids[1];
+            i64 top = prow[v] == u ? v : prow[u] == v ? u : -1;
+            if (top >= 0)
+                failed = repair_worsen(&c, row, prow, root, top, NULL, 0,
+                                       ids, 2, &dist_out, &parent_out);
+        }
+        if (dist_out.count != dist_seen || parent_out.count != parent_seen) {
+            rows[changed] = i;
+            dist_ends[changed] = dist_seen = dist_out.count;
+            parent_ends[changed] = parent_seen = parent_out.count;
+            changed++;
+        }
+    }
+    free(block);
+    if (failed) {
+        free(dist_out.ids);
+        free(parent_out.ids);
+        return -1;
+    }
+    *out_dist_changed = dist_out.ids;
+    *out_parent_changed = parent_out.ids;
+    return changed;
+}
+
+/* After repair_rows: refold closest landmarks and find the addresses the
+ * event made stale.  The change lists are repair_rows' output (rows,
+ * *_ends, *_changed; the totals are the lengths of the two id arrays).
+ *
+ *   Refold: for every node in dist_changed (each once), the closest
+ *   landmark is the minimum of its column over the dist slab's rows, taken
+ *   in row order with a strict < so that ties stay on the earlier
+ *   (smaller-id) landmark -- roots must ascend, as in closest_update.  A
+ *   node no landmark reaches folds to -1 / +inf.  The nodes whose pair
+ *   changed go to refolded (n slots) in first-occurrence order, their
+ *   count to *num_refolded.
+ *
+ *   Stale addresses: a node's address is its closest landmark plus its
+ *   path in that landmark's tree, so it is stale when the node was
+ *   refolded, or when it hangs (in the repaired tree: children are the
+ *   neighbours pointing back) under a node of parent_changed in the row of
+ *   its closest landmark.  They go to dirty (n slots), ascending.
+ *
+ * Returns the dirty count, -1 on allocation failure, -2 on a row index, an
+ * end or an id out of range (checked before any write). */
+i64 closest_refold(
+    i64 n, const i64 *offsets, const i64 *neighbors,
+    const i64 *roots, i64 num_rows, const double *dist, const i64 *parent,
+    const i64 *rows, i64 num_changed,
+    const i64 *dist_ends, const i64 *dist_changed, i64 dist_total,
+    const i64 *parent_ends, const i64 *parent_changed, i64 parent_total,
+    i64 *closest, double *closest_dist,
+    i64 *refolded, i64 *num_refolded, i64 *dirty)
+{
+    for (i64 j = 0; j < num_changed; j++) {
+        i64 dist_lo = j ? dist_ends[j - 1] : 0;
+        i64 parent_lo = j ? parent_ends[j - 1] : 0;
+        if (rows[j] < 0 || rows[j] >= num_rows ||
+            dist_ends[j] < dist_lo || dist_ends[j] > dist_total ||
+            parent_ends[j] < parent_lo || parent_ends[j] > parent_total)
+            return -2;
+    }
+    for (i64 i = 0; i < dist_total; i++)
+        if (dist_changed[i] < 0 || dist_changed[i] >= n)
+            return -2;
+    for (i64 i = 0; i < parent_total; i++)
+        if (parent_changed[i] < 0 || parent_changed[i] >= n)
+            return -2;
+    /* flag[v]: 1 refolded, 2 dirty; seen[v] == j + 1: walked in row j. */
+    size_t slots = (size_t)(n > 0 ? n : 1);
+    i64 *seen = calloc(3 * slots, sizeof(i64));
+    unsigned char *flag = calloc(slots, 1);
+    if (!seen || !flag) {
+        free(seen);
+        free(flag);
+        return -1;
+    }
+    i64 *stack = seen + slots, *scratch = seen + 2 * slots;
+    i64 moved = 0, count = 0;
+    for (i64 i = 0; i < dist_total; i++) {
+        i64 node = dist_changed[i];
+        if (flag[node])
+            continue;
+        flag[node] = 1;
+        i64 best = -1;
+        double best_dist = INFINITY;
+        for (i64 r = 0; r < num_rows; r++) {
+            double d = dist[r * n + node];
+            if (d < best_dist) {
+                best_dist = d;
+                best = roots[r];
+            }
+        }
+        if (best != closest[node] || best_dist != closest_dist[node]) {
+            closest[node] = best;
+            closest_dist[node] = best_dist;
+            refolded[moved++] = node;
+            flag[node] = 2;
+            dirty[count++] = node;
+        }
+    }
+    for (i64 j = 0; j < num_changed; j++) {
+        i64 landmark = roots[rows[j]];
+        const i64 *prow = parent + rows[j] * n;
+        i64 depth = 0;
+        for (i64 i = j ? parent_ends[j - 1] : 0; i < parent_ends[j]; i++) {
+            if (seen[parent_changed[i]] != j + 1) {
+                seen[parent_changed[i]] = j + 1;
+                stack[depth++] = parent_changed[i];
+            }
+        }
+        while (depth) {
+            i64 node = stack[--depth];
+            if (closest[node] == landmark && flag[node] != 2) {
+                flag[node] = 2;
+                dirty[count++] = node;
+            }
+            for (i64 e = offsets[node]; e < offsets[node + 1]; e++) {
+                i64 child = neighbors[e];
+                if (prow[child] == node && seen[child] != j + 1) {
+                    seen[child] = j + 1;
+                    stack[depth++] = child;
+                }
+            }
+        }
+    }
+    order_ids(dirty, count, n, scratch);
+    free(seen);
+    free(flag);
+    *num_refolded = moved;
+    return count;
+}
+
+/* The nodes whose vicinity an event may change, ascending, into out (n
+ * slots); returns their count.  radius[x] is node x's vicinity radius
+ * (+inf when its vicinity is component-limited), widened here by the
+ * relative slack the engine documents (_REL_SLACK).
+ *
+ *   Edge event (row_v != NULL): row_u / row_v are the endpoint-rooted
+ *   distance rows in the judged graph and tight the edge weight there.  x
+ *   is a candidate when the edge is tight from its view (near + tight ==
+ *   far, within the slack) and the far endpoint is inside its radius.
+ *   Node event (row_v == NULL): x is a candidate when the node is inside
+ *   its radius.
+ *
+ * Evaluated exactly like the Python twin: the build passes
+ * -ffp-contract=off so radius + slack * radius is two roundings here too. */
+i64 vicinity_candidates(
+    i64 n, const double *row_u, const double *row_v, double tight,
+    const double *radius, i64 *out)
+{
+    i64 count = 0;
+    for (i64 node = 0; node < n; node++) {
+        double reach = radius[node];
+        if (reach < INFINITY)
+            reach += VICINITY_REL_SLACK * reach;
+        if (!row_v) {
+            if (row_u[node] <= reach)
+                out[count++] = node;
+            continue;
+        }
+        double near = row_u[node], far = row_v[node];
+        if (far < near) {
+            near = row_v[node];
+            far = row_u[node];
+        }
+        if (near == INFINITY ||
+            fabs(near + tight - far) > VICINITY_REL_SLACK * far)
+            continue;
+        if (near + tight <= reach)
+            out[count++] = node;
+    }
+    return count;
+}
+
+/* Compare the recomputed vicinity rows of the candidates against the
+ * stored fixed-stride slabs, store the ones that differ, and bill them.
+ *
+ * Candidate i's new row is fresh_*[offsets[i] .. offsets[i + 1]) (members
+ * in settle order, at most stride of them); node x's stored row is
+ * members / dists / parents[x * stride ..] with lengths[x] entries.  A row
+ * whose members or distances differ is billed the distinct members in the
+ * symmetric difference of its old and new (member, distance) pairs -- a
+ * member that came, went, or moved -- and a row that differs in parents
+ * only is stored unbilled.  Storing a row also updates radius[x]: its last
+ * (farthest) distance when the row is full, +inf when the vicinity is
+ * component-limited.  The stored nodes go to changed (num_candidates
+ * slots) and the bill to *billed; returns the stored count, -1 on
+ * allocation failure, or -2 when a candidate, an offset, a stored length or
+ * a stored or fresh member is out of range (checked before any write). */
+i64 vicinity_commit(
+    i64 n, i64 stride,
+    const i64 *candidates, i64 num_candidates,
+    const i64 *offsets,
+    const i64 *fresh_members, const double *fresh_dists,
+    const i64 *fresh_parents, i64 fresh_total,
+    i64 *members, double *dists, i64 *parents, i64 *lengths, double *radius,
+    i64 *changed, i64 *billed)
+{
+    if (num_candidates > 0 && offsets[0] != 0)
+        return -2;
+    for (i64 i = 0; i < num_candidates; i++) {
+        i64 node = candidates[i], width = offsets[i + 1] - offsets[i];
+        if (node < 0 || node >= n || width < 0 || width > stride ||
+            offsets[i + 1] > fresh_total ||
+            lengths[node] < 0 || lengths[node] > stride)
+            return -2;
+        for (i64 j = 0; j < lengths[node]; j++)
+            if (members[node * stride + j] < 0 ||
+                members[node * stride + j] >= n)
+                return -2;
+    }
+    for (i64 p = 0; p < fresh_total; p++)
+        if (fresh_members[p] < 0 || fresh_members[p] >= n)
+            return -2;
+    /* slot[m] - 1: position of member m in the stored row being billed,
+     * valid while owner[m] names that row's candidate index + 1. */
+    size_t slots = (size_t)(n > 0 ? n : 1);
+    i64 *owner = calloc(2 * slots, sizeof(i64));
+    if (!owner)
+        return -1;
+    i64 *slot = owner + slots;
+    i64 count = 0, bill = 0;
+    for (i64 i = 0; i < num_candidates; i++) {
+        i64 node = candidates[i];
+        i64 lo = offsets[i], width = offsets[i + 1] - offsets[i];
+        i64 base = node * stride, old_width = lengths[node];
+        const i64 *fm = fresh_members + lo;
+        const double *fd = fresh_dists + lo;
+        const i64 *fp = fresh_parents + lo;
+        int differs = width != old_width;
+        for (i64 j = 0; j < width && !differs; j++)
+            differs = fm[j] != members[base + j] || fd[j] != dists[base + j];
+        if (differs) {
+            for (i64 j = 0; j < old_width; j++) {
+                owner[members[base + j]] = i + 1;
+                slot[members[base + j]] = j;
+            }
+            i64 kept = 0;
+            for (i64 j = 0; j < width; j++) {
+                if (owner[fm[j]] == i + 1) {
+                    kept++;
+                    if (dists[base + slot[fm[j]]] != fd[j])
+                        bill++;          /* moved */
+                } else {
+                    bill++;              /* came */
+                }
+            }
+            bill += old_width - kept;    /* went */
+        } else if (!memcmp(fp, parents + base, sizeof(i64) * (size_t)width)) {
+            continue;
+        }
+        memcpy(members + base, fm, sizeof(i64) * (size_t)width);
+        memcpy(dists + base, fd, sizeof(double) * (size_t)width);
+        memcpy(parents + base, fp, sizeof(i64) * (size_t)width);
+        lengths[node] = width;
+        radius[node] = width == stride && width ? fd[width - 1] : INFINITY;
+        changed[count++] = node;
+    }
+    free(owner);
+    *billed = bill;
+    return count;
+}
+
+/* CSR offsets after rows lo < hi each gained delta arcs: every offset past
+ * row lo moves by delta, every offset past row hi by 2 * delta. */
+void shift_offsets(i64 *offsets, i64 count, i64 lo, i64 hi, i64 delta)
+{
+    for (i64 node = lo + 1; node <= hi; node++)
+        offsets[node] += delta;
+    for (i64 node = hi + 1; node < count; node++)
+        offsets[node] += delta + delta;
 }

@@ -454,6 +454,18 @@ class CSRGraph:
         """Offsets after adding ``delta`` arcs to each of rows u and v."""
         offsets = self.offsets[:]
         lo, hi = (u, v) if u < v else (v, u)
+        if not 0 <= lo < hi < self.num_nodes:
+            raise ValueError(
+                f"edge {u}-{v} out of range for graph with "
+                f"{self.num_nodes} nodes"
+            )
+        if self._clib is not None:
+            # One C pass over the copy; the loops below are the Python tier.
+            self._clib.shift_offsets(
+                (ctypes.c_int64 * len(offsets)).from_buffer(offsets),
+                len(offsets), lo, hi, delta,
+            )
+            return offsets
         for node in range(lo + 1, hi + 1):
             offsets[node] += delta
         twice = delta + delta

@@ -167,7 +167,7 @@ class TestIncrementalSPTRepair:
         root = pick % n
         dist, parent = spt_dense(topology, root)
         topology.add_edge(u, v, 1.0 + (pick % 3) * 0.25)
-        repair_after_decrease(topology, dist, parent, root, u, v)
+        repair_after_decrease(topology, dist, parent, root, [(u, v)])
         fresh_dist, fresh_parent = spt_dense(topology, root)
         assert dist == fresh_dist
         assert parent == fresh_parent
