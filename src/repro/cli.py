@@ -1394,10 +1394,14 @@ def _command_resolve(args: argparse.Namespace) -> int:
         f"{stats['evictions']} evictions, {stats['bytes']}/"
         f"{stats['max_bytes']} bytes"
     )
+    scanned = sum(r.scanned for r in report.rebalances)
+    moved = sum(r.moved_copies for r in report.rebalances)
+    lost = sum(r.lost_records for r in report.rebalances)
     print(
         f"expired {report.expired_records} records, "
-        f"{len(report.rebalances)} rebalances  "
-        f"({elapsed:.2f}s, {rate:.0f} lookups/s)"
+        f"{len(report.rebalances)} rebalances (scanned {scanned} of "
+        f"{topology.num_nodes} records stored, moved {moved} copies, "
+        f"lost {lost} records)  ({elapsed:.2f}s, {rate:.0f} lookups/s)"
     )
     if args.json:
         payload = {

@@ -10,8 +10,10 @@ answers "which landmark stores which record" for a fixed landmark set.  A
   the next soft-state refresh;
 * **membership churn** -- landmarks leave and join (driven here by
   :class:`~repro.dynamics.engine.ChurnEngine` node events), and the ring
-  must rebalance *deterministically* and *incrementally*: only records in
-  the hash arcs whose successor sets actually change are rescanned;
+  must rebalance *deterministically* and *incrementally*: the service
+  keeps its stored names in a ring-ordered index, so a rebalance reads
+  only the records in the hash arcs whose successor sets actually change
+  -- O(v log n + affected) for v tokens and n names, never the table;
 * **an immutable ring** -- lookups concurrent with a rebalance see either
   the old or the new ring, never a half-updated one, so membership
   updates build a new :class:`VNodeRing` rather than mutating in place.
@@ -35,12 +37,7 @@ from repro.addressing.address import Address
 from repro.core.resolution import ResolutionRecord
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.naming.consistent_hash import ring_point
-from repro.naming.hashspace import (
-    HASH_BITS,
-    HASH_SPACE,
-    common_prefix_length,
-    in_clockwise_interval,
-)
+from repro.naming.hashspace import HASH_BITS, HASH_SPACE, common_prefix_length
 from repro.naming.names import FlatName
 from repro.utils.validation import require_positive
 
@@ -274,16 +271,6 @@ class VNodeRing:
         return arcs
 
 
-def _arcs_contain(arcs: list[tuple[int, int]] | None, key: int) -> bool:
-    """Whether ``key`` lies in any clockwise arc (``None`` = whole ring)."""
-    if arcs is None:
-        return True
-    return any(
-        in_clockwise_interval(key, start, end, inclusive_end=True)
-        for start, end in arcs
-    )
-
-
 @dataclass(frozen=True)
 class RebalanceReport:
     """What one shard join/leave cost the service.
@@ -297,6 +284,8 @@ class RebalanceReport:
     scanned:
         Records whose hash fell in the affected arcs (candidates for a
         placement change); the whole table when ``whole_ring`` is set.
+        These are the only records the rebalance read, so this is its
+        cost, not just its candidate count.
     moved_copies:
         Record copies created on shards that did not previously hold them.
     lost_records:
@@ -356,6 +345,12 @@ class ShardedResolutionService:
         self._refresh_interval = float(refresh_interval)
         self._records: dict[FlatName, ResolutionRecord] = {}
         self._placements: dict[FlatName, tuple[int, ...]] = {}
+        # The stored names in ring order: one sorted ``(hash_value, name)``
+        # entry per record.  The hashes are compared in C and a tie falls to
+        # FlatName's own order, so this is ``sorted(self._records)``.
+        # populate() and _forget() are the only writers of the two dicts
+        # above and of this list.
+        self._index: list[tuple[int, FlatName]] = []
         self._shard_counts: dict[int, int] = {shard: 0 for shard in shard_list}
 
     # -- configuration accessors --------------------------------------------
@@ -414,12 +409,8 @@ class ShardedResolutionService:
         replica set unless the membership changed in between (the property
         the soft-state tests pin).
         """
-        placement = self.compute_placement(name)
-        self._set_placement(name, placement)
-        self._records[name] = ResolutionRecord(
-            name=name, address=address, inserted_at=now
-        )
-        return placement
+        self.populate((name,), (address,), now=now)
+        return self._placements[name]
 
     def populate(
         self,
@@ -428,9 +419,32 @@ class ShardedResolutionService:
         *,
         now: float = 0.0,
     ) -> None:
-        """Bulk-insert (name, address) pairs (converged-state construction)."""
-        for name, address in zip(names, addresses):
-            self.insert(name, address, now=now)
+        """Bulk-insert/refresh (name, address) pairs.
+
+        The one place the stored key set grows.  A refresh of a live name
+        leaves the ring-order index alone; one new name is a bisect insert
+        and several are merged in one sort (n single inserts would move
+        O(n^2) pointers).
+        """
+        records = self._records
+        fresh: list[tuple[int, FlatName]] = []
+        try:
+            for name, address in zip(names, addresses):
+                record = ResolutionRecord(
+                    name=name, address=address, inserted_at=now
+                )
+                self._set_placement(name, self.compute_placement(name))
+                stored = len(records)
+                records[name] = record
+                if len(records) > stored:  # new, seen without a second hash
+                    fresh.append((name.hash_value, name))
+        finally:
+            # Also when a pair part-way raises: what was stored is indexed.
+            if len(fresh) == 1:
+                bisect.insort(self._index, fresh[0])
+            elif fresh:
+                self._index.extend(fresh)
+                self._index.sort()
 
     def lookup(self, name: FlatName, *, now: float | None = None) -> Address | None:
         """The stored address for ``name``, or None if absent or stale.
@@ -461,9 +475,7 @@ class ShardedResolutionService:
             for name, record in self._records.items()
             if record.inserted_at < cutoff
         ]
-        for name in stale:
-            del self._records[name]
-            self._drop_placement(name)
+        self._forget(stale)
         return len(stale)
 
     # -- membership churn ----------------------------------------------------
@@ -525,26 +537,26 @@ class ShardedResolutionService:
             raise ValueError("cannot remove the last resolution shard")
         arcs = self._ring.affected_arcs(shard, self._replicas)
         self._ring = self._ring.without_server(shard)
-        scanned = moved = dropped = 0
+        scanned = moved = 0
+        dropped: list[FlatName] = []
         for name in self._affected_names(arcs):
             scanned += 1
             old = self._placements[name]
             survivors = set(old) - {shard}
             if lost and not survivors:
-                del self._records[name]
-                self._drop_placement(name)
-                dropped += 1
+                dropped.append(name)
                 continue
             new = self.compute_placement(name)
             moved += len(set(new) - survivors)
             self._set_placement(name, new)
+        self._forget(dropped)
         self._shard_counts.pop(shard)
         return RebalanceReport(
             shard=shard,
             kind="leave",
             scanned=scanned,
             moved_copies=moved,
-            lost_records=dropped,
+            lost_records=len(dropped),
             arcs=0 if arcs is None else len(arcs),
             whole_ring=arcs is None,
         )
@@ -568,12 +580,33 @@ class ShardedResolutionService:
     def _affected_names(
         self, arcs: list[tuple[int, int]] | None
     ) -> list[FlatName]:
-        """Stored names in the affected arcs, in deterministic ring order."""
-        return [
-            name
-            for name in sorted(self._records)
-            if _arcs_contain(arcs, name.hash_value)
-        ]
+        """Stored names in the affected arcs, in ascending ring order.
+
+        Two bisects per arc into the ring-order index: a clockwise arc
+        ``(start, end]`` holds the entries from the first hash above
+        ``start`` to the first above ``end`` (a 1-tuple sorts before every
+        entry at its hash), in two pieces when it wraps zero
+        (:meth:`VNodeRing.affected_arcs` never returns an empty arc: a
+        token's walk ends at another token).  ``None`` is the whole table.
+        """
+        index = self._index
+        if arcs is None:
+            return [name for _, name in index]
+        ranges: list[tuple[int, int]] = []
+        for start, end in arcs:
+            lo = bisect.bisect_left(index, (start + 1,))
+            hi = bisect.bisect_left(index, (end + 1,))
+            if start < end:
+                ranges.append((lo, hi))
+            else:
+                ranges += [(0, hi), (lo, len(index))]
+        ranges.sort()
+        names: list[FlatName] = []
+        reach = 0  # ranges that touch or overlap yield each name once
+        for lo, hi in ranges:
+            names += [name for _, name in index[max(lo, reach) : hi]]
+            reach = max(reach, hi)
+        return names
 
     def _set_placement(self, name: FlatName, placement: tuple[int, ...]) -> None:
         old = self._placements.get(name, ())
@@ -583,10 +616,25 @@ class ShardedResolutionService:
             self._shard_counts[shard] += 1
         self._placements[name] = placement
 
-    def _drop_placement(self, name: FlatName) -> None:
-        for shard in self._placements.pop(name):
-            if shard in self._shard_counts:
-                self._shard_counts[shard] -= 1
+    def _forget(self, names: list[FlatName]) -> None:
+        """Drop ``names`` (all stored): the one place the key set shrinks."""
+        if not names:
+            return
+        index = self._index
+        cuts: list[int] = []
+        for name in names:
+            del self._records[name]
+            for shard in self._placements.pop(name):
+                if shard in self._shard_counts:
+                    self._shard_counts[shard] -= 1
+            cuts.append(bisect.bisect_left(index, (name.hash_value, name)))
+        # Rebuilt from the slices between the cuts: linear for any batch,
+        # where per-entry deletes move O(n) pointers each.
+        cuts.sort()
+        kept = index[: cuts[0]]
+        for cut, until in zip(cuts, cuts[1:] + [len(index)]):
+            kept += index[cut + 1 : until]
+        self._index = kept
 
 
 class GroupContactIndex:

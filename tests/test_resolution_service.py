@@ -15,18 +15,27 @@ the converged-state oracles:
   lookups, expiry);
 * arc-filtered rebalance vs full placement recomputation under random
   join/leave sequences;
+* the service's ring-order record index vs ``sorted(records)`` and the
+  brute-force interval scan it replaced (kept here as the oracle), after
+  every operation of random insert / populate / expire / join / leave
+  sequences, plus its pinned cost (hash reads per rebalance);
 * :class:`SloppyGrouping` one-bit-disagreement core-group invariant under
   factor-of-two estimate skew, and :class:`GroupContactIndex` vs the
   oracle's full-scan contact selection;
 * soft-state 2t+1 expiry driven through the :class:`EventCalendar`
   (no record served past its window; refreshes never reshuffle placement);
-* the traffic engine's determinism and tick-segment merge equality, and
-  the resolution scenarios' serial-vs-workers byte identity.
+* the traffic engine's determinism and tick-segment merge equality, seven
+  ``run_traffic`` bills frozen before the index existed, and the
+  resolution scenarios' serial-vs-workers byte identity.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -42,8 +51,9 @@ from repro.dynamics.calendar import EventCalendar
 from repro.dynamics.stream import DynEvent
 from repro.experiments.config import ExperimentScale
 from repro.graphs.generators import gnm_random_graph
-from repro.naming import HASH_SPACE, ConsistentHashRing, name_for_node
-from repro.naming.hashspace import common_prefix_length
+from repro.cli import main as cli_main
+from repro.naming import HASH_SPACE, ConsistentHashRing, FlatName, name_for_node
+from repro.naming.hashspace import common_prefix_length, in_clockwise_interval
 from repro.resolution import (
     GroupContactIndex,
     ShardedResolutionService,
@@ -52,7 +62,7 @@ from repro.resolution import (
     generate_lookup_workload,
     run_traffic,
 )
-from repro.resolution.service import naive_successors
+from repro.resolution.service import RebalanceReport, naive_successors
 from repro.scenarios.engine import run_scenarios
 
 _SETTINGS = settings(
@@ -303,6 +313,332 @@ class TestRebalanceDifferential:
         assert report.moved_copies == service.entries_at(99)
 
 
+def _forged(label: str, hash_value: int) -> FlatName:
+    """A name moved to ``hash_value`` (the slot is plain state)."""
+    name = FlatName(label)
+    name._hash_value = hash_value
+    return name
+
+
+def _scan_oracle(service, arcs):
+    """The scan the index replaced: every stored name, sorted, arc-tested."""
+    return [
+        name
+        for name in sorted(service._records)
+        if arcs is None
+        or any(
+            in_clockwise_interval(name.hash_value, start, end, inclusive_end=True)
+            for start, end in arcs
+        )
+    ]
+
+
+def _brute_placement(service, members, name):
+    """``name``'s replica set over ``members``, by the full-scan oracle."""
+    return naive_successors(
+        sorted(members),
+        name.hash_value,
+        service.replicas,
+        virtual_nodes=service.ring.virtual_nodes,
+    )
+
+
+def _check_service(service, members):
+    """Index = sorted records; stored = computed = brute-force placement."""
+    assert [name for _, name in service._index] == sorted(service._records)
+    assert all(key == name.hash_value for key, name in service._index)
+    assert service._placements.keys() == service._records.keys()
+    counts = dict.fromkeys(members, 0)
+    for name in service._records:
+        expected = _brute_placement(service, members, name)
+        assert service.placement_of(name) == expected
+        assert service.compute_placement(name) == expected
+        for holder in expected:
+            counts[holder] += 1
+    assert service.load_distribution() == counts
+
+
+def _rebalance(service, members, shard, *, join, lost=True):
+    """One join/leave, checked against brute force; returns the names visited.
+
+    The names the rebalance reads must equal, in order, what the old
+    full-table scan kept, and the report must equal the one recomputing
+    every visited placement on the rings before and after predicts.
+    """
+    before = set(members)
+    after = before | {shard} if join else before - {shard}
+    holding = VNodeRing(
+        sorted(after if join else before),
+        virtual_nodes=service.ring.virtual_nodes,
+    )
+    arcs = holding.affected_arcs(shard, service.replicas)
+    expected = _scan_oracle(service, arcs)
+    moved = dropped = 0
+    for name in expected:
+        old = set(_brute_placement(service, before, name)) - {shard}
+        if not join and lost and not old:
+            dropped += 1
+        else:
+            moved += len(set(_brute_placement(service, after, name)) - old)
+    visits = []
+    scan = service._affected_names
+    service._affected_names = lambda arcs: visits.append(scan(arcs)) or visits[-1]
+    try:
+        if join:
+            report = service.add_shard(shard)
+        else:
+            report = service.remove_shard(shard, lost=lost)
+    finally:
+        del service._affected_names
+    assert visits == [expected]
+    assert report == RebalanceReport(
+        shard=shard,
+        kind="join" if join else "leave",
+        scanned=len(expected),
+        moved_copies=moved,
+        lost_records=dropped,
+        arcs=0 if arcs is None else len(arcs),
+        whole_ring=arcs is None,
+    )
+    return expected
+
+
+_shard_ids = st.integers(min_value=0, max_value=24)
+_name_ids = st.integers(min_value=0, max_value=47)
+_index_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _name_ids),
+        st.tuples(st.just("populate"), st.lists(_name_ids, max_size=12)),
+        st.tuples(st.just("expire"), st.integers(min_value=0, max_value=6)),
+        st.tuples(st.sampled_from(["join", "crash", "drain"]), _shard_ids),
+    ),
+    max_size=14,
+)
+
+
+class TestRingOrderIndex:
+    """The service's sorted record index against the scan it replaced."""
+
+    @settings(_SETTINGS, max_examples=60)
+    @given(
+        initial=st.lists(_shard_ids, min_size=1, max_size=8, unique=True),
+        replicas=st.integers(min_value=1, max_value=3),
+        vnodes=st.integers(min_value=1, max_value=4),
+        ops=_index_ops,
+    )
+    def test_index_tracks_every_operation(self, initial, replicas, vnodes, ops):
+        service = ShardedResolutionService(
+            initial, virtual_nodes=vnodes, replicas=replicas, refresh_interval=2.0
+        )
+        members = set(initial)
+        names = _names(48)
+        stored: dict[FlatName, float] = {}  # the model: name -> inserted_at
+        now = 0.0
+        for kind, arg in ops:
+            now += 1.0
+            if kind == "insert":
+                placement = service.insert(names[arg], _address(arg), now=now)
+                assert placement == service.placement_of(names[arg])
+                stored[names[arg]] = now
+            elif kind == "populate":
+                # New, live and repeated names in one call.
+                service.populate(
+                    [names[i] for i in arg], [_address(i) for i in arg], now=now
+                )
+                stored.update((names[i], now) for i in arg)
+            elif kind == "expire":
+                now += arg
+                stale = [
+                    name
+                    for name, inserted in stored.items()
+                    if inserted < now - service.timeout
+                ]
+                assert service.expire_older_than(now) == len(stale)
+                for name in stale:
+                    del stored[name]
+            elif kind == "join":
+                if arg not in members:
+                    _rebalance(service, members, arg, join=True)
+                    members.add(arg)
+            elif arg in members and len(members) > 1:
+                if kind == "crash":
+                    for name in list(stored):
+                        if service.placement_of(name) == (arg,):
+                            del stored[name]
+                _rebalance(
+                    service, members, arg, join=False, lost=kind == "crash"
+                )
+                members.discard(arg)
+            _check_service(service, members)
+            assert {
+                name: record.inserted_at
+                for name, record in service._records.items()
+            } == stored
+
+    def test_arc_wrapping_zero_holds_both_ends_of_the_hash_space(self):
+        shards = set(range(8))
+        service = ShardedResolutionService(shards, virtual_nodes=4, replicas=1)
+        first, last = _forged("first", 0), _forged("last", HASH_SPACE - 1)
+        names = _names(512) + [last, first]
+        service.populate(names, [_address(0)] * len(names))
+        victim = service.ring.successor(0)
+        arcs = service.ring.affected_arcs(victim, 1)
+        assert len(arcs) == 4
+        assert arcs[0][0] > arcs[0][1]  # the first token's arc wraps
+        visited = _rebalance(service, shards, victim, join=False)
+        # Ascending ring order although the wrapping arc comes first: hash
+        # 0 leads, the other arcs' names follow, 2^64 - 1 closes.
+        assert visited[0] is first and visited[-1] is last
+        for start, end in arcs:
+            assert any(
+                in_clockwise_interval(name.hash_value, start, end)
+                for name in visited[1:-1]
+            )
+        assert service.lookup(first) is None and service.lookup(last) is None
+        _check_service(service, shards - {victim})
+        service.populate([last, first], [_address(0)] * 2, now=1.0)
+        visited = _rebalance(service, shards - {victim}, victim, join=True)
+        assert visited[0] is first and visited[-1] is last
+        _check_service(service, shards)
+
+    def test_arc_excludes_its_start_and_includes_its_end(self):
+        shards = set(range(8))
+        service = ShardedResolutionService(shards, virtual_nodes=2, replicas=2)
+        victim = 3
+        start, end = max(
+            service.ring.affected_arcs(victim, 2), key=lambda arc: arc[1] - arc[0]
+        )
+        assert end - start > 2
+        # Two names share the start's hash and two the end's, stored in
+        # reverse raw order: equal hashes fall to FlatName's own order (by
+        # raw), and an arc's ends take or leave both names.
+        at_start = [_forged("start-b", start), _forged("start-a", start)]
+        after_start = _forged("after-start", start + 1)
+        at_end = [_forged("end-b", end), _forged("end-a", end)]
+        after_end = _forged("after-end", end + 1)
+        middle = (start + end) // 2
+        names = _names(32) + at_start + [after_start] + at_end + [after_end]
+        names.append(_forged("middle", middle))
+        service.populate(names, [_address(0)] * len(names))
+        inside = service._affected_names([(start, end)])
+        assert inside == _scan_oracle(service, [(start, end)])
+        assert inside[0] is after_start
+        assert inside[-2:] == [at_end[1], at_end[0]]
+        assert not {*at_start, after_end} & set(inside)
+        # Arcs that overlap, nest or touch yield each name once, in order.
+        for arcs in (
+            [(middle - 1, end + 1), (start, middle)],
+            [(start, end), (middle - 1, middle)],
+            [(start, end), (middle - 1, middle), (middle, end + 1)],
+            [(middle, end), (start, middle), (HASH_SPACE - 1, start)],
+        ):
+            assert service._affected_names(arcs) == _scan_oracle(service, arcs)
+        _rebalance(service, shards, victim, join=False)
+        _check_service(service, shards - {victim})
+
+    def test_whole_ring_when_membership_is_within_the_replicas(self):
+        service = ShardedResolutionService([4, 9], replicas=2, virtual_nodes=3)
+        names = _names(40)
+        service.populate(names, [_address(0)] * 40)
+        for shard, join, members in ((9, False, {4, 9}), (9, True, {4})):
+            visited = _rebalance(service, members, shard, join=join)
+            assert visited == sorted(names)
+        _check_service(service, {4, 9})
+
+    def test_sole_copy_loss_then_the_owners_reinsert(self):
+        shards = set(range(8))
+        service = ShardedResolutionService(shards, virtual_nodes=4, replicas=1)
+        names = _names(96)
+        service.populate(names, [_address(0)] * 96)
+        victim = service.home_shard(names[0])
+        lost = [name for name in names if service.home_shard(name) == victim]
+        visited = _rebalance(service, shards, victim, join=False)
+        assert visited == sorted(lost)
+        assert len(service) == 96 - len(lost)
+        _check_service(service, shards - {victim})
+        assert service.insert(names[0], _address(0), now=1.0) == _brute_placement(
+            service, shards - {victim}, names[0]
+        )
+        _check_service(service, shards - {victim})
+        service.populate(names, [_address(0)] * 96, now=2.0)
+        assert len(service) == 96
+        _check_service(service, shards - {victim})
+
+    def test_join_after_every_record_expired(self):
+        service = ShardedResolutionService(
+            range(6), replicas=2, virtual_nodes=2, refresh_interval=2.0
+        )
+        names = _names(40)
+        service.populate(names, [_address(0)] * 40)
+        assert service.expire_older_than(100.0) == 40
+        assert service._index == [] and len(service) == 0
+        report = service.add_shard(17)
+        assert (report.scanned, report.moved_copies) == (0, 0)
+        assert set(service.load_distribution().values()) == {0}
+        service.populate(names, [_address(0)] * 40, now=100.0)
+        _check_service(service, set(range(6)) | {17})
+
+    def test_populate_indexes_what_it_stored_before_an_error(self):
+        service = ShardedResolutionService(range(4))
+        names = _names(5)
+        with pytest.raises(AttributeError):
+            service.populate(names + ["not-a-name"], [_address(0)] * 6)
+        assert len(service) == 5
+        _check_service(service, set(range(4)))
+
+    def test_rebalance_reads_the_moved_arcs_not_the_table(self, monkeypatch):
+        """Structural cost: hash reads per rebalance, not wall clock."""
+        service = ShardedResolutionService(
+            range(32), replicas=2, virtual_nodes=8
+        )
+        names = _names(4096)
+        service.populate(names, [_address(0)] * 4096)
+        reads = []
+        read_hash = FlatName.hash_value.fget
+        monkeypatch.setattr(
+            FlatName,
+            "hash_value",
+            property(lambda name: reads.append(name) or read_hash(name)),
+        )
+        left = service.remove_shard(5, lost=True)
+        joined = service.add_shard(5)
+        scanned = left.scanned + joined.scanned
+        # The scan this replaced read every stored hash on each rebalance
+        # (>= 8192 here); the index reads one per record in the arcs.
+        assert 0 < scanned < 4096 // 4
+        assert scanned <= len(reads) <= 2 * scanned
+
+    def test_refresh_of_live_names_leaves_the_index_alone(self):
+        class Spy(list):
+            calls: list[str] = []
+
+            def insert(self, *args):
+                self.calls.append("insert")
+                super().insert(*args)
+
+            def extend(self, *args):
+                self.calls.append("extend")
+                super().extend(*args)
+
+            def sort(self, *args, **kwargs):
+                self.calls.append("sort")
+                super().sort(*args, **kwargs)
+
+        service = ShardedResolutionService(range(8), replicas=2, virtual_nodes=4)
+        names = _names(256)
+        service.populate(names[:200], [_address(0)] * 200)
+        spy = service._index = Spy(service._index)
+        service.populate(names[:200], [_address(0)] * 200, now=1.0)
+        service.insert(names[7], _address(7), now=2.0)
+        assert Spy.calls == [] and service._index is spy
+        # One new name is one bisect insert; several are one sort.
+        service.populate(names[:201], [_address(0)] * 201, now=3.0)
+        assert Spy.calls == ["insert"]
+        service.populate(names, [_address(0)] * 256, now=4.0)
+        assert Spy.calls == ["insert", "extend", "sort"]
+        _check_service(service, set(range(8)))
+
+
 class TestSloppyGroupingSkew:
     @_SETTINGS
     @given(
@@ -544,6 +880,121 @@ class TestTrafficEngine:
         assert report.lookups == 800
         assert all(age <= timeout for age in report.staleness)
         assert all(math.isfinite(latency) for latency in report.latencies)
+
+
+# sha256 of repr(TrafficReport) for _frozen_run(key), computed at commit
+# 0951aa5 (the parent of the ring-order record index, where every rebalance
+# sorted and arc-tested the whole table) and committed as literals: a digest
+# that moves means a bill changed, not just its cost.
+_FROZEN_BILLS = {
+    (1, 1, False): "1cadb228c22df9d291f5b7c9b94a5ad976d1db8f392250c07bf6c52048b2078e",
+    (1, 8, False): "dca2d073b7000b0d7fcdffc7a65db57be77f669b9052aa056dca3403e8f22daf",
+    (2, 1, False): "783aa807d2e1f7ba0235cfe0fbd9593bad5ba9a720a23cb427c61f05a4f148bb",
+    (2, 8, False): "1b07e674870b7cb946e881ed8ffe944200bc60f40e2fd3bfad4e7d7752fa58b4",
+    (3, 1, False): "eccb753ab2295e9d62d2b1711f2f37b019e08060f1b3b99c60233a872f89ab5f",
+    (3, 8, False): "6719cb666b9f1be6e0703ee62cae1fb20d32beb2bd028b2eaebcddd2581f99f7",
+    (2, 8, True): "aeff8855adb271e230d70aad9e586b105f113de4e0fc5437f5464a52e8e264d3",
+}
+
+
+def _frozen_run(routing, key, bill_ticks=None):
+    """One traffic run of the frozen set: crashes, rejoins, a flash window."""
+    replicas, vnodes, with_contacts = key
+    workload = generate_lookup_workload(
+        64, num_lookups=1500, duration_ticks=48, seed=11, flash=(20, 26, 3.0)
+    )
+    shards = sorted(routing.landmarks)
+    events = [
+        DynEvent(5, "node-leave", shards[0]),
+        DynEvent(9, "node-leave", shards[7]),
+        DynEvent(14, "node-join", shards[0]),
+        DynEvent(30, "node-leave", shards[12]),
+        DynEvent(33, "node-join", shards[7]),
+        DynEvent(41, "node-join", shards[12]),
+    ]
+    contacts = None
+    if with_contacts:
+        contacts = GroupContactIndex(SloppyGrouping(routing.names, 2.0**14))
+    return run_traffic(
+        routing,
+        workload,
+        replicas=replicas,
+        virtual_nodes=vnodes,
+        refresh_interval=8,
+        shard_events=events,
+        contacts=contacts,
+        cache_budget=4096,
+        bill_ticks=bill_ticks,
+    )
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(repr(report).encode()).hexdigest()
+
+
+class TestFrozenBills:
+    @pytest.mark.parametrize("key", sorted(_FROZEN_BILLS))
+    def test_bill_is_the_parents_and_the_merge_of_its_segments(
+        self, small_routing, key
+    ):
+        serial = _frozen_run(small_routing, key)
+        assert _digest(serial) == _FROZEN_BILLS[key]
+        # The set exercises what it claims to: every path bills something,
+        # and only single-copy placement loses records to a crash.
+        assert serial.ring_hits and len(serial.rebalances) == 6
+        lost = sum(report.lost_records for report in serial.rebalances)
+        assert (lost > 0 and serial.misses > 0) == (key[0] == 1)
+        assert bool(serial.group_hits) == key[2]
+        merged = TrafficReport.merge(
+            [
+                _frozen_run(small_routing, key, bill_ticks=bounds)
+                for bounds in [(0, 9), (9, 31), (31, 48)]
+            ]
+        )
+        # Segment caches start cold, so their counters sum rather than
+        # reproduce the one warm cache; everything else is the serial bill.
+        assert (
+            dataclasses.replace(merged, cache_stats=serial.cache_stats) == serial
+        )
+
+    def test_workload_naming_a_node_outside_the_substrate(self, small_routing):
+        workload = generate_lookup_workload(
+            64, num_lookups=50, duration_ticks=8, seed=1
+        )
+        for field, bad in (("requesters", 64), ("targets", -1)):
+            ids = getattr(workload, field)[:]
+            ids[10] = bad
+            with pytest.raises(ValueError, match="outside 0..63"):
+                run_traffic(
+                    small_routing, dataclasses.replace(workload, **{field: ids})
+                )
+
+
+class TestResolveCli:
+    def test_summary_explains_the_rebalances_and_the_payload_is_v1(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "resolve.json"
+        argv = "resolve gnm 128 --lookups 600 --duration 32 --churn-shards 3"
+        assert cli_main([*argv.split(), "--replicas", "1", "--json", str(out)]) == 0
+        summary = re.search(
+            r"(\d+) rebalances \(scanned (\d+) of 128 records stored, "
+            r"moved (\d+) copies, lost (\d+) records\)",
+            capsys.readouterr().out,
+        )
+        rebalances, scanned, moved, lost = map(int, summary.groups())
+        # Single-copy placement: a crash loses what it scans, a rejoin
+        # moves what it scans.
+        assert rebalances == 6 and scanned == moved + lost and lost > 0
+        payload = json.loads(out.read_text())
+        assert payload["schema"] == "repro-resolve-report/v1"
+        assert payload["rebalances"] == 6
+        assert sorted(payload) == [
+            "cache_stats", "expired_records", "family", "group_hits", "hops",
+            "latency", "lookups", "misses", "nodes", "rebalances",
+            "refresh_interval", "replicas", "ring_hits", "schema", "seed",
+            "shard_loads", "shards", "staleness", "virtual_nodes",
+        ]
 
 
 class TestResolutionScenarios:
