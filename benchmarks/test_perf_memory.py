@@ -2,15 +2,13 @@
 
 PR 4 closed the warm-vs-cold *object graph* gap (scheme shells rewire onto
 one shared substrate on load) but left warm retained memory at cold parity
-(~35.1 MB retained on ``scenario_suite_warm/quick5-384``; see the
-committed ``BENCH_kernels.json`` params history).  The array-backed
+(~35.1 MB retained on five scenarios at n = 384).  The array-backed
 substrate tables close that residual: slabs hold one unboxed double per
 distance instead of a boxed float plus dict entry, in memory and in the
 pickle alike.
 
-This canary replays the ``scenario_suite_warm`` measurement (same five
-scenarios, same n=384 scale, same tracemalloc accounting as the committed
-benchmark entry) and fails if a regression pushes the warm retained
+The first canary runs those five scenarios warm at n = 384 under
+``tracemalloc`` and fails if a regression pushes the warm retained
 footprint back above the PR 4 baseline.  The ceiling is the *old* cold
 baseline with the current numbers ~8% under it, so ordinary allocator
 noise cannot trip it while a return of per-node object graphs will.
@@ -21,13 +19,60 @@ from __future__ import annotations
 import shutil
 import tempfile
 
-from repro.perf.kernel_bench import SUITE_IDS, suite_scale, traced_suite_run
-
-#: Retained KB of the PR 4 warm run at cold parity (the committed
-#: ``scenario_suite_warm/quick5-384`` params before array-backed tables:
-#: cold_end_kb 35130.0 / warm_end_kb 36377.4).  The canary asserts the
-#: warm run now retains less than the *cold* side of that baseline.
+#: Retained KB of the PR 4 warm run at cold parity (before array-backed
+#: tables: cold_end_kb 35130.0 / warm_end_kb 36377.4).  The canary asserts
+#: the warm run now retains less than the *cold* side of that baseline.
 PR4_COLD_PARITY_KB = 35130.0
+
+#: The scenarios of the warm-memory canary: every table-bound figure that
+#: shares one converged substrate per topology.
+SUITE_IDS = (
+    "fig02-state-cdf",
+    "fig03-stretch-cdf",
+    "fig07-state-bytes",
+    "fig10-congestion-as",
+    "addr-sizes",
+)
+
+
+def suite_scale(n: int):
+    """The canary's experiment scale for ``n``-node topologies."""
+    from repro.experiments.config import ExperimentScale
+
+    return ExperimentScale(
+        comparison_nodes=n,
+        large_nodes=n,
+        as_level_nodes=n,
+        router_level_nodes=n + n // 4,
+        pair_sample=150,
+        messaging_sweep=(48, 64),
+        scaling_sweep=(n // 2, 3 * n // 4, n),
+        seed=2010,
+        label="bench-suite",
+    )
+
+
+def traced_suite_run(root: str, *, n: int) -> tuple[int, int]:
+    """Run the suite against cache ``root`` under ``tracemalloc``.
+
+    Returns ``(retained_bytes, peak_bytes)`` measured with the run's cache
+    still alive.  Against a populated root this is a fully warm run.
+    """
+    import gc
+    import tracemalloc
+
+    from repro.scenarios.cache import ArtifactCache
+    from repro.scenarios.engine import run_scenarios
+
+    cache = ArtifactCache(root)
+    tracemalloc.start()
+    try:
+        run_scenarios(SUITE_IDS, scale=suite_scale(n), workers=1, cache=cache)
+        gc.collect()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        del cache
 
 
 def test_warm_retained_memory_below_pr4_baseline(benchmark, run_once):
@@ -81,13 +126,13 @@ def test_substrate_build_peak_memory_stays_slab_bound(benchmark, run_once):
     from repro.core.substrate_build import build_substrate_tables
     from repro.graphs.generators import gnm_random_graph
 
-    n = 32768  # 2^15: the committed substrate_build/gnm-32768 bench point
+    n = 32768  # 2^15
 
     def measure() -> tuple[int, int]:
         topology = gnm_random_graph(n, seed=3, average_degree=8.0)
         codec = LabelCodec(topology)
         landmarks = select_landmarks(n, seed=1)
-        topology.csr()  # snapshot outside the trace, as in the benchmark
+        topology.csr()  # snapshot outside the trace
         gc.collect()
         tracemalloc.start()
         try:

@@ -13,8 +13,6 @@ can reproduce the paper or study their own topology without writing code::
     python -m repro run fig02 --topology-file isp.cch --topology-format rocketfuel
     python -m repro profile net.edges                 # structural profile
     python -m repro compare net.edges --protocols disco s4 vrr
-    python -m repro bench --out BENCH_kernels.json    # perf-regression harness
-    python -m repro bench compare latest 24b0d68      # run-to-run deltas
     python -m repro substrate gnm 1048576 --storage slabs --vicinity-storage mmap
     python -m repro cache stats                       # artifact-cache totals
     python -m repro cache prune --max-bytes 500M      # bound the cache on disk
@@ -283,65 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument("--seed", type=int, default=0)
     compare_parser.add_argument("--pairs", type=int, default=300)
 
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="time the reference vs CSR shortest-path engines and write "
-        "BENCH_kernels.json",
-    )
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrunken workloads (CI smoke run; numbers are a canary only)",
-    )
-    bench_parser.add_argument(
-        "--out", default="BENCH_kernels.json", help="output JSON path"
-    )
-    bench_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="also time the scenario suite over a process pool of this many "
-        "workers (adds the scenario_suite /workers-N variant)",
-    )
-    bench_parser.add_argument(
-        "--kernel",
-        choices=["heap", "bucket", "bfs"],
-        default=None,
-        help="force a kernel on the CSR side wherever the weight profile "
-        "allows it (A/B the indexed 4-ary heap, the Dial bucket queue, "
-        "and the unit-weight BFS); skips the end-to-end staticsim cases, "
-        "which always auto-select; default: auto-select per topology",
-    )
-    bench_parser.add_argument(
-        "--history-dir",
-        default=None,
-        help="append the report to this run-history directory "
-        "(default: benchmarks/history)",
-    )
-    bench_parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="do not append this run to the benchmark history",
-    )
-    bench_sub = bench_parser.add_subparsers(dest="bench_command")
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="per-benchmark speedup deltas between two recorded runs",
-    )
-    bench_compare.add_argument(
-        "run_a",
-        help="first run: a history filename/sha prefix, 'latest', or a "
-        "path to any bench report JSON",
-    )
-    bench_compare.add_argument("run_b", help="second run (same forms)")
-    bench_compare.add_argument(
-        "--history-dir",
-        dest="compare_history_dir",
-        default=None,
-        help="history directory to resolve prefixes in "
-        "(default: benchmarks/history)",
-    )
-
     churn_parser = subparsers.add_parser(
         "churn",
         help="drive the event-driven churn engine over a seeded event "
@@ -359,22 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     churn_parser.add_argument("--seed", type=int, default=0)
     churn_parser.add_argument(
-        "--mode",
-        choices=["event", "replay"],
-        default="event",
-        help="event = incremental ChurnEngine (default); replay = seed-era "
-        "full-reconvergence oracle (edge events only); both print the "
-        "same bills",
-    )
-    churn_parser.add_argument(
         "--kinds",
         nargs="+",
         default=None,
         metavar="KIND",
         help="opt into a rich event stream with these kinds (edge-down, "
         "edge-up, edge-reweight, node-leave, node-join); default: the "
-        "seed-era edge failure/recovery workload, comparable across "
-        "both modes",
+        "seed-era edge failure/recovery workload",
     )
     churn_parser.add_argument(
         "--events-per-tick",
@@ -393,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also write the per-event bills as deterministic JSON "
-        "(timings excluded; used by the CI mode differential)",
+        "(timings excluded; used by the CI tier differential)",
     )
 
     resolve_parser = subparsers.add_parser(
@@ -890,124 +820,6 @@ def _command_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    if getattr(args, "bench_command", None) == "compare":
-        return _command_bench_compare(args)
-    from repro.graphs import _ckernels
-    from repro.perf import history
-    from repro.perf.kernel_bench import bench_kernels, write_bench_json
-
-    # A bench run (and a forced --kernel in particular) wants the compiled
-    # tier; if the on-demand compile failed, say so once instead of silently
-    # timing the pure-Python fallback.
-    _ckernels.warn_if_unavailable(
-        f"bench --kernel {args.kernel}" if args.kernel else "bench run"
-    )
-    # Validate the output path before spending minutes on the benchmarks,
-    # without leaving an empty file behind if the run later fails.
-    existed = os.path.exists(args.out)
-    try:
-        with open(args.out, "a", encoding="utf-8"):
-            pass
-    except OSError as error:
-        print(f"cannot write {args.out}: {error}", file=sys.stderr)
-        return 2
-    if not existed:
-        os.remove(args.out)
-    report = bench_kernels(
-        quick=args.quick, workers=args.workers, kernel=args.kernel
-    )
-    rows = []
-    for name, entry in report["benchmarks"].items():
-        rows.append(
-            [name, entry["before_s"], entry["after_s"], entry["speedup"]]
-        )
-    print(
-        format_table(
-            ["benchmark", "before (s)", "after (s)", "speedup"],
-            rows,
-            float_format="{:.4f}",
-        )
-    )
-    write_bench_json(report, args.out)
-    print(f"wrote {args.out}")
-    if not args.no_history:
-        try:
-            record = history.record_run(
-                report, args.history_dir or history.DEFAULT_HISTORY_DIR
-            )
-            print(f"recorded {record}")
-        except OSError as error:
-            print(f"history not recorded: {error}", file=sys.stderr)
-    return 0
-
-
-def _command_bench_compare(args: argparse.Namespace) -> int:
-    from repro.perf import history
-
-    directory = args.compare_history_dir or history.DEFAULT_HISTORY_DIR
-    try:
-        run_a = history.resolve_run(args.run_a, directory)
-        run_b = history.resolve_run(args.run_b, directory)
-    except (OSError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    for label, run in (("A", run_a), ("B", run_b)):
-        report = run["report"]
-        sha = run["git"].get("sha") or "?"
-        print(
-            f"{label}: {os.path.basename(run['path'])}  "
-            f"sha={sha[:12]}  generated={report.get('generated', '?')}  "
-            f"quick={bool(report.get('quick'))}"
-        )
-    delta = history.compare_reports(run_a["report"], run_b["report"])
-    if delta["quick_mismatch"]:
-        print(
-            "note: one run is --quick -- workloads differ, compare the "
-            "speedup columns only",
-            file=sys.stderr,
-        )
-    if delta.get("thread_mismatch"):
-        threads_a, threads_b = delta["thread_counts"]
-        print(
-            "note: runs used different kernel thread counts "
-            f"(A={threads_a}, B={threads_b}) -- the threaded families' "
-            "wall clocks are not like-for-like",
-            file=sys.stderr,
-        )
-    rows = [
-        [
-            row["name"],
-            row["a_after_s"],
-            row["b_after_s"],
-            f"x{row['after_ratio']:.3f}" if row["after_ratio"] else "-",
-            row["a_speedup"],
-            row["b_speedup"],
-            f"{row['speedup_delta']:+.3f}",
-        ]
-        for row in delta["common"]
-    ]
-    print(
-        format_table(
-            [
-                "benchmark",
-                "A after (s)",
-                "B after (s)",
-                "A/B",
-                "A speedup",
-                "B speedup",
-                "delta",
-            ],
-            rows,
-            float_format="{:.4f}",
-        )
-    )
-    for key, label in (("only_a", "only in A"), ("only_b", "only in B")):
-        if delta[key]:
-            print(f"{label}: {', '.join(delta[key])}")
-    return 0
-
-
 def _memory_kb() -> tuple[int, int]:
     """Current and peak resident set size in KiB (Linux; zeros elsewhere)."""
     rss = peak = 0
@@ -1135,28 +947,18 @@ def _command_churn(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.landmarks import select_landmarks
-    from repro.core.nddisco import NDDiscoRouting
     from repro.dynamics import (
         EVENT_KINDS,
         ChurnEngine,
         events_from_workload,
         generate_churn_workload,
         generate_event_stream,
-        maintenance_cost,
     )
-    from repro.dynamics.churn import apply_event
 
     if args.kinds is not None:
         unknown = [kind for kind in args.kinds if kind not in EVENT_KINDS]
         if unknown:
             print(f"unknown event kinds: {', '.join(unknown)}", file=sys.stderr)
-            return 2
-        if args.mode == "replay":
-            print(
-                "--kinds requires --mode event (the replay oracle only "
-                "models edge failure/recovery)",
-                file=sys.stderr,
-            )
             return 2
 
     topology = _GENERATORS[args.family](args.nodes, seed=args.seed)
@@ -1169,7 +971,6 @@ def _command_churn(args: argparse.Namespace) -> int:
             workload.events, events_per_tick=args.events_per_tick
         )
     else:
-        workload = None
         events = generate_event_stream(
             topology,
             num_events=args.events,
@@ -1181,27 +982,14 @@ def _command_churn(args: argparse.Namespace) -> int:
     print(
         f"{topology.name}: {topology.num_nodes} nodes, "
         f"{topology.num_edges} edges, {len(landmarks)} landmarks, "
-        f"{len(events)} events, mode={args.mode}"
+        f"{len(events)} events"
     )
 
     started = time.perf_counter()
-    if args.mode == "replay":
-        state = NDDiscoRouting(topology, seed=args.seed, landmarks=landmarks)
-        current = topology
-        costs = []
-        for event in workload.events:
-            current = apply_event(current, event)
-            next_state = NDDiscoRouting(
-                current, seed=args.seed, landmarks=landmarks
-            )
-            costs.append(maintenance_cost(state, next_state))
-            state = next_state
-        applied = [True] * len(costs)
-    else:
-        engine = ChurnEngine(topology, seed=args.seed, landmarks=landmarks)
-        reports = engine.run(events)
-        costs = [report.cost for report in reports]
-        applied = [report.applied for report in reports]
+    engine = ChurnEngine(topology, seed=args.seed, landmarks=landmarks)
+    reports = engine.run(events)
+    costs = [report.cost for report in reports]
+    applied = [report.applied for report in reports]
     elapsed = time.perf_counter() - started
 
     rows = []
@@ -1457,8 +1245,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _command_profile(args)
     if args.command == "compare":
         return _command_compare(args)
-    if args.command == "bench":
-        return _command_bench(args)
     if args.command == "substrate":
         return _command_substrate(args)
     if args.command == "churn":

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.graphs.engine import get_engine
 from repro.graphs.topology import Topology
 from repro.utils.randomness import make_rng
 from repro.utils.validation import require_positive
@@ -101,31 +100,18 @@ def landmark_spts(
     outside the landmark's component keep ``0.0`` / ``-1`` (the converged
     protocol models assume connected topologies).
 
-    On the CSR engine all trees are built by one batched driver over a shared
-    scratch arena (:meth:`CSRGraph.batched_spt`); both NDDisco and S4 build
-    their landmark state through this helper, and
-    :class:`~repro.staticsim.simulation.StaticSimulation` shares the result
-    between them.
+    All trees are built by one batched driver over a shared scratch arena
+    (:meth:`CSRGraph.batched_spt`).  This is the component-wise form that
+    :class:`~repro.core.nddisco.NDDiscoRouting` takes for injected
+    vicinities; the slab-direct builder writes the same rows straight into
+    the slabs.
     """
-    ordered = sorted(landmarks)
-    result: dict[int, tuple[list[float], list[int]]] = {}
-    if get_engine() == "csr":
-        for landmark, dist_row, parent_row in topology.csr().batched_spt(ordered):
-            result[landmark] = (dist_row, parent_row)
-        return result
-    from repro.graphs.shortest_paths import dijkstra
-
-    num_nodes = topology.num_nodes
-    for landmark in ordered:
-        distances, parents = dijkstra(topology, landmark)
-        dist_row = [0.0] * num_nodes
-        parent_row = [-1] * num_nodes
-        for node, value in distances.items():
-            dist_row[node] = value
-        for node, parent in parents.items():
-            parent_row[node] = parent
-        result[landmark] = (dist_row, parent_row)
-    return result
+    return {
+        landmark: (dist_row, parent_row)
+        for landmark, dist_row, parent_row in topology.csr().batched_spt(
+            sorted(landmarks)
+        )
+    }
 
 
 def closest_landmarks(

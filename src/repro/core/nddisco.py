@@ -41,16 +41,10 @@ from repro.core.resolution import LandmarkResolutionDatabase
 from repro.core.shortcutting import ShortcutMode, _apply_per_hop
 from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import SubstrateTables
-from repro.core.vicinity import VicinityTable, compute_vicinities
-from repro.graphs.engine import get_engine
+from repro.core.vicinity import VicinityTable
 from repro.graphs.topology import Topology
 from repro.naming.names import FlatName, name_for_node
-from repro.protocols.base import (
-    LandmarkPathCache,
-    PairRouter,
-    RouteResult,
-    RoutingScheme,
-)
+from repro.protocols.base import LandmarkRouter, RouteResult, RoutingScheme
 
 __all__ = ["NDDiscoRouting"]
 
@@ -91,8 +85,7 @@ class NDDiscoRouting(RoutingScheme):
         slabs, mmap-attachable afterwards); ``vicinity_storage`` overrides
         the choice for the vicinity slabs and ``persist_storage=False``
         skips finishing a directory into a complete artifact.  Ignored on
-        the component-wise fallback path (reference engine, pre-supplied
-        ``vicinities``).
+        the component-wise path (pre-supplied ``vicinities``).
     build_stats / build_progress:
         Optional build instrumentation, forwarded to the slab-direct
         builder: ``build_stats`` (a dict) receives per-phase wall-clock
@@ -150,12 +143,12 @@ class NDDiscoRouting(RoutingScheme):
         # writes kernel results straight into the preallocated slabs --
         # fanning the SPT and vicinity phases over kernel threads and
         # optionally packing into mmap-backed storage.  Injected
-        # vicinities and the reference engine go through the component-wise
-        # assembler instead, the layer's reference (the two are asserted
-        # byte-identical in ``tests/test_substrate_build.py``).  Every
-        # attribute below is a thin list/dict-shaped view over the slabs.
+        # vicinities go through the component-wise assembler instead, the
+        # layer's reference (the two are asserted byte-identical in
+        # ``tests/test_substrate_build.py``).  Every attribute below is a
+        # thin list/dict-shaped view over the slabs.
         self._codec = LabelCodec(topology)
-        if vicinities is None and get_engine() == "csr":
+        if vicinities is None:
             self._tables: SubstrateTables = build_substrate_tables(
                 topology,
                 self._landmarks,
@@ -170,10 +163,6 @@ class NDDiscoRouting(RoutingScheme):
             )
         else:
             spts = landmark_spts(topology, self._landmarks)
-            if vicinities is None:
-                vicinities = compute_vicinities(
-                    topology, scale=vicinity_scale
-                )
             if len(vicinities) != n:
                 raise ValueError("vicinities must cover every node")
             self._tables = SubstrateTables.from_components(
@@ -448,7 +437,7 @@ class NDDiscoRouting(RoutingScheme):
         return self.router().later(source, target)
 
 
-class _NDDiscoRouter(PairRouter):
+class _NDDiscoRouter(LandmarkRouter):
     """NDDisco's forwarding rule (§4.2) over the substrate slabs.
 
     Direct if ``t ∈ V(s)`` or ``t`` is a landmark, else ``s ; ℓt ; t`` with
@@ -471,12 +460,9 @@ class _NDDiscoRouter(PairRouter):
         # view objects.
         self.vic_table = scheme.tables.vicinity
         self._vic_indexes = self.vic_table._indexes
-        self._num_nodes = scheme.topology.num_nodes
-        self.paths = LandmarkPathCache(scheme.tables, self._num_nodes)
         self._addr: dict[int, list[int]] = {}
         #: flat source * n + target -> (path, mechanism)
         self._compact: dict[int, tuple[list[int], str]] = {}
-        self._onward: dict[int, tuple[int, tuple[list[int], str] | None]] = {}
 
     # -- building blocks ----------------------------------------------------
 
@@ -570,45 +556,7 @@ class _NDDiscoRouter(PairRouter):
         self._compact[key] = result
         return result
 
-    def _resolver_onward(
-        self, target: int
-    ) -> tuple[int, tuple[list[int], str] | None]:
-        cached = self._onward.get(target)
-        if cached is None:
-            resolver = self.scheme._resolution.home_landmark(
-                self.scheme._names[target]
-            )
-            onward = (
-                self.compact(resolver, target) if resolver != target else None
-            )
-            cached = (resolver, onward)
-            self._onward[target] = cached
-        return cached
-
-    # -- the two route queries ----------------------------------------------
-
-    def _first(self, source: int, target: int) -> RouteResult:
-        if source == target:
-            return RouteResult(path=(source,), mechanism="self")
-        if self.knows_direct(source, target):
-            return RouteResult(
-                path=tuple(self.direct(source, target)), mechanism="direct"
-            )
-        if not self.scheme._resolve_first_packet:
-            path, mechanism = self.compact(source, target)
-            return RouteResult(path=tuple(path), mechanism=mechanism)
-        resolver, onward = self._resolver_onward(target)
-        to_resolver = self.paths.up(resolver, source)
-        if resolver == target:
-            return RouteResult(
-                path=tuple(to_resolver), mechanism="resolver-is-target"
-            )
-        assert onward is not None
-        full = to_resolver + onward[0][1:]
-        index = full.index(target)
-        return RouteResult(
-            path=tuple(full[: index + 1]), mechanism="resolve-then-route"
-        )
+    # -- the route queries (first packets: LandmarkRouter._first) -----------
 
     def _later(self, source: int, target: int) -> RouteResult:
         if source == target:

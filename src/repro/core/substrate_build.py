@@ -34,10 +34,10 @@ the choice for the vicinity slabs so e.g. a million-node build can put the
 SPT slabs on disk and keep the vicinity slabs in anonymous mmap.
 
 :meth:`SubstrateTables.from_components` over the public component
-functions stays as this layer's reference (the schemes take it for injected
-vicinities and under ``use_engine("reference")``);
-``tests/test_substrate_build.py`` asserts all slabs byte-identical across
-that reference, the serial loop, threaded builds, and an mmap re-attach.
+functions stays as this layer's reference (:class:`NDDiscoRouting` takes it
+for injected vicinities); ``tests/test_substrate_build.py`` asserts all
+slabs byte-identical across that reference, the serial loop, threaded
+builds, and an mmap re-attach.
 """
 
 from __future__ import annotations
@@ -92,8 +92,7 @@ def build_substrate_tables(
     Parameters
     ----------
     topology:
-        The network (CSR engine; the reference engine keeps using the
-        component-wise ``from_components`` path).
+        The network.
     landmarks:
         The landmark node ids (any iterable; processed in ascending order).
     codec:

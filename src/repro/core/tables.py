@@ -22,8 +22,8 @@ public scheme API reads like the per-node lists and dicts the kernels
 return.  Two builders fill the slabs: the slab-direct
 :func:`repro.core.substrate_build.build_substrate_tables` (production) and
 the component-wise :meth:`SubstrateTables.from_components`, this layer's
-reference, which the schemes take when vicinities are injected or
-``engine.use_engine("reference")`` is active.
+reference, which :class:`NDDiscoRouting` takes when vicinities are
+injected.
 
 Because the slabs are plain buffers they also serialize as raw bytes
 (:meth:`SubstrateTables.__getstate__`), deduplicating equal floats by

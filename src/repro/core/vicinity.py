@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.graphs.engine import get_engine
-from repro.graphs.shortest_paths import dijkstra_k_nearest, extract_path
+from repro.graphs.shortest_paths import extract_path
 from repro.graphs.topology import Topology
 from repro.utils.validation import require_positive
 
@@ -99,14 +98,6 @@ class VicinityTable:
         return max(self.distances.values()) if self.distances else 0.0
 
 
-def compute_vicinity(
-    topology: Topology, node: int, size: int
-) -> VicinityTable:
-    """Compute the vicinity of a single node (``size`` closest nodes)."""
-    distances, predecessors = dijkstra_k_nearest(topology, node, size)
-    return VicinityTable(node=node, distances=distances, predecessors=predecessors)
-
-
 def compute_vicinities(
     topology: Topology,
     *,
@@ -131,12 +122,8 @@ def compute_vicinities(
     if size is None:
         size = vicinity_size(topology.num_nodes, scale=scale)
     require_positive("size", size)
-    if get_engine() == "csr":
-        searches = topology.csr().batched_k_nearest(size)
-        return [
-            VicinityTable(node=node, distances=distances, predecessors=predecessors)
-            for node, (distances, predecessors) in enumerate(searches)
-        ]
+    searches = topology.csr().batched_k_nearest(size)
     return [
-        compute_vicinity(topology, node, size) for node in topology.nodes()
+        VicinityTable(node=node, distances=distances, predecessors=predecessors)
+        for node, (distances, predecessors) in enumerate(searches)
     ]

@@ -1,4 +1,4 @@
-"""Network dynamics: the event-driven churn engine and its replay oracle.
+"""Network dynamics: the event-driven churn engine and its event streams.
 
 The paper evaluates messaging "during initial convergence only, leaving
 continuous churn to future work" (§5.2), but the protocol design is full of
@@ -8,7 +8,7 @@ state fresh.  This package provides the future-work piece:
 
 * :mod:`repro.dynamics.churn` -- seed-era reproducible churn workloads
   (connectivity-preserving edge failures / recoveries) applied to a
-  topology; preserved as the replay oracle's event source.
+  topology; the ``churn-cost`` scenario's event source.
 * :mod:`repro.dynamics.stream` -- richer seeded event streams (edge
   up/down/reweight, node leave/join, partitions) on a tick timeline.
 * :mod:`repro.dynamics.calendar` -- the flat-array Dial bucket-queue event
@@ -25,13 +25,13 @@ state fresh.  This package provides the future-work piece:
   refreshed, how many sloppy-group dissemination messages that triggers, and
   how much routing state (landmark + vicinity entries) is affected --
   compared against the cost of reconverging from scratch.  The engine
-  charges the same bill without ever diffing full states.
+  charges this bill without ever diffing full states.
 """
 
 from repro.dynamics.calendar import EventCalendar
 from repro.dynamics.churn import ChurnEvent, ChurnWorkload, generate_churn_workload
 from repro.dynamics.engine import ChurnEngine, DirtyState, EventReport
-from repro.dynamics.maintenance import MaintenanceCost, maintenance_cost
+from repro.dynamics.maintenance import MaintenanceCost
 from repro.dynamics.stream import (
     EVENT_KINDS,
     DynEvent,
@@ -52,5 +52,4 @@ __all__ = [
     "events_from_workload",
     "generate_churn_workload",
     "generate_event_stream",
-    "maintenance_cost",
 ]

@@ -1,11 +1,10 @@
 """Event-driven churn engine: incremental substrate maintenance.
 
-The seed-era dynamics path ("replay") models one topology event by building
-a *fully reconverged* :class:`~repro.core.nddisco.NDDiscoRouting` on the
-mutated topology and diffing it against the previous state
-(:func:`~repro.dynamics.maintenance.maintenance_cost`).  That is the
-paper's accounting, but it costs a full |L|-SPT + n-vicinity rebuild per
-event.
+The paper's accounting of one topology event is the difference between a
+*fully reconverged* :class:`~repro.core.nddisco.NDDiscoRouting` on the
+mutated topology and the previous state, which costs a full |L|-SPT +
+n-vicinity rebuild per event (the tests' replay oracle,
+``tests/oracles/replay.py``, does exactly that).
 
 :class:`ChurnEngine` maintains the same converged state *incrementally*:
 
@@ -107,9 +106,8 @@ class EventReport:
         node or missing edge, duplicate leave/join, reweight to the same
         weight); no state changes and ``cost`` is all zeros.
     cost:
-        The incremental maintenance bill, identical to what
-        :func:`~repro.dynamics.maintenance.maintenance_cost` would charge
-        for the full before/after state diff.
+        The incremental maintenance bill, identical to what a full
+        before/after state diff would charge.
     rows_repaired:
         Landmark SPT rows that had at least one distance or parent change.
     vicinities_recomputed:

@@ -11,20 +11,20 @@ When a link fails or recovers, Disco does not reconverge from scratch:
   overlay messages);
 * everything else is untouched.
 
-:func:`maintenance_cost` quantifies this by diffing the converged state
-before and after a change and charging exactly those updates, giving the
-"cost of one event" number that the churn experiment compares against full
-reconvergence (the Fig. 8 cost).
+:class:`MaintenanceCost` is that bill: the "cost of one event" number the
+churn experiment compares against full reconvergence (the Fig. 8 cost).
+:class:`~repro.dynamics.engine.ChurnEngine` charges it per event from what
+its repairs changed; the tests check it against a full diff of the converged
+state before and after the change (``tests/oracles/replay.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.nddisco import NDDiscoRouting
 from repro.core.sloppy_groups import SloppyGrouping
 
-__all__ = ["MaintenanceCost", "maintenance_cost"]
+__all__ = ["MaintenanceCost"]
 
 
 @dataclass(frozen=True)
@@ -74,78 +74,3 @@ class MaintenanceCost:
 def _mean_group_size(grouping: SloppyGrouping) -> float:
     sizes = grouping.group_sizes()
     return sum(sizes.values()) / max(len(sizes), 1)
-
-
-def maintenance_cost(
-    before: NDDiscoRouting,
-    after: NDDiscoRouting,
-    *,
-    grouping: SloppyGrouping | None = None,
-) -> MaintenanceCost:
-    """Diff two converged NDDisco states and charge the incremental updates.
-
-    Parameters
-    ----------
-    before, after:
-        Converged protocol state on the topology before and after the change.
-        They must cover the same node set (node churn is modelled as edge
-        churn of the node's links, keeping ids stable).
-    grouping:
-        The sloppy grouping used to size re-announcements; defaults to a
-        grouping over ``after``'s names with the true n.
-    """
-    n_before = before.topology.num_nodes
-    n_after = after.topology.num_nodes
-    if n_before != n_after:
-        raise ValueError(
-            f"before/after node counts differ ({n_before} vs {n_after}); "
-            "model node churn as edge churn with stable node ids"
-        )
-    if grouping is None:
-        grouping = SloppyGrouping(after.names)
-
-    addresses_changed = 0
-    for node in range(n_after):
-        old = before.address_of(node)
-        new = after.address_of(node)
-        if old.landmark != new.landmark or old.route.path != new.route.path:
-            addresses_changed += 1
-
-    landmark_set_changed = before.landmarks != after.landmarks
-
-    # Vicinity repair: entries added, removed, or re-costed.
-    vicinity_entries_changed = 0
-    for node in range(n_after):
-        old_table = before.vicinities[node].distances
-        new_table = after.vicinities[node].distances
-        keys = set(old_table) | set(new_table)
-        for member in keys:
-            if member == node:
-                continue
-            if old_table.get(member) != new_table.get(member):
-                vicinity_entries_changed += 1
-
-    # Landmark-route repair: distance changes toward any landmark.
-    landmark_entries_changed = 0
-    shared_landmarks = before.landmarks & after.landmarks
-    for landmark in shared_landmarks:
-        for node in range(n_after):
-            if before.landmark_distance(landmark, node) != after.landmark_distance(
-                landmark, node
-            ):
-                landmark_entries_changed += 1
-    # Routes to appearing/disappearing landmarks are all new/withdrawn state.
-    changed_landmarks = before.landmarks ^ after.landmarks
-    landmark_entries_changed += len(changed_landmarks) * n_after
-
-    group_size = _mean_group_size(grouping)
-    dissemination_messages = int(round(addresses_changed * group_size))
-
-    return MaintenanceCost(
-        addresses_changed=addresses_changed,
-        landmark_set_changed=landmark_set_changed,
-        resolution_updates=addresses_changed,
-        dissemination_messages=dissemination_messages,
-        vicinity_entries_changed=vicinity_entries_changed,
-        landmark_entries_changed=landmark_entries_changed,
-    )

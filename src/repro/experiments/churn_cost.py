@@ -9,17 +9,12 @@ topology and, for each event, charges the incremental updates Disco needs
 landmark route repairs), comparing the per-event cost against the cost of
 reconverging from scratch.
 
-Two engines produce those per-event bills, selected by ``REPRO_DYNAMICS``:
-
-* ``event`` (default) -- the event-driven :class:`ChurnEngine`, which
-  maintains the converged substrate incrementally and charges the bill
-  without ever diffing full states.
-* ``replay`` -- the seed-era oracle: rebuild a fully reconverged
-  :class:`NDDiscoRouting` per event and diff
-  (:func:`~repro.dynamics.maintenance.maintenance_cost`).
-
-Both modes produce byte-identical scenario JSON (the differential tests
-pin this), so the fast engine is safe by construction.
+The per-event bills come from the event-driven :class:`ChurnEngine`, which
+maintains the converged substrate incrementally and charges the bill without
+ever diffing full states.  The seed-era way -- rebuild a fully reconverged
+:class:`NDDiscoRouting` per event and diff the two states -- is the oracle
+under ``tests/oracles/``; the differential tests pin this scenario's bills
+against it.
 
 The scenario shards by churn *trial* and by *event-stream segment* within
 a trial: each segment shard reconstructs its boundary topology by applying
@@ -34,14 +29,12 @@ practical under dynamics.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.core.landmarks import select_landmarks
-from repro.core.nddisco import NDDiscoRouting
 from repro.dynamics.churn import apply_event, generate_churn_workload
 from repro.dynamics.engine import ChurnEngine
-from repro.dynamics.maintenance import MaintenanceCost, maintenance_cost
+from repro.dynamics.maintenance import MaintenanceCost
 from repro.dynamics.stream import events_from_workload
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import header
@@ -50,22 +43,12 @@ from repro.sim.convergence import simulate_nddisco_convergence
 from repro.scenarios.spec import scenario
 from repro.utils.formatting import format_table
 
-__all__ = ["ChurnCostResult", "run", "format_report", "dynamics_mode"]
+__all__ = ["ChurnCostResult", "run", "format_report"]
 
 #: Default workload shape: trials x events, segments per trial for sharding.
 DEFAULT_NUM_EVENTS = 6
 DEFAULT_NUM_TRIALS = 1
 SEGMENTS_PER_TRIAL = 2
-
-
-def dynamics_mode() -> str:
-    """The churn engine selection: ``event`` (default) or ``replay``."""
-    mode = os.environ.get("REPRO_DYNAMICS", "event")
-    if mode not in ("event", "replay"):
-        raise ValueError(
-            f"REPRO_DYNAMICS must be 'event' or 'replay', got {mode!r}"
-        )
-    return mode
 
 
 @dataclass(frozen=True)
@@ -104,9 +87,8 @@ class ChurnCostResult:
 
 
 def _scenario_nodes(scale: ExperimentScale) -> int:
-    # The churn experiment converges full states (baseline and, in replay
-    # mode, one per event), so it runs on a moderately sized topology
-    # regardless of the global scale.
+    # The churn experiment converges a full message-level baseline, so it
+    # runs on a moderately sized topology regardless of the global scale.
     return min(scale.comparison_nodes, 256)
 
 
@@ -148,25 +130,11 @@ def _segment_costs(
     boundary = topology
     for event in workload.events[:lo]:
         boundary = apply_event(boundary, event)
-    # NDDiscoRouting defaults its landmark set to select_landmarks(n, seed),
-    # a pure function of (n, seed) -- every shard derives the same set
-    # without shipping state.
+    # The landmark set is a pure function of (n, seed) -- every shard
+    # derives the same set without shipping state.
     landmarks = select_landmarks(num_nodes, seed=scale.seed)
-    segment_events = workload.events[lo:hi]
-    if dynamics_mode() == "replay":
-        state = NDDiscoRouting(boundary, seed=scale.seed, landmarks=landmarks)
-        costs = []
-        current = boundary
-        for event in segment_events:
-            current = apply_event(current, event)
-            next_state = NDDiscoRouting(
-                current, seed=scale.seed, landmarks=landmarks
-            )
-            costs.append(maintenance_cost(state, next_state))
-            state = next_state
-        return costs
     engine = ChurnEngine(boundary, seed=scale.seed, landmarks=landmarks)
-    reports = engine.run(events_from_workload(segment_events))
+    reports = engine.run(events_from_workload(workload.events[lo:hi]))
     return [report.cost for report in reports]
 
 
@@ -248,22 +216,11 @@ def run(
         workload = generate_churn_workload(
             topology, num_events=num_events, seed=_trial_seed(scale, trial)
         )
-        if dynamics_mode() == "replay":
-            current = topology
-            state = NDDiscoRouting(current, seed=scale.seed, landmarks=landmarks)
-            for event in workload:
-                current = apply_event(current, event)
-                next_state = NDDiscoRouting(
-                    current, seed=scale.seed, landmarks=landmarks
-                )
-                per_event.append(maintenance_cost(state, next_state))
-                state = next_state
-        else:
-            engine = ChurnEngine(topology, seed=scale.seed, landmarks=landmarks)
-            per_event.extend(
-                report.cost
-                for report in engine.run(events_from_workload(workload.events))
-            )
+        engine = ChurnEngine(topology, seed=scale.seed, landmarks=landmarks)
+        per_event.extend(
+            report.cost
+            for report in engine.run(events_from_workload(workload.events))
+        )
     full = simulate_nddisco_convergence(
         topology, seed=scale.seed, landmarks=landmarks
     )

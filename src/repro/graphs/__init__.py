@@ -5,15 +5,13 @@ graphs exclusively through :class:`repro.graphs.Topology` and the functions in
 :mod:`repro.graphs.shortest_paths`.  Those functions are thin wrappers over
 the flat-array CSR kernels in :mod:`repro.graphs.csr` (generation-stamped
 scratch arrays, a BFS fast path for unit-weight graphs, batched multi-source
-drivers); the original dict-based implementation survives in
-:mod:`repro.graphs._reference_paths` as a differential-testing oracle and the
-"before" side of the perf harness (see :mod:`repro.graphs.engine`).
-``networkx`` is used only as a cross-check oracle in the test suite.
+drivers).  The seed's dict-based implementation is the differential oracle
+under ``tests/oracles/``; ``networkx`` is a second cross-check oracle, also
+used only in the test suite.
 """
 
 from repro.graphs.topology import Topology
 from repro.graphs.csr import CSRGraph
-from repro.graphs.engine import get_engine, set_engine, use_engine
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
@@ -47,7 +45,6 @@ __all__ = [
     "dijkstra_radius",
     "extract_path",
     "geometric_random_graph",
-    "get_engine",
     "gnm_random_graph",
     "grid_graph",
     "internet_as_level",
@@ -58,11 +55,9 @@ __all__ = [
     "ring_graph",
     "sample_nodes",
     "sample_pairs",
-    "set_engine",
     "shortest_path",
     "shortest_path_tree",
     "star_graph",
     "two_level_tree",
-    "use_engine",
     "write_edge_list",
 ]

@@ -20,8 +20,8 @@ Kernel selection
 
 The snapshot carries a :class:`WeightProfile` (cached on the topology
 alongside the CSR snapshot, invalidated on mutation) and picks one of three
-kernels per graph, all bit-identical to each other and to the dict-based
-reference engine:
+kernels per graph, all bit-identical to each other and to the seed's
+dict-based implementation (the oracle under ``tests/oracles/``):
 
 =========  ==========================================  =====================
 kernel     eligible when                               implementation
@@ -283,9 +283,8 @@ class CSRGraph:
         omitted.
     kernel:
         Force ``"bfs"`` / ``"bucket"`` / ``"heap"`` instead of the profiled
-        choice (used by the ``repro bench --kernel`` A/B harness and the
-        differential tests).  Raises ``ValueError`` when the forced kernel
-        is not applicable to this graph's weights.
+        choice (used by the differential tests).  Raises ``ValueError``
+        when the forced kernel is not applicable to this graph's weights.
     use_c:
         Force the C tier on (``True``) or off (``False``); default ``None``
         autodetects via :func:`repro.graphs._ckernels.load_kernels`.

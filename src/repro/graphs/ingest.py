@@ -35,6 +35,7 @@ import ctypes
 import hashlib
 import os
 from array import array
+from math import inf
 from typing import Callable, NamedTuple
 
 from repro.graphs import _ckernels
@@ -122,8 +123,9 @@ def parse_edge_list(path) -> ParsedEdges:
     malformed lines (wrong field count), non-numeric fields, and negative
     node ids raise immediately with the offending ``path:line``; ids
     exceeding a ``# nodes N`` header raise after the pass; self-loops and
-    non-positive weights raise last (the dict path surfaced them from
-    ``add_edge`` after parsing), first offender in arrival order wins.
+    weights that are not positive and finite raise last (the dict path
+    surfaced them from ``add_edge`` after parsing), first offender in
+    arrival order wins.
     Blank lines, CRLF line endings, and unknown ``#`` comments are
     ignored.
     """
@@ -178,7 +180,7 @@ def parse_edge_list(path) -> ParsedEdges:
             if deferred is None:
                 if u == v:
                     deferred = ("self-loop", u)
-                elif weight <= 0:
+                elif not 0 < weight < inf:
                     deferred = ("weight", weight)
             if u > v:
                 u, v = v, u
@@ -477,7 +479,7 @@ def ingest_file(
         kind, value = parsed.deferred
         if kind == "self-loop":
             raise ValueError(f"self-loops are not allowed (node {value})")
-        raise ValueError(f"edge weight must be > 0, got {value}")
+        raise ValueError(f"edge weight must be > 0 and finite, got {value}")
     topology_name = name or parsed.declared_name or os.path.basename(
         str(path)
     )

@@ -17,23 +17,21 @@ Determinism guarantees
 All functions operate on :class:`repro.graphs.Topology` and apply one shared
 rule in every variant: nodes settle in ``(distance, node id)`` order, and
 equal-distance predecessor ties resolve toward the smaller predecessor id.
-The guarantee holds across engines (CSR vs reference), across the CSR
-kernels (BFS / Dial bucket queue / indexed 4-ary heap), and across the
-compiled-C and pure-Python tiers, which is what lets the differential tests
-compare them bit for bit -- and what makes every experiment reproducible
-from its seed alone.
+The guarantee holds across the CSR kernels (BFS / Dial bucket queue /
+indexed 4-ary heap) and across the compiled-C and pure-Python tiers, and
+the seed's dict-based implementation (the oracle under ``tests/oracles/``)
+obeys the same rule, which is what lets the differential tests compare
+them bit for bit -- and what makes every experiment reproducible from its
+seed alone.
 
-Engine dispatch
----------------
-Since the CSR kernel refactor these functions are thin wrappers: by default
-they dispatch to the flat-array engine in :mod:`repro.graphs.csr`, cached
-per topology via :meth:`Topology.csr` (the cache also holds the scratch
-arena, which lives as long as the snapshot -- results returned here are
-fresh dicts and never alias it).  The kernel is chosen per graph from the
-cached :meth:`Topology.weight_profile`; see the decision table in
-``docs/ARCHITECTURE.md``.  Selecting the ``"reference"`` engine
-(:mod:`repro.graphs.engine`) routes every call to the original dict-based
-implementation instead.
+The engine
+----------
+These functions are thin wrappers over the flat-array engine in
+:mod:`repro.graphs.csr`, cached per topology via :meth:`Topology.csr` (the
+cache also holds the scratch arena, which lives as long as the snapshot --
+results returned here are fresh dicts and never alias it).  The kernel is
+chosen per graph from the cached :meth:`Topology.weight_profile`; see the
+decision table in ``docs/ARCHITECTURE.md``.
 
 Examples
 --------
@@ -52,8 +50,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.graphs import _reference_paths
-from repro.graphs.engine import get_engine
 from repro.graphs.topology import Topology
 
 __all__ = [
@@ -95,9 +91,7 @@ def dijkstra(
         hop on one shortest path (ties broken toward smaller node ids).
         ``predecessors`` has no entry for ``source``.
     """
-    if get_engine() == "csr":
-        return topology.csr().dijkstra(source, targets=targets)
-    return _reference_paths.dijkstra(topology, source, targets=targets)
+    return topology.csr().dijkstra(source, targets=targets)
 
 
 def dijkstra_k_nearest(
@@ -125,9 +119,7 @@ def dijkstra_k_nearest(
     >>> sorted(dijkstra_k_nearest(line, 2, 3)[0])
     [1, 2, 3]
     """
-    if get_engine() == "csr":
-        return topology.csr().dijkstra_k_nearest(source, k)
-    return _reference_paths.dijkstra_k_nearest(topology, source, k)
+    return topology.csr().dijkstra_k_nearest(source, k)
 
 
 def dijkstra_radius(
@@ -161,11 +153,7 @@ def dijkstra_radius(
     >>> sorted(dijkstra_radius(path, 0, 3.0, inclusive=True)[0])
     [0, 1, 2]
     """
-    if get_engine() == "csr":
-        return topology.csr().dijkstra_radius(source, radius, inclusive=inclusive)
-    return _reference_paths.dijkstra_radius(
-        topology, source, radius, inclusive=inclusive
-    )
+    return topology.csr().dijkstra_radius(source, radius, inclusive=inclusive)
 
 
 def shortest_path_tree(
@@ -252,7 +240,7 @@ def all_pairs_sampled_distances(
     """Return shortest distances for the given source-destination pairs.
 
     Sources are grouped so each distinct source runs a single early-stopping
-    search; on the CSR engine's C tier the whole grouped batch goes down
+    search; on the C tier the whole grouped batch goes down
     in one ``target_distances_batch`` kernel call, its sources fanned over
     ``threads`` in-kernel threads (:meth:`CSRGraph.batched_target_distances`;
     ``0`` pins the serial per-source loop).  Used as the stretch
@@ -263,6 +251,4 @@ def all_pairs_sampled_distances(
     ValueError
         If any target is unreachable from its source.
     """
-    if get_engine() == "csr":
-        return topology.csr().batched_target_distances(pairs, threads=threads)
-    return _reference_paths.all_pairs_sampled_distances(topology, pairs)
+    return topology.csr().batched_target_distances(pairs, threads=threads)

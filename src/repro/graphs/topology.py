@@ -567,7 +567,7 @@ class CSRTopology(Topology):
     All ``Topology`` read APIs answer straight off the slabs.  The parent's
     dict/list structures (``_adjacency`` / ``_edge_weights``) are exposed as
     lazily materializing properties so inherited code paths -- equality,
-    the dict-based reference engines -- keep working bit-identically; the
+    the tests' dict-based oracle -- keep working bit-identically; the
     materialized copies are cached but never consulted by the overrides.
     Mutation raises ``TypeError`` (convert with :meth:`to_dict_topology`
     first); ``copy()`` therefore shares the slabs.

@@ -1,13 +1,8 @@
-"""Performance harness: kernel and end-to-end benchmarks.
+"""Host description for the benchmark (``bench/``, outside the package).
 
-``repro bench`` (see :mod:`repro.perf.kernel_bench`) times the dict-based
-reference shortest-path engine against the CSR kernels -- both as raw kernel
-microbenchmarks and as end-to-end :class:`StaticSimulation` construction --
-and writes the results to ``BENCH_kernels.json``, seeding the repository's
-perf trajectory: future PRs rerun the bench and compare against the
-committed numbers.
+See :mod:`repro.perf.kernel_bench`.
 """
 
-from repro.perf.kernel_bench import BENCH_SCHEMA, bench_kernels, write_bench_json
+from repro.perf.kernel_bench import host_metadata
 
-__all__ = ["BENCH_SCHEMA", "bench_kernels", "write_bench_json"]
+__all__ = ["host_metadata"]

@@ -23,7 +23,13 @@ from typing import Sequence
 
 from repro.graphs.topology import Topology
 
-__all__ = ["LandmarkPathCache", "PairRouter", "RouteResult", "RoutingScheme"]
+__all__ = [
+    "LandmarkPathCache",
+    "LandmarkRouter",
+    "PairRouter",
+    "RouteResult",
+    "RoutingScheme",
+]
 
 
 @dataclass(frozen=True)
@@ -248,3 +254,59 @@ class LandmarkPathCache:
             path = list(reversed(self.down(landmark, node)))
             self._up[key] = path
         return path
+
+
+class LandmarkRouter(PairRouter):
+    """The first-packet rule ND-Disco and S4 share, written once.
+
+    Both schemes route a first packet the same way: the direct route if the
+    source holds one, else (with ``resolve_first_packet``) up the SPT of the
+    landmark that owns ``h(t)`` in the resolution database and on from there
+    by the scheme's compact route, cut where it first meets the target.
+    Subclasses supply ``knows_direct``, ``direct`` and ``compact``.
+    """
+
+    def __init__(self, scheme: RoutingScheme) -> None:
+        super().__init__(scheme)
+        self._num_nodes = scheme.topology.num_nodes
+        self.paths = LandmarkPathCache(scheme.tables, self._num_nodes)
+        #: target -> (resolver, compact route resolver .. target)
+        self._onward: dict[int, tuple[int, tuple[list[int], str] | None]] = {}
+
+    def _resolver_onward(
+        self, target: int
+    ) -> tuple[int, tuple[list[int], str] | None]:
+        cached = self._onward.get(target)
+        if cached is None:
+            resolver = self.scheme._resolution.home_landmark(
+                self.scheme._names[target]
+            )
+            onward = (
+                self.compact(resolver, target) if resolver != target else None
+            )
+            cached = (resolver, onward)
+            self._onward[target] = cached
+        return cached
+
+    def _first(self, source: int, target: int) -> RouteResult:
+        if source == target:
+            return RouteResult(path=(source,), mechanism="self")
+        if self.knows_direct(source, target):
+            return RouteResult(
+                path=tuple(self.direct(source, target)), mechanism="direct"
+            )
+        if not self.scheme._resolve_first_packet:
+            path, mechanism = self.compact(source, target)
+            return RouteResult(path=tuple(path), mechanism=mechanism)
+        resolver, onward = self._resolver_onward(target)
+        to_resolver = self.paths.up(resolver, source)
+        if resolver == target:
+            return RouteResult(
+                path=tuple(to_resolver), mechanism="resolver-is-target"
+            )
+        assert onward is not None
+        full = to_resolver + onward[0][1:]
+        return RouteResult(
+            path=tuple(full[: full.index(target) + 1]),
+            mechanism="resolve-then-route",
+        )

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.landmarks import closest_landmarks, landmark_spts, select_landmarks
+from repro.core.landmarks import select_landmarks
 from repro.core.resolution import LandmarkResolutionDatabase
 from repro.core.substrate_build import (
     build_ball_tables,
@@ -42,16 +42,9 @@ from repro.core.substrate_build import (
 from repro.core.tables import NodeSearchTables, SubstrateTables
 from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
 from repro.addressing.labels import LabelCodec
-from repro.graphs.engine import get_engine
-from repro.graphs.shortest_paths import dijkstra_radius
 from repro.graphs.topology import Topology
 from repro.naming.names import FlatName, name_for_node
-from repro.protocols.base import (
-    LandmarkPathCache,
-    PairRouter,
-    RouteResult,
-    RoutingScheme,
-)
+from repro.protocols.base import LandmarkRouter, RouteResult, RoutingScheme
 
 __all__ = ["S4Routing"]
 
@@ -148,51 +141,27 @@ class S4Routing(RoutingScheme):
         # reverse-cluster ("ball") searches: for each node w, find every node
         # v with d(w, v) < d(w, ℓw); those v have w in their cluster.  The
         # search tree also provides the shortest path from w back to v, which
-        # is the (reversed) route v uses to reach w.
-        if get_engine() == "csr":
-            # Slab-direct: kernel rows land straight in the slabs, fanned
-            # over kernel threads and optionally packed into mmap storage.
-            if substrate is None:
-                self._tables = build_substrate_tables(
-                    topology,
-                    self._landmarks,
-                    codec=self._codec,
-                    include_vicinity=False,
-                    threads=threads,
-                    storage=storage,
-                )
-            self._balls: NodeSearchTables = build_ball_tables(
-                topology, self._tables.closest_dist, threads=threads
+        # is the (reversed) route v uses to reach w.  Both builds are
+        # slab-direct: kernel rows land straight in the slabs, fanned over
+        # kernel threads and optionally packed into mmap storage.
+        if substrate is None:
+            self._tables = build_substrate_tables(
+                topology,
+                self._landmarks,
+                codec=self._codec,
+                include_vicinity=False,
+                threads=threads,
+                storage=storage,
             )
-        else:
-            # Reference engine: the component-wise assemblers.
-            if substrate is None:
-                spts = landmark_spts(topology, self._landmarks)
-                self._tables = SubstrateTables.from_components(
-                    n, spts, closest_landmarks(spts, n), None, self._codec
-                )
-            radii = self._tables.closest_dist
-            self._balls = NodeSearchTables.from_searches(
-                [
-                    dijkstra_radius(topology, node, radii[node])
-                    for node in range(n)
-                ]
-            )
+        self._balls: NodeSearchTables = build_ball_tables(
+            topology, self._tables.closest_dist, threads=threads
+        )
         self._addresses = (
             self._tables.addresses()
             if substrate is None
             else list(substrate.addresses)
         )
-        spts = self._tables.spt_rows()
-        self._closest_landmark, self._landmark_distance_of = (
-            self._tables.closest_rows()
-        )
-        self._landmark_distances = {
-            landmark: rows[0] for landmark, rows in spts.items()
-        }
-        self._landmark_parents = {
-            landmark: rows[1] for landmark, rows in spts.items()
-        }
+        self._closest_landmark = self._tables.closest_rows()[0]
         # Every ball row starts with its owner, so "member != node" is the
         # minus-one in cluster_sizes_from_members.
         self._cluster_sizes = cluster_sizes_from_members(self._balls.members, n)
@@ -339,7 +308,7 @@ class S4Routing(RoutingScheme):
         return self.router().later(source, target)
 
 
-class _S4Router(PairRouter):
+class _S4Router(LandmarkRouter):
     """S4's forwarding rule over the landmark and ball slabs.
 
     Direct if ``t`` is a landmark or ``t ∈ C(s)``, else toward ``ℓt`` with
@@ -355,12 +324,9 @@ class _S4Router(PairRouter):
         # per-node position index.
         self._ball_table = scheme.balls
         self._ball_indexes = self._ball_table._indexes
-        self._num_nodes = scheme.topology.num_nodes
-        self.paths = LandmarkPathCache(scheme.tables, self._num_nodes)
         #: flat holder * n + member / source * n + target keys
         self._cluster_paths: dict[int, list[int]] = {}
         self._compact: dict[int, tuple[list[int], str]] = {}
-        self._onward: dict[int, tuple[int, tuple[list[int], str] | None]] = {}
 
     def in_cluster(self, holder: int, member: int) -> bool:
         if holder == member:
@@ -418,43 +384,6 @@ class _S4Router(PairRouter):
             if self.in_cluster(node, target):
                 return route[:index] + self.cluster_path(node, target)
         return route
-
-    def _resolver_onward(
-        self, target: int
-    ) -> tuple[int, tuple[list[int], str] | None]:
-        cached = self._onward.get(target)
-        if cached is None:
-            resolver = self.scheme._resolution.home_landmark(
-                self.scheme._names[target]
-            )
-            onward = (
-                self.compact(resolver, target) if resolver != target else None
-            )
-            cached = (resolver, onward)
-            self._onward[target] = cached
-        return cached
-
-    def _first(self, source: int, target: int) -> RouteResult:
-        if source == target:
-            return RouteResult(path=(source,), mechanism="self")
-        if self.knows_direct(source, target):
-            return RouteResult(
-                path=tuple(self.direct(source, target)), mechanism="direct"
-            )
-        if not self.scheme._resolve_first_packet:
-            path, mechanism = self.compact(source, target)
-            return RouteResult(path=tuple(path), mechanism=mechanism)
-        resolver, onward = self._resolver_onward(target)
-        to_resolver = self.paths.up(resolver, source)
-        if resolver == target:
-            return RouteResult(
-                path=tuple(to_resolver), mechanism="resolver-is-target"
-            )
-        assert onward is not None
-        full = to_resolver + onward[0][1:]
-        if target in full[:-1]:
-            full = full[: full.index(target) + 1]
-        return RouteResult(path=tuple(full), mechanism="resolve-then-route")
 
     def _later(self, source: int, target: int) -> RouteResult:
         if source == target:

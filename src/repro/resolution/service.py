@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.addressing.address import Address
 from repro.core.resolution import ResolutionRecord
@@ -46,7 +46,6 @@ __all__ = [
     "RebalanceReport",
     "ShardedResolutionService",
     "VNodeRing",
-    "naive_successors",
 ]
 
 
@@ -710,38 +709,3 @@ class GroupContactIndex:
             if best is None or key < best:
                 best = key
         return best[1] if best is not None else None
-
-
-def naive_successors(
-    servers: Sequence[int],
-    key: int,
-    count: int,
-    *,
-    virtual_nodes: int = 1,
-) -> tuple[int, ...]:
-    """Brute-force successor computation: the full-scan placement oracle.
-
-    Recomputes every ring point with :func:`ring_point`, sorts all of them
-    by clockwise distance from ``key``, and collects the first ``count``
-    distinct owners.  Quadratic and allocation-happy by design -- this is
-    the reference the service's bisect ring is differentially pinned
-    against (and the "before" side of the ``resolution_scaling`` bench
-    family).  Ignores the (astronomically unlikely) token-collision nudge,
-    which the differential suite separately forces and checks.
-    """
-    require_positive("count", count)
-    points: list[tuple[int, int]] = []
-    for server in sorted(set(servers)):
-        for replica in range(virtual_nodes):
-            points.append((ring_point(server, replica), server))
-    if not points:
-        raise LookupError("no servers")
-    key %= HASH_SPACE
-    points.sort(key=lambda pair: ((pair[0] - key) % HASH_SPACE, pair[0]))
-    result: list[int] = []
-    for _, server in points:
-        if server not in result:
-            result.append(server)
-            if len(result) == count:
-                break
-    return tuple(result)

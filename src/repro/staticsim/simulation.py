@@ -66,12 +66,6 @@ class StaticSimulation:
         Overlay fingers per node in Disco.
     scheme_options:
         Extra per-protocol constructor options, keyed by protocol name.
-    share_substrate:
-        When True (default), protocols built on the same landmark set also
-        share the landmark shortest-path trees (NDDisco's trees are handed
-        to S4), exactly as one deployment would.  Set False to rebuild every
-        scheme from scratch -- the perf harness uses this to reproduce the
-        seed implementation's behavior as its "before" measurement.
     substrate_storage:
         Slab placement for the substrate builds (``"mmap"`` or a directory
         path; ``None`` keeps RAM arrays) -- forwarded as ``storage`` to
@@ -95,7 +89,6 @@ class StaticSimulation:
         shortcut_mode: ShortcutMode = ShortcutMode.NO_PATH_KNOWLEDGE,
         num_fingers: int = 1,
         scheme_options: Mapping[str, Mapping[str, object]] | None = None,
-        share_substrate: bool = True,
         substrate_storage: "str | None" = None,
         substrate_vicinity_storage: "str | None" = None,
     ) -> None:
@@ -105,7 +98,6 @@ class StaticSimulation:
         self._seed = seed
         self._shortcut_mode = shortcut_mode
         self._num_fingers = num_fingers
-        self._share_substrate = share_substrate
         self._substrate_storage = substrate_storage
         self._substrate_vicinity_storage = substrate_vicinity_storage
         self._options = {
@@ -197,7 +189,7 @@ class StaticSimulation:
                     # Identical landmark set implies identical SPTs,
                     # addresses, and closest-landmark rows; hand NDDisco's
                     # converged substrate to S4 instead of recomputing it.
-                    if self._share_substrate and "substrate" not in options:
+                    if "substrate" not in options:
                         options["substrate"] = get_nddisco()
                 # The substrate object cannot be hashed into the key, but it
                 # is fully determined by the topology content, the landmark

@@ -1,13 +1,12 @@
 """Reference dict-based Dijkstra kernels (the pre-CSR implementation).
 
 This is the original heapq-over-dicts engine the repository started with,
-preserved for two jobs:
-
-* **Differential oracle** -- the tests in ``tests/test_graphs_csr.py`` assert
-  that the CSR kernels return bit-identical distances and predecessors to
-  these functions across topology families.
-* **Perf baseline** -- ``repro bench`` times this engine as the "before"
-  column of ``BENCH_kernels.json``.
+preserved as the **differential oracle**: ``tests/test_graphs_csr.py``,
+``tests/test_graphs_kernels_weighted.py`` and
+``tests/test_substrate_tables.py`` assert that the CSR kernels, and the
+converged state the schemes build from them, are bit-identical to what these
+functions return across topology families.  Nothing under ``src/`` imports
+it.
 
 The only deliberate change from the seed code: ``dijkstra_k_nearest`` and
 ``dijkstra_radius`` now apply the same equal-distance smaller-predecessor

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.replay import maintenance_cost
 from repro.core.nddisco import NDDiscoRouting
 from repro.dynamics.churn import (
     ChurnEvent,
     apply_event,
     generate_churn_workload,
 )
-from repro.dynamics.maintenance import maintenance_cost
 from repro.graphs.generators import gnm_random_graph, line_graph, ring_graph
 from repro.graphs.topology import Topology
 

@@ -10,8 +10,8 @@ contract three ways:
   leave/join, including landmark failure) across the gnm / geometric /
   router-level topology families, checked after *every* event against a
   from-scratch engine on the same topology;
-* full :class:`NDDiscoRouting` state parity and per-event
-  :func:`maintenance_cost` bill parity against the replay oracle on
+* full :class:`NDDiscoRouting` state parity and per-event bill parity
+  against the replay oracle (``tests/oracles/replay.py``) on
   connectivity-preserving streams;
 * :func:`apply_maintenance` slab patches byte-identical to rebuilding
   :class:`SubstrateTables` from scratch.
@@ -28,6 +28,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles.replay import replay_bills
 from repro.addressing.labels import LabelCodec
 from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
@@ -40,7 +41,6 @@ from repro.dynamics import (
     events_from_workload,
     generate_churn_workload,
     generate_event_stream,
-    maintenance_cost,
 )
 from repro.dynamics.churn import apply_event
 from repro.graphs.generators import (
@@ -239,20 +239,33 @@ class TestEngineDifferential:
             == ChurnEngine.from_routing(routing).state_signature()
         )
 
-    def test_per_event_bills_match_replay_oracle(self):
-        topology = gnm_random_graph(48, seed=4, average_degree=6.0)
-        landmarks = select_landmarks(48, seed=4)
-        workload = generate_churn_workload(topology, num_events=8, seed=21)
-        engine = ChurnEngine(topology, seed=4, landmarks=landmarks)
+    @pytest.mark.parametrize(
+        "nodes, degree, seed, num_events, workload_seed",
+        [
+            (48, 6.0, 4, 8, 21),
+            # ``repro churn gnm N --events E --seed 1`` (workload seed =
+            # seed + 17): the two pairs CI used to ``cmp`` across --mode.
+            # 256 nodes give more landmark rows and vicinity candidates per
+            # event than 64.
+            (64, 8.0, 1, 6, 18),
+            (256, 8.0, 1, 24, 18),
+        ],
+        ids=["gnm48", "cli-gnm64-6", "cli-gnm256-24"],
+    )
+    def test_per_event_bills_match_replay_oracle(
+        self, nodes, degree, seed, num_events, workload_seed
+    ):
+        topology = gnm_random_graph(nodes, seed=seed, average_degree=degree)
+        landmarks = select_landmarks(nodes, seed=seed)
+        workload = generate_churn_workload(
+            topology, num_events=num_events, seed=workload_seed
+        )
+        engine = ChurnEngine(topology, seed=seed, landmarks=landmarks)
         reports = engine.run(events_from_workload(workload.events))
-        current = topology
-        state = NDDiscoRouting(current, seed=4, landmarks=landmarks)
-        for report, event in zip(reports, workload.events):
-            current = apply_event(current, event)
-            next_state = NDDiscoRouting(current, seed=4, landmarks=landmarks)
-            assert report.applied
-            assert report.cost == maintenance_cost(state, next_state)
-            state = next_state
+        assert all(report.applied for report in reports)
+        assert [report.cost for report in reports] == replay_bills(
+            topology, workload.events, seed=seed, landmarks=landmarks
+        )
 
     def test_from_routing_equals_direct_convergence(self):
         topology = geometric_random_graph(40, seed=7, average_degree=5.0)

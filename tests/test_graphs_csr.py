@@ -1,4 +1,4 @@
-"""Differential tests: CSR kernels vs the dict-based reference engine.
+"""Differential tests: CSR kernels vs the dict-based oracle.
 
 The CSR subsystem (:mod:`repro.graphs.csr`) must be a pure performance
 change: for every kernel, every topology family, and every truncation mode,
@@ -18,10 +18,9 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs import _reference_paths as reference
+from oracles import reference_paths as reference
 from repro.graphs._ckernels import load_kernels
 from repro.graphs.csr import CSRGraph, kernel_threads
-from repro.graphs.engine import get_engine, set_engine, use_engine
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
@@ -226,31 +225,18 @@ class TestCSRCache:
 
 
 class TestEngineSwitch:
-    def test_default_engine_is_csr(self):
-        assert get_engine() == "csr"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            set_engine("numpy")
-
-    def test_use_engine_restores_previous(self):
-        with use_engine("reference"):
-            assert get_engine() == "reference"
-            with use_engine("csr"):
-                assert get_engine() == "csr"
-            assert get_engine() == "reference"
-        assert get_engine() == "csr"
+    """The public API against the oracle.  (There is no switch any more;
+    the class keeps its name so the surviving test keeps its id.)"""
 
     def test_public_api_identical_across_engines(self):
         topology = geometric_random_graph(70, seed=8, average_degree=6.0)
         pairs = [(0, 5), (3, 40), (3, 9), (22, 61)]
-        with use_engine("reference"):
-            expected = (
-                dijkstra(topology, 3),
-                dijkstra_k_nearest(topology, 3, 12),
-                dijkstra_radius(topology, 3, 2.0),
-                all_pairs_sampled_distances(topology, pairs),
-            )
+        expected = (
+            reference.dijkstra(topology, 3),
+            reference.dijkstra_k_nearest(topology, 3, 12),
+            reference.dijkstra_radius(topology, 3, 2.0),
+            reference.all_pairs_sampled_distances(topology, pairs),
+        )
         actual = (
             dijkstra(topology, 3),
             dijkstra_k_nearest(topology, 3, 12),

@@ -204,6 +204,22 @@ class TestEdgeListErrorSemantics:
         with pytest.raises(ValueError, match="must be > 0"):
             ingest_file(path, backend=backend)
 
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize(
+        "weight", ["inf", "-inf", "nan", "1e999", "0", "-1"]
+    )
+    def test_weight_must_be_positive_and_finite(
+        self, tmp_path, backend, weight
+    ):
+        # ``weight <= 0`` is false for inf and NaN: the csr backend used to
+        # load them into a topology whose searches return inf / nan.
+        path = tmp_path / "bad.edges"
+        path.write_text(f"0 1\n1 2 {weight}\n2 3\n")
+        with pytest.raises(
+            ValueError, match="edge weight must be > 0 and finite, got"
+        ):
+            ingest_file(path, backend=backend)
+
     def test_line_errors_precede_deferred_self_loop(self, tmp_path):
         # Legacy read_edge_list parsed every line before adding edges, so a
         # malformed later line outranked an earlier self-loop; preserved.

@@ -29,7 +29,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs import _reference_paths as reference
+from oracles import reference_paths as reference
 from repro.graphs._ckernels import load_kernels
 from repro.graphs.csr import (
     DIAL_MAX_QUANTA,

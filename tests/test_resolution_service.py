@@ -6,7 +6,7 @@ prefix-range contact lookup, arc-scoped rebalance).  Every one of those
 re-implementations is pinned here against brute-force recomputation or
 the converged-state oracles:
 
-* :class:`VNodeRing` vs :func:`naive_successors` and
+* :class:`VNodeRing` vs :func:`naive_successors` (here) and
   :class:`ConsistentHashRing` across randomized memberships, virtual-node
   counts, and churn sequences -- including a forced token-collision run
   that exercises the nudge fallback;
@@ -53,6 +53,7 @@ from repro.experiments.config import ExperimentScale
 from repro.graphs.generators import gnm_random_graph
 from repro.cli import main as cli_main
 from repro.naming import HASH_SPACE, ConsistentHashRing, FlatName, name_for_node
+from repro.naming.consistent_hash import ring_point
 from repro.naming.hashspace import common_prefix_length, in_clockwise_interval
 from repro.resolution import (
     GroupContactIndex,
@@ -62,7 +63,7 @@ from repro.resolution import (
     generate_lookup_workload,
     run_traffic,
 )
-from repro.resolution.service import RebalanceReport, naive_successors
+from repro.resolution.service import RebalanceReport
 from repro.scenarios.engine import run_scenarios
 
 _SETTINGS = settings(
@@ -318,6 +319,40 @@ def _forged(label: str, hash_value: int) -> FlatName:
     name = FlatName(label)
     name._hash_value = hash_value
     return name
+
+
+def naive_successors(
+    servers,
+    key: int,
+    count: int,
+    *,
+    virtual_nodes: int = 1,
+) -> tuple[int, ...]:
+    """Brute-force successor computation: the full-scan placement oracle.
+
+    Recomputes every ring point with :func:`ring_point`, sorts all of them
+    by clockwise distance from ``key``, and collects the first ``count``
+    distinct owners.  Quadratic and allocation-happy by design -- this is
+    the reference the service's bisect ring is differentially pinned
+    against.  Ignores the (astronomically unlikely) token-collision nudge,
+    which the differential suite separately forces and checks.
+    """
+    assert count > 0
+    points: list[tuple[int, int]] = []
+    for server in sorted(set(servers)):
+        for replica in range(virtual_nodes):
+            points.append((ring_point(server, replica), server))
+    if not points:
+        raise LookupError("no servers")
+    key %= HASH_SPACE
+    points.sort(key=lambda pair: ((pair[0] - key) % HASH_SPACE, pair[0]))
+    result: list[int] = []
+    for _, server in points:
+        if server not in result:
+            result.append(server)
+            if len(result) == count:
+                break
+    return tuple(result)
 
 
 def _scan_oracle(service, arcs):

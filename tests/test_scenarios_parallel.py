@@ -8,9 +8,15 @@ documents and text reports to a serial run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+from oracles.replay import replay_bills
+from repro.core.landmarks import select_landmarks
+from repro.dynamics.churn import generate_churn_workload
+from repro.experiments import churn_cost
 from repro.experiments.config import ExperimentScale
+from repro.experiments.workloads import sweep_gnm
 from repro.scenarios.engine import run_scenarios
 
 TINY = ExperimentScale(
@@ -207,30 +213,34 @@ class TestChurnScenarioSharding:
                 serial_dir / f"{scenario_id}.json"
             ).read_bytes()
 
-    def test_event_engine_matches_replay_oracle_json(
-        self, tmp_path, monkeypatch
-    ):
-        """REPRO_DYNAMICS=replay (per-event full reconvergence, the seed
-        era's engine) and the default event engine must produce
-        byte-identical churn-cost scenario JSON."""
-        monkeypatch.setenv("REPRO_DYNAMICS", "event")
-        event_dir = tmp_path / "event"
+    def test_event_engine_matches_replay_oracle_json(self, tmp_path):
+        """The churn-cost scenario's per-event bills (event engine, sharded
+        by segment over two workers) equal the replay oracle's -- per-event
+        full reconvergence plus a state diff -- on the same workload, run
+        unsharded."""
         run_scenarios(
             ["churn-cost"],
             scale=TINY,
             workers=2,
-            json_dir=event_dir,
-            cache=tmp_path / "cache-event",
+            json_dir=tmp_path,
+            cache=tmp_path / "cache",
         )
-        monkeypatch.setenv("REPRO_DYNAMICS", "replay")
-        replay_dir = tmp_path / "replay"
-        run_scenarios(
-            ["churn-cost"],
-            scale=TINY,
-            workers=1,
-            json_dir=replay_dir,
-            cache=None,
+        result = json.loads((tmp_path / "churn-cost.json").read_text())["result"]
+
+        num_nodes = churn_cost._scenario_nodes(TINY)
+        topology = sweep_gnm(num_nodes, TINY.seed)
+        workload = generate_churn_workload(
+            topology,
+            num_events=churn_cost.DEFAULT_NUM_EVENTS,
+            seed=churn_cost._trial_seed(TINY, 0),
         )
-        assert (event_dir / "churn-cost.json").read_bytes() == (
-            replay_dir / "churn-cost.json"
-        ).read_bytes()
+        bills = replay_bills(
+            topology,
+            workload.events,
+            seed=TINY.seed,
+            landmarks=select_landmarks(num_nodes, seed=TINY.seed),
+        )
+        assert result["trials"] == 1
+        assert result["per_event"] == [
+            dataclasses.asdict(bill) for bill in bills
+        ]

@@ -51,19 +51,9 @@ class TestWarmRewire:
         disco = warm.scheme("disco")
         # Disco embeds the very substrate object.
         assert disco.nddisco is nd
-        # S4 reattaches to the substrate's rows/addresses, not copies.
-        for landmark in nd.landmarks:
-            assert (
-                s4._landmark_distances[landmark]
-                is nd.landmark_spts[landmark][0]
-            )
-            assert (
-                s4._landmark_parents[landmark]
-                is nd.landmark_spts[landmark][1]
-            )
-        closest, closest_distance = nd.closest_landmark_rows
-        assert s4._closest_landmark is closest
-        assert s4._landmark_distance_of is closest_distance
+        # S4 reattaches to the substrate's slabs/addresses, not copies.
+        assert s4.tables is nd.tables
+        assert s4._closest_landmark is nd.closest_landmark_rows[0]
         for node in range(topology.num_nodes):
             assert s4._addresses[node] is nd.addresses[node]
             assert s4._names[node] is nd.names[node]
@@ -74,19 +64,8 @@ class TestWarmRewire:
         cold, warm, _ = _warm_simulation(tmp_path / "cache")
         for simulation in (cold, warm):
             nd = simulation.scheme("nd-disco")
-            spt_row_ids = {
-                id(rows[index])
-                for rows in nd.landmark_spts.values()
-                for index in (0, 1)
-            }
-            for name in ("s4", "disco"):
-                scheme = simulation.scheme(name)
-                if name == "disco":
-                    scheme = scheme.nddisco
-                for landmark, distances in scheme._landmark_distances.items():
-                    assert id(distances) in spt_row_ids
-                for landmark, parents in scheme._landmark_parents.items():
-                    assert id(parents) in spt_row_ids
+            assert simulation.scheme("s4").tables is nd.tables
+            assert simulation.scheme("disco").nddisco.tables is nd.tables
 
     def test_every_warm_scheme_shares_the_workload_topology(self, tmp_path):
         _, warm, topology = _warm_simulation(tmp_path / "cache")
