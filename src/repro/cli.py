@@ -987,10 +987,12 @@ def _command_churn(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     engine = ChurnEngine(topology, seed=args.seed, landmarks=landmarks)
+    converged = time.perf_counter() - started
+    started = time.perf_counter()
     reports = engine.run(events)
+    elapsed = time.perf_counter() - started
     costs = [report.cost for report in reports]
     applied = [report.applied for report in reports]
-    elapsed = time.perf_counter() - started
 
     rows = []
     for index, (event, cost) in enumerate(zip(events, costs)):
@@ -1025,10 +1027,14 @@ def _command_churn(args: argparse.Namespace) -> int:
     )
     total = sum(cost.total_incremental_entries for cost in costs)
     rate = len(events) / elapsed if elapsed > 0 else float("inf")
+    print(f"total incremental entries: {total}")
     print(
-        f"total incremental entries: {total}  "
-        f"({elapsed:.2f}s, {rate:.1f} events/s)"
+        f"converged in {converged:.3f}s; {len(events)} events in "
+        f"{elapsed:.3f}s ({rate:.1f} events/s)"
     )
+    sent = sum(report.vicinities_recomputed for report in reports)
+    stored = sum(report.vicinities_stored for report in reports)
+    print(f"vicinity rows: {sent} sent to the kernel, {stored} stored")
     if args.json:
         payload = {
             "schema": "repro-churn-bills/v1",

@@ -18,14 +18,16 @@ n-vicinity rebuild per event (the tests' replay oracle,
   landmark changed (ascending landmark order, strict ``<``, matching
   :func:`repro.core.landmarks.closest_landmarks`).
 * **Vicinities** are recomputed only for *candidate* nodes -- those whose
-  current vicinity radius reaches an event endpoint (old-graph distances
-  for failures/increases, new-graph for recoveries/decreases).  Every
-  non-candidate's vicinity is provably bit-identical before and after.
-  The vicinities are three slabs of fixed stride ``min(k, n)`` (members /
-  dists / parents in settle order, the kernel's own row layout) with a
-  length column and the maintained radius array; an event's candidates go
-  down in one batched kernel call and a row that comes back equal to the
-  stored one is skipped.
+  stored row has an event arc among the relaxations that produced it (a
+  tree arc when the arc worsens; an offer that beats a member or the row's
+  boundary when it improves), read only where the vicinity radius reaches
+  the event's endpoints.  Every non-candidate's vicinity is provably
+  bit-identical before and after, and every candidate's row changes (but
+  for a weight change absorbed by rounding).  The vicinities are three
+  slabs of fixed stride ``min(k, n)`` (members / dists / parents in settle
+  order, the kernel's own row layout) with a length column and the
+  maintained radius array; an event's candidates go down in one batched
+  kernel call.
 * **Addresses** (closest landmark + landmark-tree path) are re-derived
   only for nodes whose closest landmark changed or that are new-tree
   descendants of a parent change inside their closest landmark's row.
@@ -111,8 +113,12 @@ class EventReport:
     rows_repaired:
         Landmark SPT rows that had at least one distance or parent change.
     vicinities_recomputed:
-        Candidate nodes whose vicinity was re-derived (an upper bound on
-        the nodes whose vicinity actually changed).
+        Vicinity rows sent to the k-nearest kernel: the candidate filter's
+        answer, read off the stored rows.
+    vicinities_stored:
+        Rows that came back different (members, distances or parents) and
+        were stored.  Equal to ``vicinities_recomputed`` unless a weight
+        change was absorbed by rounding.
     """
 
     event: DynEvent
@@ -120,6 +126,7 @@ class EventReport:
     cost: MaintenanceCost = field(default=_ZERO_COST)
     rows_repaired: int = 0
     vicinities_recomputed: int = 0
+    vicinities_stored: int = 0
 
     @property
     def protocol_messages(self) -> int:
@@ -331,14 +338,15 @@ class ChurnEngine:
         self, node: int
     ) -> tuple[memoryview, memoryview, memoryview]:
         """Flat ``(members, dists, parents)`` row of one node, in settle
-        order, as views of the engine's slabs; read-only."""
+        order, as read-only views of the engine's slabs (the stored row
+        decides whether an event recomputes it)."""
         lo = node * self._stride
         hi = lo + self._vicinity_lengths[node]
         members, dists, parents = self._vicinity_slabs
         return (
-            memoryview(members)[lo:hi],
-            memoryview(dists)[lo:hi],
-            memoryview(parents)[lo:hi],
+            memoryview(members).toreadonly()[lo:hi],
+            memoryview(dists).toreadonly()[lo:hi],
+            memoryview(parents).toreadonly()[lo:hi],
         )
 
     @property
@@ -356,12 +364,12 @@ class ChurnEngine:
         return row * self._num_nodes, (row + 1) * self._num_nodes
 
     def landmark_row(self, landmark: int) -> tuple[memoryview, memoryview]:
-        """Dense ``(dist, parent)`` row for one landmark, as views of the
-        engine's slabs; read-only."""
+        """Dense ``(dist, parent)`` row for one landmark, as read-only
+        views of the engine's slabs."""
         lo, hi = self._row_bounds(landmark)
         return (
-            memoryview(self._dist_slab)[lo:hi],
-            memoryview(self._parent_slab)[lo:hi],
+            memoryview(self._dist_slab).toreadonly()[lo:hi],
+            memoryview(self._parent_slab).toreadonly()[lo:hi],
         )
 
     @property
@@ -424,11 +432,26 @@ class ChurnEngine:
             rows[index * n : (index + 1) * n] for index in range(len(nodes))
         ]
 
-    def _patch_vicinities(self, candidates: array) -> int:
+    def _candidates(
+        self, endpoint_rows, arcs, weights: list[float] | None = None
+    ) -> array:
+        """The rows an event over ``arcs`` changes (``weights``: their new,
+        lighter weights; ``None``: they were removed or made heavier)."""
+        return vicinity_candidates(
+            endpoint_rows,
+            self._radius,
+            arcs,
+            self._vicinity_slabs,
+            self._vicinity_lengths,
+            weights=weights,
+        )
+
+    def _patch_vicinities(self, candidates: array) -> tuple[int, int]:
         """Recompute the candidates' rows in one batched kernel call; store
-        and bill (members whose distance entry differs) the changed ones."""
+        and bill (members whose distance entry differs) the changed ones.
+        Returns the bill and the number of rows stored."""
         if not candidates:
-            return 0
+            return 0, 0
         fresh = self._topology.csr().k_nearest_batch_flat(self._k, candidates)
         changed, entries_changed = commit_vicinities(
             candidates,
@@ -438,7 +461,7 @@ class ChurnEngine:
             self._radius,
         )
         self._dirty_vicinities.update(changed)
-        return entries_changed
+        return entries_changed, len(changed)
 
     def _patch_addresses(self, changes: RowChanges) -> int:
         """Refold closest landmarks and re-derive the stale addresses."""
@@ -466,7 +489,7 @@ class ChurnEngine:
     ) -> EventReport:
         """Everything after the row repair and the candidate filter: patch
         vicinities, closest landmarks and addresses, and bill the event."""
-        vicinity_entries = self._patch_vicinities(candidates)
+        vicinity_entries, stored = self._patch_vicinities(candidates)
         addresses_changed = self._patch_addresses(changes)
         for row, dist_changed, parent_changed in changes:
             row_dirty = self._dirty_rows.setdefault(
@@ -490,6 +513,7 @@ class ChurnEngine:
             cost=cost,
             rows_repaired=len(changes),
             vicinities_recomputed=len(candidates),
+            vicinities_stored=stored,
         )
 
     def _repair_slabs(self, repair, *event) -> RowChanges:
@@ -546,7 +570,7 @@ class ChurnEngine:
         new_weight = _INF if kind == "edge-down" else float(event.weight)
         if new_weight == old_weight:
             return self._noop(event)
-        # The candidate filter judges the graph that has the edge at its
+        # The candidate prefilter judges the graph that has the edge at its
         # lighter weight: the old graph (searched before the mutation) when
         # the edge worsens, the new graph otherwise.
         worsens = new_weight > old_weight
@@ -563,8 +587,8 @@ class ChurnEngine:
         else:
             changes = self._repair_slabs(repair_rows_after_decrease, [(u, v)])
             endpoint_rows = self._endpoint_rows(u, v)
-        candidates = vicinity_candidates(
-            endpoint_rows, self._radius, tight=min(old_weight, new_weight)
+        candidates = self._candidates(
+            endpoint_rows, [(u, v)], None if worsens else [new_weight]
         )
         return self._absorb(event, changes, candidates)
 
@@ -580,7 +604,9 @@ class ChurnEngine:
         self._captured[node] = incident
         self._dead.add(node)
         changes = self._repair_slabs(repair_rows_after_detach, node, arcs)
-        candidates = vicinity_candidates(old_row, self._radius)
+        candidates = self._candidates(
+            old_row, [(node, neighbor) for neighbor, _ in arcs]
+        )
         return self._absorb(event, changes, candidates)
 
     def _apply_join(self, event: DynEvent) -> EventReport:
@@ -589,6 +615,7 @@ class ChurnEngine:
             return self._noop(event)
         self._dead.discard(node)
         restored: list[tuple[int, int]] = []
+        weights: list[float] = []
         for _, neighbor, weight in self._captured.pop(node, []):
             if neighbor in self._dead:
                 # The far endpoint left after we did; it now owns the edge
@@ -600,10 +627,11 @@ class ChurnEngine:
             else:
                 self._topology.add_edge(node, neighbor, weight)
                 restored.append((node, neighbor))
+                weights.append(weight)
         # One repair per row over the whole restored edge set.
         changes = self._repair_slabs(repair_rows_after_decrease, restored)
-        candidates = vicinity_candidates(
-            self._endpoint_rows(node), self._radius
+        candidates = self._candidates(
+            self._endpoint_rows(node), restored, weights
         )
         return self._absorb(event, changes, candidates)
 

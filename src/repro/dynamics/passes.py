@@ -7,8 +7,9 @@ runs three more passes, each one call here:
 * :func:`refold_closest` -- the closest landmark of every node whose
   distance to some landmark moved, and from it and the rows' parent changes
   the addresses to re-derive;
-* :func:`vicinity_candidates` -- the nodes whose vicinity the event may
-  change, from the endpoint-rooted distance rows and the radius array;
+* :func:`vicinity_candidates` -- the nodes whose vicinity row the event
+  changes: the endpoint-rooted distance rows and the radius array pick the
+  rows to read, and each row read says itself whether it changes;
 * :func:`commit_vicinities` -- the recomputed candidate rows compared with
   the stored fixed-stride slabs, the changed ones stored and billed.
 
@@ -35,17 +36,16 @@ from repro.graphs.topology import Topology
 
 __all__ = ["refold_closest", "vicinity_candidates", "commit_vicinities"]
 
-#: Relative slack for the vicinity-candidate tests.  Those tests compare
-#: *endpoint-rooted* distances (one Dijkstra per event endpoint) against
-#: quantities from each node's own *x-rooted* search (its vicinity radius,
-#: its view of an edge's tightness).  On irregular-float graphs the two
-#: root orders sum the same path's weights in opposite order, so they can
-#: disagree by a few ulps; a candidate test with exact comparisons would
-#: then wrongly exclude a node whose own search sees the boundary as tight.
-#: The margin is ~1e5 times any achievable accumulation error (paths of h
-#: hops carry at most ~2*h*2**-52 relative rounding error) while staying
-#: far below any genuine slack, and over-inclusion is harmless: an extra
-#: candidate recomputes an identical row and bills zero.
+#: Relative slack for the vicinity-candidate prefilter.  It compares
+#: *endpoint-rooted* distances (one Dijkstra per event endpoint) against a
+#: quantity from each node's own *x-rooted* search, its vicinity radius.  On
+#: irregular-float graphs the two root orders sum the same path's weights in
+#: opposite order, so they can disagree by a few ulps; an exact comparison
+#: would then wrongly skip a node whose own search sees the endpoint on its
+#: boundary.  The margin is ~1e5 times any achievable accumulation error
+#: (paths of h hops carry at most ~2*h*2**-52 relative rounding error) while
+#: staying far below any genuine slack, and over-inclusion is harmless: an
+#: extra row is read and judged by its own, exact, entries.
 #: ``VICINITY_REL_SLACK`` in ``_kernels.c`` is the same number.
 _REL_SLACK = 1e-9
 
@@ -56,6 +56,16 @@ def _id_array(ids) -> array:
     if isinstance(ids, array) and ids.typecode == "q":
         return ids
     return array("q", ids)
+
+
+def _stored_rows(stored, n: int) -> tuple[int, list]:
+    """The stride of the engine's ``(members, dists, parents)`` vicinity
+    slabs over ``n`` nodes, and the three as checked C arguments."""
+    stride = len(stored[0]) // n if n else 0
+    return stride, [
+        buffer_arg(slab, code, n * stride, f"stored {name}")
+        for slab, code, name in zip(stored, "qdq", _ROW_SLABS)
+    ]
 
 
 def refold_closest(
@@ -185,90 +195,134 @@ def refold_closest(
 
 
 def vicinity_candidates(
-    endpoint_rows: Sequence, radius, *, tight: float | None = None
+    endpoint_rows: Sequence,
+    radius,
+    arcs: Sequence[tuple[int, int]],
+    stored,
+    lengths,
+    *,
+    weights: Sequence[float] | None = None,
 ) -> array:
-    """Nodes whose vicinity may change: radius reaches an endpoint.
+    """Nodes whose vicinity row the event changes, ascending.
 
-    ``radius[x]`` is node ``x``'s candidate threshold (its farthest member's
-    distance, ``inf`` for a component-limited vicinity).  A node event
-    passes one row, the distances from the node in the graph that has it
-    attached, and ``x`` is a candidate when that distance is within its
-    radius.  An edge event passes the two endpoint rows and ``tight``, the
-    edge weight, all in the judged graph (the old graph for increase-type
-    events, the new graph for decrease-type), and the filter sharpens in
-    two sound ways:
+    The event is the edge set ``arcs`` -- ``(u, v)`` pairs, each tested in
+    both directions ``a -> b`` -- *worsened* when ``weights`` is ``None``
+    (removed or made heavier: ``edge-down``, ``edge-reweight`` upward, the
+    captured arcs of a ``node-leave``) and otherwise *improved* (added or
+    made lighter: ``edge-up``, ``edge-reweight`` downward, the restored arcs
+    of a ``node-join``) to ``weights[i]`` for pair ``i``.  ``stored`` is the
+    engine's ``(members, dists, parents)`` slabs, node ``x``'s row at
+    ``x * stride`` with ``lengths[x]`` entries in settle order, as
+    :func:`commit_vicinities` takes them.
 
-    * the edge must be *tight* from the node's view:
-      ``min(d(x,u), d(x,v)) + w == max(d(x,u), d(x,v))``.  A slack edge
-      lies on no shortest path from ``x`` and contributes no tight
-      predecessor arc, so neither the distance multiset nor the
-      canonical predecessors of ``x``'s truncated search can change --
-      the only arc whose tightness the event can alter is ``(u, v)``
-      itself, and for a slack-arc node it stays slack on both sides of
-      the event;
-    * the *far* endpoint must lie within the radius:
-      ``min(d(x,u), d(x,v)) + w <= R_x``.  Every change to ``x``'s row
-      -- a member distance routed through the edge, a membership swap
-      it causes, or the ``(u, v)`` arc flipping a canonical
-      predecessor -- requires a path from ``x`` through the *whole*
-      edge to a node at most ``R_x`` away, and any such path already
-      costs ``min(d(x,u), d(x,v)) + w`` to clear the far endpoint.
+    **Prefilter.**  ``endpoint_rows`` holds one or two distance rows rooted
+    at the event's endpoints (the node of a node event, both ends of an edge
+    event) in the graph that has the edges at their lighter weight -- the
+    old graph when they worsen, the new one when they improve -- and
+    ``radius[x]`` is ``x``'s last member's distance (``inf`` for a
+    component-limited vicinity).  Row ``x`` is read only when every endpoint
+    is within ``radius[x]``, widened by :data:`_REL_SLACK` because the two
+    are rooted at opposite ends: a row the event changes has both ends of
+    some event arc inside its radius in that graph.
 
-    Nodes that reach neither endpoint in the judged graph are skipped
-    for the same reason: the event happens outside their component.
-    Both tests carry a :data:`_REL_SLACK` margin because the endpoint
-    rows are root-ordered differently from each node's own search (see
-    the constant's note); the margin only ever *adds* candidates.
-    Returns the candidates in ascending order.
+    **Row test.**  The kernels settle nodes in (distance, id) order, relax
+    with one float add ``dist[pred] + w``, and give a node its min-id tight
+    neighbour as parent, so a truncated search is a function of the
+    relaxations out of its settled nodes, and the first place a search on
+    the mutated graph can leave the stored row is a relaxation over an
+    event arc ``a -> b`` out of a member ``a``.  With the row's members
+    ``M``, distances ``d``, parents ``p``, and ``(R, z)`` the (distance, id)
+    of the last member of a full (``stride``-entry) row:
+
+    * *worsen* changes the row only if the arc is one of its tree arcs:
+      ``b in M`` and ``p[b] == a``.  A slack arc stays slack, a tight arc
+      that is not the min-id one leaves the parent alone, and an arc into a
+      non-member only ever moved a tentative distance that never settled.
+    * *improve* changes it only if, with ``c = d[a] + w`` (the add the
+      kernel would perform), ``b in M`` and ``c < d[b]`` or ``c == d[b]``
+      and ``a < p[b]``; or ``b not in M`` and the row is not full or
+      ``(c, b) < (R, z)``.
+
+    Every quantity is rooted at ``x``, so the comparisons are exact; the
+    rows returned are the rows :func:`commit_vicinities` will store, except
+    for a weight change that rounding absorbs (``d + w' == d + w``).
     """
     n = len(radius)
-    if len(endpoint_rows) != (1 if tight is None else 2):
-        raise ValueError(
-            "a node event takes one endpoint row, an edge event (tight=) two"
-        )
+    if len(endpoint_rows) not in (1, 2):
+        raise ValueError("an event has one endpoint row or two")
     p_rows = [
         buffer_arg(row, "d", n, f"endpoint_rows[{index}]")
         for index, row in enumerate(endpoint_rows)
     ]
     p_radius = buffer_arg(radius, "d", n, "radius")
+    stride, p_stored = _stored_rows(stored, n)
+    p_lengths = buffer_arg(lengths, "q", n, "lengths")
+    ends = array("q", [node for arc in arcs for node in arc])
+    if len(ends) != 2 * len(arcs) or not all(0 <= node < n for node in ends):
+        raise ValueError(f"arcs must be pairs of nodes below {n}")
+    if weights is not None:
+        weights = array("d", weights)
+        if len(weights) != len(arcs) or not all(0 < w < inf for w in weights):
+            raise ValueError("an improve takes one positive weight per arc")
     clib = load_kernels()
     if clib is not None:
         out = array("q", bytes(8 * n))
         count = clib.vicinity_candidates(
             n,
             p_rows[0],
-            p_rows[1] if tight is not None else None,
-            0.0 if tight is None else tight,
+            p_rows[1] if len(p_rows) == 2 else None,
             p_radius,
+            buffer_arg(ends, "q", len(ends), "arcs"),
+            len(arcs),
+            None if weights is None
+            else buffer_arg(weights, "d", len(weights), "weights"),
+            stride,
+            *p_stored,
+            p_lengths,
             buffer_arg(out, "q", n, "out"),
         )
+        check_status(count, "vicinity_candidates")
         del out[count:]
         return out
     candidates = array("q")
-    if tight is None:
-        (row,) = endpoint_rows
-        for node in range(n):
-            reach = radius[node]
-            if reach < inf:
-                reach += _REL_SLACK * reach
-            if row[node] <= reach:
-                candidates.append(node)
-        return candidates
-    row_u, row_v = endpoint_rows
+    members, dists, parents = stored
+    directed = [
+        (ends[j], ends[j ^ 1], None if weights is None else weights[j >> 1])
+        for j in range(len(ends))
+    ]
     for node in range(n):
-        du = row_u[node]
-        dv = row_v[node]
-        if du <= dv:
-            near, far = du, dv
-        else:
-            near, far = dv, du
-        if near == inf or abs(near + tight - far) > _REL_SLACK * far:
-            continue
         reach = radius[node]
         if reach < inf:
             reach += _REL_SLACK * reach
-        if near + tight <= reach:
-            candidates.append(node)
+        if not all(row[node] <= reach for row in endpoint_rows):
+            continue
+        base, width = node * stride, lengths[node]
+        if not 0 <= width <= stride:
+            raise ValueError(f"stored length {width} of node {node}")
+        row = members[base : base + width]
+        if width and not 0 <= min(row) <= max(row) < n:
+            raise ValueError(f"stored member of node {node} out of range")
+        at = dict(zip(row, range(base, base + width)))
+        last = base + width - 1
+        for a, b, weight in directed:
+            ja, jb = at.get(a), at.get(b)
+            if ja is None:
+                continue
+            if weight is None:
+                changes = jb is not None and parents[jb] == a
+            else:
+                c = dists[ja] + weight
+                if jb is not None:
+                    changes = c < dists[jb] or (
+                        c == dists[jb] and a < parents[jb]
+                    )
+                else:
+                    changes = width < stride or (c, b) < (
+                        dists[last], members[last]
+                    )
+            if changes:
+                candidates.append(node)
+                break
     return candidates
 
 
@@ -293,15 +347,11 @@ def commit_vicinities(
     candidates = _id_array(candidates)
     offsets, *fresh_slabs = fresh
     total = len(fresh_slabs[0])
-    stride = len(stored[0]) // n if n else 0
+    stride, p_stored = _stored_rows(stored, n)
     p_offsets = buffer_arg(offsets, "q", len(candidates) + 1, "fresh offsets")
     p_fresh = [
         buffer_arg(slab, code, total, f"fresh {name}")
         for slab, code, name in zip(fresh_slabs, "qdq", _ROW_SLABS)
-    ]
-    p_stored = [
-        buffer_arg(slab, code, n * stride, f"stored {name}")
-        for slab, code, name in zip(stored, "qdq", _ROW_SLABS)
     ]
     p_lengths = buffer_arg(lengths, "q", n, "lengths")
     p_radius = buffer_arg(radius, "d", n, "radius")

@@ -153,9 +153,13 @@ _CLOSEST_REFOLD_ARGTYPES = [
 
 _VICINITY_CANDIDATES_ARGTYPES = [
     _I64,                    # n
-    _PDBL, _PDBL,            # row_u, row_v (NULL: node event)
-    ctypes.c_double,         # tight
+    _PDBL, _PDBL,            # row_u, row_v (NULL: one endpoint)
     _PDBL,                   # radius
+    _PI64, _I64,             # arcs (2 * num_arcs ids), num_arcs
+    _PDBL,                   # weights (num_arcs; NULL: the arcs worsen)
+    _I64,                    # stride
+    _PI64, _PDBL, _PI64,     # stored members, dists, parents (n * stride)
+    _PI64,                   # lengths (n)
     _PI64,                   # out (n slots)
 ]
 

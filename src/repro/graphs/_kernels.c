@@ -1234,12 +1234,14 @@ i64 target_distances_batch(
  * repair, the closest-landmark refold, the vicinity candidate filter, and
  * the commit-and-bill of recomputed vicinity rows.  All four are serial
  * (REPRO_KERNEL_THREADS does not reach them), allocate O(n) scratch per
- * call -- never O(rows * n) -- and check every id they are handed in a
- * prologue, before the first write: -2 reports a bad id, -1 a failed
- * allocation.  Buffer lengths and item types are the ctypes wrappers' to
- * check (they cannot be seen from here); the graph slabs are trusted as
- * CSRGraph built them.  The Python twins live in repro.graphs.incremental
- * (repair_rows) and repro.dynamics.passes (the other three).
+ * call -- never O(rows * n) -- and check every id they are handed before
+ * the first write to a slab (the candidate filter, which writes only its
+ * output list, checks the rows it reads as it reads them): -2 reports a
+ * bad id, -1 a failed allocation.  Buffer lengths and item types are the
+ * ctypes wrappers' to check (they cannot be seen from here); the graph
+ * slabs are trusted as CSRGraph built them.  The Python twins live in
+ * repro.graphs.incremental (repair_rows) and repro.dynamics.passes (the
+ * other three).
  *
  * The repair contract (shared with repro.graphs.incremental, and the reason
  * a repaired row is bit-identical to a fresh search on the mutated graph):
@@ -1781,45 +1783,114 @@ i64 closest_refold(
     return count;
 }
 
-/* The nodes whose vicinity an event may change, ascending, into out (n
- * slots); returns their count.  radius[x] is node x's vicinity radius
- * (+inf when its vicinity is component-limited), widened here by the
- * relative slack the engine documents (_REL_SLACK).
+/* The nodes whose vicinity row an event changes, ascending, into out (n
+ * slots): a radius prefilter picks the rows to read, and each row read is
+ * judged by the relaxations the event adds to or takes from the search that
+ * produced it.  Every quantity of that second test is rooted at the row's
+ * own node, so it compares exactly and needs no slack.
  *
- *   Edge event (row_v != NULL): row_u / row_v are the endpoint-rooted
- *   distance rows in the judged graph and tight the edge weight there.  x
- *   is a candidate when the edge is tight from its view (near + tight ==
- *   far, within the slack) and the far endpoint is inside its radius.
- *   Node event (row_v == NULL): x is a candidate when the node is inside
- *   its radius.
+ *   The event is the edge set arcs = {u0, v0, u1, v1, ...} (num_arcs pairs,
+ *   each tested in both directions a -> b), worsened when weights is NULL
+ *   -- removed or made heavier -- and otherwise improved: added or made
+ *   lighter, to weights[i] for pair i.
  *
- * Evaluated exactly like the Python twin: the build passes
- * -ffp-contract=off so radius + slack * radius is two roundings here too. */
+ *   Prefilter: row_u (and row_v unless NULL) are the distance rows rooted
+ *   at the event's endpoints in the graph that has the edges at their
+ *   lighter weight; node x is read when every endpoint is inside radius[x]
+ *   (+inf for a component-limited vicinity), widened by the relative slack
+ *   the engine documents (_REL_SLACK) because these rows are summed from
+ *   the other end.  A row the event changes has both ends of some event
+ *   arc inside its radius in that graph.
+ *
+ *   Row test: x's stored row is members / dists / parents[x * stride ..]
+ *   with lengths[x] entries in settle order; it is full at stride entries
+ *   and (R, z) is then its last entry.  A truncated search is a function of
+ *   the relaxations out of its settled nodes (the contract at the top of
+ *   this file), so it can only leave the stored row at a relaxation over
+ *   an event arc a -> b out of a member a:
+ *     worsen   b is a member and parents[b] == a (a tree arc of the row; a
+ *              slack arc stays slack, a tight arc that is not the min-id
+ *              one leaves the parent alone, an arc to a non-member only
+ *              moved a tentative distance that never settled);
+ *     improve  with c = dists[a] + w, the add the kernel would perform: b
+ *              is a member and c < dists[b], or c == dists[b] and
+ *              a < parents[b]; or b is not a member and the row is not
+ *              full or (c, b) < (R, z).
+ *
+ * Returns the count, -1 on allocation failure, or -2 when an arc endpoint,
+ * or the length or a member of a row that is read, is out of range (only
+ * out is ever written).  Evaluated exactly like the Python twin: the build
+ * passes -ffp-contract=off so radius + slack * radius is two roundings here
+ * too. */
 i64 vicinity_candidates(
-    i64 n, const double *row_u, const double *row_v, double tight,
-    const double *radius, i64 *out)
+    i64 n, const double *row_u, const double *row_v, const double *radius,
+    const i64 *arcs, i64 num_arcs, const double *weights,
+    i64 stride, const i64 *members, const double *dists, const i64 *parents,
+    const i64 *lengths, i64 *out)
 {
+    i64 num_ends = 2 * num_arcs;
+    for (i64 j = 0; j < num_ends; j++)
+        if (arcs[j] < 0 || arcs[j] >= n)
+            return -2;
+    /* slot[v] - 1: the number of endpoint v among the event's distinct
+     * endpoints; end[j]: that number for arcs[j]; at[e]: where endpoint e
+     * sits in the row being read, -1 when it is not a member. */
+    size_t slots = (size_t)(n > 0 ? n : 1);
+    i64 *slot = calloc(slots + 2 * (size_t)num_ends, sizeof(i64));
+    if (!slot)
+        return -1;
+    i64 *end = slot + slots, *at = end + num_ends;
+    i64 distinct = 0;
+    for (i64 j = 0; j < num_ends; j++) {
+        if (!slot[arcs[j]])
+            slot[arcs[j]] = ++distinct;
+        end[j] = slot[arcs[j]] - 1;
+    }
     i64 count = 0;
     for (i64 node = 0; node < n; node++) {
         double reach = radius[node];
         if (reach < INFINITY)
             reach += VICINITY_REL_SLACK * reach;
-        if (!row_v) {
-            if (row_u[node] <= reach)
-                out[count++] = node;
+        if (!(row_u[node] <= reach) || (row_v && !(row_v[node] <= reach)))
             continue;
+        i64 width = lengths[node];
+        if (width < 0 || width > stride) {
+            count = -2;
+            break;
         }
-        double near = row_u[node], far = row_v[node];
-        if (far < near) {
-            near = row_v[node];
-            far = row_u[node];
+        const i64 *m = members + node * stride, *p = parents + node * stride;
+        const double *d = dists + node * stride;
+        for (i64 e = 0; e < distinct; e++)
+            at[e] = -1;
+        i64 read = 0;
+        for (; read < width && m[read] >= 0 && m[read] < n; read++)
+            if (slot[m[read]])
+                at[slot[m[read]] - 1] = read;
+        if (read < width) {
+            count = -2;
+            break;
         }
-        if (near == INFINITY ||
-            fabs(near + tight - far) > VICINITY_REL_SLACK * far)
-            continue;
-        if (near + tight <= reach)
+        int changes = 0;
+        for (i64 j = 0; j < num_ends && !changes; j++) {
+            i64 ja = at[end[j]], jb = at[end[j ^ 1]];
+            if (ja < 0)
+                continue;
+            i64 a = arcs[j], b = arcs[j ^ 1];
+            if (!weights) {
+                changes = jb >= 0 && p[jb] == a;
+                continue;
+            }
+            double c = d[ja] + weights[j >> 1];
+            if (jb >= 0)
+                changes = c < d[jb] || (c == d[jb] && a < p[jb]);
+            else
+                changes = width < stride || c < d[width - 1] ||
+                          (c == d[width - 1] && b < m[width - 1]);
+        }
+        if (changes)
             out[count++] = node;
     }
+    free(slot);
     return count;
 }
 

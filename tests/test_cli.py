@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -138,6 +140,32 @@ class TestCommands:
 
         attached = SubstrateTables.from_mmap(tmp_path / "slabs")
         assert attached.num_nodes == 300
+
+    def test_churn_times_the_events_apart_from_convergence(self, capsys):
+        # Two edge events at n = 4096: convergence is nearly all of the run,
+        # and the rate printed is events over *event* time.
+        argv = ["churn", "gnm", "4096", "--events", "2", "--seed", "5"]
+        assert main(argv + ["--kinds", "edge-down", "edge-reweight"]) == 0
+        output = capsys.readouterr().out
+        clock = re.search(
+            r"^converged in ([\d.]+)s; (\d+) events in ([\d.]+)s "
+            r"\(([\d.]+) events/s\)$",
+            output,
+            re.MULTILINE,
+        )
+        assert clock, output
+        converged, events, elapsed, rate = map(float, clock.groups())
+        assert events == 2
+        # The two times are printed to the millisecond.
+        assert events / (elapsed + 0.0006) - 0.1 <= rate
+        assert elapsed < 0.0006 or rate <= events / (elapsed - 0.0006) + 0.1
+        assert rate > 2 * events / (converged + elapsed)
+        rows = re.search(
+            r"^vicinity rows: (\d+) sent to the kernel, (\d+) stored$",
+            output,
+            re.MULTILINE,
+        )
+        assert rows and 0 < int(rows[2]) <= int(rows[1])
 
     def test_substrate_requires_node_count_for_families(self, capsys):
         assert main(["substrate", "gnm"]) == 2

@@ -11,9 +11,13 @@ to three contracts:
   topology, slabs compared *bitwise* and change lists compared as lists,
   over unit, dyadic and irregular-float weights, random event sequences and
   the named partition / tie cases;
-* **frozen bills** -- sha256 of every report plus the final
-  ``state_signature()`` of twelve seeded streams, computed at the commit
-  *before* the engine moved onto slabs and asserted here on both tiers;
+* **frozen bills** -- sha256 of every bill plus the final
+  ``state_signature()`` of twelve seeded streams, frozen at the parent of the
+  change that made the candidate filter read the stored rows and asserted
+  here on both tiers; the two work counters (rows sent to the k-nearest
+  kernel, rows stored) have a table of their own;
+* **a stateful machine** -- random feasible and infeasible events on both
+  tiers, every slab equal to a fresh engine's after every one;
 * **the boundary** -- short, long and wrong-typecode buffers and
   out-of-range ids raise ``ValueError`` / ``TypeError`` before any C code
   runs or any slab is written.
@@ -31,16 +35,25 @@ import os
 import random
 from array import array
 from contextlib import contextmanager
-from math import inf
+from functools import lru_cache
+from math import inf, nan
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.addressing.labels import LabelCodec
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.substrate_build import apply_maintenance, build_substrate_tables
 from repro.core.tables import _TABLE_SLOTS, _VICINITY_SLOTS
 from repro.dynamics import ChurnEngine, DynEvent, generate_event_stream
+from repro.dynamics import engine as engine_module
 from repro.dynamics.passes import (
     commit_vicinities,
     refold_closest,
@@ -372,38 +385,17 @@ _DISTANCES = st.sampled_from(
     [0.0, 0.5, 1.0, 1.5, 2.0, 2.0 * (1 + 5e-10), 2.0 * (1 + 5e-9), 3.0, inf]
 )
 
-
-class TestVicinityCandidates:
-    @given(
-        rows=st.integers(1, 40).flatmap(
-            lambda n: st.tuples(
-                *(st.lists(_DISTANCES, min_size=n, max_size=n),) * 3
-            )
-        ),
-        tight=st.one_of(st.none(), st.sampled_from([0.5, 1.0, 2.0])),
-    )
-    @_SETTINGS
-    def test_tiers_agree(self, rows, tight):
-        row_u, row_v, radius = (array("d", row) for row in rows)
-        endpoint_rows = [row_u] if tight is None else [row_u, row_v]
-        results = []
-        for tier in _TIERS:
-            with _tier(tier):
-                results.append(
-                    list(vicinity_candidates(endpoint_rows, radius, tight=tight))
-                )
-        assert results[0] == results[1]
-        assert results[0] == sorted(set(results[0]))
-
-    def test_slack_admits_a_boundary_a_few_ulps_out(self):
-        radius = array("d", [2.0, 2.0, inf, 0.0])
-        row = array("d", [2.0 * (1 + 5e-10), 2.0 * (1 + 5e-9), inf, 0.0])
-        for tier in _TIERS:
-            with _tier(tier):
-                assert list(vicinity_candidates([row], radius)) == [0, 2, 3]
-
-
-# -- (d): commit-and-bill of recomputed vicinity rows -------------------------
+#: One connected generator per search kernel: hop counts (BFS), latencies on
+#: a power-of-two quantum (Dial) and irregular floats (heap).
+_KERNEL_GRAPHS = {
+    "bfs": lambda n, seed: gnm_random_graph(n, seed=seed, average_degree=4.0),
+    "bucket": lambda n, seed: geometric_random_graph(
+        n, seed=seed, average_degree=5.0, latency_quantum=0.25
+    ),
+    "heap": lambda n, seed: geometric_random_graph(
+        n, seed=seed, average_degree=5.0
+    ),
+}
 
 
 def _stored_vicinities(topology: Topology, k: int):
@@ -422,6 +414,282 @@ def _stored_vicinities(topology: Topology, k: int):
         if hi - lo == stride:
             radius[node] = packed[1][hi - 1]
     return slabs, lengths, radius
+
+
+def _row_bytes(slabs, lengths, node: int) -> list[bytes]:
+    stride = len(slabs[0]) // len(lengths)
+    lo = node * stride
+    return [slab[lo : lo + lengths[node]].tobytes() for slab in slabs]
+
+
+def _judge(before: Topology, k: int, mutate, endpoints, arcs, weights=None):
+    """One event against the rows stored before it.
+
+    Returns the candidate set -- the tiers must agree on it -- and, by brute
+    force, the nodes whose fresh row on the mutated graph differs from the
+    stored one in members, distances or parents.  ``endpoints`` root the
+    prefilter's rows, searched like the engine does: in ``before`` when the
+    arcs worsen (``weights is None``), in the mutated graph otherwise.
+    """
+    n = before.num_nodes
+    after = before.copy()
+    mutate(after)
+    judged = before if weights is None else after
+    results = []
+    for tier in _TIERS:
+        with _tier(tier):
+            slabs, lengths, radius = _stored_vicinities(before, k)
+            dist = array("d", bytes(8 * len(endpoints) * n))
+            judged.csr().spt_rows_batch_into(
+                array("q", endpoints), dist, array("q", bytes(len(dist) * 8)),
+                fill=inf,
+            )
+            rows = [
+                memoryview(dist)[index * n : (index + 1) * n]
+                for index in range(len(endpoints))
+            ]
+            results.append(
+                list(
+                    vicinity_candidates(
+                        rows, radius, arcs, slabs, lengths, weights=weights
+                    )
+                )
+            )
+    assert results[0] == results[1]
+    rebuilt = _stored_vicinities(after, k)
+    changed = [
+        node
+        for node in range(n)
+        if _row_bytes(slabs, lengths, node) != _row_bytes(*rebuilt[:2], node)
+    ]
+    return results[0], changed
+
+
+class TestVicinityCandidates:
+    @given(data=st.data())
+    @_SETTINGS
+    def test_tiers_agree_on_arbitrary_rows(self, data):
+        """Well-formed buffers that no search produced: every comparison of
+        the row test, ties included, falls the same way on both tiers."""
+        n = data.draw(st.integers(1, 12))
+        stride = data.draw(st.integers(1, min(n, 5)))
+        column = lambda values: st.lists(values, min_size=n, max_size=n)
+        endpoint_rows = [
+            array("d", data.draw(column(_DISTANCES)))
+            for _ in range(data.draw(st.integers(1, 2)))
+        ]
+        radius = array("d", data.draw(column(_DISTANCES)))
+        lengths = array("q", data.draw(column(st.integers(0, stride))))
+        members, dists, parents = array("q"), array("d"), array("q")
+        for _ in range(n):
+            members.extend(data.draw(st.permutations(range(n)))[:stride])
+            dists.extend(
+                data.draw(st.lists(_DISTANCES, min_size=stride, max_size=stride))
+            )
+            parents.extend(
+                data.draw(
+                    st.lists(
+                        st.integers(-1, n - 1), min_size=stride, max_size=stride
+                    )
+                )
+            )
+        node = st.integers(0, n - 1)
+        arcs = data.draw(st.lists(st.tuples(node, node), max_size=4))
+        weights = data.draw(
+            st.one_of(
+                st.none(),
+                st.lists(
+                    st.sampled_from([0.5, 1.0, 2.0]),
+                    min_size=len(arcs),
+                    max_size=len(arcs),
+                ),
+            )
+        )
+        results = []
+        for tier in _TIERS:
+            with _tier(tier):
+                results.append(
+                    list(
+                        vicinity_candidates(
+                            endpoint_rows, radius, arcs,
+                            (members, dists, parents), lengths, weights=weights,
+                        )
+                    )
+                )
+        assert results[0] == results[1]
+        assert results[0] == sorted(set(results[0]))
+
+    def test_slack_admits_a_boundary_a_few_ulps_out(self):
+        # Every node's row is {itself}, short of the stride, and every node
+        # is an endpoint of an improved arc: the row test passes everywhere
+        # and what comes back is the prefilter's answer.
+        radius = array("d", [2.0, 2.0, inf, 0.0])
+        row = array("d", [2.0 * (1 + 5e-10), 2.0 * (1 + 5e-9), inf, 0.0])
+        stored = (
+            array("q", [0, 0, 1, 0, 2, 0, 3, 0]),
+            array("d", bytes(8 * 8)),
+            array("q", [-1, 0] * 4),
+        )
+        lengths = array("q", [1] * 4)
+        for tier in _TIERS:
+            with _tier(tier):
+                for rows in ([row], [row, row]):
+                    assert list(
+                        vicinity_candidates(
+                            rows, radius, [(0, 1), (2, 3)], stored, lengths,
+                            weights=[1.0, 1.0],
+                        )
+                    ) == [0, 2, 3]
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("kernel", sorted(_KERNEL_GRAPHS))
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(12, 40),
+        k=st.integers(1, 12),
+    )
+    @_SETTINGS
+    def test_candidates_cover_every_changed_row(self, kernel, tier, seed, n, k):
+        """After every event of a random stream (all five kinds, partitions
+        allowed) the candidate set holds every node -- live or dead, inside
+        the prefilter or not -- whose fresh row on the mutated graph differs
+        from the stored one in members, distances or parents; on hop counts
+        and quantised latencies it holds nothing else."""
+        topology = _KERNEL_GRAPHS[kernel](n, seed)
+        assert topology.csr().kernel == kernel
+        events = generate_event_stream(
+            topology, num_events=10, seed=seed, preserve_connectivity=False
+        )
+        sent: list[array] = []
+
+        def spy(*args, **kwargs):
+            sent.append(vicinity_candidates(*args, **kwargs))
+            return sent[-1]
+
+        patched = mock.patch.object(engine_module, "vicinity_candidates", spy)
+        with _tier(tier), patched:
+            engine = ChurnEngine(topology, seed=seed, vicinity_k=k)
+            for event in events:
+                before = [
+                    [bytes(view) for view in engine.vicinity_row(node)]
+                    for node in range(n)
+                ]
+                del sent[:]
+                report = engine.apply(event)
+                fresh = _stored_vicinities(engine.topology, k)
+                changed = [
+                    node
+                    for node in range(n)
+                    if before[node] != _row_bytes(*fresh[:2], node)
+                ]
+                (candidates,) = sent
+                assert set(changed) <= set(candidates), event
+                if kernel != "heap":  # exact sums: nothing is absorbed
+                    assert list(candidates) == changed, event
+                assert report.vicinities_recomputed == len(candidates)
+                assert report.vicinities_stored == len(changed)
+
+    def test_a_new_tight_arc_of_smaller_id_flips_the_parent_only(self):
+        # From 0, node 3 hangs under 2 at distance 2; 1-3 gets lighter until
+        # 1 + 1 == 2 and the smaller id takes the parent over.  Node 2 sees
+        # the same tie through 3 -> 1, but keeps its smaller parent 0.
+        topology = Topology.from_edges(
+            4, [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0), (1, 3, 2.0)]
+        )
+        candidates, changed = _judge(
+            topology, 4, lambda t: t.set_edge_weight(1, 3, 1.0),
+            (1, 3), [(1, 3)], [1.0],
+        )
+        assert candidates == changed == [0, 1, 3]
+
+    def test_a_tie_at_the_boundary_is_decided_by_id(self):
+        # k = 3: the row of 0 is [0, 1, 5] with (R, z) = (2, 5).
+        topology = Topology.from_edges(8, [(0, 1, 1.0), (1, 5, 1.0)])
+        # 1-3 offers (2, 3) < (2, 5): node 3 takes the last seat.
+        candidates, changed = _judge(
+            topology, 3, lambda t: t.add_edge(1, 3, 1.0),
+            (1, 3), [(1, 3)], [1.0],
+        )
+        assert candidates == changed == [0, 1, 3]
+        # 1-7 offers (2, 7) > (2, 5): only the newcomer's own row changes.
+        candidates, changed = _judge(
+            topology, 3, lambda t: t.add_edge(1, 7, 1.0),
+            (1, 7), [(1, 7)], [1.0],
+        )
+        assert candidates == changed == [7]
+
+    def test_a_short_row_gains_the_component_it_is_joined_to(self):
+        topology = Topology.from_edges(
+            6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)]
+        )
+        candidates, changed = _judge(
+            topology, 6, lambda t: t.add_edge(2, 3, 1.0),
+            (2, 3), [(2, 3)], [1.0],
+        )
+        assert candidates == changed == [0, 1, 2, 3, 4]  # not the isolated 5
+
+    def test_an_arc_out_of_the_last_member_is_never_a_candidate(self):
+        # k = 3: the row of 0 is [0, 1, 5]; 5 relaxes after the search stops.
+        topology = Topology.from_edges(
+            8, [(0, 1, 1.0), (1, 5, 1.0), (5, 6, 1.0)]
+        )
+        for mutate, arcs, weights in (
+            (lambda t: t.remove_edge(5, 6), [(5, 6)], None),
+            (lambda t: t.set_edge_weight(5, 6, 0.5), [(5, 6)], [0.5]),
+            (lambda t: t.add_edge(5, 7, 1.0), [(5, 7)], [1.0]),
+        ):
+            candidates, changed = _judge(
+                topology, 3, mutate, arcs[0], arcs, weights
+            )
+            assert candidates == changed
+            assert 0 not in candidates
+
+    def test_a_reweight_absorbed_by_rounding_is_sent_and_comes_back_equal(self):
+        # From 0, node 2 sits at 1e16 + 0.25 == 1e16 + 0.5 == 1e16: the tree
+        # arc 1 -> 2 worsens, so rule 1 sends the row, and the search returns
+        # the row already stored.  Lightened back, the offer ties on the
+        # parent it already has: not a candidate.
+        topology = Topology.from_edges(3, [(0, 1, 1e16), (1, 2, 0.25)])
+        candidates, changed = _judge(
+            topology, 3, lambda t: t.set_edge_weight(1, 2, 0.5),
+            (1, 2), [(1, 2)],
+        )
+        assert (candidates, changed) == ([0, 1, 2], [1, 2])
+        topology.set_edge_weight(1, 2, 0.5)
+        candidates, changed = _judge(
+            topology, 3, lambda t: t.set_edge_weight(1, 2, 0.25),
+            (1, 2), [(1, 2)], [0.25],
+        )
+        assert candidates == changed == [1, 2]
+        for tier in _TIERS:
+            with _tier(tier):
+                engine = ChurnEngine(topology, landmarks=[0], vicinity_k=3)
+                report = engine.apply(DynEvent(0, "edge-reweight", 1, 2, 0.75))
+            assert report.vicinities_recomputed == 3
+            assert report.vicinities_stored == 2
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    def test_node_events_without_a_live_arc_send_nothing(self, tier):
+        # 4 hangs off 3 alone; 5 has no edge at all.
+        topology = Topology.from_edges(
+            6, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
+        )
+        with _tier(tier):
+            engine = ChurnEngine(topology, landmarks=[0], vicinity_k=4)
+            leave_isolated = engine.apply(DynEvent(0, "node-leave", 5))
+            engine.apply(DynEvent(1, "node-leave", 4))
+            engine.apply(DynEvent(2, "node-leave", 3))
+            # Every neighbour 4 captured is dead: it comes back alone.
+            join_alone = engine.apply(DynEvent(3, "node-join", 4))
+            fresh = ChurnEngine(engine.topology, landmarks=[0], vicinity_k=4)
+        for report in (leave_isolated, join_alone):
+            assert report.applied
+            assert report.vicinities_recomputed == 0
+            assert report.vicinities_stored == 0
+        assert _engine_rows(engine) == _engine_rows(fresh)
+
+
+# -- (d): commit-and-bill of recomputed vicinity rows -------------------------
 
 
 def _bill_oracle(old_row, new_row) -> int:
@@ -528,6 +796,10 @@ def _family_topology(family: str, seed: int) -> Topology:
         return gnm_random_graph(72, seed=seed, average_degree=5.0)
     if family == "geometric":
         return geometric_random_graph(72, seed=seed, average_degree=5.0)
+    if family == "quantised":
+        return geometric_random_graph(
+            72, seed=seed, average_degree=5.0, latency_quantum=0.25
+        )
     return internet_router_level(80, seed=seed)
 
 
@@ -544,6 +816,19 @@ def _engine_bytes(engine: ChurnEngine) -> list[bytes]:
             engine._radius,
         )
     ]
+
+
+def _engine_rows(engine: ChurnEngine) -> tuple:
+    """``state_signature()`` plus what it leaves out: every vicinity row
+    in settle order with its parents, and the radius array."""
+    return (
+        engine.state_signature(),
+        [
+            [bytes(view) for view in engine.vicinity_row(node)]
+            for node in range(engine.num_nodes)
+        ],
+        engine._radius.tobytes(),
+    )
 
 
 class TestEngineTiers:
@@ -567,6 +852,16 @@ class TestEngineTiers:
             assert c_bytes == python_bytes, event
         c_dirty, python_dirty = (engine.take_dirty() for engine in engines)
         assert c_dirty == python_dirty
+
+    def test_row_views_are_read_only(self):
+        """The stored row decides whether a node is searched again, so a
+        stray write through a view would be wrong for good."""
+        engine = ChurnEngine(_family_topology("gnm", 5), seed=5)
+        landmark = min(engine.landmarks)
+        for view in (*engine.vicinity_row(3), *engine.landmark_row(landmark)):
+            assert view.readonly
+            with pytest.raises(TypeError):
+                view[0] = 0
 
     @pytest.mark.parametrize("tier", _TIERS)
     def test_maintained_slabs_match_a_fresh_build(self, tier):
@@ -602,35 +897,66 @@ _EDGE_KINDS = ("edge-down", "edge-up", "edge-reweight")
 _NODE_KINDS = ("node-leave", "node-join")
 
 #: sha256 of ``repr((bills, state_signature()))`` per (family, kinds,
-#: preserve_connectivity) stream at seed 17, computed at commit 840c7e0 --
-#: the parent of the change that moved the engine onto flat slabs and its
-#: per-event loops into C -- on both tiers there (they agreed).
+#: preserve_connectivity) stream at seed 17, a bill being every field of a
+#: report but its two work counters.  Computed at commit 77dd488 -- the
+#: parent of the change that made the candidate filter read the stored rows
+#: -- on both tiers there (they agreed), where the digests this table
+#: replaced, frozen at 840c7e0 with ``vicinities_recomputed`` hashed in,
+#: still passed.  Frozen for good: a change that moves one changed a bill or
+#: the state.
 _FROZEN = {
-    ("gnm", "edge", True): "2ba7e0656d9a4fbec23c6ec33608ed233ec1c6fd45e7d907c42df65619defbd7",
-    ("gnm", "edge", False): "592f30acd24d280ed65471c765f1f9699c08b28d150e1247b33c29b1f8437889",
-    ("gnm", "node", True): "589b1d20add0b2f95b68b498c66e9289df2fe008acc3880f1ec5657fea52a5f8",
-    ("gnm", "node", False): "d364a21a98ac77bca870ea80551806d67ede325fc76d3a3ebe43952c1f35f2ad",
-    ("geometric", "edge", True): "2653a9d30b3172a9be9eb8ee0a5ac8be871ec9d214b55623277ba79e6a17ff07",
-    ("geometric", "edge", False): "ea90ab543aea7a14cd97ca7cbdad4f8f7e4220b7941417e9e6fd708b897f99d8",
-    ("geometric", "node", True): "41b3e4951d0c8b306d32a4f0f275c503be4ed165a17b10b5c452869837e60dfe",
-    ("geometric", "node", False): "22e373218aca5349f2ee7b2dd792352d6e06569ee8fb52e0384f7229a6d7726e",
-    ("router", "edge", True): "70242714f3b82edd02d930a09310f09c3671171b967b66b0f76aefbc0668869e",
-    ("router", "edge", False): "28074f8de7bf0a42002efeb07ccea851f381ed4b0d9cbb9a1a6d5fb39dace76a",
-    ("router", "node", True): "3eb27ed2b9b04597c80f0a7e3aa0bbcd3ee820e50fe549c9f48b0a1f9479d3a6",
-    ("router", "node", False): "acf2dab0df95feb85dbe28c696744eb55fc0aff53de4dee12c2c85e13bc2ce0d",
+    ("gnm", "edge", True): "02924b418a2720749c9b35f638042f495a300708bea09f5e411ac8f087202d8b",
+    ("gnm", "edge", False): "9f552e5edfa498163cde26f7f94ce8ce4cf611ef2b5a28849bfd8cb378263831",
+    ("gnm", "node", True): "3670d027dee562ccff59db6a15e892c85dbb1801b224cb7b99c98cbe1980dc1e",
+    ("gnm", "node", False): "03a7d5c88130e9e7b0ec061884151f45139fd79d985de623ab1bb52d1fda28d3",
+    ("geometric", "edge", True): "a8fc0dc42767d06d3e8918bddbfd95ba2fc32d731589aeba82b7e5af67095ce5",
+    ("geometric", "edge", False): "db9d56697b53e303b6811b5ac8654a6b1118f2355410c22c0e15f8eb82e0bc32",
+    ("geometric", "node", True): "3112c9b3e644d2aad00eb03fa7ff9acbe4bc92b8d6e482c88494e97698f6fc05",
+    ("geometric", "node", False): "1223e8bf00d4690109d4a641a932536a099022aed3273ec6b54f5ea70d191b54",
+    ("router", "edge", True): "f02d9261fa1a39c2a4d27ab9118a1d10c4a14c3f99f82d429bf3002517a6ce49",
+    ("router", "edge", False): "6b82d3e28ef704f383e5ef7483cc9c7c83d7307f974eab51b9c6ce83a5c34b10",
+    ("router", "node", True): "528ab62fafea9da0e687f9594115a96e23d31248cee6c744fd29c520edcaad3a",
+    ("router", "node", False): "8c1a01638f003ec31bf263042dcca60f29ca919968c1cf2450f2ac0e81831c73",
+}
+
+#: The work counters of the same streams: (rows sent to the k-nearest kernel,
+#: rows stored), summed over the stream.  Not bills: a sharper candidate
+#: filter re-pins the first number and nothing else.  (At 77dd488 the filter
+#: compared endpoint-rooted distances with the radius and sent 367, 360, 866,
+#: 875, 250, 270, 584, 575, 687, 687, 1136, 1155 rows to store these.)
+_COUNTERS = {
+    ("gnm", "edge", True): (228, 228),
+    ("gnm", "edge", False): (240, 240),
+    ("gnm", "node", True): (546, 546),
+    ("gnm", "node", False): (485, 485),
+    ("geometric", "edge", True): (250, 250),
+    ("geometric", "edge", False): (270, 270),
+    ("geometric", "node", True): (540, 540),
+    ("geometric", "node", False): (502, 502),
+    ("router", "edge", True): (342, 342),
+    ("router", "edge", False): (348, 348),
+    ("router", "node", True): (541, 541),
+    ("router", "node", False): (599, 599),
 }
 
 
-def _stream_digest(family: str, kinds, preserve: bool, seed: int = 17) -> str:
-    topology = _family_topology(family, seed)
-    events = generate_event_stream(
-        topology,
-        num_events=30,
-        seed=seed,
-        kinds=kinds,
-        preserve_connectivity=preserve,
-    )
-    engine = ChurnEngine(topology, seed=seed)
+@lru_cache(maxsize=None)
+def _frozen_stream(
+    tier: str, family: str, kinds: str, preserve: bool, seed: int = 17
+) -> tuple[str, list[tuple[int, int]]]:
+    """Run one stream on one tier: the digest of its bills and final state,
+    and the (sent, stored) counters event by event."""
+    with _tier(tier):
+        topology = _family_topology(family, seed)
+        events = generate_event_stream(
+            topology,
+            num_events=30,
+            seed=seed,
+            kinds=_EDGE_KINDS if kinds == "edge" else _NODE_KINDS,
+            preserve_connectivity=preserve,
+        )
+        engine = ChurnEngine(topology, seed=seed)
+        reports = engine.run(events)
     bills = [
         (
             report.event.kind,
@@ -642,25 +968,44 @@ def _stream_digest(family: str, kinds, preserve: bool, seed: int = 17) -> str:
             report.cost.vicinity_entries_changed,
             report.cost.landmark_entries_changed,
             report.rows_repaired,
-            report.vicinities_recomputed,
         )
-        for report in engine.run(events)
+        for report in reports
     ]
     payload = repr((bills, engine.state_signature()))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return hashlib.sha256(payload.encode()).hexdigest(), [
+        (report.vicinities_recomputed, report.vicinities_stored)
+        for report in reports
+    ]
 
 
+_STREAMS = pytest.mark.parametrize(
+    "family, kinds, preserve", sorted(_FROZEN), ids=lambda value: str(value)
+)
+
+
+@pytest.mark.parametrize("tier", _TIERS)
 class TestFrozenBills:
-    @pytest.mark.parametrize("tier", _TIERS)
-    @pytest.mark.parametrize(
-        "family, kinds, preserve", sorted(_FROZEN), ids=lambda value: str(value)
-    )
+    @_STREAMS
     def test_bills_and_state_are_the_parents(self, family, kinds, preserve, tier):
-        with _tier(tier):
-            digest = _stream_digest(
-                family, _EDGE_KINDS if kinds == "edge" else _NODE_KINDS, preserve
-            )
+        digest, _ = _frozen_stream(tier, family, kinds, preserve)
         assert digest == _FROZEN[family, kinds, preserve]
+
+    @_STREAMS
+    def test_rows_sent_and_stored(self, family, kinds, preserve, tier):
+        _, counters = _frozen_stream(tier, family, kinds, preserve)
+        assert tuple(map(sum, zip(*counters))) == _COUNTERS[family, kinds, preserve]
+
+    @pytest.mark.parametrize("family", ["gnm", "router", "quantised"])
+    @pytest.mark.parametrize("kinds", ["edge", "node"])
+    @pytest.mark.parametrize("preserve", [True, False])
+    def test_every_row_sent_is_stored_where_sums_are_exact(
+        self, family, kinds, preserve, tier
+    ):
+        """Hop counts and quantised latencies add without rounding, so the
+        candidate filter is exact event by event, not only in total."""
+        _, counters = _frozen_stream(tier, family, kinds, preserve)
+        assert all(sent == stored for sent, stored in counters)
+        assert any(sent for sent, _ in counters)
 
 
 # -- CSR offsets under single-edge patches ------------------------------------
@@ -807,23 +1152,74 @@ class TestBoundary:
         call()  # and the well-formed call goes through
 
     def test_vicinity_candidates_rejects_bad_buffers(self):
-        n = 6
+        n, stride = 6, 2
         row, radius = array("d", [1.0] * n), array("d", [2.0] * n)
+        # Node x's row is [x, x + 1 mod n], the second hanging under the
+        # first, and every row is read.
+        members = array("q", [v % n for x in range(n) for v in (x, x + 1)])
+        dists = array("d", [0.0, 1.0] * n)
+        parents = array("q", [v for x in range(n) for v in (-1, x)])
+        lengths = array("q", [stride] * n)
+        buffers = (row, radius, members, dists, parents, lengths)
+        before = [buffer.tobytes() for buffer in buffers]
+
+        def call(
+            rows=(row,), radius=radius, arcs=((0, 1),), members=members,
+            dists=dists, parents=parents, lengths=lengths, weights=None,
+        ):
+            return vicinity_candidates(
+                list(rows), radius, list(arcs), (members, dists, parents),
+                lengths, weights=weights,
+            )
+
+        def patched(slab, index, value):
+            copy = slab[:]
+            copy[index] = value
+            return copy
+
         bad = [
-            (ValueError, [row[:-1]], radius, None),
-            (ValueError, [row], radius[:-1], None),
-            (ValueError, [row + row], radius, None),
-            (ValueError, [row, row], radius, None),  # two rows need tight=
-            (ValueError, [row], radius, 1.0),  # an edge event needs two
-            (TypeError, [array("q", [1] * n)], radius, None),
-            (TypeError, [row.tolist()], radius, None),
-            (TypeError, [row, array("f", [1.0] * n)], radius, 1.0),
+            # endpoint rows and radius: short, long, wrong item type, count
+            (ValueError, dict(rows=[row[:-1]])),
+            (ValueError, dict(radius=radius[:-1])),
+            (ValueError, dict(rows=[row + row])),
+            (ValueError, dict(rows=[])),
+            (ValueError, dict(rows=[row, row, row])),
+            (TypeError, dict(rows=[array("q", [1] * n)])),
+            (TypeError, dict(rows=[row.tolist()])),
+            (TypeError, dict(rows=[row, array("f", [1.0] * n)])),
+            # the stored slabs and the length column
+            (ValueError, dict(members=members[:-1])),
+            (ValueError, dict(dists=dists[:-1])),
+            (ValueError, dict(parents=parents + array("q", [0]))),
+            (ValueError, dict(lengths=lengths[:-1])),
+            (ValueError, dict(lengths=lengths + array("q", [0]))),
+            (TypeError, dict(members=dists)),
+            (TypeError, dict(dists=members)),
+            (TypeError, dict(parents=parents.tolist())),
+            (TypeError, dict(lengths=array("d", bytes(8 * n)))),
+            # arcs and weights
+            (ValueError, dict(arcs=[(0, n)])),
+            (ValueError, dict(arcs=[(-1, 2)])),
+            (ValueError, dict(arcs=[(0, 1, 2)])),
+            (ValueError, dict(weights=[])),
+            (ValueError, dict(weights=[1.0, 1.0])),
+            (ValueError, dict(weights=[0.0])),
+            (ValueError, dict(weights=[inf])),
+            (ValueError, dict(weights=[nan])),
+            # what a row that is read holds: its length, its members
+            (ValueError, dict(lengths=patched(lengths, 3, stride + 1))),
+            (ValueError, dict(lengths=patched(lengths, 3, -1))),
+            (ValueError, dict(members=patched(members, 7, n))),
+            (ValueError, dict(members=patched(members, 6, -1))),
         ]
         for tier in _TIERS:
             with _tier(tier):
-                for error, rows, reach, tight in bad:
+                for error, overrides in bad:
                     with pytest.raises(error):
-                        vicinity_candidates(rows, reach, tight=tight)
+                        call(**overrides)
+                assert list(call()) == [0]  # 0 -> 1 is row 0's tree arc
+                assert list(call(weights=[0.5])) == [0, 1]
+        assert [buffer.tobytes() for buffer in buffers] == before
 
     def test_commit_vicinities_rejects_bad_buffers_and_ids(self):
         topology = gnm_random_graph(12, seed=1, average_degree=3.0)
@@ -872,3 +1268,104 @@ class TestBoundary:
             with pytest.raises(ValueError):
                 call(fresh=(offsets, out_of_range, dists, parents))
         assert [slab.tobytes() for slab in (*slabs, lengths, radius)] == before
+
+
+
+# -- a stateful machine: any event, any order, both tiers ---------------------
+
+
+class ChurnMachine(RuleBasedStateMachine):
+    """One engine per tier under the same random events, infeasible ones
+    included; after every rule each engine's full state -- the signature,
+    every vicinity row with its parents, the radius array -- is a fresh
+    engine's on the topology it has reached."""
+
+    @initialize(
+        seed=st.integers(0, 10**6),
+        family=st.sampled_from(sorted(_WEIGHTS)),
+        k=st.integers(1, 9),
+    )
+    def converge(self, seed, family, k):
+        rng = random.Random(seed)
+        topology = _random_graph(seed, family)
+        self.n = topology.num_nodes
+        self.k = k
+        self.new_weight = st.builds(_WEIGHTS[family], st.randoms())
+        self.landmarks = rng.sample(range(self.n), rng.randrange(1, 4))
+        self.engines = []
+        for tier in _TIERS:
+            with _tier(tier):
+                self.engines.append(
+                    ChurnEngine(
+                        topology, landmarks=self.landmarks, vicinity_k=k
+                    )
+                )
+        self.tick = 0
+
+    def _apply(self, kind: str, u: int, v: int = -1, weight: float = 0.0):
+        event = DynEvent(self.tick, kind, u, v, weight)
+        self.tick += 1
+        reports = []
+        for tier, engine in zip(_TIERS, self.engines):
+            with _tier(tier):
+                reports.append(engine.apply(event))
+        assert reports[0] == reports[1], event
+
+    def _edge(self, data, present: bool) -> tuple[int, int]:
+        """An edge of the current graph (or a pair that is not one), nine
+        times in ten the feasible kind; dead endpoints are fair game."""
+        topology = self.engines[0].topology
+        edges = sorted((u, v) for u, v, _ in topology.edges())
+        if edges and data.draw(st.integers(0, 9)) < (9 if present else 1):
+            return data.draw(st.sampled_from(edges))
+        node = st.integers(0, self.n - 1)
+        return data.draw(st.tuples(node, node))
+
+    @rule(data=st.data())
+    def edge_down(self, data):
+        self._apply("edge-down", *self._edge(data, present=True))
+
+    @rule(data=st.data())
+    def edge_up(self, data):
+        u, v = self._edge(data, present=False)
+        self._apply("edge-up", u, v, data.draw(self.new_weight))
+
+    @rule(
+        data=st.data(),
+        factor=st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0, 0.0, -1.0, inf, nan]),
+    )
+    def edge_reweight(self, data, factor):
+        u, v = self._edge(data, present=True)
+        topology = self.engines[0].topology
+        weight = topology.edge_weight(u, v) if topology.has_edge(u, v) else 1.0
+        self._apply("edge-reweight", u, v, weight * factor)
+
+    @rule(node=st.integers(-1, 48))
+    def node_leave(self, node):
+        self._apply("node-leave", node)
+
+    @rule(data=st.data())
+    def node_join(self, data):
+        dead = sorted(self.engines[0].dead_nodes)
+        if dead and data.draw(st.integers(0, 9)) < 9:
+            self._apply("node-join", data.draw(st.sampled_from(dead)))
+        else:
+            self._apply("node-join", data.draw(st.integers(-1, 48)))
+
+    @invariant()
+    def state_is_a_fresh_engines(self):
+        for tier, engine in zip(_TIERS, self.engines):
+            with _tier(tier):
+                fresh = ChurnEngine(
+                    engine.topology, landmarks=self.landmarks, vicinity_k=self.k
+                )
+            assert _engine_rows(engine) == _engine_rows(fresh), tier
+
+
+TestChurnMachine = ChurnMachine.TestCase
+TestChurnMachine.settings = settings(
+    deadline=None,
+    max_examples=30,
+    stateful_step_count=20,
+    suppress_health_check=[HealthCheck.too_slow],
+)
