@@ -950,7 +950,6 @@ def _command_churn(args: argparse.Namespace) -> int:
     from repro.dynamics import (
         EVENT_KINDS,
         ChurnEngine,
-        events_from_workload,
         generate_churn_workload,
         generate_event_stream,
     )
@@ -964,11 +963,11 @@ def _command_churn(args: argparse.Namespace) -> int:
     topology = _GENERATORS[args.family](args.nodes, seed=args.seed)
     landmarks = select_landmarks(topology.num_nodes, seed=args.seed)
     if args.kinds is None:
-        workload = generate_churn_workload(
-            topology, num_events=args.events, seed=args.seed + 17
-        )
-        events = events_from_workload(
-            workload.events, events_per_tick=args.events_per_tick
+        events = generate_churn_workload(
+            topology,
+            num_events=args.events,
+            seed=args.seed + 17,
+            events_per_tick=args.events_per_tick,
         )
     else:
         events = generate_event_stream(

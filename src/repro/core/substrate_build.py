@@ -12,7 +12,10 @@ results *straight into* preallocated row-major slabs:
 * **Closest-landmark rows** -- folded in the same call (ascending landmark
   order, strict ``<``, best distance seeded at ``+inf`` -- provably the
   same tie-break as the reference sweep in
-  :func:`repro.core.landmarks.closest_landmarks`).
+  :func:`repro.core.landmarks.closest_landmarks`).  A node a landmark does
+  not reach holds ``inf`` / ``-1`` in that landmark's rows, and ``-1`` /
+  ``inf`` as its closest landmark when none does: the schemes reject
+  disconnected graphs, the churn engine lives on them.
 * **Vicinity CSR** -- per-node truncated searches gathered directly into
   the member / distance / parent slabs
   (:meth:`CSRGraph.k_nearest_batch_into`); the per-node dict pairs and
@@ -26,6 +29,10 @@ kernel-level parallelism: each source owns a disjoint slab range, so any
 width produces byte-identical slabs.  The serial per-source loop
 (``threads=0``, the pure-Python tier, a C allocation failure) lives inside
 the two drivers.
+
+This is the one convergence path: the schemes hold its result as built,
+and :class:`~repro.dynamics.engine.ChurnEngine` repairs it in place per
+event (``codec=None``; the engine keeps addresses in its own shape).
 
 Slabs can outgrow RAM: ``storage`` selects where the big slabs live (RAM
 arrays, anonymous mmap, or a file-backed slab directory -- see
@@ -55,7 +62,6 @@ from repro.graphs.csr import kernel_threads
 from repro.graphs.topology import Topology
 
 __all__ = [
-    "apply_maintenance",
     "build_substrate_tables",
     "build_ball_tables",
     "cluster_sizes_from_members",
@@ -163,6 +169,7 @@ def build_substrate_tables(
         landmark_ids,
         spt_dist,
         spt_parent,
+        fill=inf,
         closest_dist=closest_dist,
         closest_landmark=closest,
         threads=threads,
@@ -187,6 +194,8 @@ def build_substrate_tables(
         position = 0
         for node in range(n):
             landmark = closest[node]
+            if landmark < 0:
+                raise ValueError(f"node {node} reaches no landmark")
             base = landmark_pos[landmark] * n
             path = [node]
             current = node
@@ -277,44 +286,6 @@ def build_substrate_tables(
         tables.save_slabs(root, skip=skip)
     _record(stats, "slab_bytes", tables.slab_bytes())
     return tables
-
-
-def apply_maintenance(
-    tables: SubstrateTables, engine, *, codec: "object | None" = None
-) -> "object":
-    """Catch a :class:`SubstrateTables` snapshot up with a churn engine.
-
-    Consumes the engine's accumulated dirty sets
-    (:meth:`~repro.dynamics.engine.ChurnEngine.take_dirty`) and patches
-    only the touched slab entries: SPT rows, closest-landmark rows,
-    vicinity rows (rebuilt, untouched rows copied wholesale), and -- when a
-    ``codec`` built on the *mutated* topology is given -- the address
-    payload slabs.  The patched slabs are bit-identical to rebuilding the
-    tables from scratch on the engine's current topology, provided that
-    topology is connected (the dense slab rows cannot represent
-    unreachable nodes); the churn differential tests pin exactly this.
-
-    Returns the consumed :class:`~repro.dynamics.engine.DirtyState` so
-    callers can account for the patch volume.
-    """
-    dirty = engine.take_dirty()
-    for landmark in sorted(dirty.rows):
-        nodes = dirty.rows[landmark]
-        dist_row, parent_row = engine.landmark_row(landmark)
-        tables.patch_spt_row(landmark, sorted(nodes), dist_row, parent_row)
-    if dirty.closest:
-        closest_row, closest_dist_row = engine.closest_landmark_rows
-        tables.patch_closest(
-            sorted(dirty.closest), closest_row, closest_dist_row
-        )
-    if dirty.vicinities and tables.vicinity is not None:
-        updates = {
-            node: engine.vicinity_row(node) for node in dirty.vicinities
-        }
-        tables.replace_vicinity(tables.vicinity.with_rows(updates))
-    if codec is not None and len(tables.addr_offsets) == tables.num_nodes + 1:
-        tables.patch_addresses(sorted(dirty.addresses), codec)
-    return dirty
 
 
 def build_ball_tables(

@@ -25,6 +25,13 @@ the component-wise :meth:`SubstrateTables.from_components`, this layer's
 reference, which :class:`NDDiscoRouting` takes when vicinities are
 injected.
 
+The same class is the churn engine's live state
+(:mod:`repro.dynamics.engine`): the engine converges through the production
+builder, puts the vicinity rows at a fixed stride
+(:meth:`NodeSearchTables.strided`) so a row can be rewritten in place,
+repairs the slabs per event through writable handles it keeps to itself, and
+hands readers :meth:`SubstrateTables.read_only` views of the same memory.
+
 Because the slabs are plain buffers they also serialize as raw bytes
 (:meth:`SubstrateTables.__getstate__`), deduplicating equal floats by
 construction, and publish zero-copy into one shared-memory segment
@@ -211,12 +218,21 @@ class NodeSearchTables:
 
     One row per node, members in settle order (``members[offset[v]]`` is
     ``v`` itself).  Backs both the NDDisco vicinities and the S4 reverse
-    clusters ("balls"); :meth:`distance_maps` / :meth:`predecessor_maps`
+    clusters ("balls"); :meth:`distance_map` / :meth:`predecessor_map`
     give the dict-shaped views the routing code consumes (the predecessor
     map of a row excludes the owner, matching the historical dicts).
+
+    Row ``v`` is ``[offsets[v], offsets[v] + lengths[v])``.  Without
+    ``lengths`` the rows are *packed* (row ``v`` ends where ``v + 1``
+    starts), which is what every scheme-built table, ball table and stored
+    artifact holds; :meth:`strided` gives the fixed-stride form whose rows
+    can be rewritten in place.
     """
 
-    __slots__ = ("num_nodes", "offsets", "members", "dists", "parents", "_indexes")
+    __slots__ = (
+        "num_nodes", "offsets", "members", "dists", "parents", "lengths",
+        "_indexes",
+    )
 
     def __init__(
         self,
@@ -225,12 +241,14 @@ class NodeSearchTables:
         members: "array | memoryview",
         dists: "array | memoryview",
         parents: "array | memoryview",
+        lengths: "array | memoryview | None" = None,
     ) -> None:
         self.num_nodes = num_nodes
         self.offsets = offsets
         self.members = members
         self.dists = dists
         self.parents = parents
+        self.lengths = lengths
         self._indexes: list[dict[int, int] | None] = [None] * num_nodes
 
     @classmethod
@@ -282,29 +300,40 @@ class NodeSearchTables:
             array("q", parents),
         )
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[tuple]) -> "NodeSearchTables":
-        """Build slabs from per-node flat ``(members, dists, parents)`` rows.
+    def strided(self, stride: int) -> "NodeSearchTables":
+        """These packed rows at a fixed ``stride``, with a ``lengths`` column.
 
-        Each row is three equal-length ``'q'`` / ``'d'`` / ``'q'`` buffers
-        in settle order -- the layout the kernels' flat drivers emit and
-        :meth:`row` returns -- and ``rows[v]`` must start at ``v``.  Rows are
-        appended with buffer copies; no per-entry Python objects are built.
+        Row ``v`` starts at ``v * stride`` whatever its length, so it can be
+        rewritten in place, shorter or longer up to ``stride`` (the churn
+        engine's layout: ``stride = min(k, n)``, a row short only when its
+        component is).  Shares the member / distance / parent slabs when
+        every row is ``stride`` long already -- any connected graph -- and
+        copies the rows apart otherwise.
         """
-        offsets = array("q", [0])
-        slabs = (array("q"), array("d"), array("q"))
-        for node, row in enumerate(rows):
-            members, dists, parents = row
-            if not len(members) or members[0] != node:
-                raise ValueError(
-                    f"row {node} does not start at its own node"
-                )
-            if not len(members) == len(dists) == len(parents):
-                raise ValueError(f"row {node} has ragged buffers")
-            for slab, part in zip(slabs, row):
-                slab.frombytes(memoryview(part).cast("B"))
-            offsets.append(len(slabs[0]))
-        return cls(len(rows), offsets, *slabs)
+        n = self.num_nodes
+        lengths = array("q", map(int.__sub__, self.offsets[1:], self.offsets))
+        if lengths and max(lengths) > stride:
+            raise ValueError(f"a row is longer than the stride {stride}")
+        slabs = [self.members, self.dists, self.parents]
+        if len(self.members) != n * stride:
+            packed = [memoryview(slab) for slab in slabs]
+            slabs = [array(code, bytes(8 * n * stride)) for code in "qdq"]
+            for node, width in enumerate(lengths):
+                lo = self.offsets[node]
+                for slab, rows in zip(slabs, packed):
+                    memoryview(slab)[node * stride : node * stride + width] = (
+                        rows[lo : lo + width]
+                    )
+        offsets = array("q", [node * stride for node in range(n + 1)])
+        return NodeSearchTables(n, offsets, *slabs, lengths=lengths)
+
+    def read_only(self) -> "NodeSearchTables":
+        """The same memory behind read-only views (own index cache)."""
+        return NodeSearchTables(
+            self.num_nodes,
+            *(_read_only(getattr(self, slot)) for slot, _ in _VICINITY_SLOTS),
+            lengths=None if self.lengths is None else _read_only(self.lengths),
+        )
 
     def row(self, node: int) -> tuple[memoryview, memoryview, memoryview]:
         """``node``'s flat ``(members, dists, parents)`` row, as slab views."""
@@ -315,27 +344,11 @@ class NodeSearchTables:
             memoryview(self.parents)[lo:hi],
         )
 
-    def with_rows(self, updates: Mapping[int, tuple]) -> "NodeSearchTables":
-        """Return new tables with the rows of ``updates`` replaced.
-
-        ``updates`` maps node -> flat ``(members, dists, parents)`` row (see
-        :meth:`from_rows`).  Row lengths may change (a partition can shrink
-        a truncated search below k), so the slabs are rebuilt; untouched
-        rows are copied wholesale via slab slices, never re-walked.
-        """
-        return NodeSearchTables.from_rows(
-            [
-                updates[node] if node in updates else self.row(node)
-                for node in range(self.num_nodes)
-            ]
-        )
-
     def _index(self, node: int) -> dict[int, int]:
         """member -> absolute slab position for ``node``'s row (lazy)."""
         index = self._indexes[node]
         if index is None:
-            lo = self.offsets[node]
-            hi = self.offsets[node + 1]
+            lo, hi = self.row_bounds(node)
             members = self.members
             index = {members[pos]: pos for pos in range(lo, hi)}
             self._indexes[node] = index
@@ -343,7 +356,10 @@ class NodeSearchTables:
 
     def row_bounds(self, node: int) -> tuple[int, int]:
         """The ``[lo, hi)`` slab range of ``node``'s row."""
-        return self.offsets[node], self.offsets[node + 1]
+        lo = self.offsets[node]
+        if self.lengths is None:
+            return lo, self.offsets[node + 1]
+        return lo, lo + self.lengths[node]
 
     def distance_map(self, node: int) -> SearchMap:
         """Member -> distance view for ``node`` (includes the owner at 0)."""
@@ -380,18 +396,17 @@ class NodeSearchTables:
         return path
 
     def __getstate__(self) -> dict:
-        return {
-            "num_nodes": self.num_nodes,
-            "slabs": {
-                "offsets": ("q", bytes(self.offsets.tobytes())),
-                "members": ("q", bytes(self.members.tobytes())),
-                "dists": ("d", bytes(self.dists.tobytes())),
-                "parents": ("q", bytes(self.parents.tobytes())),
-            },
+        slabs = {
+            slot: (typecode, bytes(getattr(self, slot).tobytes()))
+            for slot, typecode in _VICINITY_SLOTS
         }
+        if self.lengths is not None:
+            slabs["lengths"] = ("q", bytes(self.lengths.tobytes()))
+        return {"num_nodes": self.num_nodes, "slabs": slabs}
 
     def __setstate__(self, state: dict) -> None:
         self.num_nodes = state["num_nodes"]
+        self.lengths = None
         for slot, (typecode, payload) in state["slabs"].items():
             slab = array(typecode)
             slab.frombytes(payload)
@@ -486,6 +501,10 @@ _VICINITY_SLOTS: tuple[tuple[str, str], ...] = (
     ("dists", "d"),
     ("parents", "q"),
 )
+
+
+def _read_only(slab) -> memoryview:
+    return memoryview(slab).toreadonly()
 
 
 class SubstrateTables:
@@ -715,79 +734,27 @@ class SubstrateTables:
             )
         return out
 
-    # -- incremental maintenance hooks --------------------------------------
+    # -- tables repaired in place -------------------------------------------
     #
-    # The event-driven churn engine (repro.dynamics.engine) repairs its own
-    # list-backed state per event; these hooks let a slab snapshot catch up
-    # by rewriting only the touched entries/rows.  They assume the dense-row
-    # conventions of this class (connected topology: every distance finite),
-    # which is exactly the regime the replay-differential tests pin.  See
-    # repro.core.substrate_build.apply_maintenance for the driver.
+    # The churn engine (repro.dynamics.engine) repairs slabs of this class
+    # per event through writable handles it keeps to itself, and hands
+    # readers the same memory behind read-only views.
 
-    def patch_spt_row(self, landmark: int, nodes, dist_row, parent_row) -> None:
-        """Overwrite entries of one landmark's SPT row in place.
+    def read_only(self) -> "SubstrateTables":
+        """The same memory behind read-only views: live after every write
+        the owner of the writable slabs makes, and unwritable itself."""
+        views = [_read_only(getattr(self, slot)) for slot, _ in _TABLE_SLOTS]
+        vicinity = None if self.vicinity is None else self.vicinity.read_only()
+        return SubstrateTables(self.num_nodes, *views[:5], vicinity, *views[5:])
 
-        ``dist_row`` / ``parent_row`` are full dense rows (node-indexed);
-        only the entries listed in ``nodes`` are written.  Cached views stay
-        valid (they read through the slabs).
-        """
-        base = self._landmark_pos[landmark] * self.num_nodes
-        spt_dist = self.spt_dist
-        spt_parent = self.spt_parent
+    def forget_rows(self, nodes) -> None:
+        """Drop what was cached from vicinity rows rewritten in place: the
+        rows' member -> position indexes and the per-node views.  Views and
+        maps handed out before the write are invalid after it."""
+        indexes = self.vicinity._indexes
         for node in nodes:
-            spt_dist[base + node] = dist_row[node]
-            spt_parent[base + node] = parent_row[node]
-
-    def patch_closest(self, nodes, closest_row, closest_dist_row) -> None:
-        """Overwrite per-node closest-landmark entries in place."""
-        closest = self.closest
-        closest_dist = self.closest_dist
-        for node in nodes:
-            closest[node] = closest_row[node]
-            closest_dist[node] = closest_dist_row[node]
-
-    def replace_vicinity(self, vicinity: NodeSearchTables) -> None:
-        """Swap in updated vicinity slabs (see NodeSearchTables.with_rows)."""
-        self.vicinity = vicinity
+            indexes[node] = None
         self._vicinity_views = None
-
-    def patch_addresses(self, dirty_nodes, codec) -> None:
-        """Rebuild the address slabs after SPT/closest patches.
-
-        Explicit-route *paths* are re-walked (over the already-patched
-        parent slabs) only for ``dirty_nodes``; clean rows are copied
-        wholesale.  Forwarding *labels and bit sizes* are re-encoded for
-        every row with the caller's ``codec``: a label is a neighbor's
-        position in its node's adjacency list, so any adjacency change
-        renumbers labels on every path through the touched nodes -- ``codec``
-        must be built on the mutated topology.
-        """
-        if len(self.addr_offsets) != self.num_nodes + 1:
-            raise ValueError("these tables were built without addresses")
-        dirty = set(dirty_nodes)
-        old_offsets = self.addr_offsets
-        old_path = memoryview(self.addr_path)
-        new_offsets = array("q", [0])
-        new_path = array("q")
-        new_labels = array("q")
-        new_bits = array("q")
-        for node in range(self.num_nodes):
-            if node in dirty:
-                path = self.spt_path(self.closest[node], node)
-                new_path.extend(path)
-            else:
-                lo = old_offsets[node]
-                hi = old_offsets[node + 1]
-                path = old_path[lo:hi].tolist()
-                new_path.extend(old_path[lo:hi])
-            new_labels.extend(codec.encode_path(path))
-            new_labels.append(-1)  # row terminator keeps rows aligned
-            new_bits.append(codec.path_bits(path))
-            new_offsets.append(len(new_path))
-        self.addr_offsets = new_offsets
-        self.addr_path = new_path
-        self.addr_labels = new_labels
-        self.addr_bits = new_bits
 
     # -- serialization ------------------------------------------------------
 
@@ -841,6 +808,7 @@ class SubstrateTables:
                 views["vicinity.members"],
                 views["vicinity.dists"],
                 views["vicinity.parents"],
+                views.get("vicinity.lengths"),
             )
         tables = cls(
             handle.num_nodes,
@@ -881,6 +849,8 @@ class SubstrateTables:
                 (f"vicinity.{slot}", typecode, getattr(self.vicinity, slot))
                 for slot, typecode in _VICINITY_SLOTS
             )
+            if self.vicinity.lengths is not None:
+                slabs.append(("vicinity.lengths", "q", self.vicinity.lengths))
         return slabs
 
     def slab_bytes(self) -> int:
@@ -964,6 +934,7 @@ class SubstrateTables:
                 views["vicinity.members"],
                 views["vicinity.dists"],
                 views["vicinity.parents"],
+                views.get("vicinity.lengths"),
             )
         return cls(
             manifest["num_nodes"],
@@ -1052,17 +1023,10 @@ class SharedTables:
     def __init__(self, tables: SubstrateTables) -> None:
         from multiprocessing import shared_memory
 
-        slabs: list[tuple[str, str, object]] = [
-            (slot, typecode, getattr(tables, slot))
-            for slot, typecode in _TABLE_SLOTS
-        ]
-        vicinity_nodes = None
-        if tables.vicinity is not None:
-            vicinity_nodes = tables.vicinity.num_nodes
-            slabs.extend(
-                (f"vicinity.{slot}", typecode, getattr(tables.vicinity, slot))
-                for slot, typecode in _VICINITY_SLOTS
-            )
+        slabs = tables.slab_items()
+        vicinity_nodes = (
+            None if tables.vicinity is None else tables.vicinity.num_nodes
+        )
         slots = tuple(
             (name, typecode, len(slab)) for name, typecode, slab in slabs
         )

@@ -6,19 +6,21 @@ machinery for dynamics: soft-state resolution records, landmark hysteresis,
 consistent sloppy grouping, and an overlay whose dissemination keeps address
 state fresh.  This package provides the future-work piece:
 
-* :mod:`repro.dynamics.churn` -- seed-era reproducible churn workloads
-  (connectivity-preserving edge failures / recoveries) applied to a
-  topology; the ``churn-cost`` scenario's event source.
-* :mod:`repro.dynamics.stream` -- richer seeded event streams (edge
-  up/down/reweight, node leave/join, partitions) on a tick timeline.
+* :mod:`repro.dynamics.stream` -- :class:`DynEvent`, the one event record,
+  and its two seeded generators on a tick timeline: the seed's
+  connectivity-preserving link-flap workload (the ``churn-cost`` scenario's
+  event source) and the five-kind stream (edge up/down/reweight, node
+  leave/join, partitions).
 * :mod:`repro.dynamics.calendar` -- the flat-array Dial bucket-queue event
   calendar the discrete-event engine drains.
-* :mod:`repro.dynamics.engine` -- :class:`ChurnEngine`, which maintains the
-  converged NDDisco substrate *incrementally* per event (affected-subtree
-  SPT repair, closest-landmark refold, candidate-only vicinity recompute)
-  with state bit-identical to full reconvergence.
-* :mod:`repro.dynamics.passes` -- the engine's per-event passes over its
-  flat slabs (closest refold, vicinity candidate filter, vicinity
+* :mod:`repro.dynamics.engine` -- :class:`ChurnEngine`, whose converged
+  state *is* a :class:`~repro.core.tables.SubstrateTables`
+  (``engine.tables``): built by the production builder and repaired in
+  place per event (affected-subtree SPT repair, closest-landmark refold,
+  candidate-only vicinity recompute), bit-identical to a fresh build on the
+  mutated topology after every event.
+* :mod:`repro.dynamics.passes` -- the engine's per-event passes over those
+  slabs (closest refold, vicinity candidate filter, vicinity
   commit-and-bill), each one C call with a pure-Python twin.
 * :mod:`repro.dynamics.maintenance` -- the incremental cost of one topology
   change: which addresses change, how many resolution records must be
@@ -29,27 +31,24 @@ state fresh.  This package provides the future-work piece:
 """
 
 from repro.dynamics.calendar import EventCalendar
-from repro.dynamics.churn import ChurnEvent, ChurnWorkload, generate_churn_workload
-from repro.dynamics.engine import ChurnEngine, DirtyState, EventReport
+from repro.dynamics.engine import ChurnEngine, EventReport
 from repro.dynamics.maintenance import MaintenanceCost
 from repro.dynamics.stream import (
     EVENT_KINDS,
     DynEvent,
-    events_from_workload,
+    apply_edge_event,
+    generate_churn_workload,
     generate_event_stream,
 )
 
 __all__ = [
     "EVENT_KINDS",
     "ChurnEngine",
-    "ChurnEvent",
-    "ChurnWorkload",
-    "DirtyState",
     "DynEvent",
     "EventCalendar",
     "EventReport",
     "MaintenanceCost",
-    "events_from_workload",
+    "apply_edge_event",
     "generate_churn_workload",
     "generate_event_stream",
 ]

@@ -1,4 +1,4 @@
-"""Event-driven churn engine: incremental substrate maintenance.
+"""Event-driven churn engine: the converged substrate, repaired in place.
 
 The paper's accounting of one topology event is the difference between a
 *fully reconverged* :class:`~repro.core.nddisco.NDDiscoRouting` on the
@@ -6,12 +6,16 @@ mutated topology and the previous state, which costs a full |L|-SPT +
 n-vicinity rebuild per event (the tests' replay oracle,
 ``tests/oracles/replay.py``, does exactly that).
 
-:class:`ChurnEngine` maintains the same converged state *incrementally*:
+:class:`ChurnEngine` holds the same converged state as the schemes do -- a
+:class:`~repro.core.tables.SubstrateTables`, converged by the production
+builder (:func:`~repro.core.substrate_build.build_substrate_tables`) -- and
+repairs those tables' own slabs per event.  ``engine.tables`` is the read
+surface: read-only views of the memory the engine writes, equal to a fresh
+build on the mutated topology after every event, with no sync step.
 
-* **Landmark SPT rows** are two flat ``|L| x n`` slabs (distances and
-  parents, row-major in ascending landmark order, ``inf`` / ``-1`` fill --
-  the layout of ``SubstrateTables.spt_dist`` / ``spt_parent``), repaired
-  per event with the affected-subtree algorithms of
+* **Landmark SPT rows** (``spt_dist`` / ``spt_parent``, ``|L| x n``
+  row-major in ascending landmark order, ``inf`` / ``-1`` where a landmark
+  does not reach) are repaired with the affected-subtree algorithms of
   :mod:`repro.graphs.incremental` in one call over all rows -- an event
   that does not touch a row's tree arc costs O(1) on that row.
 * **Closest landmarks** are refolded only for nodes whose distance to some
@@ -23,46 +27,51 @@ n-vicinity rebuild per event (the tests' replay oracle,
   boundary when it improves), read only where the vicinity radius reaches
   the event's endpoints.  Every non-candidate's vicinity is provably
   bit-identical before and after, and every candidate's row changes (but
-  for a weight change absorbed by rounding).  The vicinities are three
-  slabs of fixed stride ``min(k, n)`` (members / dists / parents in settle
-  order, the kernel's own row layout) with a length column and the
-  maintained radius array; an event's candidates go down in one batched
-  kernel call.
-* **Addresses** (closest landmark + landmark-tree path) are re-derived
-  only for nodes whose closest landmark changed or that are new-tree
-  descendants of a parent change inside their closest landmark's row.
+  for a weight change absorbed by rounding).  The rows sit at a fixed
+  stride ``min(k, n)`` with a length column
+  (:meth:`~repro.core.tables.NodeSearchTables.strided`; members / dists /
+  parents in settle order, the kernel's own row layout), so a row is
+  rewritten where it lies; the engine also maintains the radius array.  An
+  event's candidates go down in one batched kernel call.
+* **Addresses** (closest landmark + landmark-tree path) are the one piece
+  kept in the engine's own shape, a list of ``(landmark, path)`` tuples
+  re-derived only for nodes whose closest landmark changed or that are
+  new-tree descendants of a parent change inside their closest landmark's
+  row.  The tables are built with ``codec=None``: their label and bit slabs
+  are renumbered by any adjacency change on a path, so keeping them current
+  would cost every event a pass over every address that nobody reads.
 
 An event is therefore a fixed sequence of calls below the FFI -- row repair
 (:mod:`repro.graphs.incremental`), endpoint searches and the k-nearest
 recompute (:mod:`repro.graphs.csr`), closest refold, candidate filter and
 vicinity commit-and-bill (:mod:`repro.dynamics.passes`) -- and the Python
-here walks only what an event changed: the repaired rows' change lists and
-the dirty addresses.  Every pass has a pure-Python twin selected with the
+here walks only the stale addresses.  Every pass has a pure-Python twin selected with the
 kernels themselves (``REPRO_NO_CKERNELS=1``); there is no other switch.
 
-Because the SPT repairs and vicinity recomputes go through the canonical
-search kernels, the resulting state is bit-identical to a from-scratch
-rebuild on the mutated topology, and the :class:`MaintenanceCost` charged
-per event equals the full before/after state diff the replay oracle
-computes -- the differential tests in ``tests/test_dynamics_incremental.py``
-assert both.
+Because convergence, the SPT repairs and the vicinity recomputes all go
+through the canonical search kernels, the state is bit-identical to a
+from-scratch build on the mutated topology, and the
+:class:`MaintenanceCost` charged per event equals the full before/after
+state diff the replay oracle computes -- the differential tests in
+``tests/test_dynamics_incremental.py`` assert both.
 
-Unlike the converged-state classes, the engine survives partitions: its
-rows use ``inf`` / ``-1`` for unreachable nodes, a node with no reachable
-landmark has ``closest == -1`` and address ``None``, and node leave/join
-events capture and restore incident edges with stable node ids.
+Unlike the schemes, the engine survives partitions: a node with no reachable
+landmark has ``closest == -1`` and address ``None``, a vicinity row is short
+when its component is, and node leave/join events capture and restore
+incident edges with stable node ids.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.core.landmarks import select_landmarks
 from repro.core.sloppy_groups import SloppyGrouping
-from repro.core.tables import NodeSearchTables, VicinityView
+from repro.core.substrate_build import build_substrate_tables
+from repro.core.tables import SubstrateTables
 from repro.core.vicinity import vicinity_size
 from repro.dynamics.calendar import EventCalendar
 from repro.dynamics.maintenance import MaintenanceCost, _mean_group_size
@@ -78,10 +87,10 @@ from repro.graphs.incremental import (
     repair_rows_after_detach,
     repair_rows_after_increase,
 )
-from repro.graphs.topology import Topology, _as_typed_array
+from repro.graphs.topology import Topology
 from repro.naming.names import name_for_node
 
-__all__ = ["EventReport", "DirtyState", "ChurnEngine"]
+__all__ = ["EventReport", "ChurnEngine"]
 
 _INF = math.inf
 
@@ -134,28 +143,6 @@ class EventReport:
         return self.cost.total_incremental_entries
 
 
-@dataclass(frozen=True)
-class DirtyState:
-    """Accumulated state changes since the last :meth:`ChurnEngine.take_dirty`.
-
-    The change sets a :class:`~repro.core.tables.SubstrateTables` snapshot
-    needs to catch up with the engine (see
-    :func:`repro.core.substrate_build.apply_maintenance`): per-landmark SPT
-    entries touched, closest-landmark entries refolded, vicinities
-    recomputed, and addresses re-derived.
-    """
-
-    rows: dict[int, set[int]]
-    closest: set[int]
-    vicinities: set[int]
-    addresses: set[int]
-
-    def __bool__(self) -> bool:
-        return bool(
-            self.rows or self.closest or self.vicinities or self.addresses
-        )
-
-
 class ChurnEngine:
     """Converged NDDisco substrate state under incremental maintenance."""
 
@@ -171,101 +158,57 @@ class ChurnEngine:
         if landmarks is None:
             landmarks = select_landmarks(n, seed=seed)
         self._topology = topology.copy()
-        self._landmarks = array("q", sorted(set(landmarks)))
-        self._dist_slab = array("d", bytes(8 * len(self._landmarks) * n))
-        self._parent_slab = array("q", bytes(8 * len(self._landmarks) * n))
-        self._closest = array("q", [-1]) * n
-        self._closest_dist = array("d", [_INF]) * n
-        csr = self._topology.csr()
-        # Every landmark row and the closest fold in one kernel call.
-        csr.spt_rows_batch_into(
-            self._landmarks,
-            self._dist_slab,
-            self._parent_slab,
-            fill=_INF,
-            closest_dist=self._closest_dist,
-            closest_landmark=self._closest,
-        )
         k = vicinity_k if vicinity_k is not None else vicinity_size(n)
-        self._finish_init(
+        self._adopt(
+            build_substrate_tables(self._topology, landmarks, size=k),
             k,
-            csr.k_nearest_batch_flat(k),
             [name_for_node(node) for node in range(n)],
         )
         self._addresses: list[tuple[int, tuple[int, ...]] | None] = [
             self._derive_address(node) for node in range(n)
         ]
 
-    def _finish_init(self, k: int, vicinity, names: list) -> None:
-        """What both constructors share once the topology, landmarks, SPT
-        slabs and closest rows are in place: the vicinity slabs, from a flat
-        all-nodes ``(offsets, members, dists, parents)`` k-nearest result in
-        slabs this engine may keep, and the event bookkeeping."""
+    def _adopt(self, slabs: SubstrateTables, k: int, names: list) -> None:
+        """What both constructors share once the topology is in place:
+        ``slabs`` -- converged, writable, this engine's alone -- becomes the
+        state, its vicinity rows go to the fixed stride, and the event
+        bookkeeping starts empty."""
         n = self._num_nodes = self._topology.num_nodes
         self._k = k
-        self._names = names
         self._group_size = _mean_group_size(SloppyGrouping(names))
         self._dead: set[int] = set()
         self._captured: dict[int, list[tuple[int, int, float]]] = {}
         # Reusable rows for the per-event endpoint searches.
         self._endpoint_dist = array("d", bytes(16 * n))
         self._endpoint_parent = array("q", bytes(16 * n))
-        self._reset_dirty()
 
-        # Vicinity rows at a fixed stride: node x's row starts at x * stride
-        # and holds _vicinity_lengths[x] members (fewer than the stride only
-        # when x's component is smaller than k).  _radius[x] is the
-        # candidate threshold R_x of the row: its last-settled (farthest)
-        # distance, or inf when the vicinity is component-limited.
-        stride = self._stride = min(k, n)
-        offsets, *slabs = vicinity
-        self._vicinity_lengths = array(
-            "q", map(int.__sub__, offsets[1:], offsets)
+        # Node x's row starts at x * stride and holds lengths[x] members
+        # (fewer than the stride only when x's component is smaller than k).
+        stride = min(k, n)
+        vicinity = slabs.vicinity = slabs.vicinity.strided(stride)
+        self._slabs = slabs
+        self._stored = (vicinity.members, vicinity.dists, vicinity.parents)
+        self._tables = slabs.read_only()
+        # _radius[x] is the candidate threshold R_x of the row: its
+        # last-settled (farthest) distance, or inf when the vicinity is
+        # component-limited.
+        self._radius = (
+            vicinity.dists[stride - 1 :: stride] if stride else array("d")
         )
-        if len(slabs[0]) != n * stride:  # some row is short: spread them out
-            packed = slabs
-            slabs = [
-                array(slab.typecode, bytes(8 * n * stride)) for slab in packed
-            ]
-            for node, lo in enumerate(offsets[:-1]):
-                width = self._vicinity_lengths[node]
-                for slab, rows in zip(slabs, packed):
-                    slab[node * stride : node * stride + width] = rows[
-                        lo : lo + width
-                    ]
-        self._vicinity_slabs: tuple[array, array, array] = tuple(slabs)
-        self._radius = slabs[1][stride - 1 :: stride] if stride else array("d")
-        for node, width in enumerate(self._vicinity_lengths):
+        for node, width in enumerate(vicinity.lengths):
             if width < stride:
                 self._radius[node] = _INF
-
-    def _reset_dirty(self) -> None:
-        self._dirty_rows: dict[int, set[int]] = {}
-        self._dirty_closest: set[int] = set()
-        self._dirty_vicinities: set[int] = set()
-        self._dirty_addresses: set[int] = set()
-
-    def take_dirty(self) -> DirtyState:
-        """Return and clear the change sets accumulated since the last call."""
-        dirty = DirtyState(
-            rows=self._dirty_rows,
-            closest=self._dirty_closest,
-            vicinities=self._dirty_vicinities,
-            addresses=self._dirty_addresses,
-        )
-        self._reset_dirty()
-        return dirty
 
     @classmethod
     def from_routing(cls, routing) -> "ChurnEngine":
         """Adopt the converged state of an :class:`NDDiscoRouting` instance.
 
-        Requires a connected topology (the converged classes' dense rows
-        use a ``0.0`` fill for unreachable nodes, which is only unambiguous
-        when every node is reachable -- and then no entry needs translating
-        to this engine's ``inf`` / ``-1`` fill).  The slabs are copied
-        wholesale; the resulting engine state is bit-identical to building
-        from scratch, without recomputing any search.
+        Requires a connected topology, as the scheme does.  The scheme's
+        slabs are copied wholesale, with no per-entry translation and no
+        search recomputed (the scheme and the siblings sharing its tables
+        keep theirs untouched by events); the address slabs are left out,
+        as in the tables the engine builds itself.  The resulting state is
+        bit-identical to building from scratch.
         """
         if not routing.topology.is_connected():
             raise ValueError(
@@ -274,25 +217,14 @@ class ChurnEngine:
             )
         engine = cls.__new__(cls)
         engine._topology = routing.topology.copy()
-        tables = routing.tables
-        engine._landmarks = _as_typed_array("q", tables.landmark_ids)
-        engine._dist_slab = _as_typed_array("d", tables.spt_dist)
-        engine._parent_slab = _as_typed_array("q", tables.spt_parent)
-        engine._closest = _as_typed_array("q", tables.closest)
-        engine._closest_dist = _as_typed_array("d", tables.closest_dist)
-        vicinity = tables.vicinity
-        engine._finish_init(
-            # Connected topology: every adopted row holds exactly min(k, n)
-            # members, whatever vicinity_scale the routing was built with.
-            vicinity.offsets[1],
-            (
-                vicinity.offsets,
-                _as_typed_array("q", vicinity.members),
-                _as_typed_array("d", vicinity.dists),
-                _as_typed_array("q", vicinity.parents),
-            ),
-            list(routing.names),
+        slabs = copy.deepcopy(routing.tables)  # private array-backed slabs
+        slabs.addr_offsets = array("q", [0])
+        slabs.addr_path, slabs.addr_labels, slabs.addr_bits = (
+            array("q") for _ in range(3)
         )
+        # Connected topology: every adopted row holds exactly min(k, n)
+        # members, whatever vicinity_scale the routing was built with.
+        engine._adopt(slabs, slabs.vicinity.offsets[1], list(routing.names))
         engine._addresses = [
             (address.landmark, tuple(address.route.path))
             for address in routing.addresses
@@ -300,6 +232,15 @@ class ChurnEngine:
         return engine
 
     # -- read-only state accessors ------------------------------------------
+
+    @property
+    def tables(self) -> SubstrateTables:
+        """The converged state: read-only views of the slabs the engine
+        repairs, live after every event with no call in between (the stored
+        row decides whether a node is searched again, so nothing else may
+        write).  Row, map and vicinity views taken from it are valid until
+        the next event."""
+        return self._tables
 
     @property
     def topology(self) -> Topology:
@@ -313,7 +254,7 @@ class ChurnEngine:
     @property
     def landmarks(self) -> set[int]:
         """The (fixed) landmark set, as a copy."""
-        return set(self._landmarks)
+        return set(self._slabs.landmark_ids)
 
     @property
     def vicinity_k(self) -> int:
@@ -326,30 +267,6 @@ class ChurnEngine:
         return set(self._dead)
 
     @property
-    def vicinities(self) -> list[VicinityView]:
-        """Per-node vicinity views (indexed by node id) over a snapshot of
-        the current rows, built per call; read-only."""
-        table = NodeSearchTables.from_rows(
-            [self.vicinity_row(node) for node in range(self._num_nodes)]
-        )
-        return [VicinityView(table, node) for node in range(self._num_nodes)]
-
-    def vicinity_row(
-        self, node: int
-    ) -> tuple[memoryview, memoryview, memoryview]:
-        """Flat ``(members, dists, parents)`` row of one node, in settle
-        order, as read-only views of the engine's slabs (the stored row
-        decides whether an event recomputes it)."""
-        lo = node * self._stride
-        hi = lo + self._vicinity_lengths[node]
-        members, dists, parents = self._vicinity_slabs
-        return (
-            memoryview(members).toreadonly()[lo:hi],
-            memoryview(dists).toreadonly()[lo:hi],
-            memoryview(parents).toreadonly()[lo:hi],
-        )
-
-    @property
     def addresses(self) -> list[tuple[int, tuple[int, ...]] | None]:
         """Per-node ``(closest landmark, landmark-tree path)``; read-only.
 
@@ -357,44 +274,20 @@ class ChurnEngine:
         """
         return self._addresses
 
-    def _row_bounds(self, landmark: int) -> tuple[int, int]:
-        row = bisect_left(self._landmarks, landmark)
-        if row == len(self._landmarks) or self._landmarks[row] != landmark:
-            raise KeyError(landmark)
-        return row * self._num_nodes, (row + 1) * self._num_nodes
-
-    def landmark_row(self, landmark: int) -> tuple[memoryview, memoryview]:
-        """Dense ``(dist, parent)`` row for one landmark, as read-only
-        views of the engine's slabs."""
-        lo, hi = self._row_bounds(landmark)
-        return (
-            memoryview(self._dist_slab).toreadonly()[lo:hi],
-            memoryview(self._parent_slab).toreadonly()[lo:hi],
-        )
-
-    @property
-    def closest_landmark_rows(self) -> tuple[array, array]:
-        """Per-node closest landmark and distance; read-only.
-
-        Unreachable nodes hold ``-1`` / ``inf`` (the converged classes
-        assume connectivity and cannot represent this case).
-        """
-        return self._closest, self._closest_dist
-
     def state_signature(self):
         """Hashable snapshot of the full converged state, for differentials."""
-        rows = map(self.landmark_row, self._landmarks)
-        vicinity_rows = map(self.vicinity_row, range(self._num_nodes))
+        tables = self._tables
+        vicinity = tables.vicinity
         return (
             tuple(
                 (landmark, tuple(dist), tuple(parent))
-                for landmark, (dist, parent) in zip(self._landmarks, rows)
+                for landmark, (dist, parent) in tables.spt_rows().items()
             ),
-            tuple(self._closest),
-            tuple(self._closest_dist),
+            tuple(tables.closest),
+            tuple(tables.closest_dist),
             tuple(
-                tuple(sorted(zip(members, dists)))
-                for members, dists, _ in vicinity_rows
+                tuple(sorted(zip(*vicinity.row(node)[:2])))
+                for node in range(self._num_nodes)
             ),
             tuple(self._addresses),
         )
@@ -402,19 +295,10 @@ class ChurnEngine:
     # -- internal maintenance helpers ---------------------------------------
 
     def _derive_address(self, node: int):
-        landmark = self._closest[node]
+        landmark = self._slabs.closest[node]
         if landmark < 0:
             return None
-        base, _ = self._row_bounds(landmark)
-        parent_slab = self._parent_slab
-        path = [node]
-        while path[-1] != landmark:
-            pred = parent_slab[base + path[-1]]
-            if pred < 0:
-                return None
-            path.append(pred)
-        path.reverse()
-        return (landmark, tuple(path))
+        return (landmark, tuple(self._tables.spt_path(landmark, node)))
 
     def _endpoint_rows(self, *nodes: int) -> list[memoryview]:
         """Distance rows rooted at an event's endpoints in the current
@@ -441,8 +325,8 @@ class ChurnEngine:
             endpoint_rows,
             self._radius,
             arcs,
-            self._vicinity_slabs,
-            self._vicinity_lengths,
+            self._stored,
+            self._slabs.vicinity.lengths,
             weights=weights,
         )
 
@@ -456,31 +340,30 @@ class ChurnEngine:
         changed, entries_changed = commit_vicinities(
             candidates,
             fresh,
-            self._vicinity_slabs,
-            self._vicinity_lengths,
+            self._stored,
+            self._slabs.vicinity.lengths,
             self._radius,
         )
-        self._dirty_vicinities.update(changed)
+        self._tables.forget_rows(changed)
         return entries_changed, len(changed)
 
-    def _patch_addresses(self, changes: RowChanges) -> int:
+    def _refresh_addresses(self, changes: RowChanges) -> int:
         """Refold closest landmarks and re-derive the stale addresses."""
-        refolded, stale = refold_closest(
+        slabs = self._slabs
+        _, stale = refold_closest(
             self._topology,
-            self._landmarks,
-            self._dist_slab,
-            self._parent_slab,
+            slabs.landmark_ids,
+            slabs.spt_dist,
+            slabs.spt_parent,
             changes,
-            self._closest,
-            self._closest_dist,
+            slabs.closest,
+            slabs.closest_dist,
         )
-        self._dirty_closest.update(refolded)
         addresses_changed = 0
         for node in stale:
             address = self._derive_address(node)
             if address != self._addresses[node]:
                 self._addresses[node] = address
-                self._dirty_addresses.add(node)
                 addresses_changed += 1
         return addresses_changed
 
@@ -490,13 +373,7 @@ class ChurnEngine:
         """Everything after the row repair and the candidate filter: patch
         vicinities, closest landmarks and addresses, and bill the event."""
         vicinity_entries, stored = self._patch_vicinities(candidates)
-        addresses_changed = self._patch_addresses(changes)
-        for row, dist_changed, parent_changed in changes:
-            row_dirty = self._dirty_rows.setdefault(
-                self._landmarks[row], set()
-            )
-            row_dirty.update(dist_changed)
-            row_dirty.update(parent_changed)
+        addresses_changed = self._refresh_addresses(changes)
         cost = MaintenanceCost(
             addresses_changed=addresses_changed,
             landmark_set_changed=False,
@@ -518,11 +395,12 @@ class ChurnEngine:
 
     def _repair_slabs(self, repair, *event) -> RowChanges:
         """One ``repair_rows_after_*`` call over every landmark row."""
+        slabs = self._slabs
         return repair(
             self._topology,
-            self._landmarks,
-            self._dist_slab,
-            self._parent_slab,
+            slabs.landmark_ids,
+            slabs.spt_dist,
+            slabs.spt_parent,
             *event,
         )
 

@@ -1,26 +1,29 @@
 """Dynamic event streams: seeded edge/node churn over a live topology.
 
-The seed-era :mod:`repro.dynamics.churn` workloads are edge-only and
-connectivity-preserving by construction (the paper's fig. 8 setting).  The
-event-driven engine additionally handles reweights, node leave/join, and
-partitions, so this module generates richer streams while staying exactly
-as reproducible: one :func:`make_rng` stream per (seed, tag), candidates
-drawn from sorted containers only.
+A :class:`DynEvent` is a point event on a tick timeline, and the only event
+record: the engine, the CLI, the ``churn-cost`` scenario and the test
+oracles all take lists of them.  Two generators, each a pure function of
+its arguments (one :func:`make_rng` stream per (seed, tag), candidates
+drawn from sorted containers only):
 
-A :class:`DynEvent` is a point event on a tick timeline.  Node events name
-only the node: the *engine* captures a leaving node's incident edges and
-restores them on join (edges whose far endpoint is itself dead at join time
-migrate to that endpoint's captured set), and the generator mirrors that
-bookkeeping so its feasibility checks see the same topology the engine
-will.
+* :func:`generate_churn_workload` -- the seed's link-flap workload (the
+  paper's fig. 8 setting): connectivity-preserving edge failures, each
+  followed by its recovery;
+* :func:`generate_event_stream` -- all five kinds: reweights, node
+  leave/join, and partitions when allowed.
+
+Node events name only the node: the *engine* captures a leaving node's
+incident edges and restores them on join (edges whose far endpoint is itself
+dead at join time migrate to that endpoint's captured set), and the
+generator mirrors that bookkeeping so its feasibility checks see the same
+topology the engine will.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.dynamics.churn import ChurnEvent
 from repro.graphs.topology import Topology
 from repro.utils.randomness import make_rng
 from repro.utils.validation import require_positive
@@ -28,7 +31,8 @@ from repro.utils.validation import require_positive
 __all__ = [
     "EVENT_KINDS",
     "DynEvent",
-    "events_from_workload",
+    "apply_edge_event",
+    "generate_churn_workload",
     "generate_event_stream",
 ]
 
@@ -58,9 +62,9 @@ class DynEvent:
         Edge endpoints for edge events (``u < v``); for node events ``u``
         is the node and ``v`` is ``-1``.
     weight:
-        New/restored weight for ``edge-up`` / ``edge-reweight``; the failed
-        weight (for symmetry with :class:`ChurnEvent`) on ``edge-down``;
-        ``0.0`` for node events.
+        New/restored weight for ``edge-up`` / ``edge-reweight``; the weight
+        the link had (what its recovery restores) on ``edge-down``; ``0.0``
+        for node events.
     """
 
     tick: int
@@ -81,24 +85,86 @@ class DynEvent:
         return (self.u, self.v)
 
 
-def events_from_workload(
-    events: Iterable[ChurnEvent], *, events_per_tick: int = 1
+def apply_edge_event(topology: Topology, event: DynEvent) -> None:
+    """Apply one edge event to ``topology``, in place.
+
+    For replaying a stream's prefix on a plain topology (a ``churn-cost``
+    segment's boundary, the replay oracle's next state).  Node events carry
+    captured-edge state only the engine keeps and raise ``ValueError``
+    here; so does recovering a present edge, and failing or reweighting a
+    missing one raises ``KeyError``.
+    """
+    u, v = event.edge
+    if event.kind == "edge-down":
+        topology.remove_edge(u, v)
+    elif event.kind == "edge-reweight":
+        topology.set_edge_weight(u, v, event.weight)
+    elif topology.has_edge(u, v):
+        raise ValueError(f"cannot recover already-present edge {event.edge}")
+    else:
+        topology.add_edge(u, v, event.weight)
+
+
+def generate_churn_workload(
+    topology: Topology,
+    *,
+    num_events: int,
+    seed: int = 0,
+    recover: bool = True,
+    events_per_tick: int = 1,
 ) -> list[DynEvent]:
-    """Lift seed-era :class:`ChurnEvent` sequences onto the tick timeline."""
+    """Generate a connectivity-preserving link-flap stream.
+
+    Parameters
+    ----------
+    topology:
+        The base topology (must be connected); never mutated.
+    num_events:
+        Number of events to generate.  With ``recover=True`` events alternate
+        failure/recovery of the same link, so the topology oscillates near
+        its base state; with ``recover=False`` each event fails a fresh
+        (non-bridge) link.
+    seed:
+        RNG seed.
+    recover:
+        Whether each failure is followed by the corresponding recovery.
+    events_per_tick:
+        How many consecutive events share one tick.
+    """
+    require_positive("num_events", num_events)
     require_positive("events_per_tick", events_per_tick)
-    out: list[DynEvent] = []
-    for index, event in enumerate(events):
-        u, v = event.edge
-        out.append(
-            DynEvent(
-                tick=index // events_per_tick,
-                kind=event.kind,
-                u=u,
-                v=v,
-                weight=event.weight,
-            )
+    if not topology.is_connected():
+        raise ValueError("churn workloads require a connected base topology")
+    rng = make_rng(seed, "churn")
+    current = topology.copy()
+    events: list[DynEvent] = []
+    candidate_edges = sorted((u, v) for u, v, _ in topology.edges())
+    attempts = 0
+    max_attempts = 50 * num_events + 100
+    while len(events) < num_events and attempts < max_attempts:
+        attempts += 1
+        u, v = candidate_edges[rng.randrange(len(candidate_edges))]
+        if not current.has_edge(u, v):
+            continue
+        weight = current.remove_edge(u, v)
+        if not current.is_connected():  # a bridge: put it back, draw again
+            current.add_edge(u, v, weight)
+            continue
+        events.append(
+            DynEvent(len(events) // events_per_tick, "edge-down", u, v, weight)
         )
-    return out
+        if recover and len(events) < num_events:
+            current.add_edge(u, v, weight)
+            events.append(
+                DynEvent(len(events) // events_per_tick, "edge-up", u, v, weight)
+            )
+    if len(events) < num_events:
+        raise ValueError(
+            "could not generate the requested number of connectivity-preserving "
+            f"events (got {len(events)} of {num_events}); the topology may be "
+            "tree-like"
+        )
+    return events
 
 
 def _cut_points(

@@ -32,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.landmarks import select_landmarks
-from repro.dynamics.churn import apply_event, generate_churn_workload
 from repro.dynamics.engine import ChurnEngine
 from repro.dynamics.maintenance import MaintenanceCost
-from repro.dynamics.stream import events_from_workload
+from repro.dynamics.stream import apply_edge_event, generate_churn_workload
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import header
 from repro.experiments.workloads import sweep_gnm
@@ -123,19 +122,18 @@ def _segment_costs(
     """
     num_nodes = _scenario_nodes(scale)
     topology = sweep_gnm(num_nodes, scale.seed)
-    workload = generate_churn_workload(
+    events = generate_churn_workload(
         topology, num_events=num_events, seed=_trial_seed(scale, trial)
     )
     lo, hi = _segment_bounds(num_events, segment, segments)
-    boundary = topology
-    for event in workload.events[:lo]:
-        boundary = apply_event(boundary, event)
+    boundary = topology.copy()
+    for event in events[:lo]:
+        apply_edge_event(boundary, event)
     # The landmark set is a pure function of (n, seed) -- every shard
     # derives the same set without shipping state.
     landmarks = select_landmarks(num_nodes, seed=scale.seed)
     engine = ChurnEngine(boundary, seed=scale.seed, landmarks=landmarks)
-    reports = engine.run(events_from_workload(workload.events[lo:hi]))
-    return [report.cost for report in reports]
+    return [report.cost for report in engine.run(events[lo:hi])]
 
 
 def _shard_keys(scale: ExperimentScale) -> tuple[str, ...]:
@@ -213,14 +211,11 @@ def run(
     landmarks = select_landmarks(num_nodes, seed=scale.seed)
     per_event: list[MaintenanceCost] = []
     for trial in range(num_trials):
-        workload = generate_churn_workload(
+        events = generate_churn_workload(
             topology, num_events=num_events, seed=_trial_seed(scale, trial)
         )
         engine = ChurnEngine(topology, seed=scale.seed, landmarks=landmarks)
-        per_event.extend(
-            report.cost
-            for report in engine.run(events_from_workload(workload.events))
-        )
+        per_event.extend(report.cost for report in engine.run(events))
     full = simulate_nddisco_convergence(
         topology, seed=scale.seed, landmarks=landmarks
     )

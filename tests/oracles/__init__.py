@@ -4,5 +4,7 @@ One oracle per layer, none importable from ``src/``:
 
 * :mod:`oracles.reference_paths` -- the seed's dict-based Dijkstra variants;
 * :mod:`oracles.replay` -- per-event full reconvergence plus a state diff,
-  the bill the churn engine must reproduce incrementally.
+  the bill the churn engine must reproduce incrementally;
+* :mod:`oracles.fresh_build` -- the production builder on the engine's
+  mutated topology, the tables the engine's in-place repairs must equal.
 """

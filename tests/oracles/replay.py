@@ -5,9 +5,8 @@ reconverged* :class:`~repro.core.nddisco.NDDiscoRouting` on the mutated
 topology and diffing it against the previous state.  That is the paper's
 accounting, at the cost of a full |L|-SPT + n-vicinity rebuild per event;
 :class:`~repro.dynamics.engine.ChurnEngine` must charge the same bills
-incrementally.  The oracle models edge failure / recovery only (the
-``churn.ChurnEvent`` workload); node events have oracles of their own in
-``tests/test_dynamics_regions.py``.
+incrementally.  It takes edge events only (the link-flap workload); node
+events have oracles of their own in ``tests/test_dynamics_regions.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from typing import Iterable
 
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.sloppy_groups import SloppyGrouping
-from repro.dynamics.churn import ChurnEvent, apply_event
 from repro.dynamics.maintenance import MaintenanceCost, _mean_group_size
+from repro.dynamics.stream import DynEvent, apply_edge_event
 from repro.graphs.topology import Topology
 
 __all__ = ["maintenance_cost", "replay_bills"]
@@ -25,7 +24,7 @@ __all__ = ["maintenance_cost", "replay_bills"]
 
 def replay_bills(
     topology: Topology,
-    events: Iterable[ChurnEvent],
+    events: Iterable[DynEvent],
     *,
     seed: int,
     landmarks: set[int],
@@ -34,7 +33,8 @@ def replay_bills(
     state = NDDiscoRouting(topology, seed=seed, landmarks=landmarks)
     bills = []
     for event in events:
-        topology = apply_event(topology, event)
+        topology = topology.copy()  # the previous state keeps its own
+        apply_edge_event(topology, event)
         next_state = NDDiscoRouting(topology, seed=seed, landmarks=landmarks)
         bills.append(maintenance_cost(state, next_state))
         state = next_state

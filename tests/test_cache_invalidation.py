@@ -9,8 +9,9 @@ invalidate all three together.
 
 from __future__ import annotations
 
-from repro.dynamics.churn import apply_event, generate_churn_workload
+from repro.dynamics.stream import apply_edge_event, generate_churn_workload
 from repro.graphs.generators import gnm_random_graph
+from repro.graphs.topology import Topology
 
 
 class TestMutationInvalidation:
@@ -44,13 +45,15 @@ class TestMutationInvalidation:
         assert duplicate.csr() is not csr
 
 
-class TestChurnWorkloadInvalidation:
+class TestLinkFlapInvalidation:
     def test_edge_down_and_up_produce_fresh_snapshots(self):
         topology = gnm_random_graph(96, seed=7, average_degree=8.0)
         workload = generate_churn_workload(topology, num_events=4, seed=5)
         current = topology
         for event in workload:
-            mutated = apply_event(current, event)
+            mutated = current.copy()
+            mutated.csr()  # a live snapshot, so the event patches it
+            apply_edge_event(mutated, event)
             # The mutated topology's derived views reflect the event ...
             expected_edges = current.num_edges + (
                 1 if event.kind == "edge-up" else -1
@@ -62,14 +65,18 @@ class TestChurnWorkloadInvalidation:
             assert current.csr().num_edges == current.num_edges
             current = mutated
 
-    def test_workload_apply_matches_event_replay(self):
+    def test_in_place_replay_matches_a_rebuilt_topology(self):
         topology = gnm_random_graph(96, seed=7, average_degree=8.0)
         workload = generate_churn_workload(
             topology, num_events=5, seed=9, recover=False
         )
-        replayed = topology
+        replayed = topology.copy()
         for event in workload:
-            replayed = apply_event(replayed, event)
-        applied = workload.apply(topology)
-        assert applied == replayed
-        assert applied.content_key() == replayed.content_key()
+            apply_edge_event(replayed, event)
+        failed = {event.edge for event in workload}
+        rebuilt = Topology.from_edges(
+            topology.num_nodes,
+            [edge for edge in topology.edges() if edge[:2] not in failed],
+        )
+        assert replayed == rebuilt
+        assert replayed.content_key() == rebuilt.content_key()

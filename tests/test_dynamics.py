@@ -2,63 +2,108 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from oracles.replay import maintenance_cost
 from repro.core.nddisco import NDDiscoRouting
-from repro.dynamics.churn import (
-    ChurnEvent,
-    apply_event,
+from repro.dynamics.stream import (
+    DynEvent,
+    apply_edge_event,
     generate_churn_workload,
 )
-from repro.graphs.generators import gnm_random_graph, line_graph, ring_graph
+from repro.graphs.generators import (
+    geometric_random_graph,
+    gnm_random_graph,
+    line_graph,
+    ring_graph,
+)
 from repro.graphs.topology import Topology
 
 
-class TestChurnEvents:
+def _replayed(topology: Topology, events) -> Topology:
+    """A copy of ``topology`` with every (edge) event applied in order."""
+    current = topology.copy()
+    for event in events:
+        apply_edge_event(current, event)
+    return current
+
+
+def _absent_edge(topology: Topology) -> tuple[int, int]:
+    return next(
+        (0, v)
+        for v in range(1, topology.num_nodes)
+        if not topology.has_edge(0, v)
+    )
+
+
+class TestEdgeEventReplay:
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
-            ChurnEvent(kind="node-down", edge=(0, 1), weight=1.0)
+            DynEvent(0, "node-down", 0, 1, 1.0)
 
-    def test_edge_down_removes_edge(self, small_gnm):
-        edge = next((u, v) for u, v, _ in small_gnm.edges())
-        event = ChurnEvent(kind="edge-down", edge=edge, weight=1.0)
-        mutated = apply_event(small_gnm, event)
-        assert not mutated.has_edge(*edge)
+    def test_edge_down_removes_edge_in_place(self, small_gnm):
+        u, v = next((u, v) for u, v, _ in small_gnm.edges())
+        mutated = small_gnm.copy()
+        apply_edge_event(mutated, DynEvent(0, "edge-down", u, v, 1.0))
+        assert not mutated.has_edge(u, v)
         assert mutated.num_edges == small_gnm.num_edges - 1
-        # The original topology is untouched.
-        assert small_gnm.has_edge(*edge)
-
-    def test_edge_down_missing_edge_rejected(self, small_gnm):
-        missing = next(
-            (0, v)
-            for v in range(1, small_gnm.num_nodes)
-            if not small_gnm.has_edge(0, v)
-        )
-        with pytest.raises(ValueError):
-            apply_event(
-                small_gnm, ChurnEvent(kind="edge-down", edge=missing, weight=1.0)
-            )
-
-    def test_edge_down_refuses_to_disconnect(self):
-        line = line_graph(5)
-        with pytest.raises(ValueError, match="disconnect"):
-            apply_event(line, ChurnEvent(kind="edge-down", edge=(2, 3), weight=1.0))
 
     def test_edge_up_adds_edge(self, small_gnm):
-        missing = next(
-            (0, v)
-            for v in range(1, small_gnm.num_nodes)
-            if not small_gnm.has_edge(0, v)
-        )
-        event = ChurnEvent(kind="edge-up", edge=missing, weight=2.5)
-        mutated = apply_event(small_gnm, event)
-        assert mutated.edge_weight(*missing) == 2.5
+        u, v = _absent_edge(small_gnm)
+        mutated = small_gnm.copy()
+        apply_edge_event(mutated, DynEvent(0, "edge-up", u, v, 2.5))
+        assert mutated.edge_weight(u, v) == 2.5
 
-    def test_edge_up_duplicate_rejected(self, small_gnm):
-        edge = next((u, v) for u, v, _ in small_gnm.edges())
-        with pytest.raises(ValueError):
-            apply_event(small_gnm, ChurnEvent(kind="edge-up", edge=edge, weight=1.0))
+    def test_edge_reweight_sets_the_weight_either_way(self, small_gnm):
+        u, v = next((u, v) for u, v, _ in small_gnm.edges())
+        mutated = small_gnm.copy()
+        for weight in (0.25, 4.0):
+            apply_edge_event(mutated, DynEvent(0, "edge-reweight", u, v, weight))
+            assert mutated.edge_weight(u, v) == weight
+
+    def test_events_the_topology_cannot_take_raise(self, small_gnm):
+        present = next((u, v) for u, v, _ in small_gnm.edges())
+        absent = _absent_edge(small_gnm)
+        mutated = small_gnm.copy()
+        with pytest.raises(ValueError, match="already-present"):
+            apply_edge_event(mutated, DynEvent(0, "edge-up", *present, 1.0))
+        for kind in ("edge-down", "edge-reweight"):
+            with pytest.raises(KeyError):
+                apply_edge_event(mutated, DynEvent(0, kind, *absent, 1.0))
+        for kind in ("node-leave", "node-join"):
+            with pytest.raises(ValueError, match="has no edge"):
+                apply_edge_event(mutated, DynEvent(0, kind, 3))
+        assert mutated == small_gnm
+
+
+#: sha256 of ``repr([(tick, kind, u, v, weight), ...])`` of the link-flap
+#: workload per (topology, num_events, seed, recover).  Computed at commit
+#: 07317bc -- the parent of the change that folded the seed's edge-only
+#: event record and its generator (``dynamics/churn.py``, which rebuilt the
+#: graph twice per drawn event) into ``DynEvent`` and ``stream.py`` -- from
+#: that generator's events lifted to the tuples above.  The first three are
+#: the replay-oracle cases of ``test_dynamics_incremental.py``; "sparse" has
+#: 17 bridges among its 74 edges, so the draws that skip one are pinned too.
+_FROZEN_WORKLOADS = {
+    ("gnm48", 8, 11, True): "70d91285890f6af6098a0a0657b641068b7d7de0493a3c6ff9a24326c819c669",
+    ("gnm64", 6, 18, True): "dfb14d89c31d43ec043864680704ccbc80286d4313ca3ef296087863d6a6b6ed",
+    ("gnm256", 24, 18, True): "43a76dbe6c139a9cdb5cc94549dfc14ff77d6c7c0bf5e74ea295f57193e9c291",
+    ("gnm64-deg6", 9, 2, False): "0da21feed4cba42b83a5f4d037d7d7420bbfb87d4ea3423a01ef070ca68301f0",
+    ("geometric60", 8, 4, True): "9c9b4cd5bb1900d17a6ee43cfd8ab18b3c8cb26a765b934810a1b183bff6b686",
+    ("sparse60", 10, 6, True): "05c25b9444b81e989e86a518d3ac254f01d13c2dcb958969a642721fb2e783f7",
+    ("sparse60", 6, 6, False): "b0f42c23e8d992eb8af0bc2908f23c96904b15f79aee9048efa39c49caa2c207",
+}
+
+_FROZEN_TOPOLOGIES = {
+    "gnm48": lambda: gnm_random_graph(48, seed=3, average_degree=6.0),
+    "gnm64": lambda: gnm_random_graph(64, seed=1, average_degree=8.0),
+    "gnm256": lambda: gnm_random_graph(256, seed=1, average_degree=8.0),
+    "gnm64-deg6": lambda: gnm_random_graph(64, seed=7, average_degree=6.0),
+    "geometric60": lambda: geometric_random_graph(60, seed=7, average_degree=5.0),
+    "sparse60": lambda: gnm_random_graph(60, seed=2, average_degree=2.4),
+}
 
 
 class TestWorkloadGeneration:
@@ -67,24 +112,36 @@ class TestWorkloadGeneration:
         b = generate_churn_workload(small_gnm, num_events=8, seed=3)
         assert len(a) == 8
         assert a == b
+        assert [event.tick for event in a] == list(range(8))
+
+    def test_events_per_tick_shares_ticks(self, small_gnm):
+        one = generate_churn_workload(small_gnm, num_events=7, seed=3)
+        three = generate_churn_workload(
+            small_gnm, num_events=7, seed=3, events_per_tick=3
+        )
+        assert [event.tick for event in three] == [0, 0, 0, 1, 1, 1, 2]
+        assert [e.edge for e in one] == [e.edge for e in three]
 
     def test_workload_preserves_connectivity(self, small_gnm):
+        before = small_gnm.copy()
         workload = generate_churn_workload(small_gnm, num_events=10, seed=4)
+        assert small_gnm == before  # the base topology is never mutated
         current = small_gnm.copy()
         for event in workload:
-            current = apply_event(current, event)
+            apply_edge_event(current, event)
             assert current.is_connected()
 
     def test_recovering_workload_restores_topology(self, small_gnm):
         workload = generate_churn_workload(small_gnm, num_events=10, seed=5)
-        final = workload.apply(small_gnm)
-        assert final == small_gnm  # alternating down/up events cancel out
+        assert [event.kind for event in workload] == ["edge-down", "edge-up"] * 5
+        # Alternating down/up events cancel out.
+        assert _replayed(small_gnm, workload) == small_gnm
 
     def test_non_recovering_workload_sheds_edges(self, small_gnm):
         workload = generate_churn_workload(
             small_gnm, num_events=5, seed=6, recover=False
         )
-        final = workload.apply(small_gnm)
+        final = _replayed(small_gnm, workload)
         assert final.num_edges == small_gnm.num_edges - 5
         assert final.is_connected()
 
@@ -98,6 +155,22 @@ class TestWorkloadGeneration:
         with pytest.raises(ValueError):
             generate_churn_workload(disconnected, num_events=1)
 
+    @pytest.mark.parametrize(
+        "name, num_events, seed, recover",
+        sorted(_FROZEN_WORKLOADS),
+        ids=lambda value: str(value),
+    )
+    def test_events_are_the_seed_generators(self, name, num_events, seed, recover):
+        events = generate_churn_workload(
+            _FROZEN_TOPOLOGIES[name](),
+            num_events=num_events,
+            seed=seed,
+            recover=recover,
+        )
+        lifted = [(e.tick, e.kind, e.u, e.v, e.weight) for e in events]
+        digest = hashlib.sha256(repr(lifted).encode()).hexdigest()
+        assert digest == _FROZEN_WORKLOADS[name, num_events, seed, recover]
+
 
 class TestMaintenanceCost:
     @pytest.fixture(scope="class")
@@ -107,7 +180,7 @@ class TestMaintenanceCost:
         workload = generate_churn_workload(
             topology, num_events=1, seed=9, recover=False
         )
-        after_topology = workload.apply(topology)
+        after_topology = _replayed(topology, workload)
         after = NDDiscoRouting(after_topology, seed=8, landmarks=before.landmarks)
         return before, after
 
@@ -161,6 +234,28 @@ class TestChurnExperiment:
         assert result.events == 4
         assert 0.0 <= result.incremental_fraction < 1.0
         assert "maintenance cost" in report.lower()
+
+    #: sha256 of ``dump_json(to_jsonable(churn_cost.run(scale, ...)))`` at
+    #: ``ExperimentScale().scaled(0.2)`` (what ``REPRO_SCALE=0.2`` selects):
+    #: the default run (the shard merge, with its prefix replay at the
+    #: segment boundary) and a two-trial run through the unsharded loop.
+    #: Computed at commit 07317bc, like ``_FROZEN_WORKLOADS``.
+    _FROZEN_RESULTS = {
+        (): "78a7414e9179548dd1ade956f87c933f147f5fed3b8e93678fa2651d6246de75",
+        (5, 2): "1db963a872dba94ad0252d92b8af5eccbaff96401b4acc3aa0f1a47356357b6c",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(_FROZEN_RESULTS), ids=str)
+    def test_result_is_the_parents(self, shape):
+        from repro.experiments import churn_cost
+        from repro.experiments.config import ExperimentScale
+        from repro.scenarios.results import dump_json, to_jsonable
+
+        options = dict(zip(("num_events", "num_trials"), shape))
+        result = churn_cost.run(ExperimentScale().scaled(0.2), **options)
+        document = dump_json(to_jsonable(result))
+        digest = hashlib.sha256(document.encode()).hexdigest()
+        assert digest == self._FROZEN_RESULTS[shape]
 
 
 class TestAblationExperiment:

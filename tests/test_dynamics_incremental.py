@@ -13,8 +13,8 @@ contract three ways:
 * full :class:`NDDiscoRouting` state parity and per-event bill parity
   against the replay oracle (``tests/oracles/replay.py``) on
   connectivity-preserving streams;
-* :func:`apply_maintenance` slab patches byte-identical to rebuilding
-  :class:`SubstrateTables` from scratch.
+* ``engine.tables`` slab-equal to a fresh
+  :func:`build_substrate_tables` after every event, with no sync step.
 
 Plus the maintenance edge cases (events at dead nodes, duplicate events
 in one tick, partitions isolating every landmark, healing after a full
@@ -28,21 +28,18 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles.fresh_build import assert_tables_match_fresh_build
 from oracles.replay import replay_bills
-from repro.addressing.labels import LabelCodec
 from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
-from repro.core.substrate_build import apply_maintenance, build_substrate_tables
-from repro.core.tables import _TABLE_SLOTS, _VICINITY_SLOTS
 from repro.dynamics import (
     ChurnEngine,
     DynEvent,
     EventCalendar,
-    events_from_workload,
+    apply_edge_event,
     generate_churn_workload,
     generate_event_stream,
 )
-from repro.dynamics.churn import apply_event
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
@@ -201,14 +198,14 @@ class TestEngineDifferential:
         assert landmark in engine.dead_nodes
         # The dead landmark's row folds to unreachable for everyone else,
         # and every survivor refolds onto a live landmark.
-        dist_row, _ = engine.landmark_row(landmark)
+        dist_row, _ = engine.tables.spt_rows()[landmark]
         assert dist_row[landmark] == 0.0
         assert all(
             d == math.inf
             for node, d in enumerate(dist_row)
             if node != landmark
         )
-        closest, _ = engine.closest_landmark_rows
+        closest, _ = engine.tables.closest_rows()
         assert all(
             closest[node] != landmark
             for node in range(engine.num_nodes)
@@ -227,12 +224,12 @@ class TestEngineDifferential:
     def test_matches_nddisco_state_after_connected_stream(self):
         topology = gnm_random_graph(48, seed=3, average_degree=6.0)
         landmarks = select_landmarks(48, seed=3)
-        workload = generate_churn_workload(topology, num_events=8, seed=11)
+        events = generate_churn_workload(topology, num_events=8, seed=11)
         engine = ChurnEngine(topology, seed=3, landmarks=landmarks)
-        engine.run(events_from_workload(workload.events))
-        current = topology
-        for event in workload.events:
-            current = apply_event(current, event)
+        engine.run(events)
+        current = topology.copy()
+        for event in events:
+            apply_edge_event(current, event)
         routing = NDDiscoRouting(current, seed=3, landmarks=landmarks)
         assert (
             engine.state_signature()
@@ -257,14 +254,14 @@ class TestEngineDifferential:
     ):
         topology = gnm_random_graph(nodes, seed=seed, average_degree=degree)
         landmarks = select_landmarks(nodes, seed=seed)
-        workload = generate_churn_workload(
+        events = generate_churn_workload(
             topology, num_events=num_events, seed=workload_seed
         )
         engine = ChurnEngine(topology, seed=seed, landmarks=landmarks)
-        reports = engine.run(events_from_workload(workload.events))
+        reports = engine.run(events)
         assert all(report.applied for report in reports)
         assert [report.cost for report in reports] == replay_bills(
-            topology, workload.events, seed=seed, landmarks=landmarks
+            topology, events, seed=seed, landmarks=landmarks
         )
 
     def test_from_routing_equals_direct_convergence(self):
@@ -345,7 +342,7 @@ class TestMaintenanceEdgeCases:
         # Every node in the far clique has no reachable landmark: no
         # closest fold, no address -- and the engine still matches full
         # reconvergence on the partitioned topology.
-        closest, closest_dist = engine.closest_landmark_rows
+        closest, closest_dist = engine.tables.closest_rows()
         for node in range(4, 8):
             assert closest[node] == -1
             assert closest_dist[node] == math.inf
@@ -368,37 +365,35 @@ class TestMaintenanceEdgeCases:
         )
 
 
-class TestSubstrateMaintenance:
-    def test_patched_slabs_match_scratch_rebuild(self):
-        """apply_maintenance produces byte-identical SubstrateTables."""
+class TestLiveTables:
+    def test_tables_match_scratch_rebuild_after_every_event(self):
+        """No sync step: the engine repairs the tables it hands out."""
         topology = gnm_random_graph(48, seed=5, average_degree=6.0)
         landmarks = select_landmarks(48, seed=5)
-        codec = LabelCodec(topology)
-        tables = build_substrate_tables(topology, landmarks, codec=codec)
         engine = ChurnEngine(topology, seed=5, landmarks=landmarks)
-        workload = generate_churn_workload(topology, num_events=6, seed=13)
-        for event in events_from_workload(workload.events):
+        tables = engine.tables
+        assert_tables_match_fresh_build(engine)
+        for event in generate_churn_workload(topology, num_events=6, seed=13):
             engine.apply(event)
-            codec = LabelCodec(engine.topology)
-            apply_maintenance(tables, engine, codec=codec)
-            fresh = build_substrate_tables(
-                engine.topology, landmarks, codec=codec
-            )
-            for slot, _ in _TABLE_SLOTS:
-                assert list(getattr(tables, slot)) == list(
-                    getattr(fresh, slot)
-                ), slot
-            for slot, _ in _VICINITY_SLOTS:
-                assert list(getattr(tables.vicinity, slot)) == list(
-                    getattr(fresh.vicinity, slot)
-                ), slot
+            assert engine.tables is tables
+            assert_tables_match_fresh_build(engine)
 
-    def test_take_dirty_drains_accumulated_state(self):
+    def test_adopted_tables_are_a_private_copy(self):
+        topology = geometric_random_graph(40, seed=7, average_degree=5.0)
+        routing = NDDiscoRouting(topology, seed=7)
+        before = [bytes(slab) for _, _, slab in routing.tables.slab_items()]
+        engine = ChurnEngine.from_routing(routing)
+        assert_tables_match_fresh_build(engine)
+        engine.run(generate_event_stream(topology, num_events=8, seed=7))
+        assert_tables_match_fresh_build(engine)
+        assert before == [
+            bytes(slab) for _, _, slab in routing.tables.slab_items()
+        ]
+
+    @pytest.mark.parametrize("landmarks", [[], [99], [-1]])
+    def test_rejects_empty_and_out_of_range_landmarks(self, landmarks):
+        """The builder's own checks: an empty set used to converge silently
+        to a state whose every address is ``None``."""
         topology = gnm_random_graph(32, seed=2, average_degree=5.0)
-        u, v, _ = next(iter(sorted(topology.edges())))
-        engine = ChurnEngine(topology, seed=0)
-        assert not engine.take_dirty()
-        engine.apply(DynEvent(0, "edge-down", u, v))
-        dirty = engine.take_dirty()
-        assert dirty
-        assert not engine.take_dirty()
+        with pytest.raises(ValueError):
+            ChurnEngine(topology, landmarks=landmarks)

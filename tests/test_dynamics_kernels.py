@@ -48,11 +48,13 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.addressing.labels import LabelCodec
-from repro.core.nddisco import NDDiscoRouting
-from repro.core.substrate_build import apply_maintenance, build_substrate_tables
-from repro.core.tables import _TABLE_SLOTS, _VICINITY_SLOTS
-from repro.dynamics import ChurnEngine, DynEvent, generate_event_stream
+from oracles.fresh_build import assert_tables_match_fresh_build
+from repro.dynamics import (
+    EVENT_KINDS,
+    ChurnEngine,
+    DynEvent,
+    generate_event_stream,
+)
 from repro.dynamics import engine as engine_module
 from repro.dynamics.passes import (
     commit_vicinities,
@@ -571,7 +573,7 @@ class TestVicinityCandidates:
             engine = ChurnEngine(topology, seed=seed, vicinity_k=k)
             for event in events:
                 before = [
-                    [bytes(view) for view in engine.vicinity_row(node)]
+                    [bytes(view) for view in engine.tables.vicinity.row(node)]
                     for node in range(n)
                 ]
                 del sent[:]
@@ -804,18 +806,11 @@ def _family_topology(family: str, seed: int) -> Topology:
 
 
 def _engine_bytes(engine: ChurnEngine) -> list[bytes]:
+    """Every slab the engine writes, whole (padding of short rows and all):
+    the slabs of ``engine.tables`` and the radius array beside them."""
     return [
-        slab.tobytes()
-        for slab in (
-            engine._dist_slab,
-            engine._parent_slab,
-            engine._closest,
-            engine._closest_dist,
-            *engine._vicinity_slabs,
-            engine._vicinity_lengths,
-            engine._radius,
-        )
-    ]
+        bytes(slab) for _, _, slab in engine.tables.slab_items()
+    ] + [engine._radius.tobytes()]
 
 
 def _engine_rows(engine: ChurnEngine) -> tuple:
@@ -824,7 +819,7 @@ def _engine_rows(engine: ChurnEngine) -> tuple:
     return (
         engine.state_signature(),
         [
-            [bytes(view) for view in engine.vicinity_row(node)]
+            [bytes(view) for view in engine.tables.vicinity.row(node)]
             for node in range(engine.num_nodes)
         ],
         engine._radius.tobytes(),
@@ -850,45 +845,46 @@ class TestEngineTiers:
             assert reports[0] == reports[1], event
             c_bytes, python_bytes = map(_engine_bytes, engines)
             assert c_bytes == python_bytes, event
-        c_dirty, python_dirty = (engine.take_dirty() for engine in engines)
-        assert c_dirty == python_dirty
 
-    def test_row_views_are_read_only(self):
+    def test_tables_are_read_only(self):
         """The stored row decides whether a node is searched again, so a
-        stray write through a view would be wrong for good."""
+        stray write through ``engine.tables`` would be wrong for good."""
         engine = ChurnEngine(_family_topology("gnm", 5), seed=5)
-        landmark = min(engine.landmarks)
-        for view in (*engine.vicinity_row(3), *engine.landmark_row(landmark)):
+        tables = engine.tables
+        slabs = tables.slab_items()
+        assert "vicinity.lengths" in [name for name, _, _ in slabs]
+        views = [slab for _, _, slab in slabs if len(slab)]
+        views += tables.vicinity.row(3)
+        for view in views:
             assert view.readonly
             with pytest.raises(TypeError):
                 view[0] = 0
 
     @pytest.mark.parametrize("tier", _TIERS)
-    def test_maintained_slabs_match_a_fresh_build(self, tier):
-        """apply_maintenance reads the engine through views of its slabs."""
+    @pytest.mark.parametrize("family", ["gnm", "quantised", "geometric"])
+    def test_live_tables_match_a_fresh_build_after_every_event(
+        self, family, tier
+    ):
+        """Hop counts, quantised and irregular latencies (the three
+        kernels), all five kinds, partitions allowed: ``engine.tables`` is
+        what the production builder makes of the mutated topology, with no
+        call between the event and the read."""
         with _tier(tier):
-            topology = gnm_random_graph(48, seed=2, average_degree=5.0)
-            routing = NDDiscoRouting(topology, seed=2)
-            landmarks = sorted(routing.landmarks)
-            tables = build_substrate_tables(
-                topology, landmarks, codec=LabelCodec(topology)
+            topology = _family_topology(family, 9)
+            events = generate_event_stream(
+                topology, num_events=24, seed=9, preserve_connectivity=False
             )
-            engine = ChurnEngine.from_routing(routing)
-            engine.run(generate_event_stream(topology, num_events=16, seed=2))
-            for node in sorted(engine.dead_nodes):
-                engine.apply(DynEvent(99, "node-join", node))
-            assert engine.topology.is_connected()
-            codec = LabelCodec(engine.topology)
-            assert apply_maintenance(tables, engine, codec=codec).vicinities
-            fresh = build_substrate_tables(
-                engine.topology, landmarks, codec=codec
-            )
-        for slot, _ in _TABLE_SLOTS:
-            assert bytes(getattr(tables, slot)) == bytes(getattr(fresh, slot))
-        for slot, _ in _VICINITY_SLOTS:
-            assert bytes(getattr(tables.vicinity, slot)) == bytes(
-                getattr(fresh.vicinity, slot)
-            )
+            assert {event.kind for event in events} == set(EVENT_KINDS)
+            engine = ChurnEngine(topology, seed=9)
+            tables = engine.tables
+            assert_tables_match_fresh_build(engine)
+            partitioned = 0
+            for event in events:
+                engine.apply(event)
+                assert engine.tables is tables
+                assert_tables_match_fresh_build(engine)
+                partitioned += min(tables.closest) < 0
+            assert partitioned
 
 
 # -- frozen bills --------------------------------------------------------------
@@ -1359,6 +1355,7 @@ class ChurnMachine(RuleBasedStateMachine):
                 fresh = ChurnEngine(
                     engine.topology, landmarks=self.landmarks, vicinity_k=self.k
                 )
+                assert_tables_match_fresh_build(engine)
             assert _engine_rows(engine) == _engine_rows(fresh), tier
 
 

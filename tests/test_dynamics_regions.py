@@ -8,8 +8,8 @@ Pins the two halves of the churn engine's per-event cost model:
 * **flat vicinity rows** (:class:`~repro.dynamics.engine.ChurnEngine`):
   per-event bills and state equal to the full diff of two from-scratch
   convergences over node streams with a landmark leave and a partition,
-  from both constructors, and :func:`apply_maintenance` slabs byte-equal to
-  a fresh build.
+  from both constructors, and ``engine.tables`` slab-equal to a fresh build
+  (a row the event shortened is read afresh, not from its cached index).
 
 Also the stream generator's one-pass bridge / articulation filter against
 the per-candidate connectivity search it replaced (kept here as the
@@ -25,11 +25,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.addressing.labels import LabelCodec
+from oracles.fresh_build import assert_tables_match_fresh_build, fresh_tables
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.sloppy_groups import SloppyGrouping
-from repro.core.substrate_build import apply_maintenance, build_substrate_tables
-from repro.core.tables import _TABLE_SLOTS, _VICINITY_SLOTS
 from repro.dynamics import (
     EVENT_KINDS,
     ChurnEngine,
@@ -190,12 +188,13 @@ def _replay_bill(before: ChurnEngine, after: ChurnEngine) -> MaintenanceCost:
         old != new
         for landmark in sorted(after.landmarks)
         for old, new in zip(
-            before.landmark_row(landmark)[0], after.landmark_row(landmark)[0]
+            before.tables.spt_rows()[landmark][0],
+            after.tables.spt_rows()[landmark][0],
         )
     )
     vicinity_entries = 0
     for node, (old_view, new_view) in enumerate(
-        zip(before.vicinities, after.vicinities)
+        zip(before.tables.vicinity_views(), after.tables.vicinity_views())
     ):
         old, new = old_view.distances, new_view.distances
         vicinity_entries += sum(
@@ -266,7 +265,7 @@ class TestFlatVicinityRows:
         engine.apply(DynEvent(0, "node-leave", cut))
         # The tail 41-42-43 is cut off: three members each, fewer than k.
         for node in (41, 42, 43):
-            assert len(engine.vicinity_row(node)[0]) == 3
+            assert len(engine.tables.vicinity.row(node)[0]) == 3
             assert engine._radius[node] == math.inf
         assert engine._radius[cut] == math.inf  # departed, alone
         assert engine._radius[0] < math.inf
@@ -281,7 +280,8 @@ class TestFlatVicinityRows:
         topology, _ = _tailed_graph(1)
         routing = NDDiscoRouting(topology, seed=1)
         engine = ChurnEngine.from_routing(routing)
-        for mine, theirs in zip(engine.vicinities, routing.vicinities):
+        views = engine.tables.vicinity_views()
+        for mine, theirs in zip(views, routing.vicinities):
             assert list(mine.distances.items()) == list(
                 theirs.distances.items()
             )
@@ -293,33 +293,52 @@ class TestFlatVicinityRows:
             assert mine.path_to(far) == theirs.path_to(far)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_maintained_slabs_match_fresh_build_after_stream(self, seed):
+    def test_live_tables_match_fresh_build_after_stream(self, seed):
         topology = gnm_random_graph(48, seed=seed, average_degree=5.0)
-        routing = NDDiscoRouting(topology, seed=seed)
-        landmarks = sorted(routing.landmarks)
-        tables = build_substrate_tables(
-            topology, landmarks, codec=LabelCodec(topology)
-        )
-        engine = ChurnEngine.from_routing(routing)
+        engine = ChurnEngine.from_routing(NDDiscoRouting(topology, seed=seed))
         events = generate_event_stream(topology, num_events=16, seed=seed)
         assert {"node-leave", "edge-down"} <= {event.kind for event in events}
         engine.run(events)
+        assert_tables_match_fresh_build(engine)
         for node in sorted(engine.dead_nodes):
             engine.apply(DynEvent(99, "node-join", node))
         assert engine.topology.is_connected()
         assert engine.topology != topology
-        codec = LabelCodec(engine.topology)
-        dirty = apply_maintenance(tables, engine, codec=codec)
-        assert dirty.vicinities
-        fresh = build_substrate_tables(engine.topology, landmarks, codec=codec)
-        for slot, _ in _TABLE_SLOTS:
-            assert bytes(getattr(tables, slot)) == bytes(
-                getattr(fresh, slot)
-            ), slot
-        for slot, _ in _VICINITY_SLOTS:
-            assert bytes(getattr(tables.vicinity, slot)) == bytes(
-                getattr(fresh.vicinity, slot)
-            ), slot
+        assert_tables_match_fresh_build(engine)
+
+    def test_a_shortened_row_is_read_afresh(self):
+        """Maps and paths read through ``engine.tables.vicinity`` build a
+        member -> position index per row and keep it; the event that cuts
+        the tail off rewrites those rows shorter, in place."""
+        topology, cut = _tailed_graph(0)
+        engine = ChurnEngine(topology, vicinity_k=6)
+        vicinity = engine.tables.vicinity
+        tail = (41, 42, 43)
+        for node in tail:  # fill the index cache from the long rows
+            assert len(vicinity.distance_map(node)) == 6
+            assert cut in vicinity.distance_map(node)
+            assert vicinity.path_from_owner(node, cut)[-1] == cut
+        engine.apply(DynEvent(0, "node-leave", cut))
+        assert engine.tables.vicinity is vicinity
+        fresh = fresh_tables(engine).vicinity
+        for node in tail:
+            mine = vicinity.distance_map(node)
+            assert cut not in mine and len(mine) == 3
+            assert list(mine.items()) == list(fresh.distance_map(node).items())
+            assert dict(vicinity.predecessor_map(node).items()) == dict(
+                fresh.predecessor_map(node).items()
+            )
+            for member in mine.keys():
+                assert vicinity.path_from_owner(
+                    node, member
+                ) == fresh.path_from_owner(node, member)
+            with pytest.raises(KeyError):
+                vicinity.path_from_owner(node, cut)
+        views = engine.tables.vicinity_views()
+        assert [len(views[node]) for node in tail] == [3, 3, 3]
+        engine.apply(DynEvent(1, "node-join", cut))
+        assert [len(view) for view in engine.tables.vicinity_views()] == [6] * 44
+        assert_tables_match_fresh_build(engine)
 
 
 # -- non-finite weights -------------------------------------------------------
@@ -343,7 +362,6 @@ class TestNonFiniteWeights:
         assert engine.topology.edge_weight(u, v) == old
         assert not engine.topology.has_edge(0, absent)
         assert engine.state_signature() == before
-        assert not engine.take_dirty()
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, 0.0])
     def test_topology_rejects_them(self, weight):

@@ -13,7 +13,7 @@ import json
 
 from oracles.replay import replay_bills
 from repro.core.landmarks import select_landmarks
-from repro.dynamics.churn import generate_churn_workload
+from repro.dynamics.stream import generate_churn_workload
 from repro.experiments import churn_cost
 from repro.experiments.config import ExperimentScale
 from repro.experiments.workloads import sweep_gnm
@@ -229,14 +229,14 @@ class TestChurnScenarioSharding:
 
         num_nodes = churn_cost._scenario_nodes(TINY)
         topology = sweep_gnm(num_nodes, TINY.seed)
-        workload = generate_churn_workload(
+        events = generate_churn_workload(
             topology,
             num_events=churn_cost.DEFAULT_NUM_EVENTS,
             seed=churn_cost._trial_seed(TINY, 0),
         )
         bills = replay_bills(
             topology,
-            workload.events,
+            events,
             seed=TINY.seed,
             landmarks=select_landmarks(num_nodes, seed=TINY.seed),
         )

@@ -13,6 +13,7 @@ pickling as raw buffers) the rest of the system relies on.
 from __future__ import annotations
 
 import pickle
+from math import inf
 
 import pytest
 
@@ -22,7 +23,13 @@ from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.labels import LabelCodec
 from repro.core.landmarks import closest_landmarks
 from repro.core.nddisco import NDDiscoRouting
-from repro.core.tables import NodeSearchTables, Row, SubstrateTables
+from repro.core.substrate_build import build_substrate_tables
+from repro.core.tables import (
+    NodeSearchTables,
+    Row,
+    SharedTables,
+    SubstrateTables,
+)
 from repro.core.vicinity import vicinity_size
 from repro.graphs.generators import (
     geometric_random_graph,
@@ -31,6 +38,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.sampling import sample_pairs
 from repro.graphs.shortest_paths import all_pairs_sampled_distances
+from repro.graphs.topology import Topology
 from repro.protocols.s4 import S4Routing
 from repro.staticsim.simulation import StaticSimulation
 
@@ -271,3 +279,132 @@ class TestNodeSearchTables:
         assert table.path_from_owner(0, 0) == [0]
         with pytest.raises(KeyError):
             table.path_from_owner(1, 2)
+
+
+def _two_component_tables(k: int = 6) -> SubstrateTables:
+    """A 7-node ring and a 5-node path, built as the churn engine builds:
+    no codec, rows of the path component shorter than ``k``."""
+    topology = Topology(12)
+    for u in range(7):
+        topology.add_edge(u, (u + 1) % 7, 1.0 + 0.25 * u)
+    for u in range(7, 11):
+        topology.add_edge(u, u + 1, 1.0)
+    return build_substrate_tables(topology, [0, 8], size=k)
+
+
+def _rows(table: NodeSearchTables) -> list:
+    return [
+        [bytes(view) for view in table.row(node)]
+        for node in range(table.num_nodes)
+    ]
+
+
+class TestStridedRows:
+    """The fixed-stride, length-column form of :class:`NodeSearchTables`
+    (the churn engine's in-place layout) beside the packed one."""
+
+    def test_unreachable_entries_are_inf_and_minus_one(self):
+        tables = _two_component_tables()
+        n = tables.num_nodes
+        assert tables.spt_dist[7] == inf and tables.spt_parent[7] == -1
+        assert tables.spt_dist[n + 0] == inf and tables.spt_dist[n + 8] == 0.0
+        assert list(tables.closest) == [0] * 7 + [8] * 5
+        pair = Topology.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="reaches no landmark"):
+            build_substrate_tables(pair, [0], codec=LabelCodec(pair))
+
+    def test_full_rows_share_their_slabs(self):
+        packed = NDDiscoRouting(
+            gnm_random_graph(60, seed=5, average_degree=5.0), seed=1
+        ).tables.vicinity
+        stride = packed.offsets[1]
+        strided = packed.strided(stride)
+        assert strided.members is packed.members
+        assert strided.dists is packed.dists
+        assert strided.parents is packed.parents
+        assert list(strided.lengths) == [stride] * 60
+        assert list(strided.offsets) == list(packed.offsets)
+        assert _rows(strided) == _rows(packed)
+        assert packed.lengths is None
+
+    def test_short_rows_are_spread_to_the_stride(self):
+        packed = _two_component_tables().vicinity
+        assert len(packed.members) == 7 * 6 + 5 * 5
+        strided = packed.strided(6)
+        assert len(strided.members) == len(strided.dists) == 12 * 6
+        assert list(strided.lengths) == [6] * 7 + [5] * 5
+        assert list(strided.offsets) == list(range(0, 78, 6))
+        assert _rows(strided) == _rows(packed)
+        for node in range(12):
+            assert dict(strided.distance_map(node).items()) == dict(
+                packed.distance_map(node).items()
+            )
+            far = strided.row(node)[0][-1]
+            assert strided.path_from_owner(node, far) == packed.path_from_owner(
+                node, far
+            )
+        with pytest.raises(ValueError, match="longer than the stride"):
+            packed.strided(5)
+
+    def test_read_only_views_follow_the_writable_slabs(self):
+        tables = _two_component_tables()
+        tables.vicinity = tables.vicinity.strided(6)
+        live = tables.read_only()
+        assert live.vicinity.distance_map(8)[7] == 1.0
+        tables.vicinity.dists[8 * 6 + 1] = 9.0  # the owner of the slabs writes
+        tables.spt_dist[3] = 5.5
+        assert live.vicinity.distance_map(8)[7] == 9.0
+        assert live.spt_distance(0, 3) == 5.5
+        for _, _, slab in live.slab_items():
+            with pytest.raises(TypeError):
+                slab[0] = 0
+
+    def test_forget_rows_drops_the_cached_index_and_views(self):
+        tables = _two_component_tables()
+        vicinity = tables.vicinity = tables.vicinity.strided(6)
+        views = tables.vicinity_views()
+        assert 11 in views[7] and len(views[7]) == 5
+        # Node 7's row rewritten in place, shorter: 7 and, now first, 9.
+        vicinity.members[7 * 6 + 1] = 9
+        vicinity.lengths[7] = 2
+        assert 9 not in vicinity.distance_map(7)  # the index of the old row
+        tables.forget_rows([7])
+        assert 9 in vicinity.distance_map(7)
+        assert tables.vicinity_views() is not views
+        assert len(tables.vicinity_views()[7]) == 2
+
+    def test_lengths_survive_pickle_slab_directory_and_shared_memory(
+        self, tmp_path
+    ):
+        tables = _two_component_tables()
+        tables.vicinity = tables.vicinity.strided(6)
+        expected = _rows(tables.vicinity)
+        clone = pickle.loads(pickle.dumps(tables.read_only()))
+        tables.save_slabs(tmp_path / "slabs")
+        attached = SubstrateTables.from_mmap(tmp_path / "slabs")
+        with SharedTables(tables) as shared:
+            mapped = SubstrateTables.from_shared(shared.handle)
+            for copy in (clone, attached, mapped):
+                assert list(copy.vicinity.lengths) == [6] * 7 + [5] * 5
+                assert _rows(copy.vicinity) == expected
+                assert [name for name, _, _ in copy.slab_items()][-1] == (
+                    "vicinity.lengths"
+                )
+            del mapped, copy
+
+    def test_packed_tables_serialize_as_before(self, tmp_path):
+        """No ``lengths`` key, slot or file where there is no column."""
+        tables = NDDiscoRouting(
+            gnm_random_graph(60, seed=5, average_degree=5.0), seed=1
+        ).tables
+        assert list(tables.vicinity.__getstate__()["slabs"]) == [
+            "offsets", "members", "dists", "parents",
+        ]
+        assert [name for name, _, _ in tables.slab_items()][-4:] == [
+            "vicinity.offsets", "vicinity.members", "vicinity.dists",
+            "vicinity.parents",
+        ]
+        tables.save_slabs(tmp_path / "slabs")
+        assert not (tmp_path / "slabs" / "vicinity.lengths.bin").exists()
+        assert SubstrateTables.from_mmap(tmp_path / "slabs").vicinity.lengths is None
+        assert pickle.loads(pickle.dumps(tables)).vicinity.lengths is None
