@@ -21,53 +21,36 @@ Quick start::
     print(report.first_summary.mean, report.later_summary.mean)
 """
 
-from repro.graphs import (
-    Topology,
-    geometric_random_graph,
-    gnm_random_graph,
-    internet_as_level,
-    internet_router_level,
-)
-from repro.core import (
-    DiscoRouting,
-    NDDiscoRouting,
-    ShortcutMode,
-)
-from repro.protocols import (
-    PathVectorRouting,
-    RouteResult,
-    RoutingScheme,
-    S4Routing,
-    ShortestPathRouting,
-    VirtualRingRouting,
-    build_scheme,
-)
-from repro.metrics import (
-    measure_congestion,
-    measure_state,
-    measure_stretch,
-)
+from repro._lazy import lazy_exports
 
+#: Eager: :mod:`repro.scenarios.cache` folds it into every artifact key,
+#: and ``setup.py`` reads this line as text.
 __version__ = "1.0.0"
 
-__all__ = [
-    "DiscoRouting",
-    "NDDiscoRouting",
-    "PathVectorRouting",
-    "RouteResult",
-    "RoutingScheme",
-    "S4Routing",
-    "ShortcutMode",
-    "ShortestPathRouting",
-    "Topology",
-    "VirtualRingRouting",
-    "__version__",
-    "build_scheme",
-    "geometric_random_graph",
-    "gnm_random_graph",
-    "internet_as_level",
-    "internet_router_level",
-    "measure_congestion",
-    "measure_state",
-    "measure_stretch",
-]
+# Public name -> the subpackage that defines it, imported when the name is
+# first used: ``python -m repro list`` imports this file too, and must not
+# pay for the routing stack to print twenty ids.
+_EXPORTS = {
+    "Topology": "repro.graphs",
+    "geometric_random_graph": "repro.graphs",
+    "gnm_random_graph": "repro.graphs",
+    "internet_as_level": "repro.graphs",
+    "internet_router_level": "repro.graphs",
+    "DiscoRouting": "repro.core",
+    "NDDiscoRouting": "repro.core",
+    "ShortcutMode": "repro.core",
+    "PathVectorRouting": "repro.protocols",
+    "RouteResult": "repro.protocols",
+    "RoutingScheme": "repro.protocols",
+    "S4Routing": "repro.protocols",
+    "ShortestPathRouting": "repro.protocols",
+    "VirtualRingRouting": "repro.protocols",
+    "build_scheme": "repro.protocols",
+    "measure_congestion": "repro.metrics",
+    "measure_state": "repro.metrics",
+    "measure_stretch": "repro.metrics",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -13,11 +13,20 @@ Python run should default to, so every experiment takes its dimensions from
 :class:`repro.experiments.config.ExperimentScale`, whose default is
 laptop-sized and which can be scaled up via the ``REPRO_SCALE`` environment
 variable or explicit arguments.  The benchmark suite under ``benchmarks/``
-runs every experiment at the default scale; EXPERIMENTS.md records
-paper-vs-measured values for each.
+runs every experiment at the default scale; ``docs/REPRODUCING.md`` maps
+each to the paper's figure or table.
 """
 
-from repro.experiments.config import ExperimentScale, default_scale
-from repro.experiments.runner import run_all_experiments
+from repro._lazy import lazy_exports
 
-__all__ = ["ExperimentScale", "default_scale", "run_all_experiments"]
+# Resolved on first use: importing one experiment module must not import
+# the runner, which loads all of them.
+_EXPORTS = {
+    "ExperimentScale": "repro.experiments.config",
+    "default_scale": "repro.experiments.config",
+    "run_all_experiments": "repro.experiments.runner",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,11 +8,11 @@ The discrete-event simulator exchanges batched path-vector updates; the
 quantity reported here is *route entries sent per node* (one entry per
 advertised destination), which is the classic per-destination UPDATE count --
 see :mod:`repro.sim.agents.pathvector_agent` for the batching model and
-EXPERIMENTS.md for how this maps onto the paper's absolute numbers.  The
-shapes to verify: path vector grows linearly in n and dominates; S4 and
-NDDisco grow much more slowly (S4 slightly below NDDisco, whose vicinities
-are a bit larger); Disco adds only a modest overhead on top of NDDisco, and 3
-fingers cost slightly more than 1.
+``docs/REPRODUCING.md`` for the figure's command and how to scale it toward
+the paper's sizes.  The shapes to verify: path vector grows linearly in n
+and dominates; S4 and NDDisco grow much more slowly (S4 slightly below
+NDDisco, whose vicinities are a bit larger); Disco adds only a modest
+overhead on top of NDDisco, and 3 fingers cost slightly more than 1.
 """
 
 from __future__ import annotations

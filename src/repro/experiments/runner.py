@@ -1,83 +1,31 @@
 """Legacy experiment API, backed by the scenario registry.
 
-Importing this module pulls in every experiment module, whose ``@scenario``
-decorators populate :mod:`repro.scenarios.registry`; ``EXPERIMENTS`` is then
-materialized from the registry in the historical id order, so pre-existing
+Importing this module loads every experiment module through the scenario
+catalog (:data:`repro.scenarios.registry.CATALOG`); ``EXPERIMENTS`` is
+materialized from it in the catalog's historical id order, so pre-existing
 callers (``examples/reproduce_paper.py``, the integration tests, downstream
 scripts) keep the exact ``{id: (run, format_report)}`` shape and behavior
 they always had.  New code should prefer the scenario engine
-(:func:`repro.scenarios.engine.run_scenarios`), which adds prerequisite
-caching, sharded parallel execution, and structured JSON output on top of
-the same registry.
+(:func:`repro.scenarios.engine.run_scenarios`), which imports only the
+scenarios a run selects and adds prerequisite caching, sharded parallel
+execution, and structured JSON output on top of the same registry.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.experiments import (  # noqa: F401  (imported for registration)
-    ablations,
-    addr_sizes,
-    churn_cost,
-    estimate_error,
-    fig01_taxonomy,
-    fig02_state_cdf,
-    fig03_stretch_cdf,
-    fig04_gnm_comparison,
-    fig05_geometric_comparison,
-    fig06_shortcutting,
-    fig07_state_bytes,
-    fig08_messaging,
-    fig09_scaling,
-    fig10_congestion_as,
-    finger_study,
-    guarantees,
-    resolution_service,
-    static_accuracy,
-)
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.scenarios import registry as _registry
 
 __all__ = ["EXPERIMENTS", "run_all_experiments", "run_experiment"]
 
-#: Historical presentation order of the experiment ids (figures first).
-_CANONICAL_ORDER = (
-    "fig01-taxonomy",
-    "fig02-state-cdf",
-    "fig03-stretch-cdf",
-    "fig04-gnm-comparison",
-    "fig05-geometric-comparison",
-    "fig06-shortcutting",
-    "fig07-state-bytes",
-    "fig08-messaging",
-    "fig09-scaling",
-    "fig10-congestion-as",
-    "addr-sizes",
-    "finger-study",
-    "estimate-error",
-    "static-accuracy",
-    "guarantees",
-    "churn-cost",
-    "resolution-latency",
-    "resolution-staleness",
-    "resolution-balance",
-    "ablations",
-)
-
 
 def _experiments() -> dict[str, tuple[Callable, Callable]]:
     table: dict[str, tuple[Callable, Callable]] = {}
-    registered = {
-        scenario.scenario_id: scenario
-        for scenario in _registry.all_scenarios()
-    }
-    ordered = [
-        *(_id for _id in _CANONICAL_ORDER if _id in registered),
-        *(_id for _id in registered if _id not in _CANONICAL_ORDER),
-    ]
-    for scenario_id in ordered:
-        scenario = registered[scenario_id]
-        table[scenario_id] = (scenario.run, scenario.format_report)
+    for row in _registry.CATALOG:
+        scenario = _registry.resolve(row.scenario_id)
+        table[row.scenario_id] = (scenario.run, scenario.format_report)
     return table
 
 

@@ -4,9 +4,10 @@ The pieces, bottom up:
 
 * :mod:`repro.scenarios.spec` -- the :class:`Scenario` dataclass and the
   ``@scenario`` decorator the experiment modules register through.
-* :mod:`repro.scenarios.registry` -- id/alias lookup with near-miss
-  suggestions; :func:`load_catalog` imports the experiment package to
-  populate it.
+* :mod:`repro.scenarios.registry` -- the static catalog (id, aliases and
+  module of every scenario) and id/alias lookup with near-miss
+  suggestions; :func:`resolve` imports the one module a row names,
+  :func:`all_scenarios` all of them.
 * :mod:`repro.scenarios.cache` -- the content-addressed artifact store
   deduplicating topologies, shared converged substrates, and scheme
   shells (in memory and, optionally, on disk).
@@ -17,16 +18,17 @@ The pieces, bottom up:
 * :mod:`repro.scenarios.engine` -- the planner and the serial / process-
   pool executor behind ``repro run --workers N --json-dir DIR``.
 
-Only the spec/registry/cache layers are imported here; the engine pulls in
-the experiment catalog and is imported on first use (``from
-repro.scenarios.engine import run_scenarios``).
+Only the spec/registry/cache layers are imported here, and none of them
+imports an experiment; the engine is imported on first use (``from
+repro.scenarios.engine import run_scenarios``) and imports the experiment
+modules of the scenarios it is asked to plan.
 """
 
 from repro.scenarios.cache import ArtifactCache, active_cache, cache_key
 from repro.scenarios.registry import (
+    ScenarioLoadError,
     UnknownScenarioError,
     all_scenarios,
-    load_catalog,
     resolve,
     scenario_ids,
     suggest,
@@ -36,11 +38,11 @@ from repro.scenarios.spec import Scenario, scenario
 __all__ = [
     "ArtifactCache",
     "Scenario",
+    "ScenarioLoadError",
     "UnknownScenarioError",
     "active_cache",
     "all_scenarios",
     "cache_key",
-    "load_catalog",
     "resolve",
     "scenario",
     "scenario_ids",

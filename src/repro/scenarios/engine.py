@@ -101,9 +101,11 @@ def plan_scenarios(
     """Resolve ids (``None`` = every registered scenario) into a plan.
 
     Duplicate ids collapse to their first occurrence.  Aliases resolve to
-    their canonical scenario.  Unknown ids raise
+    their canonical scenario.  Resolving an id imports the experiment
+    module the catalog names for it, and no other.  Unknown ids raise
     :class:`~repro.scenarios.registry.UnknownScenarioError` with near-miss
-    suggestions.
+    suggestions; a module that does not load raises
+    :class:`~repro.scenarios.registry.ScenarioLoadError`.
     """
     scale = scale or default_scale()
     if ids is None:
@@ -138,7 +140,6 @@ def _worker_init(
     shared_tables: dict | None = None,
 ) -> None:
     global _WORKER_SCALE, _WORKER_CACHE
-    registry.load_catalog()
     _WORKER_SCALE = scale
     _WORKER_CACHE = (
         ArtifactCache(cache_root, shared_tables=shared_tables)

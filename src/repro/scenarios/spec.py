@@ -38,6 +38,8 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
+from repro.scenarios.registry import register
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentScale
 
@@ -144,7 +146,10 @@ def scenario(
     modules' public ``run`` API is untouched.  ``format_report`` is
     resolved lazily from the decorated function's module, which lets the
     decorator sit above ``run`` even though ``format_report`` is defined
-    further down the file.
+    further down the file.  The id, the aliases and the module must be
+    the ones :data:`repro.scenarios.registry.CATALOG` lists for it
+    (:func:`~repro.scenarios.registry.register` raises otherwise): the
+    catalog is what finds this module when the scenario is asked for.
     """
     if shards is not None and (shard_runner is None or shard_merge is None):
         raise ValueError(
@@ -153,8 +158,6 @@ def scenario(
         )
 
     def decorate(run_fn: Callable) -> Callable:
-        from repro.scenarios.registry import register
-
         register(
             Scenario(
                 scenario_id=scenario_id,

@@ -300,7 +300,7 @@ class TestCacheCli:
         assert code == 2
 
     def test_size_suffix_parsing(self):
-        from repro.cli import _parse_size
+        from repro.cli.cmd_cache import _parse_size
 
         assert _parse_size("1024") == 1024
         assert _parse_size("2K") == 2048

@@ -2,13 +2,34 @@
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import re
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
+from repro.cli.cmd_generate import GENERATORS
+from repro.cli.parser import FAMILIES, SCHEMES
 from repro.graphs.generators import gnm_random_graph
 from repro.graphs.io import write_edge_list
+from repro.protocols.registry import available_schemes
+
+_DATA = Path(__file__).parent / "data"
+# ``repro --help`` and every subcommand's ``--help`` at COLUMNS=80, written
+# by the commit before the CLI became a package (``cache-prune.txt`` is
+# ``repro cache prune --help``; ``repro.txt`` the top level).
+_HELP_GOLDENS = sorted(path.name for path in (_DATA / "cli_help").glob("*.txt"))
+
+
+def _command_paths(parser: argparse.ArgumentParser, path=()):
+    """Every command path of ``parser``: (), ("run",), ("cache", "ls"), ..."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_paths(sub, (*path, name))
 
 
 class TestParser:
@@ -43,12 +64,35 @@ class TestParser:
             build_parser().parse_args(argv)
 
 
+    def test_static_choices_match_what_they_stand_for(self):
+        # The parser spells these out to import nothing.
+        assert list(FAMILIES) == sorted(GENERATORS)
+        assert list(SCHEMES) == available_schemes()
+
+    def test_every_command_has_a_handler_and_a_help_golden(self):
+        paths = list(_command_paths(build_parser()))
+        assert {path[0] for path in paths if path} == set(COMMANDS)
+        assert sorted(
+            "-".join(path or ("repro",)) + ".txt" for path in paths
+        ) == _HELP_GOLDENS
+        for module in COMMANDS.values():
+            assert callable(importlib.import_module(module).command)
+
+    @pytest.mark.parametrize("golden", _HELP_GOLDENS)
+    def test_help_is_frozen(self, golden, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        path = [] if golden == "repro.txt" else golden[: -len(".txt")].split("-")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*path, "--help"])
+        assert exit_info.value.code == 0
+        expected = (_DATA / "cli_help" / golden).read_text()
+        assert capsys.readouterr().out == expected
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
-        output = capsys.readouterr().out
-        assert "fig04-gnm-comparison" in output
-        assert "ablations" in output
+        assert capsys.readouterr().out == (_DATA / "repro_list.txt").read_text()
 
     def test_run_rejects_unknown(self, capsys):
         assert main(["run", "fig99-unknown"]) == 2
@@ -60,12 +104,12 @@ class TestCommands:
         assert "did you mean" in err
         assert "fig04-gnm-comparison" in err
 
-    def test_scenarios_list(self, capsys):
+    def test_scenarios_list(self, capsys, monkeypatch):
+        # The shards column follows the scale; the golden is the default's.
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
         assert main(["scenarios", "list"]) == 0
-        output = capsys.readouterr().out
-        assert "fig02-state-cdf" in output
-        assert "geometric,as-level,router-level" in output
-        assert "aliases" in output
+        expected = (_DATA / "repro_scenarios_list.txt").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_run_requires_selection(self, capsys):
         assert main(["run"]) == 2

@@ -9,17 +9,22 @@ decomposition, prerequisite caching, and JSON serialization).
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import fig02_state_cdf, fig09_scaling
 from repro.experiments.config import ExperimentScale
 from repro.experiments.runner import EXPERIMENTS
+from repro.cli import main
 from repro.scenarios import (
     ArtifactCache,
+    ScenarioLoadError,
     UnknownScenarioError,
     all_scenarios,
+    registry,
     resolve,
+    scenario,
     scenario_ids,
     suggest,
 )
@@ -62,6 +67,58 @@ class TestRegistry:
 
     def test_suggest_falls_back_to_substring(self):
         assert "fig06-shortcutting" in suggest("shortcut")
+
+    def test_experiments_keep_the_historical_order(self):
+        listing = Path(__file__).parent / "data" / "repro_list.txt"
+        assert list(EXPERIMENTS) == listing.read_text().split()
+        assert [row.scenario_id for row in registry.CATALOG] == list(EXPERIMENTS)
+
+    def test_catalog_rows_are_what_the_decorators_register(self):
+        scenarios = all_scenarios()
+        assert [s.scenario_id for s in scenarios] == scenario_ids()
+        assert sorted(
+            (s.scenario_id, s.aliases, s.module) for s in scenarios
+        ) == sorted(registry.CATALOG)
+        names = [
+            name
+            for row in registry.CATALOG
+            for name in (row.scenario_id, *row.aliases)
+        ]
+        assert len(names) == len(set(names))
+
+    def test_decorator_refuses_what_the_catalog_does_not_list(self):
+        with pytest.raises(ValueError, match="not in .*CATALOG"):
+            scenario("fig11-unlisted", title="t")(lambda scale=None: None)
+        with pytest.raises(ValueError, match="catalog row says"):
+            # Listed, but from another module and without its alias.
+            scenario("fig07-state-bytes", title="t")(lambda scale=None: None)
+        assert resolve("fig07").module == "repro.experiments.fig07_state_bytes"
+
+    @pytest.mark.parametrize(
+        "module, cause",
+        [
+            ("repro.experiments.no_such_module", ModuleNotFoundError),
+            ("repro.experiments.config", type(None)),
+        ],
+        ids=["import-fails", "registers-nothing"],
+    )
+    def test_lying_catalog_row_fails_typed(
+        self, module, cause, monkeypatch, capsys
+    ):
+        row = registry.CatalogRow("ghost-study", ("ghost",), module)
+        monkeypatch.setattr(registry, "CATALOG", (*registry.CATALOG, row))
+        for name in ("ghost-study", "ghost"):
+            with pytest.raises(ScenarioLoadError) as excinfo:
+                resolve(name)
+            error = excinfo.value
+            assert (error.scenario_id, error.module) == ("ghost-study", module)
+            assert isinstance(error.cause, cause)
+        # Planning comes first: the good scenario beside it does not run.
+        assert main(["run", "fig07", "ghost", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot load experiment 'ghost-study'" in captured.err
+        assert module in captured.err
 
     def test_specs_are_complete(self):
         for scenario in all_scenarios():
