@@ -25,6 +25,16 @@ FAMILIES = ("as-level", "geometric", "gnm", "router-level")
 SCHEMES = ("disco", "nd-disco", "s4", "vrr", "path-vector", "shortest-path")
 
 
+def positive_int(text: str) -> int:
+    """``argparse`` type of a count that must be at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -402,11 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     substrate_parser.add_argument(
         "--threads",
-        type=int,
+        type=positive_int,
         default=None,
         help="in-kernel pthread fan-out for the batched C entry points "
-        "(default: REPRO_KERNEL_THREADS or the CPU count; 0 pins the "
-        "serial per-source loop; byte-identical output for any width)",
+        "(default: REPRO_KERNEL_THREADS or the CPU count; byte-identical "
+        "output for any width)",
     )
     substrate_parser.add_argument(
         "--storage",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.graphs.topology import Topology
 from repro.utils.randomness import make_rng
@@ -31,8 +30,6 @@ from repro.utils.validation import require_positive
 __all__ = [
     "landmark_probability",
     "select_landmarks",
-    "landmark_spts",
-    "closest_landmarks",
     "LandmarkSet",
 ]
 
@@ -88,54 +85,6 @@ def select_landmarks(
     if not landmarks:
         landmarks.add(min(range(num_nodes), key=lambda v: draws[v]))
     return landmarks
-
-
-def landmark_spts(
-    topology: Topology, landmarks: Iterable[int]
-) -> dict[int, tuple[list[float], list[int]]]:
-    """Shortest-path trees rooted at every landmark, as dense rows.
-
-    Returns a dict mapping each landmark (in ascending id order) to a
-    ``(dist_row, parent_row)`` pair of lists indexed by node id.  Nodes
-    outside the landmark's component keep ``0.0`` / ``-1`` (the converged
-    protocol models assume connected topologies).
-
-    All trees are built by one batched driver over a shared scratch arena
-    (:meth:`CSRGraph.batched_spt`).  This is the component-wise form that
-    :class:`~repro.core.nddisco.NDDiscoRouting` takes for injected
-    vicinities; the slab-direct builder writes the same rows straight into
-    the slabs.
-    """
-    return {
-        landmark: (dist_row, parent_row)
-        for landmark, dist_row, parent_row in topology.csr().batched_spt(
-            sorted(landmarks)
-        )
-    }
-
-
-def closest_landmarks(
-    spts: dict[int, tuple[list[float], list[int]]], num_nodes: int
-) -> tuple[list[int], list[float]]:
-    """Per-node closest landmark (ties toward the smaller landmark id).
-
-    Returns ``(closest, distance)`` lists indexed by node id, computed by
-    sweeping the dense SPT rows once per landmark -- the flat-array
-    replacement for an O(n · |L|) ``min(..., key=lambda ...)`` per node.
-    """
-    if not spts:
-        raise ValueError("at least one landmark SPT is required")
-    ordered = sorted(spts)
-    first = ordered[0]
-    best_distance = list(spts[first][0])
-    best_landmark = [first] * num_nodes
-    for landmark in ordered[1:]:
-        row = spts[landmark][0]
-        for node in range(num_nodes):
-            if row[node] < best_distance[node]:
-                best_distance[node] = row[node]
-                best_landmark[node] = landmark
-    return best_landmark, best_distance
 
 
 @dataclass

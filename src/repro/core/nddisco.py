@@ -36,11 +36,11 @@ from typing import Callable, Sequence
 
 from repro.addressing.address import Address, NAME_BYTES_IPV4, NAME_BYTES_IPV6
 from repro.addressing.labels import LabelCodec
-from repro.core.landmarks import closest_landmarks, landmark_spts, select_landmarks
+from repro.core.landmarks import select_landmarks
 from repro.core.resolution import LandmarkResolutionDatabase
 from repro.core.shortcutting import ShortcutMode, _apply_per_hop
 from repro.core.substrate_build import build_substrate_tables
-from repro.core.tables import SubstrateTables
+from repro.core.tables import NodeSearchTables, SubstrateTables
 from repro.core.vicinity import VicinityTable
 from repro.graphs.topology import Topology
 from repro.naming.names import FlatName, name_for_node
@@ -77,15 +77,15 @@ class NDDiscoRouting(RoutingScheme):
         In-kernel thread fan-out for the slab-direct build's landmark SPT
         and vicinity phases (see
         :func:`~repro.core.substrate_build.build_substrate_tables`):
-        ``None`` resolves via ``REPRO_KERNEL_THREADS`` / CPU count, ``0``
-        pins the serial per-source loop.  Byte-identical for every width.
+        ``None`` resolves via ``REPRO_KERNEL_THREADS`` / CPU count.
+        Byte-identical for every width.
     storage / vicinity_storage / persist_storage:
         Slab placement for the slab-direct build -- ``None`` (RAM arrays),
         ``"mmap"`` (anonymous mmap), or a directory path (file-backed
         slabs, mmap-attachable afterwards); ``vicinity_storage`` overrides
         the choice for the vicinity slabs and ``persist_storage=False``
-        skips finishing a directory into a complete artifact.  Ignored on
-        the component-wise path (pre-supplied ``vicinities``).
+        skips finishing a directory into a complete artifact.  Ignored
+        with pre-supplied ``vicinities``.
     build_stats / build_progress:
         Optional build instrumentation, forwarded to the slab-direct
         builder: ``build_stats`` (a dict) receives per-phase wall-clock
@@ -143,30 +143,28 @@ class NDDiscoRouting(RoutingScheme):
         # writes kernel results straight into the preallocated slabs --
         # fanning the SPT and vicinity phases over kernel threads and
         # optionally packing into mmap-backed storage.  Injected
-        # vicinities go through the component-wise assembler instead, the
-        # layer's reference (the two are asserted byte-identical in
-        # ``tests/test_substrate_build.py``).  Every attribute below is a
-        # thin list/dict-shaped view over the slabs.
+        # vicinities replace its vicinity phase, in RAM.  Every attribute
+        # below is a thin list/dict-shaped view over the slabs.
         self._codec = LabelCodec(topology)
-        if vicinities is None:
-            self._tables: SubstrateTables = build_substrate_tables(
-                topology,
-                self._landmarks,
-                codec=self._codec,
-                vicinity_scale=vicinity_scale,
-                threads=threads,
-                storage=storage,
-                vicinity_storage=vicinity_storage,
-                persist=persist_storage,
-                stats=build_stats,
-                progress=build_progress,
-            )
-        else:
-            spts = landmark_spts(topology, self._landmarks)
-            if len(vicinities) != n:
-                raise ValueError("vicinities must cover every node")
-            self._tables = SubstrateTables.from_components(
-                n, spts, closest_landmarks(spts, n), vicinities, self._codec
+        injected = vicinities is not None
+        if injected and len(vicinities) != n:
+            raise ValueError("vicinities must cover every node")
+        self._tables: SubstrateTables = build_substrate_tables(
+            topology,
+            self._landmarks,
+            codec=self._codec,
+            vicinity_scale=vicinity_scale,
+            include_vicinity=not injected,
+            threads=threads,
+            storage=None if injected else storage,
+            vicinity_storage=None if injected else vicinity_storage,
+            persist=persist_storage,
+            stats=build_stats,
+            progress=build_progress,
+        )
+        if injected:
+            self._tables.vicinity = NodeSearchTables.from_searches(
+                [(table.distances, table.predecessors) for table in vicinities]
             )
         self._landmark_spts = self._tables.spt_rows()
         self._closest_landmark, self._closest_landmark_distance = (

@@ -1,34 +1,29 @@
 """Slab-direct, multi-core substrate construction.
 
-:func:`build_substrate_tables` produces the same :class:`SubstrateTables`
-that :meth:`SubstrateTables.from_components` assembles from dict-shaped
-kernel outputs -- bit-identical, slab for slab -- but writes the kernel
-results *straight into* preallocated row-major slabs:
+:func:`build_substrate_tables` writes the kernel results *straight into*
+the preallocated row-major slabs of a :class:`SubstrateTables`:
 
 * **Landmark SPT rows** -- every landmark's dense distance / parent rows
   land in their slab rows from one call
   (:meth:`CSRGraph.spt_rows_batch_into`); no ``2n`` boxed floats per
   landmark.
 * **Closest-landmark rows** -- folded in the same call (ascending landmark
-  order, strict ``<``, best distance seeded at ``+inf`` -- provably the
-  same tie-break as the reference sweep in
-  :func:`repro.core.landmarks.closest_landmarks`).  A node a landmark does
-  not reach holds ``inf`` / ``-1`` in that landmark's rows, and ``-1`` /
-  ``inf`` as its closest landmark when none does: the schemes reject
-  disconnected graphs, the churn engine lives on them.
+  order, strict ``<``, best distance seeded at ``+inf``: the smaller
+  landmark id wins ties).  A node a landmark does not reach holds ``inf``
+  / ``-1`` in that landmark's rows, and ``-1`` / ``inf`` as its closest
+  landmark when none does: the schemes reject disconnected graphs, the
+  churn engine lives on them.
 * **Vicinity CSR** -- per-node truncated searches gathered directly into
   the member / distance / parent slabs
-  (:meth:`CSRGraph.k_nearest_batch_into`); the per-node dict pairs and
-  :class:`VicinityTable` objects of the component-wise path are never
-  materialized.
+  (:meth:`CSRGraph.k_nearest_batch_into`); no per-node dict pairs or
+  :class:`VicinityTable` objects are materialized.
 * **Address payloads** -- explicit-route paths walked directly over the
   parent slab and encoded into the address slabs.
 
 Both search phases fan out over in-kernel threads (``threads=N``), the only
 kernel-level parallelism: each source owns a disjoint slab range, so any
-width produces byte-identical slabs.  The serial per-source loop
-(``threads=0``, the pure-Python tier, a C allocation failure) lives inside
-the two drivers.
+width produces byte-identical slabs.  The per-source loop (the
+pure-Python tier, a C allocation failure) lives inside the two drivers.
 
 This is the one convergence path: the schemes hold its result as built,
 and :class:`~repro.dynamics.engine.ChurnEngine` repairs it in place per
@@ -40,11 +35,10 @@ arrays, anonymous mmap, or a file-backed slab directory -- see
 the choice for the vicinity slabs so e.g. a million-node build can put the
 SPT slabs on disk and keep the vicinity slabs in anonymous mmap.
 
-:meth:`SubstrateTables.from_components` over the public component
-functions stays as this layer's reference (:class:`NDDiscoRouting` takes it
-for injected vicinities); ``tests/test_substrate_build.py`` asserts all
-slabs byte-identical across that reference, the serial loop, threaded
-builds, and an mmap re-attach.
+The dict-shaped component-wise build this replaced is the layer's test
+oracle (``tests/oracles/component_build.py``);
+``tests/test_substrate_build.py`` asserts all slabs byte-identical across
+that reference, threaded builds, and an mmap re-attach.
 """
 
 from __future__ import annotations
@@ -103,7 +97,7 @@ def build_substrate_tables(
         The landmark node ids (any iterable; processed in ascending order).
     codec:
         Optional :class:`~repro.addressing.labels.LabelCodec`; enables the
-        address payload slabs, exactly as in ``from_components``.
+        address payload slabs.
     size / vicinity_scale:
         Vicinity sizing (explicit size wins; default is the paper's
         ``ceil(scale * sqrt(n ln n))``).
@@ -115,9 +109,9 @@ def build_substrate_tables(
         ``k_nearest_batch``) fanned over POSIX threads with per-thread
         scratch arenas; ``None`` resolves via
         :func:`repro.graphs.csr.kernel_threads` (``REPRO_KERNEL_THREADS``,
-        then the CPU count), ``0`` forces the per-source serial loop, which
-        the pure-Python tier always runs.  Results are byte-identical for
-        every width.
+        then the CPU count); anything but a positive integer raises.  The
+        pure-Python tier runs a per-source loop.  Results are
+        byte-identical for every width.
     storage / vicinity_storage:
         Slab placement (see :class:`~repro.core.tables.SlabArena`):
         ``None``/``"array"`` for RAM arrays, ``"mmap"`` for anonymous mmap,
@@ -143,10 +137,8 @@ def build_substrate_tables(
         raise ValueError(f"landmark ids must be in [0, {n}); got {ordered[0]}, {ordered[-1]}")
     num_landmarks = len(ordered)
     csr = topology.csr()
-    batch_tier = csr.tier == "c" and threads != 0
-    _record(
-        stats, "kernel_threads", kernel_threads(threads) if batch_tier else 0
-    )
+    width = kernel_threads(threads)
+    _record(stats, "kernel_threads", width if csr.tier == "c" else 0)
 
     arena = SlabArena(storage)
     vicinity_arena = (
@@ -172,7 +164,7 @@ def build_substrate_tables(
         fill=inf,
         closest_dist=closest_dist,
         closest_landmark=closest,
-        threads=threads,
+        threads=width,
     )
     elapsed = time.perf_counter() - started
     _record(stats, "spt_seconds", elapsed)
@@ -237,7 +229,7 @@ def build_substrate_tables(
         # rows compact left after the thread join, reproducing the serial
         # append layout byte for byte.
         position = csr.k_nearest_batch_into(
-            size, range(n), members, dists, parents, offsets, threads=threads
+            size, range(n), members, dists, parents, offsets, threads=width
         )
         if position < capacity:
             # Disconnected components settled fewer than ``size`` nodes;
@@ -299,9 +291,8 @@ def build_ball_tables(
     ``radii[v]`` bounds node ``v``'s search (strict boundary, the S4
     cluster definition); rows are gathered flat -- no per-node dicts.  The
     batch goes down in one ``radius_batch`` kernel call, fanned over
-    ``threads`` in-kernel threads (``0`` pins the serial loop).  Contents
-    are bit-identical to
-    ``NodeSearchTables.from_searches(csr.batched_radius(radii))``.
+    ``threads`` in-kernel threads.  Contents are bit-identical to
+    ``NodeSearchTables.from_searches`` of one ``dijkstra_radius`` per node.
     """
     offsets, members, dists, parents = topology.csr().radius_batch_flat(
         radii, threads=threads

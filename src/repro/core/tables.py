@@ -19,11 +19,8 @@ CSR snapshot did for the graph itself in PR 1:
 The dict-shaped accessors the rest of the system consumes stay available as
 thin views (:class:`Row`, :class:`SearchMap`, :class:`VicinityView`), so the
 public scheme API reads like the per-node lists and dicts the kernels
-return.  Two builders fill the slabs: the slab-direct
-:func:`repro.core.substrate_build.build_substrate_tables` (production) and
-the component-wise :meth:`SubstrateTables.from_components`, this layer's
-reference, which :class:`NDDiscoRouting` takes when vicinities are
-injected.
+return.  One builder fills the slabs, the slab-direct
+:func:`repro.core.substrate_build.build_substrate_tables`.
 
 The same class is the churn engine's live state
 (:mod:`repro.dynamics.engine`): the engine converges through the production
@@ -510,9 +507,8 @@ def _read_only(slab) -> memoryview:
 class SubstrateTables:
     """The converged landmark substrate as flat typed slabs.
 
-    Built once per scheme -- slab-direct by
-    :func:`repro.core.substrate_build.build_substrate_tables`, or from the
-    component functions' outputs by :meth:`from_components` -- and the only
+    Built once per scheme, slab-direct, by
+    :func:`repro.core.substrate_build.build_substrate_tables`, and the only
     converged state the schemes hold; every dict-shaped accessor they
     expose is a cached thin view over these slabs.
     """
@@ -569,69 +565,6 @@ class SubstrateTables:
         self._spt_rows: dict[int, tuple[Row, Row]] | None = None
         self._closest_rows: tuple[Row, Row] | None = None
         self._vicinity_views: list[VicinityView] | None = None
-
-    @classmethod
-    def from_components(
-        cls,
-        num_nodes: int,
-        spts: Mapping[int, tuple[Sequence[float], Sequence[int]]],
-        closest_rows: tuple[Sequence[int], Sequence[float]],
-        vicinities: Sequence[object] | None,
-        codec: "object | None",
-    ) -> "SubstrateTables":
-        """Assemble slabs from the kernel outputs.
-
-        ``spts`` maps landmark -> dense ``(dist_row, parent_row)``;
-        ``closest_rows`` are the per-node closest-landmark rows;
-        ``vicinities`` (optional) are per-node tables with ``distances`` /
-        ``predecessors`` mappings in settle order; ``codec`` (optional, a
-        :class:`~repro.addressing.labels.LabelCodec`) enables the address
-        payload slabs.
-        """
-        landmark_ids = array("q", sorted(spts))
-        spt_dist = array("d")
-        spt_parent = array("q")
-        for landmark in landmark_ids:
-            dist_row, parent_row = spts[landmark]
-            spt_dist.extend(dist_row)
-            spt_parent.extend(parent_row)
-        closest = array("q", closest_rows[0])
-        closest_dist = array("d", closest_rows[1])
-
-        vicinity = None
-        if vicinities is not None:
-            vicinity = NodeSearchTables.from_searches(
-                [(table.distances, table.predecessors) for table in vicinities]
-            )
-
-        addr_offsets = array("q", [0])
-        addr_path = array("q")
-        addr_labels = array("q")
-        addr_bits = array("q")
-        tables = cls(
-            num_nodes,
-            landmark_ids,
-            spt_dist,
-            spt_parent,
-            closest,
-            closest_dist,
-            vicinity,
-            addr_offsets,
-            addr_path,
-            addr_labels,
-            addr_bits,
-        )
-        if codec is not None and len(closest) == num_nodes:
-            position = 0
-            for node in range(num_nodes):
-                path = tables.spt_path(closest[node], node)
-                addr_path.extend(path)
-                addr_labels.extend(codec.encode_path(path))
-                addr_labels.append(-1)  # row terminator keeps rows aligned
-                addr_bits.append(codec.path_bits(path))
-                position += len(path)
-                addr_offsets.append(position)
-        return tables
 
     # -- landmark SPT views -------------------------------------------------
 
@@ -1069,8 +1002,7 @@ class SlabArena:
 
     Three storage modes, selected by ``storage``:
 
-    * ``None`` / ``"array"`` -- plain ``array`` slabs in RAM (the default;
-      what :meth:`SubstrateTables.from_components` has always produced).
+    * ``None`` / ``"array"`` -- plain ``array`` slabs in RAM (the default).
     * ``"mmap"`` -- anonymous ``mmap`` slabs: still RAM, but page-aligned
       and returned to the OS as whole pages when dropped, which keeps the
       build's peak footprint flat for the big SPT / vicinity slabs.

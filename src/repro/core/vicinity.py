@@ -122,8 +122,8 @@ def compute_vicinities(
     if size is None:
         size = vicinity_size(topology.num_nodes, scale=scale)
     require_positive("size", size)
-    searches = topology.csr().batched_k_nearest(size)
+    csr = topology.csr()
     return [
-        VicinityTable(node=node, distances=distances, predecessors=predecessors)
-        for node, (distances, predecessors) in enumerate(searches)
+        VicinityTable(node, *csr.dijkstra_k_nearest(node, size))
+        for node in range(topology.num_nodes)
     ]

@@ -20,7 +20,7 @@ build on the mutated topology after every event, with no sync step.
   that does not touch a row's tree arc costs O(1) on that row.
 * **Closest landmarks** are refolded only for nodes whose distance to some
   landmark changed (ascending landmark order, strict ``<``, matching
-  :func:`repro.core.landmarks.closest_landmarks`).
+  the fold of :func:`repro.core.substrate_build.build_substrate_tables`).
 * **Vicinities** are recomputed only for *candidate* nodes -- those whose
   stored row has an event arc among the relaxations that produced it (a
   tree arc when the arc worsens; an offer that beats a member or the row's

@@ -87,8 +87,8 @@ def refold_closest(
     * the nodes whose closest landmark or distance to it changed.  Only a
       node in some row's ``dist_changed`` can be one; its closest landmark
       is the minimum of its column, taken in landmark order with a strict
-      ``<`` -- ties stay on the smaller landmark id, matching
-      :func:`repro.core.landmarks.closest_landmarks` -- and ``-1`` / ``inf``
+      ``<`` -- ties stay on the smaller landmark id, matching the fold of
+      :meth:`CSRGraph.spt_rows_batch_into` -- and ``-1`` / ``inf``
       when no landmark reaches it.  ``closest`` / ``closest_dist`` are
       updated in place; the nodes come back in the order ``changes`` first
       names them.

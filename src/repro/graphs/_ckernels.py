@@ -32,7 +32,6 @@ import tempfile
 __all__ = [
     "load_kernels",
     "build_error",
-    "warn_if_unavailable",
     "buffer_arg",
     "check_status",
 ]
@@ -176,7 +175,9 @@ _VICINITY_COMMIT_ARGTYPES = [
 _CTYPES = {"q": ctypes.c_int64, "d": ctypes.c_double}
 
 
-def buffer_arg(buffer, typecode: str, length: int, name: str):
+def buffer_arg(
+    buffer, typecode: str, length: int, name: str, *, base: int | None = None
+):
     """``buffer`` as a ctypes array argument, after checking what C cannot.
 
     The C entry points index their buffers by ``n``, row counts and strides
@@ -184,8 +185,9 @@ def buffer_arg(buffer, typecode: str, length: int, name: str):
     out-of-bounds access there, not an exception.  This raises ``TypeError``
     unless ``buffer`` is a writable, contiguous, one-dimensional buffer of
     ``typecode`` (``'q'`` or ``'d'``) items and ``ValueError`` unless it
-    holds exactly ``length`` of them.  Returns ``None`` (a NULL pointer) for
-    ``length == 0``.
+    holds exactly ``length`` of them -- or, with ``base``, at least
+    ``length`` of them from position ``base`` on, where the returned array
+    then starts.  Returns ``None`` (a NULL pointer) for ``length == 0``.
     """
     try:
         view = memoryview(buffer)
@@ -198,13 +200,20 @@ def buffer_arg(buffer, typecode: str, length: int, name: str):
         )
     if view.readonly:
         raise TypeError(f"{name} must be writable")
-    if len(view) != length:
+    if base is None:
+        if len(view) != length:
+            raise ValueError(
+                f"{name} must hold exactly {length} entries, got {len(view)}"
+            )
+        base = 0
+    elif base < 0 or len(view) < base + length:
         raise ValueError(
-            f"{name} must hold exactly {length} entries, got {len(view)}"
+            f"{name} must hold at least {length} entries from position "
+            f"{base} on, got {len(view)}"
         )
     if not length:
         return None
-    return (_CTYPES[typecode] * length).from_buffer(view)
+    return (_CTYPES[typecode] * length).from_buffer(view, 8 * base)
 
 
 def check_status(status: int, name: str) -> None:
@@ -317,12 +326,6 @@ def load_kernels() -> ctypes.CDLL | None:
         lib.spt_dial.argtypes = _DIAL_ARGTYPES
         lib.spt_bfs.restype = _I64
         lib.spt_bfs.argtypes = _BFS_ARGTYPES
-        lib.gather_f64.restype = None
-        lib.gather_f64.argtypes = [_PI64, _PDBL, _PDBL, _I64]
-        lib.gather_i64.restype = None
-        lib.gather_i64.argtypes = [_PI64, _PI64, _PI64, _I64]
-        lib.closest_update.restype = None
-        lib.closest_update.argtypes = [_I64, _PDBL, _I64, _PDBL, _PI64]
         lib.bincount_i64.restype = None
         lib.bincount_i64.argtypes = [_PI64, _I64, _PI64]
         lib.csr_fill.restype = None
@@ -361,32 +364,3 @@ def load_kernels() -> ctypes.CDLL | None:
 def build_error() -> str | None:
     """Why the C tier is unavailable (``None`` when it loaded or not tried)."""
     return _build_error
-
-
-_warned = False
-
-
-def warn_if_unavailable(context: str) -> None:
-    """One-line stderr warning when the C tier was asked for but is absent.
-
-    Callers that *expect* the C kernels (the bench harness, a forced
-    ``--kernel``) invoke this so a silently failed compile shows up as::
-
-        warning: C kernel tier unavailable for <context>: <reason>; ...
-
-    instead of quietly benchmarking the pure-Python fallback.  Warns at
-    most once per process and stays silent when the Python tier was chosen
-    deliberately via ``REPRO_NO_CKERNELS=1``.
-    """
-    global _warned
-    if _warned or os.environ.get("REPRO_NO_CKERNELS"):
-        return
-    if load_kernels() is not None:
-        return
-    _warned = True
-    reason = _build_error or "unknown build failure"
-    print(
-        f"warning: C kernel tier unavailable for {context}: {reason}; "
-        "falling back to the pure-Python kernels (bit-identical, slower)",
-        file=sys.stderr,
-    )

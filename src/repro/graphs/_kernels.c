@@ -456,44 +456,9 @@ i64 spt_bfs(
     return settled;
 }
 
-/* ------------------------------------------------------------ slab helpers
+/* ------------------------------------------------------------- slab helper
  *
- * Small flat-array passes used by the slab-direct substrate build: they move
- * kernel results (scratch-arena rows, settle orders) into SubstrateTables
- * slabs without boxing each element through a Python object.  All of them
- * have pure-Python fallbacks in repro.graphs.csr / repro.core.landmarks.
- */
-
-/* dst[i] = src[idx[i]] -- extract a settle-ordered row from an arena. */
-void gather_f64(const i64 *idx, const double *src, double *dst, i64 count)
-{
-    for (i64 i = 0; i < count; i++)
-        dst[i] = src[idx[i]];
-}
-
-void gather_i64(const i64 *idx, const i64 *src, i64 *dst, i64 count)
-{
-    for (i64 i = 0; i < count; i++)
-        dst[i] = src[idx[i]];
-}
-
-/* One ascending-landmark step of the closest-landmark sweep.  best_dist is
- * initialised to +inf, landmarks are processed in ascending id order, and
- * the strict < keeps equal-distance ties on the smaller landmark id --
- * exactly the reference semantics of repro.core.landmarks.closest_landmarks.
- */
-void closest_update(i64 n, const double *dist, i64 landmark,
-                    double *best_dist, i64 *best_landmark)
-{
-    for (i64 v = 0; v < n; v++) {
-        if (dist[v] < best_dist[v]) {
-            best_dist[v] = dist[v];
-            best_landmark[v] = landmark;
-        }
-    }
-}
-
-/* counts[src[i]] += 1 for every i -- S4 cluster sizes over a flat members
+ * counts[src[i]] += 1 for every i -- S4 cluster sizes over a flat members
  * slab.  Values must already be bounds-checked by the caller. */
 void bincount_i64(const i64 *src, i64 count, i64 *counts)
 {
@@ -608,7 +573,7 @@ i64 dedup_edges(i64 m, i64 n,
  * seen / order plus the active kernel's queue state), malloc'd per call;
  * the searches themselves are the unmodified kernels above, which touch
  * only their arguments.  Entry points return -1 on allocation failure so
- * the Python driver can fall back to its serial loop.
+ * the Python driver can fall back to its per-source loop.
  */
 
 #define KERNEL_HEAP 0
@@ -824,13 +789,13 @@ static void *spt_rows_worker(void *arg)
                 row[v] = arena.dist[v];
                 prow[v] = arena.pred[v];
             } else {
-                /* Unreached: the fill contract of spt_rows_into. */
+                /* Unreached: the fill contract of CSRGraph.spt_rows. */
                 row[v] = s->fill;
                 prow[v] = -1;
             }
         }
         if (s->fold) {
-            /* Fold the *filled* row, matching the serial path, which
+            /* Fold the *filled* row, matching the per-source loop, which
              * folds each slab row after the fill repair. */
             for (i64 v = 0; v < n; v++) {
                 if (row[v] < task->pb_dist[v]) {
@@ -1682,7 +1647,7 @@ i64 repair_rows(
  *   Refold: for every node in dist_changed (each once), the closest
  *   landmark is the minimum of its column over the dist slab's rows, taken
  *   in row order with a strict < so that ties stay on the earlier
- *   (smaller-id) landmark -- roots must ascend, as in closest_update.  A
+ *   (smaller-id) landmark -- roots must ascend, as in spt_rows_batch.  A
  *   node no landmark reaches folds to -1 / +inf.  The nodes whose pair
  *   changed go to refolded (n slots) in first-occurrence order, their
  *   count to *num_refolded.

@@ -51,11 +51,13 @@ indexed 4-ary heap was measured slower than C-implemented ``heapq`` under
 CPython, which is why the Python ``heap`` tier keeps the lazy ``heapq``
 kernel; see ``docs/ARCHITECTURE.md``.)
 
-Batched drivers (:meth:`CSRGraph.batched_spt`,
-:meth:`CSRGraph.batched_k_nearest`, :meth:`CSRGraph.batched_radius`,
-:meth:`CSRGraph.batched_target_distances`) run many searches over the shared
-arena; the ``*_batch*`` drivers put the whole source loop in one C call,
-fanned over in-kernel threads -- the only kernel-level parallelism.
+One batch driver per kind of search (:meth:`CSRGraph.spt_rows_batch_into`,
+:meth:`CSRGraph.k_nearest_batch_into` with its allocating wrapper
+:meth:`CSRGraph.k_nearest_batch_flat`, :meth:`CSRGraph.radius_batch_flat`,
+:meth:`CSRGraph.batched_target_distances`) puts the whole source loop in one
+C call, fanned over in-kernel threads -- the only kernel-level parallelism.
+The pure-Python tier, and the C tier when that call reports it could not
+allocate, loop over the single-source search inside the same driver.
 
 The stable public API remains :mod:`repro.graphs.shortest_paths`; callers
 normally obtain a kernel via :meth:`Topology.csr`, which caches the snapshot
@@ -88,9 +90,11 @@ import ctypes
 import heapq
 import math
 import os
+import warnings
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.graphs import _ckernels
 
@@ -112,14 +116,19 @@ _INF = math.inf
 def kernel_threads(threads: int | None = None) -> int:
     """Resolve the in-kernel batch fan-out width.
 
-    Precedence: an explicit positive ``threads`` argument, then the
+    Precedence: an explicit ``threads`` argument, then the
     ``REPRO_KERNEL_THREADS`` environment variable, then the machine's CPU
     count.  Batched results are byte-identical for every width, so the
     default only affects wall-clock time -- but bench reports record the
-    active width (see the ``host`` block) so runs remain comparable.  A
-    set but non-positive or non-integer variable raises ``ValueError``.
+    active width (see the ``host`` block) so runs remain comparable.  The
+    argument and the variable follow one rule: anything but a positive
+    integer raises ``ValueError``.
     """
-    if threads is not None and threads > 0:
+    if threads is not None:
+        if not isinstance(threads, int) or threads < 1:
+            raise ValueError(
+                f"threads must be a positive integer, got {threads!r}"
+            )
         return threads
     env = os.environ.get("REPRO_KERNEL_THREADS", "")
     if env:
@@ -133,6 +142,7 @@ def kernel_threads(threads: int | None = None) -> int:
             )
         return value
     return os.cpu_count() or 1
+
 
 #: Kernel names accepted by ``kernel=`` overrides (``None`` means auto).
 KERNELS = ("bfs", "bucket", "heap")
@@ -684,13 +694,13 @@ class CSRGraph:
 
         After the call, ``self._dist[v]`` / ``self._pred[v]`` hold the final
         distance / predecessor for every node in the returned list (and only
-        until the next search reuses the arena).  ``out`` redirects those
-        writes into caller-owned dense rows instead (full searches only --
-        with truncation, discovered-but-unsettled nodes would leak partial
-        values into the rows; the C tier copies settled rows after the
-        search instead, see :meth:`spt_rows`).  The settled stamps consumed
-        by :meth:`batched_target_distances` are only maintained when
-        ``targets`` is given.
+        until the next search reuses the arena).  ``out`` puts the settled
+        nodes' values into caller-owned dense rows instead (full searches
+        only -- with truncation, discovered-but-unsettled nodes would leak
+        partial values into the rows): the Python kernels write them in
+        place, the C tier copies them out of its arena after the search.
+        The settled stamps consumed by :meth:`batched_target_distances` are
+        only maintained when ``targets`` is given.
         """
         if not 0 <= source < self.num_nodes:
             raise ValueError(
@@ -706,8 +716,15 @@ class CSRGraph:
                         f"{self.num_nodes} nodes"
                     )
         if self.tier == "c":
-            assert out is None, "C tier writes rows post-search"
-            return self._search_c(source, targets, k, radius, inclusive)
+            order = self._search_c(source, targets, k, radius, inclusive)
+            if out is not None:
+                dist_row, parent_row = out
+                dist = self._dist
+                pred = self._pred
+                for node in order:
+                    dist_row[node] = dist[node]
+                    parent_row[node] = pred[node]
+            return order
         if self.kernel == "bfs":
             return self._search_bfs(source, targets, k, radius, inclusive, out)
         if self.kernel == "bucket":
@@ -792,66 +809,6 @@ class CSRGraph:
                 *common, arena["p_heap"], arena["p_pos"], *tail
             )
         return arena["order"][:count].tolist()
-
-    def _search_c_count(
-        self,
-        source: int,
-        k: int | None,
-        radius: float | None,
-        inclusive: bool,
-    ) -> int:
-        """Run one C-tier search and return only the settled count.
-
-        The settle order stays in ``self._c["order"]`` as a typed array --
-        the flat batched drivers gather rows straight out of the arena
-        without materializing a Python list per search (the per-element
-        boxing of ``order.tolist()`` dominates small truncated searches).
-        """
-        if not 0 <= source < self.num_nodes:
-            raise ValueError(
-                f"node {source} out of range for graph with "
-                f"{self.num_nodes} nodes"
-            )
-        arena = self._c_arena()
-        self._generation += 1
-        if radius is None:
-            radius_val, radius_mode = -1.0, _RADIUS_NONE
-        else:
-            radius_val = radius
-            radius_mode = _RADIUS_INCLUSIVE if inclusive else _RADIUS_STRICT
-        common = (
-            self.num_nodes,
-            arena["p_offsets"],
-            arena["p_neighbors"],
-            arena["p_weights"],
-            source,
-            arena["p_dist"],
-            arena["p_pred"],
-            arena["p_seen"],
-            self._generation,
-            arena["p_order"],
-        )
-        tail = (k or 0, radius_val, radius_mode, None, 0, arena["p_tflag"])
-        if self.kernel == "bfs":
-            return self._clib.spt_bfs(
-                common[0], common[1], common[2], *common[4:],
-                arena["p_frontier"], arena["p_next_frontier"],
-                *tail,
-            )
-        if self.kernel == "bucket":
-            return self._clib.spt_dial(
-                *common,
-                self.profile.quantum,
-                arena["slots"],
-                arena["p_head"],
-                arena["p_pool_node"],
-                arena["p_pool_next"],
-                arena["p_batch"],
-                *tail,
-            )
-        return self._clib.spt_heap4(
-            *common, arena["p_heap"], arena["p_pos"], *tail
-        )
 
     # -- Python heap kernel (lazy heapq; the no-compiler fallback) ----------
 
@@ -1199,215 +1156,36 @@ class CSRGraph:
 
         Returns ``(dist_row, parent_row)``; unreachable nodes keep ``fill``
         and ``-1`` (the converged-state models assume connected topologies
-        and historically used a 0.0 fill).
+        and historically used a 0.0 fill).  A one-source call of
+        :meth:`spt_rows_batch_into`.
         """
-        if self.tier == "c":
-            order = self._search(source)
-            dist_row = self._c["dist"].tolist()
-            parent_row = self._c["pred"].tolist()
-            if len(order) < self.num_nodes:
-                # Disconnected graph: unreached slots hold stale values from
-                # earlier searches; restore the fill contract.
-                generation = self._generation
-                seen = self._c["seen"]
-                for node in range(self.num_nodes):
-                    if seen[node] != generation:
-                        dist_row[node] = fill
-                        parent_row[node] = -1
-            return dist_row, parent_row
-        dist_row = [fill] * self.num_nodes
-        parent_row = [-1] * self.num_nodes
-        # The search writes distances/parents straight into the rows; only
-        # settled nodes are touched, so unreachable ones keep the fill.
-        self._search(source, out=(dist_row, parent_row))
-        return dist_row, parent_row
+        dist_row = array("d", bytes(8 * self.num_nodes))
+        parent_row = array("q", bytes(8 * self.num_nodes))
+        self.spt_rows_batch_into(
+            (source,), dist_row, parent_row, fill=fill, threads=1
+        )
+        return dist_row.tolist(), parent_row.tolist()
 
-    # -- slab-direct drivers ------------------------------------------------
+    # -- batch drivers --------------------------------------------------------
     #
-    # The substrate build writes kernel output straight into preallocated
-    # SubstrateTables slabs (possibly mmap-backed and larger than RAM), so
-    # these drivers take writable buffers instead of returning per-node
-    # dicts: no per-element boxing, no intermediate dict materialization.
+    # One driver per kind of search.  The substrate build writes kernel
+    # output straight into preallocated SubstrateTables slabs (possibly
+    # mmap-backed and larger than RAM), so the drivers take or return flat
+    # typed buffers: no per-element boxing, no per-node dicts.  On the C tier
+    # a driver is one FFI call: the source loop and a pthread fan-out run
+    # inside _kernels.c, with one scratch arena per thread and structurally
+    # disjoint output -- byte-identical for any width.  ``threads=None``
+    # resolves via :func:`kernel_threads` (explicit > REPRO_KERNEL_THREADS >
+    # CPU count).  The Python tier loops over :meth:`_search` inside the
+    # driver, and so does the C tier when the call could not allocate.
 
-    def _flat_scratch(self) -> dict:
-        """Arena extension for the flat drivers: settle-order row gathers."""
-        arena = self._c_arena()
-        if "row_d" not in arena:
-            n = max(self.num_nodes, 1)
-            row_d = array("d", bytes(8 * n))
-            row_q = array("q", bytes(8 * n))
-            arena["row_d"] = row_d
-            arena["row_q"] = row_q
-            arena["p_row_d"] = (ctypes.c_double * n).from_buffer(row_d)
-            arena["p_row_q"] = (ctypes.c_int64 * n).from_buffer(row_q)
-        return arena
+    def _batch_call(self, name: str, sources: array, *args) -> int:
+        """Run the batched C entry point ``name`` over ``sources``.
 
-    def spt_rows_into(
-        self, source: int, dist_out, parent_out, *, fill: float = 0.0
-    ) -> None:
-        """Like :meth:`spt_rows`, writing into caller-owned dense buffers.
-
-        ``dist_out`` / ``parent_out`` are writable length-``n`` buffers
-        (``array`` or ``memoryview`` of format ``'d'`` / ``'q'``, e.g. one
-        row of a ``SubstrateTables`` slab).  The C tier copies the scratch
-        arena with two C-level slice assignments instead of boxing ``2n``
-        Python objects through :meth:`spt_rows`'s lists; contents are
-        bit-identical to :meth:`spt_rows`.
+        Returns its status; ``-1`` (it could not allocate) is the one
+        failure every driver answers with its per-source loop, so the
+        warning is raised here.
         """
-        n = self.num_nodes
-        dist_out = memoryview(dist_out)
-        parent_out = memoryview(parent_out)
-        if self.tier == "c":
-            count = self._search_c_count(source, None, None, False)
-            dist_out[:] = memoryview(self._c["dist"])
-            parent_out[:] = memoryview(self._c["pred"])
-            if count < n:
-                # Disconnected graph: unreached slots hold stale values from
-                # earlier searches; restore the fill contract.
-                generation = self._generation
-                seen = self._c["seen"]
-                for node in range(n):
-                    if seen[node] != generation:
-                        dist_out[node] = fill
-                        parent_out[node] = -1
-            return
-        # Python tiers write settled nodes straight into the output rows;
-        # prefill so unreachable nodes keep the fill contract.
-        dist_out[:] = memoryview(array("d", [fill]) * n)
-        parent_out[:] = memoryview(array("q", [-1]) * n)
-        self._search(source, out=(dist_out, parent_out))
-
-    def k_nearest_into(
-        self,
-        k: int,
-        sources: Iterable[int],
-        members,
-        dists,
-        parents,
-        offsets: array,
-        *,
-        base: int = 0,
-    ) -> int:
-        """Truncated searches written straight into preallocated slabs.
-
-        For each source (in the given order) the settled row -- members in
-        settle order, their distances, and their predecessors (``-1`` for
-        the source itself) -- is appended to the writable buffers starting
-        at position ``base``; one offset per source is appended to
-        ``offsets``.  Returns the position after the last row.  The caller
-        guarantees capacity (``k`` settles per source on a connected graph
-        with ``k <= n``).  Contents are bit-identical to
-        :meth:`dijkstra_k_nearest` run per source.
-        """
-        if k <= 0:
-            raise ValueError(f"k must be > 0, got {k}")
-        members = memoryview(members)
-        dists = memoryview(dists)
-        parents = memoryview(parents)
-        position = base
-        if self.tier == "c":
-            arena = self._flat_scratch()
-            lib = self._clib
-            order_mv = memoryview(arena["order"])
-            row_d = memoryview(arena["row_d"])
-            row_q = memoryview(arena["row_q"])
-            for source in sources:
-                count = self._search_c_count(source, k, None, False)
-                lib.gather_f64(
-                    arena["p_order"], arena["p_dist"], arena["p_row_d"], count
-                )
-                lib.gather_i64(
-                    arena["p_order"], arena["p_pred"], arena["p_row_q"], count
-                )
-                end = position + count
-                members[position:end] = order_mv[:count]
-                dists[position:end] = row_d[:count]
-                parents[position:end] = row_q[:count]
-                position = end
-                offsets.append(end)
-            return position
-        for source in sources:
-            order = self._search(source, k=k)
-            dist = self._dist
-            pred = self._pred
-            for node in order:
-                members[position] = node
-                dists[position] = dist[node]
-                parents[position] = pred[node]
-                position += 1
-            offsets.append(position)
-        return position
-
-    def batched_radius_flat(
-        self,
-        radii: Sequence[float],
-        nodes: Sequence[int] | None = None,
-        *,
-        inclusive: bool = False,
-    ) -> tuple[array, array, array, array]:
-        """Per-source radius-bounded rows as one flat CSR-shaped result.
-
-        Returns ``(offsets, members, dists, parents)``: row ``i`` of the
-        batch (source ``i`` of ``nodes``, default all nodes in id order)
-        lives at ``offsets[i] .. offsets[i + 1]`` of the three data arrays,
-        members in settle order with the source first (its parent entry is
-        ``-1``).  The flat-transport equivalent of :meth:`batched_radius`
-        -- same searches, no per-node dicts; ``radii`` aligns with
-        ``nodes`` and the boundary is strict unless ``inclusive``.
-        """
-        sources = range(self.num_nodes) if nodes is None else nodes
-        if len(radii) != len(sources):
-            raise ValueError(
-                f"radii must have exactly {len(sources)} entries, "
-                f"got {len(radii)}"
-            )
-        offsets = array("q", [0])
-        members = array("q")
-        dists = array("d")
-        parents = array("q")
-        c_tier = self.tier == "c"
-        if c_tier:
-            arena = self._flat_scratch()
-            lib = self._clib
-            order_arr = arena["order"]
-            row_d = arena["row_d"]
-            row_q = arena["row_q"]
-        for source, radius in zip(sources, radii):
-            if radius < 0:
-                raise ValueError(f"radius must be >= 0, got {radius}")
-            if c_tier:
-                count = self._search_c_count(source, None, radius, inclusive)
-                lib.gather_f64(
-                    arena["p_order"], arena["p_dist"], arena["p_row_d"], count
-                )
-                lib.gather_i64(
-                    arena["p_order"], arena["p_pred"], arena["p_row_q"], count
-                )
-                members += order_arr[:count]
-                dists += row_d[:count]
-                parents += row_q[:count]
-            else:
-                order = self._search(source, radius=radius, inclusive=inclusive)
-                dist = self._dist
-                pred = self._pred
-                members.extend(order)
-                dists.extend([dist[node] for node in order])
-                parents.extend([pred[node] for node in order])
-            offsets.append(len(members))
-        return offsets, members, dists, parents
-
-    # -- in-kernel batched drivers ------------------------------------------
-    #
-    # One FFI call per build phase: the source loop and (optionally) a
-    # pthread fan-out run inside _kernels.c, with one scratch arena per
-    # thread and structurally disjoint output -- byte-identical to the
-    # serial drivers for any thread count.  ``threads=None`` resolves via
-    # :func:`kernel_threads` (explicit > REPRO_KERNEL_THREADS > CPU count);
-    # ``threads=0`` forces the per-source serial loop, which is also the
-    # fallback on the Python tier or when the C side cannot allocate.
-
-    def _batch_prefix(self, p_sources, num_sources: int) -> tuple:
-        """Common leading arguments of the batched C entry points."""
         arena = self._c_arena()
         kernel_id = {"heap": 0, "bucket": 1, "bfs": 2}[self.kernel]
         if self.kernel == "bucket":
@@ -1415,7 +1193,7 @@ class CSRGraph:
             slots = (self.profile.max_quanta or 0) + 1
         else:
             quantum, slots = 0.0, 0
-        return (
+        status = getattr(self._clib, name)(
             self.num_nodes,
             arena["p_offsets"],
             arena["p_neighbors"],
@@ -1423,9 +1201,18 @@ class CSRGraph:
             kernel_id,
             quantum,
             slots,
-            p_sources,
-            num_sources,
+            (ctypes.c_int64 * len(sources)).from_buffer(sources),
+            len(sources),
+            *args,
         )
+        if status == -1:
+            warnings.warn(
+                f"{name} could not allocate its scratch; running the "
+                "per-source loop instead (same output, slower)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return status
 
     def _check_sources(self, sources: array) -> None:
         if sources and not 0 <= min(sources) <= max(sources) < self.num_nodes:
@@ -1448,58 +1235,55 @@ class CSRGraph:
     ) -> None:
         """Dense SPT rows for every source, one kernel call for the batch.
 
-        ``dist_out`` / ``parent_out`` are writable buffers of
-        ``len(sources) * n`` entries (row ``i`` belongs to ``sources[i]``);
-        contents are bit-identical to :meth:`spt_rows_into` per source.
-        When ``closest_dist`` / ``closest_landmark`` are given (length-``n``
+        ``dist_out`` / ``parent_out`` are writable ``'d'`` / ``'q'`` buffers
+        (``array`` or ``memoryview``, e.g. a ``SubstrateTables`` slab) of at
+        least ``len(sources) * n`` entries; row ``i`` belongs to
+        ``sources[i]`` and unreachable nodes hold ``fill`` / ``-1``.  When
+        ``closest_dist`` / ``closest_landmark`` are given (length-``n``
         writable buffers seeded ``+inf`` / ``-1``), the closest-landmark
         fold of ascending-id sources runs in the same pass -- sources must
-        then be in ascending order, as the substrate build's are.
+        then be in ascending order, as the substrate build's are.  A buffer
+        of the wrong type or size raises before anything is written.
         """
+        width = kernel_threads(threads)
         src = sources if isinstance(sources, array) else array("q", sources)
         self._check_sources(src)
         n = self.num_nodes
+        total = len(src) * n
+        p_dist = _ckernels.buffer_arg(dist_out, "d", total, "dist_out", base=0)
+        p_parent = _ckernels.buffer_arg(
+            parent_out, "q", total, "parent_out", base=0
+        )
+        fold = closest_dist is not None and closest_landmark is not None
+        p_best_d = p_best_l = None
+        if fold:
+            p_best_d = _ckernels.buffer_arg(
+                closest_dist, "d", n, "closest_dist"
+            )
+            p_best_l = _ckernels.buffer_arg(
+                closest_landmark, "q", n, "closest_landmark"
+            )
         if not src:
             return
-        if self.tier == "c" and threads != 0:
-            total = len(src) * n
-            p_sources = (ctypes.c_int64 * len(src)).from_buffer(src)
-            p_dist = (ctypes.c_double * total).from_buffer(dist_out)
-            p_parent = (ctypes.c_int64 * total).from_buffer(parent_out)
-            if closest_dist is not None and closest_landmark is not None:
-                p_best_d = (ctypes.c_double * n).from_buffer(closest_dist)
-                p_best_l = (ctypes.c_int64 * n).from_buffer(closest_landmark)
-            else:
-                p_best_d = p_best_l = None
-            status = self._clib.spt_rows_batch(
-                *self._batch_prefix(p_sources, len(src)),
-                p_dist,
-                p_parent,
-                fill,
-                p_best_d,
-                p_best_l,
-                kernel_threads(threads),
+        if self.tier == "c":
+            status = self._batch_call(
+                "spt_rows_batch",
+                src, p_dist, p_parent, fill, p_best_d, p_best_l, width,
             )
             if status == 0:
                 return
-        # Serial fallback: per-source rows plus the ascending fold, in C
-        # (``closest_update``) when the library is loaded.
         dist_mv = memoryview(dist_out)
         parent_mv = memoryview(parent_out)
-        fold = closest_dist is not None and closest_landmark is not None
-        c_fold = fold and self._clib is not None
-        if c_fold:
-            p_best_d = (ctypes.c_double * n).from_buffer(closest_dist)
-            p_best_l = (ctypes.c_int64 * n).from_buffer(closest_landmark)
+        unreached = array("d", [fill]) * n
+        no_parent = array("q", [-1]) * n
         for index, source in enumerate(src):
             row = dist_mv[index * n : (index + 1) * n]
-            self.spt_rows_into(
-                source, row, parent_mv[index * n : (index + 1) * n], fill=fill
-            )
-            if c_fold:
-                p_row = (ctypes.c_double * n).from_buffer(row)
-                self._clib.closest_update(n, p_row, source, p_best_d, p_best_l)
-            elif fold:
+            parent_row = parent_mv[index * n : (index + 1) * n]
+            # Only settled nodes are written, so the rest keep the fill.
+            row[:] = unreached
+            parent_row[:] = no_parent
+            self._search(source, out=(row, parent_row))
+            if fold:
                 for node in range(n):
                     d = row[node]
                     if d < closest_dist[node]:
@@ -1518,43 +1302,43 @@ class CSRGraph:
         base: int = 0,
         threads: int | None = None,
     ) -> int:
-        """One-call, optionally threaded :meth:`k_nearest_into`.
+        """Truncated searches written straight into preallocated slabs.
 
-        Source ``i`` provisionally owns the slab range starting at
-        ``base + i * min(k, n)`` -- the buffers must hold
-        ``base + len(sources) * min(k, n)`` entries (exactly the capacity
-        the substrate build preallocates) -- and rows are compacted left
-        after the join, reproducing the serial append layout.  Falls back
-        to :meth:`k_nearest_into` when the capacity contract cannot hold.
+        For each source (in the given order) the settled row -- members in
+        settle order, their distances, and their predecessors (``-1`` for
+        the source itself) -- is appended to the writable ``'q'`` / ``'d'``
+        / ``'q'`` buffers starting at position ``base``; one offset per
+        source is appended to ``offsets``.  Returns the position after the
+        last row.  The buffers must hold ``base + len(sources) * min(k, n)``
+        entries (the capacity the substrate build preallocates; a buffer of
+        the wrong type or size raises before anything is written): in the
+        kernel source ``i`` provisionally owns the range starting at
+        ``base + i * min(k, n)`` and rows are compacted left after the
+        join, reproducing the append layout.  Contents are bit-identical to
+        :meth:`dijkstra_k_nearest` run per source.
         """
         if k <= 0:
             raise ValueError(f"k must be > 0, got {k}")
+        width = kernel_threads(threads)
         src = sources if isinstance(sources, array) else array("q", sources)
         self._check_sources(src)
+        span = len(src) * min(k, self.num_nodes)
+        p_members = _ckernels.buffer_arg(
+            members, "q", span, "members", base=base
+        )
+        p_dists = _ckernels.buffer_arg(dists, "d", span, "dists", base=base)
+        p_parents = _ckernels.buffer_arg(
+            parents, "q", span, "parents", base=base
+        )
         if not src:
             return base
-        cap = min(k, self.num_nodes)
-        needed = base + len(src) * cap
-        if (
-            self.tier == "c"
-            and threads != 0
-            and memoryview(members).nbytes >= 8 * needed
-        ):
-            p_sources = (ctypes.c_int64 * len(src)).from_buffer(src)
-            span = len(src) * cap
-            p_members = (ctypes.c_int64 * span).from_buffer(members, 8 * base)
-            p_dists = (ctypes.c_double * span).from_buffer(dists, 8 * base)
-            p_parents = (ctypes.c_int64 * span).from_buffer(parents, 8 * base)
+        if self.tier == "c":
             row_ends = array("q", bytes(8 * len(src)))
-            p_row_ends = (ctypes.c_int64 * len(src)).from_buffer(row_ends)
-            total = self._clib.k_nearest_batch(
-                *self._batch_prefix(p_sources, len(src)),
-                k,
-                p_members,
-                p_dists,
-                p_parents,
-                p_row_ends,
-                kernel_threads(threads),
+            total = self._batch_call(
+                "k_nearest_batch",
+                src, k, p_members, p_dists, p_parents,
+                (ctypes.c_int64 * len(src)).from_buffer(row_ends),
+                width,
             )
             if total >= 0:
                 offsets.extend(
@@ -1563,9 +1347,21 @@ class CSRGraph:
                     else row_ends
                 )
                 return base + total
-        return self.k_nearest_into(
-            k, src, members, dists, parents, offsets, base=base
-        )
+        members = memoryview(members)
+        dists = memoryview(dists)
+        parents = memoryview(parents)
+        position = base
+        for source in src:
+            order = self._search(source, k=k)
+            dist = self._dist
+            pred = self._pred
+            for node in order:
+                members[position] = node
+                dists[position] = dist[node]
+                parents[position] = pred[node]
+                position += 1
+            offsets.append(position)
+        return position
 
     def k_nearest_batch_flat(
         self,
@@ -1577,10 +1373,9 @@ class CSRGraph:
         """Per-source *k*-nearest rows as one flat CSR-shaped result.
 
         Returns ``(offsets, members, dists, parents)`` in the layout of
-        :meth:`batched_radius_flat`.  :meth:`k_nearest_batch_into` over
+        :meth:`radius_batch_flat`.  :meth:`k_nearest_batch_into` over
         provisional slab capacity allocated here and trimmed to the actual
-        fill -- same searches as :meth:`batched_k_nearest`, no per-node
-        dicts.
+        fill.
         """
         if k <= 0:
             raise ValueError(f"k must be > 0, got {k}")
@@ -1608,112 +1403,70 @@ class CSRGraph:
         inclusive: bool = False,
         threads: int | None = None,
     ) -> tuple[array, array, array, array]:
-        """One-call, optionally threaded :meth:`batched_radius_flat`.
+        """Per-source radius-bounded rows as one flat CSR-shaped result.
 
-        Row sizes are unknown upfront, so each kernel thread grows a
-        private buffer for its contiguous source chunk and the chunks are
-        concatenated in task order after the join, in C.
+        Returns ``(offsets, members, dists, parents)``: row ``i`` of the
+        batch (source ``i`` of ``nodes``, default all nodes in id order)
+        lives at ``offsets[i] .. offsets[i + 1]`` of the three data arrays,
+        members in settle order with the source first (its parent entry is
+        ``-1``).  ``radii`` aligns with ``nodes`` and must cover every
+        source; the boundary is strict unless ``inclusive`` (see
+        :meth:`dijkstra_radius`).  Row sizes are unknown upfront, so each
+        kernel thread grows a private buffer for its contiguous source chunk
+        and the chunks are concatenated in task order after the join, in C.
         """
+        width = kernel_threads(threads)
         sources = range(self.num_nodes) if nodes is None else nodes
         if len(radii) != len(sources):
             raise ValueError(
                 f"radii must have exactly {len(sources)} entries, "
                 f"got {len(radii)}"
             )
-        if self.tier != "c" or threads == 0 or not len(radii):
-            return self.batched_radius_flat(radii, nodes, inclusive=inclusive)
         src = array("q", sources)
         self._check_sources(src)
         radii_arr = radii if isinstance(radii, array) else array("d", radii)
-        if min(radii_arr) < 0:
+        if src and min(radii_arr) < 0:
             raise ValueError(f"radius must be >= 0, got {min(radii_arr)}")
-        p_sources = (ctypes.c_int64 * len(src)).from_buffer(src)
-        p_radii = (ctypes.c_double * len(src)).from_buffer(radii_arr)
-        row_ends = array("q", bytes(8 * len(src)))
-        p_row_ends = (ctypes.c_int64 * len(src)).from_buffer(row_ends)
-        out_members = ctypes.POINTER(ctypes.c_int64)()
-        out_dists = ctypes.POINTER(ctypes.c_double)()
-        out_parents = ctypes.POINTER(ctypes.c_int64)()
-        total = self._clib.radius_batch(
-            *self._batch_prefix(p_sources, len(src)),
-            p_radii,
-            _RADIUS_INCLUSIVE if inclusive else _RADIUS_STRICT,
-            p_row_ends,
-            ctypes.byref(out_members),
-            ctypes.byref(out_dists),
-            ctypes.byref(out_parents),
-            kernel_threads(threads),
-        )
-        if total < 0:
-            return self.batched_radius_flat(radii, nodes, inclusive=inclusive)
-        try:
-            members = array("q")
-            members.frombytes(ctypes.string_at(out_members, 8 * total))
-            dists = array("d")
-            dists.frombytes(ctypes.string_at(out_dists, 8 * total))
-            parents = array("q")
-            parents.frombytes(ctypes.string_at(out_parents, 8 * total))
-        finally:
-            self._clib.buffer_free(out_members)
-            self._clib.buffer_free(out_dists)
-            self._clib.buffer_free(out_parents)
         offsets = array("q", [0])
-        offsets.extend(row_ends)
+        members = array("q")
+        dists = array("d")
+        parents = array("q")
+        if self.tier == "c" and src:
+            row_ends = array("q", bytes(8 * len(src)))
+            out_members = ctypes.POINTER(ctypes.c_int64)()
+            out_dists = ctypes.POINTER(ctypes.c_double)()
+            out_parents = ctypes.POINTER(ctypes.c_int64)()
+            total = self._batch_call(
+                "radius_batch",
+                src,
+                (ctypes.c_double * len(src)).from_buffer(radii_arr),
+                _RADIUS_INCLUSIVE if inclusive else _RADIUS_STRICT,
+                (ctypes.c_int64 * len(src)).from_buffer(row_ends),
+                ctypes.byref(out_members),
+                ctypes.byref(out_dists),
+                ctypes.byref(out_parents),
+                width,
+            )
+            if total >= 0:
+                try:
+                    members.frombytes(ctypes.string_at(out_members, 8 * total))
+                    dists.frombytes(ctypes.string_at(out_dists, 8 * total))
+                    parents.frombytes(ctypes.string_at(out_parents, 8 * total))
+                finally:
+                    self._clib.buffer_free(out_members)
+                    self._clib.buffer_free(out_dists)
+                    self._clib.buffer_free(out_parents)
+                offsets.extend(row_ends)
+                return offsets, members, dists, parents
+        for source, radius in zip(src, radii_arr):
+            order = self._search(source, radius=radius, inclusive=inclusive)
+            dist = self._dist
+            pred = self._pred
+            members.extend(order)
+            dists.extend([dist[node] for node in order])
+            parents.extend([pred[node] for node in order])
+            offsets.append(len(members))
         return offsets, members, dists, parents
-
-    # -- batched drivers ----------------------------------------------------
-
-    def batched_spt(
-        self, sources: Iterable[int], *, fill: float = 0.0
-    ) -> Iterator[tuple[int, list[float], list[int]]]:
-        """Yield ``(source, dist_row, parent_row)`` for each source.
-
-        All searches share one scratch arena; only the dense output rows are
-        allocated per source.
-        """
-        for source in sources:
-            dist_row, parent_row = self.spt_rows(source, fill=fill)
-            yield source, dist_row, parent_row
-
-    def batched_k_nearest(
-        self, k: int, nodes: Iterable[int] | None = None
-    ) -> list[tuple[dict[int, float], dict[int, int]]]:
-        """Run :meth:`dijkstra_k_nearest` for every node (or ``nodes``)."""
-        if k <= 0:
-            raise ValueError(f"k must be > 0, got {k}")
-        sources = range(self.num_nodes) if nodes is None else nodes
-        return [self._as_dicts(self._search(v, k=k)) for v in sources]
-
-    def batched_radius(
-        self,
-        radii: Sequence[float],
-        nodes: Sequence[int] | None = None,
-        *,
-        inclusive: bool = False,
-    ) -> list[tuple[dict[int, float], dict[int, int]]]:
-        """Run :meth:`dijkstra_radius` per node with its own radius.
-
-        ``radii`` aligns with ``nodes`` (default: all nodes in id order) and
-        must cover every source -- a short list would otherwise silently
-        truncate the batch.  The boundary is strict unless ``inclusive``
-        (see :meth:`dijkstra_radius`).
-        """
-        sources = range(self.num_nodes) if nodes is None else nodes
-        if len(radii) != len(sources):
-            raise ValueError(
-                f"radii must have exactly {len(sources)} entries, "
-                f"got {len(radii)}"
-            )
-        results = []
-        for node, radius in zip(sources, radii):
-            if radius < 0:
-                raise ValueError(f"radius must be >= 0, got {radius}")
-            results.append(
-                self._as_dicts(
-                    self._search(node, radius=radius, inclusive=inclusive)
-                )
-            )
-        return results
 
     def batched_target_distances(
         self, pairs: Iterable[tuple[int, int]], *, threads: int | None = None
@@ -1723,24 +1476,14 @@ class CSRGraph:
         Pairs are grouped by source; each distinct source runs one
         early-stopping search.  On the C tier the grouped batch goes down
         in a single ``target_distances_batch`` call (sources fanned over
-        kernel threads, each with its own arena); ``threads=0`` or the
-        Python tier fall back to the serial per-source loop over the
-        shared arena.  Raises ``ValueError`` if any target is unreachable
-        from its source.
+        kernel threads, each with its own arena).  Raises ``ValueError`` if
+        any target is unreachable from its source.
         """
+        width = kernel_threads(threads)
         by_source: dict[int, set[int]] = {}
         for source, target in pairs:
             by_source.setdefault(source, set()).add(target)
-        n = self.num_nodes
-        if (
-            self.tier == "c"
-            and threads != 0
-            and by_source
-            and all(
-                0 <= source < n and all(0 <= t < n for t in targets)
-                for source, targets in by_source.items()
-            )
-        ):
+        if self.tier == "c" and by_source:
             grouped = sorted(by_source)
             src = array("q", grouped)
             tgt_offsets = array("q", [0])
@@ -1748,14 +1491,16 @@ class CSRGraph:
             for source in grouped:
                 tgt_nodes.extend(sorted(by_source[source]))
                 tgt_offsets.append(len(tgt_nodes))
+            self._check_sources(src)
+            self._check_sources(tgt_nodes)
             dist_out = array("d", bytes(8 * len(tgt_nodes)))
-            p_sources = (ctypes.c_int64 * len(src)).from_buffer(src)
-            status = self._clib.target_distances_batch(
-                *self._batch_prefix(p_sources, len(src)),
+            status = self._batch_call(
+                "target_distances_batch",
+                src,
                 (ctypes.c_int64 * len(tgt_offsets)).from_buffer(tgt_offsets),
                 (ctypes.c_int64 * len(tgt_nodes)).from_buffer(tgt_nodes),
                 (ctypes.c_double * len(tgt_nodes)).from_buffer(dist_out),
-                kernel_threads(threads),
+                width,
             )
             if status == 0:
                 flat = 0
@@ -1767,14 +1512,11 @@ class CSRGraph:
                 return result
             if status <= -2:
                 flat = -status - 2
-                from bisect import bisect_right
-
                 source = grouped[bisect_right(tgt_offsets, flat) - 1]
                 raise ValueError(
                     f"node {tgt_nodes[flat]} unreachable from {source}; "
                     "topology must be connected"
                 )
-            # status == -1: allocation failure; run the serial loop below.
         result = {}
         c_tier = self.tier == "c"
         for source, targets in by_source.items():

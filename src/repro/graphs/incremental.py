@@ -68,7 +68,6 @@ from repro.graphs.topology import Topology
 
 __all__ = [
     "RowChanges",
-    "spt_dense",
     "canonical_parent",
     "repair_after_decrease",
     "repair_after_increase",
@@ -82,18 +81,6 @@ _INF = math.inf
 
 # ``mode`` of the C entry point (REPAIR_* in _kernels.c).
 _WORSEN_EDGE, _WORSEN_DETACH, _IMPROVE = 0, 1, 2
-
-
-def spt_dense(
-    topology: Topology, root: int
-) -> tuple[list[float], list[int]]:
-    """Full SPT from ``root`` as dense ``(dist, parent)`` rows.
-
-    Unreachable nodes hold ``inf`` / ``-1``; the root holds ``0.0`` / ``-1``.
-    Computed through the canonical engine kernels, so repaired rows can be
-    compared against this bit for bit.
-    """
-    return topology.csr().spt_rows(root, fill=_INF)
 
 
 def canonical_parent(

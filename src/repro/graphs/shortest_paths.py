@@ -243,8 +243,8 @@ def all_pairs_sampled_distances(
     search; on the C tier the whole grouped batch goes down
     in one ``target_distances_batch`` kernel call, its sources fanned over
     ``threads`` in-kernel threads (:meth:`CSRGraph.batched_target_distances`;
-    ``0`` pins the serial per-source loop).  Used as the stretch
-    denominator for sampled pairs on large topologies, as in §5.1.
+    ``None`` resolves via ``REPRO_KERNEL_THREADS`` / CPU count).  Used as the
+    stretch denominator for sampled pairs on large topologies, as in §5.1.
 
     Raises
     ------

@@ -78,9 +78,9 @@ class S4Routing(RoutingScheme):
         passes NDDisco here when the schemes share a landmark set.
     threads:
         In-kernel thread fan-out for the landmark SPTs (own-substrate
-        builds) and the per-node cluster ("ball") searches (``0`` pins the
-        serial per-source loop); results are byte-identical for every
-        width.
+        builds) and the per-node cluster ("ball") searches (``None``
+        resolves via ``REPRO_KERNEL_THREADS`` / CPU count); results are
+        byte-identical for every width.
     storage:
         Slab placement for an own-substrate build (``None``, ``"mmap"``,
         or a directory path -- see

@@ -118,3 +118,38 @@ def s4_small(small_gnm: Topology) -> S4Routing:
 def vrr_small(small_gnm: Topology) -> VirtualRingRouting:
     """Converged VRR on the 64-node graph."""
     return VirtualRingRouting(small_gnm, seed=1)
+
+
+class _RefusingKernels:
+    """``CSRGraph._clib`` double: the library, except that every batched
+    entry point reports it could not allocate (status ``-1``)."""
+
+    BATCHED = (
+        "spt_rows_batch",
+        "k_nearest_batch",
+        "radius_batch",
+        "target_distances_batch",
+    )
+
+    def __init__(self, lib):
+        self._lib = lib
+
+    def __getattr__(self, name):
+        if name in self.BATCHED:
+            return lambda *args: -1
+        return getattr(self._lib, name)
+
+
+@pytest.fixture()
+def refuse_batch_kernels():
+    """``refuse(topology)``: a C-tier snapshot whose batch drivers must take
+    their one fallback, the per-source loop, and warn that they did."""
+
+    def refuse(topology: Topology):
+        from repro.graphs.csr import CSRGraph
+
+        csr = CSRGraph.from_topology(topology, use_c=True)
+        csr._clib = _RefusingKernels(csr._clib)
+        return csr
+
+    return refuse

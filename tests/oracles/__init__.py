@@ -6,5 +6,7 @@ One oracle per layer, none importable from ``src/``:
 * :mod:`oracles.replay` -- per-event full reconvergence plus a state diff,
   the bill the churn engine must reproduce incrementally;
 * :mod:`oracles.fresh_build` -- the production builder on the engine's
-  mutated topology, the tables the engine's in-place repairs must equal.
+  mutated topology, the tables the engine's in-place repairs must equal;
+* :mod:`oracles.component_build` -- the dict-shaped component-wise
+  substrate build, the slabs the production builder must equal.
 """

@@ -1,0 +1,132 @@
+"""The component-wise substrate build: the slab builder's byte-identity oracle.
+
+Before :func:`~repro.core.substrate_build.build_substrate_tables` wrote
+kernel output straight into the slabs, a :class:`SubstrateTables` was
+assembled from dict- and list-shaped pieces: one dense ``(dist, parent)``
+row pair per landmark, a sweep over those rows for the closest landmark,
+one ``VicinityTable`` per node, and a boxing pass over all of it.  That
+path served no production caller any more and lives here, unchanged in
+what it computes, so ``tests/test_substrate_build.py`` can hold the builder
+to it slab for slab on every kernel family.
+"""
+
+from __future__ import annotations
+
+from array import array
+from typing import Iterable, Mapping, Sequence
+
+from repro.core.tables import NodeSearchTables, SubstrateTables
+from repro.graphs.topology import Topology
+
+__all__ = ["landmark_spts", "closest_landmarks", "from_components"]
+
+
+def landmark_spts(
+    topology: Topology, landmarks: Iterable[int]
+) -> dict[int, tuple[list[float], list[int]]]:
+    """Shortest-path trees rooted at every landmark, as dense rows.
+
+    Returns a dict mapping each landmark (in ascending id order) to a
+    ``(dist_row, parent_row)`` pair of lists indexed by node id.  Nodes
+    outside the landmark's component keep ``0.0`` / ``-1`` (the converged
+    protocol models assume connected topologies).  Each tree is one
+    dict-shaped single-source search, not a row of the batch driver the
+    builder calls.
+    """
+    csr = topology.csr()
+    spts = {}
+    for landmark in sorted(landmarks):
+        distances, predecessors = csr.dijkstra(landmark)
+        dist_row = [0.0] * topology.num_nodes
+        parent_row = [-1] * topology.num_nodes
+        for node, distance in distances.items():
+            dist_row[node] = distance
+        for node, parent in predecessors.items():
+            parent_row[node] = parent
+        spts[landmark] = (dist_row, parent_row)
+    return spts
+
+
+def closest_landmarks(
+    spts: dict[int, tuple[list[float], list[int]]], num_nodes: int
+) -> tuple[list[int], list[float]]:
+    """Per-node closest landmark (ties toward the smaller landmark id).
+
+    Returns ``(closest, distance)`` lists indexed by node id, computed by
+    sweeping the dense SPT rows once per landmark.
+    """
+    if not spts:
+        raise ValueError("at least one landmark SPT is required")
+    ordered = sorted(spts)
+    first = ordered[0]
+    best_distance = list(spts[first][0])
+    best_landmark = [first] * num_nodes
+    for landmark in ordered[1:]:
+        row = spts[landmark][0]
+        for node in range(num_nodes):
+            if row[node] < best_distance[node]:
+                best_distance[node] = row[node]
+                best_landmark[node] = landmark
+    return best_landmark, best_distance
+
+
+def from_components(
+    num_nodes: int,
+    spts: Mapping[int, tuple[Sequence[float], Sequence[int]]],
+    closest_rows: tuple[Sequence[int], Sequence[float]],
+    vicinities: Sequence[object] | None,
+    codec: "object | None",
+) -> SubstrateTables:
+    """Assemble slabs from the kernel outputs.
+
+    ``spts`` maps landmark -> dense ``(dist_row, parent_row)``;
+    ``closest_rows`` are the per-node closest-landmark rows;
+    ``vicinities`` (optional) are per-node tables with ``distances`` /
+    ``predecessors`` mappings in settle order; ``codec`` (optional, a
+    :class:`~repro.addressing.labels.LabelCodec`) enables the address
+    payload slabs.
+    """
+    landmark_ids = array("q", sorted(spts))
+    spt_dist = array("d")
+    spt_parent = array("q")
+    for landmark in landmark_ids:
+        dist_row, parent_row = spts[landmark]
+        spt_dist.extend(dist_row)
+        spt_parent.extend(parent_row)
+    closest = array("q", closest_rows[0])
+    closest_dist = array("d", closest_rows[1])
+
+    vicinity = None
+    if vicinities is not None:
+        vicinity = NodeSearchTables.from_searches(
+            [(table.distances, table.predecessors) for table in vicinities]
+        )
+
+    addr_offsets = array("q", [0])
+    addr_path = array("q")
+    addr_labels = array("q")
+    addr_bits = array("q")
+    tables = SubstrateTables(
+        num_nodes,
+        landmark_ids,
+        spt_dist,
+        spt_parent,
+        closest,
+        closest_dist,
+        vicinity,
+        addr_offsets,
+        addr_path,
+        addr_labels,
+        addr_bits,
+    )
+    if codec is not None and len(closest) == num_nodes:
+        position = 0
+        for node in range(num_nodes):
+            path = tables.spt_path(closest[node], node)
+            addr_path.extend(path)
+            addr_labels.extend(codec.encode_path(path))
+            addr_labels.append(-1)  # row terminator keeps rows aligned
+            addr_bits.append(codec.path_bits(path))
+            position += len(path)
+            addr_offsets.append(position)
+    return tables

@@ -145,6 +145,8 @@ def test_the_objects_bench_reads_have_what_it_reads():
     Deleting ``build_stats=`` (ROADMAP item 1) or ``cache_budget=`` /
     ``cache_stats`` (item 8) fails here and waits for ``bench/`` to be
     unfrozen (item 2)."""
+    from array import array
+
     from repro.core.nddisco import NDDiscoRouting
     from repro.dynamics.engine import ChurnEngine, EventReport
     from repro.dynamics.stream import generate_event_stream
@@ -159,6 +161,20 @@ def test_the_objects_bench_reads_have_what_it_reads():
                  "names", "addresses"):
         assert hasattr(routing, name), name
     assert routing.tables.slab_items()
+
+    # ``converge.py::probe`` calls the batch drivers on ``topology.csr()``,
+    # an object the AST walk above cannot see: these positional shapes.
+    csr = topology.csr()
+    landmarks = array("q", sorted(routing.landmarks))
+    dist_out = array("d", bytes(8 * len(landmarks) * 48))
+    parent_out = array("q", bytes(8 * len(landmarks) * 48))
+    assert csr.spt_rows_batch_into(landmarks, dist_out, parent_out) is None
+    assert dist_out[landmarks[0]] == 0.0 and parent_out[landmarks[0]] == -1
+    radii = array("d", routing.closest_landmark_rows[1])
+    for flat in (csr.k_nearest_batch_flat(9), csr.radius_batch_flat(radii)):
+        offsets, members, dists, parents = flat
+        assert len(offsets) == 49 and offsets[-1] == len(members)
+        assert len(dists) == len(parents) == len(members)
 
     workload = generate_lookup_workload(48, num_lookups=40, duration_ticks=4, seed=4)
     assert workload.num_lookups == 40

@@ -214,3 +214,11 @@ class TestCommands:
     def test_substrate_requires_node_count_for_families(self, capsys):
         assert main(["substrate", "gnm"]) == 2
         assert "node count required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["0", "-3", "two"])
+    def test_substrate_threads_must_be_a_positive_integer(self, width, capsys):
+        # One rule with REPRO_KERNEL_THREADS: a width is at least one.
+        with pytest.raises(SystemExit) as error:
+            main(["substrate", "gnm", "64", "--threads", width])
+        assert error.value.code == 2
+        assert "argument --threads" in capsys.readouterr().err

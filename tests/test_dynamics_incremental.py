@@ -48,7 +48,6 @@ from repro.graphs.generators import (
 from repro.graphs.incremental import (
     repair_after_decrease,
     repair_after_increase,
-    spt_dense,
 )
 from repro.graphs.topology import Topology
 
@@ -142,10 +141,10 @@ class TestIncrementalSPTRepair:
         edges = list(topology.edges())
         u, v, _ = edges[pick % len(edges)]
         root = pick % topology.num_nodes
-        dist, parent = spt_dense(topology, root)
+        dist, parent = topology.csr().spt_rows(root, fill=math.inf)
         topology.remove_edge(u, v)
         repair_after_increase(topology, dist, parent, root, u, v)
-        fresh_dist, fresh_parent = spt_dense(topology, root)
+        fresh_dist, fresh_parent = topology.csr().spt_rows(root, fill=math.inf)
         assert dist == fresh_dist
         assert parent == fresh_parent
 
@@ -162,10 +161,10 @@ class TestIncrementalSPTRepair:
         if u == v or topology.has_edge(u, v):
             return
         root = pick % n
-        dist, parent = spt_dense(topology, root)
+        dist, parent = topology.csr().spt_rows(root, fill=math.inf)
         topology.add_edge(u, v, 1.0 + (pick % 3) * 0.25)
         repair_after_decrease(topology, dist, parent, root, [(u, v)])
-        fresh_dist, fresh_parent = spt_dense(topology, root)
+        fresh_dist, fresh_parent = topology.csr().spt_rows(root, fill=math.inf)
         assert dist == fresh_dist
         assert parent == fresh_parent
 

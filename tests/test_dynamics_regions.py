@@ -46,7 +46,6 @@ from repro.graphs.incremental import (
     _collect_subtree,
     repair_after_detach,
     repair_after_increase,
-    spt_dense,
 )
 from repro.graphs.topology import Topology
 from repro.naming.names import name_for_node
@@ -92,7 +91,7 @@ class TestSubtreeWalk:
         topology = _sparse_graph(seed)
         n = topology.num_nodes
         root, top = pick % n, (pick // n) % n
-        _, parent = spt_dense(topology, root)
+        _, parent = topology.csr().spt_rows(root, fill=math.inf)
         walked = _collect_subtree(topology.adjacency, parent, top)
         assert len(walked) == len(set(walked))
         assert set(walked) == _subtree_oracle(parent, top)
@@ -106,7 +105,7 @@ class TestSubtreeWalk:
         topology = _sparse_graph(seed)
         n = topology.num_nodes
         root, node = pick % n, (pick // n) % n if pick % 3 else pick % n
-        dist, parent = spt_dense(topology, root)
+        dist, parent = topology.csr().spt_rows(root, fill=math.inf)
         expected = _subtree_oracle(parent, node)
         arcs = list(topology.adjacency[node])
         for neighbor, _ in arcs:
@@ -114,7 +113,7 @@ class TestSubtreeWalk:
         walked = _collect_subtree(topology.adjacency, parent, node, arcs)
         assert set(walked) == expected
         repair_after_detach(topology, dist, parent, root, node, arcs)
-        assert (dist, parent) == spt_dense(topology, root)
+        assert (dist, parent) == topology.csr().spt_rows(root, fill=math.inf)
 
 
 class _CountingRow(list):
@@ -134,7 +133,7 @@ class TestRepairReadsItsRegionOnly:
 
     def _leaf_arc(self):
         topology = gnm_random_graph(self.N, seed=11, average_degree=8.0)
-        dist, parent = spt_dense(topology, 0)
+        dist, parent = topology.csr().spt_rows(0, fill=math.inf)
         has_child = set(parent)
         leaf = next(
             node
@@ -152,7 +151,7 @@ class TestRepairReadsItsRegionOnly:
         )
         assert parent_changed == [leaf]
         assert parent.reads < self.N // 8
-        assert (dist, list(parent)) == spt_dense(topology, 0)
+        assert (dist, list(parent)) == topology.csr().spt_rows(0, fill=math.inf)
 
     def test_leaf_node_detach(self):
         topology, dist, parent, leaf = self._leaf_arc()
@@ -161,7 +160,7 @@ class TestRepairReadsItsRegionOnly:
             topology.remove_edge(leaf, neighbor)
         repair_after_detach(topology, dist, parent, 0, leaf, arcs)
         assert parent.reads < self.N // 8
-        assert (dist, list(parent)) == spt_dense(topology, 0)
+        assert (dist, list(parent)) == topology.csr().spt_rows(0, fill=math.inf)
 
 
 # -- (b) flat vicinity rows ---------------------------------------------------

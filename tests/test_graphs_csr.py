@@ -247,50 +247,86 @@ class TestEngineSwitch:
 
 
 class TestBatchedDrivers:
+    """Row ``i`` of a batch driver is the one-source search of source ``i``."""
+
     def test_batched_spt_matches_single(self):
         topology = gnm_random_graph(50, seed=3, average_degree=5.0)
         csr = topology.csr()
         sources = [0, 7, 21]
-        batched = {
-            source: (dist_row, parent_row)
-            for source, dist_row, parent_row in csr.batched_spt(sources)
-        }
-        for source in sources:
-            assert batched[source] == csr.spt_rows(source)
+        dist = array("d", bytes(8 * 50 * len(sources)))
+        parent = array("q", bytes(8 * 50 * len(sources)))
+        csr.spt_rows_batch_into(sources, dist, parent)
+        for index, source in enumerate(sources):
+            rows = (
+                dist[50 * index : 50 * (index + 1)].tolist(),
+                parent[50 * index : 50 * (index + 1)].tolist(),
+            )
+            assert rows == csr.spt_rows(source)
+            distances, predecessors = csr.dijkstra(source)
+            assert rows[0] == [distances[node] for node in range(50)]
+            assert rows[1] == [predecessors.get(node, -1) for node in range(50)]
 
     def test_batched_k_nearest_matches_single(self):
         topology = geometric_random_graph(40, seed=5, average_degree=5.0)
         csr = topology.csr()
-        batched = csr.batched_k_nearest(7)
+        batched = _flat_rows(csr.k_nearest_batch_flat(7))
         for node in range(40):
-            assert batched[node] == csr.dijkstra_k_nearest(node, 7)
+            assert batched[node] == _settle_row(csr.dijkstra_k_nearest(node, 7))
 
     def test_batched_radius_matches_single(self):
         topology = gnm_random_graph(40, seed=6, average_degree=5.0)
         csr = topology.csr()
         radii = [1.0 + (node % 3) for node in range(40)]
-        batched = csr.batched_radius(radii)
+        batched = _flat_rows(csr.radius_batch_flat(radii))
         for node in range(40):
-            assert batched[node] == csr.dijkstra_radius(node, radii[node])
+            assert batched[node] == _settle_row(
+                csr.dijkstra_radius(node, radii[node])
+            )
 
     def test_batched_radius_rejects_negative(self):
         topology = gnm_random_graph(10, seed=6, average_degree=3.0)
-        with pytest.raises(ValueError):
-            topology.csr().batched_radius([-1.0] * 10)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            topology.csr().radius_batch_flat([-1.0] * 10)
 
     def test_batched_radius_rejects_short_radii(self):
         topology = gnm_random_graph(10, seed=6, average_degree=3.0)
         with pytest.raises(ValueError):
-            topology.csr().batched_radius([1.0] * 9)
+            topology.csr().radius_batch_flat([1.0] * 9)
         with pytest.raises(ValueError):
-            topology.csr().batched_radius([1.0] * 4, nodes=[0, 1, 2])
+            topology.csr().radius_batch_flat([1.0] * 4, nodes=[0, 1, 2])
 
     def test_parallel_radius_length_mismatch(self):
         topology = gnm_random_graph(10, seed=8, average_degree=3.0)
         with pytest.raises(ValueError):
-            topology.csr().batched_radius([1.0] * 3)
-        with pytest.raises(ValueError):
-            topology.csr().radius_batch_flat([1.0] * 3)
+            topology.csr().radius_batch_flat([1.0] * 3, threads=2)
+
+    def test_batched_radius_node_subset(self):
+        topology = gnm_random_graph(10, seed=6, average_degree=3.0)
+        csr = topology.csr()
+        batched = _flat_rows(csr.radius_batch_flat([1.0, 2.0], nodes=[7, 2]))
+        assert batched == [
+            _settle_row(csr.dijkstra_radius(7, 1.0)),
+            _settle_row(csr.dijkstra_radius(2, 2.0)),
+        ]
+
+
+def _flat_rows(flat) -> list[list[tuple[int, float, int]]]:
+    """``(member, distance, parent)`` per entry, one list per batch row."""
+    offsets, members, dists, parents = flat
+    return [
+        list(zip(members[lo:hi], dists[lo:hi], parents[lo:hi]))
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
+
+
+def _settle_row(search) -> list[tuple[int, float, int]]:
+    """A dict-shaped one-source result in the shape of :func:`_flat_rows`
+    (the dicts iterate in settle order; the source has no predecessor)."""
+    distances, predecessors = search
+    return [
+        (node, distance, predecessors.get(node, -1))
+        for node, distance in distances.items()
+    ]
 
 
 def _batch_graphs() -> dict:
@@ -345,24 +381,49 @@ def _same_bytes(expected, actual) -> None:
 
 
 @pytest.mark.skipif(load_kernels() is None, reason="C kernels unavailable")
-@pytest.mark.parametrize("threads", [0, 1, 3])
+@pytest.mark.parametrize("mode", [1, 3, "refused"])
 class TestBatchDrivers:
-    """The batch drivers, C tier at every fan-out vs the pure-Python tier.
+    """The batch drivers, C tier vs the pure-Python tier, byte for byte.
 
-    ``threads=0`` is the per-source fallback inside each driver, 1 and 3
-    the in-kernel batch (3 does not divide the source counts, so chunk
-    boundaries fall mid-batch); every buffer must match byte for byte.
+    Widths 1 and 3 are the in-kernel batch (3 does not divide the source
+    counts, so chunk boundaries fall mid-batch).  ``"refused"`` is the one
+    fallback: the kernel call returns ``-1``, the driver warns once, naming
+    the entry point, and its per-source loop over the C tier's
+    single-source searches must still produce the same bytes.
     """
 
+    @pytest.fixture(autouse=True)
+    def _refuse(self, refuse_batch_kernels):
+        self._refused = refuse_batch_kernels
+
+    def _native(self, topology, mode):
+        if mode == "refused":
+            return self._refused(topology), 1
+        return CSRGraph.from_topology(topology, use_c=True), mode
+
+    @staticmethod
+    def _driven(mode, entry, call):
+        if mode != "refused":
+            return call()
+        with pytest.warns(
+            RuntimeWarning, match=f"{entry} could not allocate"
+        ) as caught:
+            result = call()
+        assert len(caught) == 1
+        return result
+
     @pytest.mark.parametrize("name", list(BATCH_GRAPHS))
-    def test_spt_rows_with_closest_fold(self, name, threads):
+    def test_spt_rows_with_closest_fold(self, name, mode):
         topology = BATCH_GRAPHS[name]
         sources = [2, 9, 17, 31, 44, 58]
         expected = _spt_batch(
             CSRGraph.from_topology(topology, use_c=False), sources, threads=None
         )
-        actual = _spt_batch(
-            CSRGraph.from_topology(topology, use_c=True), sources, threads=threads
+        native, threads = self._native(topology, mode)
+        actual = self._driven(
+            mode,
+            "spt_rows_batch",
+            lambda: _spt_batch(native, sources, threads=threads),
         )
         _same_bytes(expected, actual)
         oracle = reference.dijkstra(topology, 17)[0]
@@ -371,66 +432,101 @@ class TestBatchDrivers:
         assert set(actual[3]) <= set(sources)
 
     @pytest.mark.parametrize("name", list(BATCH_GRAPHS))
-    def test_k_nearest_with_base_and_source_subset(self, name, threads):
+    def test_k_nearest_with_base_and_source_subset(self, name, mode):
         topology = BATCH_GRAPHS[name]
         sources = [40, 3, 59, 0, 21, 22, 7]
         python = CSRGraph.from_topology(topology, use_c=False)
-        native = CSRGraph.from_topology(topology, use_c=True)
+        native, threads = self._native(topology, mode)
         expected = _k_nearest_batch(python, 9, sources, base=5, threads=None)
-        actual = _k_nearest_batch(native, 9, sources, base=5, threads=threads)
+        actual = self._driven(
+            mode,
+            "k_nearest_batch",
+            lambda: _k_nearest_batch(
+                native, 9, sources, base=5, threads=threads
+            ),
+        )
         assert actual[0] == expected[0] == 5 + 9 * len(sources)
         _same_bytes(expected[1:], actual[1:])
         assert list(actual[2][:5]) == [-9] * 5  # below ``base``: untouched
         assert list(actual[1]) == [5 + 9 * i for i in range(len(sources) + 1)]
-        flat = native.k_nearest_batch_flat(9, sources, threads=threads)
+        flat = self._driven(
+            mode,
+            "k_nearest_batch",
+            lambda: native.k_nearest_batch_flat(9, sources, threads=threads),
+        )
         _same_bytes(python.k_nearest_batch_flat(9, sources), flat)
         assert bytes(flat[1]) == bytes(actual[2][5:])
-        searches = native.batched_k_nearest(9, sources)
-        assert list(flat[1][9:18]) == list(searches[1][0])
+        assert list(flat[1][9:18]) == list(native.dijkstra_k_nearest(3, 9)[0])
 
     @pytest.mark.parametrize("inclusive", [False, True], ids=["strict", "inclusive"])
     @pytest.mark.parametrize("name", list(BATCH_GRAPHS))
-    def test_radius_rows(self, name, inclusive, threads):
+    def test_radius_rows(self, name, inclusive, mode):
         topology = BATCH_GRAPHS[name]
         n = topology.num_nodes
         # Multiples of the quantum (and of the unit hop), so nodes sit at
         # exactly the boundary the two modes disagree on.
         radii = [2.0 * (node % 5) for node in range(n)]
-        expected = CSRGraph.from_topology(
-            topology, use_c=False
-        ).radius_batch_flat(radii, inclusive=inclusive)
-        native = CSRGraph.from_topology(topology, use_c=True)
-        actual = native.radius_batch_flat(
-            radii, inclusive=inclusive, threads=threads
+        python = CSRGraph.from_topology(topology, use_c=False)
+        expected = python.radius_batch_flat(radii, inclusive=inclusive)
+        native, threads = self._native(topology, mode)
+        actual = self._driven(
+            mode,
+            "radius_batch",
+            lambda: native.radius_batch_flat(
+                radii, inclusive=inclusive, threads=threads
+            ),
         )
         _same_bytes(expected, actual)
         subset = [50, 4, 33]
         _same_bytes(
-            native.radius_batch_flat(
-                [8.0, 4.0, 6.0], subset, inclusive=inclusive, threads=0
+            python.radius_batch_flat(
+                [8.0, 4.0, 6.0], subset, inclusive=inclusive
             ),
-            native.radius_batch_flat(
-                [8.0, 4.0, 6.0], subset, inclusive=inclusive, threads=threads
+            self._driven(
+                mode,
+                "radius_batch",
+                lambda: native.radius_batch_flat(
+                    [8.0, 4.0, 6.0], subset,
+                    inclusive=inclusive, threads=threads,
+                ),
             ),
         )
         if name != "irregular":
-            other = native.radius_batch_flat(
-                radii, inclusive=not inclusive, threads=threads
-            )
+            other = python.radius_batch_flat(radii, inclusive=not inclusive)
             assert bytes(other[1]) != bytes(actual[1])
 
+    @pytest.mark.parametrize("name", list(BATCH_GRAPHS))
+    def test_target_distances(self, name, mode):
+        topology = BATCH_GRAPHS[name]
+        pairs = [(40, 3), (40, 59), (0, 21), (22, 7), (7, 22), (3, 3)]
+        expected = CSRGraph.from_topology(
+            topology, use_c=False
+        ).batched_target_distances(pairs)
+        native, threads = self._native(topology, mode)
+        actual = self._driven(
+            mode,
+            "target_distances_batch",
+            lambda: native.batched_target_distances(pairs, threads=threads),
+        )
+        assert actual == expected
+        assert actual[(40, 59)] == reference.dijkstra(topology, 40)[0][59]
+
     @pytest.mark.parametrize("weight", [1.0, 0.3], ids=["unit", "irregular"])
-    def test_disconnected_short_rows_and_fill(self, weight, threads):
+    def test_disconnected_short_rows_and_fill(self, weight, mode):
         # Components {0,1,2}, {3,4}, {5}: every search stops short of n,
         # so stale arena entries from the previous source must be repaired.
         topology = Topology.from_edges(
             6, [(0, 1, weight), (1, 2, weight), (3, 4, weight)]
         )
         python = CSRGraph.from_topology(topology, use_c=False)
-        native = CSRGraph.from_topology(topology, use_c=True)
+        native, threads = self._native(topology, mode)
         sources = [0, 3, 5]
         expected = _spt_batch(python, sources, threads=None, fill=99.0)
-        actual = _spt_batch(native, sources, threads=threads, fill=99.0)
+        actual = self._driven(
+            mode,
+            "spt_rows_batch",
+            lambda: _spt_batch(native, sources, threads=threads, fill=99.0),
+        )
         _same_bytes(expected, actual)
         dist, parent, closest_dist, closest = actual
         assert list(dist[6:12]) == [99.0, 99.0, 99.0, 0.0, weight, 99.0]
@@ -440,16 +536,37 @@ class TestBatchDrivers:
 
         everyone = list(range(6))
         expected = _k_nearest_batch(python, 4, everyone, base=0, threads=None)
-        actual = _k_nearest_batch(native, 4, everyone, base=0, threads=threads)
+        actual = self._driven(
+            mode,
+            "k_nearest_batch",
+            lambda: _k_nearest_batch(
+                native, 4, everyone, base=0, threads=threads
+            ),
+        )
         position, offsets, members = actual[:3]
         assert position == expected[0] == 3 * 3 + 2 * 2 + 1
         assert list(offsets) == [0, 3, 6, 9, 11, 13, 14]
         for left, right in zip(expected[1:], actual[1:]):
             assert bytes(left[:position]) == bytes(right[:position])
         assert list(members[9:14]) == [3, 4, 4, 3, 5]
-        flat = native.k_nearest_batch_flat(4, threads=threads)
+        flat = self._driven(
+            mode,
+            "k_nearest_batch",
+            lambda: native.k_nearest_batch_flat(4, threads=threads),
+        )
         assert len(flat[1]) == position
         _same_bytes(python.k_nearest_batch_flat(4), flat)
+
+
+@pytest.fixture(params=["python", "c"])
+def tier_csr(request):
+    """A 20-node snapshot on each tier."""
+    if request.param == "c" and load_kernels() is None:
+        pytest.skip("C kernels unavailable")
+    return CSRGraph.from_topology(
+        gnm_random_graph(20, seed=1, average_degree=4.0),
+        use_c=request.param == "c",
+    )
 
 
 class TestKernelValidation:
@@ -466,8 +583,101 @@ class TestKernelValidation:
             kernel_threads()
         assert repr(value) in str(error.value)
         assert kernel_threads(2) == 2  # an explicit width never reads it
+        # The pure-Python tier runs no threads and still refuses the value.
+        python = CSRGraph.from_topology(ring_graph(5), use_c=False)
+        with pytest.raises(ValueError, match="REPRO_KERNEL_THREADS"):
+            python.k_nearest_batch_flat(2)
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
         assert kernel_threads() == 3
+
+    @pytest.mark.parametrize("value", [0, -3, 1.5, "2"])
+    def test_garbage_kernel_threads_argument_raises(self, value, tier_csr):
+        """The argument follows the variable's rule, on both tiers."""
+        with pytest.raises(ValueError, match="threads must be a positive"):
+            kernel_threads(value)
+        n = tier_csr.num_nodes
+        calls = [
+            lambda: tier_csr.spt_rows_batch_into(
+                [0], array("d", bytes(8 * n)), array("q", bytes(8 * n)),
+                threads=value,
+            ),
+            lambda: tier_csr.k_nearest_batch_flat(3, threads=value),
+            lambda: tier_csr.radius_batch_flat([1.0] * n, threads=value),
+            lambda: tier_csr.batched_target_distances([(0, 1)], threads=value),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="threads must be a positive"):
+                call()
+
+    def test_short_members_buffer_raises_before_writing(self, tier_csr):
+        # One entry short used to select the per-source loop, write all but
+        # the last row and die on a memoryview assignment.
+        k, sources = 4, list(range(10))
+        buffers = {
+            "members": array("q", [-9]) * 40,
+            "dists": array("d", [-9.0]) * 40,
+            "parents": array("q", [-9]) * 40,
+        }
+        offsets = array("q", [0])
+        for name in buffers:
+            short = dict(buffers, **{name: buffers[name][:39]})
+            with pytest.raises(ValueError, match=f"{name} must hold at least"):
+                tier_csr.k_nearest_batch_into(k, sources, **short, offsets=offsets)
+        with pytest.raises(ValueError, match="members must hold at least"):
+            tier_csr.k_nearest_batch_into(
+                k, sources, **buffers, offsets=offsets, base=1
+            )
+        assert list(offsets) == [0]
+        for name, buffer in buffers.items():
+            assert set(buffer) == {-9}, name
+        assert tier_csr.k_nearest_batch_into(
+            k, sources, **buffers, offsets=offsets
+        ) == 40
+
+    def test_wrong_item_type_raises_before_writing(self, tier_csr):
+        # An int64 buffer where doubles go used to come back holding double
+        # bit patterns (4607182418800017408 for 1.0).
+        n = tier_csr.num_nodes
+        ints = array("q", [-9]) * (2 * n)
+        doubles = array("d", [-9.0]) * (2 * n)
+        with pytest.raises(TypeError, match="dist_out must be a contiguous"):
+            tier_csr.spt_rows_batch_into([0, 1], ints, ints)
+        with pytest.raises(TypeError, match="parent_out must be a contiguous"):
+            tier_csr.spt_rows_batch_into([0, 1], doubles, doubles)
+        with pytest.raises(TypeError, match="closest_dist must be a contiguous"):
+            tier_csr.spt_rows_batch_into(
+                [0, 1], doubles, ints,
+                closest_dist=ints[:n], closest_landmark=ints[:n],
+            )
+        with pytest.raises(ValueError, match="closest_landmark must hold exactly"):
+            tier_csr.spt_rows_batch_into(
+                [0, 1], doubles, ints,
+                closest_dist=doubles[:n], closest_landmark=ints[: n - 1],
+            )
+        with pytest.raises(TypeError, match="dists must be a contiguous"):
+            tier_csr.k_nearest_batch_into(
+                2, [0, 1], ints, ints, ints, array("q", [0])
+            )
+        with pytest.raises(TypeError, match="members must be a buffer"):
+            tier_csr.k_nearest_batch_into(
+                2, [0, 1], [0] * 4, doubles, ints, array("q", [0])
+            )
+        assert set(ints) == {-9} and set(doubles) == {-9.0}
+
+    def test_read_only_buffer_raises(self, tier_csr):
+        n = tier_csr.num_nodes
+        frozen = memoryview(bytes(8 * n)).cast("d")
+        with pytest.raises(TypeError, match="dist_out must be writable"):
+            tier_csr.spt_rows_batch_into([0], frozen, array("q", bytes(8 * n)))
+        with pytest.raises(TypeError, match="parents must be writable"):
+            tier_csr.k_nearest_batch_into(
+                1,
+                [0],
+                array("q", [0]),
+                array("d", [0.0]),
+                memoryview(bytes(8)).cast("q"),
+                array("q", [0]),
+            )
 
     def test_source_out_of_range(self):
         topology = gnm_random_graph(10, seed=1, average_degree=3.0)

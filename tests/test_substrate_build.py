@@ -2,8 +2,8 @@
 
 :func:`repro.core.substrate_build.build_substrate_tables` replaces the
 dict-mediated component path (dense per-landmark rows, per-node
-``VicinityTable`` objects, one ``SubstrateTables.from_components`` pass)
-with kernel output written straight into the preallocated slabs, plus an
+``VicinityTable`` objects, one ``from_components`` pass; now
+``tests/oracles/component_build.py``) with kernel output written straight into the preallocated slabs, plus an
 in-kernel thread fan-out and mmap-backed placement.  Nothing about the
 *content* is allowed to change: every variant must produce slabs
 byte-identical to the component-path oracle, on every topology family the
@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.addressing.labels import LabelCodec
-from repro.core.landmarks import (
+from oracles.component_build import (
     closest_landmarks,
+    from_components,
     landmark_spts,
-    select_landmarks,
 )
+from repro.addressing.labels import LabelCodec
+from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.substrate_build import (
     build_ball_tables,
@@ -37,6 +38,7 @@ from repro.graphs.generators import (
     gnm_random_graph,
     internet_router_level,
 )
+from repro.graphs._ckernels import load_kernels
 
 
 def _families():
@@ -56,7 +58,7 @@ def _oracle(topology, landmarks, codec):
     spts = landmark_spts(topology, landmarks)
     closest = closest_landmarks(spts, n)
     vicinities = compute_vicinities(topology)
-    return SubstrateTables.from_components(n, spts, closest, vicinities, codec)
+    return from_components(n, spts, closest, vicinities, codec)
 
 
 def _assert_identical_slabs(expected: SubstrateTables, actual: SubstrateTables):
@@ -80,15 +82,23 @@ def test_slab_direct_serial_matches_dict_path(family, topology):
     _assert_identical_slabs(expected, actual)
 
 
+@pytest.mark.skipif(load_kernels() is None, reason="C kernels unavailable")
 @pytest.mark.parametrize("family,topology", FAMILIES, ids=[f for f, _ in FAMILIES])
-def test_serial_loop_matches_dict_path(family, topology):
-    """threads=0: the per-source fallback inside the batch drivers."""
+def test_refused_batch_kernels_match_dict_path(
+    family, topology, refuse_batch_kernels, monkeypatch
+):
+    """A kernel that cannot allocate: both phases fall into the per-source
+    loop inside their driver, say so, and build the same slabs."""
     landmarks = select_landmarks(topology.num_nodes, seed=2)
     codec = LabelCodec(topology)
     expected = _oracle(topology, landmarks, codec)
-    actual = build_substrate_tables(
-        topology, landmarks, codec=codec, threads=0
-    )
+    monkeypatch.setattr(topology, "_csr", refuse_batch_kernels(topology))
+    with pytest.warns(RuntimeWarning, match="could not allocate") as caught:
+        actual = build_substrate_tables(topology, landmarks, codec=codec)
+    assert [str(warning.message).split()[0] for warning in caught] == [
+        "spt_rows_batch",
+        "k_nearest_batch",
+    ]
     _assert_identical_slabs(expected, actual)
 
 
@@ -142,7 +152,7 @@ def test_landmark_only_build_matches_from_components():
     codec = LabelCodec(topology)
     spts = landmark_spts(topology, landmarks)
     closest = closest_landmarks(spts, n)
-    expected = SubstrateTables.from_components(n, spts, closest, None, codec)
+    expected = from_components(n, spts, closest, None, codec)
     actual = build_substrate_tables(
         topology, landmarks, codec=codec, include_vicinity=False
     )
@@ -151,7 +161,8 @@ def test_landmark_only_build_matches_from_components():
 
 @pytest.mark.parametrize("family,topology", FAMILIES, ids=[f for f, _ in FAMILIES])
 def test_injected_vicinities_match_slab_direct(family, topology):
-    """``NDDiscoRouting(vicinities=...)``: the scheme's from_components branch."""
+    """``NDDiscoRouting(vicinities=...)``: dict-shaped rows adopted in place
+    of the builder's vicinity phase."""
     landmarks = select_landmarks(topology.num_nodes, seed=2)
     expected = NDDiscoRouting(topology, landmarks=landmarks).tables
     injected = NDDiscoRouting(
@@ -197,8 +208,10 @@ def _assert_balls_match_dict_transport(**build_options):
     spts = landmark_spts(topology, landmarks)
     _, closest_dist = closest_landmarks(spts, n)
     radii = list(closest_dist)
-    searches = topology.csr().batched_radius(radii)
-    expected = NodeSearchTables.from_searches(searches)
+    csr = topology.csr()
+    expected = NodeSearchTables.from_searches(
+        [csr.dijkstra_radius(node, radius) for node, radius in enumerate(radii)]
+    )
     actual = build_ball_tables(topology, radii, **build_options)
     assert bytes(expected.offsets) == bytes(actual.offsets)
     assert bytes(expected.members) == bytes(actual.members)
@@ -212,9 +225,8 @@ def test_ball_tables_match_dict_transport():
 
 # -- in-kernel thread fan-out ------------------------------------------------
 # The batched C entry points loop sources inside the kernel and fan them
-# over a pthread pool; every width must reproduce the pinned serial
-# per-source loop (threads=0) byte for byte, on RAM arrays and on
-# file-backed slab directories alike.
+# over a pthread pool; every width must reproduce the single-thread build
+# byte for byte, on RAM arrays and on file-backed slab directories alike.
 
 
 @pytest.fixture(scope="module")
@@ -223,13 +235,13 @@ def thread_oracles():
     landmarks = select_landmarks(topology.num_nodes, seed=2)
     codec = LabelCodec(topology)
     serial = build_substrate_tables(
-        topology, landmarks, codec=codec, threads=0
+        topology, landmarks, codec=codec, threads=1
     )
     return topology, landmarks, codec, serial
 
 
 @pytest.mark.parametrize("storage", ["array", "mmap-dir"])
-@pytest.mark.parametrize("threads", [1, 2, 8])
+@pytest.mark.parametrize("threads", [2, 3, 8])
 def test_threaded_build_matches_serial_and_pool(
     threads, storage, thread_oracles, tmp_path
 ):
@@ -258,7 +270,7 @@ def test_threaded_build_matches_dict_path(family, topology):
     _assert_identical_slabs(expected, actual)
 
 
-@pytest.mark.parametrize("threads", [0, 1, 2, 8])
+@pytest.mark.parametrize("threads", [1, 2, 8])
 def test_ball_tables_threads_match_dict_transport(threads):
     _assert_balls_match_dict_transport(threads=threads)
 

@@ -18,10 +18,10 @@ from math import inf
 import pytest
 
 from oracles import reference_paths as reference
+from oracles.component_build import closest_landmarks
 from repro.addressing.address import Address
 from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.labels import LabelCodec
-from repro.core.landmarks import closest_landmarks
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import (
