@@ -91,7 +91,6 @@ def command(args: argparse.Namespace) -> int:
         refresh_interval=args.refresh_interval,
         shard_events=events,
         contacts=contacts,
-        cache_budget=args.cache_budget,
     )
     elapsed = time.perf_counter() - started
     rate = report.lookups / elapsed if elapsed > 0 else float("inf")
@@ -121,12 +120,6 @@ def command(args: argparse.Namespace) -> int:
             f"(imbalance {loads[0] / mean_load:.2f}x over "
             f"{len(loads)} serving shards)"
         )
-    stats = report.cache_stats
-    print(
-        f"router cache: {stats['hits']} hits, {stats['misses']} misses, "
-        f"{stats['evictions']} evictions, {stats['bytes']}/"
-        f"{stats['max_bytes']} bytes"
-    )
     scanned = sum(r.scanned for r in report.rebalances)
     moved = sum(r.moved_copies for r in report.rebalances)
     lost = sum(r.lost_records for r in report.rebalances)
@@ -138,7 +131,7 @@ def command(args: argparse.Namespace) -> int:
     )
     if args.json:
         payload = {
-            "schema": "repro-resolve-report/v1",
+            "schema": "repro-resolve-report/v2",
             "family": args.family,
             "nodes": topology.num_nodes,
             "seed": args.seed,
@@ -161,7 +154,6 @@ def command(args: argparse.Namespace) -> int:
             },
             "expired_records": report.expired_records,
             "rebalances": len(report.rebalances),
-            "cache_stats": dict(sorted(report.cache_stats.items())),
         }
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

@@ -370,12 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate yields groups that swallow every lookup)",
     )
     resolve_parser.add_argument(
-        "--cache-budget",
-        type=int,
-        default=1 << 20,
-        help="router-cache byte budget in the serving process",
-    )
-    resolve_parser.add_argument(
         "--json",
         default=None,
         metavar="PATH",

@@ -622,6 +622,22 @@ class SubstrateTables:
         path.reverse()
         return path
 
+    def spt_hops(self, landmark: int, node: int) -> int:
+        """``len(spt_path(landmark, node)) - 1``: the same walk, no list."""
+        base = self._landmark_pos[landmark] * self.num_nodes
+        parents = self.spt_parent
+        limit = self.num_nodes
+        current = node
+        hops = 0
+        while current != landmark:
+            current = parents[base + current]
+            if current < 0 or hops > limit:
+                raise ValueError(
+                    f"node {node} not reachable from root {landmark}"
+                )
+            hops += 1
+        return hops
+
     # -- vicinity views -----------------------------------------------------
 
     def vicinity_views(self) -> list[VicinityView]:

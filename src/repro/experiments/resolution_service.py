@@ -9,8 +9,8 @@ shards.  These three scenarios run the sharded service of
 measure exactly that:
 
 * ``resolution-latency`` -- Zipf lookups with diurnal and flash-crowd
-  phases, group contacts enabled, billed through the scheme-lifetime
-  router cache; emits lookup-latency and hop-count CDFs.
+  phases, group contacts enabled; emits lookup-latency and hop-count
+  CDFs.
 * ``resolution-staleness`` -- the same engine under unannounced shard
   crashes and rejoins, swept over the replication factor r; emits
   served-staleness CDFs and miss (availability) rates.
@@ -66,7 +66,6 @@ BALANCE_VIRTUAL_NODES = (1, 4, 16)
 
 _DURATION_TICKS = 64
 _REFRESH_INTERVAL = 16
-_CACHE_BUDGET = 1 << 16
 #: The latency scenario provisions its sloppy groups for the paper's
 #: million-node deployment regime rather than the testbed size: at n=256
 #: the honest estimate yields 1-bit groups that swallow every lookup,
@@ -156,7 +155,6 @@ class ResolutionLatencyResult:
     latency: Summary
     latency_cdf: tuple[tuple[float, float], ...]
     hop_cdf: tuple[tuple[float, float], ...]
-    cache_stats: dict[str, int]
     scale_label: str
 
 
@@ -175,7 +173,6 @@ def _latency_run_shard(scale: ExperimentScale, key: str) -> TrafficReport:
         virtual_nodes=8,
         refresh_interval=_REFRESH_INTERVAL,
         contacts=GroupContactIndex(grouping),
-        cache_budget=_CACHE_BUDGET,
         bill_ticks=_segment_bounds(_DURATION_TICKS, segment, LATENCY_SEGMENTS),
     )
 
@@ -197,7 +194,6 @@ def _latency_merge(
         latency=summarize(report.latencies),
         latency_cdf=tuple(cdf_points(report.latencies)),
         hop_cdf=tuple(cdf_points(float(h) for h in report.hops)),
-        cache_stats=report.cache_stats,
         scale_label=scale.label,
     )
 
@@ -270,7 +266,6 @@ def _staleness_run_shard(scale: ExperimentScale, key: str) -> StalenessRow:
         virtual_nodes=8,
         refresh_interval=_REFRESH_INTERVAL,
         shard_events=_churn_events(routing, _DURATION_TICKS),
-        cache_budget=_CACHE_BUDGET,
     )
     return StalenessRow(
         replicas=replicas,
@@ -385,7 +380,6 @@ def _balance_run_shard(scale: ExperimentScale, key: str) -> BalanceRow:
         replicas=1,
         virtual_nodes=virtual_nodes,
         refresh_interval=_REFRESH_INTERVAL,
-        cache_budget=_CACHE_BUDGET,
     )
     served = {shard: 0 for shard in service.shards}
     served.update(report.shard_loads)
@@ -448,7 +442,6 @@ def _format_latency(result: ResolutionLatencyResult) -> str:
         ],
         float_format="{:.3f}",
     )
-    cache = result.cache_stats
     lines = [
         header(
             f"Resolution lookup latency on a {result.num_nodes}-node G(n,m) "
@@ -460,10 +453,6 @@ def _format_latency(result: ResolutionLatencyResult) -> str:
             f"latency: mean {result.latency.mean:.2f}  "
             f"median {result.latency.median:.2f}  "
             f"p95 {result.latency.p95:.2f}  p99 {result.latency.p99:.2f}"
-        ),
-        (
-            f"router cache: {cache['hits']} hits / {cache['misses']} misses "
-            f"({cache['evictions']} evictions within {cache['max_bytes']} bytes)"
         ),
     ]
     return "\n".join(lines)

@@ -14,18 +14,15 @@ This package puts a serving process around them:
 * :class:`repro.resolution.service.GroupContactIndex` -- bisect-backed
   longest-prefix contact selection, bit-identical to
   :meth:`repro.core.sloppy_groups.SloppyGrouping.best_group_contact`.
-* :class:`repro.resolution.cache.RouterCache` -- the scheme-lifetime route
-  cache (byte-budgeted LRU over landmark-SPT path extractions) the serving
-  process keeps warm across lookups.
 * :mod:`repro.resolution.traffic` -- a seeded Zipf lookup workload with
   diurnal and flash-crowd phases, billed per lookup against a converged
-  :class:`~repro.core.nddisco.NDDiscoRouting` substrate.
+  :class:`~repro.core.nddisco.NDDiscoRouting` substrate's landmark-SPT
+  slabs (``SubstrateTables.spt_distance`` and ``spt_hops``).
 
 Everything here is differentially pinned against the converged-state
 oracles by ``tests/test_resolution_service.py``.
 """
 
-from repro.resolution.cache import RouterCache
 from repro.resolution.service import (
     GroupContactIndex,
     RebalanceReport,
@@ -43,7 +40,6 @@ __all__ = [
     "GroupContactIndex",
     "LookupWorkload",
     "RebalanceReport",
-    "RouterCache",
     "ShardedResolutionService",
     "TrafficReport",
     "VNodeRing",

@@ -25,9 +25,9 @@ every name at multiples of t), then the tick's lookups.  A lookup tries
 the requester's sloppy group first (when a :class:`GroupContactIndex` is
 supplied), then the ring: among the replicas holding a fresh copy it
 queries the one closest to the requester, billing the landmark-SPT
-distance as latency and the (router-cache-mediated) SPT path length as
-hops.  A record whose shards crashed is a *miss* until the owner's next
-refresh -- the staleness/availability story the scenarios measure.
+distance as latency and the edge count of the same SPT path as hops.  A
+record whose shards crashed is a *miss* until the owner's next refresh --
+the staleness/availability story the scenarios measure.
 
 Sharding: lookups never mutate the service, so the engine shards over
 *tick ranges*: a segment replays service evolution from tick 0 and bills
@@ -49,7 +49,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.dynamics.calendar import EventCalendar
 from repro.dynamics.stream import DynEvent
-from repro.resolution.cache import RouterCache
 from repro.resolution.service import (
     GroupContactIndex,
     RebalanceReport,
@@ -213,8 +212,14 @@ class TrafficReport:
     shard_loads: dict[int, int]
     expired_records: int
     rebalances: tuple[RebalanceReport, ...]
-    cache_stats: dict[str, int]
     bill_ticks: tuple[int, int]
+
+    @property
+    def cache_stats(self) -> dict[str, int]:
+        """Zeros for the frozen ``bench/workloads/resolve.py``, its only
+        reader: there is no cache.  A property, so out of ``repr``, ``==``
+        and pickles; goes with ROADMAP item 2."""
+        return {"hits": 0, "misses": 0, "evictions": 0}
 
     @staticmethod
     def merge(segments: Sequence["TrafficReport"]) -> "TrafficReport":
@@ -228,15 +233,9 @@ class TrafficReport:
             raise ValueError("merge() of no segments")
         ordered = sorted(segments, key=lambda report: report.bill_ticks)
         loads: dict[int, int] = {}
-        cache: dict[str, int] = {}
         for report in ordered:
             for shard, count in report.shard_loads.items():
                 loads[shard] = loads.get(shard, 0) + count
-            for key, value in report.cache_stats.items():
-                if key == "max_bytes":
-                    cache[key] = value
-                else:
-                    cache[key] = cache.get(key, 0) + value
         return TrafficReport(
             lookups=sum(r.lookups for r in ordered),
             group_hits=sum(r.group_hits for r in ordered),
@@ -254,7 +253,6 @@ class TrafficReport:
             rebalances=tuple(
                 report for r in ordered for report in r.rebalances
             ),
-            cache_stats=cache,
             bill_ticks=(
                 ordered[0].bill_ticks[0],
                 ordered[-1].bill_ticks[1],
@@ -293,8 +291,8 @@ def run_traffic(
         best vicinity contact stores the target's address are served from
         the group at vicinity distance, never reaching the ring.
     cache_budget:
-        Byte budget of the per-run :class:`RouterCache` billing hop
-        counts.
+        Accepted and never read: the frozen ``bench/workloads/resolve.py``
+        passes it.  Goes with ROADMAP item 2.
     bill_ticks:
         Half-open tick range ``[lo, hi)`` to bill (default: the whole
         timeline).  Service evolution is always replayed from tick 0, so
@@ -340,8 +338,8 @@ def run_traffic(
         calendar.schedule(event)
     next_event = calendar.pop()
 
-    cache = RouterCache(max_bytes=cache_budget)
     spt_distance = routing.tables.spt_distance
+    spt_hops = routing.tables.spt_hops
     vicinities = routing.vicinities
     grouping = contacts.grouping if contacts is not None else None
 
@@ -403,8 +401,8 @@ def run_traffic(
             if record is None:
                 misses += 1
                 home = service.home_shard(name)
-                latencies.append(routing.landmark_distance(home, requester))
-                hops.append(len(cache.landmark_path(routing, home, requester)) - 1)
+                latencies.append(spt_distance(home, requester))
+                hops.append(spt_hops(home, requester))
                 continue
             # The closest replica, smaller id on a tie: one slab read each.
             latency, serving = min(
@@ -417,9 +415,7 @@ def run_traffic(
             latencies.append(latency)
             staleness.append(float(tick) - record.inserted_at)
             shard_loads[serving] = shard_loads.get(serving, 0) + 1
-            hops.append(
-                len(cache.landmark_path(routing, serving, requester)) - 1
-            )
+            hops.append(spt_hops(serving, requester))
     return TrafficReport(
         lookups=group_hits + ring_hits + misses,
         group_hits=group_hits,
@@ -431,6 +427,5 @@ def run_traffic(
         shard_loads=dict(sorted(shard_loads.items())),
         expired_records=expired,
         rebalances=tuple(rebalances),
-        cache_stats=cache.stats(),
         bill_ticks=(bill_lo, bill_hi),
     )

@@ -48,7 +48,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from oracles.fresh_build import assert_tables_match_fresh_build
+from oracles.fresh_build import assert_tables_match_fresh_build, fresh_tables
 from repro.dynamics import (
     EVENT_KINDS,
     ChurnEngine,
@@ -805,6 +805,18 @@ def _family_topology(family: str, seed: int) -> Topology:
     return internet_router_level(80, seed=seed)
 
 
+def _hop_counts(tables) -> list:
+    """``spt_hops`` of every (landmark, node), None across a partition."""
+    counts = []
+    for landmark in tables.landmarks:
+        for node in range(tables.num_nodes):
+            try:
+                counts.append(tables.spt_hops(landmark, node))
+            except ValueError:
+                counts.append(None)
+    return counts
+
+
 def _engine_bytes(engine: ChurnEngine) -> list[bytes]:
     """Every slab the engine writes, whole (padding of short rows and all):
     the slabs of ``engine.tables`` and the radius array beside them."""
@@ -868,7 +880,8 @@ class TestEngineTiers:
         """Hop counts, quantised and irregular latencies (the three
         kernels), all five kinds, partitions allowed: ``engine.tables`` is
         what the production builder makes of the mutated topology, with no
-        call between the event and the read."""
+        call between the event and the read.  So is what a lookup bills off
+        it: ``spt_hops`` walks the live parent slab."""
         with _tier(tier):
             topology = _family_topology(family, 9)
             events = generate_event_stream(
@@ -883,6 +896,7 @@ class TestEngineTiers:
                 engine.apply(event)
                 assert engine.tables is tables
                 assert_tables_match_fresh_build(engine)
+                assert _hop_counts(tables) == _hop_counts(fresh_tables(engine))
                 partitioned += min(tables.closest) < 0
             assert partitioned
 

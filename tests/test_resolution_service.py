@@ -917,18 +917,19 @@ class TestTrafficEngine:
         assert all(math.isfinite(latency) for latency in report.latencies)
 
 
-# sha256 of repr(TrafficReport) for _frozen_run(key), computed at commit
-# 0951aa5 (the parent of the ring-order record index, where every rebalance
-# sorted and arc-tested the whole table) and committed as literals: a digest
-# that moves means a bill changed, not just its cost.
+# sha256 of repr(TrafficReport) for _frozen_run(key), committed as literals:
+# a digest that moves means a bill changed, not just its cost.  Frozen at
+# f08d73b, `cache_stats` left out: computed on that commit, where hops were
+# still path lengths read through the router cache, over the eleven fields
+# the report has kept, which is its repr since.
 _FROZEN_BILLS = {
-    (1, 1, False): "1cadb228c22df9d291f5b7c9b94a5ad976d1db8f392250c07bf6c52048b2078e",
-    (1, 8, False): "dca2d073b7000b0d7fcdffc7a65db57be77f669b9052aa056dca3403e8f22daf",
-    (2, 1, False): "783aa807d2e1f7ba0235cfe0fbd9593bad5ba9a720a23cb427c61f05a4f148bb",
-    (2, 8, False): "1b07e674870b7cb946e881ed8ffe944200bc60f40e2fd3bfad4e7d7752fa58b4",
-    (3, 1, False): "eccb753ab2295e9d62d2b1711f2f37b019e08060f1b3b99c60233a872f89ab5f",
-    (3, 8, False): "6719cb666b9f1be6e0703ee62cae1fb20d32beb2bd028b2eaebcddd2581f99f7",
-    (2, 8, True): "aeff8855adb271e230d70aad9e586b105f113de4e0fc5437f5464a52e8e264d3",
+    (1, 1, False): "979932d3d111f58ab548cc02cb435b4b79ef5cbec223c6ff2ccbb6b7a9bfd5d4",
+    (1, 8, False): "c8b83406f7670510bd94a99eee494855b58941bae029a17d8fb53f410ec53a71",
+    (2, 1, False): "a3e8fd007a52c45d87ab8a64e5438143abe289e5132979d232bc14289ed77632",
+    (2, 8, False): "afef18abd4c3daa074fe119156c6c24e5d28a33e8796e820eb9af71bb632e654",
+    (3, 1, False): "ebf56e8ee3e611223abc87978288c2bfa4188074aea27fc94aece73c4b713cb4",
+    (3, 8, False): "f9d3a4238adf1aa17c2bb6f39cae58d50c253c08b7d019412b770c1955b7bc48",
+    (2, 8, True): "890d990236322e26b53adf39ee4a06732fbabc99b46919328c116b8c9c0397d9",
 }
 
 
@@ -958,7 +959,6 @@ def _frozen_run(routing, key, bill_ticks=None):
         refresh_interval=8,
         shard_events=events,
         contacts=contacts,
-        cache_budget=4096,
         bill_ticks=bill_ticks,
     )
 
@@ -986,11 +986,8 @@ class TestFrozenBills:
                 for bounds in [(0, 9), (9, 31), (31, 48)]
             ]
         )
-        # Segment caches start cold, so their counters sum rather than
-        # reproduce the one warm cache; everything else is the serial bill.
-        assert (
-            dataclasses.replace(merged, cache_stats=serial.cache_stats) == serial
-        )
+        assert merged == serial
+        assert len(dataclasses.fields(TrafficReport)) == 11
 
     def test_workload_naming_a_node_outside_the_substrate(self, small_routing):
         workload = generate_lookup_workload(
@@ -1006,7 +1003,7 @@ class TestFrozenBills:
 
 
 class TestResolveCli:
-    def test_summary_explains_the_rebalances_and_the_payload_is_v1(
+    def test_summary_explains_the_rebalances_and_the_payload_is_v2(
         self, tmp_path, capsys
     ):
         out = tmp_path / "resolve.json"
@@ -1017,19 +1014,26 @@ class TestResolveCli:
             r"moved (\d+) copies, lost (\d+) records\)",
             capsys.readouterr().out,
         )
+        assert "cache" not in summary.string
         rebalances, scanned, moved, lost = map(int, summary.groups())
         # Single-copy placement: a crash loses what it scans, a rejoin
         # moves what it scans.
         assert rebalances == 6 and scanned == moved + lost and lost > 0
         payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro-resolve-report/v1"
+        assert payload["schema"] == "repro-resolve-report/v2"
         assert payload["rebalances"] == 6
         assert sorted(payload) == [
-            "cache_stats", "expired_records", "family", "group_hits", "hops",
-            "latency", "lookups", "misses", "nodes", "rebalances",
-            "refresh_interval", "replicas", "ring_hits", "schema", "seed",
-            "shard_loads", "shards", "staleness", "virtual_nodes",
+            "expired_records", "family", "group_hits", "hops", "latency",
+            "lookups", "misses", "nodes", "rebalances", "refresh_interval",
+            "replicas", "ring_hits", "schema", "seed", "shard_loads", "shards",
+            "staleness", "virtual_nodes",
         ]
+
+    def test_cache_budget_is_no_longer_an_option(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            cli_main(["resolve", "gnm", "128", "--cache-budget", "4096"])
+        assert raised.value.code == 2
+        assert "--cache-budget" in capsys.readouterr().err
 
 
 class TestResolutionScenarios:
@@ -1067,3 +1071,7 @@ class TestResolutionScenarios:
             assert (parallel_dir / f"{scenario_id}.json").read_bytes() == (
                 serial_dir / f"{scenario_id}.json"
             ).read_bytes()
+        latency = json.loads((serial_dir / "resolution-latency.json").read_text())
+        assert "hop_cdf" in latency["result"]
+        assert "cache_stats" not in latency["result"]
+        assert "cache" not in latency["report"]

@@ -223,6 +223,57 @@ class TestViews:
         assert len(view.predecessors) == len(view.distances) - 1
 
 
+_HOP_TOPOLOGIES = {
+    "unit": lambda: gnm_random_graph(90, seed=6, average_degree=5.0),
+    "integer": lambda: geometric_random_graph(
+        80, seed=6, average_degree=6.0, latency_quantum=1.0
+    ),
+    "geometric": lambda: geometric_random_graph(80, seed=7, average_degree=6.0),
+}
+
+
+class TestSptHops:
+    """``spt_hops`` is ``len(spt_path) - 1`` with no list behind it."""
+
+    @pytest.mark.parametrize("storage", ["array", "mmap", "directory"])
+    @pytest.mark.parametrize("family", sorted(_HOP_TOPOLOGIES))
+    def test_counts_the_edges_of_spt_path(self, family, storage, tmp_path):
+        topology = _HOP_TOPOLOGIES[family]()
+        landmarks = range(0, topology.num_nodes, 7)
+        if storage == "directory":
+            root = str(tmp_path / "slabs")
+            build_substrate_tables(topology, landmarks, storage=root)
+            tables = SubstrateTables.from_mmap(root)
+        else:
+            tables = build_substrate_tables(topology, landmarks, storage=storage)
+        for landmark in landmarks:
+            assert tables.spt_hops(landmark, landmark) == 0
+            for node in range(topology.num_nodes):
+                path = tables.spt_path(landmark, node)
+                assert tables.spt_hops(landmark, node) == len(path) - 1
+        with pytest.raises(KeyError):
+            tables.spt_hops(1, 0)
+
+    def test_another_component_raises_like_spt_path(self):
+        tables = _two_component_tables()
+        assert tables.spt_hops(0, 4) == 4 and tables.spt_hops(8, 11) == 3
+        for landmark, node in ((0, 9), (8, 2)):
+            with pytest.raises(ValueError, match="not reachable from root") as hops:
+                tables.spt_hops(landmark, node)
+            with pytest.raises(ValueError) as path:
+                tables.spt_path(landmark, node)
+            assert str(hops.value) == str(path.value)
+
+    def test_a_parent_cycle_stops_the_walk(self):
+        """A slab no search writes (one flipped entry of an attached file
+        would do it): the walk is bounded by ``n`` steps, it does not spin."""
+        tables = _two_component_tables()
+        assert tables.spt_parent[3] == 2
+        tables.spt_parent[2] = 3
+        with pytest.raises(ValueError, match="node 4 not reachable from root 0"):
+            tables.spt_hops(0, 4)
+
+
 class TestSerialization:
     def test_tables_pickle_roundtrip(self):
         scheme = NDDiscoRouting(
