@@ -96,9 +96,13 @@ def command(args: argparse.Namespace) -> int:
         f"converged in {converged:.3f}s; {len(events)} events in "
         f"{elapsed:.3f}s ({rate:.1f} events/s)"
     )
-    sent = sum(report.vicinities_recomputed for report in reports)
+    recomputed = sum(report.vicinities_recomputed for report in reports)
+    repaired = sum(report.vicinities_repaired for report in reports)
     stored = sum(report.vicinities_stored for report in reports)
-    print(f"vicinity rows: {sent} sent to the kernel, {stored} stored")
+    print(
+        f"vicinity rows: {recomputed} recomputed ({repaired} repaired in "
+        f"place), {stored} stored"
+    )
     if args.json:
         payload = {
             "schema": "repro-churn-bills/v1",

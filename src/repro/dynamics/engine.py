@@ -31,8 +31,11 @@ build on the mutated topology after every event, with no sync step.
   stride ``min(k, n)`` with a length column
   (:meth:`~repro.core.tables.NodeSearchTables.strided`; members / dists /
   parents in settle order, the kernel's own row layout), so a row is
-  rewritten where it lies; the engine also maintains the radius array.  An
-  event's candidates go down in one batched kernel call.
+  rewritten where it lies; the engine also maintains the radius array.
+  Good news repairs, bad news searches: after an improving event the full
+  candidate rows are rebuilt from the stored ones without a search
+  (:func:`~repro.dynamics.passes.repair_vicinities`); the rows of a
+  worsening event and the short rows go down in one batched kernel call.
 * **Addresses** (closest landmark + landmark-tree path) are the one piece
   kept in the engine's own shape, a list of ``(landmark, path)`` tuples
   re-derived only for nodes whose closest landmark changed or that are
@@ -43,14 +46,16 @@ build on the mutated topology after every event, with no sync step.
 
 An event is therefore a fixed sequence of calls below the FFI -- row repair
 (:mod:`repro.graphs.incremental`), endpoint searches and the k-nearest
-recompute (:mod:`repro.graphs.csr`), closest refold, candidate filter and
-vicinity commit-and-bill (:mod:`repro.dynamics.passes`) -- and the Python
-here walks only the stale addresses.  Every pass has a pure-Python twin selected with the
-kernels themselves (``REPRO_NO_CKERNELS=1``); there is no other switch.
+search (:mod:`repro.graphs.csr`), closest refold, candidate filter, row
+repair and vicinity commit-and-bill (:mod:`repro.dynamics.passes`) -- and
+the Python here walks only the stale addresses.  Every pass has a
+pure-Python twin selected with the kernels themselves
+(``REPRO_NO_CKERNELS=1``); there is no other switch.
 
 Because convergence, the SPT repairs and the vicinity recomputes all go
-through the canonical search kernels, the state is bit-identical to a
-from-scratch build on the mutated topology, and the
+through the canonical search kernels or repeat their relaxations exactly,
+the state is bit-identical to a from-scratch build on the mutated topology,
+and the
 :class:`MaintenanceCost` charged per event equals the full before/after
 state diff the replay oracle computes -- the differential tests in
 ``tests/test_dynamics_incremental.py`` assert both.
@@ -78,6 +83,7 @@ from repro.dynamics.maintenance import MaintenanceCost, _mean_group_size
 from repro.dynamics.passes import (
     commit_vicinities,
     refold_closest,
+    repair_vicinities,
     vicinity_candidates,
 )
 from repro.dynamics.stream import DynEvent
@@ -122,12 +128,15 @@ class EventReport:
     rows_repaired:
         Landmark SPT rows that had at least one distance or parent change.
     vicinities_recomputed:
-        Vicinity rows sent to the k-nearest kernel: the candidate filter's
-        answer, read off the stored rows.
+        Vicinity rows recomputed, repaired or searched: the candidate
+        filter's answer, read off the stored rows.
     vicinities_stored:
         Rows that came back different (members, distances or parents) and
         were stored.  Equal to ``vicinities_recomputed`` unless a weight
         change was absorbed by rounding.
+    vicinities_repaired:
+        The rows of ``vicinities_recomputed`` rebuilt in place, without a
+        search: the full rows of an improving event.
     """
 
     event: DynEvent
@@ -136,6 +145,7 @@ class EventReport:
     rows_repaired: int = 0
     vicinities_recomputed: int = 0
     vicinities_stored: int = 0
+    vicinities_repaired: int = 0
 
     @property
     def protocol_messages(self) -> int:
@@ -184,10 +194,12 @@ class ChurnEngine:
 
         # Node x's row starts at x * stride and holds lengths[x] members
         # (fewer than the stride only when x's component is smaller than k).
-        stride = min(k, n)
+        stride = self._stride = min(k, n)
         vicinity = slabs.vicinity = slabs.vicinity.strided(stride)
         self._slabs = slabs
         self._stored = (vicinity.members, vicinity.dists, vicinity.parents)
+        # An event's recomputed rows, grown to the largest event so far.
+        self._fresh = (array("q"), array("d"), array("q"))
         self._tables = slabs.read_only()
         # _radius[x] is the candidate threshold R_x of the row: its
         # last-settled (farthest) distance, or inf when the vicinity is
@@ -330,22 +342,45 @@ class ChurnEngine:
             weights=weights,
         )
 
-    def _patch_vicinities(self, candidates: array) -> tuple[int, int]:
-        """Recompute the candidates' rows in one batched kernel call; store
-        and bill (members whose distance entry differs) the changed ones.
-        Returns the bill and the number of rows stored."""
+    def _patch_vicinities(
+        self, candidates: array, sources=None
+    ) -> tuple[int, int, int]:
+        """Recompute the candidates' rows; store and bill (members whose
+        distance entry differs) the changed ones.  After an improving event
+        (``sources``: the endpoints of the edges it added or made lighter)
+        the full rows are repaired without a search; every other row goes
+        to the k-nearest kernel in one batched call.  Returns the bill and
+        the numbers of rows stored and repaired."""
         if not candidates:
-            return 0, 0
-        fresh = self._topology.csr().k_nearest_batch_flat(self._k, candidates)
+            return 0, 0, 0
+        lengths, stride = self._slabs.vicinity.lengths, self._stride
+        searched, repaired = candidates, array("q")
+        if sources is not None:
+            searched = array("q")
+            for x in candidates:
+                (repaired if lengths[x] == stride else searched).append(x)
+        need = len(candidates) * stride
+        if len(self._fresh[0]) < need:
+            del self._fresh  # released before its successor is allocated
+            self._fresh = tuple(array(c, bytes(8 * need)) for c in "qdq")
+        offsets = array("q", [0])
+        position = self._topology.csr().k_nearest_batch_into(
+            self._k, searched, *self._fresh, offsets
+        )
+        if repaired:
+            repair_vicinities(
+                self._topology, repaired, sources, self._stored, lengths,
+                self._fresh, offsets, base=position,
+            )
         changed, entries_changed = commit_vicinities(
-            candidates,
-            fresh,
+            searched + repaired,
+            (offsets, *self._fresh),
             self._stored,
-            self._slabs.vicinity.lengths,
+            lengths,
             self._radius,
         )
         self._tables.forget_rows(changed)
-        return entries_changed, len(changed)
+        return entries_changed, len(changed), len(repaired)
 
     def _refresh_addresses(self, changes: RowChanges) -> int:
         """Refold closest landmarks and re-derive the stale addresses."""
@@ -368,11 +403,15 @@ class ChurnEngine:
         return addresses_changed
 
     def _absorb(
-        self, event: DynEvent, changes: RowChanges, candidates: array
+        self, event: DynEvent, changes: RowChanges, candidates: array,
+        sources=None,
     ) -> EventReport:
         """Everything after the row repair and the candidate filter: patch
-        vicinities, closest landmarks and addresses, and bill the event."""
-        vicinity_entries, stored = self._patch_vicinities(candidates)
+        vicinities, closest landmarks and addresses, and bill the event
+        (``sources`` as :meth:`_patch_vicinities` takes them)."""
+        vicinity_entries, stored, repaired = self._patch_vicinities(
+            candidates, sources
+        )
         addresses_changed = self._refresh_addresses(changes)
         cost = MaintenanceCost(
             addresses_changed=addresses_changed,
@@ -391,6 +430,7 @@ class ChurnEngine:
             rows_repaired=len(changes),
             vicinities_recomputed=len(candidates),
             vicinities_stored=stored,
+            vicinities_repaired=repaired,
         )
 
     def _repair_slabs(self, repair, *event) -> RowChanges:
@@ -468,7 +508,9 @@ class ChurnEngine:
         candidates = self._candidates(
             endpoint_rows, [(u, v)], None if worsens else [new_weight]
         )
-        return self._absorb(event, changes, candidates)
+        return self._absorb(
+            event, changes, candidates, None if worsens else (u, v)
+        )
 
     def _apply_leave(self, event: DynEvent) -> EventReport:
         node = event.u
@@ -511,7 +553,9 @@ class ChurnEngine:
         candidates = self._candidates(
             self._endpoint_rows(node), restored, weights
         )
-        return self._absorb(event, changes, candidates)
+        return self._absorb(
+            event, changes, candidates, [node] + [v for _, v in restored]
+        )
 
     def run(self, events) -> list[EventReport]:
         """Schedule ``events`` on a calendar and absorb them in tick order."""

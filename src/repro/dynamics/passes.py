@@ -2,7 +2,7 @@
 
 After the landmark rows of an event are repaired
 (:mod:`repro.graphs.incremental`), :class:`~repro.dynamics.engine.ChurnEngine`
-runs three more passes, each one call here:
+runs up to four more passes, each one call here:
 
 * :func:`refold_closest` -- the closest landmark of every node whose
   distance to some landmark moved, and from it and the rows' parent changes
@@ -10,6 +10,9 @@ runs three more passes, each one call here:
 * :func:`vicinity_candidates` -- the nodes whose vicinity row the event
   changes: the endpoint-rooted distance rows and the radius array pick the
   rows to read, and each row read says itself whether it changes;
+* :func:`repair_vicinities` -- after an improving event, the candidates'
+  full rows rebuilt from the stored ones without a search (every other
+  candidate row goes to the k-nearest kernel);
 * :func:`commit_vicinities` -- the recomputed candidate rows compared with
   the stored fixed-stride slabs, the changed ones stored and billed.
 
@@ -27,6 +30,8 @@ from __future__ import annotations
 
 import ctypes
 from array import array
+from heapq import heappop, heappush, merge
+from itertools import islice
 from math import inf
 from typing import Sequence
 
@@ -34,7 +39,12 @@ from repro.graphs._ckernels import buffer_arg, check_status, load_kernels
 from repro.graphs.incremental import RowChanges
 from repro.graphs.topology import Topology
 
-__all__ = ["refold_closest", "vicinity_candidates", "commit_vicinities"]
+__all__ = [
+    "refold_closest",
+    "vicinity_candidates",
+    "repair_vicinities",
+    "commit_vicinities",
+]
 
 #: Relative slack for the vicinity-candidate prefilter.  It compares
 #: *endpoint-rooted* distances (one Dijkstra per event endpoint) against a
@@ -326,13 +336,135 @@ def vicinity_candidates(
     return candidates
 
 
+def _relax(adjacency, dist, parent, heap, last, a: int) -> None:
+    """Relax every arc out of ``a`` in a row under :func:`repair_vicinities`
+    (``dist`` / ``parent``: its members and entrants; ``last``: (R, z))."""
+    for b, weight in adjacency[a]:
+        c = dist[a] + weight
+        known = dist.get(b)
+        if known is None:
+            if (c, b) > last:
+                continue
+        elif c == known:
+            if a < parent[b]:
+                parent[b] = a
+            continue
+        elif not c < known:
+            continue
+        dist[b], parent[b] = c, a
+        heappush(heap, (c, b))
+
+
+def repair_vicinities(
+    topology: Topology,
+    candidates,
+    sources: Sequence[int],
+    stored,
+    lengths,
+    out,
+    offsets: array,
+    *,
+    base: int = 0,
+) -> int:
+    """Rebuild the candidates' full vicinity rows after an improving event.
+
+    ``topology`` is the mutated graph and ``sources`` the endpoints of the
+    edges the event added or made lighter; ``stored`` / ``lengths`` are the
+    slabs :func:`vicinity_candidates` reads, and every candidate's row must
+    be full (``stride`` entries).  Row ``i`` goes to the ``out`` triple
+    ``(members, dists, parents)`` at ``base + i * stride`` and its end to
+    ``offsets``, as :meth:`CSRGraph.k_nearest_batch_into` writes them;
+    returns the position after the last row.
+
+    No search: every arc out of a source in the row offers ``c = d[a] + w``,
+    and the offers seed a small Dijkstra over the mutated graph that relaxes
+    only out of nodes whose distance dropped.  A member ``b`` takes an offer
+    when ``c < d[b]`` (only the parent when ``c == d[b]`` and ``a < p[b]``),
+    a non-member only when ``(c, b) < (R, z)``, the row's last entry.
+    Members and entrants merged by ``(distance, id)`` and cut at the stride
+    are the kernel's settle order with its min-id tight parents.
+    """
+    n = len(lengths)
+    candidates = _id_array(candidates)
+    sources = _id_array(sources)
+    stride, p_stored = _stored_rows(stored, n)
+    p_lengths = buffer_arg(lengths, "q", n, "lengths")
+    span = len(candidates) * stride
+    p_out = [
+        buffer_arg(slab, code, span, f"out {name}", base=base)
+        for slab, code, name in zip(out, "qdq", _ROW_SLABS)
+    ]
+    if not all(0 <= node < n for node in sources):
+        raise ValueError(f"sources must be nodes below {n}")
+    ends = (base + (i + 1) * stride for i in range(len(candidates)))
+    csr = topology.csr()
+    clib = load_kernels()
+    if clib is not None and isinstance(csr.offsets, array):
+        num_arcs = csr.offsets[n] if n else 0
+        status = clib.vicinity_repair(
+            n,
+            buffer_arg(csr.offsets, "q", n + 1, "offsets"),
+            buffer_arg(csr.neighbors, "q", num_arcs, "neighbors"),
+            buffer_arg(csr.weights, "d", num_arcs, "weights"),
+            buffer_arg(sources, "q", len(sources), "sources"),
+            len(sources),
+            buffer_arg(candidates, "q", len(candidates), "candidates"),
+            len(candidates),
+            stride,
+            *p_stored,
+            p_lengths,
+            *p_out,
+        )
+        check_status(status, "vicinity_repair")
+        offsets.extend(ends)
+        return base + span
+    members, dists, parents = stored
+    if topology.num_nodes != n:
+        raise ValueError(f"topology has {topology.num_nodes} nodes, not {n}")
+    for node in candidates:
+        row = members[node * stride : (node + 1) * stride]
+        if not (
+            0 <= node < n
+            and 0 < stride == lengths[node] == len(set(row))
+            and 0 <= min(row) <= max(row) < n
+        ):
+            raise ValueError(f"candidate {node} has no well-formed full row")
+    views = [memoryview(slab) for slab in out]
+    position = base
+    for node in candidates:
+        lo, hi = node * stride, (node + 1) * stride
+        row, row_dists = members[lo:hi], dists[lo:hi]
+        dist = dict(zip(row, row_dists))
+        parent = dict(zip(row, parents[lo:hi]))
+        last, heap, dropped = (row_dists[-1], row[-1]), [], []
+        for a in sources:
+            if a in dist:
+                _relax(topology.adjacency, dist, parent, heap, last, a)
+        while heap:
+            c, q = heappop(heap)
+            if c == dist[q]:  # else superseded by a lower offer
+                dropped.append((c, q))
+                _relax(topology.adjacency, dist, parent, heap, last, q)
+        moved = {q for _, q in dropped}
+        kept = [(d, m) for m, d in zip(row, row_dists) if m not in moved]
+        for _, m in islice(merge(kept, dropped), stride):
+            views[0][position], views[1][position], views[2][position] = (
+                m, dist[m], parent[m]
+            )
+            position += 1
+    offsets.extend(ends)
+    return position
+
+
 def commit_vicinities(
     candidates, fresh, stored, lengths, radius
 ) -> tuple[array, int]:
     """Store and bill the candidates' recomputed vicinity rows.
 
-    ``fresh`` is the ``(offsets, members, dists, parents)`` result of
-    :meth:`CSRGraph.k_nearest_batch_flat` over ``candidates``; ``stored``
+    ``fresh`` is ``(offsets, members, dists, parents)``, candidate ``i``'s
+    row at ``offsets[i] .. offsets[i + 1]``, searched by
+    :meth:`CSRGraph.k_nearest_batch_into` or rebuilt by
+    :func:`repair_vicinities`; ``stored`` is
     the engine's ``(members, dists, parents)`` slabs, node ``x``'s row at
     ``x * stride`` with ``lengths[x]`` entries (``stride = len(slab) // n``).
     A row whose members or distances differ from the stored one replaces it

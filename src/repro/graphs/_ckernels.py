@@ -162,6 +162,17 @@ _VICINITY_CANDIDATES_ARGTYPES = [
     _PI64,                   # out (n slots)
 ]
 
+_VICINITY_REPAIR_ARGTYPES = [
+    _I64,                    # n
+    _PI64, _PI64, _PDBL,     # offsets, neighbors, weights (mutated graph)
+    _PI64, _I64,             # sources, num_sources
+    _PI64, _I64,             # candidates, num_candidates
+    _I64,                    # stride
+    _PI64, _PDBL, _PI64,     # stored members, dists, parents (n * stride)
+    _PI64,                   # lengths (n)
+    _PI64, _PDBL, _PI64,     # out members, dists, parents (rows * stride)
+]
+
 _VICINITY_COMMIT_ARGTYPES = [
     _I64, _I64,              # n, stride
     _PI64, _I64,             # candidates, num_candidates
@@ -350,6 +361,8 @@ def load_kernels() -> ctypes.CDLL | None:
         lib.closest_refold.argtypes = _CLOSEST_REFOLD_ARGTYPES
         lib.vicinity_candidates.restype = _I64
         lib.vicinity_candidates.argtypes = _VICINITY_CANDIDATES_ARGTYPES
+        lib.vicinity_repair.restype = _I64
+        lib.vicinity_repair.argtypes = _VICINITY_REPAIR_ARGTYPES
         lib.vicinity_commit.restype = _I64
         lib.vicinity_commit.argtypes = _VICINITY_COMMIT_ARGTYPES
         lib.shift_offsets.restype = None

@@ -53,11 +53,12 @@
  * Below the kernels: slab and ingestion helpers, the batch layer (a whole
  * build phase per call, fanned over threads), and the churn layer (a whole
  * event pass per call: repair_rows, closest_refold, vicinity_candidates,
- * vicinity_commit, shift_offsets).  The churn layer repairs search results
- * in place instead of searching; its header states the contract that keeps
- * a repaired row bit-identical to these kernels' output -- one float add
- * per relaxation, parent = min-id tight neighbour, and why the order in
- * which equal-distance nodes leave its heap cannot change the fixpoint.
+ * vicinity_repair, vicinity_commit, shift_offsets).  The churn layer
+ * repairs search results in place instead of searching; its header states
+ * the contract that keeps a repaired row bit-identical to these kernels'
+ * output -- one float add per relaxation, parent = min-id tight neighbour,
+ * and why the order in which equal-distance nodes leave its heap cannot
+ * change the fixpoint.
  */
 
 #include <math.h>
@@ -1196,8 +1197,9 @@ i64 target_distances_batch(
  *
  * One call per topology event for each pass the churn engine
  * (repro.dynamics.engine) runs over its flat slabs: landmark SPT row
- * repair, the closest-landmark refold, the vicinity candidate filter, and
- * the commit-and-bill of recomputed vicinity rows.  All four are serial
+ * repair, the closest-landmark refold, the vicinity candidate filter, the
+ * repair of the full rows of an improving event without a search, and the
+ * commit-and-bill of recomputed vicinity rows.  All five are serial
  * (REPRO_KERNEL_THREADS does not reach them), allocate O(n) scratch per
  * call -- never O(rows * n) -- and check every id they are handed before
  * the first write to a slab (the candidate filter, which writes only its
@@ -1206,7 +1208,7 @@ i64 target_distances_batch(
  * ctypes wrappers' to check (they cannot be seen from here); the graph
  * slabs are trusted as CSRGraph built them.  The Python twins live in
  * repro.graphs.incremental (repair_rows) and repro.dynamics.passes (the
- * other three).
+ * other four).
  *
  * The repair contract (shared with repro.graphs.incremental, and the reason
  * a repaired row is bit-identical to a fresh search on the mutated graph):
@@ -1857,6 +1859,132 @@ i64 vicinity_candidates(
     }
     free(slot);
     return count;
+}
+
+/* Relax every arc out of a in the row under vicinity_repair (a node is a
+ * member or an entrant when its stamp is the row's generation). */
+static i64 repair_relax(repair_ctx *c, double *dist, i64 *parent, i64 size,
+                        i64 a, double R, i64 z)
+{
+    for (i64 e = c->offsets[a]; e < c->offsets[a + 1]; e++) {
+        i64 b = c->neighbors[e];
+        double offer = dist[a] + c->weights[e];
+        if (c->stamp[b] != c->generation) {
+            if (offer > R || (offer == R && b > z))
+                continue;
+            c->stamp[b] = c->generation;
+        } else if (offer == dist[b]) {
+            if (a < parent[b])
+                parent[b] = a;
+            continue;
+        } else if (!(offer < dist[b])) {
+            continue;
+        }
+        dist[b] = offer;
+        parent[b] = a;
+        size = repair_heap_raise(c, dist, size, b);
+    }
+    return size;
+}
+
+/* Rebuild the full stored rows of the candidates after an improving event,
+ * without a search: row i goes to out_*[i * stride ..) in the k-nearest
+ * kernel's layout.  The graph is passed as mutated and sources are the
+ * endpoints of the edges it added or made lighter.  Every arc out of a
+ * source in the row offers c = d[a] + w, and the offers seed a small
+ * Dijkstra that relaxes only out of nodes whose distance dropped: a member
+ * b takes an offer when c < d[b] (only the parent when c == d[b] and
+ * a < p[b]), a non-member only when (c, b) < (R, z), the row's last entry.
+ * (An unchanged arc out of a member that kept its distance cannot pass
+ * either test: the stored row already holds its offer.)  The dropped nodes
+ * pop in (distance, id) order; merged with the members that kept their
+ * distance and cut at stride they are the kernel's settle order with its
+ * min-id tight parents.  Returns num_candidates * stride, -1 on allocation
+ * failure, or -2 when a source or a candidate is out of range, or a
+ * candidate's row is not full (short rows are the kernel's) or holds a
+ * member out of range or twice (checked before any write). */
+i64 vicinity_repair(
+    i64 n, const i64 *offsets, const i64 *neighbors, const double *weights,
+    const i64 *sources, i64 num_sources,
+    const i64 *candidates, i64 num_candidates,
+    i64 stride, const i64 *members, const double *dists, const i64 *parents,
+    const i64 *lengths,
+    i64 *out_members, double *out_dists, i64 *out_parents)
+{
+    repair_ctx c = {.n = n, .offsets = offsets, .neighbors = neighbors,
+                    .weights = weights};
+    for (i64 j = 0; j < num_sources; j++)
+        if (sources[j] < 0 || sources[j] >= n)
+            return -2;
+    /* stamp and mark start at 0 (generations count from 1); then the heap,
+     * the dropped nodes, and the row's distances and parents by node. */
+    size_t slots = (size_t)(n > 0 ? n : 1);
+    i64 *block = calloc(7 * slots, sizeof(i64));
+    if (!block)
+        return -1;
+    c.stamp = block;
+    c.mark = block + slots;
+    c.heap = block + 2 * slots;
+    c.pos = block + 3 * slots;
+    c.region = block + 4 * slots;
+    double *dist = (double *)(block + 5 * slots);
+    i64 *parent = block + 6 * slots;
+    i64 status = num_candidates * stride;
+    for (i64 i = 0; i < num_candidates && status >= 0; i++) {
+        i64 node = candidates[i], generation = ++c.generation;
+        if (node < 0 || node >= n || stride < 1 || lengths[node] != stride)
+            status = -2;
+        for (i64 j = 0; j < stride && status >= 0; j++) {
+            i64 member = members[node * stride + j];
+            if (member < 0 || member >= n || c.stamp[member] == generation)
+                status = -2;
+            else
+                c.stamp[member] = generation;
+        }
+    }
+    memset(c.pos, 0xff, sizeof(i64) * slots);
+    for (i64 i = 0; i < num_candidates && status >= 0; i++) {
+        i64 base = candidates[i] * stride, size = 0, num_dropped = 0;
+        const i64 *m = members + base, *p = parents + base;
+        const double *d = dists + base;
+        i64 generation = ++c.generation, *dropped = c.region;
+        for (i64 j = 0; j < stride; j++) {
+            c.stamp[m[j]] = generation;
+            dist[m[j]] = d[j];
+            parent[m[j]] = p[j];
+        }
+        double R = d[stride - 1];
+        i64 z = m[stride - 1];
+        for (i64 j = 0; j < num_sources; j++)
+            if (c.stamp[sources[j]] == generation)
+                size = repair_relax(&c, dist, parent, size, sources[j], R, z);
+        while (size) {
+            i64 q = repair_heap_pop(&c, dist, &size);
+            c.mark[q] = generation;
+            dropped[num_dropped++] = q;
+            size = repair_relax(&c, dist, parent, size, q, R, z);
+        }
+        /* Every member is in the row stream or among the dropped, so the
+         * two hold at least stride entries between them. */
+        i64 kept = 0, taken = 0;
+        for (i64 w = i * stride; w < (i + 1) * stride; w++) {
+            while (kept < stride && c.mark[m[kept]] == generation)
+                kept++;
+            i64 next;
+            if (kept < stride &&
+                (taken == num_dropped || d[kept] < dist[dropped[taken]] ||
+                 (d[kept] == dist[dropped[taken]] &&
+                  m[kept] < dropped[taken])))
+                next = m[kept++];
+            else
+                next = dropped[taken++];
+            out_members[w] = next;
+            out_dists[w] = dist[next];
+            out_parents[w] = parent[next];
+        }
+    }
+    free(block);
+    return status;
 }
 
 /* Compare the recomputed vicinity rows of the candidates against the

@@ -205,11 +205,14 @@ class TestCommands:
         assert elapsed < 0.0006 or rate <= events / (elapsed - 0.0006) + 0.1
         assert rate > 2 * events / (converged + elapsed)
         rows = re.search(
-            r"^vicinity rows: (\d+) sent to the kernel, (\d+) stored$",
+            r"^vicinity rows: (\d+) recomputed \((\d+) repaired in place\), "
+            r"(\d+) stored$",
             output,
             re.MULTILINE,
         )
-        assert rows and 0 < int(rows[2]) <= int(rows[1])
+        assert rows
+        recomputed, repaired, stored = map(int, rows.groups())
+        assert repaired <= recomputed and 0 < stored <= recomputed
 
     def test_substrate_requires_node_count_for_families(self, capsys):
         assert main(["substrate", "gnm"]) == 2

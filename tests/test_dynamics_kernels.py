@@ -2,8 +2,9 @@
 
 Every pass :class:`~repro.dynamics.engine.ChurnEngine` runs per event is one
 C entry point with a pure-Python twin (``repair_rows`` in
-:mod:`repro.graphs.incremental`; ``closest_refold``, ``vicinity_candidates``
-and ``vicinity_commit`` in :mod:`repro.dynamics.passes`; ``shift_offsets``
+:mod:`repro.graphs.incremental`; ``closest_refold``, ``vicinity_candidates``,
+``vicinity_repair`` and ``vicinity_commit`` in :mod:`repro.dynamics.passes`;
+``shift_offsets``
 under :meth:`CSRGraph.with_edge` / ``without_edge``).  This file holds them
 to three contracts:
 
@@ -14,8 +15,9 @@ to three contracts:
 * **frozen bills** -- sha256 of every bill plus the final
   ``state_signature()`` of twelve seeded streams, frozen at the parent of the
   change that made the candidate filter read the stored rows and asserted
-  here on both tiers; the two work counters (rows sent to the k-nearest
-  kernel, rows stored) have a table of their own;
+  here on both tiers; the two work counters (rows recomputed -- repaired in
+  place or sent to the k-nearest kernel -- and rows stored) have a table of
+  their own;
 * **a stateful machine** -- random feasible and infeasible events on both
   tiers, every slab equal to a fresh engine's after every one;
 * **the boundary** -- short, long and wrong-typecode buffers and
@@ -59,6 +61,7 @@ from repro.dynamics import engine as engine_module
 from repro.dynamics.passes import (
     commit_vicinities,
     refold_closest,
+    repair_vicinities,
     vicinity_candidates,
 )
 from repro.graphs import _ckernels
@@ -691,6 +694,210 @@ class TestVicinityCandidates:
         assert _engine_rows(engine) == _engine_rows(fresh)
 
 
+# -- (c'): full rows repaired in place after an improving event ---------------
+
+
+def _improves(topology: Topology, event: DynEvent) -> bool:
+    """Whether ``event``, if feasible, adds or lightens edges."""
+    if event.kind in ("edge-up", "node-join"):
+        return True
+    if event.kind != "edge-reweight" or not topology.has_edge(*event.edge):
+        return False
+    return event.weight < topology.edge_weight(*event.edge)
+
+
+def _repair_full_rows(before: Topology, k: int, mutate, sources) -> list:
+    """Repair every full row stored on ``before`` after ``mutate`` improved
+    edges between ``sources``, on both tiers: a row the event does not
+    change comes back as stored, and every row comes back as the k-nearest
+    kernel searches it on the mutated graph.  Returns the nodes whose row
+    the event changed."""
+    n = before.num_nodes
+    stride = min(k, n)
+    after = before.copy()
+    mutate(after)
+    slabs, lengths, _ = _stored_vicinities(before, k)
+    full = array("q", [node for node in range(n) if lengths[node] == stride])
+    searched = after.csr().k_nearest_batch_flat(k, full)
+    for tier in _TIERS:
+        out = tuple(array(c, bytes(8 * len(full) * stride)) for c in "qdq")
+        offsets = array("q", [0])
+        with _tier(tier):
+            end = repair_vicinities(
+                after, full, sources, slabs, lengths, out, offsets
+            )
+        assert end == len(full) * stride
+        assert list(offsets) == list(searched[0])
+        assert [slab.tobytes() for slab in out] == [
+            slab.tobytes() for slab in searched[1:]
+        ], tier
+    return [
+        node
+        for index, node in enumerate(full)
+        if _row_bytes(slabs, lengths, node)
+        != [
+            slab[index * stride : (index + 1) * stride].tobytes()
+            for slab in searched[1:]
+        ]
+    ]
+
+
+def _counters(report) -> tuple[int, int, int]:
+    """Rows recomputed, repaired in place and stored."""
+    return (
+        report.vicinities_recomputed,
+        report.vicinities_repaired,
+        report.vicinities_stored,
+    )
+
+
+class TestVicinityRepair:
+    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("kernel", sorted(_KERNEL_GRAPHS))
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(12, 40),
+        k=st.integers(1, 12),
+    )
+    @_SETTINGS
+    def test_repaired_rows_are_the_kernels(self, kernel, tier, seed, n, k):
+        """After every improving event of a random stream (all five kinds,
+        partitions allowed) every full candidate row is repaired and comes
+        back as the k-nearest kernel searches it on the mutated graph; short
+        rows and the rows of worsening events are searched; and the live
+        tables are a fresh build's after every event."""
+        topology = _KERNEL_GRAPHS[kernel](n, seed)
+        events = generate_event_stream(
+            topology, num_events=10, seed=seed, preserve_connectivity=False
+        )
+        stride = min(k, n)
+        sent: list[array] = []
+        repaired: list[tuple[list[int], list[bytes]]] = []
+
+        def spy_candidates(*args, **kwargs):
+            sent.append(vicinity_candidates(*args, **kwargs))
+            return sent[-1]
+
+        def spy_repair(topology, candidates, sources, stored, lengths, out,
+                       offsets, *, base=0):
+            end = repair_vicinities(
+                topology, candidates, sources, stored, lengths, out, offsets,
+                base=base,
+            )
+            rows = [memoryview(slab)[base:end].tobytes() for slab in out]
+            repaired.append((list(candidates), rows))
+            return end
+
+        with _tier(tier), mock.patch.object(
+            engine_module, "vicinity_candidates", spy_candidates
+        ), mock.patch.object(engine_module, "repair_vicinities", spy_repair):
+            engine = ChurnEngine(topology, seed=seed, vicinity_k=k)
+            for event in events:
+                lengths = engine.tables.vicinity.lengths
+                full = {node for node in range(n) if lengths[node] == stride}
+                improves = _improves(engine.topology, event)
+                del sent[:], repaired[:]
+                report = engine.apply(event)
+                assert_tables_match_fresh_build(engine)
+                if not report.applied:
+                    assert not sent and not repaired, event
+                    continue
+                (candidates,) = sent
+                expected = [x for x in candidates if improves and x in full]
+                assert report.vicinities_repaired == len(expected), event
+                if not expected:
+                    assert not repaired, event
+                    continue
+                ((rows_of, rows),) = repaired
+                assert rows_of == expected, event
+                searched = engine.topology.csr().k_nearest_batch_flat(
+                    k, expected
+                )
+                assert [slab.tobytes() for slab in searched[1:]] == rows, event
+
+    def test_a_smaller_id_tight_arc_flips_a_parent_only(self):
+        # From 0, node 3 hangs under 2 at distance 2; 1-3 gets lighter until
+        # 1 + 1 == 2 and the smaller id takes the parent over: row 0 keeps
+        # its members and distances.  Row 2 sees the same tie through
+        # 3 -> 1 but keeps its smaller parent 0.
+        topology = Topology.from_edges(
+            4, [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0), (1, 3, 2.0)]
+        )
+        assert _repair_full_rows(
+            topology, 4, lambda t: t.set_edge_weight(1, 3, 1.0), [1, 3]
+        ) == [0, 1, 3]
+        for tier in _TIERS:
+            with _tier(tier):
+                engine = ChurnEngine(topology, landmarks=[0], vicinity_k=4)
+                before = [list(view) for view in engine.tables.vicinity.row(0)]
+                report = engine.apply(DynEvent(0, "edge-reweight", 1, 3, 1.0))
+                assert_tables_match_fresh_build(engine)
+            members, dists, parents = (
+                list(view) for view in engine.tables.vicinity.row(0)
+            )
+            assert [members, dists] == before[:2]
+            assert before[2][members.index(3)] == 2
+            assert parents[members.index(3)] == 1
+            assert _counters(report) == (3, 3, 3)
+
+    def test_an_entrant_that_ties_the_boundary_is_decided_by_id(self):
+        # k = 3: the rows of 0, 1 and 5 are full; row 0 is [0, 1, 5] with
+        # (R, z) = (2, 5) and row 1 is [1, 0, 5] with (1, 5).  1-3 offers
+        # (2, 3) and (1, 3): 3 takes the last seat of both rows.
+        topology = Topology.from_edges(8, [(0, 1, 1.0), (1, 5, 1.0)])
+        assert _repair_full_rows(
+            topology, 3, lambda t: t.add_edge(1, 3, 1.0), [1, 3]
+        ) == [0, 1]
+        # 1-7 offers (2, 7) and (1, 7): nothing moves.
+        assert _repair_full_rows(
+            topology, 3, lambda t: t.add_edge(1, 7, 1.0), [1, 7]
+        ) == []
+
+    def test_a_reweight_absorbed_by_rounding(self):
+        # From 0, node 2 sits at 1e16 + w == 1e16 for every w < 1.  Made
+        # heavier, the tree arc 1 -> 2 sends three rows to the kernel and two
+        # come back different; made lighter, row 0's offer ties on the
+        # parent it has (repaired anyway, it comes back as stored), and the
+        # rows of 1 and 2 are the two candidates, both repaired.
+        topology = Topology.from_edges(3, [(0, 1, 1e16), (1, 2, 0.5)])
+        assert _repair_full_rows(
+            topology, 3, lambda t: t.set_edge_weight(1, 2, 0.25), [1, 2]
+        ) == [1, 2]
+        for tier in _TIERS:
+            with _tier(tier):
+                engine = ChurnEngine(topology, landmarks=[0], vicinity_k=3)
+                worse = engine.apply(DynEvent(0, "edge-reweight", 1, 2, 0.75))
+                better = engine.apply(DynEvent(1, "edge-reweight", 1, 2, 0.25))
+                assert_tables_match_fresh_build(engine)
+            assert _counters(worse) == (3, 0, 2)
+            assert _counters(better) == (2, 2, 2)
+
+    def test_a_join_restores_three_arcs_and_pushes_two_members_out(self):
+        # 4 joins back to 0, 3 and 7.  Row 0 (k = 4) is [0, 1, 5, 6] while
+        # 4 is away, (R, z) = (2, 6); the join brings 4 in at 1, and at 2 the
+        # entrant 3 beats 5 and 6 by id while 7 loses to them: [0, 1, 4, 3].
+        # The rows of 3, 4 and 7 were short (alone), so they are searched.
+        edges = [(0, 1, 1.0), (1, 5, 1.0), (1, 6, 1.0)]
+        arcs = [(4, 0), (4, 3), (4, 7)]
+        away = Topology.from_edges(8, edges)
+        back = Topology.from_edges(8, edges + [(*arc, 1.0) for arc in arcs])
+
+        def rejoin(topology):
+            for u, v in arcs:
+                topology.add_edge(u, v, 1.0)
+
+        assert _repair_full_rows(away, 4, rejoin, [4, 0, 3, 7]) == [0]
+        for tier in _TIERS:
+            with _tier(tier):
+                engine = ChurnEngine(back, landmarks=[0], vicinity_k=4)
+                engine.apply(DynEvent(0, "node-leave", 4))
+                assert list(engine.tables.vicinity.row(0)[0]) == [0, 1, 5, 6]
+                report = engine.apply(DynEvent(1, "node-join", 4))
+                assert_tables_match_fresh_build(engine)
+            assert list(engine.tables.vicinity.row(0)[0]) == [0, 1, 4, 3]
+            assert _counters(report) == (4, 1, 4)
+
+
 # -- (d): commit-and-bill of recomputed vicinity rows -------------------------
 
 
@@ -1279,6 +1486,83 @@ class TestBoundary:
                 call(fresh=(offsets, out_of_range, dists, parents))
         assert [slab.tobytes() for slab in (*slabs, lengths, radius)] == before
 
+    def test_repair_vicinities_rejects_bad_buffers(self):
+        n, k = 12, 4
+        topology = gnm_random_graph(n, seed=1, average_degree=3.0)
+        slabs, lengths, _ = _stored_vicinities(topology, k)
+        u, v = next(
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if not topology.has_edge(u, v)
+        )
+        topology.add_edge(u, v, 1.0)
+        candidates = array("q", [x for x in range(n) if lengths[x] == k][:3])
+        assert len(candidates) == 3
+        first = candidates[0]
+        out = tuple(array(code, bytes(8 * (3 * k + 1))) for code in "qdq")
+        buffers = (*slabs, lengths, *out)
+        before = [buffer.tobytes() for buffer in buffers]
+
+        def call(
+            candidates=candidates, sources=(u, v), slabs=slabs,
+            lengths=lengths, out=out, base=0,
+        ):
+            return repair_vicinities(
+                topology, candidates, sources, slabs, lengths, out,
+                array("q", [0]), base=base,
+            )
+
+        def patched(slab, index, value):
+            copy = slab[:]
+            copy[index] = value
+            return copy
+
+        members, dists, parents = slabs
+        bad = [
+            # the stored slabs and the length column
+            (ValueError, dict(slabs=(members[:-1], dists, parents))),
+            (ValueError, dict(slabs=(members, dists[:-1], parents))),
+            (ValueError, dict(slabs=(members, dists, parents + parents[:1]))),
+            (ValueError, dict(lengths=lengths[:-1])),
+            (TypeError, dict(slabs=(dists, dists, parents))),
+            (TypeError, dict(slabs=(members, dists, parents.tolist()))),
+            (TypeError, dict(lengths=array("d", bytes(8 * n)))),
+            # the out triple: short from base, wrong item type, read-only
+            (ValueError, dict(out=(out[0][: 3 * k - 1], out[1], out[2]))),
+            (ValueError, dict(base=2)),
+            (ValueError, dict(base=-1)),
+            (TypeError, dict(out=(out[1], out[1], out[2]))),
+            (TypeError, dict(out=(out[0], out[1], out[2].tolist()))),
+            (TypeError, dict(
+                out=(out[0], memoryview(out[1]).toreadonly(), out[2]))),
+            # sources out of range
+            (ValueError, dict(sources=(u, n))),
+            (ValueError, dict(sources=(-1, v))),
+            # candidates: out of range, a row that is not full, a member out
+            # of range, a member twice
+            (ValueError, dict(candidates=array("q", [*candidates, n]))),
+            (ValueError, dict(candidates=array("q", [-1]))),
+            (ValueError, dict(lengths=patched(lengths, first, k - 1))),
+            (ValueError, dict(slabs=(
+                patched(members, first * k + 2, n), dists, parents))),
+            (ValueError, dict(slabs=(
+                patched(members, first * k + 2, first), dists, parents))),
+        ]
+        for tier in _TIERS:
+            with _tier(tier):
+                for error, overrides in bad:
+                    with pytest.raises(error):
+                        call(**overrides)
+        assert [buffer.tobytes() for buffer in buffers] == before
+        searched = topology.csr().k_nearest_batch_flat(k, candidates)
+        for tier in _TIERS:
+            with _tier(tier):
+                assert call(base=1) == 3 * k + 1
+            assert [slab[1:].tobytes() for slab in out] == [
+                slab.tobytes() for slab in searched[1:]
+            ]
+            assert call(candidates=array("q")) == 0
 
 
 # -- a stateful machine: any event, any order, both tiers ---------------------
