@@ -44,11 +44,16 @@ build on the mutated topology after every event, with no sync step.
   are renumbered by any adjacency change on a path, so keeping them current
   would cost every event a pass over every address that nobody reads.
 
-An event is therefore a fixed sequence of calls below the FFI -- row repair
-(:mod:`repro.graphs.incremental`), endpoint searches and the k-nearest
-search (:mod:`repro.graphs.csr`), closest refold, candidate filter, row
-repair and vicinity commit-and-bill (:mod:`repro.dynamics.passes`) -- and
-the Python here walks only the stale addresses.  Every pass has a
+The topology is the engine's own :class:`~repro.graphs.csr.CSRGraph`, kept
+as nothing else: an event splices its whole edge delta into it in place
+(:meth:`~repro.graphs.csr.CSRGraph.splice`), and ``engine.topology``
+materialises a dict topology from its rows on demand.  An event is
+therefore that splice and a fixed sequence of calls below the FFI over the
+graph -- row repair (:mod:`repro.graphs.incremental`), endpoint searches and
+the k-nearest search (:mod:`repro.graphs.csr`), closest refold, candidate
+filter, row repair and vicinity commit-and-bill
+(:mod:`repro.dynamics.passes`) -- and the Python here walks only the stale
+addresses.  Every pass has a
 pure-Python twin selected with the kernels themselves
 (``REPRO_NO_CKERNELS=1``); there is no other switch.
 
@@ -87,6 +92,7 @@ from repro.dynamics.passes import (
     vicinity_candidates,
 )
 from repro.dynamics.stream import DynEvent
+from repro.graphs.csr import CSRGraph
 from repro.graphs.incremental import (
     RowChanges,
     repair_rows_after_decrease,
@@ -147,11 +153,6 @@ class EventReport:
     vicinities_stored: int = 0
     vicinities_repaired: int = 0
 
-    @property
-    def protocol_messages(self) -> int:
-        """Logical protocol messages exchanged to absorb the event."""
-        return self.cost.total_incremental_entries
-
 
 class ChurnEngine:
     """Converged NDDisco substrate state under incremental maintenance."""
@@ -167,10 +168,11 @@ class ChurnEngine:
         n = topology.num_nodes
         if landmarks is None:
             landmarks = select_landmarks(n, seed=seed)
-        self._topology = topology.copy()
+        private = topology.copy()  # its snapshot becomes the engine's graph
         k = vicinity_k if vicinity_k is not None else vicinity_size(n)
         self._adopt(
-            build_substrate_tables(self._topology, landmarks, size=k),
+            private.csr(),
+            build_substrate_tables(private, landmarks, size=k),
             k,
             [name_for_node(node) for node in range(n)],
         )
@@ -178,16 +180,22 @@ class ChurnEngine:
             self._derive_address(node) for node in range(n)
         ]
 
-    def _adopt(self, slabs: SubstrateTables, k: int, names: list) -> None:
-        """What both constructors share once the topology is in place:
-        ``slabs`` -- converged, writable, this engine's alone -- becomes the
-        state, its vicinity rows go to the fixed stride, and the event
+    def _adopt(
+        self, graph: CSRGraph, slabs: SubstrateTables, k: int, names: list
+    ) -> None:
+        """What both constructors share: ``graph`` -- the snapshot the
+        tables converged on, no one else's -- becomes the graph every event
+        splices, ``slabs`` -- converged, writable, this engine's alone --
+        the state, its vicinity rows go to the fixed stride, and the event
         bookkeeping starts empty."""
-        n = self._num_nodes = self._topology.num_nodes
+        self._graph = graph
+        self._topology: Topology | None = None  # materialised on demand
+        n = self._num_nodes = graph.num_nodes
         self._k = k
         self._group_size = _mean_group_size(SloppyGrouping(names))
         self._dead: set[int] = set()
-        self._captured: dict[int, list[tuple[int, int, float]]] = {}
+        # A departed node's arcs, (neighbour, weight) in neighbour order.
+        self._captured: dict[int, list[tuple[int, float]]] = {}
         # Reusable rows for the per-event endpoint searches.
         self._endpoint_dist = array("d", bytes(16 * n))
         self._endpoint_parent = array("q", bytes(16 * n))
@@ -228,7 +236,6 @@ class ChurnEngine:
                 "engine from scratch instead"
             )
         engine = cls.__new__(cls)
-        engine._topology = routing.topology.copy()
         slabs = copy.deepcopy(routing.tables)  # private array-backed slabs
         slabs.addr_offsets = array("q", [0])
         slabs.addr_path, slabs.addr_labels, slabs.addr_bits = (
@@ -236,7 +243,12 @@ class ChurnEngine:
         )
         # Connected topology: every adopted row holds exactly min(k, n)
         # members, whatever vicinity_scale the routing was built with.
-        engine._adopt(slabs, slabs.vicinity.offsets[1], list(routing.names))
+        engine._adopt(
+            routing.topology.copy().csr(),
+            slabs,
+            slabs.vicinity.offsets[1],
+            list(routing.names),
+        )
         engine._addresses = [
             (address.landmark, tuple(address.route.path))
             for address in routing.addresses
@@ -256,7 +268,10 @@ class ChurnEngine:
 
     @property
     def topology(self) -> Topology:
-        """The current (mutated) topology; treat as read-only."""
+        """The current (mutated) topology, materialised from the graph's
+        rows on the first read after an event; treat as read-only."""
+        if self._topology is None:
+            self._topology = Topology.from_csr(self._graph)
         return self._topology
 
     @property
@@ -316,7 +331,7 @@ class ChurnEngine:
         """Distance rows rooted at an event's endpoints in the current
         graph, searched into the engine's reusable scratch rows."""
         n = self._num_nodes
-        self._topology.csr().spt_rows_batch_into(
+        self._graph.spt_rows_batch_into(
             array("q", nodes),
             self._endpoint_dist,
             self._endpoint_parent,
@@ -364,12 +379,12 @@ class ChurnEngine:
             del self._fresh  # released before its successor is allocated
             self._fresh = tuple(array(c, bytes(8 * need)) for c in "qdq")
         offsets = array("q", [0])
-        position = self._topology.csr().k_nearest_batch_into(
+        position = self._graph.k_nearest_batch_into(
             self._k, searched, *self._fresh, offsets
         )
         if repaired:
             repair_vicinities(
-                self._topology, repaired, sources, self._stored, lengths,
+                self._graph, repaired, sources, self._stored, lengths,
                 self._fresh, offsets, base=position,
             )
         changed, entries_changed = commit_vicinities(
@@ -386,7 +401,7 @@ class ChurnEngine:
         """Refold closest landmarks and re-derive the stale addresses."""
         slabs = self._slabs
         _, stale = refold_closest(
-            self._topology,
+            self._graph,
             slabs.landmark_ids,
             slabs.spt_dist,
             slabs.spt_parent,
@@ -437,7 +452,7 @@ class ChurnEngine:
         """One ``repair_rows_after_*`` call over every landmark row."""
         slabs = self._slabs
         return repair(
-            self._topology,
+            self._graph,
             slabs.landmark_ids,
             slabs.spt_dist,
             slabs.spt_parent,
@@ -456,6 +471,7 @@ class ChurnEngine:
         message-level behavior of a node that receives a stale or duplicate
         update -- reported with ``applied=False``.
         """
+        self._topology = None  # materialised again on the next read
         kind = event.kind
         if kind in ("edge-down", "edge-up", "edge-reweight"):
             return self._apply_edge_event(event)
@@ -479,12 +495,12 @@ class ChurnEngine:
         kind = event.kind
         if kind != "edge-down" and not 0 < event.weight < _INF:
             return self._noop(event)  # zero, negative, inf or NaN weight
-        topology = self._topology
-        present = topology.has_edge(u, v)
+        graph = self._graph
+        present = graph.has_edge(u, v)
         if present == (kind == "edge-up"):
             return self._noop(event)
         # An absent edge weighs inf: every edge event is one weight change.
-        old_weight = topology.edge_weight(u, v) if present else _INF
+        old_weight = graph.edge_weight(u, v) if present else _INF
         new_weight = _INF if kind == "edge-down" else float(event.weight)
         if new_weight == old_weight:
             return self._noop(event)
@@ -495,11 +511,11 @@ class ChurnEngine:
         if worsens:
             endpoint_rows = self._endpoint_rows(u, v)
         if not present:
-            topology.add_edge(u, v, new_weight)
+            graph.splice(added=[(u, v, new_weight)])
         elif new_weight == _INF:
-            topology.remove_edge(u, v)
+            graph.splice(removed=[(u, v)])
         else:
-            topology.set_edge_weight(u, v, new_weight)
+            graph.splice(reweighted=[(u, v, new_weight)])
         if worsens:
             changes = self._repair_slabs(repair_rows_after_increase, u, v)
         else:
@@ -517,11 +533,9 @@ class ChurnEngine:
         if not 0 <= node < self._num_nodes or node in self._dead:
             return self._noop(event)
         old_row = self._endpoint_rows(node)
-        arcs = list(self._topology.adjacency[node])
-        incident = sorted((node, other, weight) for other, weight in arcs)
-        for _, neighbor, _ in incident:
-            self._topology.remove_edge(node, neighbor)
-        self._captured[node] = incident
+        arcs = self._graph.neighbor_weights(node)
+        self._graph.splice(removed=[(node, neighbor) for neighbor, _ in arcs])
+        self._captured[node] = sorted(arcs)
         self._dead.add(node)
         changes = self._repair_slabs(repair_rows_after_detach, node, arcs)
         candidates = self._candidates(
@@ -534,24 +548,21 @@ class ChurnEngine:
         if node not in self._dead:
             return self._noop(event)
         self._dead.discard(node)
-        restored: list[tuple[int, int]] = []
-        weights: list[float] = []
-        for _, neighbor, weight in self._captured.pop(node, []):
+        added: list[tuple[int, int, float]] = []
+        for neighbor, weight in self._captured.pop(node, []):
             if neighbor in self._dead:
                 # The far endpoint left after we did; it now owns the edge
                 # and will restore it when it rejoins.
-                self._captured.setdefault(neighbor, []).append(
-                    (neighbor, node, weight)
-                )
+                self._captured[neighbor].append((node, weight))
                 self._captured[neighbor].sort()
             else:
-                self._topology.add_edge(node, neighbor, weight)
-                restored.append((node, neighbor))
-                weights.append(weight)
+                added.append((node, neighbor, weight))
+        self._graph.splice(added=added)
         # One repair per row over the whole restored edge set.
+        restored = [(node, neighbor) for _, neighbor, _ in added]
         changes = self._repair_slabs(repair_rows_after_decrease, restored)
         candidates = self._candidates(
-            self._endpoint_rows(node), restored, weights
+            self._endpoint_rows(node), restored, [w for *_, w in added]
         )
         return self._absorb(
             event, changes, candidates, [node] + [v for _, v in restored]

@@ -36,8 +36,8 @@ from math import inf
 from typing import Sequence
 
 from repro.graphs._ckernels import buffer_arg, check_status, load_kernels
+from repro.graphs.csr import CSRGraph
 from repro.graphs.incremental import RowChanges
-from repro.graphs.topology import Topology
 
 __all__ = [
     "refold_closest",
@@ -79,7 +79,7 @@ def _stored_rows(stored, n: int) -> tuple[int, list]:
 
 
 def refold_closest(
-    topology: Topology,
+    graph: CSRGraph,
     landmarks: Sequence[int],
     dist_slab,
     parent_slab,
@@ -91,7 +91,7 @@ def refold_closest(
 
     ``dist_slab`` / ``parent_slab`` hold one ``n``-entry row per landmark,
     in the (ascending) order of ``landmarks``, already repaired;
-    ``changes`` is what the repair reported and ``topology`` the mutated
+    ``changes`` is what the repair reported and ``graph`` the mutated
     graph.  Two results:
 
     * the nodes whose closest landmark or distance to it changed.  Only a
@@ -131,17 +131,16 @@ def refold_closest(
     p_parent_changed = buffer_arg(
         changes.parent_changed, "q", parent_total, "changes.parent_changed"
     )
-    csr = topology.csr()
     clib = load_kernels()
-    if clib is not None and isinstance(csr.offsets, array):
-        num_arcs = csr.offsets[n] if n else 0
+    if clib is not None:
+        num_arcs = graph.offsets[n] if n else 0
         refolded = array("q", bytes(8 * n))
         dirty = array("q", bytes(8 * n))
         num_refolded = ctypes.c_int64(0)
         count = clib.closest_refold(
             n,
-            buffer_arg(csr.offsets, "q", n + 1, "offsets"),
-            buffer_arg(csr.neighbors, "q", num_arcs, "neighbors"),
+            buffer_arg(graph.offsets, "q", n + 1, "offsets"),
+            buffer_arg(graph.neighbors, "q", num_arcs, "neighbors"),
             buffer_arg(landmarks, "q", len(landmarks), "landmarks"),
             len(landmarks),
             p_dist,
@@ -186,7 +185,7 @@ def refold_closest(
             closest_dist[node] = best_distance
             refolded.append(node)
     dirty = set(refolded)
-    adjacency = topology.adjacency
+    adjacency = graph.adjacency
     for row, _, parent_changed in changes:
         landmark = landmarks[row]
         base = row * n
@@ -356,7 +355,7 @@ def _relax(adjacency, dist, parent, heap, last, a: int) -> None:
 
 
 def repair_vicinities(
-    topology: Topology,
+    graph: CSRGraph,
     candidates,
     sources: Sequence[int],
     stored,
@@ -368,7 +367,7 @@ def repair_vicinities(
 ) -> int:
     """Rebuild the candidates' full vicinity rows after an improving event.
 
-    ``topology`` is the mutated graph and ``sources`` the endpoints of the
+    ``graph`` is the mutated graph and ``sources`` the endpoints of the
     edges the event added or made lighter; ``stored`` / ``lengths`` are the
     slabs :func:`vicinity_candidates` reads, and every candidate's row must
     be full (``stride`` entries).  Row ``i`` goes to the ``out`` triple
@@ -397,15 +396,14 @@ def repair_vicinities(
     if not all(0 <= node < n for node in sources):
         raise ValueError(f"sources must be nodes below {n}")
     ends = (base + (i + 1) * stride for i in range(len(candidates)))
-    csr = topology.csr()
     clib = load_kernels()
-    if clib is not None and isinstance(csr.offsets, array):
-        num_arcs = csr.offsets[n] if n else 0
+    if clib is not None:
+        num_arcs = graph.offsets[n] if n else 0
         status = clib.vicinity_repair(
             n,
-            buffer_arg(csr.offsets, "q", n + 1, "offsets"),
-            buffer_arg(csr.neighbors, "q", num_arcs, "neighbors"),
-            buffer_arg(csr.weights, "d", num_arcs, "weights"),
+            buffer_arg(graph.offsets, "q", n + 1, "offsets"),
+            buffer_arg(graph.neighbors, "q", num_arcs, "neighbors"),
+            buffer_arg(graph.weights, "d", num_arcs, "weights"),
             buffer_arg(sources, "q", len(sources), "sources"),
             len(sources),
             buffer_arg(candidates, "q", len(candidates), "candidates"),
@@ -419,8 +417,8 @@ def repair_vicinities(
         offsets.extend(ends)
         return base + span
     members, dists, parents = stored
-    if topology.num_nodes != n:
-        raise ValueError(f"topology has {topology.num_nodes} nodes, not {n}")
+    if graph.num_nodes != n:
+        raise ValueError(f"graph has {graph.num_nodes} nodes, not {n}")
     for node in candidates:
         row = members[node * stride : (node + 1) * stride]
         if not (
@@ -430,6 +428,7 @@ def repair_vicinities(
         ):
             raise ValueError(f"candidate {node} has no well-formed full row")
     views = [memoryview(slab) for slab in out]
+    adjacency = graph.adjacency
     position = base
     for node in candidates:
         lo, hi = node * stride, (node + 1) * stride
@@ -439,12 +438,12 @@ def repair_vicinities(
         last, heap, dropped = (row_dists[-1], row[-1]), [], []
         for a in sources:
             if a in dist:
-                _relax(topology.adjacency, dist, parent, heap, last, a)
+                _relax(adjacency, dist, parent, heap, last, a)
         while heap:
             c, q = heappop(heap)
             if c == dist[q]:  # else superseded by a lower offer
                 dropped.append((c, q))
-                _relax(topology.adjacency, dist, parent, heap, last, q)
+                _relax(adjacency, dist, parent, heap, last, q)
         moved = {q for _, q in dropped}
         kept = [(d, m) for m, d in zip(row, row_dists) if m not in moved]
         for _, m in islice(merge(kept, dropped), stride):

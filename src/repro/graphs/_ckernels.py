@@ -366,7 +366,7 @@ def load_kernels() -> ctypes.CDLL | None:
         lib.vicinity_commit.restype = _I64
         lib.vicinity_commit.argtypes = _VICINITY_COMMIT_ARGTYPES
         lib.shift_offsets.restype = None
-        lib.shift_offsets.argtypes = [_PI64, _I64, _I64, _I64, _I64]
+        lib.shift_offsets.argtypes = [_PI64, _I64, _I64, _I64]
         _lib = lib
     except OSError as error:  # pragma: no cover - load failure is env-specific
         _build_error = f"load failed: {error}"

@@ -2076,12 +2076,10 @@ i64 vicinity_commit(
     return count;
 }
 
-/* CSR offsets after rows lo < hi each gained delta arcs: every offset past
- * row lo moves by delta, every offset past row hi by 2 * delta. */
-void shift_offsets(i64 *offsets, i64 count, i64 lo, i64 hi, i64 delta)
+/* CSR offsets after row `row` gained delta arcs (a splice): every offset
+ * past the row moves by delta. */
+void shift_offsets(i64 *offsets, i64 count, i64 row, i64 delta)
 {
-    for (i64 node = lo + 1; node <= hi; node++)
+    for (i64 node = row + 1; node < count; node++)
         offsets[node] += delta;
-    for (i64 node = hi + 1; node < count; node++)
-        offsets[node] += delta + delta;
 }

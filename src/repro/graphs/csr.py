@@ -227,9 +227,10 @@ def profile_weights(weights: Iterable[float]) -> WeightProfile:
             unit = False
         if eligible:
             if not math.isfinite(weight):
-                # inf (and NaN) weights are accepted by Topology.add_edge;
-                # they have no power-of-two quantum, so route to the heap
-                # kernel rather than crash in _pow2_divisor.
+                # No graph constructor accepts inf or NaN, but a raw
+                # iterable may hold them: they have no power-of-two quantum,
+                # so route to the heap kernel rather than crash in
+                # _pow2_divisor.
                 eligible = False
                 continue
             divisor = _pow2_divisor(weight)
@@ -256,8 +257,8 @@ def profile_with_weight(
     folds, the quantum is a running minimum of per-weight power-of-two
     divisors, and Dial eligibility is monotone -- the ``max/quantum`` ratio
     only ever grows as weights are added, so an ineligible profile can
-    never become eligible).  Used by the incremental CSR patches so a
-    single-edge mutation does not pay an O(E) weight rescan.
+    never become eligible).  Used by :meth:`CSRGraph.splice` so an edge
+    edit does not pay an O(E) weight rescan.
     """
     unit = profile.unit and weight == 1.0
     min_weight = min(profile.min_weight, weight)
@@ -277,7 +278,9 @@ class CSRGraph:
 
     Instances are immutable snapshots: mutate the owning
     :class:`~repro.graphs.topology.Topology` and a fresh snapshot is built on
-    the next :meth:`Topology.csr` call.  The scratch arrays make a single
+    the next :meth:`Topology.csr` call.  The one exception is the churn
+    engine's own graph, which no one else holds and which each event edits
+    in place with :meth:`splice`.  The scratch arrays make a single
     instance non-reentrant -- one search at a time per ``CSRGraph`` (the
     batch drivers give each kernel thread its own arena).
 
@@ -285,9 +288,6 @@ class CSRGraph:
     ----------
     num_nodes, offsets, neighbors, weights:
         The CSR slabs (see the module docstring for the layout).
-    unit_weights:
-        Optional override of the profiled ``unit`` flag, kept for backward
-        compatibility; pass ``None`` (default) to trust the profile.
     profile:
         Precomputed :class:`WeightProfile`; computed from ``weights`` when
         omitted.
@@ -310,7 +310,6 @@ class CSRGraph:
         "kernel",
         "tier",
         "_clib",
-        "_adj",
         "_arc",
         "_dist",
         "_pred",
@@ -319,6 +318,7 @@ class CSRGraph:
         "_generation",
         "_buckets",
         "_c",
+        "_store",
     )
 
     def __init__(
@@ -327,7 +327,6 @@ class CSRGraph:
         offsets: array,
         neighbors: array,
         weights: array,
-        unit_weights: bool | None = None,
         *,
         profile: WeightProfile | None = None,
         kernel: str | None = None,
@@ -339,13 +338,6 @@ class CSRGraph:
         self.weights = weights
         if profile is None:
             profile = profile_weights(weights)
-        if unit_weights is not None and unit_weights != profile.unit:
-            # Explicit override (tests force the weighted kernels onto
-            # unit-weight graphs): disable the unit/bucket fast paths.
-            profile = WeightProfile(
-                unit_weights, profile.min_weight, profile.max_weight,
-                None, None,
-            )
         self.profile = profile
         self.unit_weights = profile.unit
         if use_c is None:
@@ -362,7 +354,6 @@ class CSRGraph:
         self.tier = "c" if self._clib is not None else "python"
         # Hot-loop slabs and scratch arenas are built lazily per tier (the C
         # tier never needs the Python tuple slabs, and vice versa).
-        self._adj: list[list[int]] | None = None
         self._arc: list[list[tuple[int, float]]] | None = None
         self._dist: Sequence[float] | None = None
         self._pred: Sequence[int] | None = None
@@ -371,6 +362,8 @@ class CSRGraph:
         self._generation = 0
         self._buckets: list[list[int]] = []
         self._c: dict | None = None
+        # The (neighbors, weights) store a splice writes, once there is one.
+        self._store: tuple[memoryview, memoryview] | None = None
 
     def _select_kernel(self, forced: str | None) -> str:
         profile = self.profile
@@ -387,15 +380,9 @@ class CSRGraph:
                     f"with max_weight/quantum <= {DIAL_MAX_QUANTA}"
                 )
             return forced
-        if self._clib is not None:
-            if profile.unit:
-                return "bfs"
-            return "bucket" if profile.bucket_ok else "heap"
         if profile.unit:
             return "bfs"
-        if profile.bucket_ok:
-            return "bucket"
-        return "heap"
+        return "bucket" if profile.bucket_ok else "heap"
 
     @classmethod
     def from_topology(
@@ -438,148 +425,172 @@ class CSRGraph:
         """Number of undirected edges in the snapshot."""
         return len(self.neighbors) // 2
 
-    # -- incremental single-edge patches ------------------------------------
-    #
-    # Each patch assembles a NEW snapshot from this one's slabs with
-    # C-level array slicing instead of the O(E) per-arc Python loop of
-    # ``from_topology`` -- the discrete-event churn engine applies one
-    # topology mutation per event, and rebuilding the snapshot from
-    # scratch would dominate its per-event budget.  This snapshot is left
-    # untouched (snapshots stay immutable; other holders keep their view),
-    # and untouched slabs are shared between the two snapshots.  Patches
-    # require array-backed slabs (``Topology.csr`` snapshots always are);
-    # mmap-attached memoryview slabs raise ``TypeError`` on the slice-assign
-    # below.
+    # -- rows, and the churn engine's in-place edits -------------------------
+
+    def neighbor_weights(self, node: int) -> list[tuple[int, float]]:
+        """``node``'s row as ``(neighbor, weight)`` pairs, in arc order."""
+        lo, hi = self.offsets[node], self.offsets[node + 1]
+        return list(
+            zip(self.neighbors[lo:hi].tolist(), self.weights[lo:hi].tolist())
+        )
 
     def _arc_position(self, u: int, v: int) -> int:
-        """Index of the arc ``u -> v`` in the neighbor/weight slabs."""
-        neighbors = self.neighbors
-        for position in range(self.offsets[u], self.offsets[u + 1]):
-            if neighbors[position] == v:
-                return position
-        raise KeyError(f"no arc {u}->{v} in CSR snapshot")
+        """Index of the arc ``u -> v``; ``KeyError`` when there is none."""
+        if 0 <= u < self.num_nodes:
+            lo, hi = self.offsets[u], self.offsets[u + 1]
+            row = self.neighbors[lo:hi].tolist()
+            if v in row:
+                return lo + row.index(v)
+        raise KeyError(f"no edge {u}-{v} in the graph")
 
-    def _shifted_offsets(self, u: int, v: int, delta: int) -> array:
-        """Offsets after adding ``delta`` arcs to each of rows u and v."""
-        offsets = self.offsets[:]
-        lo, hi = (u, v) if u < v else (v, u)
-        if not 0 <= lo < hi < self.num_nodes:
+    def edge_weight(self, u: int, v: int) -> float:
+        """Weight of the edge ``{u, v}``, off ``u``'s row (``KeyError``)."""
+        return self.weights[self._arc_position(u, v)]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether ``{u, v}`` is an edge (a scan of ``u``'s row)."""
+        return 0 <= u < self.num_nodes and v in self.neighbors[
+            self.offsets[u] : self.offsets[u + 1]
+        ]
+
+    def splice(self, removed=(), added=(), reweighted=()) -> None:
+        """Apply one batch of edge edits to this graph, in place.
+
+        ``removed`` holds ``(u, v)`` pairs, ``added`` and ``reweighted``
+        ``(u, v, weight)`` triples.  A removed arc's gap closes, an added
+        arc goes at its row's end (in ``added`` order), a reweight is
+        written where the arc sits -- each row in the order
+        :meth:`from_topology` gives a dict topology with the same edits (an
+        address label is an arc position) -- and no arc moves twice.  The
+        profile folds each new weight in (:func:`profile_with_weight`); the
+        kernel is reselected from it.  A missing edge (``KeyError``), an
+        edge present or named twice, a bad id or a weight that is not
+        positive and finite (``ValueError``) raises before any byte moves.
+
+        The first splice moves the arcs into a store this graph owns, with
+        room to grow (doubled when it fills); ``neighbors`` / ``weights``
+        are exact-length views into it, and the C arena, which points into
+        it, lives until the store, the kernel or its bucket count changes.
+        """
+        n = self.num_nodes
+        removed, added, reweighted = map(list, (removed, added, reweighted))
+        keys = [
+            (min(u, v), max(u, v)) for u, v, *_ in removed + added + reweighted
+        ]
+        if len(set(keys)) < len(keys) or not all(
+            0 <= u < v < n for u, v in keys
+        ):
             raise ValueError(
-                f"edge {u}-{v} out of range for graph with "
-                f"{self.num_nodes} nodes"
+                f"an edge is out of range, a self-loop or named twice "
+                f"(graph of {n} nodes)"
             )
-        if self._clib is not None:
-            # One C pass over the copy; the loops below are the Python tier.
-            self._clib.shift_offsets(
-                (ctypes.c_int64 * len(offsets)).from_buffer(offsets),
-                len(offsets), lo, hi, delta,
+        folded = [float(w) for *_, w in added + reweighted]
+        if not all(0 < w < _INF for w in folded):  # also rejects NaN
+            raise ValueError(f"edge weights must be > 0 and finite: {folded}")
+        found = [  # KeyError for a missing edge
+            (self._arc_position(u, v), self._arc_position(v, u))
+            for u, v, *_ in removed + reweighted
+        ]
+        if any(self.has_edge(u, v) for u, v, _ in added):
+            raise ValueError("an added edge is already present")
+        if not keys:
+            return
+        cut: dict[int, set[int]] = {}
+        for u, v in removed:
+            cut.setdefault(u, set()).add(v)
+            cut.setdefault(v, set()).add(u)
+        grown: dict[int, list[tuple[int, float]]] = {}
+        for (u, v, _), weight in zip(added, folded):
+            grown.setdefault(u, []).append((v, weight))
+            grown.setdefault(v, []).append((u, weight))
+        kept = self.offsets[n] - 2 * len(removed)
+        size = kept + 2 * len(added)
+        self._reserve(size)
+        offsets, (neighbors, weights) = self.offsets, self._store
+        for (first, second), weight in zip(
+            found[len(removed) :], folded[len(added) :]
+        ):
+            weights[first] = weights[second] = weight
+        # Each touched row is rebuilt from a copy; the untouched run after
+        # it shifts by what the rows up to it grew or shrank.
+        rows = sorted(cut.keys() | grown.keys())
+        rebuilt, runs, shift = [], [], 0
+        for row, after in zip(rows, rows[1:] + [n]):
+            lo, hi = offsets[row], offsets[row + 1]
+            gone = cut.get(row, ())
+            row_arcs = [
+                arc for arc in self.neighbor_weights(row) if arc[0] not in gone
+            ] + grown.get(row, [])
+            rebuilt.append((lo + shift, row_arcs))
+            shift += len(row_arcs) - (hi - lo)
+            runs.append((row, hi, offsets[after], shift))
+        # Runs moving left go left to right, then runs moving right go right
+        # to left: no run is overwritten before it has moved.
+        for _, lo, hi, by in [run for run in runs if run[3] < 0] + [
+            run for run in reversed(runs) if run[3] > 0
+        ]:
+            if lo < hi:  # an empty move is skipped
+                neighbors[lo + by : hi + by] = neighbors[lo:hi]
+                weights[lo + by : hi + by] = weights[lo:hi]
+        for start, row_arcs in rebuilt:
+            if row_arcs:
+                stop = start + len(row_arcs)
+                neighbors[start:stop] = array("q", [v for v, _ in row_arcs])
+                weights[start:stop] = array("d", [w for _, w in row_arcs])
+        self.neighbors, self.weights = neighbors[:size], weights[:size]
+        self._arc = None
+        # Every offset past a touched row moves by that row's growth.
+        previous = 0
+        for row, _, _, moved in runs:
+            delta, previous = moved - previous, moved
+            if not delta:
+                continue
+            if self._clib is None:
+                for node in range(row + 1, n + 1):
+                    offsets[node] += delta
+            else:
+                self._clib.shift_offsets(
+                    _ckernels.buffer_arg(offsets, "q", n + 1, "offsets"),
+                    n + 1, row, delta,
+                )
+
+        profile = self.profile
+        for weight in folded:
+            profile = (
+                profile_with_weight(profile, weight)
+                if kept
+                else profile_weights((weight, weight))
             )
-            return offsets
-        for node in range(lo + 1, hi + 1):
-            offsets[node] += delta
-        twice = delta + delta
-        for node in range(hi + 1, self.num_nodes + 1):
-            offsets[node] += twice
-        return offsets
+            kept = 2
+        before = (self.kernel, self.profile.max_quanta)
+        self.profile, self.unit_weights = profile, profile.unit
+        self.kernel = self._select_kernel(None)
+        if (self.kernel, profile.max_quanta) != before:
+            self._c = None  # sized for the previous kernel
 
-    def with_weight(self, u: int, v: int, weight: float) -> "CSRGraph":
-        """Snapshot with the existing edge ``{u, v}`` reweighted."""
-        weight = float(weight)
-        weights = self.weights[:]
-        weights[self._arc_position(u, v)] = weight
-        weights[self._arc_position(v, u)] = weight
-        return CSRGraph(
-            self.num_nodes,
-            self.offsets,
-            self.neighbors,
-            weights,
-            profile=profile_with_weight(self.profile, weight),
+    def _reserve(self, size: int) -> None:
+        """Make the owned store hold ``size`` arcs (see :meth:`splice`)."""
+        if self._store is not None and len(self._store[0]) >= size:
+            return
+        live = self.offsets[self.num_nodes]
+        capacity = 2 * max(size, live)
+        store = tuple(
+            memoryview(array(code, bytes(8 * capacity))) for code in "qd"
         )
-
-    def without_edge(self, u: int, v: int) -> "CSRGraph":
-        """Snapshot with the edge ``{u, v}`` removed (arc order preserved).
-
-        The profile is inherited unchanged: removing a weight keeps every
-        profile invariant valid (remaining weights stay within the bounds
-        and divisible by the quantum, and a unit graph stays unit).  It may
-        no longer be *minimal* -- e.g. removing the only non-unit weight
-        will not rediscover the BFS fast path -- which affects kernel
-        choice only, never results (the kernels are bit-identical).
-        """
-        first = self._arc_position(u, v)
-        second = self._arc_position(v, u)
-        if first > second:
-            first, second = second, first
-        neighbors = (
-            self.neighbors[:first]
-            + self.neighbors[first + 1 : second]
-            + self.neighbors[second + 1 :]
-        )
-        weights = (
-            self.weights[:first]
-            + self.weights[first + 1 : second]
-            + self.weights[second + 1 :]
-        )
-        return CSRGraph(
-            self.num_nodes,
-            self._shifted_offsets(u, v, -1),
-            neighbors,
-            weights,
-            profile=self.profile,
-        )
-
-    def with_edge(self, u: int, v: int, weight: float) -> "CSRGraph":
-        """Snapshot with the new edge ``{u, v}`` appended to both rows.
-
-        Matches ``from_topology`` of a topology whose ``add_edge`` appended
-        the arc at the end of each endpoint's adjacency row.
-        """
-        weight = float(weight)
-        lo, hi = (u, v) if u < v else (v, u)
-        plo = self.offsets[lo + 1]
-        phi = self.offsets[hi + 1]
-        neighbors = (
-            self.neighbors[:plo]
-            + array("q", (hi,))
-            + self.neighbors[plo:phi]
-            + array("q", (lo,))
-            + self.neighbors[phi:]
-        )
-        weights = (
-            self.weights[:plo]
-            + array("d", (weight,))
-            + self.weights[plo:phi]
-            + array("d", (weight,))
-            + self.weights[phi:]
-        )
-        profile = (
-            profile_with_weight(self.profile, weight)
-            if len(self.weights)
-            else profile_weights((weight, weight))
-        )
-        return CSRGraph(
-            self.num_nodes,
-            self._shifted_offsets(u, v, 1),
-            neighbors,
-            weights,
-            profile=profile,
-        )
+        store[0][:live] = memoryview(self.neighbors)[:live]
+        store[1][:live] = memoryview(self.weights)[:live]
+        if self._store is None:
+            self.offsets = array("q", self.offsets)
+        self._store = store
+        self._c = None  # its pointers are into the old slabs
 
     # -- lazy slabs and arenas ----------------------------------------------
 
-    def _adj_slab(self) -> list[list[int]]:
-        """Per-node neighbor-id lists (Python BFS kernel)."""
-        if self._adj is None:
-            offs = self.offsets.tolist()
-            nbrs = self.neighbors.tolist()
-            self._adj = [
-                nbrs[offs[node] : offs[node + 1]]
-                for node in range(self.num_nodes)
-            ]
-        return self._adj
-
-    def _arc_slab(self) -> list[list[tuple[int, float]]]:
-        """Per-node (neighbor, weight) tuple lists (Python weighted kernels).
+    @property
+    def adjacency(self) -> list[list[tuple[int, float]]]:
+        """Every row as :meth:`neighbor_weights` reads it -- the shape of
+        :attr:`Topology.adjacency` -- carved once per edit: the Python
+        kernels' slab, which the churn passes' twins read too.
 
         CPython boxes a fresh object on every ``array`` index, which would
         dominate the kernel runtime, so the scan loops iterate ready-made
@@ -609,10 +620,13 @@ class CSRGraph:
         Only the buffers the selected kernel reads are allocated: the heap
         kernel needs ``heap``/``pos`` (n slots each), the dial kernel needs
         the entry pool (2m + 1 slots), the bucket ring, and a sort batch,
-        and the BFS kernel needs the two frontier arrays (n slots each).
+        and the BFS kernel needs the two frontier arrays (n slots each).  A
+        spliced graph's arena points into its store and sizes the pool by
+        the store's capacity, so it outlives the edits that fit there.
         """
         if self._c is None:
             n = self.num_nodes
+            arcs = self._store or (self.neighbors, self.weights)
             dist = array("d", bytes(8 * n))
             pred = array("q", bytes(8 * n))
             seen = array("q", bytes(8 * n))
@@ -631,8 +645,8 @@ class CSRGraph:
                 "seen": seen,
                 "order": order,
                 "p_offsets": ptr_q(self.offsets),
-                "p_neighbors": ptr_q(self.neighbors),
-                "p_weights": ptr_d(self.weights),
+                "p_neighbors": ptr_q(arcs[0]),
+                "p_weights": ptr_d(arcs[1]),
                 "p_dist": ptr_d(dist),
                 "p_pred": ptr_q(pred),
                 "p_seen": ptr_q(seen),
@@ -641,7 +655,7 @@ class CSRGraph:
             }
             buffers = [tflag]
             if self.kernel == "bucket":
-                num_arcs = len(self.neighbors)
+                num_arcs = len(arcs[0])
                 batch = array("q", bytes(8 * n))
                 pool_node = array("q", bytes(8 * (num_arcs + 1)))
                 pool_next = array("q", bytes(8 * (num_arcs + 1)))
@@ -831,7 +845,7 @@ class CSRGraph:
             dist, pred = out
         seen = self._seen
         done = self._done
-        arcs = self._arc_slab()
+        arcs = self.adjacency
         order: list[int] = []
         settle = order.append
         remaining = set(targets) if targets is not None else None
@@ -914,7 +928,7 @@ class CSRGraph:
             dist, pred = out
         seen = self._seen
         done = self._done
-        arcs = self._arc_slab()
+        arcs = self.adjacency
         quantum = self.profile.quantum
         inv_quantum = 1.0 / quantum
         order: list[int] = []
@@ -1028,7 +1042,7 @@ class CSRGraph:
             dist, pred = out
         seen = self._seen
         done = self._done
-        adj = self._adj_slab()
+        arcs = self.adjacency
         order: list[int] = []
         remaining = set(targets) if targets is not None else None
         seen[source] = generation
@@ -1061,7 +1075,7 @@ class CSRGraph:
                 order.extend(frontier)
                 for node in frontier:
                     dist[node] = level
-                    for neighbor in adj[node]:
+                    for neighbor, _ in arcs[node]:
                         if seen[neighbor] != generation:
                             seen[neighbor] = generation
                             pred[neighbor] = node
@@ -1076,7 +1090,7 @@ class CSRGraph:
                     if not remaining:
                         stop = True
                         break
-                    for neighbor in adj[node]:
+                    for neighbor, _ in arcs[node]:
                         if seen[neighbor] != generation:
                             seen[neighbor] = generation
                             pred[neighbor] = node

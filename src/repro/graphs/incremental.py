@@ -43,6 +43,10 @@ the C tier that is one ``repair_rows`` call into ``_kernels.c``; the
 per-row functions here are the pure-Python tier (``REPRO_NO_CKERNELS=1``
 and the compile-failure fallback), run over views of the same slabs.
 
+Every function reads the *mutated* graph, a :class:`CSRGraph`; the per-row
+primitives read only its ``adjacency`` rows and ``edge_weight``, so they
+take a :class:`~repro.graphs.topology.Topology` as well.
+
 Rows use the dynamics convention ``inf / -1`` for unreachable nodes (the
 converged-state substrate's dense rows historically use a ``0.0`` fill and
 assume connectivity; the dynamics engine must survive partitions, so the
@@ -64,7 +68,7 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.graphs import _ckernels
-from repro.graphs.topology import Topology
+from repro.graphs.csr import CSRGraph
 
 __all__ = [
     "RowChanges",
@@ -83,9 +87,7 @@ _INF = math.inf
 _WORSEN_EDGE, _WORSEN_DETACH, _IMPROVE = 0, 1, 2
 
 
-def canonical_parent(
-    topology: Topology, dist, node: int, root: int
-) -> int:
+def canonical_parent(graph, dist, node: int, root: int) -> int:
     """The kernel-canonical parent of ``node`` given converged ``dist``.
 
     The minimum-id neighbor on a tight edge (``dist[u] + w == dist[node]``),
@@ -95,7 +97,7 @@ def canonical_parent(
         return -1
     target = dist[node]
     best = -1
-    for neighbor, weight in topology.adjacency[node]:
+    for neighbor, weight in graph.adjacency[node]:
         if dist[neighbor] + weight == target and (best < 0 or neighbor < best):
             best = neighbor
     return best
@@ -118,13 +120,11 @@ def _collect_subtree(adjacency, parent, top: int, top_arcs=None) -> list[int]:
     return out
 
 
-def _recanonicalize(
-    topology: Topology, dist, parent, root: int, nodes
-) -> list[int]:
+def _recanonicalize(graph, dist, parent, root: int, nodes) -> list[int]:
     """Re-derive parents for ``nodes``; return those that actually changed."""
     changed: list[int] = []
     for node in nodes:
-        canon = canonical_parent(topology, dist, node, root)
+        canon = canonical_parent(graph, dist, node, root)
         if canon != parent[node]:
             parent[node] = canon
             changed.append(node)
@@ -132,7 +132,7 @@ def _recanonicalize(
 
 
 def _repair_region(
-    topology: Topology, dist, parent, root: int, region: list[int],
+    graph, dist, parent, root: int, region: list[int],
     extra_recanon,
 ) -> tuple[list[int], list[int]]:
     """Recompute distances for ``region`` from its boundary; fix parents.
@@ -142,7 +142,7 @@ def _repair_region(
     pre-event distance.  Distances inside the region are re-derived by a
     multi-source Dijkstra seeded with the best boundary offer per node.
     """
-    adjacency = topology.adjacency
+    adjacency = graph.adjacency
     in_region = set(region)
     old = {node: dist[node] for node in region}
     best: dict[int, float] = {}
@@ -181,17 +181,17 @@ def _repair_region(
     for node in dist_changed:
         recanon.update(neighbor for neighbor, _ in adjacency[node])
     parent_changed = _recanonicalize(
-        topology, dist, parent, root, sorted(recanon)
+        graph, dist, parent, root, sorted(recanon)
     )
     return dist_changed, parent_changed
 
 
 def repair_after_increase(
-    topology: Topology, dist, parent, root: int, u: int, v: int
+    graph, dist, parent, root: int, u: int, v: int
 ) -> tuple[list[int], list[int]]:
     """Repair one SPT row after edge ``{u, v}`` was removed or made heavier.
 
-    Call *after* mutating the topology; ``dist`` / ``parent`` still hold the
+    Call *after* mutating the graph; ``dist`` / ``parent`` still hold the
     pre-event row.  If the edge was not a tree arc of this row, neither
     distances nor parents can change (the parent is the minimum-id tight
     neighbor, and a non-parent edge getting heavier or vanishing never
@@ -204,24 +204,24 @@ def repair_after_increase(
         top = u
     else:
         return [], []
-    region = _collect_subtree(topology.adjacency, parent, top)
+    region = _collect_subtree(graph.adjacency, parent, top)
     return _repair_region(
-        topology, dist, parent, root, region, extra_recanon=(u, v)
+        graph, dist, parent, root, region, extra_recanon=(u, v)
     )
 
 
 def repair_after_decrease(
-    topology: Topology, dist, parent, root: int, edges: Iterable[tuple[int, int]]
+    graph, dist, parent, root: int, edges: Iterable[tuple[int, int]]
 ) -> tuple[list[int], list[int]]:
     """Repair one SPT row after the ``edges`` were added or made lighter.
 
-    Call *after* mutating the topology; ``edges`` are ``(u, v)`` pairs
+    Call *after* mutating the graph; ``edges`` are ``(u, v)`` pairs
     whose weights are read from it.  Every edge offers ``dist + w`` across
     itself, strict improvements propagate outward from there, and nodes
     whose distance ties a new offer only need their parent
     re-canonicalized.
     """
-    adjacency = topology.adjacency
+    adjacency = graph.adjacency
     improved: dict[int, float] = {}
 
     def current(node: int) -> float:
@@ -231,7 +231,7 @@ def repair_after_decrease(
     heap: list[tuple[float, int]] = []
     recanon: set[int] = set()
     for u, v in edges:
-        weight = topology.edge_weight(u, v)
+        weight = graph.edge_weight(u, v)
         recanon.update((u, v))
         for source, target in ((u, v), (v, u)):
             offer = current(source)
@@ -258,13 +258,13 @@ def repair_after_decrease(
     for node in dist_changed:
         recanon.update(neighbor for neighbor, _ in adjacency[node])
     parent_changed = _recanonicalize(
-        topology, dist, parent, root, sorted(recanon)
+        graph, dist, parent, root, sorted(recanon)
     )
     return dist_changed, parent_changed
 
 
 def repair_after_detach(
-    topology: Topology, dist, parent, root: int, node: int, arcs
+    graph, dist, parent, root: int, node: int, arcs
 ) -> tuple[list[int], list[int]]:
     """Repair one SPT row after *all* of ``node``'s edges were removed.
 
@@ -275,13 +275,13 @@ def repair_after_detach(
     """
     if dist[node] == _INF and node != root:
         return [], []
-    region = _collect_subtree(topology.adjacency, parent, node, arcs)
+    region = _collect_subtree(graph.adjacency, parent, node, arcs)
     if node == root:
         del region[0]
         if not region:
             return [], []
     return _repair_region(
-        topology, dist, parent, root, region, extra_recanon=(node,)
+        graph, dist, parent, root, region, extra_recanon=(node,)
     )
 
 
@@ -331,7 +331,7 @@ def _take_ids(clib, pointer, count: int) -> array:
 
 
 def _repair_rows(
-    topology: Topology,
+    graph: CSRGraph,
     roots: Sequence[int],
     dist_slab,
     parent_slab,
@@ -347,18 +347,17 @@ def _repair_rows(
     Buffer typecodes and lengths and every id are checked here, for both
     tiers, before anything is touched.
     """
-    n = topology.num_nodes
+    n = graph.num_nodes
     roots = roots if isinstance(roots, array) else array("q", roots)
     ids = array("q", ids)
-    csr = topology.csr()
-    csr._check_sources(roots)
-    csr._check_sources(ids)
+    graph._check_sources(roots)
+    graph._check_sources(ids)
     total = len(roots) * n
     p_dist = _ckernels.buffer_arg(dist_slab, "d", total, "dist_slab")
     p_parent = _ckernels.buffer_arg(parent_slab, "q", total, "parent_slab")
     clib = _ckernels.load_kernels()
-    if clib is not None and isinstance(csr.offsets, array) and total:
-        num_arcs = csr.offsets[n]
+    if clib is not None and total:
+        num_arcs = graph.offsets[n]
         rows = array("q", bytes(8 * len(roots)))
         dist_ends = array("q", bytes(8 * len(roots)))
         parent_ends = array("q", bytes(8 * len(roots)))
@@ -366,9 +365,9 @@ def _repair_rows(
         out_parent = ctypes.POINTER(ctypes.c_int64)()
         count = clib.repair_rows(
             n,
-            _ckernels.buffer_arg(csr.offsets, "q", n + 1, "offsets"),
-            _ckernels.buffer_arg(csr.neighbors, "q", num_arcs, "neighbors"),
-            _ckernels.buffer_arg(csr.weights, "d", num_arcs, "weights"),
+            _ckernels.buffer_arg(graph.offsets, "q", n + 1, "offsets"),
+            _ckernels.buffer_arg(graph.neighbors, "q", num_arcs, "neighbors"),
+            _ckernels.buffer_arg(graph.weights, "d", num_arcs, "weights"),
             _ckernels.buffer_arg(roots, "q", len(roots), "roots"),
             len(roots),
             p_dist,
@@ -410,42 +409,42 @@ def _repair_rows(
 
 
 def repair_rows_after_increase(
-    topology: Topology, roots, dist_slab, parent_slab, u: int, v: int
+    graph: CSRGraph, roots, dist_slab, parent_slab, u: int, v: int
 ) -> RowChanges:
     """:func:`repair_after_increase` over every row of the slabs."""
     return _repair_rows(
-        topology, roots, dist_slab, parent_slab, _WORSEN_EDGE, (u, v),
+        graph, roots, dist_slab, parent_slab, _WORSEN_EDGE, (u, v),
         lambda dist, parent, root: repair_after_increase(
-            topology, dist, parent, root, u, v
+            graph, dist, parent, root, u, v
         ),
     )
 
 
 def repair_rows_after_detach(
-    topology: Topology, roots, dist_slab, parent_slab, node: int, arcs
+    graph: CSRGraph, roots, dist_slab, parent_slab, node: int, arcs
 ) -> RowChanges:
     """:func:`repair_after_detach` over every row of the slabs."""
     return _repair_rows(
-        topology, roots, dist_slab, parent_slab, _WORSEN_DETACH,
+        graph, roots, dist_slab, parent_slab, _WORSEN_DETACH,
         (node, *(neighbor for neighbor, _ in arcs)),
         lambda dist, parent, root: repair_after_detach(
-            topology, dist, parent, root, node, arcs
+            graph, dist, parent, root, node, arcs
         ),
     )
 
 
 def repair_rows_after_decrease(
-    topology: Topology, roots, dist_slab, parent_slab, edges
+    graph: CSRGraph, roots, dist_slab, parent_slab, edges
 ) -> RowChanges:
     """:func:`repair_after_decrease` over every row of the slabs."""
     edges = list(edges)
     for u, v in edges:
-        if u == v or not topology.has_edge(u, v):
-            raise ValueError(f"no edge {u}-{v} in the topology to improve over")
+        if u == v or not graph.has_edge(u, v):
+            raise ValueError(f"no edge {u}-{v} in the graph to improve over")
     return _repair_rows(
-        topology, roots, dist_slab, parent_slab, _IMPROVE,
+        graph, roots, dist_slab, parent_slab, _IMPROVE,
         [node for edge in edges for node in edge],
         lambda dist, parent, root: repair_after_decrease(
-            topology, dist, parent, root, edges
+            graph, dist, parent, root, edges
         ),
     )

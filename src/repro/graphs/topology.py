@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from operator import ge
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graphs.csr import CSRGraph, WeightProfile
@@ -98,14 +99,12 @@ class Topology:
                 self._edge_weights[key] = float(weight)
                 self._replace_adjacency_weight(u, v, float(weight))
                 self._replace_adjacency_weight(v, u, float(weight))
-                self._refresh_caches(
-                    lambda csr: csr.with_weight(u, v, weight)
-                )
+                self._invalidate_caches()
             return
         self._edge_weights[key] = float(weight)
         self._adjacency[u].append((v, float(weight)))
         self._adjacency[v].append((u, float(weight)))
-        self._refresh_caches(lambda csr: csr.with_edge(u, v, weight))
+        self._invalidate_caches()
 
     def _invalidate_caches(self) -> None:
         """Drop every derived snapshot after a mutation.
@@ -119,34 +118,11 @@ class Topology:
         self._weight_profile = None
         self._content_key = None
 
-    def _refresh_caches(
-        self, patch: "Callable[[CSRGraph], CSRGraph]"
-    ) -> None:
-        """Advance the derived snapshots across a single-edge mutation.
-
-        The content key is always dropped (recomputed on demand).  When a
-        CSR snapshot is live and array-backed, it is *patched* into a fresh
-        snapshot via C-level slab splicing instead of being rebuilt from
-        scratch on the next :meth:`csr` call -- the discrete-event churn
-        engine mutates one edge per event, and the O(E) per-arc rebuild
-        (plus the O(E) weight rescan) would otherwise dominate its
-        per-event budget.  With no live snapshot (the common construction
-        path) this is exactly :meth:`_invalidate_caches`.
-        """
-        self._content_key = None
-        csr = self._csr
-        self._csr = None
-        self._weight_profile = None
-        if csr is not None and isinstance(csr.offsets, array):
-            patched = patch(csr)
-            self._csr = patched
-            self._weight_profile = patched.profile
-
     def remove_edge(self, u: int, v: int) -> float:
         """Remove the undirected edge ``{u, v}``; return its weight.
 
-        The inverse of :meth:`add_edge`, used by the dynamics engine to
-        apply link-failure events in place.  Removing then re-adding an
+        The inverse of :meth:`add_edge`, used to replay link-failure events
+        on a plain topology.  Removing then re-adding an
         edge yields a topology that compares ``==`` (and shares a
         ``content_key``) with the original: equality is defined over the
         edge-weight table, not adjacency insertion order, and every
@@ -168,7 +144,7 @@ class Topology:
         self._adjacency[v] = [
             pair for pair in self._adjacency[v] if pair[0] != u
         ]
-        self._refresh_caches(lambda csr: csr.without_edge(u, v))
+        self._invalidate_caches()
         return weight
 
     def set_edge_weight(self, u: int, v: int, weight: float) -> float:
@@ -198,7 +174,7 @@ class Topology:
         self._edge_weights[key] = float(weight)
         self._replace_adjacency_weight(u, v, float(weight))
         self._replace_adjacency_weight(v, u, float(weight))
-        self._refresh_caches(lambda csr: csr.with_weight(u, v, weight))
+        self._invalidate_caches()
         return old
 
     def add_edges_from(
@@ -267,8 +243,7 @@ class Topology:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Return True if the undirected edge ``{u, v}`` exists."""
-        key = (u, v) if u < v else (v, u)
-        return key in self._edge_weights
+        return self.get_edge_weight(u, v) is not None
 
     def edge_weight(self, u: int, v: int) -> float:
         """Return the weight of edge ``{u, v}``; raises ``KeyError`` if absent."""
@@ -390,6 +365,22 @@ class Topology:
         """Build a topology from an edge iterable."""
         topology = cls(num_nodes, name=name)
         topology.add_edges_from(edges)
+        return topology
+
+    @classmethod
+    def from_csr(
+        cls, graph: "CSRGraph", *, name: str = "topology"
+    ) -> "Topology":
+        """The topology whose adjacency is ``graph``'s rows, arc for arc:
+        :meth:`CSRGraph.from_topology` of it rebuilds ``graph``'s slabs."""
+        topology = cls(graph.num_nodes, name=name)
+        topology._adjacency = [row[:] for row in graph.adjacency]
+        topology._edge_weights = {
+            (u, v): weight
+            for u, row in enumerate(topology._adjacency)
+            for v, weight in row
+            if u < v
+        }
         return topology
 
     def copy(self) -> "Topology":
@@ -630,11 +621,28 @@ class CSRTopology(Topology):
     ) -> "CSRTopology":
         """Build from deduplicated canonical edge arrays (``u < v``).
 
-        The arrays must already be validated (no self-loops, ids in range,
-        positive weights, no duplicate pairs); the CSR arc slabs are
-        assembled in one counting pass (C-accelerated when available).
+        Pairs must not repeat.  Ids out of range, a pair with ``u >= v``
+        and a weight that is not positive and finite raise ``ValueError``
+        before anything is assembled (C-speed scans, no per-edge Python);
+        the CSR arc slabs are then built in one counting pass
+        (C-accelerated when available).
         """
         from repro.graphs.ingest import assemble_csr_slabs
+
+        if len({len(edges_u), len(edges_v), len(edges_w)}) > 1 or (
+            len(edges_w)
+            and not (
+                min(edges_u) >= 0
+                and max(edges_v) < num_nodes
+                and not any(map(ge, edges_u, edges_v))
+                and min(edges_w) > 0
+                and all(map(math.isfinite, edges_w))
+            )
+        ):
+            raise ValueError(
+                f"edge arrays must align, with 0 <= u < v < {num_nodes} "
+                "and every weight > 0 and finite"
+            )
 
         offsets, neighbors, weights = assemble_csr_slabs(
             num_nodes, edges_u, edges_v, edges_w
@@ -659,18 +667,9 @@ class CSRTopology(Topology):
 
     @property
     def _adjacency(self) -> list[list[tuple[int, float]]]:
-        adjacency = self._adj_cache
-        if adjacency is None:
-            offsets, neighbors, weights = self._offsets, self._nbrs, self._wts
-            adjacency = [
-                [
-                    (neighbors[arc], weights[arc])
-                    for arc in range(offsets[node], offsets[node + 1])
-                ]
-                for node in range(self._num_nodes)
-            ]
-            self._adj_cache = adjacency
-        return adjacency
+        if self._adj_cache is None:
+            self._adj_cache = self.csr().adjacency
+        return self._adj_cache
 
     @property
     def _edge_weights(self) -> dict[tuple[int, int], float]:
@@ -713,43 +712,25 @@ class CSRTopology(Topology):
 
     def neighbors(self, node: int) -> list[int]:
         self._check_node(node)
-        neighbors = self._nbrs
-        return [
-            neighbors[arc]
-            for arc in range(self._offsets[node], self._offsets[node + 1])
-        ]
+        lo, hi = self._offsets[node], self._offsets[node + 1]
+        return self._nbrs[lo:hi].tolist()
 
     def neighbor_weights(self, node: int) -> list[tuple[int, float]]:
         self._check_node(node)
-        neighbors, weights = self._nbrs, self._wts
-        return [
-            (neighbors[arc], weights[arc])
-            for arc in range(self._offsets[node], self._offsets[node + 1])
-        ]
+        return self.csr().neighbor_weights(node)
 
     def degree(self, node: int) -> int:
         self._check_node(node)
         return self._offsets[node + 1] - self._offsets[node]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.get_edge_weight(u, v) is not None
-
     def edge_weight(self, u: int, v: int) -> float:
-        weight = self.get_edge_weight(u, v)
-        if weight is None:
-            raise KeyError((u, v) if u < v else (v, u))
-        return weight
+        return self.csr().edge_weight(u, v)
 
     def get_edge_weight(
         self, u: int, v: int, default: float | None = None
     ) -> float | None:
-        if not 0 <= u < self._num_nodes or not 0 <= v < self._num_nodes:
-            return default
-        neighbors, weights = self._nbrs, self._wts
-        for arc in range(self._offsets[u], self._offsets[u + 1]):
-            if neighbors[arc] == v:
-                return weights[arc]
-        return default
+        csr = self.csr()
+        return csr.edge_weight(u, v) if csr.has_edge(u, v) else default
 
     def total_weight(self) -> float:
         return sum(self._ew)
@@ -841,15 +822,7 @@ class CSRTopology(Topology):
         produced, so the result is indistinguishable from one built by
         replaying ``add_edge`` over :meth:`edges`.
         """
-        duplicate = Topology(self._num_nodes, name=self.name)
-        offsets, neighbors, weights = self._offsets, self._nbrs, self._wts
-        duplicate._adjacency = [
-            [
-                (neighbors[arc], weights[arc])
-                for arc in range(offsets[node], offsets[node + 1])
-            ]
-            for node in range(self._num_nodes)
-        ]
+        duplicate = Topology.from_csr(self.csr(), name=self.name)
         eu, ev, ew = self._eu, self._ev, self._ew
         duplicate._edge_weights = {
             (eu[j], ev[j]): ew[j] for j in range(len(ew))

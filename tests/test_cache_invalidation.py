@@ -52,7 +52,7 @@ class TestLinkFlapInvalidation:
         current = topology
         for event in workload:
             mutated = current.copy()
-            mutated.csr()  # a live snapshot, so the event patches it
+            mutated.csr()  # a live snapshot, which the event drops
             apply_edge_event(mutated, event)
             # The mutated topology's derived views reflect the event ...
             expected_edges = current.num_edges + (

@@ -4,9 +4,9 @@ Every pass :class:`~repro.dynamics.engine.ChurnEngine` runs per event is one
 C entry point with a pure-Python twin (``repair_rows`` in
 :mod:`repro.graphs.incremental`; ``closest_refold``, ``vicinity_candidates``,
 ``vicinity_repair`` and ``vicinity_commit`` in :mod:`repro.dynamics.passes`;
-``shift_offsets``
-under :meth:`CSRGraph.with_edge` / ``without_edge``).  This file holds them
-to three contracts:
+``shift_offsets`` under :meth:`CSRGraph.splice`, which edits the engine's one
+graph in place, each row's arcs in the order a rebuild gives them).  This
+file holds them to three contracts:
 
 * **differential** -- C tier = Python twin = a fresh search on the mutated
   topology, slabs compared *bitwise* and change lists compared as lists,
@@ -55,6 +55,7 @@ from repro.dynamics import (
     EVENT_KINDS,
     ChurnEngine,
     DynEvent,
+    apply_edge_event,
     generate_event_stream,
 )
 from repro.dynamics import engine as engine_module
@@ -65,7 +66,7 @@ from repro.dynamics.passes import (
     vicinity_candidates,
 )
 from repro.graphs import _ckernels
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, profile_weights, profile_with_weight
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
@@ -165,11 +166,12 @@ class _Rows:
         fresh search bit for bit.  Returns the change lists."""
         with _tier(self.tier):
             mutate(self.topology)
+            graph = self.topology.csr()
             changes = repair(
-                self.topology, self.roots, self.dist, self.parent, *event
+                graph, self.roots, self.dist, self.parent, *event
             )
             self.refolded, self.stale = refold_closest(
-                self.topology, self.roots, self.dist, self.parent, changes,
+                graph, self.roots, self.dist, self.parent, changes,
                 self.closest, self.closest_dist,
             )
             fresh = _fresh_rows(self.topology, self.roots)
@@ -724,7 +726,7 @@ def _repair_full_rows(before: Topology, k: int, mutate, sources) -> list:
         offsets = array("q", [0])
         with _tier(tier):
             end = repair_vicinities(
-                after, full, sources, slabs, lengths, out, offsets
+                after.csr(), full, sources, slabs, lengths, out, offsets
             )
         assert end == len(full) * stride
         assert list(offsets) == list(searched[0])
@@ -778,10 +780,10 @@ class TestVicinityRepair:
             sent.append(vicinity_candidates(*args, **kwargs))
             return sent[-1]
 
-        def spy_repair(topology, candidates, sources, stored, lengths, out,
+        def spy_repair(graph, candidates, sources, stored, lengths, out,
                        offsets, *, base=0):
             end = repair_vicinities(
-                topology, candidates, sources, stored, lengths, out, offsets,
+                graph, candidates, sources, stored, lengths, out, offsets,
                 base=base,
             )
             rows = [memoryview(slab)[base:end].tobytes() for slab in out]
@@ -1225,38 +1227,251 @@ class TestFrozenBills:
         assert any(sent for sent, _ in counters)
 
 
-# -- CSR offsets under single-edge patches ------------------------------------
+# -- the engine's graph: one in-place splice per event ------------------------
 
 
-class TestShiftedOffsets:
+def _retired_profile(profile, arcs_left: int, weights):
+    """The profile the retired per-edge snapshot patches picked: a removal
+    kept it, an addition to an arcless graph profiled afresh, and every
+    other addition or reweight folded its weight in."""
+    for weight in weights:
+        profile = (
+            profile_with_weight(profile, weight)
+            if arcs_left
+            else profile_weights((weight, weight))
+        )
+        arcs_left = 2
+    return profile
+
+
+def _splice_batch(rng, topology: Topology, family: str, kind: str):
+    """``(removed, added, reweighted)``, valid on ``topology``."""
+    n = topology.num_nodes
+    weight = lambda: _WEIGHTS[family](rng)
+    absent = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not topology.has_edge(u, v)
+    ]
+    if kind == "leave":  # a whole row
+        node = rng.randrange(n)
+        return [(node, v) for v in topology.neighbors(node)], [], []
+    if kind == "join":  # a multi-arc append, into an empty row when one is
+        empty = [x for x in range(n) if not topology.degree(x)]
+        node = rng.choice(empty or range(n))
+        ends = [
+            v
+            for v in rng.sample(range(n), min(n, 6))
+            if v != node and not topology.has_edge(node, v)
+        ]
+        return [], [(node, v, weight()) for v in ends], []
+    if kind == "fill":  # every absent edge: past the store's capacity
+        rng.shuffle(absent)
+        return [], [(u, v, weight()) for u, v in absent], []
+    edges = sorted((u, v) for u, v, _ in topology.edges())
+    rng.shuffle(edges)
+    cut = rng.randrange(len(edges) + 1)
+    middle = rng.randrange(cut + 1)
+    reweighted = [(v, u, weight()) for u, v in edges[middle:cut]]
+    rng.shuffle(absent)
+    added = [(u, v, weight()) for u, v in absent[: rng.randrange(6)]]
+    return edges[:middle], added, reweighted
+
+
+def _live_slabs(graph: CSRGraph) -> list[bytes]:
+    size = graph.offsets[graph.num_nodes]
+    return [
+        graph.offsets.tobytes(),
+        bytes(graph.neighbors[:size]),
+        bytes(graph.weights[:size]),
+    ]
+
+
+class TestSplice:
+    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("family", sorted(_WEIGHTS))
     @given(seed=st.integers(0, 10**6))
     @_SETTINGS
-    def test_patched_snapshot_equals_a_rebuilt_one(self, seed):
+    def test_spliced_graph_is_a_rebuilt_one(self, family, tier, seed):
+        """Random batches of removals, additions and reweights -- a leave, a
+        join into an empty row, a fill past the store's capacity among them
+        -- leave the live slabs bitwise equal to a rebuild of a dict
+        topology given the same edits, with the kernel and profile the
+        retired per-edge patches picked and the searches of a rebuild."""
         rng = random.Random(seed)
+        with _tier(tier):
+            topology = _random_graph(seed, family)
+            n = topology.num_nodes
+            graph = topology.copy().csr()
+            kinds = ["leave", "fill"] + [
+                rng.choice(("mixed", "leave", "join")) for _ in range(8)
+            ]
+            for kind in kinds:
+                removed, added, reweighted = _splice_batch(
+                    rng, topology, family, kind
+                )
+                expected = _retired_profile(
+                    graph.profile,
+                    graph.offsets[n] - 2 * len(removed),
+                    [w for *_, w in added + reweighted],
+                )
+                store, live = graph._store, graph.offsets[n]
+                graph.splice(
+                    removed=removed, added=added, reweighted=reweighted
+                )
+                for u, v in removed:
+                    topology.remove_edge(u, v)
+                for u, v, w in added:
+                    topology.add_edge(u, v, w)
+                for u, v, w in reweighted:
+                    topology.set_edge_weight(u, v, w)
+                rebuilt = CSRGraph.from_topology(topology)
+                assert _live_slabs(graph) == _live_slabs(rebuilt), kind
+                assert graph.profile == expected, kind
+                assert graph.kernel == CSRGraph(
+                    n, rebuilt.offsets, rebuilt.neighbors, rebuilt.weights,
+                    profile=expected,
+                ).kernel
+                size = graph.offsets[n]
+                if graph._store is store is not None:
+                    assert size <= len(store[0])
+                elif graph._store is not None:  # owned or grown: twice
+                    assert store is None or len(store[0]) < size
+                    assert len(graph._store[0]) == 2 * max(size, live)
+                source = rng.randrange(n)
+                assert graph.spt_rows(source) == rebuilt.spt_rows(source)
+                assert graph.dijkstra_k_nearest(
+                    source, 4
+                ) == rebuilt.dijkstra_k_nearest(source, 4)
+
+    def test_a_malformed_batch_moves_no_byte(self):
         for tier in _TIERS:
             with _tier(tier):
-                topology = _random_graph(seed, "dyadic")
-                n = topology.num_nodes
-                topology.csr()  # live snapshot: every mutation patches it
-                for _ in range(12):
-                    u, v = rng.sample(range(n), 2)
-                    if topology.has_edge(u, v):
-                        topology.remove_edge(u, v)
-                    else:
-                        topology.add_edge(u, v, 1.5)
-                    patched = topology.csr()
-                    rebuilt = CSRGraph.from_topology(topology)
-                    assert patched.offsets == rebuilt.offsets
-                    assert patched.neighbors == rebuilt.neighbors
-                    assert patched.weights == rebuilt.weights
+                graph = CSRGraph.from_topology(
+                    Topology.from_edges(
+                        5,
+                        [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (3, 4, 2.0)],
+                    )
+                )
+                graph.splice(removed=[(3, 4)])  # the graph owns its store
+                graph.spt_rows(0)  # and has a live arena
+                store, arena = graph._store, graph._c
 
-    def test_out_of_range_endpoints_raise(self):
-        csr = Topology.from_edges(3, [(0, 1), (1, 2)]).csr()
-        for u, v in ((-1, 2), (1, 1)):
-            with pytest.raises(ValueError):
-                csr._shifted_offsets(u, v, 1)
-        with pytest.raises((ValueError, IndexError)):
-            csr.with_edge(0, 3, 1.0)
+                def state():
+                    return (
+                        _live_slabs(graph), graph.profile, graph.kernel,
+                        graph._store is store, graph._c is arena,
+                    )
+
+                before = state()
+                bad = [
+                    (KeyError, dict(removed=[(0, 3)])),
+                    (KeyError, dict(reweighted=[(0, 4, 1.0)])),
+                    (ValueError, dict(added=[(1, 0, 1.0)])),  # present
+                    (ValueError, dict(removed=[(0, 1)],
+                                      reweighted=[(1, 0, 2.0)])),
+                    (ValueError, dict(added=[(3, 4, 1.0), (4, 3, 2.0)])),
+                    (ValueError, dict(added=[(0, 5, 1.0)])),
+                    (ValueError, dict(removed=[(-1, 0)])),
+                    (ValueError, dict(added=[(4, 4, 1.0)])),
+                    *(
+                        (ValueError, dict(added=[(3, 4, weight)]))
+                        for weight in (inf, nan, 0.0, -1.0)
+                    ),
+                    (ValueError, dict(reweighted=[(0, 1, -inf)])),
+                    # the bad edit after good ones
+                    (KeyError, dict(removed=[(0, 1)], added=[(3, 4, 1.0)],
+                                    reweighted=[(0, 2, 1.0)])),
+                ]
+                for error, batch in bad:
+                    with pytest.raises(error):
+                        graph.splice(**batch)
+                    assert state() == before, batch
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    def test_a_splice_with_nothing_to_move(self, tier):
+        """Array slice assignment refuses even an empty move while a buffer
+        is exported, and the arena exports every slab."""
+        with _tier(tier):
+            topology = Topology.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+            graph = topology.copy().csr()
+            graph.spt_rows(0)
+            for batch, edit in (
+                (dict(reweighted=[(2, 3, 2.0)]),
+                 lambda t: t.set_edge_weight(2, 3, 2.0)),
+                (dict(removed=[(2, 3)]), lambda t: t.remove_edge(2, 3)),
+                (dict(added=[(3, 2, 1.0)]), lambda t: t.add_edge(3, 2, 1.0)),
+                ({}, lambda t: None),
+            ):
+                graph.splice(**batch)  # the last rows: every run is empty
+                edit(topology)
+                graph.spt_rows(0)
+                rebuilt = CSRGraph.from_topology(topology)
+                assert _live_slabs(graph) == _live_slabs(rebuilt)
+
+
+def _replayed(topology: Topology, events, reports) -> Topology:
+    """``topology`` given each applied event's edits as a dict topology
+    takes them: a leave captures its arcs, sorted, and a join restores them
+    but to a neighbour still away, which takes the arc over."""
+    replay, captured = topology.copy(), {}
+    for event, report in zip(events, reports):
+        if not report.applied:
+            continue
+        if event.kind == "node-leave":
+            captured[event.u] = sorted(replay.neighbor_weights(event.u))
+            for other, _ in captured[event.u]:
+                replay.remove_edge(event.u, other)
+        elif event.kind == "node-join":
+            for other, weight in captured.pop(event.u):
+                if other in captured:
+                    captured[other].append((event.u, weight))
+                    captured[other].sort()
+                else:
+                    replay.add_edge(event.u, other, weight)
+        else:
+            apply_edge_event(replay, event)
+    return replay
+
+
+class TestOneGraph:
+    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("family", ["gnm", "quantised", "geometric"])
+    def test_an_event_allocates_no_graph(self, family, tier):
+        """Forty events of all five kinds edit the engine's one graph in
+        place: the object and its arena stay, but for the rare event that
+        grows the store or changes the kernel, and the graph's rows are a
+        rebuild of the replayed dict topology, arc for arc."""
+        with _tier(tier):
+            topology = _family_topology(family, 7)
+            events = generate_event_stream(
+                topology, num_events=40, seed=7, preserve_connectivity=False
+            )
+            assert {event.kind for event in events} == set(EVENT_KINDS)
+            engine = ChurnEngine(topology, seed=7)
+            graph = engine._graph
+
+            def arena():
+                return graph._c if tier == "c" else graph._dist
+
+            def shape():
+                capacity = len(graph._store[0]) if graph._store else 0
+                return capacity, graph.kernel, graph.profile.max_quanta
+
+            arenas, shapes, reports = [arena()], {shape()}, []
+            for event in events:
+                reports.append(engine.apply(event))
+                assert engine._graph is graph
+                now = arena()
+                if now is not None and not any(now is seen for seen in arenas):
+                    arenas.append(now)
+                shapes.add(shape())
+            # The store taken over, then a heavier or finer weight, at most.
+            assert len(arenas) <= len(shapes) <= 4
+            replay = _replayed(topology, events, reports)
+        assert engine.topology == replay
+        assert _live_slabs(graph) == _live_slabs(CSRGraph.from_topology(replay))
 
 
 # -- the boundary: nothing malformed reaches C --------------------------------
@@ -1275,6 +1490,7 @@ def _engine_like():
 class TestBoundary:
     def test_repair_rows_rejects_bad_buffers_and_ids(self):
         topology, roots, dist, parent, _, _, (u, v) = _engine_like()
+        graph = topology.csr()
         n = topology.num_nodes
         before = (dist.tobytes(), parent.tobytes())
         bad_calls = [
@@ -1295,22 +1511,22 @@ class TestBoundary:
             with _tier(tier):
                 for error, *arguments in bad_calls:
                     with pytest.raises(error):
-                        repair_rows_after_increase(topology, *arguments)
+                        repair_rows_after_increase(graph, *arguments)
                 with pytest.raises(ValueError):
                     repair_rows_after_detach(
-                        topology, roots, dist, parent, u, [(n + 3, 1.0)]
+                        graph, roots, dist, parent, u, [(n + 3, 1.0)]
                     )
                 with pytest.raises(ValueError):
                     repair_rows_after_detach(
-                        topology, roots, dist, parent, n, []
+                        graph, roots, dist, parent, n, []
                     )
                 with pytest.raises(ValueError):  # out of range
                     repair_rows_after_decrease(
-                        topology, roots, dist, parent, [(0, n)]
+                        graph, roots, dist, parent, [(0, n)]
                     )
                 with pytest.raises(ValueError):  # not an edge (just removed)
                     repair_rows_after_decrease(
-                        topology, roots, dist, parent, [(u, v)]
+                        graph, roots, dist, parent, [(u, v)]
                     )
         assert (dist.tobytes(), parent.tobytes()) == before
 
@@ -1319,7 +1535,8 @@ class TestBoundary:
             _engine_like()
         )
         n = topology.num_nodes
-        changes = repair_rows_after_increase(topology, roots, dist, parent, u, v)
+        graph = topology.csr()
+        changes = repair_rows_after_increase(graph, roots, dist, parent, u, v)
         before = (closest.tobytes(), closest_dist.tobytes())
 
         def ids(*values):
@@ -1327,7 +1544,7 @@ class TestBoundary:
 
         def call(**overrides):
             arguments = dict(
-                topology=topology, landmarks=roots, dist_slab=dist,
+                graph=graph, landmarks=roots, dist_slab=dist,
                 parent_slab=parent, changes=changes, closest=closest,
                 closest_dist=closest_dist,
             )
@@ -1509,7 +1726,7 @@ class TestBoundary:
             lengths=lengths, out=out, base=0,
         ):
             return repair_vicinities(
-                topology, candidates, sources, slabs, lengths, out,
+                topology.csr(), candidates, sources, slabs, lengths, out,
                 array("q", [0]), base=base,
             )
 

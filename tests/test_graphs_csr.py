@@ -115,7 +115,8 @@ class TestDifferential:
         bfs = topology.csr()
         assert bfs.unit_weights
         heap = CSRGraph(
-            bfs.num_nodes, bfs.offsets, bfs.neighbors, bfs.weights, False
+            bfs.num_nodes, bfs.offsets, bfs.neighbors, bfs.weights,
+            kernel="heap",
         )
         for source in range(0, 80, 7):
             assert bfs.dijkstra(source) == heap.dijkstra(source)

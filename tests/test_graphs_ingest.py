@@ -419,6 +419,29 @@ class TestCSRTopology:
         else:
             assert csr.tier == "python"
 
+    @pytest.mark.parametrize(
+        "edges_u, edges_v, edges_w",
+        [
+            ([0, 1], [1, 3], [1.0, 1.0]),  # id out of range
+            ([-1, 1], [1, 2], [1.0, 1.0]),
+            ([0, 2], [1, 1], [1.0, 1.0]),  # u > v
+            ([0, 1], [1, 1], [1.0, 1.0]),  # self-loop
+            ([0, 1], [1, 2], [1.0, float("nan")]),
+            ([0, 1], [1, 2], [float("-inf"), 1.0]),
+            ([0, 1], [1, 2], [1.0, 0.0]),
+            ([0, 1], [1, 2], [1.0]),  # lengths differ
+        ],
+    )
+    def test_from_edge_arrays_rejects_malformed_arrays(
+        self, edges_u, edges_v, edges_w
+    ):
+        from array import array
+
+        with pytest.raises(ValueError):
+            CSRTopology.from_edge_arrays(
+                3, array("q", edges_u), array("q", edges_v), array("d", edges_w)
+            )
+
     def test_weighted_graph_keeps_weighted_kernel(self):
         topology = geometric_random_graph(60, seed=13, average_degree=6.0)
         csr = CSRTopology.from_edge_arrays(

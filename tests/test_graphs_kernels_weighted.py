@@ -221,9 +221,8 @@ class TestWeightProfile:
         assert profile_weights([0.1, 0.2]).quantum is None
 
     def test_infinite_weight_routes_to_heap(self):
-        # Topology.add_edge rejects inf, but the pre-validated array entry
-        # point does not look; profiling must not crash and the search must
-        # match the reference engine.
+        # Profiling a raw iterable must not crash on inf; no graph takes
+        # one: the array entry point rejects it like Topology.add_edge.
         import math
         from array import array
 
@@ -231,14 +230,13 @@ class TestWeightProfile:
 
         profile = profile_weights([1.0, math.inf])
         assert profile.quantum is None
-        topology = CSRTopology.from_edge_arrays(
-            3,
-            array("q", [0, 1]),
-            array("q", [1, 2]),
-            array("d", [math.inf, 1.0]),
-        )
-        assert topology.csr().kernel == "heap"
-        assert topology.csr().dijkstra(0) == reference.dijkstra(topology, 0)
+        with pytest.raises(ValueError, match="> 0 and finite"):
+            CSRTopology.from_edge_arrays(
+                3,
+                array("q", [0, 1]),
+                array("q", [1, 2]),
+                array("d", [math.inf, 1.0]),
+            )
 
     def test_empty_profile_is_unit(self):
         assert profile_weights([]).unit
