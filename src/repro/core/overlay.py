@@ -26,7 +26,7 @@ import bisect
 import math
 
 from repro.core.sloppy_groups import SloppyGrouping
-from repro.naming.hashspace import HASH_BITS, HASH_SPACE
+from repro.naming.hashspace import HASH_SPACE
 from repro.utils.randomness import make_rng
 from repro.utils.validation import require_positive
 
@@ -60,93 +60,100 @@ class DisseminationOverlay:
         self._seed = seed
         n = grouping.num_nodes
 
-        # Ring order: nodes sorted by hash value (ties by node id).
+        # The ring as flat arrays: nodes sorted by hash value (ties by node
+        # id), their hashes, and each node's index into both.
         self._ring_order = sorted(
             range(n), key=lambda node: (grouping.hash_of(node), node)
         )
-        self._ring_position = {
-            node: index for index, node in enumerate(self._ring_order)
-        }
         self._sorted_hashes = [grouping.hash_of(node) for node in self._ring_order]
-
-        self._successor: dict[int, int] = {}
-        self._predecessor: dict[int, int] = {}
+        self._position = [0] * n
         for index, node in enumerate(self._ring_order):
-            self._successor[node] = self._ring_order[(index + 1) % n]
-            self._predecessor[node] = self._ring_order[(index - 1) % n]
+            self._position[node] = index
 
-        self._outgoing_fingers: dict[int, list[int]] = {
-            node: self._choose_fingers(node) for node in range(n)
-        }
-        self._neighbors: dict[int, set[int]] = {node: set() for node in range(n)}
-        for node in range(n):
+        self._fingers = [self._choose_fingers(node) for node in range(n)]
+        self._neighbors: list[set[int]] = [set() for _ in range(n)]
+        for node, row in enumerate(self._neighbors):
             if n > 1:
-                self._neighbors[node].add(self._successor[node])
-                self._neighbors[node].add(self._predecessor[node])
-            for finger in self._outgoing_fingers[node]:
-                self._neighbors[node].add(finger)
+                row.add(self.successor(node))
+                row.add(self.predecessor(node))
+            for finger in self._fingers[node]:
+                row.add(finger)
                 self._neighbors[finger].add(node)
-        for node in range(n):
-            self._neighbors[node].discard(node)
+        for node, row in enumerate(self._neighbors):
+            row.discard(node)
 
     # -- finger selection ----------------------------------------------------
 
-    def _group_region(self, node: int) -> tuple[int, int]:
-        """Return (start, size) of the hash-space region of node's group."""
-        k = self._grouping.prefix_bits_of(node)
-        if k <= 0:
-            return 0, HASH_SPACE
-        region_size = 1 << (HASH_BITS - k)
-        prefix = self._grouping.hash_of(node) >> (HASH_BITS - k)
-        return prefix * region_size, region_size
-
     def _choose_fingers(self, node: int) -> list[int]:
-        """Draw the node's outgoing fingers with Symphony's harmonic rule."""
-        if self._num_fingers == 0 or self._grouping.num_nodes <= 3:
+        """Draw the node's outgoing fingers with Symphony's harmonic rule.
+
+        Each attempt draws a log-uniform distance within the hash-space
+        region of the node's group, in either direction around the node's
+        own position, and resolves the point to the closest node; a ring
+        neighbour is rejected.  A point that stays inside the region and
+        strictly short of a neighbour's hash (a distance below ``up`` or
+        ``down``) can only resolve to the successor or the predecessor, so
+        the draw is turned down without a lookup.  That needs the node and
+        both neighbours to hold hashes no other node shares: a tie would let
+        the resolver's id tie-break pick a third node, and both limits are 0.
+        """
+        n = self._grouping.num_nodes
+        if self._num_fingers == 0 or n <= 3:
             return []
+        hashes = self._sorted_hashes
+        index = self._position[node]
+        own_hash = hashes[index]
+        after, before = hashes[(index + 1) % n], hashes[index - 1]
+        region_size = HASH_SPACE >> self._grouping.prefix_bits_of(node)
+        own_offset = own_hash % region_size
+        region_start = own_hash - own_offset
+        tied = after in (own_hash, hashes[(index + 2) % n])
+        if tied or before in (own_hash, hashes[index - 2]):
+            up = down = 0
+        else:
+            up = min((after - own_hash) % HASH_SPACE, region_size - own_offset)
+            down = min((own_hash - before) % HASH_SPACE, own_offset + 1)
+        ring_links = (self.successor(node), self.predecessor(node))
+        log_size = math.log(max(region_size, 2))
         rng = make_rng(self._seed, f"fingers/{node}")
-        region_start, region_size = self._group_region(node)
-        own_hash = self._grouping.hash_of(node)
-        own_offset = (own_hash - region_start) % HASH_SPACE
         fingers: list[int] = []
         attempts = 0
         max_attempts = self._num_fingers * 20
         while len(fingers) < self._num_fingers and attempts < max_attempts:
             attempts += 1
-            # Log-uniform (harmonic) distance within the group's region, in
-            # either direction around the node's own position.
-            distance = math.exp(rng.random() * math.log(max(region_size, 2)))
-            direction = 1 if rng.random() < 0.5 else -1
-            offset = (own_offset + direction * int(distance)) % region_size
-            target_value = (region_start + offset) % HASH_SPACE
-            finger = self._resolve_hash(target_value, exclude=node)
-            if finger is None:
-                continue
-            if finger not in fingers and finger not in (
-                self._successor.get(node),
-                self._predecessor.get(node),
-            ):
+            # A float against an int compares exactly: ``distance < up``
+            # is ``int(distance) < up``.
+            distance = math.exp(rng.random() * log_size)
+            if rng.random() < 0.5:
+                if distance < up:
+                    continue
+                offset = (own_offset + int(distance)) % region_size
+            else:
+                if distance < down:
+                    continue
+                offset = (own_offset - int(distance)) % region_size
+            finger = self._resolve_hash(region_start + offset, exclude=node)
+            if finger not in fingers and finger not in ring_links:
                 fingers.append(finger)
         return fingers
 
-    def _resolve_hash(self, value: int, *, exclude: int) -> int | None:
+    def _resolve_hash(self, value: int, *, exclude: int) -> int:
         """Return the node whose hash is circularly closest to ``value``.
 
         This models the lookup "querying the landmark-based resolution
         database for the node with the closest hash-value to a" (§4.4).
         Implemented with a binary search over the ring order, checking a few
         candidates on either side of the insertion point (enough to skip the
-        excluded node and handle wrap-around).  ``value`` and the ring's
-        hashes are hash-space positions the overlay produced itself, so the
+        excluded node and handle wrap-around), ties to the smaller id.
+        ``value`` and the ring's hashes are hash-space positions the overlay
+        produced itself, and the ring holds at least four nodes, so the
         circular distance is computed inline, without range checks.
         """
         order = self._ring_order
         n = len(order)
-        if n == 0 or (n == 1 and order[0] == exclude):
-            return None
         hashes = self._sorted_hashes
         index = bisect.bisect_left(hashes, value)
-        best: int | None = None
+        best = -1
         best_distance = HASH_SPACE + 1
         for offset in range(-2, 3):
             position = (index + offset) % n
@@ -156,7 +163,7 @@ class DisseminationOverlay:
             forward = (value - hashes[position]) % HASH_SPACE
             backward = HASH_SPACE - forward
             dist = forward if forward < backward else backward
-            if dist < best_distance or (dist == best_distance and (best is None or node < best)):
+            if dist < best_distance or (dist == best_distance and node < best):
                 best = node
                 best_distance = dist
         return best
@@ -173,32 +180,36 @@ class DisseminationOverlay:
         """Outgoing fingers per node."""
         return self._num_fingers
 
+    def _checked(self, node: int) -> int:
+        """``node`` itself; ``KeyError`` unless it is an id in ``[0, n)``."""
+        if not 0 <= node < len(self._position):
+            raise KeyError(node)
+        return node
+
     def successor(self, node: int) -> int:
         """The node's ring successor (next larger hash, wrapping around)."""
-        return self._successor[node]
+        order = self._ring_order
+        return order[(self._position[self._checked(node)] + 1) % len(order)]
 
     def predecessor(self, node: int) -> int:
         """The node's ring predecessor."""
-        return self._predecessor[node]
+        return self._ring_order[self._position[self._checked(node)] - 1]
 
     def outgoing_fingers(self, node: int) -> list[int]:
         """The node's outgoing long-distance links."""
-        return list(self._outgoing_fingers[node])
+        return list(self._fingers[self._checked(node)])
 
     def neighbors(self, node: int) -> set[int]:
         """All overlay neighbors (ring links plus outgoing and incoming fingers)."""
-        return set(self._neighbors[node])
+        return set(self._neighbors[self._checked(node)])
 
     def degree(self, node: int) -> int:
         """Number of overlay connections at ``node``."""
-        return len(self._neighbors[node])
+        return len(self._neighbors[self._checked(node)])
 
     def average_degree(self) -> float:
         """Mean overlay degree (≈ 4 with 1 finger, ≈ 8 with 3, per §4.4)."""
-        n = self._grouping.num_nodes
-        if n == 0:
-            return 0.0
-        return sum(len(self._neighbors[v]) for v in range(n)) / n
+        return sum(map(len, self._neighbors)) / len(self._neighbors)
 
     def group_neighbors(self, node: int) -> set[int]:
         """Overlay neighbors that ``node`` believes are in its own group.
@@ -208,7 +219,7 @@ class DisseminationOverlay:
         """
         return {
             neighbor
-            for neighbor in self._neighbors[node]
+            for neighbor in self._neighbors[self._checked(node)]
             if self._grouping.believes_same_group(node, neighbor)
         }
 

@@ -621,14 +621,16 @@ class CSRTopology(Topology):
     ) -> "CSRTopology":
         """Build from deduplicated canonical edge arrays (``u < v``).
 
-        Pairs must not repeat.  Ids out of range, a pair with ``u >= v``
-        and a weight that is not positive and finite raise ``ValueError``
-        before anything is assembled (C-speed scans, no per-edge Python);
+        Ids out of range, a pair with ``u >= v``, a repeated pair and a
+        weight that is not positive and finite raise ``ValueError`` before
+        anything is assembled (C-speed scans; repeats are found by the
+        ingest dedup pass, C-accelerated when available, run on copies);
         the CSR arc slabs are then built in one counting pass
         (C-accelerated when available).
         """
-        from repro.graphs.ingest import assemble_csr_slabs
+        from repro.graphs.ingest import assemble_csr_slabs, dedup_edge_arrays
 
+        copies = array("q", edges_u), array("q", edges_v), array("d", edges_w)
         if len({len(edges_u), len(edges_v), len(edges_w)}) > 1 or (
             len(edges_w)
             and not (
@@ -637,11 +639,12 @@ class CSRTopology(Topology):
                 and not any(map(ge, edges_u, edges_v))
                 and min(edges_w) > 0
                 and all(map(math.isfinite, edges_w))
+                and len(dedup_edge_arrays(num_nodes, *copies)[2]) == len(edges_w)
             )
         ):
             raise ValueError(
-                f"edge arrays must align, with 0 <= u < v < {num_nodes} "
-                "and every weight > 0 and finite"
+                f"edge arrays must align, with 0 <= u < v < {num_nodes}, "
+                "no pair repeated and every weight > 0 and finite"
             )
 
         offsets, neighbors, weights = assemble_csr_slabs(

@@ -2,10 +2,7 @@
 
 Disco's name-resolution module (§4.3) runs "a consistent hashing database
 over the (globally-known) set of landmarks": each node's (name, address)
-record is stored at the landmark that owns the node's hash.  The same
-mechanism also underlies the finger-lookup step of the dissemination overlay
-(a node asks the database for the node whose hash is closest to a chosen
-point, §4.4).
+record is stored at the landmark that owns the node's hash.
 
 :class:`ConsistentHashRing` implements the classic construction of Karger et
 al. [22]: servers are hashed onto the ring (optionally at multiple virtual
@@ -17,9 +14,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
-from repro.naming.hashspace import HASH_BITS, clockwise_distance
+from repro.naming.hashspace import HASH_BITS
 
 __all__ = ["ConsistentHashRing", "ring_point"]
 
@@ -148,26 +145,6 @@ class ConsistentHashRing:
                 if len(result) == count:
                     break
         return result
-
-    def closest_key_owner(self, key: int, candidate_keys: Sequence[int]) -> int:
-        """Return the candidate key closest to ``key`` clockwise on the ring.
-
-        Used by the overlay finger-selection procedure: given a target point
-        ``a`` in hash space, find the stored key (node hash) whose position
-        is nearest going clockwise from ``a`` -- i.e. the node that "owns"
-        that region of the ring among the candidates.
-
-        Raises
-        ------
-        ValueError
-            If ``candidate_keys`` is empty.
-        """
-        if not candidate_keys:
-            raise ValueError("candidate_keys must be non-empty")
-        return min(
-            candidate_keys,
-            key=lambda candidate: (clockwise_distance(key, candidate), candidate),
-        )
 
     def load_distribution(self, keys: Iterable[int]) -> dict[Hashable, int]:
         """Return how many of ``keys`` each server owns (servers may map to 0)."""

@@ -99,8 +99,9 @@ __all__ = [
 #: cold builds.  v3: array-backed substrate tables externalized into their
 #: own artifact kind.  v4: large tables artifacts stored as raw slab
 #: directories (``<key>.slabs/``, :data:`repro.core.tables.SLAB_SCHEMA`)
-#: that loads attach with ``mmap`` instead of unpickling.
-ARTIFACT_SCHEMA = "repro-artifacts/v4"
+#: that loads attach with ``mmap`` instead of unpickling.  v5: Disco
+#: shells pickle an overlay whose ring is flat arrays, not per-node dicts.
+ARTIFACT_SCHEMA = "repro-artifacts/v5"
 
 #: Tables artifacts at or above this many slab bytes are stored as a raw
 #: slab directory instead of a compressed pickle.  A slab directory loads

@@ -5,11 +5,14 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles.overlay_draw import DictRingOverlay
 from repro.core.disco import DiscoRouting
 from repro.core.dissemination import AddressDissemination
 from repro.core.overlay import DisseminationOverlay
 from repro.core.sloppy_groups import SloppyGrouping
+from repro.estimation.error_injection import inject_estimate_error
 from repro.graphs.generators import gnm_random_graph
 from repro.naming.names import name_for_node
 
@@ -105,27 +108,108 @@ class TestOverlayStructure:
 
 #: sha256(repr([ring_nodes()] + [outgoing_fingers(v) for v in range(n)]))[:16]
 #: of ``DiscoRouting(gnm_random_graph(n, seed=seed), seed=seed,
-#: num_fingers=fingers).overlay``, keyed ``(n, seed, fingers)`` and recorded
-#: at the commit before ``_resolve_hash`` computed its distances inline.
+#: num_fingers=fingers, estimated_n=...).overlay``, keyed ``(n, seed,
+#: fingers, max_error)``; a non-zero ``max_error`` gives every node its own
+#: estimate, ``inject_estimate_error(n, max_error=max_error, seed=seed)``.
+#: The first four were recorded at the commit before ``_resolve_hash``
+#: computed its distances inline; the last three at 048610c, before the draw
+#: turned down points between a node's ring neighbours without a lookup:
+#: the ``converge`` shape, a 3-finger per-node-estimate case (mixed prefix
+#: lengths) and a 12-node ring (k = 0, the region is the whole hash space).
 _OVERLAY_DIGESTS = {
-    (64, 3, 1): "80cde544aba0470f",
-    (64, 3, 3): "53abba7113ce5e2e",
-    (1024, 8, 1): "55d134d29a9ad4ec",
-    (1024, 8, 3): "bccfb42010148ad1",
+    (64, 3, 1, 0.0): "80cde544aba0470f",
+    (64, 3, 3, 0.0): "53abba7113ce5e2e",
+    (1024, 8, 1, 0.0): "55d134d29a9ad4ec",
+    (1024, 8, 3, 0.0): "bccfb42010148ad1",
+    (4096, 2010, 1, 0.0): "a028cb95619e716b",
+    (1024, 8, 3, 0.6): "533e341f89685d75",
+    (12, 5, 3, 0.0): "ea84f8c8e50c911e",
 }
 
 
 class TestOverlayIsUnchanged:
-    @pytest.mark.parametrize("n, seed, fingers", sorted(_OVERLAY_DIGESTS))
-    def test_ring_and_fingers_match_recorded_digest(self, n, seed, fingers):
+    @pytest.mark.parametrize("n, seed, fingers, max_error", sorted(_OVERLAY_DIGESTS))
+    def test_ring_and_fingers_match_recorded_digest(
+        self, n, seed, fingers, max_error
+    ):
+        estimates = (
+            inject_estimate_error(n, max_error=max_error, seed=seed)
+            if max_error
+            else None
+        )
         overlay = DiscoRouting(
-            gnm_random_graph(n, seed=seed), seed=seed, num_fingers=fingers
+            gnm_random_graph(n, seed=seed),
+            seed=seed,
+            num_fingers=fingers,
+            estimated_n=estimates,
         ).overlay
         rows = [overlay.ring_nodes()] + [
             overlay.outgoing_fingers(node) for node in range(n)
         ]
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
-        assert digest == _OVERLAY_DIGESTS[(n, seed, fingers)]
+        assert digest == _OVERLAY_DIGESTS[(n, seed, fingers, max_error)]
+
+
+@st.composite
+def overlay_inputs(draw):
+    """A grouping (hash ties forced by repeated names; a uniform, scaled or
+    per-node estimate of n), a finger count and a seed."""
+    n = draw(st.integers(1, 300))
+    names = [name_for_node(v) for v in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for target, source in draw(st.lists(pairs, max_size=n // 2)):
+        names[target] = names[source]
+    estimate = draw(
+        st.one_of(
+            st.none(),
+            st.floats(2.0, 1e15),
+            st.builds(
+                lambda error, seed: inject_estimate_error(
+                    n, max_error=error, seed=seed
+                ),
+                st.floats(0.05, 0.95),
+                st.integers(0, 2**16),
+            ),
+        )
+    )
+    grouping = SloppyGrouping(names, estimate)
+    return grouping, draw(st.integers(0, 3)), draw(st.integers(0, 2**16))
+
+
+class TestDrawMatchesDictRing:
+    """The flat-ring overlay against the retired dict ring that resolved
+    every draw (``tests/oracles/overlay_draw.py``)."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(inputs=overlay_inputs())
+    def test_same_ring_fingers_and_neighbors(self, inputs):
+        grouping, fingers, seed = inputs
+        overlay = DisseminationOverlay(grouping, num_fingers=fingers, seed=seed)
+        oracle = DictRingOverlay(grouping, num_fingers=fingers, seed=seed)
+        assert overlay.ring_nodes() == oracle.ring_nodes()
+        for node in range(grouping.num_nodes):
+            assert overlay.successor(node) == oracle.successor(node)
+            assert overlay.predecessor(node) == oracle.predecessor(node)
+            assert overlay.outgoing_fingers(node) == oracle.outgoing_fingers(node)
+            assert overlay.neighbors(node) == oracle.neighbors(node)
+
+    @pytest.mark.parametrize(
+        "accessor",
+        [
+            "successor",
+            "predecessor",
+            "outgoing_fingers",
+            "neighbors",
+            "degree",
+            "group_neighbors",
+        ],
+    )
+    @pytest.mark.parametrize("node", [-1, 200])
+    def test_accessors_refuse_ids_outside_the_ring(
+        self, overlay_200, accessor, node
+    ):
+        with pytest.raises(KeyError):
+            getattr(overlay_200, accessor)(node)
 
 
 class TestDissemination:

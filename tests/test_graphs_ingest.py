@@ -430,6 +430,7 @@ class TestCSRTopology:
             ([0, 1], [1, 2], [float("-inf"), 1.0]),
             ([0, 1], [1, 2], [1.0, 0.0]),
             ([0, 1], [1, 2], [1.0]),  # lengths differ
+            ([0, 1, 0], [1, 2, 1], [1.0, 1.0, 2.0]),  # repeated pair
         ],
     )
     def test_from_edge_arrays_rejects_malformed_arrays(

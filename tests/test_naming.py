@@ -217,15 +217,6 @@ class TestConsistentHashRing:
         with pytest.raises(ValueError):
             ring.owners(0, 0)
 
-    def test_closest_key_owner(self):
-        ring = ConsistentHashRing([1])
-        assert ring.closest_key_owner(10, [15, 40, 9]) == 15
-
-    def test_closest_key_owner_empty(self):
-        ring = ConsistentHashRing([1])
-        with pytest.raises(ValueError):
-            ring.closest_key_owner(10, [])
-
     def test_load_distribution_includes_all_servers(self):
         ring = ConsistentHashRing(range(4))
         loads = ring.load_distribution([1, 2, 3])

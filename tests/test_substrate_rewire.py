@@ -91,6 +91,19 @@ class TestWarmRewire:
                 == warm_results.congestion[name].summary
             )
 
+    def test_warm_disco_overlay_answers_as_cold(self, tmp_path):
+        """The overlay's ring is flat arrays; a loaded shell must carry
+        them all (the layout the artifact schema revision names)."""
+        cold, warm, topology = _warm_simulation(tmp_path / "cache")
+        cold_overlay = cold.scheme("disco").overlay
+        warm_overlay = warm.scheme("disco").overlay
+        assert warm_overlay is not cold_overlay
+        for node in range(topology.num_nodes):
+            for accessor in ("successor", "predecessor", "neighbors", "degree"):
+                assert getattr(warm_overlay, accessor)(node) == getattr(
+                    cold_overlay, accessor
+                )(node)
+
     def test_shells_are_lightweight_on_disk(self, tmp_path):
         import os
         import pickle
