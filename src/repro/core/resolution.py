@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.addressing.address import Address
-from repro.naming.consistent_hash import ConsistentHashRing
+from repro.naming.consistent_hash import VNodeRing
 from repro.naming.names import FlatName
 
 __all__ = ["ResolutionRecord", "LandmarkResolutionDatabase"]
@@ -66,7 +66,7 @@ class LandmarkResolutionDatabase:
             raise ValueError(
                 f"refresh_interval must be > 0, got {refresh_interval}"
             )
-        self._ring = ConsistentHashRing(landmark_list, virtual_nodes=virtual_nodes)
+        self._ring = VNodeRing(landmark_list, virtual_nodes=virtual_nodes)
         self._refresh_interval = refresh_interval
         self._records: dict[int, dict[FlatName, ResolutionRecord]] = {
             landmark: {} for landmark in landmark_list
@@ -93,7 +93,7 @@ class LandmarkResolutionDatabase:
 
     def home_landmark(self, name: FlatName) -> int:
         """Return the landmark that owns ``name`` under consistent hashing."""
-        return self._ring.owner(name.hash_value)
+        return self._ring.successor(name.hash_value)
 
     def insert(
         self, name: FlatName, address: Address, *, now: float = 0.0

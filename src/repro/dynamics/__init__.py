@@ -11,8 +11,6 @@ state fresh.  This package provides the future-work piece:
   connectivity-preserving link-flap workload (the ``churn-cost`` scenario's
   event source) and the five-kind stream (edge up/down/reweight, node
   leave/join, partitions).
-* :mod:`repro.dynamics.calendar` -- the flat-array Dial bucket-queue event
-  calendar the discrete-event engine drains.
 * :mod:`repro.dynamics.engine` -- :class:`ChurnEngine`, whose converged
   state *is* a :class:`~repro.core.tables.SubstrateTables`
   (``engine.tables``): built by the production builder and repaired in
@@ -30,7 +28,6 @@ state fresh.  This package provides the future-work piece:
   charges this bill without ever diffing full states.
 """
 
-from repro.dynamics.calendar import EventCalendar
 from repro.dynamics.engine import ChurnEngine, EventReport
 from repro.dynamics.maintenance import MaintenanceCost
 from repro.dynamics.stream import (
@@ -45,7 +42,6 @@ __all__ = [
     "EVENT_KINDS",
     "ChurnEngine",
     "DynEvent",
-    "EventCalendar",
     "EventReport",
     "MaintenanceCost",
     "apply_edge_event",

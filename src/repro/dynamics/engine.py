@@ -77,13 +77,13 @@ import copy
 import math
 from array import array
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.core.landmarks import select_landmarks
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import SubstrateTables
 from repro.core.vicinity import vicinity_size
-from repro.dynamics.calendar import EventCalendar
 from repro.dynamics.maintenance import MaintenanceCost, _mean_group_size
 from repro.dynamics.passes import (
     commit_vicinities,
@@ -569,7 +569,5 @@ class ChurnEngine:
         )
 
     def run(self, events) -> list[EventReport]:
-        """Schedule ``events`` on a calendar and absorb them in tick order."""
-        calendar = EventCalendar()
-        calendar.extend(events)
-        return [self.apply(event) for event in calendar.drain()]
+        """Absorb ``events`` in tick order, stream order within a tick."""
+        return [self.apply(e) for e in sorted(events, key=attrgetter("tick"))]

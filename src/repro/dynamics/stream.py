@@ -55,7 +55,8 @@ class DynEvent:
     Attributes
     ----------
     tick:
-        Integer timestamp; events within one tick apply in stream order.
+        Integer timestamp >= 0 (anything else, ``bool`` included, raises
+        ``ValueError``); events within one tick apply in stream order.
     kind:
         One of :data:`EVENT_KINDS`.
     u, v:
@@ -74,6 +75,11 @@ class DynEvent:
     weight: float = 0.0
 
     def __post_init__(self) -> None:
+        # A stream is applied in sorted tick order: a tick that is not a
+        # plain int >= 0 would sort wrongly or not at all.
+        tick = self.tick
+        if isinstance(tick, bool) or not isinstance(tick, int) or tick < 0:
+            raise ValueError(f"event tick must be an int >= 0, got {tick!r}")
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
@@ -236,8 +242,8 @@ def generate_event_stream(
         subsets produce streams on which the graph stays fully connected,
         which is what the converged-state differential tests need.
     events_per_tick:
-        How many consecutive events share one tick (``> 1`` exercises the
-        duplicate-events-per-tick calendar path).
+        How many consecutive events share one tick (``> 1`` exercises
+        same-tick events, which apply in stream order).
     preserve_connectivity:
         When true (default), every event keeps the *live* portion of the
         graph connected: failures avoid bridges/articulation points and

@@ -9,8 +9,9 @@ semantics (§2).  This package provides:
 * :mod:`repro.naming.hashspace` -- arithmetic on the circular hash space
   (clockwise distances, prefix matching, successor ordering) used by the
   sloppy groups and the dissemination overlay.
-* :class:`repro.naming.ConsistentHashRing` -- the consistent-hashing
-  database abstraction run over the landmark set for name resolution (§4.3).
+* :class:`repro.naming.VNodeRing` -- the immutable virtual-node
+  consistent-hash ring every resolution record is placed by, run over the
+  landmark set for name resolution (§4.3).
 """
 
 from repro.naming.names import FlatName, name_for_node
@@ -23,13 +24,13 @@ from repro.naming.hashspace import (
     hash_prefix,
     in_clockwise_interval,
 )
-from repro.naming.consistent_hash import ConsistentHashRing, ring_point
+from repro.naming.consistent_hash import VNodeRing, ring_point
 
 __all__ = [
-    "ConsistentHashRing",
     "FlatName",
     "HASH_BITS",
     "HASH_SPACE",
+    "VNodeRing",
     "circular_distance",
     "clockwise_distance",
     "common_prefix_length",

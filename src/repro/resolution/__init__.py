@@ -4,10 +4,10 @@ The core model (:mod:`repro.core.resolution`, :mod:`repro.core.sloppy_groups`)
 captures the paper's §4.3/§4.4 structures as converged static snapshots.
 This package puts a serving process around them:
 
-* :class:`repro.resolution.service.VNodeRing` -- an immutable virtual-node
-  consistent-hash ring with bisect successor lookup and incremental
-  membership updates, placing records bit-identically to
-  :class:`repro.naming.ConsistentHashRing`.
+* :class:`repro.naming.VNodeRing` (re-exported) -- the immutable
+  virtual-node consistent-hash ring with bisect successor lookup and
+  incremental membership updates that places every record, here and in
+  the converged :class:`~repro.core.resolution.LandmarkResolutionDatabase`.
 * :class:`repro.resolution.service.ShardedResolutionService` -- r-way
   successor-replicated storage of name→address records on the landmark
   shards, with deterministic arc-scoped rebalance on shard join/leave.

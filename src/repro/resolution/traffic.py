@@ -45,9 +45,9 @@ import bisect
 import math
 from array import array
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
-from repro.dynamics.calendar import EventCalendar
 from repro.dynamics.stream import DynEvent
 from repro.resolution.service import (
     GroupContactIndex,
@@ -284,8 +284,9 @@ def run_traffic(
         Service configuration (see :class:`ShardedResolutionService`).
     shard_events:
         ``node-leave`` / ``node-join`` :class:`DynEvent` s naming landmark
-        shards, ordered through an :class:`EventCalendar`; a leave is an
-        unannounced crash (copies lost), a join re-adds the shard.
+        shards, applied in tick order (stream order within a tick) at the
+        start of their tick; a leave is an unannounced crash (copies
+        lost), a join re-adds the shard.
     contacts:
         Optional sloppy-group contact index; when given, lookups whose
         best vicinity contact stores the target's address are served from
@@ -323,8 +324,8 @@ def run_traffic(
     addresses = routing.addresses
     service.populate(names, addresses, now=0.0)
 
-    calendar = EventCalendar()
-    for event in shard_events:
+    ordered = sorted(shard_events, key=attrgetter("tick"))
+    for event in ordered:
         if event.kind not in ("node-leave", "node-join"):
             raise ValueError(
                 f"shard events must be node-leave/node-join, got {event.kind!r}"
@@ -335,8 +336,8 @@ def run_traffic(
             raise ValueError(
                 f"shard event at tick {event.tick} beyond the timeline"
             )
-        calendar.schedule(event)
-    next_event = calendar.pop()
+    pending = iter(ordered)
+    next_event = next(pending, None)
 
     spt_distance = routing.tables.spt_distance
     spt_hops = routing.tables.spt_hops
@@ -375,7 +376,7 @@ def run_traffic(
                     report = service.add_shard(next_event.u)
                     if billed_tick:
                         rebalances.append(report)
-            next_event = calendar.pop()
+            next_event = next(pending, None)
         # 2. soft-state refresh: expire, then every owner re-inserts.
         if tick > 0 and tick % refresh_interval == 0:
             dropped = service.expire_older_than(float(tick))

@@ -1,11 +1,11 @@
-"""Content-addressed artifact store for the scenario engine (v2).
+"""Content-addressed artifact store for the scenario engine.
 
 Running the full evaluation rebuilds the same expensive prerequisites over
 and over: the ``(family, n, seed)`` topologies, and -- far more costly --
 the converged routing substrates (:class:`NDDiscoRouting` and friends) that
 several figures measure from different angles.  This module deduplicates
-both, and -- new in the v2 store -- persists the shared landmark substrate
-**once** instead of embedding a private copy in every scheme that uses it.
+both, and persists the shared landmark substrate **once** instead of
+embedding a private copy in every scheme that uses it.
 
 Four artifact kinds:
 
@@ -38,9 +38,10 @@ Four artifact kinds:
   (see :attr:`ArtifactCache.shared_tables`).
 
 On-disk payloads are zlib-compressed behind a magic prefix
-(:data:`COMPRESS_MAGIC`); artifacts written by older versions without the
-prefix still load, and each sidecar records both the stored and the raw
-byte count so ``repro cache stats`` can report the compression ratio.
+(:data:`COMPRESS_MAGIC`), the one framing the store reads: a payload
+without it is a miss and gets rebuilt.  Each sidecar records both the
+stored and the raw byte count so ``repro cache stats`` can report the
+compression ratio.
 
 A mutated topology can never hit a stale artifact: scheme and substrate
 keys change with ``content_key()``, and persistent references carry a
@@ -101,7 +102,9 @@ __all__ = [
 #: directories (``<key>.slabs/``, :data:`repro.core.tables.SLAB_SCHEMA`)
 #: that loads attach with ``mmap`` instead of unpickling.  v5: Disco
 #: shells pickle an overlay whose ring is flat arrays, not per-node dicts.
-ARTIFACT_SCHEMA = "repro-artifacts/v5"
+#: v6: ND-Disco and S4 shells pickle their resolution database's ring as
+#: a :class:`~repro.naming.VNodeRing`.
+ARTIFACT_SCHEMA = "repro-artifacts/v6"
 
 #: Tables artifacts at or above this many slab bytes are stored as a raw
 #: slab directory instead of a compressed pickle.  A slab directory loads
@@ -111,10 +114,8 @@ ARTIFACT_SCHEMA = "repro-artifacts/v5"
 #: threshold the zlib pickle wins (compression, single file).
 SLAB_ARTIFACT_THRESHOLD = 64 * 1024 * 1024
 
-#: Framing prefix of zlib-compressed artifact payloads.  Chosen to be
-#: impossible as the start of a raw pickle stream (pickles begin with the
-#: PROTO opcode ``\x80``), so legacy uncompressed artifacts are
-#: recognized and still load.
+#: Framing prefix of every on-disk artifact payload (zlib-compressed
+#: pickle).  A payload without it is a miss, rebuilt and overwritten.
 COMPRESS_MAGIC = b"RPZC"
 
 #: Scheme names whose converged object *is* the shared landmark substrate.
@@ -564,15 +565,12 @@ class ArtifactCache:
         if path is None or not os.path.exists(path):
             return None
         try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-            if data.startswith(COMPRESS_MAGIC):
-                data = zlib.decompress(data[len(COMPRESS_MAGIC) :])
+            data = _read_payload(path)
             artifact = _ShellUnpickler(io.BytesIO(data), self).load()
         except Exception:
-            # A truncated, version-skewed, or dangling-reference artifact
-            # (e.g. its substrate was evicted) is treated as a miss; the
-            # rebuild overwrites it atomically.
+            # An unframed, truncated, version-skewed, or dangling-reference
+            # artifact (e.g. its substrate was evicted) is treated as a
+            # miss; the rebuild overwrites it atomically.
             return None
         self._touch_meta(path, key)
         return artifact
@@ -675,20 +673,25 @@ def load_tables_artifact(path: str):
 
     A ``<key>.slabs`` directory attaches by mmap
     (:meth:`~repro.core.tables.SubstrateTables.from_mmap`); a ``.pkl``
-    payload is plain-unpickled (unframed).  Used by the scenario engine's
-    parent process to publish already-cached substrate tables into shared
-    memory before a parallel run.  Raises on unreadable/corrupt payloads;
-    callers treat that as "skip this one".
+    payload is plain-unpickled.  Used by the scenario engine's parent
+    process to publish already-cached substrate tables into shared memory
+    before a parallel run.  Raises on unframed, unreadable or corrupt
+    payloads; callers treat that as "skip this one".
     """
     if os.path.isdir(path):
         from repro.core.tables import SubstrateTables
 
         return SubstrateTables.from_mmap(path)
+    return pickle.loads(_read_payload(path))
+
+
+def _read_payload(path: str) -> bytes:
+    """The raw pickle of one on-disk artifact; ``ValueError`` if unframed."""
     with open(path, "rb") as handle:
         data = handle.read()
-    if data.startswith(COMPRESS_MAGIC):
-        data = zlib.decompress(data[len(COMPRESS_MAGIC) :])
-    return pickle.loads(data)
+    if not data.startswith(COMPRESS_MAGIC):
+        raise ValueError(f"{path}: no {COMPRESS_MAGIC!r} framing")
+    return zlib.decompress(data[len(COMPRESS_MAGIC) :])
 
 
 class Uncacheable(Exception):

@@ -22,7 +22,7 @@ from repro.core.overlay import DisseminationOverlay
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.core.vicinity import vicinity_size
 from repro.graphs.topology import Topology
-from repro.naming.consistent_hash import ConsistentHashRing
+from repro.naming.consistent_hash import VNodeRing
 from repro.naming.names import name_for_node
 from repro.sim.agents.pathvector_agent import (
     AcceptAllPolicy,
@@ -240,7 +240,7 @@ def simulate_disco_convergence(
     # Registration + finger lookups toward landmarks, charged in physical hops
     # along shortest paths (computed from the converged landmark routes when
     # available, otherwise hop-count estimates from the topology).
-    ring = ConsistentHashRing(sorted(landmark_set))
+    ring = VNodeRing(landmark_set)
     registration_messages = 0
     lookup_messages = 0
     from repro.graphs.shortest_paths import dijkstra
@@ -250,7 +250,7 @@ def simulate_disco_convergence(
         distances, _ = dijkstra(topology, landmark)
         landmark_hops[landmark] = distances
     for node in range(n):
-        home = ring.owner(names[node].hash_value)
+        home = ring.successor(names[node].hash_value)
         registration_messages += max(1, int(round(landmark_hops[home].get(node, 1.0))))
         for finger_index in range(num_fingers):
             # A lookup is a request to the landmark owning the drawn value and

@@ -8,5 +8,9 @@ One oracle per layer, none importable from ``src/``:
 * :mod:`oracles.fresh_build` -- the production builder on the engine's
   mutated topology, the tables the engine's in-place repairs must equal;
 * :mod:`oracles.component_build` -- the dict-shaped component-wise
-  substrate build, the slabs the production builder must equal.
+  substrate build, the slabs the production builder must equal;
+* :mod:`oracles.overlay_draw` -- the dict-ring overlay that resolved every
+  finger draw, the ring and fingers the overlay must equal;
+* :mod:`oracles.hash_ring` -- the mutable consistent-hash ring, the
+  placements ``VNodeRing`` must equal.
 """

@@ -325,18 +325,27 @@ class TestCompressedFraming:
         assert meta["bytes"] == len(payload)
         assert meta["raw_bytes"] > meta["bytes"]
 
-    def test_legacy_uncompressed_artifact_still_loads(self, tmp_path):
+    def test_unframed_artifact_is_a_miss_and_is_rebuilt(self, tmp_path):
         import pickle
 
-        key = cache_key("scheme", "legacy")
+        from repro.scenarios.cache import COMPRESS_MAGIC, load_tables_artifact
+
+        key = cache_key("scheme", "unframed")
         directory = tmp_path / "scheme"
         directory.mkdir(parents=True)
-        (directory / f"{key}.pkl").write_bytes(
-            pickle.dumps("legacy-payload", protocol=4)
-        )
+        path = directory / f"{key}.pkl"
+        path.write_bytes(pickle.dumps("unframed-payload", protocol=4))
+        with pytest.raises(ValueError):
+            load_tables_artifact(str(path))
         cache = ArtifactCache(tmp_path)
-        assert cache.get("scheme", key, lambda: "rebuilt") == "legacy-payload"
-        assert cache.hits == 1 and cache.misses == 0
+        assert cache.get("scheme", key, lambda: "rebuilt") == "rebuilt"
+        assert cache.hits == 0 and cache.misses == 1
+        # The rebuild overwrote it with a framed payload, which a fresh
+        # process then hits.
+        assert path.read_bytes().startswith(COMPRESS_MAGIC)
+        again = ArtifactCache(tmp_path)
+        assert again.get("scheme", key, lambda: "rebuilt twice") == "rebuilt"
+        assert again.hits == 1 and again.misses == 0
 
     def test_stats_report_compression_ratio(self, tmp_path):
         _fill(tmp_path, {"a": 50_000})

@@ -18,7 +18,8 @@ contract three ways:
 
 Plus the maintenance edge cases (events at dead nodes, duplicate events
 in one tick, partitions isolating every landmark, healing after a full
-partition) and the flat-array :class:`EventCalendar` semantics.
+partition) and the order a stream applies in: tick order, stream order
+within a tick.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.core.nddisco import NDDiscoRouting
 from repro.dynamics import (
     ChurnEngine,
     DynEvent,
-    EventCalendar,
     apply_edge_event,
     generate_churn_workload,
     generate_event_stream,
@@ -75,56 +75,41 @@ def _oracle(engine: ChurnEngine) -> ChurnEngine:
     return oracle
 
 
-class TestEventCalendar:
-    def test_drains_in_tick_order_fifo_within_tick(self):
-        calendar = EventCalendar(horizon=4)
-        events = [
-            DynEvent(2, "edge-down", 0, 1),
-            DynEvent(0, "edge-down", 2, 3),
-            DynEvent(2, "edge-up", 4, 5, 1.0),
-            DynEvent(1, "node-leave", 6),
-            DynEvent(2, "edge-down", 7, 8),
-        ]
-        calendar.extend(events)
-        drained = list(calendar.drain())
-        assert [e.tick for e in drained] == [0, 1, 2, 2, 2]
-        # FIFO among same-tick events: schedule order preserved.
-        assert drained[2:] == [events[0], events[2], events[4]]
+class TestEventOrder:
+    """A stream applies in tick order, and in stream order within a tick."""
 
-    def test_grows_past_horizon(self):
-        calendar = EventCalendar(horizon=2)
-        events = [DynEvent(t, "edge-down", t, t + 1) for t in (0, 7, 3, 7)]
-        calendar.extend(events)
-        assert [e.tick for e in calendar.drain()] == [0, 3, 7, 7]
+    def test_run_sorts_by_tick_keeping_stream_order_within_a_tick(self):
+        node = 5
+        topology = gnm_random_graph(40, seed=3, average_degree=5.0)
+        (u, v, weight), (a, b, _) = [
+            edge for edge in sorted(topology.edges()) if node not in edge[:2]
+        ][:2]
+        # Far-apart ticks, out of order.  At tick 100 the node leaves and
+        # then rejoins: only the stream order says which comes first.
+        leave = DynEvent(100, "node-leave", node)
+        join = DynEvent(100, "node-join", node)
+        down = DynEvent(1, "edge-down", u, v, weight)
+        up = DynEvent(300, "edge-up", u, v, weight)
+        reweight = DynEvent(0, "edge-reweight", a, b, 2.0)
+        engine = ChurnEngine(topology, seed=0)
+        assert engine.run([]) == []
+        reports = engine.run([up, leave, down, join, reweight])
+        order = [reweight, down, leave, join, up]
+        assert [report.event for report in reports] == order
+        assert all(report.applied for report in reports)
+        assert node not in engine.dead_nodes
+        by_hand = ChurnEngine(
+            gnm_random_graph(40, seed=3, average_degree=5.0), seed=0
+        )
+        for event in order:
+            by_hand.apply(event)
+        assert engine.state_signature() == by_hand.state_signature()
+        assert engine.state_signature() == _oracle(engine).state_signature()
 
-    def test_growth_triggering_event_is_threaded_once(self):
-        # Regression: the event whose schedule() call grows the ring used
-        # to be appended before _grow re-threaded the arrays, so it was
-        # threaded twice -- a self-loop in the next chain that replayed
-        # one event until the pending count drained and dropped the rest.
-        # The loop was only visible when no later event landed in the
-        # same bucket to overwrite it.
-        calendar = EventCalendar(horizon=2)
-        ticks = [1, 100, 200, 300]
-        for tick in ticks:
-            calendar.schedule(DynEvent(tick, "node-leave", tick))
-        drained = list(calendar.drain())
-        assert [e.tick for e in drained] == ticks
-        assert [e.u for e in drained] == ticks
-
-    def test_rejects_past_ticks(self):
-        calendar = EventCalendar()
-        calendar.schedule(DynEvent(5, "edge-down", 0, 1))
-        assert calendar.pop().tick == 5
-        with pytest.raises(ValueError):
-            calendar.schedule(DynEvent(4, "edge-down", 0, 1))
-
-    def test_pop_on_empty_returns_none(self):
-        calendar = EventCalendar()
-        assert calendar.pop() is None
-        calendar.schedule(DynEvent(1, "edge-down", 0, 1))
-        assert calendar.pop() is not None
-        assert calendar.pop() is None
+    @pytest.mark.parametrize("tick", [-1, 1.0, 2.5, "3", True, None])
+    def test_rejects_a_tick_that_is_not_an_int_at_least_zero(self, tick):
+        with pytest.raises(ValueError, match="tick"):
+            DynEvent(tick, "edge-down", 0, 1)
 
 
 class TestIncrementalSPTRepair:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.naming.consistent_hash import ConsistentHashRing
+from repro.naming.consistent_hash import VNodeRing
 from repro.naming.hashspace import (
     HASH_BITS,
     HASH_SPACE,
@@ -146,44 +146,55 @@ class TestFlatName:
         assert 0 <= FlatName(label).hash_value < HASH_SPACE
 
 
-class TestConsistentHashRing:
+def _loads(ring: VNodeRing, keys) -> dict:
+    """How many of ``keys`` each server owns (servers may map to 0)."""
+    counts = dict.fromkeys(ring.servers, 0)
+    for key in keys:
+        counts[ring.successor(key)] += 1
+    return counts
+
+
+class TestVNodeRing:
     def test_requires_servers_for_lookup(self):
-        ring = ConsistentHashRing()
+        ring = VNodeRing()
         with pytest.raises(LookupError):
-            ring.owner(5)
+            ring.successor(5)
+        with pytest.raises(LookupError):
+            ring.successors(5, 2)
 
     def test_single_server_owns_everything(self):
-        ring = ConsistentHashRing(["only"])
-        assert ring.owner(0) == "only"
-        assert ring.owner(HASH_SPACE - 1) == "only"
+        ring = VNodeRing(["only"])
+        assert ring.successor(0) == "only"
+        assert ring.successor(HASH_SPACE - 1) == "only"
 
     def test_add_remove(self):
-        ring = ConsistentHashRing([1, 2, 3])
+        ring = VNodeRing([1, 2, 3])
         assert len(ring) == 3
-        ring.remove_server(2)
-        assert len(ring) == 2
-        assert 2 not in ring
+        smaller = ring.without_server(2)
+        assert len(smaller) == 2
+        assert 2 not in smaller
+        assert 2 in ring and len(ring) == 3  # immutable: a new ring
         with pytest.raises(KeyError):
-            ring.remove_server(2)
+            smaller.without_server(2)
 
     def test_add_duplicate_noop(self):
-        ring = ConsistentHashRing([1])
-        ring.add_server(1)
+        ring = VNodeRing([1])
+        assert ring.with_server(1) is ring
         assert len(ring) == 1
 
     def test_owner_deterministic(self):
-        ring_a = ConsistentHashRing(range(10))
-        ring_b = ConsistentHashRing(range(10))
+        ring_a = VNodeRing(range(10))
+        ring_b = VNodeRing(reversed(range(10)))
         for key in range(0, HASH_SPACE, HASH_SPACE // 17):
-            assert ring_a.owner(key) == ring_b.owner(key)
+            assert ring_a.successor(key) == ring_b.successor(key)
 
     def test_monotone_consistency_on_removal(self):
         """Removing a server only moves keys that it owned (consistency)."""
-        ring = ConsistentHashRing(range(8), virtual_nodes=4)
+        ring = VNodeRing(range(8), virtual_nodes=4)
         keys = [FlatName(f"k{i}").hash_value for i in range(200)]
-        before = {key: ring.owner(key) for key in keys}
-        ring.remove_server(3)
-        after = {key: ring.owner(key) for key in keys}
+        before = {key: ring.successor(key) for key in keys}
+        ring = ring.without_server(3)
+        after = {key: ring.successor(key) for key in keys}
         for key in keys:
             if before[key] != 3:
                 assert after[key] == before[key]
@@ -192,37 +203,41 @@ class TestConsistentHashRing:
 
     def test_virtual_nodes_balance_load(self):
         keys = [FlatName(f"key-{i}").hash_value for i in range(3000)]
-        flat = ConsistentHashRing(range(10), virtual_nodes=1)
-        smooth = ConsistentHashRing(range(10), virtual_nodes=50)
+        flat = VNodeRing(range(10), virtual_nodes=1)
+        smooth = VNodeRing(range(10), virtual_nodes=50)
 
         def imbalance(ring):
-            loads = ring.load_distribution(keys)
+            loads = _loads(ring, keys)
             mean = sum(loads.values()) / len(loads)
             return max(loads.values()) / mean
 
         assert imbalance(smooth) <= imbalance(flat)
 
     def test_owners_replication(self):
-        ring = ConsistentHashRing(range(5))
-        owners = ring.owners(12345, 3)
+        ring = VNodeRing(range(5))
+        owners = ring.successors(12345, 3)
         assert len(owners) == 3
         assert len(set(owners)) == 3
+        assert owners[0] == ring.successor(12345)
 
     def test_owners_capped_at_server_count(self):
-        ring = ConsistentHashRing([1, 2])
-        assert len(ring.owners(7, 10)) == 2
+        ring = VNodeRing([1, 2])
+        assert len(ring.successors(7, 10)) == 2
 
     def test_owners_invalid_count(self):
-        ring = ConsistentHashRing([1])
+        ring = VNodeRing([1])
         with pytest.raises(ValueError):
-            ring.owners(0, 0)
+            ring.successors(0, 0)
 
-    def test_load_distribution_includes_all_servers(self):
-        ring = ConsistentHashRing(range(4))
-        loads = ring.load_distribution([1, 2, 3])
+    def test_every_server_owns_its_own_tokens(self):
+        ring = VNodeRing(range(4), virtual_nodes=3)
+        for server in range(4):
+            for token in ring.tokens_of(server):
+                assert ring.successor(token) == server
+        loads = _loads(ring, [1, 2, 3])
         assert set(loads) == set(range(4))
         assert sum(loads.values()) == 3
 
     def test_invalid_virtual_nodes(self):
         with pytest.raises(ValueError):
-            ConsistentHashRing([1], virtual_nodes=0)
+            VNodeRing([1], virtual_nodes=0)

@@ -6,10 +6,11 @@ prefix-range contact lookup, arc-scoped rebalance).  Every one of those
 re-implementations is pinned here against brute-force recomputation or
 the converged-state oracles:
 
-* :class:`VNodeRing` vs :func:`naive_successors` (here) and
-  :class:`ConsistentHashRing` across randomized memberships, virtual-node
-  counts, and churn sequences -- including a forced token-collision run
-  that exercises the nudge fallback;
+* :class:`VNodeRing` vs :func:`naive_successors` (here) and the mutable
+  ``ConsistentHashRing`` it replaced (``tests/oracles/hash_ring.py``)
+  across randomized memberships, virtual-node counts, and churn sequences
+  -- including a forced token-collision run that exercises the nudge
+  fallback;
 * :class:`ShardedResolutionService` at r=1 vs
   :class:`LandmarkResolutionDatabase` (home shards, load distribution,
   lookups, expiry);
@@ -22,8 +23,10 @@ the converged-state oracles:
 * :class:`SloppyGrouping` one-bit-disagreement core-group invariant under
   factor-of-two estimate skew, and :class:`GroupContactIndex` vs the
   oracle's full-scan contact selection;
-* soft-state 2t+1 expiry driven through the :class:`EventCalendar`
-  (no record served past its window; refreshes never reshuffle placement);
+* soft-state 2t+1 expiry over a refresh stream applied in sorted tick
+  order (no record served past its window; refreshes never reshuffle
+  placement), and shard events applied by ``run_traffic`` in tick order,
+  stream order within a tick;
 * the traffic engine's determinism and tick-segment merge equality, seven
   ``run_traffic`` bills frozen before the index existed, and the
   resolution scenarios' serial-vs-workers byte identity.
@@ -41,18 +44,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.naming.consistent_hash as consistent_hash_module
-import repro.resolution.service as service_module
+from oracles.hash_ring import ConsistentHashRing
 from repro.addressing.address import Address
 from repro.addressing.explicit_route import ExplicitRoute
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.resolution import LandmarkResolutionDatabase
 from repro.core.sloppy_groups import SloppyGrouping
-from repro.dynamics.calendar import EventCalendar
 from repro.dynamics.stream import DynEvent
 from repro.experiments.config import ExperimentScale
 from repro.graphs.generators import gnm_random_graph
 from repro.cli import main as cli_main
-from repro.naming import HASH_SPACE, ConsistentHashRing, FlatName, name_for_node
+from repro.naming import HASH_SPACE, FlatName, name_for_node
 from repro.naming.consistent_hash import ring_point
 from repro.naming.hashspace import common_prefix_length, in_clockwise_interval
 from repro.resolution import (
@@ -154,8 +156,7 @@ class TestVNodeRingOracle:
         def colliding_point(server, replica):
             return (1000 * ((server % 4) + 1)) % HASH_SPACE
 
-        monkeypatch.setattr(service_module, "ring_point", colliding_point)
-        monkeypatch.setattr(consistent_hash_module, "_point_for", colliding_point)
+        monkeypatch.setattr(consistent_hash_module, "ring_point", colliding_point)
         members = [3, 7, 11, 19, 23]
         ring = VNodeRing(members, virtual_nodes=3)
         probes = list(range(0, 6000, 37)) + [HASH_SPACE - 1]
@@ -740,9 +741,9 @@ class TestSloppyGroupingSkew:
             assert index.best_contact(source, target, distances) == expected
 
 
-class TestSoftStateCalendar:
-    def test_expiry_through_event_calendar(self):
-        """Refresh events through the calendar: 2t+1 served-staleness cap."""
+class TestSoftState:
+    def test_expiry_over_a_sorted_refresh_stream(self):
+        """Refreshes applied in tick order: 2t+1 served-staleness cap."""
         refresh_interval = 4.0
         num_nodes = 24
         names = _names(num_nodes)
@@ -751,20 +752,23 @@ class TestSoftStateCalendar:
         )
         timeout = service.timeout
         horizon = 64
-        calendar = EventCalendar()
-        last_insert = {}
         # Node v refreshes every (3 + v % 9) ticks -- some inside, some
-        # far outside the 2t+1 = 9 tick window.
-        for node in range(num_nodes):
-            for tick in range(0, horizon, 3 + node % 9):
-                calendar.schedule(DynEvent(tick, "node-join", node))
-        pending = calendar.pop()
+        # far outside the 2t+1 = 9 tick window.  Generated node by node,
+        # applied tick by tick.
+        refreshes = [
+            DynEvent(tick, "node-join", node)
+            for node in range(num_nodes)
+            for tick in range(0, horizon, 3 + node % 9)
+        ]
+        pending = iter(sorted(refreshes, key=lambda event: event.tick))
+        last_insert = {}
+        event = next(pending, None)
         for tick in range(horizon):
-            while pending is not None and pending.tick == tick:
-                node = pending.u
+            while event is not None and event.tick == tick:
+                node = event.u
                 before = (
                     service.placement_of(names[node])
-                    if names[node] in {n for n in last_insert}
+                    if names[node] in last_insert
                     else None
                 )
                 service.insert(names[node], _address(node), now=float(tick))
@@ -773,7 +777,7 @@ class TestSoftStateCalendar:
                     # reshuffles placement.
                     assert service.placement_of(names[node]) == before
                 last_insert[names[node]] = float(tick)
-                pending = calendar.pop()
+                event = next(pending, None)
             dropped = service.expire_older_than(float(tick))
             expected_dropped = [
                 name
@@ -788,6 +792,7 @@ class TestSoftStateCalendar:
                 if record is not None:
                     assert tick - record.inserted_at <= timeout
                     assert record.inserted_at == last_insert[names[node]]
+        assert event is None
 
     def test_stale_record_not_served_before_sweep(self):
         service = ShardedResolutionService(range(4), refresh_interval=2.0)
@@ -894,6 +899,37 @@ class TestTrafficEngine:
         assert merged.expired_records == serial.expired_records
         assert merged.rebalances == serial.rebalances
         assert merged.bill_ticks == serial.bill_ticks
+
+    def test_shard_events_apply_in_tick_then_stream_order(self, small_routing):
+        workload = generate_lookup_workload(
+            64, num_lookups=400, duration_ticks=32, seed=4
+        )
+        first, second = sorted(small_routing.landmarks)[:2]
+        # Out of order, with two same-tick pairs.  At tick 9 the second
+        # shard crashes and then rejoins; the other way round the join
+        # would be a no-op and the shard would stay down.
+        events = [
+            DynEvent(20, "node-join", first),
+            DynEvent(9, "node-leave", second),
+            DynEvent(6, "node-leave", first),
+            DynEvent(9, "node-join", second),
+            DynEvent(20, "node-leave", second),
+        ]
+        kwargs = dict(replicas=2, virtual_nodes=4, refresh_interval=8)
+        report = run_traffic(
+            small_routing, workload, shard_events=events, **kwargs
+        )
+        assert [(r.shard, r.kind) for r in report.rebalances] == [
+            (first, "leave"),
+            (second, "leave"),
+            (second, "join"),
+            (first, "join"),
+            (second, "leave"),
+        ]
+        in_order = [events[2], events[1], events[3], events[0], events[4]]
+        assert report == run_traffic(
+            small_routing, workload, shard_events=in_order, **kwargs
+        )
 
     def test_served_staleness_capped_by_timeout(self, small_routing):
         workload = generate_lookup_workload(
