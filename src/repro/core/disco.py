@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from array import array
 
-from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
+from repro.addressing.address import NAME_BYTES_IPV4
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.overlay import DisseminationOverlay
 from repro.core.shortcutting import ShortcutMode
@@ -211,66 +211,30 @@ class DiscoRouting(RoutingScheme):
 
     # -- state accounting -------------------------------------------------------
 
-    def state_entries(self, node: int) -> int:
-        """NDDisco entries plus sloppy-group address mappings plus overlay links."""
-        self._check_endpoints(node, node)
-        return (
-            self._nddisco.state_entries(node)
-            + self._group_entry_counts[node]
-            + self._overlay.degree(node)
-        )
-
-    def state_bytes(self, node: int, *, name_bytes: int = NAME_BYTES_IPV4) -> float:
-        """Bytes of data-plane state at ``node`` (Fig. 7 accounting)."""
-        base = self._nddisco.state_bytes(node, name_bytes=name_bytes)
-        group_bytes = self._group_entry_bytes[node]
-        if name_bytes != NAME_BYTES_IPV4:
-            # The cached byte totals were computed with IPv4-sized names;
-            # rescale the per-entry fixed cost (two names per mapping entry).
-            delta_per_entry = 2.0 * (name_bytes - NAME_BYTES_IPV4)
-            group_bytes += self._group_entry_counts[node] * delta_per_entry
-        overlay_bytes = 0.0
-        for neighbor in self._overlay.neighbors(node):
-            overlay_bytes += self._nddisco.addresses[neighbor].mapping_entry_bytes(
-                name_bytes
-            )
-        return base + group_bytes + overlay_bytes
-
     def state_profile(
         self, nodes: Sequence[int]
     ) -> tuple[list[int], list[float], list[float]]:
-        """Batched state accounting: ``(entries, IPv4 bytes, IPv6 bytes)``.
+        """NDDisco's state plus sloppy-group address mappings and overlay links.
 
-        Mirrors :meth:`state_entries` / :meth:`state_bytes` value for
-        value on top of NDDisco's batched profile.
+        Each stored address mapping -- a sloppy-group member's or an overlay
+        neighbour's -- costs the owner's name plus its address (Fig. 7
+        accounting).  The group byte totals were summed at construction with
+        IPv4-sized names, two per mapping, which the fixed part takes back out.
         """
-        nd_entries, nd_v4, nd_v6 = self._nddisco.state_profile(nodes)
-        addresses = self._nddisco.addresses
-        entries_out: list[int] = []
-        bytes_v4: list[float] = []
-        bytes_v6: list[float] = []
+        entries, per, fixed = self._nddisco.state_profile(nodes)
+        counts = self._group_entry_counts
+        ipv4_bytes = self._group_entry_bytes
+        bits = self.tables.addr_bits
         for index, node in enumerate(nodes):
-            self._check_endpoints(node, node)
-            count = self._group_entry_counts[node]
-            entries_out.append(
-                nd_entries[index] + count + self._overlay.degree(node)
+            links = self._overlay.neighbors(node)
+            mappings = counts[node] + len(links)
+            entries[index] += mappings
+            per[index] += 2.0 * mappings
+            fixed[index] += (
+                ipv4_bytes[node] - 2.0 * NAME_BYTES_IPV4 * counts[node]
+                + sum(bits[neighbor] for neighbor in links) / 8.0
             )
-            neighbors = list(self._overlay.neighbors(node))
-            for name_bytes, base, out in (
-                (NAME_BYTES_IPV4, nd_v4[index], bytes_v4),
-                (NAME_BYTES_IPV6, nd_v6[index], bytes_v6),
-            ):
-                group_bytes = self._group_entry_bytes[node]
-                if name_bytes != NAME_BYTES_IPV4:
-                    delta_per_entry = 2.0 * (name_bytes - NAME_BYTES_IPV4)
-                    group_bytes += count * delta_per_entry
-                overlay_bytes = 0.0
-                for neighbor in neighbors:
-                    overlay_bytes += addresses[neighbor].mapping_entry_bytes(
-                        name_bytes
-                    )
-                out.append(base + group_bytes + overlay_bytes)
-        return entries_out, bytes_v4, bytes_v6
+        return entries, per, fixed
 
     # -- routing ----------------------------------------------------------------
     # The routing rule lives in :class:`_DiscoRouter`; the route methods

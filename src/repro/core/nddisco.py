@@ -32,9 +32,10 @@ Routing behaviour:
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Sequence
 
-from repro.addressing.address import Address, NAME_BYTES_IPV4, NAME_BYTES_IPV6
+from repro.addressing.address import Address
 from repro.addressing.labels import LabelCodec
 from repro.core.landmarks import select_landmarks
 from repro.core.resolution import LandmarkResolutionDatabase
@@ -175,9 +176,6 @@ class NDDiscoRouting(RoutingScheme):
         self._landmark_distances = {
             landmark: rows[0] for landmark, rows in self._landmark_spts.items()
         }
-        self._landmark_parents = {
-            landmark: rows[1] for landmark, rows in self._landmark_spts.items()
-        }
 
         # Name-resolution database over the landmarks.
         self._resolution = LandmarkResolutionDatabase(
@@ -284,111 +282,48 @@ class NDDiscoRouting(RoutingScheme):
 
     # -- state accounting ---------------------------------------------------
 
-    def label_mapping_entries(self, node: int) -> int:
-        """Forwarding-label mapping entries at ``node``.
-
-        "The node really needs to remember the mapping only for those
-        forwarding labels that will actually be used; these will be for the
-        neighbors leading along shortest paths to landmarks or nodes in the
-        node's vicinity" (§4.5 Theorem 2).
-        """
-        used_neighbors: set[int] = set()
-        for landmark in self._landmarks:
-            if landmark == node:
-                continue
-            parent = self._landmark_parents[landmark][node]
-            if parent >= 0:
-                used_neighbors.add(parent)
-        vicinity = self._vicinities[node]
-        for member, parent in vicinity.predecessors.items():
-            if parent == node:
-                used_neighbors.add(member)
-        return len(used_neighbors)
-
-    def resolution_entries(self, node: int) -> int:
-        """Name-resolution records hosted at ``node`` (0 for non-landmarks)."""
-        return self._resolution.entries_at(node)
-
-    def state_entries(self, node: int) -> int:
-        """Data-plane entries: landmarks + vicinity + label mappings + resolution."""
-        self._check_endpoints(node, node)
-        vicinity = self._vicinities[node]
-        landmark_entries = len(self._landmarks) - (1 if node in self._landmarks else 0)
-        vicinity_entries = len(vicinity) - 1  # exclude the node itself
-        return (
-            landmark_entries
-            + vicinity_entries
-            + self.label_mapping_entries(node)
-            + self.resolution_entries(node)
-        )
-
-    def state_bytes(self, node: int, *, name_bytes: int = NAME_BYTES_IPV4) -> float:
-        """Data-plane state at ``node`` in bytes (see Fig. 7).
-
-        Each landmark / vicinity forwarding entry costs one name plus a
-        one-byte next-hop label; label-mapping entries cost two bytes (label
-        plus interface); each resolution record costs the destination name
-        plus its full address (landmark name plus explicit-route labels).
-        """
-        vicinity = self._vicinities[node]
-        landmark_entries = len(self._landmarks) - (1 if node in self._landmarks else 0)
-        vicinity_entries = len(vicinity) - 1
-        forwarding_bytes = (landmark_entries + vicinity_entries) * (name_bytes + 1.0)
-        label_bytes = self.label_mapping_entries(node) * 2.0
-        resolution_bytes = self._resolution.entry_bytes_at(node, name_bytes=name_bytes)
-        return forwarding_bytes + label_bytes + resolution_bytes
-
     def state_profile(
         self, nodes: Sequence[int]
     ) -> tuple[list[int], list[float], list[float]]:
-        """Batched state accounting: ``(entries, IPv4 bytes, IPv6 bytes)``.
+        """Landmark and vicinity routes, label mappings, resolution records.
 
-        Mirrors :meth:`state_entries` / :meth:`state_bytes` value for
-        value, computing the shared per-node intermediates (label-mapping
-        counts) once instead of once per metric.  Used by
-        :func:`repro.metrics.state.measure_state`.
+        A route (to a landmark or to a vicinity member other than the node
+        itself) costs one name plus a one-byte next-hop label; a label
+        mapping two bytes (label plus interface); a resolution record the
+        destination name plus its full address (landmark name plus
+        explicit-route labels).  Label mappings: "the node really needs to
+        remember the mapping only for those forwarding labels that will
+        actually be used; these will be for the neighbors leading along
+        shortest paths to landmarks or nodes in the node's vicinity" (§4.5
+        Theorem 2) -- the node's parents in the landmark SPTs (one strided
+        read of the parent slab; -1 at a landmark's own root) and the
+        vicinity members whose parent it is.
         """
+        self._check_nodes(nodes)
+        n = self._topology.num_nodes
         landmarks = self._landmarks
-        num_landmarks = len(landmarks)
-        parents = self._landmark_parents
-        entries_out: list[int] = []
-        bytes_v4: list[float] = []
-        bytes_v6: list[float] = []
+        resolution = self._resolution
+        spt_parent = memoryview(self._tables.spt_parent)
+        vicinity = self._tables.vicinity
+        members = memoryview(vicinity.members)
+        parents = memoryview(vicinity.parents)
+        entries: list[int] = []
+        per: list[float] = []
+        fixed: list[float] = []
         for node in nodes:
-            self._check_endpoints(node, node)
-            used_neighbors: set[int] = set()
-            for landmark in landmarks:
-                if landmark == node:
-                    continue
-                parent = parents[landmark][node]
-                if parent >= 0:
-                    used_neighbors.add(parent)
-            vicinity = self._vicinities[node]
-            for member, parent in vicinity.predecessors.items():
-                if parent == node:
-                    used_neighbors.add(member)
-            label_count = len(used_neighbors)
-            landmark_entries = num_landmarks - (1 if node in landmarks else 0)
-            vicinity_entries = len(vicinity) - 1
-            entries_out.append(
-                landmark_entries
-                + vicinity_entries
-                + label_count
-                + self._resolution.entries_at(node)
-            )
-            for name_bytes, out in (
-                (NAME_BYTES_IPV4, bytes_v4),
-                (NAME_BYTES_IPV6, bytes_v6),
-            ):
-                forwarding_bytes = (landmark_entries + vicinity_entries) * (
-                    name_bytes + 1.0
-                )
-                label_bytes = label_count * 2.0
-                resolution_bytes = self._resolution.entry_bytes_at(
-                    node, name_bytes=name_bytes
-                )
-                out.append(forwarding_bytes + label_bytes + resolution_bytes)
-        return entries_out, bytes_v4, bytes_v6
+            used = set(spt_parent[node::n])
+            used.discard(-1)
+            # The row's first slot is the node itself (settle order).
+            lo, hi = vicinity.row_bounds(node)
+            children = map(node.__eq__, parents[lo + 1 : hi])
+            used.update(compress(members[lo + 1 : hi], children))
+            routes = len(landmarks) - (node in landmarks) + hi - lo - 1
+            records = resolution.entries_at(node)
+            route_bytes = resolution.route_bytes_at(node) if records else 0.0
+            entries.append(routes + len(used) + records)
+            per.append(routes + 2.0 * records)
+            fixed.append(routes + 2.0 * len(used) + route_bytes)
+        return entries, per, fixed
 
     # -- routing ------------------------------------------------------------
     # The routing rule lives in :class:`_NDDiscoRouter`; everything below

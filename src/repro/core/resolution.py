@@ -133,12 +133,16 @@ class LandmarkResolutionDatabase:
         """Number of resolution records stored at ``landmark`` (0 for non-hosts)."""
         return len(self._records.get(landmark, ()))
 
-    def entry_bytes_at(self, landmark: int, *, name_bytes: int = 4) -> float:
-        """Bytes of resolution state at ``landmark`` (names + addresses)."""
-        return sum(
-            record.address.mapping_entry_bytes(name_bytes)
-            for record in self._records.get(landmark, {}).values()
-        )
+    def route_bytes_at(self, landmark: int) -> float:
+        """Explicit-route bytes of the addresses stored at ``landmark``.
+
+        A record costs two names (its own and its address's landmark, see
+        :meth:`Address.mapping_entry_bytes`) plus its route's label bits /
+        8, so ``landmark`` holds ``2 * name_bytes * entries_at(landmark) +
+        route_bytes_at(landmark)`` bytes of resolution state.
+        """
+        records = self._records.get(landmark, {}).values()
+        return sum(record.address.route.bits for record in records) / 8.0
 
     def load_distribution(self) -> dict[int, int]:
         """Return entries per landmark (the load-imbalance view of §4.5)."""

@@ -2,10 +2,18 @@
 
 "We measure data plane state for the protocols.  This includes everything
 necessary to forward a packet after the protocol has converged" (§5.2).  The
-definition of what counts lives in each protocol's ``state_entries`` /
-``state_bytes`` methods; this module samples nodes, collects the per-node
-values, and summarises them the way the paper reports them (CDFs over nodes,
-means and maxima, kilobytes for IPv4- and IPv6-sized names).
+definition of what counts lives in one method per protocol,
+:meth:`~repro.protocols.base.RoutingScheme.state_profile`; this module
+samples nodes, collects the per-node values, and summarises them the way the
+paper reports them (CDFs over nodes, means and maxima, kilobytes for IPv4-
+and IPv6-sized names).
+
+A profile gives a node's entries and its bytes as ``per * name_bytes +
+fixed``, so one call serves both name sizes of Fig. 7.  That split is exact,
+not a fit: every byte term of every scheme is linear in the name size and
+every constant is a multiple of 1/8 (label bits / 8) far below 2**50, so each
+partial sum is a double held exactly and the byte columns equal, to the bit,
+a per-size sum in any order.
 """
 
 from __future__ import annotations
@@ -96,10 +104,9 @@ def measure_state(
     seed:
         Sampling seed.
 
-    A scheme offering a batched ``state_profile`` (shared per-node
-    intermediates computed once instead of once per metric) is measured
-    through it; any other scheme through ``state_entries`` /
-    ``state_bytes`` per node.
+    One :meth:`~repro.protocols.base.RoutingScheme.state_profile` call
+    over the measured nodes gives the entries and, read at 4 and 16 bytes
+    per name, both byte columns.
     """
     topology = scheme.topology
     if nodes is None:
@@ -111,23 +118,11 @@ def measure_state(
         measured = list(nodes)
     if not measured:
         raise ValueError("no nodes to measure")
-    profile = getattr(scheme, "state_profile", None)
-    if profile is not None:
-        entries, bytes_v4, bytes_v6 = profile(measured)
-    else:
-        entries = [scheme.state_entries(node) for node in measured]
-        bytes_v4 = [
-            scheme.state_bytes(node, name_bytes=NAME_BYTES_IPV4)
-            for node in measured
-        ]
-        bytes_v6 = [
-            scheme.state_bytes(node, name_bytes=NAME_BYTES_IPV6)
-            for node in measured
-        ]
+    entries, per, fixed = scheme.state_profile(measured)
     return StateReport(
         scheme=scheme.name,
         nodes=tuple(measured),
         entries=tuple(entries),
-        bytes_ipv4=tuple(bytes_v4),
-        bytes_ipv6=tuple(bytes_v6),
+        bytes_ipv4=tuple(p * NAME_BYTES_IPV4 + f for p, f in zip(per, fixed)),
+        bytes_ipv6=tuple(p * NAME_BYTES_IPV6 + f for p, f in zip(per, fixed)),
     )

@@ -95,25 +95,38 @@ class RoutingScheme(abc.ABC):
     # -- state accounting --------------------------------------------------
 
     @abc.abstractmethod
-    def state_entries(self, node: int) -> int:
-        """Number of data-plane routing-table entries held by ``node``.
+    def state_profile(
+        self, nodes: Sequence[int]
+    ) -> tuple[list[int], list[float], list[float]]:
+        """Data-plane state of ``nodes``: ``(entries, per, fixed)``.
 
-        This counts "everything necessary to forward a packet after the
-        protocol has converged" (§5.2): forwarding entries, name-resolution
-        entries, label mappings, and address mappings, as applicable.
+        ``entries[i]`` counts the routing-table entries ``nodes[i]`` holds:
+        "everything necessary to forward a packet after the protocol has
+        converged" (§5.2) -- forwarding entries, name-resolution entries,
+        label mappings, and address mappings, as applicable.  With
+        ``b``-byte names the same state is ``per[i] * b + fixed[i]`` bytes
+        (floats both).
+
+        The split is exact.  Every byte term of every scheme is linear in
+        the name size, and every constant is a multiple of 1/8 (label bits
+        / 8) far below 2**50, so every partial sum is a double held exactly
+        and the total does not depend on the order of the additions.
+
+        This is each scheme's one state definition: :meth:`state_entries`,
+        :meth:`state_bytes` and :func:`repro.metrics.state.measure_state`
+        read it.  Raises ``ValueError`` if a node is out of range.
         """
+
+    def state_entries(self, node: int) -> int:
+        """Number of data-plane routing-table entries held by ``node``."""
+        return self.state_profile((node,))[0][0]
 
     def state_bytes(self, node: int, *, name_bytes: int = 4) -> float:
-        """Data-plane state at ``node`` in bytes, with ``name_bytes``-sized names.
-
-        The default implementation charges one name per entry; protocols with
-        richer entries (addresses with explicit routes) override this.
-        """
-        return float(self.state_entries(node)) * name_bytes
-
-    def state_entry_counts(self) -> list[int]:
-        """Convenience: ``state_entries`` for every node, indexed by node id."""
-        return [self.state_entries(node) for node in self._topology.nodes()]
+        """Data-plane state at ``node`` in bytes, with ``name_bytes``-sized names."""
+        if name_bytes <= 0:
+            raise ValueError(f"name_bytes must be > 0, got {name_bytes}")
+        _, per, fixed = self.state_profile((node,))
+        return per[0] * name_bytes + fixed[0]
 
     # -- routing -----------------------------------------------------------
 
@@ -144,6 +157,12 @@ class RoutingScheme(abc.ABC):
             raise ValueError(f"source {source} out of range (n={n})")
         if not 0 <= target < n:
             raise ValueError(f"target {target} out of range (n={n})")
+
+    def _check_nodes(self, nodes: Sequence[int]) -> None:
+        """:meth:`_check_endpoints` for a batch: its least and greatest node."""
+        if nodes:
+            for node in (min(nodes), max(nodes)):
+                self._check_endpoints(node, node)
 
     @staticmethod
     def _validate_path(path: Sequence[int], source: int, target: int) -> None:

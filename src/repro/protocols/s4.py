@@ -40,7 +40,6 @@ from repro.core.substrate_build import (
     cluster_sizes_from_members,
 )
 from repro.core.tables import NodeSearchTables, SubstrateTables
-from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
 from repro.addressing.labels import LabelCodec
 from repro.graphs.topology import Topology
 from repro.naming.names import FlatName, name_for_node
@@ -223,57 +222,28 @@ class S4Routing(RoutingScheme):
 
     # -- state accounting ------------------------------------------------------
 
-    def state_entries(self, node: int) -> int:
-        """Cluster routes + landmark routes + location-service records."""
-        self._check_endpoints(node, node)
-        landmark_entries = len(self._landmarks) - (1 if node in self._landmarks else 0)
-        return (
-            self._cluster_sizes[node]
-            + landmark_entries
-            + self._resolution.entries_at(node)
-        )
-
-    def state_bytes(self, node: int, *, name_bytes: int = NAME_BYTES_IPV4) -> float:
-        """Bytes of state: forwarding entries plus location records (Fig. 7)."""
-        landmark_entries = len(self._landmarks) - (1 if node in self._landmarks else 0)
-        forwarding_entries = self._cluster_sizes[node] + landmark_entries
-        forwarding_bytes = forwarding_entries * (name_bytes + 1.0)
-        resolution_bytes = self._resolution.entry_bytes_at(node, name_bytes=name_bytes)
-        return forwarding_bytes + resolution_bytes
-
     def state_profile(
         self, nodes: Sequence[int]
     ) -> tuple[list[int], list[float], list[float]]:
-        """Batched state accounting: ``(entries, IPv4 bytes, IPv6 bytes)``.
+        """Cluster routes + landmark routes + location-service records.
 
-        Mirrors :meth:`state_entries` / :meth:`state_bytes` value for
-        value; used by :func:`repro.metrics.state.measure_state`.
+        A route costs one name plus a one-byte next hop, a record the
+        destination name plus its address (Fig. 7).
         """
-        num_landmarks = len(self._landmarks)
-        entries_out: list[int] = []
-        bytes_v4: list[float] = []
-        bytes_v6: list[float] = []
+        self._check_nodes(nodes)
+        landmarks = self._landmarks
+        resolution = self._resolution
+        entries: list[int] = []
+        per: list[float] = []
+        fixed: list[float] = []
         for node in nodes:
-            self._check_endpoints(node, node)
-            landmark_entries = num_landmarks - (
-                1 if node in self._landmarks else 0
-            )
-            cluster = self._cluster_sizes[node]
-            entries_out.append(
-                cluster + landmark_entries + self._resolution.entries_at(node)
-            )
-            for name_bytes, out in (
-                (NAME_BYTES_IPV4, bytes_v4),
-                (NAME_BYTES_IPV6, bytes_v6),
-            ):
-                forwarding_bytes = (cluster + landmark_entries) * (
-                    name_bytes + 1.0
-                )
-                resolution_bytes = self._resolution.entry_bytes_at(
-                    node, name_bytes=name_bytes
-                )
-                out.append(forwarding_bytes + resolution_bytes)
-        return entries_out, bytes_v4, bytes_v6
+            routes = self._cluster_sizes[node] + len(landmarks) - (node in landmarks)
+            records = resolution.entries_at(node)
+            route_bytes = resolution.route_bytes_at(node) if records else 0.0
+            entries.append(routes + records)
+            per.append(routes + 2.0 * records)
+            fixed.append(routes + route_bytes)
+        return entries, per, fixed
 
     # -- routing ----------------------------------------------------------------
     # The routing rule lives in :class:`_S4Router`; everything below (and

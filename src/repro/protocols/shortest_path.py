@@ -8,6 +8,8 @@ baseline everywhere: every node holds one entry per destination.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.graphs.shortest_paths import dijkstra, extract_path
 from repro.graphs.topology import Topology
 from repro.protocols.base import RouteResult, RoutingScheme
@@ -36,14 +38,14 @@ class ShortestPathRouting(RoutingScheme):
             self._cache[source] = dijkstra(self._topology, source)
         return self._cache[source]
 
-    def state_entries(self, node: int) -> int:
-        """One forwarding entry per other destination."""
-        self._check_endpoints(node, node)
-        return self._topology.num_nodes - 1
-
-    def state_bytes(self, node: int, *, name_bytes: int = 4) -> float:
-        """Each entry holds a destination name plus a one-byte next hop."""
-        return self.state_entries(node) * (name_bytes + 1.0)
+    def state_profile(
+        self, nodes: Sequence[int]
+    ) -> tuple[list[int], list[float], list[float]]:
+        """One entry per other destination: its name plus a one-byte next hop."""
+        self._check_nodes(nodes)
+        others = self._topology.num_nodes - 1
+        count = len(nodes)
+        return [others] * count, [float(others)] * count, [float(others)] * count
 
     def shortest_path(self, source: int, target: int) -> list[int]:
         """Return one shortest path from ``source`` to ``target``."""

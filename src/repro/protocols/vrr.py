@@ -319,18 +319,23 @@ class VirtualRingRouting(RoutingScheme):
 
     # -- state accounting -----------------------------------------------------------
 
-    def state_entries(self, node: int) -> int:
-        """Routing entries: one per active vset path through the node, plus neighbours."""
-        self._check_endpoints(node, node)
-        return len(self._paths_through[node]) + self._topology.degree(node)
+    def state_profile(
+        self, nodes: Sequence[int]
+    ) -> tuple[list[int], list[float], list[float]]:
+        """One entry per active vset path through the node, plus neighbours.
 
-    def state_bytes(self, node: int, *, name_bytes: int = 4) -> float:
-        """Each path entry holds two endpoint names and two next hops."""
-        path_entries = len(self._paths_through[node])
-        neighbor_entries = self._topology.degree(node)
-        return path_entries * (2.0 * name_bytes + 2.0) + neighbor_entries * (
-            name_bytes + 1.0
-        )
+        A path entry holds two endpoint names and two next hops, a
+        neighbour entry one name and one next hop.
+        """
+        self._check_nodes(nodes)
+        entries: list[int] = []
+        per: list[float] = []
+        for node in nodes:
+            paths = len(self._paths_through[node])
+            degree = self._topology.degree(node)
+            entries.append(paths + degree)
+            per.append(2.0 * paths + degree)
+        return entries, per, list(per)
 
     # -- routing ---------------------------------------------------------------------
 

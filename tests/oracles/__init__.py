@@ -12,5 +12,8 @@ One oracle per layer, none importable from ``src/``:
 * :mod:`oracles.overlay_draw` -- the dict-ring overlay that resolved every
   finger draw, the ring and fingers the overlay must equal;
 * :mod:`oracles.hash_ring` -- the mutable consistent-hash ring, the
-  placements ``VNodeRing`` must equal.
+  placements ``VNodeRing`` must equal;
+* :mod:`oracles.state_accounting` -- ND-Disco's, Disco's and S4's per-node
+  ``state_entries`` / ``state_bytes``, the values ``state_profile`` must
+  equal.
 """

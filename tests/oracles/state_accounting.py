@@ -1,0 +1,148 @@
+"""Per-node state accounting: the oracle of ``state_profile``.
+
+Before each scheme defined its state once, in ``state_profile`` (a node's
+entries, and its bytes as ``per * name_bytes + fixed``), ND-Disco, Disco
+and S4 each counted it twice, per node: ``state_entries(node)`` and
+``state_bytes(node, name_bytes=)``, the label mappings walked one landmark
+SPT parent at a time and the bytes summed record by record at the asked
+name size.  Those methods live here unchanged in what they compute, read
+through the schemes' accessors, so the tests can hold ``state_profile``,
+``state_entries``, ``state_bytes`` and ``measure_state`` to them node for
+node.
+"""
+
+from __future__ import annotations
+
+from repro.addressing.address import NAME_BYTES_IPV4
+from repro.core.disco import DiscoRouting
+from repro.core.nddisco import NDDiscoRouting
+from repro.protocols.s4 import S4Routing
+
+__all__ = ["label_mapping_entries", "state_bytes", "state_entries"]
+
+
+def _entry_bytes_at(database, landmark: int, *, name_bytes: int = 4) -> float:
+    """Bytes of resolution state at ``landmark`` (names + addresses)."""
+    return sum(
+        record.address.mapping_entry_bytes(name_bytes)
+        for record in database._records.get(landmark, {}).values()
+    )
+
+
+def label_mapping_entries(nddisco: NDDiscoRouting, node: int) -> int:
+    """Forwarding-label mapping entries at ``node``.
+
+    "The node really needs to remember the mapping only for those
+    forwarding labels that will actually be used; these will be for the
+    neighbors leading along shortest paths to landmarks or nodes in the
+    node's vicinity" (§4.5 Theorem 2).
+    """
+    used_neighbors: set[int] = set()
+    for landmark, (_, parents) in nddisco.landmark_spts.items():
+        if landmark == node:
+            continue
+        parent = parents[node]
+        if parent >= 0:
+            used_neighbors.add(parent)
+    vicinity = nddisco.vicinities[node]
+    for member, parent in vicinity.predecessors.items():
+        if parent == node:
+            used_neighbors.add(member)
+    return len(used_neighbors)
+
+
+def _nddisco_entries(scheme: NDDiscoRouting, node: int) -> int:
+    """Data-plane entries: landmarks + vicinity + label mappings + resolution."""
+    landmarks = scheme.landmarks
+    vicinity = scheme.vicinities[node]
+    landmark_entries = len(landmarks) - (1 if node in landmarks else 0)
+    vicinity_entries = len(vicinity) - 1  # exclude the node itself
+    return (
+        landmark_entries
+        + vicinity_entries
+        + label_mapping_entries(scheme, node)
+        + scheme.resolution_database.entries_at(node)
+    )
+
+
+def _nddisco_bytes(scheme: NDDiscoRouting, node: int, name_bytes: int) -> float:
+    """Each landmark / vicinity forwarding entry costs one name plus a
+    one-byte next-hop label; label-mapping entries cost two bytes (label
+    plus interface); each resolution record costs the destination name
+    plus its full address (landmark name plus explicit-route labels)."""
+    landmarks = scheme.landmarks
+    vicinity = scheme.vicinities[node]
+    landmark_entries = len(landmarks) - (1 if node in landmarks else 0)
+    vicinity_entries = len(vicinity) - 1
+    forwarding_bytes = (landmark_entries + vicinity_entries) * (name_bytes + 1.0)
+    label_bytes = label_mapping_entries(scheme, node) * 2.0
+    resolution_bytes = _entry_bytes_at(
+        scheme.resolution_database, node, name_bytes=name_bytes
+    )
+    return forwarding_bytes + label_bytes + resolution_bytes
+
+
+def _disco_entries(scheme: DiscoRouting, node: int) -> int:
+    """NDDisco entries plus sloppy-group address mappings plus overlay links."""
+    return (
+        _nddisco_entries(scheme.nddisco, node)
+        + scheme.group_address_entries(node)
+        + scheme.overlay.degree(node)
+    )
+
+
+def _disco_bytes(scheme: DiscoRouting, node: int, name_bytes: int) -> float:
+    """Bytes of data-plane state at ``node`` (Fig. 7 accounting)."""
+    base = _nddisco_bytes(scheme.nddisco, node, name_bytes)
+    group_bytes = scheme._group_entry_bytes[node]
+    if name_bytes != NAME_BYTES_IPV4:
+        # The cached byte totals were computed with IPv4-sized names;
+        # rescale the per-entry fixed cost (two names per mapping entry).
+        delta_per_entry = 2.0 * (name_bytes - NAME_BYTES_IPV4)
+        group_bytes += scheme.group_address_entries(node) * delta_per_entry
+    overlay_bytes = 0.0
+    for neighbor in scheme.overlay.neighbors(node):
+        overlay_bytes += scheme.nddisco.addresses[neighbor].mapping_entry_bytes(
+            name_bytes
+        )
+    return base + group_bytes + overlay_bytes
+
+
+def _s4_entries(scheme: S4Routing, node: int) -> int:
+    """Cluster routes + landmark routes + location-service records."""
+    landmarks = scheme.landmarks
+    landmark_entries = len(landmarks) - (1 if node in landmarks else 0)
+    return (
+        scheme.cluster_size(node)
+        + landmark_entries
+        + scheme.resolution_database.entries_at(node)
+    )
+
+
+def _s4_bytes(scheme: S4Routing, node: int, name_bytes: int) -> float:
+    """Bytes of state: forwarding entries plus location records (Fig. 7)."""
+    landmarks = scheme.landmarks
+    landmark_entries = len(landmarks) - (1 if node in landmarks else 0)
+    forwarding_entries = scheme.cluster_size(node) + landmark_entries
+    forwarding_bytes = forwarding_entries * (name_bytes + 1.0)
+    resolution_bytes = _entry_bytes_at(
+        scheme.resolution_database, node, name_bytes=name_bytes
+    )
+    return forwarding_bytes + resolution_bytes
+
+
+_ORACLES = {
+    NDDiscoRouting: (_nddisco_entries, _nddisco_bytes),
+    DiscoRouting: (_disco_entries, _disco_bytes),
+    S4Routing: (_s4_entries, _s4_bytes),
+}
+
+
+def state_entries(scheme, node: int) -> int:
+    """``node``'s data-plane entries under ND-Disco, Disco or S4."""
+    return _ORACLES[type(scheme)][0](scheme, node)
+
+
+def state_bytes(scheme, node: int, name_bytes: int) -> float:
+    """``node``'s data-plane bytes with ``name_bytes``-sized names."""
+    return _ORACLES[type(scheme)][1](scheme, node, name_bytes)

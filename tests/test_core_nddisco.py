@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import state_accounting as oracle
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.core.vicinity import vicinity_size
 from repro.graphs.generators import gnm_random_graph, line_graph
 from repro.graphs.shortest_paths import dijkstra, path_length
 from repro.graphs.topology import Topology
+from repro.metrics.state import measure_state
 from repro.metrics.stretch import measure_stretch
 
 
@@ -127,8 +129,9 @@ class TestStateAccounting:
             assert entries < n * 3
 
     def test_landmarks_hold_resolution_state(self, nddisco_small):
+        database = nddisco_small.resolution_database
         landmark_total = sum(
-            nddisco_small.resolution_entries(lm) for lm in nddisco_small.landmarks
+            database.entries_at(lm) for lm in nddisco_small.landmarks
         )
         assert landmark_total == nddisco_small.topology.num_nodes
         non_landmark = next(
@@ -136,21 +139,26 @@ class TestStateAccounting:
             for v in range(nddisco_small.topology.num_nodes)
             if v not in nddisco_small.landmarks
         )
-        assert nddisco_small.resolution_entries(non_landmark) == 0
+        assert database.entries_at(non_landmark) == 0
 
     def test_label_mappings_bounded_by_degree(self, nddisco_small, small_gnm):
         for node in range(small_gnm.num_nodes):
-            assert nddisco_small.label_mapping_entries(node) <= small_gnm.degree(node)
+            assert oracle.label_mapping_entries(
+                nddisco_small, node
+            ) <= small_gnm.degree(node)
 
     def test_state_bytes_scale_with_name_size(self, nddisco_small):
         assert nddisco_small.state_bytes(0, name_bytes=16) > nddisco_small.state_bytes(
             0, name_bytes=4
         )
 
-    def test_state_entry_counts_helper(self, nddisco_small, small_gnm):
-        counts = nddisco_small.state_entry_counts()
+    def test_state_entries_of_every_node(self, nddisco_small, small_gnm):
+        counts = measure_state(nddisco_small).entries
         assert len(counts) == small_gnm.num_nodes
-        assert counts[5] == nddisco_small.state_entries(5)
+        assert counts == tuple(
+            oracle.state_entries(nddisco_small, node)
+            for node in small_gnm.nodes()
+        )
 
 
 class TestRouting:

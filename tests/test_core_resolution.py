@@ -104,22 +104,24 @@ class TestStateAccounting:
         database.populate(names, addresses)
         assert database.entries_at(50) == 0
 
-    def test_entry_bytes_positive_for_hosts(self, database_and_addresses):
+    @pytest.mark.parametrize("name_bytes", [4, 16])
+    def test_route_bytes_price_the_stored_mappings(
+        self, database_and_addresses, name_bytes
+    ):
         database, names, addresses = database_and_addresses
         database.populate(names, addresses)
-        hosting = [lm for lm in database.landmarks if database.entries_at(lm) > 0]
-        assert hosting
-        for landmark in hosting:
-            assert database.entry_bytes_at(landmark) > 0
-        assert database.entry_bytes_at(50) == 0.0
-
-    def test_ipv6_names_cost_more(self, database_and_addresses):
-        database, names, addresses = database_and_addresses
-        database.populate(names, addresses)
-        landmark = max(database.landmarks, key=database.entries_at)
-        assert database.entry_bytes_at(landmark, name_bytes=16) > database.entry_bytes_at(
-            landmark, name_bytes=4
-        )
+        assert any(database.route_bytes_at(lm) > 0 for lm in database.landmarks)
+        for landmark in database.landmarks:
+            stored = sum(
+                address.mapping_entry_bytes(name_bytes)
+                for name, address in zip(names, addresses)
+                if database.home_landmark(name) == landmark
+            )
+            assert (
+                2 * name_bytes * database.entries_at(landmark)
+                + database.route_bytes_at(landmark)
+            ) == stored
+        assert database.route_bytes_at(50) == 0.0
 
     def test_load_distribution_sums_to_total(self, database_and_addresses):
         database, names, addresses = database_and_addresses

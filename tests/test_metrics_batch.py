@@ -279,23 +279,6 @@ class TestBatchedStateAndCongestion:
         with pytest.raises(TypeError):
             measure(simulation.scheme("s4"), batch=False)
 
-    @pytest.mark.parametrize("index", [0, 1, 2])
-    def test_state_profile_equals_per_node_loop(self, index):
-        topology = _topologies()[index]
-        simulation = StaticSimulation(
-            topology, ("disco", "nd-disco", "s4", "vrr"), seed=1
-        )
-        for name, scheme in simulation.schemes.items():
-            loop = _state_node_by_node(scheme)
-            assert loop == measure_state(scheme), name
-            if name != "vrr":  # VRR offers no batched profile
-                profile = scheme.state_profile(loop.nodes)
-                assert tuple(map(tuple, profile)) == (
-                    loop.entries,
-                    loop.bytes_ipv4,
-                    loop.bytes_ipv6,
-                ), name
-
     def test_congestion_batch_identical(self, medium_gnm):
         simulation = StaticSimulation(
             medium_gnm, ("disco", "nd-disco", "s4"), seed=1

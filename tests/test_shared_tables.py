@@ -100,10 +100,6 @@ class TestPublishAttach:
                 landmark: rows[0]
                 for landmark, rows in attached.spt_rows().items()
             }
-            twin._landmark_parents = {
-                landmark: rows[1]
-                for landmark, rows in attached.spt_rows().items()
-            }
             twin._closest_landmark, twin._closest_landmark_distance = (
                 attached.closest_rows()
             )
