@@ -154,7 +154,7 @@ def test_substrate_build_peak_memory_stays_slab_bound(benchmark, run_once):
     )
 
 
-#: Ingestion peak ceiling as a multiple of the finished CSRTopology slab
+#: Ingestion peak ceiling as a multiple of the finished Topology slab
 #: payload (the ISSUE acceptance bound).  Streaming ingestion holds the
 #: canonical edge arrays, O(n) dedup scratch, and the CSR slabs -- no
 #: per-edge Python objects -- measured ~1.33x on a 2^20-edge G(n,m) edge
@@ -168,7 +168,7 @@ def test_ingestion_peak_memory_stays_slab_bound(
     benchmark, run_once, tmp_path
 ):
     """Peak traced memory of streaming a >=10^6-edge edge list into a
-    CSRTopology stays under twice the finished slab payload."""
+    Topology stays under twice the finished slab payload."""
     import gc
     import tracemalloc
 
@@ -187,7 +187,7 @@ def test_ingestion_peak_memory_stays_slab_bound(
         gc.collect()
         tracemalloc.start()
         try:
-            ingested = ingest_file(path, backend="csr")
+            ingested = ingest_file(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

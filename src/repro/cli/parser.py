@@ -165,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest_parser = subparsers.add_parser(
         "ingest",
         help="stream a real-topology dataset into an array-backed "
-        "CSRTopology (and the artifact cache) without building dict "
-        "adjacency; prints a structural summary",
+        "Topology (and the artifact cache) without per-edge Python "
+        "objects; prints a structural summary",
     )
     ingest_parser.add_argument(
         "path",

@@ -46,8 +46,8 @@ build on the mutated topology after every event, with no sync step.
 
 The topology is the engine's own :class:`~repro.graphs.csr.CSRGraph`, kept
 as nothing else: an event splices its whole edge delta into it in place
-(:meth:`~repro.graphs.csr.CSRGraph.splice`), and ``engine.topology``
-materialises a dict topology from its rows on demand.  An event is
+(:meth:`~repro.graphs.csr.CSRGraph.splice`), and ``engine.topology`` is a
+frozen topology over a copy of its rows, made on demand.  An event is
 therefore that splice and a fixed sequence of calls below the FFI over the
 graph -- row repair (:mod:`repro.graphs.incremental`), endpoint searches and
 the k-nearest search (:mod:`repro.graphs.csr`), closest refold, candidate
@@ -168,7 +168,10 @@ class ChurnEngine:
         n = topology.num_nodes
         if landmarks is None:
             landmarks = select_landmarks(n, seed=seed)
-        private = topology.copy()  # its snapshot becomes the engine's graph
+        # The copy shares the slabs; its csr() is the engine's own graph
+        # (never the one ``topology.csr()`` caches), and the first splice
+        # copies the slabs into a store of the graph's own.
+        private = topology.copy()
         k = vicinity_k if vicinity_k is not None else vicinity_size(n)
         self._adopt(
             private.csr(),
@@ -268,8 +271,8 @@ class ChurnEngine:
 
     @property
     def topology(self) -> Topology:
-        """The current (mutated) topology, materialised from the graph's
-        rows on the first read after an event; treat as read-only."""
+        """The current (mutated) topology: a frozen :class:`Topology` over
+        a copy of the graph's rows, made on the first read after an event."""
         if self._topology is None:
             self._topology = Topology.from_csr(self._graph)
         return self._topology

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, TopologyBuilder
 from repro.utils.randomness import make_rng
 from repro.utils.validation import require_positive
 
@@ -91,11 +91,12 @@ class DynEvent:
         return (self.u, self.v)
 
 
-def apply_edge_event(topology: Topology, event: DynEvent) -> None:
-    """Apply one edge event to ``topology``, in place.
+def apply_edge_event(topology: TopologyBuilder, event: DynEvent) -> None:
+    """Apply one edge event to a builder, in place.
 
-    For replaying a stream's prefix on a plain topology (a ``churn-cost``
-    segment's boundary, the replay oracle's next state).  Node events carry
+    For replaying a stream's prefix (a ``churn-cost`` segment's boundary,
+    the replay oracle's next state); freeze the builder to read the
+    result as a :class:`Topology`.  Node events carry
     captured-edge state only the engine keeps and raise ``ValueError``
     here; so does recovering a present edge, and failing or reweighting a
     missing one raises ``KeyError``.
@@ -142,7 +143,7 @@ def generate_churn_workload(
     if not topology.is_connected():
         raise ValueError("churn workloads require a connected base topology")
     rng = make_rng(seed, "churn")
-    current = topology.copy()
+    current = TopologyBuilder.from_topology(topology)
     events: list[DynEvent] = []
     candidate_edges = sorted((u, v) for u, v, _ in topology.edges())
     attempts = 0
@@ -174,7 +175,7 @@ def generate_churn_workload(
 
 
 def _cut_points(
-    topology: Topology, root: int
+    topology: TopologyBuilder, root: int
 ) -> tuple[set[tuple[int, int]], set[int]]:
     """Bridges (as ``u < v`` pairs) and articulation points of the live graph.
 
@@ -258,7 +259,7 @@ def generate_event_stream(
     if not topology.is_connected():
         raise ValueError("event streams require a connected base topology")
     rng = make_rng(seed, "dynamics-stream")
-    current = topology.copy()
+    current = TopologyBuilder.from_topology(topology)
     down_edges: dict[tuple[int, int], float] = {}
     captured: dict[int, list[tuple[int, int, float]]] = {}
     dead: set[int] = set()

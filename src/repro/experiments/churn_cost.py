@@ -38,6 +38,7 @@ from repro.dynamics.stream import apply_edge_event, generate_churn_workload
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import header
 from repro.experiments.workloads import sweep_gnm
+from repro.graphs.topology import TopologyBuilder
 from repro.sim.convergence import simulate_nddisco_convergence
 from repro.scenarios.spec import scenario
 from repro.utils.formatting import format_table
@@ -126,13 +127,15 @@ def _segment_costs(
         topology, num_events=num_events, seed=_trial_seed(scale, trial)
     )
     lo, hi = _segment_bounds(num_events, segment, segments)
-    boundary = topology.copy()
+    boundary = TopologyBuilder.from_topology(topology)
     for event in events[:lo]:
         apply_edge_event(boundary, event)
     # The landmark set is a pure function of (n, seed) -- every shard
     # derives the same set without shipping state.
     landmarks = select_landmarks(num_nodes, seed=scale.seed)
-    engine = ChurnEngine(boundary, seed=scale.seed, landmarks=landmarks)
+    engine = ChurnEngine(
+        boundary.freeze(), seed=scale.seed, landmarks=landmarks
+    )
     return [report.cost for report in engine.run(events[lo:hi])]
 
 

@@ -92,7 +92,7 @@ def real_topology(scale: ExperimentScale) -> Topology:
     """The ingested real-world dataset named by ``scale.topology_file``.
 
     Streams the dataset through :func:`repro.graphs.ingest.ingest_topology`
-    (array-backed ``CSRTopology``, content-addressed by file digest +
+    (array-backed ``Topology``, content-addressed by file digest +
     format, largest connected component kept -- real maps are routinely
     disconnected).  Raises ``ValueError`` when the scale names no file.
     """

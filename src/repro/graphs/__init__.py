@@ -10,7 +10,7 @@ under ``tests/oracles/``; ``networkx`` is a second cross-check oracle, also
 used only in the test suite.
 """
 
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, TopologyBuilder
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     geometric_random_graph,
@@ -39,6 +39,7 @@ from repro.graphs.sampling import sample_nodes, sample_pairs
 __all__ = [
     "CSRGraph",
     "Topology",
+    "TopologyBuilder",
     "all_pairs_sampled_distances",
     "dijkstra",
     "dijkstra_k_nearest",

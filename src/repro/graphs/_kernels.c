@@ -476,9 +476,9 @@ void bincount_i64(const i64 *src, i64 count, i64 *counts)
 
 /* Scatter canonical undirected edges into CSR arc slabs.  Edge j places its
  * two directed arcs at cursor[eu[j]]++ and cursor[ev[j]]++, reproducing the
- * arc order of CSRGraph.from_topology over a dict Topology whose add_edge
- * calls arrived in the same edge order (each new edge appends one arc to
- * both endpoint rows).  cursor must start as a copy of offsets[0..n-1]. */
+ * arc order TopologyBuilder.freeze gives a builder whose add_edge calls
+ * arrived in the same edge order (each new edge appends one arc to both
+ * endpoint rows).  cursor must start as a copy of offsets[0..n-1]. */
 void csr_fill(i64 num_edges,
               const i64 *eu, const i64 *ev, const double *ew,
               i64 *cursor, i64 *nbrs, double *wts)

@@ -18,8 +18,8 @@ batch of ``n`` searches touches no per-call O(n) setup.
 Kernel selection
 ----------------
 
-The snapshot carries a :class:`WeightProfile` (cached on the topology
-alongside the CSR snapshot, invalidated on mutation) and picks one of three
+The snapshot carries a :class:`WeightProfile` (cached on the immutable
+topology alongside the CSR snapshot) and picks one of three
 kernels per graph, all bit-identical to each other and to the seed's
 dict-based implementation (the oracle under ``tests/oracles/``):
 
@@ -60,8 +60,8 @@ The pure-Python tier, and the C tier when that call reports it could not
 allocate, loop over the single-source search inside the same driver.
 
 The stable public API remains :mod:`repro.graphs.shortest_paths`; callers
-normally obtain a kernel via :meth:`Topology.csr`, which caches the snapshot
-and invalidates it when the topology mutates.
+normally obtain a kernel via :meth:`Topology.csr`, which caches one over the
+topology's slabs.
 
 Examples
 --------
@@ -94,12 +94,9 @@ import warnings
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.graphs import _ckernels
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.graphs.topology import Topology
 
 __all__ = [
     "CSRGraph",
@@ -276,13 +273,14 @@ def profile_with_weight(
 class CSRGraph:
     """Compressed-sparse-row graph with a reusable search arena.
 
-    Instances are immutable snapshots: mutate the owning
-    :class:`~repro.graphs.topology.Topology` and a fresh snapshot is built on
-    the next :meth:`Topology.csr` call.  The one exception is the churn
-    engine's own graph, which no one else holds and which each event edits
-    in place with :meth:`splice`.  The scratch arrays make a single
-    instance non-reentrant -- one search at a time per ``CSRGraph`` (the
-    batch drivers give each kernel thread its own arena).
+    An instance wraps the arc slabs of an immutable
+    :class:`~repro.graphs.topology.Topology` (:meth:`Topology.csr` caches
+    one, :meth:`Topology.fresh_csr` makes one for its caller) and never
+    writes them.  The one graph that changes is the churn engine's own,
+    which each event edits in place with :meth:`splice`: its first splice
+    copies the slabs into a store the graph owns.  The scratch arrays make
+    a single instance non-reentrant -- one search at a time per
+    ``CSRGraph`` (the batch drivers give each kernel thread its own arena).
 
     Parameters
     ----------
@@ -384,42 +382,6 @@ class CSRGraph:
             return "bfs"
         return "bucket" if profile.bucket_ok else "heap"
 
-    @classmethod
-    def from_topology(
-        cls,
-        topology: "Topology",
-        *,
-        kernel: str | None = None,
-        use_c: bool | None = None,
-    ) -> "CSRGraph":
-        """Build a CSR snapshot of ``topology`` (adjacency order preserved).
-
-        The flat slabs are assembled as Python lists first and converted to
-        arrays in one C-level pass, instead of an ``array.append`` per edge.
-        The weight profile comes from :meth:`Topology.weight_profile`, which
-        caches it alongside the snapshot.
-        """
-        num_nodes = topology.num_nodes
-        offsets = [0] * (num_nodes + 1)
-        neighbors: list[int] = []
-        weights: list[float] = []
-        position = 0
-        for node, row in enumerate(topology.adjacency):
-            for neighbor, weight in row:
-                neighbors.append(neighbor)
-                weights.append(weight)
-            position += len(row)
-            offsets[node + 1] = position
-        return cls(
-            num_nodes,
-            array("q", offsets),
-            array("q", neighbors),
-            array("d", weights),
-            profile=topology.weight_profile(),
-            kernel=kernel,
-            use_c=use_c,
-        )
-
     @property
     def num_edges(self) -> int:
         """Number of undirected edges in the snapshot."""
@@ -437,10 +399,12 @@ class CSRGraph:
     def _arc_position(self, u: int, v: int) -> int:
         """Index of the arc ``u -> v``; ``KeyError`` when there is none."""
         if 0 <= u < self.num_nodes:
-            lo, hi = self.offsets[u], self.offsets[u + 1]
-            row = self.neighbors[lo:hi].tolist()
-            if v in row:
+            lo = self.offsets[u]
+            row = self.neighbors[lo : self.offsets[u + 1]].tolist()
+            try:
                 return lo + row.index(v)
+            except ValueError:
+                pass
         raise KeyError(f"no edge {u}-{v} in the graph")
 
     def edge_weight(self, u: int, v: int) -> float:
@@ -460,7 +424,7 @@ class CSRGraph:
         ``(u, v, weight)`` triples.  A removed arc's gap closes, an added
         arc goes at its row's end (in ``added`` order), a reweight is
         written where the arc sits -- each row in the order
-        :meth:`from_topology` gives a dict topology with the same edits (an
+        :meth:`TopologyBuilder.freeze` gives after the same edits (an
         address label is an arc position) -- and no arc moves twice.  The
         profile folds each new weight in (:func:`profile_with_weight`); the
         kernel is reselected from it.  A missing edge (``KeyError``), an

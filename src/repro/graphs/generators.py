@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, TopologyBuilder
 from repro.utils.randomness import make_rng
 from repro.utils.validation import require_positive
 
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-def _ensure_connected(topology: Topology, rng: random.Random) -> None:
+def _ensure_connected(topology: TopologyBuilder, rng: random.Random) -> None:
     """Connect components by adding random inter-component edges.
 
     All generators promise a connected result; rather than rejection-sampling
@@ -91,7 +91,7 @@ def gnm_random_graph(
             f"num_edges={num_edges} exceeds the maximum {max_edges} for "
             f"{num_nodes} nodes"
         )
-    topology = Topology(num_nodes, name=f"gnm-{num_nodes}")
+    topology = TopologyBuilder(num_nodes, name=f"gnm-{num_nodes}")
     added = 0
     seen: set[tuple[int, int]] = set()
     while added < num_edges:
@@ -106,7 +106,7 @@ def gnm_random_graph(
         topology.add_edge(u, v, 1.0)
         added += 1
     _ensure_connected(topology, rng)
-    return topology
+    return topology.freeze()
 
 
 def geometric_random_graph(
@@ -149,7 +149,7 @@ def geometric_random_graph(
         if latency_quantum is None
         else f"geometric-q-{num_nodes}"
     )
-    topology = Topology(num_nodes, name=name)
+    topology = TopologyBuilder(num_nodes, name=name)
 
     def latency(distance: float) -> float:
         value = distance * latency_scale
@@ -191,7 +191,7 @@ def geometric_random_graph(
             dist = max(math.hypot(ux - vx, uy - vy), 1e-9)
             topology.add_edge(u, v, latency(dist))
             core = core + component
-    return topology
+    return topology.freeze()
 
 
 def internet_as_level(
@@ -218,7 +218,7 @@ def internet_as_level(
             f"({num_nodes} <= {attachment_edges})"
         )
     rng = make_rng(seed, "as-level")
-    topology = Topology(num_nodes, name=f"as-level-{num_nodes}")
+    topology = TopologyBuilder(num_nodes, name=f"as-level-{num_nodes}")
     # Start from a small clique of attachment_edges + 1 nodes.
     seed_size = attachment_edges + 1
     repeated_nodes: list[int] = []
@@ -234,7 +234,7 @@ def internet_as_level(
             topology.add_edge(new_node, target, 1.0)
             repeated_nodes.append(target)
         repeated_nodes.extend([new_node] * len(targets))
-    return topology
+    return topology.freeze()
 
 
 def internet_router_level(
@@ -266,7 +266,7 @@ def internet_router_level(
     rng = make_rng(seed, "router-level")
     backbone_size = max(int(round(num_nodes * backbone_fraction)), stub_degree + 2)
     backbone_size = min(backbone_size, num_nodes)
-    topology = Topology(num_nodes, name=f"router-level-{num_nodes}")
+    topology = TopologyBuilder(num_nodes, name=f"router-level-{num_nodes}")
 
     # Backbone: preferential attachment with 3 edges per arriving router.
     backbone_attach = 3
@@ -299,34 +299,34 @@ def internet_router_level(
         repeated_nodes.append(new_node)
 
     _ensure_connected(topology, rng)
-    return topology
+    return topology.freeze()
 
 
 def ring_graph(num_nodes: int, *, weight: float = 1.0) -> Topology:
     """Return a ring of ``num_nodes`` nodes (the worst case for address size)."""
     require_positive("num_nodes", num_nodes)
-    topology = Topology(num_nodes, name=f"ring-{num_nodes}")
+    topology = TopologyBuilder(num_nodes, name=f"ring-{num_nodes}")
     if num_nodes == 1:
-        return topology
+        return topology.freeze()
     for node in range(num_nodes):
         topology.add_edge(node, (node + 1) % num_nodes, weight)
-    return topology
+    return topology.freeze()
 
 
 def line_graph(num_nodes: int, *, weight: float = 1.0) -> Topology:
     """Return a path graph of ``num_nodes`` nodes."""
     require_positive("num_nodes", num_nodes)
-    topology = Topology(num_nodes, name=f"line-{num_nodes}")
+    topology = TopologyBuilder(num_nodes, name=f"line-{num_nodes}")
     for node in range(num_nodes - 1):
         topology.add_edge(node, node + 1, weight)
-    return topology
+    return topology.freeze()
 
 
 def grid_graph(rows: int, cols: int, *, weight: float = 1.0) -> Topology:
     """Return a ``rows x cols`` grid graph with uniform edge weights."""
     require_positive("rows", rows)
     require_positive("cols", cols)
-    topology = Topology(rows * cols, name=f"grid-{rows}x{cols}")
+    topology = TopologyBuilder(rows * cols, name=f"grid-{rows}x{cols}")
 
     def node_id(r: int, c: int) -> int:
         return r * cols + c
@@ -337,16 +337,16 @@ def grid_graph(rows: int, cols: int, *, weight: float = 1.0) -> Topology:
                 topology.add_edge(node_id(r, c), node_id(r, c + 1), weight)
             if r + 1 < rows:
                 topology.add_edge(node_id(r, c), node_id(r + 1, c), weight)
-    return topology
+    return topology.freeze()
 
 
 def star_graph(num_leaves: int, *, weight: float = 1.0) -> Topology:
     """Return a star: node 0 is the hub, nodes 1..num_leaves are leaves."""
     require_positive("num_leaves", num_leaves)
-    topology = Topology(num_leaves + 1, name=f"star-{num_leaves}")
+    topology = TopologyBuilder(num_leaves + 1, name=f"star-{num_leaves}")
     for leaf in range(1, num_leaves + 1):
         topology.add_edge(0, leaf, weight)
-    return topology
+    return topology.freeze()
 
 
 def two_level_tree(branching: int, *, child_weight: float = 2.0) -> Topology:
@@ -361,11 +361,11 @@ def two_level_tree(branching: int, *, child_weight: float = 2.0) -> Topology:
     require_positive("branching", branching)
     require_positive("child_weight", child_weight)
     num_nodes = 1 + branching + branching * branching
-    topology = Topology(num_nodes, name=f"two-level-tree-{branching}")
+    topology = TopologyBuilder(num_nodes, name=f"two-level-tree-{branching}")
     for child_index in range(branching):
         child = 1 + child_index
         topology.add_edge(0, child, 1.0)
         for grandchild_index in range(branching):
             grandchild = 1 + branching + child_index * branching + grandchild_index
             topology.add_edge(child, grandchild, child_weight)
-    return topology
+    return topology.freeze()

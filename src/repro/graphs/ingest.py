@@ -14,19 +14,17 @@ Formats register through the :func:`topology_format` decorator (the
 icarus/FNSS registered-factory idiom): the generic ``edge-list`` format,
 a Rocketfuel-style ISP map parser, and a CAIDA AS-links-style parser ship
 built in, each with its own node-id remapping, self-loop policy, and
-per-dataset delay model.  :func:`ingest_file` returns an array-backed
-:class:`~repro.graphs.topology.CSRTopology` (``backend="csr"``) or the
-dict-backed oracle built by replaying the same parsed edges through
-``add_edge`` (``backend="dict"``) -- the two are differential-tested to
-be bit-identical.  :func:`ingest_topology` adds content-addressed
-artifact caching keyed by file digest, format, and delay-model
-parameters.
+per-dataset delay model.  :func:`ingest_file` returns the array-backed
+:class:`~repro.graphs.topology.Topology` straight off the streaming pass;
+:func:`ingest_topology` adds content-addressed artifact caching keyed by
+file digest, format, and delay-model parameters.
 
-The duplicate policy matches ``Topology.add_edge`` exactly: the first
-arrival of an edge keeps its position, with the minimum weight over all
-arrivals.  The assembled arc slabs reproduce, arc for arc, what
-``CSRGraph.from_topology`` would build from the equivalent dict topology,
-which is what makes the fast path bit-identical to the oracle.
+The duplicate policy matches ``TopologyBuilder.add_edge`` exactly: the
+first arrival of an edge keeps its position, with the minimum weight over
+all arrivals.  The assembled arc slabs reproduce, arc for arc, what
+``TopologyBuilder.freeze`` lays out after the same ``add_edge`` calls, so
+ingesting a file and replaying its lines through a builder give the same
+bytes (a differential the tests hold).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from math import inf
 from typing import Callable, NamedTuple
 
 from repro.graphs import _ckernels
-from repro.graphs.topology import CSRTopology, Topology
+from repro.graphs.topology import Topology
 
 __all__ = [
     "ParsedEdges",
@@ -329,7 +327,7 @@ def dedup_edge_arrays(
     """Collapse duplicate canonical edges in place; return the arrays.
 
     First arrival keeps its position with the minimum weight over all
-    arrivals -- exactly ``Topology.add_edge``'s duplicate policy.  The C
+    arrivals -- exactly ``TopologyBuilder.add_edge``'s duplicate policy.  The C
     pass groups edges by lo endpoint with a stable counting sort (no
     Python per-edge objects); the fallback uses a pair-keyed dict.
     """
@@ -371,8 +369,8 @@ def assemble_csr_slabs(
     """Scatter deduplicated canonical edges into CSR arc slabs.
 
     Returns ``(offsets, neighbors, weights)`` laid out exactly as
-    ``CSRGraph.from_topology`` would produce from a dict topology whose
-    ``add_edge`` calls arrived in the same edge order.
+    ``TopologyBuilder.freeze`` lays out a builder whose ``add_edge`` calls
+    arrived in the same edge order.
     """
     num_edges = len(edges_w)
     offsets = array("q", bytes(8 * (num_nodes + 1)))
@@ -443,17 +441,12 @@ def ingest_file(
     *,
     fmt: str = "edge-list",
     name: str | None = None,
-    backend: str = "csr",
     largest_component: bool = False,
     **params,
-):
-    """Parse ``path`` with the registered ``fmt`` parser.
+) -> Topology:
+    """Parse ``path`` with the registered ``fmt`` parser into a
+    :class:`Topology`, straight off the streaming pass.
 
-    ``backend="csr"`` (default) returns the array-backed
-    :class:`CSRTopology` straight off the streaming pass;
-    ``backend="dict"`` replays the same parsed edges through
-    ``Topology.add_edge`` and returns the dict-backed oracle (the two are
-    bit-identical by construction and by the differential test suite).
     ``largest_component=True`` keeps only the largest connected component
     (real datasets are routinely disconnected).  ``params`` go to the
     parser (delay-model knobs).
@@ -483,33 +476,19 @@ def ingest_file(
     topology_name = name or parsed.declared_name or os.path.basename(
         str(path)
     )
-    if backend == "dict":
-        topology: Topology = Topology(num_nodes, name=topology_name)
-        add_edge = topology.add_edge
-        edges_u, edges_v, edges_w = (
-            parsed.edges_u, parsed.edges_v, parsed.edges_w,
-        )
-        for j in range(len(edges_w)):
-            add_edge(edges_u[j], edges_v[j], edges_w[j])
-    elif backend == "csr":
-        edges_u, edges_v, edges_w = dedup_edge_arrays(
-            num_nodes, parsed.edges_u, parsed.edges_v, parsed.edges_w
-        )
-        topology = CSRTopology.from_edge_arrays(
-            num_nodes,
-            edges_u,
-            edges_v,
-            edges_w,
-            name=topology_name,
-            profile=_streamed_profile(edges_w, parsed.all_unit),
-        )
-    else:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected 'csr' or 'dict'"
-        )
+    edges_u, edges_v, edges_w = dedup_edge_arrays(
+        num_nodes, parsed.edges_u, parsed.edges_v, parsed.edges_w
+    )
+    topology = Topology.from_edge_arrays(
+        num_nodes,
+        edges_u,
+        edges_v,
+        edges_w,
+        name=topology_name,
+        profile=_streamed_profile(edges_w, parsed.all_unit),
+    )
     if largest_component:
         topology, _mapping = topology.largest_component_subgraph()
-        topology.name = topology_name
     return topology
 
 
@@ -521,7 +500,7 @@ def ingest_topology(
     largest_component: bool = False,
     **params,
 ):
-    """Cached :func:`ingest_file` (CSR backend) through the active cache.
+    """Cached :func:`ingest_file` through the active cache.
 
     The artifact key covers the file's content digest, the format, the
     largest-component flag, and every delay-model parameter -- editing
@@ -537,7 +516,6 @@ def ingest_topology(
             path,
             fmt=fmt,
             name=name,
-            backend="csr",
             largest_component=largest_component,
             **params,
         )

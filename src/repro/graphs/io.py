@@ -49,10 +49,7 @@ def read_edge_list(
         node ids, or node ids exceeding a declared node count).
     """
     # One code path: the streaming parser in repro.graphs.ingest owns the
-    # format (and its documented error semantics); the dict backend replays
-    # the parsed edges through add_edge, exactly as this function always
-    # did.  Pass backend="csr" via ingest_file directly for the array-backed
-    # fast path.
+    # format and its documented error semantics.
     from repro.graphs.ingest import ingest_file
 
-    return ingest_file(path, fmt="edge-list", name=name, backend="dict")
+    return ingest_file(path, fmt="edge-list", name=name)

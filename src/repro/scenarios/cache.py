@@ -43,10 +43,10 @@ without it is a miss and gets rebuilt.  Each sidecar records both the
 stored and the raw byte count so ``repro cache stats`` can report the
 compression ratio.
 
-A mutated topology can never hit a stale artifact: scheme and substrate
-keys change with ``content_key()``, and persistent references carry a
-content-key guard checked at pickling time (a mutated component is
-embedded inline rather than mis-referenced).
+A :class:`~repro.graphs.topology.Topology` is immutable, so a content key
+never goes stale: scheme and substrate keys cover ``content_key()``, and an
+edited graph is a new topology (frozen from a ``TopologyBuilder``) under a
+key of its own.
 
 Both layers live in memory for the current process and -- when a cache
 directory is configured -- as pickles on disk (plus a ``<key>.meta.json``
@@ -103,8 +103,9 @@ __all__ = [
 #: that loads attach with ``mmap`` instead of unpickling.  v5: Disco
 #: shells pickle an overlay whose ring is flat arrays, not per-node dicts.
 #: v6: ND-Disco and S4 shells pickle their resolution database's ring as
-#: a :class:`~repro.naming.VNodeRing`.
-ARTIFACT_SCHEMA = "repro-artifacts/v6"
+#: a :class:`~repro.naming.VNodeRing`.  v7: topologies pickle as the one
+#: array-backed :class:`~repro.graphs.topology.Topology`.
+ARTIFACT_SCHEMA = "repro-artifacts/v7"
 
 #: Tables artifacts at or above this many slab bytes are stored as a raw
 #: slab directory instead of a compressed pickle.  A slab directory loads
@@ -162,24 +163,11 @@ class _ArtifactMissing(Exception):
 
 @dataclass(frozen=True)
 class _SharedRef:
-    """One registered shared object: where its canonical copy lives.
-
-    ``topology``/``content_key`` pin the topology content the registration
-    was made under; a reference is only emitted while the topology still
-    hashes to the same content (mutation embeds inline instead).
-    """
+    """One registered shared object: where its canonical copy lives."""
 
     kind: str
     key: str
     path: tuple
-    topology: object
-    content_key: str
-
-    def is_valid(self) -> bool:
-        try:
-            return self.topology.content_key() == self.content_key
-        except Exception:
-            return False
 
 
 def _substrate_components(substrate) -> Iterator[tuple[tuple, object]]:
@@ -256,8 +244,6 @@ class _ShellPickler(pickle.Pickler):
     def persistent_id(self, obj):
         ref = self._shared.get(id(obj))
         if ref is None or (ref.kind, ref.key) == self._skip:
-            return None
-        if not ref.is_valid():
             return None
         return (ref.kind, ref.key, ref.path)
 
@@ -372,17 +358,16 @@ class ArtifactCache:
             self._store_disk("tables", derived, tables)
 
     def _store_topology_slabs(self, key: str, topology: object) -> bool:
-        """Persist a big slab-backed topology as a raw slab directory.
+        """Persist a big topology as a raw slab directory.
 
-        Ingested :class:`~repro.graphs.topology.CSRTopology` artifacts at
-        or above :data:`SLAB_ARTIFACT_THRESHOLD` skip the pickle layer
+        :class:`~repro.graphs.topology.Topology` artifacts at or above
+        :data:`SLAB_ARTIFACT_THRESHOLD` skip the pickle layer
         entirely: the slab directory is the single on-disk copy and later
         loads mmap-attach it.  Returns True when the slab directory is
         (or already was) in place; False sends the artifact down the
         ordinary pickle path.
         """
-        save = getattr(topology, "save_slabs", None)
-        if save is None or self.root is None:
+        if self.root is None:
             return False
         try:
             big = topology.slab_bytes() >= SLAB_ARTIFACT_THRESHOLD
@@ -455,23 +440,14 @@ class ArtifactCache:
         """Register the shareable object graph of a topology/substrate.
 
         Scheme shells pickled later cut their object graph at these ids.
-        Registration snapshots the owning topology's ``content_key()`` as
-        a guard: once the topology mutates, the refs go stale and
-        pickling embeds the (new) objects inline instead.
         """
         try:
             if kind == "topology":
-                content = artifact.content_key()
-                self._shared[id(artifact)] = _SharedRef(
-                    "topology", key, (), artifact, content
-                )
+                self._shared[id(artifact)] = _SharedRef("topology", key, ())
             elif kind == "substrate":
-                topology = artifact.topology
-                content = topology.content_key()
                 for path, obj in _substrate_components(artifact):
                     self._shared.setdefault(
-                        id(obj),
-                        _SharedRef("substrate", key, path, topology, content),
+                        id(obj), _SharedRef("substrate", key, path)
                     )
                 # The slab payload lives under its own kind/key so the
                 # substrate's pickle externalizes it (and parallel runs
@@ -481,18 +457,15 @@ class ArtifactCache:
                 tables = artifact.tables
                 derived = tables_key(key)
                 self._shared.setdefault(
-                    id(tables),
-                    _SharedRef("tables", derived, (), topology, content),
+                    id(tables), _SharedRef("tables", derived, ())
                 )
                 if tables.vicinity is not None:
                     self._shared.setdefault(
                         id(tables.vicinity),
-                        _SharedRef(
-                            "tables", derived, ("vicinity",), topology, content
-                        ),
+                        _SharedRef("tables", derived, ("vicinity",)),
                     )
             # kind == "tables" registers nothing by itself: the owning
-            # substrate's registration (above) carries the topology guard.
+            # substrate's registration (above) covers it.
         except Exception:
             # A partially built or exotic artifact simply is not shared.
             return
@@ -553,9 +526,9 @@ class ArtifactCache:
                             slab_dir
                         )
                     else:
-                        from repro.graphs.topology import CSRTopology
+                        from repro.graphs.topology import Topology
 
-                        artifact = CSRTopology.from_slab_dir(slab_dir)
+                        artifact = Topology.from_slab_dir(slab_dir)
                 except Exception:
                     pass  # incomplete/corrupt directory: try the pickle
                 else:
@@ -723,8 +696,8 @@ def canonical_value(value: object) -> object:
 def scheme_key(topology, scheme_name: str, **params: object) -> str | None:
     """Content-addressed key for a converged routing scheme, or ``None``.
 
-    The key covers the topology *content* (``Topology.content_key()``,
-    which is invalidated on mutation) plus every canonicalizable
+    The key covers the topology *content* (``Topology.content_key()``)
+    plus every canonicalizable
     constructor parameter.  Build-mechanics parameters are excluded, at
     the top level and inside the nested ``nddisco_options`` term that
     Disco's and S4's keys carry: ``threads`` parallelizes the build and

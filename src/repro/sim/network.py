@@ -94,11 +94,11 @@ class Network:
     def send(self, message: Message) -> None:
         """Send ``message`` from its sender to an adjacent receiver."""
         sender, receiver = message.sender, message.receiver
-        if not self._topology.has_edge(sender, receiver):
+        latency = self._topology.get_edge_weight(sender, receiver)
+        if latency is None:
             raise ValueError(
                 f"cannot send between non-adjacent nodes {sender} and {receiver}"
             )
-        latency = self._topology.edge_weight(sender, receiver)
         counters = self._counters[sender]
         counters.messages_sent += 1
         counters.entries_sent += message.size_entries

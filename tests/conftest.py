@@ -82,12 +82,9 @@ def weighted_diamond() -> Topology:
         0 --1-- 1 --1-- 3
          \\--5-- 2 --1--/
     """
-    topology = Topology(4, name="diamond")
-    topology.add_edge(0, 1, 1.0)
-    topology.add_edge(1, 3, 1.0)
-    topology.add_edge(0, 2, 5.0)
-    topology.add_edge(2, 3, 1.0)
-    return topology
+    return Topology.from_edges(
+        4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 5.0), (2, 3, 1.0)], name="diamond"
+    )
 
 
 @pytest.fixture(scope="session")
@@ -148,7 +145,7 @@ def refuse_batch_kernels():
     def refuse(topology: Topology):
         from repro.graphs.csr import CSRGraph
 
-        csr = CSRGraph.from_topology(topology, use_c=True)
+        csr = topology.fresh_csr(use_c=True)
         csr._clib = _RefusingKernels(csr._clib)
         return csr
 

@@ -17,7 +17,7 @@ from repro.core.nddisco import NDDiscoRouting
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.dynamics.maintenance import MaintenanceCost, _mean_group_size
 from repro.dynamics.stream import DynEvent, apply_edge_event
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, TopologyBuilder
 
 __all__ = ["maintenance_cost", "replay_bills"]
 
@@ -31,11 +31,13 @@ def replay_bills(
 ) -> list[MaintenanceCost]:
     """The bill of every event: reconverge from scratch, diff the states."""
     state = NDDiscoRouting(topology, seed=seed, landmarks=landmarks)
+    builder = TopologyBuilder.from_topology(topology)
     bills = []
     for event in events:
-        topology = topology.copy()  # the previous state keeps its own
-        apply_edge_event(topology, event)
-        next_state = NDDiscoRouting(topology, seed=seed, landmarks=landmarks)
+        apply_edge_event(builder, event)
+        next_state = NDDiscoRouting(
+            builder.freeze(), seed=seed, landmarks=landmarks
+        )
         bills.append(maintenance_cost(state, next_state))
         state = next_state
     return bills

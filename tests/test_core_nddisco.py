@@ -23,7 +23,7 @@ class TestConstruction:
 
     def test_requires_nonempty_topology(self):
         with pytest.raises(ValueError):
-            NDDiscoRouting(Topology(0))
+            NDDiscoRouting(Topology.from_edges(0, []))
 
     def test_landmarks_selected(self, nddisco_small):
         assert len(nddisco_small.landmarks) >= 1

@@ -22,11 +22,11 @@ def chain_with_shortcut() -> Topology:
     The relay route 0->1->2->3->4->5 can be shortened at node 1 (which knows
     the shortcut to 4 and, with a large enough vicinity, to 5).
     """
-    topology = Topology(6, name="chain-with-shortcut")
-    for node in range(5):
-        topology.add_edge(node, node + 1, 1.0)
-    topology.add_edge(1, 4, 1.0)
-    return topology
+    return Topology.from_edges(
+        6,
+        [(node, node + 1, 1.0) for node in range(5)] + [(1, 4, 1.0)],
+        name="chain-with-shortcut",
+    )
 
 
 class TestShortcutMode:

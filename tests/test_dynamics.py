@@ -19,15 +19,15 @@ from repro.graphs.generators import (
     line_graph,
     ring_graph,
 )
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, TopologyBuilder
 
 
 def _replayed(topology: Topology, events) -> Topology:
     """A copy of ``topology`` with every (edge) event applied in order."""
-    current = topology.copy()
+    current = TopologyBuilder.from_topology(topology)
     for event in events:
         apply_edge_event(current, event)
-    return current
+    return current.freeze()
 
 
 def _absent_edge(topology: Topology) -> tuple[int, int]:
@@ -45,20 +45,20 @@ class TestEdgeEventReplay:
 
     def test_edge_down_removes_edge_in_place(self, small_gnm):
         u, v = next((u, v) for u, v, _ in small_gnm.edges())
-        mutated = small_gnm.copy()
+        mutated = TopologyBuilder.from_topology(small_gnm)
         apply_edge_event(mutated, DynEvent(0, "edge-down", u, v, 1.0))
         assert not mutated.has_edge(u, v)
         assert mutated.num_edges == small_gnm.num_edges - 1
 
     def test_edge_up_adds_edge(self, small_gnm):
         u, v = _absent_edge(small_gnm)
-        mutated = small_gnm.copy()
+        mutated = TopologyBuilder.from_topology(small_gnm)
         apply_edge_event(mutated, DynEvent(0, "edge-up", u, v, 2.5))
         assert mutated.edge_weight(u, v) == 2.5
 
     def test_edge_reweight_sets_the_weight_either_way(self, small_gnm):
         u, v = next((u, v) for u, v, _ in small_gnm.edges())
-        mutated = small_gnm.copy()
+        mutated = TopologyBuilder.from_topology(small_gnm)
         for weight in (0.25, 4.0):
             apply_edge_event(mutated, DynEvent(0, "edge-reweight", u, v, weight))
             assert mutated.edge_weight(u, v) == weight
@@ -66,7 +66,7 @@ class TestEdgeEventReplay:
     def test_events_the_topology_cannot_take_raise(self, small_gnm):
         present = next((u, v) for u, v, _ in small_gnm.edges())
         absent = _absent_edge(small_gnm)
-        mutated = small_gnm.copy()
+        mutated = TopologyBuilder.from_topology(small_gnm)
         with pytest.raises(ValueError, match="already-present"):
             apply_edge_event(mutated, DynEvent(0, "edge-up", *present, 1.0))
         for kind in ("edge-down", "edge-reweight"):
@@ -75,7 +75,7 @@ class TestEdgeEventReplay:
         for kind in ("node-leave", "node-join"):
             with pytest.raises(ValueError, match="has no edge"):
                 apply_edge_event(mutated, DynEvent(0, kind, 3))
-        assert mutated == small_gnm
+        assert mutated.freeze() == small_gnm
 
 
 #: sha256 of ``repr([(tick, kind, u, v, weight), ...])`` of the link-flap
@@ -126,7 +126,7 @@ class TestWorkloadGeneration:
         before = small_gnm.copy()
         workload = generate_churn_workload(small_gnm, num_events=10, seed=4)
         assert small_gnm == before  # the base topology is never mutated
-        current = small_gnm.copy()
+        current = TopologyBuilder.from_topology(small_gnm)
         for event in workload:
             apply_edge_event(current, event)
             assert current.is_connected()

@@ -49,7 +49,7 @@ from repro.graphs.incremental import (
     repair_after_decrease,
     repair_after_increase,
 )
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, TopologyBuilder
 
 _SETTINGS = settings(
     deadline=None,
@@ -64,6 +64,13 @@ def _make_topology(family: str, seed: int) -> Topology:
     if family == "geometric":
         return geometric_random_graph(40, seed=seed, average_degree=5.0)
     return internet_router_level(48, seed=seed)
+
+
+def _edited(topology: Topology, edit) -> Topology:
+    """``topology`` after ``edit`` ran on a builder holding it."""
+    builder = TopologyBuilder.from_topology(topology)
+    edit(builder)
+    return builder.freeze()
 
 
 def _oracle(engine: ChurnEngine) -> ChurnEngine:
@@ -127,7 +134,7 @@ class TestIncrementalSPTRepair:
         u, v, _ = edges[pick % len(edges)]
         root = pick % topology.num_nodes
         dist, parent = topology.csr().spt_rows(root, fill=math.inf)
-        topology.remove_edge(u, v)
+        topology = _edited(topology, lambda builder: builder.remove_edge(u, v))
         repair_after_increase(topology, dist, parent, root, u, v)
         fresh_dist, fresh_parent = topology.csr().spt_rows(root, fill=math.inf)
         assert dist == fresh_dist
@@ -147,7 +154,8 @@ class TestIncrementalSPTRepair:
             return
         root = pick % n
         dist, parent = topology.csr().spt_rows(root, fill=math.inf)
-        topology.add_edge(u, v, 1.0 + (pick % 3) * 0.25)
+        weight = 1.0 + (pick % 3) * 0.25
+        topology = _edited(topology, lambda b: b.add_edge(u, v, weight))
         repair_after_decrease(topology, dist, parent, root, [(u, v)])
         fresh_dist, fresh_parent = topology.csr().spt_rows(root, fill=math.inf)
         assert dist == fresh_dist
@@ -211,10 +219,10 @@ class TestEngineDifferential:
         events = generate_churn_workload(topology, num_events=8, seed=11)
         engine = ChurnEngine(topology, seed=3, landmarks=landmarks)
         engine.run(events)
-        current = topology.copy()
+        current = TopologyBuilder.from_topology(topology)
         for event in events:
             apply_edge_event(current, event)
-        routing = NDDiscoRouting(current, seed=3, landmarks=landmarks)
+        routing = NDDiscoRouting(current.freeze(), seed=3, landmarks=landmarks)
         assert (
             engine.state_signature()
             == ChurnEngine.from_routing(routing).state_signature()
@@ -280,13 +288,13 @@ class TestEngineDifferential:
 
 def _two_cliques(bridge_weight: float = 1.0) -> Topology:
     """Two 4-cliques joined by the single bridge edge (3, 4)."""
-    topology = Topology(8)
+    topology = TopologyBuilder(8)
     for base in (0, 4):
         for i in range(base, base + 4):
             for j in range(i + 1, base + 4):
                 topology.add_edge(i, j, 1.0)
     topology.add_edge(3, 4, bridge_weight)
-    return topology
+    return topology.freeze()
 
 
 class TestMaintenanceEdgeCases:

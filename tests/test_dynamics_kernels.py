@@ -78,7 +78,7 @@ from repro.graphs.incremental import (
     repair_rows_after_detach,
     repair_rows_after_increase,
 )
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, TopologyBuilder
 
 _SETTINGS = settings(
     deadline=None,
@@ -115,11 +115,11 @@ def _random_graph(seed: int, family: str) -> Topology:
     """A small random graph, often disconnected (unreachable row entries)."""
     rng = random.Random(seed)
     n = rng.randrange(6, 36)
-    topology = Topology(n)
+    topology = TopologyBuilder(n)
     for _ in range(rng.randrange(n // 2, 3 * n)):
         u, v = rng.sample(range(n), 2)
         topology.add_edge(u, v, _WEIGHTS[family](rng))
-    return topology
+    return topology.freeze()
 
 
 def _fresh_rows(topology: Topology, roots) -> tuple[array, array, array, array]:
@@ -154,7 +154,8 @@ class _Rows:
 
     def __init__(self, tier: str, topology: Topology, roots) -> None:
         self.tier = tier
-        self.topology = topology.copy()
+        self.topology = topology.copy()  # a csr() of this tier's own
+        self.builder = TopologyBuilder.from_topology(topology)
         self.roots = array("q", roots)
         with _tier(tier):
             self.dist, self.parent, self.closest, self.closest_dist = (
@@ -165,7 +166,8 @@ class _Rows:
         """Mutate the topology, repair every row, refold; check against a
         fresh search bit for bit.  Returns the change lists."""
         with _tier(self.tier):
-            mutate(self.topology)
+            mutate(self.builder)
+            self.topology = self.builder.freeze()
             graph = self.topology.csr()
             changes = repair(
                 graph, self.roots, self.dist, self.parent, *event
@@ -277,13 +279,13 @@ class TestRepairRows:
     @staticmethod
     def _two_cliques() -> Topology:
         """Two 4-cliques joined by the single bridge edge (3, 4)."""
-        topology = Topology(8)
+        topology = TopologyBuilder(8)
         for base in (0, 4):
             for i in range(base, base + 4):
                 for j in range(i + 1, base + 4):
                     topology.add_edge(i, j, 1.0)
         topology.add_edge(3, 4, 1.0)
-        return topology
+        return topology.freeze()
 
     def test_bridge_down_partitions_the_rows(self):
         changes = _repair_on_both(
@@ -329,17 +331,19 @@ class TestRepairRows:
         assert c_tier.parent.tobytes() == pristine[1].tobytes()
 
     def test_join_with_every_captured_neighbour_dead_changes_nothing(self):
-        topology = self._two_cliques()
+        builder = TopologyBuilder.from_topology(self._two_cliques())
         for neighbor in (0, 1, 2, 4):
-            topology.remove_edge(3, neighbor)
+            builder.remove_edge(3, neighbor)
+        topology = builder.freeze()
         changes = _repair_on_both(
             topology, [0, 5], lambda t: None, repair_rows_after_decrease, [],
         )
         assert _lists(changes) == ([], [], [], [], [])
 
     def test_leave_of_an_already_unreachable_node(self):
-        topology = self._two_cliques()
-        topology.remove_edge(3, 4)
+        builder = TopologyBuilder.from_topology(self._two_cliques())
+        builder.remove_edge(3, 4)
+        topology = builder.freeze()
         arcs = list(topology.adjacency[6])
 
         def leave(t):
@@ -439,8 +443,9 @@ def _judge(before: Topology, k: int, mutate, endpoints, arcs, weights=None):
     arcs worsen (``weights is None``), in the mutated graph otherwise.
     """
     n = before.num_nodes
-    after = before.copy()
-    mutate(after)
+    builder = TopologyBuilder.from_topology(before)
+    mutate(builder)
+    after = builder.freeze()
     judged = before if weights is None else after
     results = []
     for tier in _TIERS:
@@ -662,7 +667,7 @@ class TestVicinityCandidates:
             (1, 2), [(1, 2)],
         )
         assert (candidates, changed) == ([0, 1, 2], [1, 2])
-        topology.set_edge_weight(1, 2, 0.5)
+        topology = Topology.from_edges(3, [(0, 1, 1e16), (1, 2, 0.5)])
         candidates, changed = _judge(
             topology, 3, lambda t: t.set_edge_weight(1, 2, 0.25),
             (1, 2), [(1, 2)], [0.25],
@@ -716,8 +721,9 @@ def _repair_full_rows(before: Topology, k: int, mutate, sources) -> list:
     the event changed."""
     n = before.num_nodes
     stride = min(k, n)
-    after = before.copy()
-    mutate(after)
+    builder = TopologyBuilder.from_topology(before)
+    mutate(builder)
+    after = builder.freeze()
     slabs, lengths, _ = _stored_vicinities(before, k)
     full = array("q", [node for node in range(n) if lengths[node] == stride])
     searched = after.csr().k_nearest_batch_flat(k, full)
@@ -925,15 +931,17 @@ class TestCommitVicinities:
         for tier in _TIERS:
             with _tier(tier):
                 states.append(_stored_vicinities(topology.copy(), k))
-        for _ in range(4):  # a few mutations
-            edges = sorted((u, v) for u, v, _ in topology.edges())
+        builder = TopologyBuilder.from_topology(topology)
+        for _ in range(4):  # a few edits
+            edges = sorted((u, v) for u, v, _ in builder.edges())
             u, v = rng.sample(range(n), 2)
-            if topology.has_edge(u, v):
-                topology.remove_edge(u, v)
+            if builder.has_edge(u, v):
+                builder.remove_edge(u, v)
             elif edges and rng.random() < 0.5:
-                topology.set_edge_weight(*rng.choice(edges), 0.75)
+                builder.set_edge_weight(*rng.choice(edges), 0.75)
             else:
-                topology.add_edge(u, v, _WEIGHTS[family](rng))
+                builder.add_edge(u, v, _WEIGHTS[family](rng))
+        topology = builder.freeze()
         candidates = array(
             "q", sorted(rng.sample(range(n), rng.randrange(0, n + 1)))
         )
@@ -1303,7 +1311,8 @@ class TestSplice:
         with _tier(tier):
             topology = _random_graph(seed, family)
             n = topology.num_nodes
-            graph = topology.copy().csr()
+            graph = topology.fresh_csr()
+            builder = TopologyBuilder.from_topology(topology)
             kinds = ["leave", "fill"] + [
                 rng.choice(("mixed", "leave", "join")) for _ in range(8)
             ]
@@ -1321,12 +1330,13 @@ class TestSplice:
                     removed=removed, added=added, reweighted=reweighted
                 )
                 for u, v in removed:
-                    topology.remove_edge(u, v)
+                    builder.remove_edge(u, v)
                 for u, v, w in added:
-                    topology.add_edge(u, v, w)
+                    builder.add_edge(u, v, w)
                 for u, v, w in reweighted:
-                    topology.set_edge_weight(u, v, w)
-                rebuilt = CSRGraph.from_topology(topology)
+                    builder.set_edge_weight(u, v, w)
+                topology = builder.freeze()
+                rebuilt = topology.csr()
                 assert _live_slabs(graph) == _live_slabs(rebuilt), kind
                 assert graph.profile == expected, kind
                 assert graph.kernel == CSRGraph(
@@ -1348,12 +1358,9 @@ class TestSplice:
     def test_a_malformed_batch_moves_no_byte(self):
         for tier in _TIERS:
             with _tier(tier):
-                graph = CSRGraph.from_topology(
-                    Topology.from_edges(
-                        5,
-                        [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (3, 4, 2.0)],
-                    )
-                )
+                graph = Topology.from_edges(
+                    5, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (3, 4, 2.0)]
+                ).fresh_csr()
                 graph.splice(removed=[(3, 4)])  # the graph owns its store
                 graph.spt_rows(0)  # and has a live arena
                 store, arena = graph._store, graph._c
@@ -1395,7 +1402,8 @@ class TestSplice:
         is exported, and the arena exports every slab."""
         with _tier(tier):
             topology = Topology.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-            graph = topology.copy().csr()
+            graph = topology.fresh_csr()
+            builder = TopologyBuilder.from_topology(topology)
             graph.spt_rows(0)
             for batch, edit in (
                 (dict(reweighted=[(2, 3, 2.0)]),
@@ -1405,22 +1413,22 @@ class TestSplice:
                 ({}, lambda t: None),
             ):
                 graph.splice(**batch)  # the last rows: every run is empty
-                edit(topology)
+                edit(builder)
                 graph.spt_rows(0)
-                rebuilt = CSRGraph.from_topology(topology)
+                rebuilt = builder.freeze().csr()
                 assert _live_slabs(graph) == _live_slabs(rebuilt)
 
 
 def _replayed(topology: Topology, events, reports) -> Topology:
-    """``topology`` given each applied event's edits as a dict topology
-    takes them: a leave captures its arcs, sorted, and a join restores them
+    """``topology`` given each applied event's edits as a builder takes
+    them, frozen: a leave captures its arcs, sorted, and a join restores them
     but to a neighbour still away, which takes the arc over."""
-    replay, captured = topology.copy(), {}
+    replay, captured = TopologyBuilder.from_topology(topology), {}
     for event, report in zip(events, reports):
         if not report.applied:
             continue
         if event.kind == "node-leave":
-            captured[event.u] = sorted(replay.neighbor_weights(event.u))
+            captured[event.u] = sorted(replay.adjacency[event.u])
             for other, _ in captured[event.u]:
                 replay.remove_edge(event.u, other)
         elif event.kind == "node-join":
@@ -1432,7 +1440,7 @@ def _replayed(topology: Topology, events, reports) -> Topology:
                     replay.add_edge(event.u, other, weight)
         else:
             apply_edge_event(replay, event)
-    return replay
+    return replay.freeze()
 
 
 class TestOneGraph:
@@ -1442,7 +1450,7 @@ class TestOneGraph:
         """Forty events of all five kinds edit the engine's one graph in
         place: the object and its arena stay, but for the rare event that
         grows the store or changes the kernel, and the graph's rows are a
-        rebuild of the replayed dict topology, arc for arc."""
+        rebuild of the replayed builder, frozen, arc for arc."""
         with _tier(tier):
             topology = _family_topology(family, 7)
             events = generate_event_stream(
@@ -1471,7 +1479,43 @@ class TestOneGraph:
             assert len(arenas) <= len(shapes) <= 4
             replay = _replayed(topology, events, reports)
         assert engine.topology == replay
-        assert _live_slabs(graph) == _live_slabs(CSRGraph.from_topology(replay))
+        assert _live_slabs(graph) == _live_slabs(replay.fresh_csr())
+
+
+class TestTheInputTopologyIsNeverSpliced:
+    @pytest.mark.parametrize("tier", _TIERS)
+    def test_a_stream_leaves_the_input_topology_as_it_was(self, tier):
+        """The engine wraps the input's slabs in a graph of its own and
+        copies them on its first splice: after forty events of all five
+        kinds, partitions allowed, the input's six slabs, content key,
+        ``csr()`` and its kernel and profile are what they were."""
+        with _tier(tier):
+            topology = _family_topology("quantised", 11)
+            csr = topology.csr()
+
+            def observed():
+                return (
+                    [bytes(slab) for _, _, slab in topology.slab_items()],
+                    _live_slabs(csr),
+                    topology.content_key(),
+                    csr.kernel,
+                    csr.profile,
+                )
+
+            before = observed()
+            events = generate_event_stream(
+                topology, num_events=40, seed=11, preserve_connectivity=False
+            )
+            assert {event.kind for event in events} == set(EVENT_KINDS)
+            engine = ChurnEngine(topology, seed=11)
+            engine.run(events)
+            assert engine._graph is not csr
+            assert engine._graph._store is not None
+        assert topology.csr() is csr
+        assert observed() == before
+        assert TopologyBuilder.from_topology(topology).freeze().content_key() == (
+            before[2]
+        )
 
 
 # -- the boundary: nothing malformed reaches C --------------------------------
@@ -1483,8 +1527,9 @@ def _engine_like():
     roots = array("q", [2, 9, 17])
     dist, parent, closest, closest_dist = _fresh_rows(topology, roots)
     u, v, _ = sorted(topology.edges())[0]
-    topology.remove_edge(u, v)
-    return topology, roots, dist, parent, closest, closest_dist, (u, v)
+    builder = TopologyBuilder.from_topology(topology)
+    builder.remove_edge(u, v)
+    return builder.freeze(), roots, dist, parent, closest, closest_dist, (u, v)
 
 
 class TestBoundary:
@@ -1713,7 +1758,9 @@ class TestBoundary:
             for v in range(u + 1, n)
             if not topology.has_edge(u, v)
         )
-        topology.add_edge(u, v, 1.0)
+        builder = TopologyBuilder.from_topology(topology)
+        builder.add_edge(u, v, 1.0)
+        topology = builder.freeze()
         candidates = array("q", [x for x in range(n) if lengths[x] == k][:3])
         assert len(candidates) == 3
         first = candidates[0]

@@ -47,7 +47,7 @@ from repro.graphs.incremental import (
     repair_after_detach,
     repair_after_increase,
 )
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, TopologyBuilder
 from repro.naming.names import name_for_node
 
 _SETTINGS = settings(
@@ -77,11 +77,11 @@ def _subtree_oracle(parent, top: int) -> set[int]:
 def _sparse_graph(seed: int, num_nodes: int = 30) -> Topology:
     """A random graph, usually disconnected (unreachable row entries)."""
     rng = random.Random(seed)
-    topology = Topology(num_nodes)
+    topology = TopologyBuilder(num_nodes)
     for _ in range(rng.randrange(num_nodes // 2, 2 * num_nodes)):
         u, v = rng.sample(range(num_nodes), 2)
         topology.add_edge(u, v, rng.choice((1.0, 1.0, 0.5, 2.25)))
-    return topology
+    return topology.freeze()
 
 
 class TestSubtreeWalk:
@@ -108,12 +108,19 @@ class TestSubtreeWalk:
         dist, parent = topology.csr().spt_rows(root, fill=math.inf)
         expected = _subtree_oracle(parent, node)
         arcs = list(topology.adjacency[node])
-        for neighbor, _ in arcs:
-            topology.remove_edge(node, neighbor)
+        topology = _detached(topology, node)
         walked = _collect_subtree(topology.adjacency, parent, node, arcs)
         assert set(walked) == expected
         repair_after_detach(topology, dist, parent, root, node, arcs)
         assert (dist, parent) == topology.csr().spt_rows(root, fill=math.inf)
+
+
+def _detached(topology: Topology, node: int) -> Topology:
+    """``topology`` with every edge of ``node`` removed."""
+    builder = TopologyBuilder.from_topology(topology)
+    for neighbor, _ in topology.adjacency[node]:
+        builder.remove_edge(node, neighbor)
+    return builder.freeze()
 
 
 class _CountingRow(list):
@@ -145,7 +152,9 @@ class TestRepairReadsItsRegionOnly:
     def test_leaf_arc_removal(self):
         topology, dist, parent, leaf = self._leaf_arc()
         above = list.__getitem__(parent, leaf)
-        topology.remove_edge(above, leaf)
+        builder = TopologyBuilder.from_topology(topology)
+        builder.remove_edge(above, leaf)
+        topology = builder.freeze()
         _, parent_changed = repair_after_increase(
             topology, dist, parent, 0, above, leaf
         )
@@ -156,8 +165,7 @@ class TestRepairReadsItsRegionOnly:
     def test_leaf_node_detach(self):
         topology, dist, parent, leaf = self._leaf_arc()
         arcs = list(topology.adjacency[leaf])
-        for neighbor, _ in arcs:
-            topology.remove_edge(leaf, neighbor)
+        topology = _detached(topology, leaf)
         repair_after_detach(topology, dist, parent, 0, leaf, arcs)
         assert parent.reads < self.N // 8
         assert (dist, list(parent)) == topology.csr().spt_rows(0, fill=math.inf)
@@ -172,12 +180,12 @@ def _tailed_graph(seed: int) -> tuple[Topology, int]:
     Node 40 is a cut node: its leave partitions the tail off the core.
     """
     core = gnm_random_graph(40, seed=seed, average_degree=5.0)
-    topology = Topology(44)
+    topology = TopologyBuilder(44)
     for u, v, weight in core.edges():
         topology.add_edge(u, v, weight)
     for u, v in ((0, 40), (40, 41), (41, 42), (42, 43)):
         topology.add_edge(u, v, 1.0)
-    return topology, 40
+    return topology.freeze(), 40
 
 
 def _replay_bill(before: ChurnEngine, after: ChurnEngine) -> MaintenanceCost:
@@ -364,7 +372,7 @@ class TestNonFiniteWeights:
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, 0.0])
     def test_topology_rejects_them(self, weight):
-        topology = Topology(3)
+        topology = TopologyBuilder(3)
         topology.add_edge(0, 1, 1.0)
         with pytest.raises(ValueError, match="must be > 0 and finite"):
             topology.add_edge(1, 2, weight)
@@ -408,7 +416,7 @@ def _live_state(seed: int) -> tuple[Topology, set[int]]:
     """
     rng = random.Random(seed)
     n = rng.randrange(3, 40)
-    topology = Topology(n)
+    topology = TopologyBuilder(n)
     for node in range(1, n):
         topology.add_edge(node, rng.randrange(node), 1.0)
     for _ in range(rng.randrange(n)):
@@ -426,7 +434,7 @@ def _live_state(seed: int) -> tuple[Topology, set[int]]:
         if not removable:
             break
         node = rng.choice(removable)
-        for neighbor in list(topology.neighbors(node)):
+        for neighbor, _ in list(topology.adjacency[node]):
             topology.remove_edge(node, neighbor)
         dead.add(node)
     return topology, dead

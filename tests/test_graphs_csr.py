@@ -187,30 +187,6 @@ class TestCSRCache:
         topology = gnm_random_graph(30, seed=1, average_degree=4.0)
         assert topology.csr() is topology.csr()
 
-    def test_add_edge_invalidates_snapshot(self):
-        topology = Topology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        before = topology.csr()
-        assert before.dijkstra(0)[0][3] == 3.0
-        topology.add_edge(0, 3, 1.0)
-        after = topology.csr()
-        assert after is not before
-        assert after.dijkstra(0)[0][3] == 1.0
-        # The public API picks up the new snapshot transparently.
-        assert dijkstra(topology, 0)[0][3] == 1.0
-
-    def test_duplicate_edge_weight_update_invalidates(self):
-        topology = Topology.from_edges(3, [(0, 1, 2.0), (1, 2, 2.0)])
-        before = topology.csr()
-        topology.add_edge(0, 1, 0.5)  # collapses to the smaller weight
-        assert topology.csr() is not before
-        assert dijkstra(topology, 0)[0][1] == 0.5
-
-    def test_redundant_add_edge_keeps_snapshot(self):
-        topology = Topology.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        before = topology.csr()
-        topology.add_edge(0, 1, 5.0)  # heavier duplicate: no change
-        assert topology.csr() is before
-
     def test_unit_weight_detection(self):
         unit = Topology.from_edges(3, [(0, 1), (1, 2)])
         weighted = Topology.from_edges(3, [(0, 1), (1, 2, 2.5)])
@@ -400,7 +376,7 @@ class TestBatchDrivers:
     def _native(self, topology, mode):
         if mode == "refused":
             return self._refused(topology), 1
-        return CSRGraph.from_topology(topology, use_c=True), mode
+        return topology.fresh_csr(use_c=True), mode
 
     @staticmethod
     def _driven(mode, entry, call):
@@ -418,7 +394,7 @@ class TestBatchDrivers:
         topology = BATCH_GRAPHS[name]
         sources = [2, 9, 17, 31, 44, 58]
         expected = _spt_batch(
-            CSRGraph.from_topology(topology, use_c=False), sources, threads=None
+            topology.fresh_csr(use_c=False), sources, threads=None
         )
         native, threads = self._native(topology, mode)
         actual = self._driven(
@@ -436,7 +412,7 @@ class TestBatchDrivers:
     def test_k_nearest_with_base_and_source_subset(self, name, mode):
         topology = BATCH_GRAPHS[name]
         sources = [40, 3, 59, 0, 21, 22, 7]
-        python = CSRGraph.from_topology(topology, use_c=False)
+        python = topology.fresh_csr(use_c=False)
         native, threads = self._native(topology, mode)
         expected = _k_nearest_batch(python, 9, sources, base=5, threads=None)
         actual = self._driven(
@@ -467,7 +443,7 @@ class TestBatchDrivers:
         # Multiples of the quantum (and of the unit hop), so nodes sit at
         # exactly the boundary the two modes disagree on.
         radii = [2.0 * (node % 5) for node in range(n)]
-        python = CSRGraph.from_topology(topology, use_c=False)
+        python = topology.fresh_csr(use_c=False)
         expected = python.radius_batch_flat(radii, inclusive=inclusive)
         native, threads = self._native(topology, mode)
         actual = self._driven(
@@ -500,9 +476,9 @@ class TestBatchDrivers:
     def test_target_distances(self, name, mode):
         topology = BATCH_GRAPHS[name]
         pairs = [(40, 3), (40, 59), (0, 21), (22, 7), (7, 22), (3, 3)]
-        expected = CSRGraph.from_topology(
-            topology, use_c=False
-        ).batched_target_distances(pairs)
+        expected = topology.fresh_csr(use_c=False).batched_target_distances(
+            pairs
+        )
         native, threads = self._native(topology, mode)
         actual = self._driven(
             mode,
@@ -519,7 +495,7 @@ class TestBatchDrivers:
         topology = Topology.from_edges(
             6, [(0, 1, weight), (1, 2, weight), (3, 4, weight)]
         )
-        python = CSRGraph.from_topology(topology, use_c=False)
+        python = topology.fresh_csr(use_c=False)
         native, threads = self._native(topology, mode)
         sources = [0, 3, 5]
         expected = _spt_batch(python, sources, threads=None, fill=99.0)
@@ -564,9 +540,8 @@ def tier_csr(request):
     """A 20-node snapshot on each tier."""
     if request.param == "c" and load_kernels() is None:
         pytest.skip("C kernels unavailable")
-    return CSRGraph.from_topology(
-        gnm_random_graph(20, seed=1, average_degree=4.0),
-        use_c=request.param == "c",
+    return gnm_random_graph(20, seed=1, average_degree=4.0).fresh_csr(
+        use_c=request.param == "c"
     )
 
 
@@ -585,7 +560,7 @@ class TestKernelValidation:
         assert repr(value) in str(error.value)
         assert kernel_threads(2) == 2  # an explicit width never reads it
         # The pure-Python tier runs no threads and still refuses the value.
-        python = CSRGraph.from_topology(ring_graph(5), use_c=False)
+        python = ring_graph(5).fresh_csr(use_c=False)
         with pytest.raises(ValueError, match="REPRO_KERNEL_THREADS"):
             python.k_nearest_batch_flat(2)
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")

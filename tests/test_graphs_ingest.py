@@ -1,21 +1,25 @@
-"""Tests for the streaming ingestion pipeline and the CSRTopology fast path.
+"""Tests for the streaming ingestion pipeline and the array-backed topology.
 
-The dict-backed :class:`~repro.graphs.topology.Topology` stays the
-differential oracle: every test here pins the streaming/CSR path to be
-byte-identical to it -- adjacency, content keys, CSR slabs, shortest-path
-results, substrate tables, and scenario JSON alike.
+A :class:`~repro.graphs.topology.TopologyBuilder` replay of the parsed
+lines is the differential oracle: every test here pins the streaming path
+to be byte-identical to it -- all six slabs, edge order, content keys,
+shortest-path results, substrate tables, and scenario JSON alike.  Slab
+directories are checked on attach: a corrupted one raises instead of
+reaching the kernels.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import pickle
+import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graphs._ckernels import load_kernels
-from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
@@ -28,9 +32,12 @@ from repro.graphs.ingest import (
     file_digest,
     ingest_file,
     ingest_topology,
+    parse_caida_aslinks,
+    parse_edge_list,
+    parse_rocketfuel,
 )
 from repro.graphs.io import read_edge_list, write_edge_list
-from repro.graphs.topology import CSRTopology, Topology
+from repro.graphs.topology import Topology, TopologyBuilder
 
 HAVE_C = load_kernels() is not None
 
@@ -41,16 +48,28 @@ FIXTURE_CAIDA = os.path.join(DATA, "fixture-as.links")
 
 
 def assert_same_topology(actual: Topology, oracle: Topology) -> None:
-    """Byte-level equivalence: structure, weights, content key, CSR slabs."""
+    """Byte-level equivalence: all six slabs, edge order, content key."""
     assert actual.num_nodes == oracle.num_nodes
-    assert actual.num_edges == oracle.num_edges
+    assert [(name, bytes(slab)) for name, _, slab in actual.slab_items()] == [
+        (name, bytes(slab)) for name, _, slab in oracle.slab_items()
+    ]
+    assert list(actual.edges()) == list(oracle.edges())
     assert actual.adjacency == oracle.adjacency
-    assert sorted(actual.edges()) == sorted(oracle.edges())
     assert actual.content_key() == oracle.content_key()
-    a_csr, o_csr = actual.csr(), oracle.csr()
-    assert a_csr.offsets.tobytes() == o_csr.offsets.tobytes()
-    assert a_csr.neighbors.tobytes() == o_csr.neighbors.tobytes()
-    assert a_csr.weights.tobytes() == o_csr.weights.tobytes()
+    assert actual == oracle
+
+
+def _builder_replay(path, parse, **params) -> Topology:
+    """The parsed lines, repeats and all, replayed through a builder."""
+    parsed = parse(path, **params)
+    num_nodes = (
+        parsed.declared_nodes
+        if parsed.declared_nodes is not None
+        else parsed.max_node + 1
+    )
+    builder = TopologyBuilder(num_nodes)
+    builder.add_edges_from(zip(parsed.edges_u, parsed.edges_v, parsed.edges_w))
+    return builder.freeze()
 
 
 def _generators():
@@ -68,16 +87,14 @@ class TestStreamingDifferential:
     @pytest.mark.parametrize(
         "label,build", _generators(), ids=[k for k, _ in _generators()]
     )
-    def test_csr_backend_matches_dict_backend(self, tmp_path, label, build):
+    def test_ingest_matches_the_builder(self, tmp_path, label, build):
         topology = build()
         path = tmp_path / f"{label}.edges"
         write_edge_list(topology, path)
-        dict_topology = ingest_file(path, backend="dict")
-        csr_topology = ingest_file(path, backend="csr")
-        assert type(dict_topology) is Topology
-        assert isinstance(csr_topology, CSRTopology)
-        assert_same_topology(csr_topology, dict_topology)
-        assert_same_topology(csr_topology, topology)
+        ingested = ingest_file(path)
+        assert type(ingested) is Topology
+        assert_same_topology(ingested, topology)
+        assert_same_topology(ingested, _builder_replay(path, parse_edge_list))
 
     def test_read_edge_list_routes_through_streaming_parser(self, tmp_path):
         topology = gnm_random_graph(60, seed=7, average_degree=5.0)
@@ -92,10 +109,10 @@ class TestStreamingDifferential:
         topology = geometric_random_graph(90, seed=9, average_degree=6.0)
         path = tmp_path / "geo.edges"
         write_edge_list(topology, path)
-        dict_csr = ingest_file(path, backend="dict").csr()
-        slab_csr = ingest_file(path, backend="csr").csr()
+        built_csr = topology.csr()
+        slab_csr = ingest_file(path).csr()
         for source in (0, 17, 55):
-            d_dist, d_pred = dict_csr.dijkstra(source)
+            d_dist, d_pred = built_csr.dijkstra(source)
             s_dist, s_pred = slab_csr.dijkstra(source)
             assert list(d_dist) == list(s_dist)
             assert list(d_pred) == list(s_pred)
@@ -108,14 +125,13 @@ class TestStreamingDifferential:
         topology = gnm_random_graph(80, seed=6, average_degree=6.0)
         path = tmp_path / "g.edges"
         write_edge_list(topology, path)
-        dict_topology = ingest_file(path, backend="dict")
-        csr_topology = ingest_file(path, backend="csr")
+        ingested = ingest_file(path)
         landmarks = select_landmarks(topology.num_nodes, seed=1)
         d_tables = build_substrate_tables(
-            dict_topology, landmarks, codec=LabelCodec(dict_topology)
+            topology, landmarks, codec=LabelCodec(topology)
         )
         c_tables = build_substrate_tables(
-            csr_topology, landmarks, codec=LabelCodec(csr_topology)
+            ingested, landmarks, codec=LabelCodec(ingested)
         )
         d_slabs = {name: slab for name, _, slab in d_tables.slab_items()}
         c_slabs = {name: slab for name, _, slab in c_tables.slab_items()}
@@ -124,7 +140,7 @@ class TestStreamingDifferential:
             assert bytes(d_slabs[name]) == bytes(c_slabs[name]), name
 
     def test_scenario_json_byte_identical(self, tmp_path, monkeypatch):
-        """The fig02 'real' panel is byte-identical dict vs CSR backend."""
+        """The fig02 'real' panel is byte-identical ingested vs built."""
         import dataclasses
 
         from repro.experiments import fig02_state_cdf
@@ -144,81 +160,102 @@ class TestStreamingDifferential:
             ),
             topology_file=str(path),
         )
-        csr_result = fig02_state_cdf.run(scale)
-        assert csr_result.real is not None
-        monkeypatch.setitem(
-            fig02_state_cdf._PANELS,
-            "real",
-            lambda s: ingest_file(
-                s.topology_file, backend="dict", largest_component=True
-            ),
-        )
-        dict_result = fig02_state_cdf.run(scale)
+        ingested_result = fig02_state_cdf.run(scale)
+        assert ingested_result.real is not None
+        monkeypatch.setitem(fig02_state_cdf._PANELS, "real", lambda s: topology)
+        built_result = fig02_state_cdf.run(scale)
         assert json.dumps(
-            to_jsonable(csr_result), sort_keys=True
-        ) == json.dumps(to_jsonable(dict_result), sort_keys=True)
+            to_jsonable(ingested_result), sort_keys=True
+        ) == json.dumps(to_jsonable(built_result), sort_keys=True)
+
+
+# Small ids, so both orientations and repeated pairs (with differing
+# weights) are common; the weights repeat and include non-dyadic ones.
+_EDGE_LISTS = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from([1.0, 0.5, 2.25, 3.0, 0.1, 7.0]),
+            ).filter(lambda edge: edge[0] != edge[1]),
+            max_size=40,
+        ),
+    )
+)
+
+
+class TestBuilderReplayIsIngest:
+    @given(case=_EDGE_LISTS)
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_random_edge_lists(self, tmp_path, case):
+        num_nodes, edges = case
+        path = tmp_path / "random.edges"
+        path.write_text(
+            f"# nodes {num_nodes}\n"
+            + "".join(f"{u} {v} {w!r}\n" for u, v, w in edges)
+        )
+        builder = TopologyBuilder(num_nodes, name="random")
+        builder.add_edges_from(edges)
+        assert_same_topology(ingest_file(path, name="random"), builder.freeze())
 
 
 class TestEdgeListErrorSemantics:
     """The streaming parser keeps ``read_edge_list``'s exact error surface."""
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_malformed_line(self, tmp_path, backend):
+    def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 1 2 3\n")
         with pytest.raises(ValueError, match="expected"):
-            ingest_file(path, backend=backend)
+            ingest_file(path)
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_non_numeric(self, tmp_path, backend):
+    def test_non_numeric(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("a b\n")
         with pytest.raises(ValueError, match="non-numeric"):
-            ingest_file(path, backend=backend)
+            ingest_file(path)
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_negative_id(self, tmp_path, backend):
+    def test_negative_id(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("-1 2\n")
         with pytest.raises(ValueError, match="negative"):
-            ingest_file(path, backend=backend)
+            ingest_file(path)
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_out_of_range_vs_header(self, tmp_path, backend):
+    def test_out_of_range_vs_header(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("# nodes 2\n0 5\n")
         with pytest.raises(ValueError, match="declares"):
-            ingest_file(path, backend=backend)
+            ingest_file(path)
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_self_loop(self, tmp_path, backend):
+    def test_self_loop(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 1\n3 3\n")
         with pytest.raises(ValueError, match=r"self-loops .* \(node 3\)"):
-            ingest_file(path, backend=backend)
+            ingest_file(path)
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_non_positive_weight(self, tmp_path, backend):
+    def test_non_positive_weight(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 1 0.0\n")
         with pytest.raises(ValueError, match="must be > 0"):
-            ingest_file(path, backend=backend)
+            ingest_file(path)
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
     @pytest.mark.parametrize(
         "weight", ["inf", "-inf", "nan", "1e999", "0", "-1"]
     )
-    def test_weight_must_be_positive_and_finite(
-        self, tmp_path, backend, weight
-    ):
-        # ``weight <= 0`` is false for inf and NaN: the csr backend used to
-        # load them into a topology whose searches return inf / nan.
+    def test_weight_must_be_positive_and_finite(self, tmp_path, weight):
+        # ``weight <= 0`` is false for inf and NaN: ingestion used to load
+        # them into a topology whose searches return inf / nan.
         path = tmp_path / "bad.edges"
         path.write_text(f"0 1\n1 2 {weight}\n2 3\n")
         with pytest.raises(
             ValueError, match="edge weight must be > 0 and finite, got"
         ):
-            ingest_file(path, backend=backend)
+            ingest_file(path)
 
     def test_line_errors_precede_deferred_self_loop(self, tmp_path):
         # Legacy read_edge_list parsed every line before adding edges, so a
@@ -228,46 +265,39 @@ class TestEdgeListErrorSemantics:
         with pytest.raises(ValueError, match="expected"):
             ingest_file(path)
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_duplicate_edges_keep_first_weight(self, tmp_path, backend):
+    def test_duplicate_edges_keep_first_weight(self, tmp_path):
         path = tmp_path / "dup.edges"
         path.write_text("0 1 2.0\n1 0 7.0\n1 2\n")
-        topology = ingest_file(path, backend=backend)
+        topology = ingest_file(path)
         assert topology.num_edges == 2
         assert topology.edge_weight(0, 1) == 2.0
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_header_nodes_vs_inferred(self, tmp_path, backend):
+    def test_header_nodes_vs_inferred(self, tmp_path):
         declared = tmp_path / "declared.edges"
         declared.write_text("# nodes 9\n0 1\n")
-        assert ingest_file(declared, backend=backend).num_nodes == 9
+        assert ingest_file(declared).num_nodes == 9
         inferred = tmp_path / "inferred.edges"
         inferred.write_text("0 1\n1 5\n")
-        assert ingest_file(inferred, backend=backend).num_nodes == 6
+        assert ingest_file(inferred).num_nodes == 6
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_crlf_blank_lines_and_comments(self, tmp_path, backend):
+    def test_crlf_blank_lines_and_comments(self, tmp_path):
         path = tmp_path / "crlf.edges"
         path.write_bytes(b"# name crlf\r\n\r\n0 1\r\n# c\r\n1 2 4.0\r\n\r\n")
-        topology = ingest_file(path, backend=backend)
+        topology = ingest_file(path)
         assert topology.name == "crlf"
         assert topology.num_edges == 2
         assert topology.edge_weight(1, 2) == 4.0
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_name_header_and_override(self, tmp_path, backend):
+    def test_name_header_and_override(self, tmp_path):
         path = tmp_path / "named.edges"
         path.write_text("# name declared\n0 1\n")
-        assert ingest_file(path, backend=backend).name == "declared"
-        assert (
-            ingest_file(path, backend=backend, name="custom").name == "custom"
-        )
+        assert ingest_file(path).name == "declared"
+        assert ingest_file(path, name="custom").name == "custom"
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_empty_file(self, tmp_path, backend):
+    def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.edges"
         path.write_text("# nodes 4\n")
-        topology = ingest_file(path, backend=backend)
+        topology = ingest_file(path)
         assert topology.num_nodes == 4
         assert topology.num_edges == 0
 
@@ -284,37 +314,25 @@ class TestFormats:
         with pytest.raises(ValueError, match="unknown topology format"):
             ingest_file(path, fmt="no-such-format")
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_caida_fixture(self, backend):
-        topology = ingest_file(
-            FIXTURE_CAIDA, fmt="caida-aslinks", backend=backend
-        )
+    def test_caida_fixture(self):
+        topology = ingest_file(FIXTURE_CAIDA, fmt="caida-aslinks")
         # 200-node AS map plus a detached doubleton; duplicate D/I rows
         # (including reversed ones) collapse, self-loop rows are skipped.
         assert topology.num_nodes == 202
         assert topology.weight_profile().unit
         largest = ingest_file(
-            FIXTURE_CAIDA,
-            fmt="caida-aslinks",
-            backend=backend,
-            largest_component=True,
+            FIXTURE_CAIDA, fmt="caida-aslinks", largest_component=True
         )
         assert largest.num_nodes == 200
 
-    def test_caida_backends_identical(self):
-        dict_topology = ingest_file(
-            FIXTURE_CAIDA, fmt="caida-aslinks", backend="dict"
+    def test_caida_builder_replay_identical(self):
+        assert_same_topology(
+            ingest_file(FIXTURE_CAIDA, fmt="caida-aslinks"),
+            _builder_replay(FIXTURE_CAIDA, parse_caida_aslinks),
         )
-        csr_topology = ingest_file(
-            FIXTURE_CAIDA, fmt="caida-aslinks", backend="csr"
-        )
-        assert_same_topology(csr_topology, dict_topology)
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_rocketfuel_fixture(self, backend):
-        topology = ingest_file(
-            FIXTURE_ROCKETFUEL, fmt="rocketfuel", backend=backend
-        )
+    def test_rocketfuel_fixture(self):
+        topology = ingest_file(FIXTURE_ROCKETFUEL, fmt="rocketfuel")
         assert topology.num_nodes == 48
         weights = {w for _, _, w in topology.edges()}
         assert weights <= {
@@ -323,14 +341,11 @@ class TestFormats:
         }
         assert ROCKETFUEL_INTERNAL_DELAY in weights
 
-    def test_rocketfuel_backends_identical(self):
-        dict_topology = ingest_file(
-            FIXTURE_ROCKETFUEL, fmt="rocketfuel", backend="dict"
+    def test_rocketfuel_builder_replay_identical(self):
+        assert_same_topology(
+            ingest_file(FIXTURE_ROCKETFUEL, fmt="rocketfuel"),
+            _builder_replay(FIXTURE_ROCKETFUEL, parse_rocketfuel),
         )
-        csr_topology = ingest_file(
-            FIXTURE_ROCKETFUEL, fmt="rocketfuel", backend="csr"
-        )
-        assert_same_topology(csr_topology, dict_topology)
 
     def test_rocketfuel_delay_params(self):
         default = ingest_file(FIXTURE_ROCKETFUEL, fmt="rocketfuel")
@@ -343,76 +358,62 @@ class TestFormats:
         assert default.content_key() != unit.content_key()
         assert unit.weight_profile().unit
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_edge_list_fixture(self, backend):
-        topology = ingest_file(FIXTURE_EDGES, backend=backend)
+    def test_edge_list_fixture(self):
+        topology = ingest_file(FIXTURE_EDGES)
         assert topology.name == "fixture-gnm"
         assert topology.num_nodes == 160
-
-
-class TestCSRTopology:
-    @pytest.fixture(scope="class")
-    def csr_topology(self) -> CSRTopology:
-        topology = gnm_random_graph(70, seed=11, average_degree=5.0)
-        return CSRTopology.from_edge_arrays(
-            topology.num_nodes,
-            *_edge_arrays(topology),
-            name=topology.name,
+        assert_same_topology(
+            topology, _builder_replay(FIXTURE_EDGES, parse_edge_list)
         )
 
-    def test_immutable(self, csr_topology):
-        with pytest.raises(TypeError, match="immutable"):
-            csr_topology.add_edge(0, 1)
-        with pytest.raises(TypeError, match="immutable"):
-            csr_topology.remove_edge(0, 1)
-        with pytest.raises(TypeError, match="immutable"):
-            csr_topology.set_edge_weight(0, 1, 2.0)
 
-    def test_matches_dict_topology(self, csr_topology):
-        oracle = csr_topology.to_dict_topology()
-        assert type(oracle) is Topology
-        assert_same_topology(csr_topology, oracle)
-        assert csr_topology.degree_sequence() == oracle.degree_sequence()
-        assert csr_topology.max_degree() == oracle.max_degree()
-        assert csr_topology.total_weight() == oracle.total_weight()
+class TestArrayTopology:
+    @pytest.fixture(scope="class")
+    def topology(self) -> Topology:
+        built = gnm_random_graph(70, seed=11, average_degree=5.0)
+        return Topology.from_edge_arrays(
+            built.num_nodes, *_edge_arrays(built), name=built.name
+        )
 
-    def test_pickle_round_trip(self, csr_topology):
-        clone = pickle.loads(pickle.dumps(csr_topology))
-        assert isinstance(clone, CSRTopology)
-        assert clone.content_key() == csr_topology.content_key()
-        assert clone.adjacency == csr_topology.adjacency
+    def test_matches_the_builder(self, topology):
+        oracle = TopologyBuilder.from_topology(topology).freeze()
+        assert_same_topology(topology, oracle)
+        assert topology.degree_sequence() == oracle.degree_sequence()
+        assert topology.max_degree() == oracle.max_degree()
+        assert topology.total_weight() == oracle.total_weight()
 
-    def test_slab_dir_round_trip(self, csr_topology, tmp_path):
+    def test_pickle_round_trip(self, topology):
+        clone = pickle.loads(pickle.dumps(topology))
+        assert type(clone) is Topology
+        assert_same_topology(clone, topology)
+
+    def test_slab_dir_round_trip(self, topology, tmp_path):
         slab_dir = tmp_path / "topo.slabs"
-        csr_topology.save_slabs(slab_dir)
-        loaded = CSRTopology.from_slab_dir(slab_dir)
-        assert loaded.content_key() == csr_topology.content_key()
+        topology.save_slabs(slab_dir)
+        loaded = Topology.from_slab_dir(slab_dir)
+        assert_same_topology(loaded, topology)
         a = loaded.csr().dijkstra(0)
-        b = csr_topology.csr().dijkstra(0)
+        b = topology.csr().dijkstra(0)
         assert list(a[0]) == list(b[0]) and list(a[1]) == list(b[1])
 
-    def test_copy_shares_slabs(self, csr_topology):
-        clone = csr_topology.copy()
-        assert isinstance(clone, CSRTopology)
-        assert clone is not csr_topology
-        assert clone._offsets is csr_topology._offsets
-        assert clone == csr_topology
+    def test_copy_shares_slabs(self, topology):
+        clone = topology.copy()
+        assert clone is not topology
+        assert clone._offsets is topology._offsets
+        assert clone == topology
 
-    def test_largest_component_matches_dict_path(self, tmp_path):
+    def test_largest_component_matches_the_builder(self, tmp_path):
         path = tmp_path / "disconnected.edges"
         path.write_text("# nodes 8\n0 1\n1 2\n2 0\n4 5\n6 7\n")
-        dict_lcc, dict_map = ingest_file(
-            path, backend="dict"
-        ).largest_component_subgraph()
-        csr_lcc, csr_map = ingest_file(
-            path, backend="csr"
-        ).largest_component_subgraph()
-        assert csr_map == dict_map
-        assert csr_lcc.num_nodes == dict_lcc.num_nodes == 3
-        assert_same_topology(csr_lcc, dict_lcc)
+        lcc, mapping = ingest_file(path).largest_component_subgraph()
+        assert mapping == {0: 0, 1: 1, 2: 2}
+        assert lcc.num_nodes == 3
+        assert_same_topology(
+            lcc, Topology.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        )
 
-    def test_unit_graph_selects_bfs_kernel(self, csr_topology):
-        csr = csr_topology.csr()
+    def test_unit_graph_selects_bfs_kernel(self, topology):
+        csr = topology.csr()
         if HAVE_C:
             assert csr.kernel == "bfs"
             assert csr.tier == "c"
@@ -439,13 +440,13 @@ class TestCSRTopology:
         from array import array
 
         with pytest.raises(ValueError):
-            CSRTopology.from_edge_arrays(
+            Topology.from_edge_arrays(
                 3, array("q", edges_u), array("q", edges_v), array("d", edges_w)
             )
 
     def test_weighted_graph_keeps_weighted_kernel(self):
         topology = geometric_random_graph(60, seed=13, average_degree=6.0)
-        csr = CSRTopology.from_edge_arrays(
+        csr = Topology.from_edge_arrays(
             topology.num_nodes, *_edge_arrays(topology)
         ).csr()
         assert csr.kernel != "bfs"
@@ -462,6 +463,73 @@ def _edge_arrays(topology: Topology):
     return eu, ev, ew
 
 
+#: One bad item per slab, at index 3, each breaking an invariant the attach
+#: check covers: an offset past the arcs, a neighbour id past n, a negative
+#: arc weight, an edge whose u is not below v, a v past n, a NaN weight.
+_FLIPS = {
+    "offsets": ("<q", 10**9),
+    "neighbors": ("<q", 10**9),
+    "weights": ("<d", -1.0),
+    "edges_u": ("<q", 10**9),
+    "edges_v": ("<q", 10**9),
+    "edges_w": ("<d", float("nan")),
+}
+
+
+def _flip(slab_dir, slab: str) -> None:
+    code, value = _FLIPS[slab]
+    with open(os.path.join(slab_dir, f"{slab}.bin"), "r+b") as handle:
+        handle.seek(3 * 8)
+        handle.write(struct.pack(code, value))
+
+
+@pytest.fixture(params=["c", "python"])
+def tier(request, monkeypatch):
+    """Both kernel tiers, chosen before anything is built."""
+    if request.param == "c" and not HAVE_C:
+        pytest.skip("C kernels unavailable")
+    if request.param == "python":
+        monkeypatch.setenv("REPRO_NO_CKERNELS", "1")
+    else:
+        monkeypatch.delenv("REPRO_NO_CKERNELS", raising=False)
+    return request.param
+
+
+class TestSlabDirValidation:
+    """A corrupted slab directory raises at attach and never reaches C."""
+
+    @pytest.mark.parametrize("slab", sorted(_FLIPS))
+    def test_a_flipped_item_raises_at_attach(self, tmp_path, tier, slab):
+        topology = gnm_random_graph(64, seed=2, average_degree=6.0)
+        slab_dir = topology.save_slabs(tmp_path / "topo.slabs")
+        assert Topology.from_slab_dir(slab_dir).csr().dijkstra(0)
+        _flip(slab_dir, slab)
+        with pytest.raises(ValueError, match="CSR invariants"):
+            Topology.from_slab_dir(slab_dir)
+
+    @pytest.mark.parametrize("slab", sorted(_FLIPS))
+    def test_the_cache_rebuilds_a_flipped_slab_dir(
+        self, tmp_path, monkeypatch, tier, slab
+    ):
+        from repro.scenarios import cache as cache_module
+        from repro.scenarios.cache import ArtifactCache, activated
+
+        monkeypatch.setattr(cache_module, "SLAB_ARTIFACT_THRESHOLD", 0)
+        path = tmp_path / "g.edges"
+        write_edge_list(gnm_random_graph(64, seed=2, average_degree=6.0), path)
+        root = tmp_path / "cache"
+        with activated(ArtifactCache(root)):
+            clean = ingest_topology(path)
+        (slab_dir,) = glob.glob(str(root / "topology" / "*.slabs"))
+        _flip(slab_dir, slab)
+        fresh = ArtifactCache(root)
+        with activated(fresh):
+            rebuilt = ingest_topology(path)
+        assert (fresh.hits, fresh.misses) == (0, 1)
+        assert_same_topology(rebuilt, clean)
+        assert rebuilt.csr().dijkstra(5) == clean.csr().dijkstra(5)
+
+
 class TestBFSKernel:
     """The C BFS kernel is bit-identical to the Python BFS fallback."""
 
@@ -472,13 +540,13 @@ class TestBFSKernel:
     def test_bfs_forced_on_weighted_graph_rejected(self):
         topology = geometric_random_graph(40, seed=2, average_degree=6.0)
         with pytest.raises(ValueError, match="bfs"):
-            CSRGraph.from_topology(topology, kernel="bfs")
+            topology.fresh_csr(kernel="bfs")
 
     def test_c_bfs_matches_python_bfs(self, unit_graph):
         if not HAVE_C:
             pytest.skip("C kernels unavailable")
-        c_csr = CSRGraph.from_topology(unit_graph, kernel="bfs", use_c=True)
-        py_csr = CSRGraph.from_topology(unit_graph, kernel="bfs", use_c=False)
+        c_csr = unit_graph.fresh_csr(kernel="bfs", use_c=True)
+        py_csr = unit_graph.fresh_csr(kernel="bfs", use_c=False)
         assert (c_csr.tier, py_csr.tier) == ("c", "python")
         k = 12
         for source in (0, 31, 127):
@@ -494,8 +562,8 @@ class TestBFSKernel:
             )
 
     def test_bfs_matches_bucket_kernel(self, unit_graph):
-        bfs_csr = CSRGraph.from_topology(unit_graph, kernel="bfs")
-        bucket_csr = CSRGraph.from_topology(unit_graph, kernel="bucket")
+        bfs_csr = unit_graph.fresh_csr(kernel="bfs")
+        bucket_csr = unit_graph.fresh_csr(kernel="bucket")
         for source in (0, 64):
             b_dist, b_pred = bfs_csr.dijkstra(source)
             q_dist, q_pred = bucket_csr.dijkstra(source)

@@ -99,7 +99,7 @@ class TestSampling:
 
     def test_sample_pairs_requires_two_nodes(self):
         with pytest.raises(ValueError):
-            sample_pairs(Topology(1), 5)
+            sample_pairs(Topology.from_edges(1, []), 5)
 
     def test_one_destination_per_node(self, small_gnm):
         pairs = one_destination_per_node(small_gnm, seed=3)

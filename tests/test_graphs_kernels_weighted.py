@@ -44,7 +44,7 @@ from repro.graphs.generators import (
     two_level_tree,
 )
 from repro.graphs.shortest_paths import dijkstra_radius
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, TopologyBuilder
 
 HAVE_C = load_kernels() is not None
 
@@ -95,7 +95,7 @@ class TestKernelTierDifferential:
     @pytest.mark.parametrize("family", sorted(_families()))
     def test_auto_kernel_matches_reference(self, family, use_c):
         topology = _families()[family]
-        csr = CSRGraph.from_topology(topology, use_c=use_c)
+        csr = topology.fresh_csr(use_c=use_c)
         _assert_matches_reference(topology, csr)
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
@@ -104,21 +104,21 @@ class TestKernelTierDifferential:
         # Quantized weights admit both kernels; they must agree bit-for-bit
         # with the oracle (and hence with each other).
         topology = _quantized_geometric(80, seed=9)
-        csr = CSRGraph.from_topology(topology, kernel=kernel, use_c=use_c)
+        csr = topology.fresh_csr(kernel=kernel, use_c=use_c)
         assert csr.kernel == kernel
         _assert_matches_reference(topology, csr)
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_heap_kernel_on_irregular_floats(self, use_c):
         topology = geometric_random_graph(70, seed=11, average_degree=6.0)
-        csr = CSRGraph.from_topology(topology, use_c=use_c)
+        csr = topology.fresh_csr(use_c=use_c)
         assert csr.kernel == "heap"
         _assert_matches_reference(topology, csr)
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_spt_rows_and_target_distances(self, use_c):
         topology = _quantized_geometric(60, seed=5)
-        csr = CSRGraph.from_topology(topology, use_c=use_c)
+        csr = topology.fresh_csr(use_c=use_c)
         n = topology.num_nodes
         for source in (0, 17, 42):
             distances, parents = reference.dijkstra(topology, source)
@@ -137,7 +137,7 @@ class TestKernelTierDifferential:
         # after settling the source (regression: the C tier used to treat an
         # empty target set as "unbounded" and return the full SPT).
         topology = _quantized_geometric(40, seed=8)
-        csr = CSRGraph.from_topology(topology, use_c=use_c)
+        csr = topology.fresh_csr(use_c=use_c)
         assert csr.dijkstra(3, targets=[]) == ({3: 0.0}, {})
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
@@ -145,7 +145,7 @@ class TestKernelTierDifferential:
         # Regression: out-of-range target ids used to reach the C kernel
         # unvalidated (out-of-bounds write into the target-flag buffer).
         topology = _quantized_geometric(40, seed=8)
-        csr = CSRGraph.from_topology(topology, use_c=use_c)
+        csr = topology.fresh_csr(use_c=use_c)
         with pytest.raises(ValueError):
             csr.dijkstra(0, targets=[10**6])
         with pytest.raises(ValueError):
@@ -154,7 +154,7 @@ class TestKernelTierDifferential:
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_disconnected_graph_contracts(self, use_c):
         topology = Topology.from_edges(5, [(0, 1, 0.5), (2, 3, 1.5)])
-        csr = CSRGraph.from_topology(topology, use_c=use_c)
+        csr = topology.fresh_csr(use_c=use_c)
         assert csr.dijkstra(0) == reference.dijkstra(topology, 0)
         dist_row, parent_row = csr.spt_rows(0, fill=-7.0)
         assert dist_row == [0.0, 0.5, -7.0, -7.0, -7.0]
@@ -167,8 +167,8 @@ class TestKernelTierDifferential:
         if not HAVE_C:
             pytest.skip("C kernels unavailable")
         topology = _quantized_geometric(70, seed=13)
-        c_csr = CSRGraph.from_topology(topology, use_c=True)
-        py_csr = CSRGraph.from_topology(topology, use_c=False)
+        c_csr = topology.fresh_csr(use_c=True)
+        py_csr = topology.fresh_csr(use_c=False)
         for source in range(0, 70, 3):
             assert c_csr.dijkstra_k_nearest(source, 9) == py_csr.dijkstra_k_nearest(
                 source, 9
@@ -184,7 +184,7 @@ class TestBucketFallback:
         assert not profile.bucket_ok
         assert topology.csr().kernel == "heap"
         with pytest.raises(ValueError):
-            CSRGraph.from_topology(topology, kernel="bucket")
+            topology.fresh_csr(kernel="bucket")
 
     def test_excessive_weight_ratio_disqualifies_bucket(self):
         # Quantized but with max_weight / quantum beyond the cap.
@@ -198,12 +198,12 @@ class TestBucketFallback:
     def test_bfs_requires_unit_weights(self):
         topology = Topology.from_edges(3, [(0, 1, 2.0), (1, 2, 2.0)])
         with pytest.raises(ValueError):
-            CSRGraph.from_topology(topology, kernel="bfs")
+            topology.fresh_csr(kernel="bfs")
 
     def test_unknown_kernel_rejected(self):
         topology = Topology.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
-            CSRGraph.from_topology(topology, kernel="fibonacci")
+            topology.fresh_csr(kernel="fibonacci")
 
 
 class TestWeightProfile:
@@ -226,12 +226,10 @@ class TestWeightProfile:
         import math
         from array import array
 
-        from repro.graphs.topology import CSRTopology
-
         profile = profile_weights([1.0, math.inf])
         assert profile.quantum is None
         with pytest.raises(ValueError, match="> 0 and finite"):
-            CSRTopology.from_edge_arrays(
+            Topology.from_edge_arrays(
                 3,
                 array("q", [0, 1]),
                 array("q", [1, 2]),
@@ -241,18 +239,18 @@ class TestWeightProfile:
     def test_empty_profile_is_unit(self):
         assert profile_weights([]).unit
 
-    def test_profile_cached_and_invalidated_on_mutation(self):
+    def test_profile_cached_and_frozen_with_each_edit(self):
         topology = Topology.from_edges(4, [(0, 1, 2.0), (1, 2, 2.0)])
         first = topology.weight_profile()
         assert topology.weight_profile() is first
         assert first.quantum == 2.0
-        topology.add_edge(2, 3, 0.75)
-        second = topology.weight_profile()
-        assert second is not first
-        assert second.quantum == 0.25
-        # Heavier duplicate edge: no mutation, cache kept.
-        topology.add_edge(0, 1, 9.0)
-        assert topology.weight_profile() is second
+        builder = TopologyBuilder.from_topology(topology)
+        builder.add_edge(2, 3, 0.75)
+        assert builder.freeze().weight_profile().quantum == 0.25
+        # Heavier duplicate edge: the weights do not change.
+        builder.add_edge(0, 1, 9.0)
+        assert builder.freeze().weight_profile().quantum == 0.25
+        assert topology.weight_profile() is first
 
     def test_profile_survives_pickle_roundtrip(self):
         import pickle
@@ -284,7 +282,7 @@ class TestRadiusBoundary:
     def test_exact_boundary_excluded_by_default(
         self, weighted_path, kernel, use_c
     ):
-        csr = CSRGraph.from_topology(weighted_path, kernel=kernel, use_c=use_c)
+        csr = weighted_path.fresh_csr(kernel=kernel, use_c=use_c)
         distances, _ = csr.dijkstra_radius(0, 3.0)
         assert sorted(distances) == [0, 1]
 
@@ -293,7 +291,7 @@ class TestRadiusBoundary:
     def test_exact_boundary_included_when_inclusive(
         self, weighted_path, kernel, use_c
     ):
-        csr = CSRGraph.from_topology(weighted_path, kernel=kernel, use_c=use_c)
+        csr = weighted_path.fresh_csr(kernel=kernel, use_c=use_c)
         distances, _ = csr.dijkstra_radius(0, 3.0, inclusive=True)
         assert sorted(distances) == [0, 1, 2]
         assert distances[2] == 3.0
@@ -308,14 +306,14 @@ class TestRadiusBoundary:
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_zero_radius_settles_only_source(self, weighted_path, use_c):
-        csr = CSRGraph.from_topology(weighted_path, use_c=use_c)
+        csr = weighted_path.fresh_csr(use_c=use_c)
         distances, predecessors = csr.dijkstra_radius(1, 0.0)
         assert distances == {1: 0.0}
         assert predecessors == {}
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_batched_radius_boundary(self, weighted_path, use_c):
-        csr = CSRGraph.from_topology(weighted_path, use_c=use_c)
+        csr = weighted_path.fresh_csr(use_c=use_c)
         radii = [3.0, 1.5, 2.0, 0.5]
         strict = _flat_settle_rows(csr.radius_batch_flat(radii))
         inclusive = _flat_settle_rows(
@@ -380,7 +378,7 @@ def _assert_same_settle_order(
 ) -> None:
     """Every tier settles ``sources`` like the reference: order, dist, pred."""
     graphs = [
-        CSRGraph.from_topology(topology, kernel=kernel, use_c=use_c)
+        topology.fresh_csr(kernel=kernel, use_c=use_c)
         for use_c in TIERS
     ]
     expected = [
@@ -446,7 +444,7 @@ class TestLevelOrdering:
         topology = _star(n, hub=hub, seed=3, degree=1200)
         smallest = sorted(topology.neighbors(hub))[: k - 1]
         for use_c in TIERS:
-            csr = CSRGraph.from_topology(topology, use_c=use_c)
+            csr = topology.fresh_csr(use_c=use_c)
             distances, predecessors = csr.dijkstra_k_nearest(hub, k)
             assert list(distances) == [hub] + smallest
             assert predecessors == dict.fromkeys(smallest, hub)
@@ -456,10 +454,13 @@ class TestLevelOrdering:
         # Dyadic weights: four buckets of ~75 leaves each behind the hub,
         # and leaf-to-leaf shortcuts that leave stale entries in them.
         rng = random.Random(5)
-        topology = _star(301, hub=150, seed=5, weights=(0.5, 1.0, 1.5, 2.0))
+        builder = TopologyBuilder.from_topology(
+            _star(301, hub=150, seed=5, weights=(0.5, 1.0, 1.5, 2.0))
+        )
         for _ in range(300):
             u, v = rng.sample(range(301), 2)
-            topology.add_edge(u, v, 0.5)
+            builder.add_edge(u, v, 0.5)
+        topology = builder.freeze()
         assert topology.csr().kernel == "bucket"
         _assert_same_settle_order(
             topology, [150, 0, 300], ks=[40, 160], kernel="bucket"
@@ -485,7 +486,7 @@ class TestLevelOrdering:
         weights = (1.0,) if kernel == "bfs" else (0.5, 1.0, 1.5)
         topology = _star(900, hub=450, seed=2, weights=weights, degree=500)
         graphs = [
-            CSRGraph.from_topology(topology, kernel=kernel, use_c=use_c)
+            topology.fresh_csr(kernel=kernel, use_c=use_c)
             for use_c in TIERS
         ]
         sources = [450, 0, 899, 450, 17, 3, 450, 620]
@@ -505,7 +506,7 @@ class TestParallelKernelThreading:
         topology = _quantized_geometric(48, seed=7)
         auto = topology.csr().k_nearest_batch_flat(9, threads=2)
         for kernel in ("heap", "bucket"):
-            forced = CSRGraph.from_topology(topology, kernel=kernel)
+            forced = topology.fresh_csr(kernel=kernel)
             assert forced.kernel == kernel
             assert forced.k_nearest_batch_flat(9, threads=2) == auto
 
@@ -520,9 +521,7 @@ class TestPropertyBasedWeighted:
             ]
             for kernel in ("heap", "bucket"):
                 for use_c in TIERS:
-                    csr = CSRGraph.from_topology(
-                        topology, kernel=kernel, use_c=use_c
-                    )
+                    csr = topology.fresh_csr(kernel=kernel, use_c=use_c)
                     got = [
                         csr.dijkstra(s) for s in range(topology.num_nodes)
                     ]

@@ -30,12 +30,9 @@ def weighted_graph() -> Topology:
         |     /
         3 --/
     """
-    topology = Topology(4)
-    topology.add_edge(0, 1, 1.0)
-    topology.add_edge(1, 2, 1.0)
-    topology.add_edge(0, 3, 4.0)
-    topology.add_edge(2, 3, 1.0)
-    return topology
+    return Topology.from_edges(
+        4, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 4.0), (2, 3, 1.0)]
+    )
 
 
 class TestDijkstra:
@@ -52,7 +49,7 @@ class TestDijkstra:
         assert distances[1] == 1.0
 
     def test_source_only_in_singleton(self):
-        topology = Topology(1)
+        topology = Topology.from_edges(1, [])
         distances, predecessors = dijkstra(topology, 0)
         assert distances == {0: 0.0}
         assert predecessors == {}

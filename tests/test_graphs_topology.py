@@ -1,65 +1,83 @@
-"""Tests for repro.graphs.topology."""
+"""Tests for repro.graphs.topology: the builder and the immutable topology."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.graphs.topology import Topology
+from repro.graphs.topology import Topology, TopologyBuilder
+
+# Edits on six nodes, so removals, re-adds and reweights of a present edge
+# are common: (op, u, v, weight) with op 0 add, 1 remove, 2 reweight.
+_EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.integers(0, 5),
+        st.integers(0, 5),
+        st.sampled_from([0.5, 1.0, 2.5, 3.0]),
+    ).filter(lambda edit: edit[1] != edit[2]),
+    max_size=60,
+)
+
+
+def _slab_bytes(topology: Topology) -> list[bytes]:
+    return [bytes(slab) for _, _, slab in topology.slab_items()]
 
 
 class TestConstruction:
     def test_empty(self):
-        topology = Topology(0)
+        topology = TopologyBuilder(0).freeze()
         assert topology.num_nodes == 0
         assert topology.num_edges == 0
 
     def test_negative_nodes_rejected(self):
         with pytest.raises(ValueError):
-            Topology(-1)
+            TopologyBuilder(-1)
 
     def test_add_edge(self):
-        topology = Topology(3)
-        topology.add_edge(0, 1, 2.5)
+        builder = TopologyBuilder(3)
+        builder.add_edge(0, 1, 2.5)
+        topology = builder.freeze()
         assert topology.num_edges == 1
         assert topology.has_edge(0, 1)
         assert topology.has_edge(1, 0)
         assert topology.edge_weight(0, 1) == 2.5
 
     def test_self_loop_rejected(self):
-        topology = Topology(2)
         with pytest.raises(ValueError):
-            topology.add_edge(1, 1)
+            TopologyBuilder(2).add_edge(1, 1)
 
     def test_out_of_range_node_rejected(self):
-        topology = Topology(2)
         with pytest.raises(ValueError):
-            topology.add_edge(0, 5)
+            TopologyBuilder(2).add_edge(0, 5)
 
     def test_nonpositive_weight_rejected(self):
-        topology = Topology(2)
+        builder = TopologyBuilder(2)
         with pytest.raises(ValueError):
-            topology.add_edge(0, 1, 0.0)
+            builder.add_edge(0, 1, 0.0)
         with pytest.raises(ValueError):
-            topology.add_edge(0, 1, -3.0)
+            builder.add_edge(0, 1, -3.0)
 
     def test_parallel_edge_keeps_smaller_weight(self):
-        topology = Topology(2)
-        topology.add_edge(0, 1, 5.0)
-        topology.add_edge(0, 1, 2.0)
+        builder = TopologyBuilder(2)
+        builder.add_edge(0, 1, 5.0)
+        builder.add_edge(0, 1, 2.0)
+        topology = builder.freeze()
         assert topology.num_edges == 1
         assert topology.edge_weight(0, 1) == 2.0
-        # Adjacency entries are updated too.
+        # The rows carry the new weight too.
         assert topology.neighbor_weights(0) == [(1, 2.0)]
 
     def test_parallel_edge_larger_weight_ignored(self):
-        topology = Topology(2)
-        topology.add_edge(0, 1, 2.0)
-        topology.add_edge(0, 1, 5.0)
-        assert topology.edge_weight(0, 1) == 2.0
+        builder = TopologyBuilder(2)
+        builder.add_edge(0, 1, 2.0)
+        builder.add_edge(0, 1, 5.0)
+        assert builder.freeze().edge_weight(0, 1) == 2.0
 
     def test_add_edges_from_mixed(self):
-        topology = Topology(4)
-        topology.add_edges_from([(0, 1), (1, 2, 3.0)])
+        builder = TopologyBuilder(4)
+        builder.add_edges_from([(0, 1), (1, 2, 3.0)])
+        topology = builder.freeze()
         assert topology.edge_weight(0, 1) == 1.0
         assert topology.edge_weight(1, 2) == 3.0
 
@@ -67,6 +85,91 @@ class TestConstruction:
         topology = Topology.from_edges(3, [(0, 1), (1, 2)], name="tiny")
         assert topology.name == "tiny"
         assert topology.num_edges == 2
+
+    def test_topology_has_no_mutators(self):
+        topology = Topology.from_edges(3, [(0, 1)])
+        for name in ("add_edge", "remove_edge", "set_edge_weight"):
+            assert not hasattr(topology, name)
+
+
+class TestBuilder:
+    def test_freeze_keeps_the_rows_a_remove_and_re_add_leave(self):
+        # Row 0 is [1, 2, 3]; removing 0-1 and adding it back moves it to
+        # the end of both rows, and to the end of the edge order.
+        builder = TopologyBuilder(4)
+        builder.add_edges_from([(0, 1, 1.0), (0, 2, 2.0), (3, 0, 3.0)])
+        builder.remove_edge(1, 0)
+        builder.add_edge(0, 1, 4.0)
+        builder.set_edge_weight(2, 0, 0.5)
+        topology = builder.freeze()
+        assert topology.neighbor_weights(0) == [(2, 0.5), (3, 3.0), (1, 4.0)]
+        assert list(topology.edges()) == [
+            (0, 2, 0.5), (0, 3, 3.0), (0, 1, 4.0)
+        ]
+        assert topology.neighbor_weights(1) == [(0, 4.0)]
+
+    def test_remove_and_reweight_a_missing_edge_raise(self):
+        builder = TopologyBuilder(3)
+        builder.add_edge(0, 1)
+        with pytest.raises(KeyError):
+            builder.remove_edge(1, 2)
+        with pytest.raises(KeyError):
+            builder.set_edge_weight(1, 2, 1.0)
+        assert builder.remove_edge(1, 0) == 1.0
+        assert builder.num_edges == 0
+
+    def test_from_topology_round_trips_every_slab(self):
+        topology = Topology.from_edges(
+            5, [(3, 1, 2.0), (0, 1, 1.5), (1, 4, 0.5), (2, 0, 3.0)], name="orig"
+        )
+        # A spliced triangle: rows [2, 1], [2, 0], [0, 1], which no edge
+        # order lays out, so the builder must keep them as they are.
+        graph = Topology.from_edges(3, [(0, 1), (0, 2), (1, 2)]).fresh_csr()
+        graph.splice(removed=[(0, 1)])
+        graph.splice(added=[(0, 1, 1.0)])
+        spliced = Topology.from_csr(graph, name="orig")
+        assert spliced.neighbors(1) == [2, 0]
+        for source in (topology, spliced):
+            frozen = TopologyBuilder.from_topology(source).freeze()
+            assert frozen.name == "orig"
+            assert _slab_bytes(frozen) == _slab_bytes(source)
+
+    def test_the_builder_stays_usable_after_freeze(self):
+        builder = TopologyBuilder(3)
+        builder.add_edge(0, 1)
+        first = builder.freeze()
+        builder.add_edge(1, 2)
+        assert first.num_edges == 1
+        assert builder.freeze().num_edges == 2
+
+    @given(edits=_EDITS)
+    @settings(max_examples=80, deadline=None)
+    def test_a_grown_builder_freezes_to_its_rows(self, edits):
+        """From empty, every row lists its node's edges in edge order, so
+        the counting-pass assembly lays out the rows as they stand: the
+        same slabs a builder copied arc for arc freezes to."""
+        builder = TopologyBuilder(6)
+        for op, u, v, weight in edits:
+            if op == 0:
+                builder.add_edge(u, v, weight)
+            elif builder.has_edge(u, v):
+                if op == 1:
+                    builder.remove_edge(u, v)
+                else:
+                    builder.set_edge_weight(u, v, weight)
+        frozen = builder.freeze()
+        assert frozen.adjacency == builder.adjacency
+        assert list(frozen.edges()) == list(builder.edges())
+        copied = TopologyBuilder.from_topology(frozen)
+        assert _slab_bytes(copied.freeze()) == _slab_bytes(frozen)
+
+    def test_connectivity(self):
+        builder = TopologyBuilder(4)
+        builder.add_edges_from([(0, 1), (2, 3)])
+        assert not builder.is_connected()
+        builder.add_edge(1, 2)
+        assert builder.is_connected()
+        assert builder.connected_components() == [[0, 1, 2, 3]]
 
 
 class TestAccessors:
@@ -95,19 +198,19 @@ class TestAccessors:
         assert topology.total_weight() == pytest.approx(5.5)
 
     def test_missing_edge_weight_raises(self):
-        topology = Topology(3)
+        topology = Topology.from_edges(3, [])
         with pytest.raises(KeyError):
             topology.edge_weight(0, 1)
 
     def test_empty_graph_degrees(self):
-        topology = Topology(0)
+        topology = Topology.from_edges(0, [])
         assert topology.average_degree() == 0.0
         assert topology.max_degree() == 0
 
 
 class TestConnectivity:
     def test_single_node_connected(self):
-        assert Topology(1).is_connected()
+        assert Topology.from_edges(1, []).is_connected()
 
     def test_disconnected_graph(self):
         topology = Topology.from_edges(4, [(0, 1), (2, 3)])
@@ -141,42 +244,37 @@ class TestConnectivity:
         assert covered == list(range(6))
 
     def test_largest_component_matches_add_edge_replay(self):
-        # The O(E) fast path must build the same subgraph (same relabelling,
-        # weights, and adjacency order) as replaying add_edge per edge.
+        # The relabelled subgraph is the one a builder replay of the
+        # surviving edges gives: same relabelling, weights, and arc order.
         topology = Topology.from_edges(
             8,
             [(5, 2, 1.5), (2, 7, 2.0), (7, 5, 0.5), (0, 1, 3.0), (3, 4, 1.0)],
         )
         sub, mapping = topology.largest_component_subgraph()
-        expected = Topology(len(mapping), name=topology.name)
+        expected = TopologyBuilder(len(mapping), name=topology.name)
         for u, v, weight in topology.edges():
             if u in mapping and v in mapping:
                 expected.add_edge(mapping[u], mapping[v], weight)
-        assert sub == expected
-        for node in sub.nodes():
-            assert sub.neighbor_weights(node) == expected.neighbor_weights(node)
+        assert _slab_bytes(sub) == _slab_bytes(expected.freeze())
 
 
 class TestConversionsAndDunder:
     def test_copy_is_independent(self):
+        # An edit goes through a builder and leaves the source alone.
         topology = Topology.from_edges(3, [(0, 1)])
-        duplicate = topology.copy()
-        duplicate.add_edge(1, 2)
+        builder = TopologyBuilder.from_topology(topology)
+        builder.add_edge(1, 2)
         assert topology.num_edges == 1
-        assert duplicate.num_edges == 2
+        assert builder.freeze().num_edges == 2
 
     def test_copy_preserves_structure_exactly(self):
-        # The O(E) fast path copies adjacency rows and the weight table
-        # directly; the result must be indistinguishable from an add_edge
-        # replay, down to neighbor insertion order.
         topology = Topology.from_edges(
             5, [(3, 1, 2.0), (0, 1, 1.5), (1, 4, 0.5), (2, 0, 3.0)], name="orig"
         )
         duplicate = topology.copy()
         assert duplicate == topology
         assert duplicate.name == topology.name
-        for node in topology.nodes():
-            assert duplicate.neighbor_weights(node) == topology.neighbor_weights(node)
+        assert _slab_bytes(duplicate) == _slab_bytes(topology)
         assert list(duplicate.edges()) == list(topology.edges())
 
     def test_copy_does_not_share_csr_snapshot(self):
@@ -184,6 +282,8 @@ class TestConversionsAndDunder:
         snapshot = topology.csr()
         duplicate = topology.copy()
         assert duplicate.csr() is not snapshot
+        assert topology.fresh_csr() is not snapshot
+        assert topology.csr() is snapshot
 
     def test_get_edge_weight(self):
         topology = Topology.from_edges(3, [(0, 1, 2.5)])
@@ -191,6 +291,7 @@ class TestConversionsAndDunder:
         assert topology.get_edge_weight(1, 0) == 2.5
         assert topology.get_edge_weight(0, 2) is None
         assert topology.get_edge_weight(0, 2, default=-1.0) == -1.0
+        assert topology.get_edge_weight(0, 9) is None
 
     def test_equality(self):
         a = Topology.from_edges(3, [(0, 1, 2.0)])
@@ -198,6 +299,13 @@ class TestConversionsAndDunder:
         c = Topology.from_edges(3, [(0, 1, 3.0)])
         assert a == b
         assert a != c
+        assert hash(a) == hash(b)
+
+    def test_equality_ignores_arc_order_and_name(self):
+        a = Topology.from_edges(3, [(0, 1), (1, 2)], name="a")
+        b = Topology.from_edges(3, [(2, 1), (1, 0)], name="b")
+        assert _slab_bytes(a) != _slab_bytes(b)
+        assert a == b
 
     def test_repr_mentions_size(self):
         topology = Topology.from_edges(3, [(0, 1)], name="x")

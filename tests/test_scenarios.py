@@ -245,11 +245,13 @@ class TestArtifactCache:
 class TestSchemeCache:
     def test_scheme_key_covers_topology_content(self):
         from repro.graphs.generators import gnm_random_graph
+        from repro.graphs.topology import TopologyBuilder
 
         topology = gnm_random_graph(48, seed=5, average_degree=6.0)
         before = scheme_key(topology, "nd-disco", seed=3)
-        topology.add_edge(0, 47, 5.0)
-        after = scheme_key(topology, "nd-disco", seed=3)
+        builder = TopologyBuilder.from_topology(topology)
+        builder.add_edge(0, 47, 5.0)
+        after = scheme_key(builder.freeze(), "nd-disco", seed=3)
         assert before != after
 
     @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs.generators import gnm_random_graph
+from repro.graphs.topology import TopologyBuilder
 from repro.scenarios.cache import (
     ArtifactCache,
     SUBSTRATE_SCHEMES,
@@ -27,6 +28,13 @@ PROTOCOLS = ("disco", "nd-disco", "s4", "vrr")
 
 def _build_topology():
     return gnm_random_graph(72, seed=5, average_degree=6.0)
+
+
+def _edited(topology):
+    """``topology`` with the edge 0-71 added: a new, unregistered object."""
+    builder = TopologyBuilder.from_topology(topology)
+    builder.add_edge(0, 71, 2.0)
+    return builder.freeze()
 
 
 def _warm_simulation(root, protocols=PROTOCOLS):
@@ -147,10 +155,8 @@ class TestDegradation:
         root = tmp_path / "cache"
         with activated(ArtifactCache(root)) as cache:
             topology = cache.topology(("gnm", 72, 5, 6.0), _build_topology)
-            topology.add_edge(0, 71, 2.0)
-            StaticSimulation(topology, ("vrr",), seed=3)
-        mutated = _build_topology()
-        mutated.add_edge(0, 71, 2.0)
+            StaticSimulation(_edited(topology), ("vrr",), seed=3)
+        mutated = _edited(_build_topology())
         with activated(ArtifactCache(root)) as cache:
             warm = StaticSimulation(mutated, ("vrr",), seed=3)
             assert cache.hits >= 1

@@ -335,11 +335,11 @@ class TestNodeSearchTables:
 def _two_component_tables(k: int = 6) -> SubstrateTables:
     """A 7-node ring and a 5-node path, built as the churn engine builds:
     no codec, rows of the path component shorter than ``k``."""
-    topology = Topology(12)
-    for u in range(7):
-        topology.add_edge(u, (u + 1) % 7, 1.0 + 0.25 * u)
-    for u in range(7, 11):
-        topology.add_edge(u, u + 1, 1.0)
+    topology = Topology.from_edges(
+        12,
+        [(u, (u + 1) % 7, 1.0 + 0.25 * u) for u in range(7)]
+        + [(u, u + 1, 1.0) for u in range(7, 11)],
+    )
     return build_substrate_tables(topology, [0, 8], size=k)
 
 
