@@ -227,7 +227,7 @@ def test_kernel_memory_curve_stays_linear(benchmark, run_once):
         tracemalloc.start()
         try:
             csr = topology.csr()
-            csr.dijkstra(0)
+            csr.spt_rows(0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

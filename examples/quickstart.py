@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from repro import (
     DiscoRouting,
+    ShortestPathRouting,
     gnm_random_graph,
     measure_state,
     measure_stretch,
 )
-from repro.graphs.shortest_paths import shortest_path, path_length
 
 
 def main() -> None:
@@ -43,14 +43,14 @@ def main() -> None:
     source, target = 3, 200
     first = disco.first_packet_route(source, target)
     later = disco.later_packet_route(source, target)
-    optimal = shortest_path(topology, source, target)
+    optimal = ShortestPathRouting(topology).first_packet_route(source, target)
     print(f"\nflow {source} -> {target}")
     print(f"  first packet ({first.mechanism}): {len(first.path) - 1} hops")
     print(f"  later packets ({later.mechanism}): {len(later.path) - 1} hops")
-    print(f"  shortest path: {len(optimal) - 1} hops")
+    print(f"  shortest path: {len(optimal.path) - 1} hops")
     print(
         "  first-packet stretch: "
-        f"{first.length(topology) / path_length(topology, optimal):.2f}"
+        f"{first.length(topology) / optimal.length(topology):.2f}"
     )
 
     # 4. Evaluation-style measurements over the whole network.

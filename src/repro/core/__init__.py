@@ -24,14 +24,14 @@ This package implements §4 of the paper:
 """
 
 from repro.core.landmarks import LandmarkSet, select_landmarks, landmark_probability
-from repro.core.vicinity import VicinityTable, compute_vicinities, vicinity_size
+from repro.core.vicinity import compute_vicinities, vicinity_size
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.disco import DiscoRouting
 from repro.core.resolution import LandmarkResolutionDatabase
 from repro.core.sloppy_groups import SloppyGrouping, group_prefix_bits
 from repro.core.overlay import DisseminationOverlay
 from repro.core.dissemination import AddressDissemination, DisseminationReport
-from repro.core.shortcutting import ShortcutMode, apply_shortcuts
+from repro.core.shortcutting import ShortcutMode
 
 __all__ = [
     "AddressDissemination",
@@ -43,8 +43,6 @@ __all__ = [
     "NDDiscoRouting",
     "ShortcutMode",
     "SloppyGrouping",
-    "VicinityTable",
-    "apply_shortcuts",
     "compute_vicinities",
     "group_prefix_bits",
     "landmark_probability",

@@ -34,8 +34,7 @@ from repro.core.nddisco import NDDiscoRouting
 from repro.core.overlay import DisseminationOverlay
 from repro.core.shortcutting import ShortcutMode
 from repro.core.sloppy_groups import SloppyGrouping
-from repro.core.tables import SubstrateTables
-from repro.core.vicinity import VicinityTable
+from repro.core.tables import SubstrateTables, VicinityView
 from repro.graphs.topology import Topology
 from repro.naming.hashspace import HASH_BITS, hash_prefix
 from repro.naming.names import FlatName
@@ -201,7 +200,7 @@ class DiscoRouting(RoutingScheme):
         return self._nddisco.landmarks
 
     @property
-    def vicinities(self) -> list[VicinityTable]:
+    def vicinities(self) -> list[VicinityView]:
         """Per-node vicinities."""
         return self._nddisco.vicinities
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 from repro.core.landmarks import landmark_probability, select_landmarks
-from repro.graphs.shortest_paths import dijkstra
 from repro.graphs.topology import Topology
 from repro.utils.randomness import make_rng
 from repro.utils.validation import require_positive
@@ -88,18 +87,14 @@ def spread_landmarks(
     rng = make_rng(seed, "spread-landmarks")
     first = rng.randrange(topology.num_nodes)
     landmarks = {first}
-    best_distance, _ = dijkstra(topology, first)
-    distance_to_set = {
-        node: best_distance.get(node, math.inf) for node in topology.nodes()
-    }
+    csr = topology.csr()
+    distance_to_set, _ = csr.spt_rows(first, fill=math.inf)
     while len(landmarks) < count:
         farthest = max(
             (node for node in topology.nodes() if node not in landmarks),
             key=lambda node: (distance_to_set[node], node),
         )
         landmarks.add(farthest)
-        new_distances, _ = dijkstra(topology, farthest)
-        for node, value in new_distances.items():
-            if value < distance_to_set[node]:
-                distance_to_set[node] = value
+        distances, _ = csr.spt_rows(farthest, fill=math.inf)
+        distance_to_set = list(map(min, distance_to_set, distances))
     return landmarks

@@ -39,10 +39,13 @@ from repro.addressing.address import Address
 from repro.addressing.labels import LabelCodec
 from repro.core.landmarks import select_landmarks
 from repro.core.resolution import LandmarkResolutionDatabase
-from repro.core.shortcutting import ShortcutMode, _apply_per_hop
+from repro.core.shortcutting import (
+    ShortcutMode,
+    splice_up_down_stream,
+    truncate_at_destination,
+)
 from repro.core.substrate_build import build_substrate_tables
-from repro.core.tables import NodeSearchTables, SubstrateTables
-from repro.core.vicinity import VicinityTable
+from repro.core.tables import NodeSearchTables, SubstrateTables, VicinityView
 from repro.graphs.topology import Topology
 from repro.naming.names import FlatName, name_for_node
 from repro.protocols.base import LandmarkRouter, RouteResult, RoutingScheme
@@ -69,6 +72,9 @@ class NDDiscoRouting(RoutingScheme):
         landmarks non-randomly, §6); defaults to the random rule.
     names:
         Flat names per node; default ``node-<id>``.
+    vicinities:
+        Optional vicinity rows, one per node (for instance learned by the
+        message-level simulator); they replace the build's vicinity phase.
     resolve_first_packet:
         If True (default), first packets detour through the resolution
         database's home landmark for the destination name.
@@ -105,7 +111,7 @@ class NDDiscoRouting(RoutingScheme):
         vicinity_scale: float = 1.0,
         landmarks: set[int] | None = None,
         names: Sequence[FlatName] | None = None,
-        vicinities: Sequence[VicinityTable] | None = None,
+        vicinities: NodeSearchTables | None = None,
         resolve_first_packet: bool = True,
         resolution_virtual_nodes: int = 1,
         threads: int | None = None,
@@ -148,7 +154,7 @@ class NDDiscoRouting(RoutingScheme):
         # below is a thin list/dict-shaped view over the slabs.
         self._codec = LabelCodec(topology)
         injected = vicinities is not None
-        if injected and len(vicinities) != n:
+        if injected and vicinities.num_nodes != n:
             raise ValueError("vicinities must cover every node")
         self._tables: SubstrateTables = build_substrate_tables(
             topology,
@@ -164,9 +170,7 @@ class NDDiscoRouting(RoutingScheme):
             progress=build_progress,
         )
         if injected:
-            self._tables.vicinity = NodeSearchTables.from_searches(
-                [(table.distances, table.predecessors) for table in vicinities]
-            )
+            self._tables.vicinity = vicinities
         self._landmark_spts = self._tables.spt_rows()
         self._closest_landmark, self._closest_landmark_distance = (
             self._tables.closest_rows()
@@ -200,7 +204,7 @@ class NDDiscoRouting(RoutingScheme):
         return set(self._landmarks)
 
     @property
-    def vicinities(self) -> list[VicinityTable]:
+    def vicinities(self) -> list[VicinityView]:
         """Per-node vicinity tables (indexed by node id)."""
         return self._vicinities
 
@@ -383,7 +387,6 @@ class _NDDiscoRouter(LandmarkRouter):
     def __init__(self, scheme: NDDiscoRouting) -> None:
         super().__init__(scheme)
         self.landmarks = scheme._landmarks
-        self.vicinities = scheme._vicinities
         self.closest = scheme._closest_landmark
         mode = scheme.shortcut_mode
         self._per_hop = mode.per_hop_heuristic
@@ -433,8 +436,8 @@ class _NDDiscoRouter(LandmarkRouter):
     def _apply_per_hop(self, route: list[int]) -> list[int]:
         heuristic = self._per_hop
         if heuristic == "up-down-stream":
-            return _apply_per_hop(
-                self.scheme.topology, route, self.vicinities, heuristic
+            return splice_up_down_stream(
+                truncate_at_destination(route), self.vic_table, self.route_length
             )
         # Truncate at the destination, then the To-Destination splice.
         destination = route[-1]
@@ -458,8 +461,14 @@ class _NDDiscoRouter(LandmarkRouter):
     def shortcut(
         self, forward: list[int], reverse: list[int] | None
     ) -> list[int]:
-        """Apply the mode's heuristic; same contract as
-        :func:`~repro.core.shortcutting.apply_shortcuts`."""
+        """Apply the mode's heuristic to the relay routes s .. t and t .. s.
+
+        Every mode truncates at the destination; ``reverse`` (needed by the
+        modes that compare directions) gets the same per-hop heuristic and
+        is reversed, and the shorter direction wins, the forward one on a
+        tie.  ``tests/oracles/shortcutting.py`` holds this to a dict-based
+        reference, pair by pair, for all six modes.
+        """
         forward = self._apply_per_hop(forward)
         if not self.uses_reverse:
             return forward

@@ -18,18 +18,21 @@ the stretch bound holds; the paper layers cheap heuristics on top:
 The heuristics operate purely on information nodes legitimately hold
 (vicinity routes), so they never violate the protocol's state bound; they can
 only shorten routes, so the stretch guarantees are preserved.
+
+The modes are applied by the ND-Disco router
+(:meth:`repro.core.nddisco._NDDiscoRouter.shortcut`), which reads the
+vicinity slabs directly; this module holds the mode table, the truncation
+every mode applies, and the Up-Down-Stream splice.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.core.vicinity import VicinityTable
-from repro.graphs.shortest_paths import path_length
-from repro.graphs.topology import Topology
+from repro.core.tables import NodeSearchTables
 
-__all__ = ["ShortcutMode", "apply_shortcuts", "truncate_at_destination"]
+__all__ = ["ShortcutMode", "splice_up_down_stream", "truncate_at_destination"]
 
 
 class ShortcutMode(enum.Enum):
@@ -75,23 +78,10 @@ def truncate_at_destination(route: Sequence[int]) -> list[int]:
     return list(route[: first_index + 1])
 
 
-def _shortcut_to_destination(
-    route: Sequence[int], vicinities: Sequence[VicinityTable]
-) -> list[int]:
-    """Splice in a direct vicinity path from the first node that knows one."""
-    if len(route) <= 1:
-        return list(route)
-    destination = route[-1]
-    for index, node in enumerate(route[:-1]):
-        if destination in vicinities[node]:
-            return list(route[:index]) + vicinities[node].path_to(destination)
-    return list(route)
-
-
-def _shortcut_up_down_stream(
-    topology: Topology,
+def splice_up_down_stream(
     route: Sequence[int],
-    vicinities: Sequence[VicinityTable],
+    vicinity: NodeSearchTables,
+    length: Callable[[Sequence[int]], float],
     *,
     max_passes: int = 8,
 ) -> list[int]:
@@ -99,96 +89,34 @@ def _shortcut_up_down_stream(
 
     Scans the route front to back; at each position it looks for the
     *farthest* downstream node it holds a strictly shorter vicinity route to
-    and splices that route in.  Repeats until a pass makes no change (the
-    total length strictly decreases with every splice, so this terminates;
+    (row distance against ``length`` of the route segment) and splices that
+    route in.  Repeats until a pass makes no change (the total length
+    strictly decreases with every splice, so this terminates;
     ``max_passes`` is a safety valve only).
     """
     current = list(route)
+    dists = vicinity.dists
     for _ in range(max_passes):
         changed = False
         index = 0
         while index < len(current) - 1:
             node = current[index]
-            vicinity = vicinities[node]
-            best_splice: list[int] | None = None
-            best_target_index = -1
+            members = vicinity._index(node)
             # Prefer the farthest downstream improvement.
             for target_index in range(len(current) - 1, index, -1):
                 target = current[target_index]
-                if target not in vicinity:
+                position = members.get(target)
+                if position is None:
                     continue
-                segment = current[index : target_index + 1]
-                segment_length = path_length(topology, segment)
-                if vicinity.distance_to(target) < segment_length:
-                    best_splice = vicinity.path_to(target)
-                    best_target_index = target_index
+                if dists[position] < length(current[index : target_index + 1]):
+                    current = (
+                        current[:index]
+                        + vicinity.path_from_owner(node, target)
+                        + current[target_index + 1 :]
+                    )
+                    changed = True
                     break
-            if best_splice is not None:
-                current = (
-                    current[:index] + best_splice + current[best_target_index + 1 :]
-                )
-                changed = True
             index += 1
         if not changed:
             break
     return current
-
-
-def _apply_per_hop(
-    topology: Topology,
-    route: Sequence[int],
-    vicinities: Sequence[VicinityTable],
-    heuristic: str,
-) -> list[int]:
-    truncated = truncate_at_destination(route)
-    if heuristic == "none":
-        return truncated
-    if heuristic == "to-destination":
-        return _shortcut_to_destination(truncated, vicinities)
-    if heuristic == "up-down-stream":
-        return _shortcut_up_down_stream(topology, truncated, vicinities)
-    raise ValueError(f"unknown per-hop heuristic {heuristic!r}")
-
-
-def apply_shortcuts(
-    topology: Topology,
-    vicinities: Sequence[VicinityTable],
-    forward_route: Sequence[int],
-    mode: ShortcutMode,
-    *,
-    reverse_route: Sequence[int] | None = None,
-) -> list[int]:
-    """Apply ``mode`` to a relay route and return the resulting path.
-
-    Parameters
-    ----------
-    forward_route:
-        The s → ... → t relay route built by the protocol.
-    reverse_route:
-        The t → ... → s relay route (as built from t's side), required by the
-        modes that compare directions.  It is evaluated with the same per-hop
-        heuristic and then reversed, and the shorter of the two directions is
-        returned.
-
-    Returns
-    -------
-    list[int]
-        A path from ``forward_route[0]`` to ``forward_route[-1]``.
-    """
-    if not forward_route:
-        raise ValueError("forward_route must be non-empty")
-    heuristic = mode.per_hop_heuristic
-    forward = _apply_per_hop(topology, forward_route, vicinities, heuristic)
-    if not mode.uses_reverse_route:
-        return forward
-    if reverse_route is None:
-        raise ValueError(f"mode {mode.value} requires a reverse_route")
-    if reverse_route[0] != forward_route[-1] or reverse_route[-1] != forward_route[0]:
-        raise ValueError(
-            "reverse_route must run from the destination back to the source"
-        )
-    reverse = _apply_per_hop(topology, reverse_route, vicinities, heuristic)
-    reverse_as_forward = list(reversed(reverse))
-    if path_length(topology, reverse_as_forward) < path_length(topology, forward):
-        return reverse_as_forward
-    return forward

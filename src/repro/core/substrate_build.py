@@ -15,8 +15,8 @@ the preallocated row-major slabs of a :class:`SubstrateTables`:
   churn engine lives on them.
 * **Vicinity CSR** -- per-node truncated searches gathered directly into
   the member / distance / parent slabs
-  (:meth:`CSRGraph.k_nearest_batch_into`); no per-node dict pairs or
-  :class:`VicinityTable` objects are materialized.
+  (:meth:`CSRGraph.k_nearest_batch_into`); no per-node dict pairs are
+  materialized.
 * **Address payloads** -- explicit-route paths walked directly over the
   parent slab and encoded into the address slabs.
 
@@ -291,8 +291,8 @@ def build_ball_tables(
     ``radii[v]`` bounds node ``v``'s search (strict boundary, the S4
     cluster definition); rows are gathered flat -- no per-node dicts.  The
     batch goes down in one ``radius_batch`` kernel call, fanned over
-    ``threads`` in-kernel threads.  Contents are bit-identical to
-    ``NodeSearchTables.from_searches`` of one ``dijkstra_radius`` per node.
+    ``threads`` in-kernel threads.  Row ``v`` holds the nodes within
+    ``radii[v]`` of ``v`` in settle order, ``v`` first.
     """
     offsets, members, dists, parents = topology.csr().radius_batch_flat(
         radii, threads=threads

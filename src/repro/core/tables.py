@@ -16,10 +16,9 @@ CSR snapshot did for the graph itself in PR 1:
 * **Address payloads** -- per-node explicit-route node paths, labels, and
   bit sizes as CSR slabs.
 
-The dict-shaped accessors the rest of the system consumes stay available as
-thin views (:class:`Row`, :class:`SearchMap`, :class:`VicinityView`), so the
-public scheme API reads like the per-node lists and dicts the kernels
-return.  One builder fills the slabs, the slab-direct
+The scheme attributes still expose the slabs through thin mapping-shaped
+views (:class:`Row`, :class:`SearchMap`, :class:`VicinityView`), while the
+routers read the rows directly.  One builder fills the slabs, the slab-direct
 :func:`repro.core.substrate_build.build_substrate_tables`.
 
 The same class is the churn engine's live state
@@ -44,6 +43,8 @@ import os
 from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+from repro.graphs.csr import tree_path
 
 __all__ = [
     "NodeSearchTables",
@@ -255,9 +256,11 @@ class NodeSearchTables:
     ) -> "NodeSearchTables":
         """Build slabs from per-node ``(distances, predecessors)`` dicts.
 
-        ``searches[v]`` must be rooted at ``v`` (the kernels' dict results:
-        distances iterate in settle order starting with the root, the
-        predecessor dict covers every settled node but the root).
+        The one dict-to-row boundary: routing tables learned by the
+        message-level simulator enter the row world here.  ``searches[v]``
+        must be rooted at ``v``: distances iterate in settle order starting
+        with the root, and the predecessor dict covers every member but the
+        root.
 
         >>> table = NodeSearchTables.from_searches(
         ...     [({0: 0.0, 1: 2.5}, {1: 0}), ({1: 0.0, 0: 2.5}, {0: 1})]
@@ -412,12 +415,11 @@ class NodeSearchTables:
 
 
 class VicinityView:
-    """Slab-backed stand-in for :class:`~repro.core.vicinity.VicinityTable`.
+    """One node's vicinity row behind a mapping-shaped interface.
 
-    Duck-types the frozen dataclass the routing and shortcutting code
-    consumes: membership, ``len``, ``distances`` / ``predecessors``
-    mappings (settle order preserved), ``path_to``, ``distance_to``,
-    ``members``, and ``radius``.
+    Membership, ``len``, ``distances`` / ``predecessors`` mappings (settle
+    order preserved), ``path_to``, ``distance_to``, ``members``, and
+    ``radius``, read from the row of a :class:`NodeSearchTables`.
     """
 
     __slots__ = ("_table", "node", "_distances", "_predecessors")
@@ -603,24 +605,7 @@ class SubstrateTables:
     def spt_path(self, landmark: int, node: int) -> list[int]:
         """The landmark's SPT path ``landmark .. node`` from the parent slab."""
         base = self._landmark_pos[landmark] * self.num_nodes
-        if node == landmark:
-            return [landmark]
-        parents = self.spt_parent
-        path = [node]
-        current = node
-        steps = 0
-        limit = self.num_nodes
-        while current != landmark:
-            parent = parents[base + current]
-            if parent < 0 or steps > limit:
-                raise ValueError(
-                    f"node {node} not reachable from root {landmark}"
-                )
-            path.append(parent)
-            current = parent
-            steps += 1
-        path.reverse()
-        return path
+        return tree_path(self.spt_parent, landmark, node, base=base)
 
     def spt_hops(self, landmark: int, node: int) -> int:
         """``len(spt_path(landmark, node)) - 1``: the same walk, no list."""

@@ -26,7 +26,6 @@ from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import header
 from repro.experiments.workloads import comparison_gnm
 from repro.graphs.sampling import sample_pairs
-from repro.graphs.shortest_paths import all_pairs_sampled_distances
 from repro.metrics.batch import route_pairs_batch
 from repro.metrics.stretch import stretch_of_route
 from repro.scenarios.spec import scenario
@@ -75,7 +74,7 @@ def run(
     topology = comparison_gnm(scale)
     n = topology.num_nodes
     pairs = sample_pairs(topology, scale.pair_sample, seed=scale.seed + 11)
-    distances = all_pairs_sampled_distances(topology, pairs)
+    distances = topology.csr().batched_target_distances(pairs)
     nddisco = NDDiscoRouting(topology, seed=scale.seed)
 
     mean_stretch: dict[float, float] = {}

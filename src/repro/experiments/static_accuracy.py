@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.nddisco import NDDiscoRouting
-from repro.core.vicinity import VicinityTable, compute_vicinities
+from repro.core.tables import NodeSearchTables
+from repro.core.vicinity import compute_vicinities
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import header
 from repro.graphs.generators import gnm_random_graph
@@ -57,8 +58,8 @@ class StaticAccuracyResult:
 def _tables_to_vicinities(
     topology,
     tables: dict[int, dict[int, tuple[float, tuple[int, ...]]]],
-) -> list[VicinityTable]:
-    """Convert converged path-vector tables into VicinityTable objects.
+) -> NodeSearchTables:
+    """Convert converged path-vector tables into vicinity rows.
 
     Every destination the node installed a route for becomes a member
     (landmark routes included -- the node legitimately holds them), and the
@@ -66,9 +67,10 @@ def _tables_to_vicinities(
     path-vector table stores the full path.  Routes are processed in
     ascending cost order and each hop's distance/predecessor is recorded only
     once (from the cheapest covering route), which yields an acyclic
-    predecessor structure suitable for path extraction.
+    predecessor structure suitable for path extraction.  The per-node dicts
+    become slab rows once, here.
     """
-    vicinities = []
+    searches = []
     for node in topology.nodes():
         table = tables.get(node, {})
         distances: dict[int, float] = {node: 0.0}
@@ -88,10 +90,13 @@ def _tables_to_vicinities(
                 if hop not in distances:
                     distances[hop] = running
                     predecessors[hop] = previous
-        vicinities.append(
-            VicinityTable(node=node, distances=distances, predecessors=predecessors)
-        )
-    return vicinities
+        searches.append((distances, predecessors))
+    return NodeSearchTables.from_searches(searches)
+
+
+def _members(vicinities: NodeSearchTables, node: int) -> set[int]:
+    """The member ids of ``node``'s row (the owner included)."""
+    return set(vicinities.row(node)[0].tolist())
 
 
 @scenario(
@@ -134,8 +139,8 @@ def run(scale: ExperimentScale | None = None) -> StaticAccuracyResult:
     total = 0
     agreed = 0
     for node in range(n):
-        static_members = static_vicinities[node].members - {node}
-        dynamic_members = dynamic_vicinities[node].members - {node}
+        static_members = _members(static_vicinities, node) - {node}
+        dynamic_members = _members(dynamic_vicinities, node) - {node}
         total += len(static_members)
         agreed += len(static_members & dynamic_members)
     agreement = agreed / total if total else 1.0

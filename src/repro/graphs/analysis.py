@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.graphs.sampling import sample_nodes, sample_pairs
-from repro.graphs.shortest_paths import all_pairs_sampled_distances, dijkstra
 from repro.graphs.topology import Topology
 from repro.utils.distributions import Summary, summarize
 
@@ -54,13 +53,16 @@ def estimate_diameter(topology: Topology, *, sweeps: int = 4, seed: int = 0) -> 
     if topology.num_nodes == 0:
         return 0.0
     start_nodes = sample_nodes(topology, min(sweeps, topology.num_nodes), seed=seed)
+    csr = topology.csr()
     best = 0.0
     for start in start_nodes:
-        distances, _ = dijkstra(topology, start)
-        farthest = max(distances, key=distances.get)
-        best = max(best, distances[farthest])
-        distances, _ = dijkstra(topology, farthest)
-        best = max(best, max(distances.values()))
+        # Unreached nodes hold -1.0, below every distance; the first maximum
+        # in id order is the first in (distance, id) settle order.
+        dist, _ = csr.spt_rows(start, fill=-1.0)
+        eccentricity = max(dist)
+        best = max(best, eccentricity)
+        dist, _ = csr.spt_rows(dist.index(eccentricity), fill=-1.0)
+        best = max(best, max(dist))
     return best
 
 
@@ -75,7 +77,7 @@ def profile_topology(
     degrees = topology.degree_sequence()
     if topology.num_nodes >= 2:
         pairs = sample_pairs(topology, pair_samples, seed=seed)
-        distances = all_pairs_sampled_distances(topology, pairs)
+        distances = topology.csr().batched_target_distances(pairs)
         path_summary = summarize(distances.values())
     else:
         path_summary = Summary(

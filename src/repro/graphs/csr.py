@@ -59,19 +59,21 @@ C call, fanned over in-kernel threads -- the only kernel-level parallelism.
 The pure-Python tier, and the C tier when that call reports it could not
 allocate, loop over the single-source search inside the same driver.
 
-The stable public API remains :mod:`repro.graphs.shortest_paths`; callers
-normally obtain a kernel via :meth:`Topology.csr`, which caches one over the
-topology's slabs.
+Every search result is a row: dense ``(dist, parent)`` arrays indexed by
+node id (:meth:`CSRGraph.spt_rows`, :func:`tree_path` walks one), or
+settle-order ``(offsets, members, dists, parents)`` slabs.  Callers
+normally obtain a kernel via :meth:`Topology.csr`, which caches one over
+the topology's slabs.
 
 Examples
 --------
-The snapshot exposes the same dict-shaped searches as the public API:
-
 >>> from repro.graphs.topology import Topology
 >>> topology = Topology.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
->>> distances, predecessors = topology.csr().dijkstra(0)
->>> distances[3], predecessors[3]
+>>> dist, parent = topology.csr().spt_rows(0)
+>>> dist[3], parent[3]
 (2.0, 1)
+>>> tree_path(parent, 0, 3)
+[0, 1, 3]
 
 The weight profile drives kernel selection; quantized weights select the
 bucket queue and irregular weights fall back to the heap:
@@ -105,6 +107,7 @@ __all__ = [
     "DIAL_MAX_QUANTA",
     "KERNELS",
     "kernel_threads",
+    "tree_path",
 ]
 
 _INF = math.inf
@@ -268,6 +271,26 @@ def profile_with_weight(
             unit, min_weight, max_weight, quantum, int(max_weight / quantum)
         )
     return WeightProfile(unit, min_weight, max_weight, None, None)
+
+
+def tree_path(parents, root: int, node: int, *, base: int = 0) -> list[int]:
+    """The path ``root .. node`` walked up a dense parent row.
+
+    ``parents[base + v]`` is ``v``'s parent in a shortest-path tree rooted
+    at ``root`` (``-1`` at the root and off the tree), as
+    :meth:`CSRGraph.spt_rows` and the landmark SPT slabs hold it.  Raises
+    ``ValueError`` if ``node`` is not in the tree.
+    """
+    path = [node]
+    current = node
+    limit = len(parents) - base
+    while current != root:
+        current = parents[base + current]
+        if current < 0 or len(path) > limit:
+            raise ValueError(f"node {node} not reachable from root {root}")
+        path.append(current)
+    path.reverse()
+    return path
 
 
 class CSRGraph:
@@ -1065,68 +1088,6 @@ class CSRGraph:
             level = next_level
         return order
 
-    def _as_dicts(
-        self, order: Sequence[int]
-    ) -> tuple[dict[int, float], dict[int, int]]:
-        """Materialize the arena into the public dict-shaped results.
-
-        ``order[0]`` is always the source -- the only settled node without a
-        predecessor -- so the predecessor map simply skips it.
-        """
-        dist = self._dist
-        pred = self._pred
-        distances = {node: dist[node] for node in order}
-        iterator = iter(order)
-        next(iterator, None)
-        predecessors = {node: pred[node] for node in iterator}
-        return distances, predecessors
-
-    # -- public kernels (dict-shaped, mirroring shortest_paths) -------------
-
-    def dijkstra(
-        self, source: int, *, targets: Iterable[int] | None = None
-    ) -> tuple[dict[int, float], dict[int, int]]:
-        """Single-source shortest paths; see :func:`shortest_paths.dijkstra`.
-
-        >>> from repro.graphs.topology import Topology
-        >>> csr = Topology.from_edges(3, [(0, 1, 2.0), (1, 2, 0.5)]).csr()
-        >>> csr.dijkstra(0)
-        ({0: 0.0, 1: 2.0, 2: 2.5}, {1: 0, 2: 1})
-        """
-        return self._as_dicts(self._search(source, targets=targets))
-
-    def dijkstra_k_nearest(
-        self, source: int, k: int
-    ) -> tuple[dict[int, float], dict[int, int]]:
-        """Truncated search settling the ``k`` nodes nearest ``source``."""
-        if k <= 0:
-            raise ValueError(f"k must be > 0, got {k}")
-        return self._as_dicts(self._search(source, k=k))
-
-    def dijkstra_radius(
-        self, source: int, radius: float, *, inclusive: bool = False
-    ) -> tuple[dict[int, float], dict[int, int]]:
-        """Radius-bounded search.
-
-        The boundary is *strict* by default -- a node at exactly ``radius``
-        is excluded, matching the S4 cluster definition
-        ``d(v, w) < d(w, l_w)`` -- and ``inclusive=True`` makes the
-        comparison ``<=``.  The source always settles, even with
-        ``radius=0.0``.
-
-        >>> from repro.graphs.topology import Topology
-        >>> csr = Topology.from_edges(3, [(0, 1, 1.5), (1, 2, 1.5)]).csr()
-        >>> sorted(csr.dijkstra_radius(0, 3.0)[0])
-        [0, 1]
-        >>> sorted(csr.dijkstra_radius(0, 3.0, inclusive=True)[0])
-        [0, 1, 2]
-        """
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
-        return self._as_dicts(
-            self._search(source, radius=radius, inclusive=inclusive)
-        )
-
     def spt_rows(
         self, source: int, *, fill: float = 0.0
     ) -> tuple[list[float], list[int]]:
@@ -1292,8 +1253,9 @@ class CSRGraph:
         the wrong type or size raises before anything is written): in the
         kernel source ``i`` provisionally owns the range starting at
         ``base + i * min(k, n)`` and rows are compacted left after the
-        join, reproducing the append layout.  Contents are bit-identical to
-        :meth:`dijkstra_k_nearest` run per source.
+        join, reproducing the append layout.  A row is the first ``k``
+        nodes in ``(distance, id)`` settle order -- the §4.2 vicinity -- or
+        the whole component when it has fewer.
         """
         if k <= 0:
             raise ValueError(f"k must be > 0, got {k}")
@@ -1388,10 +1350,20 @@ class CSRGraph:
         lives at ``offsets[i] .. offsets[i + 1]`` of the three data arrays,
         members in settle order with the source first (its parent entry is
         ``-1``).  ``radii`` aligns with ``nodes`` and must cover every
-        source; the boundary is strict unless ``inclusive`` (see
-        :meth:`dijkstra_radius`).  Row sizes are unknown upfront, so each
-        kernel thread grows a private buffer for its contiguous source chunk
-        and the chunks are concatenated in task order after the join, in C.
+        source.  The boundary is strict by default -- a node at exactly
+        the radius is excluded, matching the S4 cluster definition
+        ``d(v, w) < d(w, l_w)`` -- and ``inclusive=True`` makes the
+        comparison ``<=``; the source always settles, even at radius 0.
+        Row sizes are unknown upfront, so each kernel thread grows a
+        private buffer for its contiguous source chunk and the chunks are
+        concatenated in task order after the join, in C.
+
+        >>> from repro.graphs.topology import Topology
+        >>> csr = Topology.from_edges(3, [(0, 1, 1.5), (1, 2, 1.5)]).csr()
+        >>> list(csr.radius_batch_flat([3.0], [0])[1])
+        [0, 1]
+        >>> list(csr.radius_batch_flat([3.0], [0], inclusive=True)[1])
+        [0, 1, 2]
         """
         width = kernel_threads(threads)
         sources = range(self.num_nodes) if nodes is None else nodes

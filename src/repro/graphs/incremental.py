@@ -8,7 +8,7 @@ instead, while staying bit-identical to a fresh kernel run on the mutated
 topology.
 
 Bit-identity rests on two properties of the canonical search state (see the
-determinism contract in :mod:`repro.graphs.shortest_paths`):
+determinism contract in :mod:`repro.graphs.csr`):
 
 * **Distances** are the unique fixpoint of the Bellman equations evaluated
   in increasing-distance order over IEEE-754 floats.  Every repair here

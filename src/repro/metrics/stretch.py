@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.graphs.sampling import sample_pairs
-from repro.graphs.shortest_paths import all_pairs_sampled_distances
 from repro.graphs.topology import Topology
 from repro.protocols.base import RouteResult, RoutingScheme
 from repro.utils.distributions import Summary, cdf_points, summarize
@@ -111,7 +110,7 @@ def measure_stretch(
     distances:
         Optional precomputed shortest-distance table covering every
         measured pair (as returned by
-        :func:`~repro.graphs.shortest_paths.all_pairs_sampled_distances`
+        :meth:`~repro.graphs.csr.CSRGraph.batched_target_distances`
         for the same pairs); lets callers measuring several schemes share
         one computation.  Computed on demand when omitted.
     """
@@ -123,7 +122,7 @@ def measure_stretch(
     if not measured_pairs:
         raise ValueError("no source-destination pairs to measure")
     if distances is None:
-        distances = all_pairs_sampled_distances(topology, measured_pairs)
+        distances = topology.csr().batched_target_distances(measured_pairs)
 
     router = scheme.router()
     route_pair = router.pair

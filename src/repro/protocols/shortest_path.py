@@ -8,9 +8,11 @@ baseline everywhere: every node holds one entry per destination.
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import Sequence
 
-from repro.graphs.shortest_paths import dijkstra, extract_path
+from repro.graphs.csr import tree_path
 from repro.graphs.topology import Topology
 from repro.protocols.base import RouteResult, RoutingScheme
 
@@ -20,8 +22,9 @@ __all__ = ["ShortestPathRouting"]
 class ShortestPathRouting(RoutingScheme):
     """Converged shortest-path routing (one entry per destination per node).
 
-    Routes are computed lazily with Dijkstra and cached per source, since the
-    congestion workload routes from every node exactly once.
+    Each source's shortest-path tree is computed lazily as one dense
+    ``(dist, parent)`` row pair and cached, since the congestion workload
+    routes from every node exactly once.
     """
 
     name = "Shortest-Path"
@@ -31,12 +34,19 @@ class ShortestPathRouting(RoutingScheme):
         # The seed is accepted for interface uniformity; shortest-path
         # routing has no randomized choices.
         self._seed = seed
-        self._cache: dict[int, tuple[dict[int, float], dict[int, int]]] = {}
+        self._cache: dict[int, tuple[array, array]] = {}
 
-    def _tree(self, source: int) -> tuple[dict[int, float], dict[int, int]]:
-        if source not in self._cache:
-            self._cache[source] = dijkstra(self._topology, source)
-        return self._cache[source]
+    def _tree(self, source: int) -> tuple[array, array]:
+        """``source``'s SPT rows; unreachable nodes hold ``inf`` / ``-1``."""
+        tree = self._cache.get(source)
+        if tree is None:
+            n = self._topology.num_nodes
+            tree = (array("d", bytes(8 * n)), array("q", bytes(8 * n)))
+            self._topology.csr().spt_rows_batch_into(
+                (source,), *tree, fill=math.inf, threads=1
+            )
+            self._cache[source] = tree
+        return tree
 
     def state_profile(
         self, nodes: Sequence[int]
@@ -52,16 +62,14 @@ class ShortestPathRouting(RoutingScheme):
         self._check_endpoints(source, target)
         if source == target:
             return [source]
-        _, predecessors = self._tree(source)
-        return extract_path(predecessors, source, target)
+        return tree_path(self._tree(source)[1], source, target)
 
     def distance(self, source: int, target: int) -> float:
-        """Return the shortest-path distance between the endpoints."""
+        """Return the shortest-path distance (``inf`` if unreachable)."""
         self._check_endpoints(source, target)
         if source == target:
             return 0.0
-        distances, _ = self._tree(source)
-        return distances[target]
+        return self._tree(source)[0][target]
 
     def first_packet_route(self, source: int, target: int) -> RouteResult:
         """All packets follow the shortest path."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.graphs.shortest_paths import dijkstra, extract_path
+from repro.graphs.csr import tree_path
 from repro.graphs.topology import Topology
 from repro.naming.hashspace import circular_distance
 from repro.naming.names import FlatName, name_for_node
@@ -233,8 +233,8 @@ class VirtualRingRouting(RoutingScheme):
         return self._physical_shortest_path(source, target)
 
     def _physical_shortest_path(self, source: int, target: int) -> list[int]:
-        _, parents = dijkstra(self._topology, source, targets=[target])
-        return extract_path(parents, source, target)
+        _, parents = self._topology.csr().spt_rows(source)
+        return tree_path(parents, source, target)
 
     # -- greedy forwarding -------------------------------------------------------
 

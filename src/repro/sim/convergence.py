@@ -21,6 +21,7 @@ from repro.core.landmarks import select_landmarks
 from repro.core.overlay import DisseminationOverlay
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.core.vicinity import vicinity_size
+from repro.graphs.csr import tree_path
 from repro.graphs.topology import Topology
 from repro.naming.consistent_hash import VNodeRing
 from repro.naming.names import name_for_node
@@ -237,28 +238,25 @@ def simulate_disco_convergence(
     dissemination = AddressDissemination(overlay)
     overlay_report = dissemination.run()
 
-    # Registration + finger lookups toward landmarks, charged in physical hops
-    # along shortest paths (computed from the converged landmark routes when
-    # available, otherwise hop-count estimates from the topology).
+    # Registration + finger lookups toward landmarks, charged in physical
+    # hops: the node's depth in its home landmark's shortest-path tree (at
+    # least one message, also for the landmark itself or a node off the tree).
     ring = VNodeRing(landmark_set)
+    csr = topology.csr()
+    parent_rows = {
+        landmark: csr.spt_rows(landmark)[1] for landmark in sorted(landmark_set)
+    }
     registration_messages = 0
-    lookup_messages = 0
-    from repro.graphs.shortest_paths import dijkstra
-
-    landmark_hops: dict[int, dict[int, float]] = {}
-    for landmark in sorted(landmark_set):
-        distances, _ = dijkstra(topology, landmark)
-        landmark_hops[landmark] = distances
     for node in range(n):
         home = ring.successor(names[node].hash_value)
-        registration_messages += max(1, int(round(landmark_hops[home].get(node, 1.0))))
-        for finger_index in range(num_fingers):
-            # A lookup is a request to the landmark owning the drawn value and
-            # a response back: two traversals of the node-to-landmark path.
-            lookup_messages += 2 * max(
-                1, int(round(landmark_hops[home].get(node, 1.0)))
-            )
-            del finger_index
+        try:
+            hops = len(tree_path(parent_rows[home], home, node)) - 1
+        except ValueError:
+            hops = 0
+        registration_messages += max(1, hops)
+    # A lookup is a request to the landmark owning the drawn value and a
+    # response back: two traversals of the node-to-landmark path per finger.
+    lookup_messages = 2 * num_fingers * registration_messages
 
     overlay_messages = overlay_report.total_messages
     added_messages = registration_messages + lookup_messages + overlay_messages

@@ -302,11 +302,9 @@ class StaticSimulation:
         # engine then shares per-target relay state within each scheme).
         distances = None
         if measure_stretch_flag and selected:
-            from repro.graphs.shortest_paths import all_pairs_sampled_distances
-
             measured_pairs = [(s, t) for s, t in pairs if s != t]
-            distances = all_pairs_sampled_distances(
-                self._topology, measured_pairs
+            distances = self._topology.csr().batched_target_distances(
+                measured_pairs
             )
         for scheme in selected:
             if measure_state_flag:

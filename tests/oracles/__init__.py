@@ -2,7 +2,10 @@
 
 One oracle per layer, none importable from ``src/``:
 
-* :mod:`oracles.reference_paths` -- the seed's dict-based Dijkstra variants;
+* :mod:`oracles.reference_paths` -- the seed's dict-based Dijkstra variants
+  and path helpers, plus the row drivers read back as their dicts;
+* :mod:`oracles.shortcutting` -- the shortcut modes over dict vicinities,
+  the routes the ND-Disco router's ``shortcut`` must equal;
 * :mod:`oracles.replay` -- per-event full reconvergence plus a state diff,
   the bill the churn engine must reproduce incrementally;
 * :mod:`oracles.fresh_build` -- the production builder on the engine's

@@ -4,10 +4,12 @@ Before :func:`~repro.core.substrate_build.build_substrate_tables` wrote
 kernel output straight into the slabs, a :class:`SubstrateTables` was
 assembled from dict- and list-shaped pieces: one dense ``(dist, parent)``
 row pair per landmark, a sweep over those rows for the closest landmark,
-one ``VicinityTable`` per node, and a boxing pass over all of it.  That
-path served no production caller any more and lives here, unchanged in
-what it computes, so ``tests/test_substrate_build.py`` can hold the builder
-to it slab for slab on every kernel family.
+one ``(distances, predecessors)`` dict pair per vicinity, and a boxing
+pass over all of it.  That path served no production caller any more and
+lives here, unchanged in what it computes, so
+``tests/test_substrate_build.py`` can hold the builder to it slab for slab
+on every kernel family.  Its searches are the seed's dict Dijkstra
+(:mod:`oracles.reference_paths`), not the kernels the builder calls.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Mapping, Sequence
 
+from oracles.reference_paths import dijkstra
 from repro.core.tables import NodeSearchTables, SubstrateTables
 from repro.graphs.topology import Topology
 
@@ -30,13 +33,11 @@ def landmark_spts(
     ``(dist_row, parent_row)`` pair of lists indexed by node id.  Nodes
     outside the landmark's component keep ``0.0`` / ``-1`` (the converged
     protocol models assume connected topologies).  Each tree is one
-    dict-shaped single-source search, not a row of the batch driver the
-    builder calls.
+    reference search, not a row of the batch driver the builder calls.
     """
-    csr = topology.csr()
     spts = {}
     for landmark in sorted(landmarks):
-        distances, predecessors = csr.dijkstra(landmark)
+        distances, predecessors = dijkstra(topology, landmark)
         dist_row = [0.0] * topology.num_nodes
         parent_row = [-1] * topology.num_nodes
         for node, distance in distances.items():
@@ -74,15 +75,15 @@ def from_components(
     num_nodes: int,
     spts: Mapping[int, tuple[Sequence[float], Sequence[int]]],
     closest_rows: tuple[Sequence[int], Sequence[float]],
-    vicinities: Sequence[object] | None,
+    vicinities: Sequence[tuple[Mapping[int, float], Mapping[int, int]]] | None,
     codec: "object | None",
 ) -> SubstrateTables:
     """Assemble slabs from the kernel outputs.
 
     ``spts`` maps landmark -> dense ``(dist_row, parent_row)``;
     ``closest_rows`` are the per-node closest-landmark rows;
-    ``vicinities`` (optional) are per-node tables with ``distances`` /
-    ``predecessors`` mappings in settle order; ``codec`` (optional, a
+    ``vicinities`` (optional) are per-node ``(distances, predecessors)``
+    search dicts in settle order; ``codec`` (optional, a
     :class:`~repro.addressing.labels.LabelCodec`) enables the address
     payload slabs.
     """
@@ -98,9 +99,7 @@ def from_components(
 
     vicinity = None
     if vicinities is not None:
-        vicinity = NodeSearchTables.from_searches(
-            [(table.distances, table.predecessors) for table in vicinities]
-        )
+        vicinity = NodeSearchTables.from_searches(vicinities)
 
     addr_offsets = array("q", [0])
     addr_path = array("q")

@@ -13,12 +13,19 @@ The only deliberate change from the seed code: ``dijkstra_k_nearest`` and
 tie-break that ``dijkstra`` always had, so every variant resolves tied
 shortest paths to the same predecessor map (previously the truncated variants
 kept whichever predecessor was pushed first).  Distances are unaffected.
+
+It also keeps the seed's dict-side path helpers (:func:`extract_path`,
+:func:`shortest_path`, :func:`path_length`) and reads the production row
+drivers back into the dict shape the kernels above return
+(:func:`spt_search`, :func:`k_nearest_search`, :func:`radius_search`), so a
+differential compares like with like.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
+import math
+from typing import Iterable, Mapping, Sequence
 
 from repro.graphs.topology import Topology
 
@@ -27,6 +34,12 @@ __all__ = [
     "dijkstra_k_nearest",
     "dijkstra_radius",
     "all_pairs_sampled_distances",
+    "extract_path",
+    "path_length",
+    "shortest_path",
+    "spt_search",
+    "k_nearest_search",
+    "radius_search",
 ]
 
 
@@ -173,3 +186,81 @@ def all_pairs_sampled_distances(
                 )
             result[(source, target)] = distances[target]
     return result
+
+
+def extract_path(
+    predecessors: Mapping[int, int], source: int, target: int
+) -> list[int]:
+    """The path ``source .. target`` from a predecessor map rooted at
+    ``source``; ``ValueError`` if ``target`` is not in it."""
+    if target == source:
+        return [source]
+    path = [target]
+    node = target
+    visited = {target}
+    while node != source:
+        if node not in predecessors:
+            raise ValueError(
+                f"target {target} not reachable from {source} in predecessor map"
+            )
+        node = predecessors[node]
+        if node in visited:
+            raise ValueError("cycle detected in predecessor map")
+        visited.add(node)
+        path.append(node)
+    path.reverse()
+    return path
+
+
+def shortest_path(topology: Topology, source: int, target: int) -> list[int]:
+    """One shortest path ``source .. target`` as a node list."""
+    _, predecessors = dijkstra(topology, source, targets=[target])
+    return extract_path(predecessors, source, target)
+
+
+def path_length(topology: Topology, path: Sequence[int]) -> float:
+    """The total weight of ``path``, summed left to right; ``ValueError`` if
+    it is empty or uses a non-existent edge."""
+    if not path:
+        raise ValueError("path must contain at least one node")
+    total = 0.0
+    for u, v in zip(path, path[1:]):
+        weight = topology.get_edge_weight(u, v)
+        if weight is None:
+            raise ValueError(f"path uses non-existent edge ({u}, {v})")
+        total += weight
+    return total
+
+
+# -- the production row drivers, read back as (distances, predecessors) ----
+
+
+def _row_dicts(members, dists, parents) -> tuple[dict, dict]:
+    """One settle-order row as dicts; the first member is the source."""
+    distances = dict(zip(members, dists))
+    predecessors = dict(zip(members[1:], parents[1:]))
+    return distances, predecessors
+
+
+def spt_search(csr, source: int) -> tuple[dict, dict]:
+    """``csr.spt_rows(source)`` over the nodes it reaches, in id order."""
+    dist, parent = csr.spt_rows(source, fill=math.inf)
+    distances = {node: d for node, d in enumerate(dist) if d != math.inf}
+    predecessors = {node: parent[node] for node in distances if node != source}
+    return distances, predecessors
+
+
+def k_nearest_search(csr, source: int, k: int) -> tuple[dict, dict]:
+    """One ``k_nearest_batch_flat`` row, in settle order."""
+    _, members, dists, parents = csr.k_nearest_batch_flat(k, [source])
+    return _row_dicts(members, dists, parents)
+
+
+def radius_search(
+    csr, source: int, radius: float, *, inclusive: bool = False
+) -> tuple[dict, dict]:
+    """One ``radius_batch_flat`` row, in settle order."""
+    _, members, dists, parents = csr.radius_batch_flat(
+        [radius], [source], inclusive=inclusive
+    )
+    return _row_dicts(members, dists, parents)

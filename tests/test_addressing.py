@@ -7,11 +7,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.reference_paths import shortest_path
 from repro.addressing.address import Address, NAME_BYTES_IPV4, NAME_BYTES_IPV6
 from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.labels import LabelCodec, hop_label_bits, route_label_bits
 from repro.graphs.generators import gnm_random_graph, ring_graph, star_graph
-from repro.graphs.shortest_paths import shortest_path
 from repro.graphs.topology import Topology
 
 

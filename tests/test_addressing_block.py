@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.reference_paths import dijkstra
 from repro.addressing.block_addresses import BlockAddressAllocator
 from repro.core.nddisco import NDDiscoRouting
 from repro.graphs.generators import gnm_random_graph, line_graph, star_graph
-from repro.graphs.shortest_paths import dijkstra
 
 
 def tree_parents_for(topology, root):

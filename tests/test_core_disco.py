@@ -8,7 +8,6 @@ from repro.core.disco import DiscoRouting
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.graphs.generators import gnm_random_graph
-from repro.graphs.shortest_paths import path_length
 from repro.metrics.stretch import measure_stretch
 
 

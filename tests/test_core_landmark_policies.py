@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.reference_paths import dijkstra
 from repro.core.landmark_policies import (
     degree_based_landmarks,
     random_landmarks,
@@ -12,7 +13,6 @@ from repro.core.landmark_policies import (
 )
 from repro.core.landmarks import landmark_probability
 from repro.core.nddisco import NDDiscoRouting
-from repro.graphs.shortest_paths import dijkstra
 from repro.metrics.stretch import measure_stretch
 
 

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.landmarks import LandmarkSet, landmark_probability, select_landmarks
-from repro.core.vicinity import VicinityTable, compute_vicinities, vicinity_size
+from oracles.reference_paths import dijkstra, dijkstra_k_nearest
+from repro.core.vicinity import compute_vicinities, vicinity_size
 from repro.graphs.generators import gnm_random_graph, line_graph
-from repro.graphs.shortest_paths import dijkstra
 
 
 class TestLandmarkProbability:
@@ -137,34 +137,48 @@ class TestVicinitySize:
             vicinity_size(10, scale=0)
 
 
+def _row(vicinities, node: int) -> tuple[list[int], list[float]]:
+    members, dists, _ = vicinities.row(node)
+    return members.tolist(), dists.tolist()
+
+
 class TestComputeVicinities:
     def test_sizes(self, small_gnm):
         vicinities = compute_vicinities(small_gnm)
         expected = vicinity_size(small_gnm.num_nodes)
-        assert len(vicinities) == small_gnm.num_nodes
-        assert all(len(v) == expected for v in vicinities)
+        assert vicinities.num_nodes == small_gnm.num_nodes
+        for node in range(small_gnm.num_nodes):
+            assert len(_row(vicinities, node)[0]) == expected
 
     def test_owner_included_at_zero(self, small_gnm):
         vicinities = compute_vicinities(small_gnm)
-        for table in vicinities:
-            assert table.node in table
-            assert table.distance_to(table.node) == 0.0
+        for node in range(small_gnm.num_nodes):
+            members, dists = _row(vicinities, node)
+            assert (members[0], dists[0]) == (node, 0.0)
 
     def test_members_are_truly_closest(self, small_gnm):
         vicinities = compute_vicinities(small_gnm, size=10)
         for node in (0, 5, 17):
-            table = vicinities[node]
+            members, dists = _row(vicinities, node)
             full, _ = dijkstra(small_gnm, node)
-            radius = table.radius()
+            radius = max(dists)
             strictly_closer = {v for v, d in full.items() if d < radius}
-            assert strictly_closer <= table.members
+            assert strictly_closer <= set(members)
+
+    def test_rows_are_the_reference_searches(self, small_gnm):
+        vicinities = compute_vicinities(small_gnm, size=8)
+        for node in range(small_gnm.num_nodes):
+            distances, predecessors = dijkstra_k_nearest(small_gnm, node, 8)
+            members, dists, parents = vicinities.row(node)
+            assert members.tolist() == list(distances)
+            assert dists.tolist() == list(distances.values())
+            assert parents.tolist()[1:] == list(predecessors.values())
 
     def test_paths_are_shortest(self, small_gnm):
         vicinities = compute_vicinities(small_gnm, size=12)
-        table = vicinities[3]
         full, _ = dijkstra(small_gnm, 3)
-        for member in table.members:
-            path = table.path_to(member)
+        for member in _row(vicinities, 3)[0]:
+            path = vicinities.path_from_owner(3, member)
             assert path[0] == 3
             assert path[-1] == member
             length = sum(
@@ -174,29 +188,19 @@ class TestComputeVicinities:
 
     def test_path_to_non_member_raises(self, small_gnm):
         vicinities = compute_vicinities(small_gnm, size=5)
-        table = vicinities[0]
-        outsider = next(v for v in range(small_gnm.num_nodes) if v not in table)
+        members = set(_row(vicinities, 0)[0])
+        outsider = next(v for v in range(small_gnm.num_nodes) if v not in members)
         with pytest.raises(KeyError):
-            table.path_to(outsider)
+            vicinities.path_from_owner(0, outsider)
 
     def test_explicit_size_override(self, small_gnm):
         vicinities = compute_vicinities(small_gnm, size=3)
-        assert all(len(v) == 3 for v in vicinities)
+        assert len(vicinities.members) == 3 * small_gnm.num_nodes
 
     def test_line_graph_vicinity_is_interval(self):
         line = line_graph(20)
         vicinities = compute_vicinities(line, size=5)
         # On a path graph the k nearest nodes form a contiguous interval.
-        members = sorted(vicinities[10].members)
+        members = sorted(_row(vicinities, 10)[0])
         assert members == list(range(members[0], members[0] + 5))
         assert 10 in members
-
-    def test_radius(self, small_gnm):
-        table = compute_vicinities(small_gnm, size=8)[2]
-        assert table.radius() == max(table.distances.values())
-
-    def test_vicinity_table_is_frozen(self, small_gnm):
-        table = compute_vicinities(small_gnm, size=4)[0]
-        assert isinstance(table, VicinityTable)
-        with pytest.raises(AttributeError):
-            table.node = 5  # type: ignore[misc]

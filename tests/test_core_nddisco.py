@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.reference_paths import dijkstra, path_length
 from oracles import state_accounting as oracle
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.core.vicinity import vicinity_size
 from repro.graphs.generators import gnm_random_graph, line_graph
-from repro.graphs.shortest_paths import dijkstra, path_length
 from repro.graphs.topology import Topology
 from repro.metrics.state import measure_state
 from repro.metrics.stretch import measure_stretch

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.reference_paths import shortest_path
 from repro.addressing.address import Address
 from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.labels import LabelCodec
 from repro.core.resolution import LandmarkResolutionDatabase
-from repro.graphs.shortest_paths import shortest_path
 from repro.naming.names import name_for_node
 
 

@@ -1351,9 +1351,9 @@ class TestSplice:
                     assert len(graph._store[0]) == 2 * max(size, live)
                 source = rng.randrange(n)
                 assert graph.spt_rows(source) == rebuilt.spt_rows(source)
-                assert graph.dijkstra_k_nearest(
-                    source, 4
-                ) == rebuilt.dijkstra_k_nearest(source, 4)
+                assert graph.k_nearest_batch_flat(
+                    4, [source]
+                ) == rebuilt.k_nearest_batch_flat(4, [source])
 
     def test_a_malformed_batch_moves_no_byte(self):
         for tier in _TIERS:

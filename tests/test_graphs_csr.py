@@ -1,11 +1,10 @@
-"""Differential tests: CSR kernels vs the dict-based oracle.
+"""Differential tests: CSR row drivers vs the dict-based oracle.
 
 The CSR subsystem (:mod:`repro.graphs.csr`) must be a pure performance
-change: for every kernel, every topology family, and every truncation mode,
-distances *and* predecessors must match the reference implementation
-bit-for-bit -- including the shared equal-distance smaller-predecessor
-tie-break that this refactor extended from ``dijkstra`` to the truncated
-variants.
+change: for every kernel, every tier, every topology family, and every
+truncation mode, the rows the drivers return -- distances *and* parents --
+must match the reference implementation bit-for-bit, including the shared
+equal-distance smaller-predecessor tie-break.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import reference_paths as reference
 from repro.graphs._ckernels import load_kernels
-from repro.graphs.csr import CSRGraph, kernel_threads
+from repro.graphs.csr import kernel_threads, tree_path
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
@@ -29,13 +28,9 @@ from repro.graphs.generators import (
     star_graph,
     two_level_tree,
 )
-from repro.graphs.shortest_paths import (
-    all_pairs_sampled_distances,
-    dijkstra,
-    dijkstra_k_nearest,
-    dijkstra_radius,
-)
 from repro.graphs.topology import Topology
+
+TIERS = ["python"] + (["c"] if load_kernels() is not None else [])
 
 
 def _families() -> dict:
@@ -54,51 +49,57 @@ def family(request):
     return _families()[request.param]
 
 
+@pytest.fixture(params=TIERS)
+def tier(request):
+    """``use_c`` for :meth:`Topology.fresh_csr`, one value per tier."""
+    return request.param == "c"
+
+
 class TestDifferential:
-    def test_dijkstra_matches_reference(self, family):
-        csr = family.csr()
-        for source in range(0, family.num_nodes, 7):
-            assert csr.dijkstra(source) == reference.dijkstra(family, source)
-
-    def test_dijkstra_with_targets_matches_reference(self, family):
-        csr = family.csr()
-        rng = random.Random(5)
-        for source in range(0, family.num_nodes, 11):
-            targets = rng.sample(range(family.num_nodes), 6)
-            assert csr.dijkstra(source, targets=targets) == reference.dijkstra(
-                family, source, targets=targets
-            )
-
-    def test_k_nearest_matches_reference(self, family):
-        csr = family.csr()
-        for source in range(0, family.num_nodes, 9):
-            for k in (1, 2, 9, 30, family.num_nodes):
-                assert csr.dijkstra_k_nearest(
-                    source, k
-                ) == reference.dijkstra_k_nearest(family, source, k)
-
-    def test_radius_matches_reference(self, family):
-        csr = family.csr()
-        for source in range(0, family.num_nodes, 9):
-            for radius in (0.0, 1.0, 2.0, 2.5, 4.0, 100.0):
-                for inclusive in (False, True):
-                    assert csr.dijkstra_radius(
-                        source, radius, inclusive=inclusive
-                    ) == reference.dijkstra_radius(
-                        family, source, radius, inclusive=inclusive
-                    )
-
-    def test_spt_rows_match_reference(self, family):
-        csr = family.csr()
+    def test_spt_rows_match_reference(self, family, tier):
+        csr = family.fresh_csr(use_c=tier)
         n = family.num_nodes
-        for source in range(0, n, 13):
+        for source in range(0, n, 7):
             distances, parents = reference.dijkstra(family, source)
             dist_row, parent_row = csr.spt_rows(source)
             assert dist_row == [distances.get(v, 0.0) for v in range(n)]
             assert parent_row == [parents.get(v, -1) for v in range(n)]
 
-    def test_batched_target_distances_match_reference(self, family):
-        csr = family.csr()
+    def test_dijkstra_with_targets_matches_reference(self, family, tier):
+        csr = family.fresh_csr(use_c=tier)
+        rng = random.Random(5)
+        for source in range(0, family.num_nodes, 11):
+            targets = rng.sample(range(family.num_nodes), 6)
+            expected = reference.dijkstra(family, source, targets=targets)[0]
+            assert csr.batched_target_distances(
+                [(source, target) for target in targets]
+            ) == {(source, target): expected[target] for target in targets}
+
+    def test_k_nearest_matches_reference(self, family, tier):
+        csr = family.fresh_csr(use_c=tier)
+        for source in range(0, family.num_nodes, 9):
+            for k in (1, 2, 9, 30, family.num_nodes):
+                assert _settle_row(
+                    reference.k_nearest_search(csr, source, k)
+                ) == _settle_row(reference.dijkstra_k_nearest(family, source, k))
+
+    def test_radius_matches_reference(self, family, tier):
+        csr = family.fresh_csr(use_c=tier)
+        for source in range(0, family.num_nodes, 9):
+            for radius in (0.0, 1.0, 2.0, 2.5, 4.0, 100.0):
+                for inclusive in (False, True):
+                    assert _settle_row(
+                        reference.radius_search(
+                            csr, source, radius, inclusive=inclusive
+                        )
+                    ) == _settle_row(
+                        reference.dijkstra_radius(
+                            family, source, radius, inclusive=inclusive
+                        )
+                    )
+
+    def test_batched_target_distances_match_reference(self, family, tier):
+        csr = family.fresh_csr(use_c=tier)
         rng = random.Random(9)
         pairs = [
             (rng.randrange(family.num_nodes), rng.randrange(family.num_nodes))
@@ -108,78 +109,105 @@ class TestDifferential:
             pairs
         ) == reference.all_pairs_sampled_distances(family, pairs)
 
-    def test_heap_kernel_matches_bfs_on_unit_weights(self):
+    def test_heap_kernel_matches_bfs_on_unit_weights(self, tier):
         # Force the heap kernel onto a unit-weight graph: both code paths
         # must produce identical results.
         topology = gnm_random_graph(80, seed=6, average_degree=5.0)
-        bfs = topology.csr()
+        bfs = topology.fresh_csr(use_c=tier)
         assert bfs.unit_weights
-        heap = CSRGraph(
-            bfs.num_nodes, bfs.offsets, bfs.neighbors, bfs.weights,
-            kernel="heap",
-        )
+        heap = topology.fresh_csr(kernel="heap", use_c=tier)
         for source in range(0, 80, 7):
-            assert bfs.dijkstra(source) == heap.dijkstra(source)
             assert bfs.spt_rows(source) == heap.spt_rows(source)
             for k in (1, 11, 80):
-                assert bfs.dijkstra_k_nearest(source, k) == heap.dijkstra_k_nearest(
-                    source, k
-                )
+                assert _settle_row(
+                    reference.k_nearest_search(bfs, source, k)
+                ) == _settle_row(reference.k_nearest_search(heap, source, k))
             for radius in (0.0, 2.0, 3.0):
-                assert bfs.dijkstra_radius(source, radius) == heap.dijkstra_radius(
-                    source, radius
-                )
-                assert bfs.dijkstra_radius(
-                    source, radius, inclusive=True
-                ) == heap.dijkstra_radius(source, radius, inclusive=True)
+                for inclusive in (False, True):
+                    assert _settle_row(
+                        reference.radius_search(
+                            bfs, source, radius, inclusive=inclusive
+                        )
+                    ) == _settle_row(
+                        reference.radius_search(
+                            heap, source, radius, inclusive=inclusive
+                        )
+                    )
 
 
 class TestSharedTieBreak:
-    """The equal-distance smaller-predecessor rule, in every variant.
+    """The equal-distance smaller-predecessor rule, in every row driver.
 
     On this diamond, node 3 is reachable at distance 2 through both 1 and 2;
     the deterministic choice is predecessor 1.  The seed implementation only
-    guaranteed this for ``dijkstra``.
+    guaranteed this for the full search.
     """
 
     @pytest.fixture()
     def diamond(self) -> Topology:
         return Topology.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
-    def test_all_variants_agree_on_tied_predecessor(self, diamond):
-        _, full = dijkstra(diamond, 0)
-        _, near = dijkstra_k_nearest(diamond, 0, 4)
-        _, ball = dijkstra_radius(diamond, 0, 2.0, inclusive=True)
+    def test_all_variants_agree_on_tied_predecessor(self, diamond, tier):
+        csr = diamond.fresh_csr(use_c=tier)
+        _, full = reference.spt_search(csr, 0)
+        _, near = reference.k_nearest_search(csr, 0, 4)
+        _, ball = reference.radius_search(csr, 0, 2.0, inclusive=True)
         assert full[3] == 1
         assert near == full
         assert ball == full
 
-    def test_weighted_ties_resolved_identically(self):
+    def test_weighted_ties_resolved_identically(self, tier):
         # Two equal-cost weighted paths 0->1->4 and 0->2->4 (cost 3.0), plus
         # a decoy: variants must pick predecessor 1 for node 4.
         topology = Topology.from_edges(
             5,
             [(0, 1, 1.0), (0, 2, 2.0), (1, 4, 2.0), (2, 4, 1.0), (0, 3, 5.0)],
         )
-        _, full = dijkstra(topology, 0)
-        _, near = dijkstra_k_nearest(topology, 0, 5)
-        _, ball = dijkstra_radius(topology, 0, 10.0)
+        csr = topology.fresh_csr(use_c=tier)
+        _, full = reference.spt_search(csr, 0)
+        _, near = reference.k_nearest_search(csr, 0, 5)
+        _, ball = reference.radius_search(csr, 0, 10.0)
         assert full[4] == 1
         assert near == full
         assert ball == full
 
-    def test_variants_agree_on_random_unit_graphs(self):
+    def test_variants_agree_on_random_unit_graphs(self, tier):
         # Unit-weight random graphs are tie-heavy; an untruncated k-nearest /
         # radius search must reproduce the full search's predecessor map.
         for seed in range(5):
             topology = gnm_random_graph(60, seed=seed, average_degree=5.0)
-            distances, full = dijkstra(topology, 0)
-            _, near = dijkstra_k_nearest(topology, 0, topology.num_nodes)
-            _, ball = dijkstra_radius(
-                topology, 0, max(distances.values()), inclusive=True
+            csr = topology.fresh_csr(use_c=tier)
+            distances, full = reference.spt_search(csr, 0)
+            _, near = reference.k_nearest_search(csr, 0, topology.num_nodes)
+            _, ball = reference.radius_search(
+                csr, 0, max(distances.values()), inclusive=True
             )
             assert near == full
             assert ball == full
+
+
+class TestTreePath:
+    def test_walks_parents_from_the_root(self):
+        _, parent = Topology.from_edges(
+            4, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 4.0), (2, 3, 1.0)]
+        ).csr().spt_rows(0)
+        assert tree_path(parent, 0, 3) == [0, 1, 2, 3]
+        assert tree_path(parent, 0, 0) == [0]
+
+    def test_row_at_an_offset(self):
+        rows = array("q", [-1, 0, 1, 1, -1, 1])  # a path rooted at 0, a star at 1
+        assert tree_path(rows, 0, 2) == [0, 1, 2]
+        assert tree_path(rows, 1, 2, base=3) == [1, 2]
+        assert tree_path(rows, 1, 0, base=3) == [1, 0]
+
+    def test_off_the_tree_raises(self):
+        _, parent = Topology.from_edges(4, [(0, 1)]).csr().spt_rows(0)
+        with pytest.raises(ValueError, match="not reachable"):
+            tree_path(parent, 0, 3)
+
+    def test_parent_cycle_raises(self):
+        with pytest.raises(ValueError, match="not reachable"):
+            tree_path([2, 2, 1], 0, 1)
 
 
 class TestCSRCache:
@@ -198,7 +226,7 @@ class TestCSRCache:
         topology.csr()
         clone = pickle.loads(pickle.dumps(topology))
         assert clone == topology
-        assert clone.csr().dijkstra(0) == topology.csr().dijkstra(0)
+        assert clone.csr().spt_rows(0) == topology.csr().spt_rows(0)
 
 
 class TestEngineSwitch:
@@ -207,6 +235,7 @@ class TestEngineSwitch:
 
     def test_public_api_identical_across_engines(self):
         topology = geometric_random_graph(70, seed=8, average_degree=6.0)
+        csr = topology.csr()
         pairs = [(0, 5), (3, 40), (3, 9), (22, 61)]
         expected = (
             reference.dijkstra(topology, 3),
@@ -215,10 +244,10 @@ class TestEngineSwitch:
             reference.all_pairs_sampled_distances(topology, pairs),
         )
         actual = (
-            dijkstra(topology, 3),
-            dijkstra_k_nearest(topology, 3, 12),
-            dijkstra_radius(topology, 3, 2.0),
-            all_pairs_sampled_distances(topology, pairs),
+            reference.spt_search(csr, 3),
+            reference.k_nearest_search(csr, 3, 12),
+            reference.radius_search(csr, 3, 2.0),
+            csr.batched_target_distances(pairs),
         )
         assert actual == expected
 
@@ -239,7 +268,7 @@ class TestBatchedDrivers:
                 parent[50 * index : 50 * (index + 1)].tolist(),
             )
             assert rows == csr.spt_rows(source)
-            distances, predecessors = csr.dijkstra(source)
+            distances, predecessors = reference.dijkstra(topology, source)
             assert rows[0] == [distances[node] for node in range(50)]
             assert rows[1] == [predecessors.get(node, -1) for node in range(50)]
 
@@ -248,7 +277,9 @@ class TestBatchedDrivers:
         csr = topology.csr()
         batched = _flat_rows(csr.k_nearest_batch_flat(7))
         for node in range(40):
-            assert batched[node] == _settle_row(csr.dijkstra_k_nearest(node, 7))
+            assert batched[node] == _settle_row(
+                reference.dijkstra_k_nearest(topology, node, 7)
+            )
 
     def test_batched_radius_matches_single(self):
         topology = gnm_random_graph(40, seed=6, average_degree=5.0)
@@ -257,7 +288,7 @@ class TestBatchedDrivers:
         batched = _flat_rows(csr.radius_batch_flat(radii))
         for node in range(40):
             assert batched[node] == _settle_row(
-                csr.dijkstra_radius(node, radii[node])
+                reference.dijkstra_radius(topology, node, radii[node])
             )
 
     def test_batched_radius_rejects_negative(self):
@@ -282,8 +313,8 @@ class TestBatchedDrivers:
         csr = topology.csr()
         batched = _flat_rows(csr.radius_batch_flat([1.0, 2.0], nodes=[7, 2]))
         assert batched == [
-            _settle_row(csr.dijkstra_radius(7, 1.0)),
-            _settle_row(csr.dijkstra_radius(2, 2.0)),
+            _settle_row(reference.dijkstra_radius(topology, 7, 1.0)),
+            _settle_row(reference.dijkstra_radius(topology, 2, 2.0)),
         ]
 
 
@@ -297,8 +328,8 @@ def _flat_rows(flat) -> list[list[tuple[int, float, int]]]:
 
 
 def _settle_row(search) -> list[tuple[int, float, int]]:
-    """A dict-shaped one-source result in the shape of :func:`_flat_rows`
-    (the dicts iterate in settle order; the source has no predecessor)."""
+    """An oracle search in the shape of :func:`_flat_rows` (the dicts
+    iterate in settle order; the source has no predecessor)."""
     distances, predecessors = search
     return [
         (node, distance, predecessors.get(node, -1))
@@ -433,7 +464,9 @@ class TestBatchDrivers:
         )
         _same_bytes(python.k_nearest_batch_flat(9, sources), flat)
         assert bytes(flat[1]) == bytes(actual[2][5:])
-        assert list(flat[1][9:18]) == list(native.dijkstra_k_nearest(3, 9)[0])
+        assert list(flat[1][9:18]) == list(
+            reference.dijkstra_k_nearest(topology, 3, 9)[0]
+        )
 
     @pytest.mark.parametrize("inclusive", [False, True], ids=["strict", "inclusive"])
     @pytest.mark.parametrize("name", list(BATCH_GRAPHS))
@@ -655,19 +688,20 @@ class TestKernelValidation:
                 array("q", [0]),
             )
 
-    def test_source_out_of_range(self):
-        topology = gnm_random_graph(10, seed=1, average_degree=3.0)
-        with pytest.raises(ValueError):
-            topology.csr().dijkstra(10)
-        with pytest.raises(ValueError):
-            topology.csr().dijkstra(-1)
+    def test_source_out_of_range(self, tier_csr):
+        for source in (20, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                tier_csr.spt_rows(source)
+            with pytest.raises(ValueError, match="out of range"):
+                tier_csr.k_nearest_batch_flat(3, [source])
+            with pytest.raises(ValueError, match="out of range"):
+                tier_csr.radius_batch_flat([1.0], [source])
 
-    def test_invalid_k_and_radius(self):
-        topology = gnm_random_graph(10, seed=1, average_degree=3.0)
-        with pytest.raises(ValueError):
-            topology.csr().dijkstra_k_nearest(0, 0)
-        with pytest.raises(ValueError):
-            topology.csr().dijkstra_radius(0, -0.5)
+    def test_invalid_k_and_radius(self, tier_csr):
+        with pytest.raises(ValueError, match="k must be > 0"):
+            tier_csr.k_nearest_batch_flat(0, [0])
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            tier_csr.radius_batch_flat([-0.5], [0])
 
     def test_unreachable_target_raises(self):
         topology = Topology.from_edges(4, [(0, 1)])
@@ -680,11 +714,16 @@ class TestKernelValidation:
 
 
 class TestPropertyBased:
+    """Random graphs, every row driver against the oracle on both tiers."""
+
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_dijkstra_differential_random_gnm(self, seed):
         topology = gnm_random_graph(30, seed=seed, average_degree=4.0)
-        assert topology.csr().dijkstra(0) == reference.dijkstra(topology, 0)
+        expected = reference.dijkstra(topology, 0)
+        for use_c in TIERS:
+            csr = topology.fresh_csr(use_c=use_c == "c")
+            assert reference.spt_search(csr, 0) == expected
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -693,9 +732,10 @@ class TestPropertyBased:
     )
     def test_k_nearest_differential_random_gnm(self, seed, k):
         topology = gnm_random_graph(25, seed=seed, average_degree=4.0)
-        assert topology.csr().dijkstra_k_nearest(
-            0, k
-        ) == reference.dijkstra_k_nearest(topology, 0, k)
+        expected = _settle_row(reference.dijkstra_k_nearest(topology, 0, k))
+        for use_c in TIERS:
+            csr = topology.fresh_csr(use_c=use_c == "c")
+            assert _settle_row(reference.k_nearest_search(csr, 0, k)) == expected
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -705,9 +745,14 @@ class TestPropertyBased:
     )
     def test_radius_differential_random_geometric(self, seed, radius, inclusive):
         topology = geometric_random_graph(25, seed=seed, average_degree=4.0)
-        assert topology.csr().dijkstra_radius(
-            0, radius, inclusive=inclusive
-        ) == reference.dijkstra_radius(topology, 0, radius, inclusive=inclusive)
+        expected = _settle_row(
+            reference.dijkstra_radius(topology, 0, radius, inclusive=inclusive)
+        )
+        for use_c in TIERS:
+            csr = topology.fresh_csr(use_c=use_c == "c")
+            assert _settle_row(
+                reference.radius_search(csr, 0, radius, inclusive=inclusive)
+            ) == expected
 
     @settings(deadline=None, max_examples=20)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -720,10 +765,12 @@ class TestPropertyBased:
             3: lambda: two_level_tree(5),
         }[seed % 4]()
         source = rng.randrange(topology.num_nodes)
-        assert topology.csr().dijkstra(source) == reference.dijkstra(
-            topology, source
-        )
         k = rng.randint(1, topology.num_nodes)
-        assert topology.csr().dijkstra_k_nearest(
-            source, k
-        ) == reference.dijkstra_k_nearest(topology, source, k)
+        for use_c in TIERS:
+            csr = topology.fresh_csr(use_c=use_c == "c")
+            assert reference.spt_search(csr, source) == reference.dijkstra(
+                topology, source
+            )
+            assert _settle_row(
+                reference.k_nearest_search(csr, source, k)
+            ) == _settle_row(reference.dijkstra_k_nearest(topology, source, k))

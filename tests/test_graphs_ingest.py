@@ -59,6 +59,12 @@ def assert_same_topology(actual: Topology, oracle: Topology) -> None:
     assert actual == oracle
 
 
+def _settle_rows(csr, source: int) -> list[bytes]:
+    """The whole search from ``source``: members in settle order, their
+    distances and parents, as the k-nearest driver returns them at k = n."""
+    return [bytes(slab) for slab in csr.k_nearest_batch_flat(csr.num_nodes, [source])]
+
+
 def _builder_replay(path, parse, **params) -> Topology:
     """The parsed lines, repeats and all, replayed through a builder."""
     parsed = parse(path, **params)
@@ -112,10 +118,10 @@ class TestStreamingDifferential:
         built_csr = topology.csr()
         slab_csr = ingest_file(path).csr()
         for source in (0, 17, 55):
-            d_dist, d_pred = built_csr.dijkstra(source)
-            s_dist, s_pred = slab_csr.dijkstra(source)
-            assert list(d_dist) == list(s_dist)
-            assert list(d_pred) == list(s_pred)
+            assert _settle_rows(built_csr, source) == _settle_rows(
+                slab_csr, source
+            )
+            assert built_csr.spt_rows(source) == slab_csr.spt_rows(source)
 
     def test_substrate_tables_byte_identical(self, tmp_path):
         from repro.addressing.labels import LabelCodec
@@ -392,9 +398,7 @@ class TestArrayTopology:
         topology.save_slabs(slab_dir)
         loaded = Topology.from_slab_dir(slab_dir)
         assert_same_topology(loaded, topology)
-        a = loaded.csr().dijkstra(0)
-        b = topology.csr().dijkstra(0)
-        assert list(a[0]) == list(b[0]) and list(a[1]) == list(b[1])
+        assert _settle_rows(loaded.csr(), 0) == _settle_rows(topology.csr(), 0)
 
     def test_copy_shares_slabs(self, topology):
         clone = topology.copy()
@@ -502,7 +506,7 @@ class TestSlabDirValidation:
     def test_a_flipped_item_raises_at_attach(self, tmp_path, tier, slab):
         topology = gnm_random_graph(64, seed=2, average_degree=6.0)
         slab_dir = topology.save_slabs(tmp_path / "topo.slabs")
-        assert Topology.from_slab_dir(slab_dir).csr().dijkstra(0)
+        assert Topology.from_slab_dir(slab_dir).csr().spt_rows(0)
         _flip(slab_dir, slab)
         with pytest.raises(ValueError, match="CSR invariants"):
             Topology.from_slab_dir(slab_dir)
@@ -527,7 +531,7 @@ class TestSlabDirValidation:
             rebuilt = ingest_topology(path)
         assert (fresh.hits, fresh.misses) == (0, 1)
         assert_same_topology(rebuilt, clean)
-        assert rebuilt.csr().dijkstra(5) == clean.csr().dijkstra(5)
+        assert rebuilt.csr().spt_rows(5) == clean.csr().spt_rows(5)
 
 
 class TestBFSKernel:
@@ -550,25 +554,22 @@ class TestBFSKernel:
         assert (c_csr.tier, py_csr.tier) == ("c", "python")
         k = 12
         for source in (0, 31, 127):
-            c_dist, c_pred = c_csr.dijkstra(source)
-            p_dist, p_pred = py_csr.dijkstra(source)
-            assert list(c_dist) == list(p_dist)
-            assert list(c_pred) == list(p_pred)
-            assert c_csr.dijkstra_k_nearest(source, k) == (
-                py_csr.dijkstra_k_nearest(source, k)
+            assert _settle_rows(c_csr, source) == _settle_rows(py_csr, source)
+            assert c_csr.spt_rows(source) == py_csr.spt_rows(source)
+            assert c_csr.k_nearest_batch_flat(k, [source]) == (
+                py_csr.k_nearest_batch_flat(k, [source])
             )
-            assert c_csr.dijkstra_radius(source, 3.0) == (
-                py_csr.dijkstra_radius(source, 3.0)
+            assert c_csr.radius_batch_flat([3.0], [source]) == (
+                py_csr.radius_batch_flat([3.0], [source])
             )
 
     def test_bfs_matches_bucket_kernel(self, unit_graph):
         bfs_csr = unit_graph.fresh_csr(kernel="bfs")
         bucket_csr = unit_graph.fresh_csr(kernel="bucket")
         for source in (0, 64):
-            b_dist, b_pred = bfs_csr.dijkstra(source)
-            q_dist, q_pred = bucket_csr.dijkstra(source)
-            assert list(b_dist) == list(q_dist)
-            assert list(b_pred) == list(q_pred)
+            assert _settle_rows(bfs_csr, source) == _settle_rows(
+                bucket_csr, source
+            )
 
 
 class TestIngestArtifactCache:

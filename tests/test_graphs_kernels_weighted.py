@@ -4,8 +4,9 @@ The PR that introduced kernel auto-selection added two weighted kernels --
 an indexed 4-ary heap and a Dial-style bucket queue -- each available in a
 compiled C tier (when a compiler is present) and a pure-Python tier.  Every
 (kernel, tier) combination must be bit-identical to the dict-based reference
-engine: distances *and* predecessors, across full, k-nearest, radius, and
-targeted searches, on every topology family the paper evaluates.
+engine: distances *and* predecessors, across the row drivers -- full SPT
+rows, k-nearest and radius rows, target distances -- on every topology
+family the paper evaluates.
 
 This file also pins:
 
@@ -13,8 +14,7 @@ This file also pins:
   caching/invalidation on :class:`~repro.graphs.topology.Topology`;
 * bucket-queue fallback -- irregular float weights must disqualify the
   bucket kernel and auto-select the heap;
-* the exact-boundary semantics of ``dijkstra_radius`` / ``radius_batch_flat``
-  on weighted graphs (strict ``<`` by default, ``<=`` with
+* the exact-boundary semantics of ``radius_batch_flat`` on weighted graphs (strict ``<`` by default, ``<=`` with
   ``inclusive=True``), which were previously untested at the boundary;
 * the id ordering of BFS frontiers and Dial buckets (``order_ids`` in
   ``_kernels.c``): star / hub shapes whose levels straddle its insertion-sort
@@ -43,7 +43,6 @@ from repro.graphs.generators import (
     internet_router_level,
     two_level_tree,
 )
-from repro.graphs.shortest_paths import dijkstra_radius
 from repro.graphs.topology import Topology, TopologyBuilder
 
 HAVE_C = load_kernels() is not None
@@ -72,22 +71,27 @@ def _assert_matches_reference(topology: Topology, csr: CSRGraph) -> None:
     n = topology.num_nodes
     rng = random.Random(17)
     for source in range(0, n, 7):
-        assert csr.dijkstra(source) == reference.dijkstra(topology, source)
+        full = reference.dijkstra(topology, source)
+        assert reference.spt_search(csr, source) == full
         for k in (1, 3, 17, n):
-            assert csr.dijkstra_k_nearest(
-                source, k
-            ) == reference.dijkstra_k_nearest(topology, source, k)
+            assert _settle_rows(
+                reference.k_nearest_search(csr, source, k)
+            ) == _settle_rows(reference.dijkstra_k_nearest(topology, source, k))
         for radius in (0.0, 1.0, 2.5, 30.0):
             for inclusive in (False, True):
-                assert csr.dijkstra_radius(
-                    source, radius, inclusive=inclusive
-                ) == reference.dijkstra_radius(
-                    topology, source, radius, inclusive=inclusive
+                assert _settle_rows(
+                    reference.radius_search(
+                        csr, source, radius, inclusive=inclusive
+                    )
+                ) == _settle_rows(
+                    reference.dijkstra_radius(
+                        topology, source, radius, inclusive=inclusive
+                    )
                 )
-        targets = rng.sample(range(n), 5)
-        assert csr.dijkstra(source, targets=targets) == reference.dijkstra(
-            topology, source, targets=targets
-        )
+        pairs = [(source, target) for target in rng.sample(range(n), 5)]
+        assert csr.batched_target_distances(pairs) == {
+            (source, target): full[0][target] for _, target in pairs
+        }
 
 
 class TestKernelTierDifferential:
@@ -136,9 +140,10 @@ class TestKernelTierDifferential:
         # targets=[] must behave identically across tiers: the search stops
         # after settling the source (regression: the C tier used to treat an
         # empty target set as "unbounded" and return the full SPT).
+        # The one-source search stays as every batch driver's fallback.
         topology = _quantized_geometric(40, seed=8)
         csr = topology.fresh_csr(use_c=use_c)
-        assert csr.dijkstra(3, targets=[]) == ({3: 0.0}, {})
+        assert csr._search(3, targets=[]) == [3]
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_out_of_range_target_rejected(self, use_c):
@@ -147,7 +152,7 @@ class TestKernelTierDifferential:
         topology = _quantized_geometric(40, seed=8)
         csr = topology.fresh_csr(use_c=use_c)
         with pytest.raises(ValueError):
-            csr.dijkstra(0, targets=[10**6])
+            csr.batched_target_distances([(0, 10**6)])
         with pytest.raises(ValueError):
             csr.batched_target_distances([(0, -1)])
 
@@ -155,7 +160,10 @@ class TestKernelTierDifferential:
     def test_disconnected_graph_contracts(self, use_c):
         topology = Topology.from_edges(5, [(0, 1, 0.5), (2, 3, 1.5)])
         csr = topology.fresh_csr(use_c=use_c)
-        assert csr.dijkstra(0) == reference.dijkstra(topology, 0)
+        assert reference.spt_search(csr, 0) == reference.dijkstra(topology, 0)
+        assert reference.k_nearest_search(csr, 2, 5) == reference.dijkstra(
+            topology, 2
+        )
         dist_row, parent_row = csr.spt_rows(0, fill=-7.0)
         assert dist_row == [0.0, 0.5, -7.0, -7.0, -7.0]
         assert parent_row == [-1, 0, -1, -1, -1]
@@ -170,10 +178,10 @@ class TestKernelTierDifferential:
         c_csr = topology.fresh_csr(use_c=True)
         py_csr = topology.fresh_csr(use_c=False)
         for source in range(0, 70, 3):
-            assert c_csr.dijkstra_k_nearest(source, 9) == py_csr.dijkstra_k_nearest(
-                source, 9
+            assert _one_source_rows(c_csr, source, 9) == _one_source_rows(
+                py_csr, source, 9
             )
-            assert c_csr.dijkstra(source) == py_csr.dijkstra(source)
+            assert c_csr.spt_rows(source) == py_csr.spt_rows(source)
 
 
 class TestBucketFallback:
@@ -264,7 +272,7 @@ class TestWeightProfile:
 class TestRadiusBoundary:
     """Exact-boundary semantics of the radius kernels on weighted graphs.
 
-    ``dijkstra_radius`` is strict by default: a node at exactly ``radius``
+    ``radius_batch_flat`` is strict by default: a node at exactly ``radius``
     is *excluded* (the S4 cluster rule ``d(v, w) < d(w, l_w)``);
     ``inclusive=True`` turns the comparison into ``<=``.  These cases sit a
     node exactly on the boundary, which no earlier test pinned down.
@@ -283,7 +291,7 @@ class TestRadiusBoundary:
         self, weighted_path, kernel, use_c
     ):
         csr = weighted_path.fresh_csr(kernel=kernel, use_c=use_c)
-        distances, _ = csr.dijkstra_radius(0, 3.0)
+        distances, _ = reference.radius_search(csr, 0, 3.0)
         assert sorted(distances) == [0, 1]
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
@@ -292,14 +300,14 @@ class TestRadiusBoundary:
         self, weighted_path, kernel, use_c
     ):
         csr = weighted_path.fresh_csr(kernel=kernel, use_c=use_c)
-        distances, _ = csr.dijkstra_radius(0, 3.0, inclusive=True)
+        distances, _ = reference.radius_search(csr, 0, 3.0, inclusive=True)
         assert sorted(distances) == [0, 1, 2]
         assert distances[2] == 3.0
 
     def test_public_api_matches_reference_at_boundary(self, weighted_path):
         for inclusive in (False, True):
-            assert dijkstra_radius(
-                weighted_path, 0, 3.0, inclusive=inclusive
+            assert reference.radius_search(
+                weighted_path.csr(), 0, 3.0, inclusive=inclusive
             ) == reference.dijkstra_radius(
                 weighted_path, 0, 3.0, inclusive=inclusive
             )
@@ -307,7 +315,7 @@ class TestRadiusBoundary:
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_zero_radius_settles_only_source(self, weighted_path, use_c):
         csr = weighted_path.fresh_csr(use_c=use_c)
-        distances, predecessors = csr.dijkstra_radius(1, 0.0)
+        distances, predecessors = reference.radius_search(csr, 1, 0.0)
         assert distances == {1: 0.0}
         assert predecessors == {}
 
@@ -373,6 +381,16 @@ def _flat_settle_rows(flat) -> list[tuple[list, list]]:
     ]
 
 
+def _one_source_rows(csr, source: int, k: int | None = None):
+    """:func:`_settle_rows` of the one-source search every batch driver
+    falls back on, run in the snapshot's own arena."""
+    order = csr._search(source, k=k)
+    return (
+        [(node, csr._dist[node]) for node in order],
+        [(node, csr._pred[node]) for node in order[1:]],
+    )
+
+
 def _assert_same_settle_order(
     topology: Topology, sources, ks, *, kernel: str | None = None
 ) -> None:
@@ -385,7 +403,7 @@ def _assert_same_settle_order(
         _settle_rows(reference.dijkstra(topology, source)) for source in sources
     ]
     for csr in graphs:
-        assert [_settle_rows(csr.dijkstra(s)) for s in sources] == expected
+        assert [_one_source_rows(csr, s) for s in sources] == expected
     for k in ks:
         expected = [
             _settle_rows(reference.dijkstra_k_nearest(topology, source, k))
@@ -396,9 +414,7 @@ def _assert_same_settle_order(
             # reused across the sources.  The batch entry point, on the C
             # tier, runs in a malloc'd arena of exactly n slots, where the
             # sanitizer leg sees a write past the tail of ``order``.
-            assert [
-                _settle_rows(csr.dijkstra_k_nearest(s, k)) for s in sources
-            ] == expected
+            assert [_one_source_rows(csr, s, k) for s in sources] == expected
             assert (
                 _flat_settle_rows(csr.k_nearest_batch_flat(k, sources, threads=1))
                 == expected
@@ -445,7 +461,7 @@ class TestLevelOrdering:
         smallest = sorted(topology.neighbors(hub))[: k - 1]
         for use_c in TIERS:
             csr = topology.fresh_csr(use_c=use_c)
-            distances, predecessors = csr.dijkstra_k_nearest(hub, k)
+            distances, predecessors = reference.k_nearest_search(csr, hub, k)
             assert list(distances) == [hub] + smallest
             assert predecessors == dict.fromkeys(smallest, hub)
         _assert_same_settle_order(topology, [hub], ks=[k, 1201, 1202])
@@ -523,7 +539,8 @@ class TestPropertyBasedWeighted:
                 for use_c in TIERS:
                     csr = topology.fresh_csr(kernel=kernel, use_c=use_c)
                     got = [
-                        csr.dijkstra(s) for s in range(topology.num_nodes)
+                        reference.spt_search(csr, s)
+                        for s in range(topology.num_nodes)
                     ]
                     assert got == expected
 

@@ -1,23 +1,34 @@
-"""Tests for repro.graphs.shortest_paths, including networkx oracles."""
+"""The row drivers on small graphs, against networkx and the dict oracle.
+
+Every search result in the package is a row: ``spt_rows`` (dense
+distance / parent rows), ``k_nearest_batch_flat`` and ``radius_batch_flat``
+(settle-order member rows) and ``batched_target_distances``.  Each test runs
+on both tiers.  The last class holds the two dict-shaped names the bench
+workloads still import (``repro.graphs.shortest_paths``) to the oracle.
+"""
 
 from __future__ import annotations
+
+import math
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs.generators import gnm_random_graph
-from repro.graphs.shortest_paths import (
-    all_pairs_sampled_distances,
-    dijkstra,
-    dijkstra_k_nearest,
-    dijkstra_radius,
-    extract_path,
-    path_length,
-    shortest_path,
-    shortest_path_tree,
-)
+from oracles import reference_paths as reference
+from repro.graphs._ckernels import load_kernels
+from repro.graphs.csr import tree_path
+from repro.graphs.generators import geometric_random_graph, gnm_random_graph
+from repro.graphs.shortest_paths import all_pairs_sampled_distances, dijkstra
 from repro.graphs.topology import Topology
+
+TIERS = [False] + ([True] if load_kernels() is not None else [])
+TIER_IDS = ["python", "c"][: len(TIERS)]
+
+
+@pytest.fixture(params=TIERS, ids=TIER_IDS)
+def use_c(request):
+    return request.param
 
 
 @pytest.fixture()
@@ -35,159 +46,151 @@ def weighted_graph() -> Topology:
     )
 
 
+def _members(flat) -> list[int]:
+    """The member ids of a one-source ``*_batch_flat`` result."""
+    return list(flat[1])
+
+
 class TestDijkstra:
-    def test_distances(self, weighted_graph):
-        distances, _ = dijkstra(weighted_graph, 0)
-        assert distances == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
+    def test_distances(self, weighted_graph, use_c):
+        dist, _ = weighted_graph.fresh_csr(use_c=use_c).spt_rows(0)
+        assert dist == [0.0, 1.0, 2.0, 3.0]
 
-    def test_predecessors_form_paths(self, weighted_graph):
-        _, predecessors = dijkstra(weighted_graph, 0)
-        assert extract_path(predecessors, 0, 3) == [0, 1, 2, 3]
+    def test_predecessors_form_paths(self, weighted_graph, use_c):
+        _, parent = weighted_graph.fresh_csr(use_c=use_c).spt_rows(0)
+        assert tree_path(parent, 0, 3) == [0, 1, 2, 3]
 
-    def test_targets_early_stop_still_correct(self, weighted_graph):
-        distances, _ = dijkstra(weighted_graph, 0, targets=[1])
-        assert distances[1] == 1.0
+    def test_targets_early_stop_still_correct(
+        self, weighted_graph, use_c
+    ):
+        csr = weighted_graph.fresh_csr(use_c=use_c)
+        assert csr.batched_target_distances([(0, 1)]) == {(0, 1): 1.0}
 
-    def test_source_only_in_singleton(self):
-        topology = Topology.from_edges(1, [])
-        distances, predecessors = dijkstra(topology, 0)
-        assert distances == {0: 0.0}
-        assert predecessors == {}
+    def test_source_only_in_singleton(self, use_c):
+        csr = Topology.from_edges(1, []).fresh_csr(use_c=use_c)
+        assert csr.spt_rows(0) == ([0.0], [-1])
 
-    def test_unreachable_nodes_absent(self):
-        topology = Topology.from_edges(4, [(0, 1)])
-        distances, _ = dijkstra(topology, 0)
-        assert 2 not in distances
-        assert 3 not in distances
+    def test_unreachable_nodes_absent(self, use_c):
+        csr = Topology.from_edges(4, [(0, 1)]).fresh_csr(use_c=use_c)
+        assert csr.spt_rows(0, fill=math.inf) == (
+            [0.0, 1.0, math.inf, math.inf],
+            [-1, 0, -1, -1],
+        )
 
-    def test_matches_networkx_on_random_graph(self):
+    def test_matches_networkx_on_random_graph(self, use_c):
         topology = gnm_random_graph(60, seed=9, average_degree=5.0)
+        csr = topology.fresh_csr(use_c=use_c)
         graph = topology.to_networkx()
         for source in (0, 7, 31):
-            distances, _ = dijkstra(topology, source)
+            dist, _ = csr.spt_rows(source)
             expected = nx.single_source_dijkstra_path_length(graph, source)
-            assert distances == pytest.approx(expected)
+            assert dict(enumerate(dist)) == pytest.approx(expected)
 
-    def test_matches_networkx_on_weighted_graph(self):
-        from repro.graphs.generators import geometric_random_graph
-
+    def test_matches_networkx_on_weighted_graph(self, use_c):
         topology = geometric_random_graph(80, seed=10, average_degree=7.0)
         graph = topology.to_networkx()
-        distances, _ = dijkstra(topology, 5)
+        dist, _ = topology.fresh_csr(use_c=use_c).spt_rows(5, fill=math.inf)
         expected = nx.single_source_dijkstra_path_length(graph, 5)
-        assert set(distances) == set(expected)
+        assert {v for v, d in enumerate(dist) if d < math.inf} == set(expected)
         for node, value in expected.items():
-            assert distances[node] == pytest.approx(value)
+            assert dist[node] == pytest.approx(value)
 
 
 class TestDijkstraKNearest:
-    def test_returns_exactly_k(self, weighted_graph):
-        distances, _ = dijkstra_k_nearest(weighted_graph, 0, 2)
-        assert len(distances) == 2
-        assert set(distances) == {0, 1}
+    def test_returns_exactly_k(self, weighted_graph, use_c):
+        csr = weighted_graph.fresh_csr(use_c=use_c)
+        assert _members(csr.k_nearest_batch_flat(2, [0])) == [0, 1]
 
-    def test_k_larger_than_component(self, weighted_graph):
-        distances, _ = dijkstra_k_nearest(weighted_graph, 0, 100)
-        assert len(distances) == 4
+    def test_k_larger_than_component(self, weighted_graph, use_c):
+        csr = weighted_graph.fresh_csr(use_c=use_c)
+        assert _members(csr.k_nearest_batch_flat(100, [0])) == [0, 1, 2, 3]
 
-    def test_members_are_the_closest(self):
+    def test_members_are_the_closest(self, use_c):
         topology = gnm_random_graph(50, seed=4, average_degree=5.0)
-        k = 10
-        near, _ = dijkstra_k_nearest(topology, 0, k)
-        full, _ = dijkstra(topology, 0)
+        csr = topology.fresh_csr(use_c=use_c)
+        near, _ = reference.k_nearest_search(csr, 0, 10)
+        full, _ = csr.spt_rows(0)
         cutoff = max(near.values())
         # Every node strictly closer than the cutoff must be included.
-        for node, distance in full.items():
+        for node, distance in enumerate(full):
             if distance < cutoff:
                 assert node in near
 
-    def test_invalid_k(self, weighted_graph):
+    def test_invalid_k(self, weighted_graph, use_c):
         with pytest.raises(ValueError):
-            dijkstra_k_nearest(weighted_graph, 0, 0)
+            weighted_graph.fresh_csr(use_c=use_c).k_nearest_batch_flat(0, [0])
 
-    def test_paths_extractable(self, weighted_graph):
-        distances, predecessors = dijkstra_k_nearest(weighted_graph, 0, 3)
+    def test_paths_extractable(self, weighted_graph, use_c):
+        csr = weighted_graph.fresh_csr(use_c=use_c)
+        distances, predecessors = reference.k_nearest_search(csr, 0, 3)
         for node in distances:
-            path = extract_path(predecessors, 0, node)
+            path = reference.extract_path(predecessors, 0, node)
             assert path[0] == 0
             assert path[-1] == node
 
 
 class TestDijkstraRadius:
-    def test_strict_boundary(self, weighted_graph):
-        distances, _ = dijkstra_radius(weighted_graph, 0, 2.0)
-        assert set(distances) == {0, 1}  # node 2 is at exactly 2.0 -> excluded
+    def test_strict_boundary(self, weighted_graph, use_c):
+        csr = weighted_graph.fresh_csr(use_c=use_c)
+        # Node 2 is at exactly 2.0 -> excluded.
+        assert _members(csr.radius_batch_flat([2.0], [0])) == [0, 1]
 
-    def test_inclusive_boundary(self, weighted_graph):
-        distances, _ = dijkstra_radius(weighted_graph, 0, 2.0, inclusive=True)
-        assert set(distances) == {0, 1, 2}
+    def test_inclusive_boundary(self, weighted_graph, use_c):
+        csr = weighted_graph.fresh_csr(use_c=use_c)
+        flat = csr.radius_batch_flat([2.0], [0], inclusive=True)
+        assert _members(flat) == [0, 1, 2]
 
-    def test_zero_radius_returns_source(self, weighted_graph):
-        distances, _ = dijkstra_radius(weighted_graph, 0, 0.0)
-        assert set(distances) == {0}
+    def test_zero_radius_returns_source(self, weighted_graph, use_c):
+        csr = weighted_graph.fresh_csr(use_c=use_c)
+        assert _members(csr.radius_batch_flat([0.0], [0])) == [0]
 
-    def test_negative_radius_rejected(self, weighted_graph):
+    def test_negative_radius_rejected(self, weighted_graph, use_c):
         with pytest.raises(ValueError):
-            dijkstra_radius(weighted_graph, 0, -1.0)
+            weighted_graph.fresh_csr(use_c=use_c).radius_batch_flat([-1.0], [0])
 
-    def test_radius_covers_whole_graph(self, weighted_graph):
-        distances, _ = dijkstra_radius(weighted_graph, 0, 100.0)
-        assert len(distances) == 4
-
-
-class TestPathHelpers:
-    def test_extract_path_source_equals_target(self):
-        assert extract_path({}, 3, 3) == [3]
-
-    def test_extract_path_unreachable_raises(self):
-        with pytest.raises(ValueError):
-            extract_path({}, 0, 5)
-
-    def test_extract_path_cycle_detection(self):
-        with pytest.raises(ValueError):
-            extract_path({1: 2, 2: 1}, 0, 1)
-
-    def test_shortest_path_endpoints(self, weighted_graph):
-        path = shortest_path(weighted_graph, 0, 3)
-        assert path == [0, 1, 2, 3]
-
-    def test_path_length(self, weighted_graph):
-        assert path_length(weighted_graph, [0, 1, 2, 3]) == pytest.approx(3.0)
-
-    def test_path_length_single_node(self, weighted_graph):
-        assert path_length(weighted_graph, [2]) == 0.0
-
-    def test_path_length_invalid_edge(self, weighted_graph):
-        with pytest.raises(ValueError):
-            path_length(weighted_graph, [0, 2])
-
-    def test_path_length_empty_raises(self, weighted_graph):
-        with pytest.raises(ValueError):
-            path_length(weighted_graph, [])
-
-    def test_shortest_path_tree_is_full_dijkstra(self, weighted_graph):
-        distances, _ = shortest_path_tree(weighted_graph, 2)
-        assert len(distances) == 4
+    def test_radius_covers_whole_graph(self, weighted_graph, use_c):
+        csr = weighted_graph.fresh_csr(use_c=use_c)
+        assert len(_members(csr.radius_batch_flat([100.0], [0]))) == 4
 
 
 class TestAllPairsSampled:
-    def test_matches_individual_queries(self, weighted_graph):
+    def test_matches_individual_queries(self, weighted_graph, use_c):
         pairs = [(0, 3), (3, 0), (1, 2)]
-        result = all_pairs_sampled_distances(weighted_graph, pairs)
-        assert result[(0, 3)] == pytest.approx(3.0)
-        assert result[(3, 0)] == pytest.approx(3.0)
-        assert result[(1, 2)] == pytest.approx(1.0)
+        csr = weighted_graph.fresh_csr(use_c=use_c)
+        assert csr.batched_target_distances(pairs) == {
+            (0, 3): 3.0, (3, 0): 3.0, (1, 2): 1.0,
+        }
 
-    def test_unreachable_pair_raises(self):
-        topology = Topology.from_edges(4, [(0, 1)])
+    def test_unreachable_pair_raises(self, use_c):
+        csr = Topology.from_edges(4, [(0, 1)]).fresh_csr(use_c=use_c)
         with pytest.raises(ValueError):
-            all_pairs_sampled_distances(topology, [(0, 3)])
+            csr.batched_target_distances([(0, 3)])
 
-    def test_groups_by_source(self):
+    def test_groups_by_source(self, use_c):
         topology = gnm_random_graph(40, seed=8, average_degree=5.0)
         pairs = [(0, 5), (0, 7), (3, 9)]
-        result = all_pairs_sampled_distances(topology, pairs)
+        result = topology.fresh_csr(use_c=use_c).batched_target_distances(pairs)
         assert set(result) == set(pairs)
+
+
+class TestBenchShim:
+    """``repro.graphs.shortest_paths``: the names the bench imports."""
+
+    def test_dijkstra_equals_the_oracle_on_every_reachable_node(self):
+        for topology in (
+            geometric_random_graph(60, seed=3, average_degree=5.0),
+            Topology.from_edges(6, [(0, 1, 0.5), (1, 2, 2.0), (3, 4, 1.0)]),
+        ):
+            for source in range(0, topology.num_nodes, 5):
+                assert dijkstra(topology, source) == reference.dijkstra(
+                    topology, source
+                )
+
+    def test_all_pairs_sampled_distances_is_the_batch(self, weighted_graph):
+        pairs = [(0, 3), (3, 0), (1, 2)]
+        assert all_pairs_sampled_distances(
+            weighted_graph, pairs
+        ) == weighted_graph.csr().batched_target_distances(pairs)
 
 
 class TestPropertyBased:
@@ -195,10 +198,10 @@ class TestPropertyBased:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_dijkstra_matches_networkx_random_seeds(self, seed):
         topology = gnm_random_graph(30, seed=seed, average_degree=4.0)
-        graph = topology.to_networkx()
-        distances, _ = dijkstra(topology, 0)
-        expected = nx.single_source_dijkstra_path_length(graph, 0)
-        assert distances == pytest.approx(expected)
+        expected = nx.single_source_dijkstra_path_length(topology.to_networkx(), 0)
+        for use_c in TIERS:
+            dist, _ = topology.fresh_csr(use_c=use_c).spt_rows(0)
+            assert dict(enumerate(dist)) == pytest.approx(expected)
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -207,9 +210,10 @@ class TestPropertyBased:
     )
     def test_k_nearest_is_prefix_of_full_ordering(self, seed, k):
         topology = gnm_random_graph(25, seed=seed, average_degree=4.0)
-        near, _ = dijkstra_k_nearest(topology, 0, k)
-        full, _ = dijkstra(topology, 0)
-        ordered = sorted(full.values())
-        expected_count = min(k, len(full))
-        assert len(near) == expected_count
-        assert max(near.values()) <= ordered[expected_count - 1] + 1e-9
+        for use_c in TIERS:
+            csr = topology.fresh_csr(use_c=use_c)
+            near, _ = reference.k_nearest_search(csr, 0, k)
+            ordered = sorted(csr.spt_rows(0)[0])
+            expected_count = min(k, topology.num_nodes)
+            assert len(near) == expected_count
+            assert max(near.values()) <= ordered[expected_count - 1] + 1e-9

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import reference_paths as reference
 from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
 from repro.core.shortcutting import ShortcutMode
 from repro.graphs.generators import (
@@ -26,7 +27,6 @@ from repro.graphs.generators import (
     internet_router_level,
 )
 from repro.graphs.sampling import one_destination_per_node, sample_pairs
-from repro.graphs.shortest_paths import all_pairs_sampled_distances
 from repro.metrics.batch import PairRouter, make_router, route_pairs_batch
 from repro.metrics.congestion import CongestionReport, measure_congestion
 from repro.metrics.state import StateReport, measure_state
@@ -69,7 +69,7 @@ def _stretch_one_by_one(scheme, pairs) -> StretchReport:
     :meth:`RouteResult.length` (no router memo anywhere)."""
     topology = scheme.topology
     measured = [(s, t) for s, t in pairs if s != t]
-    distances = all_pairs_sampled_distances(topology, measured)
+    distances = reference.all_pairs_sampled_distances(topology, measured)
     routes = _route_pairs_one_by_one(scheme, measured)
     return StretchReport(
         scheme=scheme.name,
@@ -138,7 +138,7 @@ class TestBatchedStretch:
     def test_shared_distance_table_is_identical(self, medium_gnm):
         simulation = StaticSimulation(medium_gnm, ("nd-disco", "s4"), seed=1)
         pairs = sample_pairs(medium_gnm, 120, seed=3)
-        distances = all_pairs_sampled_distances(medium_gnm, pairs)
+        distances = medium_gnm.csr().batched_target_distances(pairs)
         for scheme in simulation.schemes.values():
             assert measure_stretch(scheme, pairs=pairs) == measure_stretch(
                 scheme, pairs=pairs, distances=distances

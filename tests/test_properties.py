@@ -24,7 +24,6 @@ from repro.graphs.generators import (
     internet_as_level,
 )
 from repro.graphs.sampling import sample_pairs
-from repro.graphs.shortest_paths import all_pairs_sampled_distances
 from repro.metrics.stretch import measure_stretch
 from repro.protocols.s4 import S4Routing
 
@@ -58,7 +57,7 @@ class TestDiscoInvariants:
         topology = _build_topology(kind, n, seed)
         disco = DiscoRouting(topology, seed=seed)
         pairs = sample_pairs(topology, 40, seed=seed + 1)
-        distances = all_pairs_sampled_distances(topology, pairs)
+        distances = topology.csr().batched_target_distances(pairs)
         for source, target in pairs:
             first = disco.first_packet_route(source, target)
             later = disco.later_packet_route(source, target)

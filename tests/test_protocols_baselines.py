@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs.shortest_paths import dijkstra, path_length
+from oracles.reference_paths import dijkstra, path_length
 from repro.graphs.topology import Topology
 from repro.protocols.base import RouteResult
 from repro.protocols.pathvector import PathVectorRouting

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.reference_paths import dijkstra, path_length
 from repro.core.nddisco import NDDiscoRouting
 from repro.graphs.generators import two_level_tree
-from repro.graphs.shortest_paths import dijkstra, path_length
 from repro.metrics.state import measure_state
 from repro.metrics.stretch import measure_stretch
 from repro.protocols.s4 import S4Routing

@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.landmarks import select_landmarks
 from repro.core.vicinity import vicinity_size
+from oracles.reference_paths import dijkstra
 from repro.graphs.generators import gnm_random_graph, line_graph
-from repro.graphs.shortest_paths import dijkstra
+from repro.graphs.topology import Topology
 from repro.sim.convergence import (
     simulate_disco_convergence,
     simulate_nddisco_convergence,
@@ -124,7 +125,7 @@ class TestNDDiscoConvergence:
         total = 0
         matched = 0
         for node in range(n):
-            members = static[node].members - {node}
+            members = set(static.row(node)[0].tolist()) - {node}
             learned = set(report.tables[node]) - {node}
             total += len(members)
             matched += len(members & learned)
@@ -168,6 +169,21 @@ class TestDiscoConvergence:
         three = simulate_disco_convergence(convergence_topology, seed=3, num_fingers=3)
         assert three.total_messages >= one.total_messages
         assert three.protocol == "Disco-3-Finger"
+
+    @pytest.mark.parametrize("num_fingers", [1, 3])
+    def test_registration_and_lookups_bill_tree_hops(self, num_fingers):
+        # A 6-node path with landmark 0: node v is v hops from its home
+        # landmark whatever the link weights, and every node pays at least
+        # one message.  (Rounded weighted distance used to stand in for
+        # hops: 16 registrations at unit weight, 136 at 9, 6 at 0.1.)
+        hops = sum(max(1, node) for node in range(6))
+        for weight in (1.0, 9.0, 0.1):
+            path = Topology.from_edges(6, [(v, v + 1, weight) for v in range(5)])
+            report = simulate_disco_convergence(
+                path, seed=1, landmarks={0}, num_fingers=num_fingers
+            )
+            assert report.extra["registration_messages"] == hops == 16
+            assert report.extra["finger_lookup_messages"] == 2 * num_fingers * hops
 
     def test_still_cheaper_than_path_vector_at_scale(self):
         topology = gnm_random_graph(96, seed=5, average_degree=6.0)

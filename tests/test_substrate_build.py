@@ -2,7 +2,7 @@
 
 :func:`repro.core.substrate_build.build_substrate_tables` replaces the
 dict-mediated component path (dense per-landmark rows, per-node
-``VicinityTable`` objects, one ``from_components`` pass; now
+vicinity dicts, one ``from_components`` pass; now
 ``tests/oracles/component_build.py``) with kernel output written straight into the preallocated slabs, plus an
 in-kernel thread fan-out and mmap-backed placement.  Nothing about the
 *content* is allowed to change: every variant must produce slabs
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import reference_paths as reference
 from oracles.component_build import (
     closest_landmarks,
     from_components,
@@ -32,7 +33,7 @@ from repro.core.substrate_build import (
     cluster_sizes_from_members,
 )
 from repro.core.tables import NodeSearchTables, SubstrateTables
-from repro.core.vicinity import compute_vicinities
+from repro.core.vicinity import compute_vicinities, vicinity_size
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
@@ -57,7 +58,8 @@ def _oracle(topology, landmarks, codec):
     n = topology.num_nodes
     spts = landmark_spts(topology, landmarks)
     closest = closest_landmarks(spts, n)
-    vicinities = compute_vicinities(topology)
+    size = vicinity_size(n)
+    vicinities = [reference.dijkstra_k_nearest(topology, v, size) for v in range(n)]
     return from_components(n, spts, closest, vicinities, codec)
 
 
@@ -161,7 +163,7 @@ def test_landmark_only_build_matches_from_components():
 
 @pytest.mark.parametrize("family,topology", FAMILIES, ids=[f for f, _ in FAMILIES])
 def test_injected_vicinities_match_slab_direct(family, topology):
-    """``NDDiscoRouting(vicinities=...)``: dict-shaped rows adopted in place
+    """``NDDiscoRouting(vicinities=...)``: vicinity rows adopted in place
     of the builder's vicinity phase."""
     landmarks = select_landmarks(topology.num_nodes, seed=2)
     expected = NDDiscoRouting(topology, landmarks=landmarks).tables
@@ -173,9 +175,9 @@ def test_injected_vicinities_match_slab_direct(family, topology):
 
 def test_injected_vicinities_must_cover_every_node():
     family, topology = FAMILIES[1]
-    vicinities = compute_vicinities(topology)
+    short = compute_vicinities(gnm_random_graph(20, seed=1))
     with pytest.raises(ValueError, match="vicinities must cover every node"):
-        NDDiscoRouting(topology, vicinities=vicinities[:-1])
+        NDDiscoRouting(topology, vicinities=short)
 
 
 def test_build_stats_and_progress_hooks():
@@ -208,9 +210,11 @@ def _assert_balls_match_dict_transport(**build_options):
     spts = landmark_spts(topology, landmarks)
     _, closest_dist = closest_landmarks(spts, n)
     radii = list(closest_dist)
-    csr = topology.csr()
     expected = NodeSearchTables.from_searches(
-        [csr.dijkstra_radius(node, radius) for node, radius in enumerate(radii)]
+        [
+            reference.dijkstra_radius(topology, node, radius)
+            for node, radius in enumerate(radii)
+        ]
     )
     actual = build_ball_tables(topology, radii, **build_options)
     assert bytes(expected.offsets) == bytes(actual.offsets)

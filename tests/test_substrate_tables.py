@@ -37,7 +37,6 @@ from repro.graphs.generators import (
     internet_router_level,
 )
 from repro.graphs.sampling import sample_pairs
-from repro.graphs.shortest_paths import all_pairs_sampled_distances
 from repro.graphs.topology import Topology
 from repro.protocols.s4 import S4Routing
 from repro.staticsim.simulation import StaticSimulation
@@ -168,8 +167,8 @@ class TestDifferentialAgainstDictBackend:
         _assert_balls_match_oracle(s4, topology, ref_closest[1])
         # The stretch denominators of the 200 pairs the old comparison used.
         pairs = sample_pairs(topology, 200, seed=7)
-        assert all_pairs_sampled_distances(
-            topology, pairs
+        assert topology.csr().batched_target_distances(
+            pairs
         ) == reference.all_pairs_sampled_distances(topology, pairs)
 
     def test_s4_standalone_identical(self):
