@@ -29,7 +29,7 @@ from repro.core.landmark_policies import (
 )
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.resolution import LandmarkResolutionDatabase
-from repro.experiments.config import ExperimentScale, default_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.reporting import header
 from repro.experiments.workloads import comparison_gnm, router_level_topology
 from repro.graphs.sampling import sample_pairs
@@ -222,7 +222,6 @@ _ABLATION_SHARDS = (
 
 
 def _run_ablation_shard(scale: ExperimentScale, key: str):
-    scale = scale or default_scale()
     if key == "address-design":
         return (_address_design_ablation(router_level_topology(scale), scale), None)
     gnm = comparison_gnm(scale)
@@ -248,7 +247,7 @@ def _merge_ablation_shards(
     )
 
 
-@scenario(
+run = scenario(
     "ablations",
     title="Design ablations: vicinity constant, landmark policy, address "
     "design, resolution smoothing",
@@ -262,19 +261,6 @@ def _merge_ablation_shards(
     shard_runner=_run_ablation_shard,
     shard_merge=_merge_ablation_shards,
 )
-def run(scale: ExperimentScale | None = None) -> AblationResult:
-    """Run all four ablations on the comparison topologies."""
-    scale = scale or default_scale()
-    gnm = comparison_gnm(scale)
-    router = router_level_topology(scale)
-    return AblationResult(
-        vicinity=_vicinity_ablation(gnm, scale),
-        landmark_policies=_landmark_policy_ablation(gnm, scale),
-        address_design=_address_design_ablation(router, scale),
-        resolution_balance=_resolution_balance_ablation(gnm, scale),
-        num_nodes=gnm.num_nodes,
-        scale_label=scale.label,
-    )
 
 
 def format_report(result: AblationResult) -> str:

@@ -19,8 +19,9 @@ against it.
 The scenario shards by churn *trial* and by *event-stream segment* within
 a trial: each segment shard reconstructs its boundary topology by applying
 the trial's event prefix and converges fresh state there (the state
-handoff), so ``repro run churn-cost --workers N`` covers the former
-serial-by-design scenario byte-identically for any worker count.
+handoff), so the bills are the same for any segmentation and any worker
+count.  ``run(scale, num_events=, num_trials=)`` changes the workload
+shape through the same shards.
 
 The quantity of interest: the mean per-event incremental cost should be a
 small fraction of full reconvergence, which is what makes the protocol
@@ -35,7 +36,7 @@ from repro.core.landmarks import select_landmarks
 from repro.dynamics.engine import ChurnEngine
 from repro.dynamics.maintenance import MaintenanceCost
 from repro.dynamics.stream import apply_edge_event, generate_churn_workload
-from repro.experiments.config import ExperimentScale, default_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.reporting import header
 from repro.experiments.workloads import sweep_gnm
 from repro.graphs.topology import TopologyBuilder
@@ -139,15 +140,26 @@ def _segment_costs(
     return [report.cost for report in engine.run(events[lo:hi])]
 
 
-def _shard_keys(scale: ExperimentScale) -> tuple[str, ...]:
+def _shard_keys(
+    scale: ExperimentScale,
+    *,
+    num_events: int = DEFAULT_NUM_EVENTS,
+    num_trials: int = DEFAULT_NUM_TRIALS,
+) -> tuple[str, ...]:
     return ("full",) + tuple(
         f"t{trial}s{segment}"
-        for trial in range(DEFAULT_NUM_TRIALS)
+        for trial in range(num_trials)
         for segment in range(SEGMENTS_PER_TRIAL)
     )
 
 
-def _run_shard(scale: ExperimentScale, key: str):
+def _run_shard(
+    scale: ExperimentScale,
+    key: str,
+    *,
+    num_events: int = DEFAULT_NUM_EVENTS,
+    num_trials: int = DEFAULT_NUM_TRIALS,
+):
     if key == "full":
         num_nodes = _scenario_nodes(scale)
         topology = sweep_gnm(num_nodes, scale.seed)
@@ -161,15 +173,21 @@ def _run_shard(scale: ExperimentScale, key: str):
         scale,
         int(trial_part),
         int(segment_part),
-        num_events=DEFAULT_NUM_EVENTS,
+        num_events=num_events,
         segments=SEGMENTS_PER_TRIAL,
     )
     return {"costs": costs}
 
 
-def _merge_shards(scale: ExperimentScale, parts: dict) -> ChurnCostResult:
+def _merge_shards(
+    scale: ExperimentScale,
+    parts: dict,
+    *,
+    num_events: int = DEFAULT_NUM_EVENTS,
+    num_trials: int = DEFAULT_NUM_TRIALS,
+) -> ChurnCostResult:
     per_event: list[MaintenanceCost] = []
-    for trial in range(DEFAULT_NUM_TRIALS):
+    for trial in range(num_trials):
         for segment in range(SEGMENTS_PER_TRIAL):
             per_event.extend(parts[f"t{trial}s{segment}"]["costs"])
     return ChurnCostResult(
@@ -178,11 +196,13 @@ def _merge_shards(scale: ExperimentScale, parts: dict) -> ChurnCostResult:
         per_event=tuple(per_event),
         full_reconvergence_entries=parts["full"]["full_entries"],
         scale_label=scale.label,
-        trials=DEFAULT_NUM_TRIALS,
+        trials=num_trials,
     )
 
 
-@scenario(
+#: ``run(scale, num_events=, num_trials=)`` passes the two keywords to the
+#: three functions above; the engine runs the defaults.
+run = scenario(
     "churn-cost",
     title="Extension: incremental maintenance cost under link churn",
     family="gnm",
@@ -195,41 +215,6 @@ def _merge_shards(scale: ExperimentScale, parts: dict) -> ChurnCostResult:
     shard_runner=_run_shard,
     shard_merge=_merge_shards,
 )
-def run(
-    scale: ExperimentScale | None = None,
-    *,
-    num_events: int = DEFAULT_NUM_EVENTS,
-    num_trials: int = DEFAULT_NUM_TRIALS,
-) -> ChurnCostResult:
-    """Apply churn trials and measure the incremental cost of each event."""
-    scale = scale or default_scale()
-    if num_events == DEFAULT_NUM_EVENTS and num_trials == DEFAULT_NUM_TRIALS:
-        # The default-parameter run IS the shard merge, so serial execution
-        # and `repro run --workers N` are byte-identical by construction.
-        return _merge_shards(
-            scale, {key: _run_shard(scale, key) for key in _shard_keys(scale)}
-        )
-    num_nodes = _scenario_nodes(scale)
-    topology = sweep_gnm(num_nodes, scale.seed)
-    landmarks = select_landmarks(num_nodes, seed=scale.seed)
-    per_event: list[MaintenanceCost] = []
-    for trial in range(num_trials):
-        events = generate_churn_workload(
-            topology, num_events=num_events, seed=_trial_seed(scale, trial)
-        )
-        engine = ChurnEngine(topology, seed=scale.seed, landmarks=landmarks)
-        per_event.extend(report.cost for report in engine.run(events))
-    full = simulate_nddisco_convergence(
-        topology, seed=scale.seed, landmarks=landmarks
-    )
-    return ChurnCostResult(
-        num_nodes=num_nodes,
-        events=len(per_event),
-        per_event=tuple(per_event),
-        full_reconvergence_entries=full.total_entries,
-        scale_label=scale.label,
-        trials=num_trials,
-    )
 
 
 def format_report(result: ChurnCostResult) -> str:

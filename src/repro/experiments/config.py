@@ -62,12 +62,20 @@ class ExperimentScale:
     topology_format: str = "edge-list"
 
     def scaled(self, factor: float) -> "ExperimentScale":
-        """Return a copy with all node counts multiplied by ``factor``."""
+        """Return a copy with all node counts multiplied by ``factor``.
+
+        Sizes are clamped to at least 16 nodes; a sweep whose sizes then
+        coincide keeps each size once, in order (a repeated size would be
+        the same measurement twice).
+        """
         if factor <= 0:
             raise ValueError(f"scale factor must be > 0, got {factor}")
 
         def scale_int(value: int) -> int:
             return max(16, int(round(value * factor)))
+
+        def scale_sweep(sizes: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(dict.fromkeys(scale_int(v) for v in sizes))
 
         return ExperimentScale(
             comparison_nodes=scale_int(self.comparison_nodes),
@@ -76,8 +84,8 @@ class ExperimentScale:
             router_level_nodes=scale_int(self.router_level_nodes),
             pair_sample=max(50, int(round(self.pair_sample * min(factor, 4.0)))),
             node_sample=self.node_sample,
-            messaging_sweep=tuple(scale_int(v) for v in self.messaging_sweep),
-            scaling_sweep=tuple(scale_int(v) for v in self.scaling_sweep),
+            messaging_sweep=scale_sweep(self.messaging_sweep),
+            scaling_sweep=scale_sweep(self.scaling_sweep),
             seed=self.seed,
             label=f"{self.label}×{factor:g}",
             topology_file=self.topology_file,

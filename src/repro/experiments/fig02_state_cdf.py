@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.config import ExperimentScale, default_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.reporting import header, render_state_reports
 from repro.experiments.workloads import (
     as_level_topology,
@@ -105,7 +105,7 @@ def _merge_panels(
     )
 
 
-@scenario(
+run = scenario(
     "fig02-state-cdf",
     title="Fig. 2: per-node state CDFs on the three large topologies",
     family=("geometric", "as-level", "router-level"),
@@ -118,13 +118,6 @@ def _merge_panels(
     shard_runner=_run_panel,
     shard_merge=_merge_panels,
 )
-def run(scale: ExperimentScale | None = None) -> StateCdfResult:
-    """Measure per-node state for Disco, NDDisco and S4 on the three topologies."""
-    scale = scale or default_scale()
-    return _merge_panels(
-        scale,
-        {label: _run_panel(scale, label) for label in _shard_keys(scale)},
-    )
 
 
 def format_report(result: StateCdfResult) -> str:

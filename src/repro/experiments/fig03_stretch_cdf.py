@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.config import ExperimentScale, default_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.reporting import header, render_stretch_reports
 from repro.experiments.workloads import (
     as_level_topology,
@@ -99,7 +99,7 @@ def _merge_panels(
     )
 
 
-@scenario(
+run = scenario(
     "fig03-stretch-cdf",
     title="Fig. 3: path-stretch CDFs (Disco vs S4, first/later packets)",
     family=("geometric", "as-level", "router-level"),
@@ -112,13 +112,6 @@ def _merge_panels(
     shard_runner=_run_panel,
     shard_merge=_merge_panels,
 )
-def run(scale: ExperimentScale | None = None) -> StretchCdfResult:
-    """Measure first/later stretch for Disco and S4 on the three topologies."""
-    scale = scale or default_scale()
-    return _merge_panels(
-        scale,
-        {label: _run_panel(scale, label) for label in _shard_keys(scale)},
-    )
 
 
 def format_report(result: StretchCdfResult) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.config import ExperimentScale, default_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.reporting import (
     header,
     render_congestion_reports,
@@ -38,12 +38,13 @@ __all__ = [
 
 _PROTOCOLS = ("disco", "nd-disco", "s4", "vrr", "path-vector")
 
-#: What each protocol shard must *build* so its converged state is
-#: identical to the serial five-protocol simulation.  Disco pulls its
-#: ND-Disco substrate in internally; S4 shares the landmark set (and the
-#: converged substrate) with ND-Disco only when both appear in the
-#: protocol list, so its shard carries ND-Disco along -- with the artifact
-#: cache active the substrate is still built once across shards.
+#: What each protocol shard must *build* so its converged state is the
+#: one it has beside the other four protocols in a single simulation.
+#: Disco pulls its ND-Disco substrate in internally; S4 shares the
+#: landmark set (and the converged substrate) with ND-Disco only when both
+#: appear in the protocol list, so its shard carries ND-Disco along --
+#: with the artifact cache active the substrate is built once across
+#: shards.
 _SHARD_BUILD = {
     "disco": ("disco",),
     "nd-disco": ("nd-disco",),
@@ -69,14 +70,12 @@ def run_protocol_shard(
 ) -> SimulationResults:
     """One protocol-granularity shard of a five-protocol comparison.
 
-    Builds ``protocol`` (plus whatever substrate coupling the serial run
-    gives it, see ``_SHARD_BUILD``) on the comparison topology and
-    measures only that protocol over the shared sampled workloads; the
-    reports are byte-identical to the matching slice of :func:`run`.
-    Shared by Fig. 4 (G(n,m), the default builder) and Fig. 5
-    (geometric).
+    Builds ``protocol`` (plus the substrate coupling it has beside the
+    other protocols, see ``_SHARD_BUILD``) on the comparison topology and
+    measures only that protocol over the shared sampled workloads, which
+    every shard draws identically.  Shared by Fig. 4 (G(n,m), the default
+    builder) and Fig. 5 (geometric).
     """
-    scale = scale or default_scale()
     topology = (topology_builder or comparison_gnm)(scale)
     simulation = StaticSimulation(
         topology, _SHARD_BUILD[protocol], seed=scale.seed
@@ -109,7 +108,7 @@ def merge_protocol_shards(
     )
 
 
-@scenario(
+run = scenario(
     "fig04-gnm-comparison",
     title="Fig. 4: state/stretch/congestion, five protocols on G(n,m)",
     family="gnm",
@@ -122,28 +121,6 @@ def merge_protocol_shards(
     shard_runner=run_protocol_shard,
     shard_merge=merge_protocol_shards,
 )
-def run(scale: ExperimentScale | None = None) -> ComparisonResult:
-    """Run the five-protocol comparison on the G(n,m) topology.
-
-    Serially this builds one :class:`StaticSimulation` with every
-    protocol (sharing the converged substrate in memory); the sharded
-    path (`--workers`) runs one protocol per task and merges, which is
-    byte-identical because every measurement is a pure function of the
-    (identically built) scheme and the shared sampled workloads --
-    pinned by ``tests/test_scenarios_parallel.py``.
-    """
-    scale = scale or default_scale()
-    topology = comparison_gnm(scale)
-    simulation = StaticSimulation(topology, _PROTOCOLS, seed=scale.seed)
-    results = simulation.run(
-        measure_state_flag=True,
-        measure_stretch_flag=True,
-        measure_congestion_flag=True,
-        pair_sample=scale.pair_sample,
-    )
-    return ComparisonResult(
-        results=results, topology_label=topology.name, scale_label=scale.label
-    )
 
 
 def format_report(result: ComparisonResult) -> str:

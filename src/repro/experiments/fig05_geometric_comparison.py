@@ -8,7 +8,7 @@ graph are 2.4 for Disco, 30 for S4, and 39 for VRR" (§5.2).
 
 from __future__ import annotations
 
-from repro.experiments.config import ExperimentScale, default_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.fig04_gnm_comparison import (
     ComparisonResult,
     merge_protocol_shards,
@@ -22,7 +22,6 @@ from repro.experiments.reporting import (
 )
 from repro.experiments.workloads import comparison_geometric
 from repro.scenarios.spec import scenario
-from repro.staticsim.simulation import StaticSimulation
 
 __all__ = ["run", "format_report"]
 
@@ -36,7 +35,7 @@ def _run_shard(scale: ExperimentScale, protocol: str):
     )
 
 
-@scenario(
+run = scenario(
     "fig05-geometric-comparison",
     title="Fig. 5: state/stretch/congestion, five protocols on geometric "
     "latencies",
@@ -50,20 +49,6 @@ def _run_shard(scale: ExperimentScale, protocol: str):
     shard_runner=_run_shard,
     shard_merge=merge_protocol_shards,
 )
-def run(scale: ExperimentScale | None = None) -> ComparisonResult:
-    """Run the five-protocol comparison on the geometric topology."""
-    scale = scale or default_scale()
-    topology = comparison_geometric(scale)
-    simulation = StaticSimulation(topology, _PROTOCOLS, seed=scale.seed)
-    results = simulation.run(
-        measure_state_flag=True,
-        measure_stretch_flag=True,
-        measure_congestion_flag=True,
-        pair_sample=scale.pair_sample,
-    )
-    return ComparisonResult(
-        results=results, topology_label=topology.name, scale_label=scale.label
-    )
 
 
 def format_report(result: ComparisonResult) -> str:

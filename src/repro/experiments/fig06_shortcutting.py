@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.core.disco import DiscoRouting
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
-from repro.experiments.config import ExperimentScale, default_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.reporting import header
 from repro.experiments.workloads import (
     as_level_topology,
@@ -114,7 +114,7 @@ def _merge_columns(
     )
 
 
-@scenario(
+run = scenario(
     "fig06-shortcutting",
     title="Fig. 6: shortcutting heuristics vs mean first-packet stretch",
     family=("as-level", "router-level", "geometric", "gnm"),
@@ -127,12 +127,6 @@ def _merge_columns(
     shard_runner=_run_column,
     shard_merge=_merge_columns,
 )
-def run(scale: ExperimentScale | None = None) -> ShortcuttingResult:
-    """Measure mean Disco first-packet stretch under every heuristic."""
-    scale = scale or default_scale()
-    return _merge_columns(
-        scale, {label: _run_column(scale, label) for label in _TOPOLOGIES}
-    )
 
 
 def format_report(result: ShortcuttingResult) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.config import ExperimentScale, default_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.reporting import header
 from repro.experiments.workloads import sweep_gnm
 from repro.scenarios.spec import scenario
@@ -90,7 +90,7 @@ def _merge_sizes(
     return MessagingResult(reports=reports, sweep=sweep, scale_label=scale.label)
 
 
-@scenario(
+run = scenario(
     "fig08-messaging",
     title="Fig. 8: control entries per node until convergence (G(n,m) sweep)",
     family="gnm",
@@ -103,13 +103,6 @@ def _merge_sizes(
     shard_runner=_run_size,
     shard_merge=_merge_sizes,
 )
-def run(scale: ExperimentScale | None = None) -> MessagingResult:
-    """Run the convergence sweep for all five curves of Fig. 8."""
-    scale = scale or default_scale()
-    return _merge_sizes(
-        scale,
-        {str(n): _run_size(scale, str(n)) for n in scale.messaging_sweep},
-    )
 
 
 def format_report(result: MessagingResult) -> str:

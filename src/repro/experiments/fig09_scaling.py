@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.experiments.config import ExperimentScale, default_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.reporting import header
 from repro.experiments.workloads import sweep_geometric
 from repro.scenarios.spec import scenario
@@ -89,7 +89,7 @@ def _merge_sizes(
     )
 
 
-@scenario(
+run = scenario(
     "fig09-scaling",
     title="Fig. 9: mean stretch and state vs network size (geometric sweep)",
     family="geometric",
@@ -102,13 +102,6 @@ def _merge_sizes(
     shard_runner=_run_size,
     shard_merge=_merge_sizes,
 )
-def run(scale: ExperimentScale | None = None) -> ScalingResult:
-    """Run the scaling sweep over geometric random graphs."""
-    scale = scale or default_scale()
-    return _merge_sizes(
-        scale,
-        {str(n): _run_size(scale, str(n)) for n in scale.scaling_sweep},
-    )
 
 
 def format_report(result: ScalingResult) -> str:

@@ -20,8 +20,9 @@ measure exactly that:
 Sharding: ``resolution-latency`` shards by *tick segment* (the traffic
 engine replays service evolution from tick 0 and bills only its own
 ticks, so concatenating segments in order is the serial bill); the two
-sweeps shard by sweep point.  Every ``run`` is written as the merge of
-its shards, so ``repro run --workers N`` is byte-identical to serial.
+sweeps shard by sweep point.  Each ``run_*`` is its scenario's shards
+merged in key order, the same functions ``repro run --workers N`` fans
+out.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.dynamics.stream import DynEvent
-from repro.experiments.config import ExperimentScale, default_scale
+from repro.experiments.config import ExperimentScale
 from repro.experiments.reporting import header
 from repro.experiments.workloads import sweep_gnm
 from repro.resolution.service import GroupContactIndex, ShardedResolutionService
@@ -198,7 +199,7 @@ def _latency_merge(
     )
 
 
-@scenario(
+run_latency = scenario(
     "resolution-latency",
     title="Extension: lookup latency of the sharded resolution service",
     family="gnm",
@@ -211,14 +212,6 @@ def _latency_merge(
     shard_runner=_latency_run_shard,
     shard_merge=_latency_merge,
 )
-def run_latency(scale: ExperimentScale | None = None) -> ResolutionLatencyResult:
-    """Serve the flash-crowd workload and digest latency/hop CDFs."""
-    scale = scale or default_scale()
-    # The serial run IS the shard merge, so `--workers N` is byte-identical.
-    return _latency_merge(
-        scale,
-        {key: _latency_run_shard(scale, key) for key in _latency_shard_keys(scale)},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +288,7 @@ def _staleness_merge(
     )
 
 
-@scenario(
+run_staleness = scenario(
     "resolution-staleness",
     title="Extension: served staleness under shard churn, by replication",
     family="gnm",
@@ -308,18 +301,6 @@ def _staleness_merge(
     shard_runner=_staleness_run_shard,
     shard_merge=_staleness_merge,
 )
-def run_staleness(
-    scale: ExperimentScale | None = None,
-) -> ResolutionStalenessResult:
-    """Sweep the replication factor under shard crashes."""
-    scale = scale or default_scale()
-    return _staleness_merge(
-        scale,
-        {
-            key: _staleness_run_shard(scale, key)
-            for key in _staleness_shard_keys(scale)
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +386,7 @@ def _balance_merge(
     )
 
 
-@scenario(
+run_balance = scenario(
     "resolution-balance",
     title="Extension: shard load balance across the virtual-node sweep",
     family="gnm",
@@ -418,13 +399,6 @@ def _balance_merge(
     shard_runner=_balance_run_shard,
     shard_merge=_balance_merge,
 )
-def run_balance(scale: ExperimentScale | None = None) -> ResolutionBalanceResult:
-    """Sweep virtual-node counts and digest per-shard load histograms."""
-    scale = scale or default_scale()
-    return _balance_merge(
-        scale,
-        {key: _balance_run_shard(scale, key) for key in _balance_shard_keys(scale)},
-    )
 
 
 # ---------------------------------------------------------------------------

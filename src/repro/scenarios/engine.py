@@ -1,16 +1,17 @@
 """Execution planner and runner for declarative scenarios.
 
 :func:`run_scenarios` is the engine behind ``repro run``: it resolves
-ids/aliases against the registry, expands shardable scenarios into
-independent tasks, executes the tasks serially or over a process pool, and
+ids/aliases against the registry, expands every sharded scenario into one
+task per shard, executes the tasks in-process or over a process pool, and
 reassembles per-scenario results, text reports, and structured JSON
 documents.
 
 Three properties the engine guarantees:
 
 * **Determinism** -- serial and parallel execution produce byte-identical
-  reports and JSON for the same ids and scale.  Tasks are pure functions
-  of ``(scenario, shard, scale)``; the pool preserves task order; shard
+  reports and JSON for the same ids and scale.  Both run the same task
+  list through the same task function; tasks are pure functions of
+  ``(scenario, shard, scale)``; the pool preserves task order; shard
   merges key by shard name, never by completion order; and everything
   timing-related is quarantined in ``manifest.json``.
 * **Prerequisite deduplication** -- an :class:`ArtifactCache`
@@ -19,8 +20,10 @@ Three properties the engine guarantees:
   :class:`StaticSimulation` substrates shared across the selected
   scenarios are each built once.  With a disk-backed cache the dedup
   extends across worker processes and across invocations.
-* **Isolation from the legacy API** -- ``repro.experiments.runner`` keeps
-  its exact historical behavior; this engine is additive.
+* **One definition of a scenario** -- a sharded scenario's ``run`` (what
+  ``repro.experiments.runner`` and the experiment modules call) is its
+  shards merged in key order (:meth:`Scenario.run`), so a task list of
+  its shards and a direct call compute the same thing.
 """
 
 from __future__ import annotations
@@ -95,14 +98,14 @@ class ScenarioRun:
 def plan_scenarios(
     ids: Iterable[str] | None = None,
     scale: ExperimentScale | None = None,
-    *,
-    shard: bool = True,
 ) -> ExecutionPlan:
     """Resolve ids (``None`` = every registered scenario) into a plan.
 
-    Duplicate ids collapse to their first occurrence.  Aliases resolve to
-    their canonical scenario.  Resolving an id imports the experiment
-    module the catalog names for it, and no other.  Unknown ids raise
+    A sharded scenario always expands into one task per shard key, at
+    every worker count.  Duplicate ids collapse to their first
+    occurrence.  Aliases resolve to their canonical scenario.  Resolving
+    an id imports the experiment module the catalog names for it, and no
+    other.  Unknown ids raise
     :class:`~repro.scenarios.registry.UnknownScenarioError` with near-miss
     suggestions; a module that does not load raises
     :class:`~repro.scenarios.registry.ScenarioLoadError`.
@@ -118,10 +121,7 @@ def plan_scenarios(
                 seen.add(scenario.scenario_id)
                 scenarios.append(scenario)
     entries = tuple(
-        PlanEntry(
-            scenario=scenario,
-            shard_keys=scenario.shard_keys(scale) if shard else (),
-        )
+        PlanEntry(scenario=scenario, shard_keys=scenario.shard_keys(scale))
         for scenario in scenarios
     )
     return ExecutionPlan(entries=entries, scale=scale)
@@ -215,31 +215,40 @@ def _publish_cached_tables(
 
 
 def _run_task(
-    task: tuple[str, str | None]
+    task: tuple[str, str | None],
+    scale: ExperimentScale,
+    cache: ArtifactCache | None,
 ) -> tuple[float, int, int, object]:
-    """Execute one task in a worker; returns (seconds, hits, misses, payload).
+    """Execute one task; returns (seconds, hits, misses, payload).
 
-    The hit/miss counts are the *deltas* this task contributed to the
-    worker's cache, so the parent can aggregate accurate bookkeeping across
-    the pool (each worker process has its own :class:`ArtifactCache`).
+    The in-process loop and the pool workers both run tasks through here.
+    The hit/miss counts are the *deltas* this task contributed to
+    ``cache``, so the parent can aggregate accurate bookkeeping across the
+    pool (each worker process has its own :class:`ArtifactCache`).
     """
     scenario_id, shard_key = task
     scenario = registry.resolve(scenario_id)
-    cache = _WORKER_CACHE
     hits_before = cache.hits if cache else 0
     misses_before = cache.misses if cache else 0
     start = time.perf_counter()
     with activated(cache):
         if shard_key is None:
-            payload = scenario.run(_WORKER_SCALE)
+            payload = scenario.run(scale)
         else:
-            payload = scenario.run_shard(_WORKER_SCALE, shard_key)
+            payload = scenario.shard_runner(scale, shard_key)
     return (
         time.perf_counter() - start,
         (cache.hits - hits_before) if cache else 0,
         (cache.misses - misses_before) if cache else 0,
         payload,
     )
+
+
+def _run_worker_task(
+    task: tuple[str, str | None]
+) -> tuple[float, int, int, object]:
+    """:func:`_run_task` against the worker's scale and cache."""
+    return _run_task(task, _WORKER_SCALE, _WORKER_CACHE)
 
 
 def _normalize_cache(
@@ -269,8 +278,9 @@ def run_scenarios(
         Experiment scale (default: :func:`default_scale`, which honours
         ``REPRO_SCALE``).
     workers:
-        ``> 1`` fans scenarios *and* their shards out over a process pool
-        of that size; ``<= 1`` runs everything serially in-process.
+        ``> 1`` fans the task list -- one task per shard of a sharded
+        scenario, one per unsharded scenario -- out over a process pool
+        of that size; ``<= 1`` runs the same tasks in order in-process.
         Output is byte-identical either way.
     json_dir:
         When given, writes ``<id>.json`` per scenario (deterministic
@@ -287,7 +297,7 @@ def run_scenarios(
     """
     say = echo or (lambda message: None)
     cache = _normalize_cache(cache)
-    plan = plan_scenarios(ids, scale, shard=workers > 1)
+    plan = plan_scenarios(ids, scale)
     scale = plan.scale
     tasks = plan.tasks()
     say(
@@ -296,16 +306,6 @@ def run_scenarios(
         f"cache={'off' if cache is None else (cache.root or 'memory')}"
     )
     started = time.perf_counter()
-    task_outputs: dict[tuple[str, str | None], tuple[float, object]] = {}
-    # Per-scenario cache bookkeeping (hit/miss deltas summed over the
-    # scenario's tasks), recorded in manifest.json.
-    scenario_cache: dict[str, list[int]] = {}
-
-    def book(scenario_id: str, hits: int, misses: int) -> None:
-        entry = scenario_cache.setdefault(scenario_id, [0, 0])
-        entry[0] += hits
-        entry[1] += misses
-
     if workers > 1 and len(tasks) > 1:
         from multiprocessing import Pool
 
@@ -327,35 +327,21 @@ def run_scenarios(
                     shared_handles,
                 ),
             ) as pool:
-                for task, (seconds, hits, misses, payload) in zip(
-                    tasks, pool.map(_run_task, tasks, chunksize=1)
-                ):
-                    task_outputs[task] = (seconds, payload)
-                    book(task[0], hits, misses)
+                outputs = pool.map(_run_worker_task, tasks, chunksize=1)
         finally:
             for publication in publications:
                 publication.close()
     else:
-        with activated(cache):
-            for task in tasks:
-                scenario = registry.resolve(task[0])
-                hits_before = cache.hits if cache else 0
-                misses_before = cache.misses if cache else 0
-                task_started = time.perf_counter()
-                if task[1] is None:
-                    payload = scenario.run(scale)
-                else:
-                    payload = scenario.run_shard(scale, task[1])
-                task_outputs[task] = (
-                    time.perf_counter() - task_started,
-                    payload,
-                )
-                if cache is not None:
-                    book(
-                        task[0],
-                        cache.hits - hits_before,
-                        cache.misses - misses_before,
-                    )
+        outputs = [_run_task(task, scale, cache) for task in tasks]
+    task_outputs: dict[tuple[str, str | None], tuple[float, object]] = {}
+    # Per-scenario cache bookkeeping (hit/miss deltas summed over the
+    # scenario's tasks), recorded in manifest.json.
+    scenario_cache: dict[str, list[int]] = {}
+    for task, (seconds, hits, misses, payload) in zip(tasks, outputs):
+        task_outputs[task] = (seconds, payload)
+        entry = scenario_cache.setdefault(task[0], [0, 0])
+        entry[0] += hits
+        entry[1] += misses
     cache_hits = sum(entry[0] for entry in scenario_cache.values())
     cache_misses = sum(entry[1] for entry in scenario_cache.values())
 
@@ -372,7 +358,7 @@ def run_scenarios(
                 task_outputs[(scenario_id, key)][0]
                 for key in entry.shard_keys
             )
-            result = scenario.merge_shards(scale, parts)
+            result = scenario.shard_merge(scale, parts)
         else:
             seconds, result = task_outputs[(scenario_id, None)]
         report = scenario.format_report(result)

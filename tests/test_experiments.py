@@ -23,6 +23,7 @@ from repro.experiments.workloads import (
     large_geometric,
     router_level_topology,
 )
+from repro.scenarios import resolve
 
 TINY = ExperimentScale(
     comparison_nodes=72,
@@ -57,6 +58,25 @@ class TestConfig:
     def test_scaled_minimum_size(self):
         tiny = ExperimentScale().scaled(0.001)
         assert tiny.comparison_nodes >= 16
+
+    @pytest.mark.parametrize(
+        "factor, messaging, scaling",
+        [
+            (0.05, (16,), (16, 26, 38, 51)),
+            (0.1, (16, 19, 26), (26, 51, 77, 102)),
+            (0.2, (16, 26, 38, 51), (51, 102, 154, 205)),
+        ],
+    )
+    def test_scaled_sweeps_keep_each_size_once(
+        self, factor, messaging, scaling
+    ):
+        # The clamp to 16 nodes makes small-scale sizes coincide; a sweep
+        # keeps each size once, in order (0.2 is unchanged by this).
+        scale = ExperimentScale().scaled(factor)
+        assert scale.messaging_sweep == messaging
+        assert scale.scaling_sweep == scaling
+        keys = resolve("fig08-messaging").shard_keys(scale)
+        assert keys == tuple(str(n) for n in messaging)
 
     def test_scale_is_frozen(self):
         with pytest.raises(AttributeError):

@@ -8,17 +8,20 @@ decomposition, prerequisite caching, and JSON serialization).
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import fig02_state_cdf, fig09_scaling
+from repro.experiments import fig09_scaling
 from repro.experiments.config import ExperimentScale
 from repro.experiments.runner import EXPERIMENTS
 from repro.cli import main
 from repro.scenarios import (
     ArtifactCache,
+    Scenario,
     ScenarioLoadError,
     UnknownScenarioError,
     all_scenarios,
@@ -44,6 +47,14 @@ TINY = ExperimentScale(
     seed=11,
     label="tiny-test",
 )
+
+
+def _ghost_shard(scale, key, suffix=""):
+    return f"{key}:{scale.seed}{suffix}"
+
+
+def _ghost_merge(scale, parts, suffix=""):
+    return " ".join(parts.values())
 
 
 class TestRegistry:
@@ -120,6 +131,46 @@ class TestRegistry:
         assert "cannot load experiment 'ghost-study'" in captured.err
         assert module in captured.err
 
+    def test_a_sharded_scenario_runs_its_shards_and_has_no_body(self):
+        sharded = [s for s in all_scenarios() if s.shards is not None]
+        assert len(sharded) == 12
+        for spec in all_scenarios():
+            assert (spec.body is None) == (spec.shards is not None)
+        for spec in sharded:
+            # The registered run is Scenario.run, and it is what the
+            # module publishes (run, or run_latency & co.), not a body.
+            assert spec.run.__func__ is Scenario.run
+            published = [
+                name
+                for name, value in vars(sys.modules[spec.module]).items()
+                if getattr(value, "__self__", None) is spec
+            ]
+            assert len(published) == 1, spec.scenario_id
+            assert published[0].startswith("run"), spec.scenario_id
+
+    def test_sharded_declaration_cannot_take_a_body(self, monkeypatch):
+        row = registry.CatalogRow("ghost-study", ("ghost",), __name__)
+        monkeypatch.setattr(registry, "CATALOG", (*registry.CATALOG, row))
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        run = scenario(
+            "ghost-study",
+            title="t",
+            aliases=("ghost",),
+            shards=("b", "a"),
+            shard_runner=_ghost_shard,
+            shard_merge=_ghost_merge,
+        )
+        assert resolve("ghost").run == run
+        assert run(TINY) == "b:11 a:11"
+        assert run(TINY, suffix="!") == "b:11! a:11!"
+        with pytest.raises(TypeError, match="cannot decorate a body"):
+            # What `@scenario(..., shards=...)` over a def would do.
+            run(lambda scale=None: None)
+        with pytest.raises(ValueError, match="no shards"):
+            scenario("ghost-study", title="t", shard_runner=_ghost_shard)
+        with pytest.raises(ValueError, match="no shard_runner"):
+            scenario("ghost-study", title="t", shards=("a",))
+
     def test_specs_are_complete(self):
         for scenario in all_scenarios():
             assert scenario.title
@@ -148,26 +199,6 @@ class TestShards:
     def test_unsharded_scenario_has_no_keys(self):
         assert resolve("fig07-state-bytes").shard_keys(TINY) == ()
 
-    def test_shard_merge_equals_direct_run(self):
-        scenario = resolve("fig02-state-cdf")
-        direct = fig02_state_cdf.run(TINY)
-        parts = {
-            key: scenario.run_shard(TINY, key)
-            for key in scenario.shard_keys(TINY)
-        }
-        merged = scenario.merge_shards(TINY, parts)
-        assert scenario.format_report(merged) == scenario.format_report(direct)
-
-    def test_sweep_shard_merge_equals_direct_run(self):
-        scenario = resolve("fig09-scaling")
-        direct = fig09_scaling.run(TINY)
-        parts = {
-            key: scenario.run_shard(TINY, key)
-            for key in scenario.shard_keys(TINY)
-        }
-        merged = scenario.merge_shards(TINY, parts)
-        assert merged == direct
-
     def test_plan_expands_shards(self):
         plan = plan_scenarios(["fig02-state-cdf", "fig07-state-bytes"], TINY)
         assert plan.tasks() == [
@@ -177,14 +208,17 @@ class TestShards:
             ("fig07-state-bytes", None),
         ]
 
-    def test_plan_without_sharding(self):
-        plan = plan_scenarios(["fig02-state-cdf"], TINY, shard=False)
-        assert plan.tasks() == [("fig02-state-cdf", None)]
+    def test_repeated_shard_keys_are_refused(self):
+        # The engine merges shard results by key: a repeated sweep size
+        # would be one task's result standing in for two.
+        scale = dataclasses.replace(TINY, messaging_sweep=(20, 20))
+        with pytest.raises(ValueError, match="repeated shard keys"):
+            resolve("fig08-messaging").shard_keys(scale)
+        with pytest.raises(ValueError, match="repeated shard keys"):
+            plan_scenarios(["fig08"], scale)
 
     def test_plan_deduplicates_and_resolves_aliases(self):
-        plan = plan_scenarios(
-            ["fig07", "fig07-state-bytes", "addr"], TINY, shard=False
-        )
+        plan = plan_scenarios(["fig07", "fig07-state-bytes", "addr"], TINY)
         assert [e.scenario.scenario_id for e in plan.entries] == [
             "fig07-state-bytes",
             "addr-sizes",

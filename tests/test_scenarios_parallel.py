@@ -1,14 +1,17 @@
 """Determinism under sharding: parallel output is byte-identical to serial.
 
-This is the differential test backing ``repro run --workers N``: for a fast
-scenario subset, a 2-worker process-pool run (scenarios *and* shards fanned
-out, artifact cache shared on disk) must produce byte-identical JSON
-documents and text reports to a serial run.
+This is the differential test backing ``repro run --workers N``: a serial
+run and a 2-worker process-pool run (scenarios *and* shards fanned out,
+artifact cache shared on disk) execute the same task list, and must
+produce byte-identical JSON documents and text reports.  Every sharded
+scenario's document is also held to a frozen digest (:data:`GOLDEN`), so
+the two runs cannot drift together.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 from oracles.replay import replay_bills
@@ -35,6 +38,44 @@ TINY = ExperimentScale(
 # scale-dependent sweep) plus an unsharded scenario.
 SUBSET = ["fig02-state-cdf", "fig09-scaling", "addr-sizes"]
 
+#: sha256 of each sharded scenario's ``<id>.json`` at :data:`TINY`,
+#: computed at commit 4f8ecdd through the hand-written serial bodies the
+#: scenarios had then: for fig04 and fig05 one five-protocol
+#: ``StaticSimulation`` sharing a substrate, for ablations the four studies
+#: inline.  Every serial and 2-worker run below is checked against them.
+GOLDEN = {
+    "ablations": "57edb263483bebde297bf215958993b99bd546cbec65286a976eb54a0e508466",
+    "churn-cost": "f9800dc9c82a9364c9f54927acb6eebc5d2dcbe5671372af099ad5d225a7f448",
+    "fig02-state-cdf": "8c0ab4ca5791bf0af8ed99a948f5a8d85c75e3922092e1d181cdfc0db02d5ee3",
+    "fig03-stretch-cdf": "fda01c70c000dfa8e6e892e355661af6438c445eed4bcaa0225cdec3a8f2d545",
+    "fig04-gnm-comparison": "4695864e650aeb8d604481e77202ae9b3f9ba6b115b453cbd857e2d63cff5e77",
+    "fig05-geometric-comparison": "99105b256a0fd7bf9fce506150aaf81553343a03232d6d2479f03b615b57a37f",
+    "fig06-shortcutting": "c6d4f73e2987b9e68c69fbcedb952a1f9c1eb62ab8ccd500e4a9e22faa61bd0d",
+    "fig08-messaging": "1ffbca11d74bbf8717062f7e778d3e2ba9d9567fc3909efc9f9c6976a033e686",
+    "fig09-scaling": "b2abb5297c70874daa506b2963f7514a7449b66d57bc015439486d8b023ae2e9",
+    "resolution-latency": "0cd9305b0e42d43e80c75931008dcaebc3d5c23d7be42bcfc2311ac2cffa6b28",
+    "resolution-staleness": "b60d70b41bec3688dbcc2e74b2df946423e21158b3bbff82604e1cff4921709e",
+    "resolution-balance": "4c947927ce0c45eb4515c5175cb5c79562ba855638ade7d2f8542efe01cd4786",
+}
+
+
+def assert_serial_parallel_golden(serial_dir, parallel_dir, scenario_ids):
+    """Both runs wrote the same bytes, the golden ones where frozen, and
+    booked the same number of tasks per scenario."""
+    serial_manifest = json.loads((serial_dir / "manifest.json").read_text())
+    parallel_manifest = json.loads(
+        (parallel_dir / "manifest.json").read_text()
+    )
+    for scenario_id in scenario_ids:
+        serial_bytes = (serial_dir / f"{scenario_id}.json").read_bytes()
+        parallel_bytes = (parallel_dir / f"{scenario_id}.json").read_bytes()
+        assert parallel_bytes == serial_bytes, scenario_id
+        if scenario_id in GOLDEN:
+            digest = hashlib.sha256(serial_bytes).hexdigest()
+            assert digest == GOLDEN[scenario_id], scenario_id
+        tasks = serial_manifest["scenarios"][scenario_id]["tasks"]
+        assert parallel_manifest["scenarios"][scenario_id]["tasks"] == tasks
+
 
 class TestDeterminismUnderSharding:
     def test_workers_produce_byte_identical_json_and_reports(self, tmp_path):
@@ -52,15 +93,11 @@ class TestDeterminismUnderSharding:
         )
         for scenario_id in SUBSET:
             assert parallel[scenario_id].report == serial[scenario_id].report
-            serial_bytes = (serial_dir / f"{scenario_id}.json").read_bytes()
-            parallel_bytes = (
-                parallel_dir / f"{scenario_id}.json"
-            ).read_bytes()
-            assert parallel_bytes == serial_bytes
+        assert_serial_parallel_golden(serial_dir, parallel_dir, SUBSET)
 
     def test_protocol_shards_are_byte_identical(self, tmp_path):
         """Figs. 4/5 (per-protocol) and ablations (per-study) shards must
-        reproduce the serial output byte for byte."""
+        reproduce the single-simulation output byte for byte."""
         subset = [
             "fig04-gnm-comparison",
             "fig05-geometric-comparison",
@@ -80,9 +117,31 @@ class TestDeterminismUnderSharding:
         )
         for scenario_id in subset:
             assert parallel[scenario_id].report == serial[scenario_id].report
-            assert (parallel_dir / f"{scenario_id}.json").read_bytes() == (
-                serial_dir / f"{scenario_id}.json"
-            ).read_bytes()
+        assert_serial_parallel_golden(serial_dir, parallel_dir, subset)
+
+    def test_remaining_sharded_scenarios_match_golden(self, tmp_path):
+        """The sharded scenarios no other test here runs: topology
+        columns/panels and the three resolution studies."""
+        subset = [
+            "fig03-stretch-cdf",
+            "fig06-shortcutting",
+            "resolution-latency",
+            "resolution-staleness",
+            "resolution-balance",
+        ]
+        serial_dir = tmp_path / "serial"
+        parallel_dir = tmp_path / "parallel"
+        run_scenarios(
+            subset, scale=TINY, workers=1, json_dir=serial_dir, cache=None
+        )
+        run_scenarios(
+            subset,
+            scale=TINY,
+            workers=2,
+            json_dir=parallel_dir,
+            cache=tmp_path / "cache",
+        )
+        assert_serial_parallel_golden(serial_dir, parallel_dir, subset)
 
     def test_manifest_records_run_bookkeeping(self, tmp_path):
         run_scenarios(
@@ -162,9 +221,7 @@ class TestChurnScenarioSharding:
         )
         for scenario_id in self.SUBSET:
             assert parallel[scenario_id].report == serial[scenario_id].report
-            assert (parallel_dir / f"{scenario_id}.json").read_bytes() == (
-                serial_dir / f"{scenario_id}.json"
-            ).read_bytes()
+        assert_serial_parallel_golden(serial_dir, parallel_dir, self.SUBSET)
         # Manifest bookkeeping: the fan-out makes the same artifact
         # requests per scenario (hit/miss totals match; the cold split is
         # schedule-dependent when two workers race the same prerequisite),
