@@ -35,7 +35,8 @@ def main() -> None:
     #    overlay's finger choices, so results are fully reproducible.
     disco = DiscoRouting(topology, seed=42)
     print(f"landmarks: {len(disco.landmarks)} of {topology.num_nodes} nodes")
-    print(f"vicinity size: {len(disco.vicinities[0])} nodes per node")
+    members, _, _ = disco.tables.vicinity.row(0)
+    print(f"vicinity size: {len(members)} nodes per node")
 
     # 3. Route a flow.  Disco is name-independent: the sender only knows the
     #    destination's flat name; the first packet finds the address through

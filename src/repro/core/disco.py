@@ -34,7 +34,7 @@ from repro.core.nddisco import NDDiscoRouting
 from repro.core.overlay import DisseminationOverlay
 from repro.core.shortcutting import ShortcutMode
 from repro.core.sloppy_groups import SloppyGrouping
-from repro.core.tables import SubstrateTables, VicinityView
+from repro.core.tables import SubstrateTables
 from repro.graphs.topology import Topology
 from repro.naming.hashspace import HASH_BITS, hash_prefix
 from repro.naming.names import FlatName
@@ -198,11 +198,6 @@ class DiscoRouting(RoutingScheme):
     def landmarks(self) -> set[int]:
         """The landmark set."""
         return self._nddisco.landmarks
-
-    @property
-    def vicinities(self) -> list[VicinityView]:
-        """Per-node vicinities."""
-        return self._nddisco.vicinities
 
     def group_address_entries(self, node: int) -> int:
         """Sloppy-group address mappings stored at ``node`` (excluding its own)."""

@@ -33,6 +33,7 @@ Routing behaviour:
 from __future__ import annotations
 
 from itertools import compress
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from repro.addressing.address import Address
@@ -45,7 +46,7 @@ from repro.core.shortcutting import (
     truncate_at_destination,
 )
 from repro.core.substrate_build import build_substrate_tables
-from repro.core.tables import NodeSearchTables, SubstrateTables, VicinityView
+from repro.core.tables import NodeSearchTables, SubstrateTables
 from repro.graphs.topology import Topology
 from repro.naming.names import FlatName, name_for_node
 from repro.protocols.base import LandmarkRouter, RouteResult, RoutingScheme
@@ -150,8 +151,10 @@ class NDDiscoRouting(RoutingScheme):
         # writes kernel results straight into the preallocated slabs --
         # fanning the SPT and vicinity phases over kernel threads and
         # optionally packing into mmap-backed storage.  Injected
-        # vicinities replace its vicinity phase, in RAM.  Every attribute
-        # below is a thin list/dict-shaped view over the slabs.
+        # vicinities replace its vicinity phase, in RAM.  The scheme keeps
+        # the tables object and reads every slab through it: no attribute
+        # aliases a slab, so a pickled shell references the tables once
+        # and an mmap- or shm-backed substrate stays picklable.
         self._codec = LabelCodec(topology)
         injected = vicinities is not None
         if injected and vicinities.num_nodes != n:
@@ -171,15 +174,7 @@ class NDDiscoRouting(RoutingScheme):
         )
         if injected:
             self._tables.vicinity = vicinities
-        self._landmark_spts = self._tables.spt_rows()
-        self._closest_landmark, self._closest_landmark_distance = (
-            self._tables.closest_rows()
-        )
-        self._vicinities = self._tables.vicinity_views()
         self._addresses: list[Address] = self._tables.addresses()
-        self._landmark_distances = {
-            landmark: rows[0] for landmark, rows in self._landmark_spts.items()
-        }
 
         # Name-resolution database over the landmarks.
         self._resolution = LandmarkResolutionDatabase(
@@ -204,27 +199,25 @@ class NDDiscoRouting(RoutingScheme):
         return set(self._landmarks)
 
     @property
-    def vicinities(self) -> list[VicinityView]:
-        """Per-node vicinity tables (indexed by node id)."""
-        return self._vicinities
+    def vicinities(self) -> "_BenchVicinities":
+        """Bench-only shim (ROADMAP item 2): ``vicinities[v].distances``.
+
+        The frozen ``bench/workloads/converge.py`` reads
+        ``dict(nddisco.vicinities[node].distances.items())``; nothing in
+        ``src/`` may.  Readers take ``tables.vicinity.row(v)``.
+        """
+        return _BenchVicinities(self._tables.vicinity)
 
     @property
-    def landmark_spts(self) -> dict[int, tuple[list[float], list[int]]]:
-        """Dense landmark SPT rows, keyed by landmark.
+    def closest_landmark_rows(self) -> tuple:
+        """Bench-only shim (ROADMAP item 2): the closest-landmark slabs.
 
-        Exposed so that another scheme built on the same landmark set (S4 in
-        :class:`~repro.staticsim.simulation.StaticSimulation`) can reuse the
-        trees instead of recomputing them.  Treat as read-only.
+        The frozen ``bench/workloads/converge.py`` reads
+        ``array("d", nddisco.closest_landmark_rows[1])``; nothing in
+        ``src/`` may.  Readers take ``tables.closest`` /
+        ``tables.closest_dist``.
         """
-        return self._landmark_spts
-
-    @property
-    def closest_landmark_rows(self) -> tuple[list[int], list[float]]:
-        """Per-node closest landmark and its distance, indexed by node id.
-
-        Shared with sibling schemes like :attr:`landmark_spts`; read-only.
-        """
-        return self._closest_landmark, self._closest_landmark_distance
+        return self._tables.closest, self._tables.closest_dist
 
     @property
     def addresses(self) -> list[Address]:
@@ -258,12 +251,17 @@ class NDDiscoRouting(RoutingScheme):
             raise TypeError(f"expected ShortcutMode, got {type(mode).__name__}")
         self._shortcut_mode = mode
 
+    # The four accessors below raise ValueError for a node outside 0..n-1:
+    # the slabs they read are flat, so such an id would read another row.
+
     def closest_landmark(self, node: int) -> int:
         """Return ℓv, the landmark closest to ``node``."""
-        return self._closest_landmark[node]
+        self._check_endpoints(node, node)
+        return self._tables.closest[node]
 
     def address_of(self, node: int) -> Address:
         """Return the address of ``node``."""
+        self._check_endpoints(node, node)
         return self._addresses[node]
 
     def landmark_distance(self, landmark: int, node: int) -> float:
@@ -274,14 +272,16 @@ class NDDiscoRouting(RoutingScheme):
         KeyError
             If ``landmark`` is not a landmark.
         """
-        if landmark not in self._landmark_distances:
+        if landmark not in self._landmarks:
             raise KeyError(f"{landmark} is not a landmark")
-        return self._landmark_distances[landmark][node]
+        self._check_endpoints(node, node)
+        return self._tables.spt_distance(landmark, node)
 
     def landmark_path(self, landmark: int, node: int) -> list[int]:
         """Return the landmark's SPT path from ``landmark`` to ``node``."""
         if landmark not in self._landmarks:
             raise KeyError(f"{landmark} is not a landmark")
+        self._check_endpoints(node, node)
         return self._tables.spt_path(landmark, node)
 
     # -- state accounting ---------------------------------------------------
@@ -387,7 +387,7 @@ class _NDDiscoRouter(LandmarkRouter):
     def __init__(self, scheme: NDDiscoRouting) -> None:
         super().__init__(scheme)
         self.landmarks = scheme._landmarks
-        self.closest = scheme._closest_landmark
+        self.closest = scheme.tables.closest
         mode = scheme.shortcut_mode
         self._per_hop = mode.per_hop_heuristic
         self.uses_reverse = mode.uses_reverse_route
@@ -532,4 +532,21 @@ class _NDDiscoRouter(LandmarkRouter):
         return (
             self._first(source, target),
             self.later_indirect(source, target),
+        )
+
+
+class _BenchVicinities:
+    """``vicinities[v].distances``: node ``v``'s row as a member -> distance
+    dict, built per index.  Only :attr:`NDDiscoRouting.vicinities` makes
+    one, for the frozen ``bench/``."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: NodeSearchTables) -> None:
+        self._table = table
+
+    def __getitem__(self, node: int) -> SimpleNamespace:
+        members, dists, _ = self._table.row(node)
+        return SimpleNamespace(
+            distances=dict(zip(members.tolist(), dists.tolist()))
         )

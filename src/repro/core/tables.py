@@ -16,9 +16,12 @@ CSR snapshot did for the graph itself in PR 1:
 * **Address payloads** -- per-node explicit-route node paths, labels, and
   bit sizes as CSR slabs.
 
-The scheme attributes still expose the slabs through thin mapping-shaped
-views (:class:`Row`, :class:`SearchMap`, :class:`VicinityView`), while the
-routers read the rows directly.  One builder fills the slabs, the slab-direct
+Every reader reads rows: a vicinity or ball row is
+:meth:`NodeSearchTables.row` (or :meth:`NodeSearchTables.path_from_owner`
+for a path along it), a landmark's is a slice of the SPT slabs
+(:meth:`SubstrateTables.spt_distance` / :meth:`~SubstrateTables.spt_path`
+for one entry), and the schemes hold this object, never a slab of it.  One
+builder fills the slabs, the slab-direct
 :func:`repro.core.substrate_build.build_substrate_tables`.
 
 The same class is the churn engine's live state
@@ -48,13 +51,10 @@ from repro.graphs.csr import tree_path
 
 __all__ = [
     "NodeSearchTables",
-    "Row",
-    "SearchMap",
     "SharedTables",
     "SharedTablesHandle",
     "SlabArena",
     "SubstrateTables",
-    "VicinityView",
     "SLAB_SCHEMA",
 ]
 
@@ -64,161 +64,13 @@ __all__ = [
 SLAB_SCHEMA = "repro-tables-slabs/v1"
 
 
-class Row:
-    """Read-only, list-shaped view of one row of a slab.
-
-    Indexing, ``len``, iteration, ``reversed``, slicing (returns a list),
-    and element-wise equality against any sequence all behave like the
-    dense ``list`` rows they replace.  Pickling reduces to the owning
-    tables object plus coordinates, so every pickle of a substrate carries
-    each slab's bytes exactly once no matter how many rows view it.
-    """
-
-    __slots__ = ("_owner", "_slot", "_start", "_stop", "_view")
-
-    def __init__(self, owner: object, slot: str, start: int, stop: int) -> None:
-        self._owner = owner
-        self._slot = slot
-        self._start = start
-        self._stop = stop
-        self._view = memoryview(getattr(owner, slot))[start:stop]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._view[index].tolist()
-        return self._view[index]
-
-    def __len__(self) -> int:
-        return len(self._view)
-
-    def __iter__(self):
-        return iter(self._view)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Row):
-            other = other._view
-        try:
-            length = len(other)  # type: ignore[arg-type]
-        except TypeError:
-            return NotImplemented
-        if len(self._view) != length:
-            return False
-        view = self._view
-        return all(view[i] == other[i] for i in range(length))  # type: ignore[index]
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def tolist(self) -> list:
-        """Materialize the row as a plain list."""
-        return self._view.tolist()
-
-    def __reduce__(self):
-        return (Row, (self._owner, self._slot, self._start, self._stop))
-
-    def __repr__(self) -> str:
-        return (
-            f"Row({type(self._owner).__name__}.{self._slot}"
-            f"[{self._start}:{self._stop}])"
-        )
-
-
-class SearchMap:
-    """Dict-shaped read-only view of one node's truncated-search row.
-
-    Maps member node id -> value (distance or parent) over the slab range
-    ``[lo, hi)`` of a :class:`NodeSearchTables`.  Iteration preserves the
-    Dijkstra settle order the historical dicts had; membership and lookup
-    go through the table's lazy per-node position index.
-    """
-
-    __slots__ = ("_table", "_node", "_slot", "_lo", "_hi")
-
-    def __init__(
-        self, table: "NodeSearchTables", node: int, slot: str, lo: int, hi: int
-    ) -> None:
-        self._table = table
-        self._node = node
-        self._slot = slot
-        self._lo = lo
-        self._hi = hi
-
-    def _position(self, key: object) -> int | None:
-        if type(key) is not int:
-            if not isinstance(key, int):
-                return None
-            key = int(key)
-        position = self._table._index(self._node).get(key)
-        if position is None or not self._lo <= position < self._hi:
-            return None
-        return position
-
-    def __contains__(self, key: object) -> bool:
-        return self._position(key) is not None
-
-    def __getitem__(self, key: int):
-        position = self._position(key)
-        if position is None:
-            raise KeyError(key)
-        return getattr(self._table, self._slot)[position]
-
-    def get(self, key: int, default=None):
-        position = self._position(key)
-        if position is None:
-            return default
-        return getattr(self._table, self._slot)[position]
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-    def __iter__(self):
-        return iter(memoryview(self._table.members)[self._lo : self._hi])
-
-    def keys(self):
-        return memoryview(self._table.members)[self._lo : self._hi].tolist()
-
-    def values(self):
-        return memoryview(getattr(self._table, self._slot))[
-            self._lo : self._hi
-        ].tolist()
-
-    def items(self):
-        members = memoryview(self._table.members)[self._lo : self._hi]
-        values = memoryview(getattr(self._table, self._slot))[
-            self._lo : self._hi
-        ]
-        return zip(members.tolist(), values.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SearchMap):
-            other = dict(other.items())
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        if len(other) != len(self):
-            return False
-        return all(
-            key in other and other[key] == value for key, value in self.items()
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __reduce__(self):
-        return (
-            SearchMap,
-            (self._table, self._node, self._slot, self._lo, self._hi),
-        )
-
-    def __repr__(self) -> str:
-        return f"SearchMap(node={self._node}, {self._slot}, n={len(self)})"
-
-
 class NodeSearchTables:
     """Per-node truncated-search results as CSR slabs.
 
     One row per node, members in settle order (``members[offset[v]]`` is
-    ``v`` itself).  Backs both the NDDisco vicinities and the S4 reverse
-    clusters ("balls"); :meth:`distance_map` / :meth:`predecessor_map`
-    give the dict-shaped views the routing code consumes (the predecessor
-    map of a row excludes the owner, matching the historical dicts).
+    ``v`` itself, with parent -1).  Backs both the NDDisco vicinities and
+    the S4 reverse clusters ("balls"); readers take :meth:`row` or walk
+    :meth:`path_from_owner`.
 
     Row ``v`` is ``[offsets[v], offsets[v] + lengths[v])``.  Without
     ``lengths`` the rows are *packed* (row ``v`` ends where ``v + 1``
@@ -265,8 +117,9 @@ class NodeSearchTables:
         >>> table = NodeSearchTables.from_searches(
         ...     [({0: 0.0, 1: 2.5}, {1: 0}), ({1: 0.0, 0: 2.5}, {0: 1})]
         ... )
-        >>> dict(table.distance_map(1).items())
-        {1: 0.0, 0: 2.5}
+        >>> members, dists, parents = table.row(1)
+        >>> members.tolist(), dists.tolist(), parents.tolist()
+        ([1, 0], [0.0, 2.5], [-1, 1])
         >>> table.path_from_owner(0, 1)
         [0, 1]
         """
@@ -336,7 +189,10 @@ class NodeSearchTables:
         )
 
     def row(self, node: int) -> tuple[memoryview, memoryview, memoryview]:
-        """``node``'s flat ``(members, dists, parents)`` row, as slab views."""
+        """``node``'s flat ``(members, dists, parents)`` row, as slab views.
+
+        Raises ``IndexError`` unless ``0 <= node < num_nodes``.
+        """
         lo, hi = self.row_bounds(node)
         return (
             memoryview(self.members)[lo:hi],
@@ -356,30 +212,26 @@ class NodeSearchTables:
 
     def row_bounds(self, node: int) -> tuple[int, int]:
         """The ``[lo, hi)`` slab range of ``node``'s row."""
+        if not 0 <= node < self.num_nodes:
+            raise IndexError(f"node {node} out of range (n={self.num_nodes})")
         lo = self.offsets[node]
         if self.lengths is None:
             return lo, self.offsets[node + 1]
         return lo, lo + self.lengths[node]
 
-    def distance_map(self, node: int) -> SearchMap:
-        """Member -> distance view for ``node`` (includes the owner at 0)."""
-        lo, hi = self.row_bounds(node)
-        return SearchMap(self, node, "dists", lo, hi)
-
-    def predecessor_map(self, node: int) -> SearchMap:
-        """Member -> parent view for ``node`` (excludes the owner)."""
-        lo, hi = self.row_bounds(node)
-        return SearchMap(self, node, "parents", lo + 1, hi)
-
     def path_from_owner(self, node: int, member: int) -> list[int]:
-        """Shortest path ``node .. member`` along the row's search tree."""
+        """Shortest path ``node .. member`` along the row's search tree.
+
+        Raises ``IndexError`` unless ``0 <= node < num_nodes``, and
+        ``KeyError`` if ``member`` is not in the row.
+        """
+        lo, _ = self.row_bounds(node)
         if member == node:
             return [node]
         index = self._index(node)
         position = index.get(member)
         if position is None:
             raise KeyError(member)
-        lo = self.offsets[node]
         parents = self.parents
         path = [member]
         current = member
@@ -414,72 +266,6 @@ class NodeSearchTables:
         self._indexes = [None] * self.num_nodes
 
 
-class VicinityView:
-    """One node's vicinity row behind a mapping-shaped interface.
-
-    Membership, ``len``, ``distances`` / ``predecessors`` mappings (settle
-    order preserved), ``path_to``, ``distance_to``, ``members``, and
-    ``radius``, read from the row of a :class:`NodeSearchTables`.
-    """
-
-    __slots__ = ("_table", "node", "_distances", "_predecessors")
-
-    def __init__(self, table: NodeSearchTables, node: int) -> None:
-        self._table = table
-        self.node = node
-        self._distances: SearchMap | None = None
-        self._predecessors: SearchMap | None = None
-
-    @property
-    def distances(self) -> SearchMap:
-        if self._distances is None:
-            self._distances = self._table.distance_map(self.node)
-        return self._distances
-
-    @property
-    def predecessors(self) -> SearchMap:
-        if self._predecessors is None:
-            self._predecessors = self._table.predecessor_map(self.node)
-        return self._predecessors
-
-    def __contains__(self, other: int) -> bool:
-        return other in self.distances
-
-    def __len__(self) -> int:
-        lo, hi = self._table.row_bounds(self.node)
-        return hi - lo
-
-    @property
-    def members(self) -> set[int]:
-        """The member node ids (including the owner)."""
-        return set(self.distances.keys())
-
-    def distance_to(self, member: int) -> float:
-        """Shortest distance from the owner to ``member``."""
-        return self.distances[member]
-
-    def path_to(self, member: int) -> list[int]:
-        """Shortest path from the owner to ``member`` (owner first)."""
-        if member not in self.distances:
-            raise KeyError(
-                f"node {member} is not in the vicinity of {self.node}"
-            )
-        return self._table.path_from_owner(self.node, member)
-
-    def radius(self) -> float:
-        """Distance to the farthest vicinity member (0.0 for a lone node)."""
-        lo, hi = self._table.row_bounds(self.node)
-        if lo == hi:
-            return 0.0
-        return max(memoryview(self._table.dists)[lo:hi])
-
-    def __reduce__(self):
-        return (VicinityView, (self._table, self.node))
-
-    def __repr__(self) -> str:
-        return f"VicinityView(node={self.node}, size={len(self)})"
-
-
 #: Slab layout of a SubstrateTables, in publication order:
 #: (attribute, typecode).  The vicinity sub-slabs follow when present.
 _TABLE_SLOTS: tuple[tuple[str, str], ...] = (
@@ -511,8 +297,8 @@ class SubstrateTables:
 
     Built once per scheme, slab-direct, by
     :func:`repro.core.substrate_build.build_substrate_tables`, and the only
-    converged state the schemes hold; every dict-shaped accessor they
-    expose is a cached thin view over these slabs.
+    converged state the schemes hold: they keep this object and read its
+    slabs through it.
     """
 
     __slots__ = (
@@ -528,9 +314,6 @@ class SubstrateTables:
         "addr_labels",
         "addr_bits",
         "_landmark_pos",
-        "_spt_rows",
-        "_closest_rows",
-        "_vicinity_views",
     )
 
     def __init__(
@@ -558,57 +341,37 @@ class SubstrateTables:
         self.addr_path = addr_path
         self.addr_labels = addr_labels
         self.addr_bits = addr_bits
-        self._reset_views()
+        self._index_landmarks()
 
-    def _reset_views(self) -> None:
+    def _index_landmarks(self) -> None:
         self._landmark_pos = {
             landmark: index for index, landmark in enumerate(self.landmark_ids)
         }
-        self._spt_rows: dict[int, tuple[Row, Row]] | None = None
-        self._closest_rows: tuple[Row, Row] | None = None
-        self._vicinity_views: list[VicinityView] | None = None
 
-    # -- landmark SPT views -------------------------------------------------
+    # -- landmark SPT rows --------------------------------------------------
 
     @property
     def landmarks(self) -> list[int]:
         """The landmark ids (ascending)."""
         return self.landmark_ids.tolist()
 
-    def spt_rows(self) -> dict[int, tuple[Row, Row]]:
-        """Landmark -> ``(dist_row, parent_row)`` views (cached, stable)."""
-        if self._spt_rows is None:
-            n = self.num_nodes
-            self._spt_rows = {
-                landmark: (
-                    Row(self, "spt_dist", index * n, (index + 1) * n),
-                    Row(self, "spt_parent", index * n, (index + 1) * n),
-                )
-                for index, landmark in enumerate(self.landmark_ids)
-            }
-        return self._spt_rows
-
-    def closest_rows(self) -> tuple[Row, Row]:
-        """Per-node ``(closest landmark, distance)`` row views (cached)."""
-        if self._closest_rows is None:
-            n = self.num_nodes
-            self._closest_rows = (
-                Row(self, "closest", 0, n),
-                Row(self, "closest_dist", 0, n),
-            )
-        return self._closest_rows
+    # The three readers below run once per lookup and do not check ``node``:
+    # callers guarantee ``0 <= node < num_nodes`` (an id outside it reads
+    # another landmark's row).
 
     def spt_distance(self, landmark: int, node: int) -> float:
-        """d(landmark, node) straight from the slab."""
+        """d(landmark, node) straight from the slab; ``0 <= node < n``."""
         return self.spt_dist[self._landmark_pos[landmark] * self.num_nodes + node]
 
     def spt_path(self, landmark: int, node: int) -> list[int]:
-        """The landmark's SPT path ``landmark .. node`` from the parent slab."""
+        """The landmark's SPT path ``landmark .. node`` from the parent slab;
+        ``0 <= node < n``."""
         base = self._landmark_pos[landmark] * self.num_nodes
         return tree_path(self.spt_parent, landmark, node, base=base)
 
     def spt_hops(self, landmark: int, node: int) -> int:
-        """``len(spt_path(landmark, node)) - 1``: the same walk, no list."""
+        """``len(spt_path(landmark, node)) - 1``: the same walk, no list;
+        ``0 <= node < n``."""
         base = self._landmark_pos[landmark] * self.num_nodes
         parents = self.spt_parent
         limit = self.num_nodes
@@ -622,19 +385,6 @@ class SubstrateTables:
                 )
             hops += 1
         return hops
-
-    # -- vicinity views -----------------------------------------------------
-
-    def vicinity_views(self) -> list[VicinityView]:
-        """Per-node vicinity views (cached, indexed by node id)."""
-        if self.vicinity is None:
-            raise ValueError("these tables were built without vicinities")
-        if self._vicinity_views is None:
-            self._vicinity_views = [
-                VicinityView(self.vicinity, node)
-                for node in range(self.num_nodes)
-            ]
-        return self._vicinity_views
 
     # -- address payloads ---------------------------------------------------
 
@@ -682,13 +432,11 @@ class SubstrateTables:
         return SubstrateTables(self.num_nodes, *views[:5], vicinity, *views[5:])
 
     def forget_rows(self, nodes) -> None:
-        """Drop what was cached from vicinity rows rewritten in place: the
-        rows' member -> position indexes and the per-node views.  Views and
-        maps handed out before the write are invalid after it."""
+        """Drop the member -> position indexes of vicinity rows rewritten in
+        place.  Rows read before the write are stale after it."""
         indexes = self.vicinity._indexes
         for node in nodes:
             indexes[node] = None
-        self._vicinity_views = None
 
     # -- serialization ------------------------------------------------------
 
@@ -710,7 +458,7 @@ class SubstrateTables:
             slab.frombytes(payload)
             setattr(self, slot, slab)
         self.vicinity = state["vicinity"]
-        self._reset_views()
+        self._index_landmarks()
 
     # -- shared-memory attachment -------------------------------------------
 

@@ -265,8 +265,7 @@ class ChurnEngine:
         """The converged state: read-only views of the slabs the engine
         repairs, live after every event with no call in between (the stored
         row decides whether a node is searched again, so nothing else may
-        write).  Row, map and vicinity views taken from it are valid until
-        the next event."""
+        write).  Rows read from it are valid until the next event."""
         return self._tables
 
     @property
@@ -308,10 +307,17 @@ class ChurnEngine:
         """Hashable snapshot of the full converged state, for differentials."""
         tables = self._tables
         vicinity = tables.vicinity
+        n = self._num_nodes
+        dist = memoryview(tables.spt_dist)
+        parent = memoryview(tables.spt_parent)
         return (
             tuple(
-                (landmark, tuple(dist), tuple(parent))
-                for landmark, (dist, parent) in tables.spt_rows().items()
+                (
+                    landmark,
+                    tuple(dist[index * n : (index + 1) * n]),
+                    tuple(parent[index * n : (index + 1) * n]),
+                )
+                for index, landmark in enumerate(tables.landmark_ids)
             ),
             tuple(tables.closest),
             tuple(tables.closest_dist),

@@ -116,7 +116,7 @@ def _vicinity_ablation(topology, scale, factors=(0.5, 1.0, 2.0)):
         rows.append(
             VicinityAblationRow(
                 scale_factor=factor,
-                vicinity_size=len(nddisco.vicinities[0]),
+                vicinity_size=len(nddisco.tables.vicinity.row(0)[0]),
                 mean_state=state.entry_summary.mean,
                 mean_first_stretch=stretch.first_summary.mean,
                 max_first_stretch=stretch.first_summary.maximum,

@@ -160,7 +160,6 @@ class S4Routing(RoutingScheme):
             if substrate is None
             else list(substrate.addresses)
         )
-        self._closest_landmark = self._tables.closest_rows()[0]
         # Every ball row starts with its owner, so "member != node" is the
         # minus-one in cluster_sizes_from_members.
         self._cluster_sizes = cluster_sizes_from_members(self._balls.members, n)
@@ -196,8 +195,9 @@ class S4Routing(RoutingScheme):
         return self._resolution
 
     def closest_landmark(self, node: int) -> int:
-        """Return ℓv for ``node``."""
-        return self._closest_landmark[node]
+        """Return ℓv for ``node`` (ValueError outside 0..n-1)."""
+        self._check_endpoints(node, node)
+        return self._tables.closest[node]
 
     def cluster_size(self, node: int) -> int:
         """Return |C(node)|: how many nodes ``node`` stores direct routes for."""
@@ -218,6 +218,7 @@ class S4Routing(RoutingScheme):
         """Return the SPT path from ``landmark`` to ``node``."""
         if landmark not in self._landmarks:
             raise KeyError(f"{landmark} is not a landmark")
+        self._check_endpoints(node, node)
         return self._tables.spt_path(landmark, node)
 
     # -- state accounting ------------------------------------------------------
@@ -289,7 +290,7 @@ class _S4Router(LandmarkRouter):
     def __init__(self, scheme: S4Routing) -> None:
         super().__init__(scheme)
         self.landmarks = scheme._landmarks
-        self.closest = scheme._closest_landmark
+        self.closest = scheme.tables.closest
         # Ball membership / path extraction go through the slab table's
         # per-node position index.
         self._ball_table = scheme.balls

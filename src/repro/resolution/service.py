@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 from repro.addressing.address import Address
 from repro.core.resolution import ResolutionRecord
@@ -425,15 +425,14 @@ class GroupContactIndex:
     ``(distance, node)`` tie-break touches only that run.  Results are
     bit-identical to the oracle (pinned by the differential suite).
 
-    Candidate mappings are indexed lazily per source node and assumed
-    stable for the index lifetime (vicinities are converged state).
+    Candidate rows are indexed lazily per source node and assumed stable
+    for the index lifetime (vicinities are converged state).
     """
 
     def __init__(self, grouping: SloppyGrouping) -> None:
         self._grouping = grouping
-        self._tables: dict[
-            int, tuple[list[int], list[int], Mapping[int, float]]
-        ] = {}
+        #: source -> (hashes, nodes, distances), parallel and hash-sorted.
+        self._tables: dict[int, tuple[list[int], list[int], list[float]]] = {}
 
     @property
     def grouping(self) -> SloppyGrouping:
@@ -444,24 +443,33 @@ class GroupContactIndex:
         self,
         source: int,
         target: int,
-        candidates: Mapping[int, float],
-    ) -> int | None:
+        row: Sequence[Sequence],
+    ) -> tuple[float, int] | None:
         """The vicinity member most likely to know ``target``'s address.
 
-        Same contract as :meth:`SloppyGrouping.best_group_contact`:
-        longest hash-prefix match with h(target), ties broken by smaller
-        distance then smaller node id; None for no candidates.
+        ``row`` is ``source``'s vicinity row, ``(members, distances, ...)``
+        as :meth:`~repro.core.tables.NodeSearchTables.row` returns it.
+        Same order as :meth:`SloppyGrouping.best_group_contact`: longest
+        hash-prefix match with h(target), ties broken by smaller distance
+        then smaller node id.  Returns the winner as ``(distance, node)``,
+        or None for an empty row.
         """
-        if not candidates:
-            return None
         table = self._tables.get(source)
         if table is None:
-            pairs = sorted(
-                (self._grouping.hash_of(node), node) for node in candidates
+            members, distances = row[0], row[1]
+            hash_of = self._grouping.hash_of
+            triples = sorted(
+                zip(map(hash_of, members), members, distances)
             )
-            table = ([h for h, _ in pairs], [n for _, n in pairs], candidates)
+            table = (
+                [h for h, _, _ in triples],
+                [node for _, node, _ in triples],
+                [distance for _, _, distance in triples],
+            )
             self._tables[source] = table
         hashes, nodes, distances = table
+        if not hashes:
+            return None
         target_hash = self._grouping.hash_of(target)
         position = bisect.bisect_left(hashes, target_hash)
         best_match = -1
@@ -482,8 +490,7 @@ class GroupContactIndex:
             hi = bisect.bisect_left(hashes, low_value + (1 << shift))
         best: tuple[float, int] | None = None
         for index in range(lo, hi):
-            node = nodes[index]
-            key = (distances[node], node)
+            key = (distances[index], nodes[index])
             if best is None or key < best:
                 best = key
-        return best[1] if best is not None else None
+        return best

@@ -341,7 +341,7 @@ def run_traffic(
 
     spt_distance = routing.tables.spt_distance
     spt_hops = routing.tables.spt_hops
-    vicinities = routing.vicinities
+    vicinity = routing.tables.vicinity
     grouping = contacts.grouping if contacts is not None else None
 
     latencies: list[float] = []
@@ -389,13 +389,14 @@ def run_traffic(
             requester = requesters[index]
             index += 1
             if contacts is not None:
-                distances = vicinities[requester].distances
-                contact = contacts.best_contact(requester, target, distances)
-                if contact is not None and grouping.stores_address_of(
-                    contact, target
+                best = contacts.best_contact(
+                    requester, target, vicinity.row(requester)
+                )
+                if best is not None and grouping.stores_address_of(
+                    best[1], target
                 ):
                     group_hits += 1
-                    latencies.append(distances[contact])
+                    latencies.append(best[0])
                     continue
             name = names[target]
             record = service.lookup_record(name, now=float(tick))

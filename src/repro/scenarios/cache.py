@@ -21,8 +21,8 @@ Four artifact kinds:
   externalized to the topology artifact when one exists.
 * **Schemes** (Disco, S4, VRR, ...) are stored as **lightweight shells**:
   their pickles cut the object graph at every registered substrate
-  component (the substrate object itself, its SPT rows, closest-landmark
-  rows, per-node addresses, names, codec, topology) and record a
+  component (the substrate object itself, its tables, per-node
+  addresses, names, codec, topology) and record a
   ``(kind, key, path)`` persistent reference instead.  On unpickle the
   reference is resolved through the cache, so every warm-loaded scheme
   reattaches to the *same* substrate object graph -- a fully warm run
@@ -104,8 +104,10 @@ __all__ = [
 #: shells pickle an overlay whose ring is flat arrays, not per-node dicts.
 #: v6: ND-Disco and S4 shells pickle their resolution database's ring as
 #: a :class:`~repro.naming.VNodeRing`.  v7: topologies pickle as the one
-#: array-backed :class:`~repro.graphs.topology.Topology`.
-ARTIFACT_SCHEMA = "repro-artifacts/v7"
+#: array-backed :class:`~repro.graphs.topology.Topology`.  v8: schemes hold
+#: the tables object and no slab views, so shells carry no ``spt`` /
+#: ``closest`` / ``vicinities`` references.
+ARTIFACT_SCHEMA = "repro-artifacts/v8"
 
 #: Tables artifacts at or above this many slab bytes are stored as a raw
 #: slab directory instead of a compressed pickle.  A slab directory loads
@@ -174,19 +176,13 @@ def _substrate_components(substrate) -> Iterator[tuple[tuple, object]]:
     """Yield ``(path, object)`` for every shareable substrate component.
 
     The paths mirror :func:`_resolve_substrate_path`.  Components are the
-    objects sibling schemes reference directly (S4 copies list/dict
-    *entries*, not the substrate itself): landmark SPT rows, the
-    closest-landmark rows, every per-node :class:`Address`, the names, the
-    label codec, the vicinities, and the topology.
+    objects sibling schemes reference directly (S4 copies list *entries*,
+    not the substrate itself): every per-node :class:`Address`, the names,
+    the label codec, and the topology.  The slabs are not among them:
+    schemes hold the tables object, registered as its own artifact.
     """
     yield (), substrate
     yield ("topology",), substrate.topology
-    for landmark, rows in substrate.landmark_spts.items():
-        yield ("spt", landmark, 0), rows[0]
-        yield ("spt", landmark, 1), rows[1]
-    closest, closest_distance = substrate.closest_landmark_rows
-    yield ("closest", 0), closest
-    yield ("closest", 1), closest_distance
     addresses = substrate.addresses
     yield ("addresses",), addresses
     for node, address in enumerate(addresses):
@@ -196,7 +192,6 @@ def _substrate_components(substrate) -> Iterator[tuple[tuple, object]]:
     for node, name in enumerate(names):
         yield ("name", node), name
     yield ("codec",), substrate.codec
-    yield ("vicinities",), substrate.vicinities
 
 
 def _resolve_substrate_path(substrate, path: tuple):
@@ -206,10 +201,6 @@ def _resolve_substrate_path(substrate, path: tuple):
     head = path[0]
     if head == "topology":
         return substrate.topology
-    if head == "spt":
-        return substrate.landmark_spts[path[1]][path[2]]
-    if head == "closest":
-        return substrate.closest_landmark_rows[path[1]]
     if head == "addresses":
         return substrate.addresses
     if head == "address":
@@ -220,8 +211,6 @@ def _resolve_substrate_path(substrate, path: tuple):
         return substrate.names[path[1]]
     if head == "codec":
         return substrate.codec
-    if head == "vicinities":
-        return substrate.vicinities
     raise _ArtifactMissing(f"unknown substrate path {path!r}")
 
 
@@ -260,10 +249,6 @@ class _ShellUnpickler(pickle.Unpickler):
         root = self._cache._load_artifact(kind, key)
         if kind == "substrate":
             return _resolve_substrate_path(root, path)
-        if kind == "tables" and path:
-            if path == ("vicinity",):
-                return root.vicinity
-            raise _ArtifactMissing(f"unknown tables path {path!r}")
         if path:
             raise _ArtifactMissing(f"unexpected path {path!r} for {kind}")
         return root
@@ -451,19 +436,11 @@ class ArtifactCache:
                     )
                 # The slab payload lives under its own kind/key so the
                 # substrate's pickle externalizes it (and parallel runs
-                # can swap in a shared-memory attachment).  The nested
-                # vicinity table is registered as well: the per-node
-                # views reference it directly.
-                tables = artifact.tables
-                derived = tables_key(key)
+                # can swap in a shared-memory attachment).
                 self._shared.setdefault(
-                    id(tables), _SharedRef("tables", derived, ())
+                    id(artifact.tables),
+                    _SharedRef("tables", tables_key(key), ()),
                 )
-                if tables.vicinity is not None:
-                    self._shared.setdefault(
-                        id(tables.vicinity),
-                        _SharedRef("tables", derived, ("vicinity",)),
-                    )
             # kind == "tables" registers nothing by itself: the owning
             # substrate's registration (above) covers it.
         except Exception:

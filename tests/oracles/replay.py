@@ -83,8 +83,8 @@ def maintenance_cost(
     # Vicinity repair: entries added, removed, or re-costed.
     vicinity_entries_changed = 0
     for node in range(n_after):
-        old_table = before.vicinities[node].distances
-        new_table = after.vicinities[node].distances
+        old_table = dict(zip(*before.tables.vicinity.row(node)[:2]))
+        new_table = dict(zip(*after.tables.vicinity.row(node)[:2]))
         keys = set(old_table) | set(new_table)
         for member in keys:
             if member == node:

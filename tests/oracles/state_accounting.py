@@ -37,26 +37,34 @@ def label_mapping_entries(nddisco: NDDiscoRouting, node: int) -> int:
     neighbors leading along shortest paths to landmarks or nodes in the
     node's vicinity" (§4.5 Theorem 2).
     """
+    tables = nddisco.tables
+    n = tables.num_nodes
     used_neighbors: set[int] = set()
-    for landmark, (_, parents) in nddisco.landmark_spts.items():
+    for index, landmark in enumerate(tables.landmarks):
         if landmark == node:
             continue
-        parent = parents[node]
+        parent = tables.spt_parent[index * n + node]
         if parent >= 0:
             used_neighbors.add(parent)
-    vicinity = nddisco.vicinities[node]
-    for member, parent in vicinity.predecessors.items():
+    members, _, parents = tables.vicinity.row(node)
+    # The row's first slot is the node itself, parent -1.
+    for member, parent in zip(members[1:].tolist(), parents[1:].tolist()):
         if parent == node:
             used_neighbors.add(member)
     return len(used_neighbors)
 
 
+def _vicinity_entries(scheme: NDDiscoRouting, node: int) -> int:
+    """Vicinity routes at ``node``: its row, the node itself excluded."""
+    members, _, _ = scheme.tables.vicinity.row(node)
+    return len(members) - 1
+
+
 def _nddisco_entries(scheme: NDDiscoRouting, node: int) -> int:
     """Data-plane entries: landmarks + vicinity + label mappings + resolution."""
     landmarks = scheme.landmarks
-    vicinity = scheme.vicinities[node]
     landmark_entries = len(landmarks) - (1 if node in landmarks else 0)
-    vicinity_entries = len(vicinity) - 1  # exclude the node itself
+    vicinity_entries = _vicinity_entries(scheme, node)
     return (
         landmark_entries
         + vicinity_entries
@@ -71,9 +79,8 @@ def _nddisco_bytes(scheme: NDDiscoRouting, node: int, name_bytes: int) -> float:
     plus interface); each resolution record costs the destination name
     plus its full address (landmark name plus explicit-route labels)."""
     landmarks = scheme.landmarks
-    vicinity = scheme.vicinities[node]
     landmark_entries = len(landmarks) - (1 if node in landmarks else 0)
-    vicinity_entries = len(vicinity) - 1
+    vicinity_entries = _vicinity_entries(scheme, node)
     forwarding_bytes = (landmark_entries + vicinity_entries) * (name_bytes + 1.0)
     label_bytes = label_mapping_entries(scheme, node) * 2.0
     resolution_bytes = _entry_bytes_at(

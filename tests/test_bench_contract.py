@@ -140,8 +140,10 @@ def test_every_keyword_bench_passes_and_attribute_it_reads_exists():
 
 def test_the_objects_bench_reads_have_what_it_reads():
     """``bench/workloads/{converge,resolve,churn}.py`` by hand: the phase
-    timings ``build_stats=`` fills, the report ``run_traffic`` returns with
-    its ``cache_stats`` keys, and the engine and reports of a churn repeat.
+    timings ``build_stats=`` fills, the two ND-Disco shims ``converge.py``
+    reads (evaluated as it evaluates them, against the slabs), the report
+    ``run_traffic`` returns with its ``cache_stats`` keys, and the engine
+    and reports of a churn repeat.
     Deleting ``build_stats=`` (ROADMAP item 1) fails here and waits for
     ``bench/`` to be unfrozen (item 2).  So does what is left of item 8: the
     router cache is gone, and ``run_traffic`` keeps an ignored
@@ -162,6 +164,15 @@ def test_the_objects_bench_reads_have_what_it_reads():
                  "names", "addresses"):
         assert hasattr(routing, name), name
     assert routing.tables.slab_items()
+    # ``converge.py::check`` and ``::probe``, expression for expression.
+    vicinity = routing.tables.vicinity
+    for node in range(48):
+        members, dists, _ = vicinity.row(node)
+        shim = dict(routing.vicinities[node].distances.items())
+        assert list(shim.items()) == list(zip(members, dists))
+    assert array("d", routing.closest_landmark_rows[1]) == array(
+        "d", routing.tables.closest_dist
+    )
 
     # ``converge.py::probe`` calls the batch drivers on ``topology.csr()``,
     # an object the AST walk above cannot see: these positional shapes.

@@ -52,7 +52,11 @@ class TestConstruction:
 
     def test_vicinity_sizes(self, nddisco_small, small_gnm):
         expected = vicinity_size(small_gnm.num_nodes)
-        assert all(len(v) == expected for v in nddisco_small.vicinities)
+        vicinity = nddisco_small.tables.vicinity
+        assert all(
+            len(vicinity.row(node)[0]) == expected
+            for node in range(small_gnm.num_nodes)
+        )
 
     def test_deterministic(self, small_gnm):
         a = NDDiscoRouting(small_gnm, seed=5)
@@ -169,9 +173,7 @@ class TestRouting:
 
     def test_direct_route_to_vicinity_member(self, nddisco_small):
         source = 0
-        member = next(
-            m for m in nddisco_small.vicinities[source].members if m != source
-        )
+        member = nddisco_small.tables.vicinity.row(source)[0][1]
         result = nddisco_small.later_packet_route(source, member)
         assert result.mechanism == "direct"
         assert result.path[0] == source
@@ -179,15 +181,15 @@ class TestRouting:
 
     def test_direct_route_to_landmark(self, nddisco_small):
         landmark = next(iter(nddisco_small.landmarks))
+        vicinity = nddisco_small.tables.vicinity
         source = next(
-            v
-            for v in range(nddisco_small.topology.num_nodes)
-            if v != landmark and landmark not in nddisco_small.vicinities[v]
-        ) if any(
-            landmark not in nddisco_small.vicinities[v]
-            for v in range(nddisco_small.topology.num_nodes)
-            if v != landmark
-        ) else 0
+            (
+                v
+                for v in range(nddisco_small.topology.num_nodes)
+                if v != landmark and landmark not in vicinity.row(v)[0]
+            ),
+            0,
+        )
         if source != landmark:
             result = nddisco_small.later_packet_route(source, landmark)
             assert result.path[-1] == landmark
@@ -221,14 +223,13 @@ class TestRouting:
     def test_handshake_used_when_source_in_target_vicinity(self, small_gnm):
         routing = NDDiscoRouting(small_gnm, seed=1)
         # Find a pair where s is in V(t) but t not in V(s) and t not a landmark.
+        vicinity = routing.tables.vicinity
         found = None
         for target in range(small_gnm.num_nodes):
             if target in routing.landmarks:
                 continue
-            for source in routing.vicinities[target].members:
-                if source == target:
-                    continue
-                if target not in routing.vicinities[source] and target not in routing.landmarks:
+            for source in vicinity.row(target)[0][1:]:
+                if target not in vicinity.row(source)[0]:
                     found = (source, target)
                     break
             if found:

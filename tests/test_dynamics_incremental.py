@@ -190,14 +190,17 @@ class TestEngineDifferential:
         assert landmark in engine.dead_nodes
         # The dead landmark's row folds to unreachable for everyone else,
         # and every survivor refolds onto a live landmark.
-        dist_row, _ = engine.tables.spt_rows()[landmark]
+        tables = engine.tables
+        index = tables.landmarks.index(landmark)
+        n = engine.num_nodes
+        dist_row = tables.spt_dist[index * n : (index + 1) * n]
         assert dist_row[landmark] == 0.0
         assert all(
             d == math.inf
             for node, d in enumerate(dist_row)
             if node != landmark
         )
-        closest, _ = engine.tables.closest_rows()
+        closest = tables.closest
         assert all(
             closest[node] != landmark
             for node in range(engine.num_nodes)
@@ -272,7 +275,7 @@ class TestEngineDifferential:
         topology = gnm_random_graph(200, seed=3, average_degree=6.0)
         routing = NDDiscoRouting(topology, seed=3, vicinity_scale=0.5)
         adopted = ChurnEngine.from_routing(routing)
-        assert adopted.vicinity_k == len(routing.vicinities[0]) == 17
+        assert adopted.vicinity_k == len(routing.tables.vicinity.row(0)[0]) == 17
         direct = ChurnEngine(
             topology,
             seed=3,
@@ -334,7 +337,7 @@ class TestMaintenanceEdgeCases:
         # Every node in the far clique has no reachable landmark: no
         # closest fold, no address -- and the engine still matches full
         # reconvergence on the partitioned topology.
-        closest, closest_dist = engine.tables.closest_rows()
+        closest, closest_dist = engine.tables.closest, engine.tables.closest_dist
         for node in range(4, 8):
             assert closest[node] == -1
             assert closest_dist[node] == math.inf

@@ -191,22 +191,18 @@ def _tailed_graph(seed: int) -> tuple[Topology, int]:
 def _replay_bill(before: ChurnEngine, after: ChurnEngine) -> MaintenanceCost:
     """The full before/after diff of two from-scratch convergences."""
     n = after.num_nodes
+    assert before.tables.landmarks == after.tables.landmarks
     landmark_entries = sum(
         old != new
-        for landmark in sorted(after.landmarks)
-        for old, new in zip(
-            before.tables.spt_rows()[landmark][0],
-            after.tables.spt_rows()[landmark][0],
-        )
+        for old, new in zip(before.tables.spt_dist, after.tables.spt_dist)
     )
     vicinity_entries = 0
-    for node, (old_view, new_view) in enumerate(
-        zip(before.tables.vicinity_views(), after.tables.vicinity_views())
-    ):
-        old, new = old_view.distances, new_view.distances
+    for node in range(n):
+        old = dict(zip(*before.tables.vicinity.row(node)[:2]))
+        new = dict(zip(*after.tables.vicinity.row(node)[:2]))
         vicinity_entries += sum(
             old.get(member) != new.get(member)
-            for member in set(old.keys()) | set(new.keys())
+            for member in set(old) | set(new)
             if member != node
         )
     addresses = sum(
@@ -283,21 +279,20 @@ class TestFlatVicinityRows:
         assert engine.state_signature() == pristine.state_signature()
         assert list(engine._radius) == list(pristine._radius)
 
-    def test_views_serve_the_vicinity_read_api(self):
+    def test_rows_serve_the_vicinity_read_api(self):
+        """The engine's strided rows read like the scheme's packed ones."""
         topology, _ = _tailed_graph(1)
         routing = NDDiscoRouting(topology, seed=1)
         engine = ChurnEngine.from_routing(routing)
-        views = engine.tables.vicinity_views()
-        for mine, theirs in zip(views, routing.vicinities):
-            assert list(mine.distances.items()) == list(
-                theirs.distances.items()
+        mine, theirs = engine.tables.vicinity, routing.tables.vicinity
+        assert mine.lengths is not None and theirs.lengths is None
+        for node in range(topology.num_nodes):
+            row = [view.tolist() for view in mine.row(node)]
+            assert row == [view.tolist() for view in theirs.row(node)]
+            far = row[0][-1]
+            assert mine.path_from_owner(node, far) == theirs.path_from_owner(
+                node, far
             )
-            assert dict(mine.predecessors.items()) == dict(
-                theirs.predecessors.items()
-            )
-            assert mine.radius() == theirs.radius()
-            far = list(mine.distances.keys())[-1]
-            assert mine.path_to(far) == theirs.path_to(far)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_live_tables_match_fresh_build_after_stream(self, seed):
@@ -314,37 +309,32 @@ class TestFlatVicinityRows:
         assert_tables_match_fresh_build(engine)
 
     def test_a_shortened_row_is_read_afresh(self):
-        """Maps and paths read through ``engine.tables.vicinity`` build a
-        member -> position index per row and keep it; the event that cuts
-        the tail off rewrites those rows shorter, in place."""
+        """Paths read through ``engine.tables.vicinity`` build a member ->
+        position index per row and keep it; the event that cuts the tail
+        off rewrites those rows shorter, in place."""
         topology, cut = _tailed_graph(0)
         engine = ChurnEngine(topology, vicinity_k=6)
         vicinity = engine.tables.vicinity
         tail = (41, 42, 43)
         for node in tail:  # fill the index cache from the long rows
-            assert len(vicinity.distance_map(node)) == 6
-            assert cut in vicinity.distance_map(node)
+            members, _, _ = vicinity.row(node)
+            assert len(members) == 6 and cut in members
             assert vicinity.path_from_owner(node, cut)[-1] == cut
         engine.apply(DynEvent(0, "node-leave", cut))
         assert engine.tables.vicinity is vicinity
         fresh = fresh_tables(engine).vicinity
         for node in tail:
-            mine = vicinity.distance_map(node)
-            assert cut not in mine and len(mine) == 3
-            assert list(mine.items()) == list(fresh.distance_map(node).items())
-            assert dict(vicinity.predecessor_map(node).items()) == dict(
-                fresh.predecessor_map(node).items()
-            )
-            for member in mine.keys():
+            row = [view.tolist() for view in vicinity.row(node)]
+            assert cut not in row[0] and len(row[0]) == 3
+            assert row == [view.tolist() for view in fresh.row(node)]
+            for member in row[0]:
                 assert vicinity.path_from_owner(
                     node, member
                 ) == fresh.path_from_owner(node, member)
             with pytest.raises(KeyError):
                 vicinity.path_from_owner(node, cut)
-        views = engine.tables.vicinity_views()
-        assert [len(views[node]) for node in tail] == [3, 3, 3]
         engine.apply(DynEvent(1, "node-join", cut))
-        assert [len(view) for view in engine.tables.vicinity_views()] == [6] * 44
+        assert [len(vicinity.row(node)[0]) for node in range(44)] == [6] * 44
         assert_tables_match_fresh_build(engine)
 
 

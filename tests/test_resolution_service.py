@@ -734,11 +734,16 @@ class TestSloppyGroupingSkew:
             )
             for node in members
         }
+        row = (list(distances), list(distances.values()))
         for target in range(num_nodes):
             expected = grouping.best_group_contact(target, distances)
-            assert index.best_contact(source, target, distances) == expected
+            assert index.best_contact(source, target, row) == (
+                distances[expected], expected
+            )
             # Cached-table path must answer identically.
-            assert index.best_contact(source, target, distances) == expected
+            assert index.best_contact(source, target, row) == (
+                distances[expected], expected
+            )
 
 
 class TestSoftState:

@@ -95,15 +95,6 @@ class TestPublishAttach:
             twin = NDDiscoRouting.__new__(NDDiscoRouting)
             twin.__dict__.update(scheme.__dict__)
             twin._tables = attached
-            twin._landmark_spts = attached.spt_rows()
-            twin._landmark_distances = {
-                landmark: rows[0]
-                for landmark, rows in attached.spt_rows().items()
-            }
-            twin._closest_landmark, twin._closest_landmark_distance = (
-                attached.closest_rows()
-            )
-            twin._vicinities = attached.vicinity_views()
             twin._addresses = attached.addresses()
             assert measure_stretch(twin, pairs=pairs) == baseline
 

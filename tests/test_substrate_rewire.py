@@ -61,7 +61,6 @@ class TestWarmRewire:
         assert disco.nddisco is nd
         # S4 reattaches to the substrate's slabs/addresses, not copies.
         assert s4.tables is nd.tables
-        assert s4._closest_landmark is nd.closest_landmark_rows[0]
         for node in range(topology.num_nodes):
             assert s4._addresses[node] is nd.addresses[node]
             assert s4._names[node] is nd.names[node]

@@ -2,12 +2,13 @@
 
 Differential tests pin the slab-backed scheme state (built slab-direct by
 the C kernels) against real lists and dicts derived from the seed's
-dict-based Dijkstra (``tests/oracles/reference_paths.py``) -- slab views
+dict-based Dijkstra (``tests/oracles/reference_paths.py``) -- slab rows
 vs plain containers *and* C kernels vs the seed Dijkstra in one
 comparison -- for everything the three schemes route over: landmark SPT
 rows, closest rows, vicinities, addresses and S4's ball rows.  The rest
-covers the view semantics (settle-order iteration, KeyError messages,
-pickling as raw buffers) the rest of the system relies on.
+covers the row semantics (settle order, the owner first, range and
+KeyError contracts, pickling as raw buffers) the rest of the system
+relies on.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from oracles.component_build import closest_landmarks
 from repro.addressing.address import Address
 from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.labels import LabelCodec
+from repro.core.disco import DiscoRouting
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import (
     NodeSearchTables,
-    Row,
     SharedTables,
     SubstrateTables,
 )
@@ -66,6 +67,12 @@ def _oracle_spts(topology, landmarks):
     return spts
 
 
+def _search_row(table: NodeSearchTables, node: int):
+    """``node``'s row as the oracle's ``(distances, predecessors)`` dicts."""
+    members, dists, parents = (view.tolist() for view in table.row(node))
+    return dict(zip(members, dists)), dict(zip(members[1:], parents[1:]))
+
+
 def _assert_landmark_state_matches_oracle(scheme, topology):
     """SPT rows, closest rows and addresses of ``scheme`` vs real lists
     from the oracle; returns the oracle's closest rows."""
@@ -73,14 +80,14 @@ def _assert_landmark_state_matches_oracle(scheme, topology):
     tables = scheme.tables
     ref_spts = _oracle_spts(topology, scheme.landmarks)
     ref_closest = closest_landmarks(ref_spts, n)
-    arr_spts = tables.spt_rows()
-    assert set(arr_spts) == set(ref_spts)
-    for landmark, (ref_dist, ref_parent) in ref_spts.items():
-        arr_dist, arr_parent = arr_spts[landmark]
-        assert list(arr_dist) == ref_dist
-        assert list(arr_parent) == ref_parent
-    assert list(tables.closest_rows()[0]) == ref_closest[0]
-    assert list(tables.closest_rows()[1]) == ref_closest[1]
+    assert tables.landmarks == sorted(ref_spts)
+    for index, (ref_dist, ref_parent) in enumerate(ref_spts.values()):
+        assert tables.spt_dist[index * n : (index + 1) * n].tolist() == ref_dist
+        assert tables.spt_parent[index * n : (index + 1) * n].tolist() == (
+            ref_parent
+        )
+    assert list(tables.closest) == ref_closest[0]
+    assert list(tables.closest_dist) == ref_closest[1]
     # Addresses: explicit route from the closest landmark down its SPT,
     # re-derived here from the oracle's parent rows.
     codec = LabelCodec(topology)
@@ -109,10 +116,9 @@ def _assert_balls_match_oracle(s4, topology, closest_dist):
             topology, node, closest_dist[node]
         )
         # Same members in the same settle order, same floats, same parents.
-        assert list(s4.balls.distance_map(node).items()) == list(
-            distances.items()
-        )
-        assert dict(s4.balls.predecessor_map(node).items()) == parents
+        ball_distances, ball_parents = _search_row(s4.balls, node)
+        assert list(ball_distances.items()) == list(distances.items())
+        assert ball_parents == parents
         for member in distances:
             if member != node:
                 cluster_sizes[member] += 1
@@ -139,12 +145,10 @@ class TestDifferentialAgainstDictBackend:
         ]
         for node in topology.nodes():
             ref_distances, ref_predecessors = ref_vicinities[node]
-            arr_vicinity = arr.vicinities[node]
+            distances, predecessors = _search_row(arr.tables.vicinity, node)
             assert type(ref_distances) is dict
-            assert len(arr_vicinity) == len(ref_distances)
-            assert list(arr_vicinity.distances) == list(ref_distances)
-            assert dict(arr_vicinity.distances.items()) == ref_distances
-            assert dict(arr_vicinity.predecessors.items()) == ref_predecessors
+            assert list(distances.items()) == list(ref_distances.items())
+            assert predecessors == ref_predecessors
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_routes_stretch_state_identical(self, index):
@@ -188,27 +192,20 @@ class TestViews:
     def scheme(self):
         return NDDiscoRouting(gnm_random_graph(80, seed=2, average_degree=6.0), seed=1)
 
-    def test_row_behaves_like_a_list(self, scheme):
-        landmark = sorted(scheme.landmarks)[0]
-        dist_row, parent_row = scheme.landmark_spts[landmark]
-        assert isinstance(dist_row, Row)
-        assert len(dist_row) == scheme.topology.num_nodes
-        assert dist_row[0] == dist_row.tolist()[0]
-        assert list(reversed(parent_row)) == list(reversed(parent_row.tolist()))
-        assert dist_row == dist_row.tolist()
-        assert dist_row[1:4] == dist_row.tolist()[1:4]
-
-    def test_vicinity_view_semantics(self, scheme):
-        view = scheme.vicinities[5]
-        assert 5 in view and view.distances[5] == 0.0
-        member = list(view.distances)[-1]
-        path = view.path_to(member)
+    def test_vicinity_row_semantics(self, scheme):
+        """The owner first at distance 0 with parent -1, settle order, and
+        a path to every member along the row's parents."""
+        vicinity = scheme.tables.vicinity
+        members, dists, parents = vicinity.row(5)
+        assert (members[0], dists[0], parents[0]) == (5, 0.0, -1)
+        assert 5 not in members[1:].tolist()
+        assert dists.tolist() == sorted(dists.tolist())
+        member = members[-1]
+        path = vicinity.path_from_owner(5, member)
         assert path[0] == 5 and path[-1] == member
-        assert view.distance_to(member) == max(view.distances.values())
-        with pytest.raises(KeyError, match="is not in the vicinity of 5"):
-            view.path_to(-42)
-        assert view.members == set(view.distances.keys())
-        assert view.radius() == max(view.distances.values())
+        assert dists[-1] == max(dists)
+        with pytest.raises(KeyError):
+            vicinity.path_from_owner(5, -42)
 
     def test_spt_path_matches_error_contract(self, scheme):
         landmark = sorted(scheme.landmarks)[0]
@@ -216,10 +213,55 @@ class TestViews:
         with pytest.raises(KeyError):
             scheme.tables.spt_path(-1, 0)
 
-    def test_predecessor_map_excludes_owner(self, scheme):
-        view = scheme.vicinities[3]
-        assert 3 not in view.predecessors
-        assert len(view.predecessors) == len(view.distances) - 1
+
+
+_ACCESSORS = {
+    "closest_landmark": lambda scheme, landmark, node: (
+        scheme.closest_landmark(node)
+    ),
+    "address_of": lambda scheme, landmark, node: scheme.address_of(node),
+    "landmark_distance": lambda scheme, landmark, node: (
+        scheme.landmark_distance(landmark, node)
+    ),
+    "landmark_path": lambda scheme, landmark, node: (
+        scheme.landmark_path(landmark, node)
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def accessor_schemes():
+    topology = gnm_random_graph(48, seed=4, average_degree=6.0)
+    nd = NDDiscoRouting(topology, seed=4)
+    return {
+        "nd-disco": nd,
+        # Disco answers these through the ND-Disco it embeds.
+        "disco": DiscoRouting(topology, seed=4, nddisco=nd).nddisco,
+        "s4": S4Routing(topology, seed=4, substrate=nd),
+    }
+
+
+@pytest.mark.parametrize("node", [-1, 48])
+@pytest.mark.parametrize(
+    "name, accessor",
+    [
+        (name, accessor)
+        for name in ("nd-disco", "disco")
+        for accessor in _ACCESSORS
+    ]
+    + [("s4", "closest_landmark"), ("s4", "landmark_path")],
+)
+def test_scheme_accessors_refuse_a_node_outside_the_graph(
+    accessor_schemes, name, accessor, node
+):
+    """The slabs behind these accessors are flat: node -1 would read node
+    47's entry, and node 48 the next landmark's row.  They raise instead."""
+    scheme = accessor_schemes[name]
+    landmark = min(scheme.landmarks)
+    assert landmark == 1
+    _ACCESSORS[accessor](scheme, landmark, 47)  # in range: answers
+    with pytest.raises(ValueError, match=rf"{node} out of range \(n=48\)"):
+        _ACCESSORS[accessor](scheme, landmark, node)
 
 
 _HOP_TOPOLOGIES = {
@@ -287,17 +329,26 @@ class TestSerialization:
         )
         assert clone.addresses() == scheme.addresses
 
-    def test_scheme_pickle_shares_slabs_via_views(self):
-        scheme = NDDiscoRouting(
-            gnm_random_graph(90, seed=4, average_degree=6.0), seed=1
+    def test_scheme_pickle_carries_the_slabs_once(self):
+        """No scheme attribute aliases a slab: the pickle reaches the slabs
+        only through the tables object, so it works over mmap-backed slabs
+        (a memoryview does not pickle) and carries their bytes once."""
+        topology = gnm_random_graph(90, seed=4, average_degree=6.0)
+        nd = NDDiscoRouting(topology, seed=1, storage="mmap")
+        assert isinstance(nd.tables.spt_dist, memoryview)
+        schemes = (
+            nd,
+            DiscoRouting(topology, seed=1, nddisco=nd),
+            S4Routing(topology, seed=1, substrate=nd),
         )
-        clone = pickle.loads(pickle.dumps(scheme))
-        landmark = sorted(clone.landmarks)[0]
-        # Row views of the unpickled scheme must resolve onto the clone's
-        # own tables object (one slab copy per pickle, not one per view).
-        row = clone.landmark_spts[landmark][0]
-        assert row._owner is clone.tables
-        assert list(row) == list(scheme.landmark_spts[landmark][0])
+        slabs = {id(slab) for _, _, slab in nd.tables.slab_items()}
+        for scheme in schemes:
+            for value in vars(scheme).values():
+                assert not isinstance(value, memoryview)
+                assert id(value) not in slabs
+            clone = pickle.loads(pickle.dumps(scheme))
+            assert bytes(clone.tables.spt_dist) == bytes(nd.tables.spt_dist)
+            assert clone.tables.addresses() == nd.addresses
 
     def test_getstate_serializes_raw_buffers(self):
         scheme = NDDiscoRouting(
@@ -329,6 +380,22 @@ class TestNodeSearchTables:
         assert table.path_from_owner(0, 0) == [0]
         with pytest.raises(KeyError):
             table.path_from_owner(1, 2)
+
+    @pytest.mark.parametrize("node", [-1, 2])
+    def test_a_node_outside_the_table_raises(self, node):
+        """A flat slab would serve another row (offsets[-1] is the end of
+        the slab, offsets[n] past it): ``row`` and ``path_from_owner``
+        refuse ``node`` outside ``0..n-1`` instead."""
+        table = NodeSearchTables.from_searches(
+            [({0: 0.0, 1: 1.0}, {1: 0}), ({1: 0.0, 0: 1.0}, {0: 1})]
+        )
+        members, _, _ = table.row(1)
+        assert members.tolist() == [1, 0]
+        with pytest.raises(IndexError, match="out of range"):
+            table.row(node)
+        for member in (0, 1, node):
+            with pytest.raises(IndexError, match="out of range"):
+                table.path_from_owner(node, member)
 
 
 def _two_component_tables(k: int = 6) -> SubstrateTables:
@@ -386,9 +453,6 @@ class TestStridedRows:
         assert list(strided.offsets) == list(range(0, 78, 6))
         assert _rows(strided) == _rows(packed)
         for node in range(12):
-            assert dict(strided.distance_map(node).items()) == dict(
-                packed.distance_map(node).items()
-            )
             far = strided.row(node)[0][-1]
             assert strided.path_from_owner(node, far) == packed.path_from_owner(
                 node, far
@@ -400,28 +464,30 @@ class TestStridedRows:
         tables = _two_component_tables()
         tables.vicinity = tables.vicinity.strided(6)
         live = tables.read_only()
-        assert live.vicinity.distance_map(8)[7] == 1.0
+        members, dists, _ = live.vicinity.row(8)
+        assert (members[1], dists[1]) == (7, 1.0)
         tables.vicinity.dists[8 * 6 + 1] = 9.0  # the owner of the slabs writes
         tables.spt_dist[3] = 5.5
-        assert live.vicinity.distance_map(8)[7] == 9.0
+        assert dists[1] == live.vicinity.row(8)[1][1] == 9.0
         assert live.spt_distance(0, 3) == 5.5
         for _, _, slab in live.slab_items():
             with pytest.raises(TypeError):
                 slab[0] = 0
 
-    def test_forget_rows_drops_the_cached_index_and_views(self):
+    def test_forget_rows_drops_the_cached_index(self):
         tables = _two_component_tables()
         vicinity = tables.vicinity = tables.vicinity.strided(6)
-        views = tables.vicinity_views()
-        assert 11 in views[7] and len(views[7]) == 5
+        assert vicinity.path_from_owner(7, 11) == [7, 8, 9, 10, 11]
         # Node 7's row rewritten in place, shorter: 7 and, now first, 9.
         vicinity.members[7 * 6 + 1] = 9
         vicinity.lengths[7] = 2
-        assert 9 not in vicinity.distance_map(7)  # the index of the old row
+        assert vicinity.row(7)[0].tolist() == [7, 9]
+        # The index of the old row still walks 9 through 8.
+        assert vicinity.path_from_owner(7, 9) == [7, 8, 9]
         tables.forget_rows([7])
-        assert 9 in vicinity.distance_map(7)
-        assert tables.vicinity_views() is not views
-        assert len(tables.vicinity_views()[7]) == 2
+        assert vicinity.path_from_owner(7, 9) == [7, 9]
+        with pytest.raises(KeyError):
+            vicinity.path_from_owner(7, 11)
 
     def test_lengths_survive_pickle_slab_directory_and_shared_memory(
         self, tmp_path
