@@ -180,11 +180,6 @@ class BlockAddressAllocator:
         """Number of offset bits in every address."""
         return self._block_bits
 
-    @property
-    def landmark(self) -> int:
-        """The tree root."""
-        return self._landmark
-
     def covered_nodes(self) -> set[int]:
         """Nodes of the landmark's tree that received an address."""
         return set(self._offsets)
@@ -207,41 +202,3 @@ class BlockAddressAllocator:
     def range_of(self, node: int) -> tuple[int, int]:
         """Return the (start, size) sub-block delegated to ``node``'s subtree."""
         return self._ranges[node]
-
-    def forward(self, current: int, offset: int) -> int | None:
-        """One forwarding decision: which child owns ``offset`` at ``current``.
-
-        Returns the next hop (a child of ``current`` in the tree) or None if
-        the offset addresses ``current`` itself.
-
-        Raises
-        ------
-        ValueError
-            If ``offset`` is outside the sub-block delegated to ``current``.
-        """
-        start, size = self._ranges[current]
-        if not start <= offset < start + size:
-            raise ValueError(
-                f"offset {offset} is outside node {current}'s block "
-                f"[{start}, {start + size})"
-            )
-        if offset == self._offsets[current]:
-            return None
-        for child in self._children.get(current, ()):
-            child_start, child_size = self._ranges[child]
-            if child_start <= offset < child_start + child_size:
-                return child
-        raise ValueError(
-            f"offset {offset} is in node {current}'s block but delegated to no child"
-        )
-
-    def route(self, offset: int) -> list[int]:
-        """Follow forwarding decisions from the landmark to the offset's owner."""
-        path = [self._landmark]
-        current = self._landmark
-        while True:
-            next_hop = self.forward(current, offset)
-            if next_hop is None:
-                return path
-            path.append(next_hop)
-            current = next_hop

@@ -87,14 +87,5 @@ class ExplicitRoute:
         """Size on the wire: whole bytes (bits rounded up)."""
         return math.ceil(self.bits / 8.0)
 
-    def reversed_route(self, codec: LabelCodec) -> "ExplicitRoute":
-        """Return the reverse route (destination back to source).
-
-        Disco assumes "the route v ; ℓv can also be used in the reverse
-        direction" (§6); packets travel landmark→node using the address route
-        and node→landmark using its reverse.
-        """
-        return ExplicitRoute.from_path(codec, list(reversed(self.path)))
-
     def __len__(self) -> int:
         return len(self.path)

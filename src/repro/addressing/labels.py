@@ -65,38 +65,11 @@ class LabelCodec:
     def __init__(self, topology: Topology) -> None:
         self._topology = topology
         self._link_index: list[dict[int, int]] = []
-        self._link_order: list[list[int]] = []
         for node in topology.nodes():
             neighbors = sorted(topology.neighbors(node))
-            self._link_order.append(neighbors)
             self._link_index.append(
                 {neighbor: index for index, neighbor in enumerate(neighbors)}
             )
-
-    @property
-    def topology(self) -> Topology:
-        """The topology this codec was built for."""
-        return self._topology
-
-    def label_for(self, node: int, neighbor: int) -> int:
-        """Return the local link index at ``node`` for the link to ``neighbor``.
-
-        Raises
-        ------
-        KeyError
-            If ``neighbor`` is not adjacent to ``node``.
-        """
-        return self._link_index[node][neighbor]
-
-    def neighbor_for(self, node: int, label: int) -> int:
-        """Return the neighbor reached from ``node`` via local link ``label``.
-
-        Raises
-        ------
-        IndexError
-            If the label is out of range for the node's degree.
-        """
-        return self._link_order[node][label]
 
     def encode_path(self, path: Sequence[int]) -> list[int]:
         """Encode a node path as the list of per-hop labels.
@@ -114,29 +87,6 @@ class LabelCodec:
                 ) from exc
         return labels
 
-    def decode_path(self, source: int, labels: Sequence[int]) -> list[int]:
-        """Decode a label sequence starting at ``source`` back into a node path."""
-        path = [source]
-        node = source
-        for label in labels:
-            if not 0 <= label < len(self._link_order[node]):
-                raise ValueError(
-                    f"label {label} out of range at node {node} "
-                    f"(degree {len(self._link_order[node])})"
-                )
-            node = self._link_order[node][label]
-            path.append(node)
-        return path
-
     def path_bits(self, path: Sequence[int]) -> int:
         """Total bits needed to encode ``path`` (same as :func:`route_label_bits`)."""
         return route_label_bits(self._topology, path)
-
-    def path_bytes(self, path: Sequence[int]) -> float:
-        """Size of the encoded ``path`` in (possibly fractional) bytes.
-
-        Fractional bytes are kept so that *mean* address sizes can be
-        reported the way the paper does (e.g. a mean of 2.93 bytes); callers
-        that need an on-the-wire size should ``math.ceil`` the result.
-        """
-        return self.path_bits(path) / 8.0

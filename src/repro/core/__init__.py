@@ -23,7 +23,7 @@ This package implements §4 of the paper:
   first packets and stretch-3 later packets (§4.4-§4.5).
 """
 
-from repro.core.landmarks import LandmarkSet, select_landmarks, landmark_probability
+from repro.core.landmarks import select_landmarks, landmark_probability
 from repro.core.vicinity import compute_vicinities, vicinity_size
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.disco import DiscoRouting
@@ -39,7 +39,6 @@ __all__ = [
     "DisseminationOverlay",
     "DisseminationReport",
     "LandmarkResolutionDatabase",
-    "LandmarkSet",
     "NDDiscoRouting",
     "ShortcutMode",
     "SloppyGrouping",

@@ -237,10 +237,6 @@ class DiscoRouting(RoutingScheme):
     def router(self) -> "_DiscoRouter":
         return _DiscoRouter(self)
 
-    def knows_address(self, holder: int, owner: int) -> bool:
-        """True if ``holder`` stores ``owner``'s address after convergence."""
-        return self._grouping.stores_address_of(holder, owner)
-
     def first_packet_route(self, source: int, target: int) -> RouteResult:
         """Route the first packet of a flow (stretch ≤ 7 w.h.p.)."""
         return self.router().first(source, target)
@@ -291,10 +287,9 @@ class _DiscoRouter(PairRouter):
         """The vicinity member of ``source`` most likely to know ``target``'s
         address.
 
-        :meth:`SloppyGrouping.best_group_contact`'s total order -- longest
-        common prefix, then smaller distance, then smaller id -- over the
-        flat candidate rows, with the xor/bit-length prefix computation
-        inlined.
+        The total order is the longest common prefix, then smaller
+        distance, then smaller id, over the flat candidate rows, with the
+        xor/bit-length prefix computation inlined.
         """
         hashes, dists, ids = self._candidate_rows(source)
         if not hashes:

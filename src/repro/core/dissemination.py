@@ -165,16 +165,3 @@ class AddressDissemination:
             coverage=(covered / intended) if intended else 1.0,
             origins=len(origin_list),
         )
-
-    def stored_addresses_from_dissemination(self, origin: int) -> set[int]:
-        """Return the nodes that end up storing ``origin``'s address.
-
-        A node stores the announcement if it received it and believes the
-        origin belongs to its own group.
-        """
-        reached, _ = self.disseminate_from(origin)
-        return {
-            node
-            for node in reached
-            if self._grouping.believes_same_group(node, origin)
-        }

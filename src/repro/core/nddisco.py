@@ -336,35 +336,6 @@ class NDDiscoRouting(RoutingScheme):
     def router(self) -> "_NDDiscoRouter":
         return _NDDiscoRouter(self)
 
-    def knows_direct_route(self, source: int, target: int) -> bool:
-        """True if ``source`` holds a shortest path to ``target`` in its tables."""
-        return self.router().knows_direct(source, target)
-
-    def direct_route(self, source: int, target: int) -> list[int]:
-        """Return the shortest path ``source`` holds toward ``target``.
-
-        Raises
-        ------
-        ValueError
-            If :meth:`knows_direct_route` is False.
-        """
-        router = self.router()
-        if not router.knows_direct(source, target):
-            raise ValueError(f"{source} holds no direct route to {target}")
-        return router.direct(source, target)
-
-    def relay_route(self, source: int, target: int) -> list[int]:
-        """Return the raw relay route source ; ℓt ; t (no shortcuts)."""
-        return self.router().relay(source, target)
-
-    def compact_route(self, source: int, target: int) -> tuple[list[int], str]:
-        """Route using converged NDDisco state, assuming the address is known.
-
-        Returns the path and the mechanism label.
-        """
-        self._check_endpoints(source, target)
-        return self.router().compact(source, target)
-
     def first_packet_route(self, source: int, target: int) -> RouteResult:
         """First packet: resolve the name (if configured), then compact-route."""
         return self.router().first(source, target)

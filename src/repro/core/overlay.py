@@ -175,11 +175,6 @@ class DisseminationOverlay:
         """The sloppy grouping the overlay is organised around."""
         return self._grouping
 
-    @property
-    def num_fingers(self) -> int:
-        """Outgoing fingers per node."""
-        return self._num_fingers
-
     def _checked(self, node: int) -> int:
         """``node`` itself; ``KeyError`` unless it is an id in ``[0, n)``."""
         if not 0 <= node < len(self._position):

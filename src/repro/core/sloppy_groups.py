@@ -18,8 +18,9 @@ properties of this definition, both exposed here:
 
 :class:`SloppyGrouping` captures a converged grouping given (possibly
 per-node) estimates of n, and answers the membership and storage questions
-the static simulator needs: which addresses does node v store, and which
-vicinity member of s belongs to t's group.
+the static simulator needs: does v believe w is in its group, and does v
+store w's address.  Which vicinity member of s shares the longest prefix
+with t is :class:`repro.resolution.GroupContactIndex`'s question.
 """
 
 from __future__ import annotations
@@ -71,9 +72,8 @@ class SloppyGrouping:
     ) -> None:
         if not names:
             raise ValueError("names must be non-empty")
-        self._names = list(names)
-        self._num_nodes = len(self._names)
-        self._hashes = [name.hash_value for name in self._names]
+        self._num_nodes = len(names)
+        self._hashes = [name.hash_value for name in names]
         if estimated_n is None:
             estimates: dict[int, float] = {
                 node: float(self._num_nodes) for node in range(self._num_nodes)
@@ -89,7 +89,6 @@ class SloppyGrouping:
             }
         for node, estimate in estimates.items():
             require_positive(f"estimated_n[{node}]", estimate)
-        self._estimates = estimates
         self._prefix_bits = {
             node: group_prefix_bits(estimate) for node, estimate in estimates.items()
         }
@@ -101,10 +100,6 @@ class SloppyGrouping:
         """Number of nodes in the grouping."""
         return self._num_nodes
 
-    def name_of(self, node: int) -> FlatName:
-        """Return the flat name of ``node``."""
-        return self._names[node]
-
     def hash_of(self, node: int) -> int:
         """Return the hash-space position of ``node``'s name."""
         return self._hashes[node]
@@ -113,21 +108,7 @@ class SloppyGrouping:
         """Return the prefix length k that ``node`` uses (from its own n estimate)."""
         return self._prefix_bits[node]
 
-    def estimate_of(self, node: int) -> float:
-        """Return the estimate of n that ``node`` holds."""
-        return self._estimates[node]
-
     # -- group membership --------------------------------------------------
-
-    def group_of(self, node: int) -> set[int]:
-        """Return G(node): nodes sharing node's first k bits, by node's own k."""
-        k = self._prefix_bits[node]
-        own_prefix = hash_prefix(self._hashes[node], k)
-        return {
-            other
-            for other in range(self._num_nodes)
-            if hash_prefix(self._hashes[other], k) == own_prefix
-        }
 
     def believes_same_group(self, believer: int, other: int) -> bool:
         """Return True if ``believer`` considers ``other`` part of its own group."""
@@ -152,54 +133,6 @@ class SloppyGrouping:
         return common_prefix_length(
             self._hashes[holder], self._hashes[owner]
         ) >= needed
-
-    def stored_addresses(self, holder: int) -> set[int]:
-        """Return the set of nodes whose addresses ``holder`` stores."""
-        return {
-            owner
-            for owner in range(self._num_nodes)
-            if self.stores_address_of(holder, owner)
-        }
-
-    def core_group_of(self, node: int) -> set[int]:
-        """Return G'(node): members on which node and the member both agree."""
-        return {
-            other
-            for other in range(self._num_nodes)
-            if self.stores_address_of(other, node) and self.stores_address_of(node, other)
-        }
-
-    # -- routing support ---------------------------------------------------
-
-    def best_group_contact(
-        self,
-        target: int,
-        candidates: Mapping[int, float],
-    ) -> int | None:
-        """Pick the vicinity member most likely to know ``target``'s address.
-
-        "s locally computes h(t).  It then examines its vicinity and finds
-        the node w in V(s) which has the longest prefix match between h(w)
-        and h(t)" (§4.4).  ``candidates`` maps vicinity members to their
-        distance from s; the longest prefix match wins, with ties broken by
-        smaller distance then smaller node id (a deterministic rendering of
-        the paper's "closest node with a long-enough prefix match"
-        optimisation).
-
-        Returns None if ``candidates`` is empty.
-        """
-        if not candidates:
-            return None
-        target_hash = self._hashes[target]
-        best_node: int | None = None
-        best_key: tuple[int, float, int] | None = None
-        for node, distance in candidates.items():
-            match = common_prefix_length(self._hashes[node], target_hash)
-            key = (-match, distance, node)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_node = node
-        return best_node
 
     def group_sizes(self) -> dict[int, int]:
         """Return the size of each group keyed by its prefix value.

@@ -73,7 +73,6 @@ incident edges with stable node ids.
 
 from __future__ import annotations
 
-import copy
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -186,11 +185,12 @@ class ChurnEngine:
     def _adopt(
         self, graph: CSRGraph, slabs: SubstrateTables, k: int, names: list
     ) -> None:
-        """What both constructors share: ``graph`` -- the snapshot the
+        """Take converged tables as the state: ``graph`` -- the snapshot the
         tables converged on, no one else's -- becomes the graph every event
         splices, ``slabs`` -- converged, writable, this engine's alone --
         the state, its vicinity rows go to the fixed stride, and the event
-        bookkeeping starts empty."""
+        bookkeeping starts empty.  (The tests also adopt a converged
+        routing's tables through here.)"""
         self._graph = graph
         self._topology: Topology | None = None  # materialised on demand
         n = self._num_nodes = graph.num_nodes
@@ -221,42 +221,6 @@ class ChurnEngine:
         for node, width in enumerate(vicinity.lengths):
             if width < stride:
                 self._radius[node] = _INF
-
-    @classmethod
-    def from_routing(cls, routing) -> "ChurnEngine":
-        """Adopt the converged state of an :class:`NDDiscoRouting` instance.
-
-        Requires a connected topology, as the scheme does.  The scheme's
-        slabs are copied wholesale, with no per-entry translation and no
-        search recomputed (the scheme and the siblings sharing its tables
-        keep theirs untouched by events); the address slabs are left out,
-        as in the tables the engine builds itself.  The resulting state is
-        bit-identical to building from scratch.
-        """
-        if not routing.topology.is_connected():
-            raise ValueError(
-                "from_routing requires a connected topology; build the "
-                "engine from scratch instead"
-            )
-        engine = cls.__new__(cls)
-        slabs = copy.deepcopy(routing.tables)  # private array-backed slabs
-        slabs.addr_offsets = array("q", [0])
-        slabs.addr_path, slabs.addr_labels, slabs.addr_bits = (
-            array("q") for _ in range(3)
-        )
-        # Connected topology: every adopted row holds exactly min(k, n)
-        # members, whatever vicinity_scale the routing was built with.
-        engine._adopt(
-            routing.topology.copy().csr(),
-            slabs,
-            slabs.vicinity.offsets[1],
-            list(routing.names),
-        )
-        engine._addresses = [
-            (address.landmark, tuple(address.route.path))
-            for address in routing.addresses
-        ]
-        return engine
 
     # -- read-only state accessors ------------------------------------------
 

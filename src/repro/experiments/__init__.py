@@ -19,12 +19,10 @@ each to the paper's figure or table.
 
 from repro._lazy import lazy_exports
 
-# Resolved on first use: importing one experiment module must not import
-# the runner, which loads all of them.
+# Resolved on first use, so importing one experiment module stays cheap.
 _EXPORTS = {
     "ExperimentScale": "repro.experiments.config",
     "default_scale": "repro.experiments.config",
-    "run_all_experiments": "repro.experiments.runner",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -38,13 +38,6 @@ class CongestionTailResult:
     real_reports: dict[str, CongestionReport] | None = None
     real_topology_label: str | None = None
 
-    def columns(self) -> dict[str, dict[str, CongestionReport]]:
-        """The congestion columns keyed by topology label."""
-        columns = {self.topology_label: self.reports}
-        if self.real_reports is not None:
-            columns[self.real_topology_label or "real"] = self.real_reports
-        return columns
-
     def tail_excess_fraction(self, protocol: str, baseline: str = "Path-Vector") -> float:
         """Fraction of edges where ``protocol`` exceeds the baseline's maximum."""
         base_max = self.reports[baseline].max_usage()

@@ -15,12 +15,9 @@ from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
-    grid_graph,
     internet_as_level,
     internet_router_level,
-    line_graph,
     ring_graph,
-    star_graph,
     two_level_tree,
 )
 from repro.graphs.io import read_edge_list, write_edge_list
@@ -32,15 +29,12 @@ __all__ = [
     "TopologyBuilder",
     "geometric_random_graph",
     "gnm_random_graph",
-    "grid_graph",
     "internet_as_level",
     "internet_router_level",
-    "line_graph",
     "read_edge_list",
     "ring_graph",
     "sample_nodes",
     "sample_pairs",
-    "star_graph",
     "two_level_tree",
     "write_edge_list",
 ]

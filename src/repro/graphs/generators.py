@@ -34,9 +34,6 @@ __all__ = [
     "internet_as_level",
     "internet_router_level",
     "ring_graph",
-    "line_graph",
-    "grid_graph",
-    "star_graph",
     "two_level_tree",
 ]
 
@@ -310,42 +307,6 @@ def ring_graph(num_nodes: int, *, weight: float = 1.0) -> Topology:
         return topology.freeze()
     for node in range(num_nodes):
         topology.add_edge(node, (node + 1) % num_nodes, weight)
-    return topology.freeze()
-
-
-def line_graph(num_nodes: int, *, weight: float = 1.0) -> Topology:
-    """Return a path graph of ``num_nodes`` nodes."""
-    require_positive("num_nodes", num_nodes)
-    topology = TopologyBuilder(num_nodes, name=f"line-{num_nodes}")
-    for node in range(num_nodes - 1):
-        topology.add_edge(node, node + 1, weight)
-    return topology.freeze()
-
-
-def grid_graph(rows: int, cols: int, *, weight: float = 1.0) -> Topology:
-    """Return a ``rows x cols`` grid graph with uniform edge weights."""
-    require_positive("rows", rows)
-    require_positive("cols", cols)
-    topology = TopologyBuilder(rows * cols, name=f"grid-{rows}x{cols}")
-
-    def node_id(r: int, c: int) -> int:
-        return r * cols + c
-
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                topology.add_edge(node_id(r, c), node_id(r, c + 1), weight)
-            if r + 1 < rows:
-                topology.add_edge(node_id(r, c), node_id(r + 1, c), weight)
-    return topology.freeze()
-
-
-def star_graph(num_leaves: int, *, weight: float = 1.0) -> Topology:
-    """Return a star: node 0 is the hub, nodes 1..num_leaves are leaves."""
-    require_positive("num_leaves", num_leaves)
-    topology = TopologyBuilder(num_leaves + 1, name=f"star-{num_leaves}")
-    for leaf in range(1, num_leaves + 1):
-        topology.add_edge(0, leaf, weight)
     return topology.freeze()
 
 

@@ -155,13 +155,6 @@ class TopologyBuilder:
         self._adjacency[u].append((v, weight))
         self._adjacency[v].append((u, weight))
 
-    def add_edges_from(
-        self, edges: Iterable[tuple[int, int] | tuple[int, int, float]]
-    ) -> None:
-        """Add many edges; each item is ``(u, v)`` or ``(u, v, weight)``."""
-        for edge in edges:
-            self.add_edge(*edge)
-
     def remove_edge(self, u: int, v: int) -> float:
         """Remove the undirected edge ``{u, v}``; return its weight
         (``KeyError`` if absent)."""
@@ -381,7 +374,8 @@ class Topology:
     ) -> "Topology":
         """Build from an edge iterable (a :class:`TopologyBuilder` replay)."""
         builder = TopologyBuilder(num_nodes, name=name)
-        builder.add_edges_from(edges)
+        for edge in edges:
+            builder.add_edge(*edge)
         return builder.freeze()
 
     @classmethod
@@ -522,10 +516,6 @@ class Topology:
         except KeyError:
             return default
 
-    def total_weight(self) -> float:
-        """Return the sum of all edge weights."""
-        return sum(self._ew)
-
     def average_degree(self) -> float:
         """Return the mean node degree (0.0 for an empty graph)."""
         if self._num_nodes == 0:
@@ -585,16 +575,6 @@ class Topology:
             len(largest), sub_u, sub_v, sub_w, name=self.name
         )
         return sub, {old: new for new, old in enumerate(largest)}
-
-    def to_networkx(self):  # pragma: no cover - thin convenience wrapper
-        """Return an equivalent ``networkx.Graph`` (weights on ``"weight"``)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self._num_nodes))
-        for u, v, weight in self.edges():
-            graph.add_edge(u, v, weight=weight)
-        return graph
 
     # -- derived snapshots ------------------------------------------------------
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from repro.graphs.sampling import one_destination_per_node
 from repro.protocols.base import RoutingScheme
-from repro.utils.distributions import Summary, cdf_points, summarize
+from repro.utils.distributions import Summary, summarize
 
 __all__ = ["CongestionReport", "measure_congestion"]
 
@@ -50,10 +50,6 @@ class CongestionReport:
     def summary(self) -> Summary:
         """Summary statistics of paths-per-edge."""
         return summarize(self.usage_values)
-
-    def cdf(self) -> list[tuple[float, float]]:
-        """CDF of paths-per-edge (the x/y of the congestion figures)."""
-        return cdf_points(self.usage_values)
 
     def max_usage(self) -> int:
         """The most heavily used edge's path count."""

@@ -24,7 +24,7 @@ from typing import Sequence
 from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
 from repro.graphs.sampling import sample_nodes
 from repro.protocols.base import RoutingScheme
-from repro.utils.distributions import Summary, cdf_points, summarize
+from repro.utils.distributions import Summary, summarize
 
 __all__ = ["StateReport", "measure_state"]
 
@@ -65,10 +65,6 @@ class StateReport:
     def bytes_ipv6_summary(self) -> Summary:
         """Summary statistics of the IPv6-name byte counts."""
         return summarize(self.bytes_ipv6)
-
-    def entry_cdf(self) -> list[tuple[float, float]]:
-        """CDF points of per-node entries (the x/y of Figs. 2, 4, 5)."""
-        return cdf_points(self.entries)
 
     def kilobytes_row(self) -> dict[str, float]:
         """The Fig. 7 row for this protocol: mean/max entries and kilobytes."""

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from repro.graphs.sampling import sample_pairs
 from repro.graphs.topology import Topology
 from repro.protocols.base import RouteResult, RoutingScheme
-from repro.utils.distributions import Summary, cdf_points, summarize
+from repro.utils.distributions import Summary, summarize
 
 __all__ = ["StretchReport", "measure_stretch", "stretch_of_route"]
 
@@ -78,14 +78,6 @@ class StretchReport:
     def later_summary(self) -> Summary:
         """Summary of later-packet stretch."""
         return summarize(self.later_packets)
-
-    def first_cdf(self) -> list[tuple[float, float]]:
-        """CDF of first-packet stretch (the "<protocol>-First" curves)."""
-        return cdf_points(self.first_packet)
-
-    def later_cdf(self) -> list[tuple[float, float]]:
-        """CDF of later-packet stretch (the "<protocol>-Later" curves)."""
-        return cdf_points(self.later_packets)
 
 
 def measure_stretch(

@@ -22,7 +22,6 @@ from repro.naming.hashspace import (
     clockwise_distance,
     common_prefix_length,
     hash_prefix,
-    in_clockwise_interval,
 )
 from repro.naming.consistent_hash import VNodeRing, ring_point
 
@@ -35,7 +34,6 @@ __all__ = [
     "clockwise_distance",
     "common_prefix_length",
     "hash_prefix",
-    "in_clockwise_interval",
     "name_for_node",
     "ring_point",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "HASH_SPACE",
     "clockwise_distance",
     "circular_distance",
-    "in_clockwise_interval",
     "common_prefix_length",
     "hash_prefix",
 ]
@@ -49,28 +48,6 @@ def circular_distance(a: int, b: int) -> int:
     """Shortest distance between ``a`` and ``b`` on the ring (either direction)."""
     forward = clockwise_distance(a, b)
     return min(forward, HASH_SPACE - forward)
-
-
-def in_clockwise_interval(
-    value: int, start: int, end: int, *, inclusive_end: bool = True
-) -> bool:
-    """Return True if ``value`` lies in the clockwise interval (start, end).
-
-    The interval excludes ``start``; ``inclusive_end`` controls the endpoint.
-    An empty interval (start == end) contains nothing unless
-    ``inclusive_end`` and ``value == end == start`` -- matching the usual
-    Chord/Symphony successor conventions.
-    """
-    _check_position("value", value)
-    _check_position("start", start)
-    _check_position("end", end)
-    if start == end:
-        return inclusive_end and value == end
-    gap = clockwise_distance(start, end)
-    offset = clockwise_distance(start, value)
-    if inclusive_end:
-        return 0 < offset <= gap
-    return 0 < offset < gap
 
 
 def common_prefix_length(a: int, b: int, *, bits: int = HASH_BITS) -> int:

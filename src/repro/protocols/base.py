@@ -164,14 +164,6 @@ class RoutingScheme(abc.ABC):
             for node in (min(nodes), max(nodes)):
                 self._check_endpoints(node, node)
 
-    @staticmethod
-    def _validate_path(path: Sequence[int], source: int, target: int) -> None:
-        if not path or path[0] != source or path[-1] != target:
-            raise AssertionError(
-                f"internal error: produced invalid path {path} for "
-                f"{source}->{target}"
-            )
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(topology={self._topology.name!r}, "

@@ -13,7 +13,6 @@ advertised (§4.2 "Learning paths to landmarks and vicinities").
 
 from __future__ import annotations
 
-from repro.graphs.topology import Topology
 from repro.protocols.shortest_path import ShortestPathRouting
 
 __all__ = ["PathVectorRouting"]
@@ -23,32 +22,7 @@ class PathVectorRouting(ShortestPathRouting):
     """Converged path-vector routing.
 
     Data-plane state and routes match :class:`ShortestPathRouting`; the
-    control-plane accounting (full per-neighbor advertisement sets) is
-    exposed via :meth:`control_state_entries`, and the convergence messaging
-    is simulated by the discrete-event simulator.
+    convergence messaging is simulated by the discrete-event simulator.
     """
 
     name = "Path-Vector"
-
-    def __init__(
-        self, topology: Topology, *, seed: int = 0, forgetful: bool = False
-    ) -> None:
-        super().__init__(topology, seed=seed)
-        self._forgetful = forgetful
-
-    @property
-    def forgetful(self) -> bool:
-        """True if Forgetful Routing [24] is enabled (drop unused advertisements)."""
-        return self._forgetful
-
-    def control_state_entries(self, node: int) -> int:
-        """Control-plane entries: per-neighbor advertisement sets.
-
-        With forgetful routing the node keeps only the best route per
-        destination, so control state collapses to the data-plane size.
-        """
-        self._check_endpoints(node, node)
-        destinations = self._topology.num_nodes - 1
-        if self._forgetful:
-            return destinations
-        return destinations * max(1, self._topology.degree(node))

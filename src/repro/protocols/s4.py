@@ -203,17 +203,6 @@ class S4Routing(RoutingScheme):
         """Return |C(node)|: how many nodes ``node`` stores direct routes for."""
         return self._cluster_sizes[node]
 
-    def in_cluster(self, holder: int, member: int) -> bool:
-        """Return True if ``member`` belongs to ``holder``'s cluster."""
-        return self.router().in_cluster(holder, member)
-
-    def cluster_path(self, holder: int, member: int) -> list[int]:
-        """Shortest path from ``holder`` to a cluster member."""
-        router = self.router()
-        if not router.in_cluster(holder, member):
-            raise ValueError(f"{member} is not in the cluster of {holder}")
-        return router.cluster_path(holder, member)
-
     def landmark_path(self, landmark: int, node: int) -> list[int]:
         """Return the SPT path from ``landmark`` to ``node``."""
         if landmark not in self._landmarks:
@@ -247,28 +236,11 @@ class S4Routing(RoutingScheme):
         return entries, per, fixed
 
     # -- routing ----------------------------------------------------------------
-    # The routing rule lives in :class:`_S4Router`; everything below (and
-    # :meth:`in_cluster` / :meth:`cluster_path` above) is a one-pair call
-    # on a fresh router.
+    # The routing rule lives in :class:`_S4Router`; everything below is a
+    # one-pair call on a fresh router.
 
     def router(self) -> "_S4Router":
         return _S4Router(self)
-
-    def knows_direct_route(self, source: int, target: int) -> bool:
-        """True if ``source`` can reach ``target`` from its own tables."""
-        return self.router().knows_direct(source, target)
-
-    def direct_route(self, source: int, target: int) -> list[int]:
-        """Shortest path ``source`` holds toward ``target`` (landmark or cluster)."""
-        router = self.router()
-        if not router.knows_direct(source, target):
-            raise ValueError(f"{source} holds no direct route to {target}")
-        return router.direct(source, target)
-
-    def compact_route(self, source: int, target: int) -> tuple[list[int], str]:
-        """Route assuming ``source`` knows ``target``'s label (ℓt, port)."""
-        self._check_endpoints(source, target)
-        return self.router().compact(source, target)
 
     def first_packet_route(self, source: int, target: int) -> RouteResult:
         """First packet: resolve the label at the location service, then route."""

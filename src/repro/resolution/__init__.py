@@ -12,8 +12,8 @@ This package puts a serving process around them:
   successor-replicated storage of name→address records on the landmark
   shards, with deterministic arc-scoped rebalance on shard join/leave.
 * :class:`repro.resolution.service.GroupContactIndex` -- bisect-backed
-  longest-prefix contact selection, bit-identical to
-  :meth:`repro.core.sloppy_groups.SloppyGrouping.best_group_contact`.
+  longest-prefix contact selection, bit-identical to a full scan of the
+  vicinity (``tests/oracles/sloppy_groups.py``).
 * :mod:`repro.resolution.traffic` -- a seeded Zipf lookup workload with
   diurnal and flash-crowd phases, billed per lookup against a converged
   :class:`~repro.core.nddisco.NDDiscoRouting` substrate's landmark-SPT

@@ -148,11 +148,6 @@ class ShardedResolutionService:
         return self._replicas
 
     @property
-    def refresh_interval(self) -> float:
-        """The soft-state refresh period t."""
-        return self._refresh_interval
-
-    @property
     def timeout(self) -> float:
         """The soft-state timeout 2t + 1."""
         return 2.0 * self._refresh_interval + 1.0
@@ -175,19 +170,6 @@ class ShardedResolutionService:
         return self._ring.successor(name.hash_value)
 
     # -- storage -------------------------------------------------------------
-
-    def insert(
-        self, name: FlatName, address: Address, *, now: float = 0.0
-    ) -> tuple[int, ...]:
-        """Insert/refresh the record for ``name``; returns its replica set.
-
-        A refresh of a live record never reshuffles placement: the ring is
-        keyed by the name's hash only, so re-inserting recomputes the same
-        replica set unless the membership changed in between (the property
-        the soft-state tests pin).
-        """
-        self.populate((name,), (address,), now=now)
-        return self._placements[name]
 
     def populate(
         self,
@@ -222,16 +204,6 @@ class ShardedResolutionService:
             elif fresh:
                 self._index.extend(fresh)
                 self._index.sort()
-
-    def lookup(self, name: FlatName, *, now: float | None = None) -> Address | None:
-        """The stored address for ``name``, or None if absent or stale.
-
-        With ``now`` given, a record past its ``2t + 1`` window is *not
-        served* even if a lazy expiry sweep has not dropped it yet -- the
-        service never serves staler than the oracle database would store.
-        """
-        record = self.lookup_record(name, now=now)
-        return record.address if record is not None else None
 
     def lookup_record(
         self, name: FlatName, *, now: float | None = None
@@ -347,8 +319,8 @@ class ShardedResolutionService:
     def load_distribution(self) -> dict[int, int]:
         """Record copies per shard (the §4.5 load-imbalance view).
 
-        With ``replicas=1`` this matches
-        :meth:`LandmarkResolutionDatabase.load_distribution` exactly.
+        With ``replicas=1`` shard ``s`` holds what the converged
+        :meth:`LandmarkResolutionDatabase.entries_at` counts at ``s``.
         """
         return dict(self._shard_counts)
 
@@ -417,12 +389,13 @@ class ShardedResolutionService:
 class GroupContactIndex:
     """Bisect-backed sloppy-group contact selection (§4.4 served live).
 
-    :meth:`SloppyGrouping.best_group_contact` scans every vicinity member
-    per query; a serving process answers the same question with one bisect
-    into the member list sorted by hash.  The longest-prefix-match winners
-    form a contiguous run around the query hash's insertion point (they
-    share the maximal prefix interval), so the scan for the
-    ``(distance, node)`` tie-break touches only that run.  Results are
+    A full scan reads every vicinity member per query
+    (``tests/oracles/sloppy_groups.py``); a serving process answers the
+    same question with one bisect into the member list sorted by hash.
+    The longest-prefix-match winners form a contiguous run around the
+    query hash's insertion point (they share the maximal prefix
+    interval), so the scan for the ``(distance, node)`` tie-break touches
+    only that run.  Results are
     bit-identical to the oracle (pinned by the differential suite).
 
     Candidate rows are indexed lazily per source node and assumed stable
@@ -449,9 +422,8 @@ class GroupContactIndex:
 
         ``row`` is ``source``'s vicinity row, ``(members, distances, ...)``
         as :meth:`~repro.core.tables.NodeSearchTables.row` returns it.
-        Same order as :meth:`SloppyGrouping.best_group_contact`: longest
-        hash-prefix match with h(target), ties broken by smaller distance
-        then smaller node id.  Returns the winner as ``(distance, node)``,
+        The order is the longest hash-prefix match with h(target), ties
+        broken by smaller distance then smaller node id.  Returns the winner as ``(distance, node)``,
         or None for an empty row.
         """
         table = self._tables.get(source)

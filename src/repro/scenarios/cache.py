@@ -106,8 +106,10 @@ __all__ = [
 #: a :class:`~repro.naming.VNodeRing`.  v7: topologies pickle as the one
 #: array-backed :class:`~repro.graphs.topology.Topology`.  v8: schemes hold
 #: the tables object and no slab views, so shells carry no ``spt`` /
-#: ``closest`` / ``vicinities`` references.
-ARTIFACT_SCHEMA = "repro-artifacts/v8"
+#: ``closest`` / ``vicinities`` references.  v9: the label codec keeps no
+#: per-node neighbour lists, the sloppy grouping no names or estimates,
+#: and a path-vector shell no flag for a mode nothing set.
+ARTIFACT_SCHEMA = "repro-artifacts/v9"
 
 #: Tables artifacts at or above this many slab bytes are stored as a raw
 #: slab directory instead of a compressed pickle.  A slab directory loads

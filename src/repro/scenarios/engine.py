@@ -21,9 +21,9 @@ Three properties the engine guarantees:
   scenarios are each built once.  With a disk-backed cache the dedup
   extends across worker processes and across invocations.
 * **One definition of a scenario** -- a sharded scenario's ``run`` (what
-  ``repro.experiments.runner`` and the experiment modules call) is its
-  shards merged in key order (:meth:`Scenario.run`), so a task list of
-  its shards and a direct call compute the same thing.
+  a direct call from Python runs) is its shards merged in key order
+  (:meth:`Scenario.run`), so a task list of its shards and a direct call
+  compute the same thing.
 """
 
 from __future__ import annotations

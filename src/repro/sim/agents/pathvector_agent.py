@@ -57,10 +57,6 @@ class RoutePolicy(abc.ABC):
     """Decides which advertised routes a node installs."""
 
     @abc.abstractmethod
-    def is_always_kept(self, agent: "PathVectorAgent", destination: int) -> bool:
-        """Destinations that are never subject to capacity eviction."""
-
-    @abc.abstractmethod
     def accepts(
         self,
         agent: "PathVectorAgent",
@@ -82,9 +78,6 @@ class RoutePolicy(abc.ABC):
 
 class AcceptAllPolicy(RoutePolicy):
     """Plain path vector: keep the best route to every destination."""
-
-    def is_always_kept(self, agent: "PathVectorAgent", destination: int) -> bool:
-        return True
 
     def accepts(
         self,
@@ -112,9 +105,6 @@ class LandmarkVicinityPolicy(RoutePolicy):
             raise ValueError("vicinity_capacity must be >= 1")
         self.landmarks = set(landmarks)
         self.vicinity_capacity = vicinity_capacity
-
-    def is_always_kept(self, agent: "PathVectorAgent", destination: int) -> bool:
-        return destination in self.landmarks
 
     def _vicinity_entries(self, agent: "PathVectorAgent") -> list[RouteEntry]:
         return [
@@ -156,9 +146,6 @@ class ClusterPolicy(RoutePolicy):
 
     def __init__(self, landmarks: set[int]) -> None:
         self.landmarks = set(landmarks)
-
-    def is_always_kept(self, agent: "PathVectorAgent", destination: int) -> bool:
-        return destination in self.landmarks
 
     def accepts(
         self,
@@ -355,7 +342,3 @@ class PathVectorAgent(Agent):
     def routes(self) -> dict[int, RouteEntry]:
         """A copy of the node's current routing table."""
         return dict(self.table)
-
-    def known_destinations(self) -> set[int]:
-        """Destinations (other than the node itself) with installed routes."""
-        return {dest for dest in self.table if dest != self.node}

@@ -26,14 +26,11 @@ class Event:
         Monotonic tie-breaker assigned by the queue.
     action:
         Zero-argument callable executed when the event fires.
-    cancelled:
-        Events can be cancelled in place; the queue skips them.
     """
 
     time: float
     sequence: int
     action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
 
 
 class EventQueue:
@@ -42,10 +39,9 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[Event] = []
         self._counter = itertools.count()
-        self._cancelled: set[int] = set()
 
     def __len__(self) -> int:
-        return len(self._heap) - len(self._cancelled)
+        return len(self._heap)
 
     def push(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at ``time``; returns the event handle."""
@@ -55,23 +51,10 @@ class EventQueue:
         heapq.heappush(self._heap, event)
         return event
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (no-op if already fired)."""
-        self._cancelled.add(event.sequence)
-
     def pop(self) -> Event | None:
-        """Pop and return the next live event, or None if the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.sequence in self._cancelled:
-                self._cancelled.discard(event.sequence)
-                continue
-            return event
-        return None
+        """Pop and return the next event, or None if the queue is empty."""
+        return heapq.heappop(self._heap) if self._heap else None
 
     def peek_time(self) -> float | None:
-        """Return the time of the next live event without removing it."""
-        while self._heap and self._heap[0].sequence in self._cancelled:
-            event = heapq.heappop(self._heap)
-            self._cancelled.discard(event.sequence)
+        """Return the time of the next event without removing it."""
         return self._heap[0].time if self._heap else None

@@ -79,10 +79,6 @@ class Network:
             raise ValueError(f"node {agent.node} already has an agent attached")
         self._agents[agent.node] = agent
 
-    def agent(self, node: int) -> "Agent":
-        """Return the agent running on ``node``."""
-        return self._agents[node]
-
     def start(self) -> None:
         """Invoke every agent's ``start`` hook at time zero."""
         for node in sorted(self._agents):

@@ -12,7 +12,7 @@ __all__ = ["Simulator"]
 class Simulator:
     """A simple discrete-event simulator.
 
-    Events are callables scheduled at absolute or relative virtual times; the
+    Events are callables scheduled a delay after the current virtual time; the
     run loop pops them in time order and executes them.  The simulator is
     deliberately minimal -- protocol behaviour lives in the agents, and the
     network fabric (:class:`repro.sim.network.Network`) is what schedules
@@ -39,23 +39,11 @@ class Simulator:
         """Number of events still scheduled."""
         return len(self._queue)
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
-        """Schedule ``action`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule in the past (now={self._now}, requested={time})"
-            )
-        return self._queue.push(time, action)
-
     def schedule_in(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` after ``delay`` time units."""
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         return self._queue.push(self._now + delay, action)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event."""
-        self._queue.cancel(event)
 
     def run(
         self,

@@ -18,28 +18,19 @@ from repro.utils.distributions import (
     percentile,
     summarize,
 )
-from repro.utils.formatting import format_cdf, format_table, human_bytes
-from repro.utils.randomness import SeedSequenceFactory, derive_seed, make_rng
-from repro.utils.validation import (
-    require_in_range,
-    require_positive,
-    require_probability,
-    require_type,
-)
+from repro.utils.formatting import format_cdf, format_table
+from repro.utils.randomness import derive_seed, make_rng
+from repro.utils.validation import require_in_range, require_positive
 
 __all__ = [
-    "SeedSequenceFactory",
     "Summary",
     "cdf_points",
     "derive_seed",
     "format_cdf",
     "format_table",
-    "human_bytes",
     "make_rng",
     "percentile",
     "require_in_range",
     "require_positive",
-    "require_probability",
-    "require_type",
     "summarize",
 ]

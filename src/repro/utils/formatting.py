@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.utils.distributions import percentile
 
-__all__ = ["format_table", "format_cdf", "human_bytes"]
+__all__ = ["format_table", "format_cdf"]
 
 
 def format_table(
@@ -81,14 +81,3 @@ def format_cdf(
         rows.append([label] + [percentile(list(values), q) for q in quantiles])
     return format_table(headers, rows, float_format=float_format)
 
-
-def human_bytes(num_bytes: float) -> str:
-    """Render a byte count with an appropriate binary unit suffix."""
-    value = float(num_bytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or unit == "TiB":
-            if unit == "B":
-                return f"{value:.0f} {unit}" if value.is_integer() else f"{value:.2f} {unit}"
-            return f"{value:.2f} {unit}"
-        value /= 1024.0
-    raise AssertionError("unreachable")

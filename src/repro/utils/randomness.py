@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
-__all__ = ["derive_seed", "make_rng", "SeedSequenceFactory"]
+__all__ = ["derive_seed", "make_rng"]
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -48,45 +47,3 @@ def make_rng(seed: int, tag: str = "") -> random.Random:
     if tag:
         return random.Random(derive_seed(seed, tag))
     return random.Random(seed)
-
-
-class SeedSequenceFactory:
-    """Hands out deterministic child RNGs and seeds from one root seed.
-
-    The factory keeps a counter per tag so repeated requests with the same
-    tag yield *different but reproducible* streams, which is convenient when
-    an experiment loops over repetitions::
-
-        seeds = SeedSequenceFactory(42)
-        for trial in range(5):
-            rng = seeds.rng("trial")   # distinct stream per call
-            ...
-    """
-
-    def __init__(self, root_seed: int) -> None:
-        self._root_seed = int(root_seed)
-        self._counters: dict[str, int] = {}
-
-    @property
-    def root_seed(self) -> int:
-        """The root seed this factory was constructed with."""
-        return self._root_seed
-
-    def seed(self, tag: str) -> int:
-        """Return the next derived integer seed for ``tag``."""
-        count = self._counters.get(tag, 0)
-        self._counters[tag] = count + 1
-        return derive_seed(self._root_seed, f"{tag}#{count}")
-
-    def rng(self, tag: str) -> random.Random:
-        """Return the next derived ``random.Random`` for ``tag``."""
-        return random.Random(self.seed(tag))
-
-    def spawn(self, tag: str) -> "SeedSequenceFactory":
-        """Return a child factory rooted at a derived seed."""
-        return SeedSequenceFactory(self.seed(f"spawn/{tag}"))
-
-    def stream(self, tag: str) -> Iterator[random.Random]:
-        """Yield an endless sequence of independent RNGs for ``tag``."""
-        while True:
-            yield self.rng(tag)

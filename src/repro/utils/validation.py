@@ -7,14 +7,7 @@ and the call sites short.
 
 from __future__ import annotations
 
-from typing import Any
-
-__all__ = [
-    "require_positive",
-    "require_in_range",
-    "require_probability",
-    "require_type",
-]
+__all__ = ["require_positive", "require_in_range"]
 
 
 def require_positive(name: str, value: float, *, allow_zero: bool = False) -> None:
@@ -42,20 +35,3 @@ def require_in_range(
         if not low < value < high:
             raise ValueError(f"{name} must be in ({low}, {high}), got {value!r}")
 
-
-def require_probability(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value`` is a probability in [0, 1]."""
-    require_in_range(name, value, 0.0, 1.0)
-
-
-def require_type(name: str, value: Any, expected: type | tuple[type, ...]) -> None:
-    """Raise ``TypeError`` unless ``value`` is an instance of ``expected``."""
-    if not isinstance(value, expected):
-        expected_names = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " or ".join(t.__name__ for t in expected)
-        )
-        raise TypeError(
-            f"{name} must be {expected_names}, got {type(value).__name__}"
-        )

@@ -16,15 +16,13 @@ from repro.core.nddisco import NDDiscoRouting
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
-    grid_graph,
     internet_as_level,
-    line_graph,
     ring_graph,
-    star_graph,
 )
 from repro.graphs.topology import Topology
 from repro.protocols.s4 import S4Routing
 from repro.protocols.vrr import VirtualRingRouting
+from small_graphs import grid_graph, line_graph, star_graph
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,9 @@ it computes, so ``tests/test_resolution_service.py`` can hold
 ``VNodeRing`` to it key for key.  Points come from
 ``consistent_hash.ring_point`` looked up at call time, so a test that
 monkeypatches that function moves both rings.
+
+:func:`in_clockwise_interval` is the Chord-style interval test the ring
+tests state arc ownership with.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ import bisect
 from typing import Hashable, Iterable
 
 from repro.naming import consistent_hash
-from repro.naming.hashspace import HASH_BITS
+from repro.naming.hashspace import HASH_BITS, clockwise_distance
 
-__all__ = ["ConsistentHashRing"]
+__all__ = ["ConsistentHashRing", "in_clockwise_interval"]
 
 
 class ConsistentHashRing:
@@ -135,3 +138,22 @@ class ConsistentHashRing:
         for key in keys:
             counts[self.owner(key)] += 1
         return counts
+
+
+def in_clockwise_interval(
+    value: int, start: int, end: int, *, inclusive_end: bool = True
+) -> bool:
+    """Return True if ``value`` lies in the clockwise interval (start, end).
+
+    The interval excludes ``start``; ``inclusive_end`` controls the endpoint.
+    An empty interval (start == end) contains nothing unless
+    ``inclusive_end`` and ``value == end == start`` -- matching the usual
+    Chord/Symphony successor conventions.
+    """
+    offset = clockwise_distance(start, value)
+    gap = clockwise_distance(start, end)
+    if start == end:
+        return inclusive_end and value == end
+    if inclusive_end:
+        return 0 < offset <= gap
+    return 0 < offset < gap

@@ -18,7 +18,8 @@ It also keeps the seed's dict-side path helpers (:func:`extract_path`,
 :func:`shortest_path`, :func:`path_length`) and reads the production row
 drivers back into the dict shape the kernels above return
 (:func:`spt_search`, :func:`k_nearest_search`, :func:`radius_search`), so a
-differential compares like with like.
+differential compares like with like, and hands a topology to networkx
+(:func:`to_networkx`) for a second, independent reference.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "spt_search",
     "k_nearest_search",
     "radius_search",
+    "to_networkx",
 ]
 
 
@@ -264,3 +266,15 @@ def radius_search(
         [radius], [source], inclusive=inclusive
     )
     return _row_dicts(members, dists, parents)
+
+
+def to_networkx(topology: Topology):
+    """An equivalent ``networkx.Graph`` (weights on ``"weight"``): networkx's
+    own algorithms are a second reference for the kernels."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(topology.num_nodes))
+    for u, v, weight in topology.edges():
+        graph.add_edge(u, v, weight=weight)
+    return graph

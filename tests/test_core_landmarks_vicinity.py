@@ -7,10 +7,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.landmarks import LandmarkSet, landmark_probability, select_landmarks
+from repro.core.landmarks import landmark_probability, select_landmarks
 from oracles.reference_paths import dijkstra, dijkstra_k_nearest
 from repro.core.vicinity import compute_vicinities, vicinity_size
-from repro.graphs.generators import gnm_random_graph, line_graph
+from small_graphs import line_graph
 
 
 class TestLandmarkProbability:
@@ -71,46 +71,6 @@ class TestSelectLandmarks:
         landmarks = select_landmarks(n, seed=seed)
         assert landmarks
         assert all(0 <= v < n for v in landmarks)
-
-
-class TestLandmarkSet:
-    def test_create_from_topology(self, small_gnm):
-        landmark_set = LandmarkSet.create(small_gnm, seed=1)
-        assert len(landmark_set) >= 1
-        assert all(v in landmark_set for v in landmark_set.landmarks)
-
-    def test_create_from_int(self):
-        landmark_set = LandmarkSet.create(100, seed=1)
-        assert len(landmark_set) >= 1
-
-    def test_reconsider_hysteresis(self):
-        landmark_set = LandmarkSet.create(100, seed=1)
-        # Less than a factor-2 change: no flips allowed.
-        assert landmark_set.reconsider(0, 150) is False
-        assert landmark_set.reconsider(0, 51) is False
-
-    def test_reconsider_large_change_may_flip(self):
-        landmark_set = LandmarkSet.create(64, seed=1)
-        changed = [landmark_set.reconsider(node, 100_000) for node in range(64)]
-        # With n growing 1500x the landmark probability collapses, so at least
-        # one previously selected landmark steps down.
-        assert any(changed)
-
-    def test_reconsider_updates_population_record(self):
-        landmark_set = LandmarkSet.create(64, seed=1)
-        landmark_set.reconsider(5, 1000)
-        assert landmark_set.population_at_last_change[5] == 1000
-
-    def test_reconsider_invalid_n(self):
-        landmark_set = LandmarkSet.create(10, seed=1)
-        with pytest.raises(ValueError):
-            landmark_set.reconsider(0, 0)
-
-    def test_expected_count(self):
-        landmark_set = LandmarkSet.create(100, seed=1)
-        assert landmark_set.expected_count(100) == pytest.approx(
-            100 * landmark_probability(100)
-        )
 
 
 class TestVicinitySize:

@@ -6,13 +6,15 @@ import pytest
 
 from oracles.reference_paths import dijkstra, path_length
 from oracles import state_accounting as oracle
+from oracles.resolution_db import stored_record
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.core.vicinity import vicinity_size
-from repro.graphs.generators import gnm_random_graph, line_graph
+from repro.graphs.generators import gnm_random_graph
 from repro.graphs.topology import Topology
 from repro.metrics.state import measure_state
 from repro.metrics.stretch import measure_stretch
+from small_graphs import line_graph
 
 
 class TestConstruction:
@@ -117,9 +119,8 @@ class TestAddresses:
     def test_resolution_database_populated(self, nddisco_small, small_gnm):
         database = nddisco_small.resolution_database
         for node in (0, 10, 63):
-            assert database.lookup(nddisco_small.names[node]) == (
-                nddisco_small.address_of(node)
-            )
+            record = stored_record(database, nddisco_small.names[node])
+            assert record.address == nddisco_small.address_of(node)
 
 
 class TestStateAccounting:
@@ -247,9 +248,9 @@ class TestRouting:
 
     def test_relay_route_structure(self, nddisco_small):
         source, target = 0, 63
-        if nddisco_small.knows_direct_route(source, target):
+        if nddisco_small.router().knows_direct(source, target):
             pytest.skip("pair resolves directly on this topology")
-        relay = nddisco_small.relay_route(source, target)
+        relay = nddisco_small.router().relay(source, target)
         assert relay[0] == source
         assert relay[-1] == target
         landmark = nddisco_small.closest_landmark(target)

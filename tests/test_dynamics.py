@@ -16,10 +16,10 @@ from repro.dynamics.stream import (
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
-    line_graph,
     ring_graph,
 )
 from repro.graphs.topology import Topology, TopologyBuilder
+from small_graphs import line_graph
 
 
 def _replayed(topology: Topology, events) -> Topology:

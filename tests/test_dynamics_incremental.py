@@ -29,7 +29,10 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles.fresh_build import assert_tables_match_fresh_build
+from oracles.fresh_build import (
+    assert_tables_match_fresh_build,
+    engine_from_routing,
+)
 from oracles.replay import replay_bills
 from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
@@ -228,7 +231,7 @@ class TestEngineDifferential:
         routing = NDDiscoRouting(current.freeze(), seed=3, landmarks=landmarks)
         assert (
             engine.state_signature()
-            == ChurnEngine.from_routing(routing).state_signature()
+            == engine_from_routing(routing).state_signature()
         )
 
     @pytest.mark.parametrize(
@@ -262,7 +265,7 @@ class TestEngineDifferential:
     def test_from_routing_equals_direct_convergence(self):
         topology = geometric_random_graph(40, seed=7, average_degree=5.0)
         routing = NDDiscoRouting(topology, seed=7)
-        adopted = ChurnEngine.from_routing(routing)
+        adopted = engine_from_routing(routing)
         direct = ChurnEngine(
             topology, seed=7, landmarks=sorted(routing.landmarks)
         )
@@ -274,7 +277,7 @@ class TestEngineDifferential:
         # and regrew all of them to the default k on the first event.
         topology = gnm_random_graph(200, seed=3, average_degree=6.0)
         routing = NDDiscoRouting(topology, seed=3, vicinity_scale=0.5)
-        adopted = ChurnEngine.from_routing(routing)
+        adopted = engine_from_routing(routing)
         assert adopted.vicinity_k == len(routing.tables.vicinity.row(0)[0]) == 17
         direct = ChurnEngine(
             topology,
@@ -315,6 +318,47 @@ class TestMaintenanceEdgeCases:
             report = engine.apply(event)
             assert not report.applied
             assert report.cost.total_incremental_entries == 0
+        assert engine.state_signature() == before
+
+    @pytest.mark.parametrize(
+        "kind, u, v, weight",
+        [
+            pytest.param("edge-up", 4, 4, 1.0, id="self-loop"),
+            pytest.param("edge-up", 0, 32, 1.0, id="endpoint-out-of-range"),
+            pytest.param("edge-up", 0, "absent", 0.0, id="zero-weight"),
+            pytest.param("edge-reweight", "u", "v", -1.0, id="negative-weight"),
+            pytest.param("edge-up", "u", "v", "w", id="recover-a-present-edge"),
+            pytest.param("edge-down", "absent", 0, 0.0, id="fail-an-absent-edge"),
+            pytest.param(
+                "edge-reweight", 0, "absent", 2.0, id="reweight-an-absent-edge"
+            ),
+            pytest.param(
+                "edge-reweight", "v", "u", "w",
+                id="reweight-to-the-current-weight",
+            ),
+            pytest.param("node-join", 3, -1, 0.0, id="join-a-live-node"),
+            pytest.param("node-leave", 32, -1, 0.0, id="leave-out-of-range"),
+            pytest.param("node-leave", -1, -1, 0.0, id="leave-a-negative-id"),
+        ],
+    )
+    def test_infeasible_event_is_a_no_op(self, kind, u, v, weight):
+        # Each guard on ``ChurnEngine.apply``'s edge, leave and join paths:
+        # the event is reported unapplied, bills nothing, changes nothing.
+        # "u", "v", "w" are the first edge, "absent" a non-neighbour of 0.
+        topology = gnm_random_graph(32, seed=2, average_degree=5.0)
+        edge_u, edge_v, edge_w = next(iter(sorted(topology.edges())))
+        absent = next(w for w in range(1, 32) if not topology.has_edge(0, w))
+        named = {"u": edge_u, "v": edge_v, "w": edge_w, "absent": absent}
+        event = DynEvent(
+            1, kind, named.get(u, u), named.get(v, v), named.get(weight, weight)
+        )
+        engine = ChurnEngine(topology, seed=0)
+        before = engine.state_signature()
+        report = engine.apply(event)
+        assert not report.applied
+        assert report.cost.total_incremental_entries == 0
+        assert engine.dead_nodes == set()
+        assert engine.topology == topology
         assert engine.state_signature() == before
 
     def test_duplicate_events_in_one_tick(self):
@@ -377,7 +421,7 @@ class TestLiveTables:
         topology = geometric_random_graph(40, seed=7, average_degree=5.0)
         routing = NDDiscoRouting(topology, seed=7)
         before = [bytes(slab) for _, _, slab in routing.tables.slab_items()]
-        engine = ChurnEngine.from_routing(routing)
+        engine = engine_from_routing(routing)
         assert_tables_match_fresh_build(engine)
         engine.run(generate_event_stream(topology, num_events=8, seed=7))
         assert_tables_match_fresh_build(engine)

@@ -25,7 +25,11 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles.fresh_build import assert_tables_match_fresh_build, fresh_tables
+from oracles.fresh_build import (
+    assert_tables_match_fresh_build,
+    engine_from_routing,
+    fresh_tables,
+)
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.dynamics import (
@@ -246,7 +250,7 @@ class TestFlatVicinityRows:
         routing = NDDiscoRouting(topology, seed=seed)
         landmarks = sorted(routing.landmarks)
         if adopt:
-            engine = ChurnEngine.from_routing(routing)
+            engine = engine_from_routing(routing)
         else:
             engine = ChurnEngine(topology, landmarks=landmarks)
         before = ChurnEngine(topology, landmarks=landmarks)
@@ -283,7 +287,7 @@ class TestFlatVicinityRows:
         """The engine's strided rows read like the scheme's packed ones."""
         topology, _ = _tailed_graph(1)
         routing = NDDiscoRouting(topology, seed=1)
-        engine = ChurnEngine.from_routing(routing)
+        engine = engine_from_routing(routing)
         mine, theirs = engine.tables.vicinity, routing.tables.vicinity
         assert mine.lengths is not None and theirs.lengths is None
         for node in range(topology.num_nodes):
@@ -297,7 +301,7 @@ class TestFlatVicinityRows:
     @pytest.mark.parametrize("seed", range(3))
     def test_live_tables_match_fresh_build_after_stream(self, seed):
         topology = gnm_random_graph(48, seed=seed, average_degree=5.0)
-        engine = ChurnEngine.from_routing(NDDiscoRouting(topology, seed=seed))
+        engine = engine_from_routing(NDDiscoRouting(topology, seed=seed))
         events = generate_event_stream(topology, num_events=16, seed=seed)
         assert {"node-leave", "edge-down"} <= {event.kind for event in events}
         engine.run(events)

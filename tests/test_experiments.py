@@ -1,4 +1,5 @@
-"""Tests for the experiment harness (config, workloads, runner, experiments).
+"""Tests for the experiment harness (config, workloads, the scenario table,
+experiments).
 
 Every experiment is run at a deliberately tiny scale so the whole module
 stays fast; the assertions check the *structure* of results and the paper's
@@ -15,7 +16,6 @@ from repro.experiments import fig07_state_bytes, fig08_messaging, fig09_scaling
 from repro.experiments import fig10_congestion_as, finger_study, guarantees
 from repro.experiments import static_accuracy
 from repro.experiments.config import ExperimentScale, default_scale
-from repro.experiments.runner import EXPERIMENTS, run_all_experiments, run_experiment
 from repro.experiments.workloads import (
     as_level_topology,
     comparison_geometric,
@@ -23,7 +23,7 @@ from repro.experiments.workloads import (
     large_geometric,
     router_level_topology,
 )
-from repro.scenarios import resolve
+from repro.scenarios import resolve, scenario_ids
 
 TINY = ExperimentScale(
     comparison_nodes=72,
@@ -128,18 +128,15 @@ class TestRunner:
             "resolution-balance",
             "ablations",
         }
-        assert set(EXPERIMENTS) == expected
+        assert set(scenario_ids()) == expected
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
-            run_experiment("fig99-nonexistent", TINY)
+            resolve("fig99-nonexistent")
 
-    def test_run_selected_subset(self):
-        reports = run_all_experiments(
-            TINY, include=["addr-sizes", "finger-study"], exclude=["finger-study"]
-        )
-        assert set(reports) == {"addr-sizes"}
-        assert "explicit-route" in reports["addr-sizes"]
+    def test_run_one_scenario(self):
+        scenario = resolve("addr-sizes")
+        assert "explicit-route" in scenario.format_report(scenario.run(TINY))
 
 
 class TestIndividualExperiments:

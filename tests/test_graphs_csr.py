@@ -23,12 +23,11 @@ from repro.graphs.csr import kernel_threads, tree_path
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
-    grid_graph,
     ring_graph,
-    star_graph,
     two_level_tree,
 )
 from repro.graphs.topology import Topology
+from small_graphs import grid_graph, star_graph
 
 TIERS = ["python"] + (["c"] if load_kernels() is not None else [])
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.reference_paths import to_networkx
 from repro.graphs.analysis import estimate_diameter, profile_topology
-from repro.graphs.generators import gnm_random_graph, line_graph
+from repro.graphs.generators import gnm_random_graph
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.sampling import one_destination_per_node, sample_nodes, sample_pairs
 from repro.graphs.topology import Topology
+from small_graphs import line_graph
 
 
 class TestEdgeListIO:
@@ -122,7 +124,7 @@ class TestAnalysis:
         import networkx as nx
 
         estimate = estimate_diameter(small_gnm, sweeps=4)
-        true_diameter = nx.diameter(small_gnm.to_networkx())
+        true_diameter = nx.diameter(to_networkx(small_gnm))
         # weighted estimate on a unit-weight graph equals hop diameter here
         assert estimate <= true_diameter + 1e-9
         assert estimate >= true_diameter * 0.5

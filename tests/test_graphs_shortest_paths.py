@@ -15,6 +15,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.reference_paths import to_networkx
 from oracles import reference_paths as reference
 from repro.graphs._ckernels import load_kernels
 from repro.graphs.csr import tree_path
@@ -80,7 +81,7 @@ class TestDijkstra:
     def test_matches_networkx_on_random_graph(self, use_c):
         topology = gnm_random_graph(60, seed=9, average_degree=5.0)
         csr = topology.fresh_csr(use_c=use_c)
-        graph = topology.to_networkx()
+        graph = to_networkx(topology)
         for source in (0, 7, 31):
             dist, _ = csr.spt_rows(source)
             expected = nx.single_source_dijkstra_path_length(graph, source)
@@ -88,7 +89,7 @@ class TestDijkstra:
 
     def test_matches_networkx_on_weighted_graph(self, use_c):
         topology = geometric_random_graph(80, seed=10, average_degree=7.0)
-        graph = topology.to_networkx()
+        graph = to_networkx(topology)
         dist, _ = topology.fresh_csr(use_c=use_c).spt_rows(5, fill=math.inf)
         expected = nx.single_source_dijkstra_path_length(graph, 5)
         assert {v for v, d in enumerate(dist) if d < math.inf} == set(expected)
@@ -198,7 +199,7 @@ class TestPropertyBased:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_dijkstra_matches_networkx_random_seeds(self, seed):
         topology = gnm_random_graph(30, seed=seed, average_degree=4.0)
-        expected = nx.single_source_dijkstra_path_length(topology.to_networkx(), 0)
+        expected = nx.single_source_dijkstra_path_length(to_networkx(topology), 0)
         for use_c in TIERS:
             dist, _ = topology.fresh_csr(use_c=use_c).spt_rows(0)
             assert dict(enumerate(dist)) == pytest.approx(expected)

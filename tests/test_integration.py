@@ -102,16 +102,3 @@ class TestExamples:
         output = self._run("internet_routing.py", capsys)
         assert "VRR" in output
         assert "Path-Vector" in output
-
-    def test_reproduce_paper_list(self, capsys):
-        script = EXAMPLES_DIR / "reproduce_paper.py"
-        argv_backup = sys.argv
-        sys.argv = [str(script), "--list"]
-        try:
-            with pytest.raises(SystemExit) as excinfo:
-                runpy.run_path(str(script), run_name="__main__")
-            assert excinfo.value.code == 0
-        finally:
-            sys.argv = argv_backup
-        output = capsys.readouterr().out
-        assert "fig02-state-cdf" in output

@@ -13,8 +13,8 @@ from repro.naming.hashspace import (
     clockwise_distance,
     common_prefix_length,
     hash_prefix,
-    in_clockwise_interval,
 )
+from oracles.hash_ring import in_clockwise_interval
 from repro.naming.names import FlatName, name_for_node
 
 positions = st.integers(min_value=0, max_value=HASH_SPACE - 1)

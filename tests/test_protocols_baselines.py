@@ -75,17 +75,6 @@ class TestPathVectorRouting:
         assert routing.state_entries(7) == small_gnm.num_nodes - 1
         assert routing.first_packet_route(7, 30).path[-1] == 30
 
-    def test_control_state_scales_with_degree(self, small_gnm):
-        routing = PathVectorRouting(small_gnm)
-        node = max(range(small_gnm.num_nodes), key=small_gnm.degree)
-        expected = (small_gnm.num_nodes - 1) * small_gnm.degree(node)
-        assert routing.control_state_entries(node) == expected
-
-    def test_forgetful_mode_collapses_control_state(self, small_gnm):
-        routing = PathVectorRouting(small_gnm, forgetful=True)
-        assert routing.forgetful
-        assert routing.control_state_entries(0) == small_gnm.num_nodes - 1
-
     def test_name(self, small_gnm):
         assert PathVectorRouting(small_gnm).name == "Path-Vector"
 

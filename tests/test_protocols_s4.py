@@ -25,19 +25,19 @@ class TestClusters:
                 if member == holder:
                     continue
                 expected = distances[member] < landmark_distance[member]
-                assert s4_small.in_cluster(holder, member) == expected
+                assert s4_small.router().in_cluster(holder, member) == expected
 
     def test_cluster_size_consistency(self, s4_small, small_gnm):
         for node in range(0, small_gnm.num_nodes, 5):
             explicit = sum(
                 1
                 for member in range(small_gnm.num_nodes)
-                if s4_small.in_cluster(node, member)
+                if s4_small.router().in_cluster(node, member)
             )
             assert s4_small.cluster_size(node) == explicit
 
     def test_node_not_in_own_cluster(self, s4_small):
-        assert not s4_small.in_cluster(4, 4)
+        assert not s4_small.router().in_cluster(4, 4)
 
     def test_cluster_path_is_shortest(self, s4_small, small_gnm):
         holder = next(
@@ -46,20 +46,13 @@ class TestClusters:
         member = next(
             m
             for m in range(small_gnm.num_nodes)
-            if s4_small.in_cluster(holder, m)
+            if s4_small.router().in_cluster(holder, m)
         )
-        path = s4_small.cluster_path(holder, member)
+        path = s4_small.router().cluster_path(holder, member)
         distances, _ = dijkstra(small_gnm, holder)
         assert path[0] == holder
         assert path[-1] == member
         assert path_length(small_gnm, path) == pytest.approx(distances[member])
-
-    def test_cluster_path_non_member_raises(self, s4_small, small_gnm):
-        outsider = next(
-            m for m in range(1, small_gnm.num_nodes) if not s4_small.in_cluster(0, m)
-        )
-        with pytest.raises(ValueError):
-            s4_small.cluster_path(0, outsider)
 
 
 class TestStateExplosion:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs.generators import gnm_random_graph, line_graph
+from repro.graphs.generators import gnm_random_graph
 from repro.metrics.state import measure_state
 from repro.metrics.stretch import measure_stretch
 from repro.protocols.vrr import VirtualRingRouting
+from small_graphs import line_graph
 
 
 class TestConstruction:

@@ -11,8 +11,9 @@ the converged-state oracles:
   across randomized memberships, virtual-node counts, and churn sequences
   -- including a forced token-collision run that exercises the nudge
   fallback;
-* :class:`ShardedResolutionService` at r=1 vs
-  :class:`LandmarkResolutionDatabase` (home shards, load distribution,
+* :class:`ShardedResolutionService` at r=1 vs the converged
+  :class:`LandmarkResolutionDatabase` given a soft-state clock
+  (``tests/oracles/resolution_db.py``: home shards, load distribution,
   lookups, expiry);
 * arc-filtered rebalance vs full placement recomputation under random
   join/leave sequences;
@@ -44,11 +45,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.naming.consistent_hash as consistent_hash_module
-from oracles.hash_ring import ConsistentHashRing
+from oracles.hash_ring import ConsistentHashRing, in_clockwise_interval
+from oracles.resolution_db import SoftStateDatabase
+from oracles.sloppy_groups import best_group_contact
 from repro.addressing.address import Address
 from repro.addressing.explicit_route import ExplicitRoute
 from repro.core.nddisco import NDDiscoRouting
-from repro.core.resolution import LandmarkResolutionDatabase
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.dynamics.stream import DynEvent
 from repro.experiments.config import ExperimentScale
@@ -56,7 +58,7 @@ from repro.graphs.generators import gnm_random_graph
 from repro.cli import main as cli_main
 from repro.naming import HASH_SPACE, FlatName, name_for_node
 from repro.naming.consistent_hash import ring_point
-from repro.naming.hashspace import common_prefix_length, in_clockwise_interval
+from repro.naming.hashspace import common_prefix_length
 from repro.resolution import (
     GroupContactIndex,
     ShardedResolutionService,
@@ -185,7 +187,7 @@ class TestServiceVsOracleDatabase:
         service = ShardedResolutionService(
             landmarks, virtual_nodes=vnodes, replicas=1
         )
-        oracle = LandmarkResolutionDatabase(landmarks, virtual_nodes=vnodes)
+        oracle = SoftStateDatabase(landmarks, virtual_nodes=vnodes)
         names = _names(num_names)
         addresses = [_address(node) for node in range(num_names)]
         service.populate(names, addresses)
@@ -193,7 +195,7 @@ class TestServiceVsOracleDatabase:
         for name in names:
             assert service.home_shard(name) == oracle.home_landmark(name)
             assert service.placement_of(name) == (oracle.home_landmark(name),)
-            assert service.lookup(name) == oracle.lookup(name)
+            assert service.lookup_record(name) == oracle.lookup_record(name)
         assert service.load_distribution() == oracle.load_distribution()
 
     @_SETTINGS
@@ -208,14 +210,14 @@ class TestServiceVsOracleDatabase:
     )
     def test_expiry_matches_oracle(self, landmarks, times, now):
         service = ShardedResolutionService(landmarks, refresh_interval=10.0)
-        oracle = LandmarkResolutionDatabase(landmarks, refresh_interval=10.0)
+        oracle = SoftStateDatabase(landmarks, refresh_interval=10.0)
         names = _names(len(times))
         for node, inserted_at in enumerate(times):
-            service.insert(names[node], _address(node), now=inserted_at)
+            service.populate([names[node]], [_address(node)], now=inserted_at)
             oracle.insert(names[node], _address(node), now=inserted_at)
         assert service.expire_older_than(now) == oracle.expire_older_than(now)
         for name in names:
-            assert service.lookup(name) == oracle.lookup(name)
+            assert service.lookup_record(name) == oracle.lookup_record(name)
         assert service.load_distribution() == oracle.load_distribution()
 
 
@@ -281,12 +283,12 @@ class TestRebalanceDifferential:
         assert report.lost_records == len(homed)
         for name in names:
             if name in homed:
-                assert service.lookup(name) is None
+                assert service.lookup_record(name) is None
             else:
-                assert service.lookup(name) is not None
+                assert service.lookup_record(name) is not None
         # The owner's next soft-state refresh restores the record.
-        service.insert(names[0], addresses[0], now=1.0)
-        assert service.lookup(names[0]) is not None
+        service.populate(names[:1], addresses[:1], now=1.0)
+        assert service.lookup_record(names[0]) is not None
 
     def test_replicated_records_survive_shard_loss(self):
         landmarks = list(range(8))
@@ -302,7 +304,7 @@ class TestRebalanceDifferential:
         # Every affected record re-replicates exactly its lost copy.
         assert report.moved_copies == len(affected)
         for name in names:
-            assert service.lookup(name) is not None
+            assert service.lookup_record(name) is not None
             assert victim not in service.placement_of(name)
 
     def test_join_scan_is_arc_scoped(self):
@@ -473,8 +475,11 @@ class TestRingOrderIndex:
         for kind, arg in ops:
             now += 1.0
             if kind == "insert":
-                placement = service.insert(names[arg], _address(arg), now=now)
-                assert placement == service.placement_of(names[arg])
+                # One name: the bisect insert into the index.
+                service.populate([names[arg]], [_address(arg)], now=now)
+                assert service.placement_of(names[arg]) == (
+                    service.compute_placement(names[arg])
+                )
                 stored[names[arg]] = now
             elif kind == "populate":
                 # New, live and repeated names in one call.
@@ -530,7 +535,7 @@ class TestRingOrderIndex:
                 in_clockwise_interval(name.hash_value, start, end)
                 for name in visited[1:-1]
             )
-        assert service.lookup(first) is None and service.lookup(last) is None
+        assert service.lookup_record(first) is None and service.lookup_record(last) is None
         _check_service(service, shards - {victim})
         service.populate([last, first], [_address(0)] * 2, now=1.0)
         visited = _rebalance(service, shards - {victim}, victim, join=True)
@@ -592,7 +597,8 @@ class TestRingOrderIndex:
         assert visited == sorted(lost)
         assert len(service) == 96 - len(lost)
         _check_service(service, shards - {victim})
-        assert service.insert(names[0], _address(0), now=1.0) == _brute_placement(
+        service.populate(names[:1], [_address(0)], now=1.0)
+        assert service.placement_of(names[0]) == _brute_placement(
             service, shards - {victim}, names[0]
         )
         _check_service(service, shards - {victim})
@@ -665,7 +671,7 @@ class TestRingOrderIndex:
         service.populate(names[:200], [_address(0)] * 200)
         spy = service._index = Spy(service._index)
         service.populate(names[:200], [_address(0)] * 200, now=1.0)
-        service.insert(names[7], _address(7), now=2.0)
+        service.populate([names[7]], [_address(7)], now=2.0)
         assert Spy.calls == [] and service._index is spy
         # One new name is one bisect insert; several are one sort.
         service.populate(names[:201], [_address(0)] * 201, now=3.0)
@@ -736,7 +742,7 @@ class TestSloppyGroupingSkew:
         }
         row = (list(distances), list(distances.values()))
         for target in range(num_nodes):
-            expected = grouping.best_group_contact(target, distances)
+            expected = best_group_contact(grouping, target, distances)
             assert index.best_contact(source, target, row) == (
                 distances[expected], expected
             )
@@ -776,7 +782,7 @@ class TestSoftState:
                     if names[node] in last_insert
                     else None
                 )
-                service.insert(names[node], _address(node), now=float(tick))
+                service.populate([names[node]], [_address(node)], now=float(tick))
                 if before is not None:
                     # Membership never changed, so a refresh never
                     # reshuffles placement.
@@ -802,10 +808,10 @@ class TestSoftState:
     def test_stale_record_not_served_before_sweep(self):
         service = ShardedResolutionService(range(4), refresh_interval=2.0)
         name = name_for_node(0)
-        service.insert(name, _address(0), now=0.0)
-        assert service.lookup(name, now=service.timeout) is not None
+        service.populate([name], [_address(0)], now=0.0)
+        assert service.lookup_record(name, now=service.timeout) is not None
         # Past 2t+1 the record is dead even though no sweep dropped it yet.
-        assert service.lookup(name, now=service.timeout + 1.5) is None
+        assert service.lookup_record(name, now=service.timeout + 1.5) is None
         assert len(service) == 1
 
 

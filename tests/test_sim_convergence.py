@@ -7,7 +7,7 @@ import pytest
 from repro.core.landmarks import select_landmarks
 from repro.core.vicinity import vicinity_size
 from oracles.reference_paths import dijkstra
-from repro.graphs.generators import gnm_random_graph, line_graph
+from repro.graphs.generators import gnm_random_graph
 from repro.graphs.topology import Topology
 from repro.sim.convergence import (
     simulate_disco_convergence,
@@ -15,6 +15,7 @@ from repro.sim.convergence import (
     simulate_path_vector_convergence,
     simulate_s4_convergence,
 )
+from small_graphs import line_graph
 
 
 @pytest.fixture(scope="module")

@@ -89,7 +89,6 @@ class TestLightCommands:
         assert code == 0 and stdout
         assert not _under(loaded, *_HEAVY)
         assert not _figures(loaded)
-        assert "repro.experiments.runner" not in loaded
 
     def test_import_repro_is_only_the_package(self, tmp_path):
         done = subprocess.run(
@@ -115,7 +114,6 @@ class TestRun:
         )
         assert code == 0 and "Fig. 7" in stdout
         assert _figures(loaded) == {"repro.experiments.fig07_state_bytes"}
-        assert "repro.experiments.runner" not in loaded
         assert not _under(loaded, "repro.dynamics", "repro.resolution", "repro.sim")
 
     def test_suggestions_come_from_the_table(self, tmp_path):

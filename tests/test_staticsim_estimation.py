@@ -6,8 +6,6 @@ import pytest
 
 from repro.core.shortcutting import ShortcutMode
 from repro.estimation.error_injection import inject_estimate_error
-from repro.estimation.synopsis import SynopsisDiffusion
-from repro.graphs.generators import gnm_random_graph, line_graph
 from repro.staticsim.simulation import StaticSimulation
 
 
@@ -75,54 +73,6 @@ class TestStaticSimulation:
             assert len(report.nodes) == 16
 
 
-class TestSynopsisDiffusion:
-    def test_estimates_close_to_truth(self, medium_gnm):
-        diffusion = SynopsisDiffusion(medium_gnm, num_synopses=64, seed=1)
-        result = diffusion.run()
-        assert len(result.estimates) == medium_gnm.num_nodes
-        assert result.mean_relative_error(medium_gnm.num_nodes) <= 0.35
-
-    def test_all_nodes_agree_after_flooding(self, small_gnm):
-        result = SynopsisDiffusion(small_gnm, num_synopses=32, seed=2).run()
-        assert len(set(result.estimates)) == 1
-
-    def test_partial_rounds_disagree_on_line(self):
-        line = line_graph(30)
-        result = SynopsisDiffusion(line, num_synopses=16, seed=3).run(rounds=2)
-        assert len(set(result.estimates)) > 1
-
-    def test_more_synopses_reduce_error(self, small_gnm):
-        few = SynopsisDiffusion(small_gnm, num_synopses=8, seed=4).run()
-        many = SynopsisDiffusion(small_gnm, num_synopses=256, seed=4).run()
-        n = small_gnm.num_nodes
-        assert many.mean_relative_error(n) <= few.mean_relative_error(n) + 0.05
-
-    def test_factor_two_guarantee_mostly_holds(self, medium_gnm):
-        result = SynopsisDiffusion(medium_gnm, num_synopses=128, seed=5).run()
-        within = sum(
-            SynopsisDiffusion.estimate_is_within_factor_two(
-                estimate, medium_gnm.num_nodes
-            )
-            for estimate in result.estimates
-        )
-        assert within / len(result.estimates) >= 0.95
-
-    def test_synopsis_bytes(self):
-        assert SynopsisDiffusion.synopsis_bytes(64) == 256
-
-    def test_invalid_parameters(self, small_gnm):
-        with pytest.raises(ValueError):
-            SynopsisDiffusion(small_gnm, num_synopses=0)
-        diffusion = SynopsisDiffusion(small_gnm, num_synopses=4)
-        with pytest.raises(ValueError):
-            diffusion.run(rounds=0)
-
-    def test_deterministic(self, small_gnm):
-        a = SynopsisDiffusion(small_gnm, num_synopses=16, seed=7).run()
-        b = SynopsisDiffusion(small_gnm, num_synopses=16, seed=7).run()
-        assert a.estimates == b.estimates
-
-
 class TestErrorInjection:
     def test_bounds_respected(self):
         estimates = inject_estimate_error(1000, max_error=0.6, seed=1)
@@ -148,6 +98,16 @@ class TestErrorInjection:
             inject_estimate_error(0, max_error=0.5)
         with pytest.raises(ValueError):
             inject_estimate_error(10, max_error=1.5)
+
+    def test_a_node_draw_does_not_depend_on_the_count(self):
+        few = inject_estimate_error(1000, max_error=0.6, num_nodes=10, seed=6)
+        many = inject_estimate_error(1000, max_error=0.6, num_nodes=50, seed=6)
+        assert few == {node: many[node] for node in range(10)}
+
+    def test_estimates_are_clamped_at_two(self):
+        estimates = inject_estimate_error(3, max_error=0.9, seed=7)
+        assert min(estimates.values()) == 2.0
+        assert all(2.0 <= value <= 3 * 1.9 for value in estimates.values())
 
     def test_errors_actually_vary(self):
         estimates = inject_estimate_error(1000, max_error=0.6, seed=5)

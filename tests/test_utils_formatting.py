@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.formatting import format_cdf, format_table, human_bytes
+from repro.utils.formatting import format_cdf, format_table
 
 
 class TestFormatTable:
@@ -62,16 +62,3 @@ class TestFormatCdf:
         numbers = [float(token) for token in row.split()[1:]]
         assert numbers == sorted(numbers)
 
-
-class TestHumanBytes:
-    def test_bytes(self):
-        assert human_bytes(512) == "512 B"
-
-    def test_kibibytes(self):
-        assert human_bytes(2048) == "2.00 KiB"
-
-    def test_mebibytes(self):
-        assert human_bytes(5 * 1024 * 1024) == "5.00 MiB"
-
-    def test_fractional_bytes(self):
-        assert "B" in human_bytes(2.93)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from repro.utils.randomness import SeedSequenceFactory, derive_seed, make_rng
+from repro.utils.randomness import derive_seed, make_rng
 
 
 class TestDeriveSeed:
@@ -45,36 +45,3 @@ class TestMakeRng:
         import random
 
         assert make_rng(99).random() == random.Random(99).random()
-
-
-class TestSeedSequenceFactory:
-    def test_repeated_requests_differ(self):
-        factory = SeedSequenceFactory(1)
-        assert factory.seed("trial") != factory.seed("trial")
-
-    def test_two_factories_agree(self):
-        a = SeedSequenceFactory(5)
-        b = SeedSequenceFactory(5)
-        assert [a.seed("t") for _ in range(4)] == [b.seed("t") for _ in range(4)]
-
-    def test_rng_streams_independent_across_tags(self):
-        factory = SeedSequenceFactory(3)
-        x = factory.rng("alpha").random()
-        y = factory.rng("beta").random()
-        assert x != y
-
-    def test_spawn_creates_distinct_child(self):
-        parent = SeedSequenceFactory(11)
-        child = parent.spawn("worker")
-        assert isinstance(child, SeedSequenceFactory)
-        assert child.root_seed != parent.root_seed
-
-    def test_stream_yields_rngs(self):
-        factory = SeedSequenceFactory(2)
-        stream = factory.stream("s")
-        first = next(stream)
-        second = next(stream)
-        assert first.random() != second.random()
-
-    def test_root_seed_property(self):
-        assert SeedSequenceFactory(17).root_seed == 17

@@ -7,8 +7,6 @@ import pytest
 from repro.utils.validation import (
     require_in_range,
     require_positive,
-    require_probability,
-    require_type,
 )
 
 
@@ -40,25 +38,9 @@ class TestRequireInRange:
         with pytest.raises(ValueError, match="x"):
             require_in_range("x", 2.0, 0.0, 1.0)
 
+    def test_message_names_the_interval(self):
+        with pytest.raises(ValueError, match=r"x must be in \[0.0, 1.0\], got 2.0"):
+            require_in_range("x", 2.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"x must be in \(0.0, 1.0\), got 1.0"):
+            require_in_range("x", 1.0, 0.0, 1.0, inclusive=False)
 
-class TestRequireProbability:
-    def test_valid(self):
-        require_probability("p", 0.5)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            require_probability("p", 1.5)
-
-
-class TestRequireType:
-    def test_accepts_correct_type(self):
-        require_type("x", 5, int)
-        require_type("x", "s", (int, str))
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(TypeError, match="x must be int"):
-            require_type("x", "5", int)
-
-    def test_tuple_error_message(self):
-        with pytest.raises(TypeError, match="int or str"):
-            require_type("x", 1.5, (int, str))
