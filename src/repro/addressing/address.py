@@ -5,7 +5,10 @@ with the necessary information to forward along ℓv ; v" (§4.2), where that
 information is an :class:`~repro.addressing.ExplicitRoute`.  Addresses are
 location-dependent but used only internally by the protocol, and they are
 what the name-resolution database and the sloppy-group dissemination protocol
-carry around.
+carry around.  The converged schemes hold every address as a row of the
+substrate's address slabs (:class:`~repro.core.tables.SubstrateTables`);
+:meth:`~repro.core.nddisco.NDDiscoRouting.address_of` builds this object
+for one node on request.
 
 Byte accounting
 ---------------
@@ -16,8 +19,8 @@ address's byte size is::
     name_bytes(landmark identifier) + explicit-route label bytes
 
 and a (name, address) mapping entry additionally pays ``name_bytes`` for the
-destination's own name.  Those constants and helpers live here so every state
-metric uses identical arithmetic.
+destination's own name.  The name sizes live here so every state metric uses
+the same constants.
 """
 
 from __future__ import annotations
@@ -81,14 +84,6 @@ class Address:
         if name_bytes <= 0:
             raise ValueError(f"name_bytes must be > 0, got {name_bytes}")
         return float(name_bytes) + self.route.size_bytes
-
-    def mapping_entry_bytes(self, name_bytes: int = NAME_BYTES_IPV4) -> float:
-        """Size of a (destination name -> address) mapping entry.
-
-        Used for name-resolution entries at landmarks and sloppy-group
-        address entries at every group member.
-        """
-        return float(name_bytes) + self.size_bytes(name_bytes)
 
     def __repr__(self) -> str:
         return (

@@ -64,7 +64,8 @@ class DiscoRouting(RoutingScheme):
     nddisco:
         Optionally reuse an existing :class:`NDDiscoRouting` built on the
         same topology (saves recomputing landmarks, vicinities, and
-        addresses when an experiment evaluates both protocols).
+        addresses when an experiment evaluates both protocols).  Its names
+        are Disco's: ``names``, if given too, must equal them.
     """
 
     name = "Disco"
@@ -88,6 +89,8 @@ class DiscoRouting(RoutingScheme):
             # engine's disk cache, which are content-equal distinct objects.
             if nddisco.topology is not topology and nddisco.topology != topology:
                 raise ValueError("nddisco was built on a different topology")
+            if names is not None and list(names) != nddisco.names:
+                raise ValueError("names differ from the nddisco's names")
             self._nddisco = nddisco
         else:
             self._nddisco = NDDiscoRouting(
@@ -117,9 +120,14 @@ class DiscoRouting(RoutingScheme):
         O(n · #distinct-k) rather than O(n²).
         """
         grouping = self._grouping
-        addresses = self._nddisco.addresses
         n = grouping.num_nodes
         distinct_ks = sorted({grouping.prefix_bits_of(v) for v in range(n)})
+        # A mapping entry is the owner's name plus its address: its
+        # landmark's name and its route labels (IPv4-sized names).
+        entry_bytes = [
+            NAME_BYTES_IPV4 + (NAME_BYTES_IPV4 + bits / 8.0)
+            for bits in self.tables.addr_bits
+        ]
 
         # buckets[(bits, owner_k)][prefix] -> (count, total mapping bytes)
         buckets: dict[tuple[int, int], dict[int, tuple[int, float]]] = {}
@@ -134,10 +142,7 @@ class DiscoRouting(RoutingScheme):
                 for owner in owners:
                     prefix = hash_prefix(grouping.hash_of(owner), needed)
                     count, total = bucket.get(prefix, (0, 0.0))
-                    bucket[prefix] = (
-                        count + 1,
-                        total + addresses[owner].mapping_entry_bytes(NAME_BYTES_IPV4),
-                    )
+                    bucket[prefix] = (count + 1, total + entry_bytes[owner])
                 buckets[key] = bucket
 
         counts = array("q", bytes(8 * n))
@@ -156,11 +161,8 @@ class DiscoRouting(RoutingScheme):
                 total_bytes += bytes_sum
             # Exclude the holder's own record (it knows its own address anyway
             # and the paper counts stored *mappings* for other nodes).
-            own_bytes = self._nddisco.addresses[holder].mapping_entry_bytes(
-                NAME_BYTES_IPV4
-            )
             counts[holder] = max(0, total_count - 1)
-            byte_totals[holder] = max(0.0, total_bytes - own_bytes)
+            byte_totals[holder] = max(0.0, total_bytes - entry_bytes[holder])
         return counts, byte_totals
 
     # -- accessors -------------------------------------------------------------

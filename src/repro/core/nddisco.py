@@ -37,6 +37,7 @@ from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from repro.addressing.address import Address
+from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.labels import LabelCodec
 from repro.core.landmarks import select_landmarks
 from repro.core.resolution import LandmarkResolutionDatabase
@@ -155,14 +156,13 @@ class NDDiscoRouting(RoutingScheme):
         # the tables object and reads every slab through it: no attribute
         # aliases a slab, so a pickled shell references the tables once
         # and an mmap- or shm-backed substrate stays picklable.
-        self._codec = LabelCodec(topology)
         injected = vicinities is not None
         if injected and vicinities.num_nodes != n:
             raise ValueError("vicinities must cover every node")
         self._tables: SubstrateTables = build_substrate_tables(
             topology,
             self._landmarks,
-            codec=self._codec,
+            codec=LabelCodec(topology),
             vicinity_scale=vicinity_scale,
             include_vicinity=not injected,
             threads=threads,
@@ -174,13 +174,14 @@ class NDDiscoRouting(RoutingScheme):
         )
         if injected:
             self._tables.vicinity = vicinities
-        self._addresses: list[Address] = self._tables.addresses()
 
         # Name-resolution database over the landmarks.
         self._resolution = LandmarkResolutionDatabase(
-            self._landmarks, virtual_nodes=resolution_virtual_nodes
+            self._landmarks,
+            self._names,
+            self._tables.addr_bits,
+            virtual_nodes=resolution_virtual_nodes,
         )
-        self._resolution.populate(self._names, self._addresses)
 
     # -- accessors used by Disco and the experiments ------------------------
 
@@ -221,18 +222,18 @@ class NDDiscoRouting(RoutingScheme):
 
     @property
     def addresses(self) -> list[Address]:
-        """Per-node addresses (indexed by node id)."""
-        return self._addresses
+        """Bench-only shim (ROADMAP item 2): one :meth:`address_of` per node.
+
+        The frozen ``bench/workloads/resolve.py`` reads
+        ``routing.addresses``; nothing in ``src/`` may.  Readers take the
+        address slabs of :attr:`tables`.
+        """
+        return [self.address_of(node) for node in range(self._topology.num_nodes)]
 
     @property
     def names(self) -> list[FlatName]:
         """Per-node flat names (indexed by node id)."""
         return self._names
-
-    @property
-    def codec(self) -> LabelCodec:
-        """The label codec defining per-hop forwarding labels."""
-        return self._codec
 
     @property
     def resolution_database(self) -> LandmarkResolutionDatabase:
@@ -260,9 +261,19 @@ class NDDiscoRouting(RoutingScheme):
         return self._tables.closest[node]
 
     def address_of(self, node: int) -> Address:
-        """Return the address of ``node``."""
+        """Return the address of ``node``, built from its slab row."""
         self._check_endpoints(node, node)
-        return self._addresses[node]
+        tables = self._tables
+        path = tables.address_path(node)
+        # A label row carries a -1 terminator: one label fewer than nodes.
+        lo = tables.addr_offsets[node]
+        labels = memoryview(tables.addr_labels)[lo : lo + len(path) - 1]
+        route = ExplicitRoute(
+            path=tuple(path),
+            labels=tuple(labels.tolist()),
+            bits=tables.addr_bits[node],
+        )
+        return Address(node=node, landmark=tables.closest[node], route=route)
 
     def landmark_distance(self, landmark: int, node: int) -> float:
         """Return d(landmark, node).
@@ -367,6 +378,7 @@ class _NDDiscoRouter(LandmarkRouter):
         # view objects.
         self.vic_table = scheme.tables.vicinity
         self._vic_indexes = self.vic_table._indexes
+        self._address_row = scheme.tables.address_path
         self._addr: dict[int, list[int]] = {}
         #: flat source * n + target -> (path, mechanism)
         self._compact: dict[int, tuple[list[int], str]] = {}
@@ -385,8 +397,7 @@ class _NDDiscoRouter(LandmarkRouter):
     def _address_path(self, node: int) -> list[int]:
         path = self._addr.get(node)
         if path is None:
-            path = list(self.scheme._addresses[node].route.path)
-            self._addr[node] = path
+            path = self._addr[node] = self._address_row(node)
         return path
 
     def knows_direct(self, source: int, target: int) -> bool:

@@ -14,7 +14,8 @@ CSR snapshot did for the graph itself in PR 1:
   a flat member slab, with aligned distance and parent slabs, members kept
   in Dijkstra settle order so iteration matches the historical dicts.
 * **Address payloads** -- per-node explicit-route node paths, labels, and
-  bit sizes as CSR slabs.
+  bit sizes as CSR slabs: the only form of an address in the converged
+  state (:meth:`SubstrateTables.address_path` reads one row).
 
 Every reader reads rows: a vicinity or ball row is
 :meth:`NodeSearchTables.row` (or :meth:`NodeSearchTables.path_from_owner`
@@ -389,34 +390,16 @@ class SubstrateTables:
     # -- address payloads ---------------------------------------------------
 
     def address_path(self, node: int) -> list[int]:
-        """The explicit-route node path of ``node``'s address."""
+        """The explicit-route node path ``closest[node] .. node`` of
+        ``node``'s address: the one read of an address.
+
+        Raises ``IndexError`` unless ``0 <= node < num_nodes``.
+        """
+        if not 0 <= node < self.num_nodes:
+            raise IndexError(f"node {node} out of range (n={self.num_nodes})")
         lo = self.addr_offsets[node]
         hi = self.addr_offsets[node + 1]
         return memoryview(self.addr_path)[lo:hi].tolist()
-
-    def addresses(self) -> list:
-        """Materialize per-node :class:`Address` objects from the slabs."""
-        from repro.addressing.address import Address
-        from repro.addressing.explicit_route import ExplicitRoute
-
-        offsets = self.addr_offsets
-        paths = memoryview(self.addr_path)
-        labels = memoryview(self.addr_labels)
-        bits = self.addr_bits
-        closest = self.closest
-        out = []
-        for node in range(self.num_nodes):
-            lo = offsets[node]
-            hi = offsets[node + 1]
-            path = tuple(paths[lo:hi].tolist())
-            # Label rows carry a -1 terminator so the same offsets slab
-            # addresses both (labels per row = path length - 1).
-            row_labels = tuple(labels[lo : hi - 1].tolist())
-            route = ExplicitRoute(path=path, labels=row_labels, bits=bits[node])
-            out.append(
-                Address(node=node, landmark=closest[node], route=route)
-            )
-        return out
 
     # -- tables repaired in place -------------------------------------------
     #

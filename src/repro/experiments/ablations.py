@@ -154,7 +154,7 @@ def _landmark_policy_ablation(topology, scale):
 
 def _address_design_ablation(topology, scale):
     nddisco = NDDiscoRouting(topology, seed=scale.seed)
-    explicit_sizes = [address.route.size_bytes for address in nddisco.addresses]
+    explicit_sizes = [bits / 8.0 for bits in nddisco.tables.addr_bits]
     explicit = summarize(explicit_sizes)
 
     # Block addresses: one allocator per landmark, partitioning an O(log n)-bit
@@ -193,17 +193,16 @@ def _resolution_balance_ablation(topology, scale, settings=(1, 4, 16)):
     landmarks = random_landmarks(topology, seed=scale.seed)
     rows = []
     for virtual_nodes in settings:
-        database = LandmarkResolutionDatabase(landmarks, virtual_nodes=virtual_nodes)
-        # Load balance depends only on key placement, so count home landmarks
-        # directly rather than storing full records.
-        loads = {landmark: 0 for landmark in landmarks}
-        for name in names:
-            loads[database.home_landmark(name)] += 1
-        mean = sum(loads.values()) / len(loads)
+        # Load balance depends only on key placement: no route bits.
+        database = LandmarkResolutionDatabase(
+            landmarks, names, [0] * len(names), virtual_nodes=virtual_nodes
+        )
+        loads = [database.entries_at(landmark) for landmark in landmarks]
+        mean = sum(loads) / len(loads)
         rows.append(
             ResolutionBalanceRow(
                 virtual_nodes=virtual_nodes,
-                max_over_mean_load=max(loads.values()) / max(mean, 1e-9),
+                max_over_mean_load=max(loads) / max(mean, 1e-9),
             )
         )
     return tuple(rows)

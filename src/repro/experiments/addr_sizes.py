@@ -45,7 +45,7 @@ class AddressSizeResult:
 
 
 def _address_route_bytes(routing: NDDiscoRouting) -> list[float]:
-    return [address.route.size_bytes for address in routing.addresses]
+    return [bits / 8.0 for bits in routing.tables.addr_bits]
 
 
 @scenario(

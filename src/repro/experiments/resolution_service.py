@@ -353,7 +353,7 @@ def _balance_run_shard(scale: ExperimentScale, key: str) -> BalanceRow:
         replicas=1,
         refresh_interval=float(_REFRESH_INTERVAL),
     )
-    service.populate(routing.names, routing.addresses, now=0.0)
+    service.populate(routing.names, range(len(routing.names)), now=0.0)
     storage = service.load_distribution()
     report = run_traffic(
         routing,

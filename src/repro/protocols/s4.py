@@ -107,7 +107,9 @@ class S4Routing(RoutingScheme):
         if names is not None:
             self._names = list(names)
         elif substrate is not None:
-            self._names = list(substrate.names)
+            # The substrate's own list, read-only: a warm-loaded shell
+            # reattaches to it like to the tables.
+            self._names = substrate.names
         else:
             self._names = [name_for_node(v) for v in range(n)]
         if len(self._names) != n:
@@ -122,7 +124,7 @@ class S4Routing(RoutingScheme):
         # The landmark substrate -- SPT rows, closest-landmark rows and
         # addresses as flat :class:`SubstrateTables` slabs -- is a pure
         # function of topology and landmark set, so a sibling scheme's is
-        # reused as-is (with its codec and address objects).
+        # reused as-is.
         if substrate is not None:
             # Identity is the common case; equality (same nodes and weighted
             # edges) admits substrates round-tripped through the scenario
@@ -131,42 +133,35 @@ class S4Routing(RoutingScheme):
                 raise ValueError("substrate must be built on the same topology")
             if substrate.landmarks != self._landmarks:
                 raise ValueError("substrate must share this scheme's landmark set")
-            self._codec = substrate.codec
             self._tables: SubstrateTables = substrate.tables
         else:
-            self._codec = LabelCodec(topology)
-
-        # Own landmark slabs (no vicinity) when nothing was shared, then the
-        # reverse-cluster ("ball") searches: for each node w, find every node
-        # v with d(w, v) < d(w, ℓw); those v have w in their cluster.  The
-        # search tree also provides the shortest path from w back to v, which
-        # is the (reversed) route v uses to reach w.  Both builds are
-        # slab-direct: kernel rows land straight in the slabs, fanned over
-        # kernel threads and optionally packed into mmap storage.
-        if substrate is None:
+            # Own landmark slabs (no vicinity) when nothing was shared.
             self._tables = build_substrate_tables(
                 topology,
                 self._landmarks,
-                codec=self._codec,
+                codec=LabelCodec(topology),
                 include_vicinity=False,
                 threads=threads,
                 storage=storage,
             )
+
+        # The reverse-cluster ("ball") searches: for each node w, find every
+        # node v with d(w, v) < d(w, ℓw); those v have w in their cluster.
+        # The search tree also provides the shortest path from w back to v,
+        # which is the (reversed) route v uses to reach w.  Both builds are
+        # slab-direct: kernel rows land straight in the slabs, fanned over
+        # kernel threads and optionally packed into mmap storage.
         self._balls: NodeSearchTables = build_ball_tables(
             topology, self._tables.closest_dist, threads=threads
-        )
-        self._addresses = (
-            self._tables.addresses()
-            if substrate is None
-            else list(substrate.addresses)
         )
         # Every ball row starts with its owner, so "member != node" is the
         # minus-one in cluster_sizes_from_members.
         self._cluster_sizes = cluster_sizes_from_members(self._balls.members, n)
 
         # Location service over the landmarks (consistent hashing of names).
-        self._resolution = LandmarkResolutionDatabase(self._landmarks)
-        self._resolution.populate(self._names, self._addresses)
+        self._resolution = LandmarkResolutionDatabase(
+            self._landmarks, self._names, self._tables.addr_bits
+        )
 
     # -- accessors -----------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Sharded name-resolution service over the landmark set (§4.3 served live).
 
 The converged model (:class:`repro.core.resolution.LandmarkResolutionDatabase`)
-answers "which landmark stores which record" for a fixed landmark set.  A
+counts what each landmark stores for a fixed landmark set.  A
 *serving* resolution layer additionally needs:
 
 * **replication** -- the paper stores each record at the landmark owning
@@ -32,8 +32,6 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.addressing.address import Address
-from repro.core.resolution import ResolutionRecord
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.naming.consistent_hash import VNodeRing
 from repro.naming.hashspace import HASH_BITS, common_prefix_length
@@ -43,9 +41,23 @@ from repro.utils.validation import require_positive
 __all__ = [
     "GroupContactIndex",
     "RebalanceReport",
+    "ResolutionRecord",
     "ShardedResolutionService",
     "VNodeRing",
 ]
+
+
+@dataclass(frozen=True)
+class ResolutionRecord:
+    """One soft-state record: a node's name, its address, and its insert time.
+
+    The service stores ``address`` and never reads it: the substrate's
+    callers pass the node id, whose address is the substrate's slab row.
+    """
+
+    name: FlatName
+    address: object
+    inserted_at: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -174,11 +186,13 @@ class ShardedResolutionService:
     def populate(
         self,
         names: Iterable[FlatName],
-        addresses: Iterable[Address],
+        addresses: Iterable[object],
         *,
         now: float = 0.0,
     ) -> None:
         """Bulk-insert/refresh (name, address) pairs.
+
+        An address is stored as given and never read.
 
         The one place the stored key set grows.  A refresh of a live name
         leaves the ring-order index alone; one new name is a bisect insert

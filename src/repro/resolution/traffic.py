@@ -277,7 +277,7 @@ def run_traffic(
     Parameters
     ----------
     routing:
-        The converged substrate: provides names, addresses, landmark-SPT
+        The converged substrate: provides names, landmark-SPT
         distances/paths (latency and hop billing), and vicinities (group
         contacts).
     replicas, virtual_nodes, refresh_interval:
@@ -321,7 +321,9 @@ def run_traffic(
         replicas=replicas,
         refresh_interval=float(refresh_interval),
     )
-    addresses = routing.addresses
+    # A record's address is its node id: the service never reads it, and
+    # the address itself is the substrate's slab row.
+    addresses = range(num_nodes)
     service.populate(names, addresses, now=0.0)
 
     ordered = sorted(shard_events, key=attrgetter("tick"))

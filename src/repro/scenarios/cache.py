@@ -14,15 +14,15 @@ Four artifact kinds:
   salt), so any two scenarios that ask for "the comparison G(n,m) graph"
   get one build.
 * **Substrates** -- the converged ND-Disco landmark substrate (landmark
-  SPT rows, closest-landmark rows, addresses, names, codec) that Disco
-  embeds and S4 borrows -- are keyed by the topology's *content*
+  SPT rows, closest-landmark rows and addresses as slabs, and names) that
+  Disco embeds and S4 borrows -- are keyed by the topology's *content*
   (:meth:`Topology.content_key`) plus every constructor input that shapes
   the converged state.  A substrate is pickled once, with its topology
   externalized to the topology artifact when one exists.
 * **Schemes** (Disco, S4, VRR, ...) are stored as **lightweight shells**:
   their pickles cut the object graph at every registered substrate
-  component (the substrate object itself, its tables, per-node
-  addresses, names, codec, topology) and record a
+  component (the substrate object itself, its tables, its names list and
+  its topology) and record a
   ``(kind, key, path)`` persistent reference instead.  On unpickle the
   reference is resolved through the cache, so every warm-loaded scheme
   reattaches to the *same* substrate object graph -- a fully warm run
@@ -108,8 +108,10 @@ __all__ = [
 #: the tables object and no slab views, so shells carry no ``spt`` /
 #: ``closest`` / ``vicinities`` references.  v9: the label codec keeps no
 #: per-node neighbour lists, the sloppy grouping no names or estimates,
-#: and a path-vector shell no flag for a mode nothing set.
-ARTIFACT_SCHEMA = "repro-artifacts/v9"
+#: and a path-vector shell no flag for a mode nothing set.  v10: a
+#: substrate holds no per-node address objects and no codec, and a
+#: resolution database pickles per-landmark counts, not records.
+ARTIFACT_SCHEMA = "repro-artifacts/v10"
 
 #: Tables artifacts at or above this many slab bytes are stored as a raw
 #: slab directory instead of a compressed pickle.  A slab directory loads
@@ -178,22 +180,14 @@ def _substrate_components(substrate) -> Iterator[tuple[tuple, object]]:
     """Yield ``(path, object)`` for every shareable substrate component.
 
     The paths mirror :func:`_resolve_substrate_path`.  Components are the
-    objects sibling schemes reference directly (S4 copies list *entries*,
-    not the substrate itself): every per-node :class:`Address`, the names,
-    the label codec, and the topology.  The slabs are not among them:
-    schemes hold the tables object, registered as its own artifact.
+    objects sibling schemes reference directly: the substrate itself (Disco
+    embeds it), its topology and its names list (S4 holds it).  The slabs
+    are not among them: schemes hold the tables object, registered as its
+    own artifact.
     """
     yield (), substrate
     yield ("topology",), substrate.topology
-    addresses = substrate.addresses
-    yield ("addresses",), addresses
-    for node, address in enumerate(addresses):
-        yield ("address", node), address
-    names = substrate.names
-    yield ("names",), names
-    for node, name in enumerate(names):
-        yield ("name", node), name
-    yield ("codec",), substrate.codec
+    yield ("names",), substrate.names
 
 
 def _resolve_substrate_path(substrate, path: tuple):
@@ -203,16 +197,8 @@ def _resolve_substrate_path(substrate, path: tuple):
     head = path[0]
     if head == "topology":
         return substrate.topology
-    if head == "addresses":
-        return substrate.addresses
-    if head == "address":
-        return substrate.addresses[path[1]]
     if head == "names":
         return substrate.names
-    if head == "name":
-        return substrate.names[path[1]]
-    if head == "codec":
-        return substrate.codec
     raise _ArtifactMissing(f"unknown substrate path {path!r}")
 
 

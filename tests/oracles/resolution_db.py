@@ -1,10 +1,18 @@
-"""The converged resolution database given a soft-state clock (§4.3).
+"""The landmark resolution database record by record (§4.3).
 
-``LandmarkResolutionDatabase`` holds the converged records only; the
-paper's soft state -- a record refreshed every t and timed out after
-2t + 1 -- is served by ``ShardedResolutionService``.  At ``replicas=1`` the
-service must store, serve, expire and count exactly what this subclass
-does: the same home landmark per name, the same records, the same sweep.
+``LandmarkResolutionDatabase`` keeps what the state accounting reads of the
+converged database: a record count and a route-bit sum per landmark.  This
+oracle keeps the records themselves -- one ``name -> record`` dict per
+landmark, placed by its own ring -- plus the paper's soft state, a record
+refreshed every t and timed out after 2t + 1.  The converged database must
+count exactly its records (``entries_at``, ``route_bytes_at``), and at
+``replicas=1`` ``ShardedResolutionService`` must store, serve, expire and
+count exactly what it does: the same home landmark per name, the same
+records, the same sweep.
+
+:func:`slab_addresses` reads a substrate's address slabs back as one
+:class:`Address` per node, the objects the schemes held before the slabs
+were the only form of an address.
 """
 
 from __future__ import annotations
@@ -12,19 +20,37 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.addressing.address import Address
-from repro.core.resolution import LandmarkResolutionDatabase, ResolutionRecord
+from repro.addressing.explicit_route import ExplicitRoute
+from repro.naming.consistent_hash import VNodeRing
 from repro.naming.names import FlatName
+from repro.resolution.service import ResolutionRecord
+
+__all__ = ["SoftStateDatabase", "scheme_records", "slab_addresses"]
 
 
-def stored_record(
-    database: LandmarkResolutionDatabase, name: FlatName
-) -> ResolutionRecord | None:
-    """The record ``database`` holds for ``name`` at its home, or None."""
-    return database._records[database.home_landmark(name)].get(name)
+def slab_addresses(tables) -> list[Address]:
+    """One :class:`Address` per node, read from ``tables``' address slabs."""
+    offsets = tables.addr_offsets
+    paths = memoryview(tables.addr_path)
+    labels = memoryview(tables.addr_labels)
+    out = []
+    for node in range(tables.num_nodes):
+        lo = offsets[node]
+        hi = offsets[node + 1]
+        # Label rows carry a -1 terminator so the same offsets slab
+        # addresses both (labels per row = path length - 1).
+        route = ExplicitRoute(
+            path=tuple(paths[lo:hi].tolist()),
+            labels=tuple(labels[lo : hi - 1].tolist()),
+            bits=tables.addr_bits[node],
+        )
+        out.append(Address(node=node, landmark=tables.closest[node], route=route))
+    return out
 
 
-class SoftStateDatabase(LandmarkResolutionDatabase):
-    """The database with insert times, a ``2t + 1`` timeout and a sweep."""
+class SoftStateDatabase:
+    """(name -> address) records on the landmarks, with insert times, a
+    ``2t + 1`` timeout and a sweep."""
 
     def __init__(
         self,
@@ -33,17 +59,26 @@ class SoftStateDatabase(LandmarkResolutionDatabase):
         virtual_nodes: int = 1,
         refresh_interval: float = 10.0,
     ) -> None:
+        landmark_list = sorted(set(landmarks))
+        if not landmark_list:
+            raise ValueError("resolution database requires at least one landmark")
         if refresh_interval <= 0:
             raise ValueError(
                 f"refresh_interval must be > 0, got {refresh_interval}"
             )
-        super().__init__(landmarks, virtual_nodes=virtual_nodes)
+        self._ring = VNodeRing(landmark_list, virtual_nodes=virtual_nodes)
+        self._records: dict[int, dict[FlatName, ResolutionRecord]] = {
+            landmark: {} for landmark in landmark_list
+        }
         self.timeout = 2.0 * refresh_interval + 1.0
 
     @property
     def landmarks(self) -> list[int]:
         """The landmark ids hosting the database (sorted)."""
         return sorted(self._records)
+
+    def home_landmark(self, name: FlatName) -> int:
+        return self._ring.successor(name.hash_value)
 
     def insert(
         self, name: FlatName, address: Address, *, now: float = 0.0
@@ -54,11 +89,21 @@ class SoftStateDatabase(LandmarkResolutionDatabase):
         )
         return landmark
 
+    def populate(
+        self,
+        names: Iterable[FlatName],
+        addresses: Iterable[Address],
+        *,
+        now: float = 0.0,
+    ) -> None:
+        for name, address in zip(names, addresses):
+            self.insert(name, address, now=now)
+
     def lookup_record(self, name: FlatName) -> ResolutionRecord | None:
-        return stored_record(self, name)
+        return self._records[self.home_landmark(name)].get(name)
 
     def lookup(self, name: FlatName) -> Address | None:
-        record = stored_record(self, name)
+        record = self.lookup_record(name)
         return record.address if record is not None else None
 
     def expire_older_than(self, now: float) -> int:
@@ -80,3 +125,26 @@ class SoftStateDatabase(LandmarkResolutionDatabase):
         return {
             landmark: len(records) for landmark, records in self._records.items()
         }
+
+    def records_at(self, landmark: int) -> list[ResolutionRecord]:
+        """The records stored at ``landmark`` (none for a non-host)."""
+        return list(self._records.get(landmark, {}).values())
+
+    def entries_at(self, landmark: int) -> int:
+        return len(self.records_at(landmark))
+
+    def route_bytes_at(self, landmark: int) -> float:
+        bits = sum(record.address.route.bits for record in self.records_at(landmark))
+        return bits / 8.0
+
+
+def scheme_records(scheme) -> SoftStateDatabase:
+    """The records behind an ND-Disco or S4 scheme's resolution database:
+    every node's name and slab address, on the same landmarks and ring
+    width."""
+    database = SoftStateDatabase(
+        scheme.landmarks,
+        virtual_nodes=scheme.resolution_database._ring.virtual_nodes,
+    )
+    database.populate(scheme._names, slab_addresses(scheme.tables))
+    return database

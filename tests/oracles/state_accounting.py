@@ -13,19 +13,48 @@ node.
 
 from __future__ import annotations
 
-from repro.addressing.address import NAME_BYTES_IPV4
+import weakref
+
+from oracles.resolution_db import SoftStateDatabase, scheme_records
+from repro.addressing.address import NAME_BYTES_IPV4, Address
 from repro.core.disco import DiscoRouting
 from repro.core.nddisco import NDDiscoRouting
 from repro.protocols.s4 import S4Routing
 
-__all__ = ["label_mapping_entries", "state_bytes", "state_entries"]
+__all__ = [
+    "label_mapping_entries",
+    "mapping_entry_bytes",
+    "state_bytes",
+    "state_entries",
+]
+
+_RECORDS: "weakref.WeakKeyDictionary[object, SoftStateDatabase]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
-def _entry_bytes_at(database, landmark: int, *, name_bytes: int = 4) -> float:
+def mapping_entry_bytes(address: Address, name_bytes: int) -> float:
+    """Size of a (destination name -> address) mapping entry.
+
+    Used for name-resolution entries at landmarks and sloppy-group
+    address entries at every group member.
+    """
+    return float(name_bytes) + address.size_bytes(name_bytes)
+
+
+def _records(scheme) -> SoftStateDatabase:
+    """The resolution records an ND-Disco or S4 scheme stores, by landmark."""
+    records = _RECORDS.get(scheme)
+    if records is None:
+        records = _RECORDS[scheme] = scheme_records(scheme)
+    return records
+
+
+def _entry_bytes_at(scheme, landmark: int, *, name_bytes: int = 4) -> float:
     """Bytes of resolution state at ``landmark`` (names + addresses)."""
     return sum(
-        record.address.mapping_entry_bytes(name_bytes)
-        for record in database._records.get(landmark, {}).values()
+        mapping_entry_bytes(record.address, name_bytes)
+        for record in _records(scheme).records_at(landmark)
     )
 
 
@@ -69,7 +98,7 @@ def _nddisco_entries(scheme: NDDiscoRouting, node: int) -> int:
         landmark_entries
         + vicinity_entries
         + label_mapping_entries(scheme, node)
-        + scheme.resolution_database.entries_at(node)
+        + _records(scheme).entries_at(node)
     )
 
 
@@ -83,9 +112,7 @@ def _nddisco_bytes(scheme: NDDiscoRouting, node: int, name_bytes: int) -> float:
     vicinity_entries = _vicinity_entries(scheme, node)
     forwarding_bytes = (landmark_entries + vicinity_entries) * (name_bytes + 1.0)
     label_bytes = label_mapping_entries(scheme, node) * 2.0
-    resolution_bytes = _entry_bytes_at(
-        scheme.resolution_database, node, name_bytes=name_bytes
-    )
+    resolution_bytes = _entry_bytes_at(scheme, node, name_bytes=name_bytes)
     return forwarding_bytes + label_bytes + resolution_bytes
 
 
@@ -109,8 +136,8 @@ def _disco_bytes(scheme: DiscoRouting, node: int, name_bytes: int) -> float:
         group_bytes += scheme.group_address_entries(node) * delta_per_entry
     overlay_bytes = 0.0
     for neighbor in scheme.overlay.neighbors(node):
-        overlay_bytes += scheme.nddisco.addresses[neighbor].mapping_entry_bytes(
-            name_bytes
+        overlay_bytes += mapping_entry_bytes(
+            scheme.nddisco.address_of(neighbor), name_bytes
         )
     return base + group_bytes + overlay_bytes
 
@@ -122,7 +149,7 @@ def _s4_entries(scheme: S4Routing, node: int) -> int:
     return (
         scheme.cluster_size(node)
         + landmark_entries
-        + scheme.resolution_database.entries_at(node)
+        + _records(scheme).entries_at(node)
     )
 
 
@@ -132,9 +159,7 @@ def _s4_bytes(scheme: S4Routing, node: int, name_bytes: int) -> float:
     landmark_entries = len(landmarks) - (1 if node in landmarks else 0)
     forwarding_entries = scheme.cluster_size(node) + landmark_entries
     forwarding_bytes = forwarding_entries * (name_bytes + 1.0)
-    resolution_bytes = _entry_bytes_at(
-        scheme.resolution_database, node, name_bytes=name_bytes
-    )
+    resolution_bytes = _entry_bytes_at(scheme, node, name_bytes=name_bytes)
     return forwarding_bytes + resolution_bytes
 
 

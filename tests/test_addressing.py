@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles.labels import decode_path
 from oracles.reference_paths import shortest_path
+from oracles.state_accounting import mapping_entry_bytes
 from repro.addressing.address import Address, NAME_BYTES_IPV4, NAME_BYTES_IPV6
 from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.labels import LabelCodec, hop_label_bits, route_label_bits
@@ -201,7 +202,7 @@ class TestAddress:
 
     def test_mapping_entry_bytes(self, small_gnm):
         address = self._address(small_gnm, 0, 20)
-        assert address.mapping_entry_bytes(4) == pytest.approx(
+        assert mapping_entry_bytes(address, 4) == pytest.approx(
             4.0 + address.size_bytes(4)
         )
 

@@ -10,6 +10,7 @@ from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.graphs.generators import gnm_random_graph
 from repro.metrics.stretch import measure_stretch
+from repro.naming.names import name_for_node
 
 
 class TestConstruction:
@@ -21,6 +22,21 @@ class TestConstruction:
         foreign = NDDiscoRouting(medium_gnm, seed=2)
         with pytest.raises(ValueError):
             DiscoRouting(small_gnm, nddisco=foreign)
+
+    def test_names_must_be_the_nddiscos(self, small_gnm, nddisco_small):
+        """Disco groups and routes on its substrate's names: other names
+        given beside ``nddisco=`` are refused, not dropped."""
+        n = small_gnm.num_nodes
+        other = [name_for_node(v + 1000) for v in range(n)]
+        with pytest.raises(ValueError, match="names differ"):
+            DiscoRouting(small_gnm, nddisco=nddisco_small, names=other)
+        same = DiscoRouting(
+            small_gnm, nddisco=nddisco_small, names=list(nddisco_small.names)
+        )
+        assert same.nddisco is nddisco_small
+        named = NDDiscoRouting(small_gnm, seed=1, names=other)
+        disco = DiscoRouting(small_gnm, nddisco=named, names=other)
+        assert disco.nddisco.names == other
 
     def test_builds_own_nddisco_when_not_given(self, small_gnm):
         disco = DiscoRouting(small_gnm, seed=4)

@@ -6,7 +6,7 @@ import pytest
 
 from oracles.reference_paths import dijkstra, path_length
 from oracles import state_accounting as oracle
-from oracles.resolution_db import stored_record
+from oracles.resolution_db import scheme_records
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.core.vicinity import vicinity_size
@@ -117,10 +117,22 @@ class TestAddresses:
             nddisco_small.landmark_path(non_landmark, 0)
 
     def test_resolution_database_populated(self, nddisco_small, small_gnm):
-        database = nddisco_small.resolution_database
+        records = scheme_records(nddisco_small)
         for node in (0, 10, 63):
-            record = stored_record(database, nddisco_small.names[node])
+            record = records.lookup_record(nddisco_small.names[node])
             assert record.address == nddisco_small.address_of(node)
+        database = nddisco_small.resolution_database
+        assert sum(
+            database.entries_at(landmark) for landmark in nddisco_small.landmarks
+        ) == small_gnm.num_nodes
+
+    def test_address_of_reads_the_slab_row(self, nddisco_small, small_gnm):
+        tables = nddisco_small.tables
+        for node in range(small_gnm.num_nodes):
+            address = nddisco_small.address_of(node)
+            assert list(address.route.path) == tables.address_path(node)
+            assert address.route.bits == tables.addr_bits[node]
+            assert address.landmark == tables.closest[node]
 
 
 class TestStateAccounting:

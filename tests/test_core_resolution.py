@@ -1,8 +1,10 @@
 """Tests for repro.core.resolution (the landmark name-resolution database).
 
-The converged database is driven through ``oracles.resolution_db``'s
-subclass, which adds the soft-state clock the sharded service is held to;
-the storage and state accounting it inherits are the production code's.
+The converged database counts records and route bits per landmark;
+``oracles.resolution_db`` keeps the records themselves, with the
+soft-state clock the sharded service is held to.  Storage and soft state
+are the oracle's; the state accounting is the production database's, held
+to the oracle's records.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import pytest
 
 from oracles.reference_paths import shortest_path
 from oracles.resolution_db import SoftStateDatabase
+from oracles.state_accounting import mapping_entry_bytes
 from repro.addressing.address import Address
 from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.labels import LabelCodec
@@ -34,10 +37,16 @@ def database_and_addresses(small_gnm):
     return database, names, addresses
 
 
+def _counting(landmarks, names, addresses, **kwargs):
+    """The production database over the same (name, address) pairs."""
+    bits = [address.route.bits for address in addresses]
+    return LandmarkResolutionDatabase(landmarks, names, bits, **kwargs)
+
+
 class TestConstruction:
     def test_requires_landmarks(self):
         with pytest.raises(ValueError):
-            LandmarkResolutionDatabase([])
+            LandmarkResolutionDatabase([], [], [])
 
     def test_invalid_refresh_interval(self):
         with pytest.raises(ValueError):
@@ -106,20 +115,21 @@ class TestSoftState:
 
 class TestStateAccounting:
     def test_entries_at_non_landmark_is_zero(self, database_and_addresses):
-        database, names, addresses = database_and_addresses
-        database.populate(names, addresses)
+        _, names, addresses = database_and_addresses
+        database = _counting([0, 1, 2], names, addresses)
         assert database.entries_at(50) == 0
+        assert database.route_bytes_at(50) == 0.0
 
     @pytest.mark.parametrize("name_bytes", [4, 16])
     def test_route_bytes_price_the_stored_mappings(
         self, database_and_addresses, name_bytes
     ):
-        database, names, addresses = database_and_addresses
-        database.populate(names, addresses)
-        assert any(database.route_bytes_at(lm) > 0 for lm in database.landmarks)
-        for landmark in database.landmarks:
+        _, names, addresses = database_and_addresses
+        database = _counting([0, 1, 2], names, addresses)
+        assert any(database.route_bytes_at(lm) > 0 for lm in (0, 1, 2))
+        for landmark in (0, 1, 2):
             stored = sum(
-                address.mapping_entry_bytes(name_bytes)
+                mapping_entry_bytes(address, name_bytes)
                 for name, address in zip(names, addresses)
                 if database.home_landmark(name) == landmark
             )
@@ -135,6 +145,20 @@ class TestStateAccounting:
         loads = database.load_distribution()
         assert sum(loads.values()) == len(names)
         assert set(loads) == set(database.landmarks)
+        counting = _counting(database.landmarks, names, addresses)
+        assert loads == {lm: counting.entries_at(lm) for lm in loads}
+
+    def test_a_name_given_twice_is_one_record(self, database_and_addresses):
+        database, names, addresses = database_and_addresses
+        twice = names[:5] + names[:1]
+        database.populate(twice, addresses[:6])
+        counting = _counting(database.landmarks, twice, addresses[:6])
+        for landmark in database.landmarks:
+            assert counting.entries_at(landmark) == database.entries_at(landmark)
+            assert counting.route_bytes_at(landmark) == database.route_bytes_at(
+                landmark
+            )
+        assert sum(map(counting.entries_at, database.landmarks)) == 5
 
     def test_multiple_hash_functions_smooth_load(self, small_gnm):
         codec = LabelCodec(small_gnm)
@@ -150,10 +174,11 @@ class TestStateAccounting:
         landmarks = list(range(8))
 
         def imbalance(virtual_nodes: int) -> float:
-            database = SoftStateDatabase(landmarks, virtual_nodes=virtual_nodes)
-            database.populate(names, addresses)
-            loads = database.load_distribution()
-            mean = sum(loads.values()) / len(loads)
-            return max(loads.values()) / mean
+            database = _counting(
+                landmarks, names, addresses, virtual_nodes=virtual_nodes
+            )
+            loads = [database.entries_at(landmark) for landmark in landmarks]
+            mean = sum(loads) / len(loads)
+            return max(loads) / mean
 
         assert imbalance(32) <= imbalance(1) + 1e-9

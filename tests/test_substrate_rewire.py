@@ -59,12 +59,11 @@ class TestWarmRewire:
         disco = warm.scheme("disco")
         # Disco embeds the very substrate object.
         assert disco.nddisco is nd
-        # S4 reattaches to the substrate's slabs/addresses, not copies.
+        # S4 reattaches to the substrate's slabs (the addresses) and its
+        # names list, not copies.
         assert s4.tables is nd.tables
-        for node in range(topology.num_nodes):
-            assert s4._addresses[node] is nd.addresses[node]
-            assert s4._names[node] is nd.names[node]
-        assert s4._codec is nd.codec
+        assert s4._names is nd.names
+        assert len(s4._names) == topology.num_nodes
 
     def test_exactly_one_substrate_graph_in_memory(self, tmp_path):
         """The acceptance invariant: warm holds ONE substrate, like cold."""
@@ -124,9 +123,35 @@ class TestWarmRewire:
             if name.endswith(".pkl")
         ]
         # The shell drops the embedded substrate copy (SPT rows, addresses,
-        # codec, topology), so it must be clearly smaller than the full
+        # names, topology), so it must be clearly smaller than the full
         # pickle -- the exact ratio varies with n.
         assert shell < plain * 0.8
+
+
+class TestRegistry:
+    """A substrate registers four objects for shells to cut at: itself,
+    its topology, its names list and its tables -- at every n."""
+
+    @pytest.mark.parametrize("n", [48, 384])
+    def test_a_substrate_registers_four_ids(self, tmp_path, n):
+        parts = ("gnm", n, 5, 6.0)
+
+        def build():
+            return gnm_random_graph(n, seed=5, average_degree=6.0)
+
+        for _ in ("cold", "warm"):
+            with activated(ArtifactCache(tmp_path / "cache")) as cache:
+                topology = cache.topology(parts, build)
+                simulation = StaticSimulation(topology, ("nd-disco", "s4"), seed=3)
+                nd = simulation.scheme("nd-disco")
+                assert set(cache._shared) == {
+                    id(nd), id(nd.topology), id(nd.names), id(nd.tables)
+                }
+                assert [ref.path for ref in cache._shared.values()] == [
+                    (), (), ("names",), ()
+                ]
+                assert simulation.scheme("s4")._names is nd.names
+        assert cache.misses == 0
 
 
 class TestDegradation:

@@ -20,6 +20,7 @@ import pytest
 
 from oracles import reference_paths as reference
 from oracles.component_build import closest_landmarks
+from oracles.resolution_db import slab_addresses
 from repro.addressing.address import Address
 from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.labels import LabelCodec
@@ -91,7 +92,7 @@ def _assert_landmark_state_matches_oracle(scheme, topology):
     # Addresses: explicit route from the closest landmark down its SPT,
     # re-derived here from the oracle's parent rows.
     codec = LabelCodec(topology)
-    addresses = tables.addresses()
+    addresses = slab_addresses(tables)
     for node in topology.nodes():
         landmark = ref_closest[0][node]
         parents = ref_spts[landmark][1]
@@ -327,7 +328,7 @@ class TestSerialization:
         assert list(clone.vicinity.members) == list(
             scheme.tables.vicinity.members
         )
-        assert clone.addresses() == scheme.addresses
+        assert slab_addresses(clone) == scheme.addresses
 
     def test_scheme_pickle_carries_the_slabs_once(self):
         """No scheme attribute aliases a slab: the pickle reaches the slabs
@@ -348,7 +349,7 @@ class TestSerialization:
                 assert id(value) not in slabs
             clone = pickle.loads(pickle.dumps(scheme))
             assert bytes(clone.tables.spt_dist) == bytes(nd.tables.spt_dist)
-            assert clone.tables.addresses() == nd.addresses
+            assert slab_addresses(clone.tables) == nd.addresses
 
     def test_getstate_serializes_raw_buffers(self):
         scheme = NDDiscoRouting(
@@ -396,6 +397,31 @@ class TestNodeSearchTables:
         for member in (0, 1, node):
             with pytest.raises(IndexError, match="out of range"):
                 table.path_from_owner(node, member)
+
+
+class TestAddressPath:
+    """``address_path`` is the one read of an address: a row of the
+    address slabs, from the closest landmark down to the node."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        topology = gnm_random_graph(64, seed=4, average_degree=6.0)
+        return build_substrate_tables(
+            topology, [0, 9, 33], codec=LabelCodec(topology)
+        )
+
+    def test_rows_run_from_the_closest_landmark(self, tables):
+        for node in range(64):
+            path = tables.address_path(node)
+            assert path[0] == tables.closest[node] and path[-1] == node
+            assert path == tables.spt_path(tables.closest[node], node)
+
+    @pytest.mark.parametrize("node", [-1, 64, 10_000])
+    def test_a_node_outside_the_table_raises(self, tables, node):
+        """``addr_offsets[-1]`` would serve an empty row and
+        ``addr_offsets[n + 1]`` a bare array error."""
+        with pytest.raises(IndexError, match=rf"node {node} out of range \(n=64\)"):
+            tables.address_path(node)
 
 
 def _two_component_tables(k: int = 6) -> SubstrateTables:
