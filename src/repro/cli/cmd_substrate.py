@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
+from repro.addressing.labels import LabelCodec
 from repro.cli.cmd_generate import GENERATORS
+from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
+from repro.core.substrate_build import build_substrate_tables
 from repro.graphs.io import read_edge_list
 from repro.graphs.sampling import sample_pairs
-from repro.protocols.registry import build_scheme
+from repro.naming.names import name_for_node
+from repro.protocols.s4 import S4Routing
 
 
 def _memory_kb() -> tuple[int, int]:
@@ -61,49 +64,44 @@ def command(args: argparse.Namespace) -> int:
         f"{topology.num_edges} edges"
         + (f"  [{' '.join(placement)}]" if placement else "")
     )
-    persist = not args.no_persist and (
-        args.vicinity_storage is None
-        or args.vicinity_storage == args.storage
-    )
+    # One build, every scheme adopts it: S4 beside ND-Disco reads the same
+    # tables, exactly as StaticSimulation couples the two schemes.
+    with_nddisco = "nd-disco" in protocols
+    # S4 alone builds no vicinity slabs to place.
+    vicinity_storage = args.vicinity_storage if with_nddisco else None
+    persist = not args.no_persist and vicinity_storage in (None, args.storage)
+    n = topology.num_nodes
     started = time.perf_counter()
+    stats: dict = {}
+    tables = build_substrate_tables(
+        topology,
+        select_landmarks(n, seed=args.seed),
+        codec=LabelCodec(topology),
+        include_vicinity=with_nddisco,
+        threads=args.threads,
+        storage=args.storage,
+        vicinity_storage=vicinity_storage,
+        persist=persist,
+        stats=stats,
+        progress=(lambda line: print(f"  nd-disco: {line}"))
+        if with_nddisco
+        else None,
+    )
+    names = [name_for_node(v) for v in range(n)]
     schemes: dict[str, object] = {}
-    nddisco: NDDiscoRouting | None = None
-    if "nd-disco" in protocols:
-        stats: dict = {}
-        nddisco = NDDiscoRouting(
-            topology,
-            seed=args.seed,
-            threads=args.threads,
-            storage=args.storage,
-            vicinity_storage=args.vicinity_storage,
-            persist_storage=persist,
-            build_stats=stats,
-            build_progress=lambda line: print(f"  nd-disco: {line}"),
-        )
-        schemes["nd-disco"] = nddisco
+    if with_nddisco:
+        schemes["nd-disco"] = NDDiscoRouting.from_tables(topology, tables, names)
         rss, peak = _memory_kb()
         print(
-            f"nd-disco converged: {len(nddisco.landmarks)} landmarks, "
-            f"{stats.get('slab_bytes', 0) / 1024**2:.0f} MiB slabs, "
+            f"nd-disco converged: {len(tables.landmark_ids)} landmarks, "
+            f"{stats['slab_bytes'] / 1024**2:.0f} MiB slabs, "
             f"{time.perf_counter() - started:.1f}s elapsed, "
             f"rss {rss / 1024:.0f} MiB (peak {peak / 1024:.0f} MiB)"
         )
     if "s4" in protocols:
-        s4_started = time.perf_counter()
-        options: dict[str, object] = {"threads": args.threads}
-        if nddisco is not None:
-            # Same landmark set and shared substrate, exactly as
-            # StaticSimulation couples the two schemes.
-            options["landmarks"] = nddisco.landmarks
-            options["substrate"] = nddisco
-        elif args.storage:
-            options["storage"] = (
-                args.storage
-                if args.storage == "mmap"
-                else os.path.join(args.storage, "s4")
-            )
-        schemes["s4"] = build_scheme(
-            "s4", topology, seed=args.seed, **options
+        s4_started = time.perf_counter() if with_nddisco else started
+        schemes["s4"] = S4Routing.from_tables(
+            topology, tables, names, threads=args.threads
         )
         rss, peak = _memory_kb()
         print(

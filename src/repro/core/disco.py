@@ -53,8 +53,10 @@ class DiscoRouting(RoutingScheme):
     seed:
         Seed for landmark selection and overlay finger draws.
     shortcut_mode:
-        Shortcutting heuristic for relay routes (default: No Path Knowledge,
-        as in the paper's headline results).
+        Shortcutting heuristic for relay routes (default: the ``nddisco``'s,
+        else No Path Knowledge, as in the paper's headline results).
+    vicinity_scale:
+        Constant factor on the vicinity size of the ND-Disco built here.
     num_fingers:
         Outgoing overlay fingers per node (1 or 3 in the paper).
     estimated_n:
@@ -64,8 +66,10 @@ class DiscoRouting(RoutingScheme):
     nddisco:
         Optionally reuse an existing :class:`NDDiscoRouting` built on the
         same topology (saves recomputing landmarks, vicinities, and
-        addresses when an experiment evaluates both protocols).  Its names
-        are Disco's: ``names``, if given too, must equal them.
+        addresses when an experiment evaluates both protocols).  Its names,
+        shortcut mode and vicinities are Disco's: ``names`` and
+        ``shortcut_mode``, if given too, must equal its own, and
+        ``vicinity_scale`` must be left at 1.0.
     """
 
     name = "Disco"
@@ -75,7 +79,7 @@ class DiscoRouting(RoutingScheme):
         topology: Topology,
         *,
         seed: int = 0,
-        shortcut_mode: ShortcutMode = ShortcutMode.NO_PATH_KNOWLEDGE,
+        shortcut_mode: ShortcutMode | None = None,
         vicinity_scale: float = 1.0,
         num_fingers: int = 1,
         estimated_n: float | Mapping[int, float] | None = None,
@@ -84,19 +88,22 @@ class DiscoRouting(RoutingScheme):
     ) -> None:
         super().__init__(topology)
         if nddisco is not None:
-            # Identity is the common case; equality (same nodes and weighted
-            # edges) admits substrates round-tripped through the scenario
-            # engine's disk cache, which are content-equal distinct objects.
-            if nddisco.topology is not topology and nddisco.topology != topology:
+            # The options that shape ND-Disco's state are its own: given
+            # beside it, they are refused unless they agree, not dropped.
+            if nddisco.topology.num_nodes != topology.num_nodes:
                 raise ValueError("nddisco was built on a different topology")
             if names is not None and list(names) != nddisco.names:
                 raise ValueError("names differ from the nddisco's names")
+            if shortcut_mode is not None and shortcut_mode is not nddisco.shortcut_mode:
+                raise ValueError("shortcut_mode differs from the nddisco's")
+            if vicinity_scale != 1.0:
+                raise ValueError("vicinity_scale is the nddisco's, set when built")
             self._nddisco = nddisco
         else:
             self._nddisco = NDDiscoRouting(
                 topology,
                 seed=seed,
-                shortcut_mode=shortcut_mode,
+                shortcut_mode=shortcut_mode or ShortcutMode.NO_PATH_KNOWLEDGE,
                 vicinity_scale=vicinity_scale,
                 names=names,
                 resolve_first_packet=True,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from itertools import compress
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.addressing.address import Address
 from repro.addressing.explicit_route import ExplicitRoute
@@ -58,6 +58,12 @@ __all__ = ["NDDiscoRouting"]
 class NDDiscoRouting(RoutingScheme):
     """Converged-state model of NDDisco.
 
+    ``NDDiscoRouting(topology, ...)`` builds the substrate
+    (:func:`~repro.core.substrate_build.build_substrate_tables`) and adopts
+    it through :meth:`from_tables`, the one place a scheme's state is set.
+    Build mechanics -- threads, slab placement, progress -- are the
+    builder's options: build with them, then call :meth:`from_tables`.
+
     Parameters
     ----------
     topology:
@@ -74,32 +80,14 @@ class NDDiscoRouting(RoutingScheme):
         landmarks non-randomly, §6); defaults to the random rule.
     names:
         Flat names per node; default ``node-<id>``.
-    vicinities:
-        Optional vicinity rows, one per node (for instance learned by the
-        message-level simulator); they replace the build's vicinity phase.
     resolve_first_packet:
         If True (default), first packets detour through the resolution
         database's home landmark for the destination name.
     resolution_virtual_nodes:
         Virtual ring points per landmark in the resolution database.
-    threads:
-        In-kernel thread fan-out for the slab-direct build's landmark SPT
-        and vicinity phases (see
-        :func:`~repro.core.substrate_build.build_substrate_tables`):
-        ``None`` resolves via ``REPRO_KERNEL_THREADS`` / CPU count.
-        Byte-identical for every width.
-    storage / vicinity_storage / persist_storage:
-        Slab placement for the slab-direct build -- ``None`` (RAM arrays),
-        ``"mmap"`` (anonymous mmap), or a directory path (file-backed
-        slabs, mmap-attachable afterwards); ``vicinity_storage`` overrides
-        the choice for the vicinity slabs and ``persist_storage=False``
-        skips finishing a directory into a complete artifact.  Ignored
-        with pre-supplied ``vicinities``.
-    build_stats / build_progress:
-        Optional build instrumentation, forwarded to the slab-direct
-        builder: ``build_stats`` (a dict) receives per-phase wall-clock
-        seconds and slab byte counts, ``build_progress`` one line per
-        phase.  ``repro substrate`` uses these for its large-n reporting.
+    build_stats:
+        Bench-only pass-through (ROADMAP item 2) to the builder's
+        ``stats=``: per-phase wall-clock seconds and slab byte counts.
     """
 
     name = "ND-Disco"
@@ -113,75 +101,68 @@ class NDDiscoRouting(RoutingScheme):
         vicinity_scale: float = 1.0,
         landmarks: set[int] | None = None,
         names: Sequence[FlatName] | None = None,
-        vicinities: NodeSearchTables | None = None,
         resolve_first_packet: bool = True,
         resolution_virtual_nodes: int = 1,
-        threads: int | None = None,
-        storage: "str | None" = None,
-        vicinity_storage: "str | None" = None,
-        persist_storage: bool = True,
         build_stats: dict | None = None,
-        build_progress: "Callable[[str], None] | None" = None,
     ) -> None:
-        super().__init__(topology)
-        self._shortcut_mode = shortcut_mode
-        self._resolve_first_packet = resolve_first_packet
         n = topology.num_nodes
-
-        self._names: list[FlatName] = (
-            list(names) if names is not None else [name_for_node(v) for v in range(n)]
-        )
-        if len(self._names) != n:
-            raise ValueError(
-                f"names must have exactly {n} entries, got {len(self._names)}"
-            )
-
-        self._landmarks: set[int] = (
-            set(landmarks) if landmarks is not None else select_landmarks(n, seed=seed)
-        )
-        for landmark in self._landmarks:
-            if not 0 <= landmark < n:
-                raise ValueError(f"landmark {landmark} out of range")
-        if not self._landmarks:
-            raise ValueError("landmark set must be non-empty")
-
-        # The converged substrate: landmark SPT rows, closest-landmark
-        # rows, vicinities, and address payloads as one set of flat typed
-        # slabs (:class:`SubstrateTables`).  The slab-direct builder
-        # (:func:`~repro.core.substrate_build.build_substrate_tables`)
-        # writes kernel results straight into the preallocated slabs --
-        # fanning the SPT and vicinity phases over kernel threads and
-        # optionally packing into mmap-backed storage.  Injected
-        # vicinities replace its vicinity phase, in RAM.  The scheme keeps
-        # the tables object and reads every slab through it: no attribute
-        # aliases a slab, so a pickled shell references the tables once
-        # and an mmap- or shm-backed substrate stays picklable.
-        injected = vicinities is not None
-        if injected and vicinities.num_nodes != n:
-            raise ValueError("vicinities must cover every node")
-        self._tables: SubstrateTables = build_substrate_tables(
+        tables = build_substrate_tables(
             topology,
-            self._landmarks,
+            select_landmarks(n, seed=seed) if landmarks is None else landmarks,
             codec=LabelCodec(topology),
             vicinity_scale=vicinity_scale,
-            include_vicinity=not injected,
-            threads=threads,
-            storage=None if injected else storage,
-            vicinity_storage=None if injected else vicinity_storage,
-            persist=persist_storage,
             stats=build_stats,
-            progress=build_progress,
         )
-        if injected:
-            self._tables.vicinity = vicinities
+        adopted = type(self).from_tables(
+            topology,
+            tables,
+            [name_for_node(v) for v in range(n)] if names is None else list(names),
+            shortcut_mode=shortcut_mode,
+            resolve_first_packet=resolve_first_packet,
+            resolution_virtual_nodes=resolution_virtual_nodes,
+        )
+        vars(self).update(vars(adopted))  # from_tables sets all the state
 
-        # Name-resolution database over the landmarks.
-        self._resolution = LandmarkResolutionDatabase(
-            self._landmarks,
-            self._names,
-            self._tables.addr_bits,
+    @classmethod
+    def from_tables(
+        cls,
+        topology: Topology,
+        tables: SubstrateTables,
+        names: list[FlatName],
+        *,
+        shortcut_mode: ShortcutMode = ShortcutMode.NO_PATH_KNOWLEDGE,
+        resolve_first_packet: bool = True,
+        resolution_virtual_nodes: int = 1,
+    ) -> "NDDiscoRouting":
+        """ND-Disco over converged ``tables`` built on ``topology``.
+
+        The landmarks are ``tables.landmark_ids``.  ``tables`` and
+        ``names`` are held as given, read-only: schemes adopting the same
+        tables share them.  Raises ``ValueError`` when the tables do not
+        fit the topology (:meth:`SubstrateTables.check_adoptable`, with
+        the vicinity table) or ``names`` has not one name per node.
+        """
+        scheme = cls.__new__(cls)
+        RoutingScheme.__init__(scheme, topology)
+        n = topology.num_nodes
+        tables.check_adoptable(n, vicinity=True)
+        if len(names) != n:
+            raise ValueError(f"names must have exactly {n} entries, got {len(names)}")
+        scheme._shortcut_mode = shortcut_mode
+        scheme._resolve_first_packet = resolve_first_packet
+        scheme._names = names
+        scheme._landmarks = set(tables.landmark_ids)
+        # The scheme keeps the tables object and reads every slab through
+        # it: no attribute aliases a slab, so a pickled shell references the
+        # tables once and an mmap- or shm-backed substrate stays picklable.
+        scheme._tables = tables
+        scheme._resolution = LandmarkResolutionDatabase(
+            scheme._landmarks,
+            names,
+            tables.addr_bits,
             virtual_nodes=resolution_virtual_nodes,
         )
+        return scheme
 
     # -- accessors used by Disco and the experiments ------------------------
 

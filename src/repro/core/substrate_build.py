@@ -25,9 +25,10 @@ kernel-level parallelism: each source owns a disjoint slab range, so any
 width produces byte-identical slabs.  The per-source loop (the
 pure-Python tier, a C allocation failure) lives inside the two drivers.
 
-This is the one convergence path: the schemes hold its result as built,
-and :class:`~repro.dynamics.engine.ChurnEngine` repairs it in place per
-event (``codec=None``; the engine keeps addresses in its own shape).
+This is the one convergence path: the schemes adopt its result through
+their ``from_tables`` (``NDDiscoRouting`` / ``S4Routing``), and
+:class:`~repro.dynamics.engine.ChurnEngine` repairs it in place per event
+(``codec=None``; the engine keeps addresses in its own shape).
 
 Slabs can outgrow RAM: ``storage`` selects where the big slabs live (RAM
 arrays, anonymous mmap, or a file-backed slab directory -- see
@@ -187,7 +188,10 @@ def build_substrate_tables(
         for node in range(n):
             landmark = closest[node]
             if landmark < 0:
-                raise ValueError(f"node {node} reaches no landmark")
+                raise ValueError(
+                    f"node {node} reaches no landmark: the topology is not "
+                    "connected"
+                )
             base = landmark_pos[landmark] * n
             path = [node]
             current = node

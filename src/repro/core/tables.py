@@ -1,7 +1,7 @@
 """Flat array-backed routing-scheme state (the substrate tables layer).
 
 The converged landmark substrate that NDDisco builds (and Disco embeds and
-S4 borrows) was historically held as per-node Python object graphs:
+S4 adopts) was historically held as per-node Python object graphs:
 ``dict[int, list[float]]`` landmark tables, one ``dict`` pair per vicinity,
 one boxed float per distance.  This module stores the same state as
 row-major typed slabs -- ``array('d')`` / ``array('q')`` -- exactly like the
@@ -296,10 +296,11 @@ def _read_only(slab) -> memoryview:
 class SubstrateTables:
     """The converged landmark substrate as flat typed slabs.
 
-    Built once per scheme, slab-direct, by
+    Built slab-direct by
     :func:`repro.core.substrate_build.build_substrate_tables`, and the only
-    converged state the schemes hold: they keep this object and read its
-    slabs through it.
+    converged state the schemes hold: their ``from_tables`` adopts this
+    object (after :meth:`check_adoptable`) and they read its slabs
+    through it.
     """
 
     __slots__ = (
@@ -400,6 +401,40 @@ class SubstrateTables:
         lo = self.addr_offsets[node]
         hi = self.addr_offsets[node + 1]
         return memoryview(self.addr_path)[lo:hi].tolist()
+
+    # -- adoption by a scheme -----------------------------------------------
+
+    def check_adoptable(self, num_nodes: int, *, vicinity: bool) -> None:
+        """Raise ``ValueError`` unless a scheme on ``num_nodes`` nodes can
+        adopt these tables, with a vicinity table if ``vicinity``: counts
+        and landmark ids, O(|L|); the slab contents are the builder's word.
+        """
+        n = num_nodes
+        if self.num_nodes != n:
+            raise ValueError(f"tables cover {self.num_nodes} nodes, the topology {n}")
+        ids = self.landmark_ids
+        if not len(ids) or ids[0] < 0 or ids[-1] >= n or any(
+            a >= b for a, b in zip(ids, ids[1:])
+        ):
+            raise ValueError(
+                f"landmark ids must be non-empty, ascending and in 0..{n - 1}"
+            )
+        spt = len(ids) * n
+        sizes = dict(
+            spt_dist=spt, spt_parent=spt, closest=n, closest_dist=n,
+            addr_offsets=n + 1, addr_bits=n,
+        )
+        for slot, size in sizes.items():
+            if len(getattr(self, slot)) != size:
+                message = f"{slot} holds {len(getattr(self, slot))} entries, not {size}"
+                if slot.startswith("addr_"):
+                    message += (
+                        ": tables built with codec=None (the churn engine's) "
+                        "carry no address slabs until ROADMAP item 9"
+                    )
+                raise ValueError(message)
+        if vicinity and (self.vicinity is None or self.vicinity.num_nodes != n):
+            raise ValueError(f"tables carry no vicinity table over {n} nodes")
 
     # -- tables repaired in place -------------------------------------------
     #

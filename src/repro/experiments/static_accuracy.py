@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.addressing.labels import LabelCodec
 from repro.core.nddisco import NDDiscoRouting
+from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import NodeSearchTables
 from repro.core.vicinity import compute_vicinities
 from repro.experiments.config import ExperimentScale, default_scale
@@ -125,11 +127,17 @@ def run(scale: ExperimentScale | None = None) -> StaticAccuracyResult:
     )
     assert dynamic.tables is not None
     dynamic_vicinities = _tables_to_vicinities(topology, dynamic.tables)
-    dynamic_nddisco = NDDiscoRouting(
+    # The same landmark substrate with the learned vicinity rows in place
+    # of the builder's.
+    tables = build_substrate_tables(
         topology,
-        seed=scale.seed,
-        landmarks=static_nddisco.landmarks,
-        vicinities=dynamic_vicinities,
+        static_nddisco.landmarks,
+        codec=LabelCodec(topology),
+        include_vicinity=False,
+    )
+    tables.vicinity = dynamic_vicinities
+    dynamic_nddisco = NDDiscoRouting.from_tables(
+        topology, tables, static_nddisco.names
     )
     dynamic_report = measure_stretch(dynamic_nddisco, pairs=pairs)
 

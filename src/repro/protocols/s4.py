@@ -51,6 +51,11 @@ __all__ = ["S4Routing"]
 class S4Routing(RoutingScheme):
     """Converged-state model of S4.
 
+    ``S4Routing(topology, ...)`` builds its own landmark substrate (no
+    vicinity) and adopts it through :meth:`from_tables`, the one place a
+    scheme's state is set; a deployment running S4 beside ND-Disco calls
+    :meth:`from_tables` on ND-Disco's tables instead.
+
     Parameters
     ----------
     topology:
@@ -67,24 +72,16 @@ class S4Routing(RoutingScheme):
         If True (default), first packets detour through the location
         service's home landmark for the destination.
     substrate:
-        Optional :class:`~repro.core.nddisco.NDDiscoRouting` built on the
-        same topology and landmark set.  The converged landmark substrate --
-        SPT rows, closest-landmark rows, addresses, and (unless ``names``
-        overrides them) names -- is deterministic given topology and
-        landmarks, so it is reused instead of recomputed, exactly as one
-        deployment running both schemes would share it.  Treated as
-        read-only.  :class:`~repro.staticsim.simulation.StaticSimulation`
-        passes NDDisco here when the schemes share a landmark set.
+        Bench-only pass-through (ROADMAP item 2): an
+        :class:`~repro.core.nddisco.NDDiscoRouting` whose tables (and,
+        unless ``names`` is given, names) are adopted as
+        ``from_tables(topology, substrate.tables, names)``.  ``landmarks``,
+        if given too, must be its landmark set.
     threads:
-        In-kernel thread fan-out for the landmark SPTs (own-substrate
-        builds) and the per-node cluster ("ball") searches (``None``
-        resolves via ``REPRO_KERNEL_THREADS`` / CPU count); results are
-        byte-identical for every width.
-    storage:
-        Slab placement for an own-substrate build (``None``, ``"mmap"``,
-        or a directory path -- see
-        :func:`~repro.core.substrate_build.build_substrate_tables`).
-        Ignored when a shared ``substrate`` supplies the slabs.
+        In-kernel thread fan-out for the landmark SPTs (own builds) and the
+        per-node cluster ("ball") searches (``None`` resolves via
+        ``REPRO_KERNEL_THREADS`` / CPU count); results are byte-identical
+        for every width.
     """
 
     name = "S4"
@@ -99,69 +96,76 @@ class S4Routing(RoutingScheme):
         resolve_first_packet: bool = True,
         substrate: "object | None" = None,
         threads: int | None = None,
-        storage: "str | None" = None,
     ) -> None:
-        super().__init__(topology)
         n = topology.num_nodes
-        self._resolve_first_packet = resolve_first_packet
-        if names is not None:
-            self._names = list(names)
-        elif substrate is not None:
-            # The substrate's own list, read-only: a warm-loaded shell
-            # reattaches to it like to the tables.
-            self._names = substrate.names
-        else:
-            self._names = [name_for_node(v) for v in range(n)]
-        if len(self._names) != n:
-            raise ValueError(f"names must have exactly {n} entries")
-
-        self._landmarks: set[int] = (
-            set(landmarks) if landmarks is not None else select_landmarks(n, seed=seed)
-        )
-        if not self._landmarks:
-            raise ValueError("landmark set must be non-empty")
-
-        # The landmark substrate -- SPT rows, closest-landmark rows and
-        # addresses as flat :class:`SubstrateTables` slabs -- is a pure
-        # function of topology and landmark set, so a sibling scheme's is
-        # reused as-is.
         if substrate is not None:
-            # Identity is the common case; equality (same nodes and weighted
-            # edges) admits substrates round-tripped through the scenario
-            # engine's disk cache, which are content-equal distinct objects.
-            if substrate.topology is not topology and substrate.topology != topology:
-                raise ValueError("substrate must be built on the same topology")
-            if substrate.landmarks != self._landmarks:
-                raise ValueError("substrate must share this scheme's landmark set")
-            self._tables: SubstrateTables = substrate.tables
+            if landmarks is not None and set(landmarks) != substrate.landmarks:
+                raise ValueError("landmarks differ from the substrate's")
+            tables = substrate.tables
+            default_names = substrate.names
         else:
-            # Own landmark slabs (no vicinity) when nothing was shared.
-            self._tables = build_substrate_tables(
+            tables = build_substrate_tables(
                 topology,
-                self._landmarks,
+                select_landmarks(n, seed=seed) if landmarks is None else landmarks,
                 codec=LabelCodec(topology),
                 include_vicinity=False,
                 threads=threads,
-                storage=storage,
             )
+            default_names = [name_for_node(v) for v in range(n)]
+        adopted = type(self).from_tables(
+            topology,
+            tables,
+            default_names if names is None else list(names),
+            resolve_first_packet=resolve_first_packet,
+            threads=threads,
+        )
+        vars(self).update(vars(adopted))  # from_tables sets all the state
 
+    @classmethod
+    def from_tables(
+        cls,
+        topology: Topology,
+        tables: SubstrateTables,
+        names: list[FlatName],
+        *,
+        resolve_first_packet: bool = True,
+        threads: int | None = None,
+    ) -> "S4Routing":
+        """S4 over converged landmark ``tables`` built on ``topology``.
+
+        Builds only the balls (S4's own search, fanned over ``threads``).
+        The landmarks are ``tables.landmark_ids``; ``tables`` and ``names``
+        are held as given, read-only, so S4 beside ND-Disco shares both.
+        Raises ``ValueError`` when the tables do not fit the topology
+        (:meth:`SubstrateTables.check_adoptable`; no vicinity needed) or
+        ``names`` has not one name per node.
+        """
+        scheme = cls.__new__(cls)
+        RoutingScheme.__init__(scheme, topology)
+        n = topology.num_nodes
+        tables.check_adoptable(n, vicinity=False)
+        if len(names) != n:
+            raise ValueError(f"names must have exactly {n} entries, got {len(names)}")
+        scheme._resolve_first_packet = resolve_first_packet
+        scheme._names = names
+        scheme._landmarks = set(tables.landmark_ids)
+        scheme._tables = tables
         # The reverse-cluster ("ball") searches: for each node w, find every
         # node v with d(w, v) < d(w, ℓw); those v have w in their cluster.
         # The search tree also provides the shortest path from w back to v,
-        # which is the (reversed) route v uses to reach w.  Both builds are
-        # slab-direct: kernel rows land straight in the slabs, fanned over
-        # kernel threads and optionally packed into mmap storage.
-        self._balls: NodeSearchTables = build_ball_tables(
-            topology, self._tables.closest_dist, threads=threads
+        # which is the (reversed) route v uses to reach w.  Kernel rows land
+        # straight in the slabs, fanned over kernel threads.
+        scheme._balls = build_ball_tables(
+            topology, tables.closest_dist, threads=threads
         )
         # Every ball row starts with its owner, so "member != node" is the
         # minus-one in cluster_sizes_from_members.
-        self._cluster_sizes = cluster_sizes_from_members(self._balls.members, n)
-
+        scheme._cluster_sizes = cluster_sizes_from_members(scheme._balls.members, n)
         # Location service over the landmarks (consistent hashing of names).
-        self._resolution = LandmarkResolutionDatabase(
-            self._landmarks, self._names, self._tables.addr_bits
+        scheme._resolution = LandmarkResolutionDatabase(
+            scheme._landmarks, names, tables.addr_bits
         )
+        return scheme
 
     # -- accessors -----------------------------------------------------------
 
@@ -169,8 +173,8 @@ class S4Routing(RoutingScheme):
     def tables(self) -> SubstrateTables:
         """The flat landmark-substrate slabs this scheme routes over.
 
-        Shared with the sibling ND-Disco instance when a ``substrate`` was
-        supplied.  Read-only.
+        Shared with the sibling ND-Disco when adopted from its tables.
+        Read-only.
         """
         return self._tables
 

@@ -15,7 +15,7 @@ Four artifact kinds:
   get one build.
 * **Substrates** -- the converged ND-Disco landmark substrate (landmark
   SPT rows, closest-landmark rows and addresses as slabs, and names) that
-  Disco embeds and S4 borrows -- are keyed by the topology's *content*
+  Disco embeds and S4 adopts -- are keyed by the topology's *content*
   (:meth:`Topology.content_key`) plus every constructor input that shapes
   the converged state.  A substrate is pickled once, with its topology
   externalized to the topology artifact when one exists.
@@ -662,29 +662,19 @@ def scheme_key(topology, scheme_name: str, **params: object) -> str | None:
     """Content-addressed key for a converged routing scheme, or ``None``.
 
     The key covers the topology *content* (``Topology.content_key()``)
-    plus every canonicalizable
-    constructor parameter.  Build-mechanics parameters are excluded, at
-    the top level and inside the nested ``nddisco_options`` term that
-    Disco's and S4's keys carry: ``threads`` parallelizes the build and
-    the ``storage`` family places the slabs in RAM / mmap / a directory,
-    but neither changes the converged state (the slab-direct build is
-    byte-identical across all of them).  Returns ``None`` when any
-    parameter is uncacheable.
+    plus every canonicalizable constructor parameter but ``threads``, which
+    parallelizes a build without changing the converged state (the
+    slab-direct build is byte-identical at every width).  Slab placement
+    is the builder's option, not a constructor's, so it never reaches a
+    key.  Returns ``None`` when any parameter is uncacheable.
     Substrate-carrying schemes (:data:`SUBSTRATE_SCHEMES`) key under the
     ``substrate`` kind so the two artifact namespaces can never collide.
     """
-    excluded = ("threads", "storage", "vicinity_storage", "persist_storage")
-    if "nddisco_options" in params:
-        params["nddisco_options"] = tuple(
-            (name, value)
-            for name, value in params["nddisco_options"]
-            if name not in excluded
-        )
     try:
         canonical = tuple(
             (name, canonical_value(value))
             for name, value in sorted(params.items())
-            if name not in excluded
+            if name != "threads"
         )
     except Uncacheable:
         return None

@@ -15,7 +15,6 @@ congestion figure: given a topology and a list of protocol names it
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -29,6 +28,7 @@ from repro.metrics.state import StateReport, measure_state
 from repro.metrics.stretch import StretchReport, measure_stretch
 from repro.protocols.base import RoutingScheme
 from repro.protocols.registry import build_scheme
+from repro.protocols.s4 import S4Routing
 
 __all__ = ["SimulationResults", "StaticSimulation"]
 
@@ -66,18 +66,6 @@ class StaticSimulation:
         Overlay fingers per node in Disco.
     scheme_options:
         Extra per-protocol constructor options, keyed by protocol name.
-    substrate_storage:
-        Slab placement for the substrate builds (``"mmap"`` or a directory
-        path; ``None`` keeps RAM arrays) -- forwarded as ``storage`` to
-        :class:`NDDiscoRouting` and, for non-shared builds, to S4.  A
-        build-mechanics knob: converged state is byte-identical across
-        placements, so it never enters the cache keys.
-    substrate_vicinity_storage:
-        Override for the vicinity slabs (e.g. keep the landmark SPT slabs
-        on disk but the vicinity slabs in anonymous mmap when the two do
-        not fit on the same medium; implies the slab directory is left
-        unfinished -- see ``persist`` in
-        :func:`~repro.core.substrate_build.build_substrate_tables`).
     """
 
     def __init__(
@@ -89,8 +77,6 @@ class StaticSimulation:
         shortcut_mode: ShortcutMode = ShortcutMode.NO_PATH_KNOWLEDGE,
         num_fingers: int = 1,
         scheme_options: Mapping[str, Mapping[str, object]] | None = None,
-        substrate_storage: "str | None" = None,
-        substrate_vicinity_storage: "str | None" = None,
     ) -> None:
         if not protocols:
             raise ValueError("at least one protocol is required")
@@ -98,8 +84,6 @@ class StaticSimulation:
         self._seed = seed
         self._shortcut_mode = shortcut_mode
         self._num_fingers = num_fingers
-        self._substrate_storage = substrate_storage
-        self._substrate_vicinity_storage = substrate_vicinity_storage
         self._options = {
             name.lower(): dict(opts) for name, opts in (scheme_options or {}).items()
         }
@@ -118,19 +102,6 @@ class StaticSimulation:
         normalized = [name.strip().lower() for name in protocols]
         shared_nddisco: NDDiscoRouting | None = None
         nddisco_options = self._options.get("nd-disco", {})
-        # Slab placement is a build-mechanics knob (byte-identical output),
-        # so it rides outside nddisco_options and never shapes a cache key.
-        storage_options: dict[str, object] = {}
-        if self._substrate_storage is not None:
-            storage_options["storage"] = self._substrate_storage
-        if self._substrate_vicinity_storage is not None:
-            storage_options["vicinity_storage"] = (
-                self._substrate_vicinity_storage
-            )
-            if self._substrate_vicinity_storage != self._substrate_storage:
-                # Slabs split across media: no single directory can hold a
-                # complete artifact, so skip finishing one.
-                storage_options["persist_storage"] = False
 
         def get_nddisco() -> NDDiscoRouting:
             nonlocal shared_nddisco
@@ -142,7 +113,6 @@ class StaticSimulation:
                         self._topology,
                         seed=self._seed,
                         shortcut_mode=self._shortcut_mode,
-                        **storage_options,
                         **nddisco_options,
                     ),
                     seed=self._seed,
@@ -180,49 +150,43 @@ class StaticSimulation:
             elif name == "s4":
                 options = dict(self._options.get("s4", {}))
                 # Use the same landmark set as Disco/NDDisco when both are
-                # evaluated, mirroring the paper's like-for-like comparison.
+                # evaluated, mirroring the paper's like-for-like comparison:
+                # S4 then adopts NDDisco's converged tables (the same SPTs,
+                # addresses and closest-landmark rows) instead of
+                # recomputing them.
                 shares_landmarks = (
                     "disco" in normalized or "nd-disco" in normalized
                 ) and "landmarks" not in options
+                key_options = dict(options)
                 if shares_landmarks:
-                    options["landmarks"] = get_nddisco().landmarks
-                    # Identical landmark set implies identical SPTs,
-                    # addresses, and closest-landmark rows; hand NDDisco's
-                    # converged substrate to S4 instead of recomputing it.
-                    if "substrate" not in options:
-                        options["substrate"] = get_nddisco()
-                # The substrate object cannot be hashed into the key, but it
-                # is fully determined by the topology content, the landmark
-                # set (asserted identical above), and the nd-disco options
-                # it was built from (e.g. custom names), so the key carries
-                # those plus a sharing flag instead of the object.
-                key_options = {
-                    name: value
-                    for name, value in options.items()
-                    if name != "substrate"
-                }
-                if shares_landmarks:
+                    nddisco = get_nddisco()
+                    names = (
+                        list(options.pop("names"))
+                        if "names" in options
+                        else nddisco.names
+                    )
+                    build = lambda: S4Routing.from_tables(
+                        self._topology, nddisco.tables, names, **options
+                    )
+                    # The tables cannot be hashed into the key, but they are
+                    # fully determined by the topology content, the landmark
+                    # set and the nd-disco options they were built from
+                    # (e.g. custom names), so the key carries those plus a
+                    # sharing flag instead.
+                    key_options["landmarks"] = nddisco.landmarks
                     key_options["nddisco_options"] = tuple(
                         sorted(nddisco_options.items())
                     )
-                if "substrate" not in options and "storage" not in options:
-                    # Own-substrate build: give S4's landmark slabs the
-                    # same placement (a shared substrate brings its own).
-                    # A directory gets an "s4" subdirectory so two schemes
-                    # never write slab files over each other.
-                    storage = self._substrate_storage
-                    if storage is not None:
-                        if storage != "mmap":
-                            storage = os.path.join(storage, "s4")
-                        options["storage"] = storage
+                else:
+                    build = lambda: build_scheme(
+                        "s4", self._topology, seed=self._seed, **options
+                    )
                 scheme = cached_scheme(
                     self._topology,
                     "s4",
-                    lambda: build_scheme(
-                        "s4", self._topology, seed=self._seed, **options
-                    ),
+                    build,
                     seed=self._seed,
-                    substrate_shared="substrate" in options,
+                    substrate_shared=shares_landmarks,
                     **key_options,
                 )
             else:

@@ -38,6 +38,25 @@ class TestConstruction:
         disco = DiscoRouting(small_gnm, nddisco=named, names=other)
         assert disco.nddisco.names == other
 
+    @pytest.mark.parametrize(
+        "option",
+        [{"shortcut_mode": ShortcutMode.NONE}, {"vicinity_scale": 0.25}],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_substrate_options_must_be_the_nddiscos(
+        self, small_gnm, nddisco_small, option
+    ):
+        """The shortcut mode and the vicinity scale are the substrate's:
+        given beside ``nddisco=`` they are refused, not dropped."""
+        with pytest.raises(ValueError, match=next(iter(option))):
+            DiscoRouting(small_gnm, seed=1, nddisco=nddisco_small, **option)
+        same = DiscoRouting(
+            small_gnm,
+            nddisco=nddisco_small,
+            shortcut_mode=nddisco_small.shortcut_mode,
+        )
+        assert same.shortcut_mode is nddisco_small.shortcut_mode
+
     def test_builds_own_nddisco_when_not_given(self, small_gnm):
         disco = DiscoRouting(small_gnm, seed=4)
         assert disco.nddisco.topology is small_gnm

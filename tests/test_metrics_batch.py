@@ -20,6 +20,7 @@ import pytest
 
 from oracles import reference_paths as reference
 from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
+from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.graphs.generators import (
     geometric_random_graph,
@@ -35,6 +36,7 @@ from repro.metrics.stretch import (
     measure_stretch,
     stretch_of_route,
 )
+from repro.protocols.s4 import S4Routing
 from repro.staticsim.simulation import StaticSimulation
 
 _GOLDENS_DIR = Path(__file__).parent / "data"
@@ -227,6 +229,26 @@ class TestBatchedRoutes:
             assert goldens.digest(route(scheme, pairs)) == recorded[cell], cell
             seen.add(cell)
         assert seen == {cell for cell in recorded if cell.startswith(family)}
+
+    @pytest.mark.parametrize("name", ["nd-disco", "s4"])
+    @pytest.mark.parametrize("family", list(goldens.TOPOLOGIES))
+    def test_from_tables_is_the_built_scheme(self, family, name):
+        """A scheme adopting a built ND-Disco's tables routes as the scheme
+        its constructor builds (both give the recorded digest) and holds
+        the same state."""
+        topology = goldens.TOPOLOGIES[family]()
+        pairs = sample_pairs(topology, 200, seed=7)
+        nd = NDDiscoRouting(topology, seed=1)
+        built, cell = {
+            "nd-disco": (nd, f"{family}/nd-disco/no-path-knowledge"),
+            "s4": (S4Routing(topology, seed=1), f"{family}/s4"),
+        }[name]
+        adopted = type(built).from_tables(topology, nd.tables, nd.names)
+        recorded = json.loads(goldens.GOLDENS_PATH.read_text())[cell]
+        for scheme in (built, adopted):
+            assert goldens.digest(route_pairs_batch(scheme, pairs)) == recorded
+        nodes = list(topology.nodes())
+        assert adopted.state_profile(nodes) == built.state_profile(nodes)
 
 
 @pytest.fixture(scope="module")

@@ -119,7 +119,7 @@ class TestResolutionCountsAgainstRecords:
             resolution_virtual_nodes=virtual_nodes,
         )
         _assert_counts_match_records(nd)
-        shared = S4Routing(topology, landmarks=landmarks, substrate=nd)
+        shared = S4Routing.from_tables(topology, nd.tables, nd.names)
         own = S4Routing(topology, landmarks=landmarks, names=names)
         for s4 in (shared, own):
             _assert_counts_match_records(s4)

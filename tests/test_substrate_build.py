@@ -40,6 +40,7 @@ from repro.graphs.generators import (
     internet_router_level,
 )
 from repro.graphs._ckernels import load_kernels
+from repro.naming.names import name_for_node
 
 
 def _families():
@@ -163,21 +164,30 @@ def test_landmark_only_build_matches_from_components():
 
 @pytest.mark.parametrize("family,topology", FAMILIES, ids=[f for f, _ in FAMILIES])
 def test_injected_vicinities_match_slab_direct(family, topology):
-    """``NDDiscoRouting(vicinities=...)``: vicinity rows adopted in place
-    of the builder's vicinity phase."""
+    """Vicinity rows set on landmark-only tables in place of the builder's
+    vicinity phase, then adopted by ``NDDiscoRouting.from_tables``."""
     landmarks = select_landmarks(topology.num_nodes, seed=2)
-    expected = NDDiscoRouting(topology, landmarks=landmarks).tables
-    injected = NDDiscoRouting(
-        topology, landmarks=landmarks, vicinities=compute_vicinities(topology)
+    expected = NDDiscoRouting(topology, landmarks=landmarks)
+    tables = build_substrate_tables(
+        topology, landmarks, codec=LabelCodec(topology), include_vicinity=False
     )
-    _assert_identical_slabs(expected, injected.tables)
+    tables.vicinity = compute_vicinities(topology)
+    injected = NDDiscoRouting.from_tables(topology, tables, expected.names)
+    _assert_identical_slabs(expected.tables, injected.tables)
 
 
 def test_injected_vicinities_must_cover_every_node():
     family, topology = FAMILIES[1]
-    short = compute_vicinities(gnm_random_graph(20, seed=1))
-    with pytest.raises(ValueError, match="vicinities must cover every node"):
-        NDDiscoRouting(topology, vicinities=short)
+    tables = build_substrate_tables(
+        topology,
+        select_landmarks(topology.num_nodes, seed=2),
+        codec=LabelCodec(topology),
+        include_vicinity=False,
+    )
+    tables.vicinity = compute_vicinities(gnm_random_graph(20, seed=1))
+    names = [name_for_node(v) for v in range(topology.num_nodes)]
+    with pytest.raises(ValueError, match="no vicinity table over"):
+        NDDiscoRouting.from_tables(topology, tables, names)
 
 
 def test_build_stats_and_progress_hooks():

@@ -14,6 +14,7 @@ relies on.
 from __future__ import annotations
 
 import pickle
+from array import array
 from math import inf
 
 import pytest
@@ -25,6 +26,7 @@ from repro.addressing.address import Address
 from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.labels import LabelCodec
 from repro.core.disco import DiscoRouting
+from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import (
@@ -40,6 +42,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.sampling import sample_pairs
 from repro.graphs.topology import Topology
+from repro.naming.names import name_for_node
 from repro.protocols.s4 import S4Routing
 from repro.staticsim.simulation import StaticSimulation
 
@@ -238,7 +241,7 @@ def accessor_schemes():
         "nd-disco": nd,
         # Disco answers these through the ND-Disco it embeds.
         "disco": DiscoRouting(topology, seed=4, nddisco=nd).nddisco,
-        "s4": S4Routing(topology, seed=4, substrate=nd),
+        "s4": S4Routing.from_tables(topology, nd.tables, nd.names),
     }
 
 
@@ -263,6 +266,82 @@ def test_scheme_accessors_refuse_a_node_outside_the_graph(
     _ACCESSORS[accessor](scheme, landmark, 47)  # in range: answers
     with pytest.raises(ValueError, match=rf"{node} out of range \(n=48\)"):
         _ACCESSORS[accessor](scheme, landmark, node)
+
+
+def _with(tables: SubstrateTables, **slots) -> SubstrateTables:
+    """A copy of ``tables`` with ``slots`` replaced."""
+    clone = pickle.loads(pickle.dumps(tables))
+    for slot, value in slots.items():
+        setattr(clone, slot, value)
+    return clone
+
+
+#: case -> (what ``from_tables`` is given, instead of the scheme's own
+#: tables and names; the message it must raise)
+_REFUSED = {
+    "wrong n": (
+        lambda t, tables, names: (_with(tables, num_nodes=49), names),
+        "tables cover 49 nodes",
+    ),
+    "landmark -1": (
+        lambda t, tables, names: (
+            _with(tables, landmark_ids=array("q", [-1, *tables.landmark_ids[1:]])),
+            names,
+        ),
+        "landmark ids",
+    ),
+    "landmark n": (
+        lambda t, tables, names: (
+            _with(tables, landmark_ids=array("q", [*tables.landmark_ids[:-1], 48])),
+            names,
+        ),
+        "landmark ids",
+    ),
+    "spt slab short": (
+        lambda t, tables, names: (
+            _with(tables, spt_parent=tables.spt_parent[:-1]),
+            names,
+        ),
+        "spt_parent holds",
+    ),
+    "closest short": (
+        lambda t, tables, names: (_with(tables, closest=tables.closest[:-1]), names),
+        "closest holds",
+    ),
+    "codec=None": (
+        lambda t, tables, names: (
+            build_substrate_tables(t, tables.landmark_ids),
+            names,
+        ),
+        "codec=None",
+    ),
+    "no vicinity": (
+        lambda t, tables, names: (_with(tables, vicinity=None), names),
+        "no vicinity table",
+    ),
+    "names short": (
+        lambda t, tables, names: (tables, names[:-1]),
+        "names must have exactly 48",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+@pytest.mark.parametrize("name", ["nd-disco", "s4"])
+def test_from_tables_refuses_tables_that_do_not_fit(accessor_schemes, name, case):
+    """``from_tables`` is the one way in for converged state: what does not
+    fit the topology raises, in O(|L|), before a slab is read.  S4 reads no
+    vicinity, so it adopts tables without one."""
+    nd = accessor_schemes["nd-disco"]
+    scheme = accessor_schemes[name]
+    make, message = _REFUSED[case]
+    tables, names = make(nd.topology, nd.tables, nd.names)
+    if name == "s4" and case == "no vicinity":
+        adopted = type(scheme).from_tables(nd.topology, tables, names)
+        assert adopted.state_profile([0, 47]) == scheme.state_profile([0, 47])
+        return
+    with pytest.raises(ValueError, match=message):
+        type(scheme).from_tables(nd.topology, tables, names)
 
 
 _HOP_TOPOLOGIES = {
@@ -335,12 +414,19 @@ class TestSerialization:
         only through the tables object, so it works over mmap-backed slabs
         (a memoryview does not pickle) and carries their bytes once."""
         topology = gnm_random_graph(90, seed=4, average_degree=6.0)
-        nd = NDDiscoRouting(topology, seed=1, storage="mmap")
+        tables = build_substrate_tables(
+            topology,
+            select_landmarks(topology.num_nodes, seed=1),
+            codec=LabelCodec(topology),
+            storage="mmap",
+        )
+        names = [name_for_node(v) for v in range(topology.num_nodes)]
+        nd = NDDiscoRouting.from_tables(topology, tables, names)
         assert isinstance(nd.tables.spt_dist, memoryview)
         schemes = (
             nd,
             DiscoRouting(topology, seed=1, nddisco=nd),
-            S4Routing(topology, seed=1, substrate=nd),
+            S4Routing.from_tables(topology, nd.tables, nd.names),
         )
         slabs = {id(slab) for _, _, slab in nd.tables.slab_items()}
         for scheme in schemes:
