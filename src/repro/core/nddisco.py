@@ -170,8 +170,8 @@ class NDDiscoRouting(RoutingScheme):
     def tables(self) -> SubstrateTables:
         """The flat substrate slabs backing this scheme's state.
 
-        Treat as read-only; the cache layer persists and shares these slabs
-        as raw buffers, and pool workers may attach them zero-copy.
+        Treat as read-only; the cache layer stores these slabs as a slab
+        directory, and every process that loads it maps the same files.
         """
         return self._tables
 

@@ -32,11 +32,12 @@ builder, puts the vicinity rows at a fixed stride
 repairs the slabs per event through writable handles it keeps to itself, and
 hands readers :meth:`SubstrateTables.read_only` views of the same memory.
 
-Because the slabs are plain buffers they also serialize as raw bytes
-(:meth:`SubstrateTables.__getstate__`), deduplicating equal floats by
-construction, and publish zero-copy into one shared-memory segment
-(:class:`SharedTables`) that pool workers attach with
-:meth:`SubstrateTables.from_shared` instead of unpickling private copies.
+Because the slabs are plain buffers they persist as one raw slab directory
+(:meth:`SubstrateTables.save_slabs`) that :meth:`SubstrateTables.from_mmap`
+attaches by ``mmap``: the artifact store keeps every substrate's tables in
+that form, so pool workers share one page-cache copy instead of unpickling
+private ones.  A shell that holds tables no store registered pickles them
+inline as raw bytes (:meth:`SubstrateTables.__getstate__`).
 """
 
 from __future__ import annotations
@@ -45,15 +46,12 @@ import json
 import mmap as _mmap
 import os
 from array import array
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.graphs.csr import tree_path
 
 __all__ = [
     "NodeSearchTables",
-    "SharedTables",
-    "SharedTablesHandle",
     "SlabArena",
     "SubstrateTables",
     "SLAB_SCHEMA",
@@ -404,10 +402,14 @@ class SubstrateTables:
 
     # -- adoption by a scheme -----------------------------------------------
 
-    def check_adoptable(self, num_nodes: int, *, vicinity: bool) -> None:
+    def check_adoptable(
+        self, num_nodes: int, *, vicinity: bool, addresses: bool = True
+    ) -> None:
         """Raise ``ValueError`` unless a scheme on ``num_nodes`` nodes can
         adopt these tables, with a vicinity table if ``vicinity``: counts
         and landmark ids, O(|L|); the slab contents are the builder's word.
+        ``addresses=False`` accepts tables built with ``codec=None``, which
+        carry no address rows (one offset, no bits).
         """
         n = num_nodes
         if self.num_nodes != n:
@@ -420,14 +422,16 @@ class SubstrateTables:
                 f"landmark ids must be non-empty, ascending and in 0..{n - 1}"
             )
         spt = len(ids) * n
+        rows = n if addresses else 0
         sizes = dict(
             spt_dist=spt, spt_parent=spt, closest=n, closest_dist=n,
-            addr_offsets=n + 1, addr_bits=n,
+            addr_offsets=rows + 1, addr_bits=rows,
         )
         for slot, size in sizes.items():
-            if len(getattr(self, slot)) != size:
-                message = f"{slot} holds {len(getattr(self, slot))} entries, not {size}"
-                if slot.startswith("addr_"):
+            held = len(getattr(self, slot))
+            if held != size:
+                message = f"{slot} holds {held} entries, not {size}"
+                if slot.startswith("addr_") and not len(self.addr_bits):
                     message += (
                         ": tables built with codec=None (the churn engine's) "
                         "carry no address slabs until ROADMAP item 9"
@@ -478,67 +482,13 @@ class SubstrateTables:
         self.vicinity = state["vicinity"]
         self._index_landmarks()
 
-    # -- shared-memory attachment -------------------------------------------
-
-    @classmethod
-    def from_shared(cls, handle: "SharedTablesHandle") -> "SubstrateTables":
-        """Attach to a published tables segment; zero-copy views, no copy.
-
-        The slabs become typed ``memoryview`` casts over the shared
-        segment.  The mapping stays alive exactly as long as the views do:
-        the attaching ``SharedMemory`` object is detached from its
-        finalizer (views created from it keep the underlying ``mmap``
-        alive, and the last view to die unmaps it), so tables can be
-        dropped in any order without ``BufferError`` noise.  The publisher
-        keeps ownership of the segment's name (attachers never unlink).
-        """
-        shm = _attach_untracked(handle.shm_name)
-        buf = shm.buf
-        views: dict[str, memoryview] = {}
-        offset = 0
-        for name, typecode, count in handle.slots:
-            end = offset + 8 * count
-            views[name] = buf[offset:end].cast(typecode)
-            offset = end
-        vicinity = None
-        if handle.vicinity_nodes is not None:
-            vicinity = NodeSearchTables(
-                handle.vicinity_nodes,
-                views["vicinity.offsets"],
-                views["vicinity.members"],
-                views["vicinity.dists"],
-                views["vicinity.parents"],
-                views.get("vicinity.lengths"),
-            )
-        tables = cls(
-            handle.num_nodes,
-            views["landmark_ids"],
-            views["spt_dist"],
-            views["spt_parent"],
-            views["closest"],
-            views["closest_dist"],
-            vicinity,
-            views["addr_offsets"],
-            views["addr_path"],
-            views["addr_labels"],
-            views["addr_bits"],
-        )
-        # Hand lifetime management to the views: drop the SharedMemory
-        # object's own references so its close() (now or at GC) only closes
-        # the file descriptor, never tries to unmap pages still viewed.
-        shm._buf = None
-        shm._mmap = None
-        shm.close()
-        return tables
-
     # -- raw-slab persistence (mmap attach) ----------------------------------
 
     def slab_items(self) -> list[tuple[str, str, object]]:
         """Every slab as ``(name, typecode, buffer)`` in publication order.
 
         Vicinity sub-slabs are named ``vicinity.<slot>`` and follow the
-        table slots, matching :class:`SharedTables`' segment layout and the
-        on-disk slab-directory layout.
+        table slots, matching the on-disk slab-directory layout.
         """
         slabs: list[tuple[str, str, object]] = [
             (slot, typecode, getattr(self, slot))
@@ -564,7 +514,7 @@ class SubstrateTables:
 
         The directory is mmap-attachable with :meth:`from_mmap` -- the
         natural format for substrates larger than RAM, and the format the
-        artifact cache stores big ``tables`` artifacts in.  ``skip`` names
+        artifact cache stores every ``tables`` artifact in.  ``skip`` names
         slabs whose ``.bin`` files already hold the final content (the
         out-of-core build packs the big slabs straight into those files and
         only the small slabs plus the manifest remain to be written).
@@ -604,14 +554,15 @@ class SubstrateTables:
     def from_mmap(cls, path: "str | os.PathLike") -> "SubstrateTables":
         """Attach to a raw slab directory written by :meth:`save_slabs`.
 
-        Mirrors :meth:`from_shared`, with files instead of a shared-memory
-        segment: every slab becomes a typed ``memoryview`` cast over a
-        read-only ``mmap`` of its ``.bin`` file, so attaching is O(1) in
-        the substrate size and the resident set grows only with the pages
-        actually touched -- substrates larger than RAM stay usable, and
-        concurrent attachers (e.g. scenario-shard workers) share one page
-        cache instead of private copies.  Each mapping stays alive exactly
-        as long as its views do.
+        Every slab becomes a typed ``memoryview`` cast over a read-only
+        ``mmap`` of its ``.bin`` file, so attaching is O(1) in the substrate
+        size and the resident set grows only with the pages actually
+        touched -- substrates larger than RAM stay usable, and concurrent
+        attachers (e.g. scenario-shard workers) share one page cache
+        instead of private copies.  Each mapping stays alive exactly as
+        long as its views do.  The counts are checked as on adoption
+        (:meth:`check_adoptable`, O(|L|); a directory without address slabs
+        passes): a directory whose slabs disagree raises ``ValueError``.
         """
         path = os.fspath(path)
         with open(os.path.join(path, "manifest.json"), encoding="utf-8") as f:
@@ -636,7 +587,7 @@ class SubstrateTables:
                 views["vicinity.parents"],
                 views.get("vicinity.lengths"),
             )
-        return cls(
+        tables = cls(
             manifest["num_nodes"],
             views["landmark_ids"],
             views["spt_dist"],
@@ -649,6 +600,12 @@ class SubstrateTables:
             views["addr_labels"],
             views["addr_bits"],
         )
+        tables.check_adoptable(
+            tables.num_nodes,
+            vicinity=vicinity is not None,
+            addresses=len(tables.addr_bits) > 0,
+        )
+        return tables
 
 
 def _mmap_slab_file(path: str, typecode: str, count: int) -> memoryview:
@@ -666,102 +623,6 @@ def _mmap_slab_file(path: str, typecode: str, count: int) -> memoryview:
     # The cast memoryview keeps the mapping alive via the buffer protocol;
     # dropping the last view unmaps it.
     return memoryview(mapped).cast(typecode)
-
-
-@dataclass(frozen=True)
-class SharedTablesHandle:
-    """Picklable description of a published :class:`SubstrateTables`.
-
-    ``slots`` lists every slab in segment order as
-    ``(name, typecode, item_count)``; ``vicinity_nodes`` is the vicinity
-    table's node count (``None`` when the tables carry no vicinities).
-    """
-
-    shm_name: str
-    num_nodes: int
-    vicinity_nodes: int | None
-    slots: tuple[tuple[str, str, int], ...]
-
-
-def _attach_untracked(name: str):
-    """Attach to an existing segment without resource-tracker registration.
-
-    ``SharedMemory(name=...)`` registers the segment with the process-wide
-    resource tracker, which unlinks every registered name at shutdown and
-    complains about "leaks".  Attachers must not own the segment's name --
-    the publisher unlinks it exactly once -- so tracking is suppressed:
-    via ``track=False`` on CPython 3.13+, and by making registration a
-    no-op for the duration of the attach on older versions (the documented
-    community workaround; the tracker API is internal but stable).
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        pass
-    from multiprocessing import resource_tracker
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
-
-
-class SharedTables:
-    """Publish one immutable :class:`SubstrateTables` in shared memory.
-
-    All slabs are packed back to back (every item is 8 bytes, so the
-    layout in :attr:`SharedTablesHandle.slots` is self-describing).  The
-    publisher owns the segment's lifetime: call :meth:`close` (or use as a
-    context manager) once the consumers are done; attachers' views stay
-    valid until they drop them.
-    """
-
-    def __init__(self, tables: SubstrateTables) -> None:
-        from multiprocessing import shared_memory
-
-        slabs = tables.slab_items()
-        vicinity_nodes = (
-            None if tables.vicinity is None else tables.vicinity.num_nodes
-        )
-        slots = tuple(
-            (name, typecode, len(slab)) for name, typecode, slab in slabs
-        )
-        total = sum(8 * count for _, _, count in slots)
-        self._shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        buf = self._shm.buf
-        offset = 0
-        for (name, typecode, count), (_, _, slab) in zip(slots, slabs):
-            end = offset + 8 * count
-            if count:
-                buf[offset:end].cast(typecode)[:] = slab
-            offset = end
-        self.handle = SharedTablesHandle(
-            shm_name=self._shm.name,
-            num_nodes=tables.num_nodes,
-            vicinity_nodes=vicinity_nodes,
-            slots=slots,
-        )
-
-    def close(self) -> None:
-        """Unmap and unlink the segment (idempotent)."""
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-        self._shm = None
-
-    def __enter__(self) -> "SharedTables":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class SlabArena:

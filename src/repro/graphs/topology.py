@@ -674,7 +674,7 @@ class Topology:
         """Write as a raw slab directory (see :data:`TOPOLOGY_SLAB_SCHEMA`).
 
         The directory is mmap-attachable with :meth:`from_slab_dir` -- the
-        format the artifact cache stores big topologies in.  Returns the
+        format the artifact cache stores every topology in.  Returns the
         directory path.
         """
         import json

@@ -31,17 +31,21 @@ Four artifact kinds:
 * **Tables** -- the substrate's flat slab payload
   (:class:`~repro.core.tables.SubstrateTables`) -- are externalized from
   the substrate pickle into their own artifact (key derived from the
-  substrate key), serialized as raw typed buffers.  Because the slabs are
-  plain bytes, the scenario engine can also *publish* them to shared
-  memory before a parallel run: workers then resolve the tables reference
-  by attaching a zero-copy view instead of unpickling a private copy
-  (see :attr:`ArtifactCache.shared_tables`).
+  substrate key).
 
-On-disk payloads are zlib-compressed behind a magic prefix
-(:data:`COMPRESS_MAGIC`), the one framing the store reads: a payload
-without it is a miss and gets rebuilt.  Each sidecar records both the
-stored and the raw byte count so ``repro cache stats`` can report the
-compression ratio.
+Topologies and tables are stored in one format at every size: a raw slab
+directory ``<kind>/<key>.slabs/`` (``save_slabs``) that loads attach by
+``mmap`` (:meth:`Topology.from_slab_dir
+<repro.graphs.topology.Topology.from_slab_dir>`,
+:meth:`SubstrateTables.from_mmap
+<repro.core.tables.SubstrateTables.from_mmap>`), so every process that
+loads one -- the workers of a parallel run included -- shares the same
+page-cache pages.  A directory that fails to attach is a miss, and the
+rebuild replaces it.  Substrates and schemes are pickles, zlib-compressed
+behind a magic prefix (:data:`COMPRESS_MAGIC`), the one framing the store
+reads: a payload without it is a miss and gets rebuilt.  Each sidecar
+records both the stored and the raw byte count so ``repro cache stats``
+can report the compression ratio.
 
 A :class:`~repro.graphs.topology.Topology` is immutable, so a content key
 never goes stale: scheme and substrate keys cover ``content_key()``, and an
@@ -49,7 +53,7 @@ edited graph is a new topology (frozen from a ``TopologyBuilder``) under a
 key of its own.
 
 Both layers live in memory for the current process and -- when a cache
-directory is configured -- as pickles on disk (plus a ``<key>.meta.json``
+directory is configured -- on disk (plus a ``<key>.meta.json``
 sidecar per artifact recording byte counts and last-hit timestamps; see
 :mod:`repro.scenarios.lifecycle` for the ops layer built on them), so
 repeated ``repro run`` invocations and the worker processes of a parallel
@@ -69,18 +73,18 @@ import io
 import json
 import os
 import pickle
+import shutil
 import tempfile
 import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 __all__ = [
     "ARTIFACT_SCHEMA",
     "ArtifactCache",
     "COMPRESS_MAGIC",
-    "SLAB_ARTIFACT_THRESHOLD",
     "SUBSTRATE_SCHEMES",
     "Uncacheable",
     "active_cache",
@@ -88,7 +92,6 @@ __all__ = [
     "cache_key",
     "cached_scheme",
     "canonical_value",
-    "load_tables_artifact",
     "scheme_key",
     "tables_key",
 ]
@@ -110,18 +113,15 @@ __all__ = [
 #: per-node neighbour lists, the sloppy grouping no names or estimates,
 #: and a path-vector shell no flag for a mode nothing set.  v10: a
 #: substrate holds no per-node address objects and no codec, and a
-#: resolution database pickles per-landmark counts, not records.
-ARTIFACT_SCHEMA = "repro-artifacts/v10"
+#: resolution database pickles per-landmark counts, not records.  v11:
+#: every topology and tables artifact is a slab directory, at every size.
+ARTIFACT_SCHEMA = "repro-artifacts/v11"
 
-#: Tables artifacts at or above this many slab bytes are stored as a raw
-#: slab directory instead of a compressed pickle.  A slab directory loads
-#: by ``mmap`` attach: no unpickle copy, lazy paging, and every process
-#: that attaches shares the same page-cache pages -- which is what makes
-#: larger-than-RAM substrates usable from a warm cache.  Below the
-#: threshold the zlib pickle wins (compression, single file).
-SLAB_ARTIFACT_THRESHOLD = 64 * 1024 * 1024
+#: Artifact kinds stored as raw slab directories; every other kind is a
+#: compressed pickle.
+_SLAB_KINDS = frozenset({"topology", "tables"})
 
-#: Framing prefix of every on-disk artifact payload (zlib-compressed
+#: Framing prefix of every pickled artifact payload (zlib-compressed
 #: pickle).  A payload without it is a miss, rebuilt and overwritten.
 COMPRESS_MAGIC = b"RPZC"
 
@@ -252,22 +252,10 @@ class ArtifactCache:
         keeps the cache memory-only.  Disk writes are atomic
         (temp file + ``os.replace``), so concurrent workers sharing one
         root can only ever observe complete artifacts.
-    shared_tables:
-        Optional ``tables_key -> SharedTablesHandle`` map of substrate
-        tables a parent process published to shared memory.  When a
-        substrate load resolves its tables reference, a published key is
-        attached zero-copy instead of read from disk -- this is how pool
-        workers avoid unpickling a private slab copy each.
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        *,
-        shared_tables: "Mapping[str, object] | None" = None,
-    ) -> None:
+    def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = os.fspath(root) if root is not None else None
-        self.shared_tables = dict(shared_tables or {})
         self._memory: dict[str, object] = {}
         #: id(object) -> _SharedRef for every registered shared component.
         #: Roots are pinned by ``_memory``, so registered ids stay live.
@@ -290,16 +278,16 @@ class ArtifactCache:
             self.misses += 1
             artifact = build()
             self._register(kind, key, artifact)
-            if kind == "substrate":
+            if kind == "substrate" and id(artifact.tables) in self._shared:
                 # Externalize the substrate's slab payload into its own
                 # artifact *before* the substrate pickle is written, so
                 # the shell pickler replaces the tables object with a
                 # reference and the slabs persist exactly once.
-                self._store_tables(key, artifact)
-            if kind == "topology" and self._store_topology_slabs(
-                key, artifact
-            ):
-                pass  # the slab directory is the single on-disk copy
+                derived = tables_key(key)
+                self._memory[derived] = artifact.tables
+                self._store_slab_dir("tables", derived, artifact.tables)
+            if kind in _SLAB_KINDS:
+                self._store_slab_dir(kind, key, artifact)
             else:
                 self._store_disk(kind, key, artifact)
         else:
@@ -308,76 +296,40 @@ class ArtifactCache:
         self._memory[key] = artifact
         return artifact  # type: ignore[return-value]
 
-    def _store_tables(self, substrate_key: str, substrate: object) -> None:
-        """Persist a substrate's :class:`SubstrateTables` as raw buffers.
-
-        Small payloads go through the compressed-pickle path; payloads at
-        or above :data:`SLAB_ARTIFACT_THRESHOLD` are written as a raw slab
-        directory (``<key>.slabs/``) so later loads mmap-attach instead of
-        materializing an unpickle copy.
-        """
-        tables = substrate.tables
-        if id(tables) not in self._shared:
-            return
-        derived = tables_key(substrate_key)
-        self._memory[derived] = tables
-        try:
-            big = tables.slab_bytes() >= SLAB_ARTIFACT_THRESHOLD
-        except Exception:
-            big = False
-        if big:
-            self._store_slab_dir(derived, tables)
-        else:
-            self._store_disk("tables", derived, tables)
-
-    def _store_topology_slabs(self, key: str, topology: object) -> bool:
-        """Persist a big topology as a raw slab directory.
-
-        :class:`~repro.graphs.topology.Topology` artifacts at or above
-        :data:`SLAB_ARTIFACT_THRESHOLD` skip the pickle layer
-        entirely: the slab directory is the single on-disk copy and later
-        loads mmap-attach it.  Returns True when the slab directory is
-        (or already was) in place; False sends the artifact down the
-        ordinary pickle path.
-        """
-        if self.root is None:
-            return False
-        try:
-            big = topology.slab_bytes() >= SLAB_ARTIFACT_THRESHOLD
-        except Exception:
-            return False
-        if not big:
-            return False
-        self._store_slab_dir(key, topology, kind="topology")
-        target = self._slab_dir_path(key, "topology")
-        return target is not None and os.path.isdir(target)
-
-    def _slab_dir_path(self, key: str, kind: str = "tables") -> str | None:
+    def _slab_dir_path(self, kind: str, key: str) -> str | None:
         if self.root is None:
             return None
         return os.path.join(self.root, kind, f"{key}.slabs")
 
-    def _store_slab_dir(
-        self, key: str, artifact: object, *, kind: str = "tables"
-    ) -> None:
-        """Write one slab-backed artifact as an atomic raw slab directory."""
-        target = self._slab_dir_path(key, kind)
-        if target is None or os.path.isdir(target):
+    def _store_slab_dir(self, kind: str, key: str, artifact) -> None:
+        """Write one slab-backed artifact as an atomic raw slab directory.
+
+        A directory already at the target failed to attach (a load that
+        found a good one would have hit), so it is moved aside and
+        replaced: ``os.replace`` cannot overwrite a non-empty directory.
+        """
+        target = self._slab_dir_path(kind, key)
+        if target is None:
             return
         directory = os.path.dirname(target)
         os.makedirs(directory, exist_ok=True)
         scratch = tempfile.mkdtemp(dir=directory, suffix=".tmp")
+        stale = None
         try:
             artifact.save_slabs(scratch)
+            if os.path.isdir(target):
+                stale = tempfile.mkdtemp(dir=directory, suffix=".tmp")
+                os.replace(target, stale)
             # Directory rename is atomic; a concurrent writer that won the
-            # race leaves the target in place and we discard our copy.
+            # race leaves its equal copy in place and we discard ours.
             os.replace(scratch, target)
-        except Exception:
-            import shutil
-
-            shutil.rmtree(scratch, ignore_errors=True)
+        except OSError:
             if not os.path.isdir(target):
                 return
+        finally:
+            for leftover in (scratch, stale):
+                if leftover is not None:
+                    shutil.rmtree(leftover, ignore_errors=True)
         size = artifact.slab_bytes()
         now = round(time.time(), 3)
         self._write_meta(
@@ -423,8 +375,7 @@ class ArtifactCache:
                         id(obj), _SharedRef("substrate", key, path)
                     )
                 # The slab payload lives under its own kind/key so the
-                # substrate's pickle externalizes it (and parallel runs
-                # can swap in a shared-memory attachment).
+                # substrate's pickle externalizes it.
                 self._shared.setdefault(
                     id(artifact.tables),
                     _SharedRef("tables", tables_key(key), ()),
@@ -440,32 +391,12 @@ class ArtifactCache:
 
         Unlike :meth:`get` there is no builder: a missing artifact raises
         :class:`_ArtifactMissing`, which the enclosing shell load treats
-        as a cache miss.  ``tables`` artifacts published to shared memory
-        by a parent process are attached zero-copy instead of being read
-        from disk.
+        as a cache miss.
         """
         cached = self._memory.get(key)
         if cached is not None:
             return cached
-        artifact = None
-        if kind == "tables" and key in self.shared_tables:
-            try:
-                from repro.core.tables import SubstrateTables
-
-                artifact = SubstrateTables.from_shared(
-                    self.shared_tables[key]
-                )
-            except Exception:
-                artifact = None  # vanished segment: fall back to disk
-            else:
-                # A shared-memory hit is still a use of the on-disk
-                # artifact: bump its sidecar so LRU pruning never ranks
-                # the store's hottest tables as its coldest.
-                path = self._path(kind, key)
-                if path is not None:
-                    self._touch_meta(path, key)
-        if artifact is None:
-            artifact = self._load_disk(kind, key)
+        artifact = self._load_disk(kind, key)
         if artifact is None:
             raise _ArtifactMissing(f"{kind} artifact {key} unavailable")
         self._register(kind, key, artifact)
@@ -480,25 +411,8 @@ class ArtifactCache:
         return os.path.join(self.root, kind, f"{key}.pkl")
 
     def _load_disk(self, kind: str, key: str) -> object | None:
-        if kind in ("tables", "topology"):
-            slab_dir = self._slab_dir_path(key, kind)
-            if slab_dir is not None and os.path.isdir(slab_dir):
-                try:
-                    if kind == "tables":
-                        from repro.core.tables import SubstrateTables
-
-                        artifact: object = SubstrateTables.from_mmap(
-                            slab_dir
-                        )
-                    else:
-                        from repro.graphs.topology import Topology
-
-                        artifact = Topology.from_slab_dir(slab_dir)
-                except Exception:
-                    pass  # incomplete/corrupt directory: try the pickle
-                else:
-                    self._touch_meta(slab_dir, key)
-                    return artifact
+        if kind in _SLAB_KINDS:
+            return self._load_slab_dir(kind, key)
         path = self._path(kind, key)
         if path is None or not os.path.exists(path):
             return None
@@ -513,6 +427,27 @@ class ArtifactCache:
         self._touch_meta(path, key)
         return artifact
 
+    def _load_slab_dir(self, kind: str, key: str) -> object | None:
+        path = self._slab_dir_path(kind, key)
+        if path is None or not os.path.isdir(path):
+            return None
+        try:
+            if kind == "tables":
+                from repro.core.tables import SubstrateTables
+
+                artifact: object = SubstrateTables.from_mmap(path)
+            else:
+                from repro.graphs.topology import Topology
+
+                artifact = Topology.from_slab_dir(path)
+        except (OSError, ValueError, KeyError):
+            # A missing or short slab file, an unreadable manifest, or
+            # counts / CSR invariants that fail: a miss, and the rebuild
+            # replaces the directory.
+            return None
+        self._touch_meta(path, key)
+        return artifact
+
     def _store_disk(self, kind: str, key: str, artifact: object) -> None:
         path = self._path(kind, key)
         if path is None:
@@ -523,9 +458,7 @@ class ArtifactCache:
                 buffer,
                 self._shared,
                 # A substrate may reference the topology and tables
-                # artifacts but never itself; plain artifacts (topologies)
-                # have nothing registered pointing at other artifacts
-                # anyway.
+                # artifacts but never itself.
                 skip=(kind, key),
             ).dump(artifact)
             raw = buffer.getvalue()
@@ -604,23 +537,6 @@ def tables_key(substrate_key: str) -> str:
     artifacts can never collide in the memory layer or on disk.
     """
     return cache_key("tables", substrate_key)
-
-
-def load_tables_artifact(path: str):
-    """Load one on-disk ``tables`` artifact.
-
-    A ``<key>.slabs`` directory attaches by mmap
-    (:meth:`~repro.core.tables.SubstrateTables.from_mmap`); a ``.pkl``
-    payload is plain-unpickled.  Used by the scenario engine's parent
-    process to publish already-cached substrate tables into shared memory
-    before a parallel run.  Raises on unframed, unreadable or corrupt
-    payloads; callers treat that as "skip this one".
-    """
-    if os.path.isdir(path):
-        from repro.core.tables import SubstrateTables
-
-        return SubstrateTables.from_mmap(path)
-    return pickle.loads(_read_payload(path))
 
 
 def _read_payload(path: str) -> bytes:

@@ -137,81 +137,10 @@ def _worker_init(
     scale: ExperimentScale,
     cache_root: str | None,
     cache_enabled: bool,
-    shared_tables: dict | None = None,
 ) -> None:
     global _WORKER_SCALE, _WORKER_CACHE
     _WORKER_SCALE = scale
-    _WORKER_CACHE = (
-        ArtifactCache(cache_root, shared_tables=shared_tables)
-        if cache_enabled
-        else None
-    )
-
-
-#: Budget for parent-side shared-memory publication of cached tables: a
-#: long-lived shared cache root can hold slabs for many topologies, but a
-#: run only benefits from the ones its scenarios touch, so publication is
-#: bounded (most-recently-hit first) instead of mirroring the whole store
-#: into ``/dev/shm``.  Keys outside the budget simply read disk per
-#: worker, as before.
-_PUBLISH_MAX_BYTES = 256 * 1024 * 1024
-_PUBLISH_MAX_SEGMENTS = 64
-
-
-def _publish_cached_tables(
-    cache: ArtifactCache,
-) -> tuple[dict[str, object], list[object]]:
-    """Publish cached ``tables`` artifacts into shared memory.
-
-    Called by the parent before a pool run against a warm disk cache: a
-    substrate's slab payload is loaded once and pushed into one
-    shared-memory segment, and workers resolving that substrate attach
-    the segment zero-copy instead of unpickling a private copy each
-    (:attr:`ArtifactCache.shared_tables`).  Publication is
-    most-recently-hit first under :data:`_PUBLISH_MAX_BYTES` /
-    :data:`_PUBLISH_MAX_SEGMENTS`, and each published artifact's sidecar
-    is bumped (publication is a use; LRU pruning must see it).  Returns
-    the ``tables_key -> handle`` map for the worker initializer plus the
-    live publications, which the caller must close after the pool is
-    done.  A cold cache (or a platform without shared memory) publishes
-    nothing and the workers simply read disk, as before.
-    """
-    from repro.core.tables import SharedTables
-    from repro.scenarios.cache import load_tables_artifact
-    from repro.scenarios.lifecycle import scan
-
-    handles: dict[str, object] = {}
-    published: list[object] = []
-    if cache.root is None:
-        return handles, published
-    # Slab-directory artifacts are excluded: workers mmap-attach them
-    # straight from disk, and the page cache already gives every attached
-    # process one shared physical copy -- mirroring them into /dev/shm
-    # would double the resident footprint for nothing.
-    candidates = [
-        info
-        for info in scan(cache.root)
-        if info.kind == "tables" and not info.path.endswith(".slabs")
-    ]
-    candidates.sort(key=lambda info: info.last_hit, reverse=True)
-    budget = _PUBLISH_MAX_BYTES
-    for info in candidates:
-        if len(published) >= _PUBLISH_MAX_SEGMENTS:
-            break
-        # raw_bytes approximates the segment size (slabs dominate the
-        # uncompressed pickle).
-        if info.raw_bytes > budget:
-            continue
-        try:
-            tables = load_tables_artifact(info.path)
-            publication = SharedTables(tables)
-        except Exception:
-            continue  # unreadable or unpublishable: workers read disk
-        published.append(publication)
-        handles[info.key] = publication.handle
-        budget -= info.raw_bytes
-        cache._touch_meta(info.path, info.key)
-    return handles, published
+    _WORKER_CACHE = ArtifactCache(cache_root) if cache_enabled else None
 
 
 def _run_task(
@@ -309,28 +238,14 @@ def run_scenarios(
     if workers > 1 and len(tasks) > 1:
         from multiprocessing import Pool
 
-        # Warm disk caches get their substrate slabs published to shared
-        # memory once, so the workers attach zero-copy views instead of
-        # each unpickling a private copy (cold caches publish nothing).
-        shared_handles: dict[str, object] = {}
-        publications: list[object] = []
-        if cache is not None and cache.root:
-            shared_handles, publications = _publish_cached_tables(cache)
-        try:
-            with Pool(
-                workers,
-                initializer=_worker_init,
-                initargs=(
-                    scale,
-                    cache.root if cache else None,
-                    cache is not None,
-                    shared_handles,
-                ),
-            ) as pool:
-                outputs = pool.map(_run_worker_task, tasks, chunksize=1)
-        finally:
-            for publication in publications:
-                publication.close()
+        # Workers attach the disk cache's slab directories by mmap, so the
+        # page cache holds one shared copy of every substrate they read.
+        with Pool(
+            workers,
+            initializer=_worker_init,
+            initargs=(scale, cache.root if cache else None, cache is not None),
+        ) as pool:
+            outputs = pool.map(_run_worker_task, tasks, chunksize=1)
     else:
         outputs = [_run_task(task, scale, cache) for task in tasks]
     task_outputs: dict[tuple[str, str | None], tuple[float, object]] = {}

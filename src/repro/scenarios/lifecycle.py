@@ -1,9 +1,9 @@
 """Cache lifecycle operations: manifest, stats, clear, and pruning.
 
 The artifact store (:mod:`repro.scenarios.cache`) writes one
-``<key>.meta.json`` sidecar next to every ``<key>.pkl`` it stores,
-recording the artifact kind, payload byte count, creation time, and
-last-hit time.  The sidecars *are* the cache manifest: they are written
+``.meta.json`` sidecar next to every ``<key>.pkl`` or ``<key>.slabs/`` it
+stores, recording the artifact kind, payload byte count, creation time,
+and last-hit time.  The sidecars *are* the cache manifest: they are written
 and bumped atomically per artifact, so concurrent workers never contend
 on one shared file.  This module aggregates them into the operator-facing
 views behind ``repro cache {stats,ls,clear,prune}``:
@@ -146,8 +146,9 @@ def scan(root: str | os.PathLike) -> list[ArtifactInfo]:
             if name.endswith(".pkl"):
                 key = name[: -len(".pkl")]
             elif name.endswith(".slabs") and os.path.isdir(path):
-                # Raw slab directory (large tables artifacts, mmap-attached
-                # on load); its payload size is the sum of the slab files.
+                # Raw slab directory (every topology and tables artifact,
+                # mmap-attached on load); its payload size is the sum of
+                # the slab files.
                 key = name[: -len(".slabs")]
             else:
                 continue

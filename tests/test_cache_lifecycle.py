@@ -328,7 +328,7 @@ class TestCompressedFraming:
     def test_unframed_artifact_is_a_miss_and_is_rebuilt(self, tmp_path):
         import pickle
 
-        from repro.scenarios.cache import COMPRESS_MAGIC, load_tables_artifact
+        from repro.scenarios.cache import COMPRESS_MAGIC, _read_payload
 
         key = cache_key("scheme", "unframed")
         directory = tmp_path / "scheme"
@@ -336,7 +336,7 @@ class TestCompressedFraming:
         path = directory / f"{key}.pkl"
         path.write_bytes(pickle.dumps("unframed-payload", protocol=4))
         with pytest.raises(ValueError):
-            load_tables_artifact(str(path))
+            _read_payload(str(path))
         cache = ArtifactCache(tmp_path)
         assert cache.get("scheme", key, lambda: "rebuilt") == "rebuilt"
         assert cache.hits == 0 and cache.misses == 1

@@ -516,13 +516,9 @@ class TestSlabDirValidation:
             Topology.from_slab_dir(slab_dir)
 
     @pytest.mark.parametrize("slab", sorted(_FLIPS))
-    def test_the_cache_rebuilds_a_flipped_slab_dir(
-        self, tmp_path, monkeypatch, tier, slab
-    ):
-        from repro.scenarios import cache as cache_module
+    def test_the_cache_rebuilds_a_flipped_slab_dir(self, tmp_path, tier, slab):
         from repro.scenarios.cache import ArtifactCache, activated
 
-        monkeypatch.setattr(cache_module, "SLAB_ARTIFACT_THRESHOLD", 0)
         path = tmp_path / "g.edges"
         write_edge_list(gnm_random_graph(64, seed=2, average_degree=6.0), path)
         root = tmp_path / "cache"
@@ -536,6 +532,11 @@ class TestSlabDirValidation:
         assert (fresh.hits, fresh.misses) == (0, 1)
         assert_same_topology(rebuilt, clean)
         assert rebuilt.csr().spt_rows(5) == clean.csr().spt_rows(5)
+        # The rebuild replaced the flipped directory, so the next run hits.
+        third = ArtifactCache(root)
+        with activated(third):
+            assert_same_topology(ingest_topology(path), clean)
+        assert (third.hits, third.misses) == (1, 0)
 
 
 class TestBFSKernel:

@@ -264,15 +264,17 @@ class TestArtifactCache:
         assert second_cache.hits == 1
 
     def test_corrupt_disk_artifact_is_a_miss(self, tmp_path):
+        from repro.graphs.generators import gnm_random_graph
+
+        build = lambda: gnm_random_graph(48, seed=5, average_degree=6.0)
         cache = ArtifactCache(tmp_path / "cache")
         key = ("gnm", 48, 5, 6.0)
-        cache.topology(key, lambda: "artifact")
-        path = next((tmp_path / "cache" / "topology").glob("*.pkl"))
-        path.write_bytes(b"not a pickle")
-        rebuilt = ArtifactCache(tmp_path / "cache").topology(
-            key, lambda: "rebuilt"
-        )
-        assert rebuilt == "rebuilt"
+        built = cache.topology(key, build)
+        path = next((tmp_path / "cache" / "topology").glob("*.slabs"))
+        (path / "manifest.json").write_bytes(b"not a manifest")
+        fresh = ArtifactCache(tmp_path / "cache")
+        assert fresh.topology(key, build) == built
+        assert (fresh.hits, fresh.misses) == (0, 1)
 
     def test_cache_key_is_order_sensitive(self):
         assert cache_key("topology", 1, 2) != cache_key("topology", 2, 1)

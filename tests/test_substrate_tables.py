@@ -29,11 +29,7 @@ from repro.core.disco import DiscoRouting
 from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.substrate_build import build_substrate_tables
-from repro.core.tables import (
-    NodeSearchTables,
-    SharedTables,
-    SubstrateTables,
-)
+from repro.core.tables import NodeSearchTables, SubstrateTables
 from repro.core.vicinity import vicinity_size
 from repro.graphs.generators import (
     geometric_random_graph,
@@ -601,24 +597,19 @@ class TestStridedRows:
         with pytest.raises(KeyError):
             vicinity.path_from_owner(7, 11)
 
-    def test_lengths_survive_pickle_slab_directory_and_shared_memory(
-        self, tmp_path
-    ):
+    def test_lengths_survive_pickle_and_slab_directory(self, tmp_path):
         tables = _two_component_tables()
         tables.vicinity = tables.vicinity.strided(6)
         expected = _rows(tables.vicinity)
         clone = pickle.loads(pickle.dumps(tables.read_only()))
         tables.save_slabs(tmp_path / "slabs")
         attached = SubstrateTables.from_mmap(tmp_path / "slabs")
-        with SharedTables(tables) as shared:
-            mapped = SubstrateTables.from_shared(shared.handle)
-            for copy in (clone, attached, mapped):
-                assert list(copy.vicinity.lengths) == [6] * 7 + [5] * 5
-                assert _rows(copy.vicinity) == expected
-                assert [name for name, _, _ in copy.slab_items()][-1] == (
-                    "vicinity.lengths"
-                )
-            del mapped, copy
+        for copy in (clone, attached):
+            assert list(copy.vicinity.lengths) == [6] * 7 + [5] * 5
+            assert _rows(copy.vicinity) == expected
+            assert [name for name, _, _ in copy.slab_items()][-1] == (
+                "vicinity.lengths"
+            )
 
     def test_packed_tables_serialize_as_before(self, tmp_path):
         """No ``lengths`` key, slot or file where there is no column."""
