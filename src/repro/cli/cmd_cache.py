@@ -39,15 +39,6 @@ def command(args: argparse.Namespace) -> int:
         rows.append(["total", stats["count"], _format_bytes(stats["bytes"])])
         print(f"cache root: {root}")
         print(format_table(["kind", "artifacts", "bytes"], rows))
-        if stats.get("raw_bytes"):
-            ratio = stats["bytes"] / stats["raw_bytes"]
-            print(
-                f"compression: {_format_bytes(stats['bytes'])} stored / "
-                f"{_format_bytes(stats['raw_bytes'])} raw "
-                f"({ratio:.2f}x, {1.0 / ratio:.1f}:1)"
-                if ratio > 0
-                else "compression: n/a"
-            )
         # Refresh the aggregate view whenever a root exists -- including
         # an emptied one, so a stale manifest never outlives its artifacts.
         if os.path.isdir(root):

@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_cache_dir(ls_parser)
     ls_parser.add_argument(
         "--kind",
-        choices=["topology", "substrate", "tables", "scheme"],
+        choices=["topology", "tables", "vrr"],
         default=None,
         help="restrict the listing to one artifact kind",
     )
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     prune_parser.add_argument(
         "--max-bytes",
         default=None,
-        help="evict least-recently-hit artifacts until the summed pickle "
+        help="evict least-recently-hit artifacts until the summed artifact "
         "bytes are at or under this budget (suffixes K/M/G accepted, "
         "e.g. 500M)",
     )

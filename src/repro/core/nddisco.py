@@ -153,8 +153,8 @@ class NDDiscoRouting(RoutingScheme):
         scheme._names = names
         scheme._landmarks = set(tables.landmark_ids)
         # The scheme keeps the tables object and reads every slab through
-        # it: no attribute aliases a slab, so a pickled shell references the
-        # tables once and an mmap- or shm-backed substrate stays picklable.
+        # it: no attribute aliases a slab, so schemes attached to one tables
+        # object share every slab, in arrays or mmap views alike.
         scheme._tables = tables
         scheme._resolution = LandmarkResolutionDatabase(
             scheme._landmarks,

@@ -33,22 +33,22 @@ repairs the slabs per event through writable handles it keeps to itself, and
 hands readers :meth:`SubstrateTables.read_only` views of the same memory.
 
 Because the slabs are plain buffers they persist as one raw slab directory
-(:meth:`SubstrateTables.save_slabs`) that :meth:`SubstrateTables.from_mmap`
-attaches by ``mmap``: the artifact store keeps every substrate's tables in
-that form, so pool workers share one page-cache copy instead of unpickling
-private ones.  A shell that holds tables no store registered pickles them
-inline as raw bytes (:meth:`SubstrateTables.__getstate__`).
+(:meth:`SubstrateTables.save_slabs`, :mod:`repro.utils.slab_dir`) that
+:meth:`SubstrateTables.from_mmap` attaches by ``mmap`` after checking every
+id slab's range: the artifact store keeps every substrate's tables in that
+form, so pool workers share one page-cache copy.
 """
 
 from __future__ import annotations
 
-import json
 import mmap as _mmap
 import os
 from array import array
+from operator import gt, sub
 from typing import Mapping, Sequence
 
 from repro.graphs.csr import tree_path
+from repro.utils.slab_dir import read_slab_dir, write_slab_dir
 
 __all__ = [
     "NodeSearchTables",
@@ -246,24 +246,6 @@ class NodeSearchTables:
         path.reverse()
         return path
 
-    def __getstate__(self) -> dict:
-        slabs = {
-            slot: (typecode, bytes(getattr(self, slot).tobytes()))
-            for slot, typecode in _VICINITY_SLOTS
-        }
-        if self.lengths is not None:
-            slabs["lengths"] = ("q", bytes(self.lengths.tobytes()))
-        return {"num_nodes": self.num_nodes, "slabs": slabs}
-
-    def __setstate__(self, state: dict) -> None:
-        self.num_nodes = state["num_nodes"]
-        self.lengths = None
-        for slot, (typecode, payload) in state["slabs"].items():
-            slab = array(typecode)
-            slab.frombytes(payload)
-            setattr(self, slot, slab)
-        self._indexes = [None] * self.num_nodes
-
 
 #: Slab layout of a SubstrateTables, in publication order:
 #: (attribute, typecode).  The vicinity sub-slabs follow when present.
@@ -460,28 +442,6 @@ class SubstrateTables:
         for node in nodes:
             indexes[node] = None
 
-    # -- serialization ------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        slabs = {
-            slot: (typecode, bytes(memoryview(getattr(self, slot)).tobytes()))
-            for slot, typecode in _TABLE_SLOTS
-        }
-        return {
-            "num_nodes": self.num_nodes,
-            "slabs": slabs,
-            "vicinity": self.vicinity,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.num_nodes = state["num_nodes"]
-        for slot, (typecode, payload) in state["slabs"].items():
-            slab = array(typecode)
-            slab.frombytes(payload)
-            setattr(self, slot, slab)
-        self.vicinity = state["vicinity"]
-        self._index_landmarks()
-
     # -- raw-slab persistence (mmap attach) ----------------------------------
 
     def slab_items(self) -> list[tuple[str, str, object]]:
@@ -520,63 +480,34 @@ class SubstrateTables:
         only the small slabs plus the manifest remain to be written).
         Returns the directory path.
         """
-        path = os.fspath(path)
-        os.makedirs(path, exist_ok=True)
-        slabs = self.slab_items()
-        for name, _typecode, slab in slabs:
-            if skip and name in skip:
-                continue
-            target = os.path.join(path, f"{name}.bin")
-            scratch = target + ".tmp"
-            with open(scratch, "wb") as handle:
-                # write() consumes the buffer directly -- no bytes copy, so
-                # slabs larger than RAM stream straight from their mmap.
-                handle.write(memoryview(slab))
-            os.replace(scratch, target)
-        manifest = {
-            "schema": SLAB_SCHEMA,
-            "num_nodes": self.num_nodes,
-            "vicinity_nodes": (
+        return write_slab_dir(
+            path,
+            SLAB_SCHEMA,
+            self.slab_items(),
+            skip=skip,
+            num_nodes=self.num_nodes,
+            vicinity_nodes=(
                 self.vicinity.num_nodes if self.vicinity is not None else None
             ),
-            "slots": [
-                [name, typecode, len(slab)] for name, typecode, slab in slabs
-            ],
-        }
-        manifest_path = os.path.join(path, "manifest.json")
-        scratch = manifest_path + ".tmp"
-        with open(scratch, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1)
-        os.replace(scratch, manifest_path)
-        return path
+        )
 
     @classmethod
     def from_mmap(cls, path: "str | os.PathLike") -> "SubstrateTables":
         """Attach to a raw slab directory written by :meth:`save_slabs`.
 
         Every slab becomes a typed ``memoryview`` cast over a read-only
-        ``mmap`` of its ``.bin`` file, so attaching is O(1) in the substrate
-        size and the resident set grows only with the pages actually
-        touched -- substrates larger than RAM stay usable, and concurrent
-        attachers (e.g. scenario-shard workers) share one page cache
-        instead of private copies.  Each mapping stays alive exactly as
-        long as its views do.  The counts are checked as on adoption
-        (:meth:`check_adoptable`, O(|L|); a directory without address slabs
-        passes): a directory whose slabs disagree raises ``ValueError``.
+        ``mmap`` of its ``.bin`` file, so concurrent attachers (e.g.
+        scenario-shard workers) share one page cache instead of private
+        copies, and the distance slabs are paged in only as rows are read
+        (the checks below read the id slabs once).  Each mapping
+        stays alive exactly as long as its views do.  The counts are
+        checked as on adoption (:meth:`check_adoptable`; a directory
+        without address slabs passes), then every id slab's range and
+        every offsets slab's order (:meth:`_check_ids`, O(n + |L| n + Σ
+        vicinity)): the readers index with the stored ids unchecked.  A
+        directory that fails either raises ``ValueError``.
         """
-        path = os.fspath(path)
-        with open(os.path.join(path, "manifest.json"), encoding="utf-8") as f:
-            manifest = json.load(f)
-        if manifest.get("schema") != SLAB_SCHEMA:
-            raise ValueError(
-                f"unsupported slab schema {manifest.get('schema')!r} in "
-                f"{path} (expected {SLAB_SCHEMA})"
-            )
-        views: dict[str, memoryview] = {}
-        for name, typecode, count in manifest["slots"]:
-            views[name] = _mmap_slab_file(
-                os.path.join(path, f"{name}.bin"), typecode, count
-            )
+        manifest, views = read_slab_dir(path, SLAB_SCHEMA)
         vicinity = None
         if manifest["vicinity_nodes"] is not None:
             vicinity = NodeSearchTables(
@@ -605,24 +536,46 @@ class SubstrateTables:
             vicinity=vicinity is not None,
             addresses=len(tables.addr_bits) > 0,
         )
+        tables._check_ids(path)
         return tables
 
+    def _check_ids(self, path) -> None:
+        """Raise ``ValueError`` unless every stored node id is in range and
+        every offsets slab rises from 0 to its slab's length.
 
-def _mmap_slab_file(path: str, typecode: str, count: int) -> memoryview:
-    """Read-only typed view over one slab file (the view owns the mapping)."""
-    if count == 0:
-        return memoryview(b"").cast(typecode)
-    expected = 8 * count
-    size = os.path.getsize(path)
-    if size != expected:
-        raise ValueError(
-            f"slab file {path} holds {size} bytes, manifest expects {expected}"
-        )
-    with open(path, "rb") as handle:
-        mapped = _mmap.mmap(handle.fileno(), expected, access=_mmap.ACCESS_READ)
-    # The cast memoryview keeps the mapping alive via the buffer protocol;
-    # dropping the last view unmaps it.
-    return memoryview(mapped).cast(typecode)
+        Parents and closest landmarks may be -1 (a root, or no landmark in
+        reach); members and address path entries may not.  A strided
+        vicinity's row lengths must fit their rows.
+        """
+        n = self.num_nodes
+        ranges = [
+            ("spt_parent", self.spt_parent, -1),
+            ("closest", self.closest, -1),
+            ("addr_path", self.addr_path, 0),
+        ]
+        offsets = [("addr_offsets", self.addr_offsets, self.addr_path)]
+        vicinity = self.vicinity
+        if vicinity is not None:
+            ranges += [
+                ("vicinity.members", vicinity.members, 0),
+                ("vicinity.parents", vicinity.parents, -1),
+            ]
+            if len(vicinity.offsets) != n + 1:
+                raise ValueError(f"{path}: vicinity.offsets needs {n + 1} entries")
+            offsets.append(("vicinity.offsets", vicinity.offsets, vicinity.members))
+        for name, slab, low in ranges:
+            if len(slab) and (min(slab) < low or max(slab) >= n):
+                raise ValueError(f"{path}: {name} holds an id outside [{low}, {n})")
+        for name, slab, rows in offsets:
+            if slab[0] != 0 or slab[-1] != len(rows) or any(map(gt, slab, slab[1:])):
+                raise ValueError(f"{path}: {name} must rise from 0 to {len(rows)}")
+        lengths = None if vicinity is None else vicinity.lengths
+        if lengths is not None and (
+            len(lengths) != vicinity.num_nodes
+            or any(map(gt, lengths, map(sub, vicinity.offsets[1:], vicinity.offsets)))
+            or (len(lengths) and min(lengths) < 0)
+        ):
+            raise ValueError(f"{path}: vicinity.lengths overrun their rows")
 
 
 class SlabArena:

@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.nddisco import NDDiscoRouting
-from repro.core.shortcutting import ShortcutMode
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import header
 from repro.experiments.workloads import router_level_topology
 from repro.graphs.generators import ring_graph
-from repro.scenarios.cache import cached_scheme
 from repro.scenarios.spec import scenario
+from repro.staticsim.simulation import converged_nddisco
 from repro.utils.distributions import Summary, summarize
 from repro.utils.formatting import format_table
 
@@ -62,15 +61,9 @@ def run(scale: ExperimentScale | None = None) -> AddressSizeResult:
     """Measure explicit-route sizes on the router-level-like graph and a ring."""
     scale = scale or default_scale()
     router_topology = router_level_topology(scale)
-    # Same key shape as StaticSimulation's nd-disco substrate, so this
-    # study shares fig07's converged routing on the router-level graph.
-    router_routing = cached_scheme(
-        router_topology,
-        "nd-disco",
-        lambda: NDDiscoRouting(router_topology, seed=scale.seed),
-        seed=scale.seed,
-        shortcut_mode=ShortcutMode.NO_PATH_KNOWLEDGE,
-    )
+    # StaticSimulation's nd-disco, so this study shares fig07's converged
+    # tables on the router-level graph.
+    router_routing = converged_nddisco(router_topology, seed=scale.seed)
     router_sizes = _address_route_bytes(router_routing)
 
     ring_topology = ring_graph(max(64, scale.comparison_nodes // 2))

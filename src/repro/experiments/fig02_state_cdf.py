@@ -60,7 +60,7 @@ class StateCdfResult:
     router_level: dict[str, StateReport]
     scale_label: str
     #: Present only when the run ingested a real dataset
-    #: (``--topology-file``); None keeps older result pickles loadable.
+    #: (``--topology-file``); None otherwise.
     real: dict[str, StateReport] | None = None
 
     def panels(self) -> dict[str, dict[str, StateReport]]:

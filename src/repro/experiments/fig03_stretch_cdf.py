@@ -60,7 +60,7 @@ class StretchCdfResult:
     router_level: dict[str, StretchReport]
     scale_label: str
     #: Present only when the run ingested a real dataset
-    #: (``--topology-file``); None keeps older result pickles loadable.
+    #: (``--topology-file``); None otherwise.
     real: dict[str, StretchReport] | None = None
 
     def panels(self) -> dict[str, dict[str, StretchReport]]:

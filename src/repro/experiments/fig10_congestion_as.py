@@ -34,7 +34,7 @@ class CongestionTailResult:
     topology_label: str
     scale_label: str
     #: Present only when the run ingested a real dataset
-    #: (``--topology-file``); None keeps older result pickles loadable.
+    #: (``--topology-file``); None otherwise.
     real_reports: dict[str, CongestionReport] | None = None
     real_topology_label: str | None = None
 

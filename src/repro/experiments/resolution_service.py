@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.nddisco import NDDiscoRouting
-from repro.core.shortcutting import ShortcutMode
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.dynamics.stream import DynEvent
 from repro.experiments.config import ExperimentScale
@@ -43,8 +42,8 @@ from repro.resolution.traffic import (
     generate_lookup_workload,
     run_traffic,
 )
-from repro.scenarios.cache import cached_scheme
 from repro.scenarios.spec import scenario
+from repro.staticsim.simulation import converged_nddisco
 from repro.utils.distributions import Summary, cdf_points, summarize
 from repro.utils.formatting import format_table
 
@@ -87,15 +86,9 @@ def _lookup_budget(scale: ExperimentScale) -> int:
 
 def _substrate(scale: ExperimentScale) -> NDDiscoRouting:
     topology = sweep_gnm(_scenario_nodes(scale), scale.seed)
-    # Same key shape as StaticSimulation's nd-disco substrate, so shard
-    # processes (and co-resident scenarios) share one converged scheme.
-    return cached_scheme(
-        topology,
-        "nd-disco",
-        lambda: NDDiscoRouting(topology, seed=scale.seed),
-        seed=scale.seed,
-        shortcut_mode=ShortcutMode.NO_PATH_KNOWLEDGE,
-    )
+    # StaticSimulation's nd-disco, so shard processes (and co-resident
+    # scenarios) share one converged substrate.
+    return converged_nddisco(topology, seed=scale.seed)
 
 
 def _latency_workload(scale: ExperimentScale) -> LookupWorkload:

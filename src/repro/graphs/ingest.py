@@ -523,10 +523,7 @@ def ingest_topology(
     if cache is None:
         return build()
     try:
-        canonical = tuple(
-            (key, canonical_value(value))
-            for key, value in sorted(params.items())
-        )
+        canonical = canonical_value(sorted(params.items()))
     except Uncacheable:
         return build()
     parts = (

@@ -262,45 +262,6 @@ class TopologyBuilder:
         )
 
 
-def _as_typed_array(typecode: str, slab) -> array:
-    """Copy ``slab`` (array or typed memoryview) into a fresh ``array``."""
-    if isinstance(slab, array) and slab.typecode == typecode:
-        return array(typecode, slab)
-    result = array(typecode)
-    view = memoryview(slab)
-    if view.nbytes:
-        result.frombytes(view.cast("B"))
-    return result
-
-
-def _mmap_topology_slab(path: str, typecode: str, count: int):
-    """Writable private (copy-on-write) typed view over one slab file.
-
-    Unlike the substrate tables' read-only attach, the CSR kernel arena
-    takes ``ctypes`` pointers into the graph slabs via ``from_buffer``,
-    which requires a writable buffer.  ``ACCESS_COPY`` satisfies that
-    while staying zero-copy in practice: the kernels never write the
-    graph slabs, so no page is ever privatized and reads come straight
-    from the shared page cache.
-    """
-    import mmap as _mmap
-    import os
-
-    if count == 0:
-        return array(typecode)
-    expected = 8 * count
-    size = os.path.getsize(path)
-    if size != expected:
-        raise ValueError(
-            f"slab file {path} holds {size} bytes, manifest expects {expected}"
-        )
-    with open(path, "rb") as handle:
-        mapped = _mmap.mmap(handle.fileno(), expected, access=_mmap.ACCESS_COPY)
-    # The cast memoryview keeps the mapping alive via the buffer protocol;
-    # dropping the last view unmaps it.
-    return memoryview(mapped).cast(typecode)
-
-
 class Topology:
     """An immutable undirected weighted graph over nodes ``0 .. n-1``.
 
@@ -677,65 +638,40 @@ class Topology:
         format the artifact cache stores every topology in.  Returns the
         directory path.
         """
-        import json
-        import os
+        from repro.utils.slab_dir import write_slab_dir
 
-        path = os.fspath(path)
-        os.makedirs(path, exist_ok=True)
-        slabs = self.slab_items()
-        for name, _typecode, slab in slabs:
-            target = os.path.join(path, f"{name}.bin")
-            scratch = target + ".tmp"
-            with open(scratch, "wb") as handle:
-                handle.write(memoryview(slab))
-            os.replace(scratch, target)
-        manifest = {
-            "schema": TOPOLOGY_SLAB_SCHEMA,
-            "num_nodes": self._num_nodes,
-            "name": self.name,
-            "content_key": self.content_key(),
-            "slots": [
-                [name, typecode, len(slab)] for name, typecode, slab in slabs
-            ],
-        }
-        manifest_path = os.path.join(path, "manifest.json")
-        scratch = manifest_path + ".tmp"
-        with open(scratch, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1)
-        os.replace(scratch, manifest_path)
-        return path
+        return write_slab_dir(
+            path,
+            TOPOLOGY_SLAB_SCHEMA,
+            self.slab_items(),
+            num_nodes=self._num_nodes,
+            name=self.name,
+            content_key=self.content_key(),
+        )
 
     @classmethod
     def from_slab_dir(cls, path) -> "Topology":
         """Attach to a raw slab directory written by :meth:`save_slabs`.
 
         Every slab becomes a typed ``memoryview`` over a private
-        copy-on-write file mapping, so repeated attaches share the OS page
-        cache instead of materializing private copies.  The kernels index
-        with the stored ids unchecked, so the slabs are checked first, in
-        one O(n + m) pass, and ``ValueError`` is raised unless offsets
-        start at 0, never decrease and end at ``len(neighbors) ==
-        len(weights) == 2 * len(edges_w)``, every neighbour id is in
-        ``[0, n)``, every weight is positive and finite and the edge arrays
-        align with ``u < v < n``.
+        copy-on-write file mapping: the CSR kernel arena takes ``ctypes``
+        pointers into the graph slabs via ``from_buffer``, which needs a
+        writable buffer, and the kernels never write them, so no page is
+        privatized and repeated attaches share the OS page cache.  The
+        kernels index with the stored ids unchecked, so the slabs are
+        checked first, in one O(n + m) pass, and ``ValueError`` is raised
+        unless offsets start at 0, never decrease and end at
+        ``len(neighbors) == len(weights) == 2 * len(edges_w)``, every
+        neighbour id is in ``[0, n)``, every weight is positive and finite
+        and the edge arrays align with ``u < v < n``.
         """
-        import json
-        import os
+        import mmap
 
-        path = os.fspath(path)
-        with open(os.path.join(path, "manifest.json"), encoding="utf-8") as f:
-            manifest = json.load(f)
-        if manifest.get("schema") != TOPOLOGY_SLAB_SCHEMA:
-            raise ValueError(
-                f"unsupported slab schema {manifest.get('schema')!r} in "
-                f"{path} (expected {TOPOLOGY_SLAB_SCHEMA})"
-            )
-        views = {
-            name: _mmap_topology_slab(
-                os.path.join(path, f"{name}.bin"), typecode, count
-            )
-            for name, typecode, count in manifest["slots"]
-        }
+        from repro.utils.slab_dir import read_slab_dir
+
+        manifest, views = read_slab_dir(
+            path, TOPOLOGY_SLAB_SCHEMA, access=mmap.ACCESS_COPY
+        )
         attached = cls(
             manifest["num_nodes"],
             *(views[name] for name, _ in _SLABS),
@@ -767,31 +703,6 @@ class Topology:
             )
             and _edges_valid(n, self._eu, self._ev, self._ew)
         )
-
-    # -- pickling ---------------------------------------------------------------
-    # Memoryview slabs (mmap attaches) are not picklable; copy every slab
-    # into a plain array for transport.  Derived snapshots rebuild lazily.
-
-    def __getstate__(self) -> dict:
-        state = {
-            name: _as_typed_array(typecode, slab)
-            for name, typecode, slab in self.slab_items()
-        }
-        state.update(
-            num_nodes=self._num_nodes,
-            name=self.name,
-            content_key=self._content_key,
-        )
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        Topology.__init__(
-            self,
-            state["num_nodes"],
-            *(state[name] for name, _ in _SLABS),
-            name=state["name"],
-        )
-        self._content_key = state["content_key"]
 
     # -- dunder -----------------------------------------------------------------
 

@@ -27,11 +27,22 @@ Model simplifications (documented; they preserve both phenomena):
   travel in VRR and is what makes converged state join-order dependent.
 * When a later join displaces a node from another node's vset, the stale
   path is torn down (its entries are removed), as VRR's maintenance does.
+
+Build and attach: :meth:`VirtualRingRouting.converge` runs the join
+simulation and freezes what routing reads into a :class:`RingTable` -- per
+node, every endpoint it holds an entry for with the smallest next hop
+toward it, plus its count of active vset paths -- and
+:meth:`VirtualRingRouting.from_table` routes over that table alone.  The
+join bookkeeping (paths, vsets) does not outlive the build; the artifact
+store keeps the table as a slab directory.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import gt
 from typing import Sequence
 
 from repro.graphs.csr import tree_path
@@ -40,8 +51,146 @@ from repro.naming.hashspace import circular_distance
 from repro.naming.names import FlatName, name_for_node
 from repro.protocols.base import RouteResult, RoutingScheme
 from repro.utils.randomness import make_rng
+from repro.utils.slab_dir import read_slab_dir, write_slab_dir
 
-__all__ = ["VirtualRingRouting"]
+__all__ = ["RING_SLAB_SCHEMA", "RingTable", "VirtualRingRouting"]
+
+#: On-disk layout version of a :class:`RingTable` slab directory.
+RING_SLAB_SCHEMA = "repro-vrr-slabs/v1"
+
+
+class RingTable:
+    """VRR's converged routing table as CSR slabs over ``n = len(paths)``
+    nodes.
+
+    Row ``v`` is ``[offsets[v], offsets[v + 1])`` of ``endpoints``
+    (ascending) and the aligned ``next_hops`` (the smallest next hop ``v``
+    holds toward each); ``paths[v]`` counts the active vset paths through
+    ``v``.
+    """
+
+    __slots__ = ("offsets", "endpoints", "next_hops", "paths")
+
+    def __init__(self, offsets, endpoints, next_hops, paths) -> None:
+        self.offsets = offsets
+        self.endpoints = endpoints
+        self.next_hops = next_hops
+        self.paths = paths
+
+    def check(self, num_nodes: int) -> None:
+        """Raise ``ValueError`` unless the table covers ``num_nodes`` nodes,
+        its offsets rise from 0 to the entry count, and every endpoint and
+        next hop is in ``[0, n)``: O(n + entries)."""
+        n, offsets, entries = num_nodes, self.offsets, len(self.endpoints)
+        if (
+            len(self.paths) != n
+            or len(offsets) != n + 1
+            or len(self.next_hops) != entries
+            or offsets[0] != 0
+            or offsets[n] != entries
+            or any(map(gt, offsets, offsets[1:]))
+        ):
+            raise ValueError(f"ring table rows do not cover {n} nodes")
+        for slab in (self.endpoints, self.next_hops):
+            if entries and (min(slab) < 0 or max(slab) >= n):
+                raise ValueError(f"ring table holds a node id outside [0, {n})")
+
+    def slab_items(self) -> list[tuple[str, str, object]]:
+        """``(name, typecode, slab)`` triples in manifest order."""
+        return [(name, "q", getattr(self, name)) for name in self.__slots__]
+
+    def slab_bytes(self) -> int:
+        """Total raw slab payload in bytes (every item is 8 bytes)."""
+        return sum(8 * len(slab) for _, _, slab in self.slab_items())
+
+    def save_slabs(self, path) -> str:
+        """Write as a raw slab directory (:data:`RING_SLAB_SCHEMA`)."""
+        return write_slab_dir(path, RING_SLAB_SCHEMA, self.slab_items())
+
+    @classmethod
+    def from_slab_dir(cls, path) -> "RingTable":
+        """Attach read-only to a :meth:`save_slabs` directory, checked as
+        :meth:`check` (``ValueError`` when it fails)."""
+        _, views = read_slab_dir(path, RING_SLAB_SCHEMA)
+        table = cls(*(views[name] for name in cls.__slots__))
+        table.check(len(table.paths))
+        return table
+
+
+def _ring_ids(num_nodes: int, vset_size: int, names) -> list[int]:
+    """The ring identifiers (name hashes), after checking the options."""
+    if vset_size < 2 or vset_size % 2 != 0:
+        raise ValueError(f"vset_size must be a positive even number, got {vset_size}")
+    names = list(names) if names is not None else [
+        name_for_node(v) for v in range(num_nodes)
+    ]
+    if len(names) != num_nodes:
+        raise ValueError(f"names must have exactly {num_nodes} entries")
+    return [name.hash_value for name in names]
+
+
+def _greedy_route(
+    topology: Topology,
+    ids: list[int],
+    table: list[dict],
+    source: int,
+    target: int,
+    joined: "set[int] | None" = None,
+) -> list[int] | None:
+    """Greedy forwarding in identifier space; None if it fails.
+
+    A node can make progress toward its ``table`` entries and its
+    neighbours (only the ``joined`` ones, while the ring is being built).
+    An entry holds the next hops toward its endpoint and the smallest is
+    taken: refcounted while the join runs, one per entry once frozen.
+    """
+    if source == target:
+        return [source]
+    target_id = ids[target]
+    path = [source]
+    current = source
+    max_hops = 4 * topology.num_nodes + 16
+    visited_states: set[tuple[int, int]] = set()
+    while current != target and len(path) <= max_hops:
+        endpoints = set(table[current])
+        for neighbor in topology.neighbors(current):
+            if joined is None or neighbor in joined:
+                endpoints.add(neighbor)
+        endpoints.discard(current)
+        if target in endpoints:
+            chosen = target
+        elif endpoints:
+            chosen = min(
+                endpoints,
+                key=lambda e: (circular_distance(ids[e], target_id), e),
+            )
+            # Require strict progress relative to the current node.
+            if circular_distance(ids[chosen], target_id) >= circular_distance(
+                ids[current], target_id
+            ):
+                return None
+        else:
+            return None
+        if topology.has_edge(current, chosen):
+            next_hop = chosen
+        elif table[current].get(chosen):
+            next_hop = min(table[current][chosen])
+        else:
+            return None
+        state = (current, next_hop)
+        if state in visited_states:
+            return None
+        visited_states.add(state)
+        path.append(next_hop)
+        current = next_hop
+    if current != target:
+        return None
+    return path
+
+
+def _physical_shortest_path(topology: Topology, source: int, target: int) -> list[int]:
+    _, parents = topology.csr().spt_rows(source)
+    return tree_path(parents, source, target)
 
 
 @dataclass
@@ -55,59 +204,27 @@ class _VsetPath:
     active: bool = True
 
 
-class VirtualRingRouting(RoutingScheme):
-    """Converged-state model of VRR with ``r`` virtual neighbours per node.
+class _RingJoin:
+    """The join simulation: every node joins, sets up vset paths to its
+    virtual neighbours and tears down the paths it displaces.
 
-    Parameters
-    ----------
-    topology:
-        The (connected) network.
-    seed:
-        Seed controlling the join order and identifier assignment.
-    vset_size:
-        The number of virtual neighbours r (4 in the paper's evaluation,
-        i.e. 2 on each side of the ring).
-    names:
-        Flat names whose hashes are the ring identifiers; default synthetic
-        names.
+    Its bookkeeping -- per-node ``endpoint -> {next_hop: refcount}``
+    tables, the installed paths, the vsets -- lives only as long as the
+    build; :meth:`freeze` keeps what routing reads.
     """
 
-    name = "VRR"
-
-    def __init__(
-        self,
-        topology: Topology,
-        *,
-        seed: int = 0,
-        vset_size: int = 4,
-        names: Sequence[FlatName] | None = None,
-    ) -> None:
-        super().__init__(topology)
-        if vset_size < 2 or vset_size % 2 != 0:
-            raise ValueError(f"vset_size must be a positive even number, got {vset_size}")
+    def __init__(self, topology: Topology, ids: list[int], vset_size: int) -> None:
         n = topology.num_nodes
+        self._topology = topology
+        self._ids = ids
         self._vset_size = vset_size
-        self._names = (
-            list(names) if names is not None else [name_for_node(v) for v in range(n)]
-        )
-        if len(self._names) != n:
-            raise ValueError(f"names must have exactly {n} entries")
-        self._ids = [name.hash_value for name in self._names]
-
-        # Routing table: per node, endpoint -> {next_hop: refcount}.
         self._table: list[dict[int, dict[int, int]]] = [dict() for _ in range(n)]
         self._paths: dict[int, _VsetPath] = {}
         self._paths_through: list[set[int]] = [set() for _ in range(n)]
         self._vsets: list[set[int]] = [set() for _ in range(n)]
-        self._next_path_id = 0
-        self._joined: list[int] = []
         self._joined_set: set[int] = set()
 
-        self._join_all(seed)
-
-    # -- construction ----------------------------------------------------------
-
-    def _join_all(self, seed: int) -> None:
+    def run(self, seed: int) -> "_RingJoin":
         """Join every node in a random connected-growth order."""
         rng = make_rng(seed, "vrr-join-order")
         n = self._topology.num_nodes
@@ -125,6 +242,18 @@ class VirtualRingRouting(RoutingScheme):
                     frontier.append(neighbor)
         for node in order:
             self._join(node)
+        return self
+
+    def freeze(self) -> RingTable:
+        """The converged table: per node, each endpoint with the smallest
+        next hop toward it, and the count of active paths through it."""
+        rows = [sorted(table.items()) for table in self._table]
+        return RingTable(
+            array("q", accumulate(map(len, rows), initial=0)),
+            array("q", [endpoint for row in rows for endpoint, _ in row]),
+            array("q", [min(hops) for row in rows for _, hops in row]),
+            array("q", map(len, self._paths_through)),
+        )
 
     def _ring_neighbors_among(self, node: int, candidates: set[int]) -> set[int]:
         """The r/2 closest candidates on each side of ``node`` in id space."""
@@ -145,12 +274,7 @@ class VirtualRingRouting(RoutingScheme):
 
     def _join(self, node: int) -> None:
         """Join ``node``: set up vset paths to its virtual neighbours."""
-        if not self._joined:
-            self._joined.append(node)
-            self._joined_set.add(node)
-            return
         targets = self._ring_neighbors_among(node, self._joined_set)
-        self._joined.append(node)
         self._joined_set.add(node)
         for target in sorted(targets, key=lambda t: self._ids[t]):
             self._setup_path(node, target)
@@ -174,8 +298,7 @@ class VirtualRingRouting(RoutingScheme):
         if source == target:
             return
         path = self._route_for_setup(source, target)
-        path_id = self._next_path_id
-        self._next_path_id += 1
+        path_id = len(self._paths)  # paths are flagged inactive, never dropped
         record = _VsetPath(
             path_id=path_id, endpoint_a=source, endpoint_b=target, nodes=path
         )
@@ -227,76 +350,93 @@ class VirtualRingRouting(RoutingScheme):
         shortest path when greedy forwarding cannot make progress (which
         happens early in the bootstrap when little state exists).
         """
-        greedy = self._greedy_route(source, target, restrict_to_joined=True)
+        greedy = _greedy_route(
+            self._topology, self._ids, self._table, source, target, self._joined_set
+        )
         if greedy is not None:
             return greedy
-        return self._physical_shortest_path(source, target)
+        return _physical_shortest_path(self._topology, source, target)
 
-    def _physical_shortest_path(self, source: int, target: int) -> list[int]:
-        _, parents = self._topology.csr().spt_rows(source)
-        return tree_path(parents, source, target)
 
-    # -- greedy forwarding -------------------------------------------------------
+class VirtualRingRouting(RoutingScheme):
+    """Converged-state model of VRR with ``r`` virtual neighbours per node.
 
-    def _known_endpoints(self, node: int, *, restrict_to_joined: bool) -> set[int]:
-        """Endpoints ``node`` can make progress toward: table entries + neighbours."""
-        endpoints = set(self._table[node].keys())
-        for neighbor in self._topology.neighbors(node):
-            if not restrict_to_joined or neighbor in self._joined_set:
-                endpoints.add(neighbor)
-        endpoints.discard(node)
-        return endpoints
+    ``VirtualRingRouting(topology, ...)`` is :meth:`converge` followed by
+    :meth:`from_table`, the one place a scheme's state is set.
 
-    def _greedy_route(
-        self, source: int, target: int, *, restrict_to_joined: bool = False
-    ) -> list[int] | None:
-        """Greedy forwarding in identifier space; None if it fails."""
-        if source == target:
-            return [source]
-        target_id = self._ids[target]
-        path = [source]
-        current = source
-        max_hops = 4 * self._topology.num_nodes + 16
-        visited_states: set[tuple[int, int]] = set()
-        while current != target and len(path) <= max_hops:
-            endpoints = self._known_endpoints(
-                current, restrict_to_joined=restrict_to_joined
-            )
-            if target in endpoints:
-                chosen = target
-            elif endpoints:
-                chosen = min(
-                    endpoints,
-                    key=lambda e: (circular_distance(self._ids[e], target_id), e),
-                )
-                # Require strict progress relative to the current node.
-                if circular_distance(self._ids[chosen], target_id) >= circular_distance(
-                    self._ids[current], target_id
-                ):
-                    return None
-            else:
-                return None
-            next_hop = self._next_hop_toward(current, chosen)
-            if next_hop is None:
-                return None
-            state = (current, next_hop)
-            if state in visited_states:
-                return None
-            visited_states.add(state)
-            path.append(next_hop)
-            current = next_hop
-        if current != target:
-            return None
-        return path
+    Parameters
+    ----------
+    topology:
+        The (connected) network.
+    seed:
+        Seed controlling the join order and identifier assignment.
+    vset_size:
+        The number of virtual neighbours r (4 in the paper's evaluation,
+        i.e. 2 on each side of the ring).
+    names:
+        Flat names whose hashes are the ring identifiers; default synthetic
+        names.
+    """
 
-    def _next_hop_toward(self, node: int, endpoint: int) -> int | None:
-        """Next physical hop from ``node`` toward ``endpoint``."""
-        if self._topology.has_edge(node, endpoint):
-            return endpoint
-        hops = self._table[node].get(endpoint)
-        if not hops:
-            return None
-        return min(hops)
+    name = "VRR"
+
+    def __init__(
+        self,
+        topology: Topology,
+        *,
+        seed: int = 0,
+        vset_size: int = 4,
+        names: Sequence[FlatName] | None = None,
+    ) -> None:
+        table = type(self).converge(
+            topology, seed=seed, vset_size=vset_size, names=names
+        )
+        adopted = type(self).from_table(
+            topology, table, vset_size=vset_size, names=names
+        )
+        vars(self).update(vars(adopted))  # from_table sets all the state
+
+    @staticmethod
+    def converge(
+        topology: Topology,
+        *,
+        seed: int = 0,
+        vset_size: int = 4,
+        names: Sequence[FlatName] | None = None,
+    ) -> RingTable:
+        """Run the join simulation on ``topology`` and freeze its table."""
+        ids = _ring_ids(topology.num_nodes, vset_size, names)
+        return _RingJoin(topology, ids, vset_size).run(seed).freeze()
+
+    @classmethod
+    def from_table(
+        cls,
+        topology: Topology,
+        table: RingTable,
+        *,
+        vset_size: int = 4,
+        names: Sequence[FlatName] | None = None,
+    ) -> "VirtualRingRouting":
+        """VRR over a converged ``table`` built on ``topology`` with the
+        same ``vset_size`` and ``names``.
+
+        Raises ``ValueError`` when the table does not fit the topology
+        (:meth:`RingTable.check`, O(n + entries)).
+        """
+        scheme = cls.__new__(cls)
+        RoutingScheme.__init__(scheme, topology)
+        n = topology.num_nodes
+        scheme._vset_size = vset_size
+        scheme._ids = _ring_ids(n, vset_size, names)
+        table.check(n)
+        offsets, endpoints, hops = table.offsets, table.endpoints, table.next_hops
+        #: Per node, endpoint -> (the next hop toward it,).
+        scheme._table = [
+            {endpoint: (hop,) for endpoint, hop in zip(endpoints[lo:hi], hops[lo:hi])}
+            for lo, hi in zip(offsets, offsets[1:])
+        ]
+        scheme._path_counts = table.paths.tolist()
+        return scheme
 
     # -- accessors ----------------------------------------------------------------
 
@@ -304,18 +444,6 @@ class VirtualRingRouting(RoutingScheme):
     def vset_size(self) -> int:
         """The configured number of virtual neighbours r."""
         return self._vset_size
-
-    def vset_of(self, node: int) -> set[int]:
-        """The node's current virtual neighbour set."""
-        return set(self._vsets[node])
-
-    def active_paths(self) -> list[tuple[int, int, list[int]]]:
-        """All active vset paths as (endpoint_a, endpoint_b, node path)."""
-        return [
-            (record.endpoint_a, record.endpoint_b, list(record.nodes))
-            for record in self._paths.values()
-            if record.active
-        ]
 
     # -- state accounting -----------------------------------------------------------
 
@@ -331,7 +459,7 @@ class VirtualRingRouting(RoutingScheme):
         entries: list[int] = []
         per: list[float] = []
         for node in nodes:
-            paths = len(self._paths_through[node])
+            paths = self._path_counts[node]
             degree = self._topology.degree(node)
             entries.append(paths + degree)
             per.append(2.0 * paths + degree)
@@ -344,14 +472,14 @@ class VirtualRingRouting(RoutingScheme):
         self._check_endpoints(source, target)
         if source == target:
             return RouteResult(path=(source,), mechanism="self")
-        greedy = self._greedy_route(source, target)
+        greedy = _greedy_route(self._topology, self._ids, self._table, source, target)
         if greedy is not None:
             return RouteResult(path=tuple(greedy), mechanism="greedy")
         # Greedy forwarding failed (local minimum); VRR would repair the ring
         # and retry.  We report the failure but still return the physical
         # shortest path so stretch/congestion accounting has a route, and we
         # flag it via the mechanism label.
-        fallback = self._physical_shortest_path(source, target)
+        fallback = _physical_shortest_path(self._topology, source, target)
         return RouteResult(path=tuple(fallback), mechanism="greedy-failure", delivered=False)
 
     def first_packet_route(self, source: int, target: int) -> RouteResult:

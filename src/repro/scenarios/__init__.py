@@ -9,8 +9,8 @@ The pieces, bottom up:
   suggestions; :func:`resolve` imports the one module a row names,
   :func:`all_scenarios` all of them.
 * :mod:`repro.scenarios.cache` -- the content-addressed artifact store
-  deduplicating topologies, shared converged substrates, and scheme
-  shells (in memory and, optionally, on disk).
+  deduplicating topologies and converged state as slab directories (in
+  memory and, optionally, on disk), plus the in-memory scheme memo.
 * :mod:`repro.scenarios.lifecycle` -- cache manifest, stats, and the
   size/age eviction policy behind ``repro cache {stats,ls,clear,prune}``.
 * :mod:`repro.scenarios.results` -- deterministic JSON serialization of

@@ -2,59 +2,49 @@
 
 Running the full evaluation rebuilds the same expensive prerequisites over
 and over: the ``(family, n, seed)`` topologies, and -- far more costly --
-the converged routing substrates (:class:`NDDiscoRouting` and friends) that
-several figures measure from different angles.  This module deduplicates
-both, and persists the shared landmark substrate **once** instead of
-embedding a private copy in every scheme that uses it.
+the converged state that several figures measure from different angles.
+This module deduplicates both.  The store keeps *state*, never a scheme
+object, in three kinds, each a raw slab directory ``<kind>/<key>.slabs/``
+(:mod:`repro.utils.slab_dir`):
 
-Four artifact kinds:
+* **topology** -- a :class:`~repro.graphs.topology.Topology`, keyed by its
+  *construction inputs* (generator family, node count, seed, structural
+  parameters), so any two scenarios that ask for "the comparison G(n,m)
+  graph" get one build;
+* **tables** -- the converged landmark substrate
+  (:class:`~repro.core.tables.SubstrateTables`) that ND-Disco adopts, Disco
+  embeds and S4 adopts, keyed by what shapes it: the topology's *content*
+  (:meth:`Topology.content_key`), the landmark set, ``vicinity_scale`` and
+  ``include_vicinity``;
+* **vrr** -- VRR's converged routing table
+  (:class:`~repro.protocols.vrr.RingTable`), keyed by the topology content,
+  the seed and ``vset_size``.
 
-* **Topologies** are keyed by their *construction inputs* (generator
-  family, node count, seed, structural parameters, plus a schema-version
-  salt), so any two scenarios that ask for "the comparison G(n,m) graph"
-  get one build.
-* **Substrates** -- the converged ND-Disco landmark substrate (landmark
-  SPT rows, closest-landmark rows and addresses as slabs, and names) that
-  Disco embeds and S4 adopts -- are keyed by the topology's *content*
-  (:meth:`Topology.content_key`) plus every constructor input that shapes
-  the converged state.  A substrate is pickled once, with its topology
-  externalized to the topology artifact when one exists.
-* **Schemes** (Disco, S4, VRR, ...) are stored as **lightweight shells**:
-  their pickles cut the object graph at every registered substrate
-  component (the substrate object itself, its tables, its names list and
-  its topology) and record a
-  ``(kind, key, path)`` persistent reference instead.  On unpickle the
-  reference is resolved through the cache, so every warm-loaded scheme
-  reattaches to the *same* substrate object graph -- a fully warm run
-  holds exactly one substrate in memory, just like a cold run whose
-  schemes shared it at build time.
-* **Tables** -- the substrate's flat slab payload
-  (:class:`~repro.core.tables.SubstrateTables`) -- are externalized from
-  the substrate pickle into their own artifact (key derived from the
-  substrate key).
-
-Topologies and tables are stored in one format at every size: a raw slab
-directory ``<kind>/<key>.slabs/`` (``save_slabs``) that loads attach by
-``mmap`` (:meth:`Topology.from_slab_dir
+A load attaches the directory by ``mmap`` through the kind's checked
+reader (:meth:`Topology.from_slab_dir
 <repro.graphs.topology.Topology.from_slab_dir>`,
 :meth:`SubstrateTables.from_mmap
-<repro.core.tables.SubstrateTables.from_mmap>`), so every process that
-loads one -- the workers of a parallel run included -- shares the same
-page-cache pages.  A directory that fails to attach is a miss, and the
-rebuild replaces it.  Substrates and schemes are pickles, zlib-compressed
-behind a magic prefix (:data:`COMPRESS_MAGIC`), the one framing the store
-reads: a payload without it is a miss and gets rebuilt.  Each sidecar
-records both the stored and the raw byte count so ``repro cache stats``
-can report the compression ratio.
+<repro.core.tables.SubstrateTables.from_mmap>`,
+:meth:`RingTable.from_slab_dir <repro.protocols.vrr.RingTable.from_slab_dir>`),
+so every process that loads one -- the workers of a parallel run included
+-- shares the same page-cache pages.  A directory that fails its reader's
+checks is a miss, and the rebuild replaces it.
+
+Schemes are rebuilt over that state in the process that needs them,
+through their attach calls (``NDDiscoRouting.from_tables``,
+``S4Routing.from_tables``, ``DiscoRouting(nddisco=)``,
+``VirtualRingRouting.from_table``; path-vector is rebuilt whole), and
+:func:`cached_scheme` memoizes each in memory only, keyed by
+:func:`scheme_key`.  Memo lookups count as neither hits nor misses: the
+counters describe the store.
 
 A :class:`~repro.graphs.topology.Topology` is immutable, so a content key
-never goes stale: scheme and substrate keys cover ``content_key()``, and an
-edited graph is a new topology (frozen from a ``TopologyBuilder``) under a
-key of its own.
+never goes stale: an edited graph is a new topology (frozen from a
+``TopologyBuilder``) under a key of its own.
 
-Both layers live in memory for the current process and -- when a cache
-directory is configured -- on disk (plus a ``<key>.meta.json``
-sidecar per artifact recording byte counts and last-hit timestamps; see
+Artifacts live in memory for the current process and -- when a cache
+directory is configured -- on disk, each with a ``<key>.slabs.meta.json``
+sidecar recording its byte count and last-hit timestamp (see
 :mod:`repro.scenarios.lifecycle` for the ops layer built on them), so
 repeated ``repro run`` invocations and the worker processes of a parallel
 run share one build.  Artifacts are deterministic functions of their key,
@@ -69,31 +59,26 @@ call site falls back to building directly.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
-import pickle
 import shutil
 import tempfile
 import time
-import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
 __all__ = [
     "ARTIFACT_SCHEMA",
+    "KINDS",
     "ArtifactCache",
-    "COMPRESS_MAGIC",
-    "SUBSTRATE_SCHEMES",
     "Uncacheable",
     "active_cache",
     "activated",
     "cache_key",
     "cached_scheme",
+    "cached_state",
     "canonical_value",
     "scheme_key",
-    "tables_key",
 ]
 
 #: Version salt baked into every key: the artifact-layout revision (bump on
@@ -102,41 +87,17 @@ __all__ = [
 #: algorithm without bumping either, run ``repro cache clear`` to force
 #: cold builds.  v3: array-backed substrate tables externalized into their
 #: own artifact kind.  v4: large tables artifacts stored as raw slab
-#: directories (``<key>.slabs/``, :data:`repro.core.tables.SLAB_SCHEMA`)
-#: that loads attach with ``mmap`` instead of unpickling.  v5: Disco
-#: shells pickle an overlay whose ring is flat arrays, not per-node dicts.
-#: v6: ND-Disco and S4 shells pickle their resolution database's ring as
-#: a :class:`~repro.naming.VNodeRing`.  v7: topologies pickle as the one
-#: array-backed :class:`~repro.graphs.topology.Topology`.  v8: schemes hold
-#: the tables object and no slab views, so shells carry no ``spt`` /
-#: ``closest`` / ``vicinities`` references.  v9: the label codec keeps no
-#: per-node neighbour lists, the sloppy grouping no names or estimates,
-#: and a path-vector shell no flag for a mode nothing set.  v10: a
-#: substrate holds no per-node address objects and no codec, and a
-#: resolution database pickles per-landmark counts, not records.  v11:
+#: directories.  v5 -- v10: layouts of the stored scheme shells.  v11:
 #: every topology and tables artifact is a slab directory, at every size.
-ARTIFACT_SCHEMA = "repro-artifacts/v11"
+#: v12: the store keeps state only -- ``topology``, ``tables`` (keyed by
+#: topology content, landmarks, ``vicinity_scale``, ``include_vicinity``)
+#: and ``vrr`` slab directories; no substrate or scheme is stored.
+ARTIFACT_SCHEMA = "repro-artifacts/v12"
 
-#: Artifact kinds stored as raw slab directories; every other kind is a
-#: compressed pickle.
-_SLAB_KINDS = frozenset({"topology", "tables"})
+#: The on-disk artifact kinds, in display order; each is a directory of
+#: ``<key>.slabs`` slab directories.
+KINDS = ("topology", "tables", "vrr")
 
-#: Framing prefix of every pickled artifact payload (zlib-compressed
-#: pickle).  A payload without it is a miss, rebuilt and overwritten.
-COMPRESS_MAGIC = b"RPZC"
-
-#: Scheme names whose converged object *is* the shared landmark substrate.
-#: These are stored under the ``substrate`` kind and their components are
-#: registered for shell externalization.
-SUBSTRATE_SCHEMES = frozenset({"nd-disco", "nddisco"})
-
-
-def _schema_salt() -> str:
-    try:
-        from repro import __version__
-    except Exception:  # pragma: no cover - partial-install fallback
-        __version__ = "unknown"
-    return f"{ARTIFACT_SCHEMA}|repro-{__version__}"
 
 T = TypeVar("T")
 
@@ -148,9 +109,10 @@ def cache_key(kind: str, *parts: object) -> str:
     ``None``, and nested tuples/lists thereof) -- the standard inputs a
     generator or scheme constructor takes.
     """
+    from repro import __version__
+
     digest = hashlib.sha256()
-    digest.update(_schema_salt().encode())
-    digest.update(b"|")
+    digest.update(f"{ARTIFACT_SCHEMA}|repro-{__version__}|".encode())
     digest.update(kind.encode())
     for part in parts:
         digest.update(b"|")
@@ -158,151 +120,93 @@ def cache_key(kind: str, *parts: object) -> str:
     return digest.hexdigest()
 
 
-class _ArtifactMissing(Exception):
-    """A persistent reference points at an artifact that is not available.
+def _attach(kind: str, path: str):
+    """The kind's checked slab-directory reader applied to ``path``."""
+    if kind == "topology":
+        from repro.graphs.topology import Topology
 
-    Raised inside ``persistent_load`` while unpickling a scheme shell whose
-    substrate (or topology) artifact was evicted; the surrounding load
-    treats it as a cache miss and rebuilds.
-    """
+        return Topology.from_slab_dir(path)
+    if kind == "tables":
+        from repro.core.tables import SubstrateTables
 
+        return SubstrateTables.from_mmap(path)
+    from repro.protocols.vrr import RingTable
 
-@dataclass(frozen=True)
-class _SharedRef:
-    """One registered shared object: where its canonical copy lives."""
-
-    kind: str
-    key: str
-    path: tuple
-
-
-def _substrate_components(substrate) -> Iterator[tuple[tuple, object]]:
-    """Yield ``(path, object)`` for every shareable substrate component.
-
-    The paths mirror :func:`_resolve_substrate_path`.  Components are the
-    objects sibling schemes reference directly: the substrate itself (Disco
-    embeds it), its topology and its names list (S4 holds it).  The slabs
-    are not among them: schemes hold the tables object, registered as its
-    own artifact.
-    """
-    yield (), substrate
-    yield ("topology",), substrate.topology
-    yield ("names",), substrate.names
-
-
-def _resolve_substrate_path(substrate, path: tuple):
-    """Navigate a :func:`_substrate_components` path on a loaded substrate."""
-    if not path:
-        return substrate
-    head = path[0]
-    if head == "topology":
-        return substrate.topology
-    if head == "names":
-        return substrate.names
-    raise _ArtifactMissing(f"unknown substrate path {path!r}")
-
-
-class _ShellPickler(pickle.Pickler):
-    """Pickler that externalizes registered shared objects.
-
-    Any object present in the cache's shared-object registry (and whose
-    topology content guard still holds) is replaced by a persistent
-    ``(kind, key, path)`` reference.  ``skip`` suppresses references into
-    the artifact currently being stored, so a substrate's own pickle never
-    references itself (its *tables* reference, stored under a different
-    kind/key, survives).
-    """
-
-    def __init__(self, buffer, shared, *, skip: tuple[str, str] | None = None):
-        super().__init__(buffer, protocol=4)
-        self._shared = shared
-        self._skip = skip
-
-    def persistent_id(self, obj):
-        ref = self._shared.get(id(obj))
-        if ref is None or (ref.kind, ref.key) == self._skip:
-            return None
-        return (ref.kind, ref.key, ref.path)
-
-
-class _ShellUnpickler(pickle.Unpickler):
-    """Unpickler resolving persistent references through an ArtifactCache."""
-
-    def __init__(self, buffer, cache: "ArtifactCache"):
-        super().__init__(buffer)
-        self._cache = cache
-
-    def persistent_load(self, pid):
-        kind, key, path = pid
-        root = self._cache._load_artifact(kind, key)
-        if kind == "substrate":
-            return _resolve_substrate_path(root, path)
-        if path:
-            raise _ArtifactMissing(f"unexpected path {path!r} for {kind}")
-        return root
+    return RingTable.from_slab_dir(path)
 
 
 class ArtifactCache:
-    """Four-kind (topology / substrate / tables / scheme) artifact store.
+    """The ``topology`` / ``tables`` / ``vrr`` store plus the scheme memo.
 
     Parameters
     ----------
     root:
         Directory for the on-disk layer (created on demand); ``None``
-        keeps the cache memory-only.  Disk writes are atomic
-        (temp file + ``os.replace``), so concurrent workers sharing one
+        keeps the cache memory-only.  Disk writes are atomic (a scratch
+        directory renamed into place), so concurrent workers sharing one
         root can only ever observe complete artifacts.
     """
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = os.fspath(root) if root is not None else None
         self._memory: dict[str, object] = {}
-        #: id(object) -> _SharedRef for every registered shared component.
-        #: Roots are pinned by ``_memory``, so registered ids stay live.
-        self._shared: dict[int, _SharedRef] = {}
         #: Keys whose sidecar last-hit stamp was already bumped this process.
         self._touched: set[str] = set()
         self.hits = 0
         self.misses = 0
 
-    # -- generic keyed artifacts -----------------------------------------
-
     def get(self, kind: str, key: str, build: Callable[[], T]) -> T:
-        """Return the artifact for ``key``, building and storing on miss."""
+        """Return the ``kind`` artifact for ``key``, building and storing
+        it on a miss."""
         cached = self._memory.get(key)
         if cached is not None:
             self.hits += 1
             return cached  # type: ignore[return-value]
-        artifact = self._load_disk(kind, key)
+        artifact = self._load_slab_dir(kind, key)
         if artifact is None:
             self.misses += 1
             artifact = build()
-            self._register(kind, key, artifact)
-            if kind == "substrate" and id(artifact.tables) in self._shared:
-                # Externalize the substrate's slab payload into its own
-                # artifact *before* the substrate pickle is written, so
-                # the shell pickler replaces the tables object with a
-                # reference and the slabs persist exactly once.
-                derived = tables_key(key)
-                self._memory[derived] = artifact.tables
-                self._store_slab_dir("tables", derived, artifact.tables)
-            if kind in _SLAB_KINDS:
-                self._store_slab_dir(kind, key, artifact)
-            else:
-                self._store_disk(kind, key, artifact)
+            self._store_slab_dir(kind, key, artifact)
         else:
             self.hits += 1
-            self._register(kind, key, artifact)
         self._memory[key] = artifact
         return artifact  # type: ignore[return-value]
+
+    def memo(self, key: str, build: Callable[[], T]) -> T:
+        """``build()`` once per process for ``key``: memory only, and
+        counted as neither a hit nor a miss."""
+        cached = self._memory.get(key)
+        if cached is None:
+            cached = self._memory[key] = build()
+        return cached  # type: ignore[return-value]
+
+    def topology(self, parts: tuple, build: Callable[[], T]) -> T:
+        """Topology keyed by construction inputs (family, n, seed, ...)."""
+        return self.get("topology", cache_key("topology", *parts), build)
+
+    # -- disk layer -------------------------------------------------------
 
     def _slab_dir_path(self, kind: str, key: str) -> str | None:
         if self.root is None:
             return None
         return os.path.join(self.root, kind, f"{key}.slabs")
 
+    def _load_slab_dir(self, kind: str, key: str) -> object | None:
+        path = self._slab_dir_path(kind, key)
+        if path is None or not os.path.isdir(path):
+            return None
+        try:
+            artifact = _attach(kind, path)
+        except (OSError, ValueError, KeyError):
+            # A missing or short slab file, an unreadable manifest, or
+            # counts / ids / offsets that fail the reader's checks: a miss,
+            # and the rebuild replaces the directory.
+            return None
+        self._touch_meta(path, key)
+        return artifact
+
     def _store_slab_dir(self, kind: str, key: str, artifact) -> None:
-        """Write one slab-backed artifact as an atomic raw slab directory.
+        """Write one artifact as an atomic raw slab directory.
 
         A directory already at the target failed to attach (a load that
         found a good one would have hit), so it is moved aside and
@@ -330,154 +234,14 @@ class ArtifactCache:
             for leftover in (scratch, stale):
                 if leftover is not None:
                     shutil.rmtree(leftover, ignore_errors=True)
-        size = artifact.slab_bytes()
         now = round(time.time(), 3)
         self._write_meta(
             target,
             {
                 "schema": ARTIFACT_SCHEMA,
-                "format": "slabs",
                 "kind": kind,
                 "key": key,
-                "bytes": size,
-                "raw_bytes": size,
-                "created": now,
-                "last_hit": now,
-            },
-        )
-        self._touched.add(key)
-
-    def topology(self, parts: tuple, build: Callable[[], T]) -> T:
-        """Topology keyed by construction inputs (family, n, seed, ...)."""
-        return self.get("topology", cache_key("topology", *parts), build)
-
-    def substrate(self, key: str, build: Callable[[], T]) -> T:
-        """Converged landmark substrate keyed by topology content + options."""
-        return self.get("substrate", key, build)
-
-    def scheme(self, key: str, build: Callable[[], T]) -> T:
-        """Converged routing scheme keyed by topology content + options."""
-        return self.get("scheme", key, build)
-
-    # -- shared-object registry ------------------------------------------
-
-    def _register(self, kind: str, key: str, artifact: object) -> None:
-        """Register the shareable object graph of a topology/substrate.
-
-        Scheme shells pickled later cut their object graph at these ids.
-        """
-        try:
-            if kind == "topology":
-                self._shared[id(artifact)] = _SharedRef("topology", key, ())
-            elif kind == "substrate":
-                for path, obj in _substrate_components(artifact):
-                    self._shared.setdefault(
-                        id(obj), _SharedRef("substrate", key, path)
-                    )
-                # The slab payload lives under its own kind/key so the
-                # substrate's pickle externalizes it.
-                self._shared.setdefault(
-                    id(artifact.tables),
-                    _SharedRef("tables", tables_key(key), ()),
-                )
-            # kind == "tables" registers nothing by itself: the owning
-            # substrate's registration (above) covers it.
-        except Exception:
-            # A partially built or exotic artifact simply is not shared.
-            return
-
-    def _load_artifact(self, kind: str, key: str):
-        """Memory-then-disk load for persistent-reference resolution.
-
-        Unlike :meth:`get` there is no builder: a missing artifact raises
-        :class:`_ArtifactMissing`, which the enclosing shell load treats
-        as a cache miss.
-        """
-        cached = self._memory.get(key)
-        if cached is not None:
-            return cached
-        artifact = self._load_disk(kind, key)
-        if artifact is None:
-            raise _ArtifactMissing(f"{kind} artifact {key} unavailable")
-        self._register(kind, key, artifact)
-        self._memory[key] = artifact
-        return artifact
-
-    # -- disk layer -------------------------------------------------------
-
-    def _path(self, kind: str, key: str) -> str | None:
-        if self.root is None:
-            return None
-        return os.path.join(self.root, kind, f"{key}.pkl")
-
-    def _load_disk(self, kind: str, key: str) -> object | None:
-        if kind in _SLAB_KINDS:
-            return self._load_slab_dir(kind, key)
-        path = self._path(kind, key)
-        if path is None or not os.path.exists(path):
-            return None
-        try:
-            data = _read_payload(path)
-            artifact = _ShellUnpickler(io.BytesIO(data), self).load()
-        except Exception:
-            # An unframed, truncated, version-skewed, or dangling-reference
-            # artifact (e.g. its substrate was evicted) is treated as a
-            # miss; the rebuild overwrites it atomically.
-            return None
-        self._touch_meta(path, key)
-        return artifact
-
-    def _load_slab_dir(self, kind: str, key: str) -> object | None:
-        path = self._slab_dir_path(kind, key)
-        if path is None or not os.path.isdir(path):
-            return None
-        try:
-            if kind == "tables":
-                from repro.core.tables import SubstrateTables
-
-                artifact: object = SubstrateTables.from_mmap(path)
-            else:
-                from repro.graphs.topology import Topology
-
-                artifact = Topology.from_slab_dir(path)
-        except (OSError, ValueError, KeyError):
-            # A missing or short slab file, an unreadable manifest, or
-            # counts / CSR invariants that fail: a miss, and the rebuild
-            # replaces the directory.
-            return None
-        self._touch_meta(path, key)
-        return artifact
-
-    def _store_disk(self, kind: str, key: str, artifact: object) -> None:
-        path = self._path(kind, key)
-        if path is None:
-            return
-        try:
-            buffer = io.BytesIO()
-            _ShellPickler(
-                buffer,
-                self._shared,
-                # A substrate may reference the topology and tables
-                # artifacts but never itself.
-                skip=(kind, key),
-            ).dump(artifact)
-            raw = buffer.getvalue()
-        except Exception:
-            return  # unpicklable artifacts stay memory-only
-        payload = COMPRESS_MAGIC + zlib.compress(raw, 6)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        if not self._atomic_write(path, payload, directory):
-            return
-        now = round(time.time(), 3)
-        self._write_meta(
-            path,
-            {
-                "schema": ARTIFACT_SCHEMA,
-                "kind": kind,
-                "key": key,
-                "bytes": len(payload),
-                "raw_bytes": len(raw),
+                "bytes": artifact.slab_bytes(),
                 "created": now,
                 "last_hit": now,
             },
@@ -485,26 +249,25 @@ class ArtifactCache:
         self._touched.add(key)
 
     @staticmethod
-    def _atomic_write(path: str, payload: bytes, directory: str) -> bool:
+    def _atomic_write(path: str, payload: bytes, directory: str) -> None:
+        """Best-effort atomic file write: a failure leaves ``path`` as it was."""
         fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
             os.replace(temp_path, path)
-            return True
         except OSError:
             try:
                 os.unlink(temp_path)
             except OSError:
                 pass
-            return False
 
     # -- sidecar metadata (consumed by repro.scenarios.lifecycle) ---------
 
     @staticmethod
     def meta_path(path: str) -> str:
-        """The sidecar metadata path for an artifact pickle path."""
-        return path[: -len(".pkl")] + ".meta.json" if path.endswith(".pkl") else path + ".meta.json"
+        """The sidecar metadata path of an artifact's slab directory."""
+        return path + ".meta.json"
 
     def _write_meta(self, path: str, meta: dict) -> None:
         payload = (json.dumps(meta, sort_keys=True) + "\n").encode()
@@ -528,24 +291,6 @@ class ArtifactCache:
             return
         meta["last_hit"] = round(time.time(), 3)
         self._write_meta(path, meta)
-
-
-def tables_key(substrate_key: str) -> str:
-    """The derived artifact key of a substrate's externalized tables.
-
-    Deterministic per substrate key, and distinct from it, so the two
-    artifacts can never collide in the memory layer or on disk.
-    """
-    return cache_key("tables", substrate_key)
-
-
-def _read_payload(path: str) -> bytes:
-    """The raw pickle of one on-disk artifact; ``ValueError`` if unframed."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if not data.startswith(COMPRESS_MAGIC):
-        raise ValueError(f"{path}: no {COMPRESS_MAGIC!r} framing")
-    return zlib.decompress(data[len(COMPRESS_MAGIC) :])
 
 
 class Uncacheable(Exception):
@@ -574,28 +319,28 @@ def canonical_value(value: object) -> object:
     raise Uncacheable(repr(type(value)))
 
 
+def _content_key(kind: str, topology, label: str, params: dict) -> str | None:
+    """``kind``'s key over the topology content, ``label`` and every
+    canonicalizable parameter but ``threads``, or ``None`` when one is
+    not canonicalizable."""
+    params.pop("threads", None)
+    try:
+        canonical = canonical_value(sorted(params.items()))
+    except Uncacheable:
+        return None
+    return cache_key(kind, topology.content_key(), label, canonical)
+
+
 def scheme_key(topology, scheme_name: str, **params: object) -> str | None:
-    """Content-addressed key for a converged routing scheme, or ``None``.
+    """The memo key of a converged routing scheme, or ``None``.
 
     The key covers the topology *content* (``Topology.content_key()``)
     plus every canonicalizable constructor parameter but ``threads``, which
     parallelizes a build without changing the converged state (the
-    slab-direct build is byte-identical at every width).  Slab placement
-    is the builder's option, not a constructor's, so it never reaches a
-    key.  Returns ``None`` when any parameter is uncacheable.
-    Substrate-carrying schemes (:data:`SUBSTRATE_SCHEMES`) key under the
-    ``substrate`` kind so the two artifact namespaces can never collide.
+    slab-direct build is byte-identical at every width).  Returns ``None``
+    when any parameter is uncacheable.
     """
-    try:
-        canonical = tuple(
-            (name, canonical_value(value))
-            for name, value in sorted(params.items())
-            if name != "threads"
-        )
-    except Uncacheable:
-        return None
-    kind = "substrate" if scheme_name in SUBSTRATE_SCHEMES else "scheme"
-    return cache_key(kind, topology.content_key(), scheme_name, canonical)
+    return _content_key("scheme", topology, scheme_name, params)
 
 
 def cached_scheme(
@@ -604,15 +349,14 @@ def cached_scheme(
     build: Callable[[], T],
     **params: object,
 ) -> T:
-    """Build (or fetch) a converged scheme through the active cache.
+    """Build (or recall) a converged scheme through the active cache's memo.
 
-    ``params`` must be the full set of constructor inputs that shape the
-    converged state (seed, shortcut mode, landmark set, ...).  With no
-    active cache, or with an uncacheable parameter, this is ``build()``.
-    Substrate-carrying schemes (ND-Disco) are stored as ``substrate``
-    artifacts and their components registered for shell externalization;
-    everything else is stored as a lightweight scheme shell.  Cached
-    objects are shared -- callers must treat them as immutable.
+    ``params`` must be the full set of inputs that shape the scheme (seed,
+    shortcut mode, landmark set, ...).  With no active cache, or with an
+    uncacheable parameter, this is ``build()``.  The memo lives in memory
+    only: ``build`` is expected to attach the scheme to state fetched with
+    :func:`cached_state`.  Memoized objects are shared -- callers must
+    treat them as immutable.
     """
     cache = active_cache()
     if cache is None:
@@ -620,9 +364,27 @@ def cached_scheme(
     key = scheme_key(topology, scheme_name, **params)
     if key is None:
         return build()
-    if scheme_name in SUBSTRATE_SCHEMES:
-        return cache.substrate(key, build)
-    return cache.scheme(key, build)
+    return cache.memo(key, build)
+
+
+def cached_state(
+    topology, kind: str, build: Callable[[], T], **params: object
+) -> T:
+    """Build (or fetch) the converged ``kind`` state (``"tables"`` or
+    ``"vrr"``) of ``topology`` through the active cache's store.
+
+    ``params`` must be exactly the inputs that shape the slabs, and
+    nothing else: two calls whose states are equal should share a key.
+    With no active cache, or with an uncacheable parameter, this is
+    ``build()``.  Cached state is shared -- callers must not write it.
+    """
+    cache = active_cache()
+    if cache is None:
+        return build()
+    key = _content_key(kind, topology, kind, params)
+    if key is None:
+        return build()
+    return cache.get(kind, key, build)
 
 
 _ACTIVE: ArtifactCache | None = None

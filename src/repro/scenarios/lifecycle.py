@@ -1,16 +1,16 @@
 """Cache lifecycle operations: manifest, stats, clear, and pruning.
 
 The artifact store (:mod:`repro.scenarios.cache`) writes one
-``.meta.json`` sidecar next to every ``<key>.pkl`` or ``<key>.slabs/`` it
-stores, recording the artifact kind, payload byte count, creation time,
+``<key>.slabs.meta.json`` sidecar next to every ``<key>.slabs`` directory
+it stores, recording the artifact kind, payload byte count, creation time,
 and last-hit time.  The sidecars *are* the cache manifest: they are written
 and bumped atomically per artifact, so concurrent workers never contend
 on one shared file.  This module aggregates them into the operator-facing
 views behind ``repro cache {stats,ls,clear,prune}``:
 
 * :func:`scan` lists every artifact with its metadata (synthesizing
-  metadata from ``os.stat`` for a pickle whose sidecar is missing, e.g.
-  after a crashed writer);
+  metadata from the slab files for a directory whose sidecar is missing,
+  e.g. after a crashed writer);
 * :func:`cache_stats` aggregates totals per kind;
 * :func:`write_manifest` materializes the aggregate view as
   ``<root>/manifest.json`` (a generated summary -- the sidecars stay
@@ -21,32 +21,36 @@ views behind ``repro cache {stats,ls,clear,prune}``:
 Eviction policy
 ---------------
 ``prune(root, max_bytes=..., max_age_s=...)`` first drops artifacts whose
-last hit is older than ``max_age_s``, then -- while the summed pickle
-payload still exceeds ``max_bytes`` -- evicts in least-recently-hit order
+last hit is older than ``max_age_s``, then -- while the summed artifact
+bytes still exceed ``max_bytes`` -- evicts in least-recently-hit order
 (ties broken by creation time, then key, so the order is deterministic).
 Eviction is exact with respect to the budget: it removes the minimal
 prefix of that order whose removal brings the total to ``max_bytes`` or
-below, and artifacts that fit stay untouched.  Budgets count pickle
-payload bytes (sidecars are excluded; they are a few hundred bytes each).
+below, and artifacts that fit stay untouched.  Budgets count slab payload
+bytes (sidecars and manifests are excluded; they are a few hundred bytes
+each).
 
-Concurrency: eviction only ever unlinks complete artifacts (``*.tmp``
-spool files of in-flight writers are ignored), deletes the pickle before
-its sidecar (a reader observing the gap treats the artifact as a miss and
-rebuilds), and tolerates files disappearing underneath it -- so it is
-safe to run against a root that live workers are reading and writing.
-Note that scheme shells reference their substrate artifact by key:
-evicting a substrate silently demotes the shells that point at it to
-misses (they rebuild on next use), which is correct, just slower.
+Concurrency: eviction only ever removes complete artifacts (``*.tmp``
+spool entries of in-flight writers are ignored), deletes the slab
+directory before its sidecar (a reader observing the gap treats the
+artifact as a miss and rebuilds), and tolerates files disappearing
+underneath it -- so it is safe to run against a root that live workers are
+reading and writing.
+
+Roots written before ``repro-artifacts/v12`` also hold pickled artifacts
+(``substrate/`` and ``scheme/`` directories, ``<key>.pkl`` files) that no
+reader loads any more; :func:`clear` and :func:`prune` delete them.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass
 
-from repro.scenarios.cache import ARTIFACT_SCHEMA, ArtifactCache
+from repro.scenarios.cache import ARTIFACT_SCHEMA, KINDS, ArtifactCache
 
 __all__ = [
     "ArtifactInfo",
@@ -58,17 +62,16 @@ __all__ = [
     "write_manifest",
 ]
 
-#: Artifact kind subdirectories, in display order.
-KINDS = ("topology", "substrate", "tables", "scheme")
+#: Kind subdirectories of roots written before v12, whose pickles no
+#: reader loads.
+_RETIRED_KINDS = ("substrate", "scheme")
 
 
 @dataclass(frozen=True)
 class ArtifactInfo:
     """One on-disk artifact and its manifest metadata.
 
-    ``bytes`` is the stored (compressed) payload size -- what eviction
-    budgets count; ``raw_bytes`` is the uncompressed pickle size (equal to
-    ``bytes`` for artifacts written before compression framing).
+    ``bytes`` is the slab payload size -- what eviction budgets count.
     """
 
     kind: str
@@ -77,7 +80,6 @@ class ArtifactInfo:
     bytes: int
     created: float
     last_hit: float
-    raw_bytes: int = 0
 
     @property
     def age_s(self) -> float:
@@ -102,13 +104,13 @@ class PruneReport:
 
 
 def _dir_bytes(path: str) -> int:
-    """Summed file sizes of a slab directory (best-effort)."""
+    """Summed ``.bin`` slab file sizes of a slab directory (best-effort)."""
     total = 0
     try:
         with os.scandir(path) as entries:
             for entry in entries:
                 try:
-                    if entry.is_file(follow_symlinks=False):
+                    if entry.name.endswith(".bin"):
                         total += entry.stat(follow_symlinks=False).st_size
                 except OSError:
                     continue
@@ -129,9 +131,10 @@ def _read_meta(meta_path: str) -> dict | None:
 def scan(root: str | os.PathLike) -> list[ArtifactInfo]:
     """Every complete artifact under ``root``, sidecar metadata attached.
 
-    Pickles without a readable sidecar fall back to ``os.stat`` (size;
-    mtime for both timestamps).  ``*.tmp`` spool files and unknown
-    filenames are ignored.  Artifacts vanishing mid-scan are skipped.
+    Slab directories without a readable sidecar fall back to the summed
+    slab file sizes and the directory's mtime.  ``*.tmp`` spool entries and
+    unknown filenames are ignored.  Artifacts vanishing mid-scan are
+    skipped.
     """
     root = os.fspath(root)
     found: list[ArtifactInfo] = []
@@ -143,39 +146,23 @@ def scan(root: str | os.PathLike) -> list[ArtifactInfo]:
             continue
         for name in names:
             path = os.path.join(directory, name)
-            if name.endswith(".pkl"):
-                key = name[: -len(".pkl")]
-            elif name.endswith(".slabs") and os.path.isdir(path):
-                # Raw slab directory (every topology and tables artifact,
-                # mmap-attached on load); its payload size is the sum of
-                # the slab files.
-                key = name[: -len(".slabs")]
-            else:
+            if not name.endswith(".slabs") or not os.path.isdir(path):
                 continue
             meta = _read_meta(ArtifactCache.meta_path(path))
             try:
                 stat = os.stat(path)
             except OSError:
                 continue  # vanished mid-scan (concurrent prune/clear)
-            default_bytes = (
-                _dir_bytes(path) if name.endswith(".slabs") else stat.st_size
-            )
             if meta is None:
-                meta = {
-                    "bytes": default_bytes,
-                    "created": stat.st_mtime,
-                    "last_hit": stat.st_mtime,
-                }
-            stored = int(meta.get("bytes", default_bytes))
+                meta = {"created": stat.st_mtime, "last_hit": stat.st_mtime}
             found.append(
                 ArtifactInfo(
                     kind=kind,
-                    key=key,
+                    key=name[: -len(".slabs")],
                     path=path,
-                    bytes=stored,
+                    bytes=int(meta.get("bytes", _dir_bytes(path))),
                     created=float(meta.get("created", stat.st_mtime)),
                     last_hit=float(meta.get("last_hit", stat.st_mtime)),
-                    raw_bytes=int(meta.get("raw_bytes", stored)),
                 )
             )
     return found
@@ -193,20 +180,12 @@ def _aggregate(root: str | os.PathLike, artifacts: list[ArtifactInfo]) -> dict:
         kinds[kind] = {
             "count": len(of_kind),
             "bytes": sum(info.bytes for info in of_kind),
-            "raw_bytes": sum(info.raw_bytes for info in of_kind),
         }
-    total_bytes = sum(info.bytes for info in artifacts)
-    total_raw = sum(info.raw_bytes for info in artifacts)
     return {
         "schema": ARTIFACT_SCHEMA,
         "root": os.fspath(root),
         "count": len(artifacts),
-        "bytes": total_bytes,
-        "raw_bytes": total_raw,
-        # Stored / raw: < 1.0 once compressed artifacts dominate.
-        "compression_ratio": (
-            round(total_bytes / total_raw, 4) if total_raw else None
-        ),
+        "bytes": sum(info.bytes for info in artifacts),
         "kinds": kinds,
         "oldest_hit": min(
             (info.last_hit for info in artifacts), default=None
@@ -245,36 +224,35 @@ def write_manifest(root: str | os.PathLike) -> str:
 
 
 def _remove(info: ArtifactInfo) -> bool:
-    """Remove one artifact (payload first, then sidecar); False if gone.
-
-    The payload is either a pickle file or a ``.slabs`` directory.
-    """
+    """Remove one artifact (slab directory first, then sidecar); False if
+    both were gone."""
     removed = False
     for path in (info.path, ArtifactCache.meta_path(info.path)):
         try:
             if os.path.isdir(path):
-                import shutil
-
                 shutil.rmtree(path)
             else:
                 os.unlink(path)
             removed = True
-        except FileNotFoundError:
-            continue
         except OSError:
             continue
     return removed
 
 
-def _sweep_orphan_sidecars(root: str | os.PathLike) -> None:
-    """Unlink ``*.meta.json`` sidecars whose pickle is gone.
+def _sweep(root: str | os.PathLike) -> None:
+    """Delete what no reader loads: orphaned sidecars and pre-v12 pickles.
 
-    Orphans appear when a writer crashes between the two unlinks of
-    :func:`_remove`, or when a concurrent reader's last-hit bump
-    re-creates a sidecar just evicted.  They carry no payload; sweeping
-    them keeps ``clear``/``prune`` able to return a root to empty.
+    Orphaned ``*.meta.json`` sidecars appear when a writer crashes between
+    the two removals of :func:`_remove`, or when a concurrent reader's
+    last-hit bump re-creates a sidecar just evicted.  Pickles are what
+    roots written before v12 hold: whole ``substrate/`` and ``scheme/``
+    directories, and ``<key>.pkl`` files with their sidecars.  None of it
+    carries a live payload; sweeping it keeps ``clear``/``prune`` able to
+    return a root to empty.
     """
     root = os.fspath(root)
+    for kind in _RETIRED_KINDS:
+        shutil.rmtree(os.path.join(root, kind), ignore_errors=True)
     for kind in KINDS:
         directory = os.path.join(root, kind)
         try:
@@ -282,16 +260,13 @@ def _sweep_orphan_sidecars(root: str | os.PathLike) -> None:
         except OSError:
             continue
         for name in names:
-            if not name.endswith(".meta.json"):
-                continue
-            stem = name[: -len(".meta.json")]
-            if stem.endswith(".slabs"):
-                # Sidecar of a slab directory: orphaned only when the
-                # directory itself is gone.
-                payload_path = os.path.join(directory, stem)
-            else:
-                payload_path = os.path.join(directory, stem + ".pkl")
-            if os.path.exists(payload_path):
+            if name.endswith(".meta.json"):
+                stem = name[: -len(".meta.json")]
+                if stem.endswith(".slabs") and os.path.exists(
+                    os.path.join(directory, stem)
+                ):
+                    continue
+            elif not name.endswith(".pkl"):
                 continue
             try:
                 os.unlink(os.path.join(directory, name))
@@ -302,7 +277,7 @@ def _sweep_orphan_sidecars(root: str | os.PathLike) -> None:
 def clear(root: str | os.PathLike) -> PruneReport:
     """Remove every artifact under ``root``; returns what was removed."""
     removed = tuple(info for info in scan(root) if _remove(info))
-    _sweep_orphan_sidecars(root)
+    _sweep(root)
     return PruneReport(removed=removed, kept=())
 
 
@@ -352,6 +327,5 @@ def prune(
     if dry_run:
         return PruneReport(removed=tuple(removed), kept=tuple(kept))
     removed = [info for info in removed if _remove(info)]
-    if removed:
-        _sweep_orphan_sidecars(root)
+    _sweep(root)
     return PruneReport(removed=tuple(removed), kept=tuple(kept))

@@ -18,19 +18,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from repro.addressing.labels import LabelCodec
 from repro.core.disco import DiscoRouting
+from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
+from repro.core.substrate_build import build_substrate_tables
+from repro.core.tables import SubstrateTables
 from repro.graphs.sampling import one_destination_per_node, sample_nodes, sample_pairs
 from repro.graphs.topology import Topology
 from repro.metrics.congestion import CongestionReport, measure_congestion
 from repro.metrics.state import StateReport, measure_state
 from repro.metrics.stretch import StretchReport, measure_stretch
+from repro.naming.names import FlatName, name_for_node
 from repro.protocols.base import RoutingScheme
 from repro.protocols.registry import build_scheme
 from repro.protocols.s4 import S4Routing
+from repro.protocols.vrr import VirtualRingRouting
 
-__all__ = ["SimulationResults", "StaticSimulation"]
+__all__ = [
+    "SimulationResults",
+    "StaticSimulation",
+    "converged_nddisco",
+    "substrate_tables",
+]
 
 
 @dataclass
@@ -91,14 +102,15 @@ class StaticSimulation:
         self._build(list(protocols))
 
     def _build(self, protocols: list[str]) -> None:
-        # When the scenario engine has an artifact cache active, every
-        # converged scheme is stored under a content-addressed key (topology
-        # content + constructor inputs) and reused across the scenarios of a
-        # run -- fig02 and fig03 measuring the same substrates from
-        # different angles build them once.  Without an active cache,
-        # cached_scheme is a plain call-through and behavior is unchanged.
-        from repro.scenarios.cache import cached_scheme
+        # When the scenario engine has an artifact cache active, the
+        # converged state (tables, VRR's ring table) is fetched from its
+        # store and every scheme is attached to it and memoized in memory
+        # -- fig02 and fig03 measuring the same substrates from different
+        # angles build them once.  Without an active cache, cached_state
+        # and cached_scheme are plain call-throughs.
+        from repro.scenarios.cache import cached_scheme, cached_state
 
+        topology, seed = self._topology, self._seed
         normalized = [name.strip().lower() for name in protocols]
         shared_nddisco: NDDiscoRouting | None = None
         nddisco_options = self._options.get("nd-disco", {})
@@ -106,16 +118,9 @@ class StaticSimulation:
         def get_nddisco() -> NDDiscoRouting:
             nonlocal shared_nddisco
             if shared_nddisco is None:
-                shared_nddisco = cached_scheme(
-                    self._topology,
-                    "nd-disco",
-                    lambda: NDDiscoRouting(
-                        self._topology,
-                        seed=self._seed,
-                        shortcut_mode=self._shortcut_mode,
-                        **nddisco_options,
-                    ),
-                    seed=self._seed,
+                shared_nddisco = converged_nddisco(
+                    topology,
+                    seed=seed,
                     shortcut_mode=self._shortcut_mode,
                     **nddisco_options,
                 )
@@ -129,16 +134,16 @@ class StaticSimulation:
             elif name == "disco":
                 options = self._options.get("disco", {})
                 scheme = cached_scheme(
-                    self._topology,
+                    topology,
                     "disco",
                     lambda: DiscoRouting(
-                        self._topology,
-                        seed=self._seed,
+                        topology,
+                        seed=seed,
                         num_fingers=self._num_fingers,
                         nddisco=get_nddisco(),
                         **options,
                     ),
-                    seed=self._seed,
+                    seed=seed,
                     num_fingers=self._num_fingers,
                     shortcut_mode=self._shortcut_mode,
                     # Disco embeds the NDDisco substrate built from the
@@ -158,15 +163,12 @@ class StaticSimulation:
                     "disco" in normalized or "nd-disco" in normalized
                 ) and "landmarks" not in options
                 key_options = dict(options)
+                names = options.pop("names", None)
                 if shares_landmarks:
                     nddisco = get_nddisco()
-                    names = (
-                        list(options.pop("names"))
-                        if "names" in options
-                        else nddisco.names
-                    )
+                    names = nddisco.names if names is None else list(names)
                     build = lambda: S4Routing.from_tables(
-                        self._topology, nddisco.tables, names, **options
+                        topology, nddisco.tables, names, **options
                     )
                     # The tables cannot be hashed into the key, but they are
                     # fully determined by the topology content, the landmark
@@ -178,26 +180,46 @@ class StaticSimulation:
                         sorted(nddisco_options.items())
                     )
                 else:
-                    build = lambda: build_scheme(
-                        "s4", self._topology, seed=self._seed, **options
+                    landmarks = options.pop("landmarks", None)
+                    if landmarks is None:
+                        landmarks = select_landmarks(topology.num_nodes, seed=seed)
+                    build = lambda: S4Routing.from_tables(
+                        topology,
+                        substrate_tables(topology, landmarks, include_vicinity=False),
+                        _names(topology, names),
+                        **options,
                     )
                 scheme = cached_scheme(
-                    self._topology,
+                    topology,
                     "s4",
                     build,
-                    seed=self._seed,
+                    seed=seed,
                     substrate_shared=shares_landmarks,
                     **key_options,
                 )
+            elif name == "vrr":
+                options = self._options.get("vrr", {})
+                build = lambda: VirtualRingRouting.from_table(
+                    topology,
+                    cached_state(
+                        topology,
+                        "vrr",
+                        lambda: VirtualRingRouting.converge(topology, seed=seed, **options),
+                        seed=seed,
+                        **options,
+                    ),
+                    **options,
+                )
+                scheme = cached_scheme(topology, "vrr", build, seed=seed, **options)
             else:
                 options = self._options.get(name, {})
                 scheme = cached_scheme(
-                    self._topology,
+                    topology,
                     name,
                     lambda name=name, options=options: build_scheme(
-                        name, self._topology, seed=self._seed, **options
+                        name, topology, seed=seed, **options
                     ),
-                    seed=self._seed,
+                    seed=seed,
                     **options,
                 )
             self._schemes[name] = scheme
@@ -282,3 +304,76 @@ class StaticSimulation:
                     scheme, pairs=flows
                 )
         return results
+
+
+def _names(topology: Topology, names) -> list[FlatName]:
+    """``names`` as a list, or the default ``node-<id>`` names."""
+    if names is None:
+        return [name_for_node(v) for v in range(topology.num_nodes)]
+    return list(names)
+
+
+def substrate_tables(
+    topology: Topology,
+    landmarks,
+    *,
+    vicinity_scale: float = 1.0,
+    include_vicinity: bool = True,
+) -> SubstrateTables:
+    """``build_substrate_tables`` with the label codec, through the active
+    cache's ``tables`` kind: keyed by the topology content and these
+    arguments, the only inputs that shape the slabs.  The tables are
+    shared: callers must not write them."""
+    from repro.scenarios.cache import cached_state
+
+    return cached_state(
+        topology,
+        "tables",
+        lambda: build_substrate_tables(
+            topology,
+            landmarks,
+            codec=LabelCodec(topology),
+            vicinity_scale=vicinity_scale,
+            include_vicinity=include_vicinity,
+        ),
+        landmarks=set(landmarks),
+        vicinity_scale=vicinity_scale,
+        include_vicinity=include_vicinity,
+    )
+
+
+def converged_nddisco(
+    topology: Topology,
+    *,
+    seed: int = 0,
+    shortcut_mode: ShortcutMode = ShortcutMode.NO_PATH_KNOWLEDGE,
+    **options: object,
+) -> NDDiscoRouting:
+    """``NDDiscoRouting(topology, seed=seed, ...)`` attached to
+    :func:`substrate_tables` and memoized per process by the active cache:
+    the one ND-Disco every scenario builds."""
+    from repro.scenarios.cache import cached_scheme
+
+    def attach() -> NDDiscoRouting:
+        rest = dict(options)
+        landmarks = rest.pop("landmarks", None)
+        tables = substrate_tables(
+            topology,
+            select_landmarks(topology.num_nodes, seed=seed)
+            if landmarks is None
+            else landmarks,
+            vicinity_scale=rest.pop("vicinity_scale", 1.0),
+        )
+        names = _names(topology, rest.pop("names", None))
+        return NDDiscoRouting.from_tables(
+            topology, tables, names, shortcut_mode=shortcut_mode, **rest
+        )
+
+    return cached_scheme(
+        topology,
+        "nd-disco",
+        attach,
+        seed=seed,
+        shortcut_mode=shortcut_mode,
+        **options,
+    )

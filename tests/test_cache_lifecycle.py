@@ -1,21 +1,24 @@
 """Cache lifecycle: manifest sidecars, stats, clear, and eviction policy.
 
-Covers the ops layer of the v2 artifact store (`repro.scenarios.lifecycle`
+Covers the ops layer of the artifact store (`repro.scenarios.lifecycle`
 and the ``repro cache`` CLI): prune ordering (least-recently-hit first),
 size-budget exactness, age-based eviction, tolerance of concurrent
-writers/vanishing files, and the bounded-growth guarantee under repeated
-scale sweeps.
+writers/vanishing files, the bounded-growth guarantee under repeated
+scale sweeps, and emptying a root an older layout wrote.  The artifacts
+are small path-graph topologies, slab directories like every artifact.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import threading
 
 import pytest
 
 from repro.cli import main
+from repro.graphs.topology import Topology
 from repro.scenarios.cache import ArtifactCache, cache_key
 from repro.scenarios.lifecycle import (
     cache_stats,
@@ -26,60 +29,80 @@ from repro.scenarios.lifecycle import (
 )
 
 
-def _fill(root, sizes: dict[str, int], kind: str = "scheme") -> dict[str, str]:
+def _path_topology(size: int) -> Topology:
+    """A path graph whose slabs come to about ``size`` bytes (64 n - 48)."""
+    n = max(2, size // 64)
+    return Topology.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def _fill(root, sizes: dict[str, int]) -> dict[str, str]:
     """Store artifacts with payloads of known approximate sizes; return keys."""
     cache = ArtifactCache(root)
     keys = {}
     for name, size in sizes.items():
-        key = cache_key(kind, name)
-        cache.get(kind, key, lambda size=size: "x" * size)
+        key = cache_key("topology", name)
+        cache.get("topology", key, lambda size=size: _path_topology(size))
         keys[name] = key
     return keys
 
 
-def _total_pickle_bytes(root) -> int:
+def _slabs(root, key: str):
+    return os.path.join(root, "topology", f"{key}.slabs")
+
+
+def _meta(root, key: str):
+    return os.path.join(root, "topology", f"{key}.slabs.meta.json")
+
+
+def _payload_bytes(slab_dir) -> int:
+    return sum(
+        os.path.getsize(os.path.join(slab_dir, name))
+        for name in os.listdir(slab_dir)
+        if name.endswith(".bin")
+    )
+
+
+def _total_artifact_bytes(root) -> int:
     return sum(info.bytes for info in scan(root))
 
 
 class TestManifestSidecars:
     def test_store_writes_sidecar_with_byte_count(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        key = cache_key("scheme", "a")
-        cache.get("scheme", key, lambda: "payload")
-        meta_path = tmp_path / "scheme" / f"{key}.meta.json"
-        meta = json.loads(meta_path.read_text())
-        assert meta["kind"] == "scheme"
+        key = cache_key("topology", "a")
+        cache.get("topology", key, lambda: _path_topology(640))
+        meta = json.loads(open(_meta(tmp_path, key)).read())
+        assert meta["kind"] == "topology"
         assert meta["key"] == key
-        pkl = tmp_path / "scheme" / f"{key}.pkl"
-        assert meta["bytes"] == pkl.stat().st_size
+        assert meta["bytes"] == _payload_bytes(_slabs(tmp_path, key))
         assert meta["last_hit"] >= meta["created"] > 0
 
     def test_disk_hit_bumps_last_hit(self, tmp_path):
-        key = _fill(tmp_path, {"a": 10})["a"]
-        meta_path = tmp_path / "scheme" / f"{key}.meta.json"
-        before = json.loads(meta_path.read_text())
+        key = _fill(tmp_path, {"a": 640})["a"]
+        before = json.loads(open(_meta(tmp_path, key)).read())
         # Backdate, then hit from a fresh cache (fresh process-equivalent).
         before["last_hit"] = before["created"] - 1000.0
-        meta_path.write_text(json.dumps(before))
+        with open(_meta(tmp_path, key), "w") as handle:
+            json.dump(before, handle)
         ArtifactCache(tmp_path).get(
-            "scheme", key, lambda: pytest.fail("should hit disk")
+            "topology", key, lambda: pytest.fail("should hit disk")
         )
-        after = json.loads(meta_path.read_text())
+        after = json.loads(open(_meta(tmp_path, key)).read())
         assert after["last_hit"] > before["last_hit"]
 
     def test_scan_survives_missing_sidecar(self, tmp_path):
-        key = _fill(tmp_path, {"a": 10})["a"]
-        os.unlink(tmp_path / "scheme" / f"{key}.meta.json")
+        key = _fill(tmp_path, {"a": 640})["a"]
+        os.unlink(_meta(tmp_path, key))
         (info,) = scan(tmp_path)
         assert info.key == key
-        assert info.bytes == (tmp_path / "scheme" / f"{key}.pkl").stat().st_size
+        assert info.bytes == _payload_bytes(_slabs(tmp_path, key))
 
     def test_write_manifest_aggregates(self, tmp_path):
-        _fill(tmp_path, {"a": 10, "b": 20})
+        _fill(tmp_path, {"a": 640, "b": 1280})
         manifest = json.loads(open(write_manifest(tmp_path)).read())
         assert manifest["count"] == 2
         assert len(manifest["artifacts"]) == 2
-        assert manifest["kinds"]["scheme"]["count"] == 2
+        assert manifest["kinds"]["topology"]["count"] == 2
 
     def test_stats_empty_root(self, tmp_path):
         stats = cache_stats(tmp_path / "nothing-here")
@@ -88,35 +111,58 @@ class TestManifestSidecars:
 
 class TestClear:
     def test_clear_removes_everything(self, tmp_path):
-        _fill(tmp_path, {"a": 100, "b": 200})
+        _fill(tmp_path, {"a": 640, "b": 1280})
         report = clear(tmp_path)
         assert len(report.removed) == 2
         assert scan(tmp_path) == []
 
     def test_clear_sweeps_orphaned_sidecars(self, tmp_path):
-        keys = _fill(tmp_path, {"a": 100})
+        keys = _fill(tmp_path, {"a": 640})
         # A crashed writer / racing touch can leave a sidecar behind its
-        # evicted pickle; clear must return the root to truly empty.
-        os.unlink(tmp_path / "scheme" / f"{keys['a']}.pkl")
-        orphan = tmp_path / "scheme" / f"{keys['a']}.meta.json"
-        assert orphan.exists()
+        # evicted slab directory; clear must return the root to truly empty.
+        shutil.rmtree(_slabs(tmp_path, keys["a"]))
+        orphan = _meta(tmp_path, keys["a"])
+        assert os.path.exists(orphan)
         clear(tmp_path)
-        assert not orphan.exists()
+        assert not os.path.exists(orphan)
 
     def test_prune_sweeps_orphaned_sidecars(self, tmp_path):
-        keys = _fill(tmp_path, {"a": 100, "b": 100})
-        os.unlink(tmp_path / "scheme" / f"{keys['a']}.pkl")
-        orphan = tmp_path / "scheme" / f"{keys['a']}.meta.json"
+        keys = _fill(tmp_path, {"a": 640, "b": 640})
+        shutil.rmtree(_slabs(tmp_path, keys["a"]))
+        orphan = _meta(tmp_path, keys["a"])
         prune(tmp_path, max_bytes=0)
-        assert not orphan.exists()
+        assert not os.path.exists(orphan)
+
+    def test_clear_empties_a_root_an_older_layout_wrote(self, tmp_path):
+        """A v11 root keeps substrates and scheme shells as ``<key>.pkl``
+        plus a sidecar, which no scan lists any more: clear still deletes
+        them, and every pickle beside the slab directories."""
+        _fill(tmp_path, {"a": 640})
+        key = cache_key("scheme", "a v11 shell")
+        for kind in ("scheme", "substrate", "topology"):
+            directory = tmp_path / kind
+            directory.mkdir(exist_ok=True)
+            (directory / f"{key}.pkl").write_bytes(b"RPZC not read any more")
+            (directory / f"{key}.meta.json").write_text(
+                json.dumps({"kind": kind, "key": key, "bytes": 22})
+            )
+        clear(tmp_path)
+        left = [
+            os.path.join(directory, name)
+            for directory, _, names in os.walk(tmp_path)
+            for name in names
+        ]
+        assert left == []
+        assert not (tmp_path / "scheme").exists()
+        assert not (tmp_path / "substrate").exists()
 
 
 class TestPruneOrdering:
     def _backdate(self, root, key: str, *, last_hit: float) -> None:
-        meta_path = root / "scheme" / f"{key}.meta.json"
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(open(_meta(root, key)).read())
         meta["last_hit"] = last_hit
-        meta_path.write_text(json.dumps(meta))
+        with open(_meta(root, key), "w") as handle:
+            json.dump(meta, handle)
 
     def test_least_recently_hit_evicted_first(self, tmp_path):
         keys = _fill(tmp_path, {"old": 100, "new": 100})
@@ -135,7 +181,7 @@ class TestPruneOrdering:
         self._backdate(tmp_path, keys["b"], last_hit=2000.0)
         # A disk hit on "a" from a fresh cache makes it the survivor.
         ArtifactCache(tmp_path).get(
-            "scheme", keys["a"], lambda: pytest.fail("should hit disk")
+            "topology", keys["a"], lambda: pytest.fail("should hit disk")
         )
         per = next(iter(scan(tmp_path))).bytes
         report = prune(tmp_path, max_bytes=per)
@@ -153,10 +199,10 @@ class TestPruneOrdering:
         budget = sizes[1] + sizes[2]
         report = prune(tmp_path, max_bytes=budget)
         assert [info.key for info in report.removed] == [keys["a"]]
-        assert _total_pickle_bytes(tmp_path) == budget
+        assert _total_artifact_bytes(tmp_path) == budget
         # One byte less than a single artifact's size removes everything.
         report = prune(tmp_path, max_bytes=sizes[1] - 1)
-        assert _total_pickle_bytes(tmp_path) == 0
+        assert _total_artifact_bytes(tmp_path) == 0
         assert len(report.kept) == 0
 
     def test_age_based_prune(self, tmp_path):
@@ -174,7 +220,7 @@ class TestPruneOrdering:
 class TestPruneConcurrency:
     def test_inflight_tmp_files_are_ignored(self, tmp_path):
         _fill(tmp_path, {"a": 100})
-        spool = tmp_path / "scheme" / "writer12345.tmp"
+        spool = tmp_path / "topology" / "writer12345.tmp"
         spool.write_bytes(b"half-written artifact")
         report = prune(tmp_path, max_bytes=0)
         assert spool.exists()  # never touched
@@ -182,31 +228,33 @@ class TestPruneConcurrency:
 
     def test_vanishing_files_are_tolerated(self, tmp_path, monkeypatch):
         # Deterministic race: another process deletes the LRU victim
-        # between prune's scan and its unlink.  Prune must neither raise
+        # between prune's scan and its removal.  Prune must neither raise
         # nor stop early.
-        keys = _fill(tmp_path, {"a": 100, "b": 100})
-        victim = str(tmp_path / "scheme" / f"{keys['a']}.pkl")
-        real_unlink = os.unlink
+        keys = _fill(tmp_path, {"a": 640, "b": 640})
+        victim = _slabs(tmp_path, keys["a"])
+        real_rmtree = shutil.rmtree
 
-        def racing_unlink(path, *args, **kwargs):
+        def racing_rmtree(path, *args, **kwargs):
             if os.fspath(path) == victim and os.path.exists(victim):
-                real_unlink(victim)  # the other process wins the race
-            return real_unlink(path, *args, **kwargs)
+                real_rmtree(victim)  # the other process wins the race
+            return real_rmtree(path, *args, **kwargs)
 
         monkeypatch.setattr(
-            "repro.scenarios.lifecycle.os.unlink", racing_unlink
+            "repro.scenarios.lifecycle.shutil.rmtree", racing_rmtree
         )
         prune(tmp_path, max_bytes=0)
-        assert _total_pickle_bytes(tmp_path) == 0
+        assert _total_artifact_bytes(tmp_path) == 0
 
     def test_concurrent_write_during_prune_survives_intact(self, tmp_path):
-        keys = _fill(tmp_path, {"a": 4096})
+        _fill(tmp_path, {"a": 4096})
         barrier = threading.Barrier(2)
 
         def writer():
             barrier.wait()
             cache = ArtifactCache(tmp_path)
-            cache.get("scheme", cache_key("scheme", "b"), lambda: "y" * 4096)
+            cache.get(
+                "topology", cache_key("topology", "b"), lambda: _path_topology(4096)
+            )
 
         thread = threading.Thread(target=writer)
         thread.start()
@@ -217,12 +265,12 @@ class TestPruneConcurrency:
         # and loadable; the in-flight write was never corrupted.
         for info in scan(tmp_path):
             loaded = ArtifactCache(tmp_path).get(
-                "scheme", info.key, lambda: pytest.fail("should hit disk")
+                "topology", info.key, lambda: pytest.fail("should hit disk")
             )
-            assert loaded == "y" * 4096
+            assert loaded == _path_topology(4096)
         # A later prune can still evict it.
         prune(tmp_path, max_bytes=0)
-        assert _total_pickle_bytes(tmp_path) == 0
+        assert _total_artifact_bytes(tmp_path) == 0
 
 
 class TestBoundedGrowth:
@@ -250,7 +298,7 @@ class TestBoundedGrowth:
                 cache=tmp_path,
             )
             prune(tmp_path, max_bytes=budget)
-            assert _total_pickle_bytes(tmp_path) <= budget
+            assert _total_artifact_bytes(tmp_path) <= budget
 
 
 class TestCacheCli:
@@ -259,7 +307,7 @@ class TestCacheCli:
         _fill(root, {"a": 2048, "b": 2048})
         assert main(["cache", "stats", "--cache-dir", root]) == 0
         out = capsys.readouterr().out
-        assert "scheme" in out and "manifest refreshed" in out
+        assert "topology" in out and "manifest refreshed" in out
         assert (tmp_path / "cc" / "manifest.json").exists()
 
         assert main(["cache", "ls", "--cache-dir", root]) == 0
@@ -269,7 +317,7 @@ class TestCacheCli:
             ["cache", "prune", "--cache-dir", root, "--max-bytes", "2K"]
         ) == 0
         assert "pruned" in capsys.readouterr().out
-        assert _total_pickle_bytes(root) <= 2048
+        assert _total_artifact_bytes(root) <= 2048
 
         assert main(["cache", "clear", "--cache-dir", root]) == 0
         assert "removed" in capsys.readouterr().out
@@ -308,55 +356,48 @@ class TestCacheCli:
         assert _parse_size("1g") == 1024**3
 
 
-class TestCompressedFraming:
-    def test_payloads_are_compressed_on_disk(self, tmp_path):
-        from repro.scenarios.cache import COMPRESS_MAGIC
-
-        cache = ArtifactCache(tmp_path)
-        key = cache_key("scheme", "compress-me")
-        cache.get("scheme", key, lambda: "x" * 50_000)
-        payload = (tmp_path / "scheme" / f"{key}.pkl").read_bytes()
-        assert payload.startswith(COMPRESS_MAGIC)
-        # Highly repetitive payload: compression must bite hard.
-        assert len(payload) < 5_000
-        meta = json.loads(
-            (tmp_path / "scheme" / f"{key}.meta.json").read_text()
+class TestSlabDirectories:
+    def test_payloads_are_slab_directories_on_disk(self, tmp_path):
+        key = _fill(tmp_path, {"a": 50_000})["a"]
+        slab_dir = _slabs(tmp_path, key)
+        assert sorted(os.listdir(slab_dir)) == sorted(
+            [f"{name}.bin" for name in (
+                "offsets", "neighbors", "weights", "edges_u", "edges_v", "edges_w"
+            )] + ["manifest.json"]
         )
-        assert meta["bytes"] == len(payload)
-        assert meta["raw_bytes"] > meta["bytes"]
+        meta = json.loads(open(_meta(tmp_path, key)).read())
+        assert meta["bytes"] == _payload_bytes(slab_dir)
+        assert "raw_bytes" not in meta
 
-    def test_unframed_artifact_is_a_miss_and_is_rebuilt(self, tmp_path):
-        import pickle
-
-        from repro.scenarios.cache import COMPRESS_MAGIC, _read_payload
-
-        key = cache_key("scheme", "unframed")
-        directory = tmp_path / "scheme"
-        directory.mkdir(parents=True)
-        path = directory / f"{key}.pkl"
-        path.write_bytes(pickle.dumps("unframed-payload", protocol=4))
-        with pytest.raises(ValueError):
-            _read_payload(str(path))
+    def test_an_unattachable_artifact_is_a_miss_and_is_rebuilt(self, tmp_path):
+        key = cache_key("topology", "unattachable")
+        slab_dir = tmp_path / "topology" / f"{key}.slabs"
+        slab_dir.mkdir(parents=True)
+        (slab_dir / "manifest.json").write_text("not a manifest")
+        built = _path_topology(640)
         cache = ArtifactCache(tmp_path)
-        assert cache.get("scheme", key, lambda: "rebuilt") == "rebuilt"
+        assert cache.get("topology", key, lambda: built) is built
         assert cache.hits == 0 and cache.misses == 1
-        # The rebuild overwrote it with a framed payload, which a fresh
+        # The rebuild replaced it with a good directory, which a fresh
         # process then hits.
-        assert path.read_bytes().startswith(COMPRESS_MAGIC)
         again = ArtifactCache(tmp_path)
-        assert again.get("scheme", key, lambda: "rebuilt twice") == "rebuilt"
+        assert again.get("topology", key, lambda: None) == built
         assert again.hits == 1 and again.misses == 0
 
-    def test_stats_report_compression_ratio(self, tmp_path):
-        _fill(tmp_path, {"a": 50_000})
+    def test_stats_report_slab_bytes(self, tmp_path):
+        keys = _fill(tmp_path, {"a": 50_000, "b": 640})
         stats = cache_stats(tmp_path)
-        assert stats["raw_bytes"] > stats["bytes"]
-        assert 0 < stats["compression_ratio"] < 1
+        assert stats["bytes"] == sum(
+            _payload_bytes(_slabs(tmp_path, key)) for key in keys.values()
+        )
+        assert stats["kinds"]["topology"]["bytes"] == stats["bytes"]
+        assert "raw_bytes" not in stats and "compression_ratio" not in stats
 
-    def test_stats_cli_prints_ratio(self, tmp_path, capsys):
+    def test_stats_cli_prints_totals(self, tmp_path, capsys):
         _fill(tmp_path, {"a": 50_000})
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        assert "compression:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "total" in out and "compression" not in out
 
 
 class TestPruneDryRun:
@@ -380,11 +421,11 @@ class TestPruneDryRun:
 
     def test_cli_dry_run_prints_and_preserves(self, tmp_path, capsys):
         _fill(tmp_path, {"a": 4096})
-        before = _total_pickle_bytes(tmp_path)
+        before = _total_artifact_bytes(tmp_path)
         assert main(
             ["cache", "prune", "--cache-dir", str(tmp_path),
              "--max-bytes", "1", "--dry-run"]
         ) == 0
         out = capsys.readouterr().out
         assert "would evict" in out and "dry run" in out
-        assert _total_pickle_bytes(tmp_path) == before
+        assert _total_artifact_bytes(tmp_path) == before

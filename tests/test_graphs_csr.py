@@ -9,7 +9,6 @@ equal-distance smaller-predecessor tie-break.
 
 from __future__ import annotations
 
-import pickle
 import random
 from array import array
 from math import inf
@@ -219,13 +218,6 @@ class TestCSRCache:
         weighted = Topology.from_edges(3, [(0, 1), (1, 2, 2.5)])
         assert unit.csr().unit_weights
         assert not weighted.csr().unit_weights
-
-    def test_topology_pickles_without_snapshot(self):
-        topology = gnm_random_graph(20, seed=2, average_degree=3.0)
-        topology.csr()
-        clone = pickle.loads(pickle.dumps(topology))
-        assert clone == topology
-        assert clone.csr().spt_rows(0) == topology.csr().spt_rows(0)
 
 
 class TestEngineSwitch:

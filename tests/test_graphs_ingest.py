@@ -13,7 +13,6 @@ from __future__ import annotations
 import glob
 import json
 import os
-import pickle
 import struct
 
 import pytest
@@ -391,11 +390,6 @@ class TestArrayTopology:
         assert sum(w for _, _, w in topology.edges()) == sum(
             w for _, _, w in oracle.edges()
         )
-
-    def test_pickle_round_trip(self, topology):
-        clone = pickle.loads(pickle.dumps(topology))
-        assert type(clone) is Topology
-        assert_same_topology(clone, topology)
 
     def test_slab_dir_round_trip(self, topology, tmp_path):
         slab_dir = tmp_path / "topo.slabs"

@@ -260,14 +260,6 @@ class TestWeightProfile:
         assert builder.freeze().weight_profile().quantum == 0.25
         assert topology.weight_profile() is first
 
-    def test_profile_survives_pickle_roundtrip(self):
-        import pickle
-
-        topology = _quantized_geometric(30, seed=2)
-        clone = pickle.loads(pickle.dumps(topology))
-        assert clone.weight_profile() == topology.weight_profile()
-        assert clone.csr().kernel == topology.csr().kernel
-
 
 class TestRadiusBoundary:
     """Exact-boundary semantics of the radius kernels on weighted graphs.

@@ -7,6 +7,7 @@ import pytest
 from repro.graphs.generators import gnm_random_graph
 from repro.metrics.state import measure_state
 from repro.metrics.stretch import measure_stretch
+from oracles import vrr_join
 from repro.protocols.vrr import VirtualRingRouting
 from small_graphs import line_graph
 
@@ -38,31 +39,36 @@ class TestConstruction:
         assert a != b
 
 
+@pytest.fixture(scope="module")
+def join_small(small_gnm):
+    """The join simulation behind ``vrr_small``, bookkeeping and all."""
+    return vrr_join.converge(small_gnm, seed=1)
+
+
 class TestVsetsAndPaths:
-    def test_vset_sizes(self, vrr_small, small_gnm):
+    def test_vset_sizes(self, join_small, vrr_small, small_gnm):
         for node in range(small_gnm.num_nodes):
-            vset = vrr_small.vset_of(node)
+            vset = vrr_join.vset_of(join_small, node)
             assert len(vset) <= 2 * vrr_small.vset_size
             assert node not in vset
 
-    def test_active_paths_connect_vset_members(self, vrr_small, small_gnm):
-        for a, b, path in vrr_small.active_paths():
+    def test_active_paths_connect_vset_members(self, join_small, small_gnm):
+        for a, b, path in vrr_join.active_paths(join_small):
             assert path[0] in (a, b)
             assert path[-1] in (a, b)
             for u, v in zip(path, path[1:]):
                 assert small_gnm.has_edge(u, v)
 
-    def test_path_count_scales_with_n_and_r(self, vrr_small, small_gnm):
-        paths = vrr_small.active_paths()
+    def test_path_count_scales_with_n_and_r(self, join_small, vrr_small, small_gnm):
+        paths = vrr_join.active_paths(join_small)
         n = small_gnm.num_nodes
         assert len(paths) >= n  # at least ~r/2 paths per node survive
         assert len(paths) <= 3 * n * vrr_small.vset_size
 
-    def test_state_counts_paths_through_node(self, vrr_small, small_gnm):
+    def test_state_counts_paths_through_node(self, join_small, vrr_small, small_gnm):
+        paths = vrr_join.active_paths(join_small)
         for node in range(0, small_gnm.num_nodes, 11):
-            through = sum(
-                1 for _, _, path in vrr_small.active_paths() if node in path
-            )
+            through = sum(1 for _, _, path in paths if node in path)
             assert vrr_small.state_entries(node) == through + small_gnm.degree(node)
 
     def test_state_bytes_positive(self, vrr_small):

@@ -327,9 +327,11 @@ class TestSchemeCache:
             first = StaticSimulation(topology, ("nd-disco", "s4"), seed=3)
             second = StaticSimulation(topology, ("disco", "s4"), seed=3)
         # The second simulation's S4 (and the NDDisco underlying Disco) come
-        # from the cache rather than being rebuilt.
+        # from the cache's memo rather than being rebuilt, over the one
+        # tables artifact the first simulation stored.
         assert second.scheme("s4") is first.scheme("s4")
-        assert cache.hits >= 2
+        assert second.scheme("disco").nddisco is first.scheme("nd-disco")
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_nddisco_options_differentiate_disco_keys(self):
         # Regression: Disco embeds the NDDisco substrate, so two

@@ -7,13 +7,15 @@ vs plain containers *and* C kernels vs the seed Dijkstra in one
 comparison -- for everything the three schemes route over: landmark SPT
 rows, closest rows, vicinities, addresses and S4's ball rows.  The rest
 covers the row semantics (settle order, the owner first, range and
-KeyError contracts, pickling as raw buffers) the rest of the system
+KeyError contracts, raw slab directories) the rest of the system
 relies on.
 """
 
 from __future__ import annotations
 
-import pickle
+import copy
+import json
+import os
 from array import array
 from math import inf
 
@@ -266,7 +268,7 @@ def test_scheme_accessors_refuse_a_node_outside_the_graph(
 
 def _with(tables: SubstrateTables, **slots) -> SubstrateTables:
     """A copy of ``tables`` with ``slots`` replaced."""
-    clone = pickle.loads(pickle.dumps(tables))
+    clone = copy.copy(tables)
     for slot, value in slots.items():
         setattr(clone, slot, value)
     return clone
@@ -392,55 +394,16 @@ class TestSptHops:
 
 
 class TestSerialization:
-    def test_tables_pickle_roundtrip(self):
-        scheme = NDDiscoRouting(
-            gnm_random_graph(90, seed=4, average_degree=6.0), seed=1
-        )
-        clone = pickle.loads(pickle.dumps(scheme.tables))
-        assert isinstance(clone, SubstrateTables)
-        assert clone.landmarks == scheme.tables.landmarks
-        assert list(clone.spt_dist) == list(scheme.tables.spt_dist)
-        assert list(clone.vicinity.members) == list(
-            scheme.tables.vicinity.members
-        )
-        assert slab_addresses(clone) == scheme.addresses
-
-    def test_scheme_pickle_carries_the_slabs_once(self):
-        """No scheme attribute aliases a slab: the pickle reaches the slabs
-        only through the tables object, so it works over mmap-backed slabs
-        (a memoryview does not pickle) and carries their bytes once."""
-        topology = gnm_random_graph(90, seed=4, average_degree=6.0)
-        tables = build_substrate_tables(
-            topology,
-            select_landmarks(topology.num_nodes, seed=1),
-            codec=LabelCodec(topology),
-            storage="mmap",
-        )
-        names = [name_for_node(v) for v in range(topology.num_nodes)]
-        nd = NDDiscoRouting.from_tables(topology, tables, names)
-        assert isinstance(nd.tables.spt_dist, memoryview)
-        schemes = (
-            nd,
-            DiscoRouting(topology, seed=1, nddisco=nd),
-            S4Routing.from_tables(topology, nd.tables, nd.names),
-        )
-        slabs = {id(slab) for _, _, slab in nd.tables.slab_items()}
-        for scheme in schemes:
-            for value in vars(scheme).values():
-                assert not isinstance(value, memoryview)
-                assert id(value) not in slabs
-            clone = pickle.loads(pickle.dumps(scheme))
-            assert bytes(clone.tables.spt_dist) == bytes(nd.tables.spt_dist)
-            assert slab_addresses(clone.tables) == nd.addresses
-
-    def test_getstate_serializes_raw_buffers(self):
+    def test_save_slabs_writes_raw_buffers(self, tmp_path):
         scheme = NDDiscoRouting(
             gnm_random_graph(60, seed=5, average_degree=5.0), seed=1
         )
-        state = scheme.tables.__getstate__()
-        typecode, payload = state["slabs"]["spt_dist"]
-        assert typecode == "d" and isinstance(payload, bytes)
-        assert len(payload) == 8 * len(scheme.tables.spt_dist)
+        root = scheme.tables.save_slabs(tmp_path / "slabs")
+        with open(os.path.join(root, "manifest.json"), encoding="utf-8") as f:
+            slots = {name: (code, count) for name, code, count in json.load(f)["slots"]}
+        assert slots["spt_dist"] == ("d", len(scheme.tables.spt_dist))
+        with open(os.path.join(root, "spt_dist.bin"), "rb") as handle:
+            assert handle.read() == bytes(memoryview(scheme.tables.spt_dist))
 
 
 class TestNodeSearchTables:
@@ -597,28 +560,23 @@ class TestStridedRows:
         with pytest.raises(KeyError):
             vicinity.path_from_owner(7, 11)
 
-    def test_lengths_survive_pickle_and_slab_directory(self, tmp_path):
+    def test_lengths_survive_the_slab_directory(self, tmp_path):
         tables = _two_component_tables()
         tables.vicinity = tables.vicinity.strided(6)
         expected = _rows(tables.vicinity)
-        clone = pickle.loads(pickle.dumps(tables.read_only()))
-        tables.save_slabs(tmp_path / "slabs")
+        tables.read_only().save_slabs(tmp_path / "slabs")
         attached = SubstrateTables.from_mmap(tmp_path / "slabs")
-        for copy in (clone, attached):
-            assert list(copy.vicinity.lengths) == [6] * 7 + [5] * 5
-            assert _rows(copy.vicinity) == expected
-            assert [name for name, _, _ in copy.slab_items()][-1] == (
-                "vicinity.lengths"
-            )
+        assert list(attached.vicinity.lengths) == [6] * 7 + [5] * 5
+        assert _rows(attached.vicinity) == expected
+        assert [name for name, _, _ in attached.slab_items()][-1] == (
+            "vicinity.lengths"
+        )
 
     def test_packed_tables_serialize_as_before(self, tmp_path):
         """No ``lengths`` key, slot or file where there is no column."""
         tables = NDDiscoRouting(
             gnm_random_graph(60, seed=5, average_degree=5.0), seed=1
         ).tables
-        assert list(tables.vicinity.__getstate__()["slabs"]) == [
-            "offsets", "members", "dists", "parents",
-        ]
         assert [name for name, _, _ in tables.slab_items()][-4:] == [
             "vicinity.offsets", "vicinity.members", "vicinity.dists",
             "vicinity.parents",
@@ -626,4 +584,3 @@ class TestStridedRows:
         tables.save_slabs(tmp_path / "slabs")
         assert not (tmp_path / "slabs" / "vicinity.lengths.bin").exists()
         assert SubstrateTables.from_mmap(tmp_path / "slabs").vicinity.lengths is None
-        assert pickle.loads(pickle.dumps(tables)).vicinity.lengths is None

@@ -18,19 +18,14 @@ import zlib
 import pytest
 
 from repro.core.nddisco import NDDiscoRouting
+from repro.core.shortcutting import ShortcutMode
 from repro.core.tables import SubstrateTables
 from repro.experiments.config import ExperimentScale
 from repro.graphs.generators import gnm_random_graph
 from repro.graphs.sampling import sample_pairs
 from repro.graphs.topology import Topology
 from repro.metrics.stretch import measure_stretch
-from repro.scenarios.cache import (
-    COMPRESS_MAGIC,
-    ArtifactCache,
-    activated,
-    cache_key,
-    tables_key,
-)
+from repro.scenarios.cache import ArtifactCache, activated, cache_key
 from repro.scenarios.engine import run_scenarios
 from repro.staticsim.simulation import StaticSimulation
 
@@ -197,7 +192,7 @@ class TestCacheArtifacts:
         directory = tmp_path / "topology"
         directory.mkdir()
         (directory / f"{key}.pkl").write_bytes(
-            COMPRESS_MAGIC + zlib.compress(pickle.dumps(built, protocol=4))
+            b"RPZC" + zlib.compress(pickle.dumps(built, protocol=4))
         )
         cache = ArtifactCache(tmp_path)
         assert cache.topology(parts, lambda: built) is built
@@ -256,9 +251,76 @@ class TestCacheArtifacts:
         with pytest.raises(RuntimeError, match="attach bug"):
             ArtifactCache(tmp_path).topology(parts, build)
         with pytest.raises(RuntimeError, match="attach bug"):
-            ArtifactCache(tmp_path)._load_artifact("tables", key)
+            ArtifactCache(tmp_path)._load_slab_dir("tables", key)
 
-    def test_tables_key_is_stable_and_distinct(self):
-        assert tables_key("abc") == tables_key("abc")
-        assert tables_key("abc") != "abc"
-        assert tables_key("abc") != tables_key("abd")
+    def test_tables_key_is_stable_and_distinct(self, tmp_path):
+        """Tables are keyed by what shapes their slabs: the shortcut mode
+        and the resolution options share one artifact, the vicinity scale
+        does not."""
+        topology = gnm_random_graph(64, seed=2, average_degree=6.0)
+        variants = [
+            {"shortcut_mode": ShortcutMode.NO_PATH_KNOWLEDGE},
+            {"shortcut_mode": ShortcutMode.TO_DESTINATION},
+            {"scheme_options": {"nd-disco": {"resolve_first_packet": False}}},
+        ]
+        for options in variants:
+            with activated(ArtifactCache(tmp_path)):
+                StaticSimulation(topology, ("nd-disco",), seed=1, **options)
+        assert len(os.listdir(tmp_path / "tables")) == 2  # one dir + sidecar
+        with activated(ArtifactCache(tmp_path)) as cache:
+            StaticSimulation(
+                topology,
+                ("nd-disco",),
+                seed=1,
+                scheme_options={"nd-disco": {"vicinity_scale": 2.0}},
+            )
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert len(os.listdir(tmp_path / "tables")) == 4
+
+
+#: The id slabs of a tables directory, each with the lowest id it may hold.
+_ID_SLABS = ("spt_parent", "closest", "addr_path", "vicinity.members", "vicinity.parents")
+
+
+class TestIdRanges:
+    """A tables directory whose ids leave ``[-1, n)`` / ``[0, n)`` fails
+    the attach, and the store rebuilds it instead of routing over it."""
+
+    @pytest.mark.parametrize("slab", _ID_SLABS)
+    def test_an_out_of_range_id_fails_the_attach(self, scheme, tmp_path, slab):
+        slab_dir = scheme.tables.save_slabs(tmp_path / "slabs")
+        _overwrite_first_item(slab_dir, slab, 1 << 40)
+        with pytest.raises(ValueError, match=f"{slab} holds an id outside"):
+            SubstrateTables.from_mmap(slab_dir)
+
+    @pytest.mark.parametrize("slab", ["spt_parent", "closest", "vicinity.parents"])
+    def test_an_id_below_minus_one_fails_the_attach(self, scheme, tmp_path, slab):
+        slab_dir = scheme.tables.save_slabs(tmp_path / "slabs")
+        _overwrite_first_item(slab_dir, slab, -2)
+        with pytest.raises(ValueError, match=f"{slab} holds an id outside"):
+            SubstrateTables.from_mmap(slab_dir)
+
+    @pytest.mark.parametrize("slab", ["addr_offsets", "vicinity.offsets"])
+    def test_offsets_out_of_order_fail_the_attach(self, scheme, tmp_path, slab):
+        slab_dir = scheme.tables.save_slabs(tmp_path / "slabs")
+        _overwrite_first_item(slab_dir, slab, 3)
+        with pytest.raises(ValueError, match=f"{slab} must rise from 0"):
+            SubstrateTables.from_mmap(slab_dir)
+
+    @pytest.mark.parametrize("slab", _ID_SLABS)
+    def test_a_warm_run_over_a_corrupt_id_rebuilds(self, tmp_path, slab):
+        topology = gnm_random_graph(90, seed=3, average_degree=6.0)
+        _, _, cold = _populate(tmp_path, topology)
+        _overwrite_first_item(_tables_dir(tmp_path), slab, 1 << 40)
+        cache, _, warm = _populate(tmp_path, topology)
+        assert (cache.hits, cache.misses) == (0, 1)
+        for name in cold.state:
+            assert warm.state[name] == cold.state[name]
+            assert warm.stretch[name] == cold.stretch[name]
+        SubstrateTables.from_mmap(_tables_dir(tmp_path))
+
+
+def _overwrite_first_item(slab_dir, slab: str, value: int) -> None:
+    """Overwrite the first 8-byte item of one slab file in place."""
+    with open(os.path.join(slab_dir, f"{slab}.bin"), "r+b") as handle:
+        handle.write(value.to_bytes(8, "little", signed=True))
