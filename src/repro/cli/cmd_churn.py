@@ -7,7 +7,7 @@ import json
 import sys
 import time
 
-from repro.cli.cmd_generate import GENERATORS
+from repro.cli.cmd_generate import generate_topology
 from repro.core.landmarks import select_landmarks
 from repro.dynamics import (
     EVENT_KINDS,
@@ -25,7 +25,7 @@ def command(args: argparse.Namespace) -> int:
             print(f"unknown event kinds: {', '.join(unknown)}", file=sys.stderr)
             return 2
 
-    topology = GENERATORS[args.family](args.nodes, seed=args.seed)
+    topology = generate_topology("churn", args.family, args.nodes, args.seed)
     landmarks = select_landmarks(topology.num_nodes, seed=args.seed)
     if args.kinds is None:
         events = generate_churn_workload(

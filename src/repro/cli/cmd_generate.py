@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import sys
 
 from repro.graphs.generators import (
     geometric_random_graph,
@@ -22,9 +23,19 @@ GENERATORS = {
 }
 
 
+def generate_topology(command: str, family: str, nodes: int, seed: int):
+    """``GENERATORS[family](nodes, seed=seed)`` for every command that takes
+    a family.  A size the generator refuses (``ValueError``) exits with
+    status 2 after one stderr line, as a bad argument does."""
+    try:
+        return GENERATORS[family](nodes, seed=seed)
+    except ValueError as error:
+        print(f"{command} {family} {nodes}: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def command(args: argparse.Namespace) -> int:
-    generator = GENERATORS[args.family]
-    topology = generator(args.nodes, seed=args.seed)
+    topology = generate_topology("generate", args.family, args.nodes, args.seed)
     write_edge_list(topology, args.out)
     print(
         f"wrote {topology.num_nodes} nodes / {topology.num_edges} edges to {args.out}"

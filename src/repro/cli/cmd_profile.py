@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import sys
 
 from repro.graphs.analysis import profile_topology
 from repro.graphs.io import read_edge_list
@@ -10,7 +11,11 @@ from repro.utils.formatting import format_table
 
 
 def command(args: argparse.Namespace) -> int:
-    topology = read_edge_list(args.path)
+    try:
+        topology = read_edge_list(args.path)
+    except OSError as error:
+        print(f"cannot read {args.path}: {error}", file=sys.stderr)
+        return 2
     profile = profile_topology(topology, seed=args.seed)
     rows = [
         ["nodes", profile.num_nodes],

@@ -7,7 +7,7 @@ import json
 import sys
 import time
 
-from repro.cli.cmd_generate import GENERATORS
+from repro.cli.cmd_generate import generate_topology
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.dynamics.stream import DynEvent
@@ -26,7 +26,7 @@ def command(args: argparse.Namespace) -> int:
         return 2
 
     started = time.perf_counter()
-    topology = GENERATORS[args.family](args.nodes, seed=args.seed)
+    topology = generate_topology("resolve", args.family, args.nodes, args.seed)
     routing = NDDiscoRouting(topology, seed=args.seed)
     built = time.perf_counter() - started
     num_shards = len(routing.landmarks)

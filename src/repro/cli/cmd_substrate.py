@@ -7,7 +7,7 @@ import sys
 import time
 
 from repro.addressing.labels import LabelCodec
-from repro.cli.cmd_generate import GENERATORS
+from repro.cli.cmd_generate import GENERATORS, generate_topology
 from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.substrate_build import build_substrate_tables
@@ -40,7 +40,9 @@ def command(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        topology = GENERATORS[args.source](args.nodes, seed=args.seed)
+        topology = generate_topology(
+            "substrate", args.source, args.nodes, args.seed
+        )
     else:
         try:
             topology = read_edge_list(args.source)

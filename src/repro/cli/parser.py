@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     churn_parser.add_argument("nodes", type=int, help="node count")
     churn_parser.add_argument(
-        "--events", type=int, default=8, help="number of churn events"
+        "--events", type=positive_int, default=8, help="number of churn events"
     )
     churn_parser.add_argument("--seed", type=int, default=0)
     churn_parser.add_argument(
@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resolve_parser.add_argument("nodes", type=int, help="node count")
     resolve_parser.add_argument(
-        "--lookups", type=int, default=100_000, help="total lookups in the trace"
+        "--lookups", type=positive_int, default=100_000,
+        help="total lookups in the trace",
     )
     resolve_parser.add_argument(
         "--duration", type=int, default=256, help="timeline length in ticks"

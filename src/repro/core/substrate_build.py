@@ -22,8 +22,9 @@ the preallocated row-major slabs of a :class:`SubstrateTables`:
 
 Both search phases fan out over in-kernel threads (``threads=N``), the only
 kernel-level parallelism: each source owns a disjoint slab range, so any
-width produces byte-identical slabs.  The per-source loop (the
-pure-Python tier, a C allocation failure) lives inside the two drivers.
+width produces byte-identical slabs.  On the C tier each phase is one
+batched kernel call; the per-source loop is the pure-Python tier's, and a
+C call that could not allocate degrades to it (one ``RuntimeWarning``).
 
 This is the one convergence path: the schemes adopt its result through
 their ``from_tables`` (``NDDiscoRouting`` / ``S4Routing``), and

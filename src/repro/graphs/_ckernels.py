@@ -2,8 +2,8 @@
 
 ``_kernels.c`` (shipped next to this module) implements the indexed 4-ary
 heap, the Dial bucket queue, and the unit-weight level-ordered BFS at C
-speed.  This module compiles it with the
-system C compiler the first time it is needed and memoizes the loaded
+speed, behind batched entry points only.  This module compiles it with
+the system C compiler the first time it is needed and memoizes the loaded
 ``ctypes`` library; everything degrades gracefully:
 
 * no compiler, a failed compile, or a failed load -> :func:`load_kernels`
@@ -45,51 +45,10 @@ _build_error: str | None = None
 _I64 = ctypes.c_int64
 _PI64 = ctypes.POINTER(ctypes.c_int64)
 _PDBL = ctypes.POINTER(ctypes.c_double)
-_PU8 = ctypes.POINTER(ctypes.c_ubyte)
-
-_HEAP4_ARGTYPES = [
-    _I64,                    # n
-    _PI64, _PI64, _PDBL,     # offsets, neighbors, weights
-    _I64,                    # source
-    _PDBL, _PI64, _PI64, _I64,  # dist, pred, seen, generation
-    _PI64,                   # order
-    _PI64, _PI64,            # heap, pos
-    _I64,                    # k
-    ctypes.c_double, _I64,   # radius, radius_mode
-    _PI64, _I64, _PU8,       # targets, num_targets, tflag
-]
-
-_DIAL_ARGTYPES = [
-    _I64,
-    _PI64, _PI64, _PDBL,
-    _I64,
-    _PDBL, _PI64, _PI64, _I64,
-    _PI64,
-    ctypes.c_double, _I64,   # quantum, num_slots
-    _PI64,                   # head
-    _PI64, _PI64,            # pool_node, pool_next
-    _PI64,                   # batch
-    _I64,
-    ctypes.c_double, _I64,
-    _PI64, _I64, _PU8,
-]
-
-_BFS_ARGTYPES = [
-    _I64,                    # n
-    _PI64, _PI64,            # offsets, neighbors (no weights: unit graphs)
-    _I64,                    # source
-    _PDBL, _PI64, _PI64, _I64,  # dist, pred, seen, generation
-    _PI64,                   # order
-    _PI64, _PI64,            # frontier, next_frontier
-    _I64,                    # k
-    ctypes.c_double, _I64,   # radius, radius_mode
-    _PI64, _I64, _PU8,       # targets, num_targets, tflag
-]
 
 # The batched entry points share a common prefix: graph slabs, kernel
 # selector (0 heap / 1 dial / 2 bfs) with the dial parameters, and the
-# source array.  Each thread builds its own scratch arena in C, so none of
-# the per-search arena pointers appear here.
+# source array.  Each thread builds its own scratch arena in C.
 _BATCH_COMMON = [
     _I64,                    # n
     _PI64, _PI64, _PDBL,     # offsets, neighbors, weights
@@ -331,12 +290,6 @@ def load_kernels() -> ctypes.CDLL | None:
         if so_path is None:
             return None
         lib = ctypes.CDLL(so_path)
-        lib.spt_heap4.restype = _I64
-        lib.spt_heap4.argtypes = _HEAP4_ARGTYPES
-        lib.spt_dial.restype = _I64
-        lib.spt_dial.argtypes = _DIAL_ARGTYPES
-        lib.spt_bfs.restype = _I64
-        lib.spt_bfs.argtypes = _BFS_ARGTYPES
         lib.bincount_i64.restype = None
         lib.bincount_i64.argtypes = [_PI64, _I64, _PI64]
         lib.csr_fill.restype = None

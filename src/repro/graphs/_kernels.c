@@ -16,7 +16,8 @@
  *     touches O(settled + scanned) state, never O(n), which keeps truncated
  *     searches (k-nearest, radius) cheap inside large batches.
  *
- * Three kernels:
+ * Three kernels, static: the batch layer below is their only caller, so
+ * every search goes through a batched entry point.
  *
  *   spt_heap4 -- Dijkstra over an indexed 4-ary heap with position-tracked
  *     decrease-key.  Each node is stored at most once (pos[] tracks its
@@ -126,7 +127,7 @@ static i64 setup_targets(i64 n, const i64 *targets, i64 num_targets,
 
 /* ------------------------------------------------------------------ heap4 */
 
-i64 spt_heap4(
+static i64 spt_heap4(
     i64 n,
     const i64 *offsets, const i64 *neighbors, const double *weights,
     i64 source,
@@ -260,7 +261,7 @@ i64 spt_heap4(
 
 /* ------------------------------------------------------------------- dial */
 
-i64 spt_dial(
+static i64 spt_dial(
     i64 n,
     const i64 *offsets, const i64 *neighbors, const double *weights,
     i64 source,
@@ -377,7 +378,7 @@ i64 spt_dial(
 
 /* -------------------------------------------------------------------- bfs */
 
-i64 spt_bfs(
+static i64 spt_bfs(
     i64 n,
     const i64 *offsets, const i64 *neighbors,
     i64 source,
@@ -574,7 +575,7 @@ i64 dedup_edges(i64 m, i64 n,
  * seen / order plus the active kernel's queue state), malloc'd per call;
  * the searches themselves are the unmodified kernels above, which touch
  * only their arguments.  Entry points return -1 on allocation failure so
- * the Python driver can fall back to its per-source loop.
+ * the Python driver can fall back to the Python tier's kernels.
  */
 
 #define KERNEL_HEAP 0
@@ -796,7 +797,7 @@ static void *spt_rows_worker(void *arg)
             }
         }
         if (s->fold) {
-            /* Fold the *filled* row, matching the per-source loop, which
+            /* Fold the *filled* row, matching the Python tier, which
              * folds each slab row after the fill repair. */
             for (i64 v = 0; v < n; v++) {
                 if (row[v] < task->pb_dist[v]) {

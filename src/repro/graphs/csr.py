@@ -55,9 +55,9 @@ One batch driver per kind of search (:meth:`CSRGraph.spt_rows_batch_into`,
 :meth:`CSRGraph.k_nearest_batch_into` with its allocating wrapper
 :meth:`CSRGraph.k_nearest_batch_flat`, :meth:`CSRGraph.radius_batch_flat`,
 :meth:`CSRGraph.batched_target_distances`) puts the whole source loop in one
-C call, fanned over in-kernel threads -- the only kernel-level parallelism.
-The pure-Python tier, and the C tier when that call reports it could not
-allocate, loop over the single-source search inside the same driver.
+C call (C has no single-source search), fanned over in-kernel threads --
+the only kernel-level parallelism.  The Python tier, and a C call that
+could not allocate (it warns once), loop over one search per source.
 
 Every search result is a row: dense ``(dist, parent)`` arrays indexed by
 node id (:meth:`CSRGraph.spt_rows`, :func:`tree_path` walks one), or
@@ -152,7 +152,7 @@ KERNELS = ("bfs", "bucket", "heap")
 #: levels a sweep can cross between settles.
 DIAL_MAX_QUANTA = 1024
 
-_RADIUS_NONE, _RADIUS_STRICT, _RADIUS_INCLUSIVE = 0, 1, 2
+_RADIUS_STRICT, _RADIUS_INCLUSIVE = 1, 2
 
 
 @dataclass(frozen=True)
@@ -382,7 +382,7 @@ class CSRGraph:
         self._done = None
         self._generation = 0
         self._buckets: list[list[int]] = []
-        self._c: dict | None = None
+        self._c: tuple | None = None
         # The (neighbors, weights) store a splice writes, once there is one.
         self._store: tuple[memoryview, memoryview] | None = None
 
@@ -456,8 +456,8 @@ class CSRGraph:
 
         The first splice moves the arcs into a store this graph owns, with
         room to grow (doubled when it fills); ``neighbors`` / ``weights``
-        are exact-length views into it, and the C arena, which points into
-        it, lives until the store, the kernel or its bucket count changes.
+        are exact-length views into it, and the C arena's slab pointers,
+        which point into it, live until the store changes.
         """
         n = self.num_nodes
         removed, added, reweighted = map(list, (removed, added, reweighted))
@@ -549,11 +549,8 @@ class CSRGraph:
                 else profile_weights((weight, weight))
             )
             kept = 2
-        before = (self.kernel, self.profile.max_quanta)
         self.profile, self.unit_weights = profile, profile.unit
         self.kernel = self._select_kernel(None)
-        if (self.kernel, profile.max_quanta) != before:
-            self._c = None  # sized for the previous kernel
 
     def _reserve(self, size: int) -> None:
         """Make the owned store hold ``size`` arcs (see :meth:`splice`)."""
@@ -592,91 +589,19 @@ class CSRGraph:
             ]
         return self._arc
 
-    def _py_arena(self) -> None:
-        """Scratch arena for the Python kernels (generation-stamped)."""
-        if self._seen is None:
-            n = self.num_nodes
-            self._dist = [_INF] * n
-            self._pred = [-1] * n
-            self._seen = [0] * n
-            self._done = [0] * n
-
-    def _c_arena(self) -> dict:
-        """Scratch arena + cached ctypes pointers for the active C kernel.
-
-        Only the buffers the selected kernel reads are allocated: the heap
-        kernel needs ``heap``/``pos`` (n slots each), the dial kernel needs
-        the entry pool (2m + 1 slots), the bucket ring, and a sort batch,
-        and the BFS kernel needs the two frontier arrays (n slots each).  A
-        spliced graph's arena points into its store and sizes the pool by
-        the store's capacity, so it outlives the edits that fit there.
+    def _c_arena(self) -> tuple:
+        """ctypes pointers to the offsets, neighbors and weights slabs, all
+        a batched C call reads of the graph (it builds its scratch itself);
+        a spliced graph's point into its store and live as long as it does.
         """
         if self._c is None:
-            n = self.num_nodes
-            arcs = self._store or (self.neighbors, self.weights)
-            dist = array("d", bytes(8 * n))
-            pred = array("q", bytes(8 * n))
-            seen = array("q", bytes(8 * n))
-            order = array("q", bytes(8 * n))
-            tflag = bytearray(max(n, 1))
-
-            def ptr_d(a: array):
-                return (ctypes.c_double * len(a)).from_buffer(a) if a else None
-
-            def ptr_q(a: array):
-                return (ctypes.c_int64 * len(a)).from_buffer(a) if a else None
-
-            self._c = {
-                "dist": dist,
-                "pred": pred,
-                "seen": seen,
-                "order": order,
-                "p_offsets": ptr_q(self.offsets),
-                "p_neighbors": ptr_q(arcs[0]),
-                "p_weights": ptr_d(arcs[1]),
-                "p_dist": ptr_d(dist),
-                "p_pred": ptr_q(pred),
-                "p_seen": ptr_q(seen),
-                "p_order": ptr_q(order),
-                "p_tflag": (ctypes.c_ubyte * len(tflag)).from_buffer(tflag),
-            }
-            buffers = [tflag]
-            if self.kernel == "bucket":
-                num_arcs = len(arcs[0])
-                batch = array("q", bytes(8 * n))
-                pool_node = array("q", bytes(8 * (num_arcs + 1)))
-                pool_next = array("q", bytes(8 * (num_arcs + 1)))
-                slots = (self.profile.max_quanta or 0) + 1
-                head = array("q", bytes(8 * slots))
-                self._c.update(
-                    {
-                        "p_batch": ptr_q(batch),
-                        "p_pool_node": ptr_q(pool_node),
-                        "p_pool_next": ptr_q(pool_next),
-                        "p_head": ptr_q(head),
-                        "slots": slots,
-                    }
-                )
-                buffers += [batch, pool_node, pool_next, head]
-            elif self.kernel == "bfs":
-                frontier = array("q", bytes(8 * n))
-                next_frontier = array("q", bytes(8 * n))
-                self._c.update(
-                    {
-                        "p_frontier": ptr_q(frontier),
-                        "p_next_frontier": ptr_q(next_frontier),
-                    }
-                )
-                buffers += [frontier, next_frontier]
-            else:
-                heap_arr = array("q", bytes(8 * n))
-                pos = array("q", bytes(8 * n))
-                self._c.update({"p_heap": ptr_q(heap_arr), "p_pos": ptr_q(pos)})
-                buffers += [heap_arr, pos]
-            # Keep the buffers alive for the lifetime of the pointers.
-            self._c["_buffers"] = buffers
-            self._dist = dist
-            self._pred = pred
+            arg = _ckernels.buffer_arg
+            neighbors, weights = self._store or (self.neighbors, self.weights)
+            self._c = (
+                arg(self.offsets, "q", len(self.offsets), "offsets"),
+                arg(neighbors, "q", len(neighbors), "neighbors"),
+                arg(weights, "d", len(weights), "weights"),
+            )
         return self._c
 
     # -- core search dispatch ----------------------------------------------
@@ -691,41 +616,24 @@ class CSRGraph:
         inclusive: bool = False,
         out: tuple[list[float], list[int]] | None = None,
     ) -> list[int]:
-        """Run one search; return the settled nodes in settlement order.
+        """The Python tier's one search; the settled nodes in settle order.
 
-        After the call, ``self._dist[v]`` / ``self._pred[v]`` hold the final
-        distance / predecessor for every node in the returned list (and only
-        until the next search reuses the arena).  ``out`` puts the settled
-        nodes' values into caller-owned dense rows instead (full searches
-        only -- with truncation, discovered-but-unsettled nodes would leak
-        partial values into the rows): the Python kernels write them in
-        place, the C tier copies them out of its arena after the search.
-        The settled stamps consumed by :meth:`batched_target_distances` are
-        only maintained when ``targets`` is given.
+        The batch drivers run it, after checking every id.  Afterwards
+        ``self._dist[v]`` / ``self._pred[v]`` hold each returned node's
+        distance / predecessor until the next search reuses the arena;
+        ``out`` writes them into caller-owned dense rows instead (full
+        searches only: with truncation, discovered-but-unsettled nodes
+        would leak partial values).  The settled stamps
+        :meth:`batched_target_distances` reads are kept only when
+        ``targets`` is given.
         """
-        if not 0 <= source < self.num_nodes:
-            raise ValueError(
-                f"node {source} out of range for graph with "
-                f"{self.num_nodes} nodes"
-            )
-        if targets is not None:
-            targets = set(targets)
-            for target in targets:
-                if not 0 <= target < self.num_nodes:
-                    raise ValueError(
-                        f"target {target} out of range for graph with "
-                        f"{self.num_nodes} nodes"
-                    )
-        if self.tier == "c":
-            order = self._search_c(source, targets, k, radius, inclusive)
-            if out is not None:
-                dist_row, parent_row = out
-                dist = self._dist
-                pred = self._pred
-                for node in order:
-                    dist_row[node] = dist[node]
-                    parent_row[node] = pred[node]
-            return order
+        if self._seen is None:  # the generation-stamped arena, made once
+            n = self.num_nodes
+            self._dist = [_INF] * n
+            self._pred = [-1] * n
+            self._seen = [0] * n
+            self._done = [0] * n
+        self._generation += 1
         if self.kernel == "bfs":
             return self._search_bfs(source, targets, k, radius, inclusive, out)
         if self.kernel == "bucket":
@@ -733,83 +641,6 @@ class CSRGraph:
                 source, targets, k, radius, inclusive, out
             )
         return self._search_heap(source, targets, k, radius, inclusive, out)
-
-    # -- C tier -------------------------------------------------------------
-
-    def _search_c(
-        self,
-        source: int,
-        targets: set[int] | None,
-        k: int | None,
-        radius: float | None,
-        inclusive: bool,
-    ) -> list[int]:
-        arena = self._c_arena()
-        self._generation += 1
-        if targets is not None:
-            target_arr = array("q", targets)
-            p_targets = (
-                (ctypes.c_int64 * len(target_arr)).from_buffer(target_arr)
-                if target_arr
-                else None
-            )
-            num_targets = len(target_arr)
-            if num_targets == 0:
-                # In C, num_targets == 0 means "no target bound"; the Python
-                # kernels stop after settling the source when the target set
-                # is empty, so mirror that with a k = 1 truncation.
-                k = 1
-        else:
-            p_targets = None
-            num_targets = 0
-        if radius is None:
-            radius_val, radius_mode = -1.0, _RADIUS_NONE
-        else:
-            radius_val = radius
-            radius_mode = _RADIUS_INCLUSIVE if inclusive else _RADIUS_STRICT
-        common = (
-            self.num_nodes,
-            arena["p_offsets"],
-            arena["p_neighbors"],
-            arena["p_weights"],
-            source,
-            arena["p_dist"],
-            arena["p_pred"],
-            arena["p_seen"],
-            self._generation,
-            arena["p_order"],
-        )
-        tail = (
-            k or 0,
-            radius_val,
-            radius_mode,
-            p_targets,
-            num_targets,
-            arena["p_tflag"],
-        )
-        if self.kernel == "bfs":
-            # Unit-weight level BFS never reads the weights slab.
-            count = self._clib.spt_bfs(
-                common[0], common[1], common[2], *common[4:],
-                arena["p_frontier"], arena["p_next_frontier"],
-                *tail,
-            )
-        elif self.kernel == "bucket":
-            count = self._clib.spt_dial(
-                *common,
-                self.profile.quantum,
-                arena["slots"],
-                arena["p_head"],
-                arena["p_pool_node"],
-                arena["p_pool_next"],
-                arena["p_batch"],
-                *tail,
-            )
-        else:
-            count = self._clib.spt_heap4(
-                *common, arena["p_heap"], arena["p_pos"], *tail
-            )
-        return arena["order"][:count].tolist()
 
     # -- Python heap kernel (lazy heapq; the no-compiler fallback) ----------
 
@@ -822,8 +653,6 @@ class CSRGraph:
         inclusive: bool,
         out: tuple[list[float], list[int]] | None = None,
     ) -> list[int]:
-        self._py_arena()
-        self._generation += 1
         generation = self._generation
         if out is None:
             dist = self._dist
@@ -905,8 +734,6 @@ class CSRGraph:
         persistent arena list, cleared as they are swept (plus a tail
         cleanup on truncated searches).
         """
-        self._py_arena()
-        self._generation += 1
         generation = self._generation
         if out is None:
             dist = self._dist
@@ -1019,8 +846,6 @@ class CSRGraph:
         discovery: a truncated search discovers far more nodes than it
         settles, and nothing reads the distance of an unsettled node.
         """
-        self._py_arena()
-        self._generation += 1
         generation = self._generation
         if out is None:
             dist = self._dist
@@ -1107,25 +932,22 @@ class CSRGraph:
 
     # -- batch drivers --------------------------------------------------------
     #
-    # One driver per kind of search.  The substrate build writes kernel
-    # output straight into preallocated SubstrateTables slabs (possibly
-    # mmap-backed and larger than RAM), so the drivers take or return flat
-    # typed buffers: no per-element boxing, no per-node dicts.  On the C tier
-    # a driver is one FFI call: the source loop and a pthread fan-out run
-    # inside _kernels.c, with one scratch arena per thread and structurally
-    # disjoint output -- byte-identical for any width.  ``threads=None``
-    # resolves via :func:`kernel_threads` (explicit > REPRO_KERNEL_THREADS >
-    # CPU count).  The Python tier loops over :meth:`_search` inside the
-    # driver, and so does the C tier when the call could not allocate.
+    # One driver per kind of search, taking or returning flat typed buffers
+    # (the substrate build's slabs may be mmap-backed and larger than RAM):
+    # no per-element boxing, no per-node dicts.  On the C tier a driver is
+    # one FFI call: the source loop and a pthread fan-out run inside
+    # _kernels.c, one scratch arena per thread, disjoint output --
+    # byte-identical for any width (``threads=None``: :func:`kernel_threads`).
+    # The Python tier, and a C call that could not allocate, loop over
+    # :meth:`_search` inside the driver.
 
     def _batch_call(self, name: str, sources: array, *args) -> int:
         """Run the batched C entry point ``name`` over ``sources``.
 
         Returns its status; ``-1`` (it could not allocate) is the one
-        failure every driver answers with its per-source loop, so the
+        failure every driver answers with the Python tier's loop, so the
         warning is raised here.
         """
-        arena = self._c_arena()
         kernel_id = {"heap": 0, "bucket": 1, "bfs": 2}[self.kernel]
         if self.kernel == "bucket":
             quantum = self.profile.quantum
@@ -1134,9 +956,7 @@ class CSRGraph:
             quantum, slots = 0.0, 0
         status = getattr(self._clib, name)(
             self.num_nodes,
-            arena["p_offsets"],
-            arena["p_neighbors"],
-            arena["p_weights"],
+            *self._c_arena(),
             kernel_id,
             quantum,
             slots,
@@ -1147,7 +967,7 @@ class CSRGraph:
         if status == -1:
             warnings.warn(
                 f"{name} could not allocate its scratch; running the "
-                "per-source loop instead (same output, slower)",
+                "Python kernels instead (same output, slower)",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -1433,16 +1253,16 @@ class CSRGraph:
         by_source: dict[int, set[int]] = {}
         for source, target in pairs:
             by_source.setdefault(source, set()).add(target)
-        if self.tier == "c" and by_source:
-            grouped = sorted(by_source)
-            src = array("q", grouped)
-            tgt_offsets = array("q", [0])
-            tgt_nodes = array("q")
-            for source in grouped:
-                tgt_nodes.extend(sorted(by_source[source]))
-                tgt_offsets.append(len(tgt_nodes))
-            self._check_sources(src)
-            self._check_sources(tgt_nodes)
+        grouped = sorted(by_source)
+        src = array("q", grouped)
+        tgt_offsets = array("q", [0])
+        tgt_nodes = array("q")
+        for source in grouped:
+            tgt_nodes.extend(sorted(by_source[source]))
+            tgt_offsets.append(len(tgt_nodes))
+        self._check_sources(src)
+        self._check_sources(tgt_nodes)
+        if self.tier == "c" and src:
             dist_out = array("d", bytes(8 * len(tgt_nodes)))
             status = self._batch_call(
                 "target_distances_batch",
@@ -1468,14 +1288,13 @@ class CSRGraph:
                     "topology must be connected"
                 )
         result = {}
-        c_tier = self.tier == "c"
         for source, targets in by_source.items():
             self._search(source, targets=targets)
             generation = self._generation
             # A target settled iff it was stamped: the search only stops
             # early once every target settled, and at exhaustion every
             # discovered node is settled.
-            settled = self._c["seen"] if c_tier else self._done
+            settled = self._done
             dist = self._dist
             for target in targets:
                 if settled[target] != generation:

@@ -138,7 +138,8 @@ class _RefusingKernels:
 @pytest.fixture()
 def refuse_batch_kernels():
     """``refuse(topology)``: a C-tier snapshot whose batch drivers must take
-    their one fallback, the per-source loop, and warn that they did."""
+    their one fallback, the Python tier's per-source loop, and warn once
+    that they did; the bytes are the C batch's."""
 
     def refuse(topology: Topology):
         from repro.graphs.csr import CSRGraph

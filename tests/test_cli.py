@@ -225,3 +225,33 @@ class TestCommands:
             main(["substrate", "gnm", "64", "--threads", width])
         assert error.value.code == 2
         assert "argument --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "generate gnm 0 --out {tmp}/net.edges",
+            "substrate gnm 2",
+            "churn gnm 0",
+            "resolve gnm 8",
+            "churn gnm 64 --events -3",
+            "resolve gnm 64 --lookups -5",
+            "compare {tmp}/missing.edges",
+            "profile {tmp}/missing.edges",
+        ],
+    )
+    def test_bad_input_is_one_line_and_exit_2(self, argv, tmp_path, capsys):
+        """A size the generator refuses, a count below one or a missing
+        file: exit 2 and one line on stderr (below argparse's usage block,
+        for the counts), never a traceback."""
+        try:
+            code = main(argv.format(tmp=tmp_path).split())
+        except SystemExit as error:
+            code = error.code
+        err = capsys.readouterr().err
+        lines = [
+            line
+            for line in err.splitlines()
+            if not line.startswith(("usage:", " "))
+        ]
+        assert code == 2 and len(lines) == 1, err
+        assert "Traceback" not in err

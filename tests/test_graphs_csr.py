@@ -387,8 +387,8 @@ class TestBatchDrivers:
     Widths 1 and 3 are the in-kernel batch (3 does not divide the source
     counts, so chunk boundaries fall mid-batch).  ``"refused"`` is the one
     fallback: the kernel call returns ``-1``, the driver warns once, naming
-    the entry point, and its per-source loop over the C tier's
-    single-source searches must still produce the same bytes.
+    the entry point, and runs the Python tier's per-source loop, which must
+    produce the same bytes.
     """
 
     @pytest.fixture(autouse=True)
@@ -557,6 +557,16 @@ class TestBatchDrivers:
         )
         assert len(flat[1]) == position
         _same_bytes(python.k_nearest_batch_flat(4), flat)
+
+
+@pytest.mark.skipif(load_kernels() is None, reason="C kernels unavailable")
+def test_kernel_library_exports_no_single_source_search():
+    """Every C search is batched: the three kernels are static in
+    ``_kernels.c``, reached only through the batch entry points."""
+    lib = load_kernels()
+    for name in ("spt_heap4", "spt_dial", "spt_bfs"):
+        assert not hasattr(lib, name), name
+    assert hasattr(lib, "k_nearest_batch")
 
 
 @pytest.fixture(params=["python", "c"])

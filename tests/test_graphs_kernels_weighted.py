@@ -135,14 +135,12 @@ class TestKernelTierDifferential:
             pairs
         ) == reference.all_pairs_sampled_distances(topology, pairs)
 
-    @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
-    def test_empty_target_set_settles_only_source(self, use_c):
-        # targets=[] must behave identically across tiers: the search stops
-        # after settling the source (regression: the C tier used to treat an
-        # empty target set as "unbounded" and return the full SPT).
-        # The one-source search stays as every batch driver's fallback.
+    def test_empty_target_set_settles_only_source(self):
+        # targets=[] stops the Python tier's one-source search (every batch
+        # driver's fallback) after settling the source.  The C tier has no
+        # one-source entry point, so there is no C twin to hold to it.
         topology = _quantized_geometric(40, seed=8)
-        csr = topology.fresh_csr(use_c=use_c)
+        csr = topology.fresh_csr(use_c=False)
         assert csr._search(3, targets=[]) == [3]
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
@@ -171,16 +169,16 @@ class TestKernelTierDifferential:
             csr.batched_target_distances([(0, 4)])
 
     def test_tiers_agree_after_many_arena_reuses(self):
-        # Generation stamping must keep searches independent in both tiers.
+        # Generation stamping must keep searches independent in both tiers:
+        # one width-1 C batch runs every source in one reused arena.
         if not HAVE_C:
             pytest.skip("C kernels unavailable")
         topology = _quantized_geometric(70, seed=13)
         c_csr = topology.fresh_csr(use_c=True)
         py_csr = topology.fresh_csr(use_c=False)
-        for source in range(0, 70, 3):
-            assert _one_source_rows(c_csr, source, 9) == _one_source_rows(
-                py_csr, source, 9
-            )
+        sources = range(0, 70, 3)
+        assert _batch_rows(c_csr, sources, 9) == _batch_rows(py_csr, sources, 9)
+        for source in sources:
             assert c_csr.spt_rows(source) == py_csr.spt_rows(source)
 
 
@@ -373,14 +371,12 @@ def _flat_settle_rows(flat) -> list[tuple[list, list]]:
     ]
 
 
-def _one_source_rows(csr, source: int, k: int | None = None):
-    """:func:`_settle_rows` of the one-source search every batch driver
-    falls back on, run in the snapshot's own arena."""
-    order = csr._search(source, k=k)
-    return (
-        [(node, csr._dist[node]) for node in order],
-        [(node, csr._pred[node]) for node in order[1:]],
-    )
+def _batch_rows(csr, sources, k: int | None = None):
+    """:func:`_settle_rows` of each source's search, from one width-1
+    ``k_nearest_batch_flat`` call (``k = n``: full searches) -- on the C
+    tier one arena reused across the sources."""
+    k = csr.num_nodes if k is None else k
+    return _flat_settle_rows(csr.k_nearest_batch_flat(k, sources, threads=1))
 
 
 def _assert_same_settle_order(
@@ -395,22 +391,17 @@ def _assert_same_settle_order(
         _settle_rows(reference.dijkstra(topology, source)) for source in sources
     ]
     for csr in graphs:
-        assert [_one_source_rows(csr, s) for s in sources] == expected
+        assert _batch_rows(csr, sources) == expected
     for k in ks:
         expected = [
             _settle_rows(reference.dijkstra_k_nearest(topology, source, k))
             for source in sources
         ]
         for csr in graphs:
-            # The one-search entry point runs in the CSRGraph's own arena,
-            # reused across the sources.  The batch entry point, on the C
-            # tier, runs in a malloc'd arena of exactly n slots, where the
-            # sanitizer leg sees a write past the tail of ``order``.
-            assert [_one_source_rows(csr, s, k) for s in sources] == expected
-            assert (
-                _flat_settle_rows(csr.k_nearest_batch_flat(k, sources, threads=1))
-                == expected
-            )
+            # On the C tier the batch runs in a malloc'd arena of exactly n
+            # slots, reused across the sources, where the sanitizer leg
+            # sees a write past the tail of ``order``.
+            assert _batch_rows(csr, sources, k) == expected
 
 
 #: ``ORDER_INSERTION_MAX`` in ``_kernels.c``: levels up to this wide are

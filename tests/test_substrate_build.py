@@ -90,8 +90,9 @@ def test_slab_direct_serial_matches_dict_path(family, topology):
 def test_refused_batch_kernels_match_dict_path(
     family, topology, refuse_batch_kernels, monkeypatch
 ):
-    """A kernel that cannot allocate: both phases fall into the per-source
-    loop inside their driver, say so, and build the same slabs."""
+    """A kernel that cannot allocate: both phases fall into the Python
+    tier's per-source loop inside their driver, warn once each, and build
+    the same slabs."""
     landmarks = select_landmarks(topology.num_nodes, seed=2)
     codec = LabelCodec(topology)
     expected = _oracle(topology, landmarks, codec)

@@ -50,7 +50,6 @@ REASONS = (
     "bench (item 2)",  # imported or read by the frozen bench/
     "error path",  # taken only on a fault the tests inject
     "storage",  # slab / shared-memory placement no entry point selects
-    "python tier",  # a pure-Python twin the entry points never select
     "accessor",  # a read-only method or property that tests pin
 )
 
