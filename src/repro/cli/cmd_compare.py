@@ -3,19 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import sys
 
-from repro.graphs.io import read_edge_list
+from repro.cli.parser import read_topology_file
 from repro.staticsim.simulation import StaticSimulation
 from repro.utils.formatting import format_table
 
 
 def command(args: argparse.Namespace) -> int:
-    try:
-        topology = read_edge_list(args.path)
-    except OSError as error:
-        print(f"cannot read {args.path}: {error}", file=sys.stderr)
-        return 2
+    topology = read_topology_file("compare", args.path)
     if not topology.is_connected():
         topology, _ = topology.largest_component_subgraph()
         print(

@@ -3,19 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import sys
 
+from repro.cli.parser import read_topology_file
 from repro.graphs.analysis import profile_topology
-from repro.graphs.io import read_edge_list
 from repro.utils.formatting import format_table
 
 
 def command(args: argparse.Namespace) -> int:
-    try:
-        topology = read_edge_list(args.path)
-    except OSError as error:
-        print(f"cannot read {args.path}: {error}", file=sys.stderr)
-        return 2
+    topology = read_topology_file("profile", args.path)
     profile = profile_topology(topology, seed=args.seed)
     rows = [
         ["nodes", profile.num_nodes],

@@ -8,10 +8,10 @@ import time
 
 from repro.addressing.labels import LabelCodec
 from repro.cli.cmd_generate import GENERATORS, generate_topology
+from repro.cli.parser import read_topology_file
 from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.substrate_build import build_substrate_tables
-from repro.graphs.io import read_edge_list
 from repro.graphs.sampling import sample_pairs
 from repro.naming.names import name_for_node
 from repro.protocols.s4 import S4Routing
@@ -44,11 +44,7 @@ def command(args: argparse.Namespace) -> int:
             "substrate", args.source, args.nodes, args.seed
         )
     else:
-        try:
-            topology = read_edge_list(args.source)
-        except OSError as error:
-            print(f"cannot read {args.source}: {error}", file=sys.stderr)
-            return 2
+        topology = read_topology_file("substrate", args.source)
         if not topology.is_connected():
             topology, _ = topology.largest_component_subgraph()
             print(

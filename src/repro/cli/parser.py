@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -11,6 +12,7 @@ __all__ = [
     "SCHEMES",
     "build_parser",
     "cache_root",
+    "read_topology_file",
 ]
 
 #: Default root of the on-disk artifact cache (overridable via
@@ -450,3 +452,18 @@ def cache_root(args: argparse.Namespace) -> str:
         or os.environ.get("REPRO_CACHE_DIR")
         or DEFAULT_CACHE_DIR
     )
+
+
+def read_topology_file(command: str, path: str):
+    """``read_edge_list(path)`` for every command that takes an edge-list
+    file.  A file that cannot be read (``OSError``) or parsed
+    (``ValueError``: a malformed line, a weight that is not positive and
+    finite) exits with status 2 after one stderr line, ``"<command>:
+    <message>"``, as a bad argument does."""
+    from repro.graphs.io import read_edge_list
+
+    try:
+        return read_edge_list(path)
+    except (OSError, ValueError) as error:
+        print(f"{command}: {error}", file=sys.stderr)
+        raise SystemExit(2) from None

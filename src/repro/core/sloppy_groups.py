@@ -89,8 +89,13 @@ class SloppyGrouping:
             }
         for node, estimate in estimates.items():
             require_positive(f"estimated_n[{node}]", estimate)
+        # k is a function of the estimate alone: once per distinct value.
+        bits_of = {
+            estimate: group_prefix_bits(estimate)
+            for estimate in set(estimates.values())
+        }
         self._prefix_bits = {
-            node: group_prefix_bits(estimate) for node, estimate in estimates.items()
+            node: bits_of[estimate] for node, estimate in estimates.items()
         }
 
     # -- basic accessors ---------------------------------------------------

@@ -2,7 +2,8 @@
 
 ``_kernels.c`` (shipped next to this module) implements the indexed 4-ary
 heap, the Dial bucket queue, and the unit-weight level-ordered BFS at C
-speed, behind batched entry points only.  This module compiles it with
+speed, behind batched entry points only, plus the churn engine's per-event
+passes and Disco's overlay finger draws.  This module compiles it with
 the system C compiler the first time it is needed and memoizes the loaded
 ``ctypes`` library; everything degrades gracefully:
 
@@ -45,6 +46,7 @@ _build_error: str | None = None
 _I64 = ctypes.c_int64
 _PI64 = ctypes.POINTER(ctypes.c_int64)
 _PDBL = ctypes.POINTER(ctypes.c_double)
+_PU64 = ctypes.POINTER(ctypes.c_uint64)
 
 # The batched entry points share a common prefix: graph slabs, kernel
 # selector (0 heap / 1 dial / 2 bfs) with the dial parameters, and the
@@ -142,7 +144,15 @@ _VICINITY_COMMIT_ARGTYPES = [
     _PI64, _PI64,            # changed (num_candidates slots), billed (1)
 ]
 
-_CTYPES = {"q": ctypes.c_int64, "d": ctypes.c_double}
+# The overlay layer: Disco's finger draws, one call per overlay build.
+_OVERLAY_FINGERS_ARGTYPES = [
+    _I64, _I64,              # n, num_fingers
+    _PI64, _PU64, _PI64,     # ring order, sorted hashes, position
+    _PI64, _PU64,            # prefix bits, random.Random seeds
+    _PI64,                   # fingers (n * num_fingers, -1 padded)
+]
+
+_CTYPES = {"q": ctypes.c_int64, "Q": ctypes.c_uint64, "d": ctypes.c_double}
 
 
 def buffer_arg(
@@ -154,8 +164,8 @@ def buffer_arg(
     they are *told*; a short buffer or one of the wrong item type is an
     out-of-bounds access there, not an exception.  This raises ``TypeError``
     unless ``buffer`` is a writable, contiguous, one-dimensional buffer of
-    ``typecode`` (``'q'`` or ``'d'``) items and ``ValueError`` unless it
-    holds exactly ``length`` of them -- or, with ``base``, at least
+    ``typecode`` (``'q'``, ``'Q'`` or ``'d'``) items and ``ValueError``
+    unless it holds exactly ``length`` of them -- or, with ``base``, at least
     ``length`` of them from position ``base`` on, where the returned array
     then starts.  Returns ``None`` (a NULL pointer) for ``length == 0``.
     """
@@ -320,6 +330,8 @@ def load_kernels() -> ctypes.CDLL | None:
         lib.vicinity_commit.argtypes = _VICINITY_COMMIT_ARGTYPES
         lib.shift_offsets.restype = None
         lib.shift_offsets.argtypes = [_PI64, _I64, _I64, _I64]
+        lib.overlay_fingers.restype = _I64
+        lib.overlay_fingers.argtypes = _OVERLAY_FINGERS_ARGTYPES
         _lib = lib
     except OSError as error:  # pragma: no cover - load failure is env-specific
         _build_error = f"load failed: {error}"

@@ -59,7 +59,9 @@
  * the contract that keeps a repaired row bit-identical to these kernels'
  * output -- one float add per relaxation, parent = min-id tight neighbour,
  * and why the order in which equal-distance nodes leave its heap cannot
- * change the fixpoint.
+ * change the fixpoint.  Last, the overlay layer (overlay_fingers): Disco's
+ * finger draws for a whole overlay build, on a replay of CPython's
+ * Mersenne Twister.
  */
 
 #include <math.h>
@@ -2083,4 +2085,253 @@ void shift_offsets(i64 *offsets, i64 count, i64 row, i64 delta)
 {
     for (i64 node = row + 1; node < count; node++)
         offsets[node] += delta;
+}
+
+/* ----------------------------------------------------------- overlay layer
+ *
+ * Disco's dissemination overlay (repro.core.overlay) draws every node's
+ * Symphony-style harmonic fingers here, in one call per overlay build.  A
+ * node's draws come from its own random.Random(seed), so the stream is
+ * CPython's MT19937, replayed below word for word from _randommodule.c:
+ * init_genrand, init_by_array (the key is the seed's 32-bit words, least
+ * significant first: one word below 2**32, two otherwise), genrand_uint32
+ * and genrand_res53.  Each attempt then does what the Python twin
+ * (repro.core.overlay._choose_fingers) does, with the same libm exp / log
+ * and exact integer arithmetic: a region is 2**(64 - k) hash values, 2**64
+ * when k = 0, and a drawn distance can reach 2**64, so both are unsigned
+ * 128-bit (unsigned __int128: GCC and Clang on 64-bit targets).  A double compared with an integer is compared exactly, as
+ * Python compares a float with an int: distance < limit is
+ * (u128)distance < limit for a finite distance >= 1.
+ */
+
+typedef unsigned __int128 u128;
+
+#define MT_N 624
+#define MT_M 397
+#define MT_MATRIX_A 0x9908b0dfU
+#define MT_UPPER_MASK 0x80000000U
+#define MT_LOWER_MASK 0x7fffffffU
+
+typedef struct {
+    uint32_t mt[MT_N];
+    int index;
+} mt_state;
+
+static void mt_init_genrand(uint32_t *mt, uint32_t s)
+{
+    mt[0] = s;
+    for (int i = 1; i < MT_N; i++)
+        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + (uint32_t)i;
+}
+
+/* random.Random(seeds[l]) in each of MT_LANES states, 0 <= seed < 2**64:
+ * init_by_array(key) from base = init_genrand(19650218), which every seed
+ * shares.  The key is the seed's 32-bit words, least significant first --
+ * one word below 2**32, two otherwise -- so the first loop's k runs N times
+ * and its step s adds key[j] + j with j = s mod key_length: add[l][s & 1]
+ * for either length.  The lanes' recurrences are independent and run side
+ * by side, which lets the CPU overlap their serial multiply chains. */
+#define MT_LANES 4
+
+static void mt_init_by_array(mt_state *states, const uint32_t *base,
+                             const uint64_t *seeds)
+{
+    uint32_t add[MT_LANES][2];
+    for (int l = 0; l < MT_LANES; l++) {
+        uint32_t low = (uint32_t)seeds[l], high = (uint32_t)(seeds[l] >> 32);
+        add[l][0] = low;
+        add[l][1] = seeds[l] >> 32 ? high + 1U : low;
+        memcpy(states[l].mt, base, sizeof states[l].mt);
+        states[l].index = MT_N;
+    }
+    int i = 1;
+    for (int k = 0; k < MT_N; k++) {
+        for (int l = 0; l < MT_LANES; l++) {
+            uint32_t *mt = states[l].mt;
+            mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) +
+                    add[l][k & 1];
+        }
+        if (++i >= MT_N) {
+            for (int l = 0; l < MT_LANES; l++)
+                states[l].mt[0] = states[l].mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    for (int k = MT_N - 1; k; k--) {
+        for (int l = 0; l < MT_LANES; l++) {
+            uint32_t *mt = states[l].mt;
+            mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) -
+                    (uint32_t)i;
+        }
+        if (++i >= MT_N) {
+            for (int l = 0; l < MT_LANES; l++)
+                states[l].mt[0] = states[l].mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    for (int l = 0; l < MT_LANES; l++)
+        states[l].mt[0] = 0x80000000U;
+}
+
+/* genrand_uint32.  CPython regenerates all N words when the last one has
+ * been read; new word kk reads the old words kk and kk + 1 (word 0 for
+ * kk = N - 1, already new) and word (kk + M) mod N, old above kk and new
+ * below it.  Regenerating each word just before it is read therefore gives
+ * the same words, and a node that reads a few dozen of them pays for those
+ * only. */
+static uint32_t mt_genrand_uint32(mt_state *state)
+{
+    static const uint32_t mag01[2] = {0x0U, MT_MATRIX_A};
+    uint32_t *mt = state->mt;
+    if (state->index >= MT_N)
+        state->index = 0;
+    int kk = state->index++;
+    uint32_t y = (mt[kk] & MT_UPPER_MASK) |
+                 (mt[kk + 1 < MT_N ? kk + 1 : 0] & MT_LOWER_MASK);
+    mt[kk] = mt[(kk + MT_M) % MT_N] ^ (y >> 1) ^ mag01[y & 0x1U];
+    y = mt[kk];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+/* random.Random.random(): 53 random bits in [0, 1). */
+static double mt_random(mt_state *state)
+{
+    uint32_t a = mt_genrand_uint32(state) >> 5;
+    uint32_t b = mt_genrand_uint32(state) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* The node whose hash is circularly closest to value, the exclude node
+ * left out, ties to the smaller id: the five ring slots around value's
+ * insertion point (n >= 4). */
+static i64 overlay_resolve(i64 n, const i64 *order, const uint64_t *hashes,
+                           uint64_t value, i64 exclude)
+{
+    i64 lo = 0, hi = n;
+    while (lo < hi) {
+        i64 mid = lo + (hi - lo) / 2;
+        if (hashes[mid] < value)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    i64 best = -1;
+    u128 best_distance = (u128)1 << 64;
+    for (i64 offset = -2; offset <= 2; offset++) {
+        i64 position = ((lo + offset) % n + n) % n;
+        i64 node = order[position];
+        if (node == exclude)
+            continue;
+        uint64_t forward = value - hashes[position];
+        uint64_t backward = (uint64_t)0 - forward;
+        uint64_t distance = forward < backward ? forward : backward;
+        if (distance < best_distance ||
+            (distance == best_distance && node < best)) {
+            best = node;
+            best_distance = distance;
+        }
+    }
+    return best;
+}
+
+/* One node's harmonic draws (n >= 4): the Python twin's loop, attempt for
+ * attempt.  Writes up to num_fingers ids to out; returns how many. */
+static i64 overlay_draw(i64 n, i64 node, i64 num_fingers, const i64 *order,
+                        const uint64_t *hashes, const i64 *position,
+                        i64 prefix_bits, mt_state *rng, i64 *out)
+{
+    i64 index = position[node];
+    uint64_t own_hash = hashes[index];
+    uint64_t after = hashes[(index + 1) % n];
+    uint64_t before = hashes[(index + n - 1) % n];
+    u128 region_size = (u128)1 << (64 - prefix_bits);
+    u128 mask = region_size - 1;
+    uint64_t own_offset = (uint64_t)(own_hash & mask);
+    uint64_t region_start = own_hash - own_offset;
+    u128 up = 0, down = 0;
+    /* Limits below which a draw can only land on a ring neighbour; both 0
+     * when the node or a neighbour shares its hash (see _choose_fingers). */
+    if (after != own_hash && after != hashes[(index + 2) % n] &&
+        before != own_hash && before != hashes[(index + n - 2) % n]) {
+        u128 to_after = (uint64_t)(after - own_hash);
+        u128 to_before = (uint64_t)(own_hash - before);
+        u128 to_end = region_size - own_offset;
+        u128 to_start = (u128)own_offset + 1;
+        up = to_after < to_end ? to_after : to_end;
+        down = to_before < to_start ? to_before : to_start;
+    }
+    i64 successor = order[(index + 1) % n];
+    i64 predecessor = order[(index + n - 1) % n];
+    double log_size = log((double)(region_size > 2 ? region_size : 2));
+    i64 count = 0;
+    for (i64 attempt = 0; count < num_fingers && attempt < num_fingers * 20;
+         attempt++) {
+        double distance = exp(mt_random(rng) * log_size);
+        u128 whole = (u128)distance;
+        u128 offset;
+        if (mt_random(rng) < 0.5) {
+            if (whole < up)
+                continue;
+            offset = ((u128)own_offset + whole) & mask;
+        } else {
+            if (whole < down)
+                continue;
+            offset = ((u128)own_offset - whole) & mask;
+        }
+        i64 finger = overlay_resolve(
+            n, order, hashes, region_start + (uint64_t)offset, node);
+        int known = finger == successor || finger == predecessor;
+        for (i64 f = 0; f < count && !known; f++)
+            known = out[f] == finger;
+        if (!known)
+            out[count++] = finger;
+    }
+    return count;
+}
+
+/* Every node's outgoing fingers, node v's in fingers[v * num_fingers ..]
+ * and padded with -1.  order / hashes / position are the ring (nodes by
+ * (hash, id), their hashes, each node's slot); prefix_bits[v] is v's k and
+ * seeds[v] its random.Random seed.  Rings of three nodes or fewer draw no
+ * finger.  Returns 0, or -2 (before any write) when an order or position
+ * entry is outside [0, n) or a prefix length outside [0, 64].  Nodes are
+ * seeded MT_LANES at a time and then draw one after the other. */
+i64 overlay_fingers(i64 n, i64 num_fingers, const i64 *order,
+                    const uint64_t *hashes, const i64 *position,
+                    const i64 *prefix_bits, const uint64_t *seeds,
+                    i64 *fingers)
+{
+    if (n < 0 || num_fingers < 0)
+        return -2;
+    for (i64 i = 0; i < n; i++)
+        if (order[i] < 0 || order[i] >= n || position[i] < 0 ||
+            position[i] >= n || prefix_bits[i] < 0 || prefix_bits[i] > 64)
+            return -2;
+    if (n <= 3 || !num_fingers) {
+        for (i64 slot = 0; slot < n * num_fingers; slot++)
+            fingers[slot] = -1;
+        return 0;
+    }
+    uint32_t base[MT_N];
+    mt_init_genrand(base, 19650218U);
+    mt_state lanes[MT_LANES];
+    for (i64 first = 0; first < n; first += MT_LANES) {
+        i64 width = n - first < MT_LANES ? n - first : MT_LANES;
+        uint64_t group[MT_LANES] = {0};
+        memcpy(group, seeds + first, sizeof(uint64_t) * (size_t)width);
+        mt_init_by_array(lanes, base, group);
+        for (i64 l = 0; l < width; l++) {
+            i64 node = first + l, *out = fingers + node * num_fingers;
+            i64 count = overlay_draw(n, node, num_fingers, order, hashes,
+                                     position, prefix_bits[node], &lanes[l],
+                                     out);
+            for (i64 f = count; f < num_fingers; f++)
+                out[f] = -1;
+        }
+    }
+    return 0;
 }

@@ -11,6 +11,12 @@ with SHA-256 and the first eight bytes are used as a 64-bit integer seed for
 ``random.Random``.  The hash guarantees that streams derived with different
 tags are statistically independent, and that results are identical across
 Python versions and platforms (unlike ``hash()`` which is salted).
+
+One consumer draws below the FFI: Disco's overlay fingers
+(:mod:`repro.core.overlay`).  Its C tier takes the same
+:func:`derive_seed` values and replays CPython's MT19937 seeding and
+``random()`` word for word, so a stream gives the same numbers there as in
+``random.Random``; any other stream is drawn in Python.
 """
 
 from __future__ import annotations

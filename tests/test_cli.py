@@ -237,12 +237,18 @@ class TestCommands:
             "resolve gnm 64 --lookups -5",
             "compare {tmp}/missing.edges",
             "profile {tmp}/missing.edges",
+            "substrate {tmp}/malformed.edges",
+            "compare {tmp}/malformed.edges",
+            "profile {tmp}/malformed.edges",
+            "substrate {tmp}/nan.edges",
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, tmp_path, capsys):
-        """A size the generator refuses, a count below one or a missing
-        file: exit 2 and one line on stderr (below argparse's usage block,
-        for the counts), never a traceback."""
+        """A size the generator refuses, a count below one, a missing file
+        or one that does not parse: exit 2 and one line on stderr (below
+        argparse's usage block, for the counts), never a traceback."""
+        (tmp_path / "malformed.edges").write_text("0 1\n1 x\n")
+        (tmp_path / "nan.edges").write_text("0 1 1.0\n1 2 nan\n")
         try:
             code = main(argv.format(tmp=tmp_path).split())
         except SystemExit as error:

@@ -104,6 +104,8 @@ ENTRY_POINTS: tuple[tuple[str, Mapping[str, str], object], ...] = (
     ("compare", {},
      ["compare", "{tmp}/net.edges", "--pairs", "60", "--protocols", "disco",
       "nd-disco", "s4", "vrr", "path-vector", "shortest-path"]),
+    ("compare disco, Python tier", NO_C,
+     ["compare", "{tmp}/net.edges", "--pairs", "20", "--protocols", "disco"]),
     ("substrate --routes", {},
      ["substrate", "gnm", "512", "--seed", "1", "--routes", "8",
       "--threads", "2"]),
