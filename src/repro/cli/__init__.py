@@ -31,14 +31,21 @@ parser (:mod:`repro.cli.parser`, which imports nothing but ``argparse``) and
 hands the parsed arguments to the ``command(args)`` of the module
 :data:`COMMANDS` names for the command -- one ``cmd_<name>`` module each,
 whose top-level imports are what that command needs.
+
+:func:`main` is also the one error boundary: a refused input
+(:class:`~repro.errors.ReproError`) or a path that cannot be read or
+written (``OSError``) becomes one stderr line, ``"<command>: <message>"``,
+and exit status 2; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import importlib
+import sys
 from typing import Sequence
 
 from repro.cli.parser import build_parser
+from repro.errors import ReproError
 
 __all__ = ["COMMANDS", "build_parser", "main"]
 
@@ -63,4 +70,8 @@ COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return importlib.import_module(COMMANDS[args.command]).command(args)
+    try:
+        return importlib.import_module(COMMANDS[args.command]).command(args)
+    except (ReproError, OSError) as error:
+        print(f"{args.command}: {error}", file=sys.stderr)
+        return 2

@@ -4,20 +4,11 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
 
 from repro.cli.parser import cache_root
+from repro.errors import InputError
 from repro.scenarios import lifecycle
 from repro.utils.formatting import format_table
-
-
-def _parse_size(text: str) -> int:
-    """Parse a byte budget like ``1048576``, ``512K``, ``200M``, ``2G``."""
-    units = {"K": 1024, "M": 1024**2, "G": 1024**3}
-    text = text.strip()
-    if text and text[-1].upper() in units:
-        return int(float(text[:-1]) * units[text[-1].upper()])
-    return int(text)
 
 
 def _format_bytes(count: float) -> str:
@@ -69,51 +60,36 @@ def command(args: argparse.Namespace) -> int:
         if os.path.isdir(root):
             lifecycle.write_manifest(root)
         return 0
-    if args.cache_command == "prune":
-        if args.max_bytes is None and args.max_age_days is None:
+    # prune, the last subcommand (argparse enforces the choices).
+    if args.max_bytes is None and args.max_age_days is None:
+        raise InputError("prune needs --max-bytes and/or --max-age-days")
+    report = lifecycle.prune(
+        root,
+        max_bytes=args.max_bytes,
+        max_age_s=(
+            args.max_age_days * 86400.0
+            if args.max_age_days is not None
+            else None
+        ),
+        dry_run=args.dry_run,
+    )
+    if args.dry_run:
+        for info in report.removed:
             print(
-                "prune needs --max-bytes and/or --max-age-days",
-                file=sys.stderr,
+                f"would evict {info.kind}/{info.key[:16]} "
+                f"({_format_bytes(info.bytes)}, "
+                f"last hit {info.age_s / 3600.0:.1f}h ago)"
             )
-            return 2
-        try:
-            max_bytes = (
-                _parse_size(args.max_bytes)
-                if args.max_bytes is not None
-                else None
-            )
-        except ValueError:
-            print(f"bad --max-bytes {args.max_bytes!r}", file=sys.stderr)
-            return 2
-        report = lifecycle.prune(
-            root,
-            max_bytes=max_bytes,
-            max_age_s=(
-                args.max_age_days * 86400.0
-                if args.max_age_days is not None
-                else None
-            ),
-            dry_run=args.dry_run,
-        )
-        if args.dry_run:
-            for info in report.removed:
-                print(
-                    f"would evict {info.kind}/{info.key[:16]} "
-                    f"({_format_bytes(info.bytes)}, "
-                    f"last hit {info.age_s / 3600.0:.1f}h ago)"
-                )
-            print(
-                f"dry run: would prune {len(report.removed)} artifact(s), "
-                f"{_format_bytes(report.removed_bytes)}; "
-                f"{len(report.kept)} kept, {_format_bytes(report.kept_bytes)}"
-            )
-            return 0
         print(
-            f"pruned {len(report.removed)} artifact(s), "
-            f"{_format_bytes(report.removed_bytes)} freed; "
+            f"dry run: would prune {len(report.removed)} artifact(s), "
+            f"{_format_bytes(report.removed_bytes)}; "
             f"{len(report.kept)} kept, {_format_bytes(report.kept_bytes)}"
         )
-        lifecycle.write_manifest(root)
         return 0
-    print(f"unknown cache command {args.cache_command!r}", file=sys.stderr)
-    return 2  # pragma: no cover - argparse enforces the choices
+    print(
+        f"pruned {len(report.removed)} artifact(s), "
+        f"{_format_bytes(report.removed_bytes)} freed; "
+        f"{len(report.kept)} kept, {_format_bytes(report.kept_bytes)}"
+    )
+    lifecycle.write_manifest(root)
+    return 0

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 
 from repro.cli.cmd_generate import generate_topology
@@ -15,6 +14,7 @@ from repro.dynamics import (
     generate_churn_workload,
     generate_event_stream,
 )
+from repro.errors import InputError
 from repro.utils.formatting import format_table
 
 
@@ -22,10 +22,9 @@ def command(args: argparse.Namespace) -> int:
     if args.kinds is not None:
         unknown = [kind for kind in args.kinds if kind not in EVENT_KINDS]
         if unknown:
-            print(f"unknown event kinds: {', '.join(unknown)}", file=sys.stderr)
-            return 2
+            raise InputError(f"unknown event kinds: {', '.join(unknown)}")
 
-    topology = generate_topology("churn", args.family, args.nodes, args.seed)
+    topology = generate_topology(args.family, args.nodes, args.seed)
     landmarks = select_landmarks(topology.num_nodes, seed=args.seed)
     if args.kinds is None:
         events = generate_churn_workload(

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cli.parser import read_topology_file
+from repro.graphs.io import read_edge_list
 from repro.staticsim.simulation import StaticSimulation
 from repro.utils.formatting import format_table
 
 
 def command(args: argparse.Namespace) -> int:
-    topology = read_topology_file("compare", args.path)
+    topology = read_edge_list(args.path)
     if not topology.is_connected():
         topology, _ = topology.largest_component_subgraph()
         print(

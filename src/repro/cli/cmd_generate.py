@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import sys
 
+from repro.errors import InputError
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
@@ -23,19 +23,17 @@ GENERATORS = {
 }
 
 
-def generate_topology(command: str, family: str, nodes: int, seed: int):
+def generate_topology(family: str, nodes: int, seed: int):
     """``GENERATORS[family](nodes, seed=seed)`` for every command that takes
-    a family.  A size the generator refuses (``ValueError``) exits with
-    status 2 after one stderr line, as a bad argument does."""
+    a family; a size the generator refuses is an :class:`InputError`."""
     try:
         return GENERATORS[family](nodes, seed=seed)
     except ValueError as error:
-        print(f"{command} {family} {nodes}: {error}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise InputError(f"{family} {nodes}: {error}") from error
 
 
 def command(args: argparse.Namespace) -> int:
-    topology = generate_topology("generate", args.family, args.nodes, args.seed)
+    topology = generate_topology(args.family, args.nodes, args.seed)
     write_edge_list(topology, args.out)
     print(
         f"wrote {topology.num_nodes} nodes / {topology.num_edges} edges to {args.out}"

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import sys
 
 from repro.cli.parser import cache_root
+from repro.errors import InputError
 from repro.graphs import ingest
 from repro.scenarios.cache import ArtifactCache, activated
 from repro.utils.formatting import format_table
@@ -14,21 +14,13 @@ from repro.utils.formatting import format_table
 def command(args: argparse.Namespace) -> int:
     if args.list_formats:
         rows = [
-            [fmt.name, fmt.description]
-            for fmt in sorted(ingest._FORMATS.values())
+            [name, ingest._FORMATS[name].description]
+            for name in ingest.available_formats()
         ]
         print(format_table(["format", "description"], rows))
         return 0
     if args.path is None:
-        print("ingest: dataset path required (or --list-formats)", file=sys.stderr)
-        return 2
-    if args.fmt not in ingest.available_formats():
-        print(
-            f"unknown format {args.fmt!r} "
-            f"(registered: {', '.join(ingest.available_formats())})",
-            file=sys.stderr,
-        )
-        return 2
+        raise InputError("dataset path required (or --list-formats)")
     params = {}
     if args.delay is not None:
         params["delay"] = args.delay
@@ -38,21 +30,14 @@ def command(args: argparse.Namespace) -> int:
         params["external_delay"] = args.external_delay
 
     cache = None if args.no_cache else ArtifactCache(cache_root(args))
-    try:
-        with activated(cache):
-            topology = ingest.ingest_topology(
-                args.path,
-                fmt=args.fmt,
-                name=args.name,
-                largest_component=args.largest_component,
-                **params,
-            )
-    except OSError as error:
-        print(f"cannot read {args.path}: {error}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as error:
-        print(f"ingest failed: {error}", file=sys.stderr)
-        return 2
+    with activated(cache):
+        topology = ingest.ingest_topology(
+            args.path,
+            fmt=args.fmt,
+            name=args.name,
+            largest_component=args.largest_component,
+            **params,
+        )
     digest = ingest.file_digest(args.path)
     profile = topology.weight_profile()
     csr = topology.csr()

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cli.parser import read_topology_file
 from repro.graphs.analysis import profile_topology
+from repro.graphs.io import read_edge_list
 from repro.utils.formatting import format_table
 
 
 def command(args: argparse.Namespace) -> int:
-    topology = read_topology_file("profile", args.path)
+    topology = read_edge_list(args.path)
     profile = profile_topology(topology, seed=args.seed)
     rows = [
         ["nodes", profile.num_nodes],

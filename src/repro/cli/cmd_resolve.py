@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 
 from repro.cli.cmd_generate import generate_topology
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.dynamics.stream import DynEvent
+from repro.errors import InputError
 from repro.resolution import (
     GroupContactIndex,
     generate_lookup_workload,
@@ -21,12 +21,8 @@ from repro.utils.formatting import format_table
 
 
 def command(args: argparse.Namespace) -> int:
-    if args.churn_shards < 0:
-        print("--churn-shards must be >= 0", file=sys.stderr)
-        return 2
-
     started = time.perf_counter()
-    topology = generate_topology("resolve", args.family, args.nodes, args.seed)
+    topology = generate_topology(args.family, args.nodes, args.seed)
     routing = NDDiscoRouting(topology, seed=args.seed)
     built = time.perf_counter() - started
     num_shards = len(routing.landmarks)
@@ -54,16 +50,13 @@ def command(args: argparse.Namespace) -> int:
     if args.churn_shards:
         victims = sorted(routing.landmarks)[: args.churn_shards]
         if args.churn_shards > len(victims):
-            print(
+            raise InputError(
                 f"--churn-shards {args.churn_shards} exceeds the "
-                f"{len(victims)} shards available",
-                file=sys.stderr,
+                f"{len(victims)} shards available"
             )
-            return 2
         period = args.duration // (len(victims) + 1)
         if period < 1:
-            print("timeline too short for --churn-shards", file=sys.stderr)
-            return 2
+            raise InputError("timeline too short for --churn-shards")
         for index, shard in enumerate(victims):
             down = period * (index + 1)
             up = min(down + max(args.refresh_interval // 2, 1), args.duration - 1)

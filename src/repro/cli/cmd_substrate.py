@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 
 from repro.addressing.labels import LabelCodec
 from repro.cli.cmd_generate import GENERATORS, generate_topology
-from repro.cli.parser import read_topology_file
 from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.substrate_build import build_substrate_tables
+from repro.errors import InputError
+from repro.graphs.io import read_edge_list
 from repro.graphs.sampling import sample_pairs
 from repro.naming.names import name_for_node
 from repro.protocols.s4 import S4Routing
@@ -35,16 +35,10 @@ def _memory_kb() -> tuple[int, int]:
 def command(args: argparse.Namespace) -> int:
     if args.source in GENERATORS:
         if args.nodes is None:
-            print(
-                f"substrate {args.source}: node count required",
-                file=sys.stderr,
-            )
-            return 2
-        topology = generate_topology(
-            "substrate", args.source, args.nodes, args.seed
-        )
+            raise InputError(f"{args.source}: node count required")
+        topology = generate_topology(args.source, args.nodes, args.seed)
     else:
-        topology = read_topology_file("substrate", args.source)
+        topology = read_edge_list(args.source)
         if not topology.is_connected():
             topology, _ = topology.largest_component_subgraph()
             print(

@@ -1,10 +1,10 @@
-"""The ``repro`` argument parser: every command, option and help text."""
+"""The ``repro`` argument parser: every command, option and help text,
+and every argument's shape (its ``type=``)."""
 
 from __future__ import annotations
 
 import argparse
 import os
-import sys
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -12,7 +12,6 @@ __all__ = [
     "SCHEMES",
     "build_parser",
     "cache_root",
-    "read_topology_file",
 ]
 
 #: Default root of the on-disk artifact cache (overridable via
@@ -27,14 +26,36 @@ FAMILIES = ("as-level", "geometric", "gnm", "router-level")
 SCHEMES = ("disco", "nd-disco", "s4", "vrr", "path-vector", "shortest-path")
 
 
-def positive_int(text: str) -> int:
-    """``argparse`` type of a count that must be at least one."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text}"
-        )
-    return value
+def _checked(convert, accept, wording: str):
+    """An ``argparse`` type: ``convert(text)``, refused unless ``accept``."""
+
+    def check(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {wording}, got {text}")
+        return value
+
+    check.__name__ = convert.__name__  # argparse: "invalid int value: ..."
+    return check
+
+
+positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+non_negative_int = _checked(
+    int, lambda value: value >= 0, "a non-negative integer"
+)
+positive_float = _checked(
+    float, lambda value: 0 < value < float("inf"), "a positive number"
+)
+
+
+def _parse_size(text: str) -> int:
+    """``argparse`` type of a byte budget like ``1048576``, ``512K``,
+    ``200M``, ``2G``."""
+    units = {"K": 1024, "M": 1024**2, "G": 1024**3}
+    text = text.strip()
+    if text and text[-1].upper() in units:
+        return int(float(text[:-1]) * units[text[-1].upper()])
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_cache_dir(prune_parser)
     prune_parser.add_argument(
         "--max-bytes",
+        type=_parse_size,
         default=None,
         help="evict least-recently-hit artifacts until the summed artifact "
         "bytes are at or under this budget (suffixes K/M/G accepted, "
@@ -254,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SCHEMES,
     )
     compare_parser.add_argument("--seed", type=int, default=0)
-    compare_parser.add_argument("--pairs", type=int, default=300)
+    compare_parser.add_argument("--pairs", type=positive_int, default=300)
 
     churn_parser = subparsers.add_parser(
         "churn",
@@ -283,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     churn_parser.add_argument(
         "--events-per-tick",
-        type=int,
+        type=positive_int,
         default=1,
         help="calendar event rate: events sharing one tick (rich streams)",
     )
@@ -319,23 +341,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="total lookups in the trace",
     )
     resolve_parser.add_argument(
-        "--duration", type=int, default=256, help="timeline length in ticks"
+        "--duration", type=positive_int, default=256,
+        help="timeline length in ticks",
     )
     resolve_parser.add_argument("--seed", type=int, default=0)
     resolve_parser.add_argument(
-        "--replicas", type=int, default=2, help="ring successors per name"
+        "--replicas", type=positive_int, default=2,
+        help="ring successors per name",
     )
     resolve_parser.add_argument(
-        "--virtual-nodes", type=int, default=8, help="ring tokens per shard"
+        "--virtual-nodes", type=positive_int, default=8,
+        help="ring tokens per shard",
     )
     resolve_parser.add_argument(
         "--refresh-interval",
-        type=int,
+        type=positive_int,
         default=16,
         help="soft-state refresh period t (records expire after 2t+1)",
     )
     resolve_parser.add_argument(
-        "--zipf", type=float, default=0.9, help="popularity skew exponent"
+        "--zipf", type=positive_float, default=0.9,
+        help="popularity skew exponent",
     )
     resolve_parser.add_argument(
         "--diurnal",
@@ -353,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resolve_parser.add_argument(
         "--churn-shards",
-        type=int,
+        type=non_negative_int,
         default=0,
         help="crash this many shards mid-timeline (unannounced; copies "
         "lost) and rejoin them half a refresh later",
@@ -365,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resolve_parser.add_argument(
         "--deployment",
-        type=float,
+        type=positive_float,
         default=None,
         help="deployment-size estimate handed to the sloppy grouping "
         "(default: the true node count; larger values shrink the groups, "
@@ -452,18 +478,3 @@ def cache_root(args: argparse.Namespace) -> str:
         or os.environ.get("REPRO_CACHE_DIR")
         or DEFAULT_CACHE_DIR
     )
-
-
-def read_topology_file(command: str, path: str):
-    """``read_edge_list(path)`` for every command that takes an edge-list
-    file.  A file that cannot be read (``OSError``) or parsed
-    (``ValueError``: a malformed line, a weight that is not positive and
-    finite) exits with status 2 after one stderr line, ``"<command>:
-    <message>"``, as a bad argument does."""
-    from repro.graphs.io import read_edge_list
-
-    try:
-        return read_edge_list(path)
-    except (OSError, ValueError) as error:
-        print(f"{command}: {error}", file=sys.stderr)
-        raise SystemExit(2) from None

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from math import inf
+
+from repro.errors import InputError
 
 __all__ = ["ExperimentScale", "default_scale"]
 
@@ -101,8 +104,10 @@ def default_scale() -> ExperimentScale:
         return base
     try:
         factor = float(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_SCALE must be a number, got {raw!r}"
-        ) from exc
+    except ValueError:
+        factor = 0.0
+    if not 0 < factor < inf:
+        raise InputError(
+            f"REPRO_SCALE must be a positive number, got {raw!r}"
+        )
     return base.scaled(factor)

@@ -98,6 +98,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.errors import InputError
 from repro.graphs import _ckernels
 
 __all__ = [
@@ -122,7 +123,8 @@ def kernel_threads(threads: int | None = None) -> int:
     default only affects wall-clock time -- but bench reports record the
     active width (see the ``host`` block) so runs remain comparable.  The
     argument and the variable follow one rule: anything but a positive
-    integer raises ``ValueError``.
+    integer raises ``ValueError`` (for the variable, an
+    :class:`~repro.errors.InputError`).
     """
     if threads is not None:
         if not isinstance(threads, int) or threads < 1:
@@ -137,7 +139,7 @@ def kernel_threads(threads: int | None = None) -> int:
         except ValueError:
             value = 0
         if value < 1:
-            raise ValueError(
+            raise InputError(
                 f"REPRO_KERNEL_THREADS must be a positive integer, got {env!r}"
             )
         return value

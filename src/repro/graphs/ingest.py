@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import inspect
 import os
 from array import array
 from math import inf
 from typing import Callable, NamedTuple
 
+from repro.errors import InputError
 from repro.graphs import _ckernels
 from repro.graphs.topology import Topology
 
@@ -70,10 +72,10 @@ class ParsedEdges(NamedTuple):
     edges_u: array  # canonical lo endpoints ("q")
     edges_v: array  # canonical hi endpoints ("q")
     edges_w: array  # weights ("d")
-    #: First constraint violation in arrival order, deferred so line-level
-    #: parse errors and the range check keep their historical precedence:
-    #: ``("self-loop", node)`` or ``("weight", value)``; ``None`` if clean.
-    deferred: tuple | None
+    #: The message of the first self-loop or bad weight in arrival order,
+    #: deferred so line-level parse errors and the range check keep their
+    #: historical precedence; ``None`` if clean.
+    deferred: str | None
     #: True when every parsed weight is exactly 1.0 (profile fast path).
     all_unit: bool
 
@@ -117,15 +119,17 @@ def available_formats() -> list[str]:
 def parse_edge_list(path) -> ParsedEdges:
     """The repo's native format (see :mod:`repro.graphs.io`).
 
-    Error semantics are the documented ``read_edge_list`` contract:
-    malformed lines (wrong field count), non-numeric fields, and negative
-    node ids raise immediately with the offending ``path:line``; ids
-    exceeding a ``# nodes N`` header raise after the pass; self-loops and
-    weights that are not positive and finite raise last (the dict path
-    surfaced them from ``add_edge`` after parsing), first offender in
-    arrival order wins.
+    Error semantics are the documented ``read_edge_list`` contract, every
+    error an :class:`~repro.errors.InputError`: malformed lines (wrong
+    field count), non-numeric fields, negative node ids and a ``# nodes``
+    header that is not a positive integer raise immediately with the
+    offending ``path:line``; ids exceeding a ``# nodes N`` header raise
+    after the pass; self-loops and weights that are not positive and
+    finite raise last (the dict path surfaced them from ``add_edge`` after
+    parsing), first offender in arrival order wins.
     Blank lines, CRLF line endings, and unknown ``#`` comments are
-    ignored.
+    ignored; bytes that are not UTF-8 read as U+FFFD, as in the other
+    formats.
     """
     declared_nodes: int | None = None
     declared_name: str | None = None
@@ -133,8 +137,8 @@ def parse_edge_list(path) -> ParsedEdges:
     push_u, push_v, push_w = edges_u.append, edges_v.append, edges_w.append
     max_node = -1
     all_unit = True
-    deferred: tuple | None = None
-    with open(path, "r", encoding="utf-8") as handle:
+    deferred: str | None = None
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for line_number, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
             if not line:
@@ -142,44 +146,47 @@ def parse_edge_list(path) -> ParsedEdges:
             if line[0] == "#":
                 parts = line[1:].split()
                 if len(parts) == 2 and parts[0] == "nodes":
+                    if not parts[1].isdecimal() or int(parts[1]) < 1:
+                        raise InputError(
+                            f"{path}:{line_number}: '# nodes' takes a "
+                            f"positive integer, got {parts[1]!r}"
+                        )
                     declared_nodes = int(parts[1])
                 elif len(parts) >= 2 and parts[0] == "name":
                     declared_name = " ".join(parts[1:])
                 continue
             fields = line.split()
             count = len(fields)
-            if count == 2:
-                weight = 1.0
-            elif count == 3:
-                try:
-                    weight = float(fields[2])
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{path}:{line_number}: non-numeric field in {line!r}"
-                    ) from exc
-                if weight != 1.0:
-                    all_unit = False
-            else:
-                raise ValueError(
+            if count != 2 and count != 3:
+                raise InputError(
                     f"{path}:{line_number}: expected 'u v [weight]', "
                     f"got {line!r}"
                 )
             try:
+                weight = float(fields[2]) if count == 3 else 1.0
                 u = int(fields[0])
                 v = int(fields[1])
             except ValueError as exc:
-                raise ValueError(
+                raise InputError(
                     f"{path}:{line_number}: non-numeric field in {line!r}"
                 ) from exc
+            if weight != 1.0:
+                all_unit = False
             if u < 0 or v < 0:
-                raise ValueError(
+                raise InputError(
                     f"{path}:{line_number}: negative node id in {line!r}"
                 )
             if deferred is None:
                 if u == v:
-                    deferred = ("self-loop", u)
+                    deferred = (
+                        f"{path}:{line_number}: self-loops are not allowed "
+                        f"(node {u})"
+                    )
                 elif not 0 < weight < inf:
-                    deferred = ("weight", weight)
+                    deferred = (
+                        f"{path}:{line_number}: edge weight must be > 0 and "
+                        f"finite, got {weight}"
+                    )
             if u > v:
                 u, v = v, u
             push_u(u)
@@ -449,13 +456,20 @@ def ingest_file(
 
     ``largest_component=True`` keeps only the largest connected component
     (real datasets are routinely disconnected).  ``params`` go to the
-    parser (delay-model knobs).
+    parser (delay-model knobs).  An unknown format, a knob the format does
+    not take, a file that yields no node and every refusal of the parser
+    raise :class:`~repro.errors.InputError`.
     """
     spec = _FORMATS.get(fmt)
     if spec is None:
-        raise ValueError(
+        raise InputError(
             f"unknown topology format {fmt!r}; "
             f"available: {', '.join(available_formats())}"
+        )
+    unknown = sorted(params.keys() - inspect.signature(spec.parse).parameters)
+    if unknown:
+        raise InputError(
+            f"format {fmt!r} takes no {', '.join(unknown)} parameter"
         )
     parsed = spec.parse(path, **params)
     num_nodes = (
@@ -463,16 +477,17 @@ def ingest_file(
         if parsed.declared_nodes is not None
         else parsed.max_node + 1
     )
+    if num_nodes < 1:
+        raise InputError(
+            f"{path}: no node (no edge and no '# nodes N' header)"
+        )
     if parsed.max_node >= num_nodes:
-        raise ValueError(
+        raise InputError(
             f"{path}: edge references node {parsed.max_node} but header "
             f"declares only {num_nodes} nodes"
         )
     if parsed.deferred is not None:
-        kind, value = parsed.deferred
-        if kind == "self-loop":
-            raise ValueError(f"self-loops are not allowed (node {value})")
-        raise ValueError(f"edge weight must be > 0 and finite, got {value}")
+        raise InputError(parsed.deferred)
     topology_name = name or parsed.declared_name or os.path.basename(
         str(path)
     )

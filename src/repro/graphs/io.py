@@ -44,9 +44,11 @@ def read_edge_list(
 
     Raises
     ------
-    ValueError
+    repro.errors.InputError
         On malformed lines (wrong field count, non-numeric fields, negative
-        node ids, or node ids exceeding a declared node count).
+        node ids, or node ids exceeding a declared node count), a bad
+        ``# nodes`` header, a file that yields no node, a self-loop or a
+        weight that is not positive and finite.
     """
     # One code path: the streaming parser in repro.graphs.ingest owns the
     # format and its documented error semantics.

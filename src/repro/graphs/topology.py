@@ -24,6 +24,8 @@ from itertools import accumulate, chain
 from operator import ge, itemgetter, le
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
+from repro.errors import InputError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graphs.csr import CSRGraph, WeightProfile
 
@@ -353,7 +355,8 @@ class Topology:
         """Build from deduplicated canonical edge arrays (``u < v``).
 
         Ids out of range, a pair with ``u >= v``, a repeated pair and a
-        weight that is not positive and finite raise ``ValueError`` before
+        weight that is not positive and finite raise
+        :class:`~repro.errors.InputError` before
         anything is assembled (C-speed scans; repeats are found by the
         ingest dedup pass, C-accelerated when available, run on copies);
         the CSR arc slabs are then built in one counting pass
@@ -365,7 +368,7 @@ class Topology:
         if not _edges_valid(num_nodes, edges_u, edges_v, edges_w) or len(
             dedup_edge_arrays(num_nodes, *copies)[2]
         ) != len(edges_w):
-            raise ValueError(
+            raise InputError(
                 f"edge arrays must align, with 0 <= u < v < {num_nodes}, "
                 "no pair repeated and every weight > 0 and finite"
             )

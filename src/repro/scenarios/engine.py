@@ -228,6 +228,11 @@ def run_scenarios(
     cache = _normalize_cache(cache)
     plan = plan_scenarios(ids, scale)
     scale = plan.scale
+    # Make the output directories before any work: a path that cannot be
+    # one fails now, not after the last scenario.
+    for directory in (json_dir, cache.root if cache else None):
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
     tasks = plan.tasks()
     say(
         f"scenario engine: {len(plan.entries)} scenario(s), "
@@ -305,7 +310,6 @@ def _write_json_dir(
     cache_misses: int,
     scenario_cache: dict[str, list[int]],
 ) -> None:
-    os.makedirs(json_dir, exist_ok=True)
     for scenario_id, run in runs.items():
         path = os.path.join(json_dir, f"{scenario_id}.json")
         with open(path, "w", encoding="utf-8") as handle:

@@ -17,6 +17,8 @@ import difflib
 import importlib
 from typing import TYPE_CHECKING, NamedTuple
 
+from repro.errors import ReproError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.spec import Scenario
 
@@ -90,7 +92,7 @@ CATALOG: tuple[CatalogRow, ...] = (
 _REGISTRY: "dict[str, Scenario]" = {}
 
 
-class UnknownScenarioError(KeyError):
+class UnknownScenarioError(ReproError, KeyError):
     """Raised for an unknown scenario id; carries near-miss suggestions."""
 
     def __init__(self, scenario_id: str, suggestions: tuple[str, ...]) -> None:
@@ -105,7 +107,7 @@ class UnknownScenarioError(KeyError):
         return self.args[0]
 
 
-class ScenarioLoadError(RuntimeError):
+class ScenarioLoadError(ReproError, RuntimeError):
     """A catalog row did not yield its scenario.
 
     Either ``module`` failed to import (``cause`` is the exception it

@@ -341,14 +341,16 @@ class TestCacheCli:
         assert "max-bytes" in capsys.readouterr().err
 
     def test_prune_rejects_bad_size(self, tmp_path, capsys):
-        code = main(
-            ["cache", "prune", "--cache-dir", str(tmp_path),
-             "--max-bytes", "lots"]
-        )
-        assert code == 2
+        # --max-bytes is parsed by its argparse type: a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["cache", "prune", "--cache-dir", str(tmp_path),
+                 "--max-bytes", "lots"]
+            )
+        assert exit_info.value.code == 2
 
     def test_size_suffix_parsing(self):
-        from repro.cli.cmd_cache import _parse_size
+        from repro.cli.parser import _parse_size
 
         assert _parse_size("1024") == 1024
         assert _parse_size("2K") == 2048

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import pickle
 import re
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from repro.cli import COMMANDS, build_parser, main
 from repro.cli.cmd_generate import GENERATORS
 from repro.cli.parser import FAMILIES, SCHEMES
+from repro.errors import InputError, ReproError
 from repro.graphs.generators import gnm_random_graph
 from repro.graphs.io import write_edge_list
 from repro.protocols.registry import available_schemes
@@ -241,16 +243,59 @@ class TestCommands:
             "compare {tmp}/malformed.edges",
             "profile {tmp}/malformed.edges",
             "substrate {tmp}/nan.edges",
+            # A dataset that does not load, before the engine starts.
+            "run fig02 --no-cache --topology-file {tmp}/malformed.edges",
+            "run fig02 --no-cache --topology-file {tmp}/nan.edges",
+            "run fig02 --no-cache --topology-file {tmp}/empty.edges",
+            "run fig02 --no-cache --workers 2 --topology-file "
+            "{tmp}/malformed.edges",
+            "substrate {tmp}/empty.edges",
+            "compare {tmp}/empty.edges",
+            "profile {tmp}/empty.edges",
+            "ingest {tmp}/garbage.cch --format rocketfuel --no-cache",
+            "ingest {tmp}/nodes-abc.edges --no-cache",
+            "ingest {tmp}/nodes-negative.edges --no-cache",
+            "ingest {tmp}/net.edges --delay 2 --no-cache",
+            # A malformed REPRO_* value.
+            "REPRO_SCALE=abc run fig07 --no-cache",
+            "REPRO_SCALE=-1 run fig07 --no-cache",
+            "REPRO_KERNEL_THREADS=abc substrate gnm 64",
+            # An output path inside a regular file.
+            "generate gnm 64 --out {tmp}/file/net.edges",
+            "REPRO_SCALE=0.1 run fig07 --no-cache --json-dir {tmp}/file/json",
+            "REPRO_SCALE=0.1 run fig07 --cache-dir {tmp}/file/cache",
+            # A count or a rate out of range, refused by argparse.
+            "compare {tmp}/net.edges --pairs 0",
+            "resolve gnm 64 --duration 0",
+            "resolve gnm 64 --replicas 0",
+            "resolve gnm 64 --virtual-nodes 0",
+            "resolve gnm 64 --refresh-interval 0",
+            "resolve gnm 64 --zipf -1",
+            "resolve gnm 64 --groups --deployment 0",
+            "churn gnm 64 --events-per-tick 0",
         ],
     )
-    def test_bad_input_is_one_line_and_exit_2(self, argv, tmp_path, capsys):
+    def test_bad_input_is_one_line_and_exit_2(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
         """A size the generator refuses, a count below one, a missing file
-        or one that does not parse: exit 2 and one line on stderr (below
+        or one that does not parse, a malformed ``REPRO_*`` value (the
+        leading ``NAME=value`` words) or an output path that cannot be
+        made: exit 2 and one line on stderr naming the command (below
         argparse's usage block, for the counts), never a traceback."""
         (tmp_path / "malformed.edges").write_text("0 1\n1 x\n")
         (tmp_path / "nan.edges").write_text("0 1 1.0\n1 2 nan\n")
+        (tmp_path / "empty.edges").write_text("")
+        (tmp_path / "garbage.cch").write_text("garbage\n")
+        (tmp_path / "nodes-abc.edges").write_text("# nodes abc\n0 1\n")
+        (tmp_path / "nodes-negative.edges").write_text("# nodes -3\n0 1\n")
+        (tmp_path / "net.edges").write_text("0 1\n1 2\n2 0\n")
+        (tmp_path / "file").write_text("a regular file\n")
+        words = argv.format(tmp=tmp_path).split()
+        while "=" in words[0]:
+            monkeypatch.setenv(*words.pop(0).split("=", 1))
         try:
-            code = main(argv.format(tmp=tmp_path).split())
+            code = main(words)
         except SystemExit as error:
             code = error.code
         err = capsys.readouterr().err
@@ -261,3 +306,25 @@ class TestCommands:
         ]
         assert code == 2 and len(lines) == 1, err
         assert "Traceback" not in err
+        assert f"{words[0]}: " in lines[0]
+
+    @pytest.mark.parametrize("bug", [TypeError, RuntimeError, ValueError])
+    def test_a_bug_is_a_traceback_not_exit_2(self, bug, tmp_path, monkeypatch):
+        """Only refused input (``ReproError``) and ``OSError`` exit 2; any
+        other exception out of a command propagates, a plain
+        ``ValueError`` included."""
+
+        def broken(*args, **kwargs):
+            raise bug("not the user's fault")
+
+        monkeypatch.setattr("repro.graphs.ingest.ingest_topology", broken)
+        path = tmp_path / "net.edges"
+        path.write_text("0 1\n")
+        with pytest.raises(bug, match="not the user's fault"):
+            main(["ingest", str(path), "--no-cache"])
+
+    def test_input_error_crosses_a_process_boundary_unchanged(self):
+        # A pool worker's InputError reaches cli.main as itself.
+        error = pickle.loads(pickle.dumps(InputError("f.edges:2: bad")))
+        assert type(error) is InputError and error.args == ("f.edges:2: bad",)
+        assert isinstance(error, ReproError) and isinstance(error, ValueError)

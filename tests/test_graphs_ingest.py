@@ -18,6 +18,7 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.errors import InputError
 from repro.graphs._ckernels import load_kernels
 from repro.graphs.generators import (
     geometric_random_graph,
@@ -307,6 +308,82 @@ class TestEdgeListErrorSemantics:
         topology = ingest_file(path)
         assert topology.num_nodes == 4
         assert topology.num_edges == 0
+
+    @pytest.mark.parametrize("count", ["abc", "-3", "0", "2.5"])
+    def test_nodes_header_takes_a_positive_integer(self, tmp_path, count):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"0 1\n# nodes {count}\n")
+        with pytest.raises(InputError, match=f"^{path}:2: '# nodes' takes"):
+            ingest_file(path)
+
+    @pytest.mark.parametrize(
+        "fmt,text",
+        [
+            ("edge-list", ""),
+            ("edge-list", "# name nothing\n\n"),
+            ("rocketfuel", "garbage\n"),
+            ("caida-aslinks", "T 1 2\nM monitors: 3\n"),
+        ],
+    )
+    def test_a_file_that_yields_no_node_is_refused(self, tmp_path, fmt, text):
+        path = tmp_path / "nothing.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match=f"^{path}: no node"):
+            ingest_file(path, fmt=fmt)
+
+    def test_deferred_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("0 1\n1 2 nan\n2 2\n")
+        with pytest.raises(InputError, match=f"^{path}:2: edge weight"):
+            ingest_file(path)
+
+
+# A small valid file per format; the fuzz below truncates it, flips bits
+# in it and splices bytes that are not UTF-8 into it.  Ids are single
+# digits, so a flipped bit that merges two numbers still names a small
+# node (a huge id or "# nodes N" is a size question, outside this test).
+_FUZZ_SEEDS = {
+    "edge-list": b"# nodes 6\n# name fuzz\n0 1\n1 2 2.5\n2 3\n3 4 0.5\n5 0 7\n",
+    "rocketfuel": b"# isp\n1 @a + (2) -> <2> {3} =r1 rn\n2 @b -> <1> <3>\n3 -> {1}\n",
+    "caida-aslinks": b"T\t1\t2\nD\t10\t11\t1\nI\t11\t12\t2\nD\t12\t10\n",
+}
+
+
+@st.composite
+def _mangled(draw, seed: bytes) -> bytes:
+    data = bytearray(seed)
+    for _ in range(draw(st.integers(0, 4))):
+        data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data[at:at] = draw(st.binary(min_size=1, max_size=3)).translate(
+            bytes(range(128, 256)) * 2
+        )
+    return bytes(data[: draw(st.integers(0, len(data)))])
+
+
+class TestParserFuzz:
+    """Bytes from outside either load or raise ``InputError``, nothing
+    else, in every format (``read_edge_list`` for the native one)."""
+
+    @pytest.mark.parametrize("fmt", sorted(_FUZZ_SEEDS))
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mangled_bytes_load_or_raise_input_error(self, tmp_path, fmt, data):
+        path = tmp_path / "fuzz.txt"
+        path.write_bytes(data.draw(_mangled(_FUZZ_SEEDS[fmt])))
+        try:
+            if fmt == "edge-list":
+                topology = read_edge_list(path)
+            else:
+                topology = ingest_file(path, fmt=fmt)
+        except InputError:
+            return
+        assert type(topology) is Topology and topology.num_nodes >= 1
 
 
 class TestFormats:

@@ -136,7 +136,7 @@ ENTRY_POINTS: tuple[tuple[str, Mapping[str, str], object], ...] = (
     ("resolve --groups", {},
      ["resolve", "gnm", "256", "--lookups", "5000", "--duration", "64",
       "--churn-shards", "2", "--groups", "--diurnal", "0.5", "--flash",
-      "8", "16", "3", "--json", "{tmp}/resolve.json"]),
+      "8", "16", "3", "--zipf", "0.9", "--json", "{tmp}/resolve.json"]),
     ("examples/quickstart.py", {}, ROOT / "examples" / "quickstart.py"),
     ("examples/enterprise_flat_names.py", {},
      ROOT / "examples" / "enterprise_flat_names.py"),
