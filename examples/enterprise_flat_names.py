@@ -17,7 +17,7 @@ Run:  python examples/enterprise_flat_names.py
 
 from __future__ import annotations
 
-from repro import DiscoRouting, measure_state
+from repro import DiscoRouting, NDDiscoRouting, measure_state
 from repro.graphs.generators import internet_router_level
 from repro.naming.names import FlatName
 from repro.utils.formatting import format_table
@@ -36,7 +36,11 @@ def main() -> None:
     names = [mac_name(switch) for switch in fabric.nodes()]
     print(f"enterprise fabric: {fabric}")
 
-    disco = DiscoRouting(fabric, seed=5, names=names)
+    # The names belong to the ND-Disco substrate; Disco's name database
+    # is built over the names of the ND-Disco it routes on.
+    disco = DiscoRouting(
+        fabric, seed=5, nddisco=NDDiscoRouting(fabric, seed=5, names=names)
+    )
 
     # A host attached to access switch 250 is reachable by its MAC-style name.
     host_switch = 250

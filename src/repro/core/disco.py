@@ -37,7 +37,6 @@ from repro.core.sloppy_groups import SloppyGrouping
 from repro.core.tables import SubstrateTables
 from repro.graphs.topology import Topology
 from repro.naming.hashspace import HASH_BITS, hash_prefix
-from repro.naming.names import FlatName
 from repro.protocols.base import PairRouter, RouteResult, RoutingScheme
 
 __all__ = ["DiscoRouting"]
@@ -52,11 +51,6 @@ class DiscoRouting(RoutingScheme):
         The (connected) network.
     seed:
         Seed for landmark selection and overlay finger draws.
-    shortcut_mode:
-        Shortcutting heuristic for relay routes (default: the ``nddisco``'s,
-        else No Path Knowledge, as in the paper's headline results).
-    vicinity_scale:
-        Constant factor on the vicinity size of the ND-Disco built here.
     num_fingers:
         Outgoing overlay fingers per node (1 or 3 in the paper).
     estimated_n:
@@ -64,12 +58,11 @@ class DiscoRouting(RoutingScheme):
         value or a per-node mapping.  Defaults to the true n.  The
         §5.2 error-injection experiment passes per-node perturbed values.
     nddisco:
-        Optionally reuse an existing :class:`NDDiscoRouting` built on the
-        same topology (saves recomputing landmarks, vicinities, and
-        addresses when an experiment evaluates both protocols).  Its names,
-        shortcut mode and vicinities are Disco's: ``names`` and
-        ``shortcut_mode``, if given too, must equal its own, and
-        ``vicinity_scale`` must be left at 1.0.
+        The :class:`NDDiscoRouting` built on the same topology whose
+        landmarks, vicinities, addresses, names and shortcut mode Disco
+        routes over (an experiment evaluating both protocols builds the
+        substrate once).  Defaults to ``NDDiscoRouting(topology,
+        seed=seed)``.
     """
 
     name = "Disco"
@@ -79,35 +72,16 @@ class DiscoRouting(RoutingScheme):
         topology: Topology,
         *,
         seed: int = 0,
-        shortcut_mode: ShortcutMode | None = None,
-        vicinity_scale: float = 1.0,
         num_fingers: int = 1,
         estimated_n: float | Mapping[int, float] | None = None,
-        names: Sequence[FlatName] | None = None,
         nddisco: NDDiscoRouting | None = None,
     ) -> None:
         super().__init__(topology)
-        if nddisco is not None:
-            # The options that shape ND-Disco's state are its own: given
-            # beside it, they are refused unless they agree, not dropped.
-            if nddisco.topology.num_nodes != topology.num_nodes:
-                raise ValueError("nddisco was built on a different topology")
-            if names is not None and list(names) != nddisco.names:
-                raise ValueError("names differ from the nddisco's names")
-            if shortcut_mode is not None and shortcut_mode is not nddisco.shortcut_mode:
-                raise ValueError("shortcut_mode differs from the nddisco's")
-            if vicinity_scale != 1.0:
-                raise ValueError("vicinity_scale is the nddisco's, set when built")
-            self._nddisco = nddisco
-        else:
-            self._nddisco = NDDiscoRouting(
-                topology,
-                seed=seed,
-                shortcut_mode=shortcut_mode or ShortcutMode.NO_PATH_KNOWLEDGE,
-                vicinity_scale=vicinity_scale,
-                names=names,
-                resolve_first_packet=True,
-            )
+        if nddisco is None:
+            nddisco = NDDiscoRouting(topology, seed=seed)
+        elif nddisco.topology.num_nodes != topology.num_nodes:
+            raise ValueError("nddisco was built on a different topology")
+        self._nddisco = nddisco
         self._grouping = SloppyGrouping(self._nddisco.names, estimated_n)
         self._overlay = DisseminationOverlay(
             self._grouping, num_fingers=num_fingers, seed=seed

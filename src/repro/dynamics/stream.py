@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.errors import InputError
 from repro.graphs.topology import Topology, TopologyBuilder
 from repro.utils.randomness import make_rng
 from repro.utils.validation import require_positive
@@ -166,7 +167,7 @@ def generate_churn_workload(
                 DynEvent(len(events) // events_per_tick, "edge-up", u, v, weight)
             )
     if len(events) < num_events:
-        raise ValueError(
+        raise InputError(
             "could not generate the requested number of connectivity-preserving "
             f"events (got {len(events)} of {num_events}); the topology may be "
             "tree-like"
@@ -369,7 +370,7 @@ def generate_event_stream(
                     current.add_edge(node, neighbor, weight)
             events.append(DynEvent(tick=tick, kind="node-join", u=node))
     if len(events) < num_events:
-        raise ValueError(
+        raise InputError(
             "could not generate the requested number of events "
             f"(got {len(events)} of {num_events}) for kinds {tuple(kinds)!r}"
         )

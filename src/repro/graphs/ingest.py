@@ -121,12 +121,12 @@ def parse_edge_list(path) -> ParsedEdges:
 
     Error semantics are the documented ``read_edge_list`` contract, every
     error an :class:`~repro.errors.InputError`: malformed lines (wrong
-    field count), non-numeric fields, negative node ids and a ``# nodes``
-    header that is not a positive integer raise immediately with the
-    offending ``path:line``; ids exceeding a ``# nodes N`` header raise
-    after the pass; self-loops and weights that are not positive and
-    finite raise last (the dict path surfaced them from ``add_edge`` after
-    parsing), first offender in arrival order wins.
+    field count), non-numeric fields, negative node ids, ids of 2^63 or
+    more and a ``# nodes`` header that is not a positive integer raise
+    immediately with the offending ``path:line``; ids exceeding a
+    ``# nodes N`` header raise after the pass; self-loops and weights that
+    are not positive and finite raise last (the dict path surfaced them
+    from ``add_edge`` after parsing), first offender in arrival order wins.
     Blank lines, CRLF line endings, and unknown ``#`` comments are
     ignored; bytes that are not UTF-8 read as U+FFFD, as in the other
     formats.
@@ -189,8 +189,15 @@ def parse_edge_list(path) -> ParsedEdges:
                     )
             if u > v:
                 u, v = v, u
+            # 0 <= u <= v: when v fits an int64 slot, so does u.
+            try:
+                push_v(v)
+            except OverflowError as exc:
+                raise InputError(
+                    f"{path}:{line_number}: node id {v} does not fit in "
+                    "64 bits"
+                ) from exc
             push_u(u)
-            push_v(v)
             push_w(weight)
             if v > max_node:
                 max_node = v

@@ -66,8 +66,8 @@ def build_scheme(
     topology, seed:
         Passed to the protocol's constructor.
     kwargs:
-        Protocol-specific options (e.g. ``shortcut_mode`` for Disco/NDDisco,
-        ``vset_size`` for VRR).
+        Protocol-specific options (e.g. ``shortcut_mode`` for NDDisco,
+        ``nddisco`` for Disco, ``vset_size`` for VRR).
 
     Raises
     ------

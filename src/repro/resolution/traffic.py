@@ -49,6 +49,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.dynamics.stream import DynEvent
+from repro.errors import InputError
 from repro.resolution.service import (
     GroupContactIndex,
     RebalanceReport,
@@ -127,15 +128,15 @@ def generate_lookup_workload(
     require_positive("duration_ticks", duration_ticks)
     require_positive("zipf_exponent", zipf_exponent)
     if not 0.0 <= diurnal_amplitude < 1.0:
-        raise ValueError(
+        raise InputError(
             f"diurnal_amplitude must be in [0, 1), got {diurnal_amplitude}"
         )
     if flash is not None:
         start, end, boost = flash
         if not 0 <= start < end <= duration_ticks:
-            raise ValueError(f"flash window {flash!r} outside the timeline")
+            raise InputError(f"flash window {flash!r} outside the timeline")
         if boost <= 0:
-            raise ValueError(f"flash boost must be > 0, got {boost}")
+            raise InputError(f"flash boost must be > 0, got {boost}")
 
     # Per-tick volume: largest-remainder allocation over the intensity
     # profile, so the per-tick counts sum exactly to num_lookups.

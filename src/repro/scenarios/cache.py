@@ -14,11 +14,11 @@ object, in three kinds, each a raw slab directory ``<kind>/<key>.slabs/``
 * **tables** -- the converged landmark substrate
   (:class:`~repro.core.tables.SubstrateTables`) that ND-Disco adopts, Disco
   embeds and S4 adopts, keyed by what shapes it: the topology's *content*
-  (:meth:`Topology.content_key`), the landmark set, ``vicinity_scale`` and
+  (:meth:`Topology.content_key`), the landmark set and
   ``include_vicinity``;
 * **vrr** -- VRR's converged routing table
-  (:class:`~repro.protocols.vrr.RingTable`), keyed by the topology content,
-  the seed and ``vset_size``.
+  (:class:`~repro.protocols.vrr.RingTable`), keyed by the topology content
+  and the seed.
 
 A load attaches the directory by ``mmap`` through the kind's checked
 reader (:meth:`Topology.from_slab_dir
@@ -31,11 +31,12 @@ so every process that loads one -- the workers of a parallel run included
 checks is a miss, and the rebuild replaces it.
 
 Schemes are rebuilt over that state in the process that needs them,
-through their attach calls (``NDDiscoRouting.from_tables``,
-``S4Routing.from_tables``, ``DiscoRouting(nddisco=)``,
+each with its defaults, through their attach calls
+(``NDDiscoRouting.from_tables``, ``S4Routing.from_tables``,
+``DiscoRouting(topology, seed=, nddisco=)`` over that ND-Disco,
 ``VirtualRingRouting.from_table``; path-vector is rebuilt whole), and
 :func:`cached_scheme` memoizes each in memory only, keyed by
-:func:`scheme_key`.  Memo lookups count as neither hits nor misses: the
+:func:`scheme_key` over the topology content and the seed.  Memo lookups count as neither hits nor misses: the
 counters describe the store.
 
 A :class:`~repro.graphs.topology.Topology` is immutable, so a content key
@@ -90,8 +91,8 @@ __all__ = [
 #: directories.  v5 -- v10: layouts of the stored scheme shells.  v11:
 #: every topology and tables artifact is a slab directory, at every size.
 #: v12: the store keeps state only -- ``topology``, ``tables`` (keyed by
-#: topology content, landmarks, ``vicinity_scale``, ``include_vicinity``)
-#: and ``vrr`` slab directories; no substrate or scheme is stored.
+#: topology content, landmarks, ``include_vicinity``) and ``vrr`` slab
+#: directories; no substrate or scheme is stored.
 ARTIFACT_SCHEMA = "repro-artifacts/v12"
 
 #: The on-disk artifact kinds, in display order; each is a directory of
@@ -351,8 +352,8 @@ def cached_scheme(
 ) -> T:
     """Build (or recall) a converged scheme through the active cache's memo.
 
-    ``params`` must be the full set of inputs that shape the scheme (seed,
-    shortcut mode, landmark set, ...).  With no active cache, or with an
+    ``params`` must be the full set of inputs that shape the scheme (the
+    seed, whether S4 shares ND-Disco's tables, ...).  With no active cache, or with an
     uncacheable parameter, this is ``build()``.  The memo lives in memory
     only: ``build`` is expected to attach the scheme to state fetched with
     :func:`cached_state`.  Memoized objects are shared -- callers must

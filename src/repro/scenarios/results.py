@@ -38,8 +38,8 @@ def to_jsonable(value: object) -> object:
     objects with stringified keys (sweep results are keyed by int), sets
     are sorted for determinism, enums collapse to their name, and
     non-finite floats are stringified (JSON has no ``inf``/``nan``).
-    Anything unrecognized falls back to ``repr`` rather than failing the
-    run.
+    Any other type raises ``TypeError``: a result holds only these, so a
+    value of another type is a bug in the scenario, not a string.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -58,7 +58,7 @@ def to_jsonable(value: object) -> object:
         return [to_jsonable(item) for item in sorted(value)]
     if isinstance(value, (list, tuple)):
         return [to_jsonable(item) for item in value]
-    return repr(value)
+    raise TypeError(f"no JSON form for a {type(value).__name__}: {value!r}")
 
 
 def scenario_json(

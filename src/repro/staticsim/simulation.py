@@ -16,13 +16,12 @@ congestion figure: given a topology and a list of protocol names it
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.addressing.labels import LabelCodec
 from repro.core.disco import DiscoRouting
 from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
-from repro.core.shortcutting import ShortcutMode
 from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import SubstrateTables
 from repro.graphs.sampling import one_destination_per_node, sample_nodes, sample_pairs
@@ -67,37 +66,26 @@ class StaticSimulation:
     topology:
         The network to evaluate on (must be connected).
     protocols:
-        Protocol names accepted by :func:`repro.protocols.build_scheme`.
+        Protocol names accepted by :func:`repro.protocols.build_scheme`,
+        each built with its defaults.  A scheme in another configuration
+        (other names, landmarks or shortcut mode) is built with its own
+        constructor and measured with :mod:`repro.metrics`.
     seed:
         Root seed for landmark selection, workload sampling, and every other
         random choice.
-    shortcut_mode:
-        Shortcutting heuristic used by Disco / NDDisco.
-    num_fingers:
-        Overlay fingers per node in Disco.
-    scheme_options:
-        Extra per-protocol constructor options, keyed by protocol name.
     """
 
     def __init__(
         self,
         topology: Topology,
-        protocols: Sequence[str] = ("disco", "nd-disco", "s4"),
+        protocols: Sequence[str],
         *,
         seed: int = 0,
-        shortcut_mode: ShortcutMode = ShortcutMode.NO_PATH_KNOWLEDGE,
-        num_fingers: int = 1,
-        scheme_options: Mapping[str, Mapping[str, object]] | None = None,
     ) -> None:
         if not protocols:
             raise ValueError("at least one protocol is required")
         self._topology = topology
         self._seed = seed
-        self._shortcut_mode = shortcut_mode
-        self._num_fingers = num_fingers
-        self._options = {
-            name.lower(): dict(opts) for name, opts in (scheme_options or {}).items()
-        }
         self._schemes: dict[str, RoutingScheme] = {}
         self._build(list(protocols))
 
@@ -113,17 +101,11 @@ class StaticSimulation:
         topology, seed = self._topology, self._seed
         normalized = [name.strip().lower() for name in protocols]
         shared_nddisco: NDDiscoRouting | None = None
-        nddisco_options = self._options.get("nd-disco", {})
 
         def get_nddisco() -> NDDiscoRouting:
             nonlocal shared_nddisco
             if shared_nddisco is None:
-                shared_nddisco = converged_nddisco(
-                    topology,
-                    seed=seed,
-                    shortcut_mode=self._shortcut_mode,
-                    **nddisco_options,
-                )
+                shared_nddisco = converged_nddisco(topology, seed=seed)
             return shared_nddisco
 
         for name in normalized:
@@ -132,62 +114,33 @@ class StaticSimulation:
             if name in ("nd-disco", "nddisco"):
                 scheme: RoutingScheme = get_nddisco()
             elif name == "disco":
-                options = self._options.get("disco", {})
                 scheme = cached_scheme(
                     topology,
                     "disco",
-                    lambda: DiscoRouting(
-                        topology,
-                        seed=seed,
-                        num_fingers=self._num_fingers,
-                        nddisco=get_nddisco(),
-                        **options,
-                    ),
+                    lambda: DiscoRouting(topology, seed=seed, nddisco=get_nddisco()),
                     seed=seed,
-                    num_fingers=self._num_fingers,
-                    shortcut_mode=self._shortcut_mode,
-                    # Disco embeds the NDDisco substrate built from the
-                    # nd-disco options, so those options shape Disco's
-                    # converged state and must be part of its key.
-                    nddisco_options=tuple(sorted(nddisco_options.items())),
-                    **options,
                 )
             elif name == "s4":
-                options = dict(self._options.get("s4", {}))
                 # Use the same landmark set as Disco/NDDisco when both are
                 # evaluated, mirroring the paper's like-for-like comparison:
                 # S4 then adopts NDDisco's converged tables (the same SPTs,
                 # addresses and closest-landmark rows) instead of
                 # recomputing them.
-                shares_landmarks = (
-                    "disco" in normalized or "nd-disco" in normalized
-                ) and "landmarks" not in options
-                key_options = dict(options)
-                names = options.pop("names", None)
+                shares_landmarks = "disco" in normalized or "nd-disco" in normalized
                 if shares_landmarks:
                     nddisco = get_nddisco()
-                    names = nddisco.names if names is None else list(names)
                     build = lambda: S4Routing.from_tables(
-                        topology, nddisco.tables, names, **options
-                    )
-                    # The tables cannot be hashed into the key, but they are
-                    # fully determined by the topology content, the landmark
-                    # set and the nd-disco options they were built from
-                    # (e.g. custom names), so the key carries those plus a
-                    # sharing flag instead.
-                    key_options["landmarks"] = nddisco.landmarks
-                    key_options["nddisco_options"] = tuple(
-                        sorted(nddisco_options.items())
+                        topology, nddisco.tables, nddisco.names
                     )
                 else:
-                    landmarks = options.pop("landmarks", None)
-                    if landmarks is None:
-                        landmarks = select_landmarks(topology.num_nodes, seed=seed)
                     build = lambda: S4Routing.from_tables(
                         topology,
-                        substrate_tables(topology, landmarks, include_vicinity=False),
-                        _names(topology, names),
-                        **options,
+                        substrate_tables(
+                            topology,
+                            select_landmarks(topology.num_nodes, seed=seed),
+                            include_vicinity=False,
+                        ),
+                        _default_names(topology),
                     )
                 scheme = cached_scheme(
                     topology,
@@ -195,32 +148,24 @@ class StaticSimulation:
                     build,
                     seed=seed,
                     substrate_shared=shares_landmarks,
-                    **key_options,
                 )
             elif name == "vrr":
-                options = self._options.get("vrr", {})
                 build = lambda: VirtualRingRouting.from_table(
                     topology,
                     cached_state(
                         topology,
                         "vrr",
-                        lambda: VirtualRingRouting.converge(topology, seed=seed, **options),
+                        lambda: VirtualRingRouting.converge(topology, seed=seed),
                         seed=seed,
-                        **options,
                     ),
-                    **options,
                 )
-                scheme = cached_scheme(topology, "vrr", build, seed=seed, **options)
+                scheme = cached_scheme(topology, "vrr", build, seed=seed)
             else:
-                options = self._options.get(name, {})
                 scheme = cached_scheme(
                     topology,
                     name,
-                    lambda name=name, options=options: build_scheme(
-                        name, topology, seed=seed, **options
-                    ),
+                    lambda name=name: build_scheme(name, topology, seed=seed),
                     seed=seed,
-                    **options,
                 )
             self._schemes[name] = scheme
 
@@ -250,7 +195,6 @@ class StaticSimulation:
         measure_congestion_flag: bool = False,
         node_sample: int | None = None,
         pair_sample: int = 500,
-        congestion_pairs: Sequence[tuple[int, int]] | None = None,
         measure_protocols: Sequence[str] | None = None,
     ) -> SimulationResults:
         """Measure the requested metrics for every protocol.
@@ -278,11 +222,7 @@ class StaticSimulation:
             else list(self._topology.nodes())
         )
         pairs = sample_pairs(self._topology, pair_sample, seed=self._seed + 1)
-        flows = (
-            list(congestion_pairs)
-            if congestion_pairs is not None
-            else one_destination_per_node(self._topology, seed=self._seed + 2)
-        )
+        flows = one_destination_per_node(self._topology, seed=self._seed + 2)
         # The true shortest distances are a function of topology and pairs
         # alone, so all protocols share one table (the batched measurement
         # engine then shares per-target relay state within each scheme).
@@ -306,18 +246,15 @@ class StaticSimulation:
         return results
 
 
-def _names(topology: Topology, names) -> list[FlatName]:
-    """``names`` as a list, or the default ``node-<id>`` names."""
-    if names is None:
-        return [name_for_node(v) for v in range(topology.num_nodes)]
-    return list(names)
+def _default_names(topology: Topology) -> list[FlatName]:
+    """The default ``node-<id>`` names."""
+    return [name_for_node(v) for v in range(topology.num_nodes)]
 
 
 def substrate_tables(
     topology: Topology,
     landmarks,
     *,
-    vicinity_scale: float = 1.0,
     include_vicinity: bool = True,
 ) -> SubstrateTables:
     """``build_substrate_tables`` with the label codec, through the active
@@ -333,47 +270,28 @@ def substrate_tables(
             topology,
             landmarks,
             codec=LabelCodec(topology),
-            vicinity_scale=vicinity_scale,
             include_vicinity=include_vicinity,
         ),
         landmarks=set(landmarks),
-        vicinity_scale=vicinity_scale,
         include_vicinity=include_vicinity,
     )
 
 
-def converged_nddisco(
-    topology: Topology,
-    *,
-    seed: int = 0,
-    shortcut_mode: ShortcutMode = ShortcutMode.NO_PATH_KNOWLEDGE,
-    **options: object,
-) -> NDDiscoRouting:
-    """``NDDiscoRouting(topology, seed=seed, ...)`` attached to
+def converged_nddisco(topology: Topology, *, seed: int = 0) -> NDDiscoRouting:
+    """``NDDiscoRouting(topology, seed=seed)`` attached to
     :func:`substrate_tables` and memoized per process by the active cache:
     the one ND-Disco every scenario builds."""
     from repro.scenarios.cache import cached_scheme
 
-    def attach() -> NDDiscoRouting:
-        rest = dict(options)
-        landmarks = rest.pop("landmarks", None)
-        tables = substrate_tables(
-            topology,
-            select_landmarks(topology.num_nodes, seed=seed)
-            if landmarks is None
-            else landmarks,
-            vicinity_scale=rest.pop("vicinity_scale", 1.0),
-        )
-        names = _names(topology, rest.pop("names", None))
-        return NDDiscoRouting.from_tables(
-            topology, tables, names, shortcut_mode=shortcut_mode, **rest
-        )
-
     return cached_scheme(
         topology,
         "nd-disco",
-        attach,
+        lambda: NDDiscoRouting.from_tables(
+            topology,
+            substrate_tables(
+                topology, select_landmarks(topology.num_nodes, seed=seed)
+            ),
+            _default_names(topology),
+        ),
         seed=seed,
-        shortcut_mode=shortcut_mode,
-        **options,
     )

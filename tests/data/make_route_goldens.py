@@ -20,6 +20,7 @@ import json
 from pathlib import Path
 from typing import Iterator
 
+from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.graphs.generators import (
     geometric_random_graph,
@@ -27,6 +28,7 @@ from repro.graphs.generators import (
     internet_router_level,
 )
 from repro.graphs.sampling import sample_pairs
+from repro.protocols.s4 import S4Routing
 from repro.staticsim.simulation import StaticSimulation
 
 GOLDENS_PATH = Path(__file__).with_name("route_goldens.json")
@@ -58,15 +60,19 @@ def cells(family: str) -> Iterator[tuple[str, object, list[tuple[int, int]]]]:
         disco.shortcut_mode = mode  # shared with the embedded ND-Disco
         yield f"{family}/disco/{mode.value}", disco, pairs
         yield f"{family}/nd-disco/{mode.value}", disco.nddisco, pairs
-    no_resolve = {"resolve_first_packet": False}
-    address_known = StaticSimulation(
-        topology,
-        ("nd-disco", "s4"),
-        seed=1,
-        scheme_options={"nd-disco": no_resolve, "s4": no_resolve},
-    )
-    for name in ("nd-disco", "s4"):
-        yield f"{family}/{name}/address-known", address_known.scheme(name), pairs
+    # The address-known cells: both schemes over the same tables, with the
+    # first packet's resolution step off.
+    nddisco = disco.nddisco
+    address_known = {
+        "nd-disco": NDDiscoRouting.from_tables(
+            topology, nddisco.tables, nddisco.names, resolve_first_packet=False
+        ),
+        "s4": S4Routing.from_tables(
+            topology, nddisco.tables, nddisco.names, resolve_first_packet=False
+        ),
+    }
+    for name, scheme in address_known.items():
+        yield f"{family}/{name}/address-known", scheme, pairs
 
 
 def digest(routes) -> str:

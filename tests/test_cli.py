@@ -273,6 +273,12 @@ class TestCommands:
             "resolve gnm 64 --zipf -1",
             "resolve gnm 64 --groups --deployment 0",
             "churn gnm 64 --events-per-tick 0",
+            # A value the library refuses past argparse.
+            "resolve gnm 64 --diurnal 1.5",
+            "resolve gnm 64 --flash 5 2 1",
+            "churn gnm 64 --events 500 --kinds node-leave",
+            # A node id that does not fit in 64 bits.
+            "profile {tmp}/huge-id.edges",
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(
@@ -289,6 +295,7 @@ class TestCommands:
         (tmp_path / "garbage.cch").write_text("garbage\n")
         (tmp_path / "nodes-abc.edges").write_text("# nodes abc\n0 1\n")
         (tmp_path / "nodes-negative.edges").write_text("# nodes -3\n0 1\n")
+        (tmp_path / "huge-id.edges").write_text("0 99999999999999999999\n")
         (tmp_path / "net.edges").write_text("0 1\n1 2\n2 0\n")
         (tmp_path / "file").write_text("a regular file\n")
         words = argv.format(tmp=tmp_path).split()

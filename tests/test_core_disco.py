@@ -11,6 +11,20 @@ from repro.core.shortcutting import ShortcutMode
 from repro.graphs.generators import gnm_random_graph
 from repro.metrics.stretch import measure_stretch
 from repro.naming.names import name_for_node
+from repro.staticsim.simulation import StaticSimulation
+
+
+#: ``(constructor, keyword, a value)`` for each keyword that left
+#: ``DiscoRouting``, ``StaticSimulation`` and ``StaticSimulation.run``.
+_REMOVED_KEYWORDS = [
+    ("disco", "names", None),
+    ("disco", "shortcut_mode", ShortcutMode.NONE),
+    ("disco", "vicinity_scale", 2.0),
+    ("simulation", "scheme_options", {}),
+    ("simulation", "shortcut_mode", ShortcutMode.NONE),
+    ("simulation", "num_fingers", 3),
+    ("run", "congestion_pairs", [(0, 1)]),
+]
 
 
 class TestConstruction:
@@ -23,39 +37,37 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiscoRouting(small_gnm, nddisco=foreign)
 
-    def test_names_must_be_the_nddiscos(self, small_gnm, nddisco_small):
-        """Disco groups and routes on its substrate's names: other names
-        given beside ``nddisco=`` are refused, not dropped."""
-        n = small_gnm.num_nodes
-        other = [name_for_node(v + 1000) for v in range(n)]
-        with pytest.raises(ValueError, match="names differ"):
-            DiscoRouting(small_gnm, nddisco=nddisco_small, names=other)
-        same = DiscoRouting(
-            small_gnm, nddisco=nddisco_small, names=list(nddisco_small.names)
-        )
-        assert same.nddisco is nddisco_small
-        named = NDDiscoRouting(small_gnm, seed=1, names=other)
-        disco = DiscoRouting(small_gnm, nddisco=named, names=other)
-        assert disco.nddisco.names == other
-
     @pytest.mark.parametrize(
-        "option",
-        [{"shortcut_mode": ShortcutMode.NONE}, {"vicinity_scale": 0.25}],
-        ids=lambda option: next(iter(option)),
+        "build, keyword, value",
+        _REMOVED_KEYWORDS,
+        ids=[f"{build}-{keyword}" for build, keyword, _ in _REMOVED_KEYWORDS],
     )
-    def test_substrate_options_must_be_the_nddiscos(
-        self, small_gnm, nddisco_small, option
+    def test_removed_keyword_is_refused(
+        self, small_gnm, nddisco_small, build, keyword, value
     ):
-        """The shortcut mode and the vicinity scale are the substrate's:
-        given beside ``nddisco=`` they are refused, not dropped."""
-        with pytest.raises(ValueError, match=next(iter(option))):
-            DiscoRouting(small_gnm, seed=1, nddisco=nddisco_small, **option)
-        same = DiscoRouting(
-            small_gnm,
-            nddisco=nddisco_small,
-            shortcut_mode=nddisco_small.shortcut_mode,
-        )
-        assert same.shortcut_mode is nddisco_small.shortcut_mode
+        """The substrate's names, shortcut mode and vicinity size are the
+        ND-Disco's, and a simulation builds every protocol with its
+        defaults: none of these is a keyword any more."""
+        call = {
+            "disco": lambda: DiscoRouting(
+                small_gnm, nddisco=nddisco_small, **{keyword: value}
+            ),
+            "simulation": lambda: StaticSimulation(
+                small_gnm, ("disco",), seed=1, **{keyword: value}
+            ),
+            "run": lambda: StaticSimulation(small_gnm, ("s4",), seed=1).run(
+                **{keyword: value}
+            ),
+        }[build]
+        with pytest.raises(TypeError, match=keyword):
+            call()
+
+    def test_groups_on_the_nddiscos_names(self, small_gnm):
+        other = [name_for_node(v + 1000) for v in range(small_gnm.num_nodes)]
+        named = NDDiscoRouting(small_gnm, seed=1, names=other)
+        disco = DiscoRouting(small_gnm, seed=1, nddisco=named)
+        assert disco.nddisco.names == other
+        assert disco.grouping.hash_of(5) == other[5].hash_value
 
     def test_builds_own_nddisco_when_not_given(self, small_gnm):
         disco = DiscoRouting(small_gnm, seed=4)
@@ -66,7 +78,8 @@ class TestConstruction:
         assert disco_small.overlay.grouping is disco_small.grouping
 
     def test_shortcut_mode_propagates_to_nddisco(self, small_gnm):
-        disco = DiscoRouting(small_gnm, seed=4, shortcut_mode=ShortcutMode.NONE)
+        nddisco = NDDiscoRouting(small_gnm, seed=4, shortcut_mode=ShortcutMode.NONE)
+        disco = DiscoRouting(small_gnm, seed=4, nddisco=nddisco)
         assert disco.shortcut_mode is ShortcutMode.NONE
         disco.shortcut_mode = ShortcutMode.PATH_KNOWLEDGE
         assert disco.nddisco.shortcut_mode is ShortcutMode.PATH_KNOWLEDGE

@@ -339,14 +339,19 @@ class TestEdgeListErrorSemantics:
 
 
 # A small valid file per format; the fuzz below truncates it, flips bits
-# in it and splices bytes that are not UTF-8 into it.  Ids are single
-# digits, so a flipped bit that merges two numbers still names a small
-# node (a huge id or "# nodes N" is a size question, outside this test).
+# in it, splices bytes that are not UTF-8 into it and may splice in, last,
+# a whole edge line naming node 2^64.  Ids are single digits, so a flipped
+# bit that merges two numbers still names a small node, and the huge line
+# is never cut short (an id between those, or a huge "# nodes N", is a
+# size question, outside this test).
 _FUZZ_SEEDS = {
     "edge-list": b"# nodes 6\n# name fuzz\n0 1\n1 2 2.5\n2 3\n3 4 0.5\n5 0 7\n",
     "rocketfuel": b"# isp\n1 @a + (2) -> <2> {3} =r1 rn\n2 @b -> <1> <3>\n3 -> {1}\n",
     "caida-aslinks": b"T\t1\t2\nD\t10\t11\t1\nI\t11\t12\t2\nD\t12\t10\n",
 }
+
+
+_HUGE_ID_LINE = b"0 18446744073709551616\n"
 
 
 @st.composite
@@ -359,7 +364,11 @@ def _mangled(draw, seed: bytes) -> bytes:
         data[at:at] = draw(st.binary(min_size=1, max_size=3)).translate(
             bytes(range(128, 256)) * 2
         )
-    return bytes(data[: draw(st.integers(0, len(data)))])
+    del data[draw(st.integers(0, len(data))) :]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data[at:at] = _HUGE_ID_LINE
+    return bytes(data)
 
 
 class TestParserFuzz:

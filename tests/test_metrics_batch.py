@@ -20,6 +20,7 @@ import pytest
 
 from oracles import reference_paths as reference
 from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
+from repro.core.disco import DiscoRouting
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.graphs.generators import (
@@ -149,11 +150,13 @@ class TestBatchedStretch:
     @pytest.mark.parametrize("mode", list(ShortcutMode))
     def test_every_shortcut_mode(self, mode):
         topology = gnm_random_graph(120, seed=9, average_degree=6.0)
-        simulation = StaticSimulation(
-            topology, ("disco", "nd-disco"), seed=2, shortcut_mode=mode
-        )
+        nddisco = NDDiscoRouting(topology, seed=2, shortcut_mode=mode)
+        schemes = {
+            "disco": DiscoRouting(topology, seed=2, nddisco=nddisco),
+            "nd-disco": nddisco,
+        }
         pairs = sample_pairs(topology, 120, seed=3)
-        for name, scheme in simulation.schemes.items():
+        for name, scheme in schemes.items():
             loop = _stretch_one_by_one(scheme, pairs)
             batched = measure_stretch(scheme, pairs=pairs)
             assert loop == batched, (mode, name)
@@ -169,9 +172,11 @@ class TestBatchedStretch:
         )
         measure_stretch(switched, pairs=pairs)  # a measurement in the old mode
         switched.shortcut_mode = mode
-        built = StaticSimulation(
-            topology, ("disco",), seed=2, shortcut_mode=mode
-        ).scheme("disco")
+        built = DiscoRouting(
+            topology,
+            seed=2,
+            nddisco=NDDiscoRouting(topology, seed=2, shortcut_mode=mode),
+        )
         assert measure_stretch(switched, pairs=pairs) == measure_stretch(
             built, pairs=pairs
         )
@@ -209,9 +214,13 @@ class TestBatchedRoutes:
         default = measure_stretch(disco, pairs=pairs)
         disco.nddisco.shortcut_mode = ShortcutMode.NONE
         assert disco.shortcut_mode is ShortcutMode.NONE
-        built = StaticSimulation(
-            medium_gnm, ("disco",), seed=1, shortcut_mode=ShortcutMode.NONE
-        ).scheme("disco")
+        built = DiscoRouting(
+            medium_gnm,
+            seed=1,
+            nddisco=NDDiscoRouting(
+                medium_gnm, seed=1, shortcut_mode=ShortcutMode.NONE
+            ),
+        )
         unshortcut = measure_stretch(disco, pairs=pairs)
         assert unshortcut == measure_stretch(built, pairs=pairs)
         assert unshortcut != default

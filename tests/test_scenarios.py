@@ -333,29 +333,6 @@ class TestSchemeCache:
         assert second.scheme("disco").nddisco is first.scheme("nd-disco")
         assert (cache.hits, cache.misses) == (0, 1)
 
-    def test_nddisco_options_differentiate_disco_keys(self):
-        # Regression: Disco embeds the NDDisco substrate, so two
-        # simulations differing only in nd-disco options (e.g. the landmark
-        # set) must not share a cached Disco.
-        from repro.graphs.generators import gnm_random_graph
-
-        topology = gnm_random_graph(72, seed=5, average_degree=6.0)
-        with activated(ArtifactCache()):
-            first = StaticSimulation(
-                topology,
-                ("disco",),
-                seed=3,
-                scheme_options={"nd-disco": {"landmarks": {0, 1, 2}}},
-            )
-            second = StaticSimulation(
-                topology,
-                ("disco",),
-                seed=3,
-                scheme_options={"nd-disco": {"landmarks": {10, 20, 30}}},
-            )
-        assert first.scheme("disco") is not second.scheme("disco")
-        assert second.scheme("disco").nddisco.landmarks == {10, 20, 30}
-
     def test_disk_cached_substrate_composes_with_fresh_topology(self, tmp_path):
         # Regression: with a disk cache shared between worker processes, one
         # worker can load another worker's converged NDDisco (a
@@ -413,6 +390,17 @@ class TestResults:
     def test_to_jsonable_nonfinite_floats(self):
         assert to_jsonable(float("inf")) == "inf"
         assert to_jsonable(float("nan")) == "nan"
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(object(), "object"), (b"raw", "bytes"), ({"k": [1, 2.0j]}, "complex")],
+        ids=["object", "bytes", "nested-complex"],
+    )
+    def test_to_jsonable_refuses_an_unknown_type(self, value, kind):
+        """A value with no JSON form is an error naming its type, not a
+        ``repr`` string in the document."""
+        with pytest.raises(TypeError, match=f"no JSON form for a {kind}"):
+            to_jsonable(value)
 
     def test_dump_json_is_deterministic(self):
         document = {"b": 1, "a": {"y": 2.5, "x": (1, 2)}}

@@ -9,11 +9,14 @@ replaced (:mod:`oracles.state_accounting`), at every name size.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from oracles import state_accounting as oracle
 from oracles.resolution_db import scheme_records
 from repro.addressing.address import NAME_BYTES_IPV4, NAME_BYTES_IPV6
+from repro.core.disco import DiscoRouting
 from repro.core.nddisco import NDDiscoRouting
 from repro.graphs.generators import geometric_random_graph, two_level_tree
 from repro.metrics.state import measure_state
@@ -23,23 +26,36 @@ from repro.staticsim.simulation import StaticSimulation
 from test_metrics_batch import _topologies
 
 NAME_SIZES = (1, 4, 16, 20)
-FIVE_SCHEMES = ("disco", "nd-disco", "s4", "vrr", "shortest-path")
+THREE_SCHEMES = ("disco", "nd-disco", "s4")
+FIVE_SCHEMES = (*THREE_SCHEMES, "vrr", "shortest-path")
 
-def _leaf_landmark() -> StaticSimulation:
-    """The footnote-6 tree with a degree-1 leaf (7) among injected landmarks."""
+def _leaf_landmark() -> SimpleNamespace:
+    """The footnote-6 tree with a degree-1 leaf (7) among injected
+    landmarks: the three schemes over one ND-Disco built on them, shaped
+    as a simulation (``topology``, ``schemes``, ``scheme``)."""
     tree = two_level_tree(5)
     assert tree.degree(7) == 1
-    return StaticSimulation(
-        tree, seed=1, scheme_options={"nd-disco": {"landmarks": {0, 3, 7}}}
+    nddisco = NDDiscoRouting(tree, seed=1, landmarks={0, 3, 7})
+    schemes = {
+        "disco": DiscoRouting(tree, seed=1, nddisco=nddisco),
+        "nd-disco": nddisco,
+        "s4": S4Routing.from_tables(tree, nddisco.tables, nddisco.names),
+    }
+    return SimpleNamespace(
+        topology=tree, schemes=schemes, scheme=schemes.__getitem__
     )
 
 
 _CASES = {
-    "gnm": lambda: StaticSimulation(_topologies()[0], seed=1),
-    "geometric": lambda: StaticSimulation(_topologies()[1], seed=1),
-    "router-level": lambda: StaticSimulation(_topologies()[2], seed=1),
+    "gnm": lambda: StaticSimulation(_topologies()[0], THREE_SCHEMES, seed=1),
+    "geometric": lambda: StaticSimulation(_topologies()[1], THREE_SCHEMES, seed=1),
+    "router-level": lambda: StaticSimulation(
+        _topologies()[2], THREE_SCHEMES, seed=1
+    ),
     "weighted-geometric": lambda: StaticSimulation(
-        geometric_random_graph(96, seed=21, average_degree=5.0), seed=2
+        geometric_random_graph(96, seed=21, average_degree=5.0),
+        THREE_SCHEMES,
+        seed=2,
     ),
     "leaf-landmark": _leaf_landmark,
 }

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.shortcutting import ShortcutMode
 from repro.estimation.error_injection import inject_estimate_error
 from repro.staticsim.simulation import StaticSimulation
 
@@ -51,21 +50,6 @@ class TestStaticSimulation:
     def test_requires_protocols(self, small_gnm):
         with pytest.raises(ValueError):
             StaticSimulation(small_gnm, ())
-
-    def test_scheme_options_forwarded(self, small_gnm):
-        simulation = StaticSimulation(
-            small_gnm,
-            ("vrr",),
-            seed=1,
-            scheme_options={"vrr": {"vset_size": 6}},
-        )
-        assert simulation.scheme("vrr").vset_size == 6
-
-    def test_shortcut_mode_forwarded(self, small_gnm):
-        simulation = StaticSimulation(
-            small_gnm, ("disco",), seed=1, shortcut_mode=ShortcutMode.NONE
-        )
-        assert simulation.scheme("disco").shortcut_mode is ShortcutMode.NONE
 
     def test_node_sampling(self, simulation):
         results = simulation.run(node_sample=16, measure_stretch_flag=False)

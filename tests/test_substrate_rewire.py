@@ -42,11 +42,11 @@ def _edited(topology):
     return builder.freeze()
 
 
-def _simulation(root, protocols=PROTOCOLS, **options):
+def _simulation(root, protocols=PROTOCOLS):
     """One run over ``root``: the simulation and the cache it used."""
     with activated(ArtifactCache(root)) as cache:
         topology = cache.topology(("gnm", 72, 5, 6.0), _build_topology)
-        simulation = StaticSimulation(topology, protocols, seed=3, **options)
+        simulation = StaticSimulation(topology, protocols, seed=3)
     return simulation, cache
 
 

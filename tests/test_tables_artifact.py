@@ -17,6 +17,7 @@ import zlib
 
 import pytest
 
+from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.core.tables import SubstrateTables
@@ -25,9 +26,10 @@ from repro.graphs.generators import gnm_random_graph
 from repro.graphs.sampling import sample_pairs
 from repro.graphs.topology import Topology
 from repro.metrics.stretch import measure_stretch
+from repro.naming.names import name_for_node
 from repro.scenarios.cache import ArtifactCache, activated, cache_key
 from repro.scenarios.engine import run_scenarios
-from repro.staticsim.simulation import StaticSimulation
+from repro.staticsim.simulation import StaticSimulation, substrate_tables
 
 _PROTOCOLS = ("disco", "nd-disco", "s4")
 
@@ -254,28 +256,27 @@ class TestCacheArtifacts:
             ArtifactCache(tmp_path)._load_slab_dir("tables", key)
 
     def test_tables_key_is_stable_and_distinct(self, tmp_path):
-        """Tables are keyed by what shapes their slabs: the shortcut mode
-        and the resolution options share one artifact, the vicinity scale
-        does not."""
+        """Tables are keyed by what shapes their slabs: an ND-Disco in
+        every shortcut and resolution mode attaches one artifact; tables
+        without vicinities, or over another landmark set, are others."""
         topology = gnm_random_graph(64, seed=2, average_degree=6.0)
-        variants = [
-            {"shortcut_mode": ShortcutMode.NO_PATH_KNOWLEDGE},
-            {"shortcut_mode": ShortcutMode.TO_DESTINATION},
-            {"scheme_options": {"nd-disco": {"resolve_first_packet": False}}},
-        ]
+        landmarks = select_landmarks(topology.num_nodes, seed=1)
+        names = [name_for_node(v) for v in topology.nodes()]
+        variants = [{"shortcut_mode": mode} for mode in ShortcutMode]
+        variants.append({"resolve_first_packet": False})
         for options in variants:
             with activated(ArtifactCache(tmp_path)):
-                StaticSimulation(topology, ("nd-disco",), seed=1, **options)
+                NDDiscoRouting.from_tables(
+                    topology, substrate_tables(topology, landmarks), names, **options
+                )
         assert len(os.listdir(tmp_path / "tables")) == 2  # one dir + sidecar
         with activated(ArtifactCache(tmp_path)) as cache:
-            StaticSimulation(
-                topology,
-                ("nd-disco",),
-                seed=1,
-                scheme_options={"nd-disco": {"vicinity_scale": 2.0}},
-            )
-        assert (cache.hits, cache.misses) == (0, 1)
-        assert len(os.listdir(tmp_path / "tables")) == 4
+            StaticSimulation(topology, ("nd-disco",), seed=1)
+            assert (cache.hits, cache.misses) == (1, 0)
+            StaticSimulation(topology, ("s4",), seed=1)
+            StaticSimulation(topology, ("nd-disco",), seed=2)
+        assert (cache.hits, cache.misses) == (1, 2)
+        assert len(os.listdir(tmp_path / "tables")) == 6
 
 
 #: The id slabs of a tables directory, each with the lowest id it may hold.
