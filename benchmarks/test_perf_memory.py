@@ -121,7 +121,6 @@ def test_substrate_build_peak_memory_stays_slab_bound(benchmark, run_once):
     import gc
     import tracemalloc
 
-    from repro.addressing.labels import LabelCodec
     from repro.core.landmarks import select_landmarks
     from repro.core.substrate_build import build_substrate_tables
     from repro.graphs.generators import gnm_random_graph
@@ -130,15 +129,12 @@ def test_substrate_build_peak_memory_stays_slab_bound(benchmark, run_once):
 
     def measure() -> tuple[int, int]:
         topology = gnm_random_graph(n, seed=3, average_degree=8.0)
-        codec = LabelCodec(topology)
         landmarks = select_landmarks(n, seed=1)
         topology.csr()  # snapshot outside the trace
         gc.collect()
         tracemalloc.start()
         try:
-            tables = build_substrate_tables(
-                topology, landmarks, codec=codec
-            )
+            tables = build_substrate_tables(topology, landmarks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

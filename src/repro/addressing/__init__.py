@@ -10,9 +10,9 @@ on the router-level Internet map average 2.93 bytes.
 """
 
 from repro.addressing.labels import (
-    LabelCodec,
+    address_bits,
     hop_label_bits,
-    route_label_bits,
+    route_labels,
 )
 from repro.addressing.explicit_route import ExplicitRoute
 from repro.addressing.address import Address, NAME_BYTES_IPV4, NAME_BYTES_IPV6
@@ -20,9 +20,9 @@ from repro.addressing.address import Address, NAME_BYTES_IPV4, NAME_BYTES_IPV6
 __all__ = [
     "Address",
     "ExplicitRoute",
-    "LabelCodec",
     "NAME_BYTES_IPV4",
     "NAME_BYTES_IPV6",
+    "address_bits",
     "hop_label_bits",
-    "route_label_bits",
+    "route_labels",
 ]

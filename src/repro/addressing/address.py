@@ -5,8 +5,9 @@ with the necessary information to forward along ℓv ; v" (§4.2), where that
 information is an :class:`~repro.addressing.ExplicitRoute`.  Addresses are
 location-dependent but used only internally by the protocol, and they are
 what the name-resolution database and the sloppy-group dissemination protocol
-carry around.  The converged schemes hold every address as a row of the
-substrate's address slabs (:class:`~repro.core.tables.SubstrateTables`);
+carry around.  The converged schemes store no address: ℓv is
+``closest[v]`` and the route is ℓv's row of the SPT parent slab
+(:class:`~repro.core.tables.SubstrateTables`), so
 :meth:`~repro.core.nddisco.NDDiscoRouting.address_of` builds this object
 for one node on request.
 

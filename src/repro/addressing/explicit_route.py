@@ -16,9 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-from repro.addressing.labels import LabelCodec
 
 __all__ = ["ExplicitRoute"]
 
@@ -54,13 +51,6 @@ class ExplicitRoute:
             )
         if self.bits < 0:
             raise ValueError("bits must be >= 0")
-
-    @classmethod
-    def from_path(cls, codec: LabelCodec, path: Sequence[int]) -> "ExplicitRoute":
-        """Build an explicit route for ``path`` using ``codec``'s link numbering."""
-        labels = codec.encode_path(path)
-        bits = codec.path_bits(path)
-        return cls(path=tuple(path), labels=tuple(labels), bits=bits)
 
     @property
     def source(self) -> int:

@@ -2,27 +2,27 @@
 
 "Each hop at a node of degree d is encoded in O(log d) bits following the
 format of [19]" (§4.2).  Concretely, a node with degree ``d`` numbers its
-incident links ``0 .. d-1``; a forwarding label is that local link index, and
-it takes ``ceil(log2(d))`` bits (minimum 1).  A whole explicit route is the
-concatenation of the labels along the path, and its byte size is the total
-bit count rounded up -- except when *averaging* over many routes, where the
-paper keeps fractional bytes (hence "10.625 bytes").
+incident links ``0 .. d-1`` by ascending neighbor id, which every node can
+compute locally and deterministically; a forwarding label is that local link
+index, and it takes ``ceil(log2(d))`` bits (minimum 1).  A whole explicit
+route is the concatenation of the labels along the path, and its byte size
+is the total bit count rounded up -- except when *averaging* over many
+routes, where the paper keeps fractional bytes (hence "10.625 bytes").
 
-:class:`LabelCodec` performs the mapping between neighbor node ids and local
-link indices for every node of a topology, plus bit-level encode/decode of a
-path into a label sequence.  The decode direction is what a packet's
-forwarding plane would execute: at each hop, read ``ceil(log2(d))`` bits,
-follow that local link.
+No label is stored: an address's path is a walk up its landmark's row of the
+SPT parent slab, :func:`route_labels` numbers its hops on request, and
+:func:`address_bits` sizes every node's address in one pass over the slabs.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Sequence
 
 from repro.graphs.topology import Topology
 
-__all__ = ["hop_label_bits", "route_label_bits", "LabelCodec"]
+__all__ = ["address_bits", "hop_label_bits", "route_labels"]
 
 
 def hop_label_bits(degree: int) -> int:
@@ -38,55 +38,60 @@ def hop_label_bits(degree: int) -> int:
     return max(1, math.ceil(math.log2(degree)))
 
 
-def route_label_bits(topology: Topology, path: Sequence[int]) -> int:
-    """Total label bits to encode ``path`` as an explicit route.
+def route_labels(topology: Topology, path: Sequence[int]) -> list[int]:
+    """The per-hop labels of ``path``: at each hop, the rank of the next
+    node among the current node's neighbors in ascending id order.
 
-    The label consumed at hop ``i`` is read by node ``path[i]`` to pick the
-    link toward ``path[i+1]``, so its width is determined by the degree of
-    ``path[i]``.  A single-node path costs 0 bits.
+    ``path`` must be a walk (consecutive nodes adjacent); the result has
+    ``len(path) - 1`` labels.
     """
-    total = 0
-    for node in path[:-1]:
-        total += hop_label_bits(topology.degree(node))
-    return total
+    labels = []
+    for node, nxt in zip(path, path[1:]):
+        neighbors = sorted(topology.neighbors(node))
+        try:
+            labels.append(neighbors.index(nxt))
+        except ValueError:
+            raise ValueError(
+                f"path step ({node}, {nxt}) is not an edge of the topology"
+            ) from None
+    return labels
 
 
-class LabelCodec:
-    """Encode and decode explicit routes as per-hop local link indices.
+def address_bits(topology: Topology, tables) -> array:
+    """Every node's address size in label bits, from converged ``tables``.
 
-    Parameters
-    ----------
-    topology:
-        The topology whose link numbering defines the labels.  Each node's
-        incident links are numbered by ascending neighbor id, which every
-        node can compute locally and deterministically.
+    Node ``v``'s address route is ``closest[v]``'s SPT path down to ``v``
+    (:meth:`~repro.core.tables.SubstrateTables.spt_path`).  The label
+    consumed at each hop is read by the node the hop leaves, so its width
+    is :func:`hop_label_bits` of that node's degree; a route's size is the
+    sum over its hops (0 for a landmark's own address), taken here by one
+    walk up the landmark's row of the parent slab per node.  Raises
+    ``ValueError`` for a node that reaches no landmark.
     """
-
-    def __init__(self, topology: Topology) -> None:
-        self._topology = topology
-        self._link_index: list[dict[int, int]] = []
-        for node in topology.nodes():
-            neighbors = sorted(topology.neighbors(node))
-            self._link_index.append(
-                {neighbor: index for index, neighbor in enumerate(neighbors)}
+    n = tables.num_nodes
+    degrees = topology.degree_sequence()
+    width = {degree: hop_label_bits(degree) for degree in set(degrees)}
+    hop = [width[degree] for degree in degrees]
+    parents = tables.spt_parent
+    closest = tables.closest
+    base_of = {
+        landmark: index * n for index, landmark in enumerate(tables.landmark_ids)
+    }
+    bits = array("q", bytes(8 * n))
+    for node in range(n):
+        landmark = closest[node]
+        if landmark < 0:
+            raise ValueError(
+                f"node {node} reaches no landmark: the topology is not connected"
             )
-
-    def encode_path(self, path: Sequence[int]) -> list[int]:
-        """Encode a node path as the list of per-hop labels.
-
-        ``path`` must be a valid walk (consecutive nodes adjacent); the
-        result has ``len(path) - 1`` labels.
-        """
-        labels = []
-        for node, nxt in zip(path, path[1:]):
-            try:
-                labels.append(self._link_index[node][nxt])
-            except KeyError as exc:
-                raise ValueError(
-                    f"path step ({node}, {nxt}) is not an edge of the topology"
-                ) from exc
-        return labels
-
-    def path_bits(self, path: Sequence[int]) -> int:
-        """Total bits needed to encode ``path`` (same as :func:`route_label_bits`)."""
-        return route_label_bits(self._topology, path)
+        base = base_of[landmark]
+        current = node
+        total = steps = 0
+        while current != landmark:
+            current = parents[base + current]
+            if current < 0 or steps > n:
+                raise ValueError(f"node {node} not reachable from root {landmark}")
+            total += hop[current]
+            steps += 1
+        bits[node] = total
+    return bits

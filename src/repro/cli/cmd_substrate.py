@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.addressing.labels import LabelCodec
 from repro.cli.cmd_generate import GENERATORS, generate_topology
 from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
@@ -68,7 +67,6 @@ def command(args: argparse.Namespace) -> int:
     tables = build_substrate_tables(
         topology,
         select_landmarks(n, seed=args.seed),
-        codec=LabelCodec(topology),
         include_vicinity=with_nddisco,
         threads=args.threads,
         storage=args.storage,

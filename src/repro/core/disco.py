@@ -107,7 +107,7 @@ class DiscoRouting(RoutingScheme):
         # landmark's name and its route labels (IPv4-sized names).
         entry_bytes = [
             NAME_BYTES_IPV4 + (NAME_BYTES_IPV4 + bits / 8.0)
-            for bits in self.tables.addr_bits
+            for bits in self._nddisco.address_bits
         ]
 
         # buckets[(bits, owner_k)][prefix] -> (count, total mapping bytes)
@@ -201,7 +201,7 @@ class DiscoRouting(RoutingScheme):
         entries, per, fixed = self._nddisco.state_profile(nodes)
         counts = self._group_entry_counts
         ipv4_bytes = self._group_entry_bytes
-        bits = self.tables.addr_bits
+        bits = self._nddisco.address_bits
         for index, node in enumerate(nodes):
             links = self._overlay.neighbors(node)
             mappings = counts[node] + len(links)

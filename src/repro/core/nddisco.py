@@ -32,13 +32,15 @@ Routing behaviour:
 
 from __future__ import annotations
 
+import time
+from array import array
 from itertools import compress
 from types import SimpleNamespace
 from typing import Sequence
 
 from repro.addressing.address import Address
 from repro.addressing.explicit_route import ExplicitRoute
-from repro.addressing.labels import LabelCodec
+from repro.addressing.labels import address_bits, route_labels
 from repro.core.landmarks import select_landmarks
 from repro.core.resolution import LandmarkResolutionDatabase
 from repro.core.shortcutting import (
@@ -87,7 +89,9 @@ class NDDiscoRouting(RoutingScheme):
         Virtual ring points per landmark in the resolution database.
     build_stats:
         Bench-only pass-through (ROADMAP item 2) to the builder's
-        ``stats=``: per-phase wall-clock seconds and slab byte counts.
+        ``stats=``: per-phase wall-clock seconds and slab byte counts, plus
+        ``address_seconds``, the time :meth:`from_tables` takes to derive
+        every address's bits.
     """
 
     name = "ND-Disco"
@@ -109,7 +113,6 @@ class NDDiscoRouting(RoutingScheme):
         tables = build_substrate_tables(
             topology,
             select_landmarks(n, seed=seed) if landmarks is None else landmarks,
-            codec=LabelCodec(topology),
             vicinity_scale=vicinity_scale,
             stats=build_stats,
         )
@@ -121,6 +124,8 @@ class NDDiscoRouting(RoutingScheme):
             resolve_first_packet=resolve_first_packet,
             resolution_virtual_nodes=resolution_virtual_nodes,
         )
+        if build_stats is not None:
+            build_stats["address_seconds"] = adopted._address_seconds
         vars(self).update(vars(adopted))  # from_tables sets all the state
 
     @classmethod
@@ -140,7 +145,8 @@ class NDDiscoRouting(RoutingScheme):
         ``names`` are held as given, read-only: schemes adopting the same
         tables share them.  Raises ``ValueError`` when the tables do not
         fit the topology (:meth:`SubstrateTables.check_adoptable`, with
-        the vicinity table) or ``names`` has not one name per node.
+        the vicinity table), ``names`` has not one name per node or a node
+        reaches no landmark (:func:`~repro.addressing.labels.address_bits`).
         """
         scheme = cls.__new__(cls)
         RoutingScheme.__init__(scheme, topology)
@@ -156,10 +162,13 @@ class NDDiscoRouting(RoutingScheme):
         # it: no attribute aliases a slab, so schemes attached to one tables
         # object share every slab, in arrays or mmap views alike.
         scheme._tables = tables
+        started = time.perf_counter()
+        scheme._address_bits = address_bits(topology, tables)
+        scheme._address_seconds = time.perf_counter() - started
         scheme._resolution = LandmarkResolutionDatabase(
             scheme._landmarks,
             names,
-            tables.addr_bits,
+            scheme._address_bits,
             virtual_nodes=resolution_virtual_nodes,
         )
         return scheme
@@ -206,10 +215,17 @@ class NDDiscoRouting(RoutingScheme):
         """Bench-only shim (ROADMAP item 2): one :meth:`address_of` per node.
 
         The frozen ``bench/workloads/resolve.py`` reads
-        ``routing.addresses``; nothing in ``src/`` may.  Readers take the
-        address slabs of :attr:`tables`.
+        ``routing.addresses``; nothing in ``src/`` may.  Readers take
+        :attr:`address_bits` or ``tables.spt_path(closest[v], v)``.
         """
         return [self.address_of(node) for node in range(self._topology.num_nodes)]
+
+    @property
+    def address_bits(self) -> array:
+        """Per-node address size in label bits (indexed by node id),
+        derived on adoption from the SPT slabs and the degrees.  Read-only.
+        """
+        return self._address_bits
 
     @property
     def names(self) -> list[FlatName]:
@@ -242,19 +258,17 @@ class NDDiscoRouting(RoutingScheme):
         return self._tables.closest[node]
 
     def address_of(self, node: int) -> Address:
-        """Return the address of ``node``, built from its slab row."""
+        """Return the address of ``node``: its closest landmark's SPT path
+        down to it, labelled on request (:func:`route_labels`)."""
         self._check_endpoints(node, node)
-        tables = self._tables
-        path = tables.address_path(node)
-        # A label row carries a -1 terminator: one label fewer than nodes.
-        lo = tables.addr_offsets[node]
-        labels = memoryview(tables.addr_labels)[lo : lo + len(path) - 1]
+        landmark = self._tables.closest[node]
+        path = self._tables.spt_path(landmark, node)
         route = ExplicitRoute(
             path=tuple(path),
-            labels=tuple(labels.tolist()),
-            bits=tables.addr_bits[node],
+            labels=tuple(route_labels(self._topology, path)),
+            bits=self._address_bits[node],
         )
-        return Address(node=node, landmark=tables.closest[node], route=route)
+        return Address(node=node, landmark=landmark, route=route)
 
     def landmark_distance(self, landmark: int, node: int) -> float:
         """Return d(landmark, node).
@@ -359,8 +373,6 @@ class _NDDiscoRouter(LandmarkRouter):
         # view objects.
         self.vic_table = scheme.tables.vicinity
         self._vic_indexes = self.vic_table._indexes
-        self._address_row = scheme.tables.address_path
-        self._addr: dict[int, list[int]] = {}
         #: flat source * n + target -> (path, mechanism)
         self._compact: dict[int, tuple[list[int], str]] = {}
 
@@ -375,12 +387,6 @@ class _NDDiscoRouter(LandmarkRouter):
     def vicinity_path(self, node: int, member: int) -> list[int]:
         return self.vic_table.path_from_owner(node, member)
 
-    def _address_path(self, node: int) -> list[int]:
-        path = self._addr.get(node)
-        if path is None:
-            path = self._addr[node] = self._address_row(node)
-        return path
-
     def knows_direct(self, source: int, target: int) -> bool:
         return target in self.landmarks or self.in_vicinity(source, target)
 
@@ -391,9 +397,11 @@ class _NDDiscoRouter(LandmarkRouter):
         return list(reversed(self.paths.down(target, source)))
 
     def relay(self, source: int, target: int) -> list[int]:
-        """The raw relay route s .. l_t .. t (no shortcuts); fresh list."""
-        to_landmark = self.paths.up(self.closest[target], source)
-        from_landmark = self._address_path(target)
+        """The raw relay route s .. l_t .. t (no shortcuts); fresh list.
+        The second half is t's address route, ``spt_path(l_t, t)``."""
+        landmark = self.closest[target]
+        to_landmark = self.paths.up(landmark, source)
+        from_landmark = self.paths.down(landmark, target)
         return to_landmark + from_landmark[1:]
 
     def _apply_per_hop(self, route: list[int]) -> list[int]:

@@ -38,7 +38,7 @@ class LandmarkResolutionDatabase:
         The stored names, one per node.
     route_bits:
         The explicit-route label bits of each node's address, aligned with
-        ``names`` (the substrate's ``addr_bits`` slab).
+        ``names`` (:func:`repro.addressing.labels.address_bits`).
     virtual_nodes:
         Ring points per landmark; 1 reproduces the simple construction, and
         larger values provide the "multiple hash functions" load smoothing

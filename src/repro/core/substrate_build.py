@@ -17,8 +17,9 @@ the preallocated row-major slabs of a :class:`SubstrateTables`:
   the member / distance / parent slabs
   (:meth:`CSRGraph.k_nearest_batch_into`); no per-node dict pairs are
   materialized.
-* **Address payloads** -- explicit-route paths walked directly over the
-  parent slab and encoded into the address slabs.
+
+No address phase: an address is a walk up the parent slab, which the
+schemes take on request (:func:`repro.addressing.labels.address_bits`).
 
 Both search phases fan out over in-kernel threads (``threads=N``), the only
 kernel-level parallelism: each source owns a disjoint slab range, so any
@@ -28,8 +29,8 @@ C call that could not allocate degrades to it (one ``RuntimeWarning``).
 
 This is the one convergence path: the schemes adopt its result through
 their ``from_tables`` (``NDDiscoRouting`` / ``S4Routing``), and
-:class:`~repro.dynamics.engine.ChurnEngine` repairs it in place per event
-(``codec=None``; the engine keeps addresses in its own shape).
+:class:`~repro.dynamics.engine.ChurnEngine` repairs the same tables in
+place per event.
 
 Slabs can outgrow RAM: ``storage`` selects where the big slabs live (RAM
 arrays, anonymous mmap, or a file-backed slab directory -- see
@@ -78,7 +79,6 @@ def build_substrate_tables(
     topology: Topology,
     landmarks: Iterable[int],
     *,
-    codec: "object | None" = None,
     size: int | None = None,
     vicinity_scale: float = 1.0,
     include_vicinity: bool = True,
@@ -97,9 +97,6 @@ def build_substrate_tables(
         The network.
     landmarks:
         The landmark node ids (any iterable; processed in ascending order).
-    codec:
-        Optional :class:`~repro.addressing.labels.LabelCodec`; enables the
-        address payload slabs.
     size / vicinity_scale:
         Vicinity sizing (explicit size wins; default is the paper's
         ``ceil(scale * sqrt(n ln n))``).
@@ -154,7 +151,6 @@ def build_substrate_tables(
     landmark_ids = array("q", ordered)
     spt_dist = arena.alloc("spt_dist", "d", num_landmarks * n)
     spt_parent = arena.alloc("spt_parent", "q", num_landmarks * n)
-    spt_parent_mv = memoryview(spt_parent)
     closest_dist = array("d", [inf]) * n
     closest = array("q", [-1]) * n
     # The landmark loop, the fill repair and the ascending closest fold,
@@ -174,49 +170,6 @@ def build_substrate_tables(
         progress,
         f"landmark SPTs: {num_landmarks} trees x {n} nodes in {elapsed:.1f}s",
     )
-
-    # -- address payloads ---------------------------------------------------
-    started = time.perf_counter()
-    addr_offsets = array("q", [0])
-    addr_path = array("q")
-    addr_labels = array("q")
-    addr_bits = array("q")
-    if codec is not None:
-        landmark_pos = {landmark: i for i, landmark in enumerate(ordered)}
-        encode_path = codec.encode_path
-        path_bits = codec.path_bits
-        position = 0
-        for node in range(n):
-            landmark = closest[node]
-            if landmark < 0:
-                raise ValueError(
-                    f"node {node} reaches no landmark: the topology is not "
-                    "connected"
-                )
-            base = landmark_pos[landmark] * n
-            path = [node]
-            current = node
-            steps = 0
-            while current != landmark:
-                parent = spt_parent_mv[base + current]
-                if parent < 0 or steps > n:
-                    raise ValueError(
-                        f"node {node} not reachable from root {landmark}"
-                    )
-                path.append(parent)
-                current = parent
-                steps += 1
-            path.reverse()
-            addr_path.extend(path)
-            addr_labels.extend(encode_path(path))
-            addr_labels.append(-1)  # row terminator keeps rows aligned
-            addr_bits.append(path_bits(path))
-            position += len(path)
-            addr_offsets.append(position)
-    elapsed = time.perf_counter() - started
-    _record(stats, "address_seconds", elapsed)
-    if codec is not None:
-        _progress(progress, f"addresses: {n} routes in {elapsed:.1f}s")
 
     # -- vicinity CSR -------------------------------------------------------
     vicinity = None
@@ -262,10 +215,6 @@ def build_substrate_tables(
         closest,
         closest_dist,
         vicinity,
-        addr_offsets,
-        addr_path,
-        addr_labels,
-        addr_bits,
     )
     if persist and (arena.mode == "dir" or vicinity_arena.mode == "dir"):
         # Complete the slab directory: the big slabs already live there as

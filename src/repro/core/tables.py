@@ -13,9 +13,11 @@ CSR snapshot did for the graph itself in PR 1:
 * **Vicinity table** (:class:`NodeSearchTables`) -- CSR-style offsets over
   a flat member slab, with aligned distance and parent slabs, members kept
   in Dijkstra settle order so iteration matches the historical dicts.
-* **Address payloads** -- per-node explicit-route node paths, labels, and
-  bit sizes as CSR slabs: the only form of an address in the converged
-  state (:meth:`SubstrateTables.address_path` reads one row).
+
+No address is stored: node ``v``'s address is ``closest[v]`` and that
+landmark's SPT path down to ``v`` (:meth:`SubstrateTables.spt_path`), and
+its label bits are derived from the parent slab and the degrees
+(:func:`repro.addressing.labels.address_bits`).
 
 Every reader reads rows: a vicinity or ball row is
 :meth:`NodeSearchTables.row` (or :meth:`NodeSearchTables.path_from_owner`
@@ -60,7 +62,7 @@ __all__ = [
 #: On-disk raw-slab layout version (``save_slabs`` / ``from_mmap``): a
 #: directory holding ``manifest.json`` plus one little-endian 8-byte-item
 #: ``<slab name>.bin`` file per slab.
-SLAB_SCHEMA = "repro-tables-slabs/v1"
+SLAB_SCHEMA = "repro-tables-slabs/v2"
 
 
 class NodeSearchTables:
@@ -255,10 +257,6 @@ _TABLE_SLOTS: tuple[tuple[str, str], ...] = (
     ("spt_parent", "q"),
     ("closest", "q"),
     ("closest_dist", "d"),
-    ("addr_offsets", "q"),
-    ("addr_path", "q"),
-    ("addr_labels", "q"),
-    ("addr_bits", "q"),
 )
 
 _VICINITY_SLOTS: tuple[tuple[str, str], ...] = (
@@ -291,10 +289,6 @@ class SubstrateTables:
         "closest",
         "closest_dist",
         "vicinity",
-        "addr_offsets",
-        "addr_path",
-        "addr_labels",
-        "addr_bits",
         "_landmark_pos",
     )
 
@@ -307,10 +301,6 @@ class SubstrateTables:
         closest,
         closest_dist,
         vicinity: NodeSearchTables | None,
-        addr_offsets,
-        addr_path,
-        addr_labels,
-        addr_bits,
     ) -> None:
         self.num_nodes = num_nodes
         self.landmark_ids = landmark_ids
@@ -319,10 +309,6 @@ class SubstrateTables:
         self.closest = closest
         self.closest_dist = closest_dist
         self.vicinity = vicinity
-        self.addr_offsets = addr_offsets
-        self.addr_path = addr_path
-        self.addr_labels = addr_labels
-        self.addr_bits = addr_bits
         self._index_landmarks()
 
     def _index_landmarks(self) -> None:
@@ -368,30 +354,12 @@ class SubstrateTables:
             hops += 1
         return hops
 
-    # -- address payloads ---------------------------------------------------
-
-    def address_path(self, node: int) -> list[int]:
-        """The explicit-route node path ``closest[node] .. node`` of
-        ``node``'s address: the one read of an address.
-
-        Raises ``IndexError`` unless ``0 <= node < num_nodes``.
-        """
-        if not 0 <= node < self.num_nodes:
-            raise IndexError(f"node {node} out of range (n={self.num_nodes})")
-        lo = self.addr_offsets[node]
-        hi = self.addr_offsets[node + 1]
-        return memoryview(self.addr_path)[lo:hi].tolist()
-
     # -- adoption by a scheme -----------------------------------------------
 
-    def check_adoptable(
-        self, num_nodes: int, *, vicinity: bool, addresses: bool = True
-    ) -> None:
+    def check_adoptable(self, num_nodes: int, *, vicinity: bool) -> None:
         """Raise ``ValueError`` unless a scheme on ``num_nodes`` nodes can
         adopt these tables, with a vicinity table if ``vicinity``: counts
         and landmark ids, O(|L|); the slab contents are the builder's word.
-        ``addresses=False`` accepts tables built with ``codec=None``, which
-        carry no address rows (one offset, no bits).
         """
         n = num_nodes
         if self.num_nodes != n:
@@ -404,21 +372,11 @@ class SubstrateTables:
                 f"landmark ids must be non-empty, ascending and in 0..{n - 1}"
             )
         spt = len(ids) * n
-        rows = n if addresses else 0
-        sizes = dict(
-            spt_dist=spt, spt_parent=spt, closest=n, closest_dist=n,
-            addr_offsets=rows + 1, addr_bits=rows,
-        )
+        sizes = dict(spt_dist=spt, spt_parent=spt, closest=n, closest_dist=n)
         for slot, size in sizes.items():
             held = len(getattr(self, slot))
             if held != size:
-                message = f"{slot} holds {held} entries, not {size}"
-                if slot.startswith("addr_") and not len(self.addr_bits):
-                    message += (
-                        ": tables built with codec=None (the churn engine's) "
-                        "carry no address slabs until ROADMAP item 9"
-                    )
-                raise ValueError(message)
+                raise ValueError(f"{slot} holds {held} entries, not {size}")
         if vicinity and (self.vicinity is None or self.vicinity.num_nodes != n):
             raise ValueError(f"tables carry no vicinity table over {n} nodes")
 
@@ -433,7 +391,7 @@ class SubstrateTables:
         the owner of the writable slabs makes, and unwritable itself."""
         views = [_read_only(getattr(self, slot)) for slot, _ in _TABLE_SLOTS]
         vicinity = None if self.vicinity is None else self.vicinity.read_only()
-        return SubstrateTables(self.num_nodes, *views[:5], vicinity, *views[5:])
+        return SubstrateTables(self.num_nodes, *views, vicinity)
 
     def forget_rows(self, nodes) -> None:
         """Drop the member -> position indexes of vicinity rows rewritten in
@@ -501,11 +459,10 @@ class SubstrateTables:
         copies, and the distance slabs are paged in only as rows are read
         (the checks below read the id slabs once).  Each mapping
         stays alive exactly as long as its views do.  The counts are
-        checked as on adoption (:meth:`check_adoptable`; a directory
-        without address slabs passes), then every id slab's range and
-        every offsets slab's order (:meth:`_check_ids`, O(n + |L| n + Σ
-        vicinity)): the readers index with the stored ids unchecked.  A
-        directory that fails either raises ``ValueError``.
+        checked as on adoption (:meth:`check_adoptable`), then every id
+        slab's range and the vicinity offsets' order (:meth:`_check_ids`,
+        O(n + |L| n + Σ vicinity)): the readers index with the stored ids
+        unchecked.  A directory that fails either raises ``ValueError``.
         """
         manifest, views = read_slab_dir(path, SLAB_SCHEMA)
         vicinity = None
@@ -526,34 +483,24 @@ class SubstrateTables:
             views["closest"],
             views["closest_dist"],
             vicinity,
-            views["addr_offsets"],
-            views["addr_path"],
-            views["addr_labels"],
-            views["addr_bits"],
         )
-        tables.check_adoptable(
-            tables.num_nodes,
-            vicinity=vicinity is not None,
-            addresses=len(tables.addr_bits) > 0,
-        )
+        tables.check_adoptable(tables.num_nodes, vicinity=vicinity is not None)
         tables._check_ids(path)
         return tables
 
     def _check_ids(self, path) -> None:
         """Raise ``ValueError`` unless every stored node id is in range and
-        every offsets slab rises from 0 to its slab's length.
+        the vicinity offsets rise from 0 to the member slab's length.
 
         Parents and closest landmarks may be -1 (a root, or no landmark in
-        reach); members and address path entries may not.  A strided
-        vicinity's row lengths must fit their rows.
+        reach); members may not.  A strided vicinity's row lengths must fit
+        their rows.
         """
         n = self.num_nodes
         ranges = [
             ("spt_parent", self.spt_parent, -1),
             ("closest", self.closest, -1),
-            ("addr_path", self.addr_path, 0),
         ]
-        offsets = [("addr_offsets", self.addr_offsets, self.addr_path)]
         vicinity = self.vicinity
         if vicinity is not None:
             ranges += [
@@ -562,17 +509,18 @@ class SubstrateTables:
             ]
             if len(vicinity.offsets) != n + 1:
                 raise ValueError(f"{path}: vicinity.offsets needs {n + 1} entries")
-            offsets.append(("vicinity.offsets", vicinity.offsets, vicinity.members))
         for name, slab, low in ranges:
             if len(slab) and (min(slab) < low or max(slab) >= n):
                 raise ValueError(f"{path}: {name} holds an id outside [{low}, {n})")
-        for name, slab, rows in offsets:
-            if slab[0] != 0 or slab[-1] != len(rows) or any(map(gt, slab, slab[1:])):
-                raise ValueError(f"{path}: {name} must rise from 0 to {len(rows)}")
-        lengths = None if vicinity is None else vicinity.lengths
+        if vicinity is None:
+            return
+        offsets, total = vicinity.offsets, len(vicinity.members)
+        if offsets[0] != 0 or offsets[-1] != total or any(map(gt, offsets, offsets[1:])):
+            raise ValueError(f"{path}: vicinity.offsets must rise from 0 to {total}")
+        lengths = vicinity.lengths
         if lengths is not None and (
             len(lengths) != vicinity.num_nodes
-            or any(map(gt, lengths, map(sub, vicinity.offsets[1:], vicinity.offsets)))
+            or any(map(gt, lengths, map(sub, offsets[1:], offsets)))
             or (len(lengths) and min(lengths) < 0)
         ):
             raise ValueError(f"{path}: vicinity.lengths overrun their rows")

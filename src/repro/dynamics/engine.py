@@ -36,13 +36,15 @@ build on the mutated topology after every event, with no sync step.
   candidate rows are rebuilt from the stored ones without a search
   (:func:`~repro.dynamics.passes.repair_vicinities`); the rows of a
   worsening event and the short rows go down in one batched kernel call.
-* **Addresses** (closest landmark + landmark-tree path) are the one piece
-  kept in the engine's own shape, a list of ``(landmark, path)`` tuples
-  re-derived only for nodes whose closest landmark changed or that are
+* **Addresses** are stored nowhere in the tables, which have the same
+  shape as every scheme's: an address is ``closest[v]`` and that
+  landmark's SPT path, so it is current as soon as those rows are, and its
+  labels and bits are derived on request from the live adjacency
+  (:func:`repro.addressing.labels.address_bits`).  The engine keeps a list
+  of ``(landmark, path)`` tuples only to bill the addresses an event
+  changed, re-derived for nodes whose closest landmark changed or that are
   new-tree descendants of a parent change inside their closest landmark's
-  row.  The tables are built with ``codec=None``: their label and bit slabs
-  are renumbered by any adjacency change on a path, so keeping them current
-  would cost every event a pass over every address that nobody reads.
+  row.
 
 The topology is the engine's own :class:`~repro.graphs.csr.CSRGraph`, kept
 as nothing else: an event splices its whole edge delta into it in place

@@ -154,7 +154,7 @@ def _landmark_policy_ablation(topology, scale):
 
 def _address_design_ablation(topology, scale):
     nddisco = NDDiscoRouting(topology, seed=scale.seed)
-    explicit_sizes = [bits / 8.0 for bits in nddisco.tables.addr_bits]
+    explicit_sizes = [bits / 8.0 for bits in nddisco.address_bits]
     explicit = summarize(explicit_sizes)
 
     # Block addresses: one allocator per landmark, partitioning an O(log n)-bit

@@ -44,7 +44,7 @@ class AddressSizeResult:
 
 
 def _address_route_bytes(routing: NDDiscoRouting) -> list[float]:
-    return [bits / 8.0 for bits in routing.tables.addr_bits]
+    return [bits / 8.0 for bits in routing.address_bits]
 
 
 @scenario(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.addressing.labels import LabelCodec
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import NodeSearchTables
@@ -132,7 +131,6 @@ def run(scale: ExperimentScale | None = None) -> StaticAccuracyResult:
     tables = build_substrate_tables(
         topology,
         static_nddisco.landmarks,
-        codec=LabelCodec(topology),
         include_vicinity=False,
     )
     tables.vicinity = dynamic_vicinities

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.addressing.labels import address_bits
 from repro.core.landmarks import select_landmarks
 from repro.core.resolution import LandmarkResolutionDatabase
 from repro.core.substrate_build import (
@@ -40,7 +41,6 @@ from repro.core.substrate_build import (
     cluster_sizes_from_members,
 )
 from repro.core.tables import NodeSearchTables, SubstrateTables
-from repro.addressing.labels import LabelCodec
 from repro.graphs.topology import Topology
 from repro.naming.names import FlatName, name_for_node
 from repro.protocols.base import LandmarkRouter, RouteResult, RoutingScheme
@@ -107,7 +107,6 @@ class S4Routing(RoutingScheme):
             tables = build_substrate_tables(
                 topology,
                 select_landmarks(n, seed=seed) if landmarks is None else landmarks,
-                codec=LabelCodec(topology),
                 include_vicinity=False,
                 threads=threads,
             )
@@ -137,8 +136,9 @@ class S4Routing(RoutingScheme):
         The landmarks are ``tables.landmark_ids``; ``tables`` and ``names``
         are held as given, read-only, so S4 beside ND-Disco shares both.
         Raises ``ValueError`` when the tables do not fit the topology
-        (:meth:`SubstrateTables.check_adoptable`; no vicinity needed) or
-        ``names`` has not one name per node.
+        (:meth:`SubstrateTables.check_adoptable`; no vicinity needed),
+        ``names`` has not one name per node or a node reaches no landmark
+        (:func:`~repro.addressing.labels.address_bits`).
         """
         scheme = cls.__new__(cls)
         RoutingScheme.__init__(scheme, topology)
@@ -163,7 +163,7 @@ class S4Routing(RoutingScheme):
         scheme._cluster_sizes = cluster_sizes_from_members(scheme._balls.members, n)
         # Location service over the landmarks (consistent hashing of names).
         scheme._resolution = LandmarkResolutionDatabase(
-            scheme._landmarks, names, tables.addr_bits
+            scheme._landmarks, names, address_bits(topology, tables)
         )
         return scheme
 

@@ -92,8 +92,9 @@ __all__ = [
 #: every topology and tables artifact is a slab directory, at every size.
 #: v12: the store keeps state only -- ``topology``, ``tables`` (keyed by
 #: topology content, landmarks, ``include_vicinity``) and ``vrr`` slab
-#: directories; no substrate or scheme is stored.
-ARTIFACT_SCHEMA = "repro-artifacts/v12"
+#: directories; no substrate or scheme is stored.  v13: tables carry no
+#: address slabs (``repro-tables-slabs/v2``).
+ARTIFACT_SCHEMA = "repro-artifacts/v13"
 
 #: The on-disk artifact kinds, in display order; each is a directory of
 #: ``<key>.slabs`` slab directories.

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.addressing.labels import LabelCodec
 from repro.core.disco import DiscoRouting
 from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
@@ -257,10 +256,10 @@ def substrate_tables(
     *,
     include_vicinity: bool = True,
 ) -> SubstrateTables:
-    """``build_substrate_tables`` with the label codec, through the active
-    cache's ``tables`` kind: keyed by the topology content and these
-    arguments, the only inputs that shape the slabs.  The tables are
-    shared: callers must not write them."""
+    """``build_substrate_tables`` through the active cache's ``tables``
+    kind: keyed by the topology content and these arguments, the only
+    inputs that shape the slabs.  The tables are shared: callers must not
+    write them."""
     from repro.scenarios.cache import cached_state
 
     return cached_state(
@@ -269,7 +268,6 @@ def substrate_tables(
         lambda: build_substrate_tables(
             topology,
             landmarks,
-            codec=LabelCodec(topology),
             include_vicinity=include_vicinity,
         ),
         landmarks=set(landmarks),

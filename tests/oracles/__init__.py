@@ -24,7 +24,7 @@ One oracle per layer, none importable from ``src/``:
 * :mod:`oracles.sloppy_groups` -- §4.4's group sets node by node and the
   longest-prefix contact ``GroupContactIndex``'s bisect must equal;
 * :mod:`oracles.labels` -- decoding an explicit route, the inverse
-  ``LabelCodec.encode_path`` must have;
+  ``route_labels`` must have;
 * :mod:`oracles.state_accounting` -- ND-Disco's, Disco's and S4's per-node
   ``state_entries`` / ``state_bytes``, the values ``state_profile`` must
   equal.

@@ -76,16 +76,13 @@ def from_components(
     spts: Mapping[int, tuple[Sequence[float], Sequence[int]]],
     closest_rows: tuple[Sequence[int], Sequence[float]],
     vicinities: Sequence[tuple[Mapping[int, float], Mapping[int, int]]] | None,
-    codec: "object | None",
 ) -> SubstrateTables:
     """Assemble slabs from the kernel outputs.
 
     ``spts`` maps landmark -> dense ``(dist_row, parent_row)``;
     ``closest_rows`` are the per-node closest-landmark rows;
     ``vicinities`` (optional) are per-node ``(distances, predecessors)``
-    search dicts in settle order; ``codec`` (optional, a
-    :class:`~repro.addressing.labels.LabelCodec`) enables the address
-    payload slabs.
+    search dicts in settle order.
     """
     landmark_ids = array("q", sorted(spts))
     spt_dist = array("d")
@@ -94,38 +91,15 @@ def from_components(
         dist_row, parent_row = spts[landmark]
         spt_dist.extend(dist_row)
         spt_parent.extend(parent_row)
-    closest = array("q", closest_rows[0])
-    closest_dist = array("d", closest_rows[1])
-
     vicinity = None
     if vicinities is not None:
         vicinity = NodeSearchTables.from_searches(vicinities)
-
-    addr_offsets = array("q", [0])
-    addr_path = array("q")
-    addr_labels = array("q")
-    addr_bits = array("q")
-    tables = SubstrateTables(
+    return SubstrateTables(
         num_nodes,
         landmark_ids,
         spt_dist,
         spt_parent,
-        closest,
-        closest_dist,
+        array("q", closest_rows[0]),
+        array("d", closest_rows[1]),
         vicinity,
-        addr_offsets,
-        addr_path,
-        addr_labels,
-        addr_bits,
     )
-    if codec is not None and len(closest) == num_nodes:
-        position = 0
-        for node in range(num_nodes):
-            path = tables.spt_path(closest[node], node)
-            addr_path.extend(path)
-            addr_labels.extend(codec.encode_path(path))
-            addr_labels.append(-1)  # row terminator keeps rows aligned
-            addr_bits.append(codec.path_bits(path))
-            position += len(path)
-            addr_offsets.append(position)
-    return tables

@@ -14,9 +14,7 @@ building its own, which must be the same engine bit for bit.
 from __future__ import annotations
 
 import copy
-from array import array
 
-from repro.addressing.labels import LabelCodec
 from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import SubstrateTables
 from repro.dynamics.engine import ChurnEngine
@@ -30,44 +28,38 @@ __all__ = [
 _SLOTS = ("landmark_ids", "spt_dist", "spt_parent", "closest", "closest_dist")
 
 
-def fresh_tables(engine: ChurnEngine, *, addresses: bool = False) -> SubstrateTables:
-    """Full convergence on the engine's current topology (``addresses``
-    needs it connected)."""
-    topology = engine.topology
+def fresh_tables(engine: ChurnEngine) -> SubstrateTables:
+    """Full convergence on the engine's current topology."""
     return build_substrate_tables(
-        topology,
-        engine.landmarks,
-        size=engine.vicinity_k,
-        codec=LabelCodec(topology) if addresses else None,
+        engine.topology, engine.landmarks, size=engine.vicinity_k
     )
 
 
 def assert_tables_match_fresh_build(engine: ChurnEngine) -> None:
-    """Every slab of ``engine.tables`` against a fresh build: the SPT and
-    closest slabs whole, the vicinity rows (fixed stride there, packed in
-    the build) through ``row(node)`` with the length column, and the
-    engine's addresses against the build's address paths whenever the graph
-    is connected (the builder rejects addresses otherwise)."""
-    connected = engine.topology.is_connected()
-    fresh = fresh_tables(engine, addresses=connected)
+    """Every slab of ``engine.tables`` against a fresh build: the same slabs
+    but the length column, the SPT and closest slabs whole, the vicinity
+    rows (fixed stride there, packed in the build) through ``row(node)``
+    with the length column, and the engine's addresses against the build's
+    SPT paths from each node's closest landmark (``None`` where none)."""
+    fresh = fresh_tables(engine)
     live = engine.tables
+    assert [name for name, _, _ in live.slab_items()] == [
+        name for name, _, _ in fresh.slab_items()
+    ] + ["vicinity.lengths"]
     for slot in _SLOTS:
         assert bytes(getattr(live, slot)) == bytes(getattr(fresh, slot)), slot
-    assert list(live.addr_offsets) == [0] and not len(live.addr_path)
     for node in range(live.num_nodes):
         theirs = fresh.vicinity.row(node)
         assert [bytes(v) for v in live.vicinity.row(node)] == [
             bytes(v) for v in theirs
         ], node
         assert live.vicinity.lengths[node] == len(theirs[0]), node
-        address = engine.addresses[node]
-        if connected:
-            assert address == (
-                fresh.closest[node],
-                tuple(fresh.address_path(node)),
-            ), node
-        else:
-            assert (address is None) == (fresh.closest[node] < 0), node
+        landmark = fresh.closest[node]
+        assert engine.addresses[node] == (
+            None
+            if landmark < 0
+            else (landmark, tuple(fresh.spt_path(landmark, node)))
+        ), node
 
 
 def engine_from_routing(routing) -> ChurnEngine:
@@ -76,8 +68,7 @@ def engine_from_routing(routing) -> ChurnEngine:
     Requires a connected topology, as the scheme does.  The scheme's slabs
     are copied wholesale, with no per-entry translation and no search
     recomputed (the scheme and the siblings sharing its tables keep theirs
-    untouched by events); the address slabs are left out, as in the tables
-    the engine builds itself.
+    untouched by events).
     """
     if not routing.topology.is_connected():
         raise ValueError(
@@ -86,10 +77,6 @@ def engine_from_routing(routing) -> ChurnEngine:
         )
     engine = ChurnEngine.__new__(ChurnEngine)
     slabs = copy.deepcopy(routing.tables)  # private array-backed slabs
-    slabs.addr_offsets = array("q", [0])
-    slabs.addr_path, slabs.addr_labels, slabs.addr_bits = (
-        array("q") for _ in range(3)
-    )
     # Connected topology: every adopted row holds exactly min(k, n)
     # members, whatever vicinity_scale the routing was built with.
     engine._adopt(

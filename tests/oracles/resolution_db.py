@@ -10,41 +10,34 @@ count exactly its records (``entries_at``, ``route_bytes_at``), and at
 count exactly what it does: the same home landmark per name, the same
 records, the same sweep.
 
-:func:`slab_addresses` reads a substrate's address slabs back as one
-:class:`Address` per node, the objects the schemes held before the slabs
-were the only form of an address.
+:func:`scheme_addresses` builds one :class:`Address` per node of a
+scheme, the objects the schemes held before an address was a row of the
+SPT slabs: the closest landmark's path, its per-hop labels and their bits
+summed hop by hop (not by the schemes' walk,
+:func:`~repro.addressing.labels.address_bits`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from oracles.labels import explicit_route
 from repro.addressing.address import Address
-from repro.addressing.explicit_route import ExplicitRoute
 from repro.naming.consistent_hash import VNodeRing
 from repro.naming.names import FlatName
 from repro.resolution.service import ResolutionRecord
 
-__all__ = ["SoftStateDatabase", "scheme_records", "slab_addresses"]
+__all__ = ["SoftStateDatabase", "scheme_addresses", "scheme_records"]
 
 
-def slab_addresses(tables) -> list[Address]:
-    """One :class:`Address` per node, read from ``tables``' address slabs."""
-    offsets = tables.addr_offsets
-    paths = memoryview(tables.addr_path)
-    labels = memoryview(tables.addr_labels)
+def scheme_addresses(scheme) -> list[Address]:
+    """One :class:`Address` per node of an ND-Disco or S4 ``scheme``."""
+    topology, tables = scheme.topology, scheme.tables
     out = []
     for node in range(tables.num_nodes):
-        lo = offsets[node]
-        hi = offsets[node + 1]
-        # Label rows carry a -1 terminator so the same offsets slab
-        # addresses both (labels per row = path length - 1).
-        route = ExplicitRoute(
-            path=tuple(paths[lo:hi].tolist()),
-            labels=tuple(labels[lo : hi - 1].tolist()),
-            bits=tables.addr_bits[node],
-        )
-        out.append(Address(node=node, landmark=tables.closest[node], route=route))
+        landmark = tables.closest[node]
+        route = explicit_route(topology, tables.spt_path(landmark, node))
+        out.append(Address(node=node, landmark=landmark, route=route))
     return out
 
 
@@ -140,11 +133,10 @@ class SoftStateDatabase:
 
 def scheme_records(scheme) -> SoftStateDatabase:
     """The records behind an ND-Disco or S4 scheme's resolution database:
-    every node's name and slab address, on the same landmarks and ring
-    width."""
+    every node's name and address, on the same landmarks and ring width."""
     database = SoftStateDatabase(
         scheme.landmarks,
         virtual_nodes=scheme.resolution_database._ring.virtual_nodes,
     )
-    database.populate(scheme._names, slab_addresses(scheme.tables))
+    database.populate(scheme._names, scheme_addresses(scheme))
     return database

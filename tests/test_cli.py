@@ -279,6 +279,11 @@ class TestCommands:
             "churn gnm 64 --events 500 --kinds node-leave",
             # A node id that does not fit in 64 bits.
             "profile {tmp}/huge-id.edges",
+            # A node count this machine's memory cannot hold, refused
+            # before anything is sized by it: a header, and an id below
+            # 2^63.
+            "profile {tmp}/nodes-huge.edges",
+            "profile {tmp}/id-huge.edges",
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(
@@ -296,6 +301,8 @@ class TestCommands:
         (tmp_path / "nodes-abc.edges").write_text("# nodes abc\n0 1\n")
         (tmp_path / "nodes-negative.edges").write_text("# nodes -3\n0 1\n")
         (tmp_path / "huge-id.edges").write_text("0 99999999999999999999\n")
+        (tmp_path / "nodes-huge.edges").write_text("# nodes 99999999999999\n0 1\n")
+        (tmp_path / "id-huge.edges").write_text("0 999999999999\n")
         (tmp_path / "net.edges").write_text("0 1\n1 2\n2 0\n")
         (tmp_path / "file").write_text("a regular file\n")
         words = argv.format(tmp=tmp_path).split()

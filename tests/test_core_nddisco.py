@@ -130,9 +130,10 @@ class TestAddresses:
         tables = nddisco_small.tables
         for node in range(small_gnm.num_nodes):
             address = nddisco_small.address_of(node)
-            assert list(address.route.path) == tables.address_path(node)
-            assert address.route.bits == tables.addr_bits[node]
-            assert address.landmark == tables.closest[node]
+            landmark = tables.closest[node]
+            assert list(address.route.path) == tables.spt_path(landmark, node)
+            assert address.route.bits == nddisco_small.address_bits[node]
+            assert address.landmark == landmark
 
 
 class TestStateAccounting:

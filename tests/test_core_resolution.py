@@ -11,29 +11,28 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.labels import explicit_route
 from oracles.reference_paths import shortest_path
 from oracles.resolution_db import SoftStateDatabase
 from oracles.state_accounting import mapping_entry_bytes
 from repro.addressing.address import Address
-from repro.addressing.explicit_route import ExplicitRoute
-from repro.addressing.labels import LabelCodec
 from repro.core.resolution import LandmarkResolutionDatabase
 from repro.naming.names import name_for_node
+
+
+def _address_from_0(topology, node: int) -> Address:
+    """``node``'s address with landmark 0, down a shortest path from it."""
+    route = explicit_route(topology, shortest_path(topology, 0, node))
+    return Address(node=node, landmark=0, route=route)
 
 
 @pytest.fixture()
 def database_and_addresses(small_gnm):
     """A resolution database over landmarks {0, 1, 2} plus all node addresses."""
-    codec = LabelCodec(small_gnm)
     landmarks = [0, 1, 2]
     database = SoftStateDatabase(landmarks)
     names = [name_for_node(v) for v in range(small_gnm.num_nodes)]
-    addresses = []
-    for node in range(small_gnm.num_nodes):
-        path = shortest_path(small_gnm, 0, node)
-        addresses.append(
-            Address(node=node, landmark=0, route=ExplicitRoute.from_path(codec, path))
-        )
+    addresses = [_address_from_0(small_gnm, v) for v in range(small_gnm.num_nodes)]
     return database, names, addresses
 
 
@@ -161,16 +160,8 @@ class TestStateAccounting:
         assert sum(map(counting.entries_at, database.landmarks)) == 5
 
     def test_multiple_hash_functions_smooth_load(self, small_gnm):
-        codec = LabelCodec(small_gnm)
         names = [name_for_node(v) for v in range(small_gnm.num_nodes)]
-        addresses = [
-            Address(
-                node=v,
-                landmark=0,
-                route=ExplicitRoute.from_path(codec, shortest_path(small_gnm, 0, v)),
-            )
-            for v in range(small_gnm.num_nodes)
-        ]
+        addresses = [_address_from_0(small_gnm, v) for v in range(small_gnm.num_nodes)]
         landmarks = list(range(8))
 
         def imbalance(virtual_nodes: int) -> float:

@@ -125,7 +125,6 @@ class TestStreamingDifferential:
             assert built_csr.spt_rows(source) == slab_csr.spt_rows(source)
 
     def test_substrate_tables_byte_identical(self, tmp_path):
-        from repro.addressing.labels import LabelCodec
         from repro.core.landmarks import select_landmarks
         from repro.core.substrate_build import build_substrate_tables
 
@@ -134,12 +133,8 @@ class TestStreamingDifferential:
         write_edge_list(topology, path)
         ingested = ingest_file(path)
         landmarks = select_landmarks(topology.num_nodes, seed=1)
-        d_tables = build_substrate_tables(
-            topology, landmarks, codec=LabelCodec(topology)
-        )
-        c_tables = build_substrate_tables(
-            ingested, landmarks, codec=LabelCodec(ingested)
-        )
+        d_tables = build_substrate_tables(topology, landmarks)
+        c_tables = build_substrate_tables(ingested, landmarks)
         d_slabs = {name: slab for name, _, slab in d_tables.slab_items()}
         c_slabs = {name: slab for name, _, slab in c_tables.slab_items()}
         assert d_slabs.keys() == c_slabs.keys()
@@ -315,6 +310,29 @@ class TestEdgeListErrorSemantics:
         path.write_text(f"0 1\n# nodes {count}\n")
         with pytest.raises(InputError, match=f"^{path}:2: '# nodes' takes"):
             ingest_file(path)
+
+    @pytest.mark.parametrize("text", ["# nodes 30\n0 1\n", "0 29\n"])
+    def test_more_nodes_than_memory_holds_is_refused_unallocated(
+        self, tmp_path, monkeypatch, text
+    ):
+        """The node count -- the header, else the largest id + 1 -- times
+        the bytes ingestion allocates per node is held to the machine's
+        memory before anything is sized by it."""
+        from repro.graphs import ingest
+
+        def sized(*args):
+            raise AssertionError("allocated before the size check")
+
+        path = tmp_path / "big.edges"
+        path.write_text(text)
+        memory = 30 * ingest.INGEST_BYTES_PER_NODE
+        monkeypatch.setattr(ingest, "_physical_memory", lambda: memory - 1)
+        monkeypatch.setattr(ingest, "dedup_edge_arrays", sized)
+        with pytest.raises(InputError, match=f"^{path}: 30 nodes need more"):
+            ingest_file(path)
+        monkeypatch.undo()
+        monkeypatch.setattr(ingest, "_physical_memory", lambda: memory)
+        assert ingest_file(path).num_nodes == 30
 
     @pytest.mark.parametrize(
         "fmt,text",

@@ -8,22 +8,30 @@ the invariants the paper proves:
 * Theorem 2 -- per-node state well below Θ(n) and concentrated;
 * S4 later-packet stretch ≤ 3 (Thorup-Zwick);
 * routes produced by every protocol are valid walks ending at the target;
-* explicit-route label encoding round-trips on arbitrary shortest paths.
+* explicit-route label encoding round-trips on arbitrary shortest paths,
+  and an address is a row of the SPT slabs, on fresh and churned state.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles.labels import decode_path
+from repro.addressing.labels import address_bits, hop_label_bits
 from repro.core.disco import DiscoRouting
 from repro.core.nddisco import NDDiscoRouting
+from repro.dynamics.engine import ChurnEngine
+from repro.dynamics.stream import generate_event_stream
 from repro.graphs.generators import (
     geometric_random_graph,
     gnm_random_graph,
     internet_as_level,
+    ring_graph,
 )
+from repro.graphs.topology import TopologyBuilder
 from repro.graphs.sampling import sample_pairs
 from repro.metrics.stretch import measure_stretch
 from repro.protocols.s4 import S4Routing
@@ -37,6 +45,28 @@ _SETTINGS = settings(
 )
 
 _topology_strategies = st.sampled_from(["gnm", "geometric", "internet"])
+
+
+#: Edge weights: hop counts (BFS kernel), small integers (Dial kernel) and
+#: irregular floats (heap kernel).
+_WEIGHTS = {
+    "unit": lambda rng: 1.0,
+    "integer": lambda rng: float(rng.randint(1, 4)),
+    "irregular": lambda rng: rng.uniform(0.1, 3.0),
+}
+
+
+def _address_topology(kind: str, weights: str, n: int, seed: int):
+    """A gnm, geometric or ring graph with its edges reweighted."""
+    if kind == "ring":
+        shape = ring_graph(n)
+    else:
+        shape = _build_topology(kind, n, seed)
+    rng = random.Random(seed)
+    builder = TopologyBuilder(n)
+    for u, v, _ in shape.edges():
+        builder.add_edge(u, v, _WEIGHTS[weights](rng))
+    return builder.freeze()
 
 
 def _build_topology(kind: str, n: int, seed: int):
@@ -127,3 +157,49 @@ class TestNDDiscoInvariants:
             )
             assert decoded[-1] == node
             assert decoded == list(address.route.path)
+
+    @_SETTINGS
+    @given(
+        kind=st.sampled_from(["gnm", "geometric", "ring"]),
+        weights=st.sampled_from(sorted(_WEIGHTS)),
+        n=st.integers(min_value=24, max_value=90),
+        seed=st.integers(min_value=0, max_value=50),
+    )
+    def test_an_address_is_a_row_of_the_spt_slabs(self, kind, weights, n, seed):
+        """Every node's address decodes to its closest landmark's SPT path,
+        and its bits are the path's hop label bits, summed."""
+        topology = _address_topology(kind, weights, n, seed)
+        nddisco = NDDiscoRouting(topology, seed=seed)
+        tables = nddisco.tables
+        for node in range(n):
+            landmark = tables.closest[node]
+            path = tables.spt_path(landmark, node)
+            address = nddisco.address_of(node)
+            assert address.landmark == landmark
+            assert decode_path(topology, landmark, address.route.labels) == path
+            bits = sum(hop_label_bits(topology.degree(hop)) for hop in path[:-1])
+            assert address.route.bits == nddisco.address_bits[node] == bits
+
+    @_SETTINGS
+    @given(
+        kind=st.sampled_from(["gnm", "geometric"]),
+        weights=st.sampled_from(sorted(_WEIGHTS)),
+        seed=st.integers(min_value=0, max_value=50),
+    )
+    def test_churned_tables_give_a_fresh_build_s_bits(self, kind, weights, seed):
+        """After a 24-event stream with no partition (edge events only keep
+        the graph connected), the bits derived from the engine's live tables
+        and topology are a fresh ND-Disco's on the same landmarks."""
+        topology = _address_topology(kind, weights, 64, seed)
+        engine = ChurnEngine(topology, seed=seed)
+        engine.run(
+            generate_event_stream(
+                topology,
+                num_events=24,
+                seed=seed,
+                kinds=("edge-down", "edge-up", "edge-reweight"),
+            )
+        )
+        live = engine.topology
+        fresh = NDDiscoRouting(live, landmarks=engine.landmarks)
+        assert address_bits(live, engine.tables) == fresh.address_bits

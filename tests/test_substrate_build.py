@@ -24,7 +24,6 @@ from oracles.component_build import (
     from_components,
     landmark_spts,
 )
-from repro.addressing.labels import LabelCodec
 from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.substrate_build import (
@@ -54,14 +53,14 @@ def _families():
 FAMILIES = _families()
 
 
-def _oracle(topology, landmarks, codec):
+def _oracle(topology, landmarks):
     """The dict-mediated component path the builder must reproduce."""
     n = topology.num_nodes
     spts = landmark_spts(topology, landmarks)
     closest = closest_landmarks(spts, n)
     size = vicinity_size(n)
     vicinities = [reference.dijkstra_k_nearest(topology, v, size) for v in range(n)]
-    return from_components(n, spts, closest, vicinities, codec)
+    return from_components(n, spts, closest, vicinities)
 
 
 def _assert_identical_slabs(expected: SubstrateTables, actual: SubstrateTables):
@@ -79,9 +78,8 @@ def _assert_identical_slabs(expected: SubstrateTables, actual: SubstrateTables):
 @pytest.mark.parametrize("family,topology", FAMILIES, ids=[f for f, _ in FAMILIES])
 def test_slab_direct_serial_matches_dict_path(family, topology):
     landmarks = select_landmarks(topology.num_nodes, seed=2)
-    codec = LabelCodec(topology)
-    expected = _oracle(topology, landmarks, codec)
-    actual = build_substrate_tables(topology, landmarks, codec=codec)
+    expected = _oracle(topology, landmarks)
+    actual = build_substrate_tables(topology, landmarks)
     _assert_identical_slabs(expected, actual)
 
 
@@ -94,11 +92,10 @@ def test_refused_batch_kernels_match_dict_path(
     tier's per-source loop inside their driver, warn once each, and build
     the same slabs."""
     landmarks = select_landmarks(topology.num_nodes, seed=2)
-    codec = LabelCodec(topology)
-    expected = _oracle(topology, landmarks, codec)
+    expected = _oracle(topology, landmarks)
     monkeypatch.setattr(topology, "_csr", refuse_batch_kernels(topology))
     with pytest.warns(RuntimeWarning, match="could not allocate") as caught:
-        actual = build_substrate_tables(topology, landmarks, codec=codec)
+        actual = build_substrate_tables(topology, landmarks)
     assert [str(warning.message).split()[0] for warning in caught] == [
         "spt_rows_batch",
         "k_nearest_batch",
@@ -109,11 +106,10 @@ def test_refused_batch_kernels_match_dict_path(
 @pytest.mark.parametrize("family,topology", FAMILIES, ids=[f for f, _ in FAMILIES])
 def test_mmap_attached_load_matches_dict_path(family, topology, tmp_path):
     landmarks = select_landmarks(topology.num_nodes, seed=2)
-    codec = LabelCodec(topology)
-    expected = _oracle(topology, landmarks, codec)
+    expected = _oracle(topology, landmarks)
     root = str(tmp_path / "slabs")
     built = build_substrate_tables(
-        topology, landmarks, codec=codec, storage=root
+        topology, landmarks, storage=root
     )
     _assert_identical_slabs(expected, built)
     attached = SubstrateTables.from_mmap(root)
@@ -123,10 +119,9 @@ def test_mmap_attached_load_matches_dict_path(family, topology, tmp_path):
 def test_anonymous_mmap_placement_matches_dict_path():
     family, topology = FAMILIES[0]
     landmarks = select_landmarks(topology.num_nodes, seed=2)
-    codec = LabelCodec(topology)
-    expected = _oracle(topology, landmarks, codec)
+    expected = _oracle(topology, landmarks)
     actual = build_substrate_tables(
-        topology, landmarks, codec=codec, storage="mmap"
+        topology, landmarks, storage="mmap"
     )
     _assert_identical_slabs(expected, actual)
 
@@ -135,12 +130,10 @@ def test_split_storage_matches_dict_path(tmp_path):
     """SPT slabs in a directory, vicinity slabs in anonymous mmap."""
     family, topology = FAMILIES[0]
     landmarks = select_landmarks(topology.num_nodes, seed=2)
-    codec = LabelCodec(topology)
-    expected = _oracle(topology, landmarks, codec)
+    expected = _oracle(topology, landmarks)
     actual = build_substrate_tables(
         topology,
         landmarks,
-        codec=codec,
         storage=str(tmp_path / "spt"),
         vicinity_storage="mmap",
         persist=False,
@@ -149,16 +142,15 @@ def test_split_storage_matches_dict_path(tmp_path):
 
 
 def test_landmark_only_build_matches_from_components():
-    """S4's own substrate: no vicinity slabs, addresses still present."""
+    """S4's own substrate: no vicinity slabs."""
     family, topology = FAMILIES[1]
     n = topology.num_nodes
     landmarks = select_landmarks(n, seed=2)
-    codec = LabelCodec(topology)
     spts = landmark_spts(topology, landmarks)
     closest = closest_landmarks(spts, n)
-    expected = from_components(n, spts, closest, None, codec)
+    expected = from_components(n, spts, closest, None)
     actual = build_substrate_tables(
-        topology, landmarks, codec=codec, include_vicinity=False
+        topology, landmarks, include_vicinity=False
     )
     _assert_identical_slabs(expected, actual)
 
@@ -170,7 +162,7 @@ def test_injected_vicinities_match_slab_direct(family, topology):
     landmarks = select_landmarks(topology.num_nodes, seed=2)
     expected = NDDiscoRouting(topology, landmarks=landmarks)
     tables = build_substrate_tables(
-        topology, landmarks, codec=LabelCodec(topology), include_vicinity=False
+        topology, landmarks, include_vicinity=False
     )
     tables.vicinity = compute_vicinities(topology)
     injected = NDDiscoRouting.from_tables(topology, tables, expected.names)
@@ -182,7 +174,6 @@ def test_injected_vicinities_must_cover_every_node():
     tables = build_substrate_tables(
         topology,
         select_landmarks(topology.num_nodes, seed=2),
-        codec=LabelCodec(topology),
         include_vicinity=False,
     )
     tables.vicinity = compute_vicinities(gnm_random_graph(20, seed=1))
@@ -248,11 +239,10 @@ def test_ball_tables_match_dict_transport():
 def thread_oracles():
     family, topology = FAMILIES[0]
     landmarks = select_landmarks(topology.num_nodes, seed=2)
-    codec = LabelCodec(topology)
     serial = build_substrate_tables(
-        topology, landmarks, codec=codec, threads=1
+        topology, landmarks, threads=1
     )
-    return topology, landmarks, codec, serial
+    return topology, landmarks, serial
 
 
 @pytest.mark.parametrize("storage", ["array", "mmap-dir"])
@@ -260,12 +250,12 @@ def thread_oracles():
 def test_threaded_build_matches_serial_and_pool(
     threads, storage, thread_oracles, tmp_path
 ):
-    topology, landmarks, codec, serial = thread_oracles
+    topology, landmarks, serial = thread_oracles
     kwargs = {}
     if storage == "mmap-dir":
         kwargs["storage"] = str(tmp_path / f"slabs-{threads}")
     actual = build_substrate_tables(
-        topology, landmarks, codec=codec, threads=threads, **kwargs
+        topology, landmarks, threads=threads, **kwargs
     )
     _assert_identical_slabs(serial, actual)
     if storage == "mmap-dir":
@@ -277,10 +267,9 @@ def test_threaded_build_matches_serial_and_pool(
 def test_threaded_build_matches_dict_path(family, topology):
     """threads=2 against the dict-mediated oracle, once per kernel family."""
     landmarks = select_landmarks(topology.num_nodes, seed=2)
-    codec = LabelCodec(topology)
-    expected = _oracle(topology, landmarks, codec)
+    expected = _oracle(topology, landmarks)
     actual = build_substrate_tables(
-        topology, landmarks, codec=codec, threads=2
+        topology, landmarks, threads=2
     )
     _assert_identical_slabs(expected, actual)
 

@@ -23,10 +23,8 @@ import pytest
 
 from oracles import reference_paths as reference
 from oracles.component_build import closest_landmarks
-from oracles.resolution_db import slab_addresses
-from repro.addressing.address import Address
-from repro.addressing.explicit_route import ExplicitRoute
-from repro.addressing.labels import LabelCodec
+from oracles.labels import decode_path, route_bits
+from repro.addressing.labels import address_bits
 from repro.core.disco import DiscoRouting
 from repro.core.landmarks import select_landmarks
 from repro.core.nddisco import NDDiscoRouting
@@ -92,8 +90,7 @@ def _assert_landmark_state_matches_oracle(scheme, topology):
     assert list(tables.closest_dist) == ref_closest[1]
     # Addresses: explicit route from the closest landmark down its SPT,
     # re-derived here from the oracle's parent rows.
-    codec = LabelCodec(topology)
-    addresses = slab_addresses(tables)
+    bits = address_bits(topology, tables)
     for node in topology.nodes():
         landmark = ref_closest[0][node]
         parents = ref_spts[landmark][1]
@@ -101,11 +98,12 @@ def _assert_landmark_state_matches_oracle(scheme, topology):
         while path[-1] != landmark:
             path.append(parents[path[-1]])
         path.reverse()
-        assert addresses[node] == Address(
-            node=node,
-            landmark=landmark,
-            route=ExplicitRoute.from_path(codec, path),
-        )
+        assert bits[node] == route_bits(topology, path)
+        if isinstance(scheme, NDDiscoRouting):
+            address = scheme.address_of(node)
+            assert (address.landmark, list(address.route.path)) == (landmark, path)
+            assert decode_path(topology, landmark, address.route.labels) == path
+            assert address.route.bits == bits[node]
     return ref_closest
 
 
@@ -306,13 +304,6 @@ _REFUSED = {
         lambda t, tables, names: (_with(tables, closest=tables.closest[:-1]), names),
         "closest holds",
     ),
-    "codec=None": (
-        lambda t, tables, names: (
-            build_substrate_tables(t, tables.landmark_ids),
-            names,
-        ),
-        "codec=None",
-    ),
     "no vicinity": (
         lambda t, tables, names: (_with(tables, vicinity=None), names),
         "no vicinity table",
@@ -445,33 +436,34 @@ class TestNodeSearchTables:
 
 
 class TestAddressPath:
-    """``address_path`` is the one read of an address: a row of the
-    address slabs, from the closest landmark down to the node."""
+    """An address is a row of the SPT slabs: ``address_of`` walks the
+    closest landmark's parent row down to the node."""
 
     @pytest.fixture(scope="class")
-    def tables(self):
+    def scheme(self):
         topology = gnm_random_graph(64, seed=4, average_degree=6.0)
-        return build_substrate_tables(
-            topology, [0, 9, 33], codec=LabelCodec(topology)
-        )
+        tables = build_substrate_tables(topology, [0, 9, 33])
+        names = [name_for_node(v) for v in range(64)]
+        return NDDiscoRouting.from_tables(topology, tables, names)
 
-    def test_rows_run_from_the_closest_landmark(self, tables):
+    def test_rows_run_from_the_closest_landmark(self, scheme):
+        tables = scheme.tables
         for node in range(64):
-            path = tables.address_path(node)
+            path = list(scheme.address_of(node).route.path)
             assert path[0] == tables.closest[node] and path[-1] == node
             assert path == tables.spt_path(tables.closest[node], node)
 
     @pytest.mark.parametrize("node", [-1, 64, 10_000])
-    def test_a_node_outside_the_table_raises(self, tables, node):
-        """``addr_offsets[-1]`` would serve an empty row and
-        ``addr_offsets[n + 1]`` a bare array error."""
-        with pytest.raises(IndexError, match=rf"node {node} out of range \(n=64\)"):
-            tables.address_path(node)
+    def test_a_node_outside_the_table_raises(self, scheme, node):
+        """``closest[-1]`` would serve another node's landmark and
+        ``closest[n]`` a bare array error."""
+        with pytest.raises(ValueError, match=rf"{node} out of range \(n=64\)"):
+            scheme.address_of(node)
 
 
 def _two_component_tables(k: int = 6) -> SubstrateTables:
     """A 7-node ring and a 5-node path, built as the churn engine builds:
-    no codec, rows of the path component shorter than ``k``."""
+    rows of the path component shorter than ``k``."""
     topology = Topology.from_edges(
         12,
         [(u, (u + 1) % 7, 1.0 + 0.25 * u) for u in range(7)]
@@ -499,7 +491,7 @@ class TestStridedRows:
         assert list(tables.closest) == [0] * 7 + [8] * 5
         pair = Topology.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="reaches no landmark"):
-            build_substrate_tables(pair, [0], codec=LabelCodec(pair))
+            address_bits(pair, build_substrate_tables(pair, [0]))
 
     def test_full_rows_share_their_slabs(self):
         packed = NDDiscoRouting(

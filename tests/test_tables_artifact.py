@@ -124,7 +124,7 @@ class TestCacheArtifacts:
         built = simulation.scheme("nd-disco").tables
         tables = SubstrateTables.from_mmap(_tables_dir(tmp_path))
         assert list(tables.spt_dist) == list(built.spt_dist)
-        assert list(tables.addr_labels) == list(built.addr_labels)
+        assert list(tables.spt_parent) == list(built.spt_parent)
 
     def test_warm_load_attaches_mmapped_tables(self, tmp_path):
         topology = gnm_random_graph(90, seed=3, average_degree=6.0)
@@ -280,7 +280,7 @@ class TestCacheArtifacts:
 
 
 #: The id slabs of a tables directory, each with the lowest id it may hold.
-_ID_SLABS = ("spt_parent", "closest", "addr_path", "vicinity.members", "vicinity.parents")
+_ID_SLABS = ("spt_parent", "closest", "vicinity.members", "vicinity.parents")
 
 
 class TestIdRanges:
@@ -301,7 +301,7 @@ class TestIdRanges:
         with pytest.raises(ValueError, match=f"{slab} holds an id outside"):
             SubstrateTables.from_mmap(slab_dir)
 
-    @pytest.mark.parametrize("slab", ["addr_offsets", "vicinity.offsets"])
+    @pytest.mark.parametrize("slab", ["vicinity.offsets"])
     def test_offsets_out_of_order_fail_the_attach(self, scheme, tmp_path, slab):
         slab_dir = scheme.tables.save_slabs(tmp_path / "slabs")
         _overwrite_first_item(slab_dir, slab, 3)
