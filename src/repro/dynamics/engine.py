@@ -18,8 +18,8 @@ build on the mutated topology after every event, with no sync step.
   does not reach) are repaired with the affected-subtree algorithms of
   :mod:`repro.graphs.incremental` in one call over all rows -- an event
   that does not touch a row's tree arc costs O(1) on that row.
-* **Closest landmarks** are refolded only for nodes whose distance to some
-  landmark changed (ascending landmark order, strict ``<``, matching
+* **Closest landmarks** are folded again only for nodes whose distance to
+  some landmark changed (ascending landmark order, strict ``<``, matching
   the fold of :func:`repro.core.substrate_build.build_substrate_tables`).
 * **Vicinities** are recomputed only for *candidate* nodes -- those whose
   stored row has an event arc among the relaxations that produced it (a
@@ -40,11 +40,11 @@ build on the mutated topology after every event, with no sync step.
   shape as every scheme's: an address is ``closest[v]`` and that
   landmark's SPT path, so it is current as soon as those rows are, and its
   labels and bits are derived on request from the live adjacency
-  (:func:`repro.addressing.labels.address_bits`).  The engine keeps a list
-  of ``(landmark, path)`` tuples only to bill the addresses an event
-  changed, re-derived for nodes whose closest landmark changed or that are
-  new-tree descendants of a parent change inside their closest landmark's
-  row.
+  (:func:`repro.addressing.labels.address_bits`).  The engine keeps no
+  copy of them: the closest refold lists the addresses an event changed --
+  nodes whose closest landmark changed, and new-tree descendants of a
+  parent change inside their closest landmark's row -- and the bill is
+  their count.
 
 The topology is the engine's own :class:`~repro.graphs.csr.CSRGraph`, kept
 as nothing else: an event splices its whole edge delta into it in place
@@ -54,8 +54,7 @@ therefore that splice and a fixed sequence of calls below the FFI over the
 graph -- row repair (:mod:`repro.graphs.incremental`), endpoint searches and
 the k-nearest search (:mod:`repro.graphs.csr`), closest refold, candidate
 filter, row repair and vicinity commit-and-bill
-(:mod:`repro.dynamics.passes`) -- and the Python here walks only the stale
-addresses.  Every pass has a
+(:mod:`repro.dynamics.passes`) -- with no per-node Python.  Every pass has a
 pure-Python twin selected with the kernels themselves
 (``REPRO_NO_CKERNELS=1``); there is no other switch.
 
@@ -180,9 +179,6 @@ class ChurnEngine:
             k,
             [name_for_node(node) for node in range(n)],
         )
-        self._addresses: list[tuple[int, tuple[int, ...]] | None] = [
-            self._derive_address(node) for node in range(n)
-        ]
 
     def _adopt(
         self, graph: CSRGraph, slabs: SubstrateTables, k: int, names: list
@@ -243,15 +239,6 @@ class ChurnEngine:
         return self._topology
 
     @property
-    def num_nodes(self) -> int:
-        return self._num_nodes
-
-    @property
-    def landmarks(self) -> set[int]:
-        """The (fixed) landmark set, as a copy."""
-        return set(self._slabs.landmark_ids)
-
-    @property
     def vicinity_k(self) -> int:
         """The vicinity size target k."""
         return self._k
@@ -261,16 +248,10 @@ class ChurnEngine:
         """Nodes currently departed (isolated, edges captured), as a copy."""
         return set(self._dead)
 
-    @property
-    def addresses(self) -> list[tuple[int, tuple[int, ...]] | None]:
-        """Per-node ``(closest landmark, landmark-tree path)``; read-only.
-
-        ``None`` for nodes with no reachable landmark.
-        """
-        return self._addresses
-
     def state_signature(self):
-        """Hashable snapshot of the full converged state, for differentials."""
+        """Hashable snapshot of the full converged state, for differentials;
+        its last part is every node's address, ``(closest landmark, path)``
+        or ``None``."""
         tables = self._tables
         vicinity = tables.vicinity
         n = self._num_nodes
@@ -291,16 +272,15 @@ class ChurnEngine:
                 tuple(sorted(zip(*vicinity.row(node)[:2])))
                 for node in range(self._num_nodes)
             ),
-            tuple(self._addresses),
+            tuple(
+                None
+                if landmark < 0
+                else (landmark, tuple(tables.spt_path(landmark, node)))
+                for node, landmark in enumerate(tables.closest)
+            ),
         )
 
     # -- internal maintenance helpers ---------------------------------------
-
-    def _derive_address(self, node: int):
-        landmark = self._slabs.closest[node]
-        if landmark < 0:
-            return None
-        return (landmark, tuple(self._tables.spt_path(landmark, node)))
 
     def _endpoint_rows(self, *nodes: int) -> list[memoryview]:
         """Distance rows rooted at an event's endpoints in the current
@@ -372,37 +352,29 @@ class ChurnEngine:
         self._tables.forget_rows(changed)
         return entries_changed, len(changed), len(repaired)
 
-    def _refresh_addresses(self, changes: RowChanges) -> int:
-        """Refold closest landmarks and re-derive the stale addresses."""
-        slabs = self._slabs
-        _, stale = refold_closest(
-            self._graph,
-            slabs.landmark_ids,
-            slabs.spt_dist,
-            slabs.spt_parent,
-            changes,
-            slabs.closest,
-            slabs.closest_dist,
-        )
-        addresses_changed = 0
-        for node in stale:
-            address = self._derive_address(node)
-            if address != self._addresses[node]:
-                self._addresses[node] = address
-                addresses_changed += 1
-        return addresses_changed
-
     def _absorb(
         self, event: DynEvent, changes: RowChanges, candidates: array,
         sources=None,
     ) -> EventReport:
         """Everything after the row repair and the candidate filter: patch
-        vicinities, closest landmarks and addresses, and bill the event
-        (``sources`` as :meth:`_patch_vicinities` takes them)."""
+        vicinities and closest landmarks, and bill the event -- its address
+        changes are the nodes the closest refold lists (``sources`` as
+        :meth:`_patch_vicinities` takes them)."""
         vicinity_entries, stored, repaired = self._patch_vicinities(
             candidates, sources
         )
-        addresses_changed = self._refresh_addresses(changes)
+        slabs = self._slabs
+        addresses_changed = len(
+            refold_closest(
+                self._graph,
+                slabs.landmark_ids,
+                slabs.spt_dist,
+                slabs.spt_parent,
+                changes,
+                slabs.closest,
+                slabs.closest_dist,
+            )
+        )
         cost = MaintenanceCost(
             addresses_changed=addresses_changed,
             landmark_set_changed=False,

@@ -6,7 +6,7 @@ runs up to four more passes, each one call here:
 
 * :func:`refold_closest` -- the closest landmark of every node whose
   distance to some landmark moved, and from it and the rows' parent changes
-  the addresses to re-derive;
+  the nodes whose address the event changed;
 * :func:`vicinity_candidates` -- the nodes whose vicinity row the event
   changes: the endpoint-rooted distance rows and the radius array pick the
   rows to read, and each row read says itself whether it changes;
@@ -86,27 +86,25 @@ def refold_closest(
     changes: RowChanges,
     closest,
     closest_dist,
-) -> tuple[array, array]:
-    """Refold closest landmarks after a row repair; find the stale addresses.
+) -> array:
+    """Refold closest landmarks after a row repair; list the nodes whose
+    address changed.
 
     ``dist_slab`` / ``parent_slab`` hold one ``n``-entry row per landmark,
     in the (ascending) order of ``landmarks``, already repaired;
     ``changes`` is what the repair reported and ``graph`` the mutated
-    graph.  Two results:
+    graph.  Only a node in some row's ``dist_changed`` can move closest
+    landmark; its closest landmark is the minimum of its column, taken in
+    landmark order with a strict ``<`` -- ties stay on the smaller landmark
+    id, matching the fold of :meth:`CSRGraph.spt_rows_batch_into` -- and
+    ``-1`` / ``inf`` when no landmark reaches it.  ``closest`` /
+    ``closest_dist`` are updated in place.
 
-    * the nodes whose closest landmark or distance to it changed.  Only a
-      node in some row's ``dist_changed`` can be one; its closest landmark
-      is the minimum of its column, taken in landmark order with a strict
-      ``<`` -- ties stay on the smaller landmark id, matching the fold of
-      :meth:`CSRGraph.spt_rows_batch_into` -- and ``-1`` / ``inf``
-      when no landmark reaches it.  ``closest`` / ``closest_dist`` are
-      updated in place; the nodes come back in the order ``changes`` first
-      names them.
-    * the nodes whose address (closest landmark + path in its tree) must be
-      re-derived, ascending: the refolded nodes, plus every new-tree
-      descendant of a parent change inside the row of its own closest
-      landmark (walking its address path would traverse the changed
-      pointer).
+    Returns the nodes whose address (closest landmark + path in its tree)
+    changed, ascending: those whose closest landmark changed, plus every
+    new-tree descendant of a parent change inside the row of its own
+    closest landmark (its path crosses the changed pointer).  A refold that
+    moves only the distance keeps the path, and the node is not listed.
     """
     n = len(closest)
     landmarks = _id_array(landmarks)
@@ -134,9 +132,7 @@ def refold_closest(
     clib = load_kernels()
     if clib is not None:
         num_arcs = graph.offsets[n] if n else 0
-        refolded = array("q", bytes(8 * n))
-        dirty = array("q", bytes(8 * n))
-        num_refolded = ctypes.c_int64(0)
+        changed = array("q", bytes(8 * n))
         count = clib.closest_refold(
             n,
             buffer_arg(graph.offsets, "q", n + 1, "offsets"),
@@ -155,14 +151,12 @@ def refold_closest(
             parent_total,
             p_closest,
             p_closest_dist,
-            buffer_arg(refolded, "q", n, "refolded"),
-            ctypes.byref(num_refolded),
-            buffer_arg(dirty, "q", n, "dirty"),
+            buffer_arg(changed, "q", n, "changed"),
         )
         check_status(count, "closest_refold")
-        del refolded[num_refolded.value :], dirty[count:]
-        return refolded, dirty
-    refolded = array("q")
+        del changed[count:]
+        return changed
+    changed: set[int] = set()
     folded: set[int] = set()
     for node in changes.dist_changed:
         if node in folded:
@@ -177,14 +171,10 @@ def refold_closest(
             if distance < best_distance:
                 best_distance = distance
                 best_landmark = landmark
-        if (
-            best_landmark != closest[node]
-            or best_distance != closest_dist[node]
-        ):
-            closest[node] = best_landmark
-            closest_dist[node] = best_distance
-            refolded.append(node)
-    dirty = set(refolded)
+        if best_landmark != closest[node]:
+            changed.add(node)
+        closest[node] = best_landmark
+        closest_dist[node] = best_distance
     adjacency = graph.adjacency
     for row, _, parent_changed in changes:
         landmark = landmarks[row]
@@ -194,13 +184,13 @@ def refold_closest(
         while stack:
             node = stack.pop()
             if closest[node] == landmark:
-                dirty.add(node)
+                changed.add(node)
             # Tree children are the graph neighbours pointing back.
             for child, _ in adjacency[node]:
                 if parent_slab[base + child] == node and child not in seen:
                     seen.add(child)
                     stack.append(child)
-    return refolded, array("q", sorted(dirty))
+    return array("q", sorted(changed))
 
 
 def vicinity_candidates(

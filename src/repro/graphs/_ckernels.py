@@ -107,8 +107,7 @@ _CLOSEST_REFOLD_ARGTYPES = [
     _PI64, _PI64, _I64,      # dist_ends, dist_changed, dist_total
     _PI64, _PI64, _I64,      # parent_ends, parent_changed, parent_total
     _PI64, _PDBL,            # closest, closest_dist (n each)
-    _PI64, _PI64,            # refolded (n slots), num_refolded (1)
-    _PI64,                   # dirty (n slots)
+    _PI64,                   # changed (n slots)
 ]
 
 _VICINITY_CANDIDATES_ARGTYPES = [

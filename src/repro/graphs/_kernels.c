@@ -1645,34 +1645,34 @@ i64 repair_rows(
     return changed;
 }
 
-/* After repair_rows: refold closest landmarks and find the addresses the
- * event made stale.  The change lists are repair_rows' output (rows,
- * *_ends, *_changed; the totals are the lengths of the two id arrays).
+/* After repair_rows: refold closest landmarks and list the nodes whose
+ * address the event changed.  The change lists are repair_rows' output
+ * (rows, *_ends, *_changed; the totals are the lengths of the two id
+ * arrays).
  *
  *   Refold: for every node in dist_changed (each once), the closest
  *   landmark is the minimum of its column over the dist slab's rows, taken
  *   in row order with a strict < so that ties stay on the earlier
  *   (smaller-id) landmark -- roots must ascend, as in spt_rows_batch.  A
- *   node no landmark reaches folds to -1 / +inf.  The nodes whose pair
- *   changed go to refolded (n slots) in first-occurrence order, their
- *   count to *num_refolded.
+ *   node no landmark reaches folds to -1 / +inf.
  *
- *   Stale addresses: a node's address is its closest landmark plus its
- *   path in that landmark's tree, so it is stale when the node was
- *   refolded, or when it hangs (in the repaired tree: children are the
+ *   Changed addresses: a node's address is its closest landmark plus its
+ *   path in that landmark's tree, so it changed when its closest landmark
+ *   did, or when it hangs (in the repaired tree: children are the
  *   neighbours pointing back) under a node of parent_changed in the row of
- *   its closest landmark.  They go to dirty (n slots), ascending.
+ *   its closest landmark -- its path then crosses a changed pointer.  A
+ *   refold that moves only the distance keeps the address.  They go to
+ *   changed (n slots), ascending.
  *
- * Returns the dirty count, -1 on allocation failure, -2 on a row index, an
- * end or an id out of range (checked before any write). */
+ * Returns the changed count, -1 on allocation failure, -2 on a row index,
+ * an end or an id out of range (checked before any write). */
 i64 closest_refold(
     i64 n, const i64 *offsets, const i64 *neighbors,
     const i64 *roots, i64 num_rows, const double *dist, const i64 *parent,
     const i64 *rows, i64 num_changed,
     const i64 *dist_ends, const i64 *dist_changed, i64 dist_total,
     const i64 *parent_ends, const i64 *parent_changed, i64 parent_total,
-    i64 *closest, double *closest_dist,
-    i64 *refolded, i64 *num_refolded, i64 *dirty)
+    i64 *closest, double *closest_dist, i64 *changed)
 {
     for (i64 j = 0; j < num_changed; j++) {
         i64 dist_lo = j ? dist_ends[j - 1] : 0;
@@ -1688,7 +1688,7 @@ i64 closest_refold(
     for (i64 i = 0; i < parent_total; i++)
         if (parent_changed[i] < 0 || parent_changed[i] >= n)
             return -2;
-    /* flag[v]: 1 refolded, 2 dirty; seen[v] == j + 1: walked in row j. */
+    /* flag[v]: 1 folded, 2 changed; seen[v] == j + 1: walked in row j. */
     size_t slots = (size_t)(n > 0 ? n : 1);
     i64 *seen = calloc(3 * slots, sizeof(i64));
     unsigned char *flag = calloc(slots, 1);
@@ -1698,7 +1698,7 @@ i64 closest_refold(
         return -1;
     }
     i64 *stack = seen + slots, *scratch = seen + 2 * slots;
-    i64 moved = 0, count = 0;
+    i64 count = 0;
     for (i64 i = 0; i < dist_total; i++) {
         i64 node = dist_changed[i];
         if (flag[node])
@@ -1713,13 +1713,12 @@ i64 closest_refold(
                 best = roots[r];
             }
         }
-        if (best != closest[node] || best_dist != closest_dist[node]) {
-            closest[node] = best;
-            closest_dist[node] = best_dist;
-            refolded[moved++] = node;
+        if (best != closest[node]) {
             flag[node] = 2;
-            dirty[count++] = node;
+            changed[count++] = node;
         }
+        closest[node] = best;
+        closest_dist[node] = best_dist;
     }
     for (i64 j = 0; j < num_changed; j++) {
         i64 landmark = roots[rows[j]];
@@ -1735,7 +1734,7 @@ i64 closest_refold(
             i64 node = stack[--depth];
             if (closest[node] == landmark && flag[node] != 2) {
                 flag[node] = 2;
-                dirty[count++] = node;
+                changed[count++] = node;
             }
             for (i64 e = offsets[node]; e < offsets[node + 1]; e++) {
                 i64 child = neighbors[e];
@@ -1746,10 +1745,9 @@ i64 closest_refold(
             }
         }
     }
-    order_ids(dirty, count, n, scratch);
+    order_ids(changed, count, n, scratch);
     free(seen);
     free(flag);
-    *num_refolded = moved;
     return count;
 }
 

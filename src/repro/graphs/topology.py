@@ -295,6 +295,7 @@ class Topology:
         "_csr",
         "_weight_profile",
         "_content_key",
+        "_connected",
         "name",
     )
 
@@ -323,6 +324,7 @@ class Topology:
         self._csr: "CSRGraph | None" = None
         self._weight_profile = profile
         self._content_key: str | None = None
+        self._connected: bool | None = None  # set by is_connected()
         self.name = name
 
     # -- construction -------------------------------------------------------
@@ -419,6 +421,7 @@ class Topology:
             profile=self._weight_profile,
         )
         duplicate._content_key = self._content_key
+        duplicate._connected = self._connected
         return duplicate
 
     # -- reads ----------------------------------------------------------------
@@ -508,8 +511,13 @@ class Topology:
         )
 
     def is_connected(self) -> bool:
-        """Return True if the graph has at most one connected component."""
-        return self._num_nodes <= 1 or len(self.connected_components()) == 1
+        """Return True if the graph has at most one connected component
+        (searched on the first call; a topology never changes)."""
+        if self._connected is None:
+            self._connected = (
+                self._num_nodes <= 1 or len(self.connected_components()) == 1
+            )
+        return self._connected
 
     def largest_component_subgraph(self) -> tuple["Topology", dict[int, int]]:
         """Return the largest connected component as a relabelled Topology.
@@ -662,8 +670,8 @@ class Topology:
         writable buffer, and the kernels never write them, so no page is
         privatized and repeated attaches share the OS page cache.  The
         kernels index with the stored ids unchecked, so the slabs are
-        checked first, in one O(n + m) pass, and ``ValueError`` is raised
-        unless offsets start at 0, never decrease and end at
+        checked first, in one O(n + m) pass, and
+        :class:`~repro.errors.InputError` is raised unless offsets start at 0, never decrease and end at
         ``len(neighbors) == len(weights) == 2 * len(edges_w)``, every
         neighbour id is in ``[0, n)``, every weight is positive and finite
         and the edge arrays align with ``u < v < n``.
@@ -681,7 +689,7 @@ class Topology:
             name=manifest.get("name", "topology"),
         )
         if not attached._slabs_valid():
-            raise ValueError(f"{path}: topology slabs break the CSR invariants")
+            raise InputError(f"{path}: topology slabs break the CSR invariants")
         attached._content_key = manifest.get("content_key")
         return attached
 

@@ -18,6 +18,8 @@ import mmap
 import os
 from typing import Iterable
 
+from repro.errors import InputError
+
 __all__ = ["read_slab_dir", "write_slab_dir"]
 
 
@@ -72,15 +74,15 @@ def read_slab_dir(
     private, so a consumer that needs a writable buffer never writes the
     file), and keeps its mapping alive as long as it lives.  Attaching is
     O(number of slabs); the contents are the caller's to check.  Raises
-    ``ValueError`` for a manifest of another schema or a file whose size
-    is not the manifest's count of items, and ``OSError`` for a missing
-    file.
+    :class:`~repro.errors.InputError` for a manifest of another schema or a
+    file whose size is not the manifest's count of items, and ``OSError``
+    for a missing file.
     """
     path = os.fspath(path)
     with open(os.path.join(path, "manifest.json"), encoding="utf-8") as handle:
         manifest = json.load(handle)
     if not isinstance(manifest, dict) or manifest.get("schema") != schema:
-        raise ValueError(f"{path}: not a {schema} slab directory")
+        raise InputError(f"{path}: not a {schema} slab directory")
     views = {
         name: _map_slab(os.path.join(path, f"{name}.bin"), typecode, count, access)
         for name, typecode, count in manifest["slots"]
@@ -94,7 +96,7 @@ def _map_slab(path: str, typecode: str, count: int, access: int) -> memoryview:
     expected = 8 * count
     size = os.path.getsize(path)
     if size != expected:
-        raise ValueError(
+        raise InputError(
             f"slab file {path} holds {size} bytes, manifest expects {expected}"
         )
     with open(path, "rb") as handle:

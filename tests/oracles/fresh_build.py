@@ -9,6 +9,9 @@ event and with no call in between.
 :func:`engine_from_routing` is the other way in: an engine that adopts a
 converged :class:`~repro.core.nddisco.NDDiscoRouting`'s tables instead of
 building its own, which must be the same engine bit for bit.
+
+:func:`addresses` reads every node's address off a set of slabs, the fact
+the engine bills an event's address changes from without storing it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ import copy
 from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import SubstrateTables
 from repro.dynamics.engine import ChurnEngine
+from repro.graphs.csr import tree_path
 
 __all__ = [
+    "addresses",
     "assert_tables_match_fresh_build",
     "engine_from_routing",
     "fresh_tables",
@@ -28,10 +33,27 @@ __all__ = [
 _SLOTS = ("landmark_ids", "spt_dist", "spt_parent", "closest", "closest_dist")
 
 
+def addresses(landmarks, parent_slab, closest) -> list:
+    """Every node's ``(closest landmark, SPT path)`` walked up
+    ``parent_slab`` (one ``n``-entry row per landmark, in the order of
+    ``landmarks``), ``None`` for a node no landmark reaches."""
+    n = len(closest)
+    row = {landmark: index for index, landmark in enumerate(landmarks)}
+    return [
+        None
+        if landmark < 0
+        else (
+            landmark,
+            tuple(tree_path(parent_slab, landmark, node, base=row[landmark] * n)),
+        )
+        for node, landmark in enumerate(closest)
+    ]
+
+
 def fresh_tables(engine: ChurnEngine) -> SubstrateTables:
     """Full convergence on the engine's current topology."""
     return build_substrate_tables(
-        engine.topology, engine.landmarks, size=engine.vicinity_k
+        engine.topology, engine.tables.landmarks, size=engine.vicinity_k
     )
 
 
@@ -39,8 +61,8 @@ def assert_tables_match_fresh_build(engine: ChurnEngine) -> None:
     """Every slab of ``engine.tables`` against a fresh build: the same slabs
     but the length column, the SPT and closest slabs whole, the vicinity
     rows (fixed stride there, packed in the build) through ``row(node)``
-    with the length column, and the engine's addresses against the build's
-    SPT paths from each node's closest landmark (``None`` where none)."""
+    with the length column (an address is the closest slab and an SPT
+    path, so the slabs being equal makes the addresses equal)."""
     fresh = fresh_tables(engine)
     live = engine.tables
     assert [name for name, _, _ in live.slab_items()] == [
@@ -54,12 +76,6 @@ def assert_tables_match_fresh_build(engine: ChurnEngine) -> None:
             bytes(v) for v in theirs
         ], node
         assert live.vicinity.lengths[node] == len(theirs[0]), node
-        landmark = fresh.closest[node]
-        assert engine.addresses[node] == (
-            None
-            if landmark < 0
-            else (landmark, tuple(fresh.spt_path(landmark, node)))
-        ), node
 
 
 def engine_from_routing(routing) -> ChurnEngine:
@@ -85,8 +101,4 @@ def engine_from_routing(routing) -> ChurnEngine:
         slabs.vicinity.offsets[1],
         list(routing.names),
     )
-    engine._addresses = [
-        (address.landmark, tuple(address.route.path))
-        for address in routing.addresses
-    ]
     return engine

@@ -79,7 +79,7 @@ def _edited(topology: Topology, edit) -> Topology:
 def _oracle(engine: ChurnEngine) -> ChurnEngine:
     """Full reconvergence on the engine's current (mutated) topology."""
     oracle = ChurnEngine(
-        engine.topology, seed=0, landmarks=sorted(engine.landmarks)
+        engine.topology, seed=0, landmarks=engine.tables.landmarks
     )
     oracle._dead = set(engine.dead_nodes)
     return oracle
@@ -188,14 +188,14 @@ class TestEngineDifferential:
     def test_landmark_failure_and_rejoin(self):
         topology = gnm_random_graph(48, seed=6, average_degree=6.0)
         engine = ChurnEngine(topology, seed=1)
-        landmark = min(engine.landmarks)
+        landmark = min(engine.tables.landmarks)
         engine.apply(DynEvent(0, "node-leave", landmark))
         assert landmark in engine.dead_nodes
         # The dead landmark's row folds to unreachable for everyone else,
         # and every survivor refolds onto a live landmark.
         tables = engine.tables
         index = tables.landmarks.index(landmark)
-        n = engine.num_nodes
+        n = tables.num_nodes
         dist_row = tables.spt_dist[index * n : (index + 1) * n]
         assert dist_row[landmark] == 0.0
         assert all(
@@ -206,7 +206,7 @@ class TestEngineDifferential:
         closest = tables.closest
         assert all(
             closest[node] != landmark
-            for node in range(engine.num_nodes)
+            for node in range(n)
             if node != landmark
         )
         assert engine.state_signature() == _oracle(engine).state_signature()
@@ -215,7 +215,7 @@ class TestEngineDifferential:
         # Fully healed: identical to a converged engine on the original
         # topology (node-join restores the exact captured edges).
         pristine = ChurnEngine(
-            topology, seed=1, landmarks=sorted(engine.landmarks)
+            topology, seed=1, landmarks=engine.tables.landmarks
         )
         assert engine.state_signature() == pristine.state_signature()
 
@@ -385,10 +385,8 @@ class TestMaintenanceEdgeCases:
         for node in range(4, 8):
             assert closest[node] == -1
             assert closest_dist[node] == math.inf
-            assert engine.addresses[node] is None
         for node in range(4):
             assert closest[node] in (0, 1)
-            assert engine.addresses[node] is not None
         assert engine.state_signature() == _oracle(engine).state_signature()
 
     def test_heal_after_full_partition(self):
@@ -399,9 +397,7 @@ class TestMaintenanceEdgeCases:
         pristine = ChurnEngine(topology, seed=0, landmarks=[0, 1])
         assert engine.state_signature() == pristine.state_signature()
         # And addresses exist again for the formerly isolated side.
-        assert all(
-            engine.addresses[node] is not None for node in range(8)
-        )
+        assert all(landmark >= 0 for landmark in engine.tables.closest)
 
 
 class TestLiveTables:

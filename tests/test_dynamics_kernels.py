@@ -50,7 +50,11 @@ from hypothesis.stateful import (
     rule,
 )
 
-from oracles.fresh_build import assert_tables_match_fresh_build, fresh_tables
+from oracles.fresh_build import (
+    addresses,
+    assert_tables_match_fresh_build,
+    fresh_tables,
+)
 from repro.dynamics import (
     EVENT_KINDS,
     ChurnEngine,
@@ -162,9 +166,15 @@ class _Rows:
                 _fresh_rows(self.topology, self.roots)
             )
 
+    def addresses(self) -> list:
+        return addresses(self.roots, self.parent, self.closest)
+
     def repair(self, mutate, repair, *event) -> RowChanges:
         """Mutate the topology, repair every row, refold; check against a
-        fresh search bit for bit.  Returns the change lists."""
+        fresh search bit for bit, and the refold's list of changed
+        addresses against a diff of every address before and after.
+        Returns the change lists."""
+        before = self.addresses()
         with _tier(self.tier):
             mutate(self.builder)
             self.topology = self.builder.freeze()
@@ -172,7 +182,7 @@ class _Rows:
             changes = repair(
                 graph, self.roots, self.dist, self.parent, *event
             )
-            self.refolded, self.stale = refold_closest(
+            self.changed = refold_closest(
                 graph, self.roots, self.dist, self.parent, changes,
                 self.closest, self.closest_dist,
             )
@@ -180,6 +190,11 @@ class _Rows:
         mine = (self.dist, self.parent, self.closest, self.closest_dist)
         for slab, expected in zip(mine, fresh):
             assert slab.tobytes() == expected.tobytes(), (self.tier, event)
+        after = self.addresses()
+        assert list(self.changed) == [
+            node for node, (old, new) in enumerate(zip(before, after))
+            if old != new
+        ], (self.tier, event)
         return changes
 
 
@@ -190,8 +205,7 @@ def _repair_on_both(topology, roots, mutate, repair, *event) -> RowChanges:
     assert _lists(changes) == _lists(
         python_tier.repair(mutate, repair, *event)
     )
-    assert list(c_tier.refolded) == list(python_tier.refolded)
-    assert list(c_tier.stale) == list(python_tier.stale)
+    assert list(c_tier.changed) == list(python_tier.changed)
     return changes
 
 
@@ -273,8 +287,7 @@ class TestRepairRows:
                 rows.repair(mutate, *call) for rows in tiers
             )
             assert _lists(c_changes) == _lists(python_changes), (kind, call)
-            assert list(tiers[0].refolded) == list(tiers[1].refolded)
-            assert list(tiers[0].stale) == list(tiers[1].stale)
+            assert list(tiers[0].changed) == list(tiers[1].changed)
 
     @staticmethod
     def _two_cliques() -> Topology:
@@ -370,6 +383,26 @@ class TestRepairRows:
             repair_rows_after_decrease, [(1, 3)],
         )
         assert _lists(changes) == ([0], [0], [], [1], [3])
+
+    def test_heavier_tree_arc_with_no_parent_change_keeps_addresses(self):
+        # The path 0-1-2-3-4 rooted at both ends; 2 ties and folds to 0.
+        # Arc 0-1 gets heavier: every distance across it grows and no
+        # parent moves.  Node 1 keeps landmark 0 and the path (0, 1) at a new
+        # distance -- not an address change -- while 2 folds to 4.
+        topology = Topology.from_edges(
+            5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
+        )
+        for tier in _TIERS:
+            rows = _Rows(tier, topology, [0, 4])
+            changes = rows.repair(
+                lambda t: t.set_edge_weight(0, 1, 1.5),
+                repair_rows_after_increase, 0, 1,
+            )
+            assert _lists(changes) == (
+                [0, 1], [4, 5], [1, 2, 3, 4, 0], [0, 0], []
+            )
+            assert list(rows.closest) == [0, 0, 4, 4, 4]
+            assert list(rows.changed) == [2]
 
     def test_multi_edge_improve_reports_a_twice_improved_node_once(self):
         # Node 3 rejoins over two edges; the first restored offers 1 + 5,
@@ -1049,7 +1082,7 @@ def _engine_rows(engine: ChurnEngine) -> tuple:
         engine.state_signature(),
         [
             [bytes(view) for view in engine.tables.vicinity.row(node)]
-            for node in range(engine.num_nodes)
+            for node in range(engine.tables.num_nodes)
         ],
         engine._radius.tobytes(),
     )

@@ -21,11 +21,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from operator import ne
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles.fresh_build import (
+    addresses,
     assert_tables_match_fresh_build,
     engine_from_routing,
     fresh_tables,
@@ -194,7 +196,7 @@ def _tailed_graph(seed: int) -> tuple[Topology, int]:
 
 def _replay_bill(before: ChurnEngine, after: ChurnEngine) -> MaintenanceCost:
     """The full before/after diff of two from-scratch convergences."""
-    n = after.num_nodes
+    n = after.tables.num_nodes
     assert before.tables.landmarks == after.tables.landmarks
     landmark_entries = sum(
         old != new
@@ -209,17 +211,19 @@ def _replay_bill(before: ChurnEngine, after: ChurnEngine) -> MaintenanceCost:
             for member in set(old) | set(new)
             if member != node
         )
-    addresses = sum(
-        old != new for old, new in zip(before.addresses, after.addresses)
+    old_addresses, new_addresses = (
+        addresses(tables.landmarks, tables.spt_parent, tables.closest)
+        for tables in (before.tables, after.tables)
     )
+    changed = sum(map(ne, old_addresses, new_addresses))
     group_size = _mean_group_size(
         SloppyGrouping([name_for_node(node) for node in range(n)])
     )
     return MaintenanceCost(
-        addresses_changed=addresses,
+        addresses_changed=changed,
         landmark_set_changed=False,
-        resolution_updates=addresses,
-        dissemination_messages=int(round(addresses * group_size)),
+        resolution_updates=changed,
+        dissemination_messages=int(round(changed * group_size)),
         vicinity_entries_changed=vicinity_entries,
         landmark_entries_changed=landmark_entries,
     )

@@ -38,6 +38,7 @@ from repro.graphs.ingest import (
 )
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.topology import Topology, TopologyBuilder
+from repro.utils.slab_dir import read_slab_dir
 
 HAVE_C = load_kernels() is not None
 
@@ -610,7 +611,17 @@ class TestSlabDirValidation:
         slab_dir = topology.save_slabs(tmp_path / "topo.slabs")
         assert Topology.from_slab_dir(slab_dir).csr().spt_rows(0)
         _flip(slab_dir, slab)
-        with pytest.raises(ValueError, match="CSR invariants"):
+        with pytest.raises(InputError, match="CSR invariants"):
+            Topology.from_slab_dir(slab_dir)
+
+    def test_another_schema_or_a_short_file_is_an_input_error(self, tmp_path):
+        topology = gnm_random_graph(64, seed=2, average_degree=6.0)
+        slab_dir = topology.save_slabs(tmp_path / "topo.slabs")
+        with pytest.raises(InputError, match="not a repro-tables"):
+            read_slab_dir(slab_dir, "repro-tables/v0")
+        with open(os.path.join(slab_dir, "weights.bin"), "r+b") as handle:
+            handle.truncate(8)
+        with pytest.raises(InputError, match="manifest expects"):
             Topology.from_slab_dir(slab_dir)
 
     @pytest.mark.parametrize("slab", sorted(_FLIPS))

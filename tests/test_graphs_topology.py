@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -216,6 +219,43 @@ class TestConnectivity:
     def test_isolated_node_makes_disconnected(self):
         topology = Topology.from_edges(3, [(0, 1)])
         assert not topology.is_connected()
+
+    def test_three_schemes_on_one_topology_search_it_once(self):
+        """ND-Disco, S4 over its tables and Disco over it each check that
+        the topology is connected; the first check's answer is kept."""
+        from repro.core.disco import DiscoRouting
+        from repro.core.nddisco import NDDiscoRouting
+        from repro.graphs.generators import gnm_random_graph
+        from repro.protocols.s4 import S4Routing
+
+        topology = gnm_random_graph(48, seed=3, average_degree=6.0)
+        with mock.patch.object(
+            Topology,
+            "connected_components",
+            autospec=True,
+            side_effect=Topology.connected_components,
+        ) as search:
+            nddisco = NDDiscoRouting(topology, seed=3)
+            S4Routing(topology, seed=3, substrate=nddisco)
+            DiscoRouting(topology, seed=3, nddisco=nddisco)
+        assert search.call_count == 1
+
+    def test_every_way_to_a_topology_answers_connectivity(self, tmp_path):
+        """A copy keeps the answer; a slab-directory attach and an
+        unpickled topology answer as the original does."""
+        for edges, connected in (([(0, 1), (1, 2)], True), ([(0, 1)], False)):
+            topology = Topology.from_edges(3, edges)
+            assert topology.is_connected() is connected
+            attached = Topology.from_slab_dir(
+                topology.save_slabs(tmp_path / f"{connected}.slabs")
+            )
+            with mock.patch.object(
+                Topology, "connected_components", autospec=True
+            ) as search:
+                assert topology.copy().is_connected() is connected
+            assert search.call_count == 0
+            for other in (attached, pickle.loads(pickle.dumps(topology))):
+                assert other.is_connected() is connected
 
     def test_largest_component_subgraph(self):
         topology = Topology.from_edges(5, [(0, 1), (1, 2), (3, 4)])

@@ -34,6 +34,7 @@ from repro.graphs.generators import (
 from repro.graphs.topology import TopologyBuilder
 from repro.graphs.sampling import sample_pairs
 from repro.metrics.stretch import measure_stretch
+from repro.naming.names import name_for_node
 from repro.protocols.s4 import S4Routing
 
 # Building a converged protocol is costly, so property tests use modest
@@ -189,7 +190,9 @@ class TestNDDiscoInvariants:
     def test_churned_tables_give_a_fresh_build_s_bits(self, kind, weights, seed):
         """After a 24-event stream with no partition (edge events only keep
         the graph connected), the bits derived from the engine's live tables
-        and topology are a fresh ND-Disco's on the same landmarks."""
+        and topology are a fresh ND-Disco's on the same landmarks, and an
+        ND-Disco adopting the live tables routes every ordered pair, first
+        and later packets, as that fresh one does."""
         topology = _address_topology(kind, weights, 64, seed)
         engine = ChurnEngine(topology, seed=seed)
         engine.run(
@@ -201,5 +204,13 @@ class TestNDDiscoInvariants:
             )
         )
         live = engine.topology
-        fresh = NDDiscoRouting(live, landmarks=engine.landmarks)
+        fresh = NDDiscoRouting(live, landmarks=engine.tables.landmarks)
         assert address_bits(live, engine.tables) == fresh.address_bits
+        adopted = NDDiscoRouting.from_tables(
+            live, engine.tables, [name_for_node(v) for v in range(64)]
+        )
+        theirs, mine = fresh.router(), adopted.router()
+        for source in range(64):
+            for target in range(64):
+                assert mine.first(source, target) == theirs.first(source, target)
+                assert mine.later(source, target) == theirs.later(source, target)
