@@ -249,6 +249,13 @@ class _DiscoRouter(PairRouter):
     def route_length(self, path: Sequence[int]) -> float:
         return self.nd.route_length(path)
 
+    def prefetch(
+        self, pairs: Sequence[tuple[int, int]], *, first: bool, later: bool
+    ) -> None:
+        """Later packets are ND-Disco's, so its relays are prefetched; first
+        packets (group contacts) are routed pair by pair."""
+        self.nd.prefetch(pairs, first=False, later=later)
+
     def _candidate_rows(
         self, source: int
     ) -> tuple[list[int], list[float], list[int]]:

@@ -32,7 +32,9 @@ Routing behaviour:
 
 from __future__ import annotations
 
+import ctypes
 import time
+import warnings
 from array import array
 from itertools import compress
 from types import SimpleNamespace
@@ -50,6 +52,7 @@ from repro.core.shortcutting import (
 )
 from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import NodeSearchTables, SubstrateTables
+from repro.graphs import _ckernels
 from repro.graphs.topology import Topology
 from repro.naming.names import FlatName, name_for_node
 from repro.protocols.base import LandmarkRouter, RouteResult, RoutingScheme
@@ -468,6 +471,105 @@ class _NDDiscoRouter(LandmarkRouter):
             result = (self.shortcut(forward, reverse), "landmark-relay")
         self._compact[key] = result
         return result
+
+    # -- a measurement batch's relays in one kernel call -------------------
+
+    def prefetch(
+        self, pairs: Sequence[tuple[int, int]], *, first: bool, later: bool
+    ) -> None:
+        """Memoize in :meth:`compact` the landmark relays ``pairs`` need,
+        from one ``relay_routes`` call of the C kernels.
+
+        The relays are the later packets' ``(s, t)`` (no direct route, no
+        handshake) and, for first packets, ``(home_landmark(t), t)``, or
+        ``(s, t)`` when the name is not resolved.  The kernel repeats the
+        relay branch of :meth:`compact` step for step; a pair it reports a
+        non-zero status for stays out of the memo, so this rule routes it
+        (and raises what it raises).  A no-op on the Python tier, in the
+        Up-Down-Stream modes, and over read-only slab views (the churn
+        engine's live tables), which ``ctypes`` cannot take.
+        """
+        clib = self.scheme.topology.csr()._clib
+        if clib is None or self._per_hop == "up-down-stream":
+            return
+        scheme, n = self.scheme, self._num_nodes
+        resolve = first and scheme._resolve_first_packet
+        unresolved = first and not scheme._resolve_first_packet
+        keys: dict[int, None] = {}  # flat source * n + target, in pair order
+        resolved: set[int] = set()
+        for source, target in pairs:
+            if (
+                source == target
+                or not (0 <= source < n and 0 <= target < n)
+                or self.knows_direct(source, target)
+            ):
+                continue
+            if unresolved or (later and not self.in_vicinity(target, source)):
+                keys[source * n + target] = None
+            if resolve and target not in resolved:
+                resolved.add(target)
+                home = scheme._resolution.home_landmark(scheme._names[target])
+                if home != target and not self.knows_direct(home, target):
+                    keys[home * n + target] = None
+        wanted = [key for key in keys if key not in self._compact]
+        if wanted:
+            self._relay_routes(clib, wanted)
+
+    def _relay_routes(self, clib, keys: list[int]) -> None:
+        """One ``relay_routes`` call over the flat pair ``keys``; memoizes
+        each routed pair's path in :meth:`compact`."""
+        tables, vicinity = self.scheme.tables, self.vic_table
+        landmarks, spt_parent = tables.landmark_ids, tables.spt_parent
+        members, lengths = vicinity.members, vicinity.lengths
+        slabs = (
+            landmarks, spt_parent, tables.closest,
+            vicinity.offsets, members, vicinity.parents,
+        )
+        if any(memoryview(slab).readonly for slab in slabs):
+            return
+        n, count = self._num_nodes, len(keys)
+        arg = _ckernels.buffer_arg
+        pairs = array("q", [node for key in keys for node in divmod(key, n)])
+        route_ends = array("q", bytes(8 * count))
+        status = array("q", bytes(8 * count))
+        routes = ctypes.POINTER(ctypes.c_int64)()
+        total = clib.relay_routes(
+            n,
+            *self.scheme.topology.csr()._c_arena(),
+            arg(landmarks, "q", len(landmarks), "landmark_ids"),
+            len(landmarks),
+            arg(spt_parent, "q", len(spt_parent), "spt_parent"),
+            arg(tables.closest, "q", n, "closest"),
+            arg(vicinity.offsets, "q", n + 1, "vicinity.offsets"),
+            None if lengths is None else arg(lengths, "q", n, "vicinity.lengths"),
+            arg(members, "q", len(members), "vicinity.members"),
+            arg(vicinity.parents, "q", len(members), "vicinity.parents"),
+            len(members),
+            self._per_hop == "to-destination",
+            self.uses_reverse,
+            arg(pairs, "q", 2 * count, "pairs"),
+            count,
+            arg(route_ends, "q", count, "route_ends"),
+            arg(status, "q", count, "status"),
+            ctypes.byref(routes),
+        )
+        if total < 0:
+            warnings.warn(
+                _ckernels.NO_SCRATCH_WARNING.format("relay_routes"),
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return
+        try:
+            nodes = array("q", ctypes.string_at(routes, 8 * total)).tolist()
+        finally:
+            clib.buffer_free(routes)
+        compact = self._compact
+        start = 0
+        for key, end, code in zip(keys, route_ends, status):
+            if not code:
+                compact[key] = (nodes[start:end], "landmark-relay")
+            start = end
 
     # -- the route queries (first packets: LandmarkRouter._first) -----------
 

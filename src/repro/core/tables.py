@@ -453,10 +453,13 @@ class SubstrateTables:
     def from_mmap(cls, path: "str | os.PathLike") -> "SubstrateTables":
         """Attach to a raw slab directory written by :meth:`save_slabs`.
 
-        Every slab becomes a typed ``memoryview`` cast over a read-only
-        ``mmap`` of its ``.bin`` file, so concurrent attachers (e.g.
-        scenario-shard workers) share one page cache instead of private
-        copies, and the distance slabs are paged in only as rows are read
+        Every slab becomes a typed ``memoryview`` cast over a private
+        copy-on-write ``mmap`` of its ``.bin`` file
+        (:func:`~repro.utils.slab_dir.read_slab_dir`): writable, so the C
+        kernels take it as they take slabs in RAM, and never written, so
+        concurrent attachers (e.g. scenario-shard workers) share one page
+        cache instead of private copies; the distance slabs are paged in
+        only as rows are read
         (the checks below read the id slabs once).  Each mapping
         stays alive exactly as long as its views do.  The counts are
         checked as on adoption (:meth:`check_adoptable`), then every id

@@ -3,9 +3,10 @@
 ``_kernels.c`` (shipped next to this module) implements the indexed 4-ary
 heap, the Dial bucket queue, and the unit-weight level-ordered BFS at C
 speed, behind batched entry points only, plus the churn engine's per-event
-passes and Disco's overlay finger draws.  This module compiles it with
-the system C compiler the first time it is needed and memoizes the loaded
-``ctypes`` library; everything degrades gracefully:
+passes, Disco's overlay finger draws and ND-Disco's landmark relays.  This
+module compiles it with the system C compiler the first time it is needed
+and memoizes the loaded ``ctypes`` library; everything degrades
+gracefully:
 
 * no compiler, a failed compile, or a failed load -> :func:`load_kernels`
   returns ``None`` and :mod:`repro.graphs.csr` silently uses its pure-Python
@@ -35,6 +36,7 @@ __all__ = [
     "build_error",
     "buffer_arg",
     "check_status",
+    "NO_SCRATCH_WARNING",
 ]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
@@ -150,6 +152,28 @@ _OVERLAY_FINGERS_ARGTYPES = [
     _PI64, _PU64,            # prefix bits, random.Random seeds
     _PI64,                   # fingers (n * num_fingers, -1 padded)
 ]
+
+# The routing layer: ND-Disco's landmark relays, one call per measurement
+# batch (see the "routing layer" section of _kernels.c).
+_RELAY_ROUTES_ARGTYPES = [
+    _I64,                    # n
+    _PI64, _PI64, _PDBL,     # offsets, neighbors, weights
+    _PI64, _I64,             # landmark ids, count
+    _PI64, _PI64,            # spt_parent (|L| * n), closest (n)
+    _PI64, _PI64,            # vicinity offsets, lengths (NULL: packed)
+    _PI64, _PI64, _I64,      # vicinity members, parents, their length
+    _I64, _I64,              # per_hop (0 none / 1 to-destination), reverse
+    _PI64, _I64,             # pairs (2 * num_pairs ids), num_pairs
+    _PI64, _PI64,            # route_ends, status (num_pairs each)
+    ctypes.POINTER(_PI64),   # malloc'd routes
+]
+
+#: The warning of a batched call that could not allocate, before its caller
+#: takes the Python tier instead (format with the entry point's name).
+NO_SCRATCH_WARNING = (
+    "{} could not allocate its scratch; running the Python kernels "
+    "instead (same output, slower)"
+)
 
 _CTYPES = {"q": ctypes.c_int64, "Q": ctypes.c_uint64, "d": ctypes.c_double}
 
@@ -331,6 +355,8 @@ def load_kernels() -> ctypes.CDLL | None:
         lib.shift_offsets.argtypes = [_PI64, _I64, _I64, _I64]
         lib.overlay_fingers.restype = _I64
         lib.overlay_fingers.argtypes = _OVERLAY_FINGERS_ARGTYPES
+        lib.relay_routes.restype = _I64
+        lib.relay_routes.argtypes = _RELAY_ROUTES_ARGTYPES
         _lib = lib
     except OSError as error:  # pragma: no cover - load failure is env-specific
         _build_error = f"load failed: {error}"

@@ -59,9 +59,12 @@
  * the contract that keeps a repaired row bit-identical to these kernels'
  * output -- one float add per relaxation, parent = min-id tight neighbour,
  * and why the order in which equal-distance nodes leave its heap cannot
- * change the fixpoint.  Last, the overlay layer (overlay_fingers): Disco's
+ * change the fixpoint.  Then the overlay layer (overlay_fingers): Disco's
  * finger draws for a whole overlay build, on a replay of CPython's
- * Mersenne Twister.
+ * Mersenne Twister.  Last, the routing layer (relay_routes): ND-Disco's
+ * landmark relays for a whole measurement batch, over the SPT parent slab
+ * and the vicinity rows, each pair with a status that hands anything the
+ * Python routing rule would not route back to it.
  */
 
 #include <math.h>
@@ -2332,4 +2335,264 @@ i64 overlay_fingers(i64 n, i64 num_fingers, const i64 *order,
         }
     }
     return 0;
+}
+
+/* ----------------------------------------------------------- routing layer
+ *
+ * ND-Disco's landmark relay (repro.core.nddisco._NDDiscoRouter.compact,
+ * §4.2) for a whole measurement batch in one call: for each pair (s, t)
+ * the route s ; l_t ; t up and down the SPT of t's closest landmark, cut
+ * where it first meets t, with the per-hop heuristic (none, or
+ * To-Destination: the first node on the route whose vicinity row holds t
+ * takes its vicinity path to t), and, when the mode compares directions,
+ * the reverse relay t ; l_s ; s treated the same way and taken reversed
+ * only when strictly shorter.  Lengths are summed left to right in double,
+ * one add per hop, each weight the first u -> v arc of u's CSR row -- the
+ * Python rule's route_length.  The Python rule stays the one definition:
+ * this layer reproduces it step for step and reports, per pair, a non-zero
+ * status for anything that rule would not route (an id outside [0, n), a
+ * closest landmark that is none, a walk that does not reach its root
+ * within n hops, a vicinity path that leaves its row, a hop with no arc)
+ * so the caller leaves that pair to it.  Every id read from a slab is
+ * bounds-checked before it indexes anything; the slab lengths are the
+ * ctypes wrapper's to check.  Serial; a batch costs O(n) scratch.
+ */
+
+#define RELAY_BAD_ID 1
+#define RELAY_NO_PATH 2
+#define RELAY_NO_EDGE 3
+
+typedef struct {
+    i64 n;
+    const i64 *offsets, *neighbors;
+    const double *weights;
+    const i64 *landmarks;
+    i64 num_landmarks;
+    const i64 *spt_parent, *closest;
+    const i64 *vic_offsets, *vic_lengths, *vic_members, *vic_parents;
+    i64 vic_total;
+} relay_ctx;
+
+/* path[0 .. count): node, its parent, ..., landmark up landmark's SPT.
+ * Returns count, or -RELAY_* (path holds room for n + 1 ids). */
+static i64 relay_walk(const relay_ctx *c, i64 landmark, i64 node, i64 *path)
+{
+    if (landmark < 0 || landmark >= c->n)
+        return -RELAY_BAD_ID;
+    i64 lo = 0, hi = c->num_landmarks;
+    while (lo < hi) {
+        i64 mid = lo + (hi - lo) / 2;
+        if (c->landmarks[mid] < landmark)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    if (lo == c->num_landmarks || c->landmarks[lo] != landmark)
+        return -RELAY_BAD_ID;
+    const i64 *parents = c->spt_parent + lo * c->n;
+    i64 count = 0;
+    path[count++] = node;
+    while (node != landmark) {
+        if (count > c->n)
+            return -RELAY_NO_PATH;
+        node = parents[node];
+        if (node < 0 || node >= c->n)
+            return -RELAY_NO_PATH;
+        path[count++] = node;
+    }
+    return count;
+}
+
+/* The raw relay s .. l_t .. t into route; returns its length or -RELAY_*.
+ * route holds 2n + 2 ids, scratch n + 1. */
+static i64 relay_raw(const relay_ctx *c, i64 s, i64 t, i64 *route,
+                     i64 *scratch)
+{
+    i64 landmark = c->closest[t];
+    i64 up = relay_walk(c, landmark, s, route);
+    if (up < 0)
+        return up;
+    i64 down = relay_walk(c, landmark, t, scratch);
+    if (down < 0)
+        return down;
+    for (i64 i = down - 2; i >= 0; i--)
+        route[up++] = scratch[i];
+    return up;
+}
+
+/* The vicinity row [*lo, *hi) of node; 0, or -RELAY_BAD_ID. */
+static i64 relay_row(const relay_ctx *c, i64 node, i64 *lo, i64 *hi)
+{
+    *lo = c->vic_offsets[node];
+    *hi = c->vic_lengths ? *lo + c->vic_lengths[node]
+                         : c->vic_offsets[node + 1];
+    return (*lo < 0 || *lo > *hi || *hi > c->vic_total) ? -RELAY_BAD_ID : 0;
+}
+
+/* Last position of id in row [lo, hi), or -1 (the Python row index maps a
+ * member to its last slot). */
+static i64 relay_find(const relay_ctx *c, i64 lo, i64 hi, i64 id)
+{
+    for (i64 pos = hi - 1; pos >= lo; pos--)
+        if (c->vic_members[pos] == id)
+            return pos;
+    return -1;
+}
+
+/* Truncate route[0 .. len) at its first visit of its destination, then the
+ * per-hop heuristic; the result goes to out (room for 3n + 3 ids).  path
+ * is n + 1 ids of scratch.  Returns the result's length or -RELAY_*. */
+static i64 relay_per_hop(const relay_ctx *c, i64 to_destination,
+                         const i64 *route, i64 len, i64 *out, i64 *path)
+{
+    i64 destination = route[len - 1];
+    i64 first = 0;
+    while (route[first] != destination)
+        first++;
+    len = first + 1;
+    i64 splice = -1, lo = 0, hi = 0;
+    if (to_destination)
+        for (i64 i = 0; i + 1 < len && splice < 0; i++) {
+            if (relay_row(c, route[i], &lo, &hi))
+                return -RELAY_BAD_ID;
+            if (relay_find(c, lo, hi, destination) >= 0)
+                splice = i;
+        }
+    if (splice < 0) {
+        memcpy(out, route, sizeof(i64) * (size_t)len);
+        return len;
+    }
+    /* path_from_owner(route[splice], destination), collected backwards. */
+    i64 owner = route[splice], current = destination, count = 0;
+    path[count++] = current;
+    while (current != owner) {
+        i64 pos = relay_find(c, lo, hi, current);
+        if (pos < 0 || pos == lo || count > c->n)
+            return -RELAY_NO_PATH;
+        current = c->vic_parents[pos];
+        path[count++] = current;
+    }
+    memcpy(out, route, sizeof(i64) * (size_t)splice);
+    for (i64 i = 0; i < count; i++)
+        out[splice + i] = path[count - 1 - i];
+    return splice + count;
+}
+
+/* Sum of the hop weights of route[0 .. len), left to right; 0 or -RELAY_*. */
+static i64 relay_length(const relay_ctx *c, const i64 *route, i64 len,
+                        double *length)
+{
+    double total = 0.0;
+    for (i64 i = 0; i + 1 < len; i++) {
+        i64 u = route[i], v = route[i + 1];
+        if (u < 0 || u >= c->n)
+            return -RELAY_BAD_ID;
+        i64 arc = c->offsets[u], end = c->offsets[u + 1];
+        while (arc < end && c->neighbors[arc] != v)
+            arc++;
+        if (arc == end)
+            return -RELAY_NO_EDGE;
+        total += c->weights[arc];
+    }
+    *length = total;
+    return 0;
+}
+
+/* One pair's compact relay route into out; returns its length or -RELAY_*.
+ * scratch holds 7n + 7 ids. */
+static i64 relay_pair(const relay_ctx *c, i64 to_destination,
+                      i64 uses_reverse, i64 s, i64 t, i64 *out,
+                      i64 *scratch)
+{
+    i64 n = c->n;
+    if (s < 0 || s >= n || t < 0 || t >= n || s == t)
+        return -RELAY_BAD_ID;
+    i64 *raw = scratch, *walk = raw + 2 * n + 2, *path = walk + n + 1;
+    i64 *reverse = path + n + 1;
+    i64 len = relay_raw(c, s, t, raw, walk);
+    if (len < 0)
+        return len;
+    len = relay_per_hop(c, to_destination, raw, len, out, path);
+    if (len < 0 || !uses_reverse)
+        return len;
+    i64 back = relay_raw(c, t, s, raw, walk);
+    if (back < 0)
+        return back;
+    back = relay_per_hop(c, to_destination, raw, back, reverse, path);
+    if (back < 0)
+        return back;
+    for (i64 i = 0; i < back / 2; i++) {
+        i64 swap = reverse[i];
+        reverse[i] = reverse[back - 1 - i];
+        reverse[back - 1 - i] = swap;
+    }
+    double forward_length, reverse_length;
+    i64 status = relay_length(c, reverse, back, &reverse_length);
+    if (!status)
+        status = relay_length(c, out, len, &forward_length);
+    if (status)
+        return status;
+    if (reverse_length < forward_length) {
+        memcpy(out, reverse, sizeof(i64) * (size_t)back);
+        return back;
+    }
+    return len;
+}
+
+/* The compact relay route of every pair (pairs[2i], pairs[2i + 1]).
+ * per_hop is 0 (none) or 1 (To-Destination); uses_reverse selects the
+ * shorter of the two directions.  vic_lengths is NULL for packed rows.
+ * Routes are concatenated into a malloc'd array returned via out_routes
+ * (release with buffer_free); route_ends[i] is the cumulative end of pair
+ * i's route and status[i] its RELAY_* code (0: routed; otherwise its route
+ * is empty).  Returns the total id count, or -1 on allocation failure (the
+ * out pointer is then untouched). */
+i64 relay_routes(
+    i64 n,
+    const i64 *offsets, const i64 *neighbors, const double *weights,
+    const i64 *landmarks, i64 num_landmarks,
+    const i64 *spt_parent, const i64 *closest,
+    const i64 *vic_offsets, const i64 *vic_lengths,
+    const i64 *vic_members, const i64 *vic_parents, i64 vic_total,
+    i64 per_hop, i64 uses_reverse,
+    const i64 *pairs, i64 num_pairs,
+    i64 *route_ends, i64 *status, i64 **out_routes)
+{
+    relay_ctx c = {n, offsets, neighbors, weights, landmarks, num_landmarks,
+                   spt_parent, closest, vic_offsets, vic_lengths,
+                   vic_members, vic_parents, vic_total};
+    i64 *scratch = malloc(sizeof(i64) * (size_t)(10 * (n + 1)));
+    i64 cap = 16 * num_pairs + 64;
+    i64 *routes = malloc(sizeof(i64) * (size_t)cap);
+    if (!scratch || !routes) {
+        free(scratch);
+        free(routes);
+        return -1;
+    }
+    i64 *route = scratch + 7 * (n + 1);
+    i64 total = 0;
+    for (i64 i = 0; i < num_pairs; i++) {
+        i64 len = relay_pair(&c, per_hop, uses_reverse, pairs[2 * i],
+                             pairs[2 * i + 1], route, scratch);
+        status[i] = len < 0 ? -len : 0;
+        if (len > 0) {
+            if (total + len > cap) {
+                while (cap < total + len)
+                    cap *= 2;
+                i64 *grown = realloc(routes, sizeof(i64) * (size_t)cap);
+                if (!grown) {
+                    free(scratch);
+                    free(routes);
+                    return -1;
+                }
+                routes = grown;
+            }
+            memcpy(routes + total, route, sizeof(i64) * (size_t)len);
+            total += len;
+        }
+        route_ends[i] = total;
+    }
+    free(scratch);
+    *out_routes = routes;
+    return total;
 }

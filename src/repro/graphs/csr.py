@@ -968,8 +968,7 @@ class CSRGraph:
         )
         if status == -1:
             warnings.warn(
-                f"{name} could not allocate its scratch; running the "
-                "Python kernels instead (same output, slower)",
+                _ckernels.NO_SCRATCH_WARNING.format(name),
                 RuntimeWarning,
                 stacklevel=3,
             )

@@ -19,6 +19,7 @@ The streaming ingestion pipeline (:mod:`repro.graphs.ingest`) builds a
 from __future__ import annotations
 
 import math
+import weakref
 from array import array
 from itertools import accumulate, chain
 from operator import ge, itemgetter, le
@@ -35,6 +36,12 @@ __all__ = ["Topology", "TopologyBuilder", "TOPOLOGY_SLAB_SCHEMA"]
 #: :meth:`Topology.from_slab_dir`: a directory holding ``manifest.json``
 #: plus one little-endian 8-byte-item ``<slab name>.bin`` file per slab.
 TOPOLOGY_SLAB_SCHEMA = "repro-topology-slabs/v1"
+
+#: ``id(topology)`` -> its :meth:`Topology.csr`, dropped with the topology.
+#: The cache is kept off the instance because a CSRGraph holds the ctypes
+#: kernel library, which does not pickle: a pickled topology carries its
+#: slabs only, and the copy builds its own CSRGraph on demand.
+_CSR_CACHE: "dict[int, CSRGraph]" = {}
 
 #: The six slabs, ``(name, typecode)``, in constructor and manifest order.
 _SLABS = (
@@ -292,11 +299,11 @@ class Topology:
         "_eu",
         "_ev",
         "_ew",
-        "_csr",
         "_weight_profile",
         "_content_key",
         "_connected",
         "name",
+        "__weakref__",
     )
 
     def __init__(
@@ -321,7 +328,6 @@ class Topology:
         self._eu = edges_u
         self._ev = edges_v
         self._ew = edges_w
-        self._csr: "CSRGraph | None" = None
         self._weight_profile = profile
         self._content_key: str | None = None
         self._connected: bool | None = None  # set by is_connected()
@@ -552,9 +558,11 @@ class Topology:
 
     def csr(self) -> "CSRGraph":
         """The shared, cached :class:`CSRGraph` over the arc slabs."""
-        if self._csr is None:
-            self._csr = self.fresh_csr()
-        return self._csr
+        csr = _CSR_CACHE.get(id(self))
+        if csr is None:
+            csr = _CSR_CACHE[id(self)] = self.fresh_csr()
+            weakref.finalize(self, _CSR_CACHE.pop, id(self), None)
+        return csr
 
     def fresh_csr(
         self, *, kernel: str | None = None, use_c: bool | None = None
@@ -676,13 +684,9 @@ class Topology:
         neighbour id is in ``[0, n)``, every weight is positive and finite
         and the edge arrays align with ``u < v < n``.
         """
-        import mmap
-
         from repro.utils.slab_dir import read_slab_dir
 
-        manifest, views = read_slab_dir(
-            path, TOPOLOGY_SLAB_SCHEMA, access=mmap.ACCESS_COPY
-        )
+        manifest, views = read_slab_dir(path, TOPOLOGY_SLAB_SCHEMA)
         attached = cls(
             manifest["num_nodes"],
             *(views[name] for name, _ in _SLABS),

@@ -88,6 +88,9 @@ def measure_congestion(
         topology, seed=seed
     )
     router = scheme.router()
+    router.prefetch(
+        flows, first=not use_later_packets, later=use_later_packets
+    )
     route = router.later if use_later_packets else router.first
     usage: dict[tuple[int, int], int] = {
         (u, v): 0 for u, v, _ in topology.edges()

@@ -117,6 +117,7 @@ def measure_stretch(
         distances = topology.csr().batched_target_distances(measured_pairs)
 
     router = scheme.router()
+    router.prefetch(measured_pairs, first=True, later=True)
     route_pair = router.pair
     route_length = router.route_length
     first_values: list[float] = []

@@ -212,6 +212,14 @@ class PairRouter:
         self.scheme._check_endpoints(source, target)
         return self._pair(source, target)
 
+    def prefetch(
+        self, pairs: Sequence[tuple[int, int]], *, first: bool, later: bool
+    ) -> None:
+        """Prepare to route ``pairs`` (their ``first`` and/or ``later``
+        packet routes): a measurement calls this once, before its per-pair
+        loop.  Routes come out the same with or without it; a no-op here.
+        """
+
     def _first(self, source: int, target: int) -> RouteResult:
         return self.scheme.first_packet_route(source, target)
 

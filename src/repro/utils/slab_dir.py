@@ -64,16 +64,18 @@ def write_slab_dir(
 
 
 def read_slab_dir(
-    path: "str | os.PathLike", schema: str, *, access: int = mmap.ACCESS_READ
+    path: "str | os.PathLike", schema: str
 ) -> tuple[dict, dict[str, memoryview]]:
     """The manifest and one typed view per slab of a :func:`write_slab_dir`
     directory.
 
-    Each view is a ``memoryview`` cast over an ``mmap`` of its file with
-    ``access`` (``ACCESS_READ`` read-only; ``ACCESS_COPY`` writable and
-    private, so a consumer that needs a writable buffer never writes the
-    file), and keeps its mapping alive as long as it lives.  Attaching is
-    O(number of slabs); the contents are the caller's to check.  Raises
+    Each view is a ``memoryview`` cast over a private copy-on-write
+    (``ACCESS_COPY``) ``mmap`` of its file: writable, as the C kernels'
+    ``ctypes`` arguments must be (``from_buffer``), yet no write ever
+    reaches the file, and as long as nothing writes, every attacher shares
+    the page cache.  A view keeps its mapping alive as long as it lives.
+    Attaching is O(number of slabs); the contents are the caller's to
+    check.  Raises
     :class:`~repro.errors.InputError` for a manifest of another schema or a
     file whose size is not the manifest's count of items, and ``OSError``
     for a missing file.
@@ -84,13 +86,13 @@ def read_slab_dir(
     if not isinstance(manifest, dict) or manifest.get("schema") != schema:
         raise InputError(f"{path}: not a {schema} slab directory")
     views = {
-        name: _map_slab(os.path.join(path, f"{name}.bin"), typecode, count, access)
+        name: _map_slab(os.path.join(path, f"{name}.bin"), typecode, count)
         for name, typecode, count in manifest["slots"]
     }
     return manifest, views
 
 
-def _map_slab(path: str, typecode: str, count: int, access: int) -> memoryview:
+def _map_slab(path: str, typecode: str, count: int) -> memoryview:
     if count == 0:
         return memoryview(bytearray()).cast(typecode)
     expected = 8 * count
@@ -100,5 +102,5 @@ def _map_slab(path: str, typecode: str, count: int, access: int) -> memoryview:
             f"slab file {path} holds {size} bytes, manifest expects {expected}"
         )
     with open(path, "rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), expected, access=access)
+        mapped = mmap.mmap(handle.fileno(), expected, access=mmap.ACCESS_COPY)
     return memoryview(mapped).cast(typecode)

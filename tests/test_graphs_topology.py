@@ -351,3 +351,21 @@ class TestConversionsAndDunder:
         assert isinstance(graph, networkx.Graph)
         assert graph.number_of_nodes() == 4
         assert graph[0][1]["weight"] == 2.0
+
+    def test_a_searched_topology_pickles_and_routes_the_same(self):
+        """The cached CSRGraph holds the ctypes kernel library, which does
+        not pickle; the pickled topology carries its slabs only, and the
+        copy builds its own CSRGraph on demand and routes identically."""
+        from repro.core.nddisco import NDDiscoRouting
+        from repro.graphs.generators import gnm_random_graph
+
+        topology = gnm_random_graph(20, seed=3, average_degree=4.0)
+        pairs = [(s, t) for s in range(20) for t in range(20) if s != t]
+        distances = topology.csr().batched_target_distances(pairs)
+        routes = NDDiscoRouting(topology, seed=3).router()
+        copy = pickle.loads(pickle.dumps(topology))
+        assert copy == topology and copy.csr() is not topology.csr()
+        assert copy.csr().batched_target_distances(pairs) == distances
+        copied = NDDiscoRouting(copy, seed=3).router()
+        for source, target in pairs:
+            assert copied.pair(source, target) == routes.pair(source, target)

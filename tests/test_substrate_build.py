@@ -38,6 +38,7 @@ from repro.graphs.generators import (
     gnm_random_graph,
     internet_router_level,
 )
+from repro.graphs import topology as topology_module
 from repro.graphs._ckernels import load_kernels
 from repro.naming.names import name_for_node
 
@@ -93,7 +94,9 @@ def test_refused_batch_kernels_match_dict_path(
     the same slabs."""
     landmarks = select_landmarks(topology.num_nodes, seed=2)
     expected = _oracle(topology, landmarks)
-    monkeypatch.setattr(topology, "_csr", refuse_batch_kernels(topology))
+    monkeypatch.setitem(
+        topology_module._CSR_CACHE, id(topology), refuse_batch_kernels(topology)
+    )
     with pytest.warns(RuntimeWarning, match="could not allocate") as caught:
         actual = build_substrate_tables(topology, landmarks)
     assert [str(warning.message).split()[0] for warning in caught] == [
