@@ -56,7 +56,8 @@ def command(args: argparse.Namespace) -> int:
         + (f"  [{' '.join(placement)}]" if placement else "")
     )
     # One build, every scheme adopts it: S4 beside ND-Disco reads the same
-    # tables, exactly as StaticSimulation couples the two schemes.
+    # tables and address bits, exactly as StaticSimulation couples the two
+    # schemes.
     with_nddisco = "nd-disco" in protocols
     # S4 alone builds no vicinity slabs to place.
     vicinity_storage = args.vicinity_storage if with_nddisco else None
@@ -90,8 +91,12 @@ def command(args: argparse.Namespace) -> int:
         )
     if "s4" in protocols:
         s4_started = time.perf_counter() if with_nddisco else started
-        schemes["s4"] = S4Routing.from_tables(
-            topology, tables, names, threads=args.threads
+        schemes["s4"] = (
+            S4Routing.from_nddisco(schemes["nd-disco"], threads=args.threads)
+            if with_nddisco
+            else S4Routing.from_tables(
+                topology, tables, names, threads=args.threads
+            )
         )
         rss, peak = _memory_kb()
         print(

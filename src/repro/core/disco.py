@@ -246,9 +246,6 @@ class _DiscoRouter(PairRouter):
         #: the source's vicinity (owner excluded), built on first use.
         self._contacts: dict[int, tuple[list[int], list[float], list[int]]] = {}
 
-    def route_length(self, path: Sequence[int]) -> float:
-        return self.nd.route_length(path)
-
     def prefetch(
         self, pairs: Sequence[tuple[int, int]], *, first: bool, later: bool
     ) -> None:

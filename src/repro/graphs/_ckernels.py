@@ -3,10 +3,10 @@
 ``_kernels.c`` (shipped next to this module) implements the indexed 4-ary
 heap, the Dial bucket queue, and the unit-weight level-ordered BFS at C
 speed, behind batched entry points only, plus the churn engine's per-event
-passes, Disco's overlay finger draws and ND-Disco's landmark relays.  This
-module compiles it with the system C compiler the first time it is needed
-and memoizes the loaded ``ctypes`` library; everything degrades
-gracefully:
+passes, Disco's overlay finger draws, ND-Disco's landmark relays and the
+accounting of a measurement batch's routes.  This module compiles it with
+the system C compiler the first time it is needed and memoizes the loaded
+``ctypes`` library; everything degrades gracefully:
 
 * no compiler, a failed compile, or a failed load -> :func:`load_kernels`
   returns ``None`` and :mod:`repro.graphs.csr` silently uses its pure-Python
@@ -166,6 +166,15 @@ _RELAY_ROUTES_ARGTYPES = [
     _PI64, _I64,             # pairs (2 * num_pairs ids), num_pairs
     _PI64, _PI64,            # route_ends, status (num_pairs each)
     ctypes.POINTER(_PI64),   # malloc'd routes
+]
+
+# ... and the accounting of a measurement batch's routes, one call per batch.
+_ROUTE_WALKS_ARGTYPES = [
+    _I64,                    # n
+    _PI64, _PI64, _PDBL,     # offsets, neighbors, weights
+    _PI64, _PI64, _I64,      # nodes, route_ends, num_routes
+    _PDBL, _PI64,            # lengths, status (num_routes each)
+    ctypes.POINTER(_PI64),   # malloc'd (lo, hi, count) triples
 ]
 
 #: The warning of a batched call that could not allocate, before its caller
@@ -357,6 +366,8 @@ def load_kernels() -> ctypes.CDLL | None:
         lib.overlay_fingers.argtypes = _OVERLAY_FINGERS_ARGTYPES
         lib.relay_routes.restype = _I64
         lib.relay_routes.argtypes = _RELAY_ROUTES_ARGTYPES
+        lib.route_walks.restype = _I64
+        lib.route_walks.argtypes = _ROUTE_WALKS_ARGTYPES
         _lib = lib
     except OSError as error:  # pragma: no cover - load failure is env-specific
         _build_error = f"load failed: {error}"

@@ -61,10 +61,12 @@
  * and why the order in which equal-distance nodes leave its heap cannot
  * change the fixpoint.  Then the overlay layer (overlay_fingers): Disco's
  * finger draws for a whole overlay build, on a replay of CPython's
- * Mersenne Twister.  Last, the routing layer (relay_routes): ND-Disco's
+ * Mersenne Twister.  Last, the routing layer: relay_routes, ND-Disco's
  * landmark relays for a whole measurement batch, over the SPT parent slab
  * and the vicinity rows, each pair with a status that hands anything the
- * Python routing rule would not route back to it.
+ * Python routing rule would not route back to it; and route_walks, the
+ * length of every route of a measurement batch and the use count of every
+ * edge they cross, in one pass over the concatenated routes.
  */
 
 #include <math.h>
@@ -2478,19 +2480,26 @@ static i64 relay_per_hop(const relay_ctx *c, i64 to_destination,
     return splice + count;
 }
 
+/* The first arc u -> v of u's CSR row, or -1 (u must be in [0, n)). */
+static i64 first_arc(const i64 *offsets, const i64 *neighbors, i64 u, i64 v)
+{
+    for (i64 arc = offsets[u]; arc < offsets[u + 1]; arc++)
+        if (neighbors[arc] == v)
+            return arc;
+    return -1;
+}
+
 /* Sum of the hop weights of route[0 .. len), left to right; 0 or -RELAY_*. */
 static i64 relay_length(const relay_ctx *c, const i64 *route, i64 len,
                         double *length)
 {
     double total = 0.0;
     for (i64 i = 0; i + 1 < len; i++) {
-        i64 u = route[i], v = route[i + 1];
+        i64 u = route[i];
         if (u < 0 || u >= c->n)
             return -RELAY_BAD_ID;
-        i64 arc = c->offsets[u], end = c->offsets[u + 1];
-        while (arc < end && c->neighbors[arc] != v)
-            arc++;
-        if (arc == end)
+        i64 arc = first_arc(c->offsets, c->neighbors, u, route[i + 1]);
+        if (arc < 0)
             return -RELAY_NO_EDGE;
         total += c->weights[arc];
     }
@@ -2595,4 +2604,90 @@ i64 relay_routes(
     free(scratch);
     *out_routes = routes;
     return total;
+}
+
+/* The accounting of a measurement batch's routes (repro.metrics.stretch and
+ * repro.metrics.congestion, through CSRGraph.route_walks) in one call: route
+ * i is nodes[route_ends[i - 1] .. route_ends[i]) (from 0 for i = 0).  Its
+ * length is summed left to right in double, one add per hop, each weight
+ * the first u -> v arc of u's CSR row -- RouteResult.length's float math, as
+ * relay_length's.  status[i] is WALK_BAD_ID for an id outside [0, n) (every
+ * id is checked before it indexes anything), WALK_NO_EDGE for a hop u -> v
+ * without both arcs u -> v and v -> u, else 0; a refused route has length 0
+ * and adds no use.  Each hop of a walked route adds one use to its
+ * undirected edge {lo, hi}, counted on the first arc lo -> hi of lo's row.
+ * The used edges come back as (lo, hi, count) triples, ascending by
+ * (lo, hi), in a malloc'd array returned via out_used (release with
+ * buffer_free).  route_ends are the wrapper's to check.  Returns the number
+ * of used edges, or -1 on allocation failure (out_used is then untouched).
+ * Serial; O(arcs) scratch. */
+
+#define WALK_BAD_ID 1
+#define WALK_NO_EDGE 2
+
+i64 route_walks(
+    i64 n,
+    const i64 *offsets, const i64 *neighbors, const double *weights,
+    const i64 *nodes, const i64 *route_ends, i64 num_routes,
+    double *lengths, i64 *status, i64 **out_used)
+{
+    i64 *uses = calloc((size_t)offsets[n] + 1, sizeof(i64));
+    if (!uses)
+        return -1;
+    i64 start = 0;
+    for (i64 i = 0; i < num_routes; start = route_ends[i++]) {
+        const i64 *route = nodes + start;
+        i64 len = route_ends[i] - start, code = 0, hop = 0;
+        double total = 0.0;
+        for (i64 j = 0; j < len && !code; j++)
+            if (route[j] < 0 || route[j] >= n)
+                code = WALK_BAD_ID;
+        for (; hop + 1 < len && !code; hop++) {
+            i64 u = route[hop], v = route[hop + 1];
+            i64 arc = first_arc(offsets, neighbors, u, v);
+            i64 back = arc < 0 ? -1 : first_arc(offsets, neighbors, v, u);
+            if (back < 0) {
+                code = WALK_NO_EDGE;
+                break;
+            }
+            total += weights[arc];
+            uses[u < v ? arc : back]++;
+        }
+        /* A refused route takes back the uses of the hops before it. */
+        for (i64 j = 0; code && j < hop; j++) {
+            i64 u = route[j], v = route[j + 1];
+            uses[u < v ? first_arc(offsets, neighbors, u, v)
+                       : first_arc(offsets, neighbors, v, u)]--;
+        }
+        status[i] = code;
+        lengths[i] = code ? 0.0 : total;
+    }
+    i64 count = 0;
+    for (i64 arc = 0; arc < offsets[n]; arc++)
+        count += uses[arc] > 0;
+    i64 *used = malloc(sizeof(i64) * (size_t)(3 * count + 1));
+    if (!used) {
+        free(uses);
+        return -1;
+    }
+    count = 0;
+    for (i64 lo = 0; lo < n; lo++) {
+        i64 first = count;
+        for (i64 arc = offsets[lo]; arc < offsets[lo + 1]; arc++) {
+            if (!uses[arc])
+                continue;
+            /* Insertion by hi: a row holds few used arcs. */
+            i64 at = count++;
+            while (at > first && used[3 * (at - 1) + 1] > neighbors[arc]) {
+                memcpy(used + 3 * at, used + 3 * (at - 1), 3 * sizeof(i64));
+                at--;
+            }
+            used[3 * at] = lo;
+            used[3 * at + 1] = neighbors[arc];
+            used[3 * at + 2] = uses[arc];
+        }
+    }
+    free(uses);
+    *out_used = used;
+    return count;
 }

@@ -58,6 +58,9 @@ One batch driver per kind of search (:meth:`CSRGraph.spt_rows_batch_into`,
 C call (C has no single-source search), fanned over in-kernel threads --
 the only kernel-level parallelism.  The Python tier, and a C call that
 could not allocate (it warns once), loop over one search per source.
+:meth:`CSRGraph.route_walks` accounts a measurement batch's routes (every
+length, every edge's use count) the same way: one serial C call, or the
+per-hop loop.
 
 Every search result is a row: dense ``(dist, parent)`` arrays indexed by
 node id (:meth:`CSRGraph.spt_rows`, :func:`tree_path` walks one), or
@@ -155,6 +158,10 @@ KERNELS = ("bfs", "bucket", "heap")
 DIAL_MAX_QUANTA = 1024
 
 _RADIUS_STRICT, _RADIUS_INCLUSIVE = 1, 2
+
+#: :meth:`CSRGraph.route_walks` statuses: an id outside ``[0, n)``, a hop
+#: with no arc (``WALK_*`` in ``_kernels.c``).
+_WALK_BAD_ID, _WALK_NO_EDGE = 1, 2
 
 
 @dataclass(frozen=True)
@@ -1305,3 +1312,85 @@ class CSRGraph:
                     )
                 result[(source, target)] = dist[target]
         return result
+
+    def route_walks(
+        self, nodes: array, ends: array
+    ) -> tuple[array, array, array]:
+        """Account a batch of walks over this graph: ``(lengths, used,
+        status)``, on the C tier from one ``route_walks`` call.
+
+        Walk ``i`` is ``nodes[ends[i - 1] : ends[i]]`` (from 0 for ``i =
+        0``); both are ``'q'`` arrays, ``ends`` non-decreasing and at most
+        ``len(nodes)``.  ``lengths[i]`` is walk ``i``'s weighted length,
+        summed left to right, each hop's weight the first ``u -> v`` arc of
+        ``u``'s row (:meth:`RouteResult.length`'s float math, bit for bit).
+        ``status[i]`` is 0, or non-zero for a walk holding an id outside
+        ``[0, n)`` or a hop ``u -> v`` without both arcs ``u -> v`` and
+        ``v -> u``; such a walk's length is 0.0 and it uses no edge.
+        ``used`` holds one ``(lo, hi, count)`` triple, ``lo < hi``, per
+        edge the other walks cross, ascending by ``(lo, hi)``: ``count``
+        crossings.  The Python tier, and a call that could not allocate (it
+        warns once), run the per-hop loop instead.
+        """
+        count = len(ends)
+        starts = array("q", [0]) + ends[:-1]
+        if any(map(int.__gt__, starts, ends)) or (
+            count and ends[-1] > len(nodes)
+        ):
+            raise ValueError(
+                "route ends must be non-decreasing and at most len(nodes)"
+            )
+        if self.tier == "c" and count:
+            lengths = array("d", bytes(8 * count))
+            status = array("q", bytes(8 * count))
+            out_used = ctypes.POINTER(ctypes.c_int64)()
+            arg = _ckernels.buffer_arg
+            total = self._clib.route_walks(
+                self.num_nodes,
+                *self._c_arena(),
+                arg(nodes, "q", len(nodes), "nodes"),
+                arg(ends, "q", count, "ends"),
+                count,
+                arg(lengths, "d", count, "lengths"),
+                arg(status, "q", count, "status"),
+                ctypes.byref(out_used),
+            )
+            if total >= 0:
+                used = array("q", [0]) * (3 * total)
+                try:
+                    ctypes.memmove(used.buffer_info()[0], out_used, 24 * total)
+                finally:
+                    self._clib.buffer_free(out_used)
+                return lengths, used, status
+            warnings.warn(
+                _ckernels.NO_SCRATCH_WARNING.format("route_walks"),
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        n, weights = self.num_nodes, {}
+        lengths, usage, status = array("d"), {}, array("q")
+        for start, end in zip(starts, ends):
+            path = nodes[start:end].tolist()
+            total, code = 0.0, 0
+            if not all(0 <= node < n for node in path):
+                code = _WALK_BAD_ID
+            else:
+                try:
+                    for edge in zip(path, path[1:]):
+                        weight = weights.get(edge)
+                        if weight is None:  # both arcs, or KeyError
+                            self._arc_position(edge[1], edge[0])
+                            weight = weights[edge] = self.edge_weight(*edge)
+                        total += weight
+                except KeyError:
+                    code = _WALK_NO_EDGE
+            status.append(code)
+            lengths.append(0.0 if code else total)
+            if not code:
+                for a, b in zip(path, path[1:]):
+                    key = (a, b) if a < b else (b, a)
+                    usage[key] = usage.get(key, 0) + 1
+        used = array("q")
+        for (lo, hi), uses in sorted(usage.items()):
+            used.extend((lo, hi, uses))
+        return lengths, used, status

@@ -4,11 +4,19 @@
 count the number of times each edge is used" (§5.2).  The metric of interest
 is the distribution of paths-per-edge -- in particular its tail, where routing
 through landmarks could in principle concentrate load.
+
+All flows are routed on one ``scheme.router()`` into one flat array of
+ids, counted in one :meth:`~repro.graphs.csr.CSRGraph.route_walks` call
+(one C call on the C tier), whose per-edge counts are written over every
+topology edge at 0.  A route with a hop that is not an edge raises the
+``KeyError`` :func:`~repro.metrics.stretch.measure_stretch` raises for it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from repro.graphs.sampling import one_destination_per_node
@@ -82,6 +90,11 @@ def measure_congestion(
     use_later_packets:
         Route flows with later-packet routes (default, matching steady-state
         traffic) or with first-packet routes.
+
+    Raises
+    ------
+    KeyError
+        If a route takes a hop that is not an edge of the topology.
     """
     topology = scheme.topology
     flows = list(pairs) if pairs is not None else one_destination_per_node(
@@ -92,16 +105,21 @@ def measure_congestion(
         flows, first=not use_later_packets, later=use_later_packets
     )
     route = router.later if use_later_packets else router.first
+    nodes, ends = array("q"), array("q")
+    for source, target in flows:
+        if source != target:
+            nodes.extend(route(source, target).path)
+            ends.append(len(nodes))
+    _, used, status = topology.csr().route_walks(nodes, ends)
+    for start, end, code in zip(chain((0,), ends), ends, status):
+        if code:  # a hop that is no edge: the rule raises its KeyError
+            router.route_length(nodes[start:end])
     usage: dict[tuple[int, int], int] = {
         (u, v): 0 for u, v, _ in topology.edges()
     }
-    for source, target in flows:
-        if source == target:
-            continue
-        result = route(source, target)
-        for a, b in zip(result.path, result.path[1:]):
-            key = (a, b) if a < b else (b, a)
-            usage[key] = usage.get(key, 0) + 1
+    triples = iter(used)
+    for lo, hi, uses in zip(triples, triples, triples):
+        usage[(lo, hi)] = uses
     return CongestionReport(
         scheme=scheme.name,
         edge_usage=usage,

@@ -7,7 +7,11 @@ length, and divide by the true shortest-path distance.
 
 All pairs of one call are routed on one ``scheme.router()``
 (:mod:`repro.metrics.batch`), which shares landmark-path extractions,
-relay segments, and group-contact scans across the whole batch.  Callers
+relay segments, and group-contact scans across the whole batch.  The
+routes go into one flat array of ids, and their lengths come from one
+:meth:`~repro.graphs.csr.CSRGraph.route_walks` call (one C call on the C
+tier), bit-equal to :meth:`~repro.protocols.base.RouteResult.length`; a
+route with a hop that is not an edge raises its ``KeyError``.  Callers
 measuring several schemes over the same pairs
 (:class:`~repro.staticsim.simulation.StaticSimulation`) pass the
 shortest-distance table in once via ``distances`` instead of recomputing
@@ -16,7 +20,9 @@ it per scheme.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 from repro.graphs.sampling import sample_pairs
@@ -119,31 +125,45 @@ def measure_stretch(
     router = scheme.router()
     router.prefetch(measured_pairs, first=True, later=True)
     route_pair = router.pair
-    route_length = router.route_length
-    first_values: list[float] = []
-    later_values: list[float] = []
-    failures = 0
+    # Every route's ids go into one flat array, route i ending at ends[i];
+    # a pair whose packets took one path has one route.
+    nodes, ends = array("q"), array("q")
+    measured = []
     for source, target in measured_pairs:
         shortest = distances[(source, target)]
         first, later = route_pair(source, target)
-        if not first.delivered:
+        nodes.extend(first.path)
+        ends.append(len(nodes))
+        shared = later.path == first.path
+        if not shared:
+            nodes.extend(later.path)
+            ends.append(len(nodes))
+        empty = not first.path or not later.path
+        measured.append((shortest, first.delivered, empty, shared))
+    lengths, _, statuses = topology.csr().route_walks(nodes, ends)
+    walked = iter(zip(chain((0,), ends), ends, lengths, statuses))
+
+    def length() -> float:
+        start, end, walk_length, status = next(walked)
+        # A refused walk goes through the rule, which raises.
+        return router.route_length(nodes[start:end]) if status else walk_length
+
+    first_values: list[float] = []
+    later_values: list[float] = []
+    failures = 0
+    for shortest, delivered, empty, shared in measured:
+        if not delivered:
             failures += 1
-        # Same guards and float math as stretch_of_route, with the router's
-        # edge-weight memo doing the length sum (computed once when both
-        # packets took the same path).
+        # Same guards and float math as stretch_of_route.
         if shortest <= 0:
             raise ValueError(
                 "shortest_distance must be > 0 (distinct endpoints)"
             )
-        if not first.path or not later.path:
+        if empty:
             raise ValueError("cannot compute stretch of an empty route")
-        first_stretch = route_length(first.path) / shortest
+        first_stretch = length() / shortest
         first_values.append(first_stretch)
-        later_values.append(
-            first_stretch
-            if later.path == first.path
-            else route_length(later.path) / shortest
-        )
+        later_values.append(first_stretch if shared else length() / shortest)
     return StretchReport(
         scheme=scheme.name,
         pairs=tuple(measured_pairs),

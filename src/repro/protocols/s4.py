@@ -30,7 +30,7 @@ Model
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.addressing.labels import address_bits
 from repro.core.landmarks import select_landmarks
@@ -45,6 +45,9 @@ from repro.graphs.topology import Topology
 from repro.naming.names import FlatName, name_for_node
 from repro.protocols.base import LandmarkRouter, RouteResult, RoutingScheme
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.nddisco import NDDiscoRouting
+
 __all__ = ["S4Routing"]
 
 
@@ -54,7 +57,8 @@ class S4Routing(RoutingScheme):
     ``S4Routing(topology, ...)`` builds its own landmark substrate (no
     vicinity) and adopts it through :meth:`from_tables`, the one place a
     scheme's state is set; a deployment running S4 beside ND-Disco calls
-    :meth:`from_tables` on ND-Disco's tables instead.
+    :meth:`from_nddisco`, which adopts ND-Disco's tables, names and address
+    bits instead.
 
     Parameters
     ----------
@@ -75,8 +79,9 @@ class S4Routing(RoutingScheme):
         Bench-only pass-through (ROADMAP item 2): an
         :class:`~repro.core.nddisco.NDDiscoRouting` whose tables (and,
         unless ``names`` is given, names) are adopted as
-        ``from_tables(topology, substrate.tables, names)``.  ``landmarks``,
-        if given too, must be its landmark set.
+        ``from_tables(topology, substrate.tables, names)``, with its address
+        bits when it was built on ``topology``.  ``landmarks``, if given
+        too, must be its landmark set.
     threads:
         In-kernel thread fan-out for the landmark SPTs (own builds) and the
         per-node cluster ("ball") searches (``None`` resolves via
@@ -103,6 +108,9 @@ class S4Routing(RoutingScheme):
                 raise ValueError("landmarks differ from the substrate's")
             tables = substrate.tables
             default_names = substrate.names
+            bits = (
+                substrate.address_bits if substrate.topology is topology else None
+            )
         else:
             tables = build_substrate_tables(
                 topology,
@@ -111,10 +119,12 @@ class S4Routing(RoutingScheme):
                 threads=threads,
             )
             default_names = [name_for_node(v) for v in range(n)]
-        adopted = type(self).from_tables(
+            bits = None
+        adopted = type(self)._adopt(
             topology,
             tables,
             default_names if names is None else list(names),
+            bits,
             resolve_first_packet=resolve_first_packet,
             threads=threads,
         )
@@ -140,6 +150,43 @@ class S4Routing(RoutingScheme):
         ``names`` has not one name per node or a node reaches no landmark
         (:func:`~repro.addressing.labels.address_bits`).
         """
+        return cls._adopt(
+            topology,
+            tables,
+            names,
+            None,
+            resolve_first_packet=resolve_first_packet,
+            threads=threads,
+        )
+
+    @classmethod
+    def from_nddisco(
+        cls, nddisco: "NDDiscoRouting", *, threads: int | None = None
+    ) -> "S4Routing":
+        """S4 beside ``nddisco``: :meth:`from_tables` over its topology,
+        tables and names, adopting the address bits it derived instead of
+        deriving them again."""
+        return cls._adopt(
+            nddisco.topology,
+            nddisco.tables,
+            nddisco.names,
+            nddisco.address_bits,
+            threads=threads,
+        )
+
+    @classmethod
+    def _adopt(
+        cls,
+        topology: Topology,
+        tables: SubstrateTables,
+        names: list[FlatName],
+        bits: Sequence[int] | None,
+        *,
+        resolve_first_packet: bool = True,
+        threads: int | None = None,
+    ) -> "S4Routing":
+        """:meth:`from_tables`, with every node's address bits (derived
+        from ``tables`` when ``None``)."""
         scheme = cls.__new__(cls)
         RoutingScheme.__init__(scheme, topology)
         n = topology.num_nodes
@@ -162,8 +209,10 @@ class S4Routing(RoutingScheme):
         # minus-one in cluster_sizes_from_members.
         scheme._cluster_sizes = cluster_sizes_from_members(scheme._balls.members, n)
         # Location service over the landmarks (consistent hashing of names).
+        if bits is None:
+            bits = address_bits(topology, tables)
         scheme._resolution = LandmarkResolutionDatabase(
-            scheme._landmarks, names, address_bits(topology, tables)
+            scheme._landmarks, names, bits
         )
         return scheme
 

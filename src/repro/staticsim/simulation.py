@@ -123,14 +123,12 @@ class StaticSimulation:
                 # Use the same landmark set as Disco/NDDisco when both are
                 # evaluated, mirroring the paper's like-for-like comparison:
                 # S4 then adopts NDDisco's converged tables (the same SPTs,
-                # addresses and closest-landmark rows) instead of
+                # closest-landmark rows and address bits) instead of
                 # recomputing them.
                 shares_landmarks = "disco" in normalized or "nd-disco" in normalized
                 if shares_landmarks:
                     nddisco = get_nddisco()
-                    build = lambda: S4Routing.from_tables(
-                        topology, nddisco.tables, nddisco.names
-                    )
+                    build = lambda: S4Routing.from_nddisco(nddisco)
                 else:
                     build = lambda: S4Routing.from_tables(
                         topology,

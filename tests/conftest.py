@@ -124,6 +124,7 @@ class _RefusingKernels:
         "k_nearest_batch",
         "radius_batch",
         "target_distances_batch",
+        "route_walks",
     )
 
     def __init__(self, lib):

@@ -143,3 +143,55 @@ class TestRouting:
 
         with pytest.raises(ValueError):
             S4Routing(small_gnm, names=[name_for_node(0)])
+
+
+class TestAdoptsNDDiscoAddressBits:
+    """S4 beside an ND-Disco reads the address bits ND-Disco derived; a bare
+    ``from_tables`` derives them, and the location service is the same."""
+
+    @staticmethod
+    def _service(s4):
+        database = s4.resolution_database
+        return [
+            (landmark, database.entries_at(landmark), database.route_bytes_at(landmark))
+            for landmark in sorted(s4.landmarks)
+        ]
+
+    @staticmethod
+    def _refuse_derivation(monkeypatch):
+        import repro.protocols.s4 as s4_module
+
+        def derive(*args):
+            raise AssertionError("address bits derived again")
+
+        monkeypatch.setattr(s4_module, "address_bits", derive)
+
+    def test_every_path_beside_nddisco_adopts_the_bits(
+        self, small_gnm, monkeypatch
+    ):
+        from repro.staticsim.simulation import StaticSimulation
+
+        nddisco = NDDiscoRouting(small_gnm, seed=4)
+        bare = S4Routing.from_tables(small_gnm, nddisco.tables, nddisco.names)
+        self._refuse_derivation(monkeypatch)
+        adopted = [
+            S4Routing.from_nddisco(nddisco),
+            S4Routing(small_gnm, substrate=nddisco),
+            StaticSimulation(small_gnm, ["nd-disco", "s4"], seed=4).scheme("s4"),
+        ]
+        for s4 in adopted:
+            assert self._service(s4) == self._service(bare)
+            assert s4.tables.landmark_ids == bare.tables.landmark_ids
+
+    def test_bare_adoption_still_derives(self, small_gnm, monkeypatch):
+        nddisco = NDDiscoRouting(small_gnm, seed=4)
+        self._refuse_derivation(monkeypatch)
+        with pytest.raises(AssertionError, match="derived again"):
+            S4Routing.from_tables(small_gnm, nddisco.tables, nddisco.names)
+
+    def test_repro_substrate_adopts_the_bits(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        self._refuse_derivation(monkeypatch)
+        assert main(["substrate", "gnm", "96", "--seed", "3", "--routes", "2"]) == 0
+        assert "s4 converged" in capsys.readouterr().out
