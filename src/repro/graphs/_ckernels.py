@@ -9,13 +9,18 @@ the system C compiler the first time it is needed and memoizes the loaded
 ``ctypes`` library; everything degrades gracefully:
 
 * no compiler, a failed compile, or a failed load -> :func:`load_kernels`
-  returns ``None`` and :mod:`repro.graphs.csr` silently uses its pure-Python
-  kernels (bit-identical results, just slower);
+  returns ``None`` and :mod:`repro.graphs.csr` silently uses its one
+  pure-Python search, the lazy-``heapq`` Dijkstra, whatever the weight
+  profile (bit-identical results, just slower), and the churn passes their
+  Python twins;
 * ``REPRO_NO_CKERNELS=1`` in the environment forces the pure-Python tier
   (used by the test suite to cover both tiers);
-* the shared object is cached under ``_build/`` beside this file (keyed by a
-  hash of the C source), falling back to a per-user temp directory when the
-  package directory is not writable.
+* the shared object is cached under ``_build/`` beside this file, keyed by
+  a hash of the C source and of ``REPRO_KERNEL_CFLAGS`` (so sanitizer and
+  plain builds never collide), falling back to a per-user directory under
+  the temp directory when the package directory is not writable; a cached
+  object is loaded only when it and its directory belong to this user and
+  no one else can write them.
 
 The build is a single translation unit with no Python.h dependency, so it
 needs only a C compiler, not Python development headers.
@@ -27,6 +32,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -40,6 +46,8 @@ __all__ = [
 ]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
+#: Where the shared object is cached, unless it is not writable.
+_BUILD_DIR = os.path.join(os.path.dirname(_SOURCE), "_build")
 
 _lib: ctypes.CDLL | None = None
 _attempted = False
@@ -180,7 +188,7 @@ _ROUTE_WALKS_ARGTYPES = [
 #: The warning of a batched call that could not allocate, before its caller
 #: takes the Python tier instead (format with the entry point's name).
 NO_SCRATCH_WARNING = (
-    "{} could not allocate its scratch; running the Python kernels "
+    "{} could not allocate its scratch; running the Python tier "
     "instead (same output, slower)"
 )
 
@@ -243,12 +251,15 @@ def _compiler() -> str | None:
     return None
 
 
-def _build_dir() -> str:
-    """A writable cache directory for the compiled shared object."""
-    override = os.environ.get("REPRO_KERNEL_CACHE")
-    if override:
-        return override
-    return os.path.join(os.path.dirname(_SOURCE), "_build")
+def _private(path: str) -> bool:
+    """Whether ``path`` belongs to this user, is not a symlink, and is
+    writable by no one else (so no other user can have planted it)."""
+    info = os.lstat(path)
+    return (
+        not stat.S_ISLNK(info.st_mode)
+        and info.st_uid == os.getuid()
+        and not info.st_mode & 0o022
+    )
 
 
 def _compile(source_path: str) -> str | None:
@@ -267,12 +278,21 @@ def _compile(source_path: str) -> str | None:
     hasher.update(" ".join(extra_flags).encode())
     digest = hasher.hexdigest()[:16]
     tag = f"_kernels-{digest}-{sys.implementation.cache_tag}.so"
-    for directory in (_build_dir(), tempfile.gettempdir()):
+    # Only a directory and an object that no other user can write are
+    # trusted: under the shared temp directory another user could plant
+    # an object at this predictable name.
+    user_dir = os.path.join(
+        tempfile.gettempdir(), f"repro-kernels-{os.getuid()}"
+    )
+    for directory in (_BUILD_DIR, user_dir):
         target = os.path.join(directory, tag)
-        if os.path.exists(target):
-            return target
         try:
-            os.makedirs(directory, exist_ok=True)
+            os.makedirs(directory, mode=0o700, exist_ok=True)
+            if not _private(directory):
+                _build_error = f"{directory} is not private to this user"
+                continue
+            if os.path.exists(target) and _private(target):
+                return target
             # Compile to a unique temp name, then atomically rename, so
             # concurrent builders (e.g. multiprocessing workers on a cold
             # cache) never load a half-written object.
@@ -304,6 +324,7 @@ def _compile(source_path: str) -> str | None:
                     f"{cc} failed: {completed.stderr.strip()[:500]}"
                 )
                 return None
+            os.chmod(scratch, 0o755)
             os.replace(scratch, target)
             return target
         except OSError as error:

@@ -1,12 +1,13 @@
 /* Weighted shortest-path kernels over CSR slabs.
  *
  * Compiled on demand by repro.graphs._ckernels (cc -O3 -shared) and called
- * through ctypes; when no C compiler is available the pure-Python kernels in
- * repro.graphs.csr run instead.  Both tiers implement the same contract, and
- * the differential tests assert bit-identical distances and predecessors
+ * through ctypes; when no C compiler is available the one pure-Python
+ * search in repro.graphs.csr (a lazy-heapq Dijkstra, whatever the weights)
+ * runs instead.  Both tiers implement the same contract, and the
+ * differential tests assert bit-identical distances and predecessors
  * against the dict-based reference engine.
  *
- * Shared semantics (identical to the Python kernels):
+ * Shared semantics (identical to the Python search):
  *
  *   - Nodes settle in (distance, node id) order.
  *   - Equal-distance predecessor ties resolve toward the smaller id.
@@ -42,8 +43,9 @@
  *     which reproduces the (distance, id) settle order at truncation
  *     boundaries and makes the first discoverer of a node its min-id
  *     parent -- the heap kernel's tie-break with no per-edge comparison.
- *     Distances are written at settlement, not discovery, exactly like the
- *     Python BFS kernel.
+ *     Distances are written at settlement, not discovery: a truncated
+ *     search discovers far more nodes than it settles, and nothing reads
+ *     the distance of an unsettled node.
  *
  * Ordering a level costs no comparisons: node ids are integers in [0, n),
  * so order_ids runs ceil(log2(n) / 8) byte-radix passes over the level.
@@ -582,7 +584,7 @@ i64 dedup_edges(i64 m, i64 n,
  * seen / order plus the active kernel's queue state), malloc'd per call;
  * the searches themselves are the unmodified kernels above, which touch
  * only their arguments.  Entry points return -1 on allocation failure so
- * the Python driver can fall back to the Python tier's kernels.
+ * the Python driver can fall back to the Python tier's search.
  */
 
 #define KERNEL_HEAP 0

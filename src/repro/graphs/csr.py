@@ -19,37 +19,38 @@ Kernel selection
 ----------------
 
 The snapshot carries a :class:`WeightProfile` (cached on the immutable
-topology alongside the CSR snapshot) and picks one of three
-kernels per graph, all bit-identical to each other and to the seed's
-dict-based implementation (the oracle under ``tests/oracles/``):
+topology alongside the CSR snapshot).  On the C tier it picks one of three
+kernels per graph; the Python tier has one search, the lazy-``heapq``
+Dijkstra, for every profile.  All are bit-identical to each other and to
+the seed's dict-based implementation (the oracle under ``tests/oracles/``):
 
-=========  ==========================================  =====================
-kernel     eligible when                               implementation
-=========  ==========================================  =====================
-``bucket`` every weight is an exact integer multiple   Dial-style bucket
-           of one power-of-two quantum, with           queue (lazy deletion,
-           ``max_weight / quantum <= 1024``            each bucket settled
-                                                       in id order)
-``bfs``    all weights are exactly 1.0 (both tiers;    level-ordered BFS
-           preferred over ``bucket`` on unit           (each frontier
-           graphs — no heap, no bucket pool)           settled in id order)
-``heap``   anything else (irregular float weights,     indexed 4-ary heap
-           e.g. geometric latencies)                   with decrease-key (C)
-                                                       / lazy ``heapq`` (py)
-=========  ==========================================  =====================
+==========  ==================================  ====================  =========
+kernel      eligible when                       C tier                Python
+==========  ==================================  ====================  =========
+``bfs``     all weights exactly 1.0 (preferred  level-ordered BFS     --
+            over ``bucket``: no heap, no        (each frontier
+            bucket pool)                        settled in id order)
+``bucket``  every weight an exact integer       Dial bucket queue     --
+            multiple of one power-of-two        (each bucket settled
+            quantum, ``max_weight / quantum``   in id order)
+            at most 1024
+``heap``    anything else (irregular floats,    indexed 4-ary heap    lazy
+            e.g. geometric latencies); every    with decrease-key     ``heapq``
+            graph on the Python tier
+==========  ==================================  ====================  =========
 
 When a C compiler is available, :mod:`repro.graphs._ckernels` compiles the
-``heap``, ``bucket``, and ``bfs`` kernels to native code (``_kernels.c``) and
-the searches run there; otherwise the pure-Python implementations in this module
-run.  The tie-break contract is identical everywhere: nodes settle in
-``(distance, node id)`` order and equal-distance predecessor ties resolve
-toward the smaller predecessor id, so engines and tiers can be differential-
-tested bit for bit.  ``bfs`` and ``bucket`` get that order one level at a
-time: ``list.sort()`` here, byte-radix passes over the ids in C, with the
-still-unused tail of the settle-order array as scratch.  (A pure-Python
-indexed 4-ary heap was measured slower than C-implemented ``heapq`` under
-CPython, which is why the Python ``heap`` tier keeps the lazy ``heapq``
-kernel; see ``docs/ARCHITECTURE.md``.)
+three kernels to native code (``_kernels.c``) and the searches run there;
+otherwise the pure-Python search in this module runs.  The tie-break
+contract is identical everywhere: nodes settle in ``(distance, node id)``
+order and equal-distance predecessor ties resolve toward the smaller
+predecessor id, so kernels and tiers can be differential-tested bit for
+bit.  ``bfs`` and ``bucket`` get that order one level at a time, by
+byte-radix passes over the ids with the still-unused tail of the
+settle-order array as scratch; the heaps get it from their
+``(distance, id)`` keys.  (A pure-Python indexed 4-ary heap was measured
+slower than C-implemented ``heapq`` under CPython, which is why the Python
+tier keeps the lazy ``heapq`` kernel; see ``docs/ARCHITECTURE.md``.)
 
 One batch driver per kind of search (:meth:`CSRGraph.spt_rows_batch_into`,
 :meth:`CSRGraph.k_nearest_batch_into` with its allocating wrapper
@@ -78,12 +79,15 @@ Examples
 >>> tree_path(parent, 0, 3)
 [0, 1, 3]
 
-The weight profile drives kernel selection; quantized weights select the
-bucket queue and irregular weights fall back to the heap:
+The weight profile drives kernel selection: quantized weights admit the
+bucket queue, irregular weights only the heap, and the Python tier runs
+the heap whatever the profile:
 
 >>> quantized = Topology.from_edges(3, [(0, 1, 0.5), (1, 2, 2.5)])
->>> quantized.csr().kernel
-'bucket'
+>>> quantized.weight_profile().bucket_ok
+True
+>>> quantized.fresh_csr(use_c=False).kernel
+'heap'
 >>> irregular = Topology.from_edges(3, [(0, 1, 0.3), (1, 2, 2.5)])
 >>> irregular.csr().kernel
 'heap'
@@ -94,6 +98,7 @@ from __future__ import annotations
 import ctypes
 import heapq
 import math
+import operator
 import os
 import warnings
 from array import array
@@ -323,8 +328,10 @@ class CSRGraph:
         omitted.
     kernel:
         Force ``"bfs"`` / ``"bucket"`` / ``"heap"`` instead of the profiled
-        choice (used by the differential tests).  Raises ``ValueError``
-        when the forced kernel is not applicable to this graph's weights.
+        choice on the C tier (used by the differential tests); the Python
+        tier runs its one search, the heap.  Raises ``ValueError``, on
+        either tier, when the forced kernel is not applicable to this
+        graph's weights.
     use_c:
         Force the C tier on (``True``) or off (``False``); default ``None``
         autodetects via :func:`repro.graphs._ckernels.load_kernels`.
@@ -346,7 +353,6 @@ class CSRGraph:
         "_seen",
         "_done",
         "_generation",
-        "_buckets",
         "_c",
         "_store",
     )
@@ -380,8 +386,8 @@ class CSRGraph:
                 )
         else:
             self._clib = None
-        self.kernel = self._select_kernel(kernel)
         self.tier = "c" if self._clib is not None else "python"
+        self.kernel = self._select_kernel(kernel)
         # Hot-loop slabs and scratch arenas are built lazily per tier (the C
         # tier never needs the Python tuple slabs, and vice versa).
         self._arc: list[list[tuple[int, float]]] | None = None
@@ -390,12 +396,14 @@ class CSRGraph:
         self._seen = None
         self._done = None
         self._generation = 0
-        self._buckets: list[list[int]] = []
         self._c: tuple | None = None
         # The (neighbors, weights) store a splice writes, once there is one.
         self._store: tuple[memoryview, memoryview] | None = None
 
     def _select_kernel(self, forced: str | None) -> str:
+        """The kernel a search runs: ``forced`` once the profile admits it
+        (on either tier), else the profile's pick; on the Python tier,
+        whose one search is the lazy-``heapq`` Dijkstra, always ``heap``."""
         profile = self.profile
         if forced is not None:
             if forced not in KERNELS:
@@ -409,6 +417,9 @@ class CSRGraph:
                     "bucket kernel requires power-of-two-quantized weights "
                     f"with max_weight/quantum <= {DIAL_MAX_QUANTA}"
                 )
+        if self.tier == "python":
+            return "heap"
+        if forced is not None:
             return forced
         if profile.unit:
             return "bfs"
@@ -431,10 +442,14 @@ class CSRGraph:
     def _arc_position(self, u: int, v: int) -> int:
         """Index of the arc ``u -> v``; ``KeyError`` when there is none."""
         if 0 <= u < self.num_nodes:
-            lo = self.offsets[u]
-            row = self.neighbors[lo : self.offsets[u + 1]].tolist()
-            try:
-                return lo + row.index(v)
+            lo, hi = self.offsets[u], self.offsets[u + 1]
+            neighbors = self.neighbors
+            try:  # found in place: no copy of the row
+                # ``array.index`` is twice as fast as ``indexOf`` over a
+                # memoryview of the same array, so array slabs keep it.
+                if isinstance(neighbors, array):
+                    return neighbors.index(v, lo, hi)
+                return lo + operator.indexOf(neighbors[lo:hi], v)
             except ValueError:
                 pass
         raise KeyError(f"no edge {u}-{v} in the graph")
@@ -627,12 +642,15 @@ class CSRGraph:
     ) -> list[int]:
         """The Python tier's one search; the settled nodes in settle order.
 
-        The batch drivers run it, after checking every id.  Afterwards
-        ``self._dist[v]`` / ``self._pred[v]`` hold each returned node's
-        distance / predecessor until the next search reuses the arena;
-        ``out`` writes them into caller-owned dense rows instead (full
-        searches only: with truncation, discovered-but-unsettled nodes
-        would leak partial values).  The settled stamps
+        A lazy-``heapq`` Dijkstra for every weight profile: entries are
+        ``(distance, id)`` tuples, so nodes settle in that order, and a
+        decrease pushes a fresh entry and leaves the stale one to be
+        skipped.  The batch drivers run it, after checking every id.
+        Afterwards ``self._dist[v]`` / ``self._pred[v]`` hold each returned
+        node's distance / predecessor until the next search reuses the
+        arena; ``out`` writes them into caller-owned dense rows instead
+        (full searches only: with truncation, discovered-but-unsettled
+        nodes would leak partial values).  The settled stamps
         :meth:`batched_target_distances` reads are kept only when
         ``targets`` is given.
         """
@@ -643,25 +661,6 @@ class CSRGraph:
             self._seen = [0] * n
             self._done = [0] * n
         self._generation += 1
-        if self.kernel == "bfs":
-            return self._search_bfs(source, targets, k, radius, inclusive, out)
-        if self.kernel == "bucket":
-            return self._search_dial(
-                source, targets, k, radius, inclusive, out
-            )
-        return self._search_heap(source, targets, k, radius, inclusive, out)
-
-    # -- Python heap kernel (lazy heapq; the no-compiler fallback) ----------
-
-    def _search_heap(
-        self,
-        source: int,
-        targets: Iterable[int] | None,
-        k: int | None,
-        radius: float | None,
-        inclusive: bool,
-        out: tuple[list[float], list[int]] | None = None,
-    ) -> list[int]:
         generation = self._generation
         if out is None:
             dist = self._dist
@@ -719,207 +718,6 @@ class CSRGraph:
                         push(heap, (candidate, neighbor))
                     elif candidate == current and node < pred[neighbor]:
                         pred[neighbor] = node
-        return order
-
-    # -- Python Dial bucket kernel ------------------------------------------
-
-    def _search_dial(
-        self,
-        source: int,
-        targets: Iterable[int] | None,
-        k: int | None,
-        radius: float | None,
-        inclusive: bool,
-        out: tuple[list[float], list[int]] | None = None,
-    ) -> list[int]:
-        """Dial bucket queue for power-of-two-quantized weights.
-
-        Distances are exact multiples of ``profile.quantum``, so bucket
-        indices are exact integers and every bucket holds equal-distance
-        nodes: sorting a bucket by id reproduces the global
-        ``(distance, id)`` settle order.  Decreases append a fresh entry and
-        leave the stale one behind; a sweep drops entries whose recorded
-        distance no longer matches the bucket level.  Buckets live in a
-        persistent arena list, cleared as they are swept (plus a tail
-        cleanup on truncated searches).
-        """
-        generation = self._generation
-        if out is None:
-            dist = self._dist
-            pred = self._pred
-        else:
-            dist, pred = out
-        seen = self._seen
-        done = self._done
-        arcs = self.adjacency
-        quantum = self.profile.quantum
-        inv_quantum = 1.0 / quantum
-        order: list[int] = []
-        settle = order.append
-        remaining = set(targets) if targets is not None else None
-        seen[source] = generation
-        dist[source] = 0.0
-        pred[source] = -1
-        buckets = self._buckets
-        if not buckets:
-            buckets.append([])
-        num_buckets = len(buckets)
-        buckets[0].append(source)
-        pending = 1
-        index = 0
-        stop = False
-        while pending and not stop:
-            bucket = buckets[index]
-            if not bucket:
-                index += 1
-                continue
-            level = index * quantum
-            if radius is not None:
-                if inclusive:
-                    if level > radius:
-                        break
-                elif level >= radius and index > 0:
-                    break
-            if len(bucket) > 1:
-                bucket.sort()
-            for node in bucket:
-                pending -= 1
-                if dist[node] != level:
-                    continue  # stale entry; settled at a smaller distance
-                if k is not None and len(order) >= k:
-                    stop = True
-                    break
-                done[node] = generation
-                settle(node)
-                if remaining is not None:
-                    remaining.discard(node)
-                    if not remaining:
-                        stop = True
-                        break
-                for neighbor, weight in arcs[node]:
-                    candidate = level + weight
-                    if seen[neighbor] != generation:
-                        seen[neighbor] = generation
-                    else:
-                        current = dist[neighbor]
-                        if candidate < current:
-                            pass  # fall through to the append below
-                        else:
-                            if (
-                                candidate == current
-                                and node < pred[neighbor]
-                            ):
-                                pred[neighbor] = node
-                            continue
-                    dist[neighbor] = candidate
-                    pred[neighbor] = node
-                    slot = int(candidate * inv_quantum)
-                    if slot >= num_buckets:
-                        buckets.extend(
-                            [] for _ in range(slot + 1 - num_buckets)
-                        )
-                        num_buckets = slot + 1
-                    buckets[slot].append(neighbor)
-                    pending += 1
-            bucket.clear()
-            index += 1
-        if pending:
-            # Truncated search: drop the entries the sweep never reached so
-            # the arena is clean for the next search.
-            for bucket in buckets[index:]:
-                if bucket:
-                    bucket.clear()
-        return order
-
-    # -- Python BFS kernel ---------------------------------------------------
-
-    def _search_bfs(
-        self,
-        source: int,
-        targets: Iterable[int] | None,
-        k: int | None,
-        radius: float | None,
-        inclusive: bool,
-        out: tuple[list[float], list[int]] | None = None,
-    ) -> list[int]:
-        """Unit-weight fast path: level-ordered BFS, bit-identical results.
-
-        Each frontier is sorted by node id before settling, which buys two
-        invariants at once: the settlement order matches the heap kernel's
-        ``(distance, id)`` order exactly (required at the *k*-nearest
-        truncation boundary), and -- because a level-``d+1`` node's possible
-        predecessors are exactly the level-``d`` nodes and discovery scans
-        them in ascending id -- the *first* discoverer of a node is its
-        min-id parent, reproducing the heap kernel's tie-break with no
-        per-edge comparison.  Distances are written at settlement, not
-        discovery: a truncated search discovers far more nodes than it
-        settles, and nothing reads the distance of an unsettled node.
-        """
-        generation = self._generation
-        if out is None:
-            dist = self._dist
-            pred = self._pred
-        else:
-            dist, pred = out
-        seen = self._seen
-        done = self._done
-        arcs = self.adjacency
-        order: list[int] = []
-        remaining = set(targets) if targets is not None else None
-        seen[source] = generation
-        pred[source] = -1
-        frontier = [source]
-        level = 0.0
-        while frontier:
-            if radius is not None:
-                if inclusive:
-                    if level > radius:
-                        break
-                elif level >= radius and level > 0.0:
-                    break
-            if len(frontier) > 1:
-                frontier.sort()
-            if k is not None:
-                room = k - len(order)
-                if len(frontier) >= room:
-                    # The truncated level is settled without scanning its
-                    # edges: anything it would discover can never settle.
-                    frontier = frontier[:room]
-                    order.extend(frontier)
-                    for node in frontier:
-                        dist[node] = level
-                    break
-            next_level = level + 1.0
-            next_frontier: list[int] = []
-            discover = next_frontier.append
-            if remaining is None:
-                order.extend(frontier)
-                for node in frontier:
-                    dist[node] = level
-                    for neighbor, _ in arcs[node]:
-                        if seen[neighbor] != generation:
-                            seen[neighbor] = generation
-                            pred[neighbor] = node
-                            discover(neighbor)
-            else:
-                stop = False
-                for node in frontier:
-                    done[node] = generation
-                    dist[node] = level
-                    order.append(node)
-                    remaining.discard(node)
-                    if not remaining:
-                        stop = True
-                        break
-                    for neighbor, _ in arcs[node]:
-                        if seen[neighbor] != generation:
-                            seen[neighbor] = generation
-                            pred[neighbor] = node
-                            discover(neighbor)
-                if stop:
-                    break
-            frontier = next_frontier
-            level = next_level
         return order
 
     def spt_rows(

@@ -37,11 +37,13 @@ __all__ = ["Topology", "TopologyBuilder", "TOPOLOGY_SLAB_SCHEMA"]
 #: plus one little-endian 8-byte-item ``<slab name>.bin`` file per slab.
 TOPOLOGY_SLAB_SCHEMA = "repro-topology-slabs/v1"
 
-#: ``id(topology)`` -> its :meth:`Topology.csr`, dropped with the topology.
-#: The cache is kept off the instance because a CSRGraph holds the ctypes
-#: kernel library, which does not pickle: a pickled topology carries its
-#: slabs only, and the copy builds its own CSRGraph on demand.
-_CSR_CACHE: "dict[int, CSRGraph]" = {}
+#: ``id(topology)`` -> ``(weakref to the topology, its`` :meth:`Topology.csr`
+#: ``)``, dropped with the topology.  An id outlives its object, so an entry
+#: is served only to the topology its weakref names.  The cache is kept off
+#: the instance because a CSRGraph holds the ctypes kernel library, which
+#: does not pickle: a pickled topology carries its slabs only, and the copy
+#: builds its own CSRGraph on demand.
+_CSR_CACHE: "dict[int, tuple[weakref.ref, CSRGraph]]" = {}
 
 #: The six slabs, ``(name, typecode)``, in constructor and manifest order.
 _SLABS = (
@@ -558,9 +560,10 @@ class Topology:
 
     def csr(self) -> "CSRGraph":
         """The shared, cached :class:`CSRGraph` over the arc slabs."""
-        csr = _CSR_CACHE.get(id(self))
-        if csr is None:
-            csr = _CSR_CACHE[id(self)] = self.fresh_csr()
+        owner, csr = _CSR_CACHE.get(id(self), (None, None))
+        if owner is None or owner() is not self:
+            csr = self.fresh_csr()
+            _CSR_CACHE[id(self)] = (weakref.ref(self), csr)
             weakref.finalize(self, _CSR_CACHE.pop, id(self), None)
         return csr
 
@@ -584,9 +587,9 @@ class Topology:
 
     def weight_profile(self) -> "WeightProfile":
         """The cached :class:`~repro.graphs.csr.WeightProfile` of the edge
-        weights, which picks the search kernel: unit weights take BFS,
-        power-of-two-quantized weights the Dial bucket queue, everything
-        else the heap."""
+        weights, which picks the C tier's search kernel: unit weights take
+        BFS, power-of-two-quantized weights the Dial bucket queue,
+        everything else the heap."""
         if self._weight_profile is None:
             from repro.graphs.csr import profile_weights
 

@@ -20,6 +20,11 @@ drivers back into the dict shape the kernels above return
 (:func:`spt_search`, :func:`k_nearest_search`, :func:`radius_search`), so a
 differential compares like with like, and hands a topology to networkx
 (:func:`to_networkx`) for a second, independent reference.
+
+The differentials follow one rule: :func:`every_search` is every search
+the package can run on a topology -- each C kernel its weight profile
+admits, and the Python tier -- and :func:`assert_matches_oracle` holds one
+of them to this engine over all four batch drivers.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ __all__ = [
     "spt_search",
     "k_nearest_search",
     "radius_search",
+    "every_search",
+    "assert_c_tier_picks",
+    "assert_matches_oracle",
     "to_networkx",
 ]
 
@@ -266,6 +274,77 @@ def radius_search(
         [radius], [source], inclusive=inclusive
     )
     return _row_dicts(members, dists, parents)
+
+
+def every_search(topology: Topology, *, use_c: bool | None = None) -> dict:
+    """One fresh snapshot of ``topology`` per search the package can run on
+    it: the C tier forced to each kernel the weight profile admits
+    (``"c-bfs"``, ``"c-bucket"``, ``"c-heap"``; none when the C tier is
+    unavailable or switched off) and the Python tier (``"python"``).
+    ``use_c`` keeps one tier's searches only."""
+    from repro.graphs._ckernels import load_kernels
+
+    profile = topology.weight_profile()
+    admitted = {"bfs": profile.unit, "bucket": profile.bucket_ok, "heap": True}
+    searches = {}
+    if use_c is not False and load_kernels() is not None:
+        for kernel, ok in admitted.items():
+            if ok:
+                searches[f"c-{kernel}"] = topology.fresh_csr(
+                    kernel=kernel, use_c=True
+                )
+    if not use_c:
+        searches["python"] = topology.fresh_csr(use_c=False)
+    return searches
+
+
+def assert_c_tier_picks(topology: Topology, kernel: str) -> None:
+    """The C tier's own kernel selection picks ``kernel`` for ``topology``
+    (nothing to check when the C tier is unavailable or switched off: the
+    Python tier runs its heap whatever the profile)."""
+    from repro.graphs._ckernels import load_kernels
+
+    if load_kernels() is not None:
+        assert topology.fresh_csr(use_c=True).kernel == kernel
+
+
+def _in_order(search) -> tuple[list, list]:
+    """A search's dicts as item lists, so ``==`` compares settle order too."""
+    distances, predecessors = search
+    return list(distances.items()), list(predecessors.items())
+
+
+def assert_matches_oracle(
+    topology: Topology,
+    csr,
+    sources: Iterable[int],
+    *,
+    ks: Iterable[int] = (),
+    radii: Iterable[float] = (),
+    pairs: Sequence[tuple[int, int]] = (),
+) -> None:
+    """``csr``'s four batch drivers equal this module's engine on
+    ``topology``: from every source the dense SPT rows, a *k*-nearest row
+    per ``ks`` and a strict and an inclusive radius row per ``radii`` (both
+    in settle order), and the target distances of ``pairs``."""
+    ks, radii = list(ks), list(radii)
+    for source in sources:
+        assert spt_search(csr, source) == dijkstra(topology, source)
+        for k in ks:
+            assert _in_order(k_nearest_search(csr, source, k)) == _in_order(
+                dijkstra_k_nearest(topology, source, k)
+            )
+        for radius in radii:
+            for inclusive in (False, True):
+                assert _in_order(
+                    radius_search(csr, source, radius, inclusive=inclusive)
+                ) == _in_order(
+                    dijkstra_radius(topology, source, radius, inclusive=inclusive)
+                )
+    if pairs:
+        assert csr.batched_target_distances(
+            pairs
+        ) == all_pairs_sampled_distances(topology, pairs)
 
 
 def to_networkx(topology: Topology):

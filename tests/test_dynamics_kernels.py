@@ -55,6 +55,7 @@ from oracles.fresh_build import (
     assert_tables_match_fresh_build,
     fresh_tables,
 )
+from oracles.reference_paths import assert_c_tier_picks
 from repro.dynamics import (
     EVENT_KINDS,
     ChurnEngine,
@@ -601,7 +602,7 @@ class TestVicinityCandidates:
         from the stored one in members, distances or parents; on hop counts
         and quantised latencies it holds nothing else."""
         topology = _KERNEL_GRAPHS[kernel](n, seed)
-        assert topology.csr().kernel == kernel
+        assert_c_tier_picks(topology, kernel)
         events = generate_event_stream(
             topology, num_events=10, seed=seed, preserve_connectivity=False
         )

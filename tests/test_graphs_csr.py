@@ -1,22 +1,30 @@
 """Differential tests: CSR row drivers vs the dict-based oracle.
 
 The CSR subsystem (:mod:`repro.graphs.csr`) must be a pure performance
-change: for every kernel, every tier, every topology family, and every
-truncation mode, the rows the drivers return -- distances *and* parents --
-must match the reference implementation bit-for-bit, including the shared
-equal-distance smaller-predecessor tie-break.
+change: for every C kernel a topology's weight profile admits and for the
+Python tier (:func:`oracles.reference_paths.every_search`), every topology
+family, and every truncation mode, the rows the drivers return -- distances
+*and* parents -- must match the reference implementation bit-for-bit,
+including the shared equal-distance smaller-predecessor tie-break.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import stat
+import tempfile
+import weakref
 from array import array
 from math import inf
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_paths as reference
+from oracles.reference_paths import every_search
+from repro.graphs import _ckernels
 from repro.graphs._ckernels import load_kernels
 from repro.graphs.csr import kernel_threads, tree_path
 from repro.graphs.generators import (
@@ -25,6 +33,7 @@ from repro.graphs.generators import (
     ring_graph,
     two_level_tree,
 )
+from repro.graphs import topology as topology_module
 from repro.graphs.topology import Topology
 from small_graphs import grid_graph, star_graph
 
@@ -49,88 +58,80 @@ def family(request):
 
 @pytest.fixture(params=TIERS)
 def tier(request):
-    """``use_c`` for :meth:`Topology.fresh_csr`, one value per tier."""
+    """``use_c`` for :func:`oracles.reference_paths.every_search`: the
+    Python tier, or every C kernel the weight profile admits."""
     return request.param == "c"
 
 
 class TestDifferential:
+    """Every search of each family against the oracle, one driver per test
+    (on unit weights the C tier runs all three kernels: BFS, the bucket
+    queue and the heap)."""
+
     def test_spt_rows_match_reference(self, family, tier):
-        csr = family.fresh_csr(use_c=tier)
         n = family.num_nodes
-        for source in range(0, n, 7):
-            distances, parents = reference.dijkstra(family, source)
-            dist_row, parent_row = csr.spt_rows(source)
-            assert dist_row == [distances.get(v, 0.0) for v in range(n)]
-            assert parent_row == [parents.get(v, -1) for v in range(n)]
+        for csr in every_search(family, use_c=tier).values():
+            for source in range(0, n, 7):
+                distances, parents = reference.dijkstra(family, source)
+                dist_row, parent_row = csr.spt_rows(source)
+                assert dist_row == [distances.get(v, 0.0) for v in range(n)]
+                assert parent_row == [parents.get(v, -1) for v in range(n)]
 
     def test_dijkstra_with_targets_matches_reference(self, family, tier):
-        csr = family.fresh_csr(use_c=tier)
-        rng = random.Random(5)
-        for source in range(0, family.num_nodes, 11):
-            targets = rng.sample(range(family.num_nodes), 6)
-            expected = reference.dijkstra(family, source, targets=targets)[0]
-            assert csr.batched_target_distances(
-                [(source, target) for target in targets]
-            ) == {(source, target): expected[target] for target in targets}
+        for csr in every_search(family, use_c=tier).values():
+            rng = random.Random(5)
+            for source in range(0, family.num_nodes, 11):
+                targets = rng.sample(range(family.num_nodes), 6)
+                expected = reference.dijkstra(
+                    family, source, targets=targets
+                )[0]
+                assert csr.batched_target_distances(
+                    [(source, target) for target in targets]
+                ) == {(source, target): expected[target] for target in targets}
 
     def test_k_nearest_matches_reference(self, family, tier):
-        csr = family.fresh_csr(use_c=tier)
-        for source in range(0, family.num_nodes, 9):
-            for k in (1, 2, 9, 30, family.num_nodes):
-                assert _settle_row(
-                    reference.k_nearest_search(csr, source, k)
-                ) == _settle_row(reference.dijkstra_k_nearest(family, source, k))
+        for csr in every_search(family, use_c=tier).values():
+            reference.assert_matches_oracle(
+                family,
+                csr,
+                range(0, family.num_nodes, 9),
+                ks=(1, 2, 9, 30, family.num_nodes),
+            )
 
     def test_radius_matches_reference(self, family, tier):
-        csr = family.fresh_csr(use_c=tier)
-        for source in range(0, family.num_nodes, 9):
-            for radius in (0.0, 1.0, 2.0, 2.5, 4.0, 100.0):
-                for inclusive in (False, True):
-                    assert _settle_row(
-                        reference.radius_search(
-                            csr, source, radius, inclusive=inclusive
-                        )
-                    ) == _settle_row(
-                        reference.dijkstra_radius(
-                            family, source, radius, inclusive=inclusive
-                        )
-                    )
+        for csr in every_search(family, use_c=tier).values():
+            reference.assert_matches_oracle(
+                family,
+                csr,
+                range(0, family.num_nodes, 9),
+                radii=(0.0, 1.0, 2.0, 2.5, 4.0, 100.0),
+            )
+
+    def test_heap_kernel_matches_bfs_on_unit_weights(self, tier):
+        # On a unit-weight graph the C tier runs its heap and bucket queue
+        # beside BFS, and the Python tier its heap: all must produce the
+        # oracle's rows.
+        topology = gnm_random_graph(80, seed=6, average_degree=5.0)
+        assert topology.weight_profile().unit
+        for csr in every_search(topology, use_c=tier).values():
+            reference.assert_matches_oracle(
+                topology,
+                csr,
+                range(0, 80, 7),
+                ks=(1, 11, 80),
+                radii=(0.0, 2.0, 3.0),
+            )
 
     def test_batched_target_distances_match_reference(self, family, tier):
-        csr = family.fresh_csr(use_c=tier)
         rng = random.Random(9)
         pairs = [
             (rng.randrange(family.num_nodes), rng.randrange(family.num_nodes))
             for _ in range(40)
         ]
-        assert csr.batched_target_distances(
-            pairs
-        ) == reference.all_pairs_sampled_distances(family, pairs)
-
-    def test_heap_kernel_matches_bfs_on_unit_weights(self, tier):
-        # Force the heap kernel onto a unit-weight graph: both code paths
-        # must produce identical results.
-        topology = gnm_random_graph(80, seed=6, average_degree=5.0)
-        bfs = topology.fresh_csr(use_c=tier)
-        assert bfs.unit_weights
-        heap = topology.fresh_csr(kernel="heap", use_c=tier)
-        for source in range(0, 80, 7):
-            assert bfs.spt_rows(source) == heap.spt_rows(source)
-            for k in (1, 11, 80):
-                assert _settle_row(
-                    reference.k_nearest_search(bfs, source, k)
-                ) == _settle_row(reference.k_nearest_search(heap, source, k))
-            for radius in (0.0, 2.0, 3.0):
-                for inclusive in (False, True):
-                    assert _settle_row(
-                        reference.radius_search(
-                            bfs, source, radius, inclusive=inclusive
-                        )
-                    ) == _settle_row(
-                        reference.radius_search(
-                            heap, source, radius, inclusive=inclusive
-                        )
-                    )
+        for csr in every_search(family, use_c=tier).values():
+            assert csr.batched_target_distances(
+                pairs
+            ) == reference.all_pairs_sampled_distances(family, pairs)
 
 
 class TestSharedTieBreak:
@@ -146,13 +147,13 @@ class TestSharedTieBreak:
         return Topology.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
     def test_all_variants_agree_on_tied_predecessor(self, diamond, tier):
-        csr = diamond.fresh_csr(use_c=tier)
-        _, full = reference.spt_search(csr, 0)
-        _, near = reference.k_nearest_search(csr, 0, 4)
-        _, ball = reference.radius_search(csr, 0, 2.0, inclusive=True)
-        assert full[3] == 1
-        assert near == full
-        assert ball == full
+        for csr in every_search(diamond, use_c=tier).values():
+            _, full = reference.spt_search(csr, 0)
+            _, near = reference.k_nearest_search(csr, 0, 4)
+            _, ball = reference.radius_search(csr, 0, 2.0, inclusive=True)
+            assert full[3] == 1
+            assert near == full
+            assert ball == full
 
     def test_weighted_ties_resolved_identically(self, tier):
         # Two equal-cost weighted paths 0->1->4 and 0->2->4 (cost 3.0), plus
@@ -161,27 +162,29 @@ class TestSharedTieBreak:
             5,
             [(0, 1, 1.0), (0, 2, 2.0), (1, 4, 2.0), (2, 4, 1.0), (0, 3, 5.0)],
         )
-        csr = topology.fresh_csr(use_c=tier)
-        _, full = reference.spt_search(csr, 0)
-        _, near = reference.k_nearest_search(csr, 0, 5)
-        _, ball = reference.radius_search(csr, 0, 10.0)
-        assert full[4] == 1
-        assert near == full
-        assert ball == full
+        for csr in every_search(topology, use_c=tier).values():
+            _, full = reference.spt_search(csr, 0)
+            _, near = reference.k_nearest_search(csr, 0, 5)
+            _, ball = reference.radius_search(csr, 0, 10.0)
+            assert full[4] == 1
+            assert near == full
+            assert ball == full
 
     def test_variants_agree_on_random_unit_graphs(self, tier):
         # Unit-weight random graphs are tie-heavy; an untruncated k-nearest /
         # radius search must reproduce the full search's predecessor map.
         for seed in range(5):
             topology = gnm_random_graph(60, seed=seed, average_degree=5.0)
-            csr = topology.fresh_csr(use_c=tier)
-            distances, full = reference.spt_search(csr, 0)
-            _, near = reference.k_nearest_search(csr, 0, topology.num_nodes)
-            _, ball = reference.radius_search(
-                csr, 0, max(distances.values()), inclusive=True
-            )
-            assert near == full
-            assert ball == full
+            for csr in every_search(topology, use_c=tier).values():
+                distances, full = reference.spt_search(csr, 0)
+                _, near = reference.k_nearest_search(
+                    csr, 0, topology.num_nodes
+                )
+                _, ball = reference.radius_search(
+                    csr, 0, max(distances.values()), inclusive=True
+                )
+                assert near == full
+                assert ball == full
 
 
 class TestTreePath:
@@ -212,6 +215,22 @@ class TestCSRCache:
     def test_snapshot_is_cached(self):
         topology = gnm_random_graph(30, seed=1, average_degree=4.0)
         assert topology.csr() is topology.csr()
+
+    def test_a_foreign_entry_under_the_id_is_not_served(self, monkeypatch):
+        # An id outlives its object, so the cache may hold, under a live
+        # topology's id, another topology's entry: the live topology gets
+        # a CSR of its own, and keeps it.
+        topology = Topology.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        foreign = Topology.from_edges(3, [(0, 1), (1, 2)])
+        monkeypatch.setitem(
+            topology_module._CSR_CACHE,
+            id(topology),
+            (weakref.ref(foreign), foreign.fresh_csr()),
+        )
+        csr = topology.csr()
+        assert csr.num_nodes == 5
+        assert csr.spt_rows(0)[0] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert topology.csr() is csr
 
     def test_unit_weight_detection(self):
         unit = Topology.from_edges(3, [(0, 1), (1, 2)])
@@ -569,6 +588,60 @@ def test_kernel_library_exports_no_single_source_search():
     assert hasattr(lib, "k_nearest_batch")
 
 
+class TestKernelCache:
+    """Where the package directory is not writable, the shared object is
+    cached in a per-user directory under the shared temp directory; a
+    cached object is loaded only if no other user can have put it there."""
+
+    @pytest.fixture()
+    def compile_object(self, tmp_path, monkeypatch):
+        """``_compile`` with an unwritable package directory, ``tmp_path``
+        as the temp directory and a compiler that writes an empty object."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        compiler = tmp_path / "cc"
+        compiler.write_text(
+            '#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\n: > "$2"\n'
+        )
+        compiler.chmod(0o755)
+        monkeypatch.setattr(_ckernels, "_BUILD_DIR", str(blocker / "_build"))
+        monkeypatch.setattr(_ckernels, "_compiler", lambda: str(compiler))
+        monkeypatch.setattr(_ckernels, "_build_error", None)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return lambda: _ckernels._compile(_ckernels._SOURCE)
+
+    def test_a_private_object_is_reused(self, compile_object, tmp_path):
+        target = Path(compile_object())
+        assert target.parent == tmp_path / f"repro-kernels-{os.getuid()}"
+        assert stat.S_IMODE(target.parent.stat().st_mode) == 0o700
+        target.write_bytes(b"cached")
+        assert compile_object() == str(target)
+        assert target.read_bytes() == b"cached"
+
+    def test_a_writable_object_is_rebuilt(self, compile_object):
+        target = Path(compile_object())
+        target.write_bytes(b"planted")
+        target.chmod(0o666)
+        assert compile_object() == str(target)
+        assert target.read_bytes() == b""
+        assert stat.S_IMODE(target.stat().st_mode) == 0o755
+
+    def test_a_writable_directory_is_refused(self, compile_object):
+        target = Path(compile_object())
+        target.parent.chmod(0o777)
+        assert compile_object() is None
+        assert "not private" in _ckernels.build_error()
+
+    def test_a_foreign_directory_is_refused(
+        self, compile_object, tmp_path, monkeypatch
+    ):
+        other = os.getuid() + 1
+        (tmp_path / f"repro-kernels-{other}").mkdir(mode=0o700)
+        monkeypatch.setattr(os, "getuid", lambda: other)
+        assert compile_object() is None
+        assert "not private" in _ckernels.build_error()
+
+
 @pytest.fixture(params=["python", "c"])
 def tier_csr(request):
     """A 20-node snapshot on each tier."""
@@ -715,15 +788,14 @@ class TestKernelValidation:
 
 
 class TestPropertyBased:
-    """Random graphs, every row driver against the oracle on both tiers."""
+    """Random graphs, every row driver of every search against the oracle."""
 
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_dijkstra_differential_random_gnm(self, seed):
         topology = gnm_random_graph(30, seed=seed, average_degree=4.0)
         expected = reference.dijkstra(topology, 0)
-        for use_c in TIERS:
-            csr = topology.fresh_csr(use_c=use_c == "c")
+        for csr in every_search(topology).values():
             assert reference.spt_search(csr, 0) == expected
 
     @settings(deadline=None, max_examples=30)
@@ -734,8 +806,7 @@ class TestPropertyBased:
     def test_k_nearest_differential_random_gnm(self, seed, k):
         topology = gnm_random_graph(25, seed=seed, average_degree=4.0)
         expected = _settle_row(reference.dijkstra_k_nearest(topology, 0, k))
-        for use_c in TIERS:
-            csr = topology.fresh_csr(use_c=use_c == "c")
+        for csr in every_search(topology).values():
             assert _settle_row(reference.k_nearest_search(csr, 0, k)) == expected
 
     @settings(deadline=None, max_examples=30)
@@ -749,8 +820,7 @@ class TestPropertyBased:
         expected = _settle_row(
             reference.dijkstra_radius(topology, 0, radius, inclusive=inclusive)
         )
-        for use_c in TIERS:
-            csr = topology.fresh_csr(use_c=use_c == "c")
+        for csr in every_search(topology).values():
             assert _settle_row(
                 reference.radius_search(csr, 0, radius, inclusive=inclusive)
             ) == expected
@@ -767,8 +837,7 @@ class TestPropertyBased:
         }[seed % 4]()
         source = rng.randrange(topology.num_nodes)
         k = rng.randint(1, topology.num_nodes)
-        for use_c in TIERS:
-            csr = topology.fresh_csr(use_c=use_c == "c")
+        for csr in every_search(topology).values():
             assert reference.spt_search(csr, source) == reference.dijkstra(
                 topology, source
             )

@@ -18,6 +18,8 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import reference_paths as reference
+from oracles.reference_paths import every_search
 from repro.errors import InputError
 from repro.graphs._ckernels import load_kernels
 from repro.graphs.generators import (
@@ -41,6 +43,7 @@ from repro.graphs.topology import Topology, TopologyBuilder
 from repro.utils.slab_dir import read_slab_dir
 
 HAVE_C = load_kernels() is not None
+USE_C = [False] + ([True] if HAVE_C else [])
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIXTURE_EDGES = os.path.join(DATA, "fixture.edges")
@@ -649,7 +652,8 @@ class TestSlabDirValidation:
 
 
 class TestBFSKernel:
-    """The C BFS kernel is bit-identical to the Python BFS fallback."""
+    """The C BFS kernel on an ingested unit-weight graph, with the other C
+    kernels the profile admits and the Python tier, equals the oracle."""
 
     @pytest.fixture(scope="class")
     def unit_graph(self) -> Topology:
@@ -657,32 +661,23 @@ class TestBFSKernel:
 
     def test_bfs_forced_on_weighted_graph_rejected(self):
         topology = geometric_random_graph(40, seed=2, average_degree=6.0)
-        with pytest.raises(ValueError, match="bfs"):
-            topology.fresh_csr(kernel="bfs")
+        for use_c in USE_C:
+            with pytest.raises(ValueError, match="bfs"):
+                topology.fresh_csr(kernel="bfs", use_c=use_c)
 
-    def test_c_bfs_matches_python_bfs(self, unit_graph):
-        if not HAVE_C:
-            pytest.skip("C kernels unavailable")
-        c_csr = unit_graph.fresh_csr(kernel="bfs", use_c=True)
-        py_csr = unit_graph.fresh_csr(kernel="bfs", use_c=False)
-        assert (c_csr.tier, py_csr.tier) == ("c", "python")
-        k = 12
-        for source in (0, 31, 127):
-            assert _settle_rows(c_csr, source) == _settle_rows(py_csr, source)
-            assert c_csr.spt_rows(source) == py_csr.spt_rows(source)
-            assert c_csr.k_nearest_batch_flat(k, [source]) == (
-                py_csr.k_nearest_batch_flat(k, [source])
-            )
-            assert c_csr.radius_batch_flat([3.0], [source]) == (
-                py_csr.radius_batch_flat([3.0], [source])
-            )
-
-    def test_bfs_matches_bucket_kernel(self, unit_graph):
-        bfs_csr = unit_graph.fresh_csr(kernel="bfs")
-        bucket_csr = unit_graph.fresh_csr(kernel="bucket")
-        for source in (0, 64):
-            assert _settle_rows(bfs_csr, source) == _settle_rows(
-                bucket_csr, source
+    @pytest.mark.parametrize("use_c", USE_C, ids=["python", "c"][: len(USE_C)])
+    def test_every_search_matches_the_oracle(self, unit_graph, use_c):
+        searches = every_search(unit_graph, use_c=use_c)
+        assert set(searches) == (
+            {"c-bfs", "c-bucket", "c-heap"} if use_c else {"python"}
+        )
+        for csr in searches.values():
+            reference.assert_matches_oracle(
+                unit_graph,
+                csr,
+                (0, 31, 64, 127),
+                ks=(12, unit_graph.num_nodes),
+                radii=(3.0,),
             )
 
 

@@ -1,19 +1,20 @@
 """Differential tests for the weighted CSR kernels (heap + Dial bucket).
 
-The PR that introduced kernel auto-selection added two weighted kernels --
-an indexed 4-ary heap and a Dial-style bucket queue -- each available in a
-compiled C tier (when a compiler is present) and a pure-Python tier.  Every
-(kernel, tier) combination must be bit-identical to the dict-based reference
-engine: distances *and* predecessors, across the row drivers -- full SPT
-rows, k-nearest and radius rows, target distances -- on every topology
-family the paper evaluates.
+The C tier has three kernels -- an indexed 4-ary heap, a Dial-style bucket
+queue and a level-ordered BFS -- picked by the weight profile; the Python
+tier has one search, the lazy-``heapq`` Dijkstra, for every profile.  One
+rule covers them all (:func:`oracles.reference_paths.every_search`): every
+C kernel the profile admits, and the Python tier, must be bit-identical to
+the dict-based reference engine -- distances *and* predecessors, across the
+row drivers (full SPT rows, k-nearest and radius rows, target distances)
+-- on every topology family the paper evaluates.
 
 This file also pins:
 
 * the :class:`~repro.graphs.csr.WeightProfile` quantum detection and its
   caching/invalidation on :class:`~repro.graphs.topology.Topology`;
 * bucket-queue fallback -- irregular float weights must disqualify the
-  bucket kernel and auto-select the heap;
+  bucket kernel, on both tiers, and auto-select the heap;
 * the exact-boundary semantics of ``radius_batch_flat`` on weighted graphs (strict ``<`` by default, ``<=`` with
   ``inclusive=True``), which were previously untested at the boundary;
 * the id ordering of BFS frontiers and Dial buckets (``order_ids`` in
@@ -30,16 +31,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_paths as reference
+from oracles.reference_paths import assert_c_tier_picks, every_search
 from repro.graphs._ckernels import load_kernels
-from repro.graphs.csr import (
-    DIAL_MAX_QUANTA,
-    CSRGraph,
-    WeightProfile,
-    profile_weights,
-)
+from repro.graphs.csr import DIAL_MAX_QUANTA, WeightProfile, profile_weights
 from repro.graphs.generators import (
     geometric_random_graph,
-    gnm_random_graph,
     internet_router_level,
     two_level_tree,
 )
@@ -67,50 +63,66 @@ def _families() -> dict[str, Topology]:
     }
 
 
-def _assert_matches_reference(topology: Topology, csr: CSRGraph) -> None:
+def _assert_matches_reference(topology: Topology, csr) -> None:
+    """``csr`` equals the oracle on ``topology``, all four drivers."""
     n = topology.num_nodes
+    sources = range(0, n, 7)
     rng = random.Random(17)
-    for source in range(0, n, 7):
-        full = reference.dijkstra(topology, source)
-        assert reference.spt_search(csr, source) == full
-        for k in (1, 3, 17, n):
-            assert _settle_rows(
-                reference.k_nearest_search(csr, source, k)
-            ) == _settle_rows(reference.dijkstra_k_nearest(topology, source, k))
-        for radius in (0.0, 1.0, 2.5, 30.0):
-            for inclusive in (False, True):
-                assert _settle_rows(
-                    reference.radius_search(
-                        csr, source, radius, inclusive=inclusive
-                    )
-                ) == _settle_rows(
-                    reference.dijkstra_radius(
-                        topology, source, radius, inclusive=inclusive
-                    )
-                )
-        pairs = [(source, target) for target in rng.sample(range(n), 5)]
-        assert csr.batched_target_distances(pairs) == {
-            (source, target): full[0][target] for _, target in pairs
-        }
+    pairs = [
+        (source, target)
+        for source in sources
+        for target in rng.sample(range(n), 5)
+    ]
+    reference.assert_matches_oracle(
+        topology,
+        csr,
+        sources,
+        ks=(1, 3, 17, n),
+        radii=(0.0, 1.0, 2.5, 30.0),
+        pairs=pairs,
+    )
 
 
 class TestKernelTierDifferential:
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     @pytest.mark.parametrize("family", sorted(_families()))
     def test_auto_kernel_matches_reference(self, family, use_c):
+        # On the C tier every kernel the profile admits, the auto-selected
+        # one among them.
         topology = _families()[family]
-        csr = topology.fresh_csr(use_c=use_c)
-        _assert_matches_reference(topology, csr)
+        for csr in every_search(topology, use_c=use_c).values():
+            _assert_matches_reference(topology, csr)
 
-    @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
+    @pytest.mark.skipif(not HAVE_C, reason="C kernels unavailable")
+    @pytest.mark.parametrize(
+        "family, kernel",
+        [
+            ("geometric", "heap"),
+            ("geometric-q", "bucket"),
+            ("router-level", "bfs"),
+            ("two-level-tree", "bucket"),
+        ],
+    )
+    def test_c_tier_picks_the_profiles_kernel(self, family, kernel):
+        # Every kernel is bit-identical, so a wrong pick would only be
+        # slower: this is where the selection itself is held.
+        assert _families()[family].fresh_csr(use_c=True).kernel == kernel
+
+    @pytest.mark.skipif(not HAVE_C, reason="C kernels unavailable")
     @pytest.mark.parametrize("kernel", ["heap", "bucket"])
-    def test_forced_kernels_match_reference_on_quantized(self, kernel, use_c):
+    def test_forced_kernels_match_reference_on_quantized(self, kernel):
         # Quantized weights admit both kernels; they must agree bit-for-bit
         # with the oracle (and hence with each other).
         topology = _quantized_geometric(80, seed=9)
-        csr = topology.fresh_csr(kernel=kernel, use_c=use_c)
+        csr = topology.fresh_csr(kernel=kernel, use_c=True)
         assert csr.kernel == kernel
         _assert_matches_reference(topology, csr)
+
+    def test_python_tier_admits_a_forced_kernel_and_runs_its_heap(self):
+        topology = _quantized_geometric(80, seed=9)
+        for kernel in ("heap", "bucket"):
+            csr = topology.fresh_csr(kernel=kernel, use_c=False)
+            assert csr.kernel == "heap"
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_heap_kernel_on_irregular_floats(self, use_c):
@@ -122,18 +134,18 @@ class TestKernelTierDifferential:
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_spt_rows_and_target_distances(self, use_c):
         topology = _quantized_geometric(60, seed=5)
-        csr = topology.fresh_csr(use_c=use_c)
         n = topology.num_nodes
-        for source in (0, 17, 42):
-            distances, parents = reference.dijkstra(topology, source)
-            dist_row, parent_row = csr.spt_rows(source)
-            assert dist_row == [distances.get(v, 0.0) for v in range(n)]
-            assert parent_row == [parents.get(v, -1) for v in range(n)]
         rng = random.Random(3)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(30)]
-        assert csr.batched_target_distances(
-            pairs
-        ) == reference.all_pairs_sampled_distances(topology, pairs)
+        for csr in every_search(topology, use_c=use_c).values():
+            for source in (0, 17, 42):
+                distances, parents = reference.dijkstra(topology, source)
+                dist_row, parent_row = csr.spt_rows(source)
+                assert dist_row == [distances.get(v, 0.0) for v in range(n)]
+                assert parent_row == [parents.get(v, -1) for v in range(n)]
+            assert csr.batched_target_distances(
+                pairs
+            ) == reference.all_pairs_sampled_distances(topology, pairs)
 
     def test_empty_target_set_settles_only_source(self):
         # targets=[] stops the Python tier's one-source search (every batch
@@ -148,38 +160,44 @@ class TestKernelTierDifferential:
         # Regression: out-of-range target ids used to reach the C kernel
         # unvalidated (out-of-bounds write into the target-flag buffer).
         topology = _quantized_geometric(40, seed=8)
-        csr = topology.fresh_csr(use_c=use_c)
-        with pytest.raises(ValueError):
-            csr.batched_target_distances([(0, 10**6)])
-        with pytest.raises(ValueError):
-            csr.batched_target_distances([(0, -1)])
+        for csr in every_search(topology, use_c=use_c).values():
+            with pytest.raises(ValueError):
+                csr.batched_target_distances([(0, 10**6)])
+            with pytest.raises(ValueError):
+                csr.batched_target_distances([(0, -1)])
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_disconnected_graph_contracts(self, use_c):
         topology = Topology.from_edges(5, [(0, 1, 0.5), (2, 3, 1.5)])
-        csr = topology.fresh_csr(use_c=use_c)
-        assert reference.spt_search(csr, 0) == reference.dijkstra(topology, 0)
-        assert reference.k_nearest_search(csr, 2, 5) == reference.dijkstra(
-            topology, 2
-        )
-        dist_row, parent_row = csr.spt_rows(0, fill=-7.0)
-        assert dist_row == [0.0, 0.5, -7.0, -7.0, -7.0]
-        assert parent_row == [-1, 0, -1, -1, -1]
-        with pytest.raises(ValueError):
-            csr.batched_target_distances([(0, 4)])
+        for csr in every_search(topology, use_c=use_c).values():
+            assert reference.spt_search(csr, 0) == reference.dijkstra(
+                topology, 0
+            )
+            assert reference.k_nearest_search(
+                csr, 2, 5
+            ) == reference.dijkstra(topology, 2)
+            dist_row, parent_row = csr.spt_rows(0, fill=-7.0)
+            assert dist_row == [0.0, 0.5, -7.0, -7.0, -7.0]
+            assert parent_row == [-1, 0, -1, -1, -1]
+            with pytest.raises(ValueError):
+                csr.batched_target_distances([(0, 4)])
 
     def test_tiers_agree_after_many_arena_reuses(self):
         # Generation stamping must keep searches independent in both tiers:
-        # one width-1 C batch runs every source in one reused arena.
-        if not HAVE_C:
-            pytest.skip("C kernels unavailable")
+        # one width-1 C batch runs every source in one reused arena, and the
+        # Python tier reuses one arena across its per-source loop.
         topology = _quantized_geometric(70, seed=13)
-        c_csr = topology.fresh_csr(use_c=True)
-        py_csr = topology.fresh_csr(use_c=False)
         sources = range(0, 70, 3)
-        assert _batch_rows(c_csr, sources, 9) == _batch_rows(py_csr, sources, 9)
-        for source in sources:
-            assert c_csr.spt_rows(source) == py_csr.spt_rows(source)
+        expected = [
+            _settle_rows(reference.dijkstra_k_nearest(topology, source, 9))
+            for source in sources
+        ]
+        for csr in every_search(topology).values():
+            assert _batch_rows(csr, sources, 9) == expected
+            for source in sources:
+                assert reference.spt_search(csr, source) == (
+                    reference.dijkstra(topology, source)
+                )
 
 
 class TestBucketFallback:
@@ -189,8 +207,9 @@ class TestBucketFallback:
         assert profile.quantum is None
         assert not profile.bucket_ok
         assert topology.csr().kernel == "heap"
-        with pytest.raises(ValueError):
-            topology.fresh_csr(kernel="bucket")
+        for use_c in TIERS:  # a forced kernel is checked on both tiers
+            with pytest.raises(ValueError):
+                topology.fresh_csr(kernel="bucket", use_c=use_c)
 
     def test_excessive_weight_ratio_disqualifies_bucket(self):
         # Quantized but with max_weight / quantum beyond the cap.
@@ -203,13 +222,15 @@ class TestBucketFallback:
 
     def test_bfs_requires_unit_weights(self):
         topology = Topology.from_edges(3, [(0, 1, 2.0), (1, 2, 2.0)])
-        with pytest.raises(ValueError):
-            topology.fresh_csr(kernel="bfs")
+        for use_c in TIERS:
+            with pytest.raises(ValueError):
+                topology.fresh_csr(kernel="bfs", use_c=use_c)
 
     def test_unknown_kernel_rejected(self):
         topology = Topology.from_edges(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            topology.fresh_csr(kernel="fibonacci")
+        for use_c in TIERS:
+            with pytest.raises(ValueError):
+                topology.fresh_csr(kernel="fibonacci", use_c=use_c)
 
 
 class TestWeightProfile:
@@ -276,23 +297,19 @@ class TestRadiusBoundary:
         )
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
-    @pytest.mark.parametrize("kernel", ["heap", "bucket"])
-    def test_exact_boundary_excluded_by_default(
-        self, weighted_path, kernel, use_c
-    ):
-        csr = weighted_path.fresh_csr(kernel=kernel, use_c=use_c)
-        distances, _ = reference.radius_search(csr, 0, 3.0)
-        assert sorted(distances) == [0, 1]
+    def test_exact_boundary_excluded_by_default(self, weighted_path, use_c):
+        for csr in every_search(weighted_path, use_c=use_c).values():
+            distances, _ = reference.radius_search(csr, 0, 3.0)
+            assert sorted(distances) == [0, 1]
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
-    @pytest.mark.parametrize("kernel", ["heap", "bucket"])
     def test_exact_boundary_included_when_inclusive(
-        self, weighted_path, kernel, use_c
+        self, weighted_path, use_c
     ):
-        csr = weighted_path.fresh_csr(kernel=kernel, use_c=use_c)
-        distances, _ = reference.radius_search(csr, 0, 3.0, inclusive=True)
-        assert sorted(distances) == [0, 1, 2]
-        assert distances[2] == 3.0
+        for csr in every_search(weighted_path, use_c=use_c).values():
+            distances, _ = reference.radius_search(csr, 0, 3.0, inclusive=True)
+            assert sorted(distances) == [0, 1, 2]
+            assert distances[2] == 3.0
 
     def test_public_api_matches_reference_at_boundary(self, weighted_path):
         for inclusive in (False, True):
@@ -304,32 +321,32 @@ class TestRadiusBoundary:
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_zero_radius_settles_only_source(self, weighted_path, use_c):
-        csr = weighted_path.fresh_csr(use_c=use_c)
-        distances, predecessors = reference.radius_search(csr, 1, 0.0)
-        assert distances == {1: 0.0}
-        assert predecessors == {}
+        for csr in every_search(weighted_path, use_c=use_c).values():
+            distances, predecessors = reference.radius_search(csr, 1, 0.0)
+            assert distances == {1: 0.0}
+            assert predecessors == {}
 
     @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_batched_radius_boundary(self, weighted_path, use_c):
-        csr = weighted_path.fresh_csr(use_c=use_c)
         radii = [3.0, 1.5, 2.0, 0.5]
-        strict = _flat_settle_rows(csr.radius_batch_flat(radii))
-        inclusive = _flat_settle_rows(
-            csr.radius_batch_flat(radii, inclusive=True)
-        )
-        for node, radius in enumerate(radii):
-            assert strict[node] == _settle_rows(
-                reference.dijkstra_radius(weighted_path, node, radius)
+        for csr in every_search(weighted_path, use_c=use_c).values():
+            strict = _flat_settle_rows(csr.radius_batch_flat(radii))
+            inclusive = _flat_settle_rows(
+                csr.radius_batch_flat(radii, inclusive=True)
             )
-            assert inclusive[node] == _settle_rows(
-                reference.dijkstra_radius(
-                    weighted_path, node, radius, inclusive=True
+            for node, radius in enumerate(radii):
+                assert strict[node] == _settle_rows(
+                    reference.dijkstra_radius(weighted_path, node, radius)
                 )
-            )
-        # Nodes 0 and 2 sit at exactly 1.5 from source 1: excluded by the
-        # strict boundary, included by the inclusive one.
-        assert strict[1][0] == [(1, 0.0)]
-        assert sorted(node for node, _ in inclusive[1][0]) == [0, 1, 2]
+                assert inclusive[node] == _settle_rows(
+                    reference.dijkstra_radius(
+                        weighted_path, node, radius, inclusive=True
+                    )
+                )
+            # Nodes 0 and 2 sit at exactly 1.5 from source 1: excluded by
+            # the strict boundary, included by the inclusive one.
+            assert strict[1][0] == [(1, 0.0)]
+            assert sorted(node for node, _ in inclusive[1][0]) == [0, 1, 2]
 
 
 def _star(
@@ -380,12 +397,14 @@ def _batch_rows(csr, sources, k: int | None = None):
 
 
 def _assert_same_settle_order(
-    topology: Topology, sources, ks, *, kernel: str | None = None
+    topology: Topology, sources, ks, *, python: bool = True
 ) -> None:
-    """Every tier settles ``sources`` like the reference: order, dist, pred."""
+    """Every search (the C kernels only, with ``python=False``) settles
+    ``sources`` like the reference: order, dist, pred."""
     graphs = [
-        topology.fresh_csr(kernel=kernel, use_c=use_c)
-        for use_c in TIERS
+        csr
+        for name, csr in every_search(topology).items()
+        if python or name != "python"
     ]
     expected = [
         _settle_rows(reference.dijkstra(topology, source)) for source in sources
@@ -422,7 +441,7 @@ class TestLevelOrdering:
         # leaves - 1 ids.
         n = leaves + 1
         topology = _star(n, hub=n // 2, seed=leaves)
-        assert topology.csr().kernel == "bfs"
+        assert_c_tier_picks(topology, "bfs")
         _assert_same_settle_order(
             topology, [n // 2, 0, n - 1], ks=[2, leaves // 2 + 1, n]
         )
@@ -431,19 +450,22 @@ class TestLevelOrdering:
     def test_ids_of_one_two_and_three_radix_bytes(self, n):
         # The widest case holds ids equal in their low 16 bits (5 and
         # 65541) in one level, so a dropped third pass would misorder them.
+        # The radix passes exist only in C; the Python tier is held to the
+        # same order at the two smaller sizes.
         hub = n - 3
         topology = _star(n, hub=hub, seed=n)
         assert list(reference.dijkstra(topology, hub)[0]) == [hub] + [
             node for node in range(n) if node != hub
         ]
-        _assert_same_settle_order(topology, [hub, 3], ks=[n - 100])
+        _assert_same_settle_order(
+            topology, [hub, 3], ks=[n - 100], python=n < 1 << 16
+        )
 
     def test_truncated_level_far_wider_than_the_room_left(self):
         n, hub, k = 3000, 1500, 50
         topology = _star(n, hub=hub, seed=3, degree=1200)
         smallest = sorted(topology.neighbors(hub))[: k - 1]
-        for use_c in TIERS:
-            csr = topology.fresh_csr(use_c=use_c)
+        for csr in every_search(topology).values():
             distances, predecessors = reference.k_nearest_search(csr, hub, k)
             assert list(distances) == [hub] + smallest
             assert predecessors == dict.fromkeys(smallest, hub)
@@ -460,10 +482,8 @@ class TestLevelOrdering:
             u, v = rng.sample(range(301), 2)
             builder.add_edge(u, v, 0.5)
         topology = builder.freeze()
-        assert topology.csr().kernel == "bucket"
-        _assert_same_settle_order(
-            topology, [150, 0, 300], ks=[40, 160], kernel="bucket"
-        )
+        assert_c_tier_picks(topology, "bucket")
+        _assert_same_settle_order(topology, [150, 0, 300], ks=[40, 160])
 
     def test_one_arena_across_very_different_frontier_widths(self):
         # A 1200-leaf hub with a 40-node path hanging off leaf 0: searches
@@ -481,13 +501,12 @@ class TestLevelOrdering:
     def test_threads_order_every_batch_row_identically(self, kernel):
         # Each kernel thread orders levels into the tail of its own arena's
         # order row; rows must not depend on the width (this is the test the
-        # sanitizer CI legs run at threads=2).
+        # sanitizer CI legs run at threads=2).  ``kernel`` is the C tier's
+        # pick for the weights; every search of the graph runs.
         weights = (1.0,) if kernel == "bfs" else (0.5, 1.0, 1.5)
         topology = _star(900, hub=450, seed=2, weights=weights, degree=500)
-        graphs = [
-            topology.fresh_csr(kernel=kernel, use_c=use_c)
-            for use_c in TIERS
-        ]
+        assert_c_tier_picks(topology, kernel)
+        graphs = list(every_search(topology).values())
         sources = [450, 0, 899, 450, 17, 3, 450, 620]
         for k in (30, 400, 900):
             expected = [
@@ -504,9 +523,12 @@ class TestParallelKernelThreading:
     def test_forced_kernel_reaches_workers(self):
         topology = _quantized_geometric(48, seed=7)
         auto = topology.csr().k_nearest_batch_flat(9, threads=2)
-        for kernel in ("heap", "bucket"):
-            forced = topology.fresh_csr(kernel=kernel)
-            assert forced.kernel == kernel
+        for name, forced in every_search(topology).items():
+            # On the C tier the kernel is the one forced; the Python tier
+            # runs its heap whatever is asked.
+            assert forced.kernel == (
+                "heap" if name == "python" else name[len("c-") :]
+            )
             assert forced.k_nearest_batch_flat(9, threads=2) == auto
 
 
@@ -518,14 +540,12 @@ class TestPropertyBasedWeighted:
                 reference.dijkstra(topology, s)
                 for s in range(topology.num_nodes)
             ]
-            for kernel in ("heap", "bucket"):
-                for use_c in TIERS:
-                    csr = topology.fresh_csr(kernel=kernel, use_c=use_c)
-                    got = [
-                        reference.spt_search(csr, s)
-                        for s in range(topology.num_nodes)
-                    ]
-                    assert got == expected
+            for csr in every_search(topology).values():
+                got = [
+                    reference.spt_search(csr, s)
+                    for s in range(topology.num_nodes)
+                ]
+                assert got == expected
 
     @given(
         leaves=st.integers(1, 3 * _INSERTION_MAX),

@@ -31,6 +31,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles.reference_paths import assert_c_tier_picks
 from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.core.substrate_build import build_substrate_tables
@@ -79,7 +80,7 @@ def _connected(num_nodes: int, extra: int, profile: str, seed: int) -> Topology:
     topology = Topology.from_edges(
         num_nodes, [(u, v, w) for (u, v), w in edges.items()]
     )
-    assert topology.csr().kernel == _PROFILES[profile][0]
+    assert_c_tier_picks(topology, _PROFILES[profile][0])
     return topology
 
 

@@ -30,6 +30,7 @@ The kernel is built under ASan + UBSan in CI with this file.
 from __future__ import annotations
 
 import random
+import weakref
 from array import array
 from contextlib import contextmanager
 
@@ -37,6 +38,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.graphs.topology as topology_module
+from oracles.reference_paths import assert_c_tier_picks
 from repro.core.disco import DiscoRouting
 from repro.core.nddisco import NDDiscoRouting
 from repro.graphs._ckernels import load_kernels
@@ -80,7 +82,7 @@ def _connected(num_nodes: int, extra: int, profile: str, seed: int) -> Topology:
     topology = Topology.from_edges(
         num_nodes, [(u, v, w) for (u, v), w in edges.items()]
     )
-    assert topology.csr().kernel == _PROFILES[profile][0]
+    assert_c_tier_picks(topology, _PROFILES[profile][0])
     return topology
 
 
@@ -236,13 +238,13 @@ class TestBoundary:
 def _tier(topology: Topology, tier: str):
     """Make ``topology.csr()`` a fresh snapshot of ``tier`` for a while.
 
-    The cache is keyed by ``id(topology)``, so the entry is put back while
-    the topology is alive: one restored after it died would be served to
-    the next topology given its id.
+    A cache entry is the topology's weakref beside its CSR, keyed by
+    ``id(topology)``; the topology's own entry is put back afterwards.
     """
     cache, key = topology_module._CSR_CACHE, id(topology)
-    saved = topology.csr()
-    cache[key] = topology.fresh_csr(use_c=tier == "c")
+    topology.csr()
+    saved = cache[key]
+    cache[key] = (weakref.ref(topology), topology.fresh_csr(use_c=tier == "c"))
     try:
         yield
     finally:

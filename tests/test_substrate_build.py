@@ -16,6 +16,8 @@ across processes, so a single differing byte is corruption, not noise.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from oracles import reference_paths as reference
@@ -95,7 +97,9 @@ def test_refused_batch_kernels_match_dict_path(
     landmarks = select_landmarks(topology.num_nodes, seed=2)
     expected = _oracle(topology, landmarks)
     monkeypatch.setitem(
-        topology_module._CSR_CACHE, id(topology), refuse_batch_kernels(topology)
+        topology_module._CSR_CACHE,
+        id(topology),
+        (weakref.ref(topology), refuse_batch_kernels(topology)),
     )
     with pytest.warns(RuntimeWarning, match="could not allocate") as caught:
         actual = build_substrate_tables(topology, landmarks)
