@@ -79,15 +79,16 @@ Examples
 >>> tree_path(parent, 0, 3)
 [0, 1, 3]
 
-The weight profile drives kernel selection: quantized weights admit the
-bucket queue, irregular weights only the heap, and the Python tier runs
-the heap whatever the profile:
+The weight profile picks the kernel: quantized weights admit the bucket
+queue, irregular weights only the heap, and the Python tier
+(``REPRO_NO_CKERNELS=1``) runs the heap whatever the profile:
 
 >>> quantized = Topology.from_edges(3, [(0, 1, 0.5), (1, 2, 2.5)])
 >>> quantized.weight_profile().bucket_ok
 True
->>> quantized.fresh_csr(use_c=False).kernel
-'heap'
+>>> csr = quantized.csr()
+>>> csr.kernel == ("bucket" if csr.tier == "c" else "heap")
+True
 >>> irregular = Topology.from_edges(3, [(0, 1, 0.3), (1, 2, 2.5)])
 >>> irregular.csr().kernel
 'heap'
@@ -114,7 +115,6 @@ __all__ = [
     "WeightProfile",
     "profile_weights",
     "DIAL_MAX_QUANTA",
-    "KERNELS",
     "kernel_threads",
     "tree_path",
 ]
@@ -154,9 +154,6 @@ def kernel_threads(threads: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-#: Kernel names accepted by ``kernel=`` overrides (``None`` means auto).
-KERNELS = ("bfs", "bucket", "heap")
-
 #: Bucket-queue eligibility bound: ``max_weight / quantum`` must not exceed
 #: this, which caps both the circular bucket ring and the number of empty
 #: levels a sweep can cross between settles.
@@ -178,8 +175,8 @@ class WeightProfile:
     unit:
         True when every weight is exactly ``1.0`` (hop-count graphs: G(n,m),
         the synthetic AS-level / router-level Internet maps).
-    min_weight / max_weight:
-        Extremes over all edge weights (both ``1.0`` for an edgeless graph).
+    max_weight:
+        The largest edge weight (``1.0`` for an edgeless graph).
     quantum:
         The largest power of two ``q`` such that every weight is an *exact*
         integer multiple of ``q`` -- or ``None`` when no such quantum keeps
@@ -201,7 +198,6 @@ class WeightProfile:
     """
 
     unit: bool
-    min_weight: float
     max_weight: float
     quantum: float | None
     max_quanta: int | None
@@ -227,14 +223,11 @@ def profile_weights(weights: Iterable[float]) -> WeightProfile:
     iterable profiles as a unit-weight graph (the kernels never read weights
     of an edgeless graph).
     """
-    min_weight = _INF
     max_weight = 0.0
     quantum = _INF
     unit = True
     eligible = True
     for weight in weights:
-        if weight < min_weight:
-            min_weight = weight
         if weight > max_weight:
             max_weight = weight
         if weight != 1.0:
@@ -253,12 +246,8 @@ def profile_weights(weights: Iterable[float]) -> WeightProfile:
             if max_weight / quantum > DIAL_MAX_QUANTA:
                 eligible = False
     if max_weight == 0.0:  # no edges
-        return WeightProfile(True, 1.0, 1.0, 1.0, 1)
-    if eligible and max_weight / quantum <= DIAL_MAX_QUANTA:
-        return WeightProfile(
-            unit, min_weight, max_weight, quantum, int(max_weight / quantum)
-        )
-    return WeightProfile(unit, min_weight, max_weight, None, None)
+        return WeightProfile(True, 1.0, 1.0, 1)
+    return _with_quantum(unit, max_weight, quantum if eligible else None)
 
 
 def profile_with_weight(
@@ -267,24 +256,28 @@ def profile_with_weight(
     """Profile of the weight multiset ``old + [weight]``, without a rescan.
 
     Exact for additions: every field of :class:`WeightProfile` is an
-    order-free reduction (``unit`` and the bounds are associative min/max
+    order-free reduction (``unit`` and ``max_weight`` are associative
     folds, the quantum is a running minimum of per-weight power-of-two
     divisors, and Dial eligibility is monotone -- the ``max/quantum`` ratio
     only ever grows as weights are added, so an ineligible profile can
     never become eligible).  Used by :meth:`CSRGraph.splice` so an edge
     edit does not pay an O(E) weight rescan.
     """
+    quantum = None
+    if profile.quantum is not None and math.isfinite(weight):
+        quantum = min(profile.quantum, _pow2_divisor(weight))
     unit = profile.unit and weight == 1.0
-    min_weight = min(profile.min_weight, weight)
-    max_weight = max(profile.max_weight, weight)
-    if profile.quantum is None or not math.isfinite(weight):
-        return WeightProfile(unit, min_weight, max_weight, None, None)
-    quantum = min(profile.quantum, _pow2_divisor(weight))
-    if max_weight / quantum <= DIAL_MAX_QUANTA:
-        return WeightProfile(
-            unit, min_weight, max_weight, quantum, int(max_weight / quantum)
-        )
-    return WeightProfile(unit, min_weight, max_weight, None, None)
+    return _with_quantum(unit, max(profile.max_weight, weight), quantum)
+
+
+def _with_quantum(
+    unit: bool, max_weight: float, quantum: float | None
+) -> WeightProfile:
+    """The profile, without its quantum when there is none or when
+    ``max_weight / quantum`` exceeds :data:`DIAL_MAX_QUANTA`."""
+    if quantum is None or max_weight / quantum > DIAL_MAX_QUANTA:
+        return WeightProfile(unit, max_weight, None, None)
+    return WeightProfile(unit, max_weight, quantum, int(max_weight / quantum))
 
 
 def tree_path(parents, root: int, node: int, *, base: int = 0) -> list[int]:
@@ -326,15 +319,11 @@ class CSRGraph:
     profile:
         Precomputed :class:`WeightProfile`; computed from ``weights`` when
         omitted.
-    kernel:
-        Force ``"bfs"`` / ``"bucket"`` / ``"heap"`` instead of the profiled
-        choice on the C tier (used by the differential tests); the Python
-        tier runs its one search, the heap.  Raises ``ValueError``, on
-        either tier, when the forced kernel is not applicable to this
-        graph's weights.
-    use_c:
-        Force the C tier on (``True``) or off (``False``); default ``None``
-        autodetects via :func:`repro.graphs._ckernels.load_kernels`.
+
+    The snapshot's tier is fixed when it is built:
+    :func:`repro.graphs._ckernels.load_kernels` (``REPRO_NO_CKERNELS=1``
+    switches it off) gives it the C tier or the Python one, and the weight
+    profile picks the kernel (:meth:`_select_kernel`).
     """
 
     __slots__ = (
@@ -343,7 +332,6 @@ class CSRGraph:
         "neighbors",
         "weights",
         "profile",
-        "unit_weights",
         "kernel",
         "tier",
         "_clib",
@@ -365,8 +353,6 @@ class CSRGraph:
         weights: array,
         *,
         profile: WeightProfile | None = None,
-        kernel: str | None = None,
-        use_c: bool | None = None,
     ) -> None:
         self.num_nodes = num_nodes
         self.offsets = offsets
@@ -375,19 +361,9 @@ class CSRGraph:
         if profile is None:
             profile = profile_weights(weights)
         self.profile = profile
-        self.unit_weights = profile.unit
-        if use_c is None:
-            self._clib = _ckernels.load_kernels()
-        elif use_c:
-            self._clib = _ckernels.load_kernels()
-            if self._clib is None:
-                raise RuntimeError(
-                    f"C kernels unavailable: {_ckernels.build_error()}"
-                )
-        else:
-            self._clib = None
+        self._clib = _ckernels.load_kernels()
         self.tier = "c" if self._clib is not None else "python"
-        self.kernel = self._select_kernel(kernel)
+        self.kernel = self._select_kernel()
         # Hot-loop slabs and scratch arenas are built lazily per tier (the C
         # tier never needs the Python tuple slabs, and vice versa).
         self._arc: list[list[tuple[int, float]]] | None = None
@@ -400,35 +376,16 @@ class CSRGraph:
         # The (neighbors, weights) store a splice writes, once there is one.
         self._store: tuple[memoryview, memoryview] | None = None
 
-    def _select_kernel(self, forced: str | None) -> str:
-        """The kernel a search runs: ``forced`` once the profile admits it
-        (on either tier), else the profile's pick; on the Python tier,
-        whose one search is the lazy-``heapq`` Dijkstra, always ``heap``."""
-        profile = self.profile
-        if forced is not None:
-            if forced not in KERNELS:
-                raise ValueError(
-                    f"unknown kernel {forced!r}; expected one of {KERNELS}"
-                )
-            if forced == "bfs" and not profile.unit:
-                raise ValueError("bfs kernel requires unit weights")
-            if forced == "bucket" and not profile.bucket_ok:
-                raise ValueError(
-                    "bucket kernel requires power-of-two-quantized weights "
-                    f"with max_weight/quantum <= {DIAL_MAX_QUANTA}"
-                )
+    def _select_kernel(self) -> str:
+        """The kernel a search runs, from the weight profile: ``bfs`` for
+        unit weights, ``bucket`` for quantized ones, else ``heap``; on the
+        Python tier, whose one search is the lazy-``heapq`` Dijkstra,
+        always ``heap``."""
         if self.tier == "python":
             return "heap"
-        if forced is not None:
-            return forced
-        if profile.unit:
+        if self.profile.unit:
             return "bfs"
-        return "bucket" if profile.bucket_ok else "heap"
-
-    @property
-    def num_edges(self) -> int:
-        """Number of undirected edges in the snapshot."""
-        return len(self.neighbors) // 2
+        return "bucket" if self.profile.bucket_ok else "heap"
 
     # -- rows, and the churn engine's in-place edits -------------------------
 
@@ -565,16 +522,14 @@ class CSRGraph:
                     n + 1, row, delta,
                 )
 
-        profile = self.profile
         for weight in folded:
-            profile = (
-                profile_with_weight(profile, weight)
+            self.profile = (
+                profile_with_weight(self.profile, weight)
                 if kept
                 else profile_weights((weight, weight))
             )
             kept = 2
-        self.profile, self.unit_weights = profile, profile.unit
-        self.kernel = self._select_kernel(None)
+        self.kernel = self._select_kernel()
 
     def _reserve(self, size: int) -> None:
         """Make the owned store hold ``size`` arcs (see :meth:`splice`)."""

@@ -211,10 +211,6 @@ class TopologyBuilder:
         return self._num_nodes
 
     @property
-    def num_edges(self) -> int:
-        return len(self._edge_weights)
-
-    @property
     def adjacency(self) -> list[list[tuple[int, float]]]:
         """``adjacency[u]`` is ``u``'s row of ``(neighbor, weight)``; read-only."""
         return self._adjacency
@@ -463,11 +459,6 @@ class Topology:
         _check_node(node, self._num_nodes)
         return self._nbrs[self._offsets[node] : self._offsets[node + 1]].tolist()
 
-    def neighbor_weights(self, node: int) -> list[tuple[int, float]]:
-        """Return ``(neighbor, weight)`` pairs for ``node``, in arc order."""
-        _check_node(node, self._num_nodes)
-        return self.csr().neighbor_weights(node)
-
     def degree(self, node: int) -> int:
         """Return the degree of ``node``."""
         _check_node(node, self._num_nodes)
@@ -567,12 +558,11 @@ class Topology:
             weakref.finalize(self, _CSR_CACHE.pop, id(self), None)
         return csr
 
-    def fresh_csr(
-        self, *, kernel: str | None = None, use_c: bool | None = None
-    ) -> "CSRGraph":
+    def fresh_csr(self) -> "CSRGraph":
         """A new :class:`CSRGraph` over the arc slabs (zero-copy) that the
         caller owns: its first splice copies the slabs before writing, and
-        a forced ``kernel`` / ``use_c`` leaves :meth:`csr` alone."""
+        its tier is the one the environment gives now, whatever tier
+        :meth:`csr`'s cached snapshot was built on."""
         from repro.graphs.csr import CSRGraph
 
         return CSRGraph(
@@ -581,8 +571,6 @@ class Topology:
             self._nbrs,
             self._wts,
             profile=self.weight_profile(),
-            kernel=kernel,
-            use_c=use_c,
         )
 
     def weight_profile(self) -> "WeightProfile":
@@ -729,11 +717,3 @@ class Topology:
             f"Topology(name={self.name!r}, nodes={self._num_nodes}, "
             f"edges={self.num_edges})"
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Topology):
-            return NotImplemented
-        return self.content_key() == other.content_key()
-
-    def __hash__(self) -> int:
-        return hash(self.content_key())

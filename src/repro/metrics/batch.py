@@ -9,8 +9,13 @@ measurement builds one router and routes its whole batch on it, so
 landmark SPT path extractions, relay segments, compact routes (shared by a
 pair's first- and later-packet routes), Disco's group-contact candidate
 rows and edge weights are derived once per batch instead of once per
-pair.  Same code either way, hence byte-identical results; the routers
-die with the batch, so no per-measurement state stays on the schemes.
+pair.  Same code either way, hence byte-identical results.  The routers
+die with the batch; the one memo that outlives them is the member ->
+position index of each vicinity or ball row a route tested
+(``NodeSearchTables._index``), kept on the scheme's tables on purpose:
+36.3 MiB at n = 4096 and 2.2 MiB at the bench ``route`` size, against
++29 % ``work_s`` on that workload (medians 0.204 s -> 0.263 s) for
+-0.8 MiB of peak RSS when every router started from empty indexes.
 """
 
 from __future__ import annotations

@@ -186,7 +186,11 @@ class PairRouter:
 
     Routers are deliberately short-lived: keeping one for the scheme's
     lifetime was measured to retain several MB of extracted paths across a
-    scenario suite, so the memos die with the call or the batch.
+    scenario suite, so the memos die with the call or the batch.  The
+    exception is the vicinity and ball membership index
+    (``NodeSearchTables._index``), which lives on the scheme's tables and
+    outlives every router (see :mod:`repro.metrics.batch` for its size and
+    why it stays).
 
     The public entry points validate both endpoints; subclasses implement
     the ``_first`` / ``_later`` / ``_pair`` hooks.

@@ -19,10 +19,23 @@ from repro.graphs.generators import (
     internet_as_level,
     ring_graph,
 )
+from repro.graphs._ckernels import load_kernels
 from repro.graphs.topology import Topology
 from repro.protocols.s4 import S4Routing
 from repro.protocols.vrr import VirtualRingRouting
 from small_graphs import grid_graph, line_graph, star_graph
+from tiers import TIERS, kernel_tier
+
+
+@pytest.fixture(params=TIERS)
+def tier(request) -> str:
+    """The test runs on one tier, its id ``[python]`` or ``[c]``, inside
+    :func:`tiers.kernel_tier` from set-up to tear-down; the ``c`` case is
+    skipped when the C kernels do not load."""
+    if request.param == "c" and load_kernels() is None:
+        pytest.skip("C kernels unavailable")
+    with kernel_tier(request.param):
+        yield request.param
 
 
 @pytest.fixture(scope="session")
@@ -143,9 +156,8 @@ def refuse_batch_kernels():
     that they did; the bytes are the C batch's."""
 
     def refuse(topology: Topology):
-        from repro.graphs.csr import CSRGraph
-
-        csr = topology.fresh_csr(use_c=True)
+        with kernel_tier("c"):
+            csr = topology.fresh_csr()
         csr._clib = _RefusingKernels(csr._clib)
         return csr
 

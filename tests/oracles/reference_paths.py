@@ -34,6 +34,7 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 from repro.graphs.topology import Topology
+from tiers import kernel_tier
 
 __all__ = [
     "dijkstra",
@@ -276,25 +277,28 @@ def radius_search(
     return _row_dicts(members, dists, parents)
 
 
-def every_search(topology: Topology, *, use_c: bool | None = None) -> dict:
+def every_search(topology: Topology, *, tier: str | None = None) -> dict:
     """One fresh snapshot of ``topology`` per search the package can run on
     it: the C tier forced to each kernel the weight profile admits
     (``"c-bfs"``, ``"c-bucket"``, ``"c-heap"``; none when the C tier is
     unavailable or switched off) and the Python tier (``"python"``).
-    ``use_c`` keeps one tier's searches only."""
+    ``tier`` (``"c"`` / ``"python"``) keeps one tier's searches only.  The
+    program has no kernel override, so a C kernel is forced by assigning
+    ``kernel`` on a fresh C-tier snapshot, once the profile admits it."""
     from repro.graphs._ckernels import load_kernels
 
     profile = topology.weight_profile()
     admitted = {"bfs": profile.unit, "bucket": profile.bucket_ok, "heap": True}
     searches = {}
-    if use_c is not False and load_kernels() is not None:
+    if tier != "python" and load_kernels() is not None:
         for kernel, ok in admitted.items():
             if ok:
-                searches[f"c-{kernel}"] = topology.fresh_csr(
-                    kernel=kernel, use_c=True
-                )
-    if not use_c:
-        searches["python"] = topology.fresh_csr(use_c=False)
+                with kernel_tier("c"):
+                    searches[f"c-{kernel}"] = csr = topology.fresh_csr()
+                csr.kernel = kernel
+    if tier != "c":
+        with kernel_tier("python"):
+            searches["python"] = topology.fresh_csr()
     return searches
 
 
@@ -305,7 +309,8 @@ def assert_c_tier_picks(topology: Topology, kernel: str) -> None:
     from repro.graphs._ckernels import load_kernels
 
     if load_kernels() is not None:
-        assert topology.fresh_csr(use_c=True).kernel == kernel
+        with kernel_tier("c"):
+            assert topology.fresh_csr().kernel == kernel
 
 
 def _in_order(search) -> tuple[list, list]:

@@ -37,10 +37,10 @@ class TestLinkFlapInvalidation:
                 1 if event.kind == "edge-up" else -1
             )
             assert edited.num_edges == expected_edges
-            assert edited.csr().num_edges == expected_edges
+            assert len(edited.csr().neighbors) == 2 * expected_edges
             assert edited.content_key() != current.content_key()
             # The previous topology's views are untouched.
-            assert current.csr().num_edges == current.num_edges
+            assert len(current.csr().neighbors) == 2 * current.num_edges
             current = edited
 
     def test_in_place_replay_matches_a_rebuilt_topology(self):
@@ -56,5 +56,4 @@ class TestLinkFlapInvalidation:
             topology.num_nodes,
             [edge for edge in topology.edges() if edge[:2] not in failed],
         )
-        assert replayed.freeze() == rebuilt
         assert replayed.freeze().content_key() == rebuilt.content_key()

@@ -25,7 +25,8 @@ file holds them to three contracts:
   runs or any slab is written.
 
 The Python tier is forced with ``REPRO_NO_CKERNELS=1`` for the length of a
-``with`` block (the variable is read on every dispatch); without a C
+``with tiers.kernel_tier(...)`` block (the passes read the variable on
+every dispatch, a graph when it is built); without a C
 compiler both sides of a differential are the twin and the tests still pin
 it to the fresh search.
 """
@@ -33,10 +34,8 @@ it to the fresh search.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 from array import array
-from contextlib import contextmanager
 from functools import lru_cache
 from math import inf, nan
 from unittest import mock
@@ -84,6 +83,7 @@ from repro.graphs.incremental import (
     repair_rows_after_increase,
 )
 from repro.graphs.topology import Topology, TopologyBuilder
+from tiers import TIERS, kernel_tier
 
 _SETTINGS = settings(
     deadline=None,
@@ -91,7 +91,6 @@ _SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-_TIERS = ("c", "python")
 
 #: Weight families: unit (BFS kernel), dyadic (Dial kernel; equal-distance
 #: ties are common) and irregular floats (heap kernel; sums round).
@@ -100,20 +99,6 @@ _WEIGHTS = {
     "dyadic": lambda rng: rng.choice((0.5, 1.0, 1.0, 2.25)),
     "float": lambda rng: rng.uniform(0.1, 3.0),
 }
-
-
-@contextmanager
-def _tier(name: str):
-    """Run the body on the C tier or, with the switch set, on the twins."""
-    saved = os.environ.pop("REPRO_NO_CKERNELS", None)
-    if name == "python":
-        os.environ["REPRO_NO_CKERNELS"] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop("REPRO_NO_CKERNELS", None)
-        if saved is not None:
-            os.environ["REPRO_NO_CKERNELS"] = saved
 
 
 def _random_graph(seed: int, family: str) -> Topology:
@@ -162,7 +147,7 @@ class _Rows:
         self.topology = topology.copy()  # a csr() of this tier's own
         self.builder = TopologyBuilder.from_topology(topology)
         self.roots = array("q", roots)
-        with _tier(tier):
+        with kernel_tier(tier):
             self.dist, self.parent, self.closest, self.closest_dist = (
                 _fresh_rows(self.topology, self.roots)
             )
@@ -176,7 +161,7 @@ class _Rows:
         addresses against a diff of every address before and after.
         Returns the change lists."""
         before = self.addresses()
-        with _tier(self.tier):
+        with kernel_tier(self.tier):
             mutate(self.builder)
             self.topology = self.builder.freeze()
             graph = self.topology.csr()
@@ -201,7 +186,7 @@ class _Rows:
 
 def _repair_on_both(topology, roots, mutate, repair, *event) -> RowChanges:
     """One event on fresh per-tier copies; the tiers must agree exactly."""
-    c_tier, python_tier = (_Rows(tier, topology, roots) for tier in _TIERS)
+    c_tier, python_tier = (_Rows(tier, topology, roots) for tier in TIERS)
     changes = c_tier.repair(mutate, repair, *event)
     assert _lists(changes) == _lists(
         python_tier.repair(mutate, repair, *event)
@@ -227,7 +212,7 @@ class TestRepairRows:
         topology = _random_graph(seed, family)
         n = topology.num_nodes
         roots = sorted(rng.sample(range(n), rng.randrange(1, 5)))
-        tiers = [_Rows(tier, topology, roots) for tier in _TIERS]
+        tiers = [_Rows(tier, topology, roots) for tier in TIERS]
         captured: dict[int, list[tuple[int, float]]] = {}
         for _ in range(10):
             live = tiers[0].topology
@@ -315,7 +300,7 @@ class TestRepairRows:
     def test_row_root_leaves_then_rejoins(self):
         topology = self._two_cliques()
         arcs = list(topology.adjacency[3])
-        c_tier, python_tier = (_Rows(tier, topology, [3, 6]) for tier in _TIERS)
+        c_tier, python_tier = (_Rows(tier, topology, [3, 6]) for tier in TIERS)
 
         def leave(t):
             for neighbor, _ in arcs:
@@ -393,7 +378,7 @@ class TestRepairRows:
         topology = Topology.from_edges(
             5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
         )
-        for tier in _TIERS:
+        for tier in TIERS:
             rows = _Rows(tier, topology, [0, 4])
             changes = rows.repair(
                 lambda t: t.set_edge_weight(0, 1, 1.5),
@@ -482,8 +467,8 @@ def _judge(before: Topology, k: int, mutate, endpoints, arcs, weights=None):
     after = builder.freeze()
     judged = before if weights is None else after
     results = []
-    for tier in _TIERS:
-        with _tier(tier):
+    for tier in TIERS:
+        with kernel_tier(tier):
             slabs, lengths, radius = _stored_vicinities(before, k)
             dist = array("d", bytes(8 * len(endpoints) * n))
             judged.csr().spt_rows_batch_into(
@@ -552,8 +537,8 @@ class TestVicinityCandidates:
             )
         )
         results = []
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 results.append(
                     list(
                         vicinity_candidates(
@@ -577,8 +562,8 @@ class TestVicinityCandidates:
             array("q", [-1, 0] * 4),
         )
         lengths = array("q", [1] * 4)
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 for rows in ([row], [row, row]):
                     assert list(
                         vicinity_candidates(
@@ -587,7 +572,7 @@ class TestVicinityCandidates:
                         )
                     ) == [0, 2, 3]
 
-    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("kernel", sorted(_KERNEL_GRAPHS))
     @given(
         seed=st.integers(0, 10**6),
@@ -613,7 +598,7 @@ class TestVicinityCandidates:
             return sent[-1]
 
         patched = mock.patch.object(engine_module, "vicinity_candidates", spy)
-        with _tier(tier), patched:
+        with kernel_tier(tier), patched:
             engine = ChurnEngine(topology, seed=seed, vicinity_k=k)
             for event in events:
                 before = [
@@ -707,20 +692,20 @@ class TestVicinityCandidates:
             (1, 2), [(1, 2)], [0.25],
         )
         assert candidates == changed == [1, 2]
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 engine = ChurnEngine(topology, landmarks=[0], vicinity_k=3)
                 report = engine.apply(DynEvent(0, "edge-reweight", 1, 2, 0.75))
             assert report.vicinities_recomputed == 3
             assert report.vicinities_stored == 2
 
-    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     def test_node_events_without_a_live_arc_send_nothing(self, tier):
         # 4 hangs off 3 alone; 5 has no edge at all.
         topology = Topology.from_edges(
             6, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
         )
-        with _tier(tier):
+        with kernel_tier(tier):
             engine = ChurnEngine(topology, landmarks=[0], vicinity_k=4)
             leave_isolated = engine.apply(DynEvent(0, "node-leave", 5))
             engine.apply(DynEvent(1, "node-leave", 4))
@@ -761,10 +746,10 @@ def _repair_full_rows(before: Topology, k: int, mutate, sources) -> list:
     slabs, lengths, _ = _stored_vicinities(before, k)
     full = array("q", [node for node in range(n) if lengths[node] == stride])
     searched = after.csr().k_nearest_batch_flat(k, full)
-    for tier in _TIERS:
+    for tier in TIERS:
         out = tuple(array(c, bytes(8 * len(full) * stride)) for c in "qdq")
         offsets = array("q", [0])
-        with _tier(tier):
+        with kernel_tier(tier):
             end = repair_vicinities(
                 after.csr(), full, sources, slabs, lengths, out, offsets
             )
@@ -794,7 +779,7 @@ def _counters(report) -> tuple[int, int, int]:
 
 
 class TestVicinityRepair:
-    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("kernel", sorted(_KERNEL_GRAPHS))
     @given(
         seed=st.integers(0, 10**6),
@@ -830,7 +815,7 @@ class TestVicinityRepair:
             repaired.append((list(candidates), rows))
             return end
 
-        with _tier(tier), mock.patch.object(
+        with kernel_tier(tier), mock.patch.object(
             engine_module, "vicinity_candidates", spy_candidates
         ), mock.patch.object(engine_module, "repair_vicinities", spy_repair):
             engine = ChurnEngine(topology, seed=seed, vicinity_k=k)
@@ -868,8 +853,8 @@ class TestVicinityRepair:
         assert _repair_full_rows(
             topology, 4, lambda t: t.set_edge_weight(1, 3, 1.0), [1, 3]
         ) == [0, 1, 3]
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 engine = ChurnEngine(topology, landmarks=[0], vicinity_k=4)
                 before = [list(view) for view in engine.tables.vicinity.row(0)]
                 report = engine.apply(DynEvent(0, "edge-reweight", 1, 3, 1.0))
@@ -905,8 +890,8 @@ class TestVicinityRepair:
         assert _repair_full_rows(
             topology, 3, lambda t: t.set_edge_weight(1, 2, 0.25), [1, 2]
         ) == [1, 2]
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 engine = ChurnEngine(topology, landmarks=[0], vicinity_k=3)
                 worse = engine.apply(DynEvent(0, "edge-reweight", 1, 2, 0.75))
                 better = engine.apply(DynEvent(1, "edge-reweight", 1, 2, 0.25))
@@ -929,8 +914,8 @@ class TestVicinityRepair:
                 topology.add_edge(u, v, 1.0)
 
         assert _repair_full_rows(away, 4, rejoin, [4, 0, 3, 7]) == [0]
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 engine = ChurnEngine(back, landmarks=[0], vicinity_k=4)
                 engine.apply(DynEvent(0, "node-leave", 4))
                 assert list(engine.tables.vicinity.row(0)[0]) == [0, 1, 5, 6]
@@ -962,8 +947,8 @@ class TestCommitVicinities:
         n = topology.num_nodes
         stride = min(k, n)
         states = []
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 states.append(_stored_vicinities(topology.copy(), k))
         builder = TopologyBuilder.from_topology(topology)
         for _ in range(4):  # a few edits
@@ -997,8 +982,8 @@ class TestCommitVicinities:
             if old_row != new_row:
                 expected_changed.append(node)
         results = []
-        for tier, (slabs, lengths, radius) in zip(_TIERS, states):
-            with _tier(tier):
+        for tier, (slabs, lengths, radius) in zip(TIERS, states):
+            with kernel_tier(tier):
                 changed, billed = commit_vicinities(
                     candidates, fresh, slabs, lengths, radius
                 )
@@ -1029,11 +1014,11 @@ class TestCommitVicinities:
         )
         fresh = (array("q", [0, 3]), array("q", [0, 1, 2]),
                  array("d", [0.0, 1.0, 1.0]), array("q", [-1, 0, 1]))
-        for tier in _TIERS:
+        for tier in TIERS:
             slabs = tuple(slab[:] for slab in stored)
             lengths = array("q", [3, 0, 0])
             radius = array("d", [1.0, inf, inf])
-            with _tier(tier):
+            with kernel_tier(tier):
                 changed, billed = commit_vicinities(
                     [0], fresh, slabs, lengths, radius
                 )
@@ -1097,13 +1082,13 @@ class TestEngineTiers:
             topology, num_events=24, seed=5, preserve_connectivity=False
         )
         engines = []
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 engines.append(ChurnEngine(topology, seed=5))
         for event in events:
             reports = []
-            for tier, engine in zip(_TIERS, engines):
-                with _tier(tier):
+            for tier, engine in zip(TIERS, engines):
+                with kernel_tier(tier):
                     reports.append(engine.apply(event))
             assert reports[0] == reports[1], event
             c_bytes, python_bytes = map(_engine_bytes, engines)
@@ -1123,7 +1108,7 @@ class TestEngineTiers:
             with pytest.raises(TypeError):
                 view[0] = 0
 
-    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("family", ["gnm", "quantised", "geometric"])
     def test_live_tables_match_a_fresh_build_after_every_event(
         self, family, tier
@@ -1133,7 +1118,7 @@ class TestEngineTiers:
         what the production builder makes of the mutated topology, with no
         call between the event and the read.  So is what a lookup bills off
         it: ``spt_hops`` walks the live parent slab."""
-        with _tier(tier):
+        with kernel_tier(tier):
             topology = _family_topology(family, 9)
             events = generate_event_stream(
                 topology, num_events=24, seed=9, preserve_connectivity=False
@@ -1207,7 +1192,7 @@ def _frozen_stream(
 ) -> tuple[str, list[tuple[int, int]]]:
     """Run one stream on one tier: the digest of its bills and final state,
     and the (sent, stored) counters event by event."""
-    with _tier(tier):
+    with kernel_tier(tier):
         topology = _family_topology(family, seed)
         events = generate_event_stream(
             topology,
@@ -1244,7 +1229,7 @@ _STREAMS = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("tier", _TIERS)
+@pytest.mark.parametrize("tier", TIERS)
 class TestFrozenBills:
     @_STREAMS
     def test_bills_and_state_are_the_parents(self, family, kinds, preserve, tier):
@@ -1331,7 +1316,7 @@ def _live_slabs(graph: CSRGraph) -> list[bytes]:
 
 
 class TestSplice:
-    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("family", sorted(_WEIGHTS))
     @given(seed=st.integers(0, 10**6))
     @_SETTINGS
@@ -1342,7 +1327,7 @@ class TestSplice:
         topology given the same edits, with the kernel and profile the
         retired per-edge patches picked and the searches of a rebuild."""
         rng = random.Random(seed)
-        with _tier(tier):
+        with kernel_tier(tier):
             topology = _random_graph(seed, family)
             n = topology.num_nodes
             graph = topology.fresh_csr()
@@ -1390,8 +1375,8 @@ class TestSplice:
                 ) == rebuilt.k_nearest_batch_flat(4, [source])
 
     def test_a_malformed_batch_moves_no_byte(self):
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 graph = Topology.from_edges(
                     5, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (3, 4, 2.0)]
                 ).fresh_csr()
@@ -1430,11 +1415,11 @@ class TestSplice:
                         graph.splice(**batch)
                     assert state() == before, batch
 
-    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     def test_a_splice_with_nothing_to_move(self, tier):
         """Array slice assignment refuses even an empty move while a buffer
         is exported, and the arena exports every slab."""
-        with _tier(tier):
+        with kernel_tier(tier):
             topology = Topology.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
             graph = topology.fresh_csr()
             builder = TopologyBuilder.from_topology(topology)
@@ -1478,14 +1463,14 @@ def _replayed(topology: Topology, events, reports) -> Topology:
 
 
 class TestOneGraph:
-    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("family", ["gnm", "quantised", "geometric"])
     def test_an_event_allocates_no_graph(self, family, tier):
         """Forty events of all five kinds edit the engine's one graph in
         place: the object and its arena stay, but for the rare event that
         grows the store or changes the kernel, and the graph's rows are a
         rebuild of the replayed builder, frozen, arc for arc."""
-        with _tier(tier):
+        with kernel_tier(tier):
             topology = _family_topology(family, 7)
             events = generate_event_stream(
                 topology, num_events=40, seed=7, preserve_connectivity=False
@@ -1512,18 +1497,18 @@ class TestOneGraph:
             # The store taken over, then a heavier or finer weight, at most.
             assert len(arenas) <= len(shapes) <= 4
             replay = _replayed(topology, events, reports)
-        assert engine.topology == replay
+        assert engine.topology.content_key() == replay.content_key()
         assert _live_slabs(graph) == _live_slabs(replay.fresh_csr())
 
 
 class TestTheInputTopologyIsNeverSpliced:
-    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     def test_a_stream_leaves_the_input_topology_as_it_was(self, tier):
         """The engine wraps the input's slabs in a graph of its own and
         copies them on its first splice: after forty events of all five
         kinds, partitions allowed, the input's six slabs, content key,
         ``csr()`` and its kernel and profile are what they were."""
-        with _tier(tier):
+        with kernel_tier(tier):
             topology = _family_topology("quantised", 11)
             csr = topology.csr()
 
@@ -1586,8 +1571,8 @@ class TestBoundary:
             (ValueError, roots, dist, parent, -1, v),
             (ValueError, array("q", [2, 9, n]), dist, parent, u, v),
         ]
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 for error, *arguments in bad_calls:
                     with pytest.raises(error):
                         repair_rows_after_increase(graph, *arguments)
@@ -1652,8 +1637,8 @@ class TestBoundary:
             RowChanges(ids(3), ids(1), ids(0), ids(0), ids()),
             RowChanges(ids(0), ids(2), ids(0), ids(0), ids()),
         ]
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 for error, overrides in bad_buffers:
                     with pytest.raises(error):
                         call(**overrides)
@@ -1725,8 +1710,8 @@ class TestBoundary:
             (ValueError, dict(members=patched(members, 7, n))),
             (ValueError, dict(members=patched(members, 6, -1))),
         ]
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 for error, overrides in bad:
                     with pytest.raises(error):
                         call(**overrides)
@@ -1770,8 +1755,8 @@ class TestBoundary:
             (TypeError, dict(lengths=array("d", bytes(8 * 12)))),
             (TypeError, dict(radius=radius.tolist())),
         ]
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 for error, overrides in bad:
                     with pytest.raises(error):
                         call(**overrides)
@@ -1847,15 +1832,15 @@ class TestBoundary:
             (ValueError, dict(slabs=(
                 patched(members, first * k + 2, first), dists, parents))),
         ]
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 for error, overrides in bad:
                     with pytest.raises(error):
                         call(**overrides)
         assert [buffer.tobytes() for buffer in buffers] == before
         searched = topology.csr().k_nearest_batch_flat(k, candidates)
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 assert call(base=1) == 3 * k + 1
             assert [slab[1:].tobytes() for slab in out] == [
                 slab.tobytes() for slab in searched[1:]
@@ -1885,8 +1870,8 @@ class ChurnMachine(RuleBasedStateMachine):
         self.new_weight = st.builds(_WEIGHTS[family], st.randoms())
         self.landmarks = rng.sample(range(self.n), rng.randrange(1, 4))
         self.engines = []
-        for tier in _TIERS:
-            with _tier(tier):
+        for tier in TIERS:
+            with kernel_tier(tier):
                 self.engines.append(
                     ChurnEngine(
                         topology, landmarks=self.landmarks, vicinity_k=k
@@ -1898,8 +1883,8 @@ class ChurnMachine(RuleBasedStateMachine):
         event = DynEvent(self.tick, kind, u, v, weight)
         self.tick += 1
         reports = []
-        for tier, engine in zip(_TIERS, self.engines):
-            with _tier(tier):
+        for tier, engine in zip(TIERS, self.engines):
+            with kernel_tier(tier):
                 reports.append(engine.apply(event))
         assert reports[0] == reports[1], event
 
@@ -1946,8 +1931,8 @@ class ChurnMachine(RuleBasedStateMachine):
 
     @invariant()
     def state_is_a_fresh_engines(self):
-        for tier, engine in zip(_TIERS, self.engines):
-            with _tier(tier):
+        for tier, engine in zip(TIERS, self.engines):
+            with kernel_tier(tier):
                 fresh = ChurnEngine(
                     engine.topology, landmarks=self.landmarks, vicinity_k=self.k
                 )

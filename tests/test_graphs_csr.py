@@ -36,8 +36,7 @@ from repro.graphs.generators import (
 from repro.graphs import topology as topology_module
 from repro.graphs.topology import Topology
 from small_graphs import grid_graph, star_graph
-
-TIERS = ["python"] + (["c"] if load_kernels() is not None else [])
+from tiers import kernel_tier
 
 
 def _families() -> dict:
@@ -56,13 +55,6 @@ def family(request):
     return _families()[request.param]
 
 
-@pytest.fixture(params=TIERS)
-def tier(request):
-    """``use_c`` for :func:`oracles.reference_paths.every_search`: the
-    Python tier, or every C kernel the weight profile admits."""
-    return request.param == "c"
-
-
 class TestDifferential:
     """Every search of each family against the oracle, one driver per test
     (on unit weights the C tier runs all three kernels: BFS, the bucket
@@ -70,7 +62,7 @@ class TestDifferential:
 
     def test_spt_rows_match_reference(self, family, tier):
         n = family.num_nodes
-        for csr in every_search(family, use_c=tier).values():
+        for csr in every_search(family, tier=tier).values():
             for source in range(0, n, 7):
                 distances, parents = reference.dijkstra(family, source)
                 dist_row, parent_row = csr.spt_rows(source)
@@ -78,7 +70,7 @@ class TestDifferential:
                 assert parent_row == [parents.get(v, -1) for v in range(n)]
 
     def test_dijkstra_with_targets_matches_reference(self, family, tier):
-        for csr in every_search(family, use_c=tier).values():
+        for csr in every_search(family, tier=tier).values():
             rng = random.Random(5)
             for source in range(0, family.num_nodes, 11):
                 targets = rng.sample(range(family.num_nodes), 6)
@@ -90,7 +82,7 @@ class TestDifferential:
                 ) == {(source, target): expected[target] for target in targets}
 
     def test_k_nearest_matches_reference(self, family, tier):
-        for csr in every_search(family, use_c=tier).values():
+        for csr in every_search(family, tier=tier).values():
             reference.assert_matches_oracle(
                 family,
                 csr,
@@ -99,7 +91,7 @@ class TestDifferential:
             )
 
     def test_radius_matches_reference(self, family, tier):
-        for csr in every_search(family, use_c=tier).values():
+        for csr in every_search(family, tier=tier).values():
             reference.assert_matches_oracle(
                 family,
                 csr,
@@ -113,7 +105,7 @@ class TestDifferential:
         # oracle's rows.
         topology = gnm_random_graph(80, seed=6, average_degree=5.0)
         assert topology.weight_profile().unit
-        for csr in every_search(topology, use_c=tier).values():
+        for csr in every_search(topology, tier=tier).values():
             reference.assert_matches_oracle(
                 topology,
                 csr,
@@ -128,7 +120,7 @@ class TestDifferential:
             (rng.randrange(family.num_nodes), rng.randrange(family.num_nodes))
             for _ in range(40)
         ]
-        for csr in every_search(family, use_c=tier).values():
+        for csr in every_search(family, tier=tier).values():
             assert csr.batched_target_distances(
                 pairs
             ) == reference.all_pairs_sampled_distances(family, pairs)
@@ -147,7 +139,7 @@ class TestSharedTieBreak:
         return Topology.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
     def test_all_variants_agree_on_tied_predecessor(self, diamond, tier):
-        for csr in every_search(diamond, use_c=tier).values():
+        for csr in every_search(diamond, tier=tier).values():
             _, full = reference.spt_search(csr, 0)
             _, near = reference.k_nearest_search(csr, 0, 4)
             _, ball = reference.radius_search(csr, 0, 2.0, inclusive=True)
@@ -162,7 +154,7 @@ class TestSharedTieBreak:
             5,
             [(0, 1, 1.0), (0, 2, 2.0), (1, 4, 2.0), (2, 4, 1.0), (0, 3, 5.0)],
         )
-        for csr in every_search(topology, use_c=tier).values():
+        for csr in every_search(topology, tier=tier).values():
             _, full = reference.spt_search(csr, 0)
             _, near = reference.k_nearest_search(csr, 0, 5)
             _, ball = reference.radius_search(csr, 0, 10.0)
@@ -175,7 +167,7 @@ class TestSharedTieBreak:
         # radius search must reproduce the full search's predecessor map.
         for seed in range(5):
             topology = gnm_random_graph(60, seed=seed, average_degree=5.0)
-            for csr in every_search(topology, use_c=tier).values():
+            for csr in every_search(topology, tier=tier).values():
                 distances, full = reference.spt_search(csr, 0)
                 _, near = reference.k_nearest_search(
                     csr, 0, topology.num_nodes
@@ -235,8 +227,8 @@ class TestCSRCache:
     def test_unit_weight_detection(self):
         unit = Topology.from_edges(3, [(0, 1), (1, 2)])
         weighted = Topology.from_edges(3, [(0, 1), (1, 2, 2.5)])
-        assert unit.csr().unit_weights
-        assert not weighted.csr().unit_weights
+        assert unit.csr().profile.unit
+        assert not weighted.csr().profile.unit
 
 
 class TestEngineSwitch:
@@ -417,7 +409,8 @@ class TestBatchDrivers:
     def _native(self, topology, mode):
         if mode == "refused":
             return self._refused(topology), 1
-        return topology.fresh_csr(use_c=True), mode
+        with kernel_tier("c"):
+            return topology.fresh_csr(), mode
 
     @staticmethod
     def _driven(mode, entry, call):
@@ -434,9 +427,8 @@ class TestBatchDrivers:
     def test_spt_rows_with_closest_fold(self, name, mode):
         topology = BATCH_GRAPHS[name]
         sources = [2, 9, 17, 31, 44, 58]
-        expected = _spt_batch(
-            topology.fresh_csr(use_c=False), sources, threads=None
-        )
+        with kernel_tier("python"):
+            expected = _spt_batch(topology.fresh_csr(), sources, threads=None)
         native, threads = self._native(topology, mode)
         actual = self._driven(
             mode,
@@ -453,7 +445,8 @@ class TestBatchDrivers:
     def test_k_nearest_with_base_and_source_subset(self, name, mode):
         topology = BATCH_GRAPHS[name]
         sources = [40, 3, 59, 0, 21, 22, 7]
-        python = topology.fresh_csr(use_c=False)
+        with kernel_tier("python"):
+            python = topology.fresh_csr()
         native, threads = self._native(topology, mode)
         expected = _k_nearest_batch(python, 9, sources, base=5, threads=None)
         actual = self._driven(
@@ -486,7 +479,8 @@ class TestBatchDrivers:
         # Multiples of the quantum (and of the unit hop), so nodes sit at
         # exactly the boundary the two modes disagree on.
         radii = [2.0 * (node % 5) for node in range(n)]
-        python = topology.fresh_csr(use_c=False)
+        with kernel_tier("python"):
+            python = topology.fresh_csr()
         expected = python.radius_batch_flat(radii, inclusive=inclusive)
         native, threads = self._native(topology, mode)
         actual = self._driven(
@@ -519,9 +513,8 @@ class TestBatchDrivers:
     def test_target_distances(self, name, mode):
         topology = BATCH_GRAPHS[name]
         pairs = [(40, 3), (40, 59), (0, 21), (22, 7), (7, 22), (3, 3)]
-        expected = topology.fresh_csr(use_c=False).batched_target_distances(
-            pairs
-        )
+        with kernel_tier("python"):
+            expected = topology.fresh_csr().batched_target_distances(pairs)
         native, threads = self._native(topology, mode)
         actual = self._driven(
             mode,
@@ -538,7 +531,8 @@ class TestBatchDrivers:
         topology = Topology.from_edges(
             6, [(0, 1, weight), (1, 2, weight), (3, 4, weight)]
         )
-        python = topology.fresh_csr(use_c=False)
+        with kernel_tier("python"):
+            python = topology.fresh_csr()
         native, threads = self._native(topology, mode)
         sources = [0, 3, 5]
         expected = _spt_batch(python, sources, threads=None, fill=99.0)
@@ -586,6 +580,51 @@ def test_kernel_library_exports_no_single_source_search():
     for name in ("spt_heap4", "spt_dial", "spt_bfs"):
         assert not hasattr(lib, name), name
     assert hasattr(lib, "k_nearest_batch")
+
+
+class TestTierSwitch:
+    """``REPRO_NO_CKERNELS`` is the one tier switch, read when a snapshot is
+    built; the weight profile picks the kernel."""
+
+    @pytest.mark.skipif(load_kernels() is None, reason="C kernels unavailable")
+    def test_a_snapshot_keeps_the_tier_it_was_built_on(self):
+        topology = gnm_random_graph(40, seed=5, average_degree=4.0)
+        expected = reference.dijkstra(topology, 3)
+        with kernel_tier("python"):
+            python = topology.fresh_csr()
+            with kernel_tier("c"):
+                native = topology.fresh_csr()
+            # Built with the variable cleared, searched with it set: the C
+            # arena ran, and no Python row slab was carved.
+            assert (native.tier, native.kernel) == ("c", "bfs")
+            assert reference.spt_search(native, 3) == expected
+            assert native._c is not None and native._arc is None
+        with kernel_tier("c"):
+            # Built with the variable set, searched with it cleared.
+            assert (python.tier, python.kernel) == ("python", "heap")
+            assert reference.spt_search(python, 3) == expected
+            assert python._arc is not None and python._c is None
+
+    def test_the_tier_fixture_sets_the_switch(self, tier):
+        assert bool(os.environ.get("REPRO_NO_CKERNELS")) == (tier == "python")
+        assert ring_graph(4).fresh_csr().tier == tier
+
+    def test_the_switch_gives_back_the_callers_value(self):
+        before = os.environ.get("REPRO_NO_CKERNELS")
+        with kernel_tier("python"):
+            with kernel_tier("c"):
+                assert "REPRO_NO_CKERNELS" not in os.environ
+            assert os.environ.get("REPRO_NO_CKERNELS") == "1"
+        with kernel_tier("c"):
+            with pytest.raises(RuntimeError):
+                with kernel_tier("python"):
+                    assert os.environ.get("REPRO_NO_CKERNELS") == "1"
+                    raise RuntimeError("the body fails")
+            assert "REPRO_NO_CKERNELS" not in os.environ
+        with pytest.raises(ValueError, match="unknown tier"):
+            with kernel_tier("fortran"):
+                pass
+        assert os.environ.get("REPRO_NO_CKERNELS") == before
 
 
 class TestKernelCache:
@@ -642,14 +681,10 @@ class TestKernelCache:
         assert "not private" in _ckernels.build_error()
 
 
-@pytest.fixture(params=["python", "c"])
-def tier_csr(request):
+@pytest.fixture()
+def tier_csr(tier):
     """A 20-node snapshot on each tier."""
-    if request.param == "c" and load_kernels() is None:
-        pytest.skip("C kernels unavailable")
-    return gnm_random_graph(20, seed=1, average_degree=4.0).fresh_csr(
-        use_c=request.param == "c"
-    )
+    return gnm_random_graph(20, seed=1, average_degree=4.0).fresh_csr()
 
 
 class TestKernelValidation:
@@ -667,7 +702,8 @@ class TestKernelValidation:
         assert repr(value) in str(error.value)
         assert kernel_threads(2) == 2  # an explicit width never reads it
         # The pure-Python tier runs no threads and still refuses the value.
-        python = ring_graph(5).fresh_csr(use_c=False)
+        with kernel_tier("python"):
+            python = ring_graph(5).fresh_csr()
         with pytest.raises(ValueError, match="REPRO_KERNEL_THREADS"):
             python.k_nearest_batch_flat(2)
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
@@ -784,7 +820,7 @@ class TestKernelValidation:
 
     def test_num_edges(self):
         topology = gnm_random_graph(30, seed=2, average_degree=4.0)
-        assert topology.csr().num_edges == topology.num_edges
+        assert len(topology.csr().neighbors) == 2 * topology.num_edges
 
 
 class TestPropertyBased:

@@ -14,7 +14,7 @@ This file also pins:
 * the :class:`~repro.graphs.csr.WeightProfile` quantum detection and its
   caching/invalidation on :class:`~repro.graphs.topology.Topology`;
 * bucket-queue fallback -- irregular float weights must disqualify the
-  bucket kernel, on both tiers, and auto-select the heap;
+  bucket kernel and auto-select the heap;
 * the exact-boundary semantics of ``radius_batch_flat`` on weighted graphs (strict ``<`` by default, ``<=`` with
   ``inclusive=True``), which were previously untested at the boundary;
 * the id ordering of BFS frontiers and Dial buckets (``order_ids`` in
@@ -40,11 +40,11 @@ from repro.graphs.generators import (
     two_level_tree,
 )
 from repro.graphs.topology import Topology, TopologyBuilder
+from tiers import TIERS, kernel_tier
 
-HAVE_C = load_kernels() is not None
-
-TIERS = [False] + ([True] if HAVE_C else [])
-TIER_IDS = ["python"] + (["c"] if HAVE_C else [])
+C_TIER = pytest.mark.skipif(
+    load_kernels() is None, reason="C kernels unavailable"
+)
 
 
 def _quantized_geometric(n: int, seed: int) -> Topology:
@@ -84,16 +84,16 @@ def _assert_matches_reference(topology: Topology, csr) -> None:
 
 
 class TestKernelTierDifferential:
-    @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
+    @pytest.mark.parametrize("tier", TIERS, indirect=True)
     @pytest.mark.parametrize("family", sorted(_families()))
-    def test_auto_kernel_matches_reference(self, family, use_c):
+    def test_auto_kernel_matches_reference(self, family, tier):
         # On the C tier every kernel the profile admits, the auto-selected
         # one among them.
         topology = _families()[family]
-        for csr in every_search(topology, use_c=use_c).values():
+        for csr in every_search(topology, tier=tier).values():
             _assert_matches_reference(topology, csr)
 
-    @pytest.mark.skipif(not HAVE_C, reason="C kernels unavailable")
+    @C_TIER
     @pytest.mark.parametrize(
         "family, kernel",
         [
@@ -106,38 +106,30 @@ class TestKernelTierDifferential:
     def test_c_tier_picks_the_profiles_kernel(self, family, kernel):
         # Every kernel is bit-identical, so a wrong pick would only be
         # slower: this is where the selection itself is held.
-        assert _families()[family].fresh_csr(use_c=True).kernel == kernel
+        assert_c_tier_picks(_families()[family], kernel)
 
-    @pytest.mark.skipif(not HAVE_C, reason="C kernels unavailable")
+    @C_TIER
     @pytest.mark.parametrize("kernel", ["heap", "bucket"])
     def test_forced_kernels_match_reference_on_quantized(self, kernel):
         # Quantized weights admit both kernels; they must agree bit-for-bit
         # with the oracle (and hence with each other).
         topology = _quantized_geometric(80, seed=9)
-        csr = topology.fresh_csr(kernel=kernel, use_c=True)
+        csr = every_search(topology, tier="c")[f"c-{kernel}"]
         assert csr.kernel == kernel
         _assert_matches_reference(topology, csr)
 
-    def test_python_tier_admits_a_forced_kernel_and_runs_its_heap(self):
-        topology = _quantized_geometric(80, seed=9)
-        for kernel in ("heap", "bucket"):
-            csr = topology.fresh_csr(kernel=kernel, use_c=False)
-            assert csr.kernel == "heap"
-
-    @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
-    def test_heap_kernel_on_irregular_floats(self, use_c):
+    def test_heap_kernel_on_irregular_floats(self, tier):
         topology = geometric_random_graph(70, seed=11, average_degree=6.0)
-        csr = topology.fresh_csr(use_c=use_c)
+        csr = topology.fresh_csr()
         assert csr.kernel == "heap"
         _assert_matches_reference(topology, csr)
 
-    @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
-    def test_spt_rows_and_target_distances(self, use_c):
+    def test_spt_rows_and_target_distances(self, tier):
         topology = _quantized_geometric(60, seed=5)
         n = topology.num_nodes
         rng = random.Random(3)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(30)]
-        for csr in every_search(topology, use_c=use_c).values():
+        for csr in every_search(topology, tier=tier).values():
             for source in (0, 17, 42):
                 distances, parents = reference.dijkstra(topology, source)
                 dist_row, parent_row = csr.spt_rows(source)
@@ -152,24 +144,23 @@ class TestKernelTierDifferential:
         # driver's fallback) after settling the source.  The C tier has no
         # one-source entry point, so there is no C twin to hold to it.
         topology = _quantized_geometric(40, seed=8)
-        csr = topology.fresh_csr(use_c=False)
+        with kernel_tier("python"):
+            csr = topology.fresh_csr()
         assert csr._search(3, targets=[]) == [3]
 
-    @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
-    def test_out_of_range_target_rejected(self, use_c):
+    def test_out_of_range_target_rejected(self, tier):
         # Regression: out-of-range target ids used to reach the C kernel
         # unvalidated (out-of-bounds write into the target-flag buffer).
         topology = _quantized_geometric(40, seed=8)
-        for csr in every_search(topology, use_c=use_c).values():
+        for csr in every_search(topology, tier=tier).values():
             with pytest.raises(ValueError):
                 csr.batched_target_distances([(0, 10**6)])
             with pytest.raises(ValueError):
                 csr.batched_target_distances([(0, -1)])
 
-    @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
-    def test_disconnected_graph_contracts(self, use_c):
+    def test_disconnected_graph_contracts(self, tier):
         topology = Topology.from_edges(5, [(0, 1, 0.5), (2, 3, 1.5)])
-        for csr in every_search(topology, use_c=use_c).values():
+        for csr in every_search(topology, tier=tier).values():
             assert reference.spt_search(csr, 0) == reference.dijkstra(
                 topology, 0
             )
@@ -207,9 +198,6 @@ class TestBucketFallback:
         assert profile.quantum is None
         assert not profile.bucket_ok
         assert topology.csr().kernel == "heap"
-        for use_c in TIERS:  # a forced kernel is checked on both tiers
-            with pytest.raises(ValueError):
-                topology.fresh_csr(kernel="bucket", use_c=use_c)
 
     def test_excessive_weight_ratio_disqualifies_bucket(self):
         # Quantized but with max_weight / quantum beyond the cap.
@@ -220,23 +208,11 @@ class TestBucketFallback:
         assert profile.quantum is None
         assert topology.csr().kernel == "heap"
 
-    def test_bfs_requires_unit_weights(self):
-        topology = Topology.from_edges(3, [(0, 1, 2.0), (1, 2, 2.0)])
-        for use_c in TIERS:
-            with pytest.raises(ValueError):
-                topology.fresh_csr(kernel="bfs", use_c=use_c)
-
-    def test_unknown_kernel_rejected(self):
-        topology = Topology.from_edges(2, [(0, 1)])
-        for use_c in TIERS:
-            with pytest.raises(ValueError):
-                topology.fresh_csr(kernel="fibonacci", use_c=use_c)
-
 
 class TestWeightProfile:
     def test_unit_profile(self):
         profile = profile_weights([1.0, 1.0, 1.0])
-        assert profile == WeightProfile(True, 1.0, 1.0, 1.0, 1)
+        assert profile == WeightProfile(True, 1.0, 1.0, 1)
 
     def test_pow2_quantum_detection(self):
         profile = profile_weights([0.5, 2.5, 1.0, 3.75])
@@ -296,17 +272,15 @@ class TestRadiusBoundary:
             4, [(0, 1, 1.5), (1, 2, 1.5), (2, 3, 0.5)]
         )
 
-    @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
-    def test_exact_boundary_excluded_by_default(self, weighted_path, use_c):
-        for csr in every_search(weighted_path, use_c=use_c).values():
+    def test_exact_boundary_excluded_by_default(self, weighted_path, tier):
+        for csr in every_search(weighted_path, tier=tier).values():
             distances, _ = reference.radius_search(csr, 0, 3.0)
             assert sorted(distances) == [0, 1]
 
-    @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
     def test_exact_boundary_included_when_inclusive(
-        self, weighted_path, use_c
+        self, weighted_path, tier
     ):
-        for csr in every_search(weighted_path, use_c=use_c).values():
+        for csr in every_search(weighted_path, tier=tier).values():
             distances, _ = reference.radius_search(csr, 0, 3.0, inclusive=True)
             assert sorted(distances) == [0, 1, 2]
             assert distances[2] == 3.0
@@ -319,17 +293,15 @@ class TestRadiusBoundary:
                 weighted_path, 0, 3.0, inclusive=inclusive
             )
 
-    @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
-    def test_zero_radius_settles_only_source(self, weighted_path, use_c):
-        for csr in every_search(weighted_path, use_c=use_c).values():
+    def test_zero_radius_settles_only_source(self, weighted_path, tier):
+        for csr in every_search(weighted_path, tier=tier).values():
             distances, predecessors = reference.radius_search(csr, 1, 0.0)
             assert distances == {1: 0.0}
             assert predecessors == {}
 
-    @pytest.mark.parametrize("use_c", TIERS, ids=TIER_IDS)
-    def test_batched_radius_boundary(self, weighted_path, use_c):
+    def test_batched_radius_boundary(self, weighted_path, tier):
         radii = [3.0, 1.5, 2.0, 0.5]
-        for csr in every_search(weighted_path, use_c=use_c).values():
+        for csr in every_search(weighted_path, tier=tier).values():
             strict = _flat_settle_rows(csr.radius_batch_flat(radii))
             inclusive = _flat_settle_rows(
                 csr.radius_batch_flat(radii, inclusive=True)
@@ -524,8 +496,8 @@ class TestParallelKernelThreading:
         topology = _quantized_geometric(48, seed=7)
         auto = topology.csr().k_nearest_batch_flat(9, threads=2)
         for name, forced in every_search(topology).items():
-            # On the C tier the kernel is the one forced; the Python tier
-            # runs its heap whatever is asked.
+            # On the C tier the kernel is the one every_search assigned;
+            # the Python tier's one search is the heap.
             assert forced.kernel == (
                 "heap" if name == "python" else name[len("c-") :]
             )

@@ -19,21 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import reference_paths as reference
 from oracles.reference_paths import every_search, to_networkx
-from repro.graphs._ckernels import load_kernels
 from repro.graphs.csr import tree_path
 from repro.graphs.generators import geometric_random_graph, gnm_random_graph
 from repro.graphs.shortest_paths import all_pairs_sampled_distances, dijkstra
 from repro.graphs.topology import Topology
-
-TIERS = [False] + ([True] if load_kernels() is not None else [])
-TIER_IDS = ["python", "c"][: len(TIERS)]
-
-
-@pytest.fixture(params=TIERS, ids=TIER_IDS)
-def use_c(request):
-    """One tier: the Python tier, or every C kernel the profile admits."""
-    return request.param
-
 
 @pytest.fixture()
 def weighted_graph() -> Topology:
@@ -56,48 +45,48 @@ def _members(flat) -> list[int]:
 
 
 class TestDijkstra:
-    def test_distances(self, weighted_graph, use_c):
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+    def test_distances(self, weighted_graph, tier):
+        for csr in every_search(weighted_graph, tier=tier).values():
             dist, _ = csr.spt_rows(0)
             assert dist == [0.0, 1.0, 2.0, 3.0]
 
-    def test_predecessors_form_paths(self, weighted_graph, use_c):
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+    def test_predecessors_form_paths(self, weighted_graph, tier):
+        for csr in every_search(weighted_graph, tier=tier).values():
             _, parent = csr.spt_rows(0)
             assert tree_path(parent, 0, 3) == [0, 1, 2, 3]
 
-    def test_targets_early_stop_still_correct(self, weighted_graph, use_c):
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+    def test_targets_early_stop_still_correct(self, weighted_graph, tier):
+        for csr in every_search(weighted_graph, tier=tier).values():
             assert csr.batched_target_distances([(0, 1)]) == {(0, 1): 1.0}
 
-    def test_source_only_in_singleton(self, use_c):
+    def test_source_only_in_singleton(self, tier):
         singleton = Topology.from_edges(1, [])
-        for csr in every_search(singleton, use_c=use_c).values():
+        for csr in every_search(singleton, tier=tier).values():
             assert csr.spt_rows(0) == ([0.0], [-1])
 
-    def test_unreachable_nodes_absent(self, use_c):
+    def test_unreachable_nodes_absent(self, tier):
         split = Topology.from_edges(4, [(0, 1)])
-        for csr in every_search(split, use_c=use_c).values():
+        for csr in every_search(split, tier=tier).values():
             assert csr.spt_rows(0, fill=math.inf) == (
                 [0.0, 1.0, math.inf, math.inf],
                 [-1, 0, -1, -1],
             )
 
-    def test_matches_networkx_on_random_graph(self, use_c):
+    def test_matches_networkx_on_random_graph(self, tier):
         topology = gnm_random_graph(60, seed=9, average_degree=5.0)
         graph = to_networkx(topology)
-        for csr in every_search(topology, use_c=use_c).values():
+        for csr in every_search(topology, tier=tier).values():
             for source in (0, 7, 31):
                 dist, _ = csr.spt_rows(source)
                 expected = nx.single_source_dijkstra_path_length(graph, source)
                 assert dict(enumerate(dist)) == pytest.approx(expected)
 
-    def test_matches_networkx_on_weighted_graph(self, use_c):
+    def test_matches_networkx_on_weighted_graph(self, tier):
         topology = geometric_random_graph(80, seed=10, average_degree=7.0)
         expected = nx.single_source_dijkstra_path_length(
             to_networkx(topology), 5
         )
-        for csr in every_search(topology, use_c=use_c).values():
+        for csr in every_search(topology, tier=tier).values():
             dist, _ = csr.spt_rows(5, fill=math.inf)
             assert {v for v, d in enumerate(dist) if d < math.inf} == set(
                 expected
@@ -107,17 +96,17 @@ class TestDijkstra:
 
 
 class TestDijkstraKNearest:
-    def test_returns_exactly_k(self, weighted_graph, use_c):
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+    def test_returns_exactly_k(self, weighted_graph, tier):
+        for csr in every_search(weighted_graph, tier=tier).values():
             assert _members(csr.k_nearest_batch_flat(2, [0])) == [0, 1]
 
-    def test_k_larger_than_component(self, weighted_graph, use_c):
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+    def test_k_larger_than_component(self, weighted_graph, tier):
+        for csr in every_search(weighted_graph, tier=tier).values():
             assert _members(csr.k_nearest_batch_flat(100, [0])) == [0, 1, 2, 3]
 
-    def test_members_are_the_closest(self, use_c):
+    def test_members_are_the_closest(self, tier):
         topology = gnm_random_graph(50, seed=4, average_degree=5.0)
-        for csr in every_search(topology, use_c=use_c).values():
+        for csr in every_search(topology, tier=tier).values():
             near, _ = reference.k_nearest_search(csr, 0, 10)
             full, _ = csr.spt_rows(0)
             cutoff = max(near.values())
@@ -126,13 +115,13 @@ class TestDijkstraKNearest:
                 if distance < cutoff:
                     assert node in near
 
-    def test_invalid_k(self, weighted_graph, use_c):
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+    def test_invalid_k(self, weighted_graph, tier):
+        for csr in every_search(weighted_graph, tier=tier).values():
             with pytest.raises(ValueError):
                 csr.k_nearest_batch_flat(0, [0])
 
-    def test_paths_extractable(self, weighted_graph, use_c):
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+    def test_paths_extractable(self, weighted_graph, tier):
+        for csr in every_search(weighted_graph, tier=tier).values():
             distances, predecessors = reference.k_nearest_search(csr, 0, 3)
             for node in distances:
                 path = reference.extract_path(predecessors, 0, node)
@@ -141,48 +130,48 @@ class TestDijkstraKNearest:
 
 
 class TestDijkstraRadius:
-    def test_strict_boundary(self, weighted_graph, use_c):
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+    def test_strict_boundary(self, weighted_graph, tier):
+        for csr in every_search(weighted_graph, tier=tier).values():
             # Node 2 is at exactly 2.0 -> excluded.
             assert _members(csr.radius_batch_flat([2.0], [0])) == [0, 1]
 
-    def test_inclusive_boundary(self, weighted_graph, use_c):
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+    def test_inclusive_boundary(self, weighted_graph, tier):
+        for csr in every_search(weighted_graph, tier=tier).values():
             flat = csr.radius_batch_flat([2.0], [0], inclusive=True)
             assert _members(flat) == [0, 1, 2]
 
-    def test_zero_radius_returns_source(self, weighted_graph, use_c):
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+    def test_zero_radius_returns_source(self, weighted_graph, tier):
+        for csr in every_search(weighted_graph, tier=tier).values():
             assert _members(csr.radius_batch_flat([0.0], [0])) == [0]
 
-    def test_negative_radius_rejected(self, weighted_graph, use_c):
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+    def test_negative_radius_rejected(self, weighted_graph, tier):
+        for csr in every_search(weighted_graph, tier=tier).values():
             with pytest.raises(ValueError):
                 csr.radius_batch_flat([-1.0], [0])
 
-    def test_radius_covers_whole_graph(self, weighted_graph, use_c):
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+    def test_radius_covers_whole_graph(self, weighted_graph, tier):
+        for csr in every_search(weighted_graph, tier=tier).values():
             assert len(_members(csr.radius_batch_flat([100.0], [0]))) == 4
 
 
 class TestAllPairsSampled:
-    def test_matches_individual_queries(self, weighted_graph, use_c):
+    def test_matches_individual_queries(self, weighted_graph, tier):
         pairs = [(0, 3), (3, 0), (1, 2)]
-        for csr in every_search(weighted_graph, use_c=use_c).values():
+        for csr in every_search(weighted_graph, tier=tier).values():
             assert csr.batched_target_distances(pairs) == {
                 (0, 3): 3.0, (3, 0): 3.0, (1, 2): 1.0,
             }
 
-    def test_unreachable_pair_raises(self, use_c):
+    def test_unreachable_pair_raises(self, tier):
         split = Topology.from_edges(4, [(0, 1)])
-        for csr in every_search(split, use_c=use_c).values():
+        for csr in every_search(split, tier=tier).values():
             with pytest.raises(ValueError):
                 csr.batched_target_distances([(0, 3)])
 
-    def test_groups_by_source(self, use_c):
+    def test_groups_by_source(self, tier):
         topology = gnm_random_graph(40, seed=8, average_degree=5.0)
         pairs = [(0, 5), (0, 7), (3, 9)]
-        for csr in every_search(topology, use_c=use_c).values():
+        for csr in every_search(topology, tier=tier).values():
             assert set(csr.batched_target_distances(pairs)) == set(pairs)
 
 

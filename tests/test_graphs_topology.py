@@ -70,7 +70,7 @@ class TestConstruction:
         assert topology.num_edges == 1
         assert topology.edge_weight(0, 1) == 2.0
         # The rows carry the new weight too.
-        assert topology.neighbor_weights(0) == [(1, 2.0)]
+        assert topology.csr().neighbor_weights(0) == [(1, 2.0)]
 
     def test_parallel_edge_larger_weight_ignored(self):
         builder = TopologyBuilder(2)
@@ -100,11 +100,13 @@ class TestBuilder:
         builder.add_edge(0, 1, 4.0)
         builder.set_edge_weight(2, 0, 0.5)
         topology = builder.freeze()
-        assert topology.neighbor_weights(0) == [(2, 0.5), (3, 3.0), (1, 4.0)]
+        assert topology.csr().neighbor_weights(0) == [
+            (2, 0.5), (3, 3.0), (1, 4.0)
+        ]
         assert list(topology.edges()) == [
             (0, 2, 0.5), (0, 3, 3.0), (0, 1, 4.0)
         ]
-        assert topology.neighbor_weights(1) == [(0, 4.0)]
+        assert topology.csr().neighbor_weights(1) == [(0, 4.0)]
 
     def test_remove_and_reweight_a_missing_edge_raise(self):
         builder = TopologyBuilder(3)
@@ -114,7 +116,7 @@ class TestBuilder:
         with pytest.raises(KeyError):
             builder.set_edge_weight(1, 2, 1.0)
         assert builder.remove_edge(1, 0) == 1.0
-        assert builder.num_edges == 0
+        assert builder.freeze().num_edges == 0
 
     def test_from_topology_round_trips_every_slab(self):
         topology = Topology.from_edges(
@@ -304,7 +306,7 @@ class TestConversionsAndDunder:
             5, [(3, 1, 2.0), (0, 1, 1.5), (1, 4, 0.5), (2, 0, 3.0)], name="orig"
         )
         duplicate = topology.copy()
-        assert duplicate == topology
+        assert duplicate.content_key() == topology.content_key()
         assert duplicate.name == topology.name
         assert _slab_bytes(duplicate) == _slab_bytes(topology)
         assert list(duplicate.edges()) == list(topology.edges())
@@ -329,15 +331,14 @@ class TestConversionsAndDunder:
         a = Topology.from_edges(3, [(0, 1, 2.0)])
         b = Topology.from_edges(3, [(0, 1, 2.0)])
         c = Topology.from_edges(3, [(0, 1, 3.0)])
-        assert a == b
-        assert a != c
-        assert hash(a) == hash(b)
+        assert a.content_key() == b.content_key()
+        assert a.content_key() != c.content_key()
 
     def test_equality_ignores_arc_order_and_name(self):
         a = Topology.from_edges(3, [(0, 1), (1, 2)], name="a")
         b = Topology.from_edges(3, [(2, 1), (1, 0)], name="b")
         assert _slab_bytes(a) != _slab_bytes(b)
-        assert a == b
+        assert a.content_key() == b.content_key()
 
     def test_repr_mentions_size(self):
         topology = Topology.from_edges(3, [(0, 1)], name="x")
@@ -364,7 +365,8 @@ class TestConversionsAndDunder:
         distances = topology.csr().batched_target_distances(pairs)
         routes = NDDiscoRouting(topology, seed=3).router()
         copy = pickle.loads(pickle.dumps(topology))
-        assert copy == topology and copy.csr() is not topology.csr()
+        assert copy.content_key() == topology.content_key()
+        assert copy.csr() is not topology.csr()
         assert copy.csr().batched_target_distances(pairs) == distances
         copied = NDDiscoRouting(copy, seed=3).router()
         for source, target in pairs:

@@ -21,9 +21,7 @@ Without a C compiler both tiers are the twin and the tests still pass.
 
 from __future__ import annotations
 
-import os
 from array import array
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -32,8 +30,7 @@ from repro.core.overlay import DisseminationOverlay, draw_fingers
 from repro.core.sloppy_groups import SloppyGrouping
 from repro.estimation.error_injection import inject_estimate_error
 from repro.naming.names import name_for_node
-
-_TIERS = ("c", "python")
+from tiers import TIERS, kernel_tier
 
 _SETTINGS = settings(
     deadline=None,
@@ -42,24 +39,10 @@ _SETTINGS = settings(
 )
 
 
-@contextmanager
-def _tier(name: str):
-    """Run the body on the C tier or, with the switch set, on the twin."""
-    saved = os.environ.pop("REPRO_NO_CKERNELS", None)
-    if name == "python":
-        os.environ["REPRO_NO_CKERNELS"] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop("REPRO_NO_CKERNELS", None)
-        if saved is not None:
-            os.environ["REPRO_NO_CKERNELS"] = saved
-
-
 def _fingers_by_tier(grouping: SloppyGrouping, num_fingers: int, seed: int):
     rows = {}
-    for tier in _TIERS:
-        with _tier(tier):
+    for tier in TIERS:
+        with kernel_tier(tier):
             overlay = DisseminationOverlay(
                 grouping, num_fingers=num_fingers, seed=seed
             )
@@ -160,9 +143,9 @@ class TestRawSeeds:
         ring = self._ring(n, estimate)
         seeds = array("Q", [raw_seed] * n)
         slabs = {}
-        for tier in _TIERS:
+        for tier in TIERS:
             slabs[tier] = array("q", [-7] * (n * num_fingers))
-            with _tier(tier):
+            with kernel_tier(tier):
                 draw_fingers(*ring, seeds, num_fingers, slabs[tier])
         assert slabs["c"] == slabs["python"]
         assert -7 not in slabs["c"]
@@ -174,9 +157,9 @@ class TestRawSeeds:
         ring = self._ring(n)
         seeds = array("Q", [self.SEEDS[v % 5] ^ v for v in range(n)])
         slabs = {}
-        for tier in _TIERS:
+        for tier in TIERS:
             slabs[tier] = array("q", bytes(8 * n * num_fingers))
-            with _tier(tier):
+            with kernel_tier(tier):
                 draw_fingers(*ring, seeds, num_fingers, slabs[tier])
         assert slabs["c"] == slabs["python"]
 
@@ -239,15 +222,13 @@ class TestBoundary:
             yield ValueError, self._bad_entry("position", 3, slot)
             yield ValueError, self._bad_entry("order", 9, slot)
 
-    @pytest.mark.parametrize("tier", _TIERS)
     def test_bad_arguments_raise_before_any_write(self, tier):
-        with _tier(tier):
-            for error, arguments in self._cases():
-                fingers = arguments["fingers"]
-                before = bytes(fingers)
-                with pytest.raises(error):
-                    draw_fingers(**arguments)
-                assert bytes(fingers) == before
+        for error, arguments in self._cases():
+            fingers = arguments["fingers"]
+            before = bytes(fingers)
+            with pytest.raises(error):
+                draw_fingers(**arguments)
+            assert bytes(fingers) == before
             # And the well-formed call goes through.
             arguments = self._arguments()
             draw_fingers(**arguments)

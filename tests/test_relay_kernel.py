@@ -41,6 +41,7 @@ from repro.graphs.topology import Topology
 from repro.metrics.congestion import measure_congestion
 from repro.metrics.stretch import measure_stretch
 from repro.naming.names import name_for_node
+from tiers import kernel_tier
 
 needs_c = pytest.mark.skipif(
     load_kernels() is None, reason="C kernel tier unavailable"
@@ -349,17 +350,14 @@ def test_read_only_views_route_in_python():
 
 
 def test_the_python_tier_never_calls_the_kernel():
-    topology = _connected(40, 20, "unit", 3)
-    scheme = _scheme(
-        topology, _tables(topology, 3, 0.3, "ram", None), ShortcutMode.NONE
-    )
-    csr = topology.csr()
-    lib, csr._clib = csr._clib, None
-    try:
+    with kernel_tier("python"):
+        topology = _connected(40, 20, "unit", 3)
+        scheme = _scheme(
+            topology, _tables(topology, 3, 0.3, "ram", None), ShortcutMode.NONE
+        )
         router = scheme.router()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            router.prefetch([(0, 39), (5, 17)], first=True, later=True)
-        assert not router._compact
-    finally:
-        csr._clib = lib
+    assert topology.csr()._clib is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        router.prefetch([(0, 39), (5, 17)], first=True, later=True)
+    assert not router._compact

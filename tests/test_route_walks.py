@@ -30,14 +30,11 @@ The kernel is built under ASan + UBSan in CI with this file.
 from __future__ import annotations
 
 import random
-import weakref
 from array import array
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.graphs.topology as topology_module
 from oracles.reference_paths import assert_c_tier_picks
 from repro.core.disco import DiscoRouting
 from repro.core.nddisco import NDDiscoRouting
@@ -50,6 +47,7 @@ from repro.protocols.pathvector import PathVectorRouting
 from repro.protocols.s4 import S4Routing
 from repro.protocols.shortest_path import ShortestPathRouting
 from repro.protocols.vrr import VirtualRingRouting
+from tiers import TIERS, kernel_tier
 
 needs_c = pytest.mark.skipif(
     load_kernels() is None, reason="C kernel tier unavailable"
@@ -115,7 +113,10 @@ def _flat(paths) -> tuple[array, array]:
 
 def _tiers(topology: Topology):
     """A C-tier and a Python-tier snapshot of one topology."""
-    return topology.fresh_csr(use_c=True), topology.fresh_csr(use_c=False)
+    with kernel_tier("c"):
+        native = topology.fresh_csr()
+    with kernel_tier("python"):
+        return native, topology.fresh_csr()
 
 
 def _exact(result):
@@ -230,25 +231,9 @@ class TestBoundary:
         with pytest.warns(RuntimeWarning, match="route_walks could not") as caught:
             refused = refusing.route_walks(*_flat(paths))
         assert len(caught) == 1
-        twin = topology.fresh_csr(use_c=False).route_walks(*_flat(paths))
+        with kernel_tier("python"):
+            twin = topology.fresh_csr().route_walks(*_flat(paths))
         assert _exact(refused) == _exact(twin)
-
-
-@contextmanager
-def _tier(topology: Topology, tier: str):
-    """Make ``topology.csr()`` a fresh snapshot of ``tier`` for a while.
-
-    A cache entry is the topology's weakref beside its CSR, keyed by
-    ``id(topology)``; the topology's own entry is put back afterwards.
-    """
-    cache, key = topology_module._CSR_CACHE, id(topology)
-    topology.csr()
-    saved = cache[key]
-    cache[key] = (weakref.ref(topology), topology.fresh_csr(use_c=tier == "c"))
-    try:
-        yield
-    finally:
-        cache[key] = saved
 
 
 def _families(topology: Topology) -> list:
@@ -268,23 +253,28 @@ class TestMeasurements:
     @pytest.mark.parametrize("profile", sorted(_PROFILES))
     def test_reports_are_equal_on_both_tiers(self, profile):
         topology = _connected(48, 40, profile, 11)
-        for scheme in _families(topology):
-            reports = {}
-            for tier in ("c", "python"):
-                with _tier(topology, tier):
-                    reports[tier] = (
+        reports = {}
+        for tier in TIERS:
+            # A copy's csr() is built on the tier, and so is every scheme.
+            with kernel_tier(tier):
+                reports[tier] = [
+                    (
+                        scheme.name,
                         measure_stretch(scheme, pair_sample=120, seed=3),
                         measure_congestion(scheme, seed=4),
                         measure_congestion(
                             scheme, seed=4, use_later_packets=False
                         ),
                     )
-            assert reports["c"] == reports["python"], scheme.name
-            assert list(reports["c"][1].edge_usage) == [
+                    for scheme in _families(topology.copy())
+                ]
+        assert len(reports["c"]) == len(reports["python"]) == 6
+        for native, python in zip(reports["c"], reports["python"]):
+            assert native == python, native[0]
+            assert list(native[2].edge_usage) == [
                 (u, v) for u, v, _ in topology.edges()
             ]
 
-    @pytest.mark.parametrize("tier", ["c", "python"])
     def test_a_hop_that_is_no_edge_raises_the_rules_key_error(self, tier):
         topology = _connected(16, 0, "unit", 6)
         u, v = next(
@@ -314,12 +304,12 @@ class TestMeasurements:
         scheme = Teleporting(topology)
         pairs = [(0, 5), (u, v), (3, 9)]
         message = f"no edge {u}-{v}"
-        with _tier(topology, tier):
+        assert topology.csr().tier == tier
+        with pytest.raises(KeyError, match=message):
+            measure_stretch(scheme, pairs=pairs)
+        for later in (True, False):
             with pytest.raises(KeyError, match=message):
-                measure_stretch(scheme, pairs=pairs)
-            for later in (True, False):
-                with pytest.raises(KeyError, match=message):
-                    measure_congestion(
-                        scheme, pairs=pairs, use_later_packets=later
-                    )
-            assert measure_congestion(scheme, pairs=[(0, 5), (3, 9)]).flows == 2
+                measure_congestion(
+                    scheme, pairs=pairs, use_later_packets=later
+                )
+        assert measure_congestion(scheme, pairs=[(0, 5), (3, 9)]).flows == 2
