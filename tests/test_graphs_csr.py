@@ -36,7 +36,7 @@ from repro.graphs.generators import (
 from repro.graphs import topology as topology_module
 from repro.graphs.topology import Topology
 from small_graphs import grid_graph, star_graph
-from tiers import kernel_tier
+from tiers import kernel_tier, needs_c
 
 
 def _families() -> dict:
@@ -390,7 +390,7 @@ def _same_bytes(expected, actual) -> None:
         assert bytes(left) == bytes(right)
 
 
-@pytest.mark.skipif(load_kernels() is None, reason="C kernels unavailable")
+@needs_c
 @pytest.mark.parametrize("mode", [1, 3, "refused"])
 class TestBatchDrivers:
     """The batch drivers, C tier vs the pure-Python tier, byte for byte.
@@ -572,7 +572,7 @@ class TestBatchDrivers:
         _same_bytes(python.k_nearest_batch_flat(4), flat)
 
 
-@pytest.mark.skipif(load_kernels() is None, reason="C kernels unavailable")
+@needs_c
 def test_kernel_library_exports_no_single_source_search():
     """Every C search is batched: the three kernels are static in
     ``_kernels.c``, reached only through the batch entry points."""
@@ -586,7 +586,7 @@ class TestTierSwitch:
     """``REPRO_NO_CKERNELS`` is the one tier switch, read when a snapshot is
     built; the weight profile picks the kernel."""
 
-    @pytest.mark.skipif(load_kernels() is None, reason="C kernels unavailable")
+    @needs_c
     def test_a_snapshot_keeps_the_tier_it_was_built_on(self):
         topology = gnm_random_graph(40, seed=5, average_degree=4.0)
         expected = reference.dijkstra(topology, 3)

@@ -32,7 +32,6 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import reference_paths as reference
 from oracles.reference_paths import assert_c_tier_picks, every_search
-from repro.graphs._ckernels import load_kernels
 from repro.graphs.csr import DIAL_MAX_QUANTA, WeightProfile, profile_weights
 from repro.graphs.generators import (
     geometric_random_graph,
@@ -40,11 +39,7 @@ from repro.graphs.generators import (
     two_level_tree,
 )
 from repro.graphs.topology import Topology, TopologyBuilder
-from tiers import TIERS, kernel_tier
-
-C_TIER = pytest.mark.skipif(
-    load_kernels() is None, reason="C kernels unavailable"
-)
+from tiers import TIERS, kernel_tier, needs_c
 
 
 def _quantized_geometric(n: int, seed: int) -> Topology:
@@ -93,7 +88,7 @@ class TestKernelTierDifferential:
         for csr in every_search(topology, tier=tier).values():
             _assert_matches_reference(topology, csr)
 
-    @C_TIER
+    @needs_c
     @pytest.mark.parametrize(
         "family, kernel",
         [
@@ -108,7 +103,7 @@ class TestKernelTierDifferential:
         # slower: this is where the selection itself is held.
         assert_c_tier_picks(_families()[family], kernel)
 
-    @C_TIER
+    @needs_c
     @pytest.mark.parametrize("kernel", ["heap", "bucket"])
     def test_forced_kernels_match_reference_on_quantized(self, kernel):
         # Quantized weights admit both kernels; they must agree bit-for-bit

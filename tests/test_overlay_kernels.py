@@ -229,8 +229,8 @@ class TestBoundary:
             with pytest.raises(error):
                 draw_fingers(**arguments)
             assert bytes(fingers) == before
-            # And the well-formed call goes through.
-            arguments = self._arguments()
-            draw_fingers(**arguments)
-            assert -7 not in arguments["fingers"]
+        # And the well-formed call goes through.
+        arguments = self._arguments()
+        draw_fingers(**arguments)
+        assert -7 not in arguments["fingers"]
 

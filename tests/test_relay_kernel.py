@@ -36,16 +36,11 @@ from repro.core.nddisco import NDDiscoRouting
 from repro.core.shortcutting import ShortcutMode
 from repro.core.substrate_build import build_substrate_tables
 from repro.core.tables import SubstrateTables
-from repro.graphs._ckernels import load_kernels
 from repro.graphs.topology import Topology
 from repro.metrics.congestion import measure_congestion
 from repro.metrics.stretch import measure_stretch
 from repro.naming.names import name_for_node
-from tiers import kernel_tier
-
-needs_c = pytest.mark.skipif(
-    load_kernels() is None, reason="C kernel tier unavailable"
-)
+from tiers import kernel_tier, needs_c
 
 _KERNEL_MODES = (
     ShortcutMode.NONE,

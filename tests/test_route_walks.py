@@ -38,7 +38,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from oracles.reference_paths import assert_c_tier_picks
 from repro.core.disco import DiscoRouting
 from repro.core.nddisco import NDDiscoRouting
-from repro.graphs._ckernels import load_kernels
 from repro.graphs.topology import Topology
 from repro.metrics.congestion import measure_congestion
 from repro.metrics.stretch import measure_stretch
@@ -47,11 +46,7 @@ from repro.protocols.pathvector import PathVectorRouting
 from repro.protocols.s4 import S4Routing
 from repro.protocols.shortest_path import ShortestPathRouting
 from repro.protocols.vrr import VirtualRingRouting
-from tiers import TIERS, kernel_tier
-
-needs_c = pytest.mark.skipif(
-    load_kernels() is None, reason="C kernel tier unavailable"
-)
+from tiers import TIERS, kernel_tier, needs_c
 
 #: weight profile -> (the kernel it selects, a weight drawn from rng)
 _PROFILES = {

@@ -41,8 +41,8 @@ from repro.graphs.generators import (
     internet_router_level,
 )
 from repro.graphs import topology as topology_module
-from repro.graphs._ckernels import load_kernels
 from repro.naming.names import name_for_node
+from tiers import needs_c
 
 
 def _families():
@@ -86,7 +86,7 @@ def test_slab_direct_serial_matches_dict_path(family, topology):
     _assert_identical_slabs(expected, actual)
 
 
-@pytest.mark.skipif(load_kernels() is None, reason="C kernels unavailable")
+@needs_c
 @pytest.mark.parametrize("family,topology", FAMILIES, ids=[f for f, _ in FAMILIES])
 def test_refused_batch_kernels_match_dict_path(
     family, topology, refuse_batch_kernels, monkeypatch

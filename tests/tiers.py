@@ -19,8 +19,15 @@ import os
 from contextlib import contextmanager
 from typing import Iterator
 
+import pytest
+
+from repro.graphs._ckernels import load_kernels
+
 #: The tier names: the ids of a tier-parametrised test.
 TIERS = ("c", "python")
+
+#: Marks a test that needs the C tier; skipped when the kernels do not load.
+needs_c = pytest.mark.skipif(load_kernels() is None, reason="C kernels unavailable")
 
 
 @contextmanager
