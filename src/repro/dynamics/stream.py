@@ -17,10 +17,22 @@ incident edges and restores them on join (edges whose far endpoint is itself
 dead at join time migrate to that endpoint's captured set), and the
 generator mirrors that bookkeeping so its feasibility checks see the same
 topology the engine will.
+
+Making up an event costs what the event changes, not the whole graph.  The
+event stream sorts its live edges once and keeps that list up to date by
+bisection as edges go down, come up, leave with a node and return with it
+(a lookup is O(log m), an insert or delete one list splice per edge).  The
+link-flap workload decides whether a drawn edge is a bridge with two local
+searches instead of a whole-graph connectivity check.  The one whole-graph
+pass left is the bridge / articulation-point search that
+``preserve_connectivity=True`` runs for every ``edge-down`` and
+``node-leave`` draw of :func:`generate_event_stream`, O(n + m) each: a
+uniform draw among the edges that are no bridge needs the whole bridge set.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,6 +150,10 @@ def generate_churn_workload(
         Whether each failure is followed by the corresponding recovery.
     events_per_tick:
         How many consecutive events share one tick.
+
+    A drawn link is a bridge iff two breadth-first searches, one from each
+    end and the link left out, never meet (:func:`_is_bridge`): a few hops
+    for a link on a short cycle, about the smaller side for a bridge.
     """
     require_positive("num_events", num_events)
     require_positive("events_per_tick", events_per_tick)
@@ -152,12 +168,9 @@ def generate_churn_workload(
     while len(events) < num_events and attempts < max_attempts:
         attempts += 1
         u, v = candidate_edges[rng.randrange(len(candidate_edges))]
-        if not current.has_edge(u, v):
+        if not current.has_edge(u, v) or _is_bridge(current.adjacency, u, v):
             continue
         weight = current.remove_edge(u, v)
-        if not current.is_connected():  # a bridge: put it back, draw again
-            current.add_edge(u, v, weight)
-            continue
         events.append(
             DynEvent(len(events) // events_per_tick, "edge-down", u, v, weight)
         )
@@ -173,6 +186,34 @@ def generate_churn_workload(
             "tree-like"
         )
     return events
+
+
+def _is_bridge(adjacency: list[list[tuple[int, float]]], u: int, v: int) -> bool:
+    """Whether the edge ``{u, v}`` is the only path between ``u`` and ``v``.
+
+    Two breadth-first searches that ignore the edge, one from each end,
+    take turns a level at a time, the smaller frontier first: they meet
+    (not a bridge) after a few hops when the edge lies on a short cycle,
+    and for a bridge the search on the smaller side runs dry after about
+    that side's size.
+    """
+    seen = ({u}, {v})
+    frontiers = [[u], [v]]
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, theirs = seen[side], seen[1 - side]
+        start, far = (u, v) if side == 0 else (v, u)
+        grown = []
+        for node in frontiers[side]:
+            for neighbor, _ in adjacency[node]:
+                if neighbor in mine or (node == start and neighbor == far):
+                    continue
+                if neighbor in theirs:
+                    return False
+                mine.add(neighbor)
+                grown.append(neighbor)
+        frontiers[side] = grown
+    return True
 
 
 def _cut_points(
@@ -251,9 +292,19 @@ def generate_event_stream(
         graph connected: failures avoid bridges/articulation points and
         joins require a live neighbor.  ``False`` permits partitions
         (including streams that isolate every landmark).
+
+    Edge draws come from a sorted list of the live edges, built once and
+    kept up to date by bisection: an edge event costs O(log m) plus one
+    list splice, a node event one splice per incident edge (a node-leave
+    draw also lists the live nodes, O(n)).  Under
+    ``preserve_connectivity=True`` each ``edge-down`` and ``node-leave``
+    draw also runs :func:`_cut_points`, O(n + m).  ``kinds`` empty raises
+    ``ValueError``.
     """
     require_positive("num_events", num_events)
     require_positive("events_per_tick", events_per_tick)
+    if not kinds:
+        raise ValueError("kinds must name at least one event kind")
     for kind in kinds:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
@@ -267,13 +318,15 @@ def generate_event_stream(
     events: list[DynEvent] = []
     attempts = 0
     max_attempts = 80 * num_events + 200
-
-    def live_edges() -> list[tuple[int, int]]:
-        return sorted(
-            (u, v)
-            for u, v, _ in current.edges()
-            if u not in dead and v not in dead
-        )
+    # The edges of ``current`` as ``u < v`` pairs, kept sorted through every
+    # change below; a departed node holds none of them.  Only the edge-down
+    # and edge-reweight draws read it (an edge is up for recovery only if
+    # an edge-down drew it), so a stream without those keeps none.
+    live_edges = (
+        sorted((u, v) for u, v, _ in current.edges())
+        if {"edge-down", "edge-reweight"}.intersection(kinds)
+        else None
+    )
 
     def pick(candidates: list) -> object | None:
         if not candidates:
@@ -285,7 +338,7 @@ def generate_event_stream(
         kind = kinds[rng.randrange(len(kinds))]
         tick = len(events) // events_per_tick
         if kind == "edge-down":
-            candidates = live_edges()
+            candidates = live_edges
             if candidates and preserve_connectivity:
                 bridges, _ = _cut_points(current, candidates[0][0])
                 candidates = [e for e in candidates if e not in bridges]
@@ -294,6 +347,7 @@ def generate_event_stream(
                 continue
             u, v = edge
             weight = current.remove_edge(u, v)
+            del live_edges[bisect_left(live_edges, edge)]
             down_edges[(u, v)] = weight
             events.append(
                 DynEvent(tick=tick, kind="edge-down", u=u, v=v, weight=weight)
@@ -310,11 +364,12 @@ def generate_event_stream(
             u, v = edge
             weight = down_edges.pop((u, v))
             current.add_edge(u, v, weight)
+            insort(live_edges, edge)
             events.append(
                 DynEvent(tick=tick, kind="edge-up", u=u, v=v, weight=weight)
             )
         elif kind == "edge-reweight":
-            edge = pick(live_edges())
+            edge = pick(live_edges)
             if edge is None:
                 continue
             u, v = edge
@@ -343,6 +398,9 @@ def generate_event_stream(
             )
             for _, neighbor, _ in incident:
                 current.remove_edge(node, neighbor)
+                if live_edges is not None:
+                    edge = (min(node, neighbor), max(node, neighbor))
+                    del live_edges[bisect_left(live_edges, edge)]
             captured[node] = incident
             dead.add(node)
             events.append(DynEvent(tick=tick, kind="node-leave", u=node))
@@ -368,6 +426,9 @@ def generate_event_stream(
                     captured[neighbor].sort()
                 else:
                     current.add_edge(node, neighbor, weight)
+                    if live_edges is not None:
+                        edge = (min(node, neighbor), max(node, neighbor))
+                        insort(live_edges, edge)
             events.append(DynEvent(tick=tick, kind="node-join", u=node))
     if len(events) < num_events:
         raise InputError(

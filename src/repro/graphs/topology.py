@@ -234,9 +234,6 @@ class TopologyBuilder:
             self._num_nodes, lambda node: map(first, adjacency[node])
         )
 
-    def is_connected(self) -> bool:
-        return self._num_nodes <= 1 or len(self.connected_components()) == 1
-
     def freeze(self) -> "Topology":
         """The immutable :class:`Topology` of the current edge set.
 

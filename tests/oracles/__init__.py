@@ -9,6 +9,9 @@ One oracle per layer, none importable from ``src/``:
   the routes the ND-Disco router's ``shortcut`` must equal;
 * :mod:`oracles.replay` -- per-event full reconvergence plus a state diff,
   the bill the churn engine must reproduce incrementally;
+* :mod:`oracles.streams` -- both event-stream generators re-sorting every
+  live edge per draw and checking connectivity per trial removal, the
+  streams the program's generators must equal;
 * :mod:`oracles.fresh_build` -- the production builder on the engine's
   mutated topology, the tables the engine's in-place repairs must equal,
   and an engine adopted from a converged routing's tables;

@@ -130,7 +130,7 @@ class TestWorkloadGeneration:
         current = TopologyBuilder.from_topology(small_gnm)
         for event in workload:
             apply_edge_event(current, event)
-            assert current.is_connected()
+            assert current.freeze().is_connected()
 
     def test_recovering_workload_restores_topology(self, small_gnm):
         workload = generate_churn_workload(small_gnm, num_events=10, seed=5)

@@ -13,7 +13,8 @@ Pins the two halves of the churn engine's per-event cost model:
 
 Also the stream generator's one-pass bridge / articulation filter against
 the per-candidate connectivity search it replaced (kept here as the
-oracle), and the non-finite-weight no-op.
+oracle), the frozen stream digests of both generators, and the
+non-finite-weight no-op.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.dynamics import (
     ChurnEngine,
     DynEvent,
     MaintenanceCost,
+    generate_churn_workload,
     generate_event_stream,
 )
 from repro.dynamics.maintenance import _mean_group_size
@@ -455,6 +457,28 @@ _STREAM_DIGESTS = {
     "router-3": "1554afb6f70bf67a",
 }
 
+#: sha256(repr(stream))[:16] of the streams the bench and ``repro churn``
+#: draw, recorded before the generators kept their candidate edges sorted:
+#: ``generate_event_stream(gnm_random_graph(1024, seed=t, average_degree=8),
+#: preserve_connectivity=False)`` for ``"<kinds>-<t>"`` with
+#: ``events_per_tick=t`` (120 events, 60 for node kinds), and
+#: ``generate_churn_workload`` on a bridge-rich G(256, 344), where about
+#: half the draws are bridges and turned down.
+_PARTITION_STREAM_DIGESTS = {
+    "edge-1": "7a5914a1f7b7c136",
+    "edge-3": "9f767318e18ef605",
+    "node-1": "b7df1635c444bd1e",
+    "node-3": "e7f1c6d49e35471a",
+    "all-1": "932dd8e1a13dff0a",
+    "all-3": "f58ed8190a32e3be",
+}
+_WORKLOAD_DIGESTS = {True: "ca52a31faaf70392", False: "4d65ee3c94e06e3e"}
+_PARTITION_KINDS = {
+    "edge": (EVENT_KINDS[:3], 120),
+    "node": (EVENT_KINDS[3:], 60),
+    "all": (EVENT_KINDS, 120),
+}
+
 _STREAM_FAMILIES = {
     "gnm": lambda seed: gnm_random_graph(96, seed=seed, average_degree=4.0),
     "geo": lambda seed: geometric_random_graph(
@@ -491,6 +515,30 @@ class TestConnectivityPreservingStreams:
         assert {event.kind for event in events} == set(EVENT_KINDS)
         digest = hashlib.sha256(repr(events).encode()).hexdigest()[:16]
         assert digest == _STREAM_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(_PARTITION_STREAM_DIGESTS))
+    def test_partitioning_streams_are_unchanged(self, name):
+        kind_set, per_tick = name.split("-")
+        kinds, count = _PARTITION_KINDS[kind_set]
+        events = generate_event_stream(
+            gnm_random_graph(1024, seed=int(per_tick), average_degree=8.0),
+            num_events=count,
+            seed=int(per_tick),
+            kinds=kinds,
+            events_per_tick=int(per_tick),
+            preserve_connectivity=False,
+        )
+        digest = hashlib.sha256(repr(events).encode()).hexdigest()[:16]
+        assert digest == _PARTITION_STREAM_DIGESTS[name]
+
+    @pytest.mark.parametrize("recover", [True, False])
+    def test_link_flap_workloads_are_unchanged(self, recover):
+        topology = gnm_random_graph(256, seed=2, average_degree=2.5)
+        events = generate_churn_workload(
+            topology, num_events=40, seed=2, recover=recover
+        )
+        digest = hashlib.sha256(repr(events).encode()).hexdigest()[:16]
+        assert digest == _WORKLOAD_DIGESTS[recover]
 
     def test_every_prefix_keeps_the_live_nodes_connected(self):
         topology = internet_router_level(96, seed=5)

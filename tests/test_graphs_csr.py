@@ -36,6 +36,7 @@ from repro.graphs.generators import (
 from repro.graphs import topology as topology_module
 from repro.graphs.topology import Topology
 from small_graphs import grid_graph, star_graph
+import tiers
 from tiers import kernel_tier, needs_c
 
 
@@ -625,6 +626,16 @@ class TestTierSwitch:
             with kernel_tier("fortran"):
                 pass
         assert os.environ.get("REPRO_NO_CKERNELS") == before
+
+    def test_the_c_tier_skips_when_the_kernels_do_not_load(self, monkeypatch):
+        before = os.environ.get("REPRO_NO_CKERNELS")
+        monkeypatch.setattr(tiers, "load_kernels", lambda: None)
+        with pytest.raises(pytest.skip.Exception, match="C kernels unavailable"):
+            with kernel_tier("c"):
+                pytest.fail("the C block ran without the C kernels")
+        assert os.environ.get("REPRO_NO_CKERNELS") == before
+        with kernel_tier("python"):
+            assert os.environ.get("REPRO_NO_CKERNELS") == "1"
 
 
 class TestKernelCache:
